@@ -164,6 +164,7 @@ func RunQuiver(d *datasets.Dataset, cfg QuiverConfig) (*pipeline.Result, error) 
 		col = resilience.NewCollector(cfg.P)
 	}
 	ckptBytes := resilience.CheckpointBytes(model.NumParams())
+	sampler := core.SAGE{CDF: d.Graph.RowCDF()}
 
 	// attempt runs the cluster once from startEpoch, optionally seeded
 	// with a restored checkpoint (see pipeline.Run — same structure,
@@ -207,7 +208,7 @@ func RunQuiver(d *datasets.Dataset, cfg QuiverConfig) (*pipeline.Result, error) 
 							rs.SetPhase(pipeline.PhaseSampling)
 							var it quiverItem
 							if round < len(local) {
-								bulk := core.SampleBulk(core.SAGE{}, d.Graph.Adj,
+								bulk := core.SampleBulk(sampler, d.Graph.Adj,
 									[][]int{local[round]}, d.Fanouts, epochSeed+int64(round))
 								cost := bulk.Cost
 								if cfg.UVA {

@@ -220,7 +220,7 @@ func medianOf(xs []float64) float64 {
 func WritePerfBaseline(path string, rows []PerfRow) error {
 	b := PerfBaseline{
 		Schema: PerfSchema,
-		Note:   fmt.Sprintf("captured with GOMAXPROCS=%d", runtime.GOMAXPROCS(0)),
+		Note:   fmt.Sprintf("captured with GOMAXPROCS=%d on a %d-core host", runtime.GOMAXPROCS(0), runtime.NumCPU()),
 		Rows:   rows,
 	}
 	data, err := json.MarshalIndent(b, "", "  ")

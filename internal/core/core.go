@@ -20,6 +20,15 @@
 // matrix construction, normalization, inverse transform sampling, and
 // row/column extraction. internal/distsample reuses the same blocks
 // with distributed SpGEMM drivers.
+//
+// What a step returns as Cost is always the matrix algorithm's work —
+// that is what the simulated device is charged. What the host executes
+// to produce the sample may be less: with A whole, SAGE.Step reads the
+// rows of A that Q would select instead of multiplying, and takes
+// their NORM + prefix sums from the graph's row-CDF table. The matrix
+// blocks (BuildQ, sparse.SpGEMM, Norm, FinishStep) are what runs when A
+// is partitioned or Q's rows have many nonzeros (LADIES, FastGCN), and
+// what the tests hold the fused step equal to.
 package core
 
 import (
@@ -46,6 +55,19 @@ func NewFrontier(batches [][]int) *Frontier {
 		f.BatchPtr[i+1] = len(f.Vertices)
 	}
 	return f
+}
+
+// MustBeWithin panics unless every frontier vertex is a vertex of a
+// graph with n vertices. The bulk drivers call it on the batch frontier
+// they build from caller input, so a bad id fails by name rather than
+// as an index panic inside a kernel; deeper frontiers hold column ids
+// of A.
+func (f *Frontier) MustBeWithin(n int) {
+	for _, v := range f.Vertices {
+		if v < 0 || v >= n {
+			panic(fmt.Sprintf("core: frontier vertex %d outside graph of %d vertices", v, n))
+		}
+	}
 }
 
 // K returns the number of batches.
@@ -131,6 +153,7 @@ func SampleBulk(s Sampler, a *sparse.CSR, batches [][]int, fanouts []int, seed i
 	}
 	out := &BulkSample{Batches: batches}
 	cur := NewFrontier(batches)
+	cur.MustBeWithin(a.Rows)
 	for l, fan := range fanouts {
 		ls, cost := s.Step(a, cur, fan, seed+int64(l)*1e9)
 		out.Layers = append(out.Layers, ls)

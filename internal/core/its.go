@@ -47,6 +47,14 @@ type itsKeyed struct {
 	idx int
 }
 
+// prefixBuf returns the prefix-sum scratch resized to n entries.
+func (sc *itsScratch) prefixBuf(n int) []float64 {
+	if cap(sc.prefix) < n {
+		sc.prefix = make([]float64, n)
+	}
+	return sc.prefix[:n]
+}
+
 // insertChosen adds idx to the sorted selection if absent.
 func (sc *itsScratch) insertChosen(idx int) {
 	at := sort.SearchInts(sc.chosen, idx)
@@ -76,10 +84,7 @@ func sampleRowITS(weights []float64, s int, rng FloatRNG, sc *itsScratch) (picks
 	}
 
 	// Prefix sum.
-	if cap(sc.prefix) < nnz+1 {
-		sc.prefix = make([]float64, nnz+1)
-	}
-	prefix := sc.prefix[:nnz+1]
+	prefix := sc.prefixBuf(nnz + 1)
 	prefix[0] = 0
 	for i, w := range weights {
 		if w < 0 || math.IsNaN(w) {
@@ -93,6 +98,21 @@ func sampleRowITS(weights []float64, s int, rng FloatRNG, sc *itsScratch) (picks
 		return nil, ops
 	}
 
+	ops += sc.draw(prefix[1:], weights, 1, s, rng)
+	picks = make([]int, len(sc.chosen))
+	copy(picks, sc.chosen)
+	return picks, ops
+}
+
+// draw is ITS over a supplied prefix sum: it selects s distinct
+// positions of a row with more than s entries into sc.chosen (sorted)
+// and returns the operations spent. cum[k] is the inclusive running sum
+// of the row's weights, cum[len-1] > 0 their total, and entry k's
+// weight is w[k]·scale — the matrix path passes normalized weights and
+// scale 1, SAGE.Step passes A's row and the scale NormPrefix returned.
+func (sc *itsScratch) draw(cum, w []float64, scale float64, s int, rng FloatRNG) (ops int64) {
+	nnz := len(cum)
+	total := cum[nnz-1]
 	sc.chosen = sc.chosen[:0]
 	maxTries := 8*s + 32
 	tries := 0
@@ -100,12 +120,12 @@ func sampleRowITS(weights []float64, s int, rng FloatRNG, sc *itsScratch) (picks
 		tries++
 		u := rng.Float64() * total
 		// Find the first prefix boundary exceeding u.
-		idx := sort.SearchFloat64s(prefix[1:], u)
+		idx := sort.SearchFloat64s(cum, u)
 		if idx >= nnz {
 			idx = nnz - 1
 		}
 		// Skip zero-weight entries that a boundary draw can land on.
-		if weights[idx] == 0 {
+		if w[idx]*scale == 0 {
 			continue
 		}
 		ops += int64(math.Ilogb(float64(nnz))) + 1
@@ -116,11 +136,12 @@ func sampleRowITS(weights []float64, s int, rng FloatRNG, sc *itsScratch) (picks
 		// Fallback: exponential-key weighted order statistics. Exact
 		// without-replacement semantics at O(nnz log nnz).
 		ks := sc.keyed[:0]
-		for i, w := range weights {
-			if w <= 0 {
+		for i := range w {
+			wi := w[i] * scale
+			if wi <= 0 {
 				continue
 			}
-			ks = append(ks, itsKeyed{key: -math.Log(rng.Float64()) / w, idx: i})
+			ks = append(ks, itsKeyed{key: -math.Log(rng.Float64()) / wi, idx: i})
 		}
 		sort.Slice(ks, func(a, b int) bool { return ks[a].key < ks[b].key })
 		ops += int64(len(ks)) * 2
@@ -132,10 +153,7 @@ func sampleRowITS(weights []float64, s int, rng FloatRNG, sc *itsScratch) (picks
 		}
 		sc.keyed = ks[:0]
 	}
-
-	picks = make([]int, len(sc.chosen))
-	copy(picks, sc.chosen)
-	return picks, ops
+	return ops
 }
 
 // RowSampler batches per-row ITS sampling over one reused RNG and

@@ -1,12 +1,22 @@
 package core
 
 import (
+	"math"
+
+	"repro/internal/graph"
 	"repro/internal/sparse"
 )
 
 // SAGE is the node-wise GraphSAGE sampler (Section 4.1): each frontier
 // vertex samples s of its neighbors uniformly at random.
-type SAGE struct{}
+type SAGE struct {
+	// CDF is the adjacency matrix's row-CDF table (graph.Graph.RowCDF).
+	// It only saves host time: when nil, or built from another matrix
+	// than the one Step is given, Step computes each sampled row's
+	// prefix sum into scratch with the routine that builds the table,
+	// and returns the same sample and the same Cost.
+	CDF *graph.RowCDF
+}
 
 // Name implements Sampler.
 func (SAGE) Name() string { return "GraphSAGE" }
@@ -35,18 +45,83 @@ func (SAGE) BuildQ(cur *Frontier, n int) *sparse.CSR {
 // the vertex's neighbors (each nonzero becomes 1/|N(v)|).
 func (SAGE) Norm(p *sparse.CSR) { p.NormalizeRows() }
 
-// Step performs one bulk GraphSAGE layer: P ← Q·A, NORM, ITS sampling
-// of s neighbors per row, and extraction by column compaction
-// (Sections 4.1.1–4.1.4).
+// Step performs one bulk GraphSAGE layer. The device is charged for
+// Algorithm 1 as written — Q construction, P ← Q·A, NORM, ITS sampling
+// of s neighbors per row, extraction by column compaction (Sections
+// 4.1.1–4.1.4) — but the host materializes neither Q nor P: Q^l has one
+// unit entry per row, so row i of P is row cur.Vertices[i] of A, read in
+// place, and its NORM + prefix sum comes from sg.CDF. The result equals
+// BuildQ → sparse.SpGEMM → FinishStep field for field, Cost included;
+// that matrix path remains what the partitioned drivers run.
 func (sg SAGE) Step(a *sparse.CSR, cur *Frontier, s int, seed int64) (*LayerSample, Cost) {
-	var cost Cost
-	q := sg.BuildQ(cur, a.Cols)
-	p, flops := sparse.SpGEMM(q, a)
-	cost.ProbFlops += flops
-	cost.Kernels += 2 // Q construction, SpGEMM
-	ls, c2 := sg.FinishStep(p, cur, s, seed)
-	cost.Add(c2)
-	return ls, cost
+	// Q construction, SpGEMM, NORM, SAMPLE, EXTRACT.
+	cost := Cost{Kernels: 5}
+	s = max(s, 0)
+	rows := cur.Len()
+	maxPicks := 0
+	for _, v := range cur.Vertices {
+		deg := a.RowNNZ(v)
+		cost.ProbFlops += int64(deg) // one multiply-add per entry of the gathered row
+		maxPicks += min(deg, s)
+	}
+	table := sg.CDF.Of(a)
+
+	// SAMPLE: picks[rowPtr[i]:rowPtr[i+1]] are the sampled global vertex
+	// ids of frontier row i, in row-sorted order.
+	rowPtr := make([]int, rows+1)
+	picks := make([]int, 0, maxPicks)
+	var rs RowSampler
+	for i, v := range cur.Vertices {
+		cols, w := a.Row(v)
+		switch deg := len(cols); {
+		case deg <= s:
+			picks = append(picks, cols...)
+			cost.SampleOps += int64(deg)
+		case s > 0:
+			cost.SampleOps += int64(deg) // the prefix sum
+			var inv float64
+			var cum []float64
+			if table {
+				inv, cum = sg.CDF.Row(v)
+			} else {
+				cum = rs.sc.prefixBuf(deg)
+				inv = graph.NormPrefix(cum, w)
+			}
+			if math.IsNaN(inv) {
+				panic("core: negative or NaN sampling weight")
+			}
+			if cum[deg-1] == 0 {
+				break
+			}
+			rs.rng.Reseed(rowSeed(seed, i))
+			cost.SampleOps += rs.sc.draw(cum, w, inv, s, &rs.rng)
+			for _, t := range rs.sc.chosen {
+				picks = append(picks, cols[t])
+			}
+		}
+		rowPtr[i+1] = len(picks)
+	}
+
+	// EXTRACT: one row per frontier vertex, columns "self frontier ++
+	// sampled vertices" per batch. Batch b's picks follow its self
+	// prefix in pick order, so pick t of a batch whose rows end at hi
+	// is column hi+t.
+	k := cur.K()
+	next := &Frontier{Vertices: make([]int, 0, rows+len(picks)), BatchPtr: make([]int, k+1)}
+	adj := &sparse.CSR{Rows: rows, Cols: rows + len(picks), RowPtr: rowPtr,
+		ColIdx: make([]int, len(picks)), Val: make([]float64, len(picks))}
+	for b := 0; b < k; b++ {
+		lo, hi := cur.BatchPtr[b], cur.BatchPtr[b+1]
+		next.Vertices = append(next.Vertices, cur.Vertices[lo:hi]...)
+		next.Vertices = append(next.Vertices, picks[rowPtr[lo]:rowPtr[hi]]...)
+		next.BatchPtr[b+1] = len(next.Vertices)
+		for t := rowPtr[lo]; t < rowPtr[hi]; t++ {
+			adj.ColIdx[t] = hi + t
+			adj.Val[t] = 1
+		}
+	}
+	cost.ExtractOps += int64(len(picks))
+	return &LayerSample{Adj: adj, Rows: cur, Cols: next}, cost
 }
 
 // FinishStep completes a GraphSAGE layer given the raw probability

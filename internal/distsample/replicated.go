@@ -27,6 +27,7 @@ func SampleReplicated(r *cluster.Rank, sampler core.Sampler, a *sparse.CSR, batc
 		return out
 	}
 	cur := core.NewFrontier(batches)
+	cur.MustBeWithin(a.Rows)
 	for l, fan := range fanouts {
 		ls, cost := sampler.Step(a, cur, fan, seed+int64(l)*1e9)
 		r.SetPhase(PhaseProbability)

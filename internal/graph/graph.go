@@ -6,6 +6,7 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"repro/internal/sparse"
 )
@@ -13,9 +14,13 @@ import (
 // Graph is a directed graph stored as a CSR adjacency matrix A where
 // A[i][j] = 1 means an edge from i to j (j is an in-neighbor source for
 // aggregation at i, matching the paper's P = QA convention where row i
-// of A lists the vertices aggregated into i).
+// of A lists the vertices aggregated into i). Adj is immutable once
+// wrapped: derived state (the RowCDF table) is built from it once.
 type Graph struct {
 	Adj *sparse.CSR
+
+	cdfOnce sync.Once
+	cdf     *RowCDF
 }
 
 // New wraps an adjacency matrix. The matrix must be square.

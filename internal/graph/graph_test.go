@@ -1,8 +1,11 @@
 package graph
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/sparse"
 )
 
 func TestRMATBasicProperties(t *testing.T) {
@@ -140,4 +143,40 @@ func TestBatchesBadSizePanics(t *testing.T) {
 		}
 	}()
 	Batches([]int{1}, 0)
+}
+
+// The table is NormalizeRows followed by a running sum, row by row, and
+// a graph builds it once.
+func TestRowCDFMatchesNormalizedPrefix(t *testing.T) {
+	a := sparse.FromDense(4, 4, []float64{
+		0, 2, 0.5, 1.5,
+		0, 0, 0, 0,
+		3, 0, 0, 1,
+		0, -1, 1, 0, // no distribution: negative weight
+	})
+	g := New(a)
+	tab := g.RowCDF()
+	if g.RowCDF() != tab {
+		t.Fatal("second call built a second table")
+	}
+	if !tab.Of(a) || tab.Of(a.Clone()) || (*RowCDF)(nil).Of(a) {
+		t.Fatal("Of must hold for the wrapped matrix only")
+	}
+	norm := a.Clone()
+	norm.NormalizeRows()
+	for v := 0; v < 3; v++ {
+		inv, cum := tab.Row(v)
+		_, raw := a.Row(v)
+		_, want := norm.Row(v)
+		acc := 0.0
+		for k := range want {
+			acc += want[k]
+			if cum[k] != acc || raw[k]*inv != want[k] {
+				t.Fatalf("row %d entry %d: cum %v weight %v, want %v %v", v, k, cum[k], raw[k]*inv, acc, want[k])
+			}
+		}
+	}
+	if inv, _ := tab.Row(3); !math.IsNaN(inv) {
+		t.Fatalf("row with a negative weight has scale %v, want NaN", inv)
+	}
 }

@@ -50,15 +50,7 @@ func Evaluate(d *datasets.Dataset, params []float64, cfg Config, vertices []int,
 			}
 		}
 	}
-	var sampler core.Sampler
-	switch cfg.Sampler {
-	case "ladies":
-		sampler = core.LADIES{}
-	case "fastgcn":
-		sampler = core.FastGCN{}
-	default:
-		sampler = core.SAGE{}
-	}
+	sampler := newSampler(cfg.Sampler, d.Graph)
 
 	correct, total := 0, 0
 	for _, batch := range graph.Batches(vertices, d.BatchSize) {

@@ -12,6 +12,7 @@ import (
 	"repro/internal/distsample"
 	"repro/internal/engine"
 	"repro/internal/gnn"
+	"repro/internal/graph"
 	"repro/internal/graphio"
 	"repro/internal/resilience"
 )
@@ -323,15 +324,18 @@ type trainItem struct {
 	feats *dense.Matrix
 }
 
-// newSampler maps the config's sampler name to its implementation.
-func newSampler(name string) core.Sampler {
+// newSampler maps the config's sampler name to its implementation for
+// sampling from the whole of g's adjacency matrix. GraphSAGE takes the
+// graph's row-CDF table, built on the first call and shared from then
+// on by every rank, epoch and run over g.
+func newSampler(name string, g *graph.Graph) core.Sampler {
 	switch name {
 	case "ladies":
 		return core.LADIES{}
 	case "fastgcn":
 		return core.FastGCN{}
 	default:
-		return core.SAGE{}
+		return core.SAGE{CDF: g.RowCDF()}
 	}
 }
 
@@ -431,6 +435,13 @@ func Run(d *datasets.Dataset, cfg Config) (*Result, error) {
 	}
 	ckptBytes := resilience.CheckpointBytes(model.NumParams())
 
+	// Only the replicated algorithm samples from the whole matrix; the
+	// partitioned drivers work on their own blocks of it.
+	var sampler core.Sampler
+	if cfg.Algorithm != GraphPartitioned {
+		sampler = newSampler(cfg.Sampler, d.Graph)
+	}
+
 	// attempt runs the cluster once from startEpoch, optionally seeded
 	// with a restored checkpoint. The cluster, grid, stores and
 	// partitioned-sampling state are rebuilt per attempt: a failed run
@@ -481,7 +492,6 @@ func Run(d *datasets.Dataset, cfg Config) (*Result, error) {
 			} else {
 				local = distsample.ReplicatedBatches(cfg.P, r.ID, batches)
 			}
-			sampler := newSampler(cfg.Sampler)
 			// Communicators each stage drives: in overlapped mode the
 			// engine gives every collective-bearing stage its own stream,
 			// and the stage bodies reach the matching communicator clones
