@@ -22,30 +22,20 @@ import (
 
 func main() {
 	var (
-		dataset   = flag.String("dataset", "products", "products, protein, papers")
-		profile   = flag.String("profile", "small", cliutil.ProfileUsage)
-		p         = flag.Int("p", 8, "simulated GPUs")
-		maxB      = flag.Int("maxbatches", 0, "cap batches per epoch (0 = all)")
-		seed      = flag.Int64("seed", 1, "seed")
-		allreduce = flag.String("allreduce", "default", cluster.AllReduceFlagUsage)
-		alltoall  = flag.String("alltoall", "default", cluster.AllToAllFlagUsage)
-		topology  = flag.String("topology", "ideal", cluster.TopologyFlagUsage)
-		backend   = flag.String("backend", "default", cluster.BackendFlagUsage)
+		dataset = flag.String("dataset", "products", "products, protein, papers")
+		profile = flag.String("profile", "small", cliutil.ProfileUsage)
+		p       = flag.Int("p", 8, "simulated GPUs")
+		maxB    = flag.Int("maxbatches", 0, "cap batches per epoch (0 = all)")
+		seed    = flag.Int64("seed", 1, "seed")
 	)
+	platform := cliutil.RegisterPlatformFlags(flag.CommandLine, false, nil)
 	flag.Parse()
 
-	coll, err := cluster.ParseCollectives(*allreduce, *alltoall)
+	pf, err := platform()
 	if err != nil {
 		fatal(err)
 	}
-	topo, err := cluster.ParseTopology(*topology)
-	if err != nil {
-		fatal(err)
-	}
-	be, err := cluster.ParseBackend(*backend)
-	if err != nil {
-		fatal(err)
-	}
+	coll, topo, be := pf.Collectives, pf.Topology, pf.Backend
 
 	prof, err := cliutil.ParseProfile(*profile)
 	if err != nil {

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/cliutil"
-	"repro/internal/cluster"
 	"repro/internal/trace"
 )
 
@@ -28,48 +27,33 @@ func main() {
 		seed       = flag.Int64("seed", 20240101, "experiment seed")
 		jsonOut    = flag.String("json", "", "also write results as JSON to this file")
 		overlap    = flag.Bool("overlap", false, "run the replicated-pipeline training experiments (fig4, fig6) on the overlapped engine schedule; the overlap experiment always measures sequential vs overlapped for both algorithms")
-		allreduce  = flag.String("allreduce", "default", cluster.AllReduceFlagUsage+" (the collectives and tprob experiments sweep their algorithm sets regardless)")
-		alltoall   = flag.String("alltoall", "default", cluster.AllToAllFlagUsage)
-		topology   = flag.String("topology", "ideal", cluster.TopologyFlagUsage+" (the contention experiment sweeps its topology set regardless)")
-		backend    = flag.String("backend", "default", cluster.BackendFlagUsage)
 		perfOut    = flag.String("perfout", "", "perf experiment: write the measured rows as a new baseline file (BENCH_*.json)")
 		perfBase   = flag.String("perfbaseline", "", "perf experiment: compare against this committed baseline and fail on >25% wall-time regression")
 		perfReps   = flag.String("perfreps", "default", "perf experiment: repetitions per workload (reported as wall min and median; baselines are captured at the default, 5)")
 		sweepWorks = flag.String("sweepworkers", "default", "worker-pool size for sweep experiments (scaling): default = one per CPU, 1 = serial; tables are byte-identical at any setting")
-		faultsFlag = flag.String("faults", "default", cliutil.FaultsUsage+" (resilience experiment: overrides the auto fault at ~60% of the clean span)")
-		ckptFlag   = flag.String("ckpt-interval", "default", cliutil.CkptIntervalUsage+" (resilience experiment: restricts the interval sweep to this cadence)")
 	)
+	platform := cliutil.RegisterPlatformFlags(flag.CommandLine, true, map[string]string{
+		"allreduce":     " (the collectives and tprob experiments sweep their algorithm sets regardless)",
+		"topology":      " (the contention experiment sweeps its topology set regardless)",
+		"faults":        " (resilience experiment: overrides the auto fault at ~60% of the clean span)",
+		"ckpt-interval": " (resilience experiment: restricts the interval sweep to this cadence)",
+	})
 	flag.Parse()
 
 	prof, err := cliutil.ParseProfile(*profile)
 	if err != nil {
 		fatal(err)
 	}
-	coll, err := cluster.ParseCollectives(*allreduce, *alltoall)
+	pf, err := platform()
 	if err != nil {
 		fatal(err)
 	}
-	topo, err := cluster.ParseTopology(*topology)
-	if err != nil {
-		fatal(err)
-	}
-	be, err := cluster.ParseBackend(*backend)
-	if err != nil {
-		fatal(err)
-	}
+	coll, topo, be := pf.Collectives, pf.Topology, pf.Backend
 	workers, err := cliutil.ParseSweepWorkers(*sweepWorks)
 	if err != nil {
 		fatal(err)
 	}
 	reps, err := cliutil.ParsePerfReps(*perfReps)
-	if err != nil {
-		fatal(err)
-	}
-	faultPlan, err := cliutil.ParseFaults(*faultsFlag)
-	if err != nil {
-		fatal(err)
-	}
-	ckptInterval, err := cliutil.ParseCkptInterval(*ckptFlag)
 	if err != nil {
 		fatal(err)
 	}
@@ -80,8 +64,8 @@ func main() {
 		{"perfbaseline", *perfBase, "perf"},
 		{"perfreps", *perfReps, "perf"},
 		{"sweepworkers", *sweepWorks, "scaling"},
-		{"faults", *faultsFlag, "resilience"},
-		{"ckpt-interval", *ckptFlag, "resilience"},
+		{"faults", flag.Lookup("faults").Value.String(), "resilience"},
+		{"ckpt-interval", flag.Lookup("ckpt-interval").Value.String(), "resilience"},
 	} {
 		if err := cliutil.RequireExperiment(c.name, c.value, *experiment, c.want); err != nil {
 			fatal(err)
@@ -224,10 +208,10 @@ func main() {
 				p = opts.GPUCounts[0]
 			}
 			var intervals []int
-			if ckptInterval > 0 {
-				intervals = []int{0, ckptInterval}
+			if pf.CkptInterval > 0 {
+				intervals = []int{0, pf.CkptInterval}
 			}
-			rows, err := bench.Resilience(os.Stdout, "products", p, intervals, faultPlan, opts)
+			rows, err := bench.Resilience(os.Stdout, "products", p, intervals, pf.Faults, opts)
 			report.Add(id, rows)
 			return err
 		default:

@@ -14,7 +14,6 @@ import (
 	"repro/internal/autotune"
 	"repro/internal/cache"
 	"repro/internal/cliutil"
-	"repro/internal/cluster"
 	"repro/internal/datasets"
 	"repro/internal/graphio"
 	"repro/internal/pipeline"
@@ -27,7 +26,7 @@ func main() {
 		p         = flag.Int("p", 4, "simulated GPUs")
 		c         = flag.Int("c", 1, "replication factor")
 		k         = flag.Int("k", 0, "bulk size (0 or negative = all minibatches at once; with -autotune, 0 = choose for me, -1 = explicitly all)")
-		sampler   = flag.String("sampler", "sage", "sage or ladies")
+		sampler   = flag.String("sampler", "sage", "sage, ladies or fastgcn")
 		algorithm = flag.String("algorithm", "replicated", "replicated or partitioned")
 		epochs    = flag.Int("epochs", 5, "training epochs")
 		lr        = flag.Float64("lr", 0.01, "learning rate")
@@ -37,16 +36,12 @@ func main() {
 		cacheFrac = flag.Float64("cachefrac", 0.1, "cache capacity as fraction of vertices")
 		dropout   = flag.Float64("dropout", 0, "dropout rate on hidden activations")
 		overlap   = flag.Bool("overlap", false, "software-pipeline sampling and feature fetch against propagation (both algorithms; partitioned collectives run on per-stage streams)")
-		allreduce = flag.String("allreduce", "default", cluster.AllReduceFlagUsage+" (with -autotune, default = choose by node span)")
-		alltoall  = flag.String("alltoall", "default", cluster.AllToAllFlagUsage)
-		topology  = flag.String("topology", "ideal", cluster.TopologyFlagUsage)
-		backend   = flag.String("backend", "default", cluster.BackendFlagUsage)
 		ckptOut   = flag.String("checkpoint", "", "write trained parameters to this file")
 		ckptIn    = flag.String("resume", "", "initialize parameters from this checkpoint")
-		faults    = flag.String("faults", "default", cliutil.FaultsUsage)
-		ckptEvery = flag.String("ckpt-interval", "default", cliutil.CkptIntervalUsage)
 		tune      = flag.Bool("autotune", false, "choose c and k automatically by memory model")
 	)
+	platform := cliutil.RegisterPlatformFlags(flag.CommandLine, true, map[string]string{
+		"allreduce": " (with -autotune, default = choose by node span)"})
 	flag.Parse()
 
 	var d *datasets.Dataset
@@ -63,23 +58,7 @@ func main() {
 		}
 	}
 
-	coll, err := cluster.ParseCollectives(*allreduce, *alltoall)
-	if err != nil {
-		fatal(err)
-	}
-	topo, err := cluster.ParseTopology(*topology)
-	if err != nil {
-		fatal(err)
-	}
-	be, err := cluster.ParseBackend(*backend)
-	if err != nil {
-		fatal(err)
-	}
-	faultPlan, err := cliutil.ParseFaults(*faults)
-	if err != nil {
-		fatal(err)
-	}
-	ckptInterval, err := cliutil.ParseCkptInterval(*ckptEvery)
+	pf, err := platform()
 	if err != nil {
 		fatal(err)
 	}
@@ -89,15 +68,19 @@ func main() {
 		Epochs:  *epochs, LR: *lr, Seed: *seed,
 		MaxBatches:   *maxB,
 		Overlap:      *overlap,
-		Collectives:  coll,
-		Topology:     topo,
-		Backend:      be,
-		Faults:       faultPlan,
-		CkptInterval: ckptInterval,
+		Collectives:  pf.Collectives,
+		Topology:     pf.Topology,
+		Backend:      pf.Backend,
+		Faults:       pf.Faults,
+		CkptInterval: pf.CkptInterval,
 	}
-	if *algorithm == "partitioned" {
+	switch *algorithm {
+	case "partitioned":
 		cfg.Algorithm = pipeline.GraphPartitioned
 		cfg.SparsityAware = true
+	case "replicated":
+	default:
+		fatal(fmt.Errorf("unknown algorithm %q (want replicated or partitioned)", *algorithm))
 	}
 	switch *cachePol {
 	case "static":

@@ -18,9 +18,15 @@ import (
 // RankFailure forges the error the recovery contract keys on. The
 // analyzer flags composite literals of the three types anywhere else,
 // steering construction through the resilience constructors.
+//
+// The same seam owns recovery: there is one restart driver,
+// resilience.RunWithRestarts, and the two bookkeeping steps that make a
+// loop a restart loop — FaultPlan.Retire and Stats.RecordFailure — are
+// called from nowhere else, so a second copy of the loop cannot grow
+// back in a training driver unnoticed.
 var Faultseam = &Analyzer{
 	Name: "faultseam",
-	Doc:  "confine FaultPlan/Failure/RankFailure construction to the fault seam (cluster, resilience, cliutil)",
+	Doc:  "confine FaultPlan/Failure/RankFailure construction to the fault seam (cluster, resilience, cliutil) and restart bookkeeping (Retire, RecordFailure) to resilience",
 	Run:  runFaultseam,
 }
 
@@ -40,38 +46,52 @@ var faultseamTypes = map[string]string{
 	"RankFailure": "RankFailure is produced by the cluster's fail-stop machinery only; synthesizing one forges the recovery contract's root-cause error",
 }
 
+// faultseamMethods are the restart driver's bookkeeping steps — method
+// name to receiver type name, matched by name like faultseamTypes —
+// which only the driver's package, internal/resilience, may call.
+var faultseamMethods = map[string]string{"Retire": "FaultPlan", "RecordFailure": "Stats"}
+
 func runFaultseam(pass *Pass) error {
-	if pass.Pkg == nil || faultseamExempt[pass.Pkg.Path()] {
+	if pass.Pkg == nil {
 		return nil
 	}
+	path := pass.Pkg.Path()
 	for _, f := range pass.Files {
 		if pass.IsTestFile(f) {
 			continue // tests may build plans to probe the seam itself
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			cl, ok := n.(*ast.CompositeLit)
-			if !ok {
-				return true
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				name := namedTypeName(pass.TypesInfo.TypeOf(n))
+				if hint, hit := faultseamTypes[name]; hit && !faultseamExempt[path] {
+					pass.Reportf(n.Pos(), "fault-injection value %s constructed outside the FaultPlan seam: %s", name, hint)
+				}
+			case *ast.CallExpr:
+				sel, ok := n.Fun.(*ast.SelectorExpr)
+				if !ok || path == "repro/internal/resilience" {
+					break
+				}
+				recv, hit := faultseamMethods[sel.Sel.Name]
+				if m := pass.TypesInfo.Selections[sel]; hit && m != nil && namedTypeName(m.Recv()) == recv {
+					pass.Reportf(n.Pos(), "restart bookkeeping %s.%s called outside the restart driver: recover through resilience.RunWithRestarts instead of a second restart loop",
+						recv, sel.Sel.Name)
+				}
 			}
-			t := pass.TypesInfo.TypeOf(cl)
-			if t == nil {
-				return true
-			}
-			if ptr, ok := t.(*types.Pointer); ok {
-				t = ptr.Elem()
-			}
-			named, ok := t.(*types.Named)
-			if !ok {
-				return true
-			}
-			hint, hit := faultseamTypes[named.Obj().Name()]
-			if !hit {
-				return true
-			}
-			pass.Reportf(cl.Pos(), "fault-injection value %s constructed outside the FaultPlan seam: %s",
-				named.Obj().Name(), hint)
 			return true
 		})
 	}
 	return nil
+}
+
+// namedTypeName returns the name of the named type t is, or points to
+// ("" for anything else, including a nil t).
+func namedTypeName(t types.Type) string {
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	if named, ok := t.(*types.Named); ok {
+		return named.Obj().Name()
+	}
+	return ""
 }

@@ -26,6 +26,19 @@ func passingThrough(m *CostModel, plan *FaultPlan) {
 	m.Faults = plan
 }
 
+// secondRestartLoop is the shape the analyzer keeps from growing back:
+// a driver retiring the fired entry and logging the failure itself
+// instead of recovering through resilience.RunWithRestarts.
+func secondRestartLoop(plan *FaultPlan, rec *Stats, rf *RankFailure) *FaultPlan {
+	plan = plan.Retire(rf)      // want `restart bookkeeping FaultPlan\.Retire called outside the restart driver: recover through resilience\.RunWithRestarts instead of a second restart loop`
+	rec.RecordFailure(rf, 0, 0) // want `restart bookkeeping Stats\.RecordFailure called outside the restart driver: recover through resilience\.RunWithRestarts instead of a second restart loop`
+	return plan
+}
+
+// otherRetire has the method's name on an unrelated receiver: only the
+// seam's own types are confined.
+func otherRetire(w worker) { w.Retire(nil) }
+
 // zeroModel constructs an unrelated literal; only the three seam types
 // are confined.
 func zeroModel() CostModel {

@@ -25,3 +25,19 @@ type RankFailure struct {
 type CostModel struct {
 	Faults *FaultPlan
 }
+
+// Retire mirrors (*cluster.FaultPlan).Retire.
+func (p *FaultPlan) Retire(rf *RankFailure) *FaultPlan { return p }
+
+// Stats mirrors resilience.Stats.
+type Stats struct {
+	Attempts int
+}
+
+// RecordFailure mirrors (*resilience.Stats).RecordFailure.
+func (s *Stats) RecordFailure(rf *RankFailure, resumeEpoch int, restoreClock float64) {}
+
+// worker is an unrelated type that happens to have a Retire method.
+type worker struct{}
+
+func (worker) Retire(rf *RankFailure) {}

@@ -1,10 +1,13 @@
 package baseline
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/datasets"
+	"repro/internal/pipeline"
+	"repro/internal/resilience"
 )
 
 func TestRunQuiverBasic(t *testing.T) {
@@ -104,10 +107,50 @@ func TestBytesHelpers(t *testing.T) {
 	}
 }
 
-func TestRunQuiverRejectsZeroP(t *testing.T) {
+// Bad input is an error from the one validation both drivers share —
+// never a panic inside the first attempt, never a silent fallback. Every
+// case runs through pipeline.Run, and through RunQuiver when
+// QuiverConfig can express it.
+func TestBadInputIsAnErrorForBothDrivers(t *testing.T) {
 	d := datasets.ProductsLike(datasets.Tiny)
-	if _, err := RunQuiver(d, QuiverConfig{P: 0}); err == nil {
-		t.Fatal("expected error for p=0")
+	cases := []struct {
+		name   string
+		cfg    pipeline.Config
+		quiver *QuiverConfig
+	}{
+		{"p = 0", pipeline.Config{P: 0}, &QuiverConfig{P: 0}},
+		{"p < 0", pipeline.Config{P: -1}, &QuiverConfig{P: -1}},
+		{"epochs < 0", pipeline.Config{P: 2, Epochs: -1}, &QuiverConfig{P: 2, Epochs: -1}},
+		{"lr < 0", pipeline.Config{P: 2, LR: -0.1}, &QuiverConfig{P: 2, LR: -0.1}},
+		{"ckpt interval < 0", pipeline.Config{P: 2, CkptInterval: -1}, &QuiverConfig{P: 2, CkptInterval: -1}},
+		{"fault rank outside p", pipeline.Config{P: 2, Faults: resilience.FailAt(2, 1)},
+			&QuiverConfig{P: 2, Faults: resilience.FailAt(2, 1)}},
+		{"dropout = 1", pipeline.Config{P: 2, Dropout: 1}, nil},
+		{"dropout < 0", pipeline.Config{P: 2, Dropout: -0.5}, nil},
+		{"dropout NaN", pipeline.Config{P: 2, Dropout: math.NaN()}, nil},
+		{"unknown sampler", pipeline.Config{P: 2, Sampler: "bogus"}, nil},
+		{"unknown algorithm", pipeline.Config{P: 2, Algorithm: 7}, nil},
+		{"c does not divide p", pipeline.Config{P: 4, C: 3}, nil},
+		{"partitioned, c^2 does not divide p", pipeline.Config{P: 8, C: 4, Algorithm: pipeline.GraphPartitioned}, nil},
+	}
+	mustErr := func(t *testing.T, driver string, run func() error) {
+		t.Helper()
+		defer func() {
+			if p := recover(); p != nil {
+				t.Errorf("%s panicked: %v", driver, p)
+			}
+		}()
+		if err := run(); err == nil {
+			t.Errorf("%s accepted the config", driver)
+		}
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			mustErr(t, "pipeline.Run", func() error { _, err := pipeline.Run(d, tc.cfg); return err })
+			if tc.quiver != nil {
+				mustErr(t, "RunQuiver", func() error { _, err := RunQuiver(d, *tc.quiver); return err })
+			}
+		})
 	}
 }
 

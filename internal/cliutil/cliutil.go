@@ -2,13 +2,15 @@
 // CLI binaries (trainer, gnnbench, compare, datagen), so -profile and
 // -gpus accept one vocabulary everywhere and the validation is tested
 // in one place instead of re-implemented per main package. The
-// collective-algorithm and topology flags parse through
-// cluster.ParseCollectives / cluster.ParseTopology directly; this
-// package's tests pin their accept/reject tables alongside the local
-// helpers so the whole shared flag surface has one conformance suite.
+// platform flags (collective algorithms, topology, backend, faults,
+// checkpoint interval) are declared and parsed once, by
+// RegisterPlatformFlags; this package's tests pin the accept/reject
+// tables of the cluster parsers behind them alongside the local helpers
+// so the whole shared flag surface has one conformance suite.
 package cliutil
 
 import (
+	"flag"
 	"fmt"
 	"math"
 	"strconv"
@@ -140,9 +142,6 @@ func ParseFaults(s string) (*cluster.FaultPlan, error) {
 	return &cluster.FaultPlan{Failures: failures}, nil
 }
 
-// FaultsUsage is the shared help text for -faults flags.
-const FaultsUsage = "fail-stop injection plan: comma-separated rank@seconds events (e.g. 1@0.5,3@1.25)"
-
 // ParseCkptInterval parses a -ckpt-interval flag: checkpoint the
 // resumable training state every N completed epochs. Empty, "default"
 // and "0" mean no checkpointing (returned as 0); negative and
@@ -162,8 +161,51 @@ func ParseCkptInterval(s string) (int, error) {
 	return v, nil
 }
 
-// CkptIntervalUsage is the shared help text for -ckpt-interval flags.
-const CkptIntervalUsage = "checkpoint the resumable training state every N completed epochs (0 = off)"
+// Platform is what the shared platform flags select: the simulated
+// machine a run is charged under and its fault-tolerance settings.
+type Platform struct {
+	Collectives cluster.Collectives
+	Topology    *cluster.Topology
+	Backend     cluster.Backend
+	// Faults and CkptInterval stay zero unless the flags were registered
+	// (RegisterPlatformFlags withFaults).
+	Faults       *cluster.FaultPlan
+	CkptInterval int
+}
+
+// RegisterPlatformFlags declares -allreduce, -alltoall, -topology and
+// -backend on fs — plus -faults and -ckpt-interval when withFaults —
+// with the shared help texts, each followed by the command's own note
+// from notes (keyed by flag name) where it has one. Call the returned
+// function after fs.Parse for the parsed values.
+func RegisterPlatformFlags(fs *flag.FlagSet, withFaults bool, notes map[string]string) func() (Platform, error) {
+	str := func(name, def, usage string) *string { return fs.String(name, def, usage+notes[name]) }
+	allreduce := str("allreduce", "default", cluster.AllReduceFlagUsage)
+	alltoall := str("alltoall", "default", cluster.AllToAllFlagUsage)
+	topology := str("topology", "ideal", cluster.TopologyFlagUsage)
+	backend := str("backend", "default", cluster.BackendFlagUsage)
+	faults, ckptInterval := new(string), new(string)
+	if withFaults {
+		faults = str("faults", "default", "fail-stop injection plan: comma-separated rank@seconds events (e.g. 1@0.5,3@1.25)")
+		ckptInterval = str("ckpt-interval", "default", "checkpoint the resumable training state every N completed epochs (0 = off)")
+	}
+	return func() (p Platform, err error) {
+		if p.Collectives, err = cluster.ParseCollectives(*allreduce, *alltoall); err != nil {
+			return p, err
+		}
+		if p.Topology, err = cluster.ParseTopology(*topology); err != nil {
+			return p, err
+		}
+		if p.Backend, err = cluster.ParseBackend(*backend); err != nil {
+			return p, err
+		}
+		if p.Faults, err = ParseFaults(*faults); err != nil {
+			return p, err
+		}
+		p.CkptInterval, err = ParseCkptInterval(*ckptInterval)
+		return p, err
+	}
+}
 
 // RequireExperiment rejects a flag scoped to one experiment when a
 // different experiment is selected. Silently ignoring -perfout on a

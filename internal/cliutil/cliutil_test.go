@@ -1,6 +1,8 @@
 package cliutil
 
 import (
+	"flag"
+	"io"
 	"reflect"
 	"testing"
 
@@ -303,5 +305,44 @@ func TestParseCkptIntervalRejects(t *testing.T) {
 		if _, err := ParseCkptInterval(in); err == nil {
 			t.Errorf("ParseCkptInterval(%q) accepted", in)
 		}
+	}
+}
+
+// The platform flags are declared once for every command: the values
+// parse through the tables above, a command's note lands after the
+// shared help text, and -faults/-ckpt-interval exist only on request.
+func TestRegisterPlatformFlags(t *testing.T) {
+	fs := flag.NewFlagSet("cmd", flag.ContinueOnError)
+	parse := RegisterPlatformFlags(fs, true, map[string]string{"topology": " (a note)"})
+	if err := fs.Parse([]string{"-allreduce", "ring", "-alltoall", "pairwise", "-topology", "oversub",
+		"-backend", "des", "-faults", "1@0.5", "-ckpt-interval", "2"}); err != nil {
+		t.Fatal(err)
+	}
+	p, err := parse()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Collectives != (cluster.Collectives{AllReduce: cluster.Ring, AllToAll: cluster.Pairwise}) ||
+		p.Topology == nil || p.Backend != cluster.DESBackend || p.Faults.String() != "1@0.5" || p.CkptInterval != 2 {
+		t.Errorf("parsed %+v", p)
+	}
+	if got, want := fs.Lookup("topology").Usage, cluster.TopologyFlagUsage+" (a note)"; got != want {
+		t.Errorf("-topology usage %q, want %q", got, want)
+	}
+	if got := fs.Lookup("backend").Usage; got != cluster.BackendFlagUsage {
+		t.Errorf("-backend usage %q", got)
+	}
+
+	fs = flag.NewFlagSet("cmd", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	parse = RegisterPlatformFlags(fs, false, nil)
+	if fs.Lookup("faults") != nil || fs.Lookup("ckpt-interval") != nil {
+		t.Error("fault flags registered without being asked for")
+	}
+	if err := fs.Parse([]string{"-backend", "thread"}); err != nil {
+		t.Fatal(err)
+	}
+	if p, err := parse(); err == nil || p.Faults != nil || p.CkptInterval != 0 {
+		t.Errorf("bad -backend: parsed %+v, err %v", p, err)
 	}
 }

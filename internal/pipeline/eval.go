@@ -11,15 +11,7 @@ import (
 // Run0Params returns freshly initialized (untrained) parameters for
 // the configuration — the accuracy baseline for sanity checks.
 func Run0Params(d *datasets.Dataset, cfg Config) []float64 {
-	cfg = cfg.withDefaults(d)
-	m := gnn.NewModel(gnn.Config{
-		In:      d.Features.Cols,
-		Hidden:  cfg.Hidden,
-		Classes: d.NumClasses,
-		Layers:  cfg.Layers,
-		Seed:    cfg.Seed,
-	})
-	return m.Params()
+	return cfg.withDefaults(d).newModel(d).Params()
 }
 
 // Evaluate computes classification accuracy of the trained parameters
@@ -29,26 +21,12 @@ func Run0Params(d *datasets.Dataset, cfg Config) []float64 {
 // is a model property, not a systems one.
 func Evaluate(d *datasets.Dataset, params []float64, cfg Config, vertices []int, testFanouts []int) float64 {
 	cfg = cfg.withDefaults(d)
-	model := gnn.NewModel(gnn.Config{
-		In:      d.Features.Cols,
-		Hidden:  cfg.Hidden,
-		Classes: d.NumClasses,
-		Layers:  cfg.Layers,
-		Agg:     cfg.Agg,
-		Seed:    cfg.Seed,
-	})
+	model := cfg.newModel(d)
 	model.SetParams(params)
 
 	fanouts := testFanouts
-	layerwise := cfg.Sampler == "ladies" || cfg.Sampler == "fastgcn"
 	if fanouts == nil {
-		fanouts = d.Fanouts
-		if layerwise {
-			fanouts = make([]int, cfg.Layers)
-			for i := range fanouts {
-				fanouts[i] = d.LayerWidth
-			}
-		}
+		fanouts = cfg.fanouts(d)
 	}
 	sampler := newSampler(cfg.Sampler, d.Graph)
 
@@ -79,14 +57,7 @@ func Evaluate(d *datasets.Dataset, params []float64, cfg Config, vertices []int,
 // sampling.
 func EvaluateFull(d *datasets.Dataset, params []float64, cfg Config, vertices []int) float64 {
 	cfg = cfg.withDefaults(d)
-	model := gnn.NewModel(gnn.Config{
-		In:      d.Features.Cols,
-		Hidden:  cfg.Hidden,
-		Classes: d.NumClasses,
-		Layers:  cfg.Layers,
-		Agg:     cfg.Agg,
-		Seed:    cfg.Seed,
-	})
+	model := cfg.newModel(d)
 	model.SetParams(params)
 	bg := core.FullGraphBatch(d.Graph.Adj, cfg.Layers)
 	act, _ := model.Forward(bg, d.Features)

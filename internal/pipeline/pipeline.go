@@ -1,19 +1,16 @@
 package pipeline
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/cache"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/datasets"
-	"repro/internal/dense"
 	"repro/internal/distsample"
 	"repro/internal/engine"
 	"repro/internal/gnn"
 	"repro/internal/graph"
-	"repro/internal/graphio"
 	"repro/internal/resilience"
 )
 
@@ -143,7 +140,9 @@ type Config struct {
 	Model cluster.CostModel
 }
 
-// withDefaults fills zero fields.
+// withDefaults fills zero fields and merges the platform fields
+// (Collectives, Topology, Backend, Faults) into Model — the one place a
+// training run's cost model is assembled.
 func (c Config) withDefaults(d *datasets.Dataset) Config {
 	if c.C <= 0 {
 		c.C = 1
@@ -184,6 +183,43 @@ func (c Config) withDefaults(d *datasets.Dataset) Config {
 		c.Model.Faults = c.Faults
 	}
 	return c
+}
+
+// normalised is withDefaults plus the one validation every training
+// driver's input passes through: bad input is an error naming the
+// field, never a panic inside the first attempt.
+func (c Config) normalised(d *datasets.Dataset) (Config, error) {
+	c = c.withDefaults(d)
+	switch {
+	case c.P <= 0:
+		return c, fmt.Errorf("pipeline: p=%d: need at least one rank", c.P)
+	case c.P%c.C != 0:
+		return c, fmt.Errorf("pipeline: c=%d must divide p=%d", c.C, c.P)
+	case c.Algorithm != GraphReplicated && c.Algorithm != GraphPartitioned:
+		return c, fmt.Errorf("pipeline: unknown algorithm %d", c.Algorithm)
+	case c.Algorithm == GraphPartitioned && (c.P/c.C)%c.C != 0:
+		return c, fmt.Errorf("pipeline: partitioned algorithm needs c^2 | p (p=%d c=%d)", c.P, c.C)
+	case c.Sampler != "sage" && c.Sampler != "ladies" && c.Sampler != "fastgcn":
+		return c, fmt.Errorf("pipeline: unknown sampler %q (want sage, ladies or fastgcn)", c.Sampler)
+	case c.Epochs < 0:
+		return c, fmt.Errorf("pipeline: negative epoch count %d", c.Epochs)
+	case !(c.LR > 0):
+		return c, fmt.Errorf("pipeline: learning rate %v: must be positive", c.LR)
+	case !(c.Dropout >= 0 && c.Dropout < 1):
+		return c, fmt.Errorf("pipeline: dropout rate %v outside [0, 1)", c.Dropout)
+	case c.CkptInterval < 0:
+		return c, fmt.Errorf("pipeline: negative checkpoint interval %d", c.CkptInterval)
+	}
+	if err := c.Model.Collectives.Validate(); err != nil {
+		return c, fmt.Errorf("pipeline: %w", err)
+	}
+	if err := c.Model.Topology.Validate(); err != nil {
+		return c, fmt.Errorf("pipeline: %w", err)
+	}
+	if err := c.Model.Faults.Validate(c.P); err != nil {
+		return c, fmt.Errorf("pipeline: %w", err)
+	}
+	return c, nil
 }
 
 // EpochStats is the per-epoch breakdown of Figure 4: simulated seconds
@@ -296,32 +332,12 @@ func makeSchedule(cfg Config, grid *cluster.Grid, totalBatches int) schedule {
 // forced sampPerRound up to one batch per block.
 func (s schedule) effectiveBulk() int { return s.samplingBlocks * s.sampPerRound }
 
-// blockScale returns the extrapolation factor from a truncated batch
-// list to the full epoch: the ratio of the largest per-block share of
-// batches. blocks is the number of units the batch list is split over
-// (p ranks for the replicated algorithm, p/c grid rows for the
-// partitioned one).
-func BlockScale(total, processed, blocks int) float64 {
-	if processed >= total || processed == 0 {
-		return 1
-	}
-	per := func(n int) float64 { return float64((n + blocks - 1) / blocks) }
-	return per(total) / per(processed)
-}
-
-// fetchItem is the sampling stage's per-minibatch output: one
-// extracted batch graph and its input frontier, handed to the
-// feature-fetch stage.
-type fetchItem struct {
-	bg    *core.BatchGraph
-	verts []int
-}
-
-// trainItem is the feature-fetch stage's output: the batch graph plus
-// its gathered input features, handed to the propagation stage.
-type trainItem struct {
-	bg    *core.BatchGraph
-	feats *dense.Matrix
+// FetchItem is what a sampling stage hands its feature-fetch stage:
+// one extracted batch graph and its input frontier (zero for an
+// iteration without a real batch).
+type FetchItem struct {
+	Batch  *core.BatchGraph
+	Inputs []int
 }
 
 // newSampler maps the config's sampler name to its implementation for
@@ -339,43 +355,61 @@ func newSampler(name string, g *graph.Graph) core.Sampler {
 	}
 }
 
+// fanouts returns the per-layer sample sizes the config's sampler
+// draws: the dataset's node-wise fanouts for GraphSAGE, the layer width
+// at every layer for the layer-wise samplers.
+func (c Config) fanouts(d *datasets.Dataset) []int {
+	if c.Sampler != "ladies" && c.Sampler != "fastgcn" {
+		return d.Fanouts
+	}
+	f := make([]int, c.Layers)
+	for i := range f {
+		f[i] = d.LayerWidth
+	}
+	return f
+}
+
+// newModel builds the freshly initialised model the config trains.
+func (c Config) newModel(d *datasets.Dataset) *gnn.Model {
+	return gnn.NewModel(gnn.Config{
+		In:      d.Features.Cols,
+		Hidden:  c.Hidden,
+		Classes: d.NumClasses,
+		Layers:  c.Layers,
+		Agg:     c.Agg,
+		Seed:    c.Seed,
+	})
+}
+
 // Run simulates cfg.Epochs of distributed minibatch training over the
 // dataset and returns per-epoch phase breakdowns. The epoch loop is
-// expressed as a three-stage engine pipeline (bulk sampling → feature
-// fetch → propagation); Config.Overlap selects the software-pipelined
-// schedule, the default is the paper's bulk-synchronous one.
+// Train's three-stage engine pipeline (bulk sampling → feature fetch →
+// propagation) with this file's bulk strategy; Config.Overlap selects
+// the software-pipelined schedule, the default is the paper's
+// bulk-synchronous one.
 func Run(d *datasets.Dataset, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults(d)
-	if cfg.P%cfg.C != 0 {
-		return nil, fmt.Errorf("pipeline: c=%d must divide p=%d", cfg.C, cfg.P)
+	b := &bulk{d: d}
+	res, err := Train(d, cfg, Strategy{OptimizerFlopsPerParam: 3, NewAttempt: b.newAttempt})
+	if err != nil {
+		return nil, err
 	}
-	if err := cfg.Model.Collectives.Validate(); err != nil {
-		return nil, fmt.Errorf("pipeline: %w", err)
-	}
-	if err := cfg.Model.Topology.Validate(); err != nil {
-		return nil, fmt.Errorf("pipeline: %w", err)
-	}
-	if err := cfg.Model.Faults.Validate(cfg.P); err != nil {
-		return nil, fmt.Errorf("pipeline: %w", err)
-	}
-	if cfg.CkptInterval < 0 {
-		return nil, fmt.Errorf("pipeline: negative checkpoint interval %d", cfg.CkptInterval)
-	}
+	res.Cfg, res.EffectiveK = b.cfg, b.sched.effectiveBulk()
+	return res, nil
+}
 
-	batches := d.Batches()
-	totalBatches := len(batches)
-	if cfg.MaxBatches > 0 && cfg.MaxBatches < totalBatches {
-		batches = batches[:cfg.MaxBatches]
-	}
+// bulk is the paper's strategy: every sampling block samples K/blocks
+// minibatches per bulk call (Graph Replicated or 1.5D Graph
+// Partitioned), and features are fetched over the process column. It
+// keeps the latest attempt's normalised config and schedule for Run.
+type bulk struct {
+	d     *datasets.Dataset
+	cfg   Config
+	sched schedule
+}
 
-	layerwise := cfg.Sampler == "ladies" || cfg.Sampler == "fastgcn"
-	fanouts := d.Fanouts
-	if layerwise {
-		fanouts = make([]int, cfg.Layers)
-		for i := range fanouts {
-			fanouts[i] = d.LayerWidth
-		}
-	}
+func (b *bulk) newAttempt(cfg Config, batches [][]int, grid *cluster.Grid, stores []*FeatureStore) Attempt {
+	d := b.d
+	fanouts := cfg.fanouts(d)
 	if len(fanouts) != cfg.Layers {
 		f := make([]int, cfg.Layers)
 		for i := range f {
@@ -383,392 +417,104 @@ func Run(d *datasets.Dataset, cfg Config) (*Result, error) {
 		}
 		fanouts = f
 	}
-
-	// Per-rank loss sums and batch counts, aggregated after the run
-	// into a global batch-weighted epoch loss (ranks may count unequal
-	// batch shares when the batch list divides unevenly).
-	lossSums := make([][]float64, cfg.P)
-	lossCounts := make([][]int, cfg.P)
-	var finalParams []float64
-	var epochParams [][]float64 // rank 0 per-epoch snapshots for TrackVal
-	if cfg.TrackVal {
-		epochParams = make([][]float64, cfg.Epochs)
-	}
-
-	// Replicated-state dedup: data-parallel ranks hold bit-identical
-	// parameters and optimizer state at every step, so the simulator
-	// keeps ONE model and ONE Adam for the whole cluster instead of p
-	// replicas. Ranks read the shared parameters concurrently
-	// (Forward/Backward never mutate the model); the single write site
-	// is the optimizer step, which runs exactly once per minibatch
-	// inside the gradient all-reduce (AllReduceSumApply) while every
-	// rank is synchronized in the collective. This removes the
-	// dominant O(p·params) host-side cost per step — the simulated
-	// times and training outcome are unchanged.
-	newModel := func() *gnn.Model {
-		m := gnn.NewModel(gnn.Config{
-			In:      d.Features.Cols,
-			Hidden:  cfg.Hidden,
-			Classes: d.NumClasses,
-			Layers:  cfg.Layers,
-			Agg:     cfg.Agg,
-			Seed:    cfg.Seed,
-		})
-		if cfg.Dropout > 0 {
-			m.SetDropout(cfg.Dropout, cfg.Seed)
-		}
-		return m
-	}
-	model := newModel()
-	opt := dense.NewAdam(cfg.LR)
-	// Shared all-zero gradient vector contributed by iterations without
-	// a real batch; the collective never mutates members' inputs.
-	zeroGrads := make([]float64, model.NumParams())
-
-	// Epoch-boundary checkpointing: the collector assembles each
-	// boundary's checkpoint from per-rank contributions and publishes it
-	// in serialized form; every restore decodes it afresh (graphio codec
-	// on both sides of every recovery).
-	var col *resilience.Collector
-	if cfg.CkptInterval > 0 {
-		col = resilience.NewCollector(cfg.P)
-	}
-	ckptBytes := resilience.CheckpointBytes(model.NumParams())
-
 	// Only the replicated algorithm samples from the whole matrix; the
 	// partitioned drivers work on their own blocks of it.
+	partitioned := cfg.Algorithm == GraphPartitioned
 	var sampler core.Sampler
-	if cfg.Algorithm != GraphPartitioned {
+	var parts []*distsample.Partitioned
+	if partitioned {
+		parts = distsample.NewPartitionedSet(grid, d.Graph.Adj, cfg.SparsityAware)
+	} else {
 		sampler = newSampler(cfg.Sampler, d.Graph)
 	}
+	sched := makeSchedule(cfg, grid, len(batches))
+	b.cfg, b.sched = cfg, sched
 
-	// attempt runs the cluster once from startEpoch, optionally seeded
-	// with a restored checkpoint. The cluster, grid, stores and
-	// partitioned-sampling state are rebuilt per attempt: a failed run
-	// leaves poisoned rendezvous and mid-flight arena state behind, and
-	// rebuilding them is both deterministic and what a real restart does.
-	var sched schedule
-	var scale float64
-	attempt := func(plan *cluster.FaultPlan, startEpoch int, ck *graphio.Checkpoint) (*cluster.Result, error) {
-		m := cfg.Model
-		m.Faults = plan
-		cl := cluster.New(cfg.P, m)
-		grid := cluster.NewGrid(cl, cfg.P, cfg.C)
-		stores := NewFeatureStores(grid, d.Features)
-		var parts []*distsample.Partitioned
-		if cfg.Algorithm == GraphPartitioned {
-			if grid.Rows%grid.C != 0 {
-				return nil, fmt.Errorf("pipeline: partitioned algorithm needs c^2 | p (p=%d c=%d)", cfg.P, cfg.C)
-			}
-			parts = distsample.NewPartitionedSet(grid, d.Graph.Adj, cfg.SparsityAware)
+	rank := func(r *cluster.Rank) func(int64) (engine.Stage, engine.Stage) {
+		store := stores[r.ID]
+		var featCache cache.Cache
+		if cfg.CachePolicy != cache.None && cfg.CacheFrac > 0 {
+			capacity := int(cfg.CacheFrac * float64(d.Graph.NumVertices()))
+			featCache = cache.New(cfg.CachePolicy, capacity, d.Graph.Degrees())
 		}
-		sched = makeSchedule(cfg, grid, len(batches))
-		// Extrapolation for MaxBatches truncation is per sampling block
-		// (rank or grid row), not global: phase times are maxima across
-		// ranks, so they scale with the largest per-block share.
-		scale = BlockScale(totalBatches, len(batches), sched.samplingBlocks)
-		world := grid.World()
-
-		return cl.Run(func(r *cluster.Rank) error {
-			if ck != nil {
-				r.Restore(ck.Ranks[r.ID])
-			}
-			store := stores[r.ID]
-			if lossSums[r.ID] == nil {
-				lossSums[r.ID] = make([]float64, cfg.Epochs)
-				lossCounts[r.ID] = make([]int, cfg.Epochs)
-			}
-			var featCache cache.Cache
-			if cfg.CachePolicy != cache.None && cfg.CacheFrac > 0 {
-				capacity := int(cfg.CacheFrac * float64(d.Graph.NumVertices()))
-				featCache = cache.New(cfg.CachePolicy, capacity, d.Graph.Degrees())
-			}
-
-			var local [][]int
-			trainOffset := 0
-			if cfg.Algorithm == GraphPartitioned {
-				local = distsample.LocalBatches(grid, r.ID, batches)
-				trainOffset = grid.ColIndex(r.ID)
-			} else {
-				local = distsample.ReplicatedBatches(cfg.P, r.ID, batches)
-			}
-			// Communicators each stage drives: in overlapped mode the
-			// engine gives every collective-bearing stage its own stream,
-			// and the stage bodies reach the matching communicator clones
-			// with ForStream (stream-safe collectives).
-			fetchComms := []*cluster.Comm{grid.ColComm(r.ID)}
-			var sampComms []*cluster.Comm
-			if cfg.Algorithm == GraphPartitioned {
-				sampComms = []*cluster.Comm{grid.ColComm(r.ID), grid.RowComm(r.ID)}
-			}
-
-			for epoch := startEpoch; epoch < cfg.Epochs; epoch++ {
-				epochSeed := cfg.Seed + int64(epoch)*7919
-				lossSum, lossN := 0.0, 0
-
-				// Stage state: the sampling stage owns the current bulk
-				// (and, in overlapped mode, the next one in flight — the
-				// double buffer realized by its output queue).
-				var bulk *core.BulkSample
-				var chunk [][]int
-
-				pipe := &engine.Pipeline{
-					Overlap: cfg.Overlap,
-					Stages: []engine.Stage{
-						// 1) Sampling (Figure 3 left): one bulk call per
-						// round, emitted one extracted minibatch at a
-						// time. Every rank calls the same sampler the
-						// same number of times; empty chunks still join
-						// the partitioned collectives.
-						{
-							Name: PhaseSampling,
-							// One full round of minibatches buffers
-							// downstream while the next round's bulk is
-							// sampled: the double-buffered BulkSample
-							// handoff.
-							Queue: sched.trainPerRound,
-							Comms: sampComms,
-							Run: func(rs *cluster.Rank, idx int, _ any) (any, error) {
-								round, t := idx/sched.trainPerRound, idx%sched.trainPerRound
-								if t == 0 {
-									lo := round * sched.sampPerRound
-									hi := lo + sched.sampPerRound
-									if lo > len(local) {
-										lo = len(local)
-									}
-									if hi > len(local) {
-										hi = len(local)
-									}
-									chunk = local[lo:hi]
-									rs.SetPhase(PhaseSampling)
-									rs.PushPhase(PhaseSampling) // nested level for the driver's sub-phases
-									if cfg.Algorithm == GraphPartitioned {
-										switch cfg.Sampler {
-										case "ladies":
-											bulk = distsample.SampleLADIESPartitioned(rs, parts[rs.ID], chunk, d.LayerWidth, cfg.Layers, epochSeed)
-										case "fastgcn":
-											bulk = distsample.SampleFastGCNPartitioned(rs, parts[rs.ID], chunk, d.LayerWidth, cfg.Layers, epochSeed)
-										default:
-											bulk = distsample.SampleSAGEPartitioned(rs, parts[rs.ID], chunk, fanouts, epochSeed)
-										}
-									} else {
-										bulk = distsample.SampleReplicated(rs, sampler, d.Graph.Adj, chunk, fanouts, epochSeed)
-									}
-									rs.PopPhase()
-								}
-								bi := t*sched.trainStride + trainOffset
-								var it fetchItem
-								if bi < len(chunk) {
-									it.bg = bulk.ExtractBatch(bi)
-									it.verts = it.bg.InputVertices()
-								}
-								return it, nil
-							},
-						},
-						// 2) Feature fetch: all-to-allv over the process
-						// column; iterations without a real batch join
-						// with empty requests.
-						{
-							Name:  PhaseFeatureFetch,
-							Queue: 1,
-							Comms: fetchComms,
-							Run: func(rf *cluster.Rank, idx int, in any) (any, error) {
-								it := in.(fetchItem)
-								rf.SetPhase(PhaseFeatureFetch)
-								feats := store.FetchCached(rf, it.verts, featCache)
-								return trainItem{bg: it.bg, feats: feats}, nil
-							},
-						},
-						// 3) Propagation with data-parallel gradient
-						// all-reduce, on the rank's main timeline;
-						// iterations without a real batch contribute
-						// zero gradients.
-						{
-							Name:  PhasePropagation,
-							Comms: []*cluster.Comm{world},
-							Run: func(rm *cluster.Rank, idx int, in any) (any, error) {
-								ti := in.(trainItem)
-								rm.SetPhase(PhasePropagation)
-								grads := zeroGrads
-								if ti.bg != nil {
-									act, fwdFlops := model.Forward(ti.bg, ti.feats)
-									labels := make([]int, len(ti.bg.Seeds))
-									for i, v := range ti.bg.Seeds {
-										labels[i] = d.Labels[v]
-									}
-									loss, dLogits := gnn.Loss(act, labels)
-									g, bwdFlops := model.Backward(act, dLogits)
-									grads = g
-									rm.ChargeDense(fwdFlops + bwdFlops)
-									rm.ChargeKernels(4 * cfg.Layers)
-									lossSum += loss
-									lossN++
-								}
-
-								// The gradient all-reduce schedule (flat /
-								// ring / hierarchical) is dispatched by the
-								// model's Collectives table. The optimizer
-								// step runs once, on the shared model,
-								// inside the collective; every rank still
-								// charges the step's memory traffic.
-								cluster.AllReduceSumApply(world, rm, grads, func(total []float64) {
-									inv := 1.0 / float64(cfg.P)
-									for i := range total {
-										total[i] *= inv
-									}
-									opt.Step(model.Params(), total)
-									model.NextDropoutSeed()
-								})
-								rm.ChargeDense(int64(3 * model.NumParams()))
-								return nil, nil
-							},
-						},
-					},
-				}
-				if err := pipe.Execute(r, sched.rounds*sched.trainPerRound); err != nil {
-					return err
-				}
-				lossSums[r.ID][epoch] = lossSum
-				lossCounts[r.ID][epoch] = lossN
-				if cfg.TrackVal && r.ID == 0 {
-					epochParams[epoch] = append([]float64(nil), model.Params()...)
-				}
-				// Epoch boundary bdry = epoch+1 completed epochs. Every
-				// rank pays the checkpoint write (HostLink, before the
-				// snapshot, so the restore point includes the charge) and
-				// contributes its accounting snapshot; rank 0 adds the
-				// replicated training state, which is stable here — no rank
-				// can start the next epoch's first optimizer step until all
-				// ranks pass this boundary's collective.
-				if bdry := epoch + 1; col != nil && bdry%cfg.CkptInterval == 0 && bdry < cfg.Epochs {
-					r.SetPhase(resilience.PhaseCheckpoint)
-					r.ChargeLink(cluster.HostLink, ckptBytes)
-					if r.ID == 0 {
-						t, am, av := opt.State()
-						if err := col.AddState(bdry, model.DropoutSeed(), model.Params(), t, am, av); err != nil {
-							return err
-						}
-					}
-					if err := col.AddRank(bdry, r.ID, r.Snapshot()); err != nil {
-						return err
-					}
-				}
-			}
-			if r.ID == 0 {
-				finalParams = append([]float64(nil), model.Params()...)
-			}
-			return nil
-		})
-	}
-
-	// Restart driver. A clean run is exactly one attempt — when no plan
-	// and no interval are configured the loop body reduces to the
-	// pre-resilience code path, bit-identical. After a fault-class
-	// failure the fired plan entry is retired (the restored timeline
-	// must not re-fire it forever), the latest complete checkpoint is
-	// decoded, and the next attempt resumes from its epoch; without a
-	// checkpoint the deterministic initial state is rebuilt and training
-	// restarts from scratch. Every restart removes one plan entry, so
-	// the loop terminates.
-	plan := cfg.Model.Faults
-	var rec *resilience.Stats
-	if plan != nil || col != nil {
-		rec = &resilience.Stats{}
-	}
-	var res *cluster.Result
-	restarted := false
-	startEpoch, restoreClock := 0, 0.0
-	var ck *graphio.Checkpoint
-	for {
-		if rec != nil {
-			rec.Attempts++
-		}
-		if ck != nil {
-			model.SetParams(ck.Params)
-			model.SetDropoutSeed(ck.DropSeed)
-			opt.SetState(ck.OptT, ck.OptM, ck.OptV)
-		} else if restarted {
-			model = newModel()
-			opt = dense.NewAdam(cfg.LR)
-		}
-		r, err := attempt(plan, startEpoch, ck)
-		if err == nil {
-			res = r
-			break
-		}
-		var rf *cluster.RankFailure
-		if !errors.As(err, &rf) {
-			return nil, err
-		}
-		plan = plan.Retire(rf)
-		restarted = true
-		ck, startEpoch, restoreClock = nil, 0, 0
-		if col != nil {
-			col.Abort()
-			if ck, err = col.Latest(); err != nil {
-				return nil, err
-			}
-			if ck != nil {
-				startEpoch = ck.Epoch
-				restoreClock = col.LatestClock()
-			}
-		}
-		rec.RecordFailure(rf, startEpoch, restoreClock)
-	}
-
-	// Phase totals cover all epochs; each epoch does identical work, so
-	// divide evenly and extrapolate for MaxBatches truncation.
-	epochs := make([]EpochStats, cfg.Epochs)
-	perEpoch := func(phase string) float64 {
-		return res.Phase(phase) * scale / float64(cfg.Epochs)
-	}
-	perEpochComm := func(phase string) float64 {
-		return res.PhaseComm(phase) * scale / float64(cfg.Epochs)
-	}
-	for e := range epochs {
-		loss, lossN := AggregateLoss(lossSums, lossCounts, e)
-		epochs[e] = EpochStats{
-			Sampling:     perEpoch(PhaseSampling),
-			FeatureFetch: perEpoch(PhaseFeatureFetch),
-			Propagation:  perEpoch(PhasePropagation),
-			Stall:        perEpoch(engine.PhaseStall),
-			SamplingComm: perEpochComm(PhaseSampling),
-			FetchComm:    perEpochComm(PhaseFeatureFetch),
-			Loss:         loss,
-			LossBatches:  lossN,
-		}
-		if cfg.Overlap {
-			// Concurrent streams: epoch time is the makespan (max
-			// over streams — the rank's final clock), not the sum of
-			// the per-stream phase totals.
-			epochs[e].Total = res.SimTime * scale / float64(cfg.Epochs)
+		var local [][]int
+		trainOffset := 0
+		if partitioned {
+			local = distsample.LocalBatches(grid, r.ID, batches)
+			trainOffset = grid.ColIndex(r.ID)
 		} else {
-			epochs[e].Total = epochs[e].Sampling + epochs[e].FeatureFetch + epochs[e].Propagation
+			local = distsample.ReplicatedBatches(cfg.P, r.ID, batches)
 		}
-		if cfg.TrackVal && epochParams[e] != nil {
-			epochs[e].ValAccuracy = Evaluate(d, epochParams[e], cfg, d.Val, nil)
+		// Communicators each stage drives: in overlapped mode the engine
+		// gives every collective-bearing stage its own stream, and the
+		// stage bodies reach the matching communicator clones with
+		// ForStream (stream-safe collectives).
+		fetchComms := []*cluster.Comm{grid.ColComm(r.ID)}
+		var sampComms []*cluster.Comm
+		if partitioned {
+			sampComms = []*cluster.Comm{grid.ColComm(r.ID), grid.RowComm(r.ID)}
 		}
-	}
-	return &Result{Epochs: epochs, Cluster: res, Params: finalParams, Cfg: cfg,
-		EffectiveK: sched.effectiveBulk(), Recovery: rec}, nil
-}
 
-// AggregateLoss folds per-rank loss sums into the global batch-weighted
-// mean for one epoch: sum of all ranks' loss sums over the total number
-// of counted batches. A rank without a real batch that epoch carries
-// zero weight; rank 0's local average is NOT the epoch loss whenever
-// batches divide unevenly across ranks.
-func AggregateLoss(sums [][]float64, counts [][]int, epoch int) (float64, int) {
-	total, n := 0.0, 0
-	for rank := range sums {
-		if sums[rank] == nil {
-			continue
+		// Feature fetch: all-to-allv over the process column; iterations
+		// without a real batch join with empty requests.
+		fetch := engine.Stage{
+			Name:  PhaseFeatureFetch,
+			Queue: 1,
+			Comms: fetchComms,
+			Run: func(rf *cluster.Rank, idx int, in any) (any, error) {
+				it := in.(FetchItem)
+				rf.SetPhase(PhaseFeatureFetch)
+				return TrainItem{Batch: it.Batch, Feats: store.FetchCached(rf, it.Inputs, featCache)}, nil
+			},
 		}
-		total += sums[rank][epoch]
-		n += counts[rank][epoch]
+
+		return func(epochSeed int64) (engine.Stage, engine.Stage) {
+			// The sampling stage owns the current bulk (and, in overlapped
+			// mode, the next one in flight — the double buffer realized by
+			// its output queue).
+			var cur *core.BulkSample
+			var chunk [][]int
+			// Sampling (Figure 3 left): one bulk call per round, emitted
+			// one extracted minibatch at a time. Every rank calls the same
+			// sampler the same number of times; empty chunks still join
+			// the partitioned collectives.
+			sampling := engine.Stage{
+				Name: PhaseSampling,
+				// One full round of minibatches buffers downstream while
+				// the next round's bulk is sampled: the double-buffered
+				// BulkSample handoff.
+				Queue: sched.trainPerRound,
+				Comms: sampComms,
+				Run: func(rs *cluster.Rank, idx int, _ any) (any, error) {
+					round, t := idx/sched.trainPerRound, idx%sched.trainPerRound
+					if t == 0 {
+						lo := min(round*sched.sampPerRound, len(local))
+						hi := min(lo+sched.sampPerRound, len(local))
+						chunk = local[lo:hi]
+						rs.SetPhase(PhaseSampling)
+						rs.PushPhase(PhaseSampling) // nested level for the driver's sub-phases
+						switch {
+						case !partitioned:
+							cur = distsample.SampleReplicated(rs, sampler, d.Graph.Adj, chunk, fanouts, epochSeed)
+						case cfg.Sampler == "ladies":
+							cur = distsample.SampleLADIESPartitioned(rs, parts[rs.ID], chunk, d.LayerWidth, cfg.Layers, epochSeed)
+						case cfg.Sampler == "fastgcn":
+							cur = distsample.SampleFastGCNPartitioned(rs, parts[rs.ID], chunk, d.LayerWidth, cfg.Layers, epochSeed)
+						default:
+							cur = distsample.SampleSAGEPartitioned(rs, parts[rs.ID], chunk, fanouts, epochSeed)
+						}
+						rs.PopPhase()
+					}
+					var it FetchItem
+					if bi := t*sched.trainStride + trainOffset; bi < len(chunk) {
+						it.Batch = cur.ExtractBatch(bi)
+						it.Inputs = it.Batch.InputVertices()
+					}
+					return it, nil
+				},
+			}
+			return sampling, fetch
+		}
 	}
-	if n == 0 {
-		return 0, 0
-	}
-	return total / float64(n), n
+	return Attempt{Items: sched.rounds * sched.trainPerRound, Blocks: sched.samplingBlocks, Rank: rank}
 }

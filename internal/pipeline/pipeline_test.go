@@ -629,7 +629,7 @@ func TestAggregateLossWeightsByBatchCount(t *testing.T) {
 	// 0's local average 2.
 	sums := [][]float64{{4}, {9}}
 	counts := [][]int{{2}, {1}}
-	loss, n := AggregateLoss(sums, counts, 0)
+	loss, n := aggregateLoss(sums, counts, 0)
 	if n != 3 {
 		t.Fatalf("counted %d batches, want 3", n)
 	}
@@ -637,12 +637,12 @@ func TestAggregateLossWeightsByBatchCount(t *testing.T) {
 		t.Fatalf("loss = %v, want %v (rank-0-only would be 2)", loss, want)
 	}
 	// A rank with no batches carries zero weight.
-	loss, n = AggregateLoss([][]float64{{4}, {0}}, [][]int{{2}, {0}}, 0)
+	loss, n = aggregateLoss([][]float64{{4}, {0}}, [][]int{{2}, {0}}, 0)
 	if n != 2 || loss != 2 {
 		t.Fatalf("zero-count rank mishandled: loss %v n %d", loss, n)
 	}
 	// No batches anywhere: zero, not NaN.
-	if loss, n = AggregateLoss([][]float64{{0}}, [][]int{{0}}, 0); loss != 0 || n != 0 {
+	if loss, n = aggregateLoss([][]float64{{0}}, [][]int{{0}}, 0); loss != 0 || n != 0 {
 		t.Fatalf("empty epoch mishandled: loss %v n %d", loss, n)
 	}
 }

@@ -1,8 +1,9 @@
 // Package resilience is the fault-tolerance layer over the simulated
 // cluster: deterministic fail-stop injection plans, epoch-boundary
-// checkpointing of the complete resumable training state, and the
-// restart bookkeeping the training drivers (pipeline, baseline) use to
-// survive injected failures.
+// checkpointing of the complete resumable training state, and the one
+// restart driver (RunWithRestarts) through which the training loop
+// (pipeline.Train, and so every strategy run on it) survives injected
+// failures.
 //
 // The contract the differential crash-recovery suite pins: a run that
 // fails at simulated time t and restarts from its latest epoch-boundary

@@ -61,39 +61,19 @@ type (
 	Sampler = core.Sampler
 	// BulkSample is the output of bulk-sampling k minibatches.
 	BulkSample = core.BulkSample
-	// BatchGraph is one minibatch's sampled computation graph.
-	BatchGraph = core.BatchGraph
-	// Frontier is a per-batch vertex set at one sampling depth.
-	Frontier = core.Frontier
 	// Dataset bundles a graph with features, labels and training
 	// configuration.
 	Dataset = datasets.Dataset
-	// Profile selects dataset size (Tiny / Small / Bench).
+	// Profile selects dataset size (Tiny / Small).
 	Profile = datasets.Profile
 	// CostModel holds the α–β link and device-throughput parameters of
 	// the simulated cluster.
 	CostModel = cluster.CostModel
-	// CollectiveAlgorithm selects the schedule a simulated collective
-	// charges under (FlatTree, Ring, Pairwise, Hierarchical).
-	CollectiveAlgorithm = cluster.CollectiveAlgorithm
-	// Collectives is the per-operation algorithm table carried by the
-	// cost model (TrainConfig.Collectives, QuiverConfig.Collectives).
-	Collectives = cluster.Collectives
-	// Topology names the simulated machine's physical links and
-	// switches the cost model onto the contention-aware charging path
-	// (TrainConfig.Topology, QuiverConfig.Topology); nil keeps the
-	// pure α–β model.
-	Topology = cluster.Topology
-	// PhysLinkStat is one physical link's traffic summary under a
-	// contention topology (TrainResult.Cluster.PhysLinks).
-	PhysLinkStat = cluster.PhysLinkStat
 	// TrainConfig drives a simulated distributed training run.
 	TrainConfig = pipeline.Config
 	// TrainResult is the outcome of a training run, including the
 	// Figure 4 phase breakdown per epoch.
 	TrainResult = pipeline.Result
-	// EpochStats is one epoch's sampling/fetch/propagation breakdown.
-	EpochStats = pipeline.EpochStats
 	// QuiverConfig drives the Quiver-strategy baseline.
 	QuiverConfig = baseline.QuiverConfig
 	// ExperimentOptions sizes a harness experiment.
@@ -103,71 +83,23 @@ type (
 	// NewFaultPlan / RandomFaultPlan / ParseFaults — the faultseam
 	// analyzer confines literal construction to the seam packages.
 	FaultPlan = cluster.FaultPlan
-	// Failure is one fail-stop event of a plan — the entry type of
-	// RecoveryStats.Failures. Construct entries with FaultFailure.
+	// Failure is one fail-stop event of a plan. Construct entries with
+	// FaultFailure.
 	Failure = cluster.Failure
-	// RankFailure is the root-cause error behind a fault-class abort.
-	// Train recovers from injected failures internally (restart +
-	// restore), so it surfaces only to direct cluster users;
-	// errors.Is(err, ErrRankFailed) classifies such aborts.
-	RankFailure = cluster.RankFailure
-	// RecoveryStats reports what recovery cost on a faulted run
-	// (TrainResult.Recovery): attempts, fired failures, resume epochs
-	// and discarded simulated work.
-	RecoveryStats = resilience.Stats
 )
 
 // Dataset size profiles.
 const (
 	Tiny  = datasets.Tiny
 	Small = datasets.Small
-	Bench = datasets.Bench
-	// Scale is the scaling-study profile: many small batches so weak
-	// scaling keeps one batch per rank all the way to p=512.
-	Scale = datasets.Scale
 )
 
-// Training algorithm selectors.
-const (
-	// GraphReplicated replicates the adjacency matrix on every device;
-	// sampling is communication-free (Section 5.1).
-	GraphReplicated = pipeline.GraphReplicated
-	// GraphPartitioned partitions the adjacency matrix 1.5D and runs
-	// the sparsity-aware SpGEMM of Algorithm 2 (Section 5.2).
-	GraphPartitioned = pipeline.GraphPartitioned
-)
-
-// Collective algorithm selectors for Collectives tables. DefaultAlgorithm
-// (the zero value) keeps the paper's FlatTree forms and lets AutoTune
-// choose; explicit selections are pinned.
-const (
-	DefaultAlgorithm = cluster.DefaultAlgorithm
-	FlatTree         = cluster.FlatTree
-	Ring             = cluster.Ring
-	Pairwise         = cluster.Pairwise
-	Hierarchical     = cluster.Hierarchical
-)
-
-// ParseCollectives builds a validated algorithm table from the CLI
-// flag spellings ("flat", "ring", "pairwise", "hier", ...).
-func ParseCollectives(allreduce, alltoall string) (Collectives, error) {
-	return cluster.ParseCollectives(allreduce, alltoall)
-}
-
-// ParseTopology parses the CLI topology spellings ("ideal",
-// "perlmutter", "oversub"); "ideal" is the nil topology (pure α–β, no
-// contention).
-func ParseTopology(s string) (*Topology, error) { return cluster.ParseTopology(s) }
-
-// PerlmutterTopology returns the paper testbed's physical-link layout:
-// one NIC per GPU, so only concurrent streams of one GPU ever contend.
-func PerlmutterTopology() *Topology { return cluster.PerlmutterTopology() }
-
-// OversubscribedTopology returns a commodity layout: one NIC per node
-// shared by its GPUs behind a fabric core oversubscribed by factor.
-func OversubscribedTopology(factor float64) *Topology {
-	return cluster.OversubscribedTopology(factor)
-}
+// GraphPartitioned selects, as TrainConfig.Algorithm, the algorithm
+// that partitions the adjacency matrix 1.5D and runs the sparsity-aware
+// SpGEMM of Algorithm 2 (Section 5.2). The zero value replicates the
+// matrix on every device, and sampling is communication-free (Section
+// 5.1).
+const GraphPartitioned = pipeline.GraphPartitioned
 
 // GraphSAGE returns the node-wise GraphSAGE sampler (Section 4.1).
 func GraphSAGE() Sampler { return core.SAGE{} }
@@ -187,13 +119,10 @@ func NewClusterGCN(adj *CSR, numClusters int, seed int64) *core.ClusterGCN {
 	return core.NewClusterGCN(adj, numClusters, seed)
 }
 
-// Feature-cache policies for TrainConfig.CachePolicy (the SALIENT++-
-// style fetch extension of Section 8.1.2).
-const (
-	CacheNone         = cache.None
-	CacheStaticDegree = cache.StaticDegree
-	CacheLRU          = cache.LRU
-)
+// CacheStaticDegree is the TrainConfig.CachePolicy that pins the
+// highest-degree vertices' features on every rank (the SALIENT++-style
+// fetch extension of Section 8.1.2); the zero value caches nothing.
+const CacheStaticDegree = cache.StaticDegree
 
 // SaveDataset writes a dataset to the compact binary format.
 func SaveDataset(w io.Writer, d *Dataset) error { return graphio.WriteDataset(w, d) }
@@ -211,9 +140,6 @@ func SampleBulk(s Sampler, adj *CSR, batches [][]int, fanouts []int, seed int64)
 // ProductsLike returns the OGB-Products analog dataset.
 func ProductsLike(p Profile) *Dataset { return datasets.ProductsLike(p) }
 
-// ProteinLike returns the HipMCL-Protein analog dataset (densest).
-func ProteinLike(p Profile) *Dataset { return datasets.ProteinLike(p) }
-
 // PapersLike returns the OGB-Papers100M analog dataset (largest,
 // sparsest, directed).
 func PapersLike(p Profile) *Dataset { return datasets.PapersLike(p) }
@@ -225,12 +151,6 @@ func LearnableSBM() *Dataset { return datasets.DefaultSBM() }
 // Perlmutter returns the cost model calibrated to the paper's testbed
 // (Section 7.2): 4x A100 per node, NVLink 3.0, Slingshot-11.
 func Perlmutter() CostModel { return cluster.Perlmutter() }
-
-// ErrRankFailed is the sentinel behind every fault-class abort: any
-// error caused by an injected fail-stop (the failed rank's own demise
-// or a survivor's poisoned collective) matches
-// errors.Is(err, ErrRankFailed).
-var ErrRankFailed = cluster.ErrRankFailed
 
 // FailAt returns a single-failure plan: rank halts when its simulated
 // clock reaches at (seconds). Set it on TrainConfig.Faults; Train
@@ -296,34 +216,6 @@ func Figure7(w io.Writer, sampler string, o ExperimentOptions) ([]bench.Fig7Row,
 	return bench.Fig7(w, sampler, o)
 }
 
-// CollectiveComparison runs the collectives microbenchmark: every
-// collective algorithm against its analytic bound over GPU count ×
-// message size, with per-link wire-byte counts.
-func CollectiveComparison(w io.Writer, o ExperimentOptions) ([]bench.CollectiveRow, error) {
-	return bench.CollectiveSweep(w, o)
-}
-
-// ContentionExperiment measures both distributed algorithms under
-// finite, shared physical links (sequential and overlapped schedule ×
-// topology): where the overlap gain erodes as prefetch streams and the
-// gradient all-reduce share NIC injection bandwidth, with
-// per-physical-link utilization.
-func ContentionExperiment(w io.Writer, o ExperimentOptions) ([]bench.ContentionRow, error) {
-	return bench.Contention(w, o)
-}
-
-// ScalingStudy runs the weak- and strong-scaling experiment to
-// p=8192: three algorithm series (replicated, partitioned c=2, and
-// partitioned c=CMax(p), the largest replication factor with c^2
-// dividing p), each all-reduce schedule, ideal and oversubscribed
-// topologies. Independent cells run on a worker pool
-// (ExperimentOptions.SweepWorkers); tables are byte-identical at any
-// worker count. Use the Scale profile for meaningful weak scaling
-// (one batch per rank at every p).
-func ScalingStudy(w io.Writer, o ExperimentOptions) ([]bench.ScalingRow, error) {
-	return bench.Scaling(w, o)
-}
-
 // ResilienceExperiment sweeps the checkpoint interval against an
 // injected fail-stop for both training strategies, reporting the
 // checkpoint overhead of clean runs beside the recovery cost
@@ -332,21 +224,6 @@ func ScalingStudy(w io.Writer, o ExperimentOptions) ([]bench.ScalingRow, error) 
 // intervals == nil sweeps {0, 1, 2, 4}.
 func ResilienceExperiment(w io.Writer, dataset string, p int, intervals []int, faults *FaultPlan, o ExperimentOptions) ([]bench.ResilienceRow, error) {
 	return bench.Resilience(w, dataset, p, intervals, faults, o)
-}
-
-// PerfSuite measures the simulator's own performance on the pinned
-// workload matrix (wall-clock, allocations, contention-ledger peak);
-// CI gates regressions against the committed BENCH_*.json baseline
-// (see PerfGate and ROADMAP.md for the baseline convention).
-func PerfSuite(w io.Writer, o ExperimentOptions) ([]bench.PerfRow, error) {
-	return bench.Perf(w, o)
-}
-
-// PerfGate compares measured perf rows against a committed baseline
-// file, failing on >25% wall-time regression, allocation growth, or
-// simulated-seconds drift.
-func PerfGate(w io.Writer, baselinePath string, rows []bench.PerfRow) error {
-	return bench.PerfGate(w, baselinePath, rows)
 }
 
 // ProfileFromEnv returns the dataset profile named by the
