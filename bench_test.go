@@ -137,7 +137,7 @@ func BenchmarkAccuracy(b *testing.B) {
 	})
 	var acc float64
 	for i := 0; i < b.N; i++ {
-		res, err := bench.Accuracy(io.Discard, d, 6, 9)
+		res, err := bench.Accuracy(io.Discard, d, bench.Options{Epochs: 6, Seed: 9})
 		if err != nil {
 			b.Fatal(err)
 		}

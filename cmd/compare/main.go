@@ -14,9 +14,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/bench"
 	"repro/internal/cliutil"
-	"repro/internal/cluster"
 	"repro/internal/datasets"
-	"repro/internal/distsample"
 	"repro/internal/pipeline"
 )
 
@@ -31,11 +29,10 @@ func main() {
 	platform := cliutil.RegisterPlatformFlags(flag.CommandLine, false, nil)
 	flag.Parse()
 
-	pf, err := platform()
+	model, _, err := platform()
 	if err != nil {
 		fatal(err)
 	}
-	coll, topo, be := pf.Collectives, pf.Topology, pf.Backend
 
 	prof, err := cliutil.ParseProfile(*profile)
 	if err != nil {
@@ -56,15 +53,15 @@ func main() {
 	}
 
 	ours, err := pipeline.Run(d, pipeline.Config{
-		P: *p, C: c, K: k, MaxBatches: *maxB, Seed: *seed, Collectives: coll, Topology: topo, Backend: be})
+		P: *p, C: c, K: k, MaxBatches: *maxB, Seed: *seed, Model: model})
 	if err != nil {
 		fatal(err)
 	}
 	row("bulk pipeline (replicated)", ours.LastEpoch())
 
 	over, err := pipeline.Run(d, pipeline.Config{
-		P: *p, C: c, K: maxInt(d.NumBatches()/4, *p), MaxBatches: *maxB, Seed: *seed, Overlap: true,
-		Collectives: coll, Topology: topo, Backend: be})
+		P: *p, C: c, K: bench.QuarterEpochBulk(d.NumBatches(), *p), Overlap: true,
+		MaxBatches: *maxB, Seed: *seed, Model: model})
 	if err != nil {
 		fatal(err)
 	}
@@ -73,8 +70,7 @@ func main() {
 	if *p >= 4 && (*p/2)%2 == 0 {
 		part, err := pipeline.Run(d, pipeline.Config{
 			P: *p, C: 2, K: k, MaxBatches: *maxB, Seed: *seed,
-			Algorithm: pipeline.GraphPartitioned, SparsityAware: true, Collectives: coll,
-			Topology: topo, Backend: be})
+			Algorithm: pipeline.GraphPartitioned, SparsityAware: true, Model: model})
 		if err != nil {
 			fatal(err)
 		}
@@ -82,36 +78,21 @@ func main() {
 	}
 
 	quiver, err := baseline.RunQuiver(d, baseline.QuiverConfig{
-		P: *p, MaxBatches: *maxB, Seed: *seed, Collectives: coll, Topology: topo, Backend: be})
+		P: *p, MaxBatches: *maxB, Seed: *seed, Model: model})
 	if err != nil {
 		fatal(err)
 	}
 	row("quiver strategy (GPU)", quiver.LastEpoch())
 
 	uva, err := baseline.RunQuiver(d, baseline.QuiverConfig{
-		P: *p, UVA: true, MaxBatches: *maxB, Seed: *seed, Collectives: coll, Topology: topo, Backend: be})
+		P: *p, UVA: true, MaxBatches: *maxB, Seed: *seed, Model: model})
 	if err != nil {
 		fatal(err)
 	}
 	row("quiver strategy (UVA)", uva.LastEpoch())
 
 	// 1D sampling baseline (sampling only — no training pipeline).
-	batches := d.Batches()
-	if *maxB > 0 && *maxB < len(batches) {
-		batches = batches[:*maxB]
-	}
-	model := cluster.Perlmutter()
-	model.Collectives = coll
-	model.Topology = topo
-	model.Backend = be
-	cl := cluster.New(*p, model)
-	world := cl.World()
-	oneD := distsample.NewOneDSet(*p, d.Graph.Adj)
-	res, err := cl.Run(func(r *cluster.Rank) error {
-		local := distsample.ReplicatedBatches(*p, r.ID, batches)
-		distsample.SampleSAGE1D(r, oneD[r.ID], world, local, d.Fanouts, *seed)
-		return nil
-	})
+	res, err := bench.RunOneDSampling(d, *p, *maxB, *seed, model)
 	if err != nil {
 		fatal(err)
 	}
@@ -123,13 +104,6 @@ func main() {
 		best = over.LastEpoch().Total
 	}
 	fmt.Printf("\nbulk pipeline vs quiver: %.2fx faster\n", quiver.LastEpoch().Total/best)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func fatal(err error) {

@@ -7,42 +7,59 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/autotune"
 	"repro/internal/cache"
 	"repro/internal/cliutil"
+	"repro/internal/cluster"
 	"repro/internal/datasets"
 	"repro/internal/graphio"
 	"repro/internal/pipeline"
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "trainer:", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("trainer", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		dataset   = flag.String("dataset", "sbm", "sbm, products, protein, papers")
-		profile   = flag.String("profile", "small", cliutil.ProfileUsage+" (ignored for sbm)")
-		p         = flag.Int("p", 4, "simulated GPUs")
-		c         = flag.Int("c", 1, "replication factor")
-		k         = flag.Int("k", 0, "bulk size (0 or negative = all minibatches at once; with -autotune, 0 = choose for me, -1 = explicitly all)")
-		sampler   = flag.String("sampler", "sage", "sage, ladies or fastgcn")
-		algorithm = flag.String("algorithm", "replicated", "replicated or partitioned")
-		epochs    = flag.Int("epochs", 5, "training epochs")
-		lr        = flag.Float64("lr", 0.01, "learning rate")
-		seed      = flag.Int64("seed", 1, "seed")
-		maxB      = flag.Int("maxbatches", 0, "cap batches per epoch (0 = all)")
-		cachePol  = flag.String("cache", "none", "feature cache: none, static, lru")
-		cacheFrac = flag.Float64("cachefrac", 0.1, "cache capacity as fraction of vertices")
-		dropout   = flag.Float64("dropout", 0, "dropout rate on hidden activations")
-		overlap   = flag.Bool("overlap", false, "software-pipeline sampling and feature fetch against propagation (both algorithms; partitioned collectives run on per-stage streams)")
-		ckptOut   = flag.String("checkpoint", "", "write trained parameters to this file")
-		ckptIn    = flag.String("resume", "", "initialize parameters from this checkpoint")
-		tune      = flag.Bool("autotune", false, "choose c and k automatically by memory model")
+		dataset   = fs.String("dataset", "sbm", "sbm, products, protein, papers")
+		profile   = fs.String("profile", "small", cliutil.ProfileUsage+" (ignored for sbm)")
+		p         = fs.Int("p", 4, "simulated GPUs")
+		c         = fs.Int("c", 1, "replication factor")
+		k         = fs.Int("k", 0, "bulk size (0 or negative = all minibatches at once; with -autotune, 0 = choose for me, -1 = explicitly all)")
+		sampler   = fs.String("sampler", "sage", "sage, ladies or fastgcn")
+		algorithm = fs.String("algorithm", "replicated", "replicated or partitioned")
+		epochs    = fs.Int("epochs", 5, "training epochs")
+		lr        = fs.Float64("lr", 0.01, "learning rate")
+		seed      = fs.Int64("seed", 1, "seed")
+		maxB      = fs.Int("maxbatches", 0, "cap batches per epoch (0 = all)")
+		cachePol  = fs.String("cache", "none", "feature cache: none, static, lru")
+		cacheFrac = fs.Float64("cachefrac", 0.1, "cache capacity as fraction of vertices")
+		dropout   = fs.Float64("dropout", 0, "dropout rate on hidden activations")
+		overlap   = fs.Bool("overlap", false, "software-pipeline sampling and feature fetch against propagation (both algorithms; partitioned collectives run on per-stage streams)")
+		ckptOut   = fs.String("checkpoint", "", "write trained parameters to this file")
+		ckptIn    = fs.String("resume", "", "initialize parameters from this checkpoint")
+		tune      = fs.Bool("autotune", false, "choose c and k automatically by memory model")
 	)
-	platform := cliutil.RegisterPlatformFlags(flag.CommandLine, true, map[string]string{
+	platform := cliutil.RegisterPlatformFlags(fs, true, map[string]string{
 		"allreduce": " (with -autotune, default = choose by node span)"})
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil // usage already printed
+		}
+		return err
+	}
 
 	var d *datasets.Dataset
 	if *dataset == "sbm" {
@@ -50,17 +67,17 @@ func main() {
 	} else {
 		prof, err := cliutil.ParseProfile(*profile)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		d, err = datasets.ByName(*dataset, prof)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 	}
 
-	pf, err := platform()
+	model, ckptInterval, err := platform()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	cfg := pipeline.Config{
 		P: *p, C: *c, K: *k,
@@ -68,11 +85,8 @@ func main() {
 		Epochs:  *epochs, LR: *lr, Seed: *seed,
 		MaxBatches:   *maxB,
 		Overlap:      *overlap,
-		Collectives:  pf.Collectives,
-		Topology:     pf.Topology,
-		Backend:      pf.Backend,
-		Faults:       pf.Faults,
-		CkptInterval: pf.CkptInterval,
+		Model:        model,
+		CkptInterval: ckptInterval,
 	}
 	switch *algorithm {
 	case "partitioned":
@@ -80,7 +94,7 @@ func main() {
 		cfg.SparsityAware = true
 	case "replicated":
 	default:
-		fatal(fmt.Errorf("unknown algorithm %q (want replicated or partitioned)", *algorithm))
+		return fmt.Errorf("unknown algorithm %q (want replicated or partitioned)", *algorithm)
 	}
 	switch *cachePol {
 	case "static":
@@ -91,75 +105,82 @@ func main() {
 		cfg.CacheFrac = *cacheFrac
 	case "none":
 	default:
-		fatal(fmt.Errorf("unknown cache policy %q", *cachePol))
+		return fmt.Errorf("unknown cache policy %q", *cachePol)
 	}
 
 	cfg.Dropout = *dropout
 	if *tune {
 		tuned, err := autotune.TuneConfig(autotune.DefaultMemoryModel(), d, cfg)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		cfg = tuned
-		fmt.Printf("autotune: c=%d k=%s allreduce=%s\n", cfg.C, kLabel(cfg.K), cfg.Collectives.AllReduce)
+		// The tuner's pick, or the -allreduce selection it left alone.
+		allreduce := cfg.Collectives.AllReduce
+		if allreduce == cluster.DefaultAlgorithm {
+			allreduce = model.Collectives.AllReduce
+		}
+		fmt.Fprintf(stdout, "autotune: c=%d k=%s allreduce=%s\n", cfg.C, kLabel(cfg.K), allreduce)
 	}
 
-	fmt.Printf("dataset=%s vertices=%d edges=%d batches=%d | p=%d c=%d sampler=%s algorithm=%s\n",
+	fmt.Fprintf(stdout, "dataset=%s vertices=%d edges=%d batches=%d | p=%d c=%d sampler=%s algorithm=%s\n",
 		d.Name, d.Graph.NumVertices(), d.Graph.NumEdges(), d.NumBatches(),
-		*p, *c, *sampler, *algorithm)
+		cfg.P, cfg.C, *sampler, *algorithm)
 
 	if *ckptIn != "" {
-		fmt.Printf("note: -resume loads parameters for evaluation only (training starts fresh)\n")
+		fmt.Fprintf(stdout, "note: -resume loads parameters for evaluation only (training starts fresh)\n")
 	}
 	res, err := pipeline.Run(d, cfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if cfg.K > 0 && res.EffectiveK > cfg.K {
-		fmt.Printf("note: bulk size clamped up from k=%d to %d (the schedule samples at least one batch per block per round)\n",
+		fmt.Fprintf(stdout, "note: bulk size clamped up from k=%d to %d (the schedule samples at least one batch per block per round)\n",
 			cfg.K, res.EffectiveK)
 	}
 	if rec := res.Recovery; rec != nil && rec.Attempts > 1 {
-		fmt.Printf("recovery: %d attempt(s), %d failure(s) fired, %.6g sim-sec wasted\n",
+		fmt.Fprintf(stdout, "recovery: %d attempt(s), %d failure(s) fired, %.6g sim-sec wasted\n",
 			rec.Attempts, len(rec.Failures), rec.WastedSim)
 		for i, f := range rec.Failures {
-			fmt.Printf("  failure %d: rank %d at %.6g sim-sec, resumed from epoch %d\n",
+			fmt.Fprintf(stdout, "  failure %d: rank %d at %.6g sim-sec, resumed from epoch %d\n",
 				i, f.Rank, f.At, rec.RestartEpochs[i])
 		}
 	}
 	if *ckptOut != "" {
 		f, err := os.Create(*ckptOut)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if err := graphio.WriteParams(f, res.Params); err != nil {
-			fatal(err)
+			f.Close()
+			return err
 		}
 		if err := f.Close(); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("checkpoint written to %s\n", *ckptOut)
+		fmt.Fprintf(stdout, "checkpoint written to %s\n", *ckptOut)
 	}
-	fmt.Printf("%5s %10s %10s %10s %10s %10s %10s\n",
+	fmt.Fprintf(stdout, "%5s %10s %10s %10s %10s %10s %10s\n",
 		"epoch", "sampling", "fetch", "prop", "stall", "total", "loss")
 	for e, st := range res.Epochs {
-		fmt.Printf("%5d %10.4f %10.4f %10.4f %10.4f %10.4f %10.4f\n",
+		fmt.Fprintf(stdout, "%5d %10.4f %10.4f %10.4f %10.4f %10.4f %10.4f\n",
 			e, st.Sampling, st.FeatureFetch, st.Propagation, st.Stall, st.Total, st.Loss)
 	}
 	params := res.Params
 	if *ckptIn != "" {
 		f, err := os.Open(*ckptIn)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		params, err = graphio.ReadParams(f)
 		f.Close()
 		if err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	acc := pipeline.Evaluate(d, params, cfg, d.Test, nil)
-	fmt.Printf("test accuracy: %.3f\n", acc)
+	fmt.Fprintf(stdout, "test accuracy: %.3f\n", acc)
+	return nil
 }
 
 func kLabel(k int) string {
@@ -167,9 +188,4 @@ func kLabel(k int) string {
 		return "all"
 	}
 	return fmt.Sprint(k)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "trainer:", err)
-	os.Exit(1)
 }

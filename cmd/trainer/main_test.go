@@ -1,0 +1,94 @@
+package main
+
+import (
+	"bytes"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// trainer runs the CLI in-process on the tiny products analog and
+// returns what it printed.
+func trainer(args ...string) (string, error) {
+	var out, errw bytes.Buffer
+	err := run(append([]string{"-dataset", "products", "-profile", "tiny", "-epochs", "1"}, args...), &out, &errw)
+	return out.String(), err
+}
+
+// Every combination the flags can express either trains — printing the
+// epoch table and an accuracy — or returns a one-line named error.
+func TestFlagCombinations(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		args []string
+		want string // a line only this configuration prints
+	}{
+		{"defaults", nil, "p=4 c=1 sampler=sage algorithm=replicated"},
+		{"replicated c=2 bulk", []string{"-p", "4", "-c", "2", "-k", "2"}, "bulk size clamped up from k=2 to 4"},
+		{"partitioned overlapped, contended, des", []string{"-p", "8", "-c", "2", "-algorithm", "partitioned", "-overlap",
+			"-topology", "oversub", "-allreduce", "ring", "-alltoall", "pairwise", "-backend", "des"}, "algorithm=partitioned"},
+		{"ladies", []string{"-sampler", "ladies", "-backend", "goroutine"}, "sampler=ladies"},
+		{"fastgcn hier", []string{"-p", "8", "-sampler", "fastgcn", "-allreduce", "hier"}, "sampler=fastgcn"},
+		{"lru cache, dropout", []string{"-cache", "lru", "-cachefrac", "0.2", "-dropout", "0.1"}, "test accuracy"},
+		{"fault recovered from a checkpoint", []string{"-p", "4", "-epochs", "3", "-faults", "2@0.0002", "-ckpt-interval", "1",
+			"-backend", "des"}, "recovery: 2 attempt(s), 1 failure(s) fired"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			out, err := trainer(c.args...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(out, "test accuracy:") || !strings.Contains(out, c.want) {
+				t.Fatalf("no accuracy line, or no %q:\n%s", c.want, out)
+			}
+		})
+	}
+	for _, c := range []struct {
+		name string
+		args []string
+		want string // substring of the error
+	}{
+		{"p = 0", []string{"-p", "0"}, "p=0"},
+		{"c does not divide p", []string{"-p", "4", "-c", "3"}, "must divide"},
+		{"partitioned c^2 does not divide p", []string{"-p", "8", "-c", "4", "-algorithm", "partitioned"}, "c^2 | p"},
+		{"negative epochs", []string{"-epochs", "-1"}, "negative epoch count"},
+		{"dropout 2", []string{"-dropout", "2"}, "dropout rate 2"},
+		{"unknown sampler", []string{"-sampler", "bogus"}, `unknown sampler "bogus"`},
+		{"unknown algorithm", []string{"-algorithm", "bogus"}, `unknown algorithm "bogus"`},
+		{"unknown cache", []string{"-cache", "bogus"}, `unknown cache policy "bogus"`},
+		{"unknown topology", []string{"-topology", "torus"}, `unknown topology "torus"`},
+		{"unknown backend", []string{"-backend", "thread"}, "thread"},
+		{"ring all-to-all", []string{"-alltoall", "ring"}, "ring"},
+		{"malformed fault", []string{"-faults", "1@"}, "bad fault"},
+		{"fault rank outside p", []string{"-p", "4", "-faults", "9@0.1"}, "rank 9"},
+		{"negative ckpt-interval", []string{"-ckpt-interval", "-2"}, "bad checkpoint interval"},
+		{"unknown profile", []string{"-profile", "huge"}, `unknown profile "huge"`},
+		{"unknown dataset", []string{"-dataset", "cora"}, "cora"},
+		{"autotune at p = 0", []string{"-p", "0", "-autotune"}, "p=0"},
+		{"unknown flag", []string{"-gpus", "4"}, "flag provided but not defined"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			out, err := trainer(c.args...)
+			if err == nil {
+				t.Fatalf("accepted:\n%s", out)
+			}
+			if msg := err.Error(); !strings.Contains(msg, c.want) || strings.Contains(msg, "\n") {
+				t.Fatalf("error %q, want one line containing %q", msg, c.want)
+			}
+		})
+	}
+}
+
+// With -autotune the header reports the configuration that runs — the
+// tuned c, not the -c flag the tuner replaced.
+func TestAutotuneHeaderReportsTunedC(t *testing.T) {
+	out, err := trainer("-p", "8", "-c", "0", "-autotune")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuned := regexp.MustCompile(`(?m)^autotune: c=(\d+) `).FindStringSubmatch(out)
+	header := regexp.MustCompile(`(?m)^dataset=.* p=8 c=(\d+) `).FindStringSubmatch(out)
+	if tuned == nil || header == nil || tuned[1] == "0" || header[1] != tuned[1] {
+		t.Fatalf("tuned %v, header %v in:\n%s", tuned, header, out)
+	}
+}

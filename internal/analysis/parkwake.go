@@ -58,7 +58,6 @@ var parkCalls = map[parkKey]bool{
 	{clusterPath, "", "AllToAllv"}:            true,
 	{clusterPath, "", "AllReduceSum"}:         true,
 	{clusterPath, "", "AllReduceSumApply"}:    true,
-	{clusterPath, "", "AllReduceGeneric"}:     true,
 	{clusterPath, "", "AllReduceGenericInto"}: true,
 	{clusterPath, "", "Send"}:                 true,
 	{clusterPath, "", "Recv"}:                 true,

@@ -140,12 +140,11 @@ func TuneCollectives(model cluster.CostModel, p int, t cluster.Collectives) clus
 // leaving explicit values untouched. K's "unset" sentinel is 0 and
 // only 0: an explicit "all minibatches" request is pipeline.KAll (any
 // negative K), which passes through untuned — K = 0 cannot mean both
-// "all" and "choose for me" at once. The legacy HierAllReduce sugar
-// counts as an explicit all-reduce selection.
+// "all" and "choose for me" at once.
 func TuneConfig(m MemoryModel, d *datasets.Dataset, cfg pipeline.Config) (pipeline.Config, error) {
-	// A selection made at either level — Config.Collectives or directly
-	// on the model (the two are merged by the pipeline) — is explicit.
-	if !cfg.HierAllReduce && cfg.Model.Collectives.AllReduce == cluster.DefaultAlgorithm {
+	// A selection on the model (where the CLIs put -allreduce) is as
+	// explicit as one on Config.Collectives, which would out-merge it.
+	if cfg.Model.Collectives.AllReduce == cluster.DefaultAlgorithm {
 		cfg.Collectives = TuneCollectives(cfg.Model, cfg.P, cfg.Collectives)
 	}
 	if cfg.C > 0 && cfg.K != 0 {

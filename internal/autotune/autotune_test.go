@@ -190,8 +190,7 @@ func TestTuneConfigFillsCollectives(t *testing.T) {
 	if cfg.Collectives.AllReduce != cluster.Hierarchical {
 		t.Fatalf("multi-node run tuned to %v", cfg.Collectives.AllReduce)
 	}
-	// Explicit ring survives tuning; the HierAllReduce sugar counts as
-	// an explicit selection and is not overridden.
+	// Explicit ring survives tuning.
 	cfg, err = TuneConfig(DefaultMemoryModel(), d,
 		pipeline.Config{P: 16, C: 2, K: pipeline.KAll,
 			Collectives: cluster.Collectives{AllReduce: cluster.Ring}})
@@ -201,16 +200,8 @@ func TestTuneConfigFillsCollectives(t *testing.T) {
 	if cfg.Collectives.AllReduce != cluster.Ring {
 		t.Fatalf("explicit ring overridden to %v", cfg.Collectives.AllReduce)
 	}
-	cfg, err = TuneConfig(DefaultMemoryModel(), d,
-		pipeline.Config{P: 16, C: 2, K: pipeline.KAll, HierAllReduce: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Collectives.AllReduce != cluster.DefaultAlgorithm {
-		t.Fatalf("HierAllReduce sugar config retuned to %v", cfg.Collectives.AllReduce)
-	}
-	// A selection pinned directly on the model (the other place the
-	// pipeline reads it from) is explicit too: the tuner must not fill
+	// A selection pinned directly on the model (where the CLIs put
+	// -allreduce) is explicit too: the tuner must not fill
 	// Config.Collectives with a choice that would out-merge it.
 	model := cluster.Perlmutter()
 	model.Collectives.AllReduce = cluster.Ring

@@ -173,15 +173,3 @@ func CPULadiesReference(d *datasets.Dataset, layers int, maxBatches int, seed in
 	}
 	return res.Phase("cpu-ladies") * scale, nil
 }
-
-// GraphBytes reports the in-memory size of a dataset's replicated
-// state, used by the harness to pick the highest replication factor
-// that "fits" (the paper chooses c and k per GPU memory).
-func GraphBytes(d *datasets.Dataset) int64 {
-	return int64(d.Graph.Adj.Bytes())
-}
-
-// FeatureBytes reports the feature matrix payload size.
-func FeatureBytes(d *datasets.Dataset) int64 {
-	return int64(d.Features.Bytes())
-}

@@ -100,13 +100,6 @@ func TestCPULadiesReferencePositiveAndScalesWithBatches(t *testing.T) {
 	}
 }
 
-func TestBytesHelpers(t *testing.T) {
-	d := datasets.ProductsLike(datasets.Tiny)
-	if GraphBytes(d) <= 0 || FeatureBytes(d) <= 0 {
-		t.Fatal("size helpers must be positive")
-	}
-}
-
 // Bad input is an error from the one validation both drivers share —
 // never a panic inside the first attempt, never a silent fallback. Every
 // case runs through pipeline.Run, and through RunQuiver when

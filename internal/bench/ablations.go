@@ -32,10 +32,7 @@ func Amortization(w io.Writer, dataset string, ks []int, o Options) ([]Amortizat
 	if err != nil {
 		return nil, err
 	}
-	batches := d.Batches()
-	if o.MaxBatches > 0 && o.MaxBatches < len(batches) {
-		batches = batches[:o.MaxBatches]
-	}
+	batches := Batches(d, o.MaxBatches)
 	fmt.Fprintf(w, "Bulk-size amortization sweep, dataset=%s (%d batches)\n", dataset, len(batches))
 	fmt.Fprintf(w, "%6s %14s\n", "k", "sim sampling s")
 	var rows []AmortizationRow
@@ -139,11 +136,7 @@ func SparsityAblation(w io.Writer, dataset string, p, c int, o Options) (*Sparsi
 		if err != nil {
 			return 0, 0, err
 		}
-		var bytes int64
-		for _, s := range res.Ranks {
-			bytes += s.BytesSent
-		}
-		return res.SimTime, bytes, nil
+		return res.SimTime, bytesSent(res), nil
 	}
 	at, ab, err := measure(true)
 	if err != nil {
@@ -172,6 +165,21 @@ type PartitionRow struct {
 	FifteenDBytes int64
 }
 
+// RunOneDSampling measures one bulk GraphSAGE sampling run under the 1D
+// block-row partitioning — the baseline the 1.5D algorithm is compared
+// against (sampling only, like RunPartitionedSampling).
+func RunOneDSampling(d *datasets.Dataset, p, maxBatches int, seed int64, model cluster.CostModel) (*cluster.Result, error) {
+	cl := cluster.New(p, model)
+	world := cl.World()
+	oneD := distsample.NewOneDSet(p, d.Graph.Adj)
+	batches := Batches(d, maxBatches)
+	return cl.Run(func(r *cluster.Rank) error {
+		local := distsample.ReplicatedBatches(p, r.ID, batches)
+		distsample.SampleSAGE1D(r, oneD[r.ID], world, local, d.Fanouts, seed)
+		return nil
+	})
+}
+
 // PartitionAblation supports the Section 5.2 design choice ("prior
 // work has shown 1.5D algorithms generally outperform other schemes"):
 // it runs bulk SAGE sampling under both partitionings and reports time
@@ -181,10 +189,6 @@ func PartitionAblation(w io.Writer, dataset string, ps []int, o Options) ([]Part
 	d, err := datasets.ByName(dataset, o.Profile)
 	if err != nil {
 		return nil, err
-	}
-	batches := d.Batches()
-	if o.MaxBatches > 0 && o.MaxBatches < len(batches) {
-		batches = batches[:o.MaxBatches]
 	}
 	fmt.Fprintf(w, "1D vs 1.5D distributed SpGEMM, dataset=%s\n", dataset)
 	fmt.Fprintf(w, "%5s %3s %12s %14s %12s %14s\n", "p", "c", "1D time", "1D bytes", "1.5D time", "1.5D bytes")
@@ -197,31 +201,18 @@ func PartitionAblation(w io.Writer, dataset string, ps []int, o Options) ([]Part
 		for (p/c)%c != 0 && c > 1 {
 			c /= 2
 		}
-
-		cl1 := cluster.New(p, o.Model)
-		world := cl1.World()
-		oneD := distsample.NewOneDSet(p, d.Graph.Adj)
-		res1, err := cl1.Run(func(r *cluster.Rank) error {
-			local := distsample.ReplicatedBatches(p, r.ID, batches)
-			distsample.SampleSAGE1D(r, oneD[r.ID], world, local, d.Fanouts, o.Seed)
-			return nil
-		})
+		res1, err := RunOneDSampling(d, p, o.MaxBatches, o.Seed, o.Model)
 		if err != nil {
 			return nil, err
 		}
-
 		res2, err := RunPartitionedSampling(d, "sage", p, c, true, o.MaxBatches, 0, o.Seed, o.Model)
 		if err != nil {
 			return nil, err
 		}
 
-		row := PartitionRow{P: p, C: c, OneDTime: res1.SimTime, FifteenDTime: res2.SimTime}
-		for _, s := range res1.Ranks {
-			row.OneDBytes += s.BytesSent
-		}
-		for _, s := range res2.Ranks {
-			row.FifteenDBytes += s.BytesSent
-		}
+		row := PartitionRow{P: p, C: c,
+			OneDTime: res1.SimTime, OneDBytes: bytesSent(res1),
+			FifteenDTime: res2.SimTime, FifteenDBytes: bytesSent(res2)}
 		rows = append(rows, row)
 		fmt.Fprintf(w, "%5d %3d %12.5f %14d %12.5f %14d\n",
 			p, c, row.OneDTime, row.OneDBytes, row.FifteenDTime, row.FifteenDBytes)
@@ -310,6 +301,34 @@ func partitionedCFor(p int) int {
 	return c
 }
 
+// distributedAlgorithms is the pair the overlap and contention studies
+// compare: the Graph Replicated pipeline and the sparsity-aware 1.5D
+// Graph Partitioned one.
+var distributedAlgorithms = []struct {
+	name string
+	alg  pipeline.Algorithm
+}{
+	{"replicated", pipeline.GraphReplicated},
+	{"partitioned", pipeline.GraphPartitioned},
+}
+
+// quarterEpochConfig is the training run the overlap and contention
+// studies measure for one algorithm at p GPUs: the Figure 4 replication
+// factor (shrunk to a valid grid for the partitioned algorithm) and a
+// quarter-epoch bulk, so the schedule has rounds to pipeline.
+func (o Options) quarterEpochConfig(d *datasets.Dataset, alg pipeline.Algorithm, p int) pipeline.Config {
+	c := CFor(p)
+	if alg == pipeline.GraphPartitioned {
+		c = partitionedCFor(p)
+	}
+	return pipeline.Config{
+		P: p, C: c, K: QuarterEpochBulk(len(Batches(d, o.MaxBatches)), p),
+		Algorithm:     alg,
+		SparsityAware: alg == pipeline.GraphPartitioned,
+		MaxBatches:    o.MaxBatches, Seed: o.Seed, Model: o.Model,
+	}
+}
+
 // OverlapAnalysis measures the staged engine's overlapped schedule
 // against the bulk-synchronous one for both distributed algorithms —
 // the Graph Replicated pipeline (communication-free sampling) and,
@@ -322,41 +341,14 @@ func OverlapAnalysis(w io.Writer, o Options) ([]OverlapRow, error) {
 	fmt.Fprintf(w, "%-10s %-12s %5s %12s %12s %12s %12s %8s\n",
 		"dataset", "algorithm", "p", "sequential", "bound", "measured", "stall", "speedup")
 	var rows []OverlapRow
-	algos := []struct {
-		name string
-		alg  pipeline.Algorithm
-	}{
-		{"replicated", pipeline.GraphReplicated},
-		{"partitioned", pipeline.GraphPartitioned},
-	}
 	for _, name := range datasets.Names() {
 		d, err := datasets.ByName(name, o.Profile)
 		if err != nil {
 			return nil, err
 		}
-		for _, algo := range algos {
-			for _, p := range o.GPUCounts {
-				c := CFor(p)
-				if algo.alg == pipeline.GraphPartitioned {
-					c = partitionedCFor(p)
-				}
-				// Overlap pays off exactly when memory forces k below the
-				// full batch count (multiple bulk rounds per epoch); use a
-				// quarter-epoch bulk so the schedule has rounds to pipeline.
-				processed := d.NumBatches()
-				if o.MaxBatches > 0 && o.MaxBatches < processed {
-					processed = o.MaxBatches
-				}
-				k := processed / 4
-				if k < p {
-					k = p
-				}
-				cfg := pipeline.Config{
-					P: p, C: c, K: k,
-					Algorithm:     algo.alg,
-					SparsityAware: algo.alg == pipeline.GraphPartitioned,
-					MaxBatches:    o.MaxBatches, Seed: o.Seed, Model: o.Model,
-				}
+		for _, algo := range distributedAlgorithms {
+			for _, p := range o.gpus(figureGPUs) {
+				cfg := o.quarterEpochConfig(d, algo.alg, p)
 				res, err := pipeline.Run(d, cfg)
 				if err != nil {
 					return nil, err

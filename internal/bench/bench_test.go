@@ -146,7 +146,7 @@ func TestAccuracyExperiment(t *testing.T) {
 		IntraDeg: 10, InterDeg: 2, Noise: 0.5,
 		BatchSize: 32, Fanouts: []int{5, 3}, LayerWidth: 32, Seed: 11,
 	})
-	res, err := Accuracy(&buf, d, 8, 11)
+	res, err := Accuracy(&buf, d, Options{Epochs: 8, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,14 +180,6 @@ func TestCKHelpers(t *testing.T) {
 	}
 	if KFor(4, 100) != 50 || KFor(64, 100) != 0 {
 		t.Fatal("KFor mapping wrong")
-	}
-}
-
-func TestSortRows(t *testing.T) {
-	rows := []Fig4Row{{Dataset: "b", P: 8}, {Dataset: "a", P: 16}, {Dataset: "a", P: 4}}
-	SortRows(rows)
-	if rows[0].Dataset != "a" || rows[0].P != 4 || rows[2].Dataset != "b" {
-		t.Fatalf("sort wrong: %+v", rows)
 	}
 }
 

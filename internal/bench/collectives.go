@@ -45,14 +45,7 @@ var collectiveCases = []struct {
 // defining property: inter-node traffic proportional to node count
 // rather than rank count.
 func CollectiveSweep(w io.Writer, o Options) ([]CollectiveRow, error) {
-	// An unset GPU list must be detected before withDefaults fills it,
-	// or an explicit six-count -gpus list would be indistinguishable
-	// from the harness default.
-	counts := o.GPUCounts
 	o = o.withDefaults()
-	if len(counts) == 0 { // default: single-node counts and a multi-node one
-		counts = []int{4, 8, 64}
-	}
 	sizes := []int{4 << 10, 4 << 20} // latency-bound and bandwidth-bound payloads
 	const iters = 2
 
@@ -60,7 +53,7 @@ func CollectiveSweep(w io.Writer, o Options) ([]CollectiveRow, error) {
 	fmt.Fprintf(w, "%-10s %-9s %5s %9s %12s %12s %7s %12s %12s\n",
 		"op", "algo", "p", "bytes", "measured", "model", "ratio", "intra-bytes", "inter-bytes")
 	var rows []CollectiveRow
-	for _, p := range counts {
+	for _, p := range o.gpus(collectiveGPUs) {
 		for _, size := range sizes {
 			for _, cse := range collectiveCases {
 				for _, alg := range cse.algs {

@@ -64,18 +64,8 @@ func contentionTopologies() []*cluster.Topology {
 // prefetch streams and the gradient all-reduce share NIC injection
 // bandwidth — next to per-physical-link utilization.
 func Contention(w io.Writer, o Options) ([]ContentionRow, error) {
-	// An unset GPU list must be detected before withDefaults fills it;
-	// the default is one multi-node count (contention needs nodes to
-	// share NICs and a trunk to oversubscribe; single-node runs keep
-	// every flow on per-GPU NVLink ports and never contend). p=16 is
-	// where the replicated pipeline's ~1.5x overlap gain meets heavy
-	// inter-node fetch traffic, so the erosion is visible.
-	counts := o.GPUCounts
 	o = o.withDefaults()
-	p := 16
-	if len(counts) > 0 {
-		p = counts[0]
-	}
+	p := o.gpus(multiNodeGPUs)[0]
 	d, err := datasets.ByName("products", o.Profile)
 	if err != nil {
 		return nil, err
@@ -85,42 +75,16 @@ func Contention(w io.Writer, o Options) ([]ContentionRow, error) {
 	fmt.Fprintf(w, "%-12s %-12s %-8s %10s %10s %9s %8s %9s %6s\n",
 		"algorithm", "topology", "overlap", "total", "stall", "slowdown", "gain", "nic-util", "share")
 
-	algos := []struct {
-		name string
-		alg  pipeline.Algorithm
-	}{
-		{"replicated", pipeline.GraphReplicated},
-		{"partitioned", pipeline.GraphPartitioned},
-	}
 	var rows []ContentionRow
-	for _, algo := range algos {
-		c := CFor(p)
-		if algo.alg == pipeline.GraphPartitioned {
-			c = partitionedCFor(p)
-		}
-		// A quarter-epoch bulk gives the schedule rounds to pipeline
-		// (same methodology as the overlap experiment).
-		processed := d.NumBatches()
-		if o.MaxBatches > 0 && o.MaxBatches < processed {
-			processed = o.MaxBatches
-		}
-		k := processed / 4
-		if k < p {
-			k = p
-		}
+	for _, algo := range distributedAlgorithms {
+		// Same methodology as the overlap experiment.
+		cfg := o.quarterEpochConfig(d, algo.alg, p)
 		ideal := map[bool]float64{} // overlap -> total under nil topology
 		for _, topo := range contentionTopologies() {
 			seqTotal := 0.0
 			for _, overlap := range []bool{false, true} {
-				model := o.Model
-				model.Topology = topo
-				cfg := pipeline.Config{
-					P: p, C: c, K: k,
-					Algorithm:     algo.alg,
-					SparsityAware: algo.alg == pipeline.GraphPartitioned,
-					Overlap:       overlap,
-					MaxBatches:    o.MaxBatches, Seed: o.Seed, Model: model,
-				}
+				cfg.Model.Topology = topo
+				cfg.Overlap = overlap
 				res, err := pipeline.Run(d, cfg)
 				if err != nil {
 					return nil, err
@@ -128,7 +92,7 @@ func Contention(w io.Writer, o Options) ([]ContentionRow, error) {
 				e := res.LastEpoch()
 				row := ContentionRow{
 					Dataset: "products", Algorithm: algo.name,
-					Topology: topo.String(), P: p, C: c, Overlap: overlap,
+					Topology: topo.String(), P: p, C: cfg.C, Overlap: overlap,
 					Total: e.Total, Stall: e.Stall,
 				}
 				if topo == nil {

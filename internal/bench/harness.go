@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 
 	"repro/internal/baseline"
 	"repro/internal/cluster"
@@ -22,11 +21,22 @@ import (
 // Options tunes experiment size so the same harness serves unit tests
 // (Tiny), CI (Small) and the recorded results (Bench).
 type Options struct {
-	Profile    datasets.Profile
+	Profile datasets.Profile
+	// GPUCounts is the GPU axis the experiment sweeps (single-count
+	// experiments run the first entry). nil means the experiment's own
+	// default axis — the one its Experiments entry states.
 	GPUCounts  []int
 	MaxBatches int // per-epoch batch cap with extrapolation; 0 = all
 	Seed       int64
-	Model      cluster.CostModel
+
+	// Model is the platform every simulated cluster of the experiment
+	// charges under, and the only carrier of machine selections:
+	// collective schedules, topology, execution backend and fault plan
+	// ride on it (cliutil.RegisterPlatformFlags assembles it from the
+	// CLI flags). A zero Model means cluster.Perlmutter(). Experiments
+	// that sweep a selection (collectives, tprob, contention, scaling)
+	// override that one field per row.
+	Model cluster.CostModel
 
 	// Overlap runs the paper's pipeline on the staged engine's
 	// software-pipelined schedule in the experiments that train with
@@ -38,51 +48,22 @@ type Options struct {
 	// schedule.
 	Overlap bool
 
-	// Collectives selects the collective schedules every experiment's
-	// simulated clusters charge under (merged into Model.Collectives;
-	// the CollectiveSweep experiment overrides it per row). The zero
-	// value keeps the paper's FlatTree forms.
-	Collectives cluster.Collectives
-
-	// Topology selects the physical-link topology every experiment's
-	// simulated clusters charge under (set on Model.Topology; the
-	// Contention experiment sweeps its own topologies per row). nil
-	// keeps the pure α–β model — no shared-link contention.
-	Topology *cluster.Topology
-
-	// Backend selects the simulator's execution backend for every
-	// experiment's clusters (set on Model.Backend): goroutines or the
-	// discrete-event loop. The large-p scaling points (p ≥ 4096) are
-	// only practical under the DES backend. Zero resolves
-	// $GNN_BACKEND, then goroutines.
-	Backend cluster.Backend
-
 	// SweepWorkers bounds the worker pool the sweep experiments run
 	// their cells on (see runCells): 0 defaults to GOMAXPROCS, 1 runs
 	// serially. Tables are byte-identical at any setting — cells are
 	// independent simulations and fold in enumeration order.
 	SweepWorkers int
 
-	// PerfReps is how many times the perf suite repeats each pinned
-	// workload before taking the wall-clock min and median; 0 means
-	// the committed default (5, what BENCH_*.json baselines are
-	// captured with).
-	PerfReps int
+	// Epochs is the accuracy experiment's training length (0 = 15).
+	Epochs int
+	// CkptInterval restricts the resilience experiment's interval sweep
+	// to {0, CkptInterval} (0 = the full {0, 1, 2, 4} sweep).
+	CkptInterval int
 }
 
 func (o Options) withDefaults() Options {
-	if len(o.GPUCounts) == 0 {
-		o.GPUCounts = []int{4, 8, 16, 32, 64, 128}
-	}
 	if o.Model.GPUsPerNode == 0 {
 		o.Model = cluster.Perlmutter()
-	}
-	o.Model.Collectives = o.Model.Collectives.Merge(o.Collectives)
-	if o.Topology != nil {
-		o.Model.Topology = o.Topology
-	}
-	if o.Backend != cluster.DefaultBackend {
-		o.Model.Backend = o.Backend
 	}
 	if o.Seed == 0 {
 		o.Seed = 20240101
@@ -90,10 +71,44 @@ func (o Options) withDefaults() Options {
 	if o.SweepWorkers == 0 {
 		o.SweepWorkers = runtime.GOMAXPROCS(0)
 	}
-	if o.PerfReps == 0 {
-		o.PerfReps = perfReps
-	}
 	return o
+}
+
+// gpus returns the GPU axis of an experiment whose default axis is def:
+// the caller's explicit list when one was given, whatever its length.
+func (o Options) gpus(def []int) []int {
+	if len(o.GPUCounts) > 0 {
+		return o.GPUCounts
+	}
+	return def
+}
+
+// Batches returns d's global batch list, truncated to the first
+// maxBatches when the cap is set (0 = all).
+func Batches(d *datasets.Dataset, maxBatches int) [][]int {
+	batches := d.Batches()
+	if maxBatches > 0 && maxBatches < len(batches) {
+		batches = batches[:maxBatches]
+	}
+	return batches
+}
+
+// QuarterEpochBulk is the bulk size the overlap studies train with:
+// overlap pays off exactly when memory forces k below the batch count
+// (several bulk rounds per epoch), so a quarter of the epoch's batches
+// gives the schedule rounds to pipeline — but never less than one batch
+// per rank.
+func QuarterEpochBulk(batches, p int) int {
+	return max(batches/4, p)
+}
+
+// bytesSent sums the bytes every rank of a run injected.
+func bytesSent(res *cluster.Result) int64 {
+	var total int64
+	for _, s := range res.Ranks {
+		total += s.BytesSent
+	}
+	return total
 }
 
 // CFor mirrors the paper's per-GPU-count replication factors in the
@@ -147,7 +162,7 @@ func Fig4(w io.Writer, o Options) ([]Fig4Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, p := range o.GPUCounts {
+		for _, p := range o.gpus(figureGPUs) {
 			c := CFor(p)
 			k := KFor(p, d.NumBatches())
 			res, err := pipeline.Run(d, pipeline.Config{
@@ -209,7 +224,7 @@ func Fig5(w io.Writer, o Options) ([]Fig5Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, p := range o.GPUCounts {
+		for _, p := range o.gpus(figureGPUs) {
 			gpu, err := baseline.RunQuiver(d, baseline.QuiverConfig{
 				P: p, MaxBatches: o.MaxBatches, Seed: o.Seed, Model: o.Model,
 			})
@@ -252,7 +267,7 @@ func Fig6(w io.Writer, o Options) ([]Fig6Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, p := range o.GPUCounts {
+		for _, p := range o.gpus(figureGPUs) {
 			run := func(c int) (pipeline.EpochStats, error) {
 				res, err := pipeline.Run(d, pipeline.Config{
 					P: p, C: c, K: KFor(p, d.NumBatches()),
@@ -310,10 +325,7 @@ func RunPartitionedSampling(d *datasets.Dataset, sampler string, p, c int, aware
 		return nil, fmt.Errorf("bench: c^2 must divide p (p=%d c=%d)", p, c)
 	}
 	set := distsample.NewPartitionedSet(grid, d.Graph.Adj, aware)
-	batches := d.Batches()
-	if maxBatches > 0 && maxBatches < len(batches) {
-		batches = batches[:maxBatches]
-	}
+	batches := Batches(d, maxBatches)
 	if layers <= 0 || layers > len(d.Fanouts) {
 		layers = len(d.Fanouts)
 	}
@@ -335,10 +347,6 @@ func RunPartitionedSampling(d *datasets.Dataset, sampler string, p, c int, aware
 // per-count replication factors.
 func Fig7(w io.Writer, sampler string, o Options) ([]Fig7Row, error) {
 	o = o.withDefaults()
-	counts := o.GPUCounts
-	if len(counts) == 6 { // default: Figure 7 uses {16, 32, 64}
-		counts = []int{16, 32, 64}
-	}
 	cOf := map[int]int{16: 2, 32: 4, 64: 4}
 	var rows []Fig7Row
 	fmt.Fprintf(w, "Figure 7 (%s): Graph Partitioned sampling breakdown (seconds, simulated)\n", sampler)
@@ -356,7 +364,7 @@ func Fig7(w io.Writer, sampler string, o Options) ([]Fig7Row, error) {
 				return nil, err
 			}
 		}
-		for _, p := range counts {
+		for _, p := range o.gpus(fig7GPUs) {
 			c := cOf[p]
 			if c == 0 {
 				c = CFor(p) / 2
@@ -400,14 +408,4 @@ func extrapolation(d *datasets.Dataset, maxBatches, blocks int) float64 {
 		return 1
 	}
 	return pipeline.BlockScale(total, maxBatches, blocks)
-}
-
-// SortRows orders rows for stable output (dataset, then p).
-func SortRows(rows []Fig4Row) {
-	sort.Slice(rows, func(a, b int) bool {
-		if rows[a].Dataset != rows[b].Dataset {
-			return rows[a].Dataset < rows[b].Dataset
-		}
-		return rows[a].P < rows[b].P
-	})
 }

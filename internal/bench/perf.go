@@ -130,19 +130,17 @@ func perfMatrix() []perfCase {
 	}
 }
 
-// perfReps is the default repetition count per workload; the
-// wall-clock minimum damps scheduler noise while keeping the suite
-// CI-cheap. Options.PerfReps (-perfreps) overrides it.
+// perfReps is the repetition count per workload, the one every
+// BENCH_*.json baseline was captured with; the wall-clock minimum damps
+// scheduler noise while keeping the suite CI-cheap.
 const perfReps = 5
 
 // Perf measures the pinned workload matrix and prints one row per
-// workload. Options contributes only the cost model and the
-// repetition count; the matrix's sizes, seeds and topologies are
-// pinned so baselines stay comparable.
+// workload. Options contributes only the cost model; the matrix's
+// sizes, seeds and topologies are pinned so baselines stay comparable.
 func Perf(w io.Writer, o Options) ([]PerfRow, error) {
 	o = o.withDefaults()
-	reps := o.PerfReps
-	fmt.Fprintf(w, "Simulator perf suite (GOMAXPROCS=%d, %d reps, wall min/median)\n", runtime.GOMAXPROCS(0), reps)
+	fmt.Fprintf(w, "Simulator perf suite (GOMAXPROCS=%d, %d reps, wall min/median)\n", runtime.GOMAXPROCS(0), perfReps)
 	fmt.Fprintf(w, "%-40s %10s %10s %12s %14s %10s %8s\n",
 		"workload", "wall-sec", "wall-med", "sim-sec", "alloc-bytes", "allocs", "ledger")
 	var rows []PerfRow
@@ -158,8 +156,8 @@ func Perf(w io.Writer, o Options) ([]PerfRow, error) {
 			return nil, fmt.Errorf("bench: perf %s: %w", pc.name, err)
 		}
 		row := PerfRow{Name: pc.name}
-		walls := make([]float64, 0, reps)
-		for rep := 0; rep < reps; rep++ {
+		walls := make([]float64, 0, perfReps)
+		for rep := 0; rep < perfReps; rep++ {
 			var m0, m1 runtime.MemStats
 			runtime.ReadMemStats(&m0)
 			//gnnvet:allow walltime — the perf harness's job is measuring real wall time (sim_sec carries the simulated clock)
@@ -264,7 +262,9 @@ const perfWallSlack = 0.1
 // near-deterministic, so the bound is tighter than the wall gate.
 const perfAllocTolerance = 1.10
 
-// PerfGate compares measured rows against the committed baseline:
+// PerfGate compares measured rows against the committed baseline — it
+// is PerfDiff(baseline, measured) plus an error when a threshold is
+// breached, so every gate run prints the workload-by-workload margins:
 // missing workloads, >25% wall-time regressions, >10% allocation
 // growth, and any simulated-seconds drift (a determinism breach, not a
 // performance one) all fail. Wall time is machine-class dependent, so
@@ -287,35 +287,8 @@ func PerfGate(w io.Writer, baselinePath string, rows []PerfRow) error {
 		wallTol = v
 		fmt.Fprintf(w, "perf gate: wall tolerance overridden to %.2fx via PERF_WALL_TOLERANCE\n", v)
 	}
-	byName := map[string]PerfRow{}
-	for _, r := range rows {
-		byName[r.Name] = r
-	}
-	var failures []string
-	for _, b := range base.Rows {
-		got, ok := byName[b.Name]
-		if !ok {
-			failures = append(failures, fmt.Sprintf("%s: workload missing from the measured matrix", b.Name))
-			continue
-		}
-		if b.WallSec > 0 && got.WallSec > b.WallSec*wallTol+perfWallSlack {
-			failures = append(failures, fmt.Sprintf("%s: wall %.3fs vs baseline %.3fs (>%.0f%% regression)",
-				b.Name, got.WallSec, b.WallSec, (wallTol-1)*100))
-		}
-		if b.Allocs > 0 && float64(got.Allocs) > float64(b.Allocs)*perfAllocTolerance {
-			failures = append(failures, fmt.Sprintf("%s: allocs %d vs baseline %d (>%.0f%% growth)",
-				b.Name, got.Allocs, b.Allocs, (perfAllocTolerance-1)*100))
-		}
-		if drift := relDiff(got.SimSec, b.SimSec); drift > 1e-9 {
-			failures = append(failures, fmt.Sprintf("%s: simulated seconds drifted %.6g -> %.6g (determinism breach; re-capture the baseline only for a deliberate model change)",
-				b.Name, b.SimSec, got.SimSec))
-		}
-	}
-	if len(failures) > 0 {
-		for _, f := range failures {
-			fmt.Fprintf(w, "PERF GATE FAIL: %s\n", f)
-		}
-		return fmt.Errorf("bench: perf gate failed (%d finding(s)) vs %s", len(failures), baselinePath)
+	if PerfDiff(w, base, &PerfBaseline{Rows: rows}, wallTol) {
+		return fmt.Errorf("bench: perf gate failed vs %s (FAIL and missing rows above)", baselinePath)
 	}
 	fmt.Fprintf(w, "perf gate OK vs %s (%d workloads within tolerance)\n", baselinePath, len(base.Rows))
 	return nil

@@ -78,6 +78,31 @@ func TestPerfGateFailsOnAllocGrowth(t *testing.T) {
 	}
 }
 
+// The gate is PerfDiff plus an error: the margins table prints on a pass
+// too, a FAIL row names the threshold it breached, and the wall
+// allowance is the caller's (PERF_WALL_TOLERANCE on a slow runner).
+func TestPerfGatePrintsMargins(t *testing.T) {
+	base := perfRowsForTest()
+	path := writeBaseline(t, base)
+	got := append([]PerfRow(nil), base...)
+	got[0].WallSec = 1.4
+	got[0].Allocs = 1200
+	var sb strings.Builder
+	if err := PerfGate(&sb, path, got); err == nil {
+		t.Fatal("gate passed")
+	}
+	if out := sb.String(); !strings.Contains(out, "FAIL:wall,allocs") || !strings.Contains(out, "+40.0%") ||
+		!strings.Contains(out, "exact OK") {
+		t.Fatalf("margins table missing the failing row's thresholds or the passing row:\n%s", out)
+	}
+	t.Setenv("PERF_WALL_TOLERANCE", "1.5")
+	got[0].Allocs = 1000
+	sb.Reset()
+	if err := PerfGate(&sb, path, got); err != nil {
+		t.Fatalf("gate failed a 40%% wall regression under a 1.5x allowance: %v\n%s", err, sb.String())
+	}
+}
+
 func TestPerfBaselineRejectsWrongSchema(t *testing.T) {
 	path := writeBaseline(t, perfRowsForTest())
 	data := `{"schema":"other/v9","rows":[]}`

@@ -116,8 +116,10 @@ func TestScalingPoolDeterminism(t *testing.T) {
 	}
 	run := func(workers int, be cluster.Backend) (string, []ScalingRow) {
 		var buf bytes.Buffer
+		model := cluster.Perlmutter()
+		model.Backend = be
 		rows, err := Scaling(&buf, Options{Profile: 0, GPUCounts: []int{8, 32}, Seed: 1,
-			SweepWorkers: workers, Backend: be})
+			SweepWorkers: workers, Model: model})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -47,10 +47,14 @@ const resilienceEpochs = 4
 // expensive (everything past the last boundary is re-executed). The
 // injected failure lands at ~60% of the no-checkpoint clean run's
 // simulated span (rank p/2), or at the caller's explicit plan when
-// faults is non-nil. Cells run serially: each failed run already
-// contains restarts, and the table is small.
+// faults is non-nil (the resilience Experiments entry passes the
+// platform's, Options.Model.Faults). The plan reaches only the faulted
+// runs: the clean ones run on the model with its plan stripped. Cells
+// run serially: each failed run already contains restarts, and the
+// table is small.
 func Resilience(w io.Writer, dataset string, p int, intervals []int, faults *cluster.FaultPlan, o Options) ([]ResilienceRow, error) {
 	o = o.withDefaults()
+	o.Model.Faults = nil
 	d, err := datasets.ByName(dataset, o.Profile)
 	if err != nil {
 		return nil, err
@@ -76,9 +80,6 @@ func Resilience(w io.Writer, dataset string, p int, intervals []int, faults *clu
 		base.Epochs = resilienceEpochs
 		base.Seed = o.Seed
 		base.MaxBatches = o.MaxBatches
-		base.Collectives = o.Collectives
-		base.Topology = o.Topology
-		base.Backend = o.Backend
 		base.Model = o.Model
 
 		clean0, err := pipeline.Run(d, base)

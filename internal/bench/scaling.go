@@ -111,23 +111,14 @@ type scalingCell struct {
 // axis this study exists to keep honest (the perf suite gates it; see
 // Perf).
 func Scaling(w io.Writer, o Options) ([]ScalingRow, error) {
-	// An unset GPU list must be detected before withDefaults fills it,
-	// or an explicit six-count -gpus list would be indistinguishable
-	// from the harness default.
-	counts := o.GPUCounts
-	defaulted := len(counts) == 0
 	o = o.withDefaults()
-	if defaulted {
-		counts = ScalingGPUCounts
-	}
+	defaulted := len(o.GPUCounts) == 0
+	counts := o.gpus(ScalingGPUCounts)
 	d, err := datasets.ByName("products", o.Profile)
 	if err != nil {
 		return nil, err
 	}
-	total := d.NumBatches()
-	if o.MaxBatches > 0 && o.MaxBatches < total {
-		total = o.MaxBatches
-	}
+	total := len(Batches(d, o.MaxBatches))
 
 	collectives := []struct {
 		name string

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/cluster"
 	"repro/internal/datasets"
 	"repro/internal/pipeline"
 )
@@ -93,16 +92,18 @@ type AccuracyResult struct {
 // accuracy. The paper's claim under test is that the bulk sampling
 // optimizations do not hurt accuracy; here the distributed bulk
 // pipeline must reach the accuracy a serial training run reaches.
-// Pass d == nil for the default (paper-analog) dataset.
-func Accuracy(w io.Writer, d *datasets.Dataset, epochs int, seed int64) (*AccuracyResult, error) {
+// Pass d == nil for the default (paper-analog) dataset; o.Epochs sets
+// the training length (0 = 15).
+func Accuracy(w io.Writer, d *datasets.Dataset, o Options) (*AccuracyResult, error) {
+	o = o.withDefaults()
+	epochs := o.Epochs
 	if epochs <= 0 {
 		epochs = 15
 	}
 	if d == nil {
 		d = datasets.DefaultSBM()
 	}
-	cfg := pipeline.Config{P: 4, C: 2, Epochs: epochs, Seed: seed, LR: 0.02,
-		Model: cluster.Perlmutter()}
+	cfg := pipeline.Config{P: 4, C: 2, Epochs: epochs, Seed: o.Seed, LR: 0.02, Model: o.Model}
 	res, err := pipeline.Run(d, cfg)
 	if err != nil {
 		return nil, err

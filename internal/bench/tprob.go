@@ -41,11 +41,7 @@ func Tprob(w io.Writer, dataset string, p int, cs []int, o Options) ([]TprobRow,
 	if err != nil {
 		return nil, err
 	}
-	batches := d.Batches()
-	k := len(batches)
-	if o.MaxBatches > 0 && o.MaxBatches < k {
-		k = o.MaxBatches
-	}
+	k := len(Batches(d, o.MaxBatches))
 	b := float64(d.BatchSize)
 	deg := d.Graph.AvgDegree()
 	alpha := o.Model.Alpha[1] // inter-node tier dominates at scale

@@ -3,10 +3,11 @@
 // -gpus accept one vocabulary everywhere and the validation is tested
 // in one place instead of re-implemented per main package. The
 // platform flags (collective algorithms, topology, backend, faults,
-// checkpoint interval) are declared and parsed once, by
-// RegisterPlatformFlags; this package's tests pin the accept/reject
-// tables of the cluster parsers behind them alongside the local helpers
-// so the whole shared flag surface has one conformance suite.
+// checkpoint interval) are declared once and parsed into one
+// cluster.CostModel, by RegisterPlatformFlags; this package's tests pin
+// the accept/reject tables of the cluster parsers behind them alongside
+// the local helpers so the whole shared flag surface has one
+// conformance suite.
 package cliutil
 
 import (
@@ -90,24 +91,6 @@ func ParseSweepWorkers(s string) (int, error) {
 	return v, nil
 }
 
-// ParsePerfReps parses a -perfreps flag: how many times the perf suite
-// repeats each pinned workload before taking the min and median. Empty
-// and "default" mean the harness default (returned as 0).
-func ParsePerfReps(s string) (int, error) {
-	s = strings.TrimSpace(s)
-	if s == "" || s == "default" {
-		return 0, nil
-	}
-	v, err := strconv.Atoi(s)
-	if err != nil {
-		return 0, fmt.Errorf("bad perf rep count %q (want a positive integer or \"default\")", s)
-	}
-	if v < 1 {
-		return 0, fmt.Errorf("bad perf rep count %d: must be at least 1", v)
-	}
-	return v, nil
-}
-
 // ParseFaults parses a -faults flag: a comma-separated list of
 // rank@seconds fail-stop events (the canonical FaultPlan.String form,
 // surrounding spaces tolerated), e.g. "1@0.5,3@1.25". Empty and
@@ -161,49 +144,41 @@ func ParseCkptInterval(s string) (int, error) {
 	return v, nil
 }
 
-// Platform is what the shared platform flags select: the simulated
-// machine a run is charged under and its fault-tolerance settings.
-type Platform struct {
-	Collectives cluster.Collectives
-	Topology    *cluster.Topology
-	Backend     cluster.Backend
-	// Faults and CkptInterval stay zero unless the flags were registered
-	// (RegisterPlatformFlags withFaults).
-	Faults       *cluster.FaultPlan
-	CkptInterval int
-}
-
 // RegisterPlatformFlags declares -allreduce, -alltoall, -topology and
 // -backend on fs — plus -faults and -ckpt-interval when withFaults —
 // with the shared help texts, each followed by the command's own note
 // from notes (keyed by flag name) where it has one. Call the returned
-// function after fs.Parse for the parsed values.
-func RegisterPlatformFlags(fs *flag.FlagSet, withFaults bool, notes map[string]string) func() (Platform, error) {
+// function after fs.Parse: it assembles the platform the flags describe
+// — cluster.Perlmutter() with the parsed selections set on it, the one
+// carrier of machine selections above pipeline.Config — and returns it
+// with the checkpoint interval (0 unless withFaults).
+func RegisterPlatformFlags(fs *flag.FlagSet, withFaults bool, notes map[string]string) func() (model cluster.CostModel, ckptInterval int, err error) {
 	str := func(name, def, usage string) *string { return fs.String(name, def, usage+notes[name]) }
 	allreduce := str("allreduce", "default", cluster.AllReduceFlagUsage)
 	alltoall := str("alltoall", "default", cluster.AllToAllFlagUsage)
 	topology := str("topology", "ideal", cluster.TopologyFlagUsage)
 	backend := str("backend", "default", cluster.BackendFlagUsage)
-	faults, ckptInterval := new(string), new(string)
+	faults, ckpt := new(string), new(string)
 	if withFaults {
 		faults = str("faults", "default", "fail-stop injection plan: comma-separated rank@seconds events (e.g. 1@0.5,3@1.25)")
-		ckptInterval = str("ckpt-interval", "default", "checkpoint the resumable training state every N completed epochs (0 = off)")
+		ckpt = str("ckpt-interval", "default", "checkpoint the resumable training state every N completed epochs (0 = off)")
 	}
-	return func() (p Platform, err error) {
-		if p.Collectives, err = cluster.ParseCollectives(*allreduce, *alltoall); err != nil {
-			return p, err
+	return func() (m cluster.CostModel, ckptInterval int, err error) {
+		m = cluster.Perlmutter()
+		if m.Collectives, err = cluster.ParseCollectives(*allreduce, *alltoall); err != nil {
+			return m, 0, err
 		}
-		if p.Topology, err = cluster.ParseTopology(*topology); err != nil {
-			return p, err
+		if m.Topology, err = cluster.ParseTopology(*topology); err != nil {
+			return m, 0, err
 		}
-		if p.Backend, err = cluster.ParseBackend(*backend); err != nil {
-			return p, err
+		if m.Backend, err = cluster.ParseBackend(*backend); err != nil {
+			return m, 0, err
 		}
-		if p.Faults, err = ParseFaults(*faults); err != nil {
-			return p, err
+		if m.Faults, err = ParseFaults(*faults); err != nil {
+			return m, 0, err
 		}
-		p.CkptInterval, err = ParseCkptInterval(*ckptInterval)
-		return p, err
+		ckptInterval, err = ParseCkptInterval(*ckpt)
+		return m, ckptInterval, err
 	}
 }
 

@@ -102,33 +102,15 @@ func TestParseSweepWorkersRejects(t *testing.T) {
 	}
 }
 
-func TestParsePerfRepsAccepts(t *testing.T) {
-	cases := map[string]int{"": 0, "default": 0, "1": 1, "5": 5, " 9 ": 9}
-	for in, want := range cases {
-		got, err := ParsePerfReps(in)
-		if err != nil || got != want {
-			t.Errorf("ParsePerfReps(%q) = %d, %v; want %d", in, got, err, want)
-		}
-	}
-}
-
-func TestParsePerfRepsRejects(t *testing.T) {
-	for _, in := range []string{"0", "-5", "five", "2.5", "3,5"} {
-		if _, err := ParsePerfReps(in); err == nil {
-			t.Errorf("ParsePerfReps(%q) accepted", in)
-		}
-	}
-}
-
 // Contradictory flag combinations: experiment-scoped flags must error,
 // not no-op, when another experiment is selected.
 func TestRequireExperimentTable(t *testing.T) {
 	accept := []struct{ flag, value, experiment, want string }{
-		{"perfout", "", "scaling", "perf"},         // unset anywhere
-		{"perfreps", "default", "scaling", "perf"}, // default anywhere
+		{"perfout", "", "scaling", "perf"},             // unset anywhere
+		{"sweepworkers", "default", "perf", "scaling"}, // default anywhere
 		{"perfout", "BENCH_0009.json", "perf", "perf"},
 		{"perfbaseline", "BENCH_0008.json", "perf", "perf"},
-		{"perfreps", "9", "perf", "perf"},
+		{"sweepworkers", "2", "scaling", "scaling"},
 	}
 	for _, c := range accept {
 		if err := RequireExperiment(c.flag, c.value, c.experiment, c.want); err != nil {
@@ -138,7 +120,7 @@ func TestRequireExperimentTable(t *testing.T) {
 	reject := []struct{ flag, value, experiment, want string }{
 		{"perfout", "BENCH_0009.json", "scaling", "perf"},
 		{"perfbaseline", "BENCH_0008.json", "all", "perf"},
-		{"perfreps", "9", "fig4", "perf"},
+		{"sweepworkers", "2", "fig4", "scaling"},
 	}
 	for _, c := range reject {
 		if err := RequireExperiment(c.flag, c.value, c.experiment, c.want); err == nil {
@@ -308,7 +290,8 @@ func TestParseCkptIntervalRejects(t *testing.T) {
 	}
 }
 
-// The platform flags are declared once for every command: the values
+// The platform flags are declared once for every command and parse into
+// one cost model — Perlmutter with the selections set on it: the values
 // parse through the tables above, a command's note lands after the
 // shared help text, and -faults/-ckpt-interval exist only on request.
 func TestRegisterPlatformFlags(t *testing.T) {
@@ -318,13 +301,16 @@ func TestRegisterPlatformFlags(t *testing.T) {
 		"-backend", "des", "-faults", "1@0.5", "-ckpt-interval", "2"}); err != nil {
 		t.Fatal(err)
 	}
-	p, err := parse()
+	m, ckpt, err := parse()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Collectives != (cluster.Collectives{AllReduce: cluster.Ring, AllToAll: cluster.Pairwise}) ||
-		p.Topology == nil || p.Backend != cluster.DESBackend || p.Faults.String() != "1@0.5" || p.CkptInterval != 2 {
-		t.Errorf("parsed %+v", p)
+	if m.Collectives != (cluster.Collectives{AllReduce: cluster.Ring, AllToAll: cluster.Pairwise}) ||
+		m.Topology == nil || m.Backend != cluster.DESBackend || m.Faults.String() != "1@0.5" || ckpt != 2 {
+		t.Errorf("parsed %+v, ckpt-interval %d", m, ckpt)
+	}
+	if base := cluster.Perlmutter(); m.GPUsPerNode != base.GPUsPerNode || m.Alpha != base.Alpha || m.Beta != base.Beta {
+		t.Errorf("selections not set on the Perlmutter model: %+v", m)
 	}
 	if got, want := fs.Lookup("topology").Usage, cluster.TopologyFlagUsage+" (a note)"; got != want {
 		t.Errorf("-topology usage %q, want %q", got, want)
@@ -339,10 +325,16 @@ func TestRegisterPlatformFlags(t *testing.T) {
 	if fs.Lookup("faults") != nil || fs.Lookup("ckpt-interval") != nil {
 		t.Error("fault flags registered without being asked for")
 	}
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	if m, ckpt, err := parse(); err != nil || !reflect.DeepEqual(m, cluster.Perlmutter()) || ckpt != 0 {
+		t.Errorf("no flags: parsed %+v, ckpt-interval %d, err %v; want plain Perlmutter", m, ckpt, err)
+	}
 	if err := fs.Parse([]string{"-backend", "thread"}); err != nil {
 		t.Fatal(err)
 	}
-	if p, err := parse(); err == nil || p.Faults != nil || p.CkptInterval != 0 {
-		t.Errorf("bad -backend: parsed %+v, err %v", p, err)
+	if _, _, err := parse(); err == nil {
+		t.Error("bad -backend accepted")
 	}
 }

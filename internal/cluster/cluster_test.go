@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -187,10 +188,16 @@ func TestAllReduceGenericOrdered(t *testing.T) {
 	cl := New(4, testModel())
 	world := cl.World()
 	_, err := cl.Run(func(r *Rank) error {
-		got := AllReduceGeneric(world, r, fmt.Sprintf("%d", r.ID), 1,
-			func(a, b string) string { return a + b })
-		if got != "0123" {
-			return fmt.Errorf("rank %d got %q", r.ID, got)
+		// The reducer sees contributions and destinations in member
+		// order; every member gets its own destination back.
+		got := AllReduceGenericInto(world, r, fmt.Sprintf("%d", r.ID), 1, new(string),
+			func(vals []string, dests []*string) {
+				for _, d := range dests {
+					*d = strings.Join(vals, "")
+				}
+			})
+		if *got != "0123" {
+			return fmt.Errorf("rank %d got %q", r.ID, *got)
 		}
 		return nil
 	})

@@ -200,8 +200,8 @@ type collCost struct {
 // Conventions: all-reduce variants cost their β term on the maximum
 // contribution size across members (every member forwards the largest
 // message) and charge local-reduction memory traffic after the
-// synchronized completion — AllReduceSum and AllReduceGeneric share
-// both rules.
+// synchronized completion — AllReduceSum and AllReduceGenericInto
+// share both rules.
 func (c *Comm) chargeCollective(r *Rank, op string, entry float64, cost collCost) {
 	if cost.count {
 		r.countOp(op, cost.opBytes)

@@ -167,15 +167,15 @@ func TestLinkByteCountersPerAlgorithm(t *testing.T) {
 	}
 }
 
-// The satellite fix: AllReduceGeneric charges the local-reduction
-// memory traffic the way AllReduceSum does, costing on the maximum
-// contribution size across members.
+// The generic all-reduce charges the local-reduction memory traffic
+// the way AllReduceSum does, costing on the maximum contribution size
+// across members.
 func TestAllReduceGenericChargesMemOnMax(t *testing.T) {
 	const p = 4
 	const maxBytes = 400 // rank 3's contribution
 	res := runWorld(t, p, Collectives{}, func(c *Comm, r *Rank) {
 		bytes := 100 * (r.ID + 1)
-		AllReduceGeneric(c, r, r.ID, bytes, func(a, b int) int { return a + b })
+		AllReduceGenericInto(c, r, r.ID, bytes, new(int), func(vals []int, dests []*int) {})
 	})
 	m := testModel()
 	want := PredictAllReduce(m, FlatTree, IntraNode, p, maxBytes) +

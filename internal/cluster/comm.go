@@ -712,49 +712,24 @@ func AllReduceSumApply(c *Comm, r *Rank, x []float64, apply func(total []float64
 	allReduceSumAlgShared(c, r, x, alg, apply)
 }
 
-// AllReduceGeneric folds arbitrary values with a user combiner; every
-// member receives combine applied over all members' values in member
-// order. bytes sizes the caller's contribution; per the shared
-// charging-path convention the β term and the local-reduction memory
-// traffic both cost on the maximum contribution across members. The
-// fold always runs flat (member order — the combiner need not be
-// commutative), so a Hierarchical selection charges the flat schedule;
-// Ring charges the ring schedule. Used for sparse-matrix all-reduce in
-// the 1.5D SpGEMM.
-func AllReduceGeneric[T any](c *Comm, r *Rank, val T, bytes int, combine func(a, b T) T) T {
-	alg := c.allReduceAlg()
-	if alg != Ring {
-		alg = FlatTree
-	}
-	slots := c.exchange(r, "allreduce-generic", slot{clock: r.clock, val: val, bytes: bytes})
-	entry := maxClock(slots)
-	acc := slots[0].val.(T)
-	for _, s := range slots[1:] {
-		acc = combine(acc, s.val.(T))
-	}
-	maxBytes := 0
-	for _, s := range slots {
-		if s.bytes > maxBytes {
-			maxBytes = s.bytes
-		}
-	}
-	c.chargeCollective(r, "allreduce-generic", entry, allReduceCost(c, alg, maxBytes, bytes))
-	return acc
-}
-
-// AllReduceGenericInto is AllReduceGeneric with the fold run once,
+// AllReduceGenericInto folds arbitrary values: the fold runs once,
 // inside the rendezvous, by a caller-supplied reducer that writes each
 // member's private result into that member's destination (the same
 // move allReduceSumAlgShared made for the elementwise sum — O(n)
 // combines total instead of every member redoing all n). reduce
-// receives the contributions and the destinations in member order and
-// must leave every destination holding the full fold; each member
-// returns its own destination, free to mutate. Because the fold
-// completes before any member leaves the collective — while every
-// member is parked, its buffers quiescent — a caller may contribute
-// and receive epoch-persistent arena storage: the property the 1.5D
-// SpGEMM's accumulator and result arenas rely on. The charged time and
-// traffic are identical to AllReduceGeneric.
+// receives the contributions and the destinations in member order (the
+// fold need not be commutative) and must leave every destination
+// holding the full fold; each member returns its own destination, free
+// to mutate. Because the fold completes before any member leaves the
+// collective — while every member is parked, its buffers quiescent — a
+// caller may contribute and receive epoch-persistent arena storage: the
+// property the 1.5D SpGEMM's accumulator and result arenas rely on.
+// bytes sizes the caller's contribution; per the shared charging-path
+// convention the β term and the local-reduction memory traffic both
+// cost on the maximum contribution across members. The fold always runs
+// flat, so a Hierarchical selection charges the flat schedule; Ring
+// charges the ring schedule. Used for the sparse-matrix all-reduce in
+// the 1.5D SpGEMM.
 func AllReduceGenericInto[T, D any](c *Comm, r *Rank, val T, bytes int, dest D, reduce func(vals []T, dests []D)) D {
 	alg := c.allReduceAlg()
 	if alg != Ring {

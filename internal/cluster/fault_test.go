@@ -186,8 +186,9 @@ func TestCollectiveAbortOnRankFailure(t *testing.T) {
 		{"allreduce-apply", Collectives{}, func(c *Comm, r *Rank) {
 			AllReduceSumApply(c, r, []float64{1, 2}, func([]float64) {})
 		}},
-		{"allreduce-generic", Collectives{}, func(c *Comm, r *Rank) {
-			AllReduceGeneric(c, r, r.ID, 8, func(a, b int) int { return a + b })
+		// The generic fold always runs flat; Ring changes only its charge.
+		{"allreduce-generic", Collectives{AllReduce: Ring}, func(c *Comm, r *Rank) {
+			AllReduceGenericInto(c, r, r.ID, 8, new(int), func(vals []int, dests []*int) {})
 		}},
 		{"allreduce-generic-into", Collectives{}, func(c *Comm, r *Rank) {
 			dest := make([]int, 1)

@@ -56,14 +56,14 @@ type fetchScratch struct {
 }
 
 // NewFeatureStores slices the global feature matrix into the grid's
-// block rows. Replicas in a process row share storage (they would hold
-// identical copies on real hardware).
+// block rows. H is read-only, so each block is a view over feats'
+// storage, not a copy — replicas in a process row share it (they would
+// hold identical copies on real hardware).
 func NewFeatureStores(g *cluster.Grid, feats *dense.Matrix) []*FeatureStore {
 	blocks := make([]*FeatureStore, g.Rows)
 	for i := 0; i < g.Rows; i++ {
 		lo, hi := graph.BlockRowRange(feats.Rows, g.Rows, i)
-		h := dense.New(hi-lo, feats.Cols)
-		copy(h.Data, feats.Data[lo*feats.Cols:hi*feats.Cols])
+		h := dense.FromSlice(hi-lo, feats.Cols, feats.Data[lo*feats.Cols:hi*feats.Cols])
 		blocks[i] = &FeatureStore{Grid: g, H: h, Lo: lo, Hi: hi, N: feats.Rows, global: feats,
 			scratch: make([]*fetchScratch, g.C)}
 	}

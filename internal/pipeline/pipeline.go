@@ -52,12 +52,6 @@ type Config struct {
 	// unset). The zero value keeps the paper's FlatTree forms.
 	Collectives cluster.Collectives
 
-	// HierAllReduce is sugar for Collectives.AllReduce =
-	// cluster.Hierarchical: the two-level (intra-node, then leaders)
-	// gradient all-reduce that keeps network traffic proportional to
-	// node count. An explicit Collectives.AllReduce selection wins.
-	HierAllReduce bool
-
 	// Topology selects the physical-link topology the simulated
 	// cluster charges under (set on Model.Topology): nil keeps the
 	// pure α–β model — no contention, bit-identical to the paper's
@@ -142,7 +136,10 @@ type Config struct {
 
 // withDefaults fills zero fields and merges the platform fields
 // (Collectives, Topology, Backend, Faults) into Model — the one place a
-// training run's cost model is assembled.
+// training run's cost model is assembled. The model is the platform:
+// the CLIs and the bench harness set their selections on it and nowhere
+// else; the four fields are literal-friendly overrides for callers that
+// build a Config by hand, and win over the model's own entries.
 func (c Config) withDefaults(d *datasets.Dataset) Config {
 	if c.C <= 0 {
 		c.C = 1
@@ -168,9 +165,6 @@ func (c Config) withDefaults(d *datasets.Dataset) Config {
 	}
 	if c.Model.GPUsPerNode == 0 {
 		c.Model = cluster.Perlmutter()
-	}
-	if c.HierAllReduce && c.Collectives.AllReduce == cluster.DefaultAlgorithm {
-		c.Collectives.AllReduce = cluster.Hierarchical
 	}
 	c.Model.Collectives = c.Model.Collectives.Merge(c.Collectives)
 	if c.Topology != nil {

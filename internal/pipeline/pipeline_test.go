@@ -812,7 +812,8 @@ func TestHierAllReduceSameTraining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hier, err := Run(d, Config{P: 8, C: 2, Epochs: 2, Seed: 24, MaxBatches: 8, HierAllReduce: true})
+	hier, err := Run(d, Config{P: 8, C: 2, Epochs: 2, Seed: 24, MaxBatches: 8,
+		Collectives: cluster.Collectives{AllReduce: cluster.Hierarchical}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -832,7 +833,7 @@ func TestHierAllReduceSameTraining(t *testing.T) {
 // The pluggable collective-algorithm layer must keep default (FlatTree)
 // runs — and the Hierarchical selection that replaced AllReduceSumHier —
 // bit-identical in simulated time and loss. The partitioned golden was
-// captured with the AllReduceGeneric local-reduction memory charge
+// captured with the generic all-reduce's local-reduction memory charge
 // applied to the old code, since that satellite fix deliberately adds
 // the (documented) ChargeMem term the old generic all-reduce lacked.
 func TestGoldenFlatTreeBitIdentical(t *testing.T) {
@@ -864,7 +865,8 @@ func TestGoldenFlatTreeBitIdentical(t *testing.T) {
 	check("partitioned", Config{P: 8, C: 2, Epochs: 2, Seed: 5, MaxBatches: 8,
 		Algorithm: GraphPartitioned, SparsityAware: true},
 		0.001098003337466667, 0.00085527868810000049, 0.66800119073290198)
-	check("hier", Config{P: 8, C: 2, Epochs: 2, Seed: 5, MaxBatches: 8, HierAllReduce: true},
+	check("hier", Config{P: 8, C: 2, Epochs: 2, Seed: 5, MaxBatches: 8,
+		Collectives: cluster.Collectives{AllReduce: cluster.Hierarchical}},
 		0.00054651823413333334, 0.00054663398079999996, 0.65450965782981296)
 }
 

@@ -239,31 +239,3 @@ func ColRange(a *CSR, lo, hi int) *CSR {
 	}
 	return out
 }
-
-// SelectRowsWithin returns a matrix with the same shape as A containing
-// only the rows listed in rows (others empty). It models the partial
-// block of A that a process receives in the sparsity-aware 1.5D
-// algorithm: the row space is preserved so local SpGEMM indices stay
-// global.
-func SelectRowsWithin(a *CSR, rows []int) *CSR {
-	out := &CSR{Rows: a.Rows, Cols: a.Cols, RowPtr: make([]int, a.Rows+1)}
-	nnz := 0
-	for _, r := range rows {
-		nnz += a.RowNNZ(r)
-	}
-	out.ColIdx = make([]int, 0, nnz)
-	out.Val = make([]float64, 0, nnz)
-	mark := make([]bool, a.Rows)
-	for _, r := range rows {
-		mark[r] = true
-	}
-	for i := 0; i < a.Rows; i++ {
-		if mark[i] {
-			cs, vs := a.Row(i)
-			out.ColIdx = append(out.ColIdx, cs...)
-			out.Val = append(out.Val, vs...)
-		}
-		out.RowPtr[i+1] = len(out.ColIdx)
-	}
-	return out
-}

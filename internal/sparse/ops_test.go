@@ -190,29 +190,6 @@ func TestNonzeroCols(t *testing.T) {
 	}
 }
 
-func TestSelectRowsWithin(t *testing.T) {
-	a := exampleGraph()
-	sub := SelectRowsWithin(a, []int{1, 4})
-	if err := sub.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if sub.Rows != a.Rows || sub.Cols != a.Cols {
-		t.Fatal("SelectRowsWithin must preserve shape")
-	}
-	if sub.RowNNZ(0) != 0 || sub.RowNNZ(1) != a.RowNNZ(1) || sub.RowNNZ(4) != a.RowNNZ(4) {
-		t.Fatal("row selection wrong")
-	}
-	// Local SpGEMM on the selected rows must agree with full SpGEMM
-	// when the left matrix only references selected rows — the key
-	// correctness property of the sparsity-aware 1.5D algorithm.
-	q := FromEntries(2, 6, [][3]float64{{0, 1, 1}, {1, 4, 1}})
-	full, _ := SpGEMM(q, a)
-	part, _ := SpGEMM(q, sub)
-	if !Equal(full, part, 0) {
-		t.Fatal("SpGEMM over selected rows differs from full matrix")
-	}
-}
-
 func TestRelabelCols(t *testing.T) {
 	m := FromEntries(2, 4, [][3]float64{{0, 1, 5}, {1, 3, 6}})
 	remap := []int{-1, 0, -1, 1}

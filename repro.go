@@ -255,7 +255,7 @@ func Table3(w io.Writer, p Profile) ([]bench.Table3Row, error) { return bench.Ta
 // reports test accuracy (Section 8.1.3 analog). Pass d == nil for the
 // default dataset.
 func AccuracyExperiment(w io.Writer, d *Dataset, epochs int, seed int64) (*bench.AccuracyResult, error) {
-	return bench.Accuracy(w, d, epochs, seed)
+	return bench.Accuracy(w, d, bench.Options{Epochs: epochs, Seed: seed})
 }
 
 // SBMDataset generates a learnable stochastic-block-model dataset with
