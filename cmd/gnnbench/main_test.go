@@ -50,27 +50,32 @@ func TestBadInputIsAnError(t *testing.T) {
 		name string
 		args []string
 		want string // substring of the error
+		env  string // $GNN_BACKEND for the run, when set
 	}{
-		{"unknown id", []string{"-experiment", "fig8"}, `unknown experiment "fig8"`},
-		{"faults outside resilience", []string{"-experiment", "fig4", "-faults", "1@0.5"}, "-faults applies only to -experiment resilience"},
-		{"ckpt-interval outside resilience", []string{"-experiment", "all", "-ckpt-interval", "2"}, "-ckpt-interval applies only to -experiment resilience"},
-		{"perfout outside perf", []string{"-experiment", "scaling", "-perfout", "x.json"}, "-perfout applies only to -experiment perf"},
-		{"perfbaseline outside perf", []string{"-experiment", "all", "-perfbaseline", "x.json"}, "-perfbaseline applies only to -experiment perf"},
-		{"sweepworkers outside scaling", []string{"-experiment", "fig4", "-sweepworkers", "2"}, "-sweepworkers applies only to -experiment scaling"},
-		{"zero gpu count", []string{"-experiment", "fig4", "-gpus", "4,0"}, "bad GPU count 0"},
-		{"non-numeric gpus", []string{"-experiment", "fig4", "-gpus", "four"}, "bad GPU count list"},
-		{"bad topology", []string{"-experiment", "fig4", "-topology", "torus"}, `unknown topology "torus"`},
-		{"bad backend", []string{"-experiment", "fig4", "-backend", "thread"}, "thread"},
-		{"bad allreduce", []string{"-experiment", "fig4", "-allreduce", "pairwise"}, "pairwise"},
-		{"bad faults", []string{"-experiment", "resilience", "-faults", "1@"}, "bad fault"},
-		{"fault rank outside p", []string{"-experiment", "resilience", "-profile", "tiny", "-maxbatches", "2", "-gpus", "4", "-faults", "9@0.0001"}, "rank 9"},
-		{"bad ckpt-interval", []string{"-experiment", "resilience", "-ckpt-interval", "-1"}, "bad checkpoint interval"},
-		{"bad sweepworkers", []string{"-experiment", "scaling", "-sweepworkers", "0"}, "bad sweep worker count"},
-		{"bad profile", []string{"-experiment", "fig4", "-profile", "huge"}, `unknown profile "huge"`},
-		{"invalid grid", []string{"-experiment", "fig4", "-profile", "tiny", "-gpus", "5"}, "must divide"},
-		{"unknown flag", []string{"-perfreps", "3"}, "flag provided but not defined"},
+		{"unknown id", []string{"-experiment", "fig8"}, `unknown experiment "fig8"`, ""},
+		{"faults outside resilience", []string{"-experiment", "fig4", "-faults", "1@0.5"}, "-faults applies only to -experiment resilience", ""},
+		{"ckpt-interval outside resilience", []string{"-experiment", "all", "-ckpt-interval", "2"}, "-ckpt-interval applies only to -experiment resilience", ""},
+		{"perfout outside perf", []string{"-experiment", "scaling", "-perfout", "x.json"}, "-perfout applies only to -experiment perf", ""},
+		{"perfbaseline outside perf", []string{"-experiment", "all", "-perfbaseline", "x.json"}, "-perfbaseline applies only to -experiment perf", ""},
+		{"sweepworkers outside scaling", []string{"-experiment", "fig4", "-sweepworkers", "2"}, "-sweepworkers applies only to -experiment scaling", ""},
+		{"zero gpu count", []string{"-experiment", "fig4", "-gpus", "4,0"}, "bad GPU count 0", ""},
+		{"non-numeric gpus", []string{"-experiment", "fig4", "-gpus", "four"}, "bad GPU count list", ""},
+		{"bad topology", []string{"-experiment", "fig4", "-topology", "torus"}, `unknown topology "torus"`, ""},
+		{"bad backend", []string{"-experiment", "fig4", "-backend", "thread"}, "thread", ""},
+		{"bad allreduce", []string{"-experiment", "fig4", "-allreduce", "pairwise"}, "pairwise", ""},
+		{"bad faults", []string{"-experiment", "resilience", "-faults", "1@"}, "bad fault", ""},
+		{"fault rank outside p", []string{"-experiment", "resilience", "-profile", "tiny", "-maxbatches", "2", "-gpus", "4", "-faults", "9@0.0001"}, "rank 9", ""},
+		{"bad ckpt-interval", []string{"-experiment", "resilience", "-ckpt-interval", "-1"}, "bad checkpoint interval", ""},
+		{"bad sweepworkers", []string{"-experiment", "scaling", "-sweepworkers", "0"}, "bad sweep worker count", ""},
+		{"bad profile", []string{"-experiment", "fig4", "-profile", "huge"}, `unknown profile "huge"`, ""},
+		{"invalid grid", []string{"-experiment", "fig4", "-profile", "tiny", "-gpus", "5"}, "must divide", ""},
+		{"unknown flag", []string{"-perfreps", "3"}, "flag provided but not defined", ""},
+		{"mistyped $GNN_BACKEND", []string{"-experiment", "fig4"}, `$GNN_BACKEND: cluster: unknown backend "dse"`, "dse"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
+			if c.env != "" {
+				t.Setenv("GNN_BACKEND", c.env)
+			}
 			_, _, err := gnnbench(c.args...)
 			if err == nil {
 				t.Fatal("accepted")

@@ -16,7 +16,7 @@
 //
 //	go run ./cmd/gnnvet ./...
 //	go run ./cmd/gnnvet -checks charging,parkwake ./...
-//	go run ./cmd/gnnvet -sarif gnnvet.sarif -expectallows 8 ./...
+//	go run ./cmd/gnnvet -sarif gnnvet.sarif -expectallows 5 ./...
 //
 // gnnvet always analyzes the whole module containing the working
 // directory (test files included); the ./... argument is accepted for

@@ -47,27 +47,32 @@ func TestFlagCombinations(t *testing.T) {
 		name string
 		args []string
 		want string // substring of the error
+		env  string // $GNN_BACKEND for the run, when set
 	}{
-		{"p = 0", []string{"-p", "0"}, "p=0"},
-		{"c does not divide p", []string{"-p", "4", "-c", "3"}, "must divide"},
-		{"partitioned c^2 does not divide p", []string{"-p", "8", "-c", "4", "-algorithm", "partitioned"}, "c^2 | p"},
-		{"negative epochs", []string{"-epochs", "-1"}, "negative epoch count"},
-		{"dropout 2", []string{"-dropout", "2"}, "dropout rate 2"},
-		{"unknown sampler", []string{"-sampler", "bogus"}, `unknown sampler "bogus"`},
-		{"unknown algorithm", []string{"-algorithm", "bogus"}, `unknown algorithm "bogus"`},
-		{"unknown cache", []string{"-cache", "bogus"}, `unknown cache policy "bogus"`},
-		{"unknown topology", []string{"-topology", "torus"}, `unknown topology "torus"`},
-		{"unknown backend", []string{"-backend", "thread"}, "thread"},
-		{"ring all-to-all", []string{"-alltoall", "ring"}, "ring"},
-		{"malformed fault", []string{"-faults", "1@"}, "bad fault"},
-		{"fault rank outside p", []string{"-p", "4", "-faults", "9@0.1"}, "rank 9"},
-		{"negative ckpt-interval", []string{"-ckpt-interval", "-2"}, "bad checkpoint interval"},
-		{"unknown profile", []string{"-profile", "huge"}, `unknown profile "huge"`},
-		{"unknown dataset", []string{"-dataset", "cora"}, "cora"},
-		{"autotune at p = 0", []string{"-p", "0", "-autotune"}, "p=0"},
-		{"unknown flag", []string{"-gpus", "4"}, "flag provided but not defined"},
+		{"p = 0", []string{"-p", "0"}, "p=0", ""},
+		{"c does not divide p", []string{"-p", "4", "-c", "3"}, "must divide", ""},
+		{"partitioned c^2 does not divide p", []string{"-p", "8", "-c", "4", "-algorithm", "partitioned"}, "c^2 | p", ""},
+		{"negative epochs", []string{"-epochs", "-1"}, "negative epoch count", ""},
+		{"dropout 2", []string{"-dropout", "2"}, "dropout rate 2", ""},
+		{"unknown sampler", []string{"-sampler", "bogus"}, `unknown sampler "bogus"`, ""},
+		{"unknown algorithm", []string{"-algorithm", "bogus"}, `unknown algorithm "bogus"`, ""},
+		{"unknown cache", []string{"-cache", "bogus"}, `unknown cache policy "bogus"`, ""},
+		{"unknown topology", []string{"-topology", "torus"}, `unknown topology "torus"`, ""},
+		{"unknown backend", []string{"-backend", "thread"}, "thread", ""},
+		{"ring all-to-all", []string{"-alltoall", "ring"}, "ring", ""},
+		{"malformed fault", []string{"-faults", "1@"}, "bad fault", ""},
+		{"fault rank outside p", []string{"-p", "4", "-faults", "9@0.1"}, "rank 9", ""},
+		{"negative ckpt-interval", []string{"-ckpt-interval", "-2"}, "bad checkpoint interval", ""},
+		{"unknown profile", []string{"-profile", "huge"}, `unknown profile "huge"`, ""},
+		{"unknown dataset", []string{"-dataset", "cora"}, "cora", ""},
+		{"autotune at p = 0", []string{"-p", "0", "-autotune"}, "p=0", ""},
+		{"unknown flag", []string{"-gpus", "4"}, "flag provided but not defined", ""},
+		{"mistyped $GNN_BACKEND", nil, `$GNN_BACKEND: cluster: unknown backend "dse"`, "dse"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
+			if c.env != "" {
+				t.Setenv("GNN_BACKEND", c.env)
+			}
 			out, err := trainer(c.args...)
 			if err == nil {
 				t.Fatalf("accepted:\n%s", out)

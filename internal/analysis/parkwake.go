@@ -16,9 +16,9 @@ import (
 // does not park on the scheduler (Queue.Send/Recv, Forked.Join, the
 // collective rendezvous) hangs the whole simulation. Equally fatal:
 // parking while holding a mutex — the task that would wake us may
-// first need that lock. The primitive layer itself (queue.go, comm.go,
-// p2p.go — the files that implement park/wake on both backends) is
-// exempt; everything above it must go through them.
+// first need that lock. Only the backends themselves (backend.go: the
+// two waiter/scheduler implementations) are exempt; the primitives
+// built on waiter.park are checked like everything above them.
 var ParkWake = &Analyzer{
 	Name: "parkwake",
 	Doc:  "cluster-driven code must block through backend-neutral park/wake, never raw channels/WaitGroups, and never park holding a mutex",
@@ -37,11 +37,9 @@ var parkWakeScope = map[string]bool{
 }
 
 // parkWakeExemptFiles implement the park/wake seam and legitimately
-// touch channels (their goroutine-backend halves).
+// touch channels and goroutines (the goroutine backend).
 var parkWakeExemptFiles = map[string]bool{
-	"queue.go": true,
-	"comm.go":  true,
-	"p2p.go":   true,
+	"backend.go": true,
 }
 
 // parkCalls names the functions that may park the calling task,
@@ -64,6 +62,7 @@ var parkCalls = map[parkKey]bool{
 	{clusterPath, "Queue", "Send"}:            true,
 	{clusterPath, "Queue", "Recv"}:            true,
 	{clusterPath, "Forked", "Join"}:           true,
+	{clusterPath, "waiter", "park"}:           true,
 	{clusterPath + "/sim", "Task", "Park"}:    true,
 }
 

@@ -65,6 +65,35 @@ func (g *registry) unlockThenPark() int {
 	return g.q.Recv() // lock released before blocking: fine
 }
 
+// A primitive built on the seam records its waiter under its own mutex
+// and must release it before parking: the peer that readies the waiter
+// takes the same mutex first.
+type gate struct {
+	mu      sync.Mutex
+	open    bool
+	waiting waiter
+}
+
+func (g *gate) lockedWaiterPark(w waiter) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if !g.open {
+		g.waiting = w
+		w.park() // want `park may park the rank while g\.mu is locked:` `deferred Unlock holds it to return`
+	}
+}
+
+func (g *gate) unlockThenWaiterPark(w waiter) {
+	g.mu.Lock()
+	if g.open {
+		g.mu.Unlock()
+		return
+	}
+	g.waiting = w
+	g.mu.Unlock()
+	w.park() // recorded under the lock, parked outside it: fine
+}
+
 // auditedJoin shows the escape hatch for driver-level code that runs
 // outside simulated time.
 func auditedJoin(wg *sync.WaitGroup) {

@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"math"
+	"os"
 	"strconv"
 	"strings"
 
@@ -173,6 +174,13 @@ func RegisterPlatformFlags(fs *flag.FlagSet, withFaults bool, notes map[string]s
 		}
 		if m.Backend, err = cluster.ParseBackend(*backend); err != nil {
 			return m, 0, err
+		}
+		if m.Backend == cluster.DefaultBackend {
+			// The library ignores an unparsable environment value; a
+			// command must not, or a typo silently runs on goroutines.
+			if _, err = cluster.ParseBackend(os.Getenv(cluster.BackendEnv)); err != nil {
+				return m, 0, fmt.Errorf("$%s: %w", cluster.BackendEnv, err)
+			}
 		}
 		if m.Faults, err = ParseFaults(*faults); err != nil {
 			return m, 0, err

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"sync"
+
+	"repro/internal/cluster/sim"
 )
 
 // Backend selects the execution machinery a simulated run blocks and
@@ -21,9 +24,11 @@ const (
 	// convention (an explicit selection always wins over the
 	// environment).
 	DefaultBackend Backend = iota
-	// GoroutineBackend runs one goroutine per rank; synchronization
-	// points block on mutex/cond rendezvous. The original execution
-	// model, kept as the differential-testing oracle.
+	// GoroutineBackend runs one goroutine per rank and per forked
+	// stream, each blocking on its own one-token semaphore. It is the
+	// default, and the faster backend on a multi-core host (rank bodies
+	// run in parallel); event order — and with it contended timings —
+	// follows the Go scheduler.
 	GoroutineBackend
 	// DESBackend runs the whole cluster as one discrete-event loop
 	// (internal/cluster/sim): a single-threaded cooperative scheduler
@@ -92,4 +97,92 @@ func resolveBackend(b Backend) Backend {
 		return env
 	}
 	return GoroutineBackend
+}
+
+// waiter is one timeline's blocking handle, and with scheduler below
+// all a backend is. Every primitive — the collective rendezvous, the
+// mailbox, Queue, Forked.Join — blocks the same way: under its own
+// mutex it records the caller's waiter in its wait list, unlocks, and
+// parks; whoever completes the wait removes the entry and readies it
+// exactly once, at a simulated time that only orders events.
+type waiter interface {
+	// park blocks the calling timeline until its waiter is readied. The
+	// caller must hold no lock: the peer that readies it may need it.
+	park()
+	// ready resumes the parked timeline at simulated time at. It may
+	// land before the matching park (the caller is between its unlock
+	// and its park), so an implementation must remember it.
+	ready(at float64)
+}
+
+// scheduler starts timelines and waits for them.
+type scheduler interface {
+	// spawn starts fn as a new timeline of the given rank at simulated
+	// time at, handing it the waiter it blocks on.
+	spawn(rank int, at float64, fn func(waiter))
+	// wait returns once every spawned timeline has finished.
+	wait()
+	// adopt returns a waiter for a timeline the caller runs itself (a
+	// Rank.Stream handle driven from a raw goroutine), or nil where only
+	// spawned timelines can park.
+	adopt() waiter
+	// diag names the backend, and its state, in deadlock diagnostics.
+	diag() string
+}
+
+func newScheduler(b Backend) scheduler {
+	if b == DESBackend {
+		return desSched{sim.New()}
+	}
+	return &goSched{}
+}
+
+// goWaiter is a one-token semaphore: a ready that lands before the park
+// is kept, and each park is readied exactly once, so ready never blocks.
+type goWaiter chan struct{}
+
+func newGoWaiter() goWaiter { return make(goWaiter, 1) }
+
+func (w goWaiter) park()         { <-w }
+func (w goWaiter) ready(float64) { w <- struct{}{} }
+
+// goSched runs every timeline on its own goroutine.
+type goSched struct{ wg sync.WaitGroup }
+
+func (s *goSched) spawn(_ int, _ float64, fn func(waiter)) {
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		fn(newGoWaiter())
+	}()
+}
+
+func (s *goSched) wait()         { s.wg.Wait() }
+func (s *goSched) adopt() waiter { return newGoWaiter() }
+func (s *goSched) diag() string  { return " [backend=goroutine]" }
+
+// taskWaiter is a *sim.Task seen through the waiter interface; being a
+// pointer, it boxes without allocating.
+type taskWaiter sim.Task
+
+func (w *taskWaiter) park()            { (*sim.Task)(w).Park() }
+func (w *taskWaiter) ready(at float64) { (*sim.Task)(w).Ready(at) }
+
+// desSched runs every timeline as a task of one discrete-event loop;
+// wait drives the loop and rethrows a task's escaped panic.
+type desSched struct{ s *sim.Sched }
+
+func (d desSched) spawn(rank int, at float64, fn func(waiter)) {
+	t := d.s.Spawn(rank, func(t *sim.Task) { fn((*taskWaiter)(t)) })
+	t.Ready(at)
+}
+
+func (d desSched) wait()         { d.s.Run() }
+func (d desSched) adopt() waiter { return nil }
+
+// diag reports the event-queue depth: a drained queue with parked ranks
+// is the classic deadlock symptom, a deep one points at livelock in the
+// simulated program.
+func (d desSched) diag() string {
+	return fmt.Sprintf(" [backend=des, %d queued events]", d.s.Depth())
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 )
 
 // desModel returns the test cost model pinned to the discrete-event
@@ -12,6 +13,23 @@ func desModel() CostModel {
 	m := testModel()
 	m.Backend = DESBackend
 	return m
+}
+
+// bothBackends runs the scenario under each backend and holds it to the
+// backend contract: the same simulated makespan on both.
+func bothBackends(t *testing.T, scenario func(t *testing.T, m CostModel) float64) {
+	t.Helper()
+	var simTime [2]float64
+	for i, be := range []Backend{GoroutineBackend, DESBackend} {
+		t.Run(be.String(), func(t *testing.T) {
+			m := testModel()
+			m.Backend = be
+			simTime[i] = scenario(t, m)
+		})
+	}
+	if simTime[0] != simTime[1] {
+		t.Fatalf("SimTime differs: goroutine %v vs des %v", simTime[0], simTime[1])
+	}
 }
 
 // TestBackendResolutionEnv: an unset Backend resolves through
@@ -82,35 +100,77 @@ func TestDESCollectivesMatchGoroutines(t *testing.T) {
 }
 
 // TestDESSendRecvMatchesGoroutines: point-to-point transfers complete
-// with the same values and clocks on both backends, including when the
-// receiver posts first.
+// with the same values and clocks on both backends, whichever side
+// arrives first — under DES rank 0 always does, so the sender-is-rank-1
+// case is the receiver posting first.
 func TestDESSendRecvMatchesGoroutines(t *testing.T) {
-	run := func(m CostModel) (int, float64) {
-		cl := New(2, m)
-		var got int
-		res, err := cl.Run(func(r *Rank) error {
-			if r.ID == 0 {
-				Send(cl, r, 1, 7, 42, 1024)
-			} else {
-				got = Recv[int](cl, r, 0, 7)
-			}
-			return nil
+	var left [2]float64 // SimTime per sender rank
+	for sender := 0; sender < 2; sender++ {
+		t.Run(fmt.Sprintf("sender=rank%d", sender), func(t *testing.T) {
+			bothBackends(t, func(t *testing.T, m CostModel) float64 {
+				cl := New(2, m)
+				var got int
+				var clocks [2]float64
+				res, err := cl.Run(func(r *Rank) error {
+					if r.ID == sender {
+						r.AdvanceBy(1e-3)
+						Send(cl, r, 1-sender, 7, 42, 1024)
+					} else {
+						r.AdvanceBy(2e-3)
+						got = Recv[int](cl, r, sender, 7)
+					}
+					clocks[r.ID] = r.Clock()
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != 42 {
+					t.Fatalf("payload %d, want 42", got)
+				}
+				if clocks[0] != clocks[1] || clocks[0] <= 2e-3 {
+					t.Fatalf("sides left at %v: want both at the later entry plus the transfer", clocks)
+				}
+				left[sender] = res.SimTime
+				return res.SimTime
+			})
 		})
-		if err != nil {
-			t.Fatal(err)
+	}
+	if left[0] != left[1] {
+		t.Fatalf("arrival order changed the clocks: %v", left)
+	}
+}
+
+// TestSendRecvSameKeyBackToBack: a (src, dst, tag) key is reusable the
+// moment its transfer completes. The goroutine backend used to release
+// the sender before the receiver had deleted the slot, so the next Send
+// on the key panicked "duplicate Send".
+func TestSendRecvSameKeyBackToBack(t *testing.T) {
+	const trials, rounds = 200, 200
+	bothBackends(t, func(t *testing.T, m CostModel) float64 {
+		var simTime float64
+		for trial := 0; trial < trials; trial++ {
+			cl := New(2, m)
+			res, err := cl.Run(func(r *Rank) error {
+				for i := 0; i < rounds; i++ {
+					if r.ID == 0 {
+						Send(cl, r, 1, 0, i, 8)
+					} else if got := Recv[int](cl, r, 0, 0); got != i {
+						return fmt.Errorf("trial %d: round %d received %d", trial, i, got)
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if trial > 0 && res.SimTime != simTime {
+				t.Fatalf("trial %d: SimTime %v, earlier trials %v", trial, res.SimTime, simTime)
+			}
+			simTime = res.SimTime
 		}
-		return got, res.SimTime
-	}
-	gm := testModel()
-	gm.Backend = GoroutineBackend
-	gVal, gTime := run(gm)
-	dVal, dTime := run(desModel())
-	if gVal != 42 || dVal != 42 {
-		t.Fatalf("payloads: goroutine %d, des %d, want 42", gVal, dVal)
-	}
-	if gTime != dTime {
-		t.Fatalf("SimTime differs: goroutine %v vs des %v", gTime, dTime)
-	}
+		return simTime
+	})
 }
 
 // TestDESMismatchedCollectivesDiagnostic: the deadlock detector works
@@ -149,33 +209,37 @@ func TestDESMismatchedCollectivesDiagnostic(t *testing.T) {
 	}
 }
 
-// TestDESAbandonedCollectiveDiagnostic: rendezvous poisoning reaches
-// parked DES waiters, and the diagnostic carries the backend name.
+// TestDESAbandonedCollectiveDiagnostic: poisoning a rendezvous wakes
+// every parked member, on both backends, and each panics with the
+// diagnostic naming the missing rank and the backend.
 func TestDESAbandonedCollectiveDiagnostic(t *testing.T) {
-	cl := New(2, desModel())
-	world := cl.World()
-	var msg string
-	_, err := cl.Run(func(r *Rank) (err error) {
-		if r.ID == 0 {
-			return nil // leaves without joining the barrier
-		}
-		defer func() {
-			if p := recover(); p != nil {
-				msg = fmt.Sprint(p)
+	bothBackends(t, func(t *testing.T, m CostModel) float64 {
+		cl := New(4, m)
+		world := cl.World()
+		msgs := make([]string, 4)
+		_, err := cl.Run(func(r *Rank) (err error) {
+			if r.ID == 0 {
+				return nil // leaves without joining the barrier
 			}
-		}()
-		Barrier(world, r)
-		return nil
+			defer func() {
+				if p := recover(); p != nil {
+					msgs[r.ID] = fmt.Sprint(p)
+				}
+			}()
+			Barrier(world, r)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rank, msg := range msgs[1:] {
+			if !strings.Contains(msg, "deadlock") || !strings.Contains(msg, "rank 0") ||
+				!strings.Contains(msg, "backend="+m.Backend.String()) {
+				t.Fatalf("rank %d woke with %q", rank+1, msg)
+			}
+		}
+		return 0
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(msg, "deadlock") || !strings.Contains(msg, "rank 0") {
-		t.Fatalf("deadlock not diagnosed: %q", msg)
-	}
-	if !strings.Contains(msg, "backend=des") {
-		t.Fatalf("diagnostic lacks backend name: %q", msg)
-	}
 }
 
 // TestGoroutineDiagnosticNamesBackend: the goroutine backend's
@@ -207,31 +271,68 @@ func TestGoroutineDiagnosticNamesBackend(t *testing.T) {
 	}
 }
 
-// TestDESQueueBackpressure: the backend-neutral Queue parks DES
-// senders on a full queue and receivers on an empty one, preserving
-// FIFO order and values across the handoff.
+// TestDESQueueBackpressure: a Queue parks senders on a full buffer and
+// receivers on an empty one, preserving FIFO order across the handoff
+// between a forked producer stream and the main timeline — 10,000 items
+// through one slot included, where every item parks one side. The
+// joinFirst case joins the producer before draining it (under DES the
+// stream has not even started, so the joiner parks); every case joins
+// once more at the end, after the body has returned.
 func TestDESQueueBackpressure(t *testing.T) {
-	cl := New(1, desModel())
-	var got []int
-	_, err := cl.Run(func(r *Rank) error {
-		q := r.NewQueue(2)
-		f := r.ForkStream("producer", func(s *Rank) {
-			for i := 0; i < 8; i++ {
-				q.Send(s, i) // parks when the 2-slot buffer is full
-			}
+	for _, c := range []struct {
+		capacity, items int
+		joinFirst       bool
+	}{{2, 8, false}, {1, 10000, false}, {2, 2, true}} {
+		t.Run(fmt.Sprintf("cap=%d/items=%d/joinFirst=%v", c.capacity, c.items, c.joinFirst), func(t *testing.T) {
+			bothBackends(t, func(t *testing.T, m CostModel) float64 {
+				cl := New(1, m)
+				res, err := cl.Run(func(r *Rank) error {
+					q := r.NewQueue(c.capacity)
+					sent := 0
+					f := r.ForkStream("producer", func(s *Rank) {
+						for i := 0; i < c.items; i++ {
+							s.AdvanceBy(1e-6)
+							q.Send(s, i)
+							sent++
+						}
+					})
+					if c.joinFirst {
+						f.Join(r)
+					}
+					for i := 0; i < c.items; i++ {
+						if got := q.Recv(r).(int); got != i {
+							return fmt.Errorf("item %d arrived as %d", i, got)
+						}
+						r.AdvanceBy(2e-6)
+					}
+					f.Join(r)
+					if sent != c.items {
+						return fmt.Errorf("Join returned with %d of %d items sent", sent, c.items)
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res.SimTime
+			})
 		})
-		for i := 0; i < 8; i++ {
-			got = append(got, q.Recv(r).(int))
-		}
-		f.Join(r)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("queue order broken: got %v", got)
-		}
+}
+
+// TestGoWaiterKeepsEarlyReady: a primitive unlocks before it parks, so
+// ready can land first; the goroutine waiter must not lose it.
+func TestGoWaiterKeepsEarlyReady(t *testing.T) {
+	w := newGoWaiter()
+	w.ready(0)
+	parked := make(chan struct{})
+	go func() {
+		w.park()
+		close(parked)
+	}()
+	select {
+	case <-parked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("park blocked: the ready delivered before it was lost")
 	}
 }

@@ -5,8 +5,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-
-	"repro/internal/cluster/sim"
 )
 
 // Comm is a communicator over a subset of the cluster's ranks, like an
@@ -200,7 +198,6 @@ type slot struct {
 // member's rank body returned while peers wait for it).
 type rendezvous struct {
 	mu      sync.Mutex
-	cond    *sync.Cond
 	n       int
 	arrived int
 	gen     uint64
@@ -218,25 +215,22 @@ type rendezvous struct {
 	// to have arrived at g+2.
 	bufs   [3][]slot
 	failed error // poisoned: every current and future participant panics
-	// parked are the DES tasks waiting on the in-flight generation
-	// (the discrete-event analogue of the cond.Wait set); the last
-	// arriver — or the poison path — readies them at their recorded
-	// entry clocks and clears the list.
-	parked []desWaiter
+	// parked are the members waiting on the in-flight generation; the
+	// last arriver — or the poison path — readies them and clears the
+	// list.
+	parked []parkedMember
 }
 
-// desWaiter is one parked DES task plus the simulated time to ready it
+// parkedMember is one parked member plus the simulated time to ready it
 // at (its entry clock; collectives complete at max entry + cost, so
 // the wake time only orders events, never changes results).
-type desWaiter struct {
-	task  *sim.Task
+type parkedMember struct {
+	w     waiter
 	clock float64
 }
 
 func newRendezvous(n int) *rendezvous {
-	rv := &rendezvous{n: n, waiting: make([]bool, n)}
-	rv.cond = sync.NewCond(&rv.mu)
-	return rv
+	return &rendezvous{n: n, waiting: make([]bool, n)}
 }
 
 // genBuf returns the reusable slot buffer for the current generation.
@@ -249,34 +243,25 @@ func (rv *rendezvous) genBuf() []slot {
 	return rv.bufs[i]
 }
 
-// poison marks the rendezvous failed and wakes every waiter — blocked
-// goroutines via the condition variable and parked DES tasks via the
-// scheduler — so callers panic with the recorded error instead of
-// hanging. Caller holds rv.mu.
-func (c *Comm) poison(err error) {
-	rv := c.rv
-	rv.failed = err
-	rv.cond.Broadcast()
-	if len(rv.parked) > 0 {
-		s := c.cl.sched
-		for _, w := range rv.parked {
-			s.Ready(w.task, w.clock)
-		}
-		rv.parked = rv.parked[:0]
+// release readies every parked member at its entry clock, in arrival
+// order. Caller holds rv.mu.
+func (rv *rendezvous) release() {
+	for _, p := range rv.parked {
+		p.w.ready(p.clock)
 	}
+	rv.parked = rv.parked[:0]
 }
 
-// diag appends execution-backend context to a deadlock diagnostic:
-// which backend was running and, under DES, how deep the event queue
-// was when the rendezvous was poisoned (a drained queue with parked
-// ranks is the classic symptom; a deep one points at livelock in the
-// simulated program instead).
-func (c *Comm) diag() string {
-	if s := c.cl.sched; s != nil {
-		return fmt.Sprintf(" [backend=des, %d queued events]", s.Depth())
-	}
-	return fmt.Sprintf(" [backend=%s]", c.cl.backend)
+// poison marks the rendezvous failed and wakes every parked member so
+// callers panic with the recorded error instead of hanging. Caller
+// holds rv.mu.
+func (c *Comm) poison(err error) {
+	c.rv.failed = err
+	c.rv.release()
 }
+
+// diag appends execution-backend context to a deadlock diagnostic.
+func (c *Comm) diag() string { return c.cl.sched.diag() }
 
 // exchange contributes one slot under the named collective and returns
 // all n slots once every participant has arrived. The returned slice
@@ -296,6 +281,32 @@ func (c *Comm) exchange(r *Rank, op string, s slot) []slot {
 // single ledger transaction. A nil transform returns the slots as-is.
 func (c *Comm) exchangeTransform(r *Rank, op string, s slot, transform func([]slot) []slot) []slot {
 	c.checkDriver(r)
+	out, gen := c.arrive(r, op, s, transform)
+	if out != nil {
+		return out
+	}
+	// One wake suffices — only generation completion or poison readies
+	// a parked member, and the next generation cannot finish (it needs
+	// this very rank) before it resumes, so rv.out is still ours then.
+	r.w.park()
+	rv := c.rv
+	rv.mu.Lock()
+	defer rv.mu.Unlock()
+	if rv.failed != nil {
+		panic(rv.failed)
+	}
+	if rv.gen == gen {
+		panic(fmt.Sprintf("cluster: spurious wake on comm %v (dup %q) during %s", c.members, c.key, op))
+	}
+	return rv.out
+}
+
+// arrive is exchangeTransform's locked half. The last arriver completes
+// the generation, readies the parked members and gets the output slots;
+// an earlier one is recorded as parked and gets nil plus the generation
+// it must park for. The unlock is deferred so every diagnostic panic
+// below releases the rendezvous.
+func (c *Comm) arrive(r *Rank, op string, s slot, transform func([]slot) []slot) ([]slot, uint64) {
 	idx := c.LocalIndex(r)
 	rv := c.rv
 	rv.mu.Lock()
@@ -305,14 +316,12 @@ func (c *Comm) exchangeTransform(r *Rank, op string, s slot, transform func([]sl
 	}
 	if rv.arrived == 0 {
 		rv.op = op
+		rv.slots = rv.genBuf()
 	} else if rv.op != op {
 		err := fmt.Errorf("cluster: mismatched collectives on comm %v (dup %q): rank %d called %s while %s is in flight%s",
 			c.members, c.key, r.ID, op, rv.op, c.diag())
 		c.poison(err)
 		panic(err)
-	}
-	if rv.arrived == 0 {
-		rv.slots = rv.genBuf()
 	}
 	rv.slots[idx] = s
 	rv.waiting[idx] = true
@@ -323,8 +332,8 @@ func (c *Comm) exchangeTransform(r *Rank, op string, s slot, transform func([]sl
 			// disables both of the deadlock detector's poison paths (the
 			// entry scan and checkAbandoned bail when arrived == n), so
 			// poison the rendezvous here before propagating: the n-1
-			// waiters panic with the diagnostic instead of blocking in
-			// cond.Wait forever.
+			// parked members panic with the diagnostic instead of waiting
+			// forever.
 			func() {
 				defer func() {
 					if p := recover(); p != nil {
@@ -346,18 +355,10 @@ func (c *Comm) exchangeTransform(r *Rank, op string, s slot, transform func([]sl
 			rv.waiting[i] = false
 		}
 		rv.gen++
-		rv.cond.Broadcast()
-		if len(rv.parked) > 0 {
-			// DES: the generation is complete; ready every parked peer
-			// at its entry clock (completion time is charged by each
-			// member itself, so the wake time only orders events).
-			s := c.cl.sched
-			for _, w := range rv.parked {
-				s.Ready(w.task, w.clock)
-			}
-			rv.parked = rv.parked[:0]
-		}
-		return rv.out
+		// Completion time is charged by each member itself, so the wake
+		// time only orders events.
+		rv.release()
+		return rv.out, rv.gen
 	}
 	// A peer that already finished its rank body can never arrive. The
 	// scan is gated on the lock-free anyDone flag, so the common case
@@ -369,32 +370,8 @@ func (c *Comm) exchangeTransform(r *Rank, op string, s slot, transform func([]sl
 			panic(err)
 		}
 	}
-	gen := rv.gen
-	if t := r.task; t != nil {
-		// DES: park on the scheduler instead of the condition
-		// variable. One wake suffices — only generation completion or
-		// poison readies a parked waiter, and the next generation
-		// cannot finish (it needs this very rank) before the task
-		// resumes, so rv.out is still ours on wake.
-		rv.parked = append(rv.parked, desWaiter{task: t, clock: s.clock})
-		rv.mu.Unlock()
-		t.Park()
-		rv.mu.Lock()
-		if rv.failed != nil {
-			panic(rv.failed)
-		}
-		if rv.gen == gen {
-			panic(fmt.Sprintf("cluster: spurious DES wake on comm %v (dup %q) during %s", c.members, c.key, op))
-		}
-		return rv.out
-	}
-	for rv.gen == gen {
-		if rv.failed != nil {
-			panic(rv.failed)
-		}
-		rv.cond.Wait()
-	}
-	return rv.out
+	rv.parked = append(rv.parked, parkedMember{w: r.w, clock: s.clock})
+	return nil, rv.gen
 }
 
 // abandonedLocked returns a member rank that can never join the

@@ -3,8 +3,6 @@ package cluster
 import (
 	"fmt"
 	"sync"
-
-	"repro/internal/cluster/sim"
 )
 
 // mailbox implements matched point-to-point sends and receives between
@@ -13,7 +11,6 @@ import (
 // simulated clocks honest: both sides leave at max(entry) + α + β·n.
 type mailbox struct {
 	mu    sync.Mutex
-	cond  *sync.Cond
 	slots map[mailKey]*mailSlot
 }
 
@@ -29,27 +26,20 @@ type mailSlot struct {
 	recvClock float64
 	hasRecv   bool
 	done      float64
-	completed bool
-	// waiter is the parked DES task of whichever side arrived first.
-	// Under DES the second arriver completes the transfer (either side
-	// can: the cost depends only on the two entry clocks, the payload
-	// and the sender's links), deletes the map entry — so the key is
-	// immediately reusable — and readies the parked peer at the done
-	// time; the peer reads the slot through its retained pointer.
-	waiter *sim.Task
-}
-
-func newMailbox() *mailbox {
-	mb := &mailbox{slots: map[mailKey]*mailSlot{}}
-	mb.cond = sync.NewCond(&mb.mu)
-	return mb
+	// waiter is the parked side — whichever arrived first. The second
+	// arriver completes the transfer (either side can: the cost depends
+	// only on the two entry clocks, the payload and the sender's links),
+	// deletes the map entry — so the key is immediately reusable — and
+	// readies the parked peer at the done time; the peer reads the slot
+	// through its retained pointer.
+	waiter waiter
 }
 
 func (c *Cluster) mailboxInstance() *mailbox {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.mail == nil {
-		c.mail = newMailbox()
+		c.mail = &mailbox{slots: map[mailKey]*mailSlot{}}
 	}
 	return c.mail
 }
@@ -66,68 +56,12 @@ func Send[T any](c *Cluster, r *Rank, dst, tag int, val T, bytes int) {
 	if dst == r.ID {
 		panic("cluster: Send to self; use a local variable")
 	}
-	mb := c.mailboxInstance()
-	key := mailKey{src: r.ID, dst: dst, tag: tag}
-	link := c.Model.linkBetween(r.ID, dst)
-
-	if r.task != nil {
-		done := mb.sendDES(c, r, key, link, val, bytes)
-		r.countOp("send", int64(bytes))
-		r.countLink(link, int64(bytes))
-		if done > r.clock {
-			r.advance(done-r.clock, true)
-		}
-		return
-	}
-
-	// The locked section runs under a deferred unlock so the
-	// duplicate-send diagnostic below releases the mailbox before the
-	// panic propagates: a panic that kept mb.mu held would wedge every
-	// other rank's Send/Recv behind the mutex instead of letting the
-	// failure surface, the same guarantee the collective deadlock
-	// detector makes by poisoning its rendezvous.
-	done := func() float64 {
-		mb.mu.Lock()
-		defer mb.mu.Unlock()
-		slot := mb.slots[key]
-		if slot == nil {
-			slot = &mailSlot{}
-			mb.slots[key] = slot
-		}
-		if slot.hasData {
-			panic(fmt.Sprintf("cluster: duplicate Send for %+v", key))
-		}
-		slot.val = val
-		slot.bytes = bytes
-		slot.sendClock = r.clock
-		slot.hasData = true
-		mb.cond.Broadcast()
-		for !slot.hasRecv {
-			mb.cond.Wait()
-		}
-		entry := slot.sendClock
-		if slot.recvClock > entry {
-			entry = slot.recvClock
-		}
-		if ct := c.cont; ct != nil {
-			fin := ct.transact([]flowReq{{
-				start: c.Model.wireEntry(entry, link),
-				bytes: float64(bytes),
-				links: ct.linksFor(r.ID, link),
-			}})
-			slot.done = fin[0]
-		} else {
-			slot.done = c.Model.wireDone(entry, link, int64(bytes))
-		}
-		slot.completed = true
-		mb.cond.Broadcast()
-		return slot.done
-	}()
-
+	slot := c.mailboxInstance().meet(c, r, mailKey{src: r.ID, dst: dst, tag: tag}, true, val, bytes)
+	// Booked before the advance: that is where an armed fail-stop fires.
 	r.countOp("send", int64(bytes))
-	r.countLink(link, int64(bytes))
-	if done > r.clock {
-		r.advance(done-r.clock, true)
+	r.countLink(c.Model.linkBetween(r.ID, dst), int64(bytes))
+	if slot.done > r.clock {
+		r.advance(slot.done-r.clock, true)
 	}
 }
 
@@ -142,113 +76,58 @@ func Recv[T any](c *Cluster, r *Rank, src, tag int) T {
 	if src == r.ID {
 		panic("cluster: Recv from self; use a local variable")
 	}
-	mb := c.mailboxInstance()
-	key := mailKey{src: src, dst: r.ID, tag: tag}
-
-	if r.task != nil {
-		val, done := mb.recvDES(c, r, key)
-		if done > r.clock {
-			r.advance(done-r.clock, true)
-		}
-		return val.(T)
+	slot := c.mailboxInstance().meet(c, r, mailKey{src: src, dst: r.ID, tag: tag}, false, nil, 0)
+	if slot.done > r.clock {
+		r.advance(slot.done-r.clock, true)
 	}
+	return slot.val.(T)
+}
 
-	// Deferred unlock for the same reason as Send: the duplicate-recv
-	// panic must not leave the mailbox locked.
-	val, done := func() (T, float64) {
-		mb.mu.Lock()
-		defer mb.mu.Unlock()
-		slot := mb.slots[key]
-		if slot == nil {
-			slot = &mailSlot{}
-			mb.slots[key] = slot
+// meet posts r's side of the transfer under key (send carries val and
+// bytes) and returns the slot once both sides have met: the first
+// arriver parks until the second has completed the transfer.
+func (mb *mailbox) meet(c *Cluster, r *Rank, key mailKey, send bool, val any, bytes int) *mailSlot {
+	slot, first := mb.post(c, r, key, send, val, bytes)
+	if first {
+		r.w.park()
+	}
+	return slot
+}
+
+// post is meet's locked half; it reports whether r arrived first and
+// must park. The unlock is deferred so the duplicate diagnostics below
+// release the mailbox before the panic propagates: a panic that kept
+// mb.mu held would wedge every other rank's Send/Recv behind the mutex
+// instead of letting the failure surface, the same guarantee the
+// collective deadlock detector makes by poisoning its rendezvous.
+func (mb *mailbox) post(c *Cluster, r *Rank, key mailKey, send bool, val any, bytes int) (*mailSlot, bool) {
+	mb.mu.Lock()
+	defer mb.mu.Unlock()
+	slot := mb.slots[key]
+	if slot == nil {
+		slot = &mailSlot{}
+		mb.slots[key] = slot
+	}
+	if send {
+		if slot.hasData {
+			panic(fmt.Sprintf("cluster: duplicate Send for %+v", key))
 		}
+		slot.val, slot.bytes, slot.sendClock, slot.hasData = val, bytes, r.clock, true
+	} else {
 		if slot.hasRecv {
 			panic(fmt.Sprintf("cluster: duplicate Recv for %+v", key))
 		}
-		slot.recvClock = r.clock
-		slot.hasRecv = true
-		mb.cond.Broadcast()
-		for !slot.completed {
-			mb.cond.Wait()
-		}
-		v := slot.val.(T)
-		d := slot.done
-		delete(mb.slots, key)
-		return v, d
-	}()
-
-	if done > r.clock {
-		r.advance(done-r.clock, true)
+		slot.recvClock, slot.hasRecv = r.clock, true
 	}
-	return val
-}
-
-// --- DES mailbox protocol ------------------------------------------------
-//
-// Under the discrete-event backend exactly one task runs at a time, so
-// the mailbox needs no mutex: the happens-before chain runs through the
-// scheduler's handoff channels. The first arriver records its side and
-// parks; the second arriver completes the transfer (the done time
-// depends only on both entry clocks, the payload and the sender's
-// physical links, so either side can compute it), deletes the map entry
-// — making the key immediately reusable, matching the state a finished
-// goroutine-backend exchange leaves behind — and readies the parked
-// peer at the done time.
-
-// sendDES is Send's DES half; it returns the transfer's done time.
-func (mb *mailbox) sendDES(c *Cluster, r *Rank, key mailKey, link Link, val any, bytes int) float64 {
-	slot := mb.slots[key]
-	if slot == nil {
-		slot = &mailSlot{}
-		mb.slots[key] = slot
+	if !slot.hasData || !slot.hasRecv {
+		slot.waiter = r.w
+		return slot, true
 	}
-	if slot.hasData {
-		panic(fmt.Sprintf("cluster: duplicate Send for %+v", key))
-	}
-	slot.val = val
-	slot.bytes = bytes
-	slot.sendClock = r.clock
-	slot.hasData = true
-	if !slot.hasRecv {
-		slot.waiter = r.task
-		r.task.Park()
-		return slot.done // the receiver completed the slot before readying us
-	}
-	return mb.completeDES(c, key, link, slot)
-}
-
-// recvDES is Recv's DES half; it returns the payload and done time.
-func (mb *mailbox) recvDES(c *Cluster, r *Rank, key mailKey) (any, float64) {
-	slot := mb.slots[key]
-	if slot == nil {
-		slot = &mailSlot{}
-		mb.slots[key] = slot
-	}
-	if slot.hasRecv {
-		panic(fmt.Sprintf("cluster: duplicate Recv for %+v", key))
-	}
-	slot.recvClock = r.clock
-	slot.hasRecv = true
-	if !slot.hasData {
-		slot.waiter = r.task
-		r.task.Park()
-		return slot.val, slot.done // the sender completed the slot
-	}
+	// Both sides are here: entry is the later of the two arrival clocks;
+	// under a contention topology the payload flows through the sender's
+	// physical links.
+	entry := max(slot.sendClock, slot.recvClock)
 	link := c.Model.linkBetween(key.src, key.dst)
-	return slot.val, mb.completeDES(c, key, link, slot)
-}
-
-// completeDES finishes a fully-matched transfer: computes the done
-// time exactly as the goroutine backend's Send does (entry is the
-// later of the two arrival clocks; under a contention topology the
-// payload flows through the sender's physical links), retires the map
-// entry and wakes the parked peer.
-func (mb *mailbox) completeDES(c *Cluster, key mailKey, link Link, slot *mailSlot) float64 {
-	entry := slot.sendClock
-	if slot.recvClock > entry {
-		entry = slot.recvClock
-	}
 	if ct := c.cont; ct != nil {
 		fin := ct.transact([]flowReq{{
 			start: c.Model.wireEntry(entry, link),
@@ -259,10 +138,7 @@ func (mb *mailbox) completeDES(c *Cluster, key mailKey, link Link, slot *mailSlo
 	} else {
 		slot.done = c.Model.wireDone(entry, link, int64(slot.bytes))
 	}
-	slot.completed = true
 	delete(mb.slots, key)
-	if slot.waiter != nil {
-		c.sched.Ready(slot.waiter, slot.done)
-	}
-	return slot.done
+	slot.waiter.ready(slot.done)
+	return slot, false
 }

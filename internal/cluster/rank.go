@@ -7,8 +7,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/cluster/sim"
 )
 
 // Rank is one simulated device (a "GPU") executing the per-process body
@@ -67,13 +65,12 @@ type Rank struct {
 	// each timeline halts when its own clock crosses it.
 	failAt float64
 
-	// cl is the owning cluster; the synchronization primitives consult
-	// it for the backend and, under DES, the scheduler.
+	// cl is the owning cluster.
 	cl *Cluster
-	// task is this timeline's DES task (nil under the goroutine
-	// backend): the handle the rendezvous, mailbox and stage queues
-	// park and ready instead of blocking a goroutine.
-	task *sim.Task
+	// w is the handle this timeline parks on and its peers ready: the
+	// one way the rendezvous, mailbox, stage queues and stream joins
+	// block.
+	w waiter
 }
 
 // acct is the phase/traffic accounting shared across a rank's streams.
@@ -123,8 +120,17 @@ func (a *acct) slotFor(name string) int {
 // Charges and collectives issued on the handle advance only its own
 // clock; phase totals accrue to the shared buckets. A communicator
 // must not be used by two streams of the same rank concurrently, and
-// each stream must stay on a single goroutine.
+// each stream must stay on a single goroutine. The caller runs the
+// stream itself, which only the goroutine backend supports once the
+// stream blocks; ForkStream is the backend-neutral way to run one.
 func (r *Rank) Stream(name string) *Rank {
+	s := r.newStream(name)
+	s.w = r.cl.sched.adopt()
+	return s
+}
+
+// newStream is Stream without a waiter (ForkStream's spawn supplies it).
+func (r *Rank) newStream(name string) *Rank {
 	s := &Rank{
 		ID:     r.ID,
 		N:      r.N,
@@ -143,9 +149,6 @@ func (r *Rank) Stream(name string) *Rank {
 	r.acct.mu.Unlock()
 	return s
 }
-
-// StreamName returns the stream's name ("" for the main timeline).
-func (r *Rank) StreamName() string { return r.stream }
 
 // WaitUntil advances the clock to t if it is behind (a synchronization
 // stall, e.g. waiting for a prefetch stream to finish an item). The
@@ -497,13 +500,10 @@ type Cluster struct {
 
 	// backend is the resolved execution backend (never
 	// DefaultBackend): Model.Backend, then $GNN_BACKEND, then the
-	// goroutine backend — fixed at construction so every Run and every
-	// synchronization primitive agrees.
+	// goroutine backend — fixed at construction so every Run agrees.
 	backend Backend
-	// sched is the discrete-event scheduler of the Run in progress
-	// (DES backend only; nil between runs and always nil under the
-	// goroutine backend).
-	sched *sim.Sched
+	// sched runs the timelines of the latest Run (nil before the first).
+	sched scheduler
 
 	mu    sync.Mutex
 	comms []*Comm
@@ -602,44 +602,16 @@ func (c *Cluster) Run(body func(r *Rank) error) (*Result, error) {
 		ranks[i].failAt = c.Model.Faults.failAt(i)
 	}
 	errs := make([]error, c.N)
-	if c.backend == DESBackend {
-		// Discrete-event backend: one cooperative task per rank,
-		// all readied at t=0 in rank order, driven to completion by a
-		// single event loop. The synchronization primitives (the
-		// collective rendezvous, the point-to-point mailbox, stage
-		// queues and stream joins) park tasks on the scheduler instead
-		// of blocking goroutines.
-		s := sim.New()
-		c.sched = s
-		for i := 0; i < c.N; i++ {
-			i := i
-			ranks[i].task = s.Spawn(i, func(*sim.Task) {
-				defer c.markDone(i)
-				errs[i] = c.runBody(body, ranks[i])
-			})
-			s.Ready(ranks[i].task, 0)
-		}
-		func() {
-			defer func() { c.sched = nil }()
-			s.Run()
-		}()
-	} else {
-		var wg sync.WaitGroup
-		for i := 0; i < c.N; i++ {
-			wg.Add(1)
-			// This IS the goroutine backend: the one sanctioned spawn/join
-			// of real OS goroutines, below the park/wake seam the rest of
-			// the cluster-driven code must stay above.
-			//gnnvet:allow parkwake — the goroutine backend's driver itself: spawns rank bodies outside simulated time
-			go func(i int) {
-				defer wg.Done()
-				defer c.markDone(i)
-				errs[i] = c.runBody(body, ranks[i])
-			}(i)
-		}
-		//gnnvet:allow parkwake — joins the goroutine backend's rank bodies; runs outside simulated time
-		wg.Wait()
+	// One timeline per rank, started at t=0 in rank order.
+	c.sched = newScheduler(c.backend)
+	for _, r := range ranks {
+		c.sched.spawn(r.ID, 0, func(w waiter) {
+			r.w = w
+			defer c.markDone(r.ID)
+			errs[r.ID] = c.runBody(body, r)
+		})
 	}
+	c.sched.wait()
 	// Error selection: a bug-class error wins (first by rank order, the
 	// historical behavior); otherwise, when every error is fault-class,
 	// return the earliest RankFailure — the root cause a restart driver
@@ -675,20 +647,6 @@ func (c *Cluster) Run(body func(r *Rank) error) (*Result, error) {
 		res.LedgerPeakSpans = c.cont.peak()
 	}
 	return res, nil
-}
-
-// SparseSeconds converts an irregular-op count into simulated seconds
-// at this rank's GPU rate without advancing the clock. Used by
-// schedulers that overlap work streams and need to reason about a
-// charge before (or instead of) applying it.
-func (r *Rank) SparseSeconds(ops int64) float64 {
-	return float64(ops) / r.model.SparseOps[GPU] * r.model.slowdown(r.ID)
-}
-
-// KernelSeconds converts kernel-launch counts into simulated seconds
-// without advancing the clock.
-func (r *Rank) KernelSeconds(n int) float64 {
-	return float64(n) * r.model.KernelLaunch
 }
 
 // AdvanceBy adds dt simulated seconds to the clock under the current

@@ -161,6 +161,9 @@ func (s *Sched) Ready(t *Task, tm float64) {
 	s.seq++
 }
 
+// Ready is Sched.Ready(t, tm) on the scheduler that spawned t.
+func (t *Task) Ready(tm float64) { t.s.Ready(t, tm) }
+
 // Park blocks the calling task until a peer (or the deadlock detector)
 // readies it again. The caller must not hold any lock a concurrently
 // runnable task could need — under this scheduler that means no lock
@@ -173,9 +176,6 @@ func (t *Task) Park() {
 // Depth reports the number of queued events — part of the deadlock
 // diagnostics surfaced by the cluster's poisoned-rendezvous errors.
 func (s *Sched) Depth() int { return s.q.Len() }
-
-// Live reports the number of spawned tasks that have not finished.
-func (s *Sched) Live() int { return s.live }
 
 // Run drives the event loop until every spawned task has finished.
 // An empty queue with live tasks is a deadlock: every remaining task

@@ -44,7 +44,12 @@ func TestDupIdentity(t *testing.T) {
 // both deliver correct values.
 func TestStreamClonesIsolateCollectives(t *testing.T) {
 	run := func() ([]float64, []float64, float64) {
-		cl := New(4, testModel())
+		// Pinned to the goroutine backend for the reason given in
+		// TestDriverBindingsResetAcrossRuns: the streams are driven from
+		// raw goroutines, and under DES only spawned timelines can park.
+		model := testModel()
+		model.Backend = GoroutineBackend
+		cl := New(4, model)
 		world := cl.World()
 		var mainOut, streamOut []float64
 		var mu sync.Mutex

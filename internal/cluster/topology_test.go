@@ -303,7 +303,7 @@ func TestRecvInvalidSrcPanics(t *testing.T) {
 func TestDuplicateSendPanicsAndReleasesMailbox(t *testing.T) {
 	cl := New(2, Perlmutter())
 	mk := func(id int) *Rank {
-		return &Rank{ID: id, N: 2, model: &cl.Model, phases: []string{"default"}, acct: newAcct()}
+		return &Rank{ID: id, N: 2, model: &cl.Model, phases: []string{"default"}, acct: newAcct(), w: newGoWaiter()}
 	}
 	s0, s0dup, r1 := mk(0), mk(0), mk(1)
 

@@ -69,61 +69,6 @@ func ExtractCols(a *CSR, cols []int) *CSR {
 	return out
 }
 
-// CompactCols removes empty columns of A, returning the compacted
-// matrix and the mapping from new column index to original column
-// index. This implements the GraphSAGE extraction step of Section
-// 4.1.3 ("remove empty columns in Q^{l-1}").
-func CompactCols(a *CSR) (*CSR, []int) {
-	used := make([]bool, a.Cols)
-	for _, c := range a.ColIdx {
-		used[c] = true
-	}
-	remap := make([]int, a.Cols)
-	var colMap []int
-	for c := 0; c < a.Cols; c++ {
-		if used[c] {
-			remap[c] = len(colMap)
-			colMap = append(colMap, c)
-		} else {
-			remap[c] = -1
-		}
-	}
-	out := &CSR{
-		Rows:   a.Rows,
-		Cols:   len(colMap),
-		RowPtr: append([]int(nil), a.RowPtr...),
-		ColIdx: make([]int, a.NNZ()),
-		Val:    append([]float64(nil), a.Val...),
-	}
-	for k, c := range a.ColIdx {
-		out.ColIdx[k] = remap[c]
-	}
-	return out, colMap
-}
-
-// RelabelCols rewrites column indices of A through remap (new index =
-// remap[old index]; all referenced entries must map to >= 0) and sets
-// the new column count. Column order must be preserved by remap
-// (monotone on the referenced columns); violated order panics via
-// Validate in tests.
-func RelabelCols(a *CSR, remap []int, newCols int) *CSR {
-	out := &CSR{
-		Rows:   a.Rows,
-		Cols:   newCols,
-		RowPtr: append([]int(nil), a.RowPtr...),
-		ColIdx: make([]int, a.NNZ()),
-		Val:    append([]float64(nil), a.Val...),
-	}
-	for k, c := range a.ColIdx {
-		nc := remap[c]
-		if nc < 0 || nc >= newCols {
-			panic(fmt.Sprintf("sparse: RelabelCols maps %d to %d outside [0,%d)", c, nc, newCols))
-		}
-		out.ColIdx[k] = nc
-	}
-	return out
-}
-
 // VStack vertically concatenates the given matrices, which must all
 // have the same column count. This realizes the bulk-sampling stacking
 // of Equation 1 in the paper.

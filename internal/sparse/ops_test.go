@@ -49,60 +49,6 @@ func TestExtractColsDuplicatePanics(t *testing.T) {
 	ExtractCols(exampleGraph(), []int{1, 1})
 }
 
-func TestCompactCols(t *testing.T) {
-	m := FromEntries(3, 8, [][3]float64{
-		{0, 2, 1}, {0, 6, 2}, {1, 2, 3}, {2, 7, 4},
-	})
-	c, colMap := CompactCols(m)
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if c.Cols != 3 {
-		t.Fatalf("compacted to %d cols, want 3", c.Cols)
-	}
-	wantMap := []int{2, 6, 7}
-	for i := range wantMap {
-		if colMap[i] != wantMap[i] {
-			t.Fatalf("colMap = %v, want %v", colMap, wantMap)
-		}
-	}
-	// Entries must be preserved under the mapping.
-	for i := 0; i < c.Rows; i++ {
-		cs, vs := c.Row(i)
-		for k := range cs {
-			if m.At(i, colMap[cs[k]]) != vs[k] {
-				t.Fatalf("entry (%d,%d) lost in compaction", i, cs[k])
-			}
-		}
-	}
-	if c.NNZ() != m.NNZ() {
-		t.Fatalf("compaction changed nnz %d -> %d", m.NNZ(), c.NNZ())
-	}
-}
-
-func TestCompactColsProperty(t *testing.T) {
-	check := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m := randomCSR(rng, 1+rng.Intn(10), 1+rng.Intn(20), 0.15)
-		c, colMap := CompactCols(m)
-		if c.Validate() != nil || c.NNZ() != m.NNZ() {
-			return false
-		}
-		for i := 0; i < c.Rows; i++ {
-			cs, vs := c.Row(i)
-			for k := range cs {
-				if m.At(i, colMap[cs[k]]) != vs[k] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestVStack(t *testing.T) {
 	a := FromEntries(2, 3, [][3]float64{{0, 0, 1}, {1, 2, 2}})
 	b := FromEntries(1, 3, [][3]float64{{0, 1, 3}})
@@ -187,18 +133,6 @@ func TestNonzeroCols(t *testing.T) {
 	got := NonzeroCols(m)
 	if len(got) != 2 || got[0] != 2 || got[1] != 7 {
 		t.Fatalf("NonzeroCols = %v, want [2 7]", got)
-	}
-}
-
-func TestRelabelCols(t *testing.T) {
-	m := FromEntries(2, 4, [][3]float64{{0, 1, 5}, {1, 3, 6}})
-	remap := []int{-1, 0, -1, 1}
-	r := RelabelCols(m, remap, 2)
-	if err := r.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if r.At(0, 0) != 5 || r.At(1, 1) != 6 {
-		t.Fatal("relabel lost entries")
 	}
 }
 

@@ -64,19 +64,6 @@ func ensureFloats(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// ZeroInto reshapes out as an empty rows x cols matrix reusing its
-// storage, the in-place form of Zero.
-func ZeroInto(out *CSR, rows, cols int) *CSR {
-	out.Rows, out.Cols = rows, cols
-	out.RowPtr = ensureInts(out.RowPtr, rows+1)
-	for i := range out.RowPtr {
-		out.RowPtr[i] = 0
-	}
-	out.ColIdx = out.ColIdx[:0]
-	out.Val = out.Val[:0]
-	return out
-}
-
 // CopyCSRInto copies A into out, reusing out's storage — the arena
 // form of Clone.
 func CopyCSRInto(out, a *CSR) *CSR {
@@ -88,57 +75,6 @@ func CopyCSRInto(out, a *CSR) *CSR {
 	copy(out.ColIdx, a.ColIdx)
 	out.Val = ensureFloats(out.Val, nnz)
 	copy(out.Val, a.Val)
-	return out
-}
-
-// AddCSRInto computes A + B into out, reusing out's storage — the
-// in-place form of AddCSR (bit-identical merge: same entry order,
-// same float additions). out must not alias a or b.
-func AddCSRInto(out, a, b *CSR) *CSR {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic(fmt.Sprintf("sparse: AddCSRInto shape mismatch %v vs %v", a, b))
-	}
-	if out == a || out == b {
-		panic("sparse: AddCSRInto output aliases an input")
-	}
-	out.Rows, out.Cols = a.Rows, a.Cols
-	out.RowPtr = ensureInts(out.RowPtr, a.Rows+1)
-	out.RowPtr[0] = 0
-	bound := a.NNZ() + b.NNZ()
-	cols := ensureInts(out.ColIdx, bound)[:0]
-	vals := ensureFloats(out.Val, bound)[:0]
-	for i := 0; i < a.Rows; i++ {
-		ac, av := a.Row(i)
-		bc, bv := b.Row(i)
-		x, y := 0, 0
-		for x < len(ac) && y < len(bc) {
-			switch {
-			case ac[x] < bc[y]:
-				cols = append(cols, ac[x])
-				vals = append(vals, av[x])
-				x++
-			case ac[x] > bc[y]:
-				cols = append(cols, bc[y])
-				vals = append(vals, bv[y])
-				y++
-			default:
-				cols = append(cols, ac[x])
-				vals = append(vals, av[x]+bv[y])
-				x++
-				y++
-			}
-		}
-		for ; x < len(ac); x++ {
-			cols = append(cols, ac[x])
-			vals = append(vals, av[x])
-		}
-		for ; y < len(bc); y++ {
-			cols = append(cols, bc[y])
-			vals = append(vals, bv[y])
-		}
-		out.RowPtr[i+1] = len(cols)
-	}
-	out.ColIdx, out.Val = cols, vals
 	return out
 }
 
