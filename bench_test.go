@@ -207,11 +207,11 @@ func BenchmarkAblationSparsityAware(b *testing.B) {
 	d := datasets.ProductsLike(datasets.Tiny)
 	var aware, obliv float64
 	for i := 0; i < b.N; i++ {
-		ra, err := bench.RunPartitionedSampling(d, "sage", 4, 2, true, 0, 0, 3, cluster.Perlmutter())
+		ra, err := bench.RunPartitionedSampling(d, core.SAGE{}, d.Fanouts, 4, 2, true, bench.Options{Seed: 3})
 		if err != nil {
 			b.Fatal(err)
 		}
-		ro, err := bench.RunPartitionedSampling(d, "sage", 4, 2, false, 0, 0, 3, cluster.Perlmutter())
+		ro, err := bench.RunPartitionedSampling(d, core.SAGE{}, d.Fanouts, 4, 2, false, bench.Options{Seed: 3})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -9,6 +9,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/baseline"
@@ -19,43 +20,53 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "compare:", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("compare", flag.ContinueOnError)
 	var (
-		dataset = flag.String("dataset", "products", "products, protein, papers")
-		profile = flag.String("profile", "small", cliutil.ProfileUsage)
-		p       = flag.Int("p", 8, "simulated GPUs")
-		maxB    = flag.Int("maxbatches", 0, "cap batches per epoch (0 = all)")
-		seed    = flag.Int64("seed", 1, "seed")
+		dataset = fs.String("dataset", "products", "products, protein, papers")
+		profile = fs.String("profile", "small", cliutil.ProfileUsage)
+		p       = fs.Int("p", 8, "simulated GPUs")
+		maxB    = fs.Int("maxbatches", 0, "cap batches per epoch (0 = all)")
+		seed    = fs.Int64("seed", 1, "seed")
 	)
-	platform := cliutil.RegisterPlatformFlags(flag.CommandLine, false, nil)
-	flag.Parse()
+	platform := cliutil.RegisterPlatformFlags(fs, false, nil)
+	if help, err := cliutil.ParseFlags(fs, args, stderr); help || err != nil {
+		return err
+	}
 
 	model, _, err := platform()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	prof, err := cliutil.ParseProfile(*profile)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	d, err := datasets.ByName(*dataset, prof)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	c := bench.CFor(*p)
 	k := bench.KFor(*p, d.NumBatches())
-	fmt.Printf("dataset=%s p=%d c=%d | per-epoch simulated seconds\n", *dataset, *p, c)
-	fmt.Printf("%-28s %10s %10s %10s %10s\n", "system", "sampling", "fetch", "prop", "total")
+	fmt.Fprintf(stdout, "dataset=%s p=%d c=%d | per-epoch simulated seconds\n", *dataset, *p, c)
+	fmt.Fprintf(stdout, "%-28s %10s %10s %10s %10s\n", "system", "sampling", "fetch", "prop", "total")
 
 	row := func(name string, e pipeline.EpochStats) {
-		fmt.Printf("%-28s %10.4f %10.4f %10.4f %10.4f\n",
+		fmt.Fprintf(stdout, "%-28s %10.4f %10.4f %10.4f %10.4f\n",
 			name, e.Sampling, e.FeatureFetch, e.Propagation, e.Total)
 	}
 
 	ours, err := pipeline.Run(d, pipeline.Config{
 		P: *p, C: c, K: k, MaxBatches: *maxB, Seed: *seed, Model: model})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	row("bulk pipeline (replicated)", ours.LastEpoch())
 
@@ -63,7 +74,7 @@ func main() {
 		P: *p, C: c, K: bench.QuarterEpochBulk(d.NumBatches(), *p), Overlap: true,
 		MaxBatches: *maxB, Seed: *seed, Model: model})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	row("bulk pipeline (overlapped)", over.LastEpoch())
 
@@ -72,7 +83,7 @@ func main() {
 			P: *p, C: 2, K: k, MaxBatches: *maxB, Seed: *seed,
 			Algorithm: pipeline.GraphPartitioned, SparsityAware: true, Model: model})
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		row("bulk pipeline (partitioned)", part.LastEpoch())
 	}
@@ -80,33 +91,29 @@ func main() {
 	quiver, err := baseline.RunQuiver(d, baseline.QuiverConfig{
 		P: *p, MaxBatches: *maxB, Seed: *seed, Model: model})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	row("quiver strategy (GPU)", quiver.LastEpoch())
 
 	uva, err := baseline.RunQuiver(d, baseline.QuiverConfig{
 		P: *p, UVA: true, MaxBatches: *maxB, Seed: *seed, Model: model})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	row("quiver strategy (UVA)", uva.LastEpoch())
 
 	// 1D sampling baseline (sampling only — no training pipeline).
 	res, err := bench.RunOneDSampling(d, *p, *maxB, *seed, model)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("%-28s %10.4f %10s %10s %10s\n", "1D-partitioned sampling",
+	fmt.Fprintf(stdout, "%-28s %10.4f %10s %10s %10s\n", "1D-partitioned sampling",
 		res.SimTime, "-", "-", "-")
 
 	best := ours.LastEpoch().Total
 	if over.LastEpoch().Total < best {
 		best = over.LastEpoch().Total
 	}
-	fmt.Printf("\nbulk pipeline vs quiver: %.2fx faster\n", quiver.LastEpoch().Total/best)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "compare:", err)
-	os.Exit(1)
+	fmt.Fprintf(stdout, "\nbulk pipeline vs quiver: %.2fx faster\n", quiver.LastEpoch().Total/best)
+	return nil
 }

@@ -9,7 +9,6 @@ package main
 
 import (
 	"bytes"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -29,7 +28,6 @@ func main() {
 
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("gnnbench", flag.ContinueOnError)
-	fs.SetOutput(stderr)
 	var (
 		experiment = fs.String("experiment", "all", bench.Usage())
 		profile    = fs.String("profile", "small", cliutil.ProfileUsage)
@@ -49,10 +47,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		"faults":        " (resilience experiment: overrides the auto fault at ~60% of the clean span)",
 		"ckpt-interval": " (resilience experiment: restricts the interval sweep to this cadence)",
 	})
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return nil // usage already printed
-		}
+	if help, err := cliutil.ParseFlags(fs, args, stderr); help || err != nil {
 		return err
 	}
 

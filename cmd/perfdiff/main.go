@@ -11,34 +11,50 @@
 package main
 
 import (
+	"errors"
+	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/bench"
+	"repro/internal/cliutil"
 )
 
+// errBreach is the gate's verdict, as opposed to a usage or file error.
+var errBreach = errors.New("at least one workload breaches the gate thresholds")
+
 func main() {
-	if len(os.Args) != 3 {
-		fmt.Fprintln(os.Stderr, "usage: perfdiff BEFORE.json AFTER.json")
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "perfdiff:", err)
+		if errors.Is(err, errBreach) {
+			os.Exit(1)
+		}
 		os.Exit(2)
 	}
-	before, err := bench.ReadPerfBaseline(os.Args[1])
-	if err != nil {
-		fatal(err)
-	}
-	after, err := bench.ReadPerfBaseline(os.Args[2])
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("perf baseline diff: %s -> %s\n", os.Args[1], os.Args[2])
-	if bench.PerfDiff(os.Stdout, before, after, bench.PerfWallTolerance) {
-		fmt.Println("perfdiff: at least one workload breaches the gate thresholds")
-		os.Exit(1)
-	}
-	fmt.Println("perfdiff: all shared workloads within gate thresholds")
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "perfdiff:", err)
-	os.Exit(2)
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("perfdiff", flag.ContinueOnError)
+	fs.Usage = func() { fmt.Fprintln(stderr, "usage: perfdiff BEFORE.json AFTER.json") }
+	if help, err := cliutil.ParseFlags(fs, args, stderr); help || err != nil {
+		return err
+	}
+	if fs.NArg() != 2 {
+		return fmt.Errorf("want 2 baseline files, got %d (usage: perfdiff BEFORE.json AFTER.json)", fs.NArg())
+	}
+	before, err := bench.ReadPerfBaseline(fs.Arg(0))
+	if err != nil {
+		return err
+	}
+	after, err := bench.ReadPerfBaseline(fs.Arg(1))
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "perf baseline diff: %s -> %s\n", fs.Arg(0), fs.Arg(1))
+	if bench.PerfDiff(stdout, before, after, bench.PerfWallTolerance) {
+		return errBreach
+	}
+	fmt.Fprintln(stdout, "perfdiff: all shared workloads within gate thresholds")
+	return nil
 }

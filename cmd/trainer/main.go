@@ -7,16 +7,17 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"repro/internal/autotune"
 	"repro/internal/cache"
 	"repro/internal/cliutil"
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/graphio"
 	"repro/internal/pipeline"
@@ -31,14 +32,13 @@ func main() {
 
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("trainer", flag.ContinueOnError)
-	fs.SetOutput(stderr)
 	var (
 		dataset   = fs.String("dataset", "sbm", "sbm, products, protein, papers")
 		profile   = fs.String("profile", "small", cliutil.ProfileUsage+" (ignored for sbm)")
 		p         = fs.Int("p", 4, "simulated GPUs")
 		c         = fs.Int("c", 1, "replication factor")
 		k         = fs.Int("k", 0, "bulk size (0 or negative = all minibatches at once; with -autotune, 0 = choose for me, -1 = explicitly all)")
-		sampler   = fs.String("sampler", "sage", "sage, ladies or fastgcn")
+		sampler   = fs.String("sampler", core.Samplers[0].Key, samplerUsage())
 		algorithm = fs.String("algorithm", "replicated", "replicated or partitioned")
 		epochs    = fs.Int("epochs", 5, "training epochs")
 		lr        = fs.Float64("lr", 0.01, "learning rate")
@@ -54,10 +54,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	)
 	platform := cliutil.RegisterPlatformFlags(fs, true, map[string]string{
 		"allreduce": " (with -autotune, default = choose by node span)"})
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return nil // usage already printed
-		}
+	if help, err := cliutil.ParseFlags(fs, args, stderr); help || err != nil {
 		return err
 	}
 
@@ -181,6 +178,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 	acc := pipeline.Evaluate(d, params, cfg, d.Test, nil)
 	fmt.Fprintf(stdout, "test accuracy: %.3f\n", acc)
 	return nil
+}
+
+// samplerUsage renders core.Samplers as the -sampler help text.
+func samplerUsage() string {
+	var b strings.Builder
+	b.WriteString("sampling algorithm:")
+	for _, e := range core.Samplers {
+		fmt.Fprintf(&b, "\n  %-8s %s", e.Key, e.Doc)
+	}
+	return b.String()
 }
 
 func kLabel(k int) string {

@@ -5,6 +5,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // trainer runs the CLI in-process on the tiny products analog and
@@ -42,6 +44,20 @@ func TestFlagCombinations(t *testing.T) {
 				t.Fatalf("no accuracy line, or no %q:\n%s", c.want, out)
 			}
 		})
+	}
+	// Every sampler of the table trains under both algorithms.
+	for _, e := range core.Samplers {
+		for _, algorithm := range []string{"replicated", "partitioned"} {
+			t.Run(e.Key+" "+algorithm, func(t *testing.T) {
+				out, err := trainer("-p", "4", "-c", "2", "-sampler", e.Key, "-algorithm", algorithm)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := "sampler=" + e.Key + " algorithm=" + algorithm; !strings.Contains(out, "test accuracy:") || !strings.Contains(out, want) {
+					t.Fatalf("no accuracy line, or no %q:\n%s", want, out)
+				}
+			})
+		}
 	}
 	for _, c := range []struct {
 		name string

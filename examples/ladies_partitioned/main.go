@@ -25,7 +25,7 @@ func main() {
 	// partitioned over a 4x2 grid, P = QA runs as a sparsity-aware
 	// staged SpGEMM (Algorithm 2), and extraction splits across
 	// process rows.
-	res, err := bench.RunPartitionedSampling(d, "ladies", 8, 2, true, 0, 1, 11, repro.Perlmutter())
+	res, err := bench.RunPartitionedSampling(d, repro.LADIES(), []int{d.LayerWidth}, 8, 2, true, bench.Options{Seed: 11})
 	if err != nil {
 		log.Fatal(err)
 	}

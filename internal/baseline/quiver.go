@@ -154,10 +154,7 @@ func CPULadiesReference(d *datasets.Dataset, layers int, maxBatches int, seed in
 		batches = batches[:maxBatches]
 	}
 	scale := float64(total) / float64(len(batches))
-	fanouts := make([]int, layers)
-	for i := range fanouts {
-		fanouts[i] = d.LayerWidth
-	}
+	fanouts := core.LayerSizes(core.LADIES{}, nil, d.LayerWidth, layers)
 
 	cl := cluster.New(1, model)
 	res, err := cl.Run(func(r *cluster.Rank) error {

@@ -132,7 +132,7 @@ func SparsityAblation(w io.Writer, dataset string, p, c int, o Options) (*Sparsi
 		return nil, err
 	}
 	measure := func(aware bool) (float64, int64, error) {
-		res, err := RunPartitionedSampling(d, "sage", p, c, aware, o.MaxBatches, 0, o.Seed, o.Model)
+		res, err := RunPartitionedSampling(d, core.SAGE{}, d.Fanouts, p, c, aware, o)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -205,7 +205,7 @@ func PartitionAblation(w io.Writer, dataset string, ps []int, o Options) ([]Part
 		if err != nil {
 			return nil, err
 		}
-		res2, err := RunPartitionedSampling(d, "sage", p, c, true, o.MaxBatches, 0, o.Seed, o.Model)
+		res2, err := RunPartitionedSampling(d, core.SAGE{}, d.Fanouts, p, c, true, o)
 		if err != nil {
 			return nil, err
 		}
@@ -244,7 +244,8 @@ func SamplerVariance(w io.Writer, dataset string, fanouts []int, o Options) ([]V
 	fmt.Fprintf(w, "Sampler aggregation error, dataset=%s (%d seeds, %d reps)\n", dataset, len(seeds), reps)
 	fmt.Fprintf(w, "%-10s %7s %12s %12s %10s\n", "sampler", "fanout", "mse", "rel-std", "budget")
 	var rows []VarianceRow
-	for _, s := range []core.Sampler{core.SAGE{}, core.LADIES{}, core.FastGCN{}} {
+	for _, entry := range core.Samplers {
+		s := entry.New(d.Graph)
 		for _, fan := range fanouts {
 			e := quality.MeasureAggregationError(s, d.Graph.Adj, d.Features, seeds, fan, reps, o.Seed)
 			row := VarianceRow{

@@ -55,12 +55,10 @@ func Explosion(w io.Writer, dataset string, o Options) ([]ExplosionRow, error) {
 		frontier = next
 	}
 
-	sage := core.SampleBulk(core.SAGE{}, d.Graph.Adj, [][]int{batch}, d.Fanouts, o.Seed)
-	ladiesFan := make([]int, depth)
-	for i := range ladiesFan {
-		ladiesFan[i] = d.LayerWidth
+	frontiers := func(s core.Sampler) *core.BulkSample {
+		return core.SampleBulk(s, d.Graph.Adj, [][]int{batch}, core.LayerSizes(s, d.Fanouts, d.LayerWidth, depth), o.Seed)
 	}
-	ladies := core.SampleBulk(core.LADIES{}, d.Graph.Adj, [][]int{batch}, ladiesFan, o.Seed)
+	sage, ladies := frontiers(core.SAGE{}), frontiers(core.LADIES{})
 
 	fmt.Fprintf(w, "Neighborhood explosion (Section 2.1), dataset=%s batch=%d vertices (graph has %d)\n",
 		dataset, len(batch), d.Graph.NumVertices())

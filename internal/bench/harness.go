@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/distsample"
 	"repro/internal/pipeline"
@@ -314,39 +315,35 @@ type Fig7Row struct {
 }
 
 // RunPartitionedSampling measures one Graph Partitioned bulk sampling
-// run (sampling only — Figure 7 excludes training). layers caps the
-// sampled depth: LADIES uses 1 per Table 4; 0 means the dataset's full
-// fanout depth.
-func RunPartitionedSampling(d *datasets.Dataset, sampler string, p, c int, aware bool,
-	maxBatches, layers int, seed int64, model cluster.CostModel) (*cluster.Result, error) {
-	cl := cluster.New(p, model)
+// run of s drawing sizes[l] at layer l (sampling only — Figure 7
+// excludes training), under o's MaxBatches, Seed and Model.
+func RunPartitionedSampling(d *datasets.Dataset, s core.Sampler, sizes []int, p, c int, aware bool, o Options) (*cluster.Result, error) {
+	o = o.withDefaults()
+	cl := cluster.New(p, o.Model)
 	grid := cluster.NewGrid(cl, p, c)
 	if grid.Rows%grid.C != 0 {
 		return nil, fmt.Errorf("bench: c^2 must divide p (p=%d c=%d)", p, c)
 	}
 	set := distsample.NewPartitionedSet(grid, d.Graph.Adj, aware)
-	batches := Batches(d, maxBatches)
-	if layers <= 0 || layers > len(d.Fanouts) {
-		layers = len(d.Fanouts)
-	}
-	fanouts := d.Fanouts[:layers]
+	batches := Batches(d, o.MaxBatches)
 	return cl.Run(func(r *cluster.Rank) error {
-		local := distsample.LocalBatches(grid, r.ID, batches)
-		if sampler == "ladies" {
-			distsample.SampleLADIESPartitioned(r, set[r.ID], local, d.LayerWidth, layers, seed)
-		} else {
-			distsample.SampleSAGEPartitioned(r, set[r.ID], local, fanouts, seed)
-		}
+		distsample.SamplePartitioned(r, set[r.ID], s, distsample.LocalBatches(grid, r.ID, batches), sizes, o.Seed)
 		return nil
 	})
 }
 
-// Fig7 reproduces Figure 7 for one sampler ("sage" or "ladies"):
-// Graph Partitioned sampling time broken into probability / sampling /
+// Fig7 reproduces Figure 7 for one sampler (a core.Samplers key; the
+// paper shows sage and ladies) at its family's preset depth: Graph
+// Partitioned sampling time broken into probability / sampling /
 // extraction and comm / comp at p in {16,32,64} with the paper's
-// per-count replication factors.
+// per-count replication factors. Layer-wise rows carry the serial CPU
+// LADIES reference.
 func Fig7(w io.Writer, sampler string, o Options) ([]Fig7Row, error) {
 	o = o.withDefaults()
+	entry, err := core.SamplerByName(sampler)
+	if err != nil {
+		return nil, err
+	}
 	cOf := map[int]int{16: 2, 32: 4, 64: 4}
 	var rows []Fig7Row
 	fmt.Fprintf(w, "Figure 7 (%s): Graph Partitioned sampling breakdown (seconds, simulated)\n", sampler)
@@ -357,9 +354,11 @@ func Fig7(w io.Writer, sampler string, o Options) ([]Fig7Row, error) {
 		if err != nil {
 			return nil, err
 		}
+		s := entry.New(d.Graph)
+		sizes := core.LayerSizes(s, d.Fanouts, d.LayerWidth, 0)
 		cpuRef := 0.0
-		if sampler == "ladies" {
-			cpuRef, err = baseline.CPULadiesReference(d, 1, o.MaxBatches, o.Seed, o.Model)
+		if s.LayerWise() {
+			cpuRef, err = baseline.CPULadiesReference(d, len(sizes), o.MaxBatches, o.Seed, o.Model)
 			if err != nil {
 				return nil, err
 			}
@@ -372,11 +371,7 @@ func Fig7(w io.Writer, sampler string, o Options) ([]Fig7Row, error) {
 					c = 1
 				}
 			}
-			layers := 0
-			if sampler == "ladies" {
-				layers = 1
-			}
-			res, err := RunPartitionedSampling(d, sampler, p, c, true, o.MaxBatches, layers, o.Seed, o.Model)
+			res, err := RunPartitionedSampling(d, s, sizes, p, c, true, o)
 			if err != nil {
 				return nil, err
 			}

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/distsample"
 )
@@ -51,8 +52,8 @@ func Tprob(w io.Writer, dataset string, p int, cs []int, o Options) ([]TprobRow,
 	fmt.Fprintf(w, "%-9s %3s %12s %12s %8s\n", "algo", "c", "measured(s)", "model(s)", "ratio")
 	var rows []TprobRow
 	for _, alg := range tprobAlgorithms {
-		model := o.Model
-		model.Collectives.AllReduce = alg
+		cell := o
+		cell.Model.Collectives.AllReduce = alg
 		for _, c := range cs {
 			if c > 0 && (p%c != 0 || (p/c)%c != 0) {
 				continue // the 1.5D algorithm needs c^2 | p
@@ -63,7 +64,7 @@ func Tprob(w io.Writer, dataset string, p int, cs []int, o Options) ([]TprobRow,
 				// flat row under another label.
 				continue
 			}
-			res, err := RunPartitionedSampling(d, "sage", p, c, true, o.MaxBatches, 1, o.Seed, model)
+			res, err := RunPartitionedSampling(d, core.SAGE{}, d.Fanouts[:1], p, c, true, cell)
 			if err != nil {
 				return nil, err
 			}

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"reflect"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -34,7 +35,6 @@ func Verify(w io.Writer, o Options) ([]VerifyRow, error) {
 	if len(batches) > 8 {
 		batches = batches[:8]
 	}
-	fanouts := d.Fanouts
 	var rows []VerifyRow
 	add := func(check string, pass bool, note string) {
 		rows = append(rows, VerifyRow{Check: check, Pass: pass, Note: note})
@@ -66,124 +66,75 @@ func Verify(w io.Writer, o Options) ([]VerifyRow, error) {
 		return true
 	}
 
-	type distRun func(r *cluster.Rank, set any, local [][]int) *core.BulkSample
-
-	checkGrid := func(name string, p, c int, sampler core.Sampler, run distRun, makeSet func(g *cluster.Grid) any) error {
+	// run samples the batches with s on a 4-rank cluster — replicated
+	// when c is 0, else 1.5D partitioned over a 4/c × c grid — and
+	// returns every rank's result.
+	const p = 4
+	run := func(s core.Sampler, sizes []int, c int, aware bool) ([]*core.BulkSample, error) {
 		cl := cluster.New(p, o.Model)
-		g := cluster.NewGrid(cl, p, c)
-		set := makeSet(g)
+		var g *cluster.Grid
+		var set []*distsample.Partitioned
+		if c > 0 {
+			g = cluster.NewGrid(cl, p, c)
+			set = distsample.NewPartitionedSet(g, a, aware)
+		}
 		results := make([]*core.BulkSample, p)
 		_, err := cl.Run(func(r *cluster.Rank) error {
-			local := distsample.LocalBatches(g, r.ID, batches)
-			results[r.ID] = run(r, set, local)
+			if c > 0 {
+				results[r.ID] = distsample.SamplePartitioned(r, set[r.ID], s, distsample.LocalBatches(g, r.ID, batches), sizes, o.Seed)
+			} else {
+				results[r.ID] = distsample.SampleReplicated(r, s, a, distsample.ReplicatedBatches(p, r.ID, batches), sizes, o.Seed)
+			}
 			return nil
 		})
-		if err != nil {
-			return err
-		}
-		pass := true
-		for rank := 0; rank < p; rank++ {
-			local := distsample.LocalBatches(g, rank, batches)
-			want := core.SampleBulk(sampler, a, local, samplerFanouts(sampler, d, fanouts), o.Seed)
-			if !sameBulk(results[rank], want) {
-				pass = false
-				break
+		return results, err
+	}
+	same := func(x, y []*core.BulkSample) bool {
+		for i := range x {
+			if !sameBulk(x[i], y[i]) {
+				return false
 			}
 		}
-		add(name, pass, fmt.Sprintf("(p=%d c=%d)", p, c))
-		return nil
+		return true
 	}
+	// equalsSerial compares every rank's result with the serial bulk
+	// sampler on that rank's batches.
+	equalsSerial := func(s core.Sampler, sizes []int, dist []*core.BulkSample) bool {
+		serial := make([]*core.BulkSample, len(dist))
+		for rank, b := range dist {
+			serial[rank] = core.SampleBulk(s, a, b.Batches, sizes, o.Seed)
+		}
+		return same(dist, serial)
+	}
+	sizesOf := func(s core.Sampler) []int { return core.LayerSizes(s, d.Fanouts, d.LayerWidth, 0) }
+	label := func(s core.Sampler) string { return reflect.TypeOf(s).Name() } // SAGE, LADIES, FastGCN
 
-	// Replicated SAGE vs serial.
-	{
-		p := 4
-		cl := cluster.New(p, o.Model)
-		results := make([]*core.BulkSample, p)
-		_, err := cl.Run(func(r *cluster.Rank) error {
-			local := distsample.ReplicatedBatches(p, r.ID, batches)
-			results[r.ID] = distsample.SampleReplicated(r, core.SAGE{}, a, local, fanouts, o.Seed)
-			return nil
-		})
+	// The replicated driver only forwards to Step, so the default
+	// sampler stands for all there; partitioned, every sampler of the
+	// table runs its own BuildQ and Norm through the 1.5D SpGEMM.
+	def := core.Samplers[0].New(d.Graph)
+	defSizes := sizesOf(def)
+	rep, err := run(def, defSizes, 0, false)
+	if err != nil {
+		return nil, err
+	}
+	add("replicated "+label(def)+" == serial bulk", equalsSerial(def, defSizes, rep), "(p=4)")
+	for _, entry := range core.Samplers {
+		s := entry.New(d.Graph)
+		part, err := run(s, sizesOf(s), 2, true)
 		if err != nil {
 			return nil, err
 		}
-		pass := true
-		for rank := 0; rank < p; rank++ {
-			local := distsample.ReplicatedBatches(p, rank, batches)
-			if !sameBulk(results[rank], core.SampleBulk(core.SAGE{}, a, local, fanouts, o.Seed)) {
-				pass = false
-			}
-		}
-		add("replicated SAGE == serial bulk", pass, "(p=4)")
+		add("partitioned "+label(s)+" == serial bulk", equalsSerial(s, sizesOf(s), part), "(p=4 c=2)")
 	}
-
-	// Partitioned SAGE, LADIES, FastGCN vs serial across a grid.
-	if err := checkGrid("partitioned SAGE == serial bulk", 4, 2, core.SAGE{},
-		func(r *cluster.Rank, set any, local [][]int) *core.BulkSample {
-			return distsample.SampleSAGEPartitioned(r, set.([]*distsample.Partitioned)[r.ID], local, fanouts, o.Seed)
-		},
-		func(g *cluster.Grid) any { return distsample.NewPartitionedSet(g, a, true) }); err != nil {
+	aware, err := run(def, defSizes, 2, true)
+	if err != nil {
 		return nil, err
 	}
-	if err := checkGrid("partitioned LADIES == serial bulk", 4, 2, core.LADIES{},
-		func(r *cluster.Rank, set any, local [][]int) *core.BulkSample {
-			return distsample.SampleLADIESPartitioned(r, set.([]*distsample.Partitioned)[r.ID], local, d.LayerWidth, 1, o.Seed)
-		},
-		func(g *cluster.Grid) any { return distsample.NewPartitionedSet(g, a, true) }); err != nil {
+	obliv, err := run(def, defSizes, 2, false)
+	if err != nil {
 		return nil, err
 	}
-	if err := checkGrid("partitioned FastGCN == serial bulk", 4, 2, core.FastGCN{},
-		func(r *cluster.Rank, set any, local [][]int) *core.BulkSample {
-			return distsample.SampleFastGCNPartitioned(r, set.([]*distsample.Partitioned)[r.ID], local, d.LayerWidth, 1, o.Seed)
-		},
-		func(g *cluster.Grid) any { return distsample.NewPartitionedSet(g, a, true) }); err != nil {
-		return nil, err
-	}
-
-	// Sparsity-aware == oblivious.
-	{
-		aware, err := RunVerifyPartitioned(d, batches, true, o)
-		if err != nil {
-			return nil, err
-		}
-		obliv, err := RunVerifyPartitioned(d, batches, false, o)
-		if err != nil {
-			return nil, err
-		}
-		pass := true
-		for i := range aware {
-			if !sameBulk(aware[i], obliv[i]) {
-				pass = false
-			}
-		}
-		add("sparsity-aware == oblivious 1.5D", pass, "(p=4 c=2)")
-	}
-
+	add("sparsity-aware == oblivious 1.5D", same(aware, obliv), "(p=4 c=2)")
 	return rows, nil
-}
-
-// samplerFanouts picks the per-layer sizes a sampler uses.
-func samplerFanouts(s core.Sampler, d *datasets.Dataset, fanouts []int) []int {
-	switch s.(type) {
-	case core.LADIES, core.FastGCN:
-		return []int{d.LayerWidth}
-	default:
-		return fanouts
-	}
-}
-
-// RunVerifyPartitioned runs partitioned SAGE over fixed batches for
-// the aware/oblivious equivalence check.
-func RunVerifyPartitioned(d *datasets.Dataset, batches [][]int, aware bool, o Options) ([]*core.BulkSample, error) {
-	const p, c = 4, 2
-	cl := cluster.New(p, o.Model)
-	g := cluster.NewGrid(cl, p, c)
-	set := distsample.NewPartitionedSet(g, d.Graph.Adj, aware)
-	results := make([]*core.BulkSample, p)
-	_, err := cl.Run(func(r *cluster.Rank) error {
-		local := distsample.LocalBatches(g, r.ID, batches)
-		results[r.ID] = distsample.SampleSAGEPartitioned(r, set[r.ID], local, d.Fanouts, o.Seed)
-		return nil
-	})
-	return results, err
 }

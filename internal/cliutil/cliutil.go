@@ -1,6 +1,6 @@
-// Package cliutil holds the flag-parsing helpers shared by the four
-// CLI binaries (trainer, gnnbench, compare, datagen), so -profile and
-// -gpus accept one vocabulary everywhere and the validation is tested
+// Package cliutil holds the flag-parsing helpers shared by the CLI
+// binaries (trainer, gnnbench, compare, datagen, perfdiff), so -profile
+// and -gpus accept one vocabulary everywhere and the validation is tested
 // in one place instead of re-implemented per main package. The
 // platform flags (collective algorithms, topology, backend, faults,
 // checkpoint interval) are declared once and parsed into one
@@ -11,8 +11,10 @@
 package cliutil
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strconv"
@@ -21,6 +23,19 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/datasets"
 )
+
+// ParseFlags parses args into fs (built with flag.ContinueOnError) the
+// way every binary's run(args, stdout, stderr) does: usage and parse
+// errors print to stderr, and -h reports help with a nil error, the
+// usage already printed. A caller returns err when either is set.
+func ParseFlags(fs *flag.FlagSet, args []string, stderr io.Writer) (help bool, err error) {
+	fs.SetOutput(stderr)
+	err = fs.Parse(args)
+	if errors.Is(err, flag.ErrHelp) {
+		return true, nil
+	}
+	return false, err
+}
 
 // ParseProfile maps a -profile flag value to a dataset size tier.
 func ParseProfile(s string) (datasets.Profile, error) {

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -336,5 +337,26 @@ func TestRegisterPlatformFlags(t *testing.T) {
 	}
 	if _, _, err := parse(); err == nil {
 		t.Error("bad -backend accepted")
+	}
+}
+
+// ParseFlags is the preamble of every binary's run: -h is not an error
+// and prints the usage, a bad flag is one and prints it too.
+func TestParseFlags(t *testing.T) {
+	parse := func(args ...string) (p int, usage string, help bool, err error) {
+		fs := flag.NewFlagSet("tool", flag.ContinueOnError)
+		fs.IntVar(&p, "p", 4, "simulated GPUs")
+		var stderr strings.Builder
+		help, err = ParseFlags(fs, args, &stderr)
+		return p, stderr.String(), help, err
+	}
+	if p, usage, help, err := parse("-p", "8"); p != 8 || usage != "" || help || err != nil {
+		t.Errorf("-p 8: p=%d usage=%q help=%v err=%v", p, usage, help, err)
+	}
+	if _, usage, help, err := parse("-h"); !help || err != nil || !strings.Contains(usage, "simulated GPUs") {
+		t.Errorf("-h: usage=%q help=%v err=%v", usage, help, err)
+	}
+	if _, usage, help, err := parse("-q"); help || err == nil || !strings.Contains(usage, "not defined") {
+		t.Errorf("-q: usage=%q help=%v err=%v", usage, help, err)
 	}
 }

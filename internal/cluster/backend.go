@@ -122,10 +122,6 @@ type scheduler interface {
 	spawn(rank int, at float64, fn func(waiter))
 	// wait returns once every spawned timeline has finished.
 	wait()
-	// adopt returns a waiter for a timeline the caller runs itself (a
-	// Rank.Stream handle driven from a raw goroutine), or nil where only
-	// spawned timelines can park.
-	adopt() waiter
 	// diag names the backend, and its state, in deadlock diagnostics.
 	diag() string
 }
@@ -157,9 +153,8 @@ func (s *goSched) spawn(_ int, _ float64, fn func(waiter)) {
 	}()
 }
 
-func (s *goSched) wait()         { s.wg.Wait() }
-func (s *goSched) adopt() waiter { return newGoWaiter() }
-func (s *goSched) diag() string  { return " [backend=goroutine]" }
+func (s *goSched) wait()        { s.wg.Wait() }
+func (s *goSched) diag() string { return " [backend=goroutine]" }
 
 // taskWaiter is a *sim.Task seen through the waiter interface; being a
 // pointer, it boxes without allocating.
@@ -177,8 +172,7 @@ func (d desSched) spawn(rank int, at float64, fn func(waiter)) {
 	t.Ready(at)
 }
 
-func (d desSched) wait()         { d.s.Run() }
-func (d desSched) adopt() waiter { return nil }
+func (d desSched) wait() { d.s.Run() }
 
 // diag reports the event-queue depth: a drained queue with parked ranks
 // is the classic deadlock symptom, a deep one points at livelock in the

@@ -604,36 +604,48 @@ func AllToAllv[T any](c *Comm, r *Rank, parts []T, bytes func(T) int) []T {
 // model α·⌈log2 n⌉ + β·bytes, Ring the reduce-scatter + all-gather
 // schedule, and Hierarchical the two-level intra-node / leaders
 // composition; every schedule also charges the local-reduction memory
-// traffic per the shared charging-path convention.
-func AllReduceSum(c *Comm, r *Rank, x []float64) []float64 {
-	alg := c.allReduceAlg()
-	if alg == Hierarchical {
-		return allReduceSumHier(c, r, x)
-	}
-	return allReduceSumAlg(c, r, x, alg)
-}
-
-// allReduceSumAlg runs the rendezvous and fold shared by the flat and
-// ring schedules; only the charged cost differs. Members copy the
+// traffic per the shared charging-path convention. Members copy the
 // shared total into caller-owned storage so the result may be scaled
 // in place.
-func allReduceSumAlg(c *Comm, r *Rank, x []float64, alg CollectiveAlgorithm) []float64 {
-	out := allReduceSumAlgShared(c, r, x, alg, nil)
-	return append([]float64(nil), out...)
+func AllReduceSum(c *Comm, r *Rank, x []float64) []float64 {
+	return append([]float64(nil), allReduceSum(c, r, x, c.allReduceAlg(), nil)...)
 }
 
-// allReduceSumAlgShared is the fold core of the sum all-reduce. The
-// elementwise fold is identical on every member (zeros, then += each
-// slot in member order), so the last arriver computes it once inside
-// the rendezvous transform — O(n·len) total instead of the O(n²·len)
-// of every member re-folding all n slots, the dominant simulator cost
-// at large p — and every member receives the one shared total, which
-// must be treated as read-only. A non-nil apply runs on the shared
-// total inside the transform: exactly once per collective, while every
-// other member is blocked in the rendezvous, which is what makes the
-// shared-model optimizer step of AllReduceSumApply race-free on both
-// backends.
-func allReduceSumAlgShared(c *Comm, r *Rank, x []float64, alg CollectiveAlgorithm, apply func(total []float64)) []float64 {
+// allReduceSum is the sum all-reduce under alg. The elementwise fold is
+// identical on every member (zeros, then += each slot in member order),
+// so the last arriver computes it once inside the rendezvous transform
+// — O(n·len) total instead of the O(n²·len) of every member re-folding
+// all n slots, the dominant simulator cost at large p — and every
+// member receives the one shared total, which must be treated as
+// read-only. A non-nil apply runs on the shared total inside the
+// transform: exactly once per collective, while every other member is
+// blocked in the rendezvous, which is what makes the shared-model
+// optimizer step of AllReduceSumApply race-free on both backends.
+//
+// Hierarchical composes three such collectives: members reduce within
+// their node at the NVLink tier, node leaders (smallest rank per node)
+// all-reduce across the network — where apply runs, before any member
+// can leave the closing broadcast — then leaders broadcast back within
+// the node: the NCCL-style algorithm that keeps the slow tier's traffic
+// proportional to the node count rather than the rank count (visible in
+// the per-link byte counters). The inner stages are pinned to FlatTree
+// so the composition is exactly the paper's, and a communicator that
+// sits on one node runs the flat schedule.
+func allReduceSum(c *Comm, r *Rank, x []float64, alg CollectiveAlgorithm, apply func(total []float64)) []float64 {
+	if alg == Hierarchical {
+		alg = FlatTree
+		if intra, leaders := c.hierComms(); intra != nil {
+			node := intra[c.cl.Model.node(r.ID)]
+			partial := allReduceSum(node, r, x, FlatTree, nil)
+			var total []float64
+			if r.ID == node.members[0] {
+				total = allReduceSum(leaders, r, partial, FlatTree, apply)
+			}
+			// The payload size, not the value, is what the charge depends
+			// on, so non-leaders' nil contribution costs the same as ever.
+			return broadcastAlg(node, r, 0, total, 8*len(x), FlatTree)
+		}
+	}
 	slots := c.exchangeTransform(r, "allreduce", slot{clock: r.clock, val: x, bytes: 8 * len(x)},
 		func(slots []slot) []slot {
 			sum := make([]float64, len(slots[0].val.([]float64)))
@@ -681,18 +693,13 @@ func allReduceSumAlgShared(c *Comm, r *Rank, x []float64, alg CollectiveAlgorith
 // member leaves the broadcast), so mutations of shared training state
 // are race-free under both backends.
 func AllReduceSumApply(c *Comm, r *Rank, x []float64, apply func(total []float64)) {
-	alg := c.allReduceAlg()
-	if alg == Hierarchical {
-		allReduceSumHierApply(c, r, x, apply)
-		return
-	}
-	allReduceSumAlgShared(c, r, x, alg, apply)
+	allReduceSum(c, r, x, c.allReduceAlg(), apply)
 }
 
 // AllReduceGenericInto folds arbitrary values: the fold runs once,
 // inside the rendezvous, by a caller-supplied reducer that writes each
 // member's private result into that member's destination (the same
-// move allReduceSumAlgShared made for the elementwise sum — O(n)
+// move allReduceSum made for the elementwise sum — O(n)
 // combines total instead of every member redoing all n). reduce
 // receives the contributions and the destinations in member order (the
 // fold need not be commutative) and must leave every destination
@@ -743,69 +750,10 @@ func AllReduceGenericInto[T, D any](c *Comm, r *Rank, val T, bytes int, dest D, 
 	return slots[me].val.(D)
 }
 
-// allReduceSumHier is the hierarchical (two-level) sum all-reduce,
-// selected by CostModel.Collectives.AllReduce = Hierarchical: members
-// reduce within their node at the NVLink tier, node leaders all-reduce
-// across the network, then leaders broadcast back within the node —
-// the NCCL-style algorithm that keeps the slow tier's traffic
-// proportional to the node count rather than the rank count (visible
-// in the per-link byte counters). Falls back to the flat schedule when
-// the communicator sits on one node. The inner stages are pinned to
-// FlatTree so the composition is exactly the paper's.
-func allReduceSumHier(c *Comm, r *Rank, x []float64) []float64 {
-	// The broadcast value is shared storage owned by the leader's
-	// stage, and members copy it after the rendezvous releases them;
-	// every member must leave it untouched and return a private copy
-	// so callers may scale the result in place (the flat algorithm
-	// also returns caller-owned storage).
-	return append([]float64(nil), allReduceSumHierApply(c, r, x, nil)...)
-}
-
-// allReduceSumHierApply is the hierarchical schedule over shared
-// storage: the intra-node stage's partial and the final total are the
-// transform-allocated shared sums (no per-member copies), and a
-// non-nil apply runs once globally, inside the node-leader all-reduce
-// — before any member can leave the closing intra-node broadcast. The
-// returned slice is shared and must be treated as read-only.
-func allReduceSumHierApply(c *Comm, r *Rank, x []float64, apply func(total []float64)) []float64 {
-	model := c.cl.Model
-	// Group members by node.
-	nodeOf := map[int]int{}
-	nodes := map[int][]int{}
-	for _, m := range c.members {
-		n := model.node(m)
-		nodeOf[m] = n
-		nodes[n] = append(nodes[n], m)
-	}
-	if len(nodes) <= 1 {
-		return allReduceSumAlgShared(c, r, x, FlatTree, apply)
-	}
-
-	// The collective structure must be identical on every member, so
-	// build the intra-node and leader communicators deterministically.
-	// Communicators are cached on the cluster by construction order;
-	// here we derive them per call through the comm's sub-communicator
-	// cache.
-	intra, leaders := c.hierComms()
-
-	myNodeComm := intra[nodeOf[r.ID]]
-	partial := allReduceSumAlgShared(myNodeComm, r, x, FlatTree, nil)
-
-	// Node leaders (smallest rank per node) reduce across nodes.
-	leader := myNodeComm.members[0]
-	var total []float64
-	if r.ID == leader {
-		total = allReduceSumAlgShared(leaders, r, partial, FlatTree, apply)
-	}
-	// Broadcast the result back within each node (the payload size, not
-	// the value, is what the charge depends on, so non-leaders' nil
-	// contribution costs the same as ever).
-	return broadcastAlg(myNodeComm, r, 0, total, 8*len(x), FlatTree)
-}
-
 // hierComms lazily builds (exactly once) the per-node and leader
-// sub-communicators of this communicator. All members must share the
-// same instances or their rendezvous would never meet.
+// sub-communicators of this communicator, or none when it sits on one
+// node. All members must share the same instances or their rendezvous
+// would never meet.
 func (c *Comm) hierComms() (map[int]*Comm, *Comm) {
 	c.hierOnce.Do(func() {
 		model := c.cl.Model
@@ -817,6 +765,9 @@ func (c *Comm) hierComms() (map[int]*Comm, *Comm) {
 				nodeOrder = append(nodeOrder, n)
 			}
 			nodes[n] = append(nodes[n], m)
+		}
+		if len(nodeOrder) <= 1 {
+			return
 		}
 		intra := map[int]*Comm{}
 		var leaderRanks []int

@@ -92,7 +92,7 @@ type Forked struct {
 }
 
 // ForkStream runs fn concurrently on a newly forked stream of r (see
-// Rank.Stream) and returns a handle to join it. The stream is a new
+// newStream) and returns a handle to join it. The stream is a new
 // timeline of r's scheduler, started at the fork's simulated time and
 // sharing the rank id for event tie-breaking.
 func (r *Rank) ForkStream(name string, fn func(s *Rank)) *Forked {

@@ -114,22 +114,13 @@ func (a *acct) slotFor(name string) int {
 	return i
 }
 
-// Stream forks a concurrent execution timeline: the returned handle
-// shares this rank's identity, cost model and accounting buckets but
-// owns an independent clock starting at the caller's current time.
-// Charges and collectives issued on the handle advance only its own
-// clock; phase totals accrue to the shared buckets. A communicator
-// must not be used by two streams of the same rank concurrently, and
-// each stream must stay on a single goroutine. The caller runs the
-// stream itself, which only the goroutine backend supports once the
-// stream blocks; ForkStream is the backend-neutral way to run one.
-func (r *Rank) Stream(name string) *Rank {
-	s := r.newStream(name)
-	s.w = r.cl.sched.adopt()
-	return s
-}
-
-// newStream is Stream without a waiter (ForkStream's spawn supplies it).
+// newStream forks a concurrent execution timeline for ForkStream: the
+// returned handle shares this rank's identity, cost model and
+// accounting buckets but owns an independent clock starting at the
+// caller's current time. Charges and collectives issued on the handle
+// advance only its own clock; phase totals accrue to the shared
+// buckets. A communicator must not be used by two streams of the same
+// rank concurrently. The handle has no waiter until it is spawned.
 func (r *Rank) newStream(name string) *Rank {
 	s := &Rank{
 		ID:     r.ID,

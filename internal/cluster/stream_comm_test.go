@@ -43,59 +43,48 @@ func TestDupIdentity(t *testing.T) {
 // clones' private rendezvous keep the sequences from interleaving, and
 // both deliver correct values.
 func TestStreamClonesIsolateCollectives(t *testing.T) {
-	run := func() ([]float64, []float64, float64) {
-		// Pinned to the goroutine backend for the reason given in
-		// TestDriverBindingsResetAcrossRuns: the streams are driven from
-		// raw goroutines, and under DES only spawned timelines can park.
-		model := testModel()
-		model.Backend = GoroutineBackend
-		cl := New(4, model)
-		world := cl.World()
-		var mainOut, streamOut []float64
-		var mu sync.Mutex
-		res, err := cl.Run(func(r *Rank) error {
-			var wg sync.WaitGroup
-			wg.Add(1)
-			s := r.Stream("prefetch")
-			go func() {
-				defer wg.Done()
-				// The stream's sequence: barrier, then all-reduce.
-				sc := world.ForStream(s)
-				Barrier(sc, s)
-				got := AllReduceSum(sc, s, []float64{float64(10 * s.ID)})
-				if s.ID == 0 {
-					mu.Lock()
-					streamOut = got
-					mu.Unlock()
+	bothBackends(t, func(t *testing.T, model CostModel) float64 {
+		run := func() ([]float64, []float64, float64) {
+			cl := New(4, model)
+			world := cl.World()
+			var mainOut, streamOut []float64
+			res, err := cl.Run(func(r *Rank) error {
+				f := r.ForkStream("prefetch", func(s *Rank) {
+					// The stream's sequence: barrier, then all-reduce.
+					sc := world.ForStream(s)
+					Barrier(sc, s)
+					got := AllReduceSum(sc, s, []float64{float64(10 * s.ID)})
+					if s.ID == 0 {
+						streamOut = got
+					}
+				})
+				// The main sequence: two all-reduces, no barrier.
+				got := AllReduceSum(world.ForStream(r), r, []float64{float64(r.ID)})
+				got2 := AllReduceSum(world, r, got)
+				if r.ID == 0 {
+					mainOut = got2
 				}
-			}()
-			// The main sequence: two all-reduces, no barrier.
-			got := AllReduceSum(world.ForStream(r), r, []float64{float64(r.ID)})
-			got2 := AllReduceSum(world, r, got)
-			if r.ID == 0 {
-				mu.Lock()
-				mainOut = got2
-				mu.Unlock()
+				f.Join(r)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			wg.Wait()
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
+			return mainOut, streamOut, res.SimTime
 		}
-		return mainOut, streamOut, res.SimTime
-	}
-	mainOut, streamOut, simA := run()
-	if len(mainOut) != 1 || mainOut[0] != 24 { // sum(0..3) reduced twice: 6*4
-		t.Fatalf("main collective corrupted: %v", mainOut)
-	}
-	if len(streamOut) != 1 || streamOut[0] != 60 { // 10*(0+1+2+3)
-		t.Fatalf("stream collective corrupted: %v", streamOut)
-	}
-	_, _, simB := run()
-	if simA != simB {
-		t.Fatalf("stream collectives nondeterministic: %v vs %v", simA, simB)
-	}
+		mainOut, streamOut, simA := run()
+		if len(mainOut) != 1 || mainOut[0] != 24 { // sum(0..3) reduced twice: 6*4
+			t.Fatalf("main collective corrupted: %v", mainOut)
+		}
+		if len(streamOut) != 1 || streamOut[0] != 60 { // 10*(0+1+2+3)
+			t.Fatalf("stream collective corrupted: %v", streamOut)
+		}
+		_, _, simB := run()
+		if simA != simB {
+			t.Fatalf("stream collectives nondeterministic: %v vs %v", simA, simB)
+		}
+		return simA
+	})
 }
 
 // TestMismatchedCollectivesPanic: two members calling different
@@ -167,72 +156,57 @@ func TestAbandonedCollectivePanics(t *testing.T) {
 // communicator from a differently-named stream than the first without
 // tripping the two-streams check.
 func TestDriverBindingsResetAcrossRuns(t *testing.T) {
-	// Pinned to the goroutine backend: the rank body drives a collective
-	// from a raw goroutine and blocks on a raw channel, which a
-	// cooperative DES task must never do (it would hold the run token and
-	// starve the scheduler). ForkStream is the backend-neutral way to get
-	// concurrency inside a rank body; this test deliberately bypasses it
-	// to probe the per-Run driver-binding reset.
-	model := testModel()
-	model.Backend = GoroutineBackend
-	cl := New(2, model)
-	world := cl.World()
-	// First run: base comm driven from the main timeline.
-	if _, err := cl.Run(func(r *Rank) error {
-		Barrier(world, r)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// Second run: the same comm driven only from a forked stream.
-	if _, err := cl.Run(func(r *Rank) error {
-		s := r.Stream("prefetch")
-		done := make(chan any, 1)
-		go func() {
-			defer func() { done <- recover() }()
-			Barrier(world, s)
-		}()
-		if p := <-done; p != nil {
-			t.Errorf("cross-run driver binding leaked: %v", p)
+	bothBackends(t, func(t *testing.T, model CostModel) float64 {
+		cl := New(2, model)
+		world := cl.World()
+		// First run: base comm driven from the main timeline.
+		if _, err := cl.Run(func(r *Rank) error {
+			Barrier(world, r)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
 		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+		// Second run: the same comm driven only from a forked stream.
+		res, err := cl.Run(func(r *Rank) error {
+			r.ForkStream("prefetch", func(s *Rank) {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Errorf("cross-run driver binding leaked: %v", p)
+					}
+				}()
+				Barrier(world, s)
+			}).Join(r)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.SimTime
+	})
 }
 
 // TestTwoStreamsOneCommPanics: the invariant that a communicator is
 // driven by at most one stream of each member rank is enforced, with a
 // panic pointing at ForStream/Dup.
 func TestTwoStreamsOneCommPanics(t *testing.T) {
-	cl := New(1, testModel())
-	world := cl.World()
-	msg := make(chan string, 1)
-	_, err := cl.Run(func(r *Rank) error {
-		Barrier(world, r) // binds the base comm to the main timeline
-		s := r.Stream("prefetch")
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			defer func() {
-				if p := recover(); p != nil {
-					msg <- fmt.Sprint(p)
-				}
-			}()
-			Barrier(world, s) // same comm from a second stream
-		}()
-		<-done
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case m := <-msg:
-		if !strings.Contains(m, "two streams") || !strings.Contains(m, "ForStream") {
-			t.Fatalf("driver violation not diagnosed: %q", m)
+	bothBackends(t, func(t *testing.T, model CostModel) float64 {
+		cl := New(1, model)
+		world := cl.World()
+		var msg string
+		res, err := cl.Run(func(r *Rank) error {
+			Barrier(world, r) // binds the base comm to the main timeline
+			r.ForkStream("prefetch", func(s *Rank) {
+				defer func() { msg = fmt.Sprint(recover()) }()
+				Barrier(world, s) // same comm from a second stream
+			}).Join(r)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-	default:
-		t.Fatal("driving one comm from two streams did not panic")
-	}
+		if !strings.Contains(msg, "two streams") || !strings.Contains(msg, "ForStream") {
+			t.Fatalf("driver violation not diagnosed: %q", msg)
+		}
+		return res.SimTime
+	})
 }

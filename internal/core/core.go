@@ -133,10 +133,10 @@ func (b *BulkSample) InputFrontier() *Frontier {
 	return b.Layers[len(b.Layers)-1].Cols
 }
 
-// Sampler runs one layer of Algorithm 1 in bulk. Implementations are
-// GraphSAGE (node-wise) and LADIES/FastGCN (layer-wise).
-type Sampler interface {
-	Name() string
+// LayerStepper runs one layer of Algorithm 1 in bulk over an adjacency
+// matrix it is given whole. Every Sampler is one; the graph-wise
+// ClusterGCN is one without being a matrix construction.
+type LayerStepper interface {
 	// Step samples one layer: given the adjacency matrix and the
 	// current frontier, it returns the layer adjacency and next
 	// frontier, using fanout s and the given seed for ITS.
@@ -147,7 +147,7 @@ type Sampler interface {
 // fanouts[0] is the fanout at the batch layer (paper layer L);
 // fanouts[len-1] is the deepest. For layer-wise samplers the fanout is
 // the per-batch layer size s.
-func SampleBulk(s Sampler, a *sparse.CSR, batches [][]int, fanouts []int, seed int64) *BulkSample {
+func SampleBulk(s LayerStepper, a *sparse.CSR, batches [][]int, fanouts []int, seed int64) *BulkSample {
 	if len(fanouts) == 0 {
 		panic("core: need at least one fanout")
 	}

@@ -25,6 +25,9 @@ type LADIES struct {
 // Name implements Sampler.
 func (LADIES) Name() string { return "LADIES" }
 
+// LayerWise implements Sampler.
+func (LADIES) LayerWise() bool { return true }
+
 // BuildQ constructs the stacked sampler matrix Q^l for layer-wise
 // sampling: one row per batch holding a unit entry per frontier vertex
 // (Section 4.2.1).
@@ -67,62 +70,17 @@ func (ld LADIES) Step(a *sparse.CSR, cur *Frontier, s int, seed int64) (*LayerSa
 	return layerwiseStep(ld, a, cur, s, seed)
 }
 
-// norm is the internal hook layer-wise samplers override.
-func (ld LADIES) norm(p *sparse.CSR, _ *sparse.CSR) { ld.Norm(p) }
-
-// FastGCN is the layer-wise importance sampler of Chen et al. (Section
-// 2.2.2), expressed in the same matrix framework as LADIES but with
-// degree-proportional probabilities that ignore layer dependency.
-// Following the paper's observation that FastGCN may sample vertices
-// outside the aggregated neighborhood — which wastes samples — this
-// implementation restricts support to the aggregated neighborhood and
-// weighs each candidate by its global degree (an importance-weighted
-// variant; the difference from LADIES is the probability model).
-type FastGCN struct{}
-
-// Name implements Sampler.
-func (FastGCN) Name() string { return "FastGCN" }
-
-// BuildQ is identical to LADIES: one row per batch.
-func (FastGCN) BuildQ(cur *Frontier, n int) *sparse.CSR {
-	return LADIES{}.BuildQ(cur, n)
-}
-
-// norm replaces each candidate's weight with the square of its global
-// degree, normalized per row.
-func (FastGCN) norm(p *sparse.CSR, a *sparse.CSR) {
-	for i := 0; i < p.Rows; i++ {
-		cols, vals := p.Row(i)
-		for k, c := range cols {
-			d := float64(a.RowNNZ(c))
-			vals[k] = d * d
-		}
-	}
-	p.NormalizeRows()
-}
-
-// Step performs one bulk FastGCN layer.
-func (fg FastGCN) Step(a *sparse.CSR, cur *Frontier, s int, seed int64) (*LayerSample, Cost) {
-	return layerwiseStep(fg, a, cur, s, seed)
-}
-
-// layerwiseSampler is the shared shape of LADIES and FastGCN.
-type layerwiseSampler interface {
-	BuildQ(cur *Frontier, n int) *sparse.CSR
-	norm(p, a *sparse.CSR)
-}
-
 // layerwiseStep is the shared layer-wise bulk step: probability
 // generation, per-batch ITS, and row+column extraction.
-func layerwiseStep(ls layerwiseSampler, a *sparse.CSR, cur *Frontier, s int, seed int64) (*LayerSample, Cost) {
+func layerwiseStep(ls Sampler, a *sparse.CSR, cur *Frontier, s int, seed int64) (*LayerSample, Cost) {
 	var cost Cost
 	q := ls.BuildQ(cur, a.Cols)
 	p, flops := sparse.SpGEMM(q, a)
 	cost.ProbFlops += flops
-	ls.norm(p, a)
+	ls.Norm(p)
 	cost.Kernels += 3
 
-	sampled, probs, c2 := SampleLayerwiseProbs(p, s, seed)
+	sampled, probs, c2 := SampleLayerwise(p, s, seed)
 	cost.Add(c2)
 
 	// EXTRACT: row extraction A_R = Q_R · A for the stacked frontier,
@@ -146,23 +104,17 @@ func layerwiseStep(ls layerwiseSampler, a *sparse.CSR, cur *Frontier, s int, see
 			weights[b] = w
 		}
 	}
-	lsam, c3 := ExtractLayerwiseWeighted(ar, cur, sampled, weights)
+	lsam, c3 := ExtractLayerwise(ar, cur, sampled, weights)
 	cost.Add(c3)
 	return lsam, cost
 }
 
 // SampleLayerwise draws s vertices per batch row of the normalized
 // probability matrix P with ITS. It returns the sampled global vertex
-// ids per batch (sorted). Exposed for the distributed drivers, which
-// compute P with a distributed SpGEMM.
-func SampleLayerwise(p *sparse.CSR, s int, seed int64) ([][]int, Cost) {
-	sampled, _, cost := SampleLayerwiseProbs(p, s, seed)
-	return sampled, cost
-}
-
-// SampleLayerwiseProbs is SampleLayerwise returning also the selection
-// probability of each sampled vertex, used for importance reweighting.
-func SampleLayerwiseProbs(p *sparse.CSR, s int, seed int64) ([][]int, [][]float64, Cost) {
+// ids per batch (sorted) and each one's selection probability, which
+// importance reweighting divides by. Exposed for the distributed
+// drivers, which compute P with a distributed SpGEMM.
+func SampleLayerwise(p *sparse.CSR, s int, seed int64) ([][]int, [][]float64, Cost) {
 	var cost Cost
 	sampled := make([][]int, p.Rows)
 	probs := make([][]float64, p.Rows)
@@ -186,16 +138,11 @@ func SampleLayerwiseProbs(p *sparse.CSR, s int, seed int64) ([][]int, [][]float6
 
 // ExtractLayerwise builds the layer-wise sampled adjacency given A_R
 // (the frontier rows of A, stacked in cur order — the row-extraction
-// product Q_R·A) and the per-batch sampled vertex sets. Exposed for
-// the distributed drivers.
-func ExtractLayerwise(ar *sparse.CSR, cur *Frontier, sampled [][]int) (*LayerSample, Cost) {
-	return ExtractLayerwiseWeighted(ar, cur, sampled, nil)
-}
-
-// ExtractLayerwiseWeighted is ExtractLayerwise with optional per-batch
-// importance weights multiplied onto the sampled columns' edge values
-// (nil weights leave values untouched).
-func ExtractLayerwiseWeighted(ar *sparse.CSR, cur *Frontier, sampled [][]int, weights [][]float64) (*LayerSample, Cost) {
+// product Q_R·A) and the per-batch sampled vertex sets, multiplying the
+// optional per-batch importance weights onto the sampled columns' edge
+// values (nil weights leave values untouched). Exposed for the
+// distributed drivers.
+func ExtractLayerwise(ar *sparse.CSR, cur *Frontier, sampled [][]int, weights [][]float64) (*LayerSample, Cost) {
 	var cost Cost
 	k := cur.K()
 	next := &Frontier{BatchPtr: make([]int, k+1)}

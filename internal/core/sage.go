@@ -21,6 +21,9 @@ type SAGE struct {
 // Name implements Sampler.
 func (SAGE) Name() string { return "GraphSAGE" }
 
+// LayerWise implements Sampler: GraphSAGE is node-wise.
+func (SAGE) LayerWise() bool { return false }
+
 // BuildQ constructs the stacked sampler matrix Q^l for node-wise
 // sampling: one row per frontier vertex with a single unit entry in
 // that vertex's column (Section 4.1.1).
@@ -102,11 +105,19 @@ func (sg SAGE) Step(a *sparse.CSR, cur *Frontier, s int, seed int64) (*LayerSamp
 		rowPtr[i+1] = len(picks)
 	}
 
-	// EXTRACT: one row per frontier vertex, columns "self frontier ++
-	// sampled vertices" per batch. Batch b's picks follow its self
-	// prefix in pick order, so pick t of a batch whose rows end at hi
-	// is column hi+t.
-	k := cur.K()
+	ls := extractNodewise(cur, picks, rowPtr)
+	cost.ExtractOps += int64(len(picks))
+	return ls, cost
+}
+
+// extractNodewise is the node-wise EXTRACT: one row per frontier vertex,
+// columns "self frontier ++ sampled vertices" per batch (the compaction
+// of Section 4.1.3 is implicit: only sampled vertices get columns).
+// picks[rowPtr[i]:rowPtr[i+1]] are row i's sampled vertices. Batch b's
+// picks follow its self prefix in pick order, so pick t of a batch whose
+// rows end at hi is column hi+t.
+func extractNodewise(cur *Frontier, picks, rowPtr []int) *LayerSample {
+	rows, k := cur.Len(), cur.K()
 	next := &Frontier{Vertices: make([]int, 0, rows+len(picks)), BatchPtr: make([]int, k+1)}
 	adj := &sparse.CSR{Rows: rows, Cols: rows + len(picks), RowPtr: rowPtr,
 		ColIdx: make([]int, len(picks)), Val: make([]float64, len(picks))}
@@ -120,80 +131,41 @@ func (sg SAGE) Step(a *sparse.CSR, cur *Frontier, s int, seed int64) (*LayerSamp
 			adj.Val[t] = 1
 		}
 	}
-	cost.ExtractOps += int64(len(picks))
-	return &LayerSample{Adj: adj, Rows: cur, Cols: next}, cost
+	return &LayerSample{Adj: adj, Rows: cur, Cols: next}
 }
 
-// FinishStep completes a GraphSAGE layer given the raw probability
-// matrix P = Q·A: normalization, ITS sampling and extraction. The
-// distributed drivers call this after computing P with a distributed
-// SpGEMM (rows of P must align with cur's stacked frontier).
-func (sg SAGE) FinishStep(p *sparse.CSR, cur *Frontier, s int, seed int64) (*LayerSample, Cost) {
-	var cost Cost
-	sg.Norm(p)
-	cost.Kernels++
+// FinishStep completes a node-wise layer of s given the raw probability
+// matrix P = Q·A: NORM, ITS sampling of fan entries per row, and
+// extraction. The distributed drivers call this after computing P with
+// a distributed SpGEMM (rows of P must align with cur's stacked
+// frontier).
+func FinishStep(s Sampler, p *sparse.CSR, cur *Frontier, fan int, seed int64) (*LayerSample, Cost) {
+	// NORM, SAMPLE, EXTRACT.
+	cost := Cost{Kernels: 3}
+	s.Norm(p)
 
-	// SAMPLE: ITS per row. picks[i] holds the sampled global vertex
-	// ids of frontier row i, in row-sorted order. One RowSampler reuses
-	// the RNG register and ITS scratch across all rows.
-	picks := make([][]int, p.Rows)
+	// SAMPLE: ITS per row; one RowSampler reuses the RNG register and
+	// ITS scratch across all rows.
+	rowPtr := make([]int, p.Rows+1)
+	picks := make([]int, 0, min(p.NNZ(), p.Rows*max(fan, 0)))
 	var rs RowSampler
 	for i := 0; i < p.Rows; i++ {
 		cols, vals := p.Row(i)
-		sel, ops := rs.Sample(vals, s, seed, i)
+		sel, ops := rs.Sample(vals, fan, seed, i)
 		cost.SampleOps += ops
-		pk := make([]int, len(sel))
-		for j, t := range sel {
-			pk[j] = cols[t]
+		for _, t := range sel {
+			picks = append(picks, cols[t])
 		}
-		picks[i] = pk
-	}
-	cost.Kernels++
-
-	// EXTRACT: the sampled adjacency has one row per frontier vertex
-	// and columns "self frontier ++ sampled vertices" (empty columns
-	// already removed by construction — the compaction of Section
-	// 4.1.3 is implicit because only sampled vertices get columns).
-	k := cur.K()
-	next := &Frontier{BatchPtr: make([]int, k+1)}
-	adj := &sparse.CSR{Rows: cur.Len(), RowPtr: make([]int, cur.Len()+1)}
-
-	// First pass: build the next frontier (self prefix then sampled).
-	sampledStart := make([]int, cur.Len()) // column offset of row i's picks
-	colCursor := 0
-	for b := 0; b < k; b++ {
-		rb := cur.Batch(b)
-		next.Vertices = append(next.Vertices, rb...)
-		colCursor += len(rb)
-		for i := cur.BatchPtr[b]; i < cur.BatchPtr[b+1]; i++ {
-			sampledStart[i] = colCursor
-			colCursor += len(picks[i])
-			next.Vertices = append(next.Vertices, picks[i]...)
-		}
-		next.BatchPtr[b+1] = len(next.Vertices)
-	}
-	adj.Cols = colCursor
-	if colCursor != next.Len() {
-		panic("core: SAGE frontier bookkeeping out of sync")
+		rowPtr[i+1] = len(picks)
 	}
 
-	// Second pass: fill rows. Row i's sampled columns are the
-	// consecutive range starting at sampledStart[i].
-	nnz := 0
-	for i := range picks {
-		nnz += len(picks[i])
-	}
-	adj.ColIdx = make([]int, 0, nnz)
-	adj.Val = make([]float64, 0, nnz)
-	for i := range picks {
-		for j := range picks[i] {
-			adj.ColIdx = append(adj.ColIdx, sampledStart[i]+j)
-			adj.Val = append(adj.Val, 1)
-		}
-		adj.RowPtr[i+1] = len(adj.ColIdx)
-	}
-	cost.ExtractOps += int64(nnz)
-	cost.Kernels++
+	ls := extractNodewise(cur, picks, rowPtr)
+	cost.ExtractOps += int64(len(picks))
+	return ls, cost
+}
 
-	return &LayerSample{Adj: adj, Rows: cur, Cols: next}, cost
+// FinishStep is FinishStep(sg, …): the name benchmark/walk.go times.
+// It goes with ROADMAP item 1a.
+func (sg SAGE) FinishStep(p *sparse.CSR, cur *Frontier, s int, seed int64) (*LayerSample, Cost) {
+	return FinishStep(sg, p, cur, s, seed)
 }

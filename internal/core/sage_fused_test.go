@@ -249,6 +249,7 @@ func TestSAGEStepBytesFollowPicksNotDegrees(t *testing.T) {
 			sg := SAGE{}
 			if table {
 				sg.CDF = g.RowCDF()
+				sg.CDF.Of(g.Adj) // the first use builds the table: not Step's bytes
 			}
 			bytes[i] = stepBytes(sg, g.Adj, cur, s)
 			if sigmaDeg := uint64(8 * rows * deg); bytes[i] > budget || bytes[i] > sigmaDeg/4 {

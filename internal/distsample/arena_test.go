@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/sparse"
 )
 
@@ -19,7 +20,7 @@ import (
 // second pass's samples plus the final simulated clock. When warm is
 // true the second pass reuses the first pass's set (arenas dirty);
 // otherwise it gets a freshly built set, the cold control.
-func runTwoPasses(t *testing.T, be cluster.Backend, algo string, a *sparse.CSR,
+func runTwoPasses(t *testing.T, be cluster.Backend, s core.Sampler, a *sparse.CSR,
 	batches [][]int, warm bool) ([]*core.BulkSample, float64) {
 	t.Helper()
 	const p, c = 8, 2
@@ -33,16 +34,9 @@ func runTwoPasses(t *testing.T, be cluster.Backend, algo string, a *sparse.CSR,
 		setB = NewPartitionedSet(g, a, true)
 	}
 	results := make([]*core.BulkSample, p)
+	sizes := core.LayerSizes(s, []int{3, 2}, 5, 2)
 	sample := func(r *cluster.Rank, set []*Partitioned) *core.BulkSample {
-		local := LocalBatches(g, r.ID, batches)
-		switch algo {
-		case "sage":
-			return SampleSAGEPartitioned(r, set[r.ID], local, []int{3, 2}, 99)
-		case "ladies":
-			return SampleLADIESPartitioned(r, set[r.ID], local, 5, 2, 99)
-		default:
-			return SampleFastGCNPartitioned(r, set[r.ID], local, 5, 2, 99)
-		}
+		return SamplePartitioned(r, set[r.ID], s, LocalBatches(g, r.ID, batches), sizes, 99)
 	}
 	res, err := cl.Run(func(r *cluster.Rank) error {
 		sample(r, setA)
@@ -59,9 +53,10 @@ func TestArenaReuseBitIdentical(t *testing.T) {
 	a := testGraph(150, 10, 7)
 	batches := makeBatches(8, 4, 150)
 	for _, be := range []cluster.Backend{cluster.GoroutineBackend, cluster.DESBackend} {
-		for _, algo := range []string{"sage", "ladies", "fastgcn"} {
-			warm, warmSim := runTwoPasses(t, be, algo, a, batches, true)
-			cold, coldSim := runTwoPasses(t, be, algo, a, batches, false)
+		for _, entry := range core.Samplers {
+			algo, s := entry.Key, entry.New(graph.New(a))
+			warm, warmSim := runTwoPasses(t, be, s, a, batches, true)
+			cold, coldSim := runTwoPasses(t, be, s, a, batches, false)
 			if warmSim != coldSim {
 				t.Errorf("%v/%s: warm-arena sim clock %.17g, fresh-arena %.17g", be, algo, warmSim, coldSim)
 			}
@@ -79,7 +74,7 @@ func TestArenaReuseBitIdentical(t *testing.T) {
 func TestArenaReuseMatchesLocalOracle(t *testing.T) {
 	a := testGraph(150, 10, 8)
 	batches := makeBatches(8, 4, 150)
-	results, _ := runTwoPasses(t, cluster.GoroutineBackend, "sage", a, batches, true)
+	results, _ := runTwoPasses(t, cluster.GoroutineBackend, core.SAGE{}, a, batches, true)
 	const p, c = 8, 2
 	cl := cluster.New(p, cluster.Perlmutter())
 	g := cluster.NewGrid(cl, p, c)

@@ -107,19 +107,14 @@ func TestReplicatedSamplingHasNoCommunication(t *testing.T) {
 // runPartitioned executes the partitioned sampler on a p-rank, c-way
 // grid and returns per-rank results plus the cluster accounting.
 func runPartitioned(t *testing.T, a *sparse.CSR, batches [][]int, p, c int,
-	sage bool, fanouts []int, width, layers int, aware bool) ([]*core.BulkSample, *cluster.Result) {
+	s core.Sampler, sizes []int, aware bool) ([]*core.BulkSample, *cluster.Result) {
 	t.Helper()
 	cl := cluster.New(p, cluster.Perlmutter())
 	g := cluster.NewGrid(cl, p, c)
 	set := NewPartitionedSet(g, a, aware)
 	results := make([]*core.BulkSample, p)
 	res, err := cl.Run(func(r *cluster.Rank) error {
-		local := LocalBatches(g, r.ID, batches)
-		if sage {
-			results[r.ID] = SampleSAGEPartitioned(r, set[r.ID], local, fanouts, 99)
-		} else {
-			results[r.ID] = SampleLADIESPartitioned(r, set[r.ID], local, width, layers, 99)
-		}
+		results[r.ID] = SamplePartitioned(r, set[r.ID], s, LocalBatches(g, r.ID, batches), sizes, 99)
 		return nil
 	})
 	if err != nil {
@@ -133,7 +128,7 @@ func TestPartitionedSAGEMatchesLocal(t *testing.T) {
 	batches := makeBatches(8, 4, 150)
 	for _, pc := range [][2]int{{4, 1}, {4, 2}, {8, 2}} {
 		p, c := pc[0], pc[1]
-		results, _ := runPartitioned(t, a, batches, p, c, true, []int{3, 2}, 0, 0, true)
+		results, _ := runPartitioned(t, a, batches, p, c, core.SAGE{}, []int{3, 2}, true)
 		cl := cluster.New(p, cluster.Perlmutter())
 		g := cluster.NewGrid(cl, p, c)
 		for rank := 0; rank < p; rank++ {
@@ -149,8 +144,8 @@ func TestPartitionedSAGEMatchesLocal(t *testing.T) {
 func TestPartitionedSAGEObliviousMatchesAware(t *testing.T) {
 	a := testGraph(150, 10, 4)
 	batches := makeBatches(4, 4, 150)
-	aware, _ := runPartitioned(t, a, batches, 4, 2, true, []int{3, 2}, 0, 0, true)
-	obliv, _ := runPartitioned(t, a, batches, 4, 2, true, []int{3, 2}, 0, 0, false)
+	aware, _ := runPartitioned(t, a, batches, 4, 2, core.SAGE{}, []int{3, 2}, true)
+	obliv, _ := runPartitioned(t, a, batches, 4, 2, core.SAGE{}, []int{3, 2}, false)
 	for rank := range aware {
 		if err := sameBulk(aware[rank], obliv[rank]); err != nil {
 			t.Fatalf("rank %d: sparsity-aware and oblivious disagree: %v", rank, err)
@@ -161,8 +156,8 @@ func TestPartitionedSAGEObliviousMatchesAware(t *testing.T) {
 func TestSparsityAwareCommunicatesLess(t *testing.T) {
 	a := testGraph(400, 12, 5)
 	batches := makeBatches(4, 8, 400)
-	_, awareRes := runPartitioned(t, a, batches, 4, 2, true, []int{3, 2}, 0, 0, true)
-	_, oblivRes := runPartitioned(t, a, batches, 4, 2, true, []int{3, 2}, 0, 0, false)
+	_, awareRes := runPartitioned(t, a, batches, 4, 2, core.SAGE{}, []int{3, 2}, true)
+	_, oblivRes := runPartitioned(t, a, batches, 4, 2, core.SAGE{}, []int{3, 2}, false)
 	var awareBytes, oblivBytes int64
 	for _, s := range awareRes.Ranks {
 		awareBytes += s.BytesSent
@@ -178,16 +173,12 @@ func TestSparsityAwareCommunicatesLess(t *testing.T) {
 func TestPartitionedLADIESMatchesLocal(t *testing.T) {
 	a := testGraph(150, 10, 6)
 	batches := makeBatches(8, 4, 150)
-	const width, layers = 5, 2
+	fan := []int{5, 5}
 	for _, pc := range [][2]int{{4, 1}, {4, 2}, {8, 2}} {
 		p, c := pc[0], pc[1]
-		results, _ := runPartitioned(t, a, batches, p, c, false, nil, width, layers, true)
+		results, _ := runPartitioned(t, a, batches, p, c, core.LADIES{}, fan, true)
 		cl := cluster.New(p, cluster.Perlmutter())
 		g := cluster.NewGrid(cl, p, c)
-		fan := make([]int, layers)
-		for i := range fan {
-			fan[i] = width
-		}
 		for rank := 0; rank < p; rank++ {
 			local := LocalBatches(g, rank, batches)
 			want := core.SampleBulk(core.LADIES{}, a, local, fan, 99)
@@ -201,7 +192,7 @@ func TestPartitionedLADIESMatchesLocal(t *testing.T) {
 func TestPartitionedPhasesAccounted(t *testing.T) {
 	a := testGraph(200, 10, 7)
 	batches := makeBatches(8, 4, 200)
-	_, res := runPartitioned(t, a, batches, 4, 2, true, []int{3, 2}, 0, 0, true)
+	_, res := runPartitioned(t, a, batches, 4, 2, core.SAGE{}, []int{3, 2}, true)
 	for _, phase := range []string{PhaseProbability, PhaseSampling, PhaseExtraction} {
 		if res.Phase(phase) <= 0 {
 			t.Fatalf("phase %q has no time", phase)
@@ -258,20 +249,11 @@ func TestNewPartitionedSetCoversMatrix(t *testing.T) {
 func TestPartitionedFastGCNMatchesLocal(t *testing.T) {
 	a := testGraph(150, 10, 10)
 	batches := makeBatches(8, 4, 150)
-	const width, layers = 5, 2
+	fan := []int{5, 5}
+	fg := core.FastGCN{Degrees: graph.New(a).Degrees()}
+	results, _ := runPartitioned(t, a, batches, 4, 2, fg, fan, true)
 	cl := cluster.New(4, cluster.Perlmutter())
 	g := cluster.NewGrid(cl, 4, 2)
-	set := NewPartitionedSet(g, a, true)
-	results := make([]*core.BulkSample, 4)
-	_, err := cl.Run(func(r *cluster.Rank) error {
-		local := LocalBatches(g, r.ID, batches)
-		results[r.ID] = SampleFastGCNPartitioned(r, set[r.ID], local, width, layers, 99)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fan := []int{width, width}
 	for rank := 0; rank < 4; rank++ {
 		local := LocalBatches(g, rank, batches)
 		want := core.SampleBulk(core.FastGCN{}, a, local, fan, 99)
@@ -281,14 +263,36 @@ func TestPartitionedFastGCNMatchesLocal(t *testing.T) {
 	}
 }
 
-func TestPartitionedSetComputesDegrees(t *testing.T) {
-	a := testGraph(80, 6, 11)
-	cl := cluster.New(4, cluster.Perlmutter())
-	g := cluster.NewGrid(cl, 4, 2)
-	set := NewPartitionedSet(g, a, true)
-	for v := 0; v < a.Rows; v++ {
-		if set[0].Degrees[v] != a.RowNNZ(v) {
-			t.Fatalf("degree of %d wrong", v)
+// Every sampler of the table, under every distribution of A, returns
+// on every rank what the serial bulk sampler returns for that rank's
+// batches, layer for layer.
+func TestDistributedMatchesSerialForEverySampler(t *testing.T) {
+	a := testGraph(150, 10, 13)
+	g := graph.New(a)
+	batches := makeBatches(8, 4, 150)
+	const p, c = 4, 2
+	for _, entry := range core.Samplers {
+		s := entry.New(g)
+		sizes := core.LayerSizes(s, []int{3, 2}, 5, 2)
+		dists := map[string][]*core.BulkSample{"replicated": make([]*core.BulkSample, p)}
+		if _, err := cluster.New(p, cluster.Perlmutter()).Run(func(r *cluster.Rank) error {
+			dists["replicated"][r.ID] = SampleReplicated(r, s, a, ReplicatedBatches(p, r.ID, batches), sizes, 99)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		dists["1.5D aware"], _ = runPartitioned(t, a, batches, p, c, s, sizes, true)
+		dists["1.5D oblivious"], _ = runPartitioned(t, a, batches, p, c, s, sizes, false)
+		for name, results := range dists {
+			for rank, got := range results {
+				want := core.SampleBulk(s, a, got.Batches, sizes, 99)
+				if len(got.Layers) != len(sizes) {
+					t.Fatalf("%s %s rank %d: %d layers, want %d", entry.Key, name, rank, len(got.Layers), len(sizes))
+				}
+				if err := sameBulk(got, want); err != nil {
+					t.Fatalf("%s %s rank %d: %v", entry.Key, name, rank, err)
+				}
+			}
 		}
 	}
 }

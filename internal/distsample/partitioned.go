@@ -47,11 +47,6 @@ type Partitioned struct {
 	// false the owner broadcasts its whole block row each stage (the
 	// sparsity-oblivious baseline the paper contrasts against).
 	SparsityAware bool
-	// Degrees holds every vertex's out-degree. FastGCN's probability
-	// model needs global degrees; a real deployment all-gathers the
-	// per-block degree vectors once at startup (n integers — tiny next
-	// to the graph).
-	Degrees []int
 
 	// arenas holds the epoch-persistent per-rank workspaces of the c
 	// replicas sharing this block row, indexed by grid column (each
@@ -67,10 +62,6 @@ func NewPartitionedSet(g *cluster.Grid, a *sparse.CSR, sparsityAware bool) []*Pa
 	if g.Rows%g.C != 0 {
 		panic(fmt.Sprintf("distsample: 1.5D algorithm needs c^2 | p (p=%d c=%d)", g.P, g.C))
 	}
-	degrees := make([]int, a.Rows)
-	for i := range degrees {
-		degrees[i] = a.RowNNZ(i)
-	}
 	blocks := make([]*Partitioned, g.Rows)
 	for i := 0; i < g.Rows; i++ {
 		lo, hi := graph.BlockRowRange(a.Rows, g.Rows, i)
@@ -81,7 +72,6 @@ func NewPartitionedSet(g *cluster.Grid, a *sparse.CSR, sparsityAware bool) []*Pa
 			Lo:            lo,
 			Hi:            hi,
 			SparsityAware: sparsityAware,
-			Degrees:       degrees,
 			arenas:        make([]*stageArena, g.C),
 		}
 	}
@@ -216,23 +206,29 @@ func LocalBatches(g *cluster.Grid, rank int, batches [][]int) [][]int {
 	return batches[lo:hi]
 }
 
-// SampleSAGEPartitioned runs bulk GraphSAGE sampling over this rank's
-// local batches with the Graph Partitioned algorithm, charging the
-// probability/sampling/extraction phases on the rank's clock.
-func SampleSAGEPartitioned(r *cluster.Rank, ps *Partitioned, batches [][]int, fanouts []int, seed int64) *core.BulkSample {
+// SamplePartitioned runs bulk sampling of s over this rank's local
+// batches with the Graph Partitioned algorithm, drawing sizes[l] per
+// row of Q at layer l and charging the probability/sampling/extraction
+// phases on the rank's clock. The 1.5D SpGEMM stands in for P = Q·A, so
+// of the sampler only BuildQ, Norm and LayerWise are called — the
+// latter choosing between the node-wise completion (core.FinishStep)
+// and the layer-wise one below.
+func SamplePartitioned(r *cluster.Rank, ps *Partitioned, s core.Sampler, batches [][]int, sizes []int, seed int64) *core.BulkSample {
+	if s.LayerWise() {
+		return layerwisePartitioned(r, ps, s, batches, sizes, seed)
+	}
 	out := &core.BulkSample{Batches: batches}
 	cur := core.NewFrontier(batches)
-	sg := core.SAGE{}
-	for l, fan := range fanouts {
+	for l, fan := range sizes {
 		layerSeed := seed + int64(l)*1e9
 
 		r.SetPhase(PhaseProbability)
-		q := sg.BuildQ(cur, ps.N)
+		q := s.BuildQ(cur, ps.N)
 		r.ChargeKernels(1)
 		p := ps.SpGEMM15D(r, q)
 
 		r.SetPhase(PhaseSampling)
-		ls, cost := sg.FinishStep(p, cur, fan, layerSeed)
+		ls, cost := core.FinishStep(s, p, cur, fan, layerSeed)
 		r.ChargeSparse(cost.SampleOps)
 		r.ChargeKernels(2)
 		r.SetPhase(PhaseExtraction)
@@ -246,58 +242,37 @@ func SampleSAGEPartitioned(r *cluster.Rank, ps *Partitioned, batches [][]int, fa
 	return out
 }
 
-// SampleLADIESPartitioned runs bulk LADIES sampling over this rank's
-// local batches with the Graph Partitioned algorithm. Row extraction
-// (Q_R·A) reuses the 1.5D SpGEMM; column extraction is split across
-// the process row and reassembled with an all-gather, as described in
-// Section 5.2.3.
-func SampleLADIESPartitioned(r *cluster.Rank, ps *Partitioned, batches [][]int, layerWidth int, layers int, seed int64) *core.BulkSample {
-	return layerwisePartitioned(r, ps, batches, layerWidth, layers, seed, func(p *sparse.CSR) {
-		core.LADIES{}.Norm(p)
-	})
+// SampleSAGEPartitioned is SamplePartitioned for GraphSAGE: the name
+// benchmark/walk.go calls. It goes with ROADMAP item 1a.
+func SampleSAGEPartitioned(r *cluster.Rank, ps *Partitioned, batches [][]int, fanouts []int, seed int64) *core.BulkSample {
+	return SamplePartitioned(r, ps, core.SAGE{}, batches, fanouts, seed)
 }
 
-// SampleFastGCNPartitioned runs bulk FastGCN sampling with the Graph
-// Partitioned algorithm: identical schedule to LADIES but with
-// degree-squared importance weights.
-func SampleFastGCNPartitioned(r *cluster.Rank, ps *Partitioned, batches [][]int, layerWidth int, layers int, seed int64) *core.BulkSample {
-	return layerwisePartitioned(r, ps, batches, layerWidth, layers, seed, func(p *sparse.CSR) {
-		for i := 0; i < p.Rows; i++ {
-			cols, vals := p.Row(i)
-			for k, c := range cols {
-				d := float64(ps.Degrees[c])
-				vals[k] = d * d
-			}
-		}
-		p.NormalizeRows()
-	})
-}
-
-// layerwisePartitioned is the shared Graph Partitioned driver for
-// layer-wise samplers; norm converts the raw count matrix P into the
-// sampler's probability model in place.
-func layerwisePartitioned(r *cluster.Rank, ps *Partitioned, batches [][]int, layerWidth int, layers int, seed int64, norm func(*sparse.CSR)) *core.BulkSample {
+// layerwisePartitioned is the Graph Partitioned driver for layer-wise
+// samplers. Row extraction (Q_R·A) reuses the 1.5D SpGEMM; column
+// extraction is split across the process row and reassembled with an
+// all-gather, as described in Section 5.2.3.
+func layerwisePartitioned(r *cluster.Rank, ps *Partitioned, s core.Sampler, batches [][]int, widths []int, seed int64) *core.BulkSample {
 	out := &core.BulkSample{Batches: batches}
 	cur := core.NewFrontier(batches)
-	ld := core.LADIES{}
 	g := ps.Grid
 	myCol := g.ColIndex(r.ID)
 	rowComm := g.RowComm(r.ID).ForStream(r)
 
-	for l := 0; l < layers; l++ {
+	for l, width := range widths {
 		layerSeed := seed + int64(l)*1e9
 
 		// Probabilities: P = Q·A with the sampler's normalization.
 		r.SetPhase(PhaseProbability)
-		q := ld.BuildQ(cur, ps.N)
+		q := s.BuildQ(cur, ps.N)
 		r.ChargeKernels(1)
 		p := ps.SpGEMM15D(r, q)
-		norm(p)
+		s.Norm(p)
 		r.ChargeMem(int64(p.NNZ()) * 16)
 
 		// Sampling: row-wise, local on every replica.
 		r.SetPhase(PhaseSampling)
-		sampled, cost := core.SampleLayerwise(p, layerWidth, layerSeed)
+		sampled, _, cost := core.SampleLayerwise(p, width, layerSeed)
 		r.ChargeSparse(cost.SampleOps)
 		r.ChargeKernels(1)
 
@@ -319,7 +294,7 @@ func layerwisePartitioned(r *cluster.Rank, ps *Partitioned, batches [][]int, lay
 			}
 			bf := core.NewFrontier([][]int{append([]int(nil), cur.Batch(b)...)})
 			arSlice := sparse.SliceRows(ar, cur.BatchPtr[b], cur.BatchPtr[b+1])
-			lsb, c := core.ExtractLayerwise(arSlice, bf, [][]int{sampled[b]})
+			lsb, c := core.ExtractLayerwise(arSlice, bf, [][]int{sampled[b]}, nil)
 			extractOps += c.ExtractOps
 			myParts = append(myParts, lsb)
 		}

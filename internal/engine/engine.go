@@ -8,7 +8,7 @@
 //     inline on the caller's rank, in item order — byte-for-byte the
 //     classic bulk-synchronous loop (sample; fetch; train; sample; ...).
 //   - Overlapped (Overlap on): every stage but the last runs on its
-//     own forked rank stream (cluster.Rank.Stream) in its own
+//     own forked rank stream (cluster.Rank.ForkStream) in its own
 //     goroutine, connected by bounded channels, so stage s prefetches
 //     item i+1 while stage s+1 works on item i. The last stage runs on
 //     the caller's main timeline, so the rank's final clock is the
@@ -27,14 +27,13 @@
 //
 // Stage Run functions must be safe to run concurrently with the other
 // stages' Run functions: a stage owns its mutable state exclusively.
-// Stages may drive collectives: a stage declares the communicators it
-// drives (Stage.Comms), and its body issues them through the per-stream
-// clone (cluster.Comm.ForStream) so that in overlapped mode each
-// collective-bearing stage drives its own communicator clone — the
-// same-named stage streams across ranks meet on one clone, and no two
-// streams of a rank ever share a rendezvous. Execute pre-creates the
-// clone set and rejects duplicate stage names (two stages with one
-// name would share a stream name and therefore a clone).
+// Stages may drive collectives: a stage's body issues them through the
+// per-stream clone (cluster.Comm.ForStream, created on first use) so
+// that in overlapped mode each collective-bearing stage drives its own
+// communicator clone — the same-named stage streams across ranks meet
+// on one clone, and no two streams of a rank ever share a rendezvous.
+// Execute rejects duplicate stage names (two stages with one name would
+// share a stream name and therefore a clone).
 //
 // Collectives compose with the credit protocol: a stage body blocked
 // inside a collective holds no queue slots beyond the ones its items
@@ -62,7 +61,8 @@ const PhaseStall = "stall"
 
 // Stage is one step of a staged-execution Pipeline.
 type Stage struct {
-	// Name identifies the stage in diagnostics.
+	// Name identifies the stage in diagnostics and names its stream, and
+	// with it the communicator clones its collectives meet on.
 	Name string
 	// Queue is the stage's output queue capacity in items (overlapped
 	// mode only; values < 1 are treated as 1). A capacity of one full
@@ -74,13 +74,6 @@ type Stage struct {
 	// sequential mode). in is the previous stage's output (nil for
 	// the first stage).
 	Run func(r *cluster.Rank, idx int, in any) (any, error)
-	// Comms declares the communicators whose collectives Run drives.
-	// The body must issue them through comm.ForStream(r) so each
-	// stage's stream gets its own clone; Execute pre-creates the
-	// clones (keyed by the stage name, which is the stream name) and
-	// validates that stage names are unique, since a shared name would
-	// alias two stages onto one clone and deadlock.
-	Comms []*cluster.Comm
 }
 
 // Pipeline executes items through a chain of stages.
@@ -190,15 +183,6 @@ func (p *Pipeline) executeOverlapped(r *cluster.Rank, n int) error {
 			return fmt.Errorf("engine: stages %d and %d share the name %q; overlapped stages need unique names (one stream and communicator clone set each)", j, i, st.Name)
 		}
 		names[st.Name] = i
-		// Pre-create the stage's communicator clones so every rank
-		// resolves the same clone set before any collective is issued.
-		// The final stage runs on the main timeline and keeps the base
-		// communicators (Dup of the empty stream name is the base).
-		if i < s-1 {
-			for _, comm := range st.Comms {
-				comm.Dup(st.Name)
-			}
-		}
 	}
 	items := make([]*cluster.Queue, s-1)
 	credits := make([]*cluster.Queue, s-1)

@@ -258,7 +258,6 @@ func TestCollectiveBearingPrefetchStage(t *testing.T) {
 					{
 						Name:  "sample",
 						Queue: 1,
-						Comms: []*cluster.Comm{world},
 						Run: func(rs *cluster.Rank, idx int, in any) (any, error) {
 							rs.AdvanceBy(1)
 							got := cluster.AllReduceSum(world.ForStream(rs), rs, []float64{float64(idx)})
@@ -266,8 +265,7 @@ func TestCollectiveBearingPrefetchStage(t *testing.T) {
 						},
 					},
 					{
-						Name:  "train",
-						Comms: []*cluster.Comm{world},
+						Name: "train",
 						Run: func(rm *cluster.Rank, idx int, in any) (any, error) {
 							rm.AdvanceBy(0.5)
 							got := cluster.AllReduceSum(world.ForStream(rm), rm, []float64{in.(float64)})

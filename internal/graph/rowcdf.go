@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/sparse"
 )
@@ -10,35 +11,42 @@ import (
 // vertex v, the NORM + prefix sum of row v of A — the distribution
 // GraphSAGE samples v's neighbours from (Algorithm 1 with a one-hot
 // Q row). It is a pure function of the adjacency matrix, n + nnz
-// floats, built once per graph by Graph.RowCDF and read-only from then
-// on, so every rank, epoch and bulk call shares it.
+// floats, built the first time a sampler over the whole matrix asks for
+// it (Of) and read-only from then on, so every rank, epoch and bulk
+// call shares it and a run that only ever holds blocks of A never pays
+// for it.
 type RowCDF struct {
-	adj *sparse.CSR
-	inv []float64 // per row: the scale NormPrefix applied (NaN: no distribution)
-	cum []float64 // per stored entry: inclusive running sum of the row's scaled weights
+	adj   *sparse.CSR
+	build sync.Once
+	inv   []float64 // per row: the scale NormPrefix applied (NaN: no distribution)
+	cum   []float64 // per stored entry: inclusive running sum of the row's scaled weights
 }
 
-// RowCDF returns the graph's table, building it on first use. Adj must
-// not be modified once the graph is wrapped: the table would go stale.
+// RowCDF returns the graph's table. Adj must not be modified once the
+// graph is wrapped: the table would go stale.
 func (g *Graph) RowCDF() *RowCDF {
-	g.cdfOnce.Do(func() {
-		a := g.Adj
-		t := &RowCDF{adj: a, inv: make([]float64, a.Rows), cum: make([]float64, len(a.Val))}
+	g.cdfOnce.Do(func() { g.cdf = &RowCDF{adj: g.Adj} })
+	return g.cdf
+}
+
+// Of reports whether the table is a's, building it on the first call
+// that says yes. A nil table belongs to no matrix.
+func (t *RowCDF) Of(a *sparse.CSR) bool {
+	if t == nil || t.adj != a {
+		return false
+	}
+	t.build.Do(func() {
+		t.inv, t.cum = make([]float64, a.Rows), make([]float64, len(a.Val))
 		for v := range t.inv {
 			lo, hi := a.RowPtr[v], a.RowPtr[v+1]
 			t.inv[v] = NormPrefix(t.cum[lo:hi], a.Val[lo:hi])
 		}
-		g.cdf = t
 	})
-	return g.cdf
+	return true
 }
 
-// Of reports whether the table was built from a. A nil table belongs
-// to no matrix.
-func (t *RowCDF) Of(a *sparse.CSR) bool { return t != nil && t.adj == a }
-
 // Row returns row v's scale and running sums, as NormPrefix computes
-// them (aliased; read-only).
+// them (aliased; read-only). Of must have said yes first.
 func (t *RowCDF) Row(v int) (inv float64, cum []float64) {
 	return t.inv[v], t.cum[t.adj.RowPtr[v]:t.adj.RowPtr[v+1]]
 }

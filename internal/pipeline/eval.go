@@ -11,7 +11,17 @@ import (
 // Run0Params returns freshly initialized (untrained) parameters for
 // the configuration — the accuracy baseline for sanity checks.
 func Run0Params(d *datasets.Dataset, cfg Config) []float64 {
-	return cfg.withDefaults(d).newModel(d).Params()
+	return cfg.mustDefaults(d).newModel(d).Params()
+}
+
+// mustDefaults is withDefaults for the evaluation helpers, which are
+// handed a config Run accepted.
+func (c Config) mustDefaults(d *datasets.Dataset) Config {
+	c, err := c.withDefaults(d)
+	if err != nil {
+		panic(err)
+	}
+	return c
 }
 
 // Evaluate computes classification accuracy of the trained parameters
@@ -20,19 +30,18 @@ func Run0Params(d *datasets.Dataset, cfg Config) []float64 {
 // test fanout; pass testFanouts to override). Runs locally — accuracy
 // is a model property, not a systems one.
 func Evaluate(d *datasets.Dataset, params []float64, cfg Config, vertices []int, testFanouts []int) float64 {
-	cfg = cfg.withDefaults(d)
+	cfg = cfg.mustDefaults(d)
 	model := cfg.newModel(d)
 	model.SetParams(params)
 
 	fanouts := testFanouts
 	if fanouts == nil {
-		fanouts = cfg.fanouts(d)
+		fanouts = cfg.sizes
 	}
-	sampler := newSampler(cfg.Sampler, d.Graph)
 
 	correct, total := 0, 0
 	for _, batch := range graph.Batches(vertices, d.BatchSize) {
-		bulk := core.SampleBulk(sampler, d.Graph.Adj, [][]int{batch}, fanouts, cfg.Seed+555)
+		bulk := core.SampleBulk(cfg.sampler, d.Graph.Adj, [][]int{batch}, fanouts, cfg.Seed+555)
 		bg := bulk.ExtractBatch(0)
 		feats := gnn.GatherFeatures(d.Features, bg.InputVertices())
 		act, _ := model.Forward(bg, feats)
@@ -56,7 +65,7 @@ func Evaluate(d *datasets.Dataset, params []float64, cfg Config, vertices []int,
 // approximates; the gap between the two is the accuracy cost of
 // sampling.
 func EvaluateFull(d *datasets.Dataset, params []float64, cfg Config, vertices []int) float64 {
-	cfg = cfg.withDefaults(d)
+	cfg = cfg.mustDefaults(d)
 	model := cfg.newModel(d)
 	model.SetParams(params)
 	bg := core.FullGraphBatch(d.Graph.Adj, cfg.Layers)

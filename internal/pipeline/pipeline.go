@@ -10,7 +10,6 @@ import (
 	"repro/internal/distsample"
 	"repro/internal/engine"
 	"repro/internal/gnn"
-	"repro/internal/graph"
 	"repro/internal/resilience"
 )
 
@@ -88,9 +87,9 @@ type Config struct {
 	// is charged, never what is computed).
 	Overlap bool
 
-	Sampler string // "sage", "ladies" or "fastgcn"
+	Sampler string // a core.Samplers key; empty selects the first
 	Hidden  int
-	Layers  int // GNN depth; LADIES presets use 1 (Table 4)
+	Layers  int // GNN depth; 0 selects the sampler family's preset (core.LayerSizes)
 
 	// Dropout applies inverted dropout at this rate on hidden
 	// activations during training (0 disables).
@@ -132,15 +131,23 @@ type Config struct {
 
 	Seed  int64
 	Model cluster.CostModel
+
+	// Derived by withDefaults, the one place Sampler is looked up: the
+	// table row's sampler for the dataset's graph and the per-layer
+	// sizes it draws (len(sizes) == Layers).
+	sampler core.Sampler
+	sizes   []int
 }
 
-// withDefaults fills zero fields and merges the platform fields
-// (Collectives, Topology, Backend, Faults) into Model — the one place a
-// training run's cost model is assembled. The model is the platform:
-// the CLIs and the bench harness set their selections on it and nowhere
-// else; the four fields are literal-friendly overrides for callers that
-// build a Config by hand, and win over the model's own entries.
-func (c Config) withDefaults(d *datasets.Dataset) Config {
+// withDefaults fills zero fields, resolves Sampler through core.Samplers
+// and merges the platform fields (Collectives, Topology, Backend,
+// Faults) into Model — the one place a training run's cost model is
+// assembled. The model is the platform: the CLIs and the bench harness
+// set their selections on it and nowhere else; the four fields are
+// literal-friendly overrides for callers that build a Config by hand,
+// and win over the model's own entries. The only error is an unknown
+// sampler.
+func (c Config) withDefaults(d *datasets.Dataset) (Config, error) {
 	if c.C <= 0 {
 		c.C = 1
 	}
@@ -148,15 +155,15 @@ func (c Config) withDefaults(d *datasets.Dataset) Config {
 		c.Hidden = 64
 	}
 	if c.Sampler == "" {
-		c.Sampler = "sage"
+		c.Sampler = core.Samplers[0].Key
 	}
-	if c.Layers == 0 {
-		if c.Sampler == "ladies" || c.Sampler == "fastgcn" {
-			c.Layers = 1
-		} else {
-			c.Layers = len(d.Fanouts)
-		}
+	entry, err := core.SamplerByName(c.Sampler)
+	if err != nil {
+		return c, fmt.Errorf("pipeline: %w", err)
 	}
+	c.sampler = entry.New(d.Graph)
+	c.sizes = core.LayerSizes(c.sampler, d.Fanouts, d.LayerWidth, c.Layers)
+	c.Layers = len(c.sizes)
 	if c.Epochs == 0 {
 		c.Epochs = 1
 	}
@@ -176,15 +183,17 @@ func (c Config) withDefaults(d *datasets.Dataset) Config {
 	if c.Faults != nil {
 		c.Model.Faults = c.Faults
 	}
-	return c
+	return c, nil
 }
 
 // normalised is withDefaults plus the one validation every training
 // driver's input passes through: bad input is an error naming the
 // field, never a panic inside the first attempt.
 func (c Config) normalised(d *datasets.Dataset) (Config, error) {
-	c = c.withDefaults(d)
+	c, err := c.withDefaults(d)
 	switch {
+	case err != nil:
+		return c, err
 	case c.P <= 0:
 		return c, fmt.Errorf("pipeline: p=%d: need at least one rank", c.P)
 	case c.P%c.C != 0:
@@ -193,8 +202,6 @@ func (c Config) normalised(d *datasets.Dataset) (Config, error) {
 		return c, fmt.Errorf("pipeline: unknown algorithm %d", c.Algorithm)
 	case c.Algorithm == GraphPartitioned && (c.P/c.C)%c.C != 0:
 		return c, fmt.Errorf("pipeline: partitioned algorithm needs c^2 | p (p=%d c=%d)", c.P, c.C)
-	case c.Sampler != "sage" && c.Sampler != "ladies" && c.Sampler != "fastgcn":
-		return c, fmt.Errorf("pipeline: unknown sampler %q (want sage, ladies or fastgcn)", c.Sampler)
 	case c.Epochs < 0:
 		return c, fmt.Errorf("pipeline: negative epoch count %d", c.Epochs)
 	case !(c.LR > 0):
@@ -334,35 +341,6 @@ type FetchItem struct {
 	Inputs []int
 }
 
-// newSampler maps the config's sampler name to its implementation for
-// sampling from the whole of g's adjacency matrix. GraphSAGE takes the
-// graph's row-CDF table, built on the first call and shared from then
-// on by every rank, epoch and run over g.
-func newSampler(name string, g *graph.Graph) core.Sampler {
-	switch name {
-	case "ladies":
-		return core.LADIES{}
-	case "fastgcn":
-		return core.FastGCN{}
-	default:
-		return core.SAGE{CDF: g.RowCDF()}
-	}
-}
-
-// fanouts returns the per-layer sample sizes the config's sampler
-// draws: the dataset's node-wise fanouts for GraphSAGE, the layer width
-// at every layer for the layer-wise samplers.
-func (c Config) fanouts(d *datasets.Dataset) []int {
-	if c.Sampler != "ladies" && c.Sampler != "fastgcn" {
-		return d.Fanouts
-	}
-	f := make([]int, c.Layers)
-	for i := range f {
-		f[i] = d.LayerWidth
-	}
-	return f
-}
-
 // newModel builds the freshly initialised model the config trains.
 func (c Config) newModel(d *datasets.Dataset) *gnn.Model {
 	return gnn.NewModel(gnn.Config{
@@ -403,23 +381,10 @@ type bulk struct {
 
 func (b *bulk) newAttempt(cfg Config, batches [][]int, grid *cluster.Grid, stores []*FeatureStore) Attempt {
 	d := b.d
-	fanouts := cfg.fanouts(d)
-	if len(fanouts) != cfg.Layers {
-		f := make([]int, cfg.Layers)
-		for i := range f {
-			f[i] = fanouts[i%len(fanouts)]
-		}
-		fanouts = f
-	}
-	// Only the replicated algorithm samples from the whole matrix; the
-	// partitioned drivers work on their own blocks of it.
 	partitioned := cfg.Algorithm == GraphPartitioned
-	var sampler core.Sampler
 	var parts []*distsample.Partitioned
 	if partitioned {
 		parts = distsample.NewPartitionedSet(grid, d.Graph.Adj, cfg.SparsityAware)
-	} else {
-		sampler = newSampler(cfg.Sampler, d.Graph)
 	}
 	sched := makeSchedule(cfg, grid, len(batches))
 	b.cfg, b.sched = cfg, sched
@@ -439,22 +404,11 @@ func (b *bulk) newAttempt(cfg Config, batches [][]int, grid *cluster.Grid, store
 		} else {
 			local = distsample.ReplicatedBatches(cfg.P, r.ID, batches)
 		}
-		// Communicators each stage drives: in overlapped mode the engine
-		// gives every collective-bearing stage its own stream, and the
-		// stage bodies reach the matching communicator clones with
-		// ForStream (stream-safe collectives).
-		fetchComms := []*cluster.Comm{grid.ColComm(r.ID)}
-		var sampComms []*cluster.Comm
-		if partitioned {
-			sampComms = []*cluster.Comm{grid.ColComm(r.ID), grid.RowComm(r.ID)}
-		}
-
 		// Feature fetch: all-to-allv over the process column; iterations
 		// without a real batch join with empty requests.
 		fetch := engine.Stage{
 			Name:  PhaseFeatureFetch,
 			Queue: 1,
-			Comms: fetchComms,
 			Run: func(rf *cluster.Rank, idx int, in any) (any, error) {
 				it := in.(FetchItem)
 				rf.SetPhase(PhaseFeatureFetch)
@@ -478,7 +432,6 @@ func (b *bulk) newAttempt(cfg Config, batches [][]int, grid *cluster.Grid, store
 				// the next round's bulk is sampled: the double-buffered
 				// BulkSample handoff.
 				Queue: sched.trainPerRound,
-				Comms: sampComms,
 				Run: func(rs *cluster.Rank, idx int, _ any) (any, error) {
 					round, t := idx/sched.trainPerRound, idx%sched.trainPerRound
 					if t == 0 {
@@ -487,15 +440,10 @@ func (b *bulk) newAttempt(cfg Config, batches [][]int, grid *cluster.Grid, store
 						chunk = local[lo:hi]
 						rs.SetPhase(PhaseSampling)
 						rs.PushPhase(PhaseSampling) // nested level for the driver's sub-phases
-						switch {
-						case !partitioned:
-							cur = distsample.SampleReplicated(rs, sampler, d.Graph.Adj, chunk, fanouts, epochSeed)
-						case cfg.Sampler == "ladies":
-							cur = distsample.SampleLADIESPartitioned(rs, parts[rs.ID], chunk, d.LayerWidth, cfg.Layers, epochSeed)
-						case cfg.Sampler == "fastgcn":
-							cur = distsample.SampleFastGCNPartitioned(rs, parts[rs.ID], chunk, d.LayerWidth, cfg.Layers, epochSeed)
-						default:
-							cur = distsample.SampleSAGEPartitioned(rs, parts[rs.ID], chunk, fanouts, epochSeed)
+						if partitioned {
+							cur = distsample.SamplePartitioned(rs, parts[rs.ID], cfg.sampler, chunk, cfg.sizes, epochSeed)
+						} else {
+							cur = distsample.SampleReplicated(rs, cfg.sampler, d.Graph.Adj, chunk, cfg.sizes, epochSeed)
 						}
 						rs.PopPhase()
 					}

@@ -2,10 +2,12 @@ package pipeline
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/cache"
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/dense"
 	"repro/internal/gnn"
@@ -170,6 +172,39 @@ func TestRunRejectsBadGrid(t *testing.T) {
 	}
 	if _, err := Run(d, Config{P: 8, C: 4, Algorithm: GraphPartitioned}); err == nil {
 		t.Fatal("expected error: c^2 does not divide p for partitioned")
+	}
+}
+
+// Every bad Config value is an error naming the field before any rank
+// runs; an unknown sampler's names the whole vocabulary.
+func TestRunRejectsBadInput(t *testing.T) {
+	d := tinySBM()
+	var keys []string
+	for _, e := range core.Samplers {
+		keys = append(keys, e.Key)
+	}
+	for _, c := range []struct {
+		cfg  Config
+		want []string
+	}{
+		{Config{P: 0}, []string{"p=0"}},
+		{Config{P: 2, Sampler: "bogus"}, append([]string{`unknown sampler "bogus"`}, keys...)},
+		{Config{P: 2, Algorithm: 7}, []string{"unknown algorithm 7"}},
+		{Config{P: 2, Epochs: -1}, []string{"negative epoch count"}},
+		{Config{P: 2, LR: -0.1}, []string{"learning rate"}},
+		{Config{P: 2, Dropout: 1}, []string{"dropout rate 1"}},
+		{Config{P: 2, CkptInterval: -1}, []string{"negative checkpoint interval"}},
+	} {
+		_, err := Run(d, c.cfg)
+		if err == nil {
+			t.Errorf("%+v accepted", c.cfg)
+			continue
+		}
+		for _, want := range c.want {
+			if msg := err.Error(); !strings.Contains(msg, want) || strings.Contains(msg, "\n") {
+				t.Errorf("error %q, want one line containing %q", msg, want)
+			}
+		}
 	}
 }
 
@@ -527,7 +562,8 @@ func TestPartitionedOverlapBitIdenticalToSequential(t *testing.T) {
 	// schedule must still compute exactly what the sequential one does:
 	// same losses, parameters and accuracy at the same seed.
 	d := tinySBM()
-	for _, sampler := range []string{"sage", "ladies", "fastgcn"} {
+	for _, entry := range core.Samplers {
+		sampler := entry.Key
 		base := Config{P: 4, C: 2, K: 8, Epochs: 2, Seed: 43, LR: 0.02,
 			Sampler: sampler, Algorithm: GraphPartitioned, SparsityAware: true}
 		seq, err := Run(d, base)

@@ -47,7 +47,7 @@ type Attempt struct {
 	// one epoch (seeded with the epoch's sampling seed). The fetch stage
 	// must emit a TrainItem per item. The stages charge their own phases
 	// and may drive the grid's row and column communicators (through
-	// ForStream, declared in Stage.Comms); the world communicator, the
+	// ForStream); the world communicator, the
 	// model, the optimizer and the loss bookkeeping belong to Train's
 	// propagation stage and are not theirs to touch.
 	Rank func(r *cluster.Rank) func(epochSeed int64) (sampling, fetch engine.Stage)
@@ -160,8 +160,7 @@ func Train(d *datasets.Dataset, cfg Config, strategy Strategy) (*Result, error) 
 				// Propagation with data-parallel gradient all-reduce, on
 				// the rank's main timeline.
 				propagation := engine.Stage{
-					Name:  PhasePropagation,
-					Comms: []*cluster.Comm{world},
+					Name: PhasePropagation,
 					Run: func(rm *cluster.Rank, idx int, in any) (any, error) {
 						ti := in.(TrainItem)
 						rm.SetPhase(PhasePropagation)

@@ -29,46 +29,6 @@ func ExtractRows(a *CSR, rows []int) *CSR {
 	return out
 }
 
-// ExtractCols returns the submatrix formed by the given columns of A,
-// in order. This is the column-extraction SpGEMM A * Q_C of Section
-// 4.2.3 realized directly: Q_C has one nonzero per column, so the
-// product is a per-row select-and-relabel. Column indices must be
-// distinct.
-func ExtractCols(a *CSR, cols []int) *CSR {
-	sel := make(map[int]int, len(cols))
-	for newIdx, c := range cols {
-		if c < 0 || c >= a.Cols {
-			panic(fmt.Sprintf("sparse: ExtractCols column %d outside %d cols", c, a.Cols))
-		}
-		if _, dup := sel[c]; dup {
-			panic(fmt.Sprintf("sparse: ExtractCols duplicate column %d", c))
-		}
-		sel[c] = newIdx
-	}
-	out := &CSR{Rows: a.Rows, Cols: len(cols), RowPtr: make([]int, a.Rows+1)}
-	type ent struct {
-		c int
-		v float64
-	}
-	buf := make([]ent, 0, len(cols))
-	for i := 0; i < a.Rows; i++ {
-		buf = buf[:0]
-		rc, rv := a.Row(i)
-		for k, c := range rc {
-			if nc, ok := sel[c]; ok {
-				buf = append(buf, ent{nc, rv[k]})
-			}
-		}
-		sort.Slice(buf, func(x, y int) bool { return buf[x].c < buf[y].c })
-		for _, e := range buf {
-			out.ColIdx = append(out.ColIdx, e.c)
-			out.Val = append(out.Val, e.v)
-		}
-		out.RowPtr[i+1] = len(out.ColIdx)
-	}
-	return out
-}
-
 // VStack vertically concatenates the given matrices, which must all
 // have the same column count. This realizes the bulk-sampling stacking
 // of Equation 1 in the paper.

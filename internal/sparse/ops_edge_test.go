@@ -70,43 +70,3 @@ func TestBlockDiagEmptyAndZeroColumnBlocks(t *testing.T) {
 		t.Fatalf("second block not shifted past zero-column block")
 	}
 }
-
-func TestExtractColsEmptySelectionAndEmptyMatrix(t *testing.T) {
-	a := FromDense(2, 3, []float64{1, 2, 0, 0, 3, 4})
-
-	// Empty selection: all rows, no columns.
-	s := ExtractCols(a, nil)
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Rows != 2 || s.Cols != 0 || s.NNZ() != 0 {
-		t.Fatalf("empty selection shape %dx%d nnz %d", s.Rows, s.Cols, s.NNZ())
-	}
-
-	// Extraction from an empty (0-row) matrix.
-	s = ExtractCols(Zero(0, 3), []int{2, 0})
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Rows != 0 || s.Cols != 2 {
-		t.Fatalf("empty matrix extraction shape %dx%d", s.Rows, s.Cols)
-	}
-
-	// Extraction from a zero-column matrix with an empty selection.
-	s = ExtractCols(Zero(4, 0), nil)
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Rows != 4 || s.Cols != 0 {
-		t.Fatalf("zero-column extraction shape %dx%d", s.Rows, s.Cols)
-	}
-
-	// Out-of-order selection relabels and reorders per row.
-	s = ExtractCols(a, []int{2, 1})
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if s.At(0, 1) != 2 || s.At(1, 0) != 4 || s.At(1, 1) != 3 {
-		t.Fatalf("reordered extraction wrong: %v", s.ToDense())
-	}
-}

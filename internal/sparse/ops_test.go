@@ -24,31 +24,6 @@ func TestExtractRowsMatchesSpGEMM(t *testing.T) {
 	}
 }
 
-func TestExtractColsMatchesSpGEMM(t *testing.T) {
-	// Column extraction must equal multiplying by a one-nonzero-per-
-	// column selector matrix Q_C (Section 4.2.3).
-	a := exampleGraph()
-	cols := []int{0, 4}
-	got := ExtractCols(a, cols)
-	coo := NewCOO(a.Cols, len(cols), len(cols))
-	for j, c := range cols {
-		coo.Add(c, j, 1)
-	}
-	want, _ := SpGEMM(a, coo.ToCSR())
-	if !Equal(got, want, 0) {
-		t.Fatalf("ExtractCols != A*Q_C:\n%v\n%v", got.ToDense(), want.ToDense())
-	}
-}
-
-func TestExtractColsDuplicatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on duplicate column")
-		}
-	}()
-	ExtractCols(exampleGraph(), []int{1, 1})
-}
-
 func TestVStack(t *testing.T) {
 	a := FromEntries(2, 3, [][3]float64{{0, 0, 1}, {1, 2, 2}})
 	b := FromEntries(1, 3, [][3]float64{{0, 1, 3}})

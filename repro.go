@@ -56,8 +56,9 @@ type (
 	// CSR is a compressed sparse row matrix, the storage format for
 	// adjacency, sampler and probability matrices.
 	CSR = sparse.CSR
-	// Sampler is one layer of the matrix-based sampling abstraction
-	// (Algorithm 1). Implementations: GraphSAGE, LADIES, FastGCN.
+	// Sampler is a sampling algorithm of the matrix-based abstraction
+	// (Algorithm 1): a row of core.Samplers. Implementations: GraphSAGE,
+	// LADIES, FastGCN.
 	Sampler = core.Sampler
 	// BulkSample is the output of bulk-sampling k minibatches.
 	BulkSample = core.BulkSample
@@ -133,7 +134,7 @@ func LoadDataset(r io.Reader) (*Dataset, error) { return graphio.ReadDataset(r) 
 // SampleBulk samples every minibatch in batches at once with the
 // matrix-based bulk approach (Algorithm 1 over the stacked matrices of
 // Equation 1). fanouts[0] applies at the batch layer.
-func SampleBulk(s Sampler, adj *CSR, batches [][]int, fanouts []int, seed int64) *BulkSample {
+func SampleBulk(s core.LayerStepper, adj *CSR, batches [][]int, fanouts []int, seed int64) *BulkSample {
 	return core.SampleBulk(s, adj, batches, fanouts, seed)
 }
 
