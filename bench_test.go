@@ -285,7 +285,10 @@ func BenchmarkCPULadiesReference(b *testing.B) {
 }
 
 // BenchmarkGNNForwardBackward measures one training step (forward,
-// loss, backward) over a sampled minibatch at example scale.
+// loss, backward) over a sampled minibatch at example scale. Allocations
+// are the steady state's: the step's matrices live in a workspace the
+// model recycles, so what is left is the gradient vector and little
+// else.
 func BenchmarkGNNForwardBackward(b *testing.B) {
 	d := datasets.ProductsLike(datasets.Small)
 	bulk := core.SampleBulk(core.SAGE{}, d.Graph.Adj, d.Batches()[:1], d.Fanouts, 1)
@@ -295,14 +298,11 @@ func BenchmarkGNNForwardBackward(b *testing.B) {
 		Layers: len(d.Fanouts), Seed: 1,
 	})
 	feats := gnn.GatherFeatures(d.Features, bg.InputVertices())
-	labels := make([]int, len(bg.Seeds))
-	for i, v := range bg.Seeds {
-		labels[i] = d.Labels[v]
-	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		act, _ := model.Forward(bg, feats)
-		_, dLogits := gnn.Loss(act, labels)
+		_, dLogits := gnn.Loss(act, act.SeedLabels(d.Labels))
 		model.Backward(act, dLogits)
 	}
 }

@@ -47,11 +47,7 @@ func main() {
 			bg := eb.ExtractBatch(i)
 			feats := gnn.GatherFeatures(d.Features, bg.InputVertices())
 			act, _ := model.Forward(bg, feats)
-			labels := make([]int, len(bg.Seeds))
-			for j, v := range bg.Seeds {
-				labels[j] = d.Labels[v]
-			}
-			loss, dLogits := gnn.Loss(act, labels)
+			loss, dLogits := gnn.Loss(act, act.SeedLabels(d.Labels))
 			grads, _ := model.Backward(act, dLogits)
 			opt.Step(model.Params(), grads)
 			total += loss

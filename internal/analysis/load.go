@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -156,6 +157,13 @@ func (l *Loader) scan() ([]*dirPkg, error) {
 		}
 		d := &dirPkg{dir: p, path: ip}
 		for _, name := range names {
+			// Like the compiler, see one platform's file set: a package
+			// may define a function once per GOARCH.
+			if ok, err := build.Default.MatchFile(p, filepath.Base(name)); err != nil {
+				return fmt.Errorf("gnnvet: %w", err)
+			} else if !ok {
+				continue
+			}
 			af, err := parser.ParseFile(l.Fset, name, nil, parser.ParseComments)
 			if err != nil {
 				return fmt.Errorf("gnnvet: %w", err)

@@ -258,8 +258,9 @@ const PerfWallTolerance = 1.25
 // never the signal this gate exists for.
 const perfWallSlack = 0.1
 
-// perfAllocTolerance bounds allocation-count growth; allocations are
-// near-deterministic, so the bound is tighter than the wall gate.
+// perfAllocTolerance bounds growth of the allocation count and of the
+// allocated bytes; allocations are near-deterministic, so the bound is
+// tighter than the wall gate.
 const perfAllocTolerance = 1.10
 
 // PerfGate compares measured rows against the committed baseline — it

@@ -71,10 +71,23 @@ func TestPerfGateFailsOnMissingWorkload(t *testing.T) {
 func TestPerfGateFailsOnAllocGrowth(t *testing.T) {
 	base := perfRowsForTest()
 	path := writeBaseline(t, base)
-	got := append([]PerfRow(nil), base...)
-	got[0].Allocs = 1200 // +20% > 10%
-	if err := PerfGate(io.Discard, path, got); err == nil {
-		t.Fatal("gate passed a 20% allocation growth")
+	for _, c := range []struct {
+		name   string
+		grow   func(r *PerfRow) // +20% > 10%
+		breach string
+	}{
+		{"count", func(r *PerfRow) { r.Allocs += r.Allocs / 5 }, "FAIL:allocs"},
+		{"bytes", func(r *PerfRow) { r.AllocBytes += r.AllocBytes / 5 }, "FAIL:alloc-bytes"},
+	} {
+		got := append([]PerfRow(nil), base...)
+		c.grow(&got[0])
+		var sb strings.Builder
+		if err := PerfGate(&sb, path, got); err == nil {
+			t.Fatalf("gate passed a 20%% growth of the allocation %s", c.name)
+		}
+		if !strings.Contains(sb.String(), c.breach) {
+			t.Fatalf("failure output does not name the %s growth: %q", c.name, sb.String())
+		}
 	}
 }
 

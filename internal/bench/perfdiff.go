@@ -10,8 +10,9 @@ import (
 // delta table to w (relative changes are after vs before; positive is
 // the regression direction), and reports whether any workload breached a
 // threshold: wall time past before·wallTol plus the absolute slack
-// (PerfWallTolerance is the committed ratio), allocation count past
-// perfAllocTolerance, any simulated-seconds drift, or a workload missing
+// (PerfWallTolerance is the committed ratio), allocation count or
+// allocated bytes past perfAllocTolerance, any simulated-seconds drift,
+// or a workload missing
 // from after. This is the one comparison — PerfGate is this function
 // plus an error — and the point of the table is seeing the margins even
 // when nothing is breached.
@@ -33,6 +34,9 @@ func PerfDiff(w io.Writer, before, after *PerfBaseline, wallTol float64) (breach
 		var breaches []string
 		if b.WallSec > 0 && a.WallSec > b.WallSec*wallTol+perfWallSlack {
 			breaches = append(breaches, "wall")
+		}
+		if b.AllocBytes > 0 && float64(a.AllocBytes) > float64(b.AllocBytes)*perfAllocTolerance {
+			breaches = append(breaches, "alloc-bytes")
 		}
 		if b.Allocs > 0 && float64(a.Allocs) > float64(b.Allocs)*perfAllocTolerance {
 			breaches = append(breaches, "allocs")

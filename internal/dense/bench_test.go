@@ -14,22 +14,40 @@ func benchMat(r, c int) *Matrix {
 	return m
 }
 
-func BenchmarkMatMul(b *testing.B) {
-	x := benchMat(512, 64)
-	y := benchMat(64, 64)
-	b.ResetTimer()
+// benchReLU is benchMat after a ReLU: half of it exactly zero, like a
+// hidden activation or its gradient.
+func benchReLU(r, c int) *Matrix {
+	m := benchMat(r, c)
+	ReLUInto(m, m, nil)
+	return m
+}
+
+// The product benchmarks run the shapes of the benchmark's
+// replicated-bulk workload (products at the Bench profile: 32 features,
+// hidden width 64, frontiers of about 4000 and 700 rows): the first
+// convolution multiplies dense features, the second a half-zero hidden
+// activation.
+func benchProduct(b *testing.B, f func(x, y *Matrix) (*Matrix, int64), x, y *Matrix) {
+	b.ReportAllocs()
+	var flops int64
 	for i := 0; i < b.N; i++ {
-		MatMul(x, y)
+		_, flops = f(x, y)
 	}
+	b.ReportMetric(float64(flops)*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gmadd/s")
+}
+
+func BenchmarkMatMul(b *testing.B) {
+	b.Run("layer0", func(b *testing.B) { benchProduct(b, MatMul, benchMat(4000, 32), benchMat(32, 64)) })
+	b.Run("layer1", func(b *testing.B) { benchProduct(b, MatMul, benchReLU(700, 64), benchMat(64, 64)) })
 }
 
 func BenchmarkMatMulT(b *testing.B) {
-	x := benchMat(512, 64)
-	y := benchMat(64, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMulT(x, y)
-	}
+	b.Run("layer1", func(b *testing.B) { benchProduct(b, MatMulT, benchReLU(700, 64), benchMat(64, 64)) })
+}
+
+func BenchmarkTMatMul(b *testing.B) {
+	b.Run("layer0", func(b *testing.B) { benchProduct(b, TMatMul, benchMat(4000, 32), benchReLU(4000, 64)) })
+	b.Run("layer1", func(b *testing.B) { benchProduct(b, TMatMul, benchReLU(700, 64), benchReLU(700, 64)) })
 }
 
 func BenchmarkCrossEntropy(b *testing.B) {

@@ -73,178 +73,197 @@ func (m *Matrix) Scale(f float64) {
 	}
 }
 
-// MatMul computes C = A * B with a cache-blocked loop, parallelized
-// over row stripes of A. The returned flop count is multiply-add
-// pairs (A.Rows * A.Cols * B.Cols).
+// Every product below comes as a pair: XInto overwrites a caller-owned
+// destination of the result's shape (whatever it held) and returns the
+// multiply-add count; X allocates the destination. All inner loops are
+// Axpy/Axpy2, each output element accumulates its terms from +0 in
+// ascending order of the contracted index, and MatMul and TMatMul skip
+// the terms whose left factor is exactly zero — so a product returns
+// the same bits whichever body Axpy runs and however rows are split
+// across workers.
+
+// MatMul computes C = A * B, parallelized over row stripes of A.
 func MatMul(a, b *Matrix) (*Matrix, int64) {
+	c := New(a.Rows, b.Cols)
+	return c, MatMulInto(c, a, b)
+}
+
+// MatMulInto computes C = A * B into c.
+func MatMulInto(c, a, b *Matrix) int64 {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("dense: MatMul dims %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	c := New(a.Rows, b.Cols)
-	parallelRows(a.Rows, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ci := c.Data[i*c.Cols : (i+1)*c.Cols]
-			ai := a.Data[i*a.Cols : (i+1)*a.Cols]
-			// Pairs of k share one pass over ci. Each ci[j] still
-			// accumulates its terms in ascending-k order — (c+x)+y is
-			// the same schedule whether the adds sit in one loop body
-			// or two — so results are bit-identical to the scalar
-			// loop; the zero-skip short-circuits are kept exact too.
-			k := 0
-			for ; k+1 < len(ai); k += 2 {
-				a0, a1 := ai[k], ai[k+1]
-				if a0 == 0 && a1 == 0 {
-					continue
-				}
-				b0 := b.Data[k*b.Cols : (k+1)*b.Cols]
-				b1 := b.Data[(k+1)*b.Cols : (k+2)*b.Cols]
-				switch {
-				case a1 == 0:
-					for j := range ci {
-						ci[j] += a0 * b0[j]
-					}
-				case a0 == 0:
-					for j := range ci {
-						ci[j] += a1 * b1[j]
-					}
-				default:
-					b1 := b1[:len(b0)]
-					for j := range ci {
-						// Left-associated: (c + a0·b0) + a1·b1, the
-						// scalar loop's exact schedule.
-						ci[j] = ci[j] + a0*b0[j] + a1*b1[j]
-					}
-				}
-			}
-			if k < len(ai) {
-				if av := ai[k]; av != 0 {
-					bk := b.Data[k*b.Cols : (k+1)*b.Cols]
-					for j := range ci {
-						ci[j] += av * bk[j]
-					}
-				}
+	checkDst("MatMul", c, a.Rows, b.Cols)
+	flops := int64(a.Rows) * int64(a.Cols) * int64(b.Cols)
+	if Serial(a.Rows, flops) {
+		matMulRows(c, a, b, 0, a.Rows)
+	} else {
+		ParallelRows(a.Rows, func(lo, hi int) { matMulRows(c, a, b, lo, hi) })
+	}
+	return flops
+}
+
+func matMulRows(c, a, b *Matrix, lo, hi int) {
+	n := b.Cols
+	for i := lo; i < hi; i++ {
+		ci := c.Data[i*n : (i+1)*n]
+		clear(ci)
+		ai := a.Data[i*a.Cols : (i+1)*a.Cols]
+		// Pairs of k share one pass over ci; (c + x) + y is the scalar
+		// loop's schedule whether the adds sit in one pass or two.
+		k := 0
+		for ; k+1 < len(ai); k += 2 {
+			a0, a1 := ai[k], ai[k+1]
+			switch {
+			case a0 == 0 && a1 == 0:
+			case a1 == 0:
+				Axpy(ci, a0, b.Data[k*n:(k+1)*n])
+			case a0 == 0:
+				Axpy(ci, a1, b.Data[(k+1)*n:(k+2)*n])
+			default:
+				Axpy2(ci, a0, b.Data[k*n:(k+1)*n], a1, b.Data[(k+1)*n:(k+2)*n])
 			}
 		}
-	})
-	return c, int64(a.Rows) * int64(a.Cols) * int64(b.Cols)
+		if k < len(ai) && ai[k] != 0 {
+			Axpy(ci, ai[k], b.Data[k*n:(k+1)*n])
+		}
+	}
 }
 
 // MatMulT computes C = A * B^T.
 func MatMulT(a, b *Matrix) (*Matrix, int64) {
+	c := New(a.Rows, b.Rows)
+	return c, MatMulTInto(c, a, b, New(b.Cols, b.Rows))
+}
+
+// MatMulTInto computes C = A * B^T into c. bt is scratch of B^T's shape
+// and is overwritten with it: against the transposed copy the dot
+// products become row updates, c[i] += a[i][k]·bt[k], with the same
+// ascending-k chain per element. No term is skipped, so a zero in A
+// still meets a non-finite value in B.
+func MatMulTInto(c, a, b, bt *Matrix) int64 {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("dense: MatMulT dims %dx%d * (%dx%d)^T", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	c := New(a.Rows, b.Rows)
-	parallelRows(a.Rows, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ai := a.Data[i*a.Cols : (i+1)*a.Cols]
-			ci := c.Data[i*c.Cols : (i+1)*c.Cols]
-			// Two output columns per pass: the dot-product chains of
-			// ci[j] and ci[j+1] are independent accumulators, so
-			// interleaving them doubles ILP on the serial FP-add
-			// chain while each chain keeps its exact k-order.
-			j := 0
-			for ; j+1 < b.Rows; j += 2 {
-				b0 := b.Data[j*b.Cols : (j+1)*b.Cols]
-				b1 := b.Data[(j+1)*b.Cols : (j+2)*b.Cols]
-				b1 = b1[:len(b0)]
-				s0, s1 := 0.0, 0.0
-				for k := range ai {
-					av := ai[k]
-					s0 += av * b0[k]
-					s1 += av * b1[k]
-				}
-				ci[j] = s0
-				ci[j+1] = s1
-			}
-			if j < b.Rows {
-				bj := b.Data[j*b.Cols : (j+1)*b.Cols]
-				s := 0.0
-				for k := range ai {
-					s += ai[k] * bj[k]
-				}
-				ci[j] = s
-			}
+	checkDst("MatMulT", c, a.Rows, b.Rows)
+	checkDst("MatMulT scratch", bt, b.Cols, b.Rows)
+	for i := 0; i < b.Rows; i++ {
+		for j, v := range b.Data[i*b.Cols : (i+1)*b.Cols] {
+			bt.Data[j*b.Rows+i] = v
 		}
-	})
-	return c, int64(a.Rows) * int64(a.Cols) * int64(b.Rows)
+	}
+	flops := int64(a.Rows) * int64(a.Cols) * int64(b.Rows)
+	if Serial(a.Rows, flops) {
+		matMulTRows(c, a, bt, 0, a.Rows)
+	} else {
+		ParallelRows(a.Rows, func(lo, hi int) { matMulTRows(c, a, bt, lo, hi) })
+	}
+	return flops
+}
+
+func matMulTRows(c, a, bt *Matrix, lo, hi int) {
+	n := bt.Cols
+	for i := lo; i < hi; i++ {
+		ci := c.Data[i*n : (i+1)*n]
+		clear(ci)
+		ai := a.Data[i*a.Cols : (i+1)*a.Cols]
+		k := 0
+		for ; k+1 < len(ai); k += 2 {
+			Axpy2(ci, ai[k], bt.Data[k*n:(k+1)*n], ai[k+1], bt.Data[(k+1)*n:(k+2)*n])
+		}
+		if k < len(ai) {
+			Axpy(ci, ai[k], bt.Data[k*n:(k+1)*n])
+		}
+	}
 }
 
 // TMatMul computes C = A^T * B.
 func TMatMul(a, b *Matrix) (*Matrix, int64) {
+	c := New(a.Cols, b.Cols)
+	return c, TMatMulInto(c, a, b)
+}
+
+// TMatMulInto computes C = A^T * B into c. Serial: the output is small
+// (feature x feature) in GNN training while a.Rows, the batch
+// dimension, is large. Row pairs share one pass over each stripe of c;
+// for a fixed (k, j) the adds still land in ascending-i order.
+func TMatMulInto(c, a, b *Matrix) int64 {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("dense: TMatMul dims (%dx%d)^T * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	c := New(a.Cols, b.Cols)
-	// Serial accumulation: output is small (feature x feature) in GNN
-	// training, while a.Rows (the batch dimension) is large. Row pairs
-	// share one pass over each ck stripe; for a fixed (k, j) the adds
-	// still land in ascending-i order — (c + xᵢ) + xᵢ₊₁ left-associated
-	// — so the result is bit-identical to the row-at-a-time loop.
+	checkDst("TMatMul", c, a.Cols, b.Cols)
+	c.Zero()
+	m, n := a.Cols, b.Cols
 	i := 0
 	for ; i+1 < a.Rows; i += 2 {
-		a0 := a.Data[i*a.Cols : (i+1)*a.Cols]
-		a1 := a.Data[(i+1)*a.Cols : (i+2)*a.Cols]
-		b0 := b.Data[i*b.Cols : (i+1)*b.Cols]
-		b1 := b.Data[(i+1)*b.Cols : (i+2)*b.Cols]
-		b1 = b1[:len(b0)]
-		for k := range a0 {
-			v0, v1 := a0[k], a1[k]
-			if v0 == 0 && v1 == 0 {
-				continue
-			}
-			ck := c.Data[k*c.Cols : (k+1)*c.Cols]
+		a0, a1 := a.Data[i*m:(i+1)*m], a.Data[(i+1)*m:(i+2)*m]
+		b0, b1 := b.Data[i*n:(i+1)*n], b.Data[(i+1)*n:(i+2)*n]
+		for k, v0 := range a0 {
+			v1 := a1[k]
+			ck := c.Data[k*n : (k+1)*n]
 			switch {
+			case v0 == 0 && v1 == 0:
 			case v1 == 0:
-				for j := range b0 {
-					ck[j] += v0 * b0[j]
-				}
+				Axpy(ck, v0, b0)
 			case v0 == 0:
-				for j := range b1 {
-					ck[j] += v1 * b1[j]
-				}
+				Axpy(ck, v1, b1)
 			default:
-				for j := range b0 {
-					ck[j] = ck[j] + v0*b0[j] + v1*b1[j]
-				}
+				Axpy2(ck, v0, b0, v1, b1)
 			}
 		}
 	}
 	if i < a.Rows {
-		ai := a.Data[i*a.Cols : (i+1)*a.Cols]
-		bi := b.Data[i*b.Cols : (i+1)*b.Cols]
-		for k, av := range ai {
-			if av == 0 {
-				continue
-			}
-			ck := c.Data[k*c.Cols : (k+1)*c.Cols]
-			for j := range bi {
-				ck[j] += av * bi[j]
+		bi := b.Data[i*n : (i+1)*n]
+		for k, av := range a.Data[i*m : (i+1)*m] {
+			if av != 0 {
+				Axpy(c.Data[k*n:(k+1)*n], av, bi)
 			}
 		}
 	}
-	return c, int64(a.Rows) * int64(a.Cols) * int64(b.Cols)
+	return int64(a.Rows) * int64(a.Cols) * int64(b.Cols)
 }
 
-// parallelRows splits [0, rows) across GOMAXPROCS workers.
-func parallelRows(rows int, f func(lo, hi int)) {
+func checkDst(op string, c *Matrix, rows, cols int) {
+	if c.Rows != rows || c.Cols != cols {
+		panic(fmt.Sprintf("dense: %s destination is %dx%d, want %dx%d", op, c.Rows, c.Cols, rows, cols))
+	}
+}
+
+// parallelMinWork is the multiply-add count below which a kernel runs
+// on the calling goroutine. Spawning and joining a goroutine set costs
+// a few microseconds and a futex wake per worker — what 2^15 to 2^16
+// multiply-adds cost at the vector kernels' rate. Against fanning out
+// every call, serialising those under 2^17 measured -23 % epoch wall
+// time on the p=128 contended-overlap workload and -8 % on largep-des
+// (p=2048), whose minibatches are small, and changes nothing on
+// replicated-bulk, whose products are 20 to 60 times the threshold.
+const parallelMinWork = 1 << 17
+
+// Serial reports whether a kernel over rows rows performing work
+// multiply-adds should run on the calling goroutine rather than through
+// ParallelRows. It is a question, not a wrapper taking the stripe
+// function, so that a serial call never builds the closure the fan-out
+// needs.
+func Serial(rows int, work int64) bool {
+	return work < parallelMinWork || rows < 2 || runtime.GOMAXPROCS(0) < 2
+}
+
+// ParallelRows splits [0, rows) into one stripe per GOMAXPROCS worker
+// and returns when f has run on every stripe.
+func ParallelRows(rows int, f func(lo, hi int)) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > rows {
 		workers = rows
 	}
-	if workers <= 1 {
-		f(0, rows)
-		return
+	if workers < 1 {
+		workers = 1
 	}
 	var wg sync.WaitGroup
 	chunk := (rows + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
+	for lo := 0; lo < rows; lo += chunk {
+		hi := lo + chunk
 		if hi > rows {
 			hi = rows
-		}
-		if lo >= hi {
-			break
 		}
 		wg.Add(1)
 		go func(lo, hi int) {
@@ -255,49 +274,80 @@ func parallelRows(rows int, f func(lo, hi int)) {
 	wg.Wait()
 }
 
-// ReLU applies max(0, x) elementwise, returning a new matrix.
-func ReLU(m *Matrix) *Matrix {
-	out := m.Clone()
-	for i, v := range out.Data {
-		if v < 0 {
-			out.Data[i] = 0
-		}
+// zeroIf returns +0 when cond holds and v otherwise. Selecting on the
+// bit pattern compiles to a conditional move: the ReLU passes test the
+// sign of pre-activations, which changes from element to element at
+// random, and a mispredicted branch costs several times the rest of
+// their loop bodies.
+func zeroIf(cond bool, v float64) float64 {
+	bits := math.Float64bits(v)
+	if cond {
+		bits = 0
 	}
-	return out
+	return math.Float64frombits(bits)
 }
 
-// ReLUGrad masks grad by the positivity of pre-activation z:
-// out[i] = grad[i] if z[i] > 0 else 0.
-func ReLUGrad(z, grad *Matrix) *Matrix {
-	if z.Rows != grad.Rows || z.Cols != grad.Cols {
-		panic("dense: ReLUGrad shape mismatch")
+// ReLUInto writes z into h with negative elements replaced by 0. With a
+// non-nil mask (inverted dropout) each element is also scaled by the
+// mask's.
+func ReLUInto(h, z, mask *Matrix) {
+	checkDst("ReLU", h, z.Rows, z.Cols)
+	out := h.Data[:len(z.Data)]
+	if mask == nil {
+		for i, v := range z.Data {
+			out[i] = zeroIf(v < 0, v)
+		}
+		return
 	}
-	out := grad.Clone()
-	for i := range out.Data {
-		if z.Data[i] <= 0 {
-			out.Data[i] = 0
+	checkDst("ReLU mask", mask, z.Rows, z.Cols)
+	scale := mask.Data[:len(z.Data)]
+	for i, v := range z.Data {
+		out[i] = zeroIf(v < 0, v) * scale[i]
+	}
+}
+
+// ReLUGradInPlace turns the gradient of a ReLUInto output into the
+// gradient of its pre-activation z: grad[i] becomes 0 where z[i] <= 0
+// and is scaled by mask[i] (when mask is non-nil) elsewhere.
+func ReLUGradInPlace(grad, z, mask *Matrix) {
+	checkDst("ReLUGrad", grad, z.Rows, z.Cols)
+	g := grad.Data[:len(z.Data)]
+	if mask == nil {
+		for i, zv := range z.Data {
+			g[i] = zeroIf(zv <= 0, g[i])
+		}
+		return
+	}
+	checkDst("ReLUGrad mask", mask, z.Rows, z.Cols)
+	scale := mask.Data[:len(z.Data)]
+	for i, zv := range z.Data {
+		g[i] = zeroIf(zv <= 0, g[i]*scale[i])
+	}
+}
+
+// logSumExp returns log(sum(exp(row))), stabilized by subtracting the
+// row max.
+func logSumExp(row []float64) float64 {
+	max := math.Inf(-1)
+	for _, v := range row {
+		if v > max {
+			max = v
 		}
 	}
-	return out
+	sum := 0.0
+	for _, v := range row {
+		sum += math.Exp(v - max)
+	}
+	return max + math.Log(sum)
 }
 
 // LogSoftmaxRows computes the log-softmax of each row, returning a new
-// matrix. Numerically stabilized by subtracting the row max.
+// matrix.
 func LogSoftmaxRows(m *Matrix) *Matrix {
 	out := New(m.Rows, m.Cols)
 	for i := 0; i < m.Rows; i++ {
 		row := m.RowView(i)
-		max := math.Inf(-1)
-		for _, v := range row {
-			if v > max {
-				max = v
-			}
-		}
-		sum := 0.0
-		for _, v := range row {
-			sum += math.Exp(v - max)
-		}
-		lse := max + math.Log(sum)
+		lse := logSumExp(row)
 		dst := out.RowView(i)
 		for j, v := range row {
 			dst[j] = v - lse
@@ -310,26 +360,32 @@ func LogSoftmaxRows(m *Matrix) *Matrix {
 // under row-wise softmax of logits, together with the gradient with
 // respect to the logits (softmax - onehot, scaled by 1/rows).
 func CrossEntropy(logits *Matrix, labels []int) (loss float64, grad *Matrix) {
+	grad = New(logits.Rows, logits.Cols)
+	return CrossEntropyInto(grad, logits, labels), grad
+}
+
+// CrossEntropyInto is CrossEntropy writing the gradient into grad.
+func CrossEntropyInto(grad, logits *Matrix, labels []int) (loss float64) {
 	if len(labels) != logits.Rows {
 		panic(fmt.Sprintf("dense: CrossEntropy got %d labels for %d rows", len(labels), logits.Rows))
 	}
-	logp := LogSoftmaxRows(logits)
-	grad = New(logits.Rows, logits.Cols)
+	checkDst("CrossEntropy", grad, logits.Rows, logits.Cols)
 	inv := 1.0 / float64(logits.Rows)
 	for i := 0; i < logits.Rows; i++ {
 		y := labels[i]
 		if y < 0 || y >= logits.Cols {
 			panic(fmt.Sprintf("dense: label %d outside %d classes", y, logits.Cols))
 		}
-		loss -= logp.At(i, y)
-		lp := logp.RowView(i)
+		row := logits.RowView(i)
+		lse := logSumExp(row)
+		loss -= row[y] - lse
 		g := grad.RowView(i)
-		for j := range g {
-			g[j] = math.Exp(lp[j]) * inv
+		for j, v := range row {
+			g[j] = math.Exp(v-lse) * inv
 		}
 		g[y] -= inv
 	}
-	return loss * inv, grad
+	return loss * inv
 }
 
 // Argmax returns the index of the maximum element of each row.

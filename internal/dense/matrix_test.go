@@ -95,18 +95,23 @@ func TestMatMulDimPanics(t *testing.T) {
 
 func TestReLUAndGrad(t *testing.T) {
 	z := FromSlice(2, 2, []float64{-1, 2, 0, 3})
-	r := ReLU(z)
-	want := []float64{0, 2, 0, 3}
-	for i := range want {
-		if r.Data[i] != want[i] {
-			t.Fatalf("ReLU = %v, want %v", r.Data, want)
-		}
-	}
-	g := ReLUGrad(z, FromSlice(2, 2, []float64{10, 10, 10, 10}))
-	wantG := []float64{0, 10, 0, 10}
-	for i := range wantG {
-		if g.Data[i] != wantG[i] {
-			t.Fatalf("ReLUGrad = %v, want %v", g.Data, wantG)
+	mask := FromSlice(2, 2, []float64{2, 2, 2, 0})
+	for _, tc := range []struct {
+		mask         *Matrix
+		wantH, wantG []float64
+	}{
+		{nil, []float64{0, 2, 0, 3}, []float64{0, 10, 0, 10}},
+		{mask, []float64{0, 4, 0, 0}, []float64{0, 20, 0, 0}},
+	} {
+		h := FromSlice(2, 2, []float64{9, 9, 9, 9})
+		ReLUInto(h, z, tc.mask)
+		g := FromSlice(2, 2, []float64{10, 10, 10, 10})
+		ReLUGradInPlace(g, z, tc.mask)
+		for i := range tc.wantH {
+			if h.Data[i] != tc.wantH[i] || g.Data[i] != tc.wantG[i] {
+				t.Fatalf("mask %v: ReLU = %v, want %v; grad = %v, want %v",
+					tc.mask != nil, h.Data, tc.wantH, g.Data, tc.wantG)
+			}
 		}
 	}
 }
@@ -276,7 +281,7 @@ func TestReLUGradShapePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	ReLUGrad(New(2, 2), New(3, 2))
+	ReLUGradInPlace(New(3, 2), New(2, 2), nil)
 }
 
 func TestCrossEntropyBadLabelPanics(t *testing.T) {

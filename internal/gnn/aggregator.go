@@ -38,37 +38,37 @@ func (a Aggregator) String() string {
 
 // normalizeAdj returns the aggregation operator for a sampled
 // bipartite adjacency block (rows: layer-l frontier, cols: layer-(l-1)
-// frontier).
-func normalizeAdj(adj *sparse.CSR, agg Aggregator) *sparse.CSR {
-	out := adj.Clone()
-	switch agg {
-	case SumAgg:
+// frontier). The operator shares adj's structure; its values are adj's
+// own for SumAgg and workspace memory otherwise, so adj is never
+// written.
+func normalizeAdj(adj *sparse.CSR, agg Aggregator, ws *workspace) sparse.CSR {
+	out := *adj
+	if agg == SumAgg {
 		return out
+	}
+	out.Val = ws.take(len(adj.Val))
+	copy(out.Val, adj.Val)
+	switch agg {
 	case MeanAgg:
 		out.NormalizeRows()
-		return out
 	case GCNAgg:
 		// Bipartite symmetric scaling: entry (i, j) becomes
 		// 1 / sqrt((1+deg_out(i)) * (1+deg_in(j))). The +1 terms play
 		// the role of the self loop in D^-1/2 (A+I) D^-1/2.
-		rowDeg := make([]float64, out.Rows)
-		colDeg := make([]float64, out.Cols)
-		for i := 0; i < out.Rows; i++ {
-			cols, _ := out.Row(i)
-			rowDeg[i] = float64(len(cols))
-			for _, c := range cols {
-				colDeg[c]++
-			}
+		colDeg := ws.take(out.Cols)
+		clear(colDeg)
+		for _, c := range out.ColIdx[:out.NNZ()] {
+			colDeg[c]++
 		}
 		for i := 0; i < out.Rows; i++ {
 			lo, hi := out.RowPtr[i], out.RowPtr[i+1]
+			rowDeg := float64(hi - lo)
 			for k := lo; k < hi; k++ {
-				j := out.ColIdx[k]
-				out.Val[k] /= math.Sqrt((1 + rowDeg[i]) * (1 + colDeg[j]))
+				out.Val[k] /= math.Sqrt((1 + rowDeg) * (1 + colDeg[out.ColIdx[k]]))
 			}
 		}
-		return out
 	default:
 		panic(fmt.Sprintf("gnn: unknown aggregator %d", agg))
 	}
+	return out
 }

@@ -16,7 +16,7 @@ func TestAggregatorStrings(t *testing.T) {
 
 func TestNormalizeAdjMean(t *testing.T) {
 	adj := sparse.FromEntries(2, 3, [][3]float64{{0, 0, 1}, {0, 2, 1}, {1, 1, 1}})
-	norm := normalizeAdj(adj, MeanAgg)
+	norm := normalizeAdj(adj, MeanAgg, &workspace{})
 	if norm.At(0, 0) != 0.5 || norm.At(0, 2) != 0.5 || norm.At(1, 1) != 1 {
 		t.Fatalf("mean normalization wrong: %v", norm.ToDense())
 	}
@@ -28,7 +28,7 @@ func TestNormalizeAdjMean(t *testing.T) {
 
 func TestNormalizeAdjSum(t *testing.T) {
 	adj := sparse.FromEntries(1, 2, [][3]float64{{0, 0, 1}, {0, 1, 1}})
-	norm := normalizeAdj(adj, SumAgg)
+	norm := normalizeAdj(adj, SumAgg, &workspace{})
 	if norm.At(0, 0) != 1 || norm.At(0, 1) != 1 {
 		t.Fatal("sum aggregation must not scale")
 	}
@@ -37,7 +37,7 @@ func TestNormalizeAdjSum(t *testing.T) {
 func TestNormalizeAdjGCNSymmetric(t *testing.T) {
 	// Entry (i,j) must equal 1/sqrt((1+rowdeg_i)(1+coldeg_j)).
 	adj := sparse.FromEntries(2, 2, [][3]float64{{0, 0, 1}, {0, 1, 1}, {1, 1, 1}})
-	norm := normalizeAdj(adj, GCNAgg)
+	norm := normalizeAdj(adj, GCNAgg, &workspace{})
 	want00 := 1 / math.Sqrt(3*2) // rowdeg 2, coldeg 1
 	want01 := 1 / math.Sqrt(3*3) // rowdeg 2, coldeg 2
 	want11 := 1 / math.Sqrt(2*3)
@@ -129,7 +129,8 @@ func TestDropoutGradientCheck(t *testing.T) {
 }
 
 func TestDropoutZerosFraction(t *testing.T) {
-	mask := dropoutMask(100, 100, 0.4, 5, 0)
+	mask := dense.New(100, 100)
+	fillDropoutMask(mask, 0.4, 5, 0)
 	zeros := 0
 	for _, v := range mask.Data {
 		if v == 0 {
@@ -145,8 +146,9 @@ func TestDropoutZerosFraction(t *testing.T) {
 }
 
 func TestDropoutSeedAdvances(t *testing.T) {
-	a := dropoutMask(10, 10, 0.5, 1, 0)
-	b := dropoutMask(10, 10, 0.5, 2, 0)
+	a, b := dense.New(10, 10), dense.New(10, 10)
+	fillDropoutMask(a, 0.5, 1, 0)
+	fillDropoutMask(b, 0.5, 2, 0)
 	same := true
 	for i := range a.Data {
 		if a.Data[i] != b.Data[i] {

@@ -4,39 +4,27 @@ import (
 	"repro/internal/dense"
 )
 
-// dropoutMask builds an inverted-dropout mask (entries are 0 with
-// probability rate, else 1/(1-rate)) deterministically from a seed and
-// layer index, so forward and backward — and repeated forwards in
-// numerical gradient checks — see identical masks.
-func dropoutMask(rows, cols int, rate float64, seed int64, layer int) *dense.Matrix {
-	m := dense.New(rows, cols)
+// fillDropoutMask overwrites m with an inverted-dropout mask (entries
+// are 0 with probability rate, else 1/(1-rate)) drawn deterministically
+// from a seed and layer index, so repeated forwards in numerical
+// gradient checks see identical masks.
+func fillDropoutMask(m *dense.Matrix, rate float64, seed int64, layer int) {
 	keep := 1 - rate
 	inv := 1 / keep
 	// splitmix64 stream per (seed, layer).
 	z := uint64(seed)*0x9E3779B97F4A7C15 + uint64(layer+1)*0xBF58476D1CE4E5B9
-	next := func() uint64 {
+	for i := range m.Data {
 		z += 0x9E3779B97F4A7C15
 		x := z
 		x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
 		x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-		return x ^ (x >> 31)
-	}
-	for i := range m.Data {
-		u := float64(next()>>11) / float64(1<<53)
-		if u < keep {
+		x ^= x >> 31
+		if u := float64(x>>11) / float64(1<<53); u < keep {
 			m.Data[i] = inv
+		} else {
+			m.Data[i] = 0
 		}
 	}
-	return m
-}
-
-// applyMask multiplies x by mask elementwise, returning a new matrix.
-func applyMask(x, mask *dense.Matrix) *dense.Matrix {
-	out := x.Clone()
-	for i := range out.Data {
-		out.Data[i] *= mask.Data[i]
-	}
-	return out
 }
 
 // SetDropout enables inverted dropout on hidden activations at the

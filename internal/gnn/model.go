@@ -9,6 +9,7 @@ package gnn
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/dense"
@@ -29,8 +30,11 @@ type Config struct {
 
 // layerView holds parameter matrix views into the flat buffer for one
 // SAGE convolution: out = ReLU(H_self·WSelf + mean(H_neigh)·WNeigh).
+// WSelf starts at flat[off] and WNeigh follows it; a gradient vector
+// has the same layout.
 type layerView struct {
 	WSelf, WNeigh *dense.Matrix
+	off           int
 }
 
 // Model is a GraphSAGE network with a linear classification head.
@@ -40,10 +44,15 @@ type Model struct {
 	layers []layerView
 	wOut   *dense.Matrix
 	bOut   []float64
+	outOff int // wOut starts at flat[outOff], bOut follows it
 
 	// dropout state (see SetDropout); zero rate = disabled.
 	dropRate float64
 	dropSeed int64
+
+	// workspaces no step holds (see workspace).
+	wsMu   sync.Mutex
+	wsFree []*workspace
 }
 
 // NewModel allocates and Xavier-initializes a model.
@@ -65,8 +74,11 @@ func NewModel(cfg Config) *Model {
 		return v
 	}
 	for _, d := range dims {
-		m.layers = append(m.layers, layerView{WSelf: view(d[0], d[1]), WNeigh: view(d[0], d[1])})
+		lay := layerView{off: off}
+		lay.WSelf, lay.WNeigh = view(d[0], d[1]), view(d[0], d[1])
+		m.layers = append(m.layers, lay)
 	}
+	m.outOff = off
 	m.wOut = view(cfg.Hidden, cfg.Classes)
 	m.bOut = m.flat[off : off+cfg.Classes]
 
@@ -108,19 +120,47 @@ func (m *Model) SetParams(p []float64) {
 	copy(m.flat, p)
 }
 
-// Activations caches everything forward computes that backward needs.
+// Activations is one minibatch's forward pass: the logits, and what
+// Backward needs of the way there. Everything it points at except the
+// caller's feature matrix is memory of the step's workspace, valid
+// until Backward returns; a step that ends without Backward (evaluation)
+// keeps it for as long as the Activations live.
 type Activations struct {
-	bg     *core.BatchGraph
-	h      []*dense.Matrix // h[t]: input to conv t (t=0 raw features)
-	z      []*dense.Matrix // pre-activation of conv t
-	norm   []*sparse.CSR   // row-normalized adjacency used by conv t
-	masks  []*dense.Matrix // dropout masks per conv (nil when disabled)
 	Logits *dense.Matrix
+
+	bg     *core.BatchGraph
+	ws     *workspace // nil once Backward has returned it
+	layers []layerAct
+	hTop   *dense.Matrix // output of the last conv, the classifier's input
+}
+
+// workspace returns the step's workspace, or panics if Backward has
+// already handed it to another step.
+func (a *Activations) workspace() *workspace {
+	if a.ws == nil {
+		panic("gnn: Activations used after Backward: its buffers belong to another step now")
+	}
+	return a.ws
+}
+
+// SeedLabels returns labels[v] for every seed vertex v of the batch,
+// in order — the step's targets, in the step's memory.
+func (a *Activations) SeedLabels(labels []int) []int {
+	ws := a.workspace()
+	if cap(ws.labels) < len(a.bg.Seeds) {
+		ws.labels = make([]int, len(a.bg.Seeds))
+	}
+	out := ws.labels[:len(a.bg.Seeds)]
+	for i, v := range a.bg.Seeds {
+		out[i] = labels[v]
+	}
+	return out
 }
 
 // Forward runs the network over one minibatch. feats holds the feature
-// rows of bg's input frontier (one row per InputVertices() entry).
-// The returned flop count covers every dense and sparse kernel.
+// rows of bg's input frontier (one row per InputVertices() entry) and
+// is only read. The returned flop count covers every dense and sparse
+// kernel.
 func (m *Model) Forward(bg *core.BatchGraph, feats *dense.Matrix) (*Activations, int64) {
 	if bg.Depth() != m.Cfg.Layers {
 		panic(fmt.Sprintf("gnn: batch has %d layers, model %d", bg.Depth(), m.Cfg.Layers))
@@ -129,128 +169,125 @@ func (m *Model) Forward(bg *core.BatchGraph, feats *dense.Matrix) (*Activations,
 		panic(fmt.Sprintf("gnn: got %d feature rows for %d input vertices",
 			feats.Rows, len(bg.InputVertices())))
 	}
+	ws := m.takeWorkspace()
+	if cap(ws.layers) < m.Cfg.Layers {
+		ws.layers = make([]layerAct, m.Cfg.Layers)
+	}
+	act := &Activations{bg: bg, ws: ws, layers: ws.layers[:m.Cfg.Layers]}
 	var flops int64
-	act := &Activations{bg: bg}
 	h := feats
-	for t := 0; t < m.Cfg.Layers; t++ {
+	for t := range act.layers {
 		adj := bg.Adjs[m.Cfg.Layers-1-t] // deepest first
 		lay := m.layers[t]
 		rows := adj.Rows
-
-		norm := normalizeAdj(adj, m.Cfg.Agg)
+		la := &act.layers[t]
+		la.h = h
+		la.norm = normalizeAdj(adj, m.Cfg.Agg, ws)
 
 		// Self term: embeddings of this depth's frontier are the first
 		// rows of h (the column frontier embeds the row frontier).
-		hSelf := dense.FromSlice(rows, h.Cols, h.Data[:rows*h.Cols])
-		zSelf, f1 := dense.MatMul(hSelf, lay.WSelf)
-		agg, f2 := sparse.SpMM(norm, h.Data, h.Cols)
-		aggM := dense.FromSlice(rows, h.Cols, agg)
-		zNeigh, f3 := dense.MatMul(aggM, lay.WNeigh)
-		zSelf.AddInPlace(zNeigh)
-		flops += f1 + f2 + f3
+		la.z = ws.mat(rows, m.Cfg.Hidden)
+		flops += dense.MatMulInto(la.z, ws.view(rows, h.Cols, h.Data), lay.WSelf)
+		la.agg = ws.mat(rows, h.Cols)
+		flops += sparse.SpMMInto(la.agg.Data, &la.norm, h.Data, h.Cols)
+		zNeigh := ws.mat(rows, m.Cfg.Hidden)
+		flops += dense.MatMulInto(zNeigh, la.agg, lay.WNeigh)
+		la.z.AddInPlace(zNeigh)
 
-		act.h = append(act.h, h)
-		act.z = append(act.z, zSelf)
-		act.norm = append(act.norm, norm)
-		h = dense.ReLU(zSelf)
+		la.mask = nil
 		if m.dropRate > 0 {
-			mask := dropoutMask(h.Rows, h.Cols, m.dropRate, m.dropSeed, t)
-			h = applyMask(h, mask)
-			act.masks = append(act.masks, mask)
-		} else {
-			act.masks = append(act.masks, nil)
+			la.mask = ws.mat(rows, m.Cfg.Hidden)
+			fillDropoutMask(la.mask, m.dropRate, m.dropSeed, t)
 		}
+		h = zNeigh // added into z and dead: the layer's output takes its place
+		dense.ReLUInto(h, la.z, la.mask)
 	}
-	logits, f := dense.MatMul(h, m.wOut)
-	flops += f
-	for i := 0; i < logits.Rows; i++ {
-		row := logits.RowView(i)
+	act.hTop = h
+	act.Logits = ws.mat(h.Rows, m.Cfg.Classes)
+	flops += dense.MatMulInto(act.Logits, h, m.wOut)
+	for i := 0; i < act.Logits.Rows; i++ {
+		row := act.Logits.RowView(i)
 		for j := range row {
 			row[j] += m.bOut[j]
 		}
 	}
-	// h after the last conv is needed for the classifier gradient.
-	act.h = append(act.h, h)
-	act.Logits = logits
 	return act, flops
 }
 
 // Backward computes the gradient of the loss with respect to every
-// parameter given dLogits (from dense.CrossEntropy). The result is a
-// flat vector aligned with Params().
+// parameter given dLogits (from Loss). The result is a flat vector
+// aligned with Params(), freshly allocated: the data-parallel
+// all-reduce reads it while its owner is parked, after another rank
+// may have taken this step's workspace. Backward ends the step — act
+// must not be used again.
+//
+// The returned flop count is what the matrix algorithm performs. Two
+// of its terms are charged without being run: the aggregation SpMM
+// (Forward kept its result) and the first convolution's input gradient
+// (two MatMulT over the widest frontier and an SpMMT, whose result no
+// parameter gradient reads).
 func (m *Model) Backward(act *Activations, dLogits *dense.Matrix) ([]float64, int64) {
+	ws := act.workspace()
 	grads := make([]float64, len(m.flat))
-	off := 0
-	gview := func(r, c int) *dense.Matrix {
-		v := dense.FromSlice(r, c, grads[off:off+r*c])
-		off += r * c
-		return v
-	}
-	var gLayers []layerView
-	for _, d := range layerDims(m.Cfg) {
-		gLayers = append(gLayers, layerView{WSelf: gview(d[0], d[1]), WNeigh: gview(d[0], d[1])})
-	}
-	gWOut := gview(m.Cfg.Hidden, m.Cfg.Classes)
-	gBOut := grads[off : off+m.Cfg.Classes]
-
+	hidden, classes := m.Cfg.Hidden, m.Cfg.Classes
 	var flops int64
 
 	// Classifier.
-	hTop := act.h[len(act.h)-1]
-	gw, f1 := dense.TMatMul(hTop, dLogits)
-	copy(gWOut.Data, gw.Data)
+	gWOut := ws.view(hidden, classes, grads[m.outOff:])
+	gBOut := grads[m.outOff+hidden*classes:]
+	flops += dense.TMatMulInto(gWOut, act.hTop, dLogits)
 	for i := 0; i < dLogits.Rows; i++ {
 		row := dLogits.RowView(i)
 		for j := range row {
 			gBOut[j] += row[j]
 		}
 	}
-	dh, f2 := dense.MatMulT(dLogits, m.wOut)
-	flops += f1 + f2
+	dh := ws.mat(dLogits.Rows, hidden)
+	flops += dense.MatMulTInto(dh, dLogits, m.wOut, ws.mat(classes, hidden))
 
 	// Convolutions, last applied first.
 	for t := m.Cfg.Layers - 1; t >= 0; t-- {
 		lay := m.layers[t]
-		z := act.z[t]
-		hIn := act.h[t]
-		norm := act.norm[t]
-		rows := z.Rows
+		la := &act.layers[t]
+		rows, in := la.z.Rows, la.h.Cols
+		nnz := int64(la.norm.NNZ())
 
-		if act.masks[t] != nil {
-			dh = applyMask(dh, act.masks[t])
-		}
-		dz := dense.ReLUGrad(z, dh)
+		dz := dh
+		dense.ReLUGradInPlace(dz, la.z, la.mask)
 
-		hSelf := dense.FromSlice(rows, hIn.Cols, hIn.Data[:rows*hIn.Cols])
-		gSelf, f3 := dense.TMatMul(hSelf, dz)
-		copy(gLayers[t].WSelf.Data, gSelf.Data)
-
-		agg, f4 := sparse.SpMM(norm, hIn.Data, hIn.Cols)
-		aggM := dense.FromSlice(rows, hIn.Cols, agg)
-		gNeigh, f5 := dense.TMatMul(aggM, dz)
-		copy(gLayers[t].WNeigh.Data, gNeigh.Data)
+		gSelf := ws.view(in, hidden, grads[lay.off:])
+		gNeigh := ws.view(in, hidden, grads[lay.off+in*hidden:])
+		flops += dense.TMatMulInto(gSelf, ws.view(rows, in, la.h.Data), dz)
+		flops += nnz * int64(in) // la.agg
+		flops += dense.TMatMulInto(gNeigh, la.agg, dz)
 
 		// Gradient to the layer input: self path into the prefix rows,
 		// neighbor path through the transposed normalized adjacency.
-		dSelf, f6 := dense.MatMulT(dz, lay.WSelf)
-		dAgg, f7 := dense.MatMulT(dz, lay.WNeigh)
-		dIn, f8 := sparse.SpMMT(norm, dAgg.Data, dAgg.Cols)
-		dhNext := dense.FromSlice(hIn.Rows, hIn.Cols, dIn)
-		for i := 0; i < rows; i++ {
-			dst := dhNext.RowView(i)
-			src := dSelf.RowView(i)
-			for j := range dst {
-				dst[j] += src[j]
-			}
+		// The first convolution's input is the features: charged as the
+		// two MatMulT and the SpMMT below, not computed.
+		if t == 0 {
+			flops += 2*int64(rows)*int64(hidden)*int64(in) + nnz*int64(in)
+			break
 		}
-		dh = dhNext
-		flops += f3 + f4 + f5 + f6 + f7 + f8
+		wT := ws.mat(hidden, in)
+		dSelf, dAgg := ws.mat(rows, in), ws.mat(rows, in)
+		flops += dense.MatMulTInto(dSelf, dz, lay.WSelf, wT)
+		flops += dense.MatMulTInto(dAgg, dz, lay.WNeigh, wT)
+		dh = ws.mat(la.h.Rows, in)
+		flops += sparse.SpMMTInto(dh.Data, &la.norm, dAgg.Data, in)
+		for i, v := range dSelf.Data {
+			dh.Data[i] += v
+		}
 	}
+
+	*act = Activations{}
+	m.putWorkspace(ws)
 	return grads, flops
 }
 
 // Loss computes cross-entropy over the seed vertices and the logits
-// gradient.
+// gradient (step memory, like the logits).
 func Loss(act *Activations, labels []int) (float64, *dense.Matrix) {
-	return dense.CrossEntropy(act.Logits, labels)
+	dLogits := act.workspace().mat(act.Logits.Rows, act.Logits.Cols)
+	return dense.CrossEntropyInto(dLogits, act.Logits, labels), dLogits
 }

@@ -1,0 +1,91 @@
+package gnn
+
+import (
+	"repro/internal/dense"
+	"repro/internal/sparse"
+)
+
+// workspace is the memory of one Forward→Backward step: every matrix
+// the step computes except the returned gradient is drawn from it.
+// Forward takes one from the model's free list, the step's Activations
+// carry it, and Backward puts it back when it returns, so the number of
+// live workspaces is the number of steps in flight — bounded by the
+// ranks running a propagation step at once, not by p. A step that never
+// reaches Backward (evaluation) just keeps its workspace until the
+// Activations are garbage.
+//
+// A step makes the same requests in the same order every time, so the
+// i-th request of a step is served by the buffer the i-th request of
+// the last step left behind, reallocated (with headroom: frontier sizes
+// vary batch to batch) only when it is too small. Buffers handed out
+// are valid until the step's Backward returns and hold unspecified
+// values.
+//
+//gnnvet:arena
+type workspace struct {
+	bufs [][]float64
+	hdrs []*dense.Matrix
+	// requests served so far this step
+	nbufs, nhdrs int
+
+	layers []layerAct
+	labels []int
+}
+
+// layerAct is what Forward keeps of one convolution for Backward.
+type layerAct struct {
+	h    *dense.Matrix // input (t = 0: the caller's features, not workspace memory)
+	z    *dense.Matrix // pre-activation
+	agg  *dense.Matrix // norm · h
+	mask *dense.Matrix // dropout mask, nil when disabled
+	norm sparse.CSR    // aggregation operator: the batch adjacency's structure, normalized values
+}
+
+// take returns n float64s.
+func (ws *workspace) take(n int) []float64 {
+	if ws.nbufs == len(ws.bufs) {
+		ws.bufs = append(ws.bufs, nil)
+	}
+	buf := &ws.bufs[ws.nbufs]
+	ws.nbufs++
+	if cap(*buf) < n {
+		*buf = make([]float64, n+n/8)
+	}
+	return (*buf)[:n]
+}
+
+// view returns a rows x cols matrix header over data.
+func (ws *workspace) view(rows, cols int, data []float64) *dense.Matrix {
+	if ws.nhdrs == len(ws.hdrs) {
+		ws.hdrs = append(ws.hdrs, new(dense.Matrix))
+	}
+	m := ws.hdrs[ws.nhdrs]
+	ws.nhdrs++
+	*m = dense.Matrix{Rows: rows, Cols: cols, Data: data[:rows*cols]}
+	return m
+}
+
+// mat returns a rows x cols matrix of step memory.
+func (ws *workspace) mat(rows, cols int) *dense.Matrix {
+	return ws.view(rows, cols, ws.take(rows*cols))
+}
+
+// takeWorkspace returns a workspace no other live step holds.
+func (m *Model) takeWorkspace() *workspace {
+	m.wsMu.Lock()
+	defer m.wsMu.Unlock()
+	n := len(m.wsFree)
+	if n == 0 {
+		return &workspace{}
+	}
+	ws := m.wsFree[n-1]
+	m.wsFree = m.wsFree[:n-1]
+	ws.nbufs, ws.nhdrs = 0, 0
+	return ws
+}
+
+func (m *Model) putWorkspace(ws *workspace) {
+	m.wsMu.Lock()
+	m.wsFree = append(m.wsFree, ws)
+	m.wsMu.Unlock()
+}

@@ -45,10 +45,7 @@ func Evaluate(d *datasets.Dataset, params []float64, cfg Config, vertices []int,
 		bg := bulk.ExtractBatch(0)
 		feats := gnn.GatherFeatures(d.Features, bg.InputVertices())
 		act, _ := model.Forward(bg, feats)
-		labels := make([]int, len(bg.Seeds))
-		for i, v := range bg.Seeds {
-			labels[i] = d.Labels[v]
-		}
+		labels := act.SeedLabels(d.Labels)
 		acc := dense.Accuracy(act.Logits, labels)
 		correct += int(acc*float64(len(labels)) + 0.5)
 		total += len(labels)

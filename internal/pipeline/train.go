@@ -167,11 +167,7 @@ func Train(d *datasets.Dataset, cfg Config, strategy Strategy) (*Result, error) 
 						grads := zeroGrads
 						if ti.Batch != nil {
 							act, fwdFlops := model.Forward(ti.Batch, ti.Feats)
-							labels := make([]int, len(ti.Batch.Seeds))
-							for i, v := range ti.Batch.Seeds {
-								labels[i] = d.Labels[v]
-							}
-							loss, dLogits := gnn.Loss(act, labels)
+							loss, dLogits := gnn.Loss(act, act.SeedLabels(d.Labels))
 							g, bwdFlops := model.Backward(act, dLogits)
 							grads = g
 							rm.ChargeDense(fwdFlops + bwdFlops)

@@ -40,16 +40,42 @@ func BenchmarkSpGEMMSquare(b *testing.B) {
 	}
 }
 
-func BenchmarkSpMM(b *testing.B) {
-	a := benchGraph(b, 5000, 16)
-	feats := make([]float64, 5000*32)
-	for i := range feats {
-		feats[i] = float64(i % 13)
+// benchFanout is a sampled adjacency block: rows x cols with fanout
+// unit entries per row.
+func benchFanout(rows, cols, fanout int) *CSR {
+	rng := rand.New(rand.NewSource(1))
+	coo := NewCOO(rows, cols, rows*fanout)
+	for i := 0; i < rows; i++ {
+		for _, j := range rng.Perm(cols)[:fanout] {
+			coo.Add(i, j, 1)
+		}
 	}
+	return coo.ToCSR()
+}
+
+// The SpMM benchmarks run the shapes of the benchmark's replicated-bulk
+// workload: the first convolution aggregates 32 features over fanout 3,
+// the second pushes a 64-wide gradient back through fanout 5.
+func benchSpMM(b *testing.B, f func(a *CSR, x []float64, n int) ([]float64, int64), a *CSR, xRows, n int) {
+	x := make([]float64, xRows*n)
+	for i := range x {
+		x[i] = float64(i % 13)
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
+	var flops int64
 	for i := 0; i < b.N; i++ {
-		SpMM(a, feats, 32)
+		_, flops = f(a, x, n)
 	}
+	b.ReportMetric(float64(flops)*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gmadd/s")
+}
+
+func BenchmarkSpMM(b *testing.B) {
+	benchSpMM(b, SpMM, benchFanout(4000, 14000, 3), 14000, 32)
+}
+
+func BenchmarkSpMMT(b *testing.B) {
+	benchSpMM(b, SpMMT, benchFanout(700, 4000, 5), 700, 64)
 }
 
 func BenchmarkTranspose(b *testing.B) {

@@ -2,8 +2,8 @@ package sparse
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
+
+	"repro/internal/dense"
 )
 
 // SpMM computes C = A * B where A is sparse (m x k) and B is a dense
@@ -14,78 +14,66 @@ import (
 // This is the neighborhood-aggregation kernel of forward propagation
 // (Section 6.2): sampled adjacency times sampled feature matrix.
 func SpMM(a *CSR, b []float64, bCols int) (c []float64, flops int64) {
+	c = make([]float64, a.Rows*bCols)
+	return c, SpMMInto(c, a, b, bCols)
+}
+
+// SpMMInto is SpMM overwriting a caller-owned c of a.Rows*bCols values.
+func SpMMInto(c []float64, a *CSR, b []float64, bCols int) (flops int64) {
 	if len(b) != a.Cols*bCols {
 		panic(fmt.Sprintf("sparse: SpMM dense operand has %d values, want %d (%dx%d)",
 			len(b), a.Cols*bCols, a.Cols, bCols))
 	}
-	out := make([]float64, a.Rows*bCols)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > a.Rows {
-		workers = a.Rows
+	if len(c) != a.Rows*bCols {
+		panic(fmt.Sprintf("sparse: SpMM destination has %d values, want %d (%dx%d)",
+			len(c), a.Rows*bCols, a.Rows, bCols))
 	}
-	if workers < 1 {
-		workers = 1
+	flops = int64(a.NNZ()) * int64(bCols)
+	if dense.Serial(a.Rows, flops) {
+		spmmRows(c, a, b, bCols, 0, a.Rows)
+	} else {
+		dense.ParallelRows(a.Rows, func(lo, hi int) { spmmRows(c, a, b, bCols, lo, hi) })
 	}
-	flopsPer := make([]int64, workers)
-	var wg sync.WaitGroup
-	chunk := (a.Rows + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > a.Rows {
-			hi = a.Rows
+	return flops
+}
+
+func spmmRows(c []float64, a *CSR, b []float64, bCols, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		dst := c[i*bCols : (i+1)*bCols]
+		clear(dst)
+		cols, vals := a.Row(i)
+		for k, col := range cols {
+			dense.Axpy(dst, vals[k], b[col*bCols:(col+1)*bCols])
 		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			var fl int64
-			for i := lo; i < hi; i++ {
-				dst := out[i*bCols : (i+1)*bCols]
-				cols, vals := a.Row(i)
-				for k := range cols {
-					src := b[cols[k]*bCols : (cols[k]+1)*bCols]
-					v := vals[k]
-					for j := range dst {
-						dst[j] += v * src[j]
-					}
-				}
-				fl += int64(len(cols)) * int64(bCols)
-			}
-			flopsPer[w] = fl
-		}(w, lo, hi)
 	}
-	wg.Wait()
-	for _, f := range flopsPer {
-		flops += f
-	}
-	return out, flops
 }
 
 // SpMMT computes C = A^T * B where A is sparse (m x k) and B is dense
 // (m x n), producing a dense k x n result. Used in backpropagation to
 // push gradients from a layer's output rows back to its input rows.
 func SpMMT(a *CSR, b []float64, bCols int) (c []float64, flops int64) {
+	c = make([]float64, a.Cols*bCols)
+	return c, SpMMTInto(c, a, b, bCols)
+}
+
+// SpMMTInto is SpMMT overwriting a caller-owned c of a.Cols*bCols
+// values. Serial over rows of A: they scatter into shared rows of c.
+func SpMMTInto(c []float64, a *CSR, b []float64, bCols int) (flops int64) {
 	if len(b) != a.Rows*bCols {
 		panic(fmt.Sprintf("sparse: SpMMT dense operand has %d values, want %d (%dx%d)",
 			len(b), a.Rows*bCols, a.Rows, bCols))
 	}
-	out := make([]float64, a.Cols*bCols)
-	// Serial over rows of A (scatter into out); contention makes a naive
-	// parallel version racy, and backward passes run on small sampled
-	// matrices where this is not a bottleneck.
+	if len(c) != a.Cols*bCols {
+		panic(fmt.Sprintf("sparse: SpMMT destination has %d values, want %d (%dx%d)",
+			len(c), a.Cols*bCols, a.Cols, bCols))
+	}
+	clear(c)
 	for i := 0; i < a.Rows; i++ {
 		src := b[i*bCols : (i+1)*bCols]
 		cols, vals := a.Row(i)
-		for k := range cols {
-			dst := out[cols[k]*bCols : (cols[k]+1)*bCols]
-			v := vals[k]
-			for j := range dst {
-				dst[j] += v * src[j]
-			}
+		for k, col := range cols {
+			dense.Axpy(c[col*bCols:(col+1)*bCols], vals[k], src)
 		}
-		flops += int64(len(cols)) * int64(bCols)
 	}
-	return out, flops
+	return int64(a.NNZ()) * int64(bCols)
 }
