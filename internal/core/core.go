@@ -25,10 +25,14 @@
 // that is what the simulated device is charged. What the host executes
 // to produce the sample may be less: with A whole, SAGE.Step reads the
 // rows of A that Q would select instead of multiplying, and takes
-// their NORM + prefix sums from the graph's row-CDF table. The matrix
-// blocks (BuildQ, sparse.SpGEMM, Norm, FinishStep) are what runs when A
-// is partitioned or Q's rows have many nonzeros (LADIES, FastGCN), and
-// what the tests hold the fused step equal to.
+// their NORM + prefix sums from the graph's row-CDF table. With A
+// partitioned, internal/distsample still forms P = Q·A block by block,
+// but for GraphSAGE's one-entry rows of Q the sparse kernels copy rows
+// of A rather than accumulate them, and SAGE.FinishStep samples P's rows
+// with NORM fused into the prefix sum, never writing P. The matrix
+// blocks as Algorithm 1 writes them (BuildQ, sparse.SpGEMM, Norm,
+// FinishStep) are what runs when Q's rows have many nonzeros (LADIES,
+// FastGCN), and what the tests hold both fused paths equal to.
 package core
 
 import (

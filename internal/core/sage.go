@@ -54,28 +54,48 @@ func (SAGE) Norm(p *sparse.CSR) { p.NormalizeRows() }
 // 4.1.1–4.1.4) — but the host materializes neither Q nor P: Q^l has one
 // unit entry per row, so row i of P is row cur.Vertices[i] of A, read in
 // place, and its NORM + prefix sum comes from sg.CDF. The result equals
-// BuildQ → sparse.SpGEMM → FinishStep field for field, Cost included;
-// that matrix path remains what the partitioned drivers run.
+// BuildQ → sparse.SpGEMM → FinishStep field for field, Cost included.
 func (sg SAGE) Step(a *sparse.CSR, cur *Frontier, s int, seed int64) (*LayerSample, Cost) {
-	// Q construction, SpGEMM, NORM, SAMPLE, EXTRACT.
-	cost := Cost{Kernels: 5}
+	ls, cost, read := sg.sampleRows(a, cur.Vertices, cur, s, seed)
+	cost.Kernels += 2            // Q construction, SpGEMM
+	cost.ProbFlops = int64(read) // one multiply-add per entry of the gathered rows
+	return ls, cost
+}
+
+// sampleRows is GraphSAGE's NORM, SAMPLE and EXTRACT over the rows of P,
+// read from m: frontier row i is row rowOf[i] of m (Step passes A and the
+// frontier's vertices), or row i when rowOf is nil (FinishStep passes P).
+// m is only read. NORM is fused into ITS's prefix sum — from sg.CDF when
+// it is m's table, else graph.NormPrefix into scratch — so a row's
+// weights are scaled only where they are summed. read is the number of
+// entries in the rows read: P's nonzeros.
+func (sg SAGE) sampleRows(m *sparse.CSR, rowOf []int, cur *Frontier, s int, seed int64) (ls *LayerSample, cost Cost, read int) {
+	// NORM, SAMPLE, EXTRACT.
+	cost = Cost{Kernels: 3}
 	s = max(s, 0)
 	rows := cur.Len()
+	row := func(i int) int {
+		if rowOf == nil {
+			return i
+		}
+		return rowOf[i]
+	}
 	maxPicks := 0
-	for _, v := range cur.Vertices {
-		deg := a.RowNNZ(v)
-		cost.ProbFlops += int64(deg) // one multiply-add per entry of the gathered row
+	for i := 0; i < rows; i++ {
+		deg := m.RowNNZ(row(i))
+		read += deg
 		maxPicks += min(deg, s)
 	}
-	table := sg.CDF.Of(a)
+	table := sg.CDF.Of(m)
 
 	// SAMPLE: picks[rowPtr[i]:rowPtr[i+1]] are the sampled global vertex
 	// ids of frontier row i, in row-sorted order.
 	rowPtr := make([]int, rows+1)
 	picks := make([]int, 0, maxPicks)
 	var rs RowSampler
-	for i, v := range cur.Vertices {
-		cols, w := a.Row(v)
+	for i := 0; i < rows; i++ {
+		v := row(i)
+		cols, w := m.Row(v)
 		switch deg := len(cols); {
 		case deg <= s:
 			picks = append(picks, cols...)
@@ -105,9 +125,9 @@ func (sg SAGE) Step(a *sparse.CSR, cur *Frontier, s int, seed int64) (*LayerSamp
 		rowPtr[i+1] = len(picks)
 	}
 
-	ls := extractNodewise(cur, picks, rowPtr)
+	ls = extractNodewise(cur, picks, rowPtr)
 	cost.ExtractOps += int64(len(picks))
-	return ls, cost
+	return ls, cost, read
 }
 
 // extractNodewise is the node-wise EXTRACT: one row per frontier vertex,
@@ -136,9 +156,10 @@ func extractNodewise(cur *Frontier, picks, rowPtr []int) *LayerSample {
 
 // FinishStep completes a node-wise layer of s given the raw probability
 // matrix P = Q·A: NORM, ITS sampling of fan entries per row, and
-// extraction. The distributed drivers call this after computing P with
-// a distributed SpGEMM (rows of P must align with cur's stacked
-// frontier).
+// extraction (rows of P must align with cur's stacked frontier). It
+// normalizes P in place, then samples each row through RowSampler: the
+// matrix path as Algorithm 1 writes it, kept as the reference that
+// SAGE.Step and SAGE.FinishStep are held equal to.
 func FinishStep(s Sampler, p *sparse.CSR, cur *Frontier, fan int, seed int64) (*LayerSample, Cost) {
 	// NORM, SAMPLE, EXTRACT.
 	cost := Cost{Kernels: 3}
@@ -164,8 +185,12 @@ func FinishStep(s Sampler, p *sparse.CSR, cur *Frontier, fan int, seed int64) (*
 	return ls, cost
 }
 
-// FinishStep is FinishStep(sg, …): the name benchmark/walk.go times.
-// It goes with ROADMAP item 1a.
+// FinishStep is FinishStep(sg, …) without writing P: it samples the
+// un-normalized rows with NORM fused into the prefix sum — Step's loop,
+// reading P's rows in order — and returns the same sample and Cost.
+// Because P is only read, the 1.5D driver hands every member of a
+// process row the one shared product; benchmark/walk.go times it too.
 func (sg SAGE) FinishStep(p *sparse.CSR, cur *Frontier, s int, seed int64) (*LayerSample, Cost) {
-	return FinishStep(sg, p, cur, s, seed)
+	ls, cost, _ := sg.sampleRows(p, nil, cur, s, seed)
+	return ls, cost
 }

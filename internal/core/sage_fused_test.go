@@ -20,7 +20,7 @@ import (
 func matrixStep(a *sparse.CSR, cur *Frontier, s int, seed int64) (*LayerSample, Cost) {
 	sg := SAGE{}
 	p, flops := sparse.SpGEMM(sg.BuildQ(cur, a.Cols), a)
-	ls, cost := sg.FinishStep(p, cur, s, seed)
+	ls, cost := FinishStep(sg, p, cur, s, seed)
 	cost.ProbFlops += flops
 	cost.Kernels += 2 // Q construction, SpGEMM
 	return ls, cost
@@ -150,6 +150,32 @@ func TestSAGEStepEqualsMatrixPath(t *testing.T) {
 						t.Fatalf("seed %d k=%d %s layer %d (s=%d): cost %+v, want %+v", seed, k, name, l, s, gotCost, wantCost)
 					}
 					cur = want.Cols
+				}
+			}
+		}
+	}
+}
+
+// SAGE.FinishStep — the completion the 1.5D driver runs on its shared
+// product — equals the normalize-in-place reference field for field,
+// Cost included, and leaves P's bits as it found them.
+func TestSAGEFinishStepEqualsReferenceAndKeepsP(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 64 + rng.Intn(200)
+		a := trickyGraph(n, rng)
+		cur := NewFrontier(trickyBatches(n, 1+rng.Intn(8), 1+rng.Intn(6), rng))
+		for _, s := range []int{-1, 0, 2, 5} {
+			p, _ := sparse.SpGEMM(SAGE{}.BuildQ(cur, n), a)
+			orig := p.Clone()
+			want, wantCost := FinishStep(SAGE{}, p.Clone(), cur, s, seed)
+			got, gotCost := SAGE{}.FinishStep(p, cur, s, seed)
+			if d := diffLayer(got, want); d != "" || gotCost != wantCost {
+				t.Fatalf("seed %d s=%d: %s differs; cost %+v, want %+v", seed, s, d, gotCost, wantCost)
+			}
+			for k := range orig.Val {
+				if math.Float64bits(p.Val[k]) != math.Float64bits(orig.Val[k]) {
+					t.Fatalf("seed %d s=%d: FinishStep wrote P at entry %d", seed, s, k)
 				}
 			}
 		}

@@ -20,7 +20,9 @@ type Sampler interface {
 	Name() string
 	// LayerWise reports the family. A node-wise sampler has one row of Q
 	// per frontier vertex, draws s neighbours per row and completes a
-	// layer with FinishStep; a layer-wise one has one row per batch,
+	// layer from P with a FinishStep(p, cur, s, seed) method that only
+	// reads P (SAGE.FinishStep; the package FinishStep, which normalizes
+	// P in place, is its reference); a layer-wise one has one row per batch,
 	// draws s vertices per batch (SampleLayerwise) and extracts the
 	// frontier's rows and the sampled columns of A (ExtractLayerwise).
 	LayerWise() bool

@@ -8,11 +8,15 @@ import (
 // SpGEMM stage loop. Before it, every stage of every layer rebuilt the
 // same intermediates from fresh heap: the Q_ik column blocks, the
 // NnzCols request list, the owner's extracted row payloads, the
-// assembled right operand, the local product and the accumulator merge
-// — ~0.9 GB per partitioned small p=16 epoch, 4x the replicated path.
-// The arena owns growable buffers that successive stages and calls
-// adopt; buffers scale with the active frontier's nonzeros, not with
-// p.
+// assembled right operand, the local product and the accumulator merge:
+// 0.93 GB per partitioned small p=16 epoch of the perf suite, 4x the
+// replicated path. The arena brought that to 0.33 GB; copying one-hot
+// rows instead of accumulating them and sharing one total per process
+// row brought it to 0.24 GB (GOMAXPROCS=1). The arena owns buffers that
+// successive stages and calls adopt, each resized to exactly the size
+// the call computes for it before writing (a product's flop bound, a
+// payload's summed row degrees); buffers scale with the active
+// frontier's nonzeros, not with p.
 //
 // Reuse safety for the buffers that cross the wire rests on the
 // rendezvous happens-before edges of the collectives:
@@ -30,17 +34,20 @@ import (
 //     passed this stage.
 //   - prods and res (the row all-reduce contribution and result):
 //     AllReduceGenericInto folds all members' stage products inside
-//     the rendezvous, before any member leaves, writing every member's
-//     private copy of the total into that member's res buffer. While
-//     the fold runs, every member is parked in the collective, so its
-//     arena is quiescent — and a member's previous result is dead by
-//     the time it re-enters (it consumed it to get here), so res is
-//     safely rewritten. Contributed product storage is reusable as
-//     soon as the call returns.
+//     the rendezvous, before any member leaves, into the res buffer of
+//     the first member's arena — the process row's one total, which
+//     every member's total field then points at. While the fold runs,
+//     every member is parked in the collective, so every arena is
+//     quiescent; and every member's use of the previous total is over
+//     by the time it re-enters (it consumed it to get here), so res is
+//     safely rewritten. Members only read the total: the layer-wise
+//     driver, whose Norm writes, normalizes its own copy (normed).
+//     Contributed product storage is reusable as soon as the call
+//     returns.
 //
-// Everything else (Q_ik blocks, SPA, product, ping-pong accumulators)
-// never leaves the rank. A stageArena serves one execution stream —
-// the rank's sampling stream.
+// Everything else (Q_ik blocks, SPA, products, normed) never leaves the
+// rank. A stageArena serves one execution stream — the rank's sampling
+// stream.
 //
 //gnnvet:arena
 type stageArena struct {
@@ -49,13 +56,15 @@ type stageArena struct {
 	prods    []sparse.CSR  // per-stage local products, merged in the final fold
 	prodPtrs []*sparse.CSR // prods as a fold source list, rebuilt per call
 	asm      sparse.CSR    // assembled right operand A_k
-	res      sparse.CSR    // this rank's private copy of the row all-reduce total
+	res      sparse.CSR    // the fold total, when this is the process row's first arena
+	total    *sparse.CSR   // the process row's fold total (some member's res), read-only
+	normed   sparse.CSR    // the layer-wise driver's private, normalized copy of the total
 
 	// stamp counts the running accumulator's nonzeros without building
 	// it: stamp[col] holds the tag of the last (call, row) that touched
 	// the column, so a stage's new distinct (row, column) pairs are
 	// countable in one pass over its product. nextTag makes tags unique
-	// across calls.
+	// across calls. Calls whose Q has one entry per row never need it.
 	stamp   []int
 	nextTag int
 
@@ -75,26 +84,18 @@ type stageArena struct {
 }
 
 // growInts returns buf with length n (contents unspecified),
-// reallocating only on growth — at least doubling, so sizes that
-// creep up across stages do not reallocate every call.
+// reallocating to exactly n only when it is too small: every caller
+// computes n before it writes, so headroom would only be zeroed.
 func growInts(buf []int, n int) []int {
 	if cap(buf) < n {
-		c := 2 * cap(buf)
-		if c < n {
-			c = n
-		}
-		return make([]int, n, c)
+		return make([]int, n)
 	}
 	return buf[:n]
 }
 
 func growFloats(buf []float64, n int) []float64 {
 	if cap(buf) < n {
-		c := 2 * cap(buf)
-		if c < n {
-			c = n
-		}
-		return make([]float64, n, c)
+		return make([]float64, n)
 	}
 	return buf[:n]
 }
@@ -162,9 +163,9 @@ func (ar *stageArena) countStage(prod *sparse.CSR, base int) int {
 // foldStages combines the members' stage products inside the all-reduce
 // rendezvous: per (row, column), values add in (member, stage) order —
 // exactly the float sequence of the old per-member merge chains folded
-// across members with AddCSR — and every destination arena's res buffer
-// receives a private copy of the total. See stageArena for why writing
-// other members' res buffers is safe here.
+// across members with AddCSR — into the first destination's res buffer,
+// which becomes every member's read-only total. See stageArena for why
+// rewriting it here is safe.
 func foldStages(vals, dests []*stageArena) {
 	d0 := dests[0]
 	srcs := d0.foldSrcs[:0]
@@ -173,8 +174,8 @@ func foldStages(vals, dests []*stageArena) {
 	}
 	d0.foldSrcs = srcs
 	d0.MergeCSRInto(&d0.res, srcs)
-	for _, d := range dests[1:] {
-		sparse.CopyCSRInto(&d.res, &d0.res)
+	for _, d := range dests {
+		d.total = &d0.res
 	}
 }
 

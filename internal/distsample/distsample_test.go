@@ -1,7 +1,10 @@
 package distsample
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
+	"math"
 	"testing"
 
 	"repro/internal/cluster"
@@ -109,7 +112,16 @@ func TestReplicatedSamplingHasNoCommunication(t *testing.T) {
 func runPartitioned(t *testing.T, a *sparse.CSR, batches [][]int, p, c int,
 	s core.Sampler, sizes []int, aware bool) ([]*core.BulkSample, *cluster.Result) {
 	t.Helper()
-	cl := cluster.New(p, cluster.Perlmutter())
+	return runPartitionedOn(t, cluster.Perlmutter().Backend, a, batches, p, c, s, sizes, aware)
+}
+
+// runPartitionedOn is runPartitioned on the given execution backend.
+func runPartitionedOn(t *testing.T, be cluster.Backend, a *sparse.CSR, batches [][]int, p, c int,
+	s core.Sampler, sizes []int, aware bool) ([]*core.BulkSample, *cluster.Result) {
+	t.Helper()
+	m := cluster.Perlmutter()
+	m.Backend = be
+	cl := cluster.New(p, m)
 	g := cluster.NewGrid(cl, p, c)
 	set := NewPartitionedSet(g, a, aware)
 	results := make([]*core.BulkSample, p)
@@ -263,27 +275,74 @@ func TestPartitionedFastGCNMatchesLocal(t *testing.T) {
 	}
 }
 
+// chargeDigest hashes what a sampling run charged: per rank, the clock,
+// each phase's total and communication time (as float bits) and the
+// bytes sent.
+func chargeDigest(res *cluster.Result) string {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(x uint64) {
+		binary.LittleEndian.PutUint64(buf[:], x)
+		h.Write(buf[:])
+	}
+	for _, st := range res.Ranks {
+		put(math.Float64bits(st.Clock))
+		for _, ph := range []string{PhaseProbability, PhaseSampling, PhaseExtraction} {
+			put(math.Float64bits(st.PhaseTotal[ph]))
+			put(math.Float64bits(st.PhaseComm[ph]))
+		}
+		put(uint64(st.BytesSent))
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// partitionedChargePins are chargeDigest of every 1.5D run below, keyed
+// "sampler p=P c=C aware|oblivious", captured from the matrix-multiplying
+// stage loop (SPA products, merged fold, private result copies) before
+// the host switched to row gathers. Both backends must reproduce them:
+// what the host executes may change, what the device is charged may not.
+var partitionedChargePins = map[string]string{
+	"sage p=4 c=1 aware":         "ccf809047bf65c02",
+	"sage p=4 c=1 oblivious":     "87083b7cc5f81d59",
+	"sage p=8 c=2 aware":         "39d2429817c03632",
+	"sage p=8 c=2 oblivious":     "49f18758cdc62058",
+	"sage p=16 c=2 aware":        "843b8d09435acbae",
+	"sage p=16 c=2 oblivious":    "bb47887cb6aebaff",
+	"sage p=16 c=4 aware":        "3f342f9c00e3673b",
+	"sage p=16 c=4 oblivious":    "c74c40ada4c5a8b5",
+	"ladies p=4 c=1 aware":       "1d71f4f3c1464c30",
+	"ladies p=4 c=1 oblivious":   "a453177ba8381207",
+	"ladies p=8 c=2 aware":       "51a326e7b09a3da6",
+	"ladies p=8 c=2 oblivious":   "a6ecb695f6d56ebf",
+	"ladies p=16 c=2 aware":      "10b25b8669f47a28",
+	"ladies p=16 c=2 oblivious":  "40607543ef7e54a7",
+	"ladies p=16 c=4 aware":      "0a36c6abecd9cb60",
+	"ladies p=16 c=4 oblivious":  "9ba01ec204e2c205",
+	"fastgcn p=4 c=1 aware":      "743c4835dea0eced",
+	"fastgcn p=4 c=1 oblivious":  "e17edb824b64c969",
+	"fastgcn p=8 c=2 aware":      "cc18b65c5d68f71b",
+	"fastgcn p=8 c=2 oblivious":  "96523748e75d8411",
+	"fastgcn p=16 c=2 aware":     "b03e29dafe9bbd44",
+	"fastgcn p=16 c=2 oblivious": "15e02a5769f95530",
+	"fastgcn p=16 c=4 aware":     "265286fb7d07ed45",
+	"fastgcn p=16 c=4 oblivious": "217cf323eac32fe5",
+}
+
 // Every sampler of the table, under every distribution of A, returns
 // on every rank what the serial bulk sampler returns for that rank's
-// batches, layer for layer.
+// batches, layer for layer; every 1.5D grid, either row-fetching scheme
+// and either backend charge exactly the pinned simulated times and
+// bytes.
 func TestDistributedMatchesSerialForEverySampler(t *testing.T) {
 	a := testGraph(150, 10, 13)
 	g := graph.New(a)
-	batches := makeBatches(8, 4, 150)
-	const p, c = 4, 2
+	batches := makeBatches(16, 4, 150)
+	const replicatedP = 4
 	for _, entry := range core.Samplers {
 		s := entry.New(g)
 		sizes := core.LayerSizes(s, []int{3, 2}, 5, 2)
-		dists := map[string][]*core.BulkSample{"replicated": make([]*core.BulkSample, p)}
-		if _, err := cluster.New(p, cluster.Perlmutter()).Run(func(r *cluster.Rank) error {
-			dists["replicated"][r.ID] = SampleReplicated(r, s, a, ReplicatedBatches(p, r.ID, batches), sizes, 99)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		dists["1.5D aware"], _ = runPartitioned(t, a, batches, p, c, s, sizes, true)
-		dists["1.5D oblivious"], _ = runPartitioned(t, a, batches, p, c, s, sizes, false)
-		for name, results := range dists {
+		check := func(name string, results []*core.BulkSample) {
+			t.Helper()
 			for rank, got := range results {
 				want := core.SampleBulk(s, a, got.Batches, sizes, 99)
 				if len(got.Layers) != len(sizes) {
@@ -291,6 +350,27 @@ func TestDistributedMatchesSerialForEverySampler(t *testing.T) {
 				}
 				if err := sameBulk(got, want); err != nil {
 					t.Fatalf("%s %s rank %d: %v", entry.Key, name, rank, err)
+				}
+			}
+		}
+		replicated := make([]*core.BulkSample, replicatedP)
+		if _, err := cluster.New(replicatedP, cluster.Perlmutter()).Run(func(r *cluster.Rank) error {
+			replicated[r.ID] = SampleReplicated(r, s, a, ReplicatedBatches(replicatedP, r.ID, batches), sizes, 99)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		check("replicated", replicated)
+		for _, pc := range [][2]int{{4, 1}, {8, 2}, {16, 2}, {16, 4}} {
+			for _, aware := range []bool{true, false} {
+				scheme := map[bool]string{true: "aware", false: "oblivious"}[aware]
+				key := fmt.Sprintf("%s p=%d c=%d %s", entry.Key, pc[0], pc[1], scheme)
+				for _, be := range []cluster.Backend{cluster.GoroutineBackend, cluster.DESBackend} {
+					results, res := runPartitionedOn(t, be, a, batches, pc[0], pc[1], s, sizes, aware)
+					check(fmt.Sprintf("1.5D %v p=%d c=%d %s", be, pc[0], pc[1], scheme), results)
+					if got := chargeDigest(res); got != partitionedChargePins[key] {
+						t.Errorf("%s on %v: charge digest %s, pinned %s", key, be, got, partitionedChargePins[key])
+					}
 				}
 			}
 		}

@@ -14,7 +14,13 @@
 // Both drivers run on the simulated cluster of internal/cluster and
 // charge each phase (probability / sampling / extraction) on the
 // per-rank clocks, including the communication split that Figure 7
-// reports.
+// reports. The charges are always the matrix algorithm's; the host does
+// less where the sample allows it. The replicated driver runs each
+// sampler's Step (for GraphSAGE, a lookup of A's rows). The partitioned
+// driver runs the staged collectives with their real payloads, but for
+// a Q with one entry per row its stage products and row fold are row
+// copies, its c replicas share one read-only product per process row,
+// and GraphSAGE's NORM is fused into the sampling prefix sums.
 package distsample
 
 import (
@@ -98,15 +104,22 @@ func payloadBytes(p *rowPayload) int {
 // SpGEMM15D computes P = Q·A for this rank's block row of Q, running
 // the staged block algorithm of Algorithm 2 on the process grid. Q's
 // columns span the full vertex range [0, N). The result is the full
-// product for this rank's rows, identical on all c replicas of the
-// process row after the final all-reduce. It is private to the calling
-// rank (safe to mutate) but aliases the rank's epoch-persistent arena:
-// it is valid only until the rank's next SpGEMM15D call on this set,
-// and must not be passed back in as Q. The collective schedules —
-// the per-stage gathers/scatters and the row all-reduce — charge under
-// the cost model's Collectives table (cluster.CollectiveAlgorithm), so
-// algorithm comparisons reach the 1.5D sampling path without any
-// plumbing here.
+// product for this rank's rows — one matrix per process row, the fold
+// total its c members share. It is read-only: it lives in the process
+// row's epoch-persistent arena, is valid until the row's next
+// SpGEMM15D call on this set, and must not be passed back in as Q. The
+// collective schedules — the per-stage gathers/scatters and the row
+// all-reduce — charge under the cost model's Collectives table
+// (cluster.CollectiveAlgorithm), so algorithm comparisons reach the
+// 1.5D sampling path without any plumbing here.
+//
+// What the device is charged is the matrix algorithm: every stage
+// multiply, memory pass and collective payload below. What the host runs
+// may be less: when every row of Q holds one entry (GraphSAGE's Q, any
+// Q_R), each stage product is a gather of rows of A_k and each row of
+// the fold has one source, so the kernels copy rows instead of
+// accumulating (sparse.Scratch.SpGEMM, MergeCSRInto) and the running
+// nonzero count is the sum of the stage products' sizes.
 func (ps *Partitioned) SpGEMM15D(r *cluster.Rank, q *sparse.CSR) *sparse.CSR {
 	g := ps.Grid
 	j := g.ColIndex(r.ID)
@@ -132,10 +145,17 @@ func (ps *Partitioned) SpGEMM15D(r *cluster.Rank, q *sparse.CSR) *sparse.CSR {
 
 	// Stage products stay in per-stage arenas and merge once, inside
 	// the final all-reduce; the running accumulator the old pairwise
-	// merge chain built is replaced by an exact nonzero count (see
-	// stageArena.countStage), so every ChargeMem below is unchanged.
+	// merge chain built is replaced by an exact nonzero count, so every
+	// ChargeMem below is unchanged. With one entry per row of Q, a row
+	// is nonempty in exactly one stage, so every entry of a stage
+	// product is new to the count; otherwise stageArena.countStage
+	// finds the new ones.
 	prods, _ := ar.stageProds(stages)
-	base := ar.beginCount(ps.N, q.Rows)
+	oneHot := atMostOnePerRow(q)
+	base := 0
+	if !oneHot {
+		base = ar.beginCount(ps.N, q.Rows)
+	}
 	cum := 0
 	for t := 0; t < stages; t++ {
 		k := j*stages + t // block row of A handled this stage
@@ -172,22 +192,35 @@ func (ps *Partitioned) SpGEMM15D(r *cluster.Rank, q *sparse.CSR) *sparse.CSR {
 
 		prod, flops := ar.SpGEMM(&prods[t], qik, blockK)
 		r.ChargeSparse(flops)
-		cum += ar.countStage(prod, base)
+		if oneHot {
+			cum += prod.NNZ()
+		} else {
+			cum += ar.countStage(prod, base)
+		}
 		r.ChargeMem(int64(cum) * 16)
 		r.ChargeKernels(2)
 	}
 
 	// Partial sums combine across the process row (Algorithm 2 line
-	// 14), folded once inside the rendezvous into every member's res
-	// arena; the fold completing inside the collective is what lets
-	// the next call reuse the stage products, and the per-member
-	// destinations are what make the result private without a Clone.
-	// The contribution bytes are this rank's partial sum in CSR form:
-	// cum nonzeros over q.Rows rows, sized like the old accumulator.
+	// 14), folded once inside the rendezvous into the process row's one
+	// total; the fold completing inside the collective is what lets the
+	// next call reuse the stage products and rewrite the total. The
+	// contribution bytes are this rank's partial sum in CSR form: cum
+	// nonzeros over q.Rows rows, sized like the old accumulator.
 	partialBytes := 8*(q.Rows+1) + 16*cum
 	sum := cluster.AllReduceGenericInto(rowComm, r, ar, partialBytes, ar, foldStages)
-	r.ChargeMem(int64(sum.res.NNZ()) * 16 * int64(rowComm.Size()))
-	return &sum.res
+	r.ChargeMem(int64(sum.total.NNZ()) * 16 * int64(rowComm.Size()))
+	return sum.total
+}
+
+// atMostOnePerRow reports whether no row of q holds more than one entry.
+func atMostOnePerRow(q *sparse.CSR) bool {
+	for i := 0; i < q.Rows; i++ {
+		if q.RowNNZ(i) > 1 {
+			return false
+		}
+	}
+	return true
 }
 
 // blockBytes sizes an optional block for broadcast accounting.
@@ -210,9 +243,9 @@ func LocalBatches(g *cluster.Grid, rank int, batches [][]int) [][]int {
 // batches with the Graph Partitioned algorithm, drawing sizes[l] per
 // row of Q at layer l and charging the probability/sampling/extraction
 // phases on the rank's clock. The 1.5D SpGEMM stands in for P = Q·A, so
-// of the sampler only BuildQ, Norm and LayerWise are called — the
-// latter choosing between the node-wise completion (core.FinishStep)
-// and the layer-wise one below.
+// of the sampler only BuildQ and LayerWise are called, then either the
+// node-wise completion (the sampler's FinishStep method, see
+// nodewiseFinisher) or Norm inside the layer-wise one below.
 func SamplePartitioned(r *cluster.Rank, ps *Partitioned, s core.Sampler, batches [][]int, sizes []int, seed int64) *core.BulkSample {
 	if s.LayerWise() {
 		return layerwisePartitioned(r, ps, s, batches, sizes, seed)
@@ -228,7 +261,7 @@ func SamplePartitioned(r *cluster.Rank, ps *Partitioned, s core.Sampler, batches
 		p := ps.SpGEMM15D(r, q)
 
 		r.SetPhase(PhaseSampling)
-		ls, cost := core.FinishStep(s, p, cur, fan, layerSeed)
+		ls, cost := s.(nodewiseFinisher).FinishStep(p, cur, fan, layerSeed)
 		r.ChargeSparse(cost.SampleOps)
 		r.ChargeKernels(2)
 		r.SetPhase(PhaseExtraction)
@@ -240,6 +273,14 @@ func SamplePartitioned(r *cluster.Rank, ps *Partitioned, s core.Sampler, batches
 		cur = ls.Cols
 	}
 	return out
+}
+
+// nodewiseFinisher is the completion a node-wise sampler provides
+// besides core.Sampler's methods: NORM, SAMPLE and EXTRACT over P that
+// only read it (core.SAGE.FinishStep: NORM fused into ITS's prefix sum),
+// so every member of a process row samples SpGEMM15D's one shared total.
+type nodewiseFinisher interface {
+	FinishStep(p *sparse.CSR, cur *core.Frontier, s int, seed int64) (*core.LayerSample, core.Cost)
 }
 
 // SampleSAGEPartitioned is SamplePartitioned for GraphSAGE: the name
@@ -266,7 +307,9 @@ func layerwisePartitioned(r *cluster.Rank, ps *Partitioned, s core.Sampler, batc
 		r.SetPhase(PhaseProbability)
 		q := s.BuildQ(cur, ps.N)
 		r.ChargeKernels(1)
-		p := ps.SpGEMM15D(r, q)
+		// Norm rewrites its operand, and the product is the process
+		// row's shared total: normalize this rank's own copy.
+		p := sparse.CopyCSRInto(&ps.arena(r.ID).normed, ps.SpGEMM15D(r, q))
 		s.Norm(p)
 		r.ChargeMem(int64(p.NNZ()) * 16)
 

@@ -9,7 +9,6 @@ package gnn
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/dense"
@@ -49,10 +48,6 @@ type Model struct {
 	// dropout state (see SetDropout); zero rate = disabled.
 	dropRate float64
 	dropSeed int64
-
-	// workspaces no step holds (see workspace).
-	wsMu   sync.Mutex
-	wsFree []*workspace
 }
 
 // NewModel allocates and Xavier-initializes a model.
@@ -169,7 +164,7 @@ func (m *Model) Forward(bg *core.BatchGraph, feats *dense.Matrix) (*Activations,
 		panic(fmt.Sprintf("gnn: got %d feature rows for %d input vertices",
 			feats.Rows, len(bg.InputVertices())))
 	}
-	ws := m.takeWorkspace()
+	ws := takeWorkspace()
 	if cap(ws.layers) < m.Cfg.Layers {
 		ws.layers = make([]layerAct, m.Cfg.Layers)
 	}
@@ -281,7 +276,7 @@ func (m *Model) Backward(act *Activations, dLogits *dense.Matrix) ([]float64, in
 	}
 
 	*act = Activations{}
-	m.putWorkspace(ws)
+	putWorkspace(ws)
 	return grads, flops
 }
 

@@ -111,6 +111,27 @@ func TestLiveActivationsShareNoStorage(t *testing.T) {
 	}
 }
 
+// Step memory outlives the model: every pipeline.Run builds its own
+// model, and a run's allocations must not depend on how many steps an
+// earlier run had in flight. A fresh model's first step allocates what a
+// warm model's step does.
+func TestFreshModelReusesStepMemory(t *testing.T) {
+	bg, feats, labels := stepFixture()
+	step := func(m *Model) {
+		act, _ := m.Forward(bg, feats)
+		_, dLogits := Loss(act, act.SeedLabels(labels))
+		m.Backward(act, dLogits)
+	}
+	warm := stepModel(MeanAgg, 0.5)
+	step(warm)
+	warmStep := testing.AllocsPerRun(10, func() { step(warm) })
+	build := testing.AllocsPerRun(10, func() { stepModel(MeanAgg, 0.5) })
+	freshStep := testing.AllocsPerRun(10, func() { step(stepModel(MeanAgg, 0.5)) }) - build
+	if freshStep != warmStep {
+		t.Fatalf("a fresh model's step made %v allocations, a warm model's %v", freshStep, warmStep)
+	}
+}
+
 func TestSecondBackwardPanics(t *testing.T) {
 	bg, feats, labels := stepFixture()
 	m := stepModel(MeanAgg, 0)

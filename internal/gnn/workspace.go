@@ -1,18 +1,30 @@
 package gnn
 
 import (
+	"sync"
+
 	"repro/internal/dense"
 	"repro/internal/sparse"
 )
 
 // workspace is the memory of one Forward→Backward step: every matrix
 // the step computes except the returned gradient is drawn from it.
-// Forward takes one from the model's free list, the step's Activations
-// carry it, and Backward puts it back when it returns, so the number of
-// live workspaces is the number of steps in flight — bounded by the
-// ranks running a propagation step at once, not by p. A step that never
+// Forward takes one from the free list, the step's Activations carry
+// it, and Backward puts it back when it returns, so the number of live
+// workspaces is the number of steps in flight — bounded by the ranks
+// running a propagation step at once, not by p. A step that never
 // reaches Backward (evaluation) just keeps its workspace until the
 // Activations are garbage.
+//
+// The free list belongs to the process, not to a Model: a workspace
+// holds nothing of the model that last used it, and every run builds a
+// model of its own. How many steps are in flight at once depends on
+// where the Go scheduler interleaves the rank goroutines (a garbage
+// collection can pause a rank mid-step at any GOMAXPROCS), so a list
+// per model would make each run allocate a scheduling-dependent number
+// of fresh workspaces. With one list per process, a run allocates step
+// memory only where it needs more than any earlier step in the process
+// did.
 //
 // A step makes the same requests in the same order every time, so the
 // i-th request of a step is served by the buffer the i-th request of
@@ -70,22 +82,36 @@ func (ws *workspace) mat(rows, cols int) *dense.Matrix {
 	return ws.view(rows, cols, ws.take(rows*cols))
 }
 
+// freeWorkspaces holds the workspaces no step holds (see workspace).
+var freeWorkspaces struct {
+	mu   sync.Mutex
+	list []*workspace
+}
+
 // takeWorkspace returns a workspace no other live step holds.
-func (m *Model) takeWorkspace() *workspace {
-	m.wsMu.Lock()
-	defer m.wsMu.Unlock()
-	n := len(m.wsFree)
+func takeWorkspace() *workspace {
+	freeWorkspaces.mu.Lock()
+	defer freeWorkspaces.mu.Unlock()
+	n := len(freeWorkspaces.list)
 	if n == 0 {
 		return &workspace{}
 	}
-	ws := m.wsFree[n-1]
-	m.wsFree = m.wsFree[:n-1]
+	ws := freeWorkspaces.list[n-1]
+	freeWorkspaces.list = freeWorkspaces.list[:n-1]
 	ws.nbufs, ws.nhdrs = 0, 0
 	return ws
 }
 
-func (m *Model) putWorkspace(ws *workspace) {
-	m.wsMu.Lock()
-	m.wsFree = append(m.wsFree, ws)
-	m.wsMu.Unlock()
+// putWorkspace returns a finished step's workspace to the free list,
+// first dropping what it points at outside itself (the caller's
+// features and batch adjacency, the returned gradient), so a parked
+// workspace keeps only its own buffers alive.
+func putWorkspace(ws *workspace) {
+	clear(ws.layers)
+	for _, h := range ws.hdrs {
+		*h = dense.Matrix{}
+	}
+	freeWorkspaces.mu.Lock()
+	freeWorkspaces.list = append(freeWorkspaces.list, ws)
+	freeWorkspaces.mu.Unlock()
 }

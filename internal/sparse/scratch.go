@@ -18,8 +18,8 @@ import "fmt"
 //
 //gnnvet:arena
 type Scratch struct {
-	// sparse accumulator for SpGEMM, sized to the widest right
-	// operand seen.
+	// sparse accumulator for SpGEMM and MergeCSRInto, sized to the
+	// widest operand seen; allocated by the first row that needs one.
 	acc *spa
 
 	// mark/out buffers for NonzeroCols.
@@ -39,29 +39,32 @@ type Scratch struct {
 }
 
 // ensureInts returns buf resized to length n (contents unspecified),
-// reallocating only on growth. Growth at least doubles the capacity:
-// the stage-loop accumulators creep up a few entries per call, and an
-// exact-fit policy would reallocate the whole buffer every time.
+// reallocating to exactly n only when it is too small. Every caller
+// knows its size before writing — a product's flop bound, a merge's
+// summed source nonzeros — so headroom would only be zeroed, never
+// used within the call.
 func ensureInts(buf []int, n int) []int {
 	if cap(buf) < n {
-		c := 2 * cap(buf)
-		if c < n {
-			c = n
-		}
-		return make([]int, n, c)
+		return make([]int, n)
 	}
 	return buf[:n]
 }
 
 func ensureFloats(buf []float64, n int) []float64 {
 	if cap(buf) < n {
-		c := 2 * cap(buf)
-		if c < n {
-			c = n
-		}
-		return make([]float64, n, c)
+		return make([]float64, n)
 	}
 	return buf[:n]
+}
+
+// spa returns the workspace's sparse accumulator, grown to at least n
+// columns. Kernels ask for it only when a row needs it: a call whose
+// rows are all copies never allocates one.
+func (s *Scratch) spa(n int) *spa {
+	if s.acc == nil || len(s.acc.val) < n {
+		s.acc = newSPA(n)
+	}
+	return s.acc
 }
 
 // CopyCSRInto copies A into out, reusing out's storage — the arena
@@ -83,7 +86,10 @@ func CopyCSRInto(out, a *CSR) *CSR {
 // the float sequence of left-folding the sources with AddCSR — and
 // each row's columns come out sorted. One SPA pass per row replaces
 // the chain of pairwise merges (and the chain's intermediate
-// allocations) with a single output write.
+// allocations) with a single output write. A row only one source
+// populates — every row of a GraphSAGE product, whose Q row selects one
+// row of A held by one source — is copied instead, each value written
+// as the 0 + v the accumulator would produce.
 func (s *Scratch) MergeCSRInto(out *CSR, srcs []*CSR) *CSR {
 	if len(srcs) == 0 {
 		panic("sparse: MergeCSRInto needs at least one source")
@@ -96,23 +102,36 @@ func (s *Scratch) MergeCSRInto(out *CSR, srcs []*CSR) *CSR {
 		}
 		total += src.NNZ()
 	}
-	if s.acc == nil || len(s.acc.val) < colsN {
-		s.acc = newSPA(colsN)
-	}
 	out.Rows, out.Cols = rows, colsN
 	out.RowPtr = ensureInts(out.RowPtr, rows+1)
 	out.RowPtr[0] = 0
 	cols := ensureInts(out.ColIdx, total)[:0]
 	vals := ensureFloats(out.Val, total)[:0]
-	acc := s.acc
 	for i := 0; i < rows; i++ {
+		var only *CSR
+		populated := 0
 		for _, src := range srcs {
-			cs, vs := src.Row(i)
-			for k := range cs {
-				acc.add(cs[k], vs[k])
+			if src.RowNNZ(i) > 0 {
+				only = src
+				populated++
 			}
 		}
-		cols, vals = acc.drainInto(cols, vals)
+		if populated == 1 {
+			cs, vs := only.Row(i)
+			cols = append(cols, cs...)
+			for _, v := range vs {
+				vals = append(vals, 0+v)
+			}
+		} else {
+			acc := s.spa(colsN)
+			for _, src := range srcs {
+				cs, vs := src.Row(i)
+				for k := range cs {
+					acc.add(cs[k], vs[k])
+				}
+			}
+			cols, vals = acc.drainInto(cols, vals)
+		}
 		out.RowPtr[i+1] = len(cols)
 	}
 	out.ColIdx, out.Val = cols, vals
@@ -131,31 +150,23 @@ func (s *Scratch) SpGEMM(out *CSR, a, b *CSR) (*CSR, int64) {
 			a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	bound := 0
+	var acc *spa // needed only by rows of A with several entries
 	for i := 0; i < a.Rows; i++ {
 		acols, _ := a.Row(i)
+		if len(acols) > 1 && acc == nil {
+			acc = s.spa(b.Cols)
+		}
 		for _, arow := range acols {
 			bound += b.RowNNZ(arow)
 		}
-	}
-	if s.acc == nil || len(s.acc.val) < b.Cols {
-		s.acc = newSPA(b.Cols)
 	}
 	out.Rows, out.Cols = a.Rows, b.Cols
 	out.RowPtr = ensureInts(out.RowPtr, a.Rows+1)
 	out.RowPtr[0] = 0
 	cols := ensureInts(out.ColIdx, bound)[:0]
 	vals := ensureFloats(out.Val, bound)[:0]
-	acc := s.acc
 	for i := 0; i < a.Rows; i++ {
-		acols, avals := a.Row(i)
-		for k := range acols {
-			av := avals[k]
-			bcols, bvals := b.Row(acols[k])
-			for t := range bcols {
-				acc.add(bcols[t], av*bvals[t])
-			}
-		}
-		cols, vals = acc.drainInto(cols, vals)
+		cols, vals = acc.productRow(cols, vals, a, b, i)
 		out.RowPtr[i+1] = len(cols)
 	}
 	out.ColIdx, out.Val = cols, vals

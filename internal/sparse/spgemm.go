@@ -8,9 +8,10 @@ import (
 
 // SpGEMM computes C = A * B for sparse A and B using Gustavson's
 // row-wise algorithm with a sparse accumulator, parallelized over row
-// blocks of A. The returned flop count is the number of scalar
-// multiply-add pairs performed, which the cluster cost model uses to
-// charge simulated device time.
+// blocks of A; a row of A with one entry is a scaled copy of a row of
+// B and skips the accumulator (see productRow). The returned flop count
+// is the number of scalar multiply-add pairs the algorithm performs,
+// which the cluster cost model uses to charge simulated device time.
 func SpGEMM(a, b *CSR) (c *CSR, flops int64) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("sparse: SpGEMM dimension mismatch %dx%d * %dx%d",
@@ -32,6 +33,7 @@ func SpGEMM(a, b *CSR) (c *CSR, flops int64) {
 		vals   []float64
 		ends   []int // arena offset of each row's end, relative to lo
 		flops  int64
+		multi  bool // some row has several entries and needs an accumulator
 	}
 	chunk := (a.Rows + workers - 1) / workers
 	arenas := make([]arena, 0, workers)
@@ -46,16 +48,17 @@ func SpGEMM(a, b *CSR) (c *CSR, flops int64) {
 		// The flop count bounds the arena's output size (collisions
 		// only shrink it), so one up-front sizing pass over the row
 		// pointers avoids every growth reallocation.
-		bound := 0
+		bound, multi := 0, false
 		for i := lo; i < hi; i++ {
 			acols, _ := a.Row(i)
+			multi = multi || len(acols) > 1
 			for _, arow := range acols {
 				bound += b.RowNNZ(arow)
 			}
 		}
 		// bound is also the arena's exact flop count: one multiply-add
 		// per (a-nonzero, b-row-nonzero) pair.
-		arenas = append(arenas, arena{lo: lo, hi: hi, flops: int64(bound),
+		arenas = append(arenas, arena{lo: lo, hi: hi, flops: int64(bound), multi: multi,
 			cols: make([]int, 0, bound), vals: make([]float64, 0, bound),
 			ends: make([]int, 0, hi-lo)})
 	}
@@ -64,17 +67,12 @@ func SpGEMM(a, b *CSR) (c *CSR, flops int64) {
 		wg.Add(1)
 		go func(ar *arena) {
 			defer wg.Done()
-			acc := newSPA(b.Cols)
+			var acc *spa
+			if ar.multi {
+				acc = newSPA(b.Cols)
+			}
 			for i := ar.lo; i < ar.hi; i++ {
-				acols, avals := a.Row(i)
-				for k := range acols {
-					av := avals[k]
-					bcols, bvals := b.Row(acols[k])
-					for t := range bcols {
-						acc.add(bcols[t], av*bvals[t])
-					}
-				}
-				ar.cols, ar.vals = acc.drainInto(ar.cols, ar.vals)
+				ar.cols, ar.vals = acc.productRow(ar.cols, ar.vals, a, b, i)
 				ar.ends = append(ar.ends, len(ar.cols))
 			}
 		}(&arenas[w])
@@ -142,6 +140,38 @@ func (s *spa) add(j int, v float64) {
 		s.idx = append(s.idx, j)
 	}
 	s.val[j] += v
+}
+
+// productRow appends row i of A·B to cols/vals. A row of A with one
+// entry a — every row of GraphSAGE's Q — is a·(that row of B): B's
+// columns are already strictly increasing, so it is copied without the
+// accumulator or a sort. Each value is written as 0 + a·b, the
+// accumulator's zero plus its one product, so the copy is the SPA's
+// result bit for bit (a −0 product becomes +0 there too). Any other row
+// goes through the accumulator, which may be nil when no row of A has
+// more than one entry.
+func (s *spa) productRow(cols []int, vals []float64, a, b *CSR, i int) ([]int, []float64) {
+	acols, avals := a.Row(i)
+	switch len(acols) {
+	case 0:
+		return cols, vals
+	case 1:
+		av := avals[0]
+		bcols, bvals := b.Row(acols[0])
+		cols = append(cols, bcols...)
+		for _, bv := range bvals {
+			vals = append(vals, 0+float64(av*bv))
+		}
+		return cols, vals
+	}
+	for k := range acols {
+		av := avals[k]
+		bcols, bvals := b.Row(acols[k])
+		for t := range bcols {
+			s.add(bcols[t], float64(av*bvals[t]))
+		}
+	}
+	return s.drainInto(cols, vals)
 }
 
 // drainInto appends the accumulated (sorted) columns and values to the
