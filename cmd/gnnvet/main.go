@@ -36,61 +36,79 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 
 	"repro/internal/analysis"
+	"repro/internal/cliutil"
 )
 
+// errFindings is the checker's verdict (exit 1), as opposed to a usage
+// or load failure (exit 2).
+var errFindings = errors.New("check failed")
+
 func main() {
-	checks := flag.String("checks", "", "comma-separated subset of checks to run (default: all)")
-	list := flag.Bool("list", false, "list the available checks and exit")
-	jsonOut := flag.String("json", "", "write findings as JSON to this file (\"-\" for stdout)")
-	sarifOut := flag.String("sarif", "", "write findings as SARIF 2.1.0 to this file (\"-\" for stdout)")
-	expectAllows := flag.Int("expectallows", -1, "fail unless the module-wide //gnnvet:allow marker count equals this (-1 disables)")
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: gnnvet [-checks c1,c2] [-json f] [-sarif f] [-expectallows n] [./...]\n")
-		flag.PrintDefaults()
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "gnnvet:", err)
+		if errors.Is(err, errFindings) {
+			os.Exit(1)
+		}
+		os.Exit(2)
 	}
-	flag.Parse()
+}
+
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("gnnvet", flag.ContinueOnError)
+	checks := fs.String("checks", "", "comma-separated subset of checks to run (default: all)")
+	list := fs.Bool("list", false, "list the available checks and exit")
+	jsonOut := fs.String("json", "", "write findings as JSON to this file (\"-\" for stdout)")
+	sarifOut := fs.String("sarif", "", "write findings as SARIF 2.1.0 to this file (\"-\" for stdout)")
+	expectAllows := fs.Int("expectallows", -1, "fail unless the module-wide //gnnvet:allow marker count equals this (-1 disables)")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: gnnvet [-checks c1,c2] [-json f] [-sarif f] [-expectallows n] [./...]\n")
+		fs.PrintDefaults()
+	}
+	if help, err := cliutil.ParseFlags(fs, args, stderr); help || err != nil {
+		return err
+	}
 
 	if *list {
 		for _, a := range analysis.Analyzers {
-			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stdout, "%-12s %s\n", a.Name, a.Doc)
 		}
-		return
+		return nil
 	}
-	for _, arg := range flag.Args() {
+	for _, arg := range fs.Args() {
 		if arg != "./..." && arg != "." {
-			fmt.Fprintf(os.Stderr, "gnnvet: only ./... (the whole module) is supported, got %q\n", arg)
-			os.Exit(2)
+			return fmt.Errorf("only ./... (the whole module) is supported, got %q", arg)
 		}
+	}
+	if *expectAllows < -1 {
+		return fmt.Errorf("-expectallows must be a marker count or -1 (off), got %d", *expectAllows)
 	}
 	analyzers, err := analysis.ByName(*checks)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "gnnvet: %v\n", err)
-		os.Exit(2)
+		return err
 	}
 
 	root, err := moduleRoot()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "gnnvet: %v\n", err)
-		os.Exit(2)
+		return err
 	}
 	loader := &analysis.Loader{IncludeTests: true}
 	pkgs, err := loader.LoadModule(root)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "gnnvet: %v\n", err)
-		os.Exit(2)
+		return err
 	}
 
 	results, facts, markers, err := analysis.RunModule(pkgs, analyzers)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "gnnvet: %v\n", err)
-		os.Exit(2)
+		return err
 	}
 
 	var findings []finding
@@ -109,22 +127,19 @@ func main() {
 	}
 
 	for _, f := range findings {
-		fmt.Printf("%s:%d:%d: %s [%s]\n", f.File, f.Line, f.Column, f.Message, f.Check)
+		fmt.Fprintf(stdout, "%s:%d:%d: %s [%s]\n", f.File, f.Line, f.Column, f.Message, f.Check)
 	}
-	if err := writeMachine(*jsonOut, *sarifOut, findings, facts); err != nil {
-		fmt.Fprintf(os.Stderr, "gnnvet: %v\n", err)
-		os.Exit(2)
+	if err := writeMachine(stdout, *jsonOut, *sarifOut, findings, facts); err != nil {
+		return err
 	}
 	if *expectAllows >= 0 && markers != *expectAllows {
-		fmt.Fprintf(os.Stderr,
-			"gnnvet: module has %d //gnnvet:allow marker(s), expected %d — if a new suppression is justified, update the count in .github/workflows/ci.yml alongside its audit\n",
-			markers, *expectAllows)
-		os.Exit(1)
+		return fmt.Errorf("%w: module has %d //gnnvet:allow marker(s), expected %d — if a new suppression is justified, update the count in .github/workflows/ci.yml alongside its audit",
+			errFindings, markers, *expectAllows)
 	}
 	if len(findings) > 0 {
-		fmt.Fprintf(os.Stderr, "gnnvet: %d finding(s)\n", len(findings))
-		os.Exit(1)
+		return fmt.Errorf("%w: %d finding(s)", errFindings, len(findings))
 	}
+	return nil
 }
 
 // finding is the JSON shape of one diagnostic.
@@ -137,7 +152,7 @@ type finding struct {
 	Package string `json:"package"`
 }
 
-func writeMachine(jsonOut, sarifOut string, findings []finding, facts *analysis.FactBase) error {
+func writeMachine(stdout io.Writer, jsonOut, sarifOut string, findings []finding, facts *analysis.FactBase) error {
 	if jsonOut != "" {
 		if findings == nil {
 			findings = []finding{} // emit [], not null
@@ -146,7 +161,7 @@ func writeMachine(jsonOut, sarifOut string, findings []finding, facts *analysis.
 		if err != nil {
 			return err
 		}
-		if err := writeOut(jsonOut, append(blob, '\n')); err != nil {
+		if err := writeOut(stdout, jsonOut, append(blob, '\n')); err != nil {
 			return err
 		}
 	}
@@ -155,16 +170,16 @@ func writeMachine(jsonOut, sarifOut string, findings []finding, facts *analysis.
 		if err != nil {
 			return err
 		}
-		if err := writeOut(sarifOut, append(blob, '\n')); err != nil {
+		if err := writeOut(stdout, sarifOut, append(blob, '\n')); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func writeOut(dest string, blob []byte) error {
+func writeOut(stdout io.Writer, dest string, blob []byte) error {
 	if dest == "-" {
-		_, err := os.Stdout.Write(blob)
+		_, err := stdout.Write(blob)
 		return err
 	}
 	return os.WriteFile(dest, blob, 0o644)

@@ -54,6 +54,7 @@ var parkCalls = map[parkKey]bool{
 	{clusterPath, "", "Gather"}:               true,
 	{clusterPath, "", "Scatter"}:              true,
 	{clusterPath, "", "AllToAllv"}:            true,
+	{clusterPath, "", "AllToAllvSparse"}:      true,
 	{clusterPath, "", "AllReduceSum"}:         true,
 	{clusterPath, "", "AllReduceSumApply"}:    true,
 	{clusterPath, "", "AllReduceGenericInto"}: true,

@@ -44,6 +44,10 @@ type Comm struct {
 	hierOnce    sync.Once
 	hierIntra   map[int]*Comm
 	hierLeaders *Comm
+
+	// all is 0..Size()−1, built on the first dense AllToAllv.
+	allOnce sync.Once
+	all     []int
 }
 
 // NewComm creates a communicator over the given global rank ids.
@@ -71,10 +75,20 @@ func (c *Cluster) NewComm(members []int) *Comm {
 		rv:      newRendezvous(len(sorted)),
 		link:    c.Model.worstLink(sorted),
 	}
-	c.mu.Lock()
-	c.comms = append(c.comms, comm)
-	c.mu.Unlock()
+	c.register(comm)
 	return comm
+}
+
+// register records a new communicator (or clone) on the cluster and on
+// each member rank, so a finishing rank sweeps only its own
+// communicators.
+func (c *Cluster) register(comm *Comm) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.comms = append(c.comms, comm)
+	for _, m := range comm.members {
+		c.rankComms[m] = append(c.rankComms[m], comm)
+	}
 }
 
 // World returns a communicator over all ranks.
@@ -116,9 +130,7 @@ func (c *Comm) Dup(key string) *Comm {
 		base:    base,
 		key:     key,
 	}
-	base.cl.mu.Lock()
-	base.cl.comms = append(base.cl.comms, d)
-	base.cl.mu.Unlock()
+	base.cl.register(d)
 	if base.dups == nil {
 		base.dups = map[string]*Comm{}
 	}
@@ -213,7 +225,15 @@ type rendezvous struct {
 	// generation), and generation g+3's first arrival — the earliest
 	// reuse — requires g+2 to have completed, i.e. every participant
 	// to have arrived at g+2.
-	bufs   [3][]slot
+	bufs [3][]slot
+	// sparse holds the all-to-allv bucket buffers on the same ring, one
+	// per payload type the communicator has carried. Members read a
+	// generation's buckets until their next collective on the
+	// communicator returns. Generation g's are rewritten no sooner than
+	// by g+3's transform, which needs every member to have arrived
+	// there, and a member's next collective ends at g+2 — or at g+3
+	// under contention, whose extra rounds never touch this ring.
+	sparse [3][]any
 	failed error // poisoned: every current and future participant panics
 	// parked are the members waiting on the in-flight generation; the
 	// last arriver — or the poison path — readies them and clears the
@@ -569,34 +589,148 @@ func Scatter[T any](c *Comm, r *Rank, root int, parts []T, bytes func(T) int) T 
 }
 
 // AllToAllv exchanges parts[i] from each member to member i; the result
-// holds the parts addressed to the caller, indexed by sender. FlatTree
-// charges the linear exchange (n−1)·α + β·max(bytes sent, bytes
-// received); Pairwise charges the Bruck log-round schedule. Excludes
-// the self part. This is the feature-fetching primitive of Section 6.2.
+// holds the parts addressed to the caller, indexed by sender. It is
+// AllToAllvSparse with every member listed as a destination, so the two
+// charge alike, and its result is shared and read-only in the same way.
 func AllToAllv[T any](c *Comm, r *Rank, parts []T, bytes func(T) int) []T {
-	me := c.LocalIndex(r)
 	if len(parts) != c.Size() {
 		panic(fmt.Sprintf("cluster: AllToAllv passed %d parts for %d members", len(parts), c.Size()))
 	}
-	slots := c.exchange(r, "alltoallv", slot{clock: r.clock, val: parts})
-	entry := maxClock(slots)
+	// Every member sends one part to every member, so the received parts
+	// arrive one per sender, in sender order.
+	_, got := AllToAllvSparse(c, r, c.everyMember(), parts, bytes)
+	return got
+}
+
+// AllToAllvSparse is the all-to-allv: the caller sends parts[k] to
+// member dst[k] and receives the parts addressed to it with their
+// senders, in ascending sender order (a sender's parts to one member
+// keep their order). A member lists only the destinations it sends to,
+// so the host work is O(n + messages) per collective: the last arriver
+// buckets every message by destination once, inside the rendezvous, and
+// takes the entry clock once. FlatTree charges the linear exchange
+// (n−1)·α + β·max(bytes sent, bytes received); Pairwise charges the
+// Bruck log-round schedule. Both exclude the self part. This is the
+// feature-fetching primitive of Section 6.2.
+//
+// The returned slices are shared and read-only, valid through the
+// caller's next collective on c (a reply may pass src back as its
+// destinations) and no longer.
+func AllToAllvSparse[T any](c *Comm, r *Rank, dst []int, parts []T, bytes func(T) int) (src []int, got []T) {
+	me := c.LocalIndex(r)
+	if len(dst) != len(parts) {
+		panic(fmt.Sprintf("cluster: AllToAllvSparse passed %d destinations for %d parts", len(dst), len(parts)))
+	}
 	sent := 0
-	for i, p := range parts {
-		if i != me {
-			sent += bytes(p)
+	for k, d := range dst {
+		if d < 0 || d >= c.Size() {
+			panic(fmt.Sprintf("cluster: AllToAllvSparse destination %d outside %d members", d, c.Size()))
+		}
+		if d != me {
+			sent += bytes(parts[k])
 		}
 	}
-	out := make([]T, c.Size())
+	slots := c.exchangeTransform(r, "alltoallv", slot{clock: r.clock, val: sparseMsg[T]{dst, parts}},
+		func(slots []slot) []slot {
+			ringBuckets[T](c.rv).fill(slots)
+			return slots
+		})
+	b := slots[me].val.(*buckets[T])
+	lo, hi := b.off[me], b.off[me+1]
+	src, got = b.src[lo:hi], b.parts[lo:hi]
 	recvd := 0
-	for i, s := range slots {
-		p := s.val.([]T)[me]
-		out[i] = p
-		if i != me {
-			recvd += bytes(p)
+	for k, s := range src {
+		if s != me {
+			recvd += bytes(got[k])
 		}
 	}
-	c.chargeCollective(r, "alltoallv", entry, allToAllvCost(c, c.allToAllAlg(), sent, recvd))
-	return out
+	c.chargeCollective(r, "alltoallv", b.entry, allToAllvCost(c, c.allToAllAlg(), sent, recvd))
+	return src, got
+}
+
+// sparseMsg is one member's all-to-allv contribution.
+type sparseMsg[T any] struct {
+	dst   []int
+	parts []T
+}
+
+// buckets is the all-to-allv's delivery table: the messages addressed to
+// member d are src[off[d]:off[d+1]] and parts[off[d]:off[d+1]].
+type buckets[T any] struct {
+	off   []int
+	src   []int
+	parts []T
+	entry float64 // latest entry clock across members
+}
+
+// ringBuckets returns the generation's reusable bucket buffers for
+// payload type T. Caller holds rv.mu (inside the transform).
+func ringBuckets[T any](rv *rendezvous) *buckets[T] {
+	ring := &rv.sparse[rv.gen%3]
+	for _, x := range *ring {
+		if b, ok := x.(*buckets[T]); ok {
+			return b
+		}
+	}
+	b := &buckets[T]{}
+	*ring = append(*ring, b)
+	return b
+}
+
+// fill buckets every member's messages by destination with a counting
+// sort, senders in ascending order, and hands every member the table.
+func (b *buckets[T]) fill(slots []slot) {
+	n := len(slots)
+	b.off = resize(b.off, n+2)
+	clear(b.off)
+	total := 0
+	for _, s := range slots {
+		m := s.val.(sparseMsg[T])
+		for _, d := range m.dst {
+			b.off[d+2]++
+		}
+		total += len(m.dst)
+	}
+	for d := 2; d < n+2; d++ {
+		b.off[d] += b.off[d-1]
+	}
+	// off[d+1] is now bucket d's start; placing advances it to the end,
+	// which is bucket d+1's start.
+	b.src = resize(b.src, total)
+	b.parts = resize(b.parts, total)
+	for i, s := range slots {
+		m := s.val.(sparseMsg[T])
+		for k, d := range m.dst {
+			j := b.off[d+1]
+			b.off[d+1]++
+			b.src[j], b.parts[j] = i, m.parts[k]
+		}
+	}
+	b.entry = maxClock(slots)
+	for i := range slots {
+		slots[i].val = b
+	}
+}
+
+// resize returns buf with length n, reallocating only when it is too
+// small. The contents are not preserved.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// everyMember returns the local indices 0..n−1, built once per
+// communicator: the destination list of a dense all-to-allv.
+func (c *Comm) everyMember() []int {
+	c.allOnce.Do(func() {
+		c.all = make([]int, c.Size())
+		for i := range c.all {
+			c.all[i] = i
+		}
+	})
+	return c.all
 }
 
 // AllReduceSum sums float64 slices elementwise across members; every

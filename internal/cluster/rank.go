@@ -498,7 +498,10 @@ type Cluster struct {
 
 	mu    sync.Mutex
 	comms []*Comm
-	mail  *mailbox
+	// rankComms lists, per rank, the communicators (clones included) it
+	// is a member of.
+	rankComms [][]*Comm
+	mail      *mailbox
 	// cont is the physical-link contention ledger, created once when
 	// the model carries a Topology and reset per Run; nil keeps the
 	// pure α–β charging path.
@@ -520,16 +523,19 @@ type Cluster struct {
 	failures map[int]*RankFailure
 }
 
-// markDone records that a rank's body returned and sweeps every
-// communicator for collectives now unable to complete, poisoning their
-// rendezvous so waiters panic with a diagnostic instead of hanging.
+// markDone records that a rank's body returned and sweeps the rank's
+// communicators for collectives now unable to complete, poisoning their
+// rendezvous so waiters panic with a diagnostic instead of hanging. A
+// communicator without the rank cannot be stranded by it, and a peer
+// arriving later at one with it is caught by arrive's own scan.
 func (c *Cluster) markDone(rank int) {
 	c.mu.Lock()
 	if c.done == nil {
 		c.done = make([]bool, c.N)
 	}
 	c.done[rank] = true
-	comms := append([]*Comm(nil), c.comms...)
+	// Registration only appends, so this header stays valid unlocked.
+	comms := c.rankComms[rank]
 	c.mu.Unlock()
 	c.anyDone.Store(true)
 	for _, comm := range comms {
@@ -544,7 +550,7 @@ func New(n int, model CostModel) *Cluster {
 	if n <= 0 {
 		panic("cluster: need at least one rank")
 	}
-	c := &Cluster{N: n, Model: model, backend: resolveBackend(model.Backend)}
+	c := &Cluster{N: n, Model: model, backend: resolveBackend(model.Backend), rankComms: make([][]*Comm, n)}
 	if model.Topology != nil {
 		c.cont = newContention(model, n)
 	}

@@ -6,6 +6,8 @@
 package pipeline
 
 import (
+	"slices"
+
 	"repro/internal/cache"
 	"repro/internal/cluster"
 	"repro/internal/dense"
@@ -34,26 +36,45 @@ type FeatureStore struct {
 	scratch []*fetchScratch
 }
 
-// fetchScratch is one rank's reusable buffers for FetchCached's two
-// all-to-allv rounds. The request and response buffers cross the wire
-// by reference; reuse is safe by the rendezvous happens-before edges:
-// an owner reads request lists between the two rounds, and a requester
-// rewrites its lists only after leaving round two — which the owner
-// must have entered, so it is done reading. Response rows are read by
-// requesters before they enter any later collective on the column
-// communicator; the owner rewrites them only behind its next call's
-// round one, which every member must have reached. The assembled
-// output matrix is NOT part of the workspace — it outlives the call
-// (the overlap pipeline hands it to the propagation stage).
+// fetchScratch is one rank's reusable bookkeeping for FetchCached's two
+// all-to-allv rounds, sized by the rank's requests and the rows it
+// serves, never by the column's size. The request lists and response
+// rows cross the wire by reference; reuse is safe by the rendezvous
+// happens-before edges: an owner reads request lists between the two
+// rounds, and a requester rewrites its lists only after leaving round
+// two — which the owner must have entered, so it is done reading.
+// Response rows are read by requesters before they enter any later
+// collective on the column communicator; the owner rewrites them only
+// behind its next call's round one, which every member must have
+// reached. That is also why the workspace belongs to the rank and is
+// never handed to another one: a requester may still be reading an
+// owner's rows after the owner has returned. The assembled output
+// matrix is NOT part of the workspace — it outlives the call (the
+// overlap pipeline hands it to the propagation stage).
 type fetchScratch struct {
-	reqBacking  []fetchRequest
-	reqs        []*fetchRequest
-	firstSlot   [][]int
-	pos         map[int]int
-	respBacking []fetchResponse
-	resps       []*fetchResponse
-	rowData     []float64
+	pos      map[int]int  // vertex -> output slot of its first request, or fetchCacheHit
+	wanted   []fetchEntry // distinct vertices to fetch, grouped by owner
+	repeats  []fetchRepeat
+	owners   []int // owners asked, ascending: round one's destinations
+	reqs     [][]int
+	reqVerts []int // backing of reqs
+	resps    []dense.Matrix
+	rowData  []float64 // backing of resps
 }
+
+// fetchEntry is one distinct vertex to fetch, its owner, and the output
+// slot of its first request. Owners and slots are 32-bit: the scratch
+// is rebuilt with every FeatureStore, so its growth is per-run heap.
+type fetchEntry struct {
+	vertex      int
+	owner, slot int32
+}
+
+// fetchRepeat is a later output slot of an already requested vertex.
+type fetchRepeat struct{ first, slot int32 }
+
+// fetchCacheHit marks a vertex served from the cache in this request.
+const fetchCacheHit = -1
 
 // NewFeatureStores slices the global feature matrix into the grid's
 // block rows. H is read-only, so each block is a view over feats'
@@ -80,27 +101,15 @@ func NewFeatureStores(g *cluster.Grid, feats *dense.Matrix) []*FeatureStore {
 // without NewFeatureStores falls back to per-call buffers.
 func (fs *FeatureStore) fetchScratchFor(rank int) *fetchScratch {
 	if fs.scratch == nil {
-		return &fetchScratch{}
+		return &fetchScratch{pos: map[int]int{}}
 	}
 	j := fs.Grid.ColIndex(rank)
 	s := fs.scratch[j]
 	if s == nil {
-		s = &fetchScratch{}
+		s = &fetchScratch{pos: map[int]int{}}
 		fs.scratch[j] = s
 	}
 	return s
-}
-
-// fetchRequest asks an owner for specific global vertex rows.
-type fetchRequest struct {
-	vertices []int
-}
-
-// fetchResponse returns the requested rows, in request order. The
-// matrix is held by value so a response array needs one allocation, not
-// one per member.
-type fetchResponse struct {
-	rows dense.Matrix
 }
 
 // Fetch assembles the feature rows of the given global vertices via
@@ -136,111 +145,100 @@ func (fs *FeatureStore) FetchCached(r *cluster.Rank, vertices []int, c cache.Cac
 	out := dense.New(len(vertices), f)
 	me := colComm.LocalIndex(r)
 
-	// Partition the request by owning block row, deduplicating repeats
-	// and remembering every output position each distinct vertex fills.
-	// Cache hits are served immediately from device memory. A vertex has
-	// exactly one owner, so one position map serves all block rows; the
-	// common single-position case stays allocation-free (firstSlot), and
-	// only genuine repeats spill into the lazy extra-slot table. The
-	// bookkeeping comes from the rank's epoch-persistent workspace (see
-	// fetchScratch for why reuse across batches is safe).
+	// Deduplicate the request, remembering every output slot each
+	// distinct vertex fills. Cache hits are served immediately from
+	// device memory. The bookkeeping comes from the rank's persistent
+	// workspace (see fetchScratch for why reuse across batches is safe).
 	sc := fs.fetchScratchFor(r.ID)
-	if cap(sc.reqBacking) < members {
-		sc.reqBacking = make([]fetchRequest, members)
-		sc.reqs = make([]*fetchRequest, members)
-		sc.firstSlot = make([][]int, members)
-		sc.respBacking = make([]fetchResponse, members)
-		sc.resps = make([]*fetchResponse, members)
-		sc.pos = make(map[int]int, len(vertices))
-	}
-	reqBacking := sc.reqBacking[:members]
-	reqs := sc.reqs[:members]
-	firstSlot := sc.firstSlot[:members] // first output position per requested vertex
-	for m := range reqs {
-		reqBacking[m].vertices = reqBacking[m].vertices[:0]
-		firstSlot[m] = firstSlot[m][:0]
-		reqs[m] = &reqBacking[m]
-	}
-	pos := sc.pos // vertex -> index in its owner's request
-	clear(pos)
-	var extraSlots map[[2]int][]int // (owner, pos) -> further output positions
-	var cacheHit map[int]bool       // vertices served from cache this request
+	clear(sc.pos)
+	sc.wanted, sc.repeats = sc.wanted[:0], sc.repeats[:0]
 	var cachedBytes int64
 	for i, v := range vertices {
-		if cacheHit[v] {
+		first, seen := sc.pos[v]
+		if seen && first == fetchCacheHit {
 			copy(out.RowView(i), fs.global.RowView(v))
 			cachedBytes += int64(8 * f)
+			continue
+		}
+		if seen {
+			sc.repeats = append(sc.repeats, fetchRepeat{int32(first), int32(i)})
 			continue
 		}
 		owner := graph.BlockOwner(fs.N, members, v)
-		if p, ok := pos[v]; ok {
-			if extraSlots == nil {
-				extraSlots = map[[2]int][]int{}
-			}
-			k := [2]int{owner, p}
-			extraSlots[k] = append(extraSlots[k], i)
-			continue
-		}
 		if c != nil && owner != me && c.Lookup(v) {
-			if cacheHit == nil {
-				cacheHit = map[int]bool{}
-			}
-			cacheHit[v] = true
+			sc.pos[v] = fetchCacheHit
 			copy(out.RowView(i), fs.global.RowView(v))
 			cachedBytes += int64(8 * f)
 			continue
 		}
-		pos[v] = len(reqs[owner].vertices)
-		reqs[owner].vertices = append(reqs[owner].vertices, v)
-		firstSlot[owner] = append(firstSlot[owner], i)
+		sc.pos[v] = i
+		sc.wanted = append(sc.wanted, fetchEntry{v, int32(owner), int32(i)})
 	}
 	if cachedBytes > 0 {
 		r.ChargeMem(cachedBytes)
 	}
 
-	incoming := cluster.AllToAllv(colComm, r, reqs, func(q *fetchRequest) int {
-		return 8 * len(q.vertices)
+	// One request list per owner actually asked, owners ascending and
+	// each list in first-request order.
+	slices.SortStableFunc(sc.wanted, func(a, b fetchEntry) int { return int(a.owner - b.owner) })
+	sc.reqVerts = sc.reqVerts[:0]
+	for _, e := range sc.wanted {
+		sc.reqVerts = append(sc.reqVerts, e.vertex)
+	}
+	sc.owners, sc.reqs = sc.owners[:0], sc.reqs[:0]
+	for lo, hi := 0, 0; lo < len(sc.wanted); lo = hi {
+		owner := sc.wanted[lo].owner
+		for hi < len(sc.wanted) && sc.wanted[hi].owner == owner {
+			hi++
+		}
+		sc.owners = append(sc.owners, int(owner))
+		sc.reqs = append(sc.reqs, sc.reqVerts[lo:hi])
+	}
+
+	askers, incoming := cluster.AllToAllvSparse(colComm, r, sc.owners, sc.reqs, func(q []int) int {
+		return 8 * len(q)
 	})
 
 	// Serve each requester from the local block; all response rows share
-	// one backing allocation, reused across batches.
-	respBacking := sc.respBacking[:members]
-	resps := sc.resps[:members]
+	// one backing buffer, reused across batches.
 	totalRows := 0
 	for _, q := range incoming {
-		totalRows += len(q.vertices)
+		totalRows += len(q)
 	}
 	if cap(sc.rowData) < totalRows*f {
 		sc.rowData = make([]float64, totalRows*f)
 	}
 	rowData := sc.rowData[:totalRows*f]
-	var served int64
-	for m, q := range incoming {
-		rows := dense.Matrix{Rows: len(q.vertices), Cols: f, Data: rowData[:len(q.vertices)*f]}
-		rowData = rowData[len(q.vertices)*f:]
-		for i, v := range q.vertices {
+	sc.resps = sc.resps[:0]
+	for _, q := range incoming {
+		rows := dense.Matrix{Rows: len(q), Cols: f, Data: rowData[:len(q)*f]}
+		rowData = rowData[len(q)*f:]
+		for i, v := range q {
 			copy(rows.RowView(i), fs.H.RowView(v-fs.Lo))
 		}
-		respBacking[m] = fetchResponse{rows: rows}
-		resps[m] = &respBacking[m]
-		served += int64(len(q.vertices) * f * 8)
+		sc.resps = append(sc.resps, rows)
 	}
-	r.ChargeMem(served)
+	r.ChargeMem(int64(totalRows * f * 8))
 
-	got := cluster.AllToAllv(colComm, r, resps, func(p *fetchResponse) int {
-		return p.rows.Bytes()
+	_, got := cluster.AllToAllvSparse(colComm, r, askers, sc.resps, func(m dense.Matrix) int {
+		return m.Bytes()
 	})
 
-	for m, p := range got {
-		for i, slot := range firstSlot[m] {
-			copy(out.RowView(slot), p.rows.RowView(i))
-			for _, extra := range extraSlots[[2]int{m, i}] {
-				copy(out.RowView(extra), p.rows.RowView(i))
-			}
-			if c != nil && m != me {
-				c.Admit(reqs[m].vertices[i])
+	// Every owner asked answers once, in ascending owner order: the rows
+	// arrive in the order of sc.wanted.
+	k := 0
+	for _, rows := range got {
+		for i := 0; i < rows.Rows; i++ {
+			e := sc.wanted[k]
+			k++
+			copy(out.RowView(int(e.slot)), rows.RowView(i))
+			if c != nil && int(e.owner) != me {
+				c.Admit(e.vertex)
 			}
 		}
+	}
+	for _, rp := range sc.repeats {
+		copy(out.RowView(int(rp.slot)), out.RowView(int(rp.first)))
 	}
 	r.ChargeMem(int64(len(vertices) * f * 8))
 	return out

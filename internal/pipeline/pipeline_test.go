@@ -2,6 +2,8 @@ package pipeline
 
 import (
 	"math"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -11,6 +13,7 @@ import (
 	"repro/internal/datasets"
 	"repro/internal/dense"
 	"repro/internal/gnn"
+	"repro/internal/graph"
 )
 
 func tinySBM() *datasets.Dataset {
@@ -1138,4 +1141,70 @@ func TestRunRejectsInvalidTopology(t *testing.T) {
 	if err == nil {
 		t.Fatal("invalid topology accepted")
 	}
+}
+
+// TestFetchCachedCostsWhatItRequests: a fetch's host bookkeeping scales
+// with its request, not with the column it runs over. Every rank asks for
+// the same shape of request — 8 slots over 5 distinct vertices, 3 owned by
+// the next block row and 2 by its own — at column sizes 4 and 256. A warm
+// call must allocate as often per rank at both sizes, and as many bytes
+// give or take the runtime's own few (a per-member buffer costs ×10 at
+// 256 members), and the rank's scratch must be no
+// larger at 256 members than at 4. GC is held off while counting: a
+// collection frees the runtime's own caches, which then count as
+// allocations of whichever run refills them.
+func TestFetchCachedCostsWhatItRequests(t *testing.T) {
+	const rows, f, more = 2048, 4, 6
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	feats := dense.New(rows, f)
+	for i := range feats.Data {
+		feats.Data[i] = float64(i)
+	}
+	type cost struct{ allocs, bytes float64 }
+	perCall := map[int]cost{}
+	scratch := map[int][8]int{}
+	for _, n := range []int{4, 256} {
+		model := cluster.Perlmutter()
+		model.Backend = cluster.DESBackend
+		cl := cluster.New(n, model)
+		g := cluster.NewGrid(cl, n, 1)
+		stores := NewFeatureStores(g, feats)
+		run := func(calls int) cost {
+			body := func() {
+				if _, err := cl.Run(func(r *cluster.Rank) error {
+					lo, _ := graph.BlockRowRange(rows, n, r.ID)
+					next, _ := graph.BlockRowRange(rows, n, (r.ID+1)%n)
+					verts := []int{next, next + 1, lo, next, next + 2, lo, next + 1, lo + 1}
+					for i := 0; i < calls; i++ {
+						stores[r.ID].FetchCached(r, verts, nil)
+					}
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			allocs := testing.AllocsPerRun(2, body)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < 8; i++ {
+				body()
+			}
+			runtime.ReadMemStats(&after)
+			return cost{allocs, float64(after.TotalAlloc-before.TotalAlloc) / 8}
+		}
+		run(6) // every round's payload type on every slot of the rendezvous ring
+		warm, hot := run(2), run(2+more)
+		perCall[n] = cost{(hot.allocs - warm.allocs) / float64(more*n), (hot.bytes - warm.bytes) / float64(more*n)}
+		sc := stores[0].scratch[0]
+		scratch[n] = [8]int{len(sc.pos), cap(sc.wanted), cap(sc.repeats), cap(sc.owners),
+			cap(sc.reqs), cap(sc.reqVerts), cap(sc.resps), cap(sc.rowData)}
+	}
+	small, large := perCall[4], perCall[256]
+	if small.allocs != large.allocs || math.Abs(small.bytes-large.bytes) > 0.1*small.bytes {
+		t.Fatalf("per warm fetch per rank: %+v at 4 members, %+v at 256", small, large)
+	}
+	if scratch[256] != scratch[4] {
+		t.Fatalf("rank scratch grew with the column: %v at 4 members, %v at 256", scratch[4], scratch[256])
+	}
+	t.Logf("per warm fetch per rank: %+v; scratch %v", perCall[4], scratch[4])
 }

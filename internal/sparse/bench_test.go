@@ -106,14 +106,3 @@ func BenchmarkExtractRows(b *testing.B) {
 		ExtractRows(a, rows)
 	}
 }
-
-func BenchmarkVStack(b *testing.B) {
-	parts := make([]*CSR, 16)
-	for i := range parts {
-		parts[i] = benchGraph(b, 500, 8)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		VStack(parts...)
-	}
-}

@@ -29,38 +29,6 @@ func ExtractRows(a *CSR, rows []int) *CSR {
 	return out
 }
 
-// VStack vertically concatenates the given matrices, which must all
-// have the same column count. This realizes the bulk-sampling stacking
-// of Equation 1 in the paper.
-func VStack(mats ...*CSR) *CSR {
-	if len(mats) == 0 {
-		panic("sparse: VStack of zero matrices")
-	}
-	cols := mats[0].Cols
-	rows, nnz := 0, 0
-	for _, m := range mats {
-		if m.Cols != cols {
-			panic(fmt.Sprintf("sparse: VStack column mismatch %d vs %d", m.Cols, cols))
-		}
-		rows += m.Rows
-		nnz += m.NNZ()
-	}
-	out := &CSR{Rows: rows, Cols: cols, RowPtr: make([]int, rows+1)}
-	out.ColIdx = make([]int, 0, nnz)
-	out.Val = make([]float64, 0, nnz)
-	r := 0
-	for _, m := range mats {
-		for i := 0; i < m.Rows; i++ {
-			cs, vs := m.Row(i)
-			out.ColIdx = append(out.ColIdx, cs...)
-			out.Val = append(out.Val, vs...)
-			r++
-			out.RowPtr[r] = len(out.ColIdx)
-		}
-	}
-	return out
-}
-
 // BlockDiag builds the block-diagonal matrix with the given blocks on
 // the diagonal. Used by the bulk LADIES column-extraction step
 // (Section 4.2.4), where each A_Ri block multiplies only its own

@@ -24,30 +24,6 @@ func TestExtractRowsMatchesSpGEMM(t *testing.T) {
 	}
 }
 
-func TestVStack(t *testing.T) {
-	a := FromEntries(2, 3, [][3]float64{{0, 0, 1}, {1, 2, 2}})
-	b := FromEntries(1, 3, [][3]float64{{0, 1, 3}})
-	s := VStack(a, b)
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Rows != 3 || s.Cols != 3 || s.NNZ() != 3 {
-		t.Fatalf("stack shape wrong: %v", s)
-	}
-	if s.At(0, 0) != 1 || s.At(1, 2) != 2 || s.At(2, 1) != 3 {
-		t.Fatal("stack entries wrong")
-	}
-}
-
-func TestVStackMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for mismatched columns")
-		}
-	}()
-	VStack(Zero(1, 2), Zero(1, 3))
-}
-
 func TestBlockDiagMatchesBulkLadiesIdentity(t *testing.T) {
 	// blockdiag(A1, A2) * vstack-of-column-extractors must equal the
 	// per-block products stacked (Section 4.2.4 structure).
@@ -61,19 +37,23 @@ func TestBlockDiagMatchesBulkLadiesIdentity(t *testing.T) {
 	if bd.Rows != 7 || bd.Cols != 11 || bd.NNZ() != a1.NNZ()+a2.NNZ() {
 		t.Fatalf("block diag shape wrong: %v", bd)
 	}
-	// Column extractors picking columns {1,3} of each block.
+	// Column extractors picking columns {1,3} of each block, and the same
+	// two stacked into one 11x2 extractor.
 	qc1 := NewCOO(5, 2, 2)
 	qc1.Add(1, 0, 1)
 	qc1.Add(3, 1, 1)
 	qc2 := NewCOO(6, 2, 2)
 	qc2.Add(1, 0, 1)
 	qc2.Add(3, 1, 1)
-	stacked := VStack(qc1.ToCSR(), qc2.ToCSR())
-	got, _ := SpGEMM(bd, stacked)
+	stacked := NewCOO(11, 2, 4)
+	stacked.Add(1, 0, 1)
+	stacked.Add(3, 1, 1)
+	stacked.Add(5+1, 0, 1)
+	stacked.Add(5+3, 1, 1)
+	got, _ := SpGEMM(bd, stacked.ToCSR())
 	w1, _ := SpGEMM(a1, qc1.ToCSR())
 	w2, _ := SpGEMM(a2, qc2.ToCSR())
-	want := VStack(w1, w2)
-	if !Equal(got, want, 1e-12) {
+	if !Equal(SliceRows(got, 0, 3), w1, 1e-12) || !Equal(SliceRows(got, 3, 7), w2, 1e-12) {
 		t.Fatal("block-diagonal bulk extraction disagrees with per-block products")
 	}
 }
