@@ -42,7 +42,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		sweepWorks = fs.String("sweepworkers", "default", "worker-pool size for sweep experiments (scaling): default = one per CPU, 1 = serial; tables are byte-identical at any setting")
 	)
 	platform := cliutil.RegisterPlatformFlags(fs, true, map[string]string{
-		"allreduce":     " (the collectives and tprob experiments sweep their algorithm sets regardless)",
+		"allreduce":     " (the collectives, tprob and scaling experiments sweep their algorithm sets regardless)",
 		"topology":      " (the contention experiment sweeps its topology set regardless)",
 		"faults":        " (resilience experiment: overrides the auto fault at ~60% of the clean span)",
 		"ckpt-interval": " (resilience experiment: restricts the interval sweep to this cadence)",

@@ -16,7 +16,6 @@ import (
 	"repro/internal/autotune"
 	"repro/internal/cache"
 	"repro/internal/cliutil"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/graphio"
@@ -113,11 +112,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		cfg = tuned
 		// The tuner's pick, or the -allreduce selection it left alone.
-		allreduce := cfg.Collectives.AllReduce
-		if allreduce == cluster.DefaultAlgorithm {
-			allreduce = model.Collectives.AllReduce
-		}
-		fmt.Fprintf(stdout, "autotune: c=%d k=%s allreduce=%s\n", cfg.C, kLabel(cfg.K), allreduce)
+		fmt.Fprintf(stdout, "autotune: c=%d k=%s allreduce=%s\n", cfg.C, kLabel(cfg.K), cfg.Model.Collectives.AllReduce)
 	}
 
 	fmt.Fprintf(stdout, "dataset=%s vertices=%d edges=%d batches=%d | p=%d c=%d sampler=%s algorithm=%s\n",

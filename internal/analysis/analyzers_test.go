@@ -31,8 +31,21 @@ func TestMapOrder(t *testing.T) {
 	analysistest.Run(t, analysis.MapOrder, "testdata/maporder", "repro/fixture")
 }
 
+// Benchpool's scope table: each fixture loads under the package path
+// whose rule it exercises; the kernels fixture is checked as both
+// sparse and core, and an unlisted package is not checked at all.
 func TestBenchpool(t *testing.T) {
-	analysistest.Run(t, analysis.Benchpool, "testdata/benchpool", "repro/internal/bench")
+	for _, c := range []struct{ dir, path string }{
+		{"testdata/benchpool", "repro/internal/bench"},
+		{"testdata/benchpool/dense", "repro/internal/dense"},
+		{"testdata/benchpool/kernels", "repro/internal/sparse"},
+		{"testdata/benchpool/kernels", "repro/internal/core"},
+		{"testdata/benchpool/unscoped", "repro/fixture"},
+	} {
+		t.Run(c.path, func(t *testing.T) {
+			analysistest.Run(t, analysis.Benchpool, c.dir, c.path)
+		})
+	}
 }
 
 func TestArenaEscape(t *testing.T) {

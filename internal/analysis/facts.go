@@ -361,16 +361,16 @@ func blocksNativeExempt(pkgPath, filename string) bool {
 		return parkWakeExemptFiles[filename]
 	case clusterPath + "/sim":
 		return true
-	case benchpoolScope:
-		return filename == benchpoolSeam
+	case benchPath:
+		return filename == fanoutScopes[benchPath].seam
 	}
 	return false
 }
 
 // isCondWait reports sync.Cond.Wait (sync.WaitGroup.Wait is NOT a
-// blocksnative atom: compute fan-out below the simulation — the SpGEMM
-// worker pool, the bench pool — joins plain worker goroutines with a
-// WaitGroup, which completes without scheduler help).
+// blocksnative atom: compute fan-out below the simulation —
+// dense.ParallelRows, the bench pool — joins plain worker goroutines
+// with a WaitGroup, which completes without scheduler help).
 func isCondWait(fn *types.Func) bool {
 	if fn.Name() != "Wait" {
 		return false

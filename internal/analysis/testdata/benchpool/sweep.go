@@ -3,6 +3,8 @@
 // experiments reach it through runCells.
 package bench
 
+import "sync"
+
 func handRolledFanOut(cells []int) []int {
 	results := make(chan int, len(cells)) // want `channel type outside the pool seam`
 	for range cells {
@@ -26,6 +28,18 @@ func drain(ch chan int) int { // want `channel type outside the pool seam`
 	default:
 	}
 	return total
+}
+
+func joinedFanOut(cells []func()) {
+	var wg sync.WaitGroup // want `sync.WaitGroup outside the pool seam`
+	for _, c := range cells {
+		wg.Add(1)
+		go func() { // want `goroutine outside the pool seam`
+			defer wg.Done()
+			c()
+		}()
+	}
+	wg.Wait()
 }
 
 // The steered-toward shape: enumerate cells, let the pool run them.

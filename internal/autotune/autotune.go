@@ -142,11 +142,13 @@ func TuneCollectives(model cluster.CostModel, p int, t cluster.Collectives) clus
 // negative K), which passes through untuned — K = 0 cannot mean both
 // "all" and "choose for me" at once.
 func TuneConfig(m MemoryModel, d *datasets.Dataset, cfg pipeline.Config) (pipeline.Config, error) {
-	// A selection on the model (where the CLIs put -allreduce) is as
-	// explicit as one on Config.Collectives, which would out-merge it.
-	if cfg.Model.Collectives.AllReduce == cluster.DefaultAlgorithm {
-		cfg.Collectives = TuneCollectives(cfg.Model, cfg.P, cfg.Collectives)
+	// The schedule is tuned on the model, where the CLIs put -allreduce;
+	// a zero model is first given the default platform, which the
+	// pipeline would otherwise install over the tuned table.
+	if cfg.Model.GPUsPerNode == 0 {
+		cfg.Model = cluster.Perlmutter()
 	}
+	cfg.Model.Collectives = TuneCollectives(cfg.Model, cfg.P, cfg.Model.Collectives)
 	if cfg.C > 0 && cfg.K != 0 {
 		return cfg, nil
 	}

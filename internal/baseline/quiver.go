@@ -24,7 +24,7 @@ import (
 // QuiverConfig drives the Quiver-strategy baseline. RunQuiver converts
 // it to a pipeline.Config, so every field shared with that type means
 // exactly what it means there: defaults, validation and the merge of
-// Collectives, Topology, Backend and Faults into Model happen once, in
+// Topology, Backend and Faults into Model happen once, in
 // the pipeline's config normalisation, and algorithm, contention and
 // resilience comparisons hold the baseline to the same rules as the
 // paper's pipeline.
@@ -44,7 +44,6 @@ type QuiverConfig struct {
 	Seed       int64
 	Model      cluster.CostModel
 
-	Collectives  cluster.Collectives
 	Topology     *cluster.Topology
 	Backend      cluster.Backend
 	Faults       *cluster.FaultPlan
@@ -68,7 +67,7 @@ func RunQuiver(d *datasets.Dataset, cfg QuiverConfig) (*pipeline.Result, error) 
 		P: cfg.P, C: 1, Sampler: "sage", Layers: len(d.Fanouts),
 		Hidden: cfg.Hidden, Epochs: cfg.Epochs, LR: cfg.LR,
 		MaxBatches: cfg.MaxBatches, Seed: cfg.Seed, Model: cfg.Model,
-		Collectives: cfg.Collectives, Topology: cfg.Topology, Backend: cfg.Backend,
+		Topology: cfg.Topology, Backend: cfg.Backend,
 		Faults: cfg.Faults, CkptInterval: cfg.CkptInterval,
 	}, pipeline.Strategy{NewAttempt: (&quiver{d: d, uva: cfg.UVA}).newAttempt})
 }

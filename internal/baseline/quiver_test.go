@@ -191,6 +191,13 @@ func TestGoldenQuiverBitIdentical(t *testing.T) {
 	}
 }
 
+// onModel returns the default platform charging collectives under tbl.
+func onModel(tbl cluster.Collectives) cluster.CostModel {
+	m := cluster.Perlmutter()
+	m.Collectives = tbl
+	return m
+}
+
 // The baseline threads algorithm selection like the pipeline: a ring
 // gradient all-reduce changes the schedule, never the training values.
 func TestQuiverCollectivesSelection(t *testing.T) {
@@ -200,7 +207,7 @@ func TestQuiverCollectivesSelection(t *testing.T) {
 		t.Fatal(err)
 	}
 	ring, err := RunQuiver(d, QuiverConfig{P: 4, Seed: 3,
-		Collectives: cluster.Collectives{AllReduce: cluster.Ring}})
+		Model: onModel(cluster.Collectives{AllReduce: cluster.Ring})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +218,7 @@ func TestQuiverCollectivesSelection(t *testing.T) {
 		t.Fatal("ring selection did not change the schedule")
 	}
 	if _, err := RunQuiver(d, QuiverConfig{P: 4, Seed: 3,
-		Collectives: cluster.Collectives{AllReduce: cluster.Pairwise}}); err == nil {
+		Model: onModel(cluster.Collectives{AllReduce: cluster.Pairwise})}); err == nil {
 		t.Fatal("invalid table accepted")
 	}
 }
@@ -240,7 +247,7 @@ func TestGoldenQuiverContentionOffPerAlgorithm(t *testing.T) {
 	for _, g := range golden {
 		for _, be := range []cluster.Backend{cluster.GoroutineBackend, cluster.DESBackend} {
 			res, err := RunQuiver(d, QuiverConfig{P: 4, Epochs: 2, Seed: 5, MaxBatches: 8,
-				Collectives: g.tbl, Topology: nil, Backend: be})
+				Model: onModel(g.tbl), Topology: nil, Backend: be})
 			if err != nil {
 				t.Fatalf("%s/%v: %v", g.table, be, err)
 			}

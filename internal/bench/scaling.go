@@ -198,13 +198,14 @@ func Scaling(w io.Writer, o Options) ([]ScalingRow, error) {
 	}
 
 	runOne := func(cell *scalingCell) error {
+		model := o.Model
+		model.Collectives = cell.coll
 		cfg := pipeline.Config{
 			P: cell.p, C: cell.c, K: pipeline.KAll,
 			Epochs: 1, Seed: o.Seed,
-			Model:       o.Model,
-			Collectives: cell.coll,
-			Topology:    cell.topo,
-			MaxBatches:  cell.batches,
+			Model:      model,
+			Topology:   cell.topo,
+			MaxBatches: cell.batches,
 		}
 		if cell.alg != "replicated" {
 			cfg.Algorithm = pipeline.GraphPartitioned

@@ -129,17 +129,6 @@ func (t Collectives) Validate() error {
 	return nil
 }
 
-// Merge overlays o's explicit (non-default) entries on t.
-func (t Collectives) Merge(o Collectives) Collectives {
-	if o.AllReduce != DefaultAlgorithm {
-		t.AllReduce = o.AllReduce
-	}
-	if o.AllToAll != DefaultAlgorithm {
-		t.AllToAll = o.AllToAll
-	}
-	return t
-}
-
 // allReduceAlg resolves the algorithm the reduction family charges on
 // this communicator; allToAllAlg does the same for all-to-allv. Every
 // algorithm degenerates to FlatTree on fewer than two members.

@@ -212,15 +212,3 @@ func TestParseCollectives(t *testing.T) {
 		}
 	}
 }
-
-// Merge overlays only explicit entries.
-func TestCollectivesMerge(t *testing.T) {
-	base := Collectives{AllReduce: Hierarchical, AllToAll: FlatTree}
-	got := base.Merge(Collectives{AllToAll: Pairwise})
-	if got.AllReduce != Hierarchical || got.AllToAll != Pairwise {
-		t.Fatalf("merged %+v", got)
-	}
-	if got = base.Merge(Collectives{}); got != base {
-		t.Fatalf("zero merge changed table: %+v", got)
-	}
-}

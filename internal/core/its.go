@@ -187,39 +187,3 @@ func rowSeed(seed int64, row int) int64 {
 func NewRowRNG(seed int64, row int) *rand.Rand {
 	return rand.New(rand.NewSource(rowSeed(seed, row)))
 }
-
-// SampleRowITSReplacement draws s indices with replacement — the
-// variant some frameworks use when a vertex's degree is below the
-// fanout. Returned indices may repeat and preserve draw order.
-func SampleRowITSReplacement(weights []float64, s int, rng FloatRNG) (picks []int, ops int64) {
-	nnz := len(weights)
-	if nnz == 0 || s <= 0 {
-		return nil, 0
-	}
-	prefix := make([]float64, nnz+1)
-	for i, w := range weights {
-		if w < 0 || math.IsNaN(w) {
-			panic("core: negative or NaN sampling weight")
-		}
-		prefix[i+1] = prefix[i] + w
-	}
-	ops += int64(nnz)
-	total := prefix[nnz]
-	if total == 0 {
-		return nil, ops
-	}
-	picks = make([]int, 0, s)
-	for len(picks) < s {
-		u := rng.Float64() * total
-		idx := sort.SearchFloat64s(prefix[1:], u)
-		if idx >= nnz {
-			idx = nnz - 1
-		}
-		if weights[idx] == 0 {
-			continue
-		}
-		picks = append(picks, idx)
-		ops += int64(math.Ilogb(float64(nnz))) + 1
-	}
-	return picks, ops
-}

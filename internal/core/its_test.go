@@ -177,41 +177,3 @@ func TestSampleRowITSOpsPositive(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestSampleRowITSReplacementCount(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	w := []float64{1, 1}
-	picks, _ := SampleRowITSReplacement(w, 10, rng)
-	if len(picks) != 10 {
-		t.Fatalf("got %d picks, want 10 (with replacement exceeds nnz)", len(picks))
-	}
-	for _, p := range picks {
-		if p < 0 || p > 1 {
-			t.Fatalf("pick %d out of range", p)
-		}
-	}
-}
-
-func TestSampleRowITSReplacementDistribution(t *testing.T) {
-	rng := rand.New(rand.NewSource(62))
-	w := []float64{3, 1}
-	counts := [2]int{}
-	for i := 0; i < 4000; i++ {
-		picks, _ := SampleRowITSReplacement(w, 1, rng)
-		counts[picks[0]]++
-	}
-	frac := float64(counts[0]) / 4000
-	if math.Abs(frac-0.75) > 0.03 {
-		t.Fatalf("heavy index frequency %.3f, want ~0.75", frac)
-	}
-}
-
-func TestSampleRowITSReplacementEmpty(t *testing.T) {
-	rng := rand.New(rand.NewSource(63))
-	if picks, _ := SampleRowITSReplacement(nil, 5, rng); picks != nil {
-		t.Fatal("empty weights should return nil")
-	}
-	if picks, _ := SampleRowITSReplacement([]float64{0, 0}, 5, rng); len(picks) != 0 {
-		t.Fatal("zero weights should return nothing")
-	}
-}

@@ -189,19 +189,6 @@ func TestXavierInitRange(t *testing.T) {
 	}
 }
 
-func TestSGDConvergesOnQuadratic(t *testing.T) {
-	// minimize (x-3)^2 + (y+2)^2
-	params := []float64{0, 0}
-	opt := NewSGD(0.1, 0.9)
-	for iter := 0; iter < 200; iter++ {
-		g := []float64{2 * (params[0] - 3), 2 * (params[1] + 2)}
-		opt.Step(params, g)
-	}
-	if math.Abs(params[0]-3) > 1e-3 || math.Abs(params[1]+2) > 1e-3 {
-		t.Fatalf("SGD converged to %v", params)
-	}
-}
-
 func TestAdamConvergesOnQuadratic(t *testing.T) {
 	params := []float64{5, -5}
 	opt := NewAdam(0.05)
@@ -241,19 +228,6 @@ func TestAddInPlaceAndScale(t *testing.T) {
 		if a.Data[i] != want[i] {
 			t.Fatalf("got %v, want %v", a.Data, want)
 		}
-	}
-}
-
-func TestAdamWDecaysUnusedParams(t *testing.T) {
-	// With zero gradient, decoupled weight decay must still shrink the
-	// parameter toward zero.
-	params := []float64{1.0}
-	opt := NewAdamW(0.1, 0.1)
-	for i := 0; i < 50; i++ {
-		opt.Step(params, []float64{0})
-	}
-	if params[0] >= 1.0 || params[0] < 0 {
-		t.Fatalf("weight decay failed: %v", params[0])
 	}
 }
 

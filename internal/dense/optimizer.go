@@ -2,49 +2,10 @@ package dense
 
 import "math"
 
-// Optimizer updates a flat parameter vector given its gradient.
-type Optimizer interface {
-	// Step applies one update; params and grads must have equal length
-	// across all calls.
-	Step(params, grads []float64)
-}
-
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-	velocity []float64
-}
-
-// NewSGD returns an SGD optimizer with the given learning rate and
-// momentum coefficient (0 disables momentum).
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum}
-}
-
-// Step applies one SGD update.
-func (o *SGD) Step(params, grads []float64) {
-	if o.Momentum == 0 {
-		for i := range params {
-			params[i] -= o.LR * grads[i]
-		}
-		return
-	}
-	if o.velocity == nil {
-		o.velocity = make([]float64, len(params))
-	}
-	for i := range params {
-		o.velocity[i] = o.Momentum*o.velocity[i] + grads[i]
-		params[i] -= o.LR * o.velocity[i]
-	}
-}
-
 // Adam implements the Adam optimizer (Kingma & Ba, 2015), the optimizer
-// used by the OGB GraphSAGE reference training recipes. A nonzero
-// WeightDecay applies decoupled (AdamW-style) decay.
+// used by the OGB GraphSAGE reference training recipes.
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64
-	WeightDecay           float64
 	t                     int
 	m, v                  []float64
 }
@@ -53,13 +14,6 @@ type Adam struct {
 // unspecified coefficients.
 func NewAdam(lr float64) *Adam {
 	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
-}
-
-// NewAdamW returns an Adam optimizer with decoupled weight decay.
-func NewAdamW(lr, decay float64) *Adam {
-	o := NewAdam(lr)
-	o.WeightDecay = decay
-	return o
 }
 
 // State returns the optimizer's step count and copies of the first-
@@ -98,6 +52,6 @@ func (o *Adam) Step(params, grads []float64) {
 		o.v[i] = o.Beta2*o.v[i] + (1-o.Beta2)*g*g
 		mh := o.m[i] / c1
 		vh := o.v[i] / c2
-		params[i] -= o.LR * (mh/(math.Sqrt(vh)+o.Eps) + o.WeightDecay*params[i])
+		params[i] -= o.LR * (mh / (math.Sqrt(vh) + o.Eps))
 	}
 }

@@ -17,6 +17,22 @@ type OneD struct {
 	ALocal *sparse.CSR // this rank's block row of A (compact)
 	Lo, Hi int
 	P      int
+
+	ws oneDArena
+}
+
+// oneDArena is one rank's workspace for the 1D stage loop: the Q_ik
+// column blocks, the stage product and the two buffers the running sum
+// alternates between. None of it crosses the wire (the broadcast
+// payload is the owner's ALocal), so reuse needs no rendezvous
+// argument: SpGEMM1D's result is valid until the rank's next call.
+//
+//gnnvet:arena
+type oneDArena struct {
+	sparse.Scratch
+	prod sparse.CSR
+	sums [2]sparse.CSR
+	srcs [2]*sparse.CSR
 }
 
 // NewOneDSet slices A into p block rows, one per rank.
@@ -38,25 +54,34 @@ func NewOneDSet(p int, a *sparse.CSR) []*OneD {
 // SpGEMM1D computes P = Q·A for this rank's block row of Q: p stages,
 // each broadcasting block row A_k from its owner to everyone
 // (sparsity-oblivious — the scheme's defining weakness: communication
-// volume grows with p because every rank receives every block).
+// volume grows with p because every rank receives every block). The
+// result lives in the rank's workspace and is valid until its next call.
 func (od *OneD) SpGEMM1D(r *cluster.Rank, world *cluster.Comm, q *sparse.CSR) *sparse.CSR {
-	acc := sparse.Zero(q.Rows, od.N)
+	ws := &od.ws
+	lo, hi := ws.BlockBounds(od.P)
+	for k := range lo {
+		lo[k], hi[k] = graph.BlockRowRange(od.N, od.P, k)
+	}
+	qiks := ws.SliceColBlocks(q, lo, hi)
+	var sum *sparse.CSR
 	for k := 0; k < od.P; k++ {
-		lo, hi := graph.BlockRowRange(od.N, od.P, k)
 		var block *sparse.CSR
 		if world.LocalIndex(r) == k {
 			block = od.ALocal
 		}
 		blockK := cluster.Broadcast(world, r, k, block, blockBytes(block))
-		qik := sparse.ColRange(q, lo, hi)
-		r.ChargeMem(int64(q.NNZ()) * 8)
-		prod, flops := sparse.SpGEMM(qik, blockK)
+		r.ChargeMem(int64(q.NNZ()) * 8) // block slicing pass
+		prod, flops := ws.SpGEMM(&ws.prod, qiks[k], blockK)
 		r.ChargeSparse(flops)
-		acc = sparse.AddCSR(acc, prod)
-		r.ChargeMem(int64(acc.NNZ()) * 16)
+		srcs := ws.srcs[:0]
+		if sum != nil {
+			srcs = append(srcs, sum)
+		}
+		sum = ws.MergeCSRInto(&ws.sums[k%2], append(srcs, prod))
+		r.ChargeMem(int64(sum.NNZ()) * 16)
 		r.ChargeKernels(2)
 	}
-	return acc
+	return sum
 }
 
 // SampleSAGE1D runs bulk GraphSAGE sampling with the 1D SpGEMM — the

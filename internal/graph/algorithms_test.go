@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/sparse"
@@ -28,6 +29,62 @@ func TestSymmetrize(t *testing.T) {
 		for j := 0; j < 6; j++ {
 			if g.Adj.At(i, j) != g.Adj.At(j, i) {
 				t.Fatalf("asymmetry at (%d,%d)", i, j)
+			}
+		}
+	}
+}
+
+// Symmetrize equals a dense A + Aᵀ reference: an entry wherever A or Aᵀ
+// has one, valued 1 where the sum is nonzero and +0 where it cancels.
+// Signed weights (−0 and cancelling ±1 among them) probe the merge's
+// zeros; the unit-weight graphs are what the library builds.
+func TestSymmetrizeMatchesDenseReference(t *testing.T) {
+	weights := []float64{1, -1, math.Copysign(0, -1), 2.5}
+	for seed := int64(1); seed <= 6; seed++ {
+		g := ErdosRenyi(40, 3, seed)
+		if seed%2 == 0 {
+			adj := g.Adj.Clone()
+			for k := range adj.Val {
+				adj.Val[k] = weights[(k*7+int(seed))%len(weights)]
+			}
+			g = New(adj)
+		}
+		n := g.NumVertices()
+		sum := make([]float64, n*n)
+		stored := make([]bool, n*n)
+		for i := 0; i < n; i++ {
+			cols, vals := g.Adj.Row(i)
+			for k, j := range cols {
+				sum[i*n+j] += vals[k]
+				sum[j*n+i] += vals[k]
+				stored[i*n+j], stored[j*n+i] = true, true
+			}
+		}
+		got := Symmetrize(g).Adj
+		if err := got.Validate(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for i := 0; i < n; i++ {
+			cols, vals := got.Row(i)
+			k := 0
+			for j := 0; j < n; j++ {
+				if !stored[i*n+j] {
+					continue
+				}
+				if k == len(cols) || cols[k] != j {
+					t.Fatalf("seed %d: row %d is missing column %d", seed, i, j)
+				}
+				want := 0.0
+				if sum[i*n+j] != 0 {
+					want = 1
+				}
+				if math.Float64bits(vals[k]) != math.Float64bits(want) {
+					t.Fatalf("seed %d: (%d,%d) = %v, want %v", seed, i, j, vals[k], want)
+				}
+				k++
+			}
+			if k != len(cols) {
+				t.Fatalf("seed %d: row %d has %d entries, want %d", seed, i, len(cols), k)
 			}
 		}
 	}

@@ -60,12 +60,12 @@ func TestBackendDifferential(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		ps := []int{2, 4, 8}
 		cfg := Config{
-			P:           ps[rng.Intn(len(ps))],
-			Epochs:      1,
-			Seed:        rng.Int63n(1 << 20),
-			MaxBatches:  1 + rng.Intn(4),
-			K:           rng.Intn(5), // 0 = KAll
-			Collectives: tables[rng.Intn(len(tables))],
+			P:          ps[rng.Intn(len(ps))],
+			Epochs:     1,
+			Seed:       rng.Int63n(1 << 20),
+			MaxBatches: 1 + rng.Intn(4),
+			K:          rng.Intn(5), // 0 = KAll
+			Model:      onModel(tables[rng.Intn(len(tables))]),
 		}
 		// C must divide P; pick among P's divisors.
 		divs := []int{1}

@@ -45,12 +45,6 @@ type Config struct {
 	Algorithm     Algorithm
 	SparsityAware bool // Algorithm 2 row fetching (vs oblivious broadcast)
 
-	// Collectives selects, per operation class, the collective
-	// schedule the simulated cluster charges under (merged into
-	// Model.Collectives; explicit Model entries win only when this is
-	// unset). The zero value keeps the paper's FlatTree forms.
-	Collectives cluster.Collectives
-
 	// Topology selects the physical-link topology the simulated
 	// cluster charges under (set on Model.Topology): nil keeps the
 	// pure α–β model — no contention, bit-identical to the paper's
@@ -140,13 +134,13 @@ type Config struct {
 }
 
 // withDefaults fills zero fields, resolves Sampler through core.Samplers
-// and merges the platform fields (Collectives, Topology, Backend,
-// Faults) into Model — the one place a training run's cost model is
-// assembled. The model is the platform: the CLIs and the bench harness
-// set their selections on it and nowhere else; the four fields are
-// literal-friendly overrides for callers that build a Config by hand,
-// and win over the model's own entries. The only error is an unknown
-// sampler.
+// and merges the platform fields (Topology, Backend, Faults) into Model
+// — the one place a training run's cost model is assembled. The model
+// is the platform: the CLIs and the bench harness set their selections
+// on it and nowhere else (collective schedules live only there); the
+// three fields are literal-friendly overrides for callers that build a
+// Config by hand, and win over the model's own entries. The only error
+// is an unknown sampler.
 func (c Config) withDefaults(d *datasets.Dataset) (Config, error) {
 	if c.C <= 0 {
 		c.C = 1
@@ -173,7 +167,6 @@ func (c Config) withDefaults(d *datasets.Dataset) (Config, error) {
 	if c.Model.GPUsPerNode == 0 {
 		c.Model = cluster.Perlmutter()
 	}
-	c.Model.Collectives = c.Model.Collectives.Merge(c.Collectives)
 	if c.Topology != nil {
 		c.Model.Topology = c.Topology
 	}

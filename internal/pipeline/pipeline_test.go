@@ -845,6 +845,13 @@ func TestLastEpochEmptyResultIsZero(t *testing.T) {
 	}
 }
 
+// onModel returns the default platform charging collectives under tbl.
+func onModel(tbl cluster.Collectives) cluster.CostModel {
+	m := cluster.Perlmutter()
+	m.Collectives = tbl
+	return m
+}
+
 func TestHierAllReduceSameTraining(t *testing.T) {
 	d := tinySBM()
 	flat, err := Run(d, Config{P: 8, C: 2, Epochs: 2, Seed: 24, MaxBatches: 8})
@@ -852,7 +859,7 @@ func TestHierAllReduceSameTraining(t *testing.T) {
 		t.Fatal(err)
 	}
 	hier, err := Run(d, Config{P: 8, C: 2, Epochs: 2, Seed: 24, MaxBatches: 8,
-		Collectives: cluster.Collectives{AllReduce: cluster.Hierarchical}})
+		Model: onModel(cluster.Collectives{AllReduce: cluster.Hierarchical})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -905,7 +912,7 @@ func TestGoldenFlatTreeBitIdentical(t *testing.T) {
 		Algorithm: GraphPartitioned, SparsityAware: true},
 		0.001098003337466667, 0.00085527868810000049, 0.66800119073290198)
 	check("hier", Config{P: 8, C: 2, Epochs: 2, Seed: 5, MaxBatches: 8,
-		Collectives: cluster.Collectives{AllReduce: cluster.Hierarchical}},
+		Model: onModel(cluster.Collectives{AllReduce: cluster.Hierarchical})},
 		0.00054651823413333334, 0.00054663398079999996, 0.65450965782981296)
 }
 
@@ -920,7 +927,7 @@ func TestRingAndPairwiseSelectionSameValues(t *testing.T) {
 		t.Fatal(err)
 	}
 	alt := base
-	alt.Collectives = cluster.Collectives{AllReduce: cluster.Ring, AllToAll: cluster.Pairwise}
+	alt.Model = onModel(cluster.Collectives{AllReduce: cluster.Ring, AllToAll: cluster.Pairwise})
 	ring, err := Run(d, alt)
 	if err != nil {
 		t.Fatal(err)
@@ -944,12 +951,12 @@ func TestRingAndPairwiseSelectionSameValues(t *testing.T) {
 func TestRunRejectsInvalidCollectives(t *testing.T) {
 	d := tinySBM()
 	_, err := Run(d, Config{P: 4, C: 1, Epochs: 1, Seed: 1,
-		Collectives: cluster.Collectives{AllToAll: cluster.Ring}})
+		Model: onModel(cluster.Collectives{AllToAll: cluster.Ring})})
 	if err == nil {
 		t.Fatal("ring all-to-allv accepted")
 	}
 	_, err = Run(d, Config{P: 4, C: 1, Epochs: 1, Seed: 1,
-		Collectives: cluster.Collectives{AllReduce: cluster.Pairwise}})
+		Model: onModel(cluster.Collectives{AllReduce: cluster.Pairwise})})
 	if err == nil {
 		t.Fatal("pairwise all-reduce accepted")
 	}
@@ -965,7 +972,7 @@ func TestOverlapDeterministicPerAlgorithm(t *testing.T) {
 		{AllReduce: cluster.Ring, AllToAll: cluster.Pairwise},
 		{AllReduce: cluster.Hierarchical},
 	} {
-		base := Config{P: 8, C: 2, Epochs: 2, Seed: 9, MaxBatches: 8, Collectives: tbl}
+		base := Config{P: 8, C: 2, Epochs: 2, Seed: 9, MaxBatches: 8, Model: onModel(tbl)}
 		seq, err := Run(d, base)
 		if err != nil {
 			t.Fatal(err)
@@ -1026,7 +1033,7 @@ func TestGoldenContentionOffPerAlgorithm(t *testing.T) {
 			}
 			res, err := Run(d, Config{P: 8, C: 2, Epochs: 2, Seed: 5, MaxBatches: 8,
 				Algorithm: g.algorithm, SparsityAware: g.algorithm == GraphPartitioned,
-				Collectives: tables[g.table], Topology: topo, Backend: be})
+				Model: onModel(tables[g.table]), Topology: topo, Backend: be})
 			if err != nil {
 				t.Fatalf("%v/%s/%v: %v", g.algorithm, g.table, be, err)
 			}

@@ -61,6 +61,11 @@ func TestDifferentialCrashRecovery(t *testing.T) {
 		{AllReduce: cluster.Ring, AllToAll: cluster.Pairwise},
 		{AllReduce: cluster.Hierarchical},
 	}
+	models := make([]cluster.CostModel, len(tables))
+	for i, tbl := range tables {
+		models[i] = cluster.Perlmutter()
+		models[i].Collectives = tbl
+	}
 	rng := rand.New(rand.NewSource(20250613))
 	run := func(cfg pipeline.Config, be cluster.Backend) *pipeline.Result {
 		t.Helper()
@@ -75,12 +80,12 @@ func TestDifferentialCrashRecovery(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		ps := []int{2, 4, 8}
 		cfg := pipeline.Config{
-			P:           ps[rng.Intn(len(ps))],
-			Epochs:      2 + rng.Intn(2),
-			Seed:        rng.Int63n(1 << 20),
-			MaxBatches:  1 + rng.Intn(2),
-			K:           rng.Intn(5), // 0 = KAll
-			Collectives: tables[rng.Intn(len(tables))],
+			P:          ps[rng.Intn(len(ps))],
+			Epochs:     2 + rng.Intn(2),
+			Seed:       rng.Int63n(1 << 20),
+			MaxBatches: 1 + rng.Intn(2),
+			K:          rng.Intn(5), // 0 = KAll
+			Model:      models[rng.Intn(len(models))],
 			// 0 = no checkpoints (restart from scratch); otherwise a
 			// boundary every 1 or 2 epochs.
 			CkptInterval: rng.Intn(3),

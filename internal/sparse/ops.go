@@ -1,9 +1,6 @@
 package sparse
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // ExtractRows returns the submatrix formed by the given rows of A, in
 // order. Row indices may repeat. This is the row-extraction SpGEMM
@@ -72,43 +69,5 @@ func SliceRows(a *CSR, lo, hi int) *CSR {
 	}
 	out.ColIdx = append([]int(nil), a.ColIdx[base:a.RowPtr[hi]]...)
 	out.Val = append([]float64(nil), a.Val[base:a.RowPtr[hi]]...)
-	return out
-}
-
-// NonzeroCols returns the sorted distinct column indices that appear in
-// A. This is the NnzCols primitive of Algorithm 2 (the sparsity-aware
-// 1.5D SpGEMM): only these columns of the left matrix require rows of
-// the right matrix.
-func NonzeroCols(a *CSR) []int {
-	used := make(map[int]struct{}, len(a.ColIdx))
-	for _, c := range a.ColIdx {
-		used[c] = struct{}{}
-	}
-	out := make([]int, 0, len(used))
-	for c := range used {
-		out = append(out, c)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// ColRange returns the submatrix of columns [lo, hi) of A with column
-// indices shifted down by lo. Used by the 1.5D SpGEMM to slice the
-// left operand Q into the Q_ik blocks of Algorithm 2.
-func ColRange(a *CSR, lo, hi int) *CSR {
-	if lo < 0 || hi > a.Cols || lo > hi {
-		panic(fmt.Sprintf("sparse: ColRange [%d,%d) outside %d cols", lo, hi, a.Cols))
-	}
-	out := &CSR{Rows: a.Rows, Cols: hi - lo, RowPtr: make([]int, a.Rows+1)}
-	for i := 0; i < a.Rows; i++ {
-		cs, vs := a.Row(i)
-		for k, c := range cs {
-			if c >= lo && c < hi {
-				out.ColIdx = append(out.ColIdx, c-lo)
-				out.Val = append(out.Val, vs[k])
-			}
-		}
-		out.RowPtr[i+1] = len(out.ColIdx)
-	}
 	return out
 }

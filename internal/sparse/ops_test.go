@@ -85,7 +85,8 @@ func TestSliceRowsWholeMatrix(t *testing.T) {
 
 func TestNonzeroCols(t *testing.T) {
 	m := FromEntries(2, 10, [][3]float64{{0, 7, 1}, {1, 2, 1}, {1, 7, 1}})
-	got := NonzeroCols(m)
+	var sc Scratch
+	got := sc.NonzeroCols(m)
 	if len(got) != 2 || got[0] != 2 || got[1] != 7 {
 		t.Fatalf("NonzeroCols = %v, want [2 7]", got)
 	}
@@ -118,7 +119,8 @@ func TestExtractRowsStacksAsQ(t *testing.T) {
 
 func TestColRange(t *testing.T) {
 	a := exampleGraph()
-	sub := ColRange(a, 2, 5)
+	var sc Scratch
+	sub := sc.SliceColBlocks(a, []int{2}, []int{5})[0]
 	if err := sub.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +130,7 @@ func TestColRange(t *testing.T) {
 	for i := 0; i < a.Rows; i++ {
 		for j := 2; j < 5; j++ {
 			if sub.At(i, j-2) != a.At(i, j) {
-				t.Fatalf("ColRange mismatch at (%d,%d)", i, j)
+				t.Fatalf("column block mismatch at (%d,%d)", i, j)
 			}
 		}
 	}
@@ -142,9 +144,10 @@ func TestColRangePartitionReassembles(t *testing.T) {
 	a := randomCSR(rng, 12, 9, 0.3)
 	full, _ := SpGEMM(q, a)
 	acc := Zero(6, 9)
-	for _, blk := range [][2]int{{0, 5}, {5, 9}, {9, 12}} {
-		qik := ColRange(q, blk[0], blk[1])
-		ak := SliceRows(a, blk[0], blk[1])
+	var sc Scratch
+	lo, hi := []int{0, 5, 9}, []int{5, 9, 12}
+	for t, qik := range sc.SliceColBlocks(q, lo, hi) {
+		ak := SliceRows(a, lo[t], hi[t])
 		part, _ := SpGEMM(qik, ak)
 		acc = AddCSR(acc, part)
 	}

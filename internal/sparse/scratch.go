@@ -1,7 +1,5 @@
 package sparse
 
-import "fmt"
-
 // Scratch is a reusable workspace for the sparse kernels on a hot
 // loop — the 1.5D SpGEMM stage loop rebuilds the same intermediate
 // shapes every stage of every layer of every epoch, and the per-call
@@ -20,7 +18,7 @@ import "fmt"
 type Scratch struct {
 	// sparse accumulator for SpGEMM and MergeCSRInto, sized to the
 	// widest operand seen; allocated by the first row that needs one.
-	acc *spa
+	acc spa
 
 	// mark/out buffers for NonzeroCols.
 	mark []bool
@@ -57,16 +55,6 @@ func ensureFloats(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// spa returns the workspace's sparse accumulator, grown to at least n
-// columns. Kernels ask for it only when a row needs it: a call whose
-// rows are all copies never allocates one.
-func (s *Scratch) spa(n int) *spa {
-	if s.acc == nil || len(s.acc.val) < n {
-		s.acc = newSPA(n)
-	}
-	return s.acc
-}
-
 // CopyCSRInto copies A into out, reusing out's storage — the arena
 // form of Clone.
 func CopyCSRInto(out, a *CSR) *CSR {
@@ -82,100 +70,24 @@ func CopyCSRInto(out, a *CSR) *CSR {
 }
 
 // MergeCSRInto sums row-aligned matrices into out, reusing out's
-// storage: per (row, column) the values add in source order — exactly
-// the float sequence of left-folding the sources with AddCSR — and
-// each row's columns come out sorted. One SPA pass per row replaces
-// the chain of pairwise merges (and the chain's intermediate
-// allocations) with a single output write. A row only one source
-// populates — every row of a GraphSAGE product, whose Q row selects one
-// row of A held by one source — is copied instead, each value written
-// as the 0 + v the accumulator would produce.
+// storage and the workspace's accumulator: the arena form of AddCSR,
+// generalised to any number of sources in one pass (see merge).
 func (s *Scratch) MergeCSRInto(out *CSR, srcs []*CSR) *CSR {
-	if len(srcs) == 0 {
-		panic("sparse: MergeCSRInto needs at least one source")
-	}
-	rows, colsN := srcs[0].Rows, srcs[0].Cols
-	total := 0
-	for _, src := range srcs {
-		if src.Rows != rows || src.Cols != colsN {
-			panic(fmt.Sprintf("sparse: MergeCSRInto shape mismatch %v vs %dx%d", src, rows, colsN))
-		}
-		total += src.NNZ()
-	}
-	out.Rows, out.Cols = rows, colsN
-	out.RowPtr = ensureInts(out.RowPtr, rows+1)
-	out.RowPtr[0] = 0
-	cols := ensureInts(out.ColIdx, total)[:0]
-	vals := ensureFloats(out.Val, total)[:0]
-	for i := 0; i < rows; i++ {
-		var only *CSR
-		populated := 0
-		for _, src := range srcs {
-			if src.RowNNZ(i) > 0 {
-				only = src
-				populated++
-			}
-		}
-		if populated == 1 {
-			cs, vs := only.Row(i)
-			cols = append(cols, cs...)
-			for _, v := range vs {
-				vals = append(vals, 0+v)
-			}
-		} else {
-			acc := s.spa(colsN)
-			for _, src := range srcs {
-				cs, vs := src.Row(i)
-				for k := range cs {
-					acc.add(cs[k], vs[k])
-				}
-			}
-			cols, vals = acc.drainInto(cols, vals)
-		}
-		out.RowPtr[i+1] = len(cols)
-	}
-	out.ColIdx, out.Val = cols, vals
-	return out
+	return merge(out, &s.acc, srcs)
 }
 
-// SpGEMM computes C = A * B into the workspace, single-threaded with
-// the workspace's sparse accumulator — the arena form of the package
-// SpGEMM. Row results are bit-identical to the parallel version (rows
-// are independent there; per row the accumulation order is the same),
-// and the returned flop count follows the same bound. The result
-// aliases the workspace.
+// SpGEMM computes C = A * B into out, reusing out's storage and the
+// workspace's accumulator: the arena form of the package SpGEMM, with
+// the same body (see spgemm), rows and flop count.
 func (s *Scratch) SpGEMM(out *CSR, a, b *CSR) (*CSR, int64) {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("sparse: SpGEMM dimension mismatch %dx%d * %dx%d",
-			a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	bound := 0
-	var acc *spa // needed only by rows of A with several entries
-	for i := 0; i < a.Rows; i++ {
-		acols, _ := a.Row(i)
-		if len(acols) > 1 && acc == nil {
-			acc = s.spa(b.Cols)
-		}
-		for _, arow := range acols {
-			bound += b.RowNNZ(arow)
-		}
-	}
-	out.Rows, out.Cols = a.Rows, b.Cols
-	out.RowPtr = ensureInts(out.RowPtr, a.Rows+1)
-	out.RowPtr[0] = 0
-	cols := ensureInts(out.ColIdx, bound)[:0]
-	vals := ensureFloats(out.Val, bound)[:0]
-	for i := 0; i < a.Rows; i++ {
-		cols, vals = acc.productRow(cols, vals, a, b, i)
-		out.RowPtr[i+1] = len(cols)
-	}
-	out.ColIdx, out.Val = cols, vals
-	return out, int64(bound)
+	return spgemm(out, &s.acc, a, b)
 }
 
-// NonzeroCols returns the sorted distinct column indices of A via the
-// workspace's mark array — the arena form of the package NonzeroCols.
-// The result aliases the workspace.
+// NonzeroCols returns the sorted distinct column indices that appear in
+// A, via the workspace's mark array. This is the NnzCols primitive of
+// Algorithm 2 (the sparsity-aware 1.5D SpGEMM): only these columns of
+// the left matrix require rows of the right matrix. The result aliases
+// the workspace.
 func (s *Scratch) NonzeroCols(a *CSR) []int {
 	if len(s.mark) < a.Cols {
 		s.mark = make([]bool, a.Cols)
@@ -197,12 +109,11 @@ func (s *Scratch) NonzeroCols(a *CSR) []int {
 
 // SliceColBlocks slices A's columns into the contiguous blocks
 // [lo[0],hi[0]) .. [lo[k-1],hi[k-1]) in one pass, with each block's
-// column indices shifted down by its lo — block t is bit-identical to
-// ColRange(a, lo[t], hi[t]). The blocks must be ascending and
-// contiguous (hi[t] == lo[t+1]); columns outside [lo[0], hi[k-1]) are
-// dropped. This replaces the per-stage ColRange scan of the 1.5D
-// stage loop (O(stages·nnz)) with one O(nnz + stages) pass. The
-// returned matrices alias the workspace.
+// column indices shifted down by its lo: block t is the Q_ik block of
+// Algorithm 2 for columns [lo[t], hi[t]). The blocks must be ascending
+// and contiguous (hi[t] == lo[t+1]); columns outside [lo[0], hi[k-1])
+// are dropped. One O(nnz + stages) pass replaces a per-stage column
+// scan (O(stages·nnz)). The returned matrices alias the workspace.
 func (s *Scratch) SliceColBlocks(a *CSR, lo, hi []int) []*CSR {
 	k := len(lo)
 	if k == 0 || len(hi) != k {

@@ -1,137 +1,70 @@
 package sparse
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-)
+import "fmt"
 
 // SpGEMM computes C = A * B for sparse A and B using Gustavson's
-// row-wise algorithm with a sparse accumulator, parallelized over row
-// blocks of A; a row of A with one entry is a scaled copy of a row of
-// B and skips the accumulator (see productRow). The returned flop count
-// is the number of scalar multiply-add pairs the algorithm performs,
-// which the cluster cost model uses to charge simulated device time.
-func SpGEMM(a, b *CSR) (c *CSR, flops int64) {
+// row-wise algorithm with a sparse accumulator; a row of A with one
+// entry is a scaled copy of a row of B and skips the accumulator (see
+// productRow). The product is freshly allocated and owned by the
+// caller. The returned flop count is the number of scalar multiply-add
+// pairs the algorithm performs, which the cluster cost model uses to
+// charge simulated device time.
+func SpGEMM(a, b *CSR) (*CSR, int64) {
+	var acc spa
+	return spgemm(new(CSR), &acc, a, b)
+}
+
+// spgemm is the one SpGEMM body, shared by SpGEMM and Scratch.SpGEMM.
+// A sizing pass bounds the output by the flop count (collisions only
+// shrink it), so out's storage grows at most once; productRow then
+// appends each row. acc is widened only when some row of A has several
+// entries. The body is serial: dense.ParallelRows is the module's one
+// kernel fan-out, and inside a rank body the other ranks already hold
+// the cores.
+func spgemm(out *CSR, acc *spa, a, b *CSR) (*CSR, int64) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("sparse: SpGEMM dimension mismatch %dx%d * %dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > a.Rows {
-		workers = a.Rows
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	// Each worker drains its rows into one growing arena instead of a
-	// pair of fresh slices per row: the two allocations per output row
-	// were among the simulator's top allocation sites.
-	type arena struct {
-		lo, hi int
-		cols   []int
-		vals   []float64
-		ends   []int // arena offset of each row's end, relative to lo
-		flops  int64
-		multi  bool // some row has several entries and needs an accumulator
-	}
-	chunk := (a.Rows + workers - 1) / workers
-	arenas := make([]arena, 0, workers)
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > a.Rows {
-			hi = a.Rows
-		}
-		if lo >= hi {
-			break
-		}
-		// The flop count bounds the arena's output size (collisions
-		// only shrink it), so one up-front sizing pass over the row
-		// pointers avoids every growth reallocation.
-		bound, multi := 0, false
-		for i := lo; i < hi; i++ {
-			acols, _ := a.Row(i)
-			multi = multi || len(acols) > 1
-			for _, arow := range acols {
-				bound += b.RowNNZ(arow)
-			}
-		}
-		// bound is also the arena's exact flop count: one multiply-add
-		// per (a-nonzero, b-row-nonzero) pair.
-		arenas = append(arenas, arena{lo: lo, hi: hi, flops: int64(bound), multi: multi,
-			cols: make([]int, 0, bound), vals: make([]float64, 0, bound),
-			ends: make([]int, 0, hi-lo)})
-	}
-	var wg sync.WaitGroup
-	for w := range arenas {
-		wg.Add(1)
-		go func(ar *arena) {
-			defer wg.Done()
-			var acc *spa
-			if ar.multi {
-				acc = newSPA(b.Cols)
-			}
-			for i := ar.lo; i < ar.hi; i++ {
-				ar.cols, ar.vals = acc.productRow(ar.cols, ar.vals, a, b, i)
-				ar.ends = append(ar.ends, len(ar.cols))
-			}
-		}(&arenas[w])
-	}
-	wg.Wait()
-
-	total := 0
-	for w := range arenas {
-		total += len(arenas[w].cols)
-		flops += arenas[w].flops
-	}
-	if len(arenas) == 1 {
-		// Single worker (small input or GOMAXPROCS=1): adopt the arena
-		// wholesale instead of copying it into a fresh matrix.
-		ar := &arenas[0]
-		out := &CSR{Rows: a.Rows, Cols: b.Cols, RowPtr: make([]int, a.Rows+1),
-			ColIdx: ar.cols, Val: ar.vals}
-		for r, end := range ar.ends {
-			out.RowPtr[r+1] = end
-		}
-		return out, flops
-	}
-	out := &CSR{Rows: a.Rows, Cols: b.Cols, RowPtr: make([]int, a.Rows+1),
-		ColIdx: make([]int, 0, total), Val: make([]float64, 0, total)}
-	for w := range arenas {
-		ar := &arenas[w]
-		base := len(out.ColIdx)
-		out.ColIdx = append(out.ColIdx, ar.cols...)
-		out.Val = append(out.Val, ar.vals...)
-		for r, end := range ar.ends {
-			out.RowPtr[ar.lo+r+1] = base + end
-		}
-	}
-	return out, flops
-}
-
-// SpGEMMFlops returns the flop count of A*B without forming the
-// product. Used for symbolic cost estimation.
-func SpGEMMFlops(a, b *CSR) int64 {
-	var flops int64
+	bound := 0
 	for i := 0; i < a.Rows; i++ {
-		cols, _ := a.Row(i)
-		for _, c := range cols {
-			flops += int64(b.RowNNZ(c))
+		acols, _ := a.Row(i)
+		if len(acols) > 1 {
+			acc.grow(b.Cols)
+		}
+		for _, arow := range acols {
+			bound += b.RowNNZ(arow)
 		}
 	}
-	return flops
+	out.Rows, out.Cols = a.Rows, b.Cols
+	out.RowPtr = ensureInts(out.RowPtr, a.Rows+1)
+	out.RowPtr[0] = 0
+	cols := ensureInts(out.ColIdx, bound)[:0]
+	vals := ensureFloats(out.Val, bound)[:0]
+	for i := 0; i < a.Rows; i++ {
+		cols, vals = acc.productRow(cols, vals, a, b, i)
+		out.RowPtr[i+1] = len(cols)
+	}
+	out.ColIdx, out.Val = cols, vals
+	return out, int64(bound)
 }
 
 // spa is a sparse accumulator: a dense value array plus an occupancy
-// list, reused across rows to avoid reallocation.
+// list, reused across rows to avoid reallocation. Its zero value is
+// ready for grow.
 type spa struct {
 	val     []float64
 	present []bool
 	idx     []int
 }
 
-func newSPA(n int) *spa {
-	return &spa{val: make([]float64, n), present: make([]bool, n)}
+// grow widens the accumulator to at least n columns. The kernels call
+// it only for rows that need it, so a call whose rows are all copies
+// never allocates one.
+func (s *spa) grow(n int) {
+	if len(s.val) < n {
+		s.val, s.present = make([]float64, n), make([]bool, n)
+	}
 }
 
 func (s *spa) add(j int, v float64) {
@@ -148,8 +81,7 @@ func (s *spa) add(j int, v float64) {
 // accumulator or a sort. Each value is written as 0 + a·b, the
 // accumulator's zero plus its one product, so the copy is the SPA's
 // result bit for bit (a −0 product becomes +0 there too). Any other row
-// goes through the accumulator, which may be nil when no row of A has
-// more than one entry.
+// goes through the accumulator.
 func (s *spa) productRow(cols []int, vals []float64, a, b *CSR, i int) ([]int, []float64) {
 	acols, avals := a.Row(i)
 	switch len(acols) {
@@ -175,8 +107,7 @@ func (s *spa) productRow(cols []int, vals []float64, a, b *CSR, i int) ([]int, [
 }
 
 // drainInto appends the accumulated (sorted) columns and values to the
-// given buffers and resets the accumulator — the allocation-free form
-// SpGEMM's per-worker arenas use.
+// given buffers and resets the accumulator.
 func (s *spa) drainInto(cols []int, vals []float64) ([]int, []float64) {
 	base := len(cols)
 	cols = append(cols, s.idx...)
@@ -246,44 +177,66 @@ func partition(a []int) int {
 	return i
 }
 
-// AddCSR returns A + B for same-shaped sparse matrices, merging rows.
+// AddCSR returns A + B for same-shaped sparse matrices: the merge of
+// the two sources, freshly allocated and owned by the caller.
 func AddCSR(a, b *CSR) *CSR {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic(fmt.Sprintf("sparse: AddCSR shape mismatch %v vs %v", a, b))
+	var acc spa
+	return merge(new(CSR), &acc, []*CSR{a, b})
+}
+
+// merge is the one merge body, shared by AddCSR and
+// Scratch.MergeCSRInto: it sums row-aligned matrices into out's
+// storage. Per (row, column) the values add in source order, and each
+// row's columns come out sorted. A row only one source populates —
+// every row of a GraphSAGE product, whose Q row selects one row of A
+// held by one source — is copied instead, each value written as the
+// 0 + v the accumulator would produce; acc is widened only for rows
+// several sources populate.
+func merge(out *CSR, acc *spa, srcs []*CSR) *CSR {
+	if len(srcs) == 0 {
+		panic("sparse: merge needs at least one source")
 	}
-	out := &CSR{Rows: a.Rows, Cols: a.Cols, RowPtr: make([]int, a.Rows+1)}
-	out.ColIdx = make([]int, 0, a.NNZ()+b.NNZ())
-	out.Val = make([]float64, 0, a.NNZ()+b.NNZ())
-	for i := 0; i < a.Rows; i++ {
-		ac, av := a.Row(i)
-		bc, bv := b.Row(i)
-		x, y := 0, 0
-		for x < len(ac) && y < len(bc) {
-			switch {
-			case ac[x] < bc[y]:
-				out.ColIdx = append(out.ColIdx, ac[x])
-				out.Val = append(out.Val, av[x])
-				x++
-			case ac[x] > bc[y]:
-				out.ColIdx = append(out.ColIdx, bc[y])
-				out.Val = append(out.Val, bv[y])
-				y++
-			default:
-				out.ColIdx = append(out.ColIdx, ac[x])
-				out.Val = append(out.Val, av[x]+bv[y])
-				x++
-				y++
+	rows, colsN := srcs[0].Rows, srcs[0].Cols
+	total := 0
+	for _, src := range srcs {
+		if src.Rows != rows || src.Cols != colsN {
+			panic(fmt.Sprintf("sparse: merge shape mismatch %v vs %dx%d", src, rows, colsN))
+		}
+		total += src.NNZ()
+	}
+	out.Rows, out.Cols = rows, colsN
+	out.RowPtr = ensureInts(out.RowPtr, rows+1)
+	out.RowPtr[0] = 0
+	cols := ensureInts(out.ColIdx, total)[:0]
+	vals := ensureFloats(out.Val, total)[:0]
+	for i := 0; i < rows; i++ {
+		var only *CSR
+		populated := 0
+		for _, src := range srcs {
+			if src.RowNNZ(i) > 0 {
+				only = src
+				populated++
 			}
 		}
-		for ; x < len(ac); x++ {
-			out.ColIdx = append(out.ColIdx, ac[x])
-			out.Val = append(out.Val, av[x])
+		switch {
+		case populated == 1:
+			cs, vs := only.Row(i)
+			cols = append(cols, cs...)
+			for _, v := range vs {
+				vals = append(vals, 0+v)
+			}
+		case populated > 1:
+			acc.grow(colsN)
+			for _, src := range srcs {
+				cs, vs := src.Row(i)
+				for k := range cs {
+					acc.add(cs[k], vs[k])
+				}
+			}
+			cols, vals = acc.drainInto(cols, vals)
 		}
-		for ; y < len(bc); y++ {
-			out.ColIdx = append(out.ColIdx, bc[y])
-			out.Val = append(out.Val, bv[y])
-		}
-		out.RowPtr[i+1] = len(out.ColIdx)
+		out.RowPtr[i+1] = len(cols)
 	}
+	out.ColIdx, out.Val = cols, vals
 	return out
 }

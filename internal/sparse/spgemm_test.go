@@ -42,8 +42,8 @@ func TestSpGEMMAgainstDense(t *testing.T) {
 				t.Fatalf("trial %d: SpGEMM mismatch at %d: %v vs %v", trial, i, got[i], want[i])
 			}
 		}
-		if flops != SpGEMMFlops(a, b) {
-			t.Fatalf("flops %d != symbolic %d", flops, SpGEMMFlops(a, b))
+		if _, want := refSpGEMM(a, b); flops != want {
+			t.Fatalf("flops %d, want %d", flops, want)
 		}
 	}
 }
