@@ -168,34 +168,13 @@ func BenchmarkTprobSweep(b *testing.B) {
 // amortization: sampling all minibatches in one call vs one call per
 // minibatch (k=all vs k=1), the heart of Section 4's contribution.
 func BenchmarkAblationBulkVsPerBatch(b *testing.B) {
-	d := datasets.ProductsLike(datasets.Tiny)
-	batches := d.Batches()
-	model := cluster.Perlmutter()
-
-	simTime := func(bulkSize int) float64 {
-		cl := cluster.New(1, model)
-		res, err := cl.Run(func(r *cluster.Rank) error {
-			for lo := 0; lo < len(batches); lo += bulkSize {
-				hi := lo + bulkSize
-				if hi > len(batches) {
-					hi = len(batches)
-				}
-				bs := core.SampleBulk(core.SAGE{}, d.Graph.Adj, batches[lo:hi], d.Fanouts, 5)
-				r.ChargeSparse(bs.Cost.Total())
-				r.ChargeKernels(bs.Cost.Kernels)
-			}
-			return nil
-		})
+	var perBatch, bulk float64
+	for i := 0; i < b.N; i++ {
+		rows, err := bench.Amortization(io.Discard, "products", []int{1, 0}, bench.Options{Profile: datasets.Tiny, Seed: 5})
 		if err != nil {
 			b.Fatal(err)
 		}
-		return res.SimTime
-	}
-
-	var bulk, perBatch float64
-	for i := 0; i < b.N; i++ {
-		bulk = simTime(len(batches))
-		perBatch = simTime(1)
+		perBatch, bulk = rows[0].SimTime, rows[len(rows)-1].SimTime
 	}
 	b.ReportMetric(perBatch/bulk, "bulk_amortization_x")
 }

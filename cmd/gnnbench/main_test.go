@@ -69,6 +69,7 @@ func TestBadInputIsAnError(t *testing.T) {
 		{"bad sweepworkers", []string{"-experiment", "scaling", "-sweepworkers", "0"}, "bad sweep worker count", ""},
 		{"bad profile", []string{"-experiment", "fig4", "-profile", "huge"}, `unknown profile "huge"`, ""},
 		{"invalid grid", []string{"-experiment", "fig4", "-profile", "tiny", "-gpus", "5"}, "must divide", ""},
+		{"invalid 1.5D grid", []string{"-experiment", "fig7sage", "-profile", "tiny", "-gpus", "9"}, "c^2 must divide p (p=9 c=2)", ""},
 		{"unknown flag", []string{"-perfreps", "3"}, "flag provided but not defined", ""},
 		{"mistyped $GNN_BACKEND", []string{"-experiment", "fig4"}, `$GNN_BACKEND: cluster: unknown backend "dse"`, "dse"},
 	} {
@@ -160,5 +161,27 @@ func TestDesignIndexMatchesTheTable(t *testing.T) {
 	}
 	if strings.Contains(string(data), "perfreps") {
 		t.Error("DESIGN.md still mentions the removed -perfreps flag")
+	}
+}
+
+// Every id that "all" runs backs a recorded result: EXPERIMENTS.md
+// gives the command that regenerates it.
+func TestEveryExperimentIsRecorded(t *testing.T) {
+	data, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recorded := map[string]bool{}
+	for _, m := range regexp.MustCompile(`gnnbench\b[^\n]*-experiment ([a-z0-9]+)`).FindAllStringSubmatch(string(data), -1) {
+		recorded[m[1]] = true
+	}
+	all, err := bench.Select("all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range all {
+		if !recorded[e.ID] {
+			t.Errorf("EXPERIMENTS.md records no gnnbench -experiment %s command", e.ID)
+		}
 	}
 }

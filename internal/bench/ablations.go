@@ -3,20 +3,18 @@ package bench
 import (
 	"fmt"
 	"io"
+	"slices"
 
-	"repro/internal/baseline"
-	"repro/internal/cache"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/distsample"
 	"repro/internal/pipeline"
-	"repro/internal/quality"
 )
 
 // AmortizationRow is one point of the bulk-size sweep: simulated
 // sampling time for an epoch when minibatches are sampled in bulks of
-// size k.
+// size K, the effective bulk size (at most the epoch's batch count).
 type AmortizationRow struct {
 	K       int
 	SimTime float64
@@ -25,7 +23,9 @@ type AmortizationRow struct {
 // Amortization sweeps the bulk size k on one device, quantifying the
 // per-batch overhead amortization that motivates Section 4: sampling
 // k batches in one matrix call pays kernel-launch overheads once per
-// bulk instead of once per batch.
+// bulk instead of once per batch. A k of 0 or beyond the batch count is
+// one bulk of the whole epoch, printed as k=all like Figure 4; each
+// effective bulk size runs once.
 func Amortization(w io.Writer, dataset string, ks []int, o Options) ([]AmortizationRow, error) {
 	o = o.withDefaults()
 	d, err := datasets.ByName(dataset, o.Profile)
@@ -37,8 +37,11 @@ func Amortization(w io.Writer, dataset string, ks []int, o Options) ([]Amortizat
 	fmt.Fprintf(w, "%6s %14s\n", "k", "sim sampling s")
 	var rows []AmortizationRow
 	for _, k := range ks {
-		if k <= 0 {
+		if k <= 0 || k > len(batches) {
 			k = len(batches)
+		}
+		if slices.ContainsFunc(rows, func(r AmortizationRow) bool { return r.K == k }) {
+			continue
 		}
 		cl := cluster.New(1, o.Model)
 		res, err := cl.Run(func(r *cluster.Rank) error {
@@ -59,110 +62,27 @@ func Amortization(w io.Writer, dataset string, ks []int, o Options) ([]Amortizat
 		}
 		row := AmortizationRow{K: k, SimTime: res.Phase("sampling")}
 		rows = append(rows, row)
-		fmt.Fprintf(w, "%6d %14.5f\n", row.K, row.SimTime)
+		kLabel := fmt.Sprint(k)
+		if k == len(batches) {
+			kLabel = "all"
+		}
+		fmt.Fprintf(w, "%6s %14.5f\n", kLabel, row.SimTime)
 	}
 	return rows, nil
-}
-
-// CacheRow is one point of the feature-cache sweep.
-type CacheRow struct {
-	Policy    string
-	Frac      float64
-	FetchTime float64
-}
-
-// CacheSweep measures feature-fetch time under the caching extension
-// (Section 8.1.2's SALIENT++ suggestion) across policies and cache
-// sizes.
-func CacheSweep(w io.Writer, dataset string, p int, fracs []float64, o Options) ([]CacheRow, error) {
-	o = o.withDefaults()
-	d, err := datasets.ByName(dataset, o.Profile)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(w, "Feature-cache sweep, dataset=%s p=%d\n", dataset, p)
-	fmt.Fprintf(w, "%-14s %6s %12s\n", "policy", "frac", "fetch (s)")
-	var rows []CacheRow
-	run := func(policy cache.Policy, frac float64) error {
-		res, err := pipeline.Run(d, pipeline.Config{
-			P: p, C: 1, MaxBatches: o.MaxBatches, Seed: o.Seed, Model: o.Model,
-			CachePolicy: policy, CacheFrac: frac,
-		})
-		if err != nil {
-			return err
-		}
-		row := CacheRow{Policy: policy.String(), Frac: frac, FetchTime: res.LastEpoch().FeatureFetch}
-		rows = append(rows, row)
-		fmt.Fprintf(w, "%-14s %6.2f %12.5f\n", row.Policy, row.Frac, row.FetchTime)
-		return nil
-	}
-	if err := run(cache.None, 0); err != nil {
-		return nil, err
-	}
-	for _, frac := range fracs {
-		if err := run(cache.StaticDegree, frac); err != nil {
-			return nil, err
-		}
-	}
-	for _, frac := range fracs {
-		if err := run(cache.LRU, frac); err != nil {
-			return nil, err
-		}
-	}
-	return rows, nil
-}
-
-// SparsityRow compares the sparsity-aware and oblivious 1.5D SpGEMM.
-type SparsityRow struct {
-	Dataset        string
-	P, C           int
-	AwareTime      float64
-	ObliviousTime  float64
-	AwareBytes     int64
-	ObliviousBytes int64
-}
-
-// SparsityAblation compares Algorithm 2's sparsity-aware row fetching
-// against the sparsity-oblivious full-block broadcast (the design
-// choice Section 5.2.1 motivates with Ballard et al.'s analysis).
-func SparsityAblation(w io.Writer, dataset string, p, c int, o Options) (*SparsityRow, error) {
-	o = o.withDefaults()
-	d, err := datasets.ByName(dataset, o.Profile)
-	if err != nil {
-		return nil, err
-	}
-	measure := func(aware bool) (float64, int64, error) {
-		res, err := RunPartitionedSampling(d, core.SAGE{}, d.Fanouts, p, c, aware, o)
-		if err != nil {
-			return 0, 0, err
-		}
-		return res.SimTime, bytesSent(res), nil
-	}
-	at, ab, err := measure(true)
-	if err != nil {
-		return nil, err
-	}
-	ot, ob, err := measure(false)
-	if err != nil {
-		return nil, err
-	}
-	row := &SparsityRow{Dataset: dataset, P: p, C: c,
-		AwareTime: at, ObliviousTime: ot, AwareBytes: ab, ObliviousBytes: ob}
-	fmt.Fprintf(w, "Sparsity-aware vs oblivious 1.5D SpGEMM, dataset=%s p=%d c=%d\n", dataset, p, c)
-	fmt.Fprintf(w, "  aware:     %.5fs, %d bytes sent\n", at, ab)
-	fmt.Fprintf(w, "  oblivious: %.5fs, %d bytes sent\n", ot, ob)
-	fmt.Fprintf(w, "  byte reduction: %.2fx\n", float64(ob)/float64(ab))
-	return row, nil
 }
 
 // PartitionRow compares the 1D block-row distributed SpGEMM baseline
-// against the paper's 1.5D algorithm at one GPU count.
+// against the paper's 1.5D algorithm at one GPU count, the latter both
+// sparsity-aware (Algorithm 2's row fetching) and sparsity-oblivious
+// (full block-row broadcast).
 type PartitionRow struct {
-	P, C          int
-	OneDTime      float64
-	OneDBytes     int64
-	FifteenDTime  float64
-	FifteenDBytes int64
+	P, C           int
+	OneDTime       float64
+	OneDBytes      int64
+	FifteenDTime   float64
+	FifteenDBytes  int64
+	ObliviousTime  float64
+	ObliviousBytes int64
 }
 
 // RunOneDSampling measures one bulk GraphSAGE sampling run under the 1D
@@ -180,18 +100,20 @@ func RunOneDSampling(d *datasets.Dataset, p, maxBatches int, seed int64, model c
 	})
 }
 
-// PartitionAblation supports the Section 5.2 design choice ("prior
-// work has shown 1.5D algorithms generally outperform other schemes"):
-// it runs bulk SAGE sampling under both partitionings and reports time
-// and traffic.
+// PartitionAblation supports the Section 5.2 design choices ("prior
+// work has shown 1.5D algorithms generally outperform other schemes",
+// and Section 5.2.1's sparsity-aware row fetching over the oblivious
+// broadcast): it runs bulk SAGE sampling under the 1D partitioning and
+// both 1.5D variants and reports time and traffic.
 func PartitionAblation(w io.Writer, dataset string, ps []int, o Options) ([]PartitionRow, error) {
 	o = o.withDefaults()
 	d, err := datasets.ByName(dataset, o.Profile)
 	if err != nil {
 		return nil, err
 	}
-	fmt.Fprintf(w, "1D vs 1.5D distributed SpGEMM, dataset=%s\n", dataset)
-	fmt.Fprintf(w, "%5s %3s %12s %14s %12s %14s\n", "p", "c", "1D time", "1D bytes", "1.5D time", "1.5D bytes")
+	fmt.Fprintf(w, "1D vs 1.5D distributed SpGEMM (1.5D sparsity-aware and oblivious), dataset=%s\n", dataset)
+	fmt.Fprintf(w, "%5s %3s %12s %14s %12s %14s %14s %15s\n", "p", "c",
+		"1D time", "1D bytes", "1.5D time", "1.5D bytes", "oblivious time", "oblivious bytes")
 	var rows []PartitionRow
 	for _, p := range ps {
 		c := CFor(p) / 2
@@ -209,56 +131,19 @@ func PartitionAblation(w io.Writer, dataset string, ps []int, o Options) ([]Part
 		if err != nil {
 			return nil, err
 		}
+		res3, err := RunPartitionedSampling(d, core.SAGE{}, d.Fanouts, p, c, false, o)
+		if err != nil {
+			return nil, err
+		}
 
 		row := PartitionRow{P: p, C: c,
 			OneDTime: res1.SimTime, OneDBytes: bytesSent(res1),
-			FifteenDTime: res2.SimTime, FifteenDBytes: bytesSent(res2)}
+			FifteenDTime: res2.SimTime, FifteenDBytes: bytesSent(res2),
+			ObliviousTime: res3.SimTime, ObliviousBytes: bytesSent(res3)}
 		rows = append(rows, row)
-		fmt.Fprintf(w, "%5d %3d %12.5f %14d %12.5f %14d\n",
-			p, c, row.OneDTime, row.OneDBytes, row.FifteenDTime, row.FifteenDBytes)
-	}
-	return rows, nil
-}
-
-// VarianceRow compares samplers' estimator error at equal budget.
-type VarianceRow struct {
-	Sampler     string
-	Fanout      int
-	MSE         float64
-	RelativeStd float64
-	Budget      float64
-}
-
-// SamplerVariance measures one-layer aggregation error (MSE against
-// exact mean aggregation) for each sampler across fanouts — the
-// statistical quality dimension of the sampler-taxonomy discussion
-// (Section 2.2).
-func SamplerVariance(w io.Writer, dataset string, fanouts []int, o Options) ([]VarianceRow, error) {
-	o = o.withDefaults()
-	d, err := datasets.ByName(dataset, o.Profile)
-	if err != nil {
-		return nil, err
-	}
-	seeds := d.Batches()[0]
-	const reps = 25
-	fmt.Fprintf(w, "Sampler aggregation error, dataset=%s (%d seeds, %d reps)\n", dataset, len(seeds), reps)
-	fmt.Fprintf(w, "%-10s %7s %12s %12s %10s\n", "sampler", "fanout", "mse", "rel-std", "budget")
-	var rows []VarianceRow
-	for _, entry := range core.Samplers {
-		s := entry.New(d.Graph)
-		for _, fan := range fanouts {
-			e := quality.MeasureAggregationError(s, d.Graph.Adj, d.Features, seeds, fan, reps, o.Seed)
-			row := VarianceRow{
-				Sampler:     s.Name(),
-				Fanout:      fan,
-				MSE:         e.MSE,
-				RelativeStd: quality.RelativeStd(e, d.Graph.Adj, d.Features, seeds),
-				Budget:      quality.FrontierBudget(s, d.Graph.Adj, seeds, fan, o.Seed),
-			}
-			rows = append(rows, row)
-			fmt.Fprintf(w, "%-10s %7d %12.6f %12.4f %10.1f\n",
-				row.Sampler, row.Fanout, row.MSE, row.RelativeStd, row.Budget)
-		}
+		fmt.Fprintf(w, "%5d %3d %12.5f %14d %12.5f %14d %14.5f %15d\n",
+			p, c, row.OneDTime, row.OneDBytes, row.FifteenDTime, row.FifteenDBytes,
+			row.ObliviousTime, row.ObliviousBytes)
 	}
 	return rows, nil
 }
@@ -381,102 +266,6 @@ func OverlapAnalysis(w io.Writer, o Options) ([]OverlapRow, error) {
 					name, algo.name, p, seq, over, row.Measured, row.Stall, row.Speedup)
 			}
 		}
-	}
-	return rows, nil
-}
-
-// SensitivityRow compares a headline result under two cost models.
-type SensitivityRow struct {
-	ModelName string
-	P         int
-	OursTotal float64
-	Quiver    float64
-	Speedup   float64
-}
-
-// Sensitivity reruns the Figure 4 comparison under a different machine
-// model (PCIe workstation instead of the paper's NVLink/Slingshot
-// supercomputer). Conclusions that survive the swap are robust to the
-// interconnect; those that do not are artifacts of it.
-func Sensitivity(w io.Writer, dataset string, ps []int, o Options) ([]SensitivityRow, error) {
-	o = o.withDefaults()
-	d, err := datasets.ByName(dataset, o.Profile)
-	if err != nil {
-		return nil, err
-	}
-	models := []struct {
-		name  string
-		model cluster.CostModel
-	}{
-		{"perlmutter", cluster.Perlmutter()},
-		{"workstation", cluster.Workstation()},
-	}
-	fmt.Fprintf(w, "Cost-model sensitivity, dataset=%s\n", dataset)
-	fmt.Fprintf(w, "%-12s %5s %12s %12s %8s\n", "machine", "p", "ours", "quiver", "speedup")
-	var rows []SensitivityRow
-	for _, m := range models {
-		for _, p := range ps {
-			ours, err := pipeline.Run(d, pipeline.Config{
-				P: p, C: CFor(p), K: KFor(p, d.NumBatches()),
-				MaxBatches: o.MaxBatches, Seed: o.Seed, Model: m.model,
-			})
-			if err != nil {
-				return nil, err
-			}
-			q, err := baseline.RunQuiver(d, baseline.QuiverConfig{
-				P: p, MaxBatches: o.MaxBatches, Seed: o.Seed, Model: m.model,
-			})
-			if err != nil {
-				return nil, err
-			}
-			row := SensitivityRow{ModelName: m.name, P: p,
-				OursTotal: ours.LastEpoch().Total, Quiver: q.LastEpoch().Total}
-			if row.OursTotal > 0 {
-				row.Speedup = row.Quiver / row.OursTotal
-			}
-			rows = append(rows, row)
-			fmt.Fprintf(w, "%-12s %5d %12.5f %12.5f %7.2fx\n",
-				m.name, p, row.OursTotal, row.Quiver, row.Speedup)
-		}
-	}
-	return rows, nil
-}
-
-// StragglerRow quantifies bulk-synchronous sensitivity to one slow
-// device.
-type StragglerRow struct {
-	Slowdown float64
-	Epoch    float64
-}
-
-// StragglerSensitivity reruns a pipeline epoch with rank 0 slowed by
-// increasing factors: the BSP schedule of Section 6 ("all GPUs
-// participate in a single step simultaneously before advancing") is
-// bound by its slowest member, so epoch time should track the
-// straggler nearly linearly for compute-bound phases.
-func StragglerSensitivity(w io.Writer, dataset string, p int, factors []float64, o Options) ([]StragglerRow, error) {
-	o = o.withDefaults()
-	d, err := datasets.ByName(dataset, o.Profile)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(w, "Straggler sensitivity, dataset=%s p=%d (rank 0 slowed)\n", dataset, p)
-	fmt.Fprintf(w, "%9s %12s\n", "slowdown", "epoch (s)")
-	var rows []StragglerRow
-	for _, f := range factors {
-		model := o.Model
-		if f > 1 {
-			model.Stragglers = map[int]float64{0: f}
-		}
-		res, err := pipeline.Run(d, pipeline.Config{
-			P: p, C: CFor(p), MaxBatches: o.MaxBatches, Seed: o.Seed, Model: model,
-		})
-		if err != nil {
-			return nil, err
-		}
-		row := StragglerRow{Slowdown: f, Epoch: res.LastEpoch().Total}
-		rows = append(rows, row)
-		fmt.Fprintf(w, "%9.1f %12.5f\n", f, row.Epoch)
 	}
 	return rows, nil
 }

@@ -198,55 +198,23 @@ func TestAmortizationMonotone(t *testing.T) {
 	if rows[0].SimTime <= rows[len(rows)-1].SimTime*1.01 {
 		t.Fatalf("no amortization benefit observed: %+v", rows)
 	}
-}
 
-func TestCacheSweepReducesFetch(t *testing.T) {
-	var buf bytes.Buffer
-	rows, err := CacheSweep(&buf, "products", 4, []float64{0.25}, Options{Profile: datasets.Tiny, Seed: 6})
+	// Bulks at or past the batch count are one whole-epoch bulk: it runs
+	// once, labelled all, and no row claims a k the run did not use.
+	buf.Reset()
+	rows, err = Amortization(&buf, "products", []int{1, 4, 16, 0}, Options{Profile: datasets.Tiny, MaxBatches: 2, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 { // none + static + lru
-		t.Fatalf("rows = %d", len(rows))
+	if len(rows) != 2 || rows[0].K != 1 || rows[1].K != 2 {
+		t.Fatalf("effective bulk sizes %+v, want k=1 and k=2", rows)
 	}
-	if rows[1].FetchTime >= rows[0].FetchTime {
-		t.Fatalf("static cache did not help: %+v", rows)
+	var labels []string
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n")[2:] {
+		labels = append(labels, strings.Fields(line)[0])
 	}
-}
-
-func TestSparsityAblationBytes(t *testing.T) {
-	var buf bytes.Buffer
-	row, err := SparsityAblation(&buf, "products", 4, 2, Options{Profile: datasets.Tiny, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row.AwareBytes >= row.ObliviousBytes {
-		t.Fatalf("sparsity-aware sent more bytes: %+v", row)
-	}
-}
-
-func TestExplosionShape(t *testing.T) {
-	var buf bytes.Buffer
-	rows, err := Explosion(&buf, "protein", Options{Profile: datasets.Tiny, Seed: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) < 2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for l := 1; l < len(rows); l++ {
-		// Exact neighborhoods grow monotonically and dominate the
-		// LADIES frontier (which adds at most s per layer).
-		if rows[l].FullHop < rows[l-1].FullHop {
-			t.Fatalf("exact hop shrank: %+v", rows)
-		}
-		if rows[l].LADIESFrontier > rows[l-1].LADIESFrontier+32 {
-			t.Fatalf("LADIES frontier grew beyond s: %+v", rows)
-		}
-	}
-	last := rows[len(rows)-1]
-	if last.FullHop <= last.LADIESFrontier {
-		t.Fatalf("no explosion visible on dense graph: %+v", last)
+	if strings.Join(labels, ",") != "1,all" {
+		t.Fatalf("printed k column %v, want [1 all]:\n%s", labels, buf.String())
 	}
 }
 
@@ -262,6 +230,25 @@ func TestPartitionAblation(t *testing.T) {
 	if rows[0].OneDBytes <= rows[0].FifteenDBytes {
 		t.Fatalf("1D should move more bytes: %+v", rows[0])
 	}
+	// Algorithm 2 fetches only the rows the local product touches; the
+	// oblivious variant broadcasts whole block rows.
+	if rows[0].ObliviousBytes <= rows[0].FifteenDBytes || rows[0].ObliviousTime <= 0 {
+		t.Fatalf("sparsity-aware 1.5D should move fewer bytes than oblivious: %+v", rows[0])
+	}
+}
+
+func TestSparsityAblationBytes(t *testing.T) {
+	var buf bytes.Buffer
+	rows, err := PartitionAblation(&buf, "products", []int{4}, Options{Profile: datasets.Tiny, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 1 || rows[0].C != 2 {
+		t.Fatalf("want one p=4 c=2 row: %+v", rows)
+	}
+	if rows[0].FifteenDBytes >= rows[0].ObliviousBytes {
+		t.Fatalf("sparsity-aware sent more bytes: %+v", rows[0])
+	}
 }
 
 func TestVerifyAllPass(t *testing.T) {
@@ -276,36 +263,6 @@ func TestVerifyAllPass(t *testing.T) {
 	for _, r := range rows {
 		if !r.Pass {
 			t.Fatalf("verification failed: %+v\n%s", r, buf.String())
-		}
-	}
-}
-
-func TestSamplerVariance(t *testing.T) {
-	var buf bytes.Buffer
-	rows, err := SamplerVariance(&buf, "products", []int{2, 8}, Options{Profile: datasets.Tiny, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 6 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	// SAGE error must fall as fanout grows; its budget must exceed the
-	// layer-wise samplers' at equal s.
-	var sage2, sage8 VarianceRow
-	for _, r := range rows {
-		if r.Sampler == "GraphSAGE" && r.Fanout == 2 {
-			sage2 = r
-		}
-		if r.Sampler == "GraphSAGE" && r.Fanout == 8 {
-			sage8 = r
-		}
-	}
-	if sage8.MSE >= sage2.MSE {
-		t.Fatalf("SAGE error did not fall with fanout: %+v vs %+v", sage8, sage2)
-	}
-	for _, r := range rows {
-		if r.Sampler == "LADIES" && r.Fanout == 8 && r.Budget > sage8.Budget {
-			t.Fatalf("LADIES budget exceeds SAGE: %+v", r)
 		}
 	}
 }
@@ -335,36 +292,6 @@ func TestOverlapAnalysisBounds(t *testing.T) {
 		}
 		if r.Speedup < 0.99 || r.Speedup > 2.1 {
 			t.Fatalf("overlap speedup out of range: %+v", r)
-		}
-	}
-}
-
-func TestSensitivitySpeedupSurvivesModelSwap(t *testing.T) {
-	var buf bytes.Buffer
-	rows, err := Sensitivity(&buf, "products", []int{8}, Options{Profile: datasets.Tiny, Seed: 13})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.Speedup <= 1 {
-			t.Fatalf("bulk pipeline loses under %s: %+v", r.ModelName, r)
-		}
-	}
-}
-
-func TestStragglerSensitivityMonotone(t *testing.T) {
-	var buf bytes.Buffer
-	rows, err := StragglerSensitivity(&buf, "products", 4, []float64{1, 2, 4},
-		Options{Profile: datasets.Tiny, Seed: 14})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(rows); i++ {
-		if rows[i].Epoch <= rows[i-1].Epoch {
-			t.Fatalf("straggler epoch not increasing: %+v", rows)
 		}
 	}
 }

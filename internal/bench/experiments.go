@@ -9,7 +9,8 @@ import (
 // Experiment is one artifact the harness regenerates: a table or figure
 // of the paper's evaluation, or one of the repo's own studies — each the
 // same simulated pipeline under a different (p, c, k, sampler, machine)
-// tuple, the machine being Options.Model.
+// tuple, the machine being Options.Model. Every id that "all" runs has
+// its result recorded in EXPERIMENTS.md (pinned by test).
 type Experiment struct {
 	ID  string // the gnnbench -experiment value
 	Doc string // one line for gnnbench -h
@@ -78,30 +79,12 @@ var Experiments = []Experiment{
 		Run: func(w io.Writer, o Options) (any, error) {
 			return Amortization(w, "products", []int{1, 4, 16, 0}, o)
 		}},
-	{ID: "cachesweep", Doc: "feature-cache capacity sweep",
-		Run: func(w io.Writer, o Options) (any, error) {
-			return CacheSweep(w, "products", 8, []float64{0.05, 0.2}, o)
-		}},
-	{ID: "sparsity", Doc: "Algorithm 2 sparsity-aware vs oblivious broadcast",
-		Run: func(w io.Writer, o Options) (any, error) { return SparsityAblation(w, "products", 16, 2, o) }},
-	{ID: "partition", Doc: "1D block-row vs 1.5D partitioned bulk sampling: time and bytes sent",
+	{ID: "partition", Doc: "1D block-row vs 1.5D partitioned bulk sampling, sparsity-aware and oblivious: time and bytes sent",
 		Run: func(w io.Writer, o Options) (any, error) {
 			return PartitionAblation(w, "products", []int{8, 16, 32}, o)
 		}},
-	{ID: "explosion", Doc: "frontier-explosion diagnostics",
-		Run: func(w io.Writer, o Options) (any, error) { return Explosion(w, "products", o) }},
-	{ID: "variance", Doc: "sampler aggregation error at equal fanout",
-		Run: func(w io.Writer, o Options) (any, error) {
-			return SamplerVariance(w, "products", []int{2, 5, 10}, o)
-		}},
 	{ID: "overlap", Doc: "overlapped vs sequential + bound (replicated and 1.5D partitioned)", GPUs: figureGPUs,
 		Run: func(w io.Writer, o Options) (any, error) { return OverlapAnalysis(w, o) }},
-	{ID: "sensitivity", Doc: "cost-model swap (PCIe workstation vs Perlmutter)",
-		Run: func(w io.Writer, o Options) (any, error) { return Sensitivity(w, "products", []int{8, 32}, o) }},
-	{ID: "straggler", Doc: "slowdown sensitivity",
-		Run: func(w io.Writer, o Options) (any, error) {
-			return StragglerSensitivity(w, "products", 8, []float64{1, 1.5, 2, 4}, o)
-		}},
 	{ID: "resilience", Doc: "checkpoint-interval sweep vs injected fail-stop: clean overhead, attempts, resume epoch, wasted + total simulated work", GPUs: multiNodeGPUs,
 		Run: func(w io.Writer, o Options) (any, error) {
 			var intervals []int // nil: the full sweep

@@ -318,12 +318,12 @@ type Fig7Row struct {
 // run of s drawing sizes[l] at layer l (sampling only — Figure 7
 // excludes training), under o's MaxBatches, Seed and Model.
 func RunPartitionedSampling(d *datasets.Dataset, s core.Sampler, sizes []int, p, c int, aware bool, o Options) (*cluster.Result, error) {
+	if p%c != 0 || (p/c)%c != 0 {
+		return nil, fmt.Errorf("bench: c^2 must divide p (p=%d c=%d)", p, c)
+	}
 	o = o.withDefaults()
 	cl := cluster.New(p, o.Model)
 	grid := cluster.NewGrid(cl, p, c)
-	if grid.Rows%grid.C != 0 {
-		return nil, fmt.Errorf("bench: c^2 must divide p (p=%d c=%d)", p, c)
-	}
 	set := distsample.NewPartitionedSet(grid, d.Graph.Adj, aware)
 	batches := Batches(d, o.MaxBatches)
 	return cl.Run(func(r *cluster.Rank) error {

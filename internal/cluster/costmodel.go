@@ -164,41 +164,6 @@ func Perlmutter() CostModel {
 	}
 }
 
-// Workstation returns a cost model for a single PCIe-attached
-// multi-GPU workstation: no NVLink (GPUs talk through host PCIe), no
-// network tier in practice (all ranks on one node), consumer-grade
-// device rates. Used for cost-model sensitivity analysis: conclusions
-// that hold under both Perlmutter and Workstation are robust to the
-// machine, those that do not are artifacts of the interconnect.
-func Workstation() CostModel {
-	return CostModel{
-		GPUsPerNode: 8, // all ranks share the host
-		Alpha: [3]float64{
-			IntraNode: 10e-6, // PCIe peer latency
-			InterNode: 50e-6, // (unused in-node, but defined)
-			HostLink:  10e-6,
-		},
-		Beta: [3]float64{
-			IntraNode: 1.0 / 12e9, // PCIe 3.0 x16 effective
-			InterNode: 1.0 / 1e9,  // commodity 10 GbE
-			HostLink:  1.0 / 10e9,
-		},
-		SparseOps: [2]float64{
-			GPU: 6.0e9,
-			CPU: 3.0e8,
-		},
-		DenseFlops: [2]float64{
-			GPU: 2.0e12,
-			CPU: 8.0e10,
-		},
-		MemBW: [2]float64{
-			GPU: 4.0e11,
-			CPU: 8.0e10,
-		},
-		KernelLaunch: 12e-6,
-	}
-}
-
 // wireEntry returns the simulated time a transfer's payload hits the
 // wire: the α handshake latency after the entry clock. One of the
 // three helpers point-to-point code prices transfers through — the

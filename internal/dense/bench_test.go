@@ -26,39 +26,42 @@ func benchReLU(r, c int) *Matrix {
 // replicated-bulk workload (products at the Bench profile: 32 features,
 // hidden width 64, frontiers of about 4000 and 700 rows): the first
 // convolution multiplies dense features, the second a half-zero hidden
-// activation.
-func benchProduct(b *testing.B, f func(x, y *Matrix) (*Matrix, int64), x, y *Matrix) {
+// activation. Each product writes into a destination allocated once, as
+// the model's workspace does.
+func benchProduct(b *testing.B, f func(c, x, y *Matrix) int64, c, x, y *Matrix) {
 	b.ReportAllocs()
 	var flops int64
 	for i := 0; i < b.N; i++ {
-		_, flops = f(x, y)
+		flops = f(c, x, y)
 	}
 	b.ReportMetric(float64(flops)*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gmadd/s")
 }
 
 func BenchmarkMatMul(b *testing.B) {
-	b.Run("layer0", func(b *testing.B) { benchProduct(b, MatMul, benchMat(4000, 32), benchMat(32, 64)) })
-	b.Run("layer1", func(b *testing.B) { benchProduct(b, MatMul, benchReLU(700, 64), benchMat(64, 64)) })
+	b.Run("layer0", func(b *testing.B) { benchProduct(b, MatMulInto, New(4000, 64), benchMat(4000, 32), benchMat(32, 64)) })
+	b.Run("layer1", func(b *testing.B) { benchProduct(b, MatMulInto, New(700, 64), benchReLU(700, 64), benchMat(64, 64)) })
 }
 
 func BenchmarkMatMulT(b *testing.B) {
-	b.Run("layer1", func(b *testing.B) { benchProduct(b, MatMulT, benchReLU(700, 64), benchMat(64, 64)) })
+	bt := New(64, 64)
+	matMulT := func(c, x, y *Matrix) int64 { return MatMulTInto(c, x, y, bt) }
+	b.Run("layer1", func(b *testing.B) { benchProduct(b, matMulT, New(700, 64), benchReLU(700, 64), benchMat(64, 64)) })
 }
 
 func BenchmarkTMatMul(b *testing.B) {
-	b.Run("layer0", func(b *testing.B) { benchProduct(b, TMatMul, benchMat(4000, 32), benchReLU(4000, 64)) })
-	b.Run("layer1", func(b *testing.B) { benchProduct(b, TMatMul, benchReLU(700, 64), benchReLU(700, 64)) })
+	b.Run("layer0", func(b *testing.B) { benchProduct(b, TMatMulInto, New(32, 64), benchMat(4000, 32), benchReLU(4000, 64)) })
+	b.Run("layer1", func(b *testing.B) { benchProduct(b, TMatMulInto, New(64, 64), benchReLU(700, 64), benchReLU(700, 64)) })
 }
 
 func BenchmarkCrossEntropy(b *testing.B) {
-	logits := benchMat(1024, 47)
+	logits, grad := benchMat(1024, 47), New(1024, 47)
 	labels := make([]int, 1024)
 	for i := range labels {
 		labels[i] = i % 47
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		CrossEntropy(logits, labels)
+		CrossEntropyInto(grad, logits, labels)
 	}
 }
 

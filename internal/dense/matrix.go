@@ -73,22 +73,16 @@ func (m *Matrix) Scale(f float64) {
 	}
 }
 
-// Every product below comes as a pair: XInto overwrites a caller-owned
-// destination of the result's shape (whatever it held) and returns the
-// multiply-add count; X allocates the destination. All inner loops are
-// Axpy/Axpy2, each output element accumulates its terms from +0 in
-// ascending order of the contracted index, and MatMul and TMatMul skip
-// the terms whose left factor is exactly zero — so a product returns
-// the same bits whichever body Axpy runs and however rows are split
-// across workers.
+// Every product below overwrites a caller-owned destination of the
+// result's shape (whatever it held) and returns the multiply-add count.
+// All inner loops are Axpy/Axpy2, each output element accumulates its
+// terms from +0 in ascending order of the contracted index, and
+// MatMulInto and TMatMulInto skip the terms whose left factor is exactly
+// zero — so a product returns the same bits whichever body Axpy runs and
+// however rows are split across workers.
 
-// MatMul computes C = A * B, parallelized over row stripes of A.
-func MatMul(a, b *Matrix) (*Matrix, int64) {
-	c := New(a.Rows, b.Cols)
-	return c, MatMulInto(c, a, b)
-}
-
-// MatMulInto computes C = A * B into c.
+// MatMulInto computes C = A * B into c, parallelized over row stripes
+// of A.
 func MatMulInto(c, a, b *Matrix) int64 {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("dense: MatMul dims %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -130,12 +124,6 @@ func matMulRows(c, a, b *Matrix, lo, hi int) {
 	}
 }
 
-// MatMulT computes C = A * B^T.
-func MatMulT(a, b *Matrix) (*Matrix, int64) {
-	c := New(a.Rows, b.Rows)
-	return c, MatMulTInto(c, a, b, New(b.Cols, b.Rows))
-}
-
 // MatMulTInto computes C = A * B^T into c. bt is scratch of B^T's shape
 // and is overwritten with it: against the transposed copy the dot
 // products become row updates, c[i] += a[i][k]·bt[k], with the same
@@ -175,12 +163,6 @@ func matMulTRows(c, a, bt *Matrix, lo, hi int) {
 			Axpy(ci, ai[k], bt.Data[k*n:(k+1)*n])
 		}
 	}
-}
-
-// TMatMul computes C = A^T * B.
-func TMatMul(a, b *Matrix) (*Matrix, int64) {
-	c := New(a.Cols, b.Cols)
-	return c, TMatMulInto(c, a, b)
 }
 
 // TMatMulInto computes C = A^T * B into c. Serial: the output is small
@@ -341,30 +323,9 @@ func logSumExp(row []float64) float64 {
 	return max + math.Log(sum)
 }
 
-// LogSoftmaxRows computes the log-softmax of each row, returning a new
-// matrix.
-func LogSoftmaxRows(m *Matrix) *Matrix {
-	out := New(m.Rows, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		row := m.RowView(i)
-		lse := logSumExp(row)
-		dst := out.RowView(i)
-		for j, v := range row {
-			dst[j] = v - lse
-		}
-	}
-	return out
-}
-
-// CrossEntropy computes the mean negative log-likelihood of labels
-// under row-wise softmax of logits, together with the gradient with
-// respect to the logits (softmax - onehot, scaled by 1/rows).
-func CrossEntropy(logits *Matrix, labels []int) (loss float64, grad *Matrix) {
-	grad = New(logits.Rows, logits.Cols)
-	return CrossEntropyInto(grad, logits, labels), grad
-}
-
-// CrossEntropyInto is CrossEntropy writing the gradient into grad.
+// CrossEntropyInto returns the mean negative log-likelihood of labels
+// under row-wise softmax of logits and writes the gradient with respect
+// to the logits (softmax - onehot, scaled by 1/rows) into grad.
 func CrossEntropyInto(grad, logits *Matrix, labels []int) (loss float64) {
 	if len(labels) != logits.Rows {
 		panic(fmt.Sprintf("dense: CrossEntropy got %d labels for %d rows", len(labels), logits.Rows))

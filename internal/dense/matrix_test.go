@@ -44,7 +44,8 @@ func TestMatMulAgainstNaive(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		a := randMat(rng, 1+rng.Intn(20), 1+rng.Intn(20))
 		b := randMat(rng, a.Cols, 1+rng.Intn(20))
-		got, flops := MatMul(a, b)
+		got := New(a.Rows, b.Cols)
+		flops := MatMulInto(got, a, b)
 		if !matNear(got, naiveMul(a, b), 1e-9) {
 			t.Fatalf("trial %d: MatMul mismatch", trial)
 		}
@@ -59,7 +60,8 @@ func TestMatMulTAndTMatMul(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		a := randMat(rng, 1+rng.Intn(15), 1+rng.Intn(15))
 		b := randMat(rng, 1+rng.Intn(15), a.Cols)
-		abT, _ := MatMulT(a, b)
+		abT := New(a.Rows, b.Rows)
+		MatMulTInto(abT, a, b, New(b.Cols, b.Rows))
 		bT := New(b.Cols, b.Rows)
 		for i := 0; i < b.Rows; i++ {
 			for j := 0; j < b.Cols; j++ {
@@ -71,7 +73,8 @@ func TestMatMulTAndTMatMul(t *testing.T) {
 		}
 
 		c := randMat(rng, a.Rows, 1+rng.Intn(15))
-		aTc, _ := TMatMul(a, c)
+		aTc := New(a.Cols, c.Cols)
+		TMatMulInto(aTc, a, c)
 		aT := New(a.Cols, a.Rows)
 		for i := 0; i < a.Rows; i++ {
 			for j := 0; j < a.Cols; j++ {
@@ -90,7 +93,7 @@ func TestMatMulDimPanics(t *testing.T) {
 			t.Fatal("expected dimension panic")
 		}
 	}()
-	MatMul(New(2, 3), New(4, 5))
+	MatMulInto(New(2, 5), New(2, 3), New(4, 5))
 }
 
 func TestReLUAndGrad(t *testing.T) {
@@ -120,11 +123,12 @@ func TestLogSoftmaxRowsSumToOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m := randMat(rng, 6, 9)
 	m.Scale(30) // stress numerical stability
-	lp := LogSoftmaxRows(m)
 	for i := 0; i < m.Rows; i++ {
+		row := m.RowView(i)
+		lse := logSumExp(row)
 		sum := 0.0
-		for _, v := range lp.RowView(i) {
-			sum += math.Exp(v)
+		for _, v := range row {
+			sum += math.Exp(v - lse)
 		}
 		if math.Abs(sum-1) > 1e-9 {
 			t.Fatalf("row %d softmax sums to %v", i, sum)
@@ -136,15 +140,16 @@ func TestCrossEntropyGradientNumerically(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	logits := randMat(rng, 4, 5)
 	labels := []int{1, 0, 4, 2}
-	_, grad := CrossEntropy(logits, labels)
+	grad, scratch := New(4, 5), New(4, 5)
+	CrossEntropyInto(grad, logits, labels)
 	const eps = 1e-6
 	for i := 0; i < logits.Rows; i++ {
 		for j := 0; j < logits.Cols; j++ {
 			orig := logits.At(i, j)
 			logits.Set(i, j, orig+eps)
-			lp, _ := CrossEntropy(logits, labels)
+			lp := CrossEntropyInto(scratch, logits, labels)
 			logits.Set(i, j, orig-eps)
-			lm, _ := CrossEntropy(logits, labels)
+			lm := CrossEntropyInto(scratch, logits, labels)
 			logits.Set(i, j, orig)
 			num := (lp - lm) / (2 * eps)
 			if math.Abs(num-grad.At(i, j)) > 1e-5 {
@@ -156,7 +161,7 @@ func TestCrossEntropyGradientNumerically(t *testing.T) {
 
 func TestCrossEntropyPerfectPrediction(t *testing.T) {
 	logits := FromSlice(2, 3, []float64{100, 0, 0, 0, 100, 0})
-	loss, _ := CrossEntropy(logits, []int{0, 1})
+	loss := CrossEntropyInto(New(2, 3), logits, []int{0, 1})
 	if loss > 1e-6 {
 		t.Fatalf("perfect prediction loss = %v", loss)
 	}
@@ -207,11 +212,12 @@ func TestMatMulAssociativityProperty(t *testing.T) {
 		a := randMat(rng, 4, 5)
 		b := randMat(rng, 5, 6)
 		c := randMat(rng, 6, 3)
-		ab, _ := MatMul(a, b)
-		abc1, _ := MatMul(ab, c)
-		bc, _ := MatMul(b, c)
-		abc2, _ := MatMul(a, bc)
-		return matNear(abc1, abc2, 1e-8)
+		mul := func(x, y *Matrix) *Matrix {
+			z := New(x.Rows, y.Cols)
+			MatMulInto(z, x, y)
+			return z
+		}
+		return matNear(mul(mul(a, b), c), mul(a, mul(b, c)), 1e-8)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -264,7 +270,7 @@ func TestCrossEntropyBadLabelPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	CrossEntropy(New(1, 3), []int{5})
+	CrossEntropyInto(New(1, 3), New(1, 3), []int{5})
 }
 
 func TestCrossEntropyLabelCountPanics(t *testing.T) {
@@ -273,7 +279,7 @@ func TestCrossEntropyLabelCountPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	CrossEntropy(New(2, 3), []int{0})
+	CrossEntropyInto(New(2, 3), New(2, 3), []int{0})
 }
 
 func TestAccuracyEmptyMatrix(t *testing.T) {
@@ -313,7 +319,7 @@ func TestTMatMulDimPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	TMatMul(New(2, 3), New(3, 3))
+	TMatMulInto(New(3, 3), New(2, 3), New(3, 3))
 }
 
 func TestMatMulTDimPanics(t *testing.T) {
@@ -322,5 +328,5 @@ func TestMatMulTDimPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	MatMulT(New(2, 3), New(2, 4))
+	MatMulTInto(New(2, 2), New(2, 3), New(2, 4), New(4, 2))
 }

@@ -129,7 +129,8 @@ func TestSpMMAgainstDense(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		got, _ := SpMM(a, b, n)
+		got := make([]float64, m*n)
+		SpMMInto(got, a, b, n)
 		want := denseMul(a.ToDense(), m, k, b, n)
 		for i := range want {
 			if math.Abs(want[i]-got[i]) > 1e-9 {
@@ -148,8 +149,9 @@ func TestSpMMTMatchesTransposeSpMM(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		got, _ := SpMMT(a, b, n)
-		want, _ := SpMM(a.Transpose(), b, n)
+		got, want := make([]float64, k*n), make([]float64, k*n)
+		SpMMTInto(got, a, b, n)
+		SpMMInto(want, a.Transpose(), b, n)
 		for i := range want {
 			if math.Abs(want[i]-got[i]) > 1e-9 {
 				t.Fatalf("SpMMT mismatch at %d", i)

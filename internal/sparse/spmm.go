@@ -6,19 +6,13 @@ import (
 	"repro/internal/dense"
 )
 
-// SpMM computes C = A * B where A is sparse (m x k) and B is a dense
-// row-major matrix (k x n given as a flat slice). The result is a dense
-// row-major m x n slice. The returned flop count is the number of
-// multiply-add pairs.
+// SpMMInto computes C = A * B where A is sparse (m x k) and B is a
+// dense row-major matrix (k x n given as a flat slice), overwriting a
+// caller-owned dense row-major c of m x n values. The returned flop
+// count is the number of multiply-add pairs.
 //
 // This is the neighborhood-aggregation kernel of forward propagation
 // (Section 6.2): sampled adjacency times sampled feature matrix.
-func SpMM(a *CSR, b []float64, bCols int) (c []float64, flops int64) {
-	c = make([]float64, a.Rows*bCols)
-	return c, SpMMInto(c, a, b, bCols)
-}
-
-// SpMMInto is SpMM overwriting a caller-owned c of a.Rows*bCols values.
 func SpMMInto(c []float64, a *CSR, b []float64, bCols int) (flops int64) {
 	if len(b) != a.Cols*bCols {
 		panic(fmt.Sprintf("sparse: SpMM dense operand has %d values, want %d (%dx%d)",
@@ -48,16 +42,11 @@ func spmmRows(c []float64, a *CSR, b []float64, bCols, lo, hi int) {
 	}
 }
 
-// SpMMT computes C = A^T * B where A is sparse (m x k) and B is dense
-// (m x n), producing a dense k x n result. Used in backpropagation to
-// push gradients from a layer's output rows back to its input rows.
-func SpMMT(a *CSR, b []float64, bCols int) (c []float64, flops int64) {
-	c = make([]float64, a.Cols*bCols)
-	return c, SpMMTInto(c, a, b, bCols)
-}
-
-// SpMMTInto is SpMMT overwriting a caller-owned c of a.Cols*bCols
-// values. Serial over rows of A: they scatter into shared rows of c.
+// SpMMTInto computes C = A^T * B where A is sparse (m x k) and B is
+// dense (m x n), overwriting a caller-owned dense k x n c. Used in
+// backpropagation to push gradients from a layer's output rows back to
+// its input rows. Serial over rows of A: they scatter into shared rows
+// of c.
 func SpMMTInto(c []float64, a *CSR, b []float64, bCols int) (flops int64) {
 	if len(b) != a.Rows*bCols {
 		panic(fmt.Sprintf("sparse: SpMMT dense operand has %d values, want %d (%dx%d)",
