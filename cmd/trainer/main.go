@@ -115,6 +115,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "autotune: c=%d k=%s allreduce=%s\n", cfg.C, kLabel(cfg.K), cfg.Model.Collectives.AllReduce)
 	}
 
+	var resumed []float64
+	if *ckptIn != "" {
+		if resumed, err = readResume(*ckptIn, d, cfg); err != nil {
+			return err
+		}
+	}
+
 	fmt.Fprintf(stdout, "dataset=%s vertices=%d edges=%d batches=%d | p=%d c=%d sampler=%s algorithm=%s\n",
 		d.Name, d.Graph.NumVertices(), d.Graph.NumEdges(), d.NumBatches(),
 		cfg.P, cfg.C, *sampler, *algorithm)
@@ -159,20 +166,34 @@ func run(args []string, stdout, stderr io.Writer) error {
 			e, st.Sampling, st.FeatureFetch, st.Propagation, st.Stall, st.Total, st.Loss)
 	}
 	params := res.Params
-	if *ckptIn != "" {
-		f, err := os.Open(*ckptIn)
-		if err != nil {
-			return err
-		}
-		params, err = graphio.ReadParams(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
+	if resumed != nil {
+		params = resumed
 	}
-	acc := pipeline.Evaluate(d, params, cfg, d.Test, nil)
+	acc := pipeline.Evaluate(d, params, cfg, d.Test)
 	fmt.Fprintf(stdout, "test accuracy: %.3f\n", acc)
 	return nil
+}
+
+// readResume reads the -resume parameters and checks that they fit the
+// model cfg trains on d.
+func readResume(path string, d *datasets.Dataset, cfg pipeline.Config) ([]float64, error) {
+	// Run0Params needs a known sampler to size the model.
+	if _, err := core.SamplerByName(cfg.Sampler); err != nil {
+		return nil, err
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	params, err := graphio.ReadParams(f)
+	f.Close()
+	if err != nil {
+		return nil, err
+	}
+	if want := len(pipeline.Run0Params(d, cfg)); len(params) != want {
+		return nil, fmt.Errorf("-resume %s holds %d parameters, the model has %d", path, len(params), want)
+	}
+	return params, nil
 }
 
 // samplerUsage renders core.Samplers as the -sampler help text.

@@ -2,11 +2,15 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/graphio"
 )
 
 // trainer runs the CLI in-process on the tiny products analog and
@@ -73,6 +77,9 @@ func TestFlagCombinations(t *testing.T) {
 		{"unknown sampler", []string{"-sampler", "bogus"}, `unknown sampler "bogus"`, ""},
 		{"unknown algorithm", []string{"-algorithm", "bogus"}, `unknown algorithm "bogus"`, ""},
 		{"unknown cache", []string{"-cache", "bogus"}, `unknown cache policy "bogus"`, ""},
+		{"negative cache fraction", []string{"-cache", "lru", "-cachefrac", "-1"}, "cache fraction -1", ""},
+		{"NaN cache fraction", []string{"-cache", "lru", "-cachefrac", "NaN"}, "cache fraction NaN", ""},
+		{"cache fraction above 1", []string{"-cache", "lru", "-cachefrac", "7"}, "cache fraction 7", ""},
 		{"unknown topology", []string{"-topology", "torus"}, `unknown topology "torus"`, ""},
 		{"unknown backend", []string{"-backend", "thread"}, "thread", ""},
 		{"ring all-to-all", []string{"-alltoall", "ring"}, "ring", ""},
@@ -111,5 +118,35 @@ func TestAutotuneHeaderReportsTunedC(t *testing.T) {
 	header := regexp.MustCompile(`(?m)^dataset=.* p=8 c=(\d+) `).FindStringSubmatch(out)
 	if tuned == nil || header == nil || tuned[1] == "0" || header[1] != tuned[1] {
 		t.Fatalf("tuned %v, header %v in:\n%s", tuned, header, out)
+	}
+}
+
+// A -resume checkpoint of another model is an error naming both
+// parameter counts, returned before any epoch trains.
+func TestResumeOtherModelIsAnError(t *testing.T) {
+	ck := filepath.Join(t.TempDir(), "sbm.ck")
+	var out, errw bytes.Buffer
+	if err := run([]string{"-dataset", "sbm", "-p", "2", "-epochs", "1", "-checkpoint", ck}, &out, &errw); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params, err := graphio.ReadParams(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sbmParams := fmt.Sprintf("holds %d parameters", len(params))
+	out2, err := trainer("-p", "2", "-resume", ck)
+	if err == nil {
+		t.Fatalf("accepted:\n%s", out2)
+	}
+	if msg := err.Error(); !strings.Contains(msg, sbmParams) || !strings.Contains(msg, "the model has") || strings.Contains(msg, "\n") {
+		t.Fatalf("error %q, want one line naming both counts (%q)", msg, sbmParams)
+	}
+	if strings.Contains(out2, "epoch") || strings.Contains(out2, "test accuracy") {
+		t.Fatalf("trained before rejecting the checkpoint:\n%s", out2)
 	}
 }

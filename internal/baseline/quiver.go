@@ -37,9 +37,7 @@ type QuiverConfig struct {
 	// 8.1.1).
 	UVA bool
 
-	Hidden     int
 	Epochs     int
-	LR         float64
 	MaxBatches int
 	Seed       int64
 	Model      cluster.CostModel
@@ -64,8 +62,7 @@ const hostFeatureFraction = 0.8
 // paper beats never prefetches.
 func RunQuiver(d *datasets.Dataset, cfg QuiverConfig) (*pipeline.Result, error) {
 	return pipeline.Train(d, pipeline.Config{
-		P: cfg.P, C: 1, Sampler: "sage", Layers: len(d.Fanouts),
-		Hidden: cfg.Hidden, Epochs: cfg.Epochs, LR: cfg.LR,
+		P: cfg.P, C: 1, Sampler: "sage", Epochs: cfg.Epochs,
 		MaxBatches: cfg.MaxBatches, Seed: cfg.Seed, Model: cfg.Model,
 		Topology: cfg.Topology, Backend: cfg.Backend,
 		Faults: cfg.Faults, CkptInterval: cfg.CkptInterval,

@@ -68,7 +68,7 @@ func TestQuiverTrainsLoss(t *testing.T) {
 		IntraDeg: 10, InterDeg: 2, Noise: 0.5,
 		BatchSize: 32, Fanouts: []int{5, 3}, LayerWidth: 32, Seed: 4,
 	})
-	res, err := RunQuiver(d, QuiverConfig{P: 2, Epochs: 4, Seed: 4, LR: 0.02})
+	res, err := RunQuiver(d, QuiverConfig{P: 2, Epochs: 4, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestBadInputIsAnErrorForBothDrivers(t *testing.T) {
 		{"p = 0", pipeline.Config{P: 0}, &QuiverConfig{P: 0}},
 		{"p < 0", pipeline.Config{P: -1}, &QuiverConfig{P: -1}},
 		{"epochs < 0", pipeline.Config{P: 2, Epochs: -1}, &QuiverConfig{P: 2, Epochs: -1}},
-		{"lr < 0", pipeline.Config{P: 2, LR: -0.1}, &QuiverConfig{P: 2, LR: -0.1}},
+		{"lr < 0", pipeline.Config{P: 2, LR: -0.1}, nil},
 		{"ckpt interval < 0", pipeline.Config{P: 2, CkptInterval: -1}, &QuiverConfig{P: 2, CkptInterval: -1}},
 		{"fault rank outside p", pipeline.Config{P: 2, Faults: resilience.FailAt(2, 1)},
 			&QuiverConfig{P: 2, Faults: resilience.FailAt(2, 1)}},

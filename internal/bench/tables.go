@@ -108,8 +108,8 @@ func Accuracy(w io.Writer, d *datasets.Dataset, o Options) (*AccuracyResult, err
 	if err != nil {
 		return nil, err
 	}
-	acc := pipeline.Evaluate(d, res.Params, cfg, d.Test, nil)
-	fresh := pipeline.Evaluate(d, pipeline.Run0Params(d, cfg), cfg, d.Test, nil)
+	acc := pipeline.Evaluate(d, res.Params, cfg, d.Test)
+	fresh := pipeline.Evaluate(d, pipeline.Run0Params(d, cfg), cfg, d.Test)
 	out := &AccuracyResult{
 		TestAccuracy:      acc,
 		UntrainedAccuracy: fresh,

@@ -100,8 +100,8 @@ func resolveBackend(b Backend) Backend {
 }
 
 // waiter is one timeline's blocking handle, and with scheduler below
-// all a backend is. Every primitive — the collective rendezvous, the
-// mailbox, Queue, Forked.Join — blocks the same way: under its own
+// all a backend is. Every primitive — the collective rendezvous,
+// Queue, Forked.Join — blocks the same way: under its own
 // mutex it records the caller's waiter in its wait list, unlocks, and
 // parks; whoever completes the wait removes the entry and readies it
 // exactly once, at a simulated time that only orders events.

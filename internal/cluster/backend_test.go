@@ -99,80 +99,6 @@ func TestDESCollectivesMatchGoroutines(t *testing.T) {
 	}
 }
 
-// TestDESSendRecvMatchesGoroutines: point-to-point transfers complete
-// with the same values and clocks on both backends, whichever side
-// arrives first — under DES rank 0 always does, so the sender-is-rank-1
-// case is the receiver posting first.
-func TestDESSendRecvMatchesGoroutines(t *testing.T) {
-	var left [2]float64 // SimTime per sender rank
-	for sender := 0; sender < 2; sender++ {
-		t.Run(fmt.Sprintf("sender=rank%d", sender), func(t *testing.T) {
-			bothBackends(t, func(t *testing.T, m CostModel) float64 {
-				cl := New(2, m)
-				var got int
-				var clocks [2]float64
-				res, err := cl.Run(func(r *Rank) error {
-					if r.ID == sender {
-						r.AdvanceBy(1e-3)
-						Send(cl, r, 1-sender, 7, 42, 1024)
-					} else {
-						r.AdvanceBy(2e-3)
-						got = Recv[int](cl, r, sender, 7)
-					}
-					clocks[r.ID] = r.Clock()
-					return nil
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != 42 {
-					t.Fatalf("payload %d, want 42", got)
-				}
-				if clocks[0] != clocks[1] || clocks[0] <= 2e-3 {
-					t.Fatalf("sides left at %v: want both at the later entry plus the transfer", clocks)
-				}
-				left[sender] = res.SimTime
-				return res.SimTime
-			})
-		})
-	}
-	if left[0] != left[1] {
-		t.Fatalf("arrival order changed the clocks: %v", left)
-	}
-}
-
-// TestSendRecvSameKeyBackToBack: a (src, dst, tag) key is reusable the
-// moment its transfer completes. The goroutine backend used to release
-// the sender before the receiver had deleted the slot, so the next Send
-// on the key panicked "duplicate Send".
-func TestSendRecvSameKeyBackToBack(t *testing.T) {
-	const trials, rounds = 200, 200
-	bothBackends(t, func(t *testing.T, m CostModel) float64 {
-		var simTime float64
-		for trial := 0; trial < trials; trial++ {
-			cl := New(2, m)
-			res, err := cl.Run(func(r *Rank) error {
-				for i := 0; i < rounds; i++ {
-					if r.ID == 0 {
-						Send(cl, r, 1, 0, i, 8)
-					} else if got := Recv[int](cl, r, 0, 0); got != i {
-						return fmt.Errorf("trial %d: round %d received %d", trial, i, got)
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if trial > 0 && res.SimTime != simTime {
-				t.Fatalf("trial %d: SimTime %v, earlier trials %v", trial, res.SimTime, simTime)
-			}
-			simTime = res.SimTime
-		}
-		return simTime
-	})
-}
-
 // TestDESMismatchedCollectivesDiagnostic: the deadlock detector works
 // under DES and its diagnostic names the backend and the event-queue
 // depth (the DES analogue of a goroutine dump).

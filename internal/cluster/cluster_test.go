@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func testModel() CostModel {
@@ -382,112 +381,6 @@ func TestLog2Ceil(t *testing.T) {
 	}
 }
 
-func TestSendRecvDeliversValue(t *testing.T) {
-	cl := New(2, testModel())
-	_, err := cl.Run(func(r *Rank) error {
-		if r.ID == 0 {
-			Send(cl, r, 1, 7, "hello", 5)
-			return nil
-		}
-		got := Recv[string](cl, r, 0, 7)
-		if got != "hello" {
-			return fmt.Errorf("got %q", got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSendRecvSynchronizesClocks(t *testing.T) {
-	cl := New(2, testModel())
-	res, err := cl.Run(func(r *Rank) error {
-		if r.ID == 0 {
-			r.ChargeDense(1e13) // 1 simulated second head start
-			Send(cl, r, 1, 0, 42, 8)
-		} else {
-			v := Recv[int](cl, r, 0, 0)
-			if v != 42 {
-				return fmt.Errorf("got %d", v)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Receiver cannot finish before the sender's entry time.
-	if res.Ranks[1].Clock < 1 {
-		t.Fatalf("receiver clock %v < sender start 1s", res.Ranks[1].Clock)
-	}
-}
-
-func TestSendRecvManyTags(t *testing.T) {
-	cl := New(2, testModel())
-	_, err := cl.Run(func(r *Rank) error {
-		if r.ID == 0 {
-			for tag := 0; tag < 50; tag++ {
-				Send(cl, r, 1, tag, tag*tag, 8)
-			}
-			return nil
-		}
-		for tag := 0; tag < 50; tag++ {
-			if got := Recv[int](cl, r, 0, tag); got != tag*tag {
-				return fmt.Errorf("tag %d: got %d", tag, got)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSendRecvBidirectionalNoDeadlock(t *testing.T) {
-	// Cross-sends with reversed tags must complete (rendezvous pairs
-	// do not block each other across goroutines).
-	cl := New(2, testModel())
-	done := make(chan struct{})
-	go func() {
-		cl.Run(func(r *Rank) error {
-			other := 1 - r.ID
-			if r.ID == 0 {
-				Send(cl, r, other, 1, r.ID, 8)
-				Recv[int](cl, r, other, 2)
-			} else {
-				Recv[int](cl, r, other, 1)
-				Send(cl, r, other, 2, r.ID, 8)
-			}
-			return nil
-		})
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("send/recv deadlocked")
-	}
-}
-
-func TestSendToSelfPanics(t *testing.T) {
-	cl := New(2, testModel())
-	_, err := cl.Run(func(r *Rank) error {
-		if r.ID == 0 {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic on self-send")
-				}
-			}()
-			Send(cl, r, 0, 0, 1, 8)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPhaseStack(t *testing.T) {
 	cl := New(1, testModel())
 	res, err := cl.Run(func(r *Rank) error {
@@ -567,32 +460,6 @@ func TestOpCounters(t *testing.T) {
 	// Non-root ranks do not book broadcast bytes.
 	if res.Ranks[1].OpBytes["broadcast"] != 0 {
 		t.Fatal("non-root booked broadcast bytes")
-	}
-}
-
-func TestStragglerSlowsBSPMakespan(t *testing.T) {
-	run := func(stragglers map[int]float64) float64 {
-		model := testModel()
-		model.Stragglers = stragglers
-		cl := New(4, model)
-		world := cl.World()
-		res, err := cl.Run(func(r *Rank) error {
-			for step := 0; step < 5; step++ {
-				r.ChargeDense(1e12) // 0.1s nominal
-				Barrier(world, r)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.SimTime
-	}
-	base := run(nil)
-	slow := run(map[int]float64{2: 2.0})
-	// One 2x straggler must roughly double a compute-bound BSP loop.
-	if slow < base*1.8 || slow > base*2.2 {
-		t.Fatalf("straggler makespan %v vs base %v (want ~2x)", slow, base)
 	}
 }
 

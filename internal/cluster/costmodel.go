@@ -91,13 +91,6 @@ type CostModel struct {
 	// in one call pays it once instead of k times.
 	KernelLaunch float64
 
-	// Stragglers maps rank ids to compute multipliers (e.g. {3: 2.0}
-	// makes rank 3 twice as slow; {3: 0.5} models a rank twice as
-	// fast). Bulk-synchronous schedules are bound by their slowest
-	// member; this knob quantifies that sensitivity. Factors must be
-	// positive. Nil means no stragglers.
-	Stragglers map[int]float64
-
 	// Topology switches the model onto the contention-aware charging
 	// path: physical links (per-GPU NVLink ports, per-node NIC
 	// injection pipes, an optional oversubscribed fabric trunk) become
@@ -115,20 +108,6 @@ type CostModel struct {
 	// does. nil — the default — injects nothing and leaves every run
 	// bit-identical to a model without the field.
 	Faults *FaultPlan
-}
-
-// slowdown returns the compute multiplier for a rank. Any positive
-// factor is honored — entries in (0, 1) model faster-than-baseline
-// ranks — and a non-positive factor is a configuration error that
-// would silently vanish if ignored, so it panics instead.
-func (m CostModel) slowdown(rank int) float64 {
-	if f, ok := m.Stragglers[rank]; ok {
-		if f <= 0 {
-			panic(fmt.Sprintf("cluster: non-positive straggler factor %v for rank %d", f, rank))
-		}
-		return f
-	}
-	return 1
 }
 
 // Perlmutter returns a cost model calibrated to the evaluation platform
@@ -166,19 +145,12 @@ func Perlmutter() CostModel {
 
 // wireEntry returns the simulated time a transfer's payload hits the
 // wire: the α handshake latency after the entry clock. One of the
-// three helpers point-to-point code prices transfers through — the
+// two helpers ChargeLink prices transfers through — the
 // gnnvet charging check forbids inlined α–β arithmetic outside
 // collectives.go / contention.go / costmodel.go, so the single
 // charging path from PRs 3–4 cannot silently regrow cost sites.
 func (m CostModel) wireEntry(entry float64, l Link) float64 {
 	return entry + m.Alpha[l]
-}
-
-// wireDone returns a point transfer's completion time under the pure
-// α–β model: entry + α + bytes·β, kept in exactly this floating-point
-// association — the goldens pin charging-path results bit-for-bit.
-func (m CostModel) wireDone(entry float64, l Link, bytes int64) float64 {
-	return entry + m.Alpha[l] + float64(bytes)*m.Beta[l]
 }
 
 // wireTime returns the standalone α + bytes·β duration of a point
@@ -193,14 +165,6 @@ func (m CostModel) node(rank int) int {
 		return 0
 	}
 	return rank / m.GPUsPerNode
-}
-
-// linkBetween returns the interconnect tier connecting two ranks.
-func (m CostModel) linkBetween(a, b int) Link {
-	if m.node(a) == m.node(b) {
-		return IntraNode
-	}
-	return InterNode
 }
 
 // worstLink returns the slowest tier among all pairs of the given

@@ -68,8 +68,7 @@ type Rank struct {
 	// cl is the owning cluster.
 	cl *Cluster
 	// w is the handle this timeline parks on and its peers ready: the
-	// one way the rendezvous, mailbox, stage queues and stream joins
-	// block.
+	// one way the rendezvous, stage queues and stream joins block.
 	w waiter
 }
 
@@ -163,8 +162,8 @@ func (r *Rank) countOp(name string, bytes int64) {
 
 // countLink records wire bytes this rank injected on an interconnect
 // tier, booked under the current (innermost) phase — the per-link,
-// per-phase traffic accounting the charging path, point-to-point sends
-// and ChargeLink all feed.
+// per-phase traffic accounting the charging path and ChargeLink both
+// feed.
 func (r *Rank) countLink(l Link, bytes int64) {
 	if bytes <= 0 {
 		return
@@ -289,7 +288,7 @@ func (r *Rank) ChargeSparse(ops int64) { r.ChargeSparseOn(GPU, ops) }
 
 // ChargeSparseOn bills irregular operations on the given device.
 func (r *Rank) ChargeSparseOn(d Device, ops int64) {
-	r.advance(float64(ops)/r.model.SparseOps[d]*r.model.slowdown(r.ID), false)
+	r.advance(float64(ops)/r.model.SparseOps[d], false)
 }
 
 // ChargeDense bills flops dense multiply-add pairs at GPU dense
@@ -298,7 +297,7 @@ func (r *Rank) ChargeDense(flops int64) { r.ChargeDenseOn(GPU, flops) }
 
 // ChargeDenseOn bills dense flops on the given device.
 func (r *Rank) ChargeDenseOn(d Device, flops int64) {
-	r.advance(float64(flops)/r.model.DenseFlops[d]*r.model.slowdown(r.ID), false)
+	r.advance(float64(flops)/r.model.DenseFlops[d], false)
 }
 
 // ChargeMem bills a streaming memory traffic of the given bytes at GPU
@@ -307,7 +306,7 @@ func (r *Rank) ChargeMem(bytes int64) { r.ChargeMemOn(GPU, bytes) }
 
 // ChargeMemOn bills memory traffic on the given device.
 func (r *Rank) ChargeMemOn(d Device, bytes int64) {
-	r.advance(float64(bytes)/r.model.MemBW[d]*r.model.slowdown(r.ID), false)
+	r.advance(float64(bytes)/r.model.MemBW[d], false)
 }
 
 // ChargeKernels bills n fixed kernel-launch overheads. Per-minibatch
@@ -501,7 +500,6 @@ type Cluster struct {
 	// rankComms lists, per rank, the communicators (clones included) it
 	// is a member of.
 	rankComms [][]*Comm
-	mail      *mailbox
 	// cont is the physical-link contention ledger, created once when
 	// the model carries a Topology and reset per Run; nil keeps the
 	// pure α–β charging path.

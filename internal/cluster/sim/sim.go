@@ -4,7 +4,7 @@
 //
 // Exactly one task runs at any moment. A task runs until it blocks on
 // a simulated synchronization point (a collective rendezvous, a
-// point-to-point match, a bounded stage queue), parks itself, and
+// bounded stage queue, a stream join), parks itself, and
 // hands control back to the scheduler, which pops the next event and
 // resumes its task. Tasks are implemented as goroutines for their
 // stacks only — the resume/yield channel handoff guarantees a single

@@ -243,139 +243,23 @@ func TestTopologyValidate(t *testing.T) {
 	}
 }
 
-// Straggler factors in (0, 1) model faster-than-baseline ranks and
-// must be honored, not silently dropped.
-func TestStragglerFractionalFactorSpeedsRank(t *testing.T) {
-	model := Perlmutter()
-	model.Stragglers = map[int]float64{0: 0.5}
-	base := Perlmutter()
-	r := &Rank{ID: 0, N: 1, model: &model, phases: []string{"default"}, acct: newAcct()}
-	r.ChargeSparse(1_000_000)
-	want := 1_000_000 / base.SparseOps[GPU] * 0.5
-	approx(t, "fractional straggler clock", r.Clock(), want)
-}
-
-// Non-positive straggler factors are configuration errors: silently
-// ignoring them (the old behavior for anything <= 1) hid the mistake.
-func TestStragglerNonPositiveFactorPanics(t *testing.T) {
-	for _, f := range []float64{0, -1} {
-		model := Perlmutter()
-		model.Stragglers = map[int]float64{0: f}
-		r := &Rank{ID: 0, N: 1, model: &model, phases: []string{"default"}, acct: newAcct()}
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("straggler factor %v did not panic", f)
-				}
-			}()
-			r.ChargeSparse(1)
-		}()
-	}
-}
-
-// Recv must validate src up front like Send validates dst: an
-// out-of-range src can never match and used to block forever.
-func TestRecvInvalidSrcPanics(t *testing.T) {
-	cl := New(2, Perlmutter())
-	for _, src := range []int{-1, 2} {
-		src := src
-		_, err := cl.Run(func(r *Rank) error {
-			if r.ID != 0 {
-				return nil
-			}
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Recv from rank %d did not panic", src)
-				}
-			}()
-			Recv[int](cl, r, src, 0)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// A duplicate Send panics without wedging the mailbox: the diagnostic
-// releases the lock (deferred unlock), so the original matched pair
-// still completes instead of every rank deadlocking behind the mutex.
-func TestDuplicateSendPanicsAndReleasesMailbox(t *testing.T) {
-	cl := New(2, Perlmutter())
-	mk := func(id int) *Rank {
-		return &Rank{ID: id, N: 2, model: &cl.Model, phases: []string{"default"}, acct: newAcct(), w: newGoWaiter()}
-	}
-	s0, s0dup, r1 := mk(0), mk(0), mk(1)
-
-	firstDone := make(chan struct{})
-	go func() {
-		Send(cl, s0, 1, 0, 41, 8)
-		close(firstDone)
-	}()
-	// Wait until the first send has posted its slot.
-	mb := cl.mailboxInstance()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		mb.mu.Lock()
-		slot := mb.slots[mailKey{src: 0, dst: 1, tag: 0}]
-		posted := slot != nil && slot.hasData
-		mb.mu.Unlock()
-		if posted {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("first Send never posted")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	panicked := make(chan any, 1)
-	go func() {
-		defer func() { panicked <- recover() }()
-		Send(cl, s0dup, 1, 0, 42, 8)
-	}()
-	select {
-	case p := <-panicked:
-		if p == nil {
-			t.Fatal("duplicate Send did not panic")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("duplicate Send hung (mailbox wedged?)")
-	}
-
-	// The mailbox must still serve the original pair.
-	recvDone := make(chan int, 1)
-	go func() { recvDone <- Recv[int](cl, r1, 0, 0) }()
-	select {
-	case got := <-recvDone:
-		if got != 41 {
-			t.Fatalf("Recv after duplicate-send panic = %d, want 41", got)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Recv deadlocked after duplicate-send panic: mailbox left locked")
-	}
-	<-firstDone
-}
-
-// Point-to-point sends route through the contention ledger too. Sends
-// are separate ledger transactions (unlike one collective's members,
-// which share symmetrically), so the pair resolves first-committed-
-// first-served: the first send keeps its solo time and the second
-// shares the NIC while the first drains (half rate for one solo-time,
-// then full rate for the remaining half) — the slower of the two
-// finishes at 1.5x the solo β time, whichever order they commit in.
-func TestSendContendsOnSharedNIC(t *testing.T) {
+// ChargeLink transfers route through the contention ledger. Each
+// charge is its own ledger transaction (unlike one collective's
+// members, which share symmetrically), so the pair resolves
+// first-committed-first-served: the first transfer keeps its solo time
+// and the second shares the NIC while the first drains (half rate for
+// one solo-time, then full rate for the remaining half) — the slower
+// of the two finishes at 1.5x the solo β time, whichever order they
+// commit in.
+func TestChargeLinkContendsOnSharedNIC(t *testing.T) {
 	run := func(topo *Topology) float64 {
 		model := Perlmutter()
 		model.Topology = topo
 		cl := New(8, model)
 		res, err := cl.Run(func(r *Rank) error {
-			// Ranks 0 and 1 (node 0) send to ranks 4 and 5 (node 1).
-			switch r.ID {
-			case 0, 1:
-				Send(cl, r, r.ID+4, 0, 1, 1<<20)
-			case 4, 5:
-				Recv[int](cl, r, r.ID-4, 0)
+			// Ranks 0 and 1 share node 0's one NIC.
+			if r.ID < 2 {
+				r.ChargeLink(InterNode, 1<<20)
 			}
 			return nil
 		})
@@ -386,10 +270,10 @@ func TestSendContendsOnSharedNIC(t *testing.T) {
 	}
 	model := Perlmutter()
 	solo := model.Alpha[InterNode] + float64(1<<20)*model.Beta[InterNode]
-	approx(t, "ideal sends", run(nil), solo)
+	approx(t, "ideal transfers", run(nil), solo)
 	shared := run(OversubscribedTopology(0))
 	want := model.Alpha[InterNode] + 1.5*float64(1<<20)*model.Beta[InterNode]
-	approx(t, "shared-NIC sends", shared, want)
+	approx(t, "shared-NIC transfers", shared, want)
 }
 
 // A panic inside the rendezvous transform hook (the contention

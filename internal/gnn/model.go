@@ -21,10 +21,7 @@ type Config struct {
 	Hidden  int // hidden width (Table 4 uses 256; scaled presets use less)
 	Classes int
 	Layers  int // number of SAGE convolutions (Table 4: 3 for SAGE, 1 for LADIES)
-	// Agg selects the neighbor aggregation (default MeanAgg, the
-	// GraphSAGE mean aggregator the paper trains with).
-	Agg  Aggregator
-	Seed int64
+	Seed    int64
 }
 
 // layerView holds parameter matrix views into the flat buffer for one
@@ -177,7 +174,7 @@ func (m *Model) Forward(bg *core.BatchGraph, feats *dense.Matrix) (*Activations,
 		rows := adj.Rows
 		la := &act.layers[t]
 		la.h = h
-		la.norm = normalizeAdj(adj, m.Cfg.Agg, ws)
+		la.norm = normalizeAdj(adj, ws)
 
 		// Self term: embeddings of this depth's frontier are the first
 		// rows of h (the column frontier embeds the row frontier).
@@ -207,6 +204,18 @@ func (m *Model) Forward(bg *core.BatchGraph, feats *dense.Matrix) (*Activations,
 		}
 	}
 	return act, flops
+}
+
+// normalizeAdj returns the mean-aggregation operator for a sampled
+// bipartite adjacency block (rows: layer-l frontier, cols: layer-(l-1)
+// frontier): each row divided by its degree. The operator shares adj's
+// structure; its values are workspace memory, so adj is never written.
+func normalizeAdj(adj *sparse.CSR, ws *workspace) sparse.CSR {
+	out := *adj
+	out.Val = ws.take(len(adj.Val))
+	copy(out.Val, adj.Val)
+	out.NormalizeRows()
+	return out
 }
 
 // Backward computes the gradient of the loss with respect to every

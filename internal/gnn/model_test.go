@@ -8,6 +8,7 @@ import (
 	"repro/internal/datasets"
 	"repro/internal/dense"
 	"repro/internal/graph"
+	"repro/internal/sparse"
 )
 
 func sampleBatch(t *testing.T, n int, seeds []int, fanouts []int, seed int64) (*core.BatchGraph, *graph.Graph) {
@@ -174,5 +175,17 @@ func TestGatherFeatures(t *testing.T) {
 		if g.Data[i] != want[i] {
 			t.Fatalf("gather = %v, want %v", g.Data, want)
 		}
+	}
+}
+
+func TestNormalizeAdjMean(t *testing.T) {
+	adj := sparse.FromEntries(2, 3, [][3]float64{{0, 0, 1}, {0, 2, 1}, {1, 1, 1}})
+	norm := normalizeAdj(adj, &workspace{})
+	if norm.At(0, 0) != 0.5 || norm.At(0, 2) != 0.5 || norm.At(1, 1) != 1 {
+		t.Fatalf("mean normalization wrong: %v", norm.ToDense())
+	}
+	// Original must be untouched.
+	if adj.At(0, 0) != 1 {
+		t.Fatal("normalizeAdj mutated input")
 	}
 }

@@ -26,8 +26,8 @@ func stepFixture() (*core.BatchGraph, *dense.Matrix, []int) {
 	return bg, GatherFeatures(d.Features, bg.InputVertices()), d.Labels
 }
 
-func stepModel(agg Aggregator, dropout float64) *Model {
-	m := NewModel(Config{In: 8, Hidden: 16, Classes: 4, Layers: 2, Agg: agg, Seed: 6})
+func stepModel(dropout float64) *Model {
+	m := NewModel(Config{In: 8, Hidden: 16, Classes: 4, Layers: 2, Seed: 6})
 	m.SetDropout(dropout, 42)
 	return m
 }
@@ -50,34 +50,29 @@ func gradHash(grads []float64) uint64 {
 func TestStepPinned(t *testing.T) {
 	bg, feats, labels := stepFixture()
 	for _, pin := range []struct {
-		agg      Aggregator
 		dropout  float64
 		fwd, bwd int64
 		lossBits uint64
 		gradFNV  uint64
 	}{
-		{MeanAgg, 0, 74752, 149504, 0x3ff73c20b6c97128, 0xe9844c0946173d4d},
-		{MeanAgg, 0.5, 74752, 149504, 0x3ffccc4543589046, 0x6c09fa00e0561255},
-		{GCNAgg, 0, 74752, 149504, 0x3ff810fd39afa61f, 0x5bbe6f274171a497},
-		{GCNAgg, 0.5, 74752, 149504, 0x3fff3639d67def54, 0x1c0d805666a5322c},
-		{SumAgg, 0, 74752, 149504, 0x4017aa25a74d5c36, 0xa72d18f8c7810ad9},
-		{SumAgg, 0.5, 74752, 149504, 0x401fc1ce8c4b31dc, 0xe2f774d267a3c5a6},
+		{0, 74752, 149504, 0x3ff73c20b6c97128, 0xe9844c0946173d4d},
+		{0.5, 74752, 149504, 0x3ffccc4543589046, 0x6c09fa00e0561255},
 	} {
-		m := stepModel(pin.agg, pin.dropout)
+		m := stepModel(pin.dropout)
 		// Twice: the second step runs in the first one's recycled memory.
 		for step := 0; step < 2; step++ {
 			act, fwd := m.Forward(bg, feats)
 			loss, dLogits := Loss(act, act.SeedLabels(labels))
 			grads, bwd := m.Backward(act, dLogits)
 			if fwd != pin.fwd || bwd != pin.bwd {
-				t.Errorf("%v dropout %v step %d: flops %d/%d, want %d/%d",
-					pin.agg, pin.dropout, step, fwd, bwd, pin.fwd, pin.bwd)
+				t.Errorf("dropout %v step %d: flops %d/%d, want %d/%d",
+					pin.dropout, step, fwd, bwd, pin.fwd, pin.bwd)
 			}
 			if got := math.Float64bits(loss); got != pin.lossBits {
-				t.Errorf("%v dropout %v step %d: loss bits %#x, want %#x", pin.agg, pin.dropout, step, got, pin.lossBits)
+				t.Errorf("dropout %v step %d: loss bits %#x, want %#x", pin.dropout, step, got, pin.lossBits)
 			}
 			if got := gradHash(grads); got != pin.gradFNV {
-				t.Errorf("%v dropout %v step %d: gradient FNV-1a %#x, want %#x", pin.agg, pin.dropout, step, got, pin.gradFNV)
+				t.Errorf("dropout %v step %d: gradient FNV-1a %#x, want %#x", pin.dropout, step, got, pin.gradFNV)
 			}
 		}
 	}
@@ -87,7 +82,7 @@ func TestStepPinned(t *testing.T) {
 // Activations of one model must not share a workspace.
 func TestLiveActivationsShareNoStorage(t *testing.T) {
 	bg, feats, _ := stepFixture()
-	m := stepModel(MeanAgg, 0.5)
+	m := stepModel(0.5)
 	// Warm the free list so both forwards below could be handed the
 	// same recycled workspace if the list did not remove it.
 	act, _ := m.Forward(bg, feats)
@@ -122,11 +117,11 @@ func TestFreshModelReusesStepMemory(t *testing.T) {
 		_, dLogits := Loss(act, act.SeedLabels(labels))
 		m.Backward(act, dLogits)
 	}
-	warm := stepModel(MeanAgg, 0.5)
+	warm := stepModel(0.5)
 	step(warm)
 	warmStep := testing.AllocsPerRun(10, func() { step(warm) })
-	build := testing.AllocsPerRun(10, func() { stepModel(MeanAgg, 0.5) })
-	freshStep := testing.AllocsPerRun(10, func() { step(stepModel(MeanAgg, 0.5)) }) - build
+	build := testing.AllocsPerRun(10, func() { stepModel(0.5) })
+	freshStep := testing.AllocsPerRun(10, func() { step(stepModel(0.5)) }) - build
 	if freshStep != warmStep {
 		t.Fatalf("a fresh model's step made %v allocations, a warm model's %v", freshStep, warmStep)
 	}
@@ -134,7 +129,7 @@ func TestFreshModelReusesStepMemory(t *testing.T) {
 
 func TestSecondBackwardPanics(t *testing.T) {
 	bg, feats, labels := stepFixture()
-	m := stepModel(MeanAgg, 0)
+	m := stepModel(0)
 	act, _ := m.Forward(bg, feats)
 	_, dLogits := Loss(act, act.SeedLabels(labels))
 	dLogits = &dense.Matrix{Rows: dLogits.Rows, Cols: dLogits.Cols, Data: append([]float64(nil), dLogits.Data...)}
@@ -152,7 +147,7 @@ func TestSecondBackwardPanics(t *testing.T) {
 // each return the serial step's gradient.
 func TestConcurrentStepsMatchSerial(t *testing.T) {
 	bg, feats, labels := stepFixture()
-	m := stepModel(GCNAgg, 0.5)
+	m := stepModel(0.5)
 	step := func() uint64 {
 		act, _ := m.Forward(bg, feats)
 		_, dLogits := Loss(act, act.SeedLabels(labels))

@@ -26,22 +26,16 @@ func (c Config) mustDefaults(d *datasets.Dataset) Config {
 
 // Evaluate computes classification accuracy of the trained parameters
 // over the given vertex set, sampling their neighborhoods with the
-// same fanouts used in training (the paper evaluates with a larger
-// test fanout; pass testFanouts to override). Runs locally — accuracy
-// is a model property, not a systems one.
-func Evaluate(d *datasets.Dataset, params []float64, cfg Config, vertices []int, testFanouts []int) float64 {
+// same sizes used in training. Runs locally — accuracy is a model
+// property, not a systems one.
+func Evaluate(d *datasets.Dataset, params []float64, cfg Config, vertices []int) float64 {
 	cfg = cfg.mustDefaults(d)
 	model := cfg.newModel(d)
 	model.SetParams(params)
 
-	fanouts := testFanouts
-	if fanouts == nil {
-		fanouts = cfg.sizes
-	}
-
 	correct, total := 0, 0
 	for _, batch := range graph.Batches(vertices, d.BatchSize) {
-		bulk := core.SampleBulk(cfg.sampler, d.Graph.Adj, [][]int{batch}, fanouts, cfg.Seed+555)
+		bulk := core.SampleBulk(cfg.sampler, d.Graph.Adj, [][]int{batch}, cfg.sizes, cfg.Seed+555)
 		bg := bulk.ExtractBatch(0)
 		feats := gnn.GatherFeatures(d.Features, bg.InputVertices())
 		act, _ := model.Forward(bg, feats)
@@ -65,7 +59,7 @@ func EvaluateFull(d *datasets.Dataset, params []float64, cfg Config, vertices []
 	cfg = cfg.mustDefaults(d)
 	model := cfg.newModel(d)
 	model.SetParams(params)
-	bg := core.FullGraphBatch(d.Graph.Adj, cfg.Layers)
+	bg := core.FullGraphBatch(d.Graph.Adj, len(cfg.sizes))
 	act, _ := model.Forward(bg, d.Features)
 	pred := dense.Argmax(act.Logits)
 	correct := 0

@@ -97,12 +97,8 @@ func NewFeatureStores(g *cluster.Grid, feats *dense.Matrix) []*FeatureStore {
 
 // fetchScratchFor returns the calling rank's fetch workspace, building
 // it on first use. Replicas of a process row index disjoint slots (by
-// grid column), so the lazy writes never race. A store constructed
-// without NewFeatureStores falls back to per-call buffers.
+// grid column), so the lazy writes never race.
 func (fs *FeatureStore) fetchScratchFor(rank int) *fetchScratch {
-	if fs.scratch == nil {
-		return &fetchScratch{pos: map[int]int{}}
-	}
 	j := fs.Grid.ColIndex(rank)
 	s := fs.scratch[j]
 	if s == nil {

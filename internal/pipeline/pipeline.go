@@ -30,6 +30,9 @@ const (
 	GraphPartitioned
 )
 
+// hiddenWidth is the width of every hidden layer of the trained model.
+const hiddenWidth = 64
+
 // KAll is the explicit "sample every minibatch in one bulk" setting
 // for Config.K. The schedule treats any K <= 0 as "all"; KAll differs
 // from a plain 0 only for the autotuner, which reads 0 as "unset —
@@ -82,27 +85,21 @@ type Config struct {
 	Overlap bool
 
 	Sampler string // a core.Samplers key; empty selects the first
-	Hidden  int
-	Layers  int // GNN depth; 0 selects the sampler family's preset (core.LayerSizes)
 
 	// Dropout applies inverted dropout at this rate on hidden
 	// activations during training (0 disables).
 	Dropout float64
-	// Agg selects the neighbor aggregation (default GraphSAGE mean).
-	Agg gnn.Aggregator
 
 	// CachePolicy enables per-rank feature caching in the fetch step
 	// (the SALIENT++-style extension of Section 8.1.2). CacheFrac is
-	// the per-rank cache capacity as a fraction of the vertex count.
+	// the per-rank cache capacity as a fraction of the vertex count, in
+	// (0, 1] whenever a policy is set.
 	CachePolicy cache.Policy
 	CacheFrac   float64
 
 	Epochs     int
 	LR         float64
 	MaxBatches int // process at most this many global batches per epoch (0 = all); timings are extrapolated
-	// TrackVal evaluates validation accuracy after every epoch
-	// (sampled evaluation on the dataset's Val split).
-	TrackVal bool
 
 	// Faults is the fail-stop injection plan (merged into Model.Faults;
 	// an explicit Model.Faults wins only when this is nil). When a
@@ -128,7 +125,8 @@ type Config struct {
 
 	// Derived by withDefaults, the one place Sampler is looked up: the
 	// table row's sampler for the dataset's graph and the per-layer
-	// sizes it draws (len(sizes) == Layers).
+	// sizes it draws at the family's preset depth (len(sizes) is the
+	// model's depth).
 	sampler core.Sampler
 	sizes   []int
 }
@@ -145,9 +143,6 @@ func (c Config) withDefaults(d *datasets.Dataset) (Config, error) {
 	if c.C <= 0 {
 		c.C = 1
 	}
-	if c.Hidden == 0 {
-		c.Hidden = 64
-	}
 	if c.Sampler == "" {
 		c.Sampler = core.Samplers[0].Key
 	}
@@ -156,8 +151,7 @@ func (c Config) withDefaults(d *datasets.Dataset) (Config, error) {
 		return c, fmt.Errorf("pipeline: %w", err)
 	}
 	c.sampler = entry.New(d.Graph)
-	c.sizes = core.LayerSizes(c.sampler, d.Fanouts, d.LayerWidth, c.Layers)
-	c.Layers = len(c.sizes)
+	c.sizes = core.LayerSizes(c.sampler, d.Fanouts, d.LayerWidth, 0)
 	if c.Epochs == 0 {
 		c.Epochs = 1
 	}
@@ -201,6 +195,8 @@ func (c Config) normalised(d *datasets.Dataset) (Config, error) {
 		return c, fmt.Errorf("pipeline: learning rate %v: must be positive", c.LR)
 	case !(c.Dropout >= 0 && c.Dropout < 1):
 		return c, fmt.Errorf("pipeline: dropout rate %v outside [0, 1)", c.Dropout)
+	case c.CachePolicy != cache.None && !(c.CacheFrac > 0 && c.CacheFrac <= 1):
+		return c, fmt.Errorf("pipeline: cache fraction %v outside (0, 1]", c.CacheFrac)
 	case c.CkptInterval < 0:
 		return c, fmt.Errorf("pipeline: negative checkpoint interval %d", c.CkptInterval)
 	}
@@ -244,8 +240,6 @@ type EpochStats struct {
 	// LossBatches is the number of minibatch losses aggregated into
 	// Loss across all ranks (dummy-padded iterations excluded).
 	LossBatches int
-	// ValAccuracy is populated when Config.TrackVal is set.
-	ValAccuracy float64
 }
 
 // Result aggregates a run.
@@ -338,10 +332,9 @@ type FetchItem struct {
 func (c Config) newModel(d *datasets.Dataset) *gnn.Model {
 	return gnn.NewModel(gnn.Config{
 		In:      d.Features.Cols,
-		Hidden:  c.Hidden,
+		Hidden:  hiddenWidth,
 		Classes: d.NumClasses,
-		Layers:  c.Layers,
-		Agg:     c.Agg,
+		Layers:  len(c.sizes),
 		Seed:    c.Seed,
 	})
 }
@@ -385,7 +378,7 @@ func (b *bulk) newAttempt(cfg Config, batches [][]int, grid *cluster.Grid, store
 	rank := func(r *cluster.Rank) func(int64) (engine.Stage, engine.Stage) {
 		store := stores[r.ID]
 		var featCache cache.Cache
-		if cfg.CachePolicy != cache.None && cfg.CacheFrac > 0 {
+		if cfg.CachePolicy != cache.None {
 			capacity := int(cfg.CacheFrac * float64(d.Graph.NumVertices()))
 			featCache = cache.New(cfg.CachePolicy, capacity, d.Graph.Degrees())
 		}

@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/dense"
-	"repro/internal/gnn"
 	"repro/internal/graph"
 )
 
@@ -196,6 +195,10 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{Config{P: 2, Epochs: -1}, []string{"negative epoch count"}},
 		{Config{P: 2, LR: -0.1}, []string{"learning rate"}},
 		{Config{P: 2, Dropout: 1}, []string{"dropout rate 1"}},
+		{Config{P: 2, CachePolicy: cache.LRU, CacheFrac: -1}, []string{"cache fraction -1"}},
+		{Config{P: 2, CachePolicy: cache.LRU, CacheFrac: math.NaN()}, []string{"cache fraction NaN"}},
+		{Config{P: 2, CachePolicy: cache.StaticDegree, CacheFrac: 7}, []string{"cache fraction 7"}},
+		{Config{P: 2, CachePolicy: cache.StaticDegree}, []string{"cache fraction 0"}},
 		{Config{P: 2, CkptInterval: -1}, []string{"negative checkpoint interval"}},
 	} {
 		_, err := Run(d, c.cfg)
@@ -254,13 +257,13 @@ func TestEvaluateLearnsSBM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc := Evaluate(d, res.Params, cfg, d.Test, nil)
+	acc := Evaluate(d, res.Params, cfg, d.Test)
 	if acc < 0.6 {
 		t.Fatalf("test accuracy %.3f below 0.6 — model failed to learn", acc)
 	}
 	// Untrained (fresh Xavier) parameters must do markedly worse.
 	fresh := Run0Params(d, cfg)
-	freshAcc := Evaluate(d, fresh, cfg, d.Test, nil)
+	freshAcc := Evaluate(d, fresh, cfg, d.Test)
 	if freshAcc >= acc {
 		t.Fatalf("untrained accuracy %.3f >= trained %.3f", freshAcc, acc)
 	}
@@ -395,7 +398,7 @@ func TestEvaluateFullMatchesSampledRoughly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sampled := Evaluate(d, res.Params, cfg, d.Test, nil)
+	sampled := Evaluate(d, res.Params, cfg, d.Test)
 	exact := EvaluateFull(d, res.Params, cfg, d.Test)
 	if exact < 0.6 {
 		t.Fatalf("full-batch accuracy %.3f too low", exact)
@@ -426,40 +429,19 @@ func TestSimulationDeterministic(t *testing.T) {
 	}
 }
 
-func TestRunWithDropoutAndGCNAgg(t *testing.T) {
+func TestRunWithDropout(t *testing.T) {
 	d := tinySBM()
-	res, err := Run(d, Config{P: 2, C: 1, Epochs: 4, Seed: 18, LR: 0.02,
-		Dropout: 0.2, Agg: gnn.GCNAgg})
+	res, err := Run(d, Config{P: 2, C: 1, Epochs: 4, Seed: 18, LR: 0.02, Dropout: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.LastEpoch().Loss >= res.Epochs[0].Loss {
-		t.Fatalf("dropout+GCN training failed to reduce loss: %v -> %v",
+		t.Fatalf("dropout training failed to reduce loss: %v -> %v",
 			res.Epochs[0].Loss, res.LastEpoch().Loss)
 	}
-	acc := Evaluate(d, res.Params, Config{P: 2, C: 1, Seed: 18, Agg: gnn.GCNAgg}, d.Test, nil)
+	acc := Evaluate(d, res.Params, Config{P: 2, C: 1, Seed: 18}, d.Test)
 	if acc < 0.4 {
 		t.Fatalf("accuracy %.3f too low", acc)
-	}
-}
-
-func TestTrackValAccuracyImproves(t *testing.T) {
-	// A noisier SBM so the first epoch cannot already saturate.
-	d := datasets.SBM(datasets.SBMConfig{
-		N: 600, Classes: 8, Features: 8,
-		IntraDeg: 6, InterDeg: 3, Noise: 2.0,
-		BatchSize: 32, Fanouts: []int{5, 3}, LayerWidth: 32, Seed: 20,
-	})
-	res, err := Run(d, Config{P: 2, C: 1, Epochs: 6, Seed: 19, LR: 0.005, TrackVal: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, last := res.Epochs[0].ValAccuracy, res.LastEpoch().ValAccuracy
-	if last <= first {
-		t.Fatalf("val accuracy did not improve: %.3f -> %.3f", first, last)
-	}
-	if first >= 0.99 {
-		t.Fatalf("dataset too easy for the test: first-epoch accuracy %.3f", first)
 	}
 }
 
@@ -503,7 +485,7 @@ func TestOverlapTrainingBitIdenticalToSequential(t *testing.T) {
 	// seed, every epoch's loss, the trained parameters and the final
 	// accuracy must match the sequential schedule exactly.
 	d := tinySBM()
-	base := Config{P: 4, C: 2, K: 8, Epochs: 3, Seed: 31, LR: 0.02, TrackVal: true}
+	base := Config{P: 4, C: 2, K: 8, Epochs: 3, Seed: 31, LR: 0.02}
 	seq, err := Run(d, base)
 	if err != nil {
 		t.Fatal(err)
@@ -518,10 +500,6 @@ func TestOverlapTrainingBitIdenticalToSequential(t *testing.T) {
 		if seq.Epochs[e].Loss != ov.Epochs[e].Loss {
 			t.Fatalf("epoch %d loss diverged: %v vs %v", e, seq.Epochs[e].Loss, ov.Epochs[e].Loss)
 		}
-		if seq.Epochs[e].ValAccuracy != ov.Epochs[e].ValAccuracy {
-			t.Fatalf("epoch %d val accuracy diverged: %v vs %v",
-				e, seq.Epochs[e].ValAccuracy, ov.Epochs[e].ValAccuracy)
-		}
 	}
 	if len(seq.Params) != len(ov.Params) {
 		t.Fatalf("param count diverged: %d vs %d", len(seq.Params), len(ov.Params))
@@ -531,8 +509,8 @@ func TestOverlapTrainingBitIdenticalToSequential(t *testing.T) {
 			t.Fatalf("param %d diverged: %v vs %v", i, seq.Params[i], ov.Params[i])
 		}
 	}
-	sa := Evaluate(d, seq.Params, base, d.Test, nil)
-	oa := Evaluate(d, ov.Params, over, d.Test, nil)
+	sa := Evaluate(d, seq.Params, base, d.Test)
+	oa := Evaluate(d, ov.Params, over, d.Test)
 	if sa != oa {
 		t.Fatalf("test accuracy diverged: %v vs %v", sa, oa)
 	}
@@ -597,8 +575,8 @@ func TestPartitionedOverlapBitIdenticalToSequential(t *testing.T) {
 				t.Fatalf("%s param %d diverged: %v vs %v", sampler, i, seq.Params[i], ov.Params[i])
 			}
 		}
-		sa := Evaluate(d, seq.Params, base, d.Test, nil)
-		oa := Evaluate(d, ov.Params, over, d.Test, nil)
+		sa := Evaluate(d, seq.Params, base, d.Test)
+		oa := Evaluate(d, ov.Params, over, d.Test)
 		if sa != oa {
 			t.Fatalf("%s test accuracy diverged: %v vs %v", sampler, sa, oa)
 		}
@@ -867,8 +845,8 @@ func TestHierAllReduceSameTraining(t *testing.T) {
 	// NCCL reductions) and Adam amplifies ULP-level differences over
 	// steps, so compare training *outcomes*, not parameters: both
 	// runs must learn equally well.
-	fa := Evaluate(d, flat.Params, Config{P: 8, C: 2, Seed: 24}, d.Test, nil)
-	ha := Evaluate(d, hier.Params, Config{P: 8, C: 2, Seed: 24}, d.Test, nil)
+	fa := Evaluate(d, flat.Params, Config{P: 8, C: 2, Seed: 24}, d.Test)
+	ha := Evaluate(d, hier.Params, Config{P: 8, C: 2, Seed: 24}, d.Test)
 	if diff := fa - ha; diff > 0.1 || diff < -0.1 {
 		t.Fatalf("accuracy diverges between all-reduce algorithms: %.3f vs %.3f", fa, ha)
 	}

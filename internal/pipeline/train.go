@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"runtime"
+
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/datasets"
@@ -88,10 +90,6 @@ func Train(d *datasets.Dataset, cfg Config, strategy Strategy) (*Result, error) 
 	lossSums := make([][]float64, cfg.P)
 	lossCounts := make([][]int, cfg.P)
 	var finalParams []float64
-	var epochParams [][]float64 // rank 0 per-epoch snapshots for TrackVal
-	if cfg.TrackVal {
-		epochParams = make([][]float64, cfg.Epochs)
-	}
 
 	// Replicated-state dedup: data-parallel ranks hold bit-identical
 	// parameters and optimizer state at every step, so the simulator
@@ -133,6 +131,10 @@ func Train(d *datasets.Dataset, cfg Config, strategy Strategy) (*Result, error) 
 	// deterministic and what a real restart does.
 	var scale float64
 	attempt := func(plan *cluster.FaultPlan, startEpoch int, ck *graphio.Checkpoint) (*cluster.Result, error) {
+		// Collect earlier garbage first: otherwise peak memory depends on
+		// where the collector's last cycle fell in the caller's or a
+		// failed attempt's work, by up to an attempt's footprint.
+		runtime.GC()
 		m := cfg.Model
 		m.Faults = plan
 		cl := cluster.New(cfg.P, m)
@@ -171,7 +173,7 @@ func Train(d *datasets.Dataset, cfg Config, strategy Strategy) (*Result, error) 
 							g, bwdFlops := model.Backward(act, dLogits)
 							grads = g
 							rm.ChargeDense(fwdFlops + bwdFlops)
-							rm.ChargeKernels(4 * cfg.Layers)
+							rm.ChargeKernels(4 * len(cfg.sizes))
 							lossSum += loss
 							lossN++
 						}
@@ -203,9 +205,6 @@ func Train(d *datasets.Dataset, cfg Config, strategy Strategy) (*Result, error) 
 				}
 				lossSums[r.ID][epoch] = lossSum
 				lossCounts[r.ID][epoch] = lossN
-				if cfg.TrackVal && r.ID == 0 {
-					epochParams[epoch] = append([]float64(nil), model.Params()...)
-				}
 				// Epoch boundary bdry = epoch+1 completed epochs. Every
 				// rank pays the checkpoint write (HostLink, before the
 				// snapshot, so the restore point includes the charge) and
@@ -278,9 +277,6 @@ func Train(d *datasets.Dataset, cfg Config, strategy Strategy) (*Result, error) 
 			epochs[e].Total = res.SimTime * scale / float64(cfg.Epochs)
 		} else {
 			epochs[e].Total = epochs[e].Sampling + epochs[e].FeatureFetch + epochs[e].Propagation
-		}
-		if cfg.TrackVal && epochParams[e] != nil {
-			epochs[e].ValAccuracy = Evaluate(d, epochParams[e], cfg, d.Val, nil)
 		}
 	}
 	return &Result{Epochs: epochs, Cluster: res, Params: finalParams, Recovery: rec}, nil

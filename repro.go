@@ -193,7 +193,7 @@ func Train(d *Dataset, cfg TrainConfig) (*TrainResult, error) {
 // Evaluate computes test accuracy of trained parameters on the given
 // vertices.
 func Evaluate(d *Dataset, params []float64, cfg TrainConfig, vertices []int) float64 {
-	return pipeline.Evaluate(d, params, cfg, vertices, nil)
+	return pipeline.Evaluate(d, params, cfg, vertices)
 }
 
 // TrainQuiver runs the Quiver-strategy baseline (per-batch sampling on
