@@ -31,6 +31,7 @@ func TestCompare(t *testing.T) {
 		want string
 	}{
 		{"p = 0", []string{"-p", "0"}, "p=0"},
+		{"negative maxbatches", []string{"-maxbatches", "-3"}, "MaxBatches=-3"},
 		{"unknown profile", []string{"-profile", "bogus"}, `unknown profile "bogus"`},
 		{"unknown dataset", []string{"-dataset", "cora"}, "cora"},
 		{"unknown topology", []string{"-topology", "torus"}, `unknown topology "torus"`},

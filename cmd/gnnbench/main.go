@@ -55,6 +55,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
+	// Sampling-only experiments never reach the training driver's
+	// validation, and a negative cap would silently mean "all".
+	if *maxBatches < 0 {
+		return fmt.Errorf("bad -maxbatches %d: must be >= 0 (0 = all batches)", *maxBatches)
+	}
 	// Experiment-scoped flags error out under any other experiment
 	// instead of silently doing nothing.
 	for _, c := range []struct{ name, value, want string }{

@@ -59,6 +59,8 @@ func TestBadInputIsAnError(t *testing.T) {
 		{"perfbaseline outside perf", []string{"-experiment", "all", "-perfbaseline", "x.json"}, "-perfbaseline applies only to -experiment perf", ""},
 		{"sweepworkers outside scaling", []string{"-experiment", "fig4", "-sweepworkers", "2"}, "-sweepworkers applies only to -experiment scaling", ""},
 		{"zero gpu count", []string{"-experiment", "fig4", "-gpus", "4,0"}, "bad GPU count 0", ""},
+		{"negative maxbatches, sampling-only experiment", []string{"-experiment", "table3", "-maxbatches", "-3"}, "bad -maxbatches -3", ""},
+		{"negative maxbatches, every experiment", []string{"-experiment", "all", "-maxbatches", "-1"}, "bad -maxbatches -1", ""},
 		{"non-numeric gpus", []string{"-experiment", "fig4", "-gpus", "four"}, "bad GPU count list", ""},
 		{"bad topology", []string{"-experiment", "fig4", "-topology", "torus"}, `unknown topology "torus"`, ""},
 		{"bad backend", []string{"-experiment", "fig4", "-backend", "thread"}, "thread", ""},

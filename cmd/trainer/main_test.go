@@ -73,6 +73,7 @@ func TestFlagCombinations(t *testing.T) {
 		{"c does not divide p", []string{"-p", "4", "-c", "3"}, "must divide", ""},
 		{"partitioned c^2 does not divide p", []string{"-p", "8", "-c", "4", "-algorithm", "partitioned"}, "c^2 | p", ""},
 		{"negative epochs", []string{"-epochs", "-1"}, "negative epoch count", ""},
+		{"negative maxbatches", []string{"-maxbatches", "-3"}, "MaxBatches=-3", ""},
 		{"dropout 2", []string{"-dropout", "2"}, "dropout rate 2", ""},
 		{"unknown sampler", []string{"-sampler", "bogus"}, `unknown sampler "bogus"`, ""},
 		{"unknown algorithm", []string{"-algorithm", "bogus"}, `unknown algorithm "bogus"`, ""},

@@ -50,6 +50,7 @@ func TestBenchpool(t *testing.T) {
 
 func TestArenaEscape(t *testing.T) {
 	analysistest.Run(t, analysis.ArenaEscape, "testdata/arenaescape", "repro/fixture")
+	analysistest.Run(t, analysis.ArenaEscape, "testdata/arenapool", "repro/internal/freelist")
 }
 
 func TestFaultseam(t *testing.T) {

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -27,11 +28,20 @@ import (
 // itself, into tainted locals (interior pointers), and value copies of
 // basic data are clean; so is returning arena memory — the function
 // then carries FactArenaMem and its callers are checked instead.
+//
+// Arenas themselves outlive a run only through the shared free list
+// (freelist.List), which hands a set back only after its run is over.
+// A package-level variable of any other type that can hold an arena —
+// an ad-hoc pool, a cached set, a stashed arena — is a finding: it
+// would keep arenas across runs without that release discipline.
 var ArenaEscape = &Analyzer{
 	Name: "arenaescape",
-	Doc:  "arena-backed buffers (//gnnvet:arena types) must not be stored where they outlive the epoch",
+	Doc:  "arena-backed buffers (//gnnvet:arena types) must not be stored where they outlive the epoch, and arenas outlive a run only on the shared free list",
 	Run:  runArenaEscape,
 }
+
+// freeListPath is the package of the one sanctioned process-level pool.
+const freeListPath = "repro/internal/freelist"
 
 func runArenaEscape(pass *Pass) error {
 	if pass.Facts == nil {
@@ -42,14 +52,75 @@ func runArenaEscape(pass *Pass) error {
 			continue // tests may stash arena buffers to probe reuse
 		}
 		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Body != nil {
+					checkArenaEscapes(pass, d)
+				}
+			case *ast.GenDecl:
+				checkArenaPools(pass, d)
 			}
-			checkArenaEscapes(pass, fd)
 		}
 	}
 	return nil
+}
+
+// checkArenaPools flags package-level variables whose type can hold an
+// arena, other than the shared free list.
+func checkArenaPools(pass *Pass, gd *ast.GenDecl) {
+	if gd.Tok != token.VAR {
+		return
+	}
+	for _, spec := range gd.Specs {
+		for _, name := range spec.(*ast.ValueSpec).Names {
+			obj := pass.TypesInfo.Defs[name]
+			if obj == nil || !isPackageLevel(obj) || namedIn(obj.Type(), freeListPath, "List") {
+				continue
+			}
+			if arena := heldArena(pass.Facts, obj.Type(), map[types.Type]bool{}); arena != "" {
+				pass.Reportf(name.Pos(),
+					"package-level %s holds %s arenas outside the shared free list: a run's arenas outlive it only on a freelist.List, given back once the run is over",
+					name.Name, arena)
+			}
+		}
+	}
+}
+
+// heldArena returns the name of an arena type t can hold — itself, or
+// through pointers, containers and struct fields — or "".
+func heldArena(facts *FactBase, t types.Type, seen map[types.Type]bool) string {
+	if t == nil || seen[t] {
+		return ""
+	}
+	seen[t] = true
+	if facts.IsArenaType(t) {
+		if ptr, ok := t.(*types.Pointer); ok {
+			t = ptr.Elem()
+		}
+		return t.(*types.Named).Obj().Name()
+	}
+	switch u := t.Underlying().(type) {
+	case *types.Pointer:
+		return heldArena(facts, u.Elem(), seen)
+	case *types.Slice:
+		return heldArena(facts, u.Elem(), seen)
+	case *types.Array:
+		return heldArena(facts, u.Elem(), seen)
+	case *types.Chan:
+		return heldArena(facts, u.Elem(), seen)
+	case *types.Map:
+		if a := heldArena(facts, u.Key(), seen); a != "" {
+			return a
+		}
+		return heldArena(facts, u.Elem(), seen)
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			if a := heldArena(facts, u.Field(i).Type(), seen); a != "" {
+				return a
+			}
+		}
+	}
+	return ""
 }
 
 func checkArenaEscapes(pass *Pass, fd *ast.FuncDecl) {

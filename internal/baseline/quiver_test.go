@@ -114,6 +114,7 @@ func TestBadInputIsAnErrorForBothDrivers(t *testing.T) {
 		{"p = 0", pipeline.Config{P: 0}, &QuiverConfig{P: 0}},
 		{"p < 0", pipeline.Config{P: -1}, &QuiverConfig{P: -1}},
 		{"epochs < 0", pipeline.Config{P: 2, Epochs: -1}, &QuiverConfig{P: 2, Epochs: -1}},
+		{"max batches < 0", pipeline.Config{P: 2, MaxBatches: -3}, &QuiverConfig{P: 2, MaxBatches: -3}},
 		{"lr < 0", pipeline.Config{P: 2, LR: -0.1}, nil},
 		{"ckpt interval < 0", pipeline.Config{P: 2, CkptInterval: -1}, &QuiverConfig{P: 2, CkptInterval: -1}},
 		{"fault rank outside p", pipeline.Config{P: 2, Faults: resilience.FailAt(2, 1)},

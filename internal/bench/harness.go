@@ -326,10 +326,14 @@ func RunPartitionedSampling(d *datasets.Dataset, s core.Sampler, sizes []int, p,
 	grid := cluster.NewGrid(cl, p, c)
 	set := distsample.NewPartitionedSet(grid, d.Graph.Adj, aware)
 	batches := Batches(d, o.MaxBatches)
-	return cl.Run(func(r *cluster.Rank) error {
+	res, err := cl.Run(func(r *cluster.Rank) error {
 		distsample.SamplePartitioned(r, set[r.ID], s, distsample.LocalBatches(grid, r.ID, batches), sizes, o.Seed)
 		return nil
 	})
+	if err == nil {
+		distsample.ReleasePartitionedSet(set)
+	}
+	return res, err
 }
 
 // Fig7 reproduces Figure 7 for one sampler (a core.Samplers key; the

@@ -87,6 +87,9 @@ func Verify(w io.Writer, o Options) ([]VerifyRow, error) {
 			}
 			return nil
 		})
+		if err == nil && set != nil {
+			distsample.ReleasePartitionedSet(set)
+		}
 		return results, err
 	}
 	same := func(x, y []*core.BulkSample) bool {

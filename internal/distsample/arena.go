@@ -4,19 +4,23 @@ import (
 	"repro/internal/sparse"
 )
 
-// stageArena is one rank's epoch-persistent workspace for the 1.5D
-// SpGEMM stage loop. Before it, every stage of every layer rebuilt the
-// same intermediates from fresh heap: the Q_ik column blocks, the
-// NnzCols request list, the owner's extracted row payloads, the
-// assembled right operand, the local product and the accumulator merge:
-// 0.93 GB per partitioned small p=16 epoch of the perf suite, 4x the
-// replicated path. The arena brought that to 0.33 GB; copying one-hot
-// rows instead of accumulating them and sharing one total per process
-// row brought it to 0.24 GB (GOMAXPROCS=1). The arena owns buffers that
-// successive stages and calls adopt, each resized to exactly the size
-// the call computes for it before writing (a product's flop bound, a
-// payload's summed row degrees); buffers scale with the active
-// frontier's nonzeros, not with p.
+// stageArena is one rank's workspace for the 1.5D SpGEMM stage loop,
+// recycled by position from run to run (see NewPartitionedSet). Before
+// it, every stage of every layer rebuilt the same intermediates from
+// fresh heap: the Q_ik column blocks, the NnzCols request list, the
+// owner's extracted row payloads, the assembled right operand, the
+// local product and the accumulator merge: 0.93 GB per partitioned
+// small p=16 epoch of the perf suite, 4x the replicated path. A
+// per-run arena brought that to 0.33 GB; copying one-hot rows instead
+// of accumulating them and sharing one total per process row brought
+// it to 0.24 GB (GOMAXPROCS=1). Handing the arenas of a finished run to
+// the next one takes the arena share out of every run after the
+// process's first (benchmark/ partitioned-dense: 0.46 GB → 0.02 GB per
+// epoch). The arena owns buffers that successive stages and calls
+// adopt, each resized to exactly the size the call computes for it
+// before writing (a product's flop bound, a payload's summed row
+// degrees); buffers scale with the active frontier's nonzeros, not
+// with p.
 //
 // Reuse safety for the buffers that cross the wire rests on the
 // rendezvous happens-before edges of the collectives:
@@ -101,14 +105,13 @@ func growFloats(buf []float64, n int) []float64 {
 }
 
 // arena returns the calling rank's workspace slot, building it on
-// first use. The c replicas sharing this block row index disjoint
-// slots (by grid column), so the lazy writes never race.
+// first use. Every rank indexes its own slot, so the lazy writes never
+// race.
 func (ps *Partitioned) arena(rank int) *stageArena {
-	j := ps.Grid.ColIndex(rank)
-	a := ps.arenas[j]
+	a := ps.arenas[rank]
 	if a == nil {
 		a = &stageArena{}
-		ps.arenas[j] = a
+		ps.arenas[rank] = a
 	}
 	return a
 }

@@ -1,6 +1,7 @@
 package distsample
 
 import (
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/cluster"
@@ -66,6 +67,47 @@ func TestArenaReuseBitIdentical(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// A released set's arenas serve the next set at their grown sizes:
+// after one run, a new set's first SpGEMM15D allocates no more than a
+// warm set's next call does. GC is held off while counting: a
+// collection frees the runtime's own caches, which then count as
+// allocations of whichever call refills them.
+func TestFreshSetReusesArenaMemory(t *testing.T) {
+	const p, c = 8, 2
+	a := testGraph(150, 10, 9)
+	batches := makeBatches(8, 4, 150)
+	m := cluster.Perlmutter()
+	m.Backend = cluster.DESBackend
+	cl := cluster.New(p, m)
+	g := cluster.NewGrid(cl, p, c)
+	qs := make([]*sparse.CSR, p)
+	for rank := range qs {
+		qs[rank] = core.SAGE{}.BuildQ(core.NewFrontier(LocalBatches(g, rank, batches)), a.Rows)
+	}
+	call := func(set []*Partitioned) {
+		if _, err := cl.Run(func(r *cluster.Rank) error {
+			set[r.ID].SpGEMM15D(r, qs[r.ID])
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	warm := NewPartitionedSet(g, a, true)
+	call(warm)
+	warmCall := testing.AllocsPerRun(5, func() { call(warm) })
+	ReleasePartitionedSet(warm)
+	build := testing.AllocsPerRun(5, func() { ReleasePartitionedSet(NewPartitionedSet(g, a, true)) })
+	freshCall := testing.AllocsPerRun(5, func() {
+		set := NewPartitionedSet(g, a, true)
+		call(set)
+		ReleasePartitionedSet(set)
+	}) - build
+	if freshCall > warmCall {
+		t.Fatalf("a new set's first call made %v allocations, a warm set's call %v", freshCall, warmCall)
 	}
 }
 

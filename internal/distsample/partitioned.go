@@ -28,6 +28,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/freelist"
 	"repro/internal/graph"
 	"repro/internal/sparse"
 )
@@ -54,19 +55,34 @@ type Partitioned struct {
 	// sparsity-oblivious baseline the paper contrasts against).
 	SparsityAware bool
 
-	// arenas holds the epoch-persistent per-rank workspaces of the c
-	// replicas sharing this block row, indexed by grid column (each
-	// replica of a process row has a distinct column). See stageArena
-	// for the reuse-safety argument.
+	// arenas is the set's stage arenas, shared by every block: rank r's
+	// is arenas[r], so grid slot (i, j) — the arena of block row i's
+	// column-j replica — is arenas[i*c+j]. See stageArena for the
+	// reuse-safety argument.
 	arenas []*stageArena
 }
+
+// freeArenaSets holds the arena lists of released sets (see
+// NewPartitionedSet).
+var freeArenaSets freelist.List[[]*stageArena]
 
 // NewPartitionedSet slices A into the grid's block rows, returning the
 // per-rank state (index by rank id). Replicas within a process row
 // share the same block storage, like real replicas would hold copies.
+//
+// The set's stage arenas are a whole released set's, when the process
+// has one: reuse is by position, not arena by arena, because positions
+// have roles — a process row's column-0 arena holds the row's fold
+// total, owners hold response payloads — so a recycled set at the same
+// grid shape regrows nothing. Give the set back with
+// ReleasePartitionedSet once no rank can still read it.
 func NewPartitionedSet(g *cluster.Grid, a *sparse.CSR, sparsityAware bool) []*Partitioned {
 	if g.Rows%g.C != 0 {
 		panic(fmt.Sprintf("distsample: 1.5D algorithm needs c^2 | p (p=%d c=%d)", g.P, g.C))
+	}
+	arenas, _ := freeArenaSets.Take()
+	if len(arenas) < g.P {
+		arenas = append(arenas, make([]*stageArena, g.P-len(arenas))...)
 	}
 	blocks := make([]*Partitioned, g.Rows)
 	for i := 0; i < g.Rows; i++ {
@@ -78,7 +94,7 @@ func NewPartitionedSet(g *cluster.Grid, a *sparse.CSR, sparsityAware bool) []*Pa
 			Lo:            lo,
 			Hi:            hi,
 			SparsityAware: sparsityAware,
-			arenas:        make([]*stageArena, g.C),
+			arenas:        arenas,
 		}
 	}
 	out := make([]*Partitioned, g.P)
@@ -86,6 +102,24 @@ func NewPartitionedSet(g *cluster.Grid, a *sparse.CSR, sparsityAware bool) []*Pa
 		out[rank] = blocks[g.RowIndex(rank)]
 	}
 	return out
+}
+
+// ReleasePartitionedSet hands the set's stage arenas to the next
+// NewPartitionedSet. Call it only once every rank is done with the set
+// — after the cluster run that used it has returned without error: a
+// member may read another's arena (a payload, the row total) until it
+// leaves the collective, and a failed run leaves arenas mid-call. The
+// set must not be used afterwards.
+func ReleasePartitionedSet(set []*Partitioned) {
+	arenas := set[0].arenas
+	for _, a := range arenas {
+		if a != nil {
+			// total points into another arena of the set; nextTag keeps
+			// counting, because stamp still holds the old tags.
+			a.total = nil
+		}
+	}
+	freeArenaSets.Put(arenas)
 }
 
 // rowPayload carries requested rows of an A block from the owner to a
@@ -106,9 +140,9 @@ func payloadBytes(p *rowPayload) int {
 // columns span the full vertex range [0, N). The result is the full
 // product for this rank's rows — one matrix per process row, the fold
 // total its c members share. It is read-only: it lives in the process
-// row's epoch-persistent arena, is valid until the row's next
-// SpGEMM15D call on this set, and must not be passed back in as Q. The
-// collective schedules — the per-stage gathers/scatters and the row
+// row's stage arenas, is valid until the row's next SpGEMM15D call on
+// this set (or the set's release), and must not be passed back in as
+// Q. The collective schedules — the per-stage gathers/scatters and the row
 // all-reduce — charge under the cost model's Collectives table
 // (cluster.CollectiveAlgorithm), so algorithm comparisons reach the
 // 1.5D sampling path without any plumbing here.
@@ -131,7 +165,7 @@ func (ps *Partitioned) SpGEMM15D(r *cluster.Rank, q *sparse.CSR) *sparse.CSR {
 	colComm := g.ColComm(r.ID).ForStream(r)
 	rowComm := g.RowComm(r.ID).ForStream(r)
 
-	// All buffers below come from the rank's epoch-persistent arena;
+	// All buffers below come from the rank's stage arena;
 	// every charge and collective is unchanged from the allocating
 	// version, so simulated time is bit-identical (see stageArena).
 	ar := ps.arena(r.ID)

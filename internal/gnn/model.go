@@ -218,27 +218,40 @@ func normalizeAdj(adj *sparse.CSR, ws *workspace) sparse.CSR {
 	return out
 }
 
-// Backward computes the gradient of the loss with respect to every
-// parameter given dLogits (from Loss). The result is a flat vector
-// aligned with Params(), freshly allocated: the data-parallel
-// all-reduce reads it while its owner is parked, after another rank
-// may have taken this step's workspace. Backward ends the step — act
-// must not be used again.
+// Backward is BackwardInto a freshly allocated gradient vector, which
+// it returns: the form for callers that keep every step's gradient
+// (benchmark/walk.go, the examples).
+func (m *Model) Backward(act *Activations, dLogits *dense.Matrix) ([]float64, int64) {
+	grads := make([]float64, len(m.flat))
+	return grads, m.BackwardInto(act, dLogits, grads)
+}
+
+// BackwardInto writes the gradient of the loss with respect to every
+// parameter, given dLogits (from Loss), into grads: a flat vector
+// aligned with Params() whose prior contents are ignored. grads is the
+// caller's, not step memory, because the data-parallel all-reduce reads
+// it while its owner is parked — after another rank may have taken this
+// step's workspace — so the caller recycles it only once the all-reduce
+// has returned. BackwardInto ends the step: act must not be used again.
 //
 // The returned flop count is what the matrix algorithm performs. Two
 // of its terms are charged without being run: the aggregation SpMM
 // (Forward kept its result) and the first convolution's input gradient
 // (two MatMulT over the widest frontier and an SpMMT, whose result no
 // parameter gradient reads).
-func (m *Model) Backward(act *Activations, dLogits *dense.Matrix) ([]float64, int64) {
+func (m *Model) BackwardInto(act *Activations, dLogits *dense.Matrix, grads []float64) int64 {
+	if len(grads) != len(m.flat) {
+		panic(fmt.Sprintf("gnn: gradient buffer holds %d values, model has %d", len(grads), len(m.flat)))
+	}
 	ws := act.workspace()
-	grads := make([]float64, len(m.flat))
 	hidden, classes := m.Cfg.Hidden, m.Cfg.Classes
 	var flops int64
 
-	// Classifier.
+	// Classifier. Every weight gradient below is a TMatMulInto, which
+	// overwrites its output; the bias gradient is the one sum.
 	gWOut := ws.view(hidden, classes, grads[m.outOff:])
 	gBOut := grads[m.outOff+hidden*classes:]
+	clear(gBOut)
 	flops += dense.TMatMulInto(gWOut, act.hTop, dLogits)
 	for i := 0; i < dLogits.Rows; i++ {
 		row := dLogits.RowView(i)
@@ -286,7 +299,7 @@ func (m *Model) Backward(act *Activations, dLogits *dense.Matrix) ([]float64, in
 
 	*act = Activations{}
 	putWorkspace(ws)
-	return grads, flops
+	return flops
 }
 
 // Loss computes cross-entropy over the seed vertices and the logits

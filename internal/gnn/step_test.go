@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -59,11 +61,22 @@ func TestStepPinned(t *testing.T) {
 		{0.5, 74752, 149504, 0x3ffccc4543589046, 0x6c09fa00e0561255},
 	} {
 		m := stepModel(pin.dropout)
-		// Twice: the second step runs in the first one's recycled memory.
+		// Twice: the second step runs in the first one's recycled memory
+		// and writes its gradient over a buffer of garbage.
+		dirty := make([]float64, m.NumParams())
+		for i := range dirty {
+			dirty[i] = math.NaN()
+		}
 		for step := 0; step < 2; step++ {
 			act, fwd := m.Forward(bg, feats)
 			loss, dLogits := Loss(act, act.SeedLabels(labels))
-			grads, bwd := m.Backward(act, dLogits)
+			var grads []float64
+			var bwd int64
+			if step == 0 {
+				grads, bwd = m.Backward(act, dLogits)
+			} else {
+				grads, bwd = dirty, m.BackwardInto(act, dLogits, dirty)
+			}
 			if fwd != pin.fwd || bwd != pin.bwd {
 				t.Errorf("dropout %v step %d: flops %d/%d, want %d/%d",
 					pin.dropout, step, fwd, bwd, pin.fwd, pin.bwd)
@@ -124,6 +137,41 @@ func TestFreshModelReusesStepMemory(t *testing.T) {
 	freshStep := testing.AllocsPerRun(10, func() { step(stepModel(0.5)) }) - build
 	if freshStep != warmStep {
 		t.Fatalf("a fresh model's step made %v allocations, a warm model's %v", freshStep, warmStep)
+	}
+}
+
+// A step that writes its gradient into the caller's buffer allocates
+// nothing for it: a warm step allocates exactly one allocation and the
+// gradient's bytes less than one that returns a fresh gradient.
+func TestBackwardIntoAllocatesNoGradient(t *testing.T) {
+	bg, feats, labels := stepFixture()
+	m := stepModel(0.5)
+	grads := make([]float64, m.NumParams())
+	step := func(into bool) {
+		act, _ := m.Forward(bg, feats)
+		_, dLogits := Loss(act, act.SeedLabels(labels))
+		if into {
+			m.BackwardInto(act, dLogits, grads)
+		} else {
+			m.Backward(act, dLogits)
+		}
+	}
+	cost := func(into bool) (allocs, bytes uint64) {
+		step(into)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 10; i++ {
+			step(into)
+		}
+		runtime.ReadMemStats(&after)
+		return (after.Mallocs - before.Mallocs) / 10, (after.TotalAlloc - before.TotalAlloc) / 10
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	intoAllocs, intoBytes := cost(true)
+	freshAllocs, freshBytes := cost(false)
+	if gradBytes := uint64(8 * m.NumParams()); freshAllocs-intoAllocs != 1 || freshBytes-intoBytes < gradBytes {
+		t.Fatalf("step into a caller's buffer: %d allocations, %d B; with a fresh gradient: %d, %d B (gradient %d B)",
+			intoAllocs, intoBytes, freshAllocs, freshBytes, gradBytes)
 	}
 }
 

@@ -1,14 +1,13 @@
 package gnn
 
 import (
-	"sync"
-
 	"repro/internal/dense"
+	"repro/internal/freelist"
 	"repro/internal/sparse"
 )
 
 // workspace is the memory of one Forward→Backward step: every matrix
-// the step computes except the returned gradient is drawn from it.
+// the step computes except the gradient is drawn from it.
 // Forward takes one from the free list, the step's Activations carry
 // it, and Backward puts it back when it returns, so the number of live
 // workspaces is the number of steps in flight — bounded by the ranks
@@ -83,35 +82,26 @@ func (ws *workspace) mat(rows, cols int) *dense.Matrix {
 }
 
 // freeWorkspaces holds the workspaces no step holds (see workspace).
-var freeWorkspaces struct {
-	mu   sync.Mutex
-	list []*workspace
-}
+var freeWorkspaces freelist.List[*workspace]
 
 // takeWorkspace returns a workspace no other live step holds.
 func takeWorkspace() *workspace {
-	freeWorkspaces.mu.Lock()
-	defer freeWorkspaces.mu.Unlock()
-	n := len(freeWorkspaces.list)
-	if n == 0 {
+	ws, ok := freeWorkspaces.Take()
+	if !ok {
 		return &workspace{}
 	}
-	ws := freeWorkspaces.list[n-1]
-	freeWorkspaces.list = freeWorkspaces.list[:n-1]
 	ws.nbufs, ws.nhdrs = 0, 0
 	return ws
 }
 
 // putWorkspace returns a finished step's workspace to the free list,
 // first dropping what it points at outside itself (the caller's
-// features and batch adjacency, the returned gradient), so a parked
+// features and batch adjacency, the caller's gradient buffer), so a parked
 // workspace keeps only its own buffers alive.
 func putWorkspace(ws *workspace) {
 	clear(ws.layers)
 	for _, h := range ws.hdrs {
 		*h = dense.Matrix{}
 	}
-	freeWorkspaces.mu.Lock()
-	freeWorkspaces.list = append(freeWorkspaces.list, ws)
-	freeWorkspaces.mu.Unlock()
+	freeWorkspaces.Put(ws)
 }

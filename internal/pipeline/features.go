@@ -11,6 +11,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/cluster"
 	"repro/internal/dense"
+	"repro/internal/freelist"
 	"repro/internal/graph"
 )
 
@@ -29,10 +30,11 @@ type FeatureStore struct {
 	// it at prefetch or on first fetch).
 	global *dense.Matrix
 
-	// scratch holds the epoch-persistent fetch workspaces of the c
-	// replicas sharing this block row, indexed by grid column. Before
-	// it, every FetchCached call rebuilt the request/response
-	// bookkeeping from fresh heap once per batch.
+	// scratch is the set's fetch workspaces, shared by every block and
+	// indexed by rank (grid slot (i, j) is scratch[i*c+j]), recycled by
+	// position from run to run like the partitioned stage arenas (see
+	// NewFeatureStores). Before it, every FetchCached call rebuilt the
+	// request/response bookkeeping from fresh heap once per batch.
 	scratch []*fetchScratch
 }
 
@@ -46,14 +48,19 @@ type FeatureStore struct {
 // Response rows are read by requesters before they enter any later
 // collective on the column communicator; the owner rewrites them only
 // behind its next call's round one, which every member must have
-// reached. That is also why the workspace belongs to the rank and is
-// never handed to another one: a requester may still be reading an
-// owner's rows after the owner has returned. The assembled output
-// matrix is NOT part of the workspace — it outlives the call (the
-// overlap pipeline hands it to the propagation stage).
+// reached. That is also why a workspace is never handed on when a call
+// returns — a requester may still be reading an owner's rows after the
+// owner has returned — but only with its whole set, once the cluster
+// run is over. The assembled output matrix is not part of the
+// workspace: it outlives the call (the overlap pipeline hands it to the
+// propagation stage), so it comes from a free list of its own, and the
+// propagation stage gives it back when its step is done.
+//
+//gnnvet:arena
 type fetchScratch struct {
 	pos      map[int]int  // vertex -> output slot of its first request, or fetchCacheHit
 	wanted   []fetchEntry // distinct vertices to fetch, grouped by owner
+	hits     []fetchEntry // output slots served from the cache (owner unused)
 	repeats  []fetchRepeat
 	owners   []int // owners asked, ascending: round one's destinations
 	reqs     [][]int
@@ -63,8 +70,8 @@ type fetchScratch struct {
 }
 
 // fetchEntry is one distinct vertex to fetch, its owner, and the output
-// slot of its first request. Owners and slots are 32-bit: the scratch
-// is rebuilt with every FeatureStore, so its growth is per-run heap.
+// slot of its first request. Owners and slots are 32-bit, to keep the
+// list compact.
 type fetchEntry struct {
 	vertex      int
 	owner, slot int32
@@ -76,17 +83,27 @@ type fetchRepeat struct{ first, slot int32 }
 // fetchCacheHit marks a vertex served from the cache in this request.
 const fetchCacheHit = -1
 
+// freeScratchSets holds the fetch workspaces of released store sets.
+var freeScratchSets freelist.List[[]*fetchScratch]
+
 // NewFeatureStores slices the global feature matrix into the grid's
 // block rows. H is read-only, so each block is a view over feats'
 // storage, not a copy — replicas in a process row share it (they would
-// hold identical copies on real hardware).
+// hold identical copies on real hardware). The fetch workspaces are a
+// whole released set's, when the process has one, reused by position
+// (grid slot (i, j) keeps serving the rank at (i, j)); Train gives them
+// back when its attempt has finished cleanly.
 func NewFeatureStores(g *cluster.Grid, feats *dense.Matrix) []*FeatureStore {
+	scratch, _ := freeScratchSets.Take()
+	if len(scratch) < g.P {
+		scratch = append(scratch, make([]*fetchScratch, g.P-len(scratch))...)
+	}
 	blocks := make([]*FeatureStore, g.Rows)
 	for i := 0; i < g.Rows; i++ {
 		lo, hi := graph.BlockRowRange(feats.Rows, g.Rows, i)
 		h := dense.FromSlice(hi-lo, feats.Cols, feats.Data[lo*feats.Cols:hi*feats.Cols])
 		blocks[i] = &FeatureStore{Grid: g, H: h, Lo: lo, Hi: hi, N: feats.Rows, global: feats,
-			scratch: make([]*fetchScratch, g.C)}
+			scratch: scratch}
 	}
 	out := make([]*FeatureStore, g.P)
 	for rank := 0; rank < g.P; rank++ {
@@ -95,17 +112,45 @@ func NewFeatureStores(g *cluster.Grid, feats *dense.Matrix) []*FeatureStore {
 	return out
 }
 
+// releaseFeatureStores hands the set's fetch workspaces to the next
+// NewFeatureStores. Only once the cluster run that used the stores has
+// returned without error: until then a requester may be reading an
+// owner's response rows, and a failed run leaves workspaces mid-call.
+func releaseFeatureStores(stores []*FeatureStore) {
+	freeScratchSets.Put(stores[0].scratch)
+}
+
 // fetchScratchFor returns the calling rank's fetch workspace, building
-// it on first use. Replicas of a process row index disjoint slots (by
-// grid column), so the lazy writes never race.
+// it on first use. Every rank indexes its own slot, so the lazy writes
+// never race.
 func (fs *FeatureStore) fetchScratchFor(rank int) *fetchScratch {
-	j := fs.Grid.ColIndex(rank)
-	s := fs.scratch[j]
+	s := fs.scratch[rank]
 	if s == nil {
 		s = &fetchScratch{pos: map[int]int{}}
-		fs.scratch[j] = s
+		fs.scratch[rank] = s
 	}
 	return s
+}
+
+// freeFeatures holds FetchCached results whose last reader — the
+// propagation step's Backward — is done with them.
+var freeFeatures freelist.List[*dense.Matrix]
+
+// takeFeatures returns a rows x cols matrix of unspecified contents,
+// reusing a finished step's storage (with headroom, like the step
+// workspace: frontier sizes vary batch to batch) when it is large
+// enough.
+func takeFeatures(rows, cols int) *dense.Matrix {
+	m, ok := freeFeatures.Take()
+	if !ok {
+		m = new(dense.Matrix)
+	}
+	n := rows * cols
+	if cap(m.Data) < n {
+		m.Data = make([]float64, n+n/8)
+	}
+	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:n]
+	return m
 }
 
 // Fetch assembles the feature rows of the given global vertices via
@@ -133,26 +178,31 @@ func (fs *FeatureStore) Fetch(r *cluster.Rank, vertices []int) *dense.Matrix {
 // The collectives go through the communicator clone dedicated to the
 // calling stream (ForStream), so a fetch stage prefetching on its own
 // stream coexists with collective-bearing sampling on another.
+//
+// The result is the caller's until it hands it back to the package's
+// free list (Train's propagation stage does, after Backward): every row
+// of it is written here, over whatever a finished step left behind. It
+// is taken only once both collectives are over, so the ranks parked in
+// them hold no output matrix.
 func (fs *FeatureStore) FetchCached(r *cluster.Rank, vertices []int, c cache.Cache) *dense.Matrix {
 	g := fs.Grid
 	colComm := g.ColComm(r.ID).ForStream(r)
 	members := colComm.Size() // == g.Rows
 	f := fs.H.Cols
-	out := dense.New(len(vertices), f)
 	me := colComm.LocalIndex(r)
 
 	// Deduplicate the request, remembering every output slot each
-	// distinct vertex fills. Cache hits are served immediately from
-	// device memory. The bookkeeping comes from the rank's persistent
-	// workspace (see fetchScratch for why reuse across batches is safe).
+	// distinct vertex fills. Cache hits are served from device memory.
+	// The bookkeeping comes from the rank's persistent workspace (see
+	// fetchScratch for why reuse across batches is safe).
 	sc := fs.fetchScratchFor(r.ID)
 	clear(sc.pos)
-	sc.wanted, sc.repeats = sc.wanted[:0], sc.repeats[:0]
+	sc.wanted, sc.hits, sc.repeats = sc.wanted[:0], sc.hits[:0], sc.repeats[:0]
 	var cachedBytes int64
 	for i, v := range vertices {
 		first, seen := sc.pos[v]
 		if seen && first == fetchCacheHit {
-			copy(out.RowView(i), fs.global.RowView(v))
+			sc.hits = append(sc.hits, fetchEntry{vertex: v, slot: int32(i)})
 			cachedBytes += int64(8 * f)
 			continue
 		}
@@ -163,7 +213,7 @@ func (fs *FeatureStore) FetchCached(r *cluster.Rank, vertices []int, c cache.Cac
 		owner := graph.BlockOwner(fs.N, members, v)
 		if c != nil && owner != me && c.Lookup(v) {
 			sc.pos[v] = fetchCacheHit
-			copy(out.RowView(i), fs.global.RowView(v))
+			sc.hits = append(sc.hits, fetchEntry{vertex: v, slot: int32(i)})
 			cachedBytes += int64(8 * f)
 			continue
 		}
@@ -220,6 +270,10 @@ func (fs *FeatureStore) FetchCached(r *cluster.Rank, vertices []int, c cache.Cac
 		return m.Bytes()
 	})
 
+	out := takeFeatures(len(vertices), f)
+	for _, e := range sc.hits {
+		copy(out.RowView(int(e.slot)), fs.global.RowView(e.vertex))
+	}
 	// Every owner asked answers once, in ascending owner order: the rows
 	// arrive in the order of sc.wanted.
 	k := 0

@@ -191,6 +191,8 @@ func (c Config) normalised(d *datasets.Dataset) (Config, error) {
 		return c, fmt.Errorf("pipeline: partitioned algorithm needs c^2 | p (p=%d c=%d)", c.P, c.C)
 	case c.Epochs < 0:
 		return c, fmt.Errorf("pipeline: negative epoch count %d", c.Epochs)
+	case c.MaxBatches < 0:
+		return c, fmt.Errorf("pipeline: negative batch cap MaxBatches=%d (0 = all batches)", c.MaxBatches)
 	case !(c.LR > 0):
 		return c, fmt.Errorf("pipeline: learning rate %v: must be positive", c.LR)
 	case !(c.Dropout >= 0 && c.Dropout < 1):
@@ -444,5 +446,9 @@ func (b *bulk) newAttempt(cfg Config, batches [][]int, grid *cluster.Grid, store
 			return sampling, fetch
 		}
 	}
-	return Attempt{Items: sched.rounds * sched.trainPerRound, Blocks: sched.samplingBlocks, Rank: rank}
+	att := Attempt{Items: sched.rounds * sched.trainPerRound, Blocks: sched.samplingBlocks, Rank: rank}
+	if partitioned {
+		att.Release = func() { distsample.ReleasePartitionedSet(parts) }
+	}
+	return att
 }

@@ -193,6 +193,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{Config{P: 2, Sampler: "bogus"}, append([]string{`unknown sampler "bogus"`}, keys...)},
 		{Config{P: 2, Algorithm: 7}, []string{"unknown algorithm 7"}},
 		{Config{P: 2, Epochs: -1}, []string{"negative epoch count"}},
+		{Config{P: 2, MaxBatches: -3}, []string{"MaxBatches=-3"}},
 		{Config{P: 2, LR: -0.1}, []string{"learning rate"}},
 		{Config{P: 2, Dropout: 1}, []string{"dropout rate 1"}},
 		{Config{P: 2, CachePolicy: cache.LRU, CacheFrac: -1}, []string{"cache fraction -1"}},
@@ -716,9 +717,9 @@ func TestSmallKScheduleSurfacesEffectiveBulk(t *testing.T) {
 // TestFetchCachedScratchReuse pins the per-rank scratch contract: a
 // fetch over warm request/response arenas (dirtied by a previous
 // call) returns the same rows as a cold one, and the returned matrix
-// is freshly allocated — a later fetch must never overwrite an
-// earlier result, because the overlap engine hands fetched features
-// across stage boundaries while the next batch's fetch runs.
+// is the caller's until handed back — a later fetch must never
+// overwrite an earlier result, because the overlap engine hands fetched
+// features across stage boundaries while the next batch's fetch runs.
 func TestFetchCachedScratchReuse(t *testing.T) {
 	d := tinySBM()
 	cl := cluster.New(4, cluster.Perlmutter())
@@ -1128,6 +1129,41 @@ func TestRunRejectsInvalidTopology(t *testing.T) {
 	}
 }
 
+// A released store set's fetch workspaces serve the next set: after one
+// run, a new store's first FetchCached allocates no more than a warm
+// store's next call does. GC is held off while counting (see
+// TestFetchCachedCostsWhatItRequests).
+func TestFreshStoresReuseFetchMemory(t *testing.T) {
+	d := tinySBM()
+	model := cluster.Perlmutter()
+	model.Backend = cluster.DESBackend
+	cl := cluster.New(4, model)
+	g := cluster.NewGrid(cl, 4, 2)
+	verts := []int{3, 9, 200, 450, 12, 100, 511, 7, 100}
+	call := func(stores []*FeatureStore) {
+		if _, err := cl.Run(func(r *cluster.Rank) error {
+			freeFeatures.Put(stores[r.ID].FetchCached(r, verts, nil))
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	warm := NewFeatureStores(g, d.Features)
+	call(warm)
+	warmCall := testing.AllocsPerRun(5, func() { call(warm) })
+	releaseFeatureStores(warm)
+	build := testing.AllocsPerRun(5, func() { releaseFeatureStores(NewFeatureStores(g, d.Features)) })
+	freshCall := testing.AllocsPerRun(5, func() {
+		stores := NewFeatureStores(g, d.Features)
+		call(stores)
+		releaseFeatureStores(stores)
+	}) - build
+	if freshCall > warmCall {
+		t.Fatalf("a new store's first fetch made %v allocations, a warm store's fetch %v", freshCall, warmCall)
+	}
+}
+
 // TestFetchCachedCostsWhatItRequests: a fetch's host bookkeeping scales
 // with its request, not with the column it runs over. Every rank asks for
 // the same shape of request — 8 slots over 5 distinct vertices, 3 owned by
@@ -1135,9 +1171,11 @@ func TestRunRejectsInvalidTopology(t *testing.T) {
 // call must allocate as often per rank at both sizes, and as many bytes
 // give or take the runtime's own few (a per-member buffer costs ×10 at
 // 256 members), and the rank's scratch must be no
-// larger at 256 members than at 4. GC is held off while counting: a
-// collection frees the runtime's own caches, which then count as
-// allocations of whichever run refills them.
+// larger at 256 members than at 4. Each call's result goes back to the
+// free list, as the propagation stage hands it back, and the stores
+// start from empty workspaces rather than a recycled set's. GC is held
+// off while counting: a collection frees the runtime's own caches,
+// which then count as allocations of whichever run refills them.
 func TestFetchCachedCostsWhatItRequests(t *testing.T) {
 	const rows, f, more = 2048, 4, 6
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -1154,6 +1192,7 @@ func TestFetchCachedCostsWhatItRequests(t *testing.T) {
 		cl := cluster.New(n, model)
 		g := cluster.NewGrid(cl, n, 1)
 		stores := NewFeatureStores(g, feats)
+		clear(stores[0].scratch)
 		run := func(calls int) cost {
 			body := func() {
 				if _, err := cl.Run(func(r *cluster.Rank) error {
@@ -1161,7 +1200,7 @@ func TestFetchCachedCostsWhatItRequests(t *testing.T) {
 					next, _ := graph.BlockRowRange(rows, n, (r.ID+1)%n)
 					verts := []int{next, next + 1, lo, next, next + 2, lo, next + 1, lo + 1}
 					for i := 0; i < calls; i++ {
-						stores[r.ID].FetchCached(r, verts, nil)
+						freeFeatures.Put(stores[r.ID].FetchCached(r, verts, nil))
 					}
 					return nil
 				}); err != nil {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/datasets"
 	"repro/internal/dense"
 	"repro/internal/engine"
+	"repro/internal/freelist"
 	"repro/internal/gnn"
 	"repro/internal/graphio"
 	"repro/internal/resilience"
@@ -53,6 +54,11 @@ type Attempt struct {
 	// model, the optimizer and the loss bookkeeping belong to Train's
 	// propagation stage and are not theirs to touch.
 	Rank func(r *cluster.Rank) func(epochSeed int64) (sampling, fetch engine.Stage)
+	// Release, when set, hands the attempt's reusable run memory to the
+	// next attempt or run. Train calls it once the attempt's cluster run
+	// has returned without error, when no rank can still read it; a
+	// failed attempt's state is left to the garbage collector.
+	Release func()
 }
 
 // TrainItem is what a strategy's feature-fetch stage hands the
@@ -61,6 +67,8 @@ type Attempt struct {
 // it contributes zero gradients to the all-reduce.
 type TrainItem struct {
 	Batch *core.BatchGraph
+	// Feats is a FetchCached result: the propagation stage hands it back
+	// to FetchCached's free list once the step is done with it.
 	Feats *dense.Matrix
 }
 
@@ -139,14 +147,15 @@ func Train(d *datasets.Dataset, cfg Config, strategy Strategy) (*Result, error) 
 		m.Faults = plan
 		cl := cluster.New(cfg.P, m)
 		grid := cluster.NewGrid(cl, cfg.P, cfg.C)
-		att := strategy.NewAttempt(cfg, batches, grid, NewFeatureStores(grid, d.Features))
+		stores := NewFeatureStores(grid, d.Features)
+		att := strategy.NewAttempt(cfg, batches, grid, stores)
 		// Extrapolation for MaxBatches truncation is per sampling block,
 		// not global: phase times are maxima across ranks, so they scale
 		// with the largest per-block share.
 		scale = BlockScale(totalBatches, len(batches), att.Blocks)
 		world := grid.World()
 
-		return cl.Run(func(r *cluster.Rank) error {
+		res, err := cl.Run(func(r *cluster.Rank) error {
 			if ck != nil {
 				r.Restore(ck.Ranks[r.ID])
 			}
@@ -170,13 +179,15 @@ func Train(d *datasets.Dataset, cfg Config, strategy Strategy) (*Result, error) 
 						if ti.Batch != nil {
 							act, fwdFlops := model.Forward(ti.Batch, ti.Feats)
 							loss, dLogits := gnn.Loss(act, act.SeedLabels(d.Labels))
-							g, bwdFlops := model.Backward(act, dLogits)
-							grads = g
+							grads = takeGrads(len(zeroGrads))
+							bwdFlops := model.BackwardInto(act, dLogits, grads)
 							rm.ChargeDense(fwdFlops + bwdFlops)
 							rm.ChargeKernels(4 * len(cfg.sizes))
 							lossSum += loss
 							lossN++
 						}
+						// Backward was the features' last reader.
+						freeFeatures.Put(ti.Feats)
 
 						// The gradient all-reduce schedule (flat / ring /
 						// hierarchical) is dispatched by the model's
@@ -190,6 +201,11 @@ func Train(d *datasets.Dataset, cfg Config, strategy Strategy) (*Result, error) 
 							opt.Step(model.Params(), total)
 							model.NextDropoutSeed()
 						})
+						// The fold read grads inside the rendezvous, before
+						// any member could leave it.
+						if ti.Batch != nil {
+							freeGrads.Put(grads)
+						}
 						if optimizerFlops > 0 {
 							rm.ChargeDense(optimizerFlops)
 						}
@@ -231,6 +247,16 @@ func Train(d *datasets.Dataset, cfg Config, strategy Strategy) (*Result, error) 
 			}
 			return nil
 		})
+		if err != nil {
+			// Ranks stopped mid-call: the attempt's fetch workspaces and
+			// strategy state go to the garbage collector, not the lists.
+			return nil, err
+		}
+		releaseFeatureStores(stores)
+		if att.Release != nil {
+			att.Release()
+		}
+		return res, nil
 	}
 	// restore resets the shared training state before a re-attempt: to
 	// the checkpoint's, or with none to the deterministic initial state.
@@ -280,6 +306,20 @@ func Train(d *datasets.Dataset, cfg Config, strategy Strategy) (*Result, error) 
 		}
 	}
 	return &Result{Epochs: epochs, Cluster: res, Params: finalParams, Recovery: rec}, nil
+}
+
+// freeGrads holds gradient vectors whose all-reduce has returned. A
+// list, not one vector per rank: only the ranks inside a step at once
+// hold one, which at large p is far fewer than p.
+var freeGrads freelist.List[[]float64]
+
+// takeGrads returns a gradient vector of n values, contents unspecified.
+func takeGrads(n int) []float64 {
+	g, _ := freeGrads.Take()
+	if cap(g) < n {
+		return make([]float64, n)
+	}
+	return g[:n]
 }
 
 // BlockScale returns the extrapolation factor from a truncated batch
