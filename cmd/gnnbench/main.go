@@ -60,6 +60,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *maxBatches < 0 {
 		return fmt.Errorf("bad -maxbatches %d: must be >= 0 (0 = all batches)", *maxBatches)
 	}
+	// The accuracy experiment would read a count below 1 as its default.
+	if *epochs < 1 {
+		return fmt.Errorf("bad -epochs %d: must be >= 1", *epochs)
+	}
 	// Experiment-scoped flags error out under any other experiment
 	// instead of silently doing nothing.
 	for _, c := range []struct{ name, value, want string }{

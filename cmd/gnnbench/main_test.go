@@ -61,6 +61,7 @@ func TestBadInputIsAnError(t *testing.T) {
 		{"zero gpu count", []string{"-experiment", "fig4", "-gpus", "4,0"}, "bad GPU count 0", ""},
 		{"negative maxbatches, sampling-only experiment", []string{"-experiment", "table3", "-maxbatches", "-3"}, "bad -maxbatches -3", ""},
 		{"negative maxbatches, every experiment", []string{"-experiment", "all", "-maxbatches", "-1"}, "bad -maxbatches -1", ""},
+		{"negative epochs", []string{"-experiment", "acc", "-epochs", "-5"}, "bad -epochs -5", ""},
 		{"non-numeric gpus", []string{"-experiment", "fig4", "-gpus", "four"}, "bad GPU count list", ""},
 		{"bad topology", []string{"-experiment", "fig4", "-topology", "torus"}, `unknown topology "torus"`, ""},
 		{"bad backend", []string{"-experiment", "fig4", "-backend", "thread"}, "thread", ""},

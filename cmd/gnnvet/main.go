@@ -5,9 +5,10 @@
 // maporder), that all collective cost flows through the single
 // charging path (charging), that all blocking is backend-neutral
 // (parkwake), that arena-backed buffers stay within their epoch
-// (arenaescape), and that fault-injection plans are constructed only
-// behind the FaultPlan seam (faultseam). Since PR 9 the suite is
-// interprocedural: a call-graph
+// (arenaescape), that fault-injection plans are constructed only
+// behind the FaultPlan seam (faultseam), and that every library name
+// has a program user and every exported field a non-test writer
+// (deadexport). Since PR 9 the suite is interprocedural: a call-graph
 // facts layer summarizes every function in the module, so wrapping a
 // violation in a helper — even one in another package — no longer
 // hides it.
@@ -16,7 +17,7 @@
 //
 //	go run ./cmd/gnnvet ./...
 //	go run ./cmd/gnnvet -checks charging,parkwake ./...
-//	go run ./cmd/gnnvet -sarif gnnvet.sarif -expectallows 5 ./...
+//	go run ./cmd/gnnvet -sarif gnnvet.sarif -expectallows 14 ./...
 //
 // gnnvet always analyzes the whole module containing the working
 // directory (test files included); the ./... argument is accepted for

@@ -57,18 +57,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
+	prof, err := cliutil.ParseProfile(*profile)
+	if err != nil {
+		return err
+	}
 	var d *datasets.Dataset
 	if *dataset == "sbm" {
 		d = datasets.DefaultSBM()
-	} else {
-		prof, err := cliutil.ParseProfile(*profile)
-		if err != nil {
-			return err
-		}
-		d, err = datasets.ByName(*dataset, prof)
-		if err != nil {
-			return err
-		}
+	} else if d, err = datasets.ByName(*dataset, prof); err != nil {
+		return err
 	}
 
 	model, ckptInterval, err := platform()

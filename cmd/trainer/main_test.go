@@ -71,6 +71,8 @@ func TestFlagCombinations(t *testing.T) {
 	}{
 		{"p = 0", []string{"-p", "0"}, "p=0", ""},
 		{"c does not divide p", []string{"-p", "4", "-c", "3"}, "must divide", ""},
+		{"negative c", []string{"-p", "2", "-c", "-3"}, "replication factor C=-3", ""},
+		{"negative c under autotune", []string{"-p", "2", "-c", "-3", "-autotune"}, "replication factor C=-3", ""},
 		{"partitioned c^2 does not divide p", []string{"-p", "8", "-c", "4", "-algorithm", "partitioned"}, "c^2 | p", ""},
 		{"negative epochs", []string{"-epochs", "-1"}, "negative epoch count", ""},
 		{"negative maxbatches", []string{"-maxbatches", "-3"}, "MaxBatches=-3", ""},
@@ -88,6 +90,7 @@ func TestFlagCombinations(t *testing.T) {
 		{"fault rank outside p", []string{"-p", "4", "-faults", "9@0.1"}, "rank 9", ""},
 		{"negative ckpt-interval", []string{"-ckpt-interval", "-2"}, "bad checkpoint interval", ""},
 		{"unknown profile", []string{"-profile", "huge"}, `unknown profile "huge"`, ""},
+		{"unknown profile with sbm", []string{"-dataset", "sbm", "-profile", "bogus"}, `unknown profile "bogus"`, ""},
 		{"unknown dataset", []string{"-dataset", "cora"}, "cora", ""},
 		{"autotune at p = 0", []string{"-p", "0", "-autotune"}, "p=0", ""},
 		{"unknown flag", []string{"-gpus", "4"}, "flag provided but not defined", ""},

@@ -13,7 +13,7 @@ func ExampleSampleBulk() {
 	bulk := repro.SampleBulk(repro.GraphSAGE(), d.Graph.Adj, d.Batches(), d.Fanouts, 42)
 	fmt.Println("batches:", len(bulk.Batches))
 	fmt.Println("layers:", len(bulk.Layers))
-	fmt.Println("deepest frontier rows:", bulk.InputFrontier().Len() > 0)
+	fmt.Println("deepest frontier rows:", bulk.Layers[len(bulk.Layers)-1].Cols.Len() > 0)
 	// Output:
 	// batches: 4
 	// layers: 2
@@ -35,7 +35,7 @@ func ExampleBulkSample_ExtractBatch() {
 
 // ExampleTrain runs a small simulated distributed training job.
 func ExampleTrain() {
-	d := repro.SBMDataset(512, 4, 8, 1)
+	d := repro.ProductsLike(repro.Tiny)
 	res, err := repro.Train(d, repro.TrainConfig{P: 2, C: 1, Epochs: 2, Seed: 1, MaxBatches: 4})
 	if err != nil {
 		fmt.Println("error:", err)
@@ -56,17 +56,4 @@ func ExampleLADIES() {
 	fmt.Println("frontier within budget:", len(batchZero) <= d.BatchSize+d.LayerWidth)
 	// Output:
 	// frontier within budget: true
-}
-
-// ExampleNewClusterGCN demonstrates graph-wise sampling: minibatches
-// are cluster unions and samples are induced subgraphs.
-func ExampleNewClusterGCN() {
-	d := repro.ProductsLike(repro.Tiny)
-	cg := repro.NewClusterGCN(d.Graph.Adj, 4, 1)
-	batches := cg.Batches(2, 1)
-	bulk := repro.SampleBulk(cg, d.Graph.Adj, batches, []int{0}, 1)
-	ls := bulk.Layers[0]
-	fmt.Println("square per-batch blocks:", ls.Adj.Rows == ls.Adj.Cols)
-	// Output:
-	// square per-batch blocks: true
 }

@@ -51,7 +51,7 @@ type Pass struct {
 	// Facts is the module-wide fact base (facts.go): per-function
 	// summaries computed before any analyzer runs, spanning every
 	// package in import order. Graph is this package's static call
-	// graph. Both are non-nil under RunPackage/RunModule.
+	// graph. Both are non-nil under RunModule.
 	Facts *FactBase
 	Graph *CallGraph
 
@@ -185,6 +185,7 @@ var Analyzers = []*Analyzer{
 	Benchpool,
 	ArenaEscape,
 	Faultseam,
+	Deadexport,
 }
 
 func knownChecks() map[string]bool {
@@ -226,26 +227,6 @@ func ByName(sel string) ([]*Analyzer, error) {
 		}
 	}
 	return out, nil
-}
-
-// RunPackage runs the analyzers over one loaded package and returns
-// the surviving findings: suppression markers are honored, malformed
-// markers become findings themselves, and the result is sorted by
-// position. Facts are computed for this package alone — the
-// single-package entry point analysistest drives; whole-module runs go
-// through RunModule so facts cross package boundaries.
-func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	allow, diags := ParseAllows(pkg.Fset, pkg.Files, knownChecks())
-	base := NewFactBase()
-	g := BuildCallGraph(pkg, base.taken)
-	base.AddPackage(pkg, allow, g)
-	more, err := runAnalyzers(pkg, analyzers, allow, base, g)
-	if err != nil {
-		return nil, err
-	}
-	diags = append(diags, more...)
-	sortDiags(diags)
-	return diags, nil
 }
 
 // PkgDiags pairs one package with its surviving findings.

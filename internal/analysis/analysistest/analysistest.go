@@ -11,7 +11,7 @@
 // Every diagnostic must match a want on its line and every want must
 // be matched — unexpected and missing findings both fail the test.
 // Suppression markers are honored exactly as in gnnvet (the driver
-// shares analysis.RunPackage), so fixtures exercise the allowed path
+// shares analysis.RunModule), so fixtures exercise the allowed path
 // too: a line carrying //gnnvet:allow <check> — <reason> and no want
 // asserts the marker silences the finding.
 package analysistest
@@ -39,17 +39,40 @@ func Run(t *testing.T, a *analysis.Analyzer, dir, importPath string) {
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", dir, err)
 	}
-	diags, err := analysis.RunPackage(pkg, []*analysis.Analyzer{a})
+	check(t, a, dir, fset, []*analysis.Package{pkg})
+}
+
+// RunModule is Run over a fixture module (dir holds a go.mod), test
+// files included, for checks that look across packages (deadexport).
+func RunModule(t *testing.T, a *analysis.Analyzer, dir string) {
+	t.Helper()
+	loader := &analysis.Loader{IncludeTests: true}
+	pkgs, err := loader.LoadModule(dir)
+	if err != nil {
+		t.Fatalf("loading fixture module %s: %v", dir, err)
+	}
+	check(t, a, dir, loader.Fset, pkgs)
+}
+
+// check runs the analyzer as gnnvet does and matches its findings
+// against the packages' want-annotations.
+func check(t *testing.T, a *analysis.Analyzer, dir string, fset *token.FileSet, pkgs []*analysis.Package) {
+	t.Helper()
+	results, _, _, err := analysis.RunModule(pkgs, []*analysis.Analyzer{a})
 	if err != nil {
 		t.Fatalf("running %s on %s: %v", a.Name, dir, err)
 	}
-
-	wants := parseWants(t, fset, pkg)
+	wants := map[lineKey][]*regexp.Regexp{}
 	got := map[lineKey][]string{}
-	for _, d := range diags {
-		pos := fset.Position(d.Pos)
-		k := lineKey{pos.Filename, pos.Line}
-		got[k] = append(got[k], d.Message)
+	for _, res := range results {
+		for k, w := range parseWants(t, fset, res.Pkg) {
+			wants[k] = append(wants[k], w...)
+		}
+		for _, d := range res.Diags {
+			pos := fset.Position(d.Pos)
+			k := lineKey{pos.Filename, pos.Line}
+			got[k] = append(got[k], d.Message)
+		}
 	}
 
 	keys := map[lineKey]bool{}

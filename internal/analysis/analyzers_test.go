@@ -63,3 +63,10 @@ func TestFaultseam(t *testing.T) {
 func TestAllowMarkers(t *testing.T) {
 	analysistest.Run(t, analysis.Walltime, "testdata/allow", "repro/fixture")
 }
+
+// The deadexport fixture is a module: the check counts uses from a
+// program (cmd/tool) and ignores uses from tests, so it needs more than
+// one package.
+func TestDeadexport(t *testing.T) {
+	analysistest.RunModule(t, analysis.Deadexport, "testdata/deadexport")
+}

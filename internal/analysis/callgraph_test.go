@@ -1,13 +1,14 @@
 package analysis
 
 import (
+	"fmt"
 	"go/token"
 	"strings"
 	"testing"
 )
 
 // loadCG builds the call graph over the testdata/callgraph fixture
-// with a fresh address-taken set, the way RunPackage does.
+// with a fresh address-taken set, the way RunModule does.
 func loadCG(t *testing.T) (*Package, *CallGraph, addrTakenSet) {
 	t.Helper()
 	fset := token.NewFileSet()
@@ -97,10 +98,10 @@ func TestFactsCycleConverges(t *testing.T) {
 	b := NewFactBase()
 	g := BuildCallGraph(pkg, b.taken)
 	b.AddPackage(pkg, nil, g)
-	if !b.HasKey("repro/fixture.tickB", FactWallClock) {
+	if ff := b.funcs["repro/fixture.tickB"]; ff == nil || !ff.has[FactWallClock] {
 		t.Fatal("tickB missing wallclock (direct atom)")
 	}
-	if !b.HasKey("repro/fixture.tickA", FactWallClock) {
+	if ff := b.funcs["repro/fixture.tickA"]; ff == nil || !ff.has[FactWallClock] {
 		t.Fatal("tickA missing wallclock (one hop through the cycle)")
 	}
 	via := b.funcs["repro/fixture.tickA"].via[FactWallClock]
@@ -147,4 +148,47 @@ func TestFactsRoundTrip(t *testing.T) {
 			t.Errorf("ImportFacts(%q): want error, got nil", bad)
 		}
 	}
+}
+
+// ImportFacts parses an Export'd fact base. The address-taken registry
+// is not serialized (it only matters during graph construction).
+func ImportFacts(s string) (*FactBase, error) {
+	b := NewFactBase()
+	for ln, line := range strings.Split(s, "\n") {
+		if line == "" {
+			continue
+		}
+		fields := strings.Split(line, "\t")
+		switch fields[0] {
+		case "arena":
+			if len(fields) != 2 || fields[1] == "" {
+				return nil, fmt.Errorf("facts: line %d: malformed arena entry", ln+1)
+			}
+			b.arenaTypes[fields[1]] = true
+		case "func":
+			if len(fields) < 3 || fields[1] == "" {
+				return nil, fmt.Errorf("facts: line %d: malformed func entry", ln+1)
+			}
+			for _, fv := range fields[2:] {
+				name, via, ok := strings.Cut(fv, "=")
+				if !ok {
+					return nil, fmt.Errorf("facts: line %d: fact without witness", ln+1)
+				}
+				found := false
+				for f := Fact(0); f < numFacts; f++ {
+					if factNames[f] == name {
+						b.set(fields[1], f, via)
+						found = true
+						break
+					}
+				}
+				if !found {
+					return nil, fmt.Errorf("facts: line %d: unknown fact %q", ln+1, name)
+				}
+			}
+		default:
+			return nil, fmt.Errorf("facts: line %d: unknown record %q", ln+1, fields[0])
+		}
+	}
+	return b, nil
 }

@@ -33,7 +33,7 @@ var chargingExemptFiles = map[string]bool{
 // protected cost-parameter fields.
 var chargingFields = map[string]map[string]bool{
 	"CostModel": {"Alpha": true, "Beta": true},
-	"Topology":  {"NVLinkBps": true, "NICBps": true, "PCIeBps": true, "Oversub": true},
+	"Topology":  {"Oversub": true},
 }
 
 func runCharging(pass *Pass) error {

@@ -46,7 +46,7 @@ const (
 	// the park/wake seam, directly or transitively.
 	FactBlocksNative
 	// FactCostAccessor: returns a raw cost parameter
-	// (CostModel.Alpha/Beta, Topology bandwidths) unchanged —
+	// (CostModel.Alpha/Beta, Topology.Oversub) unchanged —
 	// arithmetic on its result is laundered charging-path arithmetic.
 	FactCostAccessor
 	// FactArenaMem: returns memory backed by an epoch-persistent arena
@@ -74,6 +74,7 @@ type FactBase struct {
 	funcs      map[string]*funcFacts
 	arenaTypes map[string]bool // "pkg/path.TypeName"
 	taken      addrTakenSet
+	uses       *useIndex // deadexport's module-wide uses and writes
 }
 
 // NewFactBase returns an empty fact base.
@@ -82,6 +83,7 @@ func NewFactBase() *FactBase {
 		funcs:      map[string]*funcFacts{},
 		arenaTypes: map[string]bool{},
 		taken:      addrTakenSet{},
+		uses:       newUseIndex(),
 	}
 }
 
@@ -105,12 +107,6 @@ func (b *FactBase) Via(fn *types.Func, f Fact) string {
 		return ""
 	}
 	return ff.via[f]
-}
-
-// HasKey is Has by FuncKey, for callers holding graph edges.
-func (b *FactBase) HasKey(key string, f Fact) bool {
-	ff := b.funcs[key]
-	return ff != nil && ff.has[f]
 }
 
 // IsArenaType reports whether t (after pointer indirection) is a
@@ -163,6 +159,7 @@ func (b *FactBase) set(key string, f Fact, via string) bool {
 // Packages must be added in dependency order.
 func (b *FactBase) AddPackage(pkg *Package, allow *allowIndex, g *CallGraph) {
 	b.scanArenaTypes(pkg)
+	b.uses.add(pkg)
 
 	decls := map[string]*ast.FuncDecl{}
 	for _, f := range pkg.Files {
@@ -424,7 +421,7 @@ func (b *FactBase) arenaMemReturn(pkg *Package, fd *ast.FuncDecl) (string, bool)
 }
 
 // costParamSelector reports whether sel reads a protected cost
-// parameter (CostModel.Alpha/Beta, Topology bandwidths) and which type
+// parameter (CostModel.Alpha/Beta, Topology.Oversub) and which type
 // owns it — shared by the charging analyzer and the accessor fact.
 func costParamSelector(info *types.Info, sel *ast.SelectorExpr) (owner string, ok bool) {
 	for name, fs := range chargingFields {
@@ -472,8 +469,8 @@ func outerReturns(body *ast.BlockStmt) []*ast.ReturnStmt {
 
 // Export serializes the base deterministically: one line per arena
 // type, one tab-separated line per function with facts. The format
-// round-trips through ImportFacts — the CI SARIF artifact embeds it so
-// a reviewer can see what the engine concluded.
+// round-trips through the tests' ImportFacts. The CI SARIF artifact
+// embeds it so a reviewer can see what the engine concluded.
 func (b *FactBase) Export() string {
 	var sb strings.Builder
 	arenas := make([]string, 0, len(b.arenaTypes))
@@ -507,47 +504,4 @@ func (b *FactBase) Export() string {
 		sb.WriteByte('\n')
 	}
 	return sb.String()
-}
-
-// ImportFacts parses an Export'd fact base. The address-taken registry
-// is not serialized (it only matters during graph construction).
-func ImportFacts(s string) (*FactBase, error) {
-	b := NewFactBase()
-	for ln, line := range strings.Split(s, "\n") {
-		if line == "" {
-			continue
-		}
-		fields := strings.Split(line, "\t")
-		switch fields[0] {
-		case "arena":
-			if len(fields) != 2 || fields[1] == "" {
-				return nil, fmt.Errorf("facts: line %d: malformed arena entry", ln+1)
-			}
-			b.arenaTypes[fields[1]] = true
-		case "func":
-			if len(fields) < 3 || fields[1] == "" {
-				return nil, fmt.Errorf("facts: line %d: malformed func entry", ln+1)
-			}
-			for _, fv := range fields[2:] {
-				name, via, ok := strings.Cut(fv, "=")
-				if !ok {
-					return nil, fmt.Errorf("facts: line %d: fact without witness", ln+1)
-				}
-				found := false
-				for f := Fact(0); f < numFacts; f++ {
-					if factNames[f] == name {
-						b.set(fields[1], f, via)
-						found = true
-						break
-					}
-				}
-				if !found {
-					return nil, fmt.Errorf("facts: line %d: unknown fact %q", ln+1, name)
-				}
-			}
-		default:
-			return nil, fmt.Errorf("facts: line %d: unknown record %q", ln+1, fields[0])
-		}
-	}
-	return b, nil
 }

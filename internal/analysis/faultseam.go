@@ -10,8 +10,8 @@ import (
 // and the values that ride it — cluster.FaultPlan, cluster.Failure,
 // cluster.RankFailure — are built only by the packages that own the
 // seam: internal/cluster (the types and the fail-stop machinery),
-// internal/resilience (FailAt / Plan / RandomPlan and the restart
-// bookkeeping) and internal/cliutil (the -faults flag parser). A
+// internal/resilience (FailAt and the restart bookkeeping) and
+// internal/cliutil (the -faults flag parser). A
 // driver or experiment that hand-rolls a plan literal bypasses
 // Validate, the seeded-random sweep conventions, and the restart
 // driver's retire-on-fire bookkeeping; one that fabricates a
@@ -41,8 +41,8 @@ var faultseamExempt = map[string]bool{
 // real ones live in repro/internal/cluster, and fixture stubs carry
 // the same names.
 var faultseamTypes = map[string]string{
-	"FaultPlan":   "build plans with resilience.FailAt / resilience.Plan / resilience.RandomPlan (or cliutil.ParseFaults for flag input)",
-	"Failure":     "build entries with resilience.Failure",
+	"FaultPlan":   "build plans with resilience.FailAt (or cliutil.ParseFaults for flag input)",
+	"Failure":     "build plans with resilience.FailAt (or cliutil.ParseFaults for flag input)",
 	"RankFailure": "RankFailure is produced by the cluster's fail-stop machinery only; synthesizing one forges the recovery contract's root-cause error",
 }
 

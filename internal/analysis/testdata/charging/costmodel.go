@@ -13,12 +13,9 @@ type CostModel struct {
 	Beta  [2]float64
 }
 
-// Topology mirrors the real physical-link bandwidths.
+// Topology mirrors the real fabric oversubscription knob.
 type Topology struct {
-	NVLinkBps float64
-	NICBps    float64
-	PCIeBps   float64
-	Oversub   float64
+	Oversub float64
 }
 
 func (m CostModel) wireTime(l Link, bytes int64) float64 {

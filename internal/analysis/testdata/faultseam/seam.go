@@ -7,8 +7,8 @@
 package pipeline
 
 func handRolledPlan() *FaultPlan {
-	return &FaultPlan{ // want `fault-injection value FaultPlan constructed outside the FaultPlan seam: build plans with resilience\.FailAt / resilience\.Plan / resilience\.RandomPlan \(or cliutil\.ParseFaults for flag input\)`
-		Failures: []Failure{{Rank: 1, At: 0.5}}, // want `fault-injection value Failure constructed outside the FaultPlan seam: build entries with resilience\.Failure`
+	return &FaultPlan{ // want `fault-injection value FaultPlan constructed outside the FaultPlan seam: build plans with resilience\.FailAt \(or cliutil\.ParseFaults for flag input\)`
+		Failures: []Failure{{Rank: 1, At: 0.5}}, // want `fault-injection value Failure constructed outside the FaultPlan seam: build plans with resilience\.FailAt \(or cliutil\.ParseFaults for flag input\)`
 	}
 }
 
@@ -17,7 +17,7 @@ func forgedFailure() *RankFailure {
 }
 
 func valueForm() Failure {
-	return Failure{Rank: 2, At: 1.5} // want `fault-injection value Failure constructed outside the FaultPlan seam: build entries with resilience\.Failure`
+	return Failure{Rank: 2, At: 1.5} // want `fault-injection value Failure constructed outside the FaultPlan seam: build plans with resilience\.FailAt \(or cliutil\.ParseFaults for flag input\)`
 }
 
 // passingThrough moves an existing plan between models without

@@ -142,6 +142,9 @@ func TuneCollectives(model cluster.CostModel, p int, t cluster.Collectives) clus
 // negative K), which passes through untuned — K = 0 cannot mean both
 // "all" and "choose for me" at once.
 func TuneConfig(m MemoryModel, d *datasets.Dataset, cfg pipeline.Config) (pipeline.Config, error) {
+	if cfg.C < 0 {
+		return cfg, fmt.Errorf("autotune: replication factor C=%d: must be >= 1 (0 = choose)", cfg.C)
+	}
 	// The schedule is tuned on the model, where the CLIs put -allreduce;
 	// a zero model is first given the default platform, which the
 	// pipeline would otherwise install over the tuned table.

@@ -28,7 +28,10 @@ func TestRunQuiverBasic(t *testing.T) {
 func TestQuiverUVASamplingSlower(t *testing.T) {
 	// Figure 5: GPU sampling outperforms UVA sampling because UVA pays
 	// the PCIe link on every adjacency access.
-	d := datasets.ProteinLike(datasets.Tiny)
+	d, err := datasets.ByName("protein", datasets.Tiny)
+	if err != nil {
+		t.Fatal(err)
+	}
 	gpu, err := RunQuiver(d, QuiverConfig{P: 4, Seed: 2})
 	if err != nil {
 		t.Fatal(err)

@@ -43,15 +43,6 @@ type Stats struct {
 	Hits, Misses int64
 }
 
-// HitRate returns hits / (hits + misses), or 0 with no traffic.
-func (s Stats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 // Cache answers "is vertex v locally cached?" and records traffic.
 // Implementations are not safe for concurrent use: each simulated rank
 // owns its cache.

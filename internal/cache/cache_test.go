@@ -161,3 +161,12 @@ func TestHitRateEmpty(t *testing.T) {
 		t.Fatal("empty stats hit rate should be 0")
 	}
 }
+
+// HitRate returns hits / (hits + misses), or 0 with no traffic.
+func (s Stats) HitRate() float64 {
+	total := s.Hits + s.Misses
+	if total == 0 {
+		return 0
+	}
+	return float64(s.Hits) / float64(total)
+}

@@ -37,15 +37,15 @@ func bothBackends(t *testing.T, scenario func(t *testing.T, m CostModel) float64
 // goroutines instead of failing.
 func TestBackendResolutionEnv(t *testing.T) {
 	t.Setenv(BackendEnv, "")
-	if got := New(1, testModel()).Backend(); got != GoroutineBackend {
+	if got := New(1, testModel()).backend; got != GoroutineBackend {
 		t.Fatalf("unset env resolved to %v, want goroutine", got)
 	}
 	t.Setenv(BackendEnv, "des")
-	if got := New(1, testModel()).Backend(); got != DESBackend {
+	if got := New(1, testModel()).backend; got != DESBackend {
 		t.Fatalf("GNN_BACKEND=des resolved to %v, want des", got)
 	}
 	t.Setenv(BackendEnv, "not-a-backend")
-	if got := New(1, testModel()).Backend(); got != GoroutineBackend {
+	if got := New(1, testModel()).backend; got != GoroutineBackend {
 		t.Fatalf("bad env resolved to %v, want goroutine fallback", got)
 	}
 }
@@ -57,11 +57,11 @@ func TestBackendExplicitBeatsEnv(t *testing.T) {
 	t.Setenv(BackendEnv, "des")
 	m := testModel()
 	m.Backend = GoroutineBackend
-	if got := New(1, m).Backend(); got != GoroutineBackend {
+	if got := New(1, m).backend; got != GoroutineBackend {
 		t.Fatalf("explicit goroutine under env=des resolved to %v", got)
 	}
 	t.Setenv(BackendEnv, "goroutine")
-	if got := New(1, desModel()).Backend(); got != DESBackend {
+	if got := New(1, desModel()).backend; got != DESBackend {
 		t.Fatalf("explicit des under env=goroutine resolved to %v", got)
 	}
 }

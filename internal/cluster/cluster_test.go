@@ -298,9 +298,6 @@ func TestGridShape(t *testing.T) {
 	if g.RowIndex(5) != 2 || g.ColIndex(5) != 1 {
 		t.Fatalf("rank 5 at (%d,%d), want (2,1)", g.RowIndex(5), g.ColIndex(5))
 	}
-	if g.RankAt(2, 1) != 5 {
-		t.Fatalf("RankAt(2,1) = %d", g.RankAt(2, 1))
-	}
 	if g.RowComm(5).Size() != 2 || g.ColComm(5).Size() != 4 {
 		t.Fatal("sub-communicator sizes wrong")
 	}

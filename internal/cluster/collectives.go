@@ -315,11 +315,6 @@ func PredictHierAllReduce(m CostModel, members []int, bytes int) float64 {
 // path. The FlatTree expressions are kept in exactly the pre-refactor
 // shape so default runs stay bit-identical.
 
-func barrierCost(c *Comm) collCost {
-	alpha, _ := c.alphaBeta()
-	return collCost{seconds: alpha * log2Ceil(c.Size())}
-}
-
 func broadcastCost(c *Comm, alg CollectiveAlgorithm, bytes int, root bool) collCost {
 	cost := collCost{seconds: PredictBroadcast(c.cl.Model, alg, c.link, c.Size(), bytes)}
 	if alg == Ring && c.Size() >= 2 {

@@ -480,12 +480,6 @@ func (c *Comm) finish(r *Rank, doneAt float64) {
 	r.advance(doneAt-r.clock, true)
 }
 
-// Barrier synchronizes all members; cost α·⌈log2 n⌉ at the worst tier.
-func Barrier(c *Comm, r *Rank) {
-	slots := c.exchange(r, "barrier", slot{clock: r.clock})
-	c.chargeCollective(r, "barrier", maxClock(slots), barrierCost(c))
-}
-
 // Broadcast sends root's value to every member. bytes is the payload
 // size for cost accounting; FlatTree charges the binomial tree
 // (α + β·bytes)·⌈log2 n⌉, Ring the pipelined (n−1)·α + β·bytes. The

@@ -108,18 +108,17 @@ func newContention(model CostModel, n int) *contention {
 	if nicsPer <= 0 || nicsPer > gpn {
 		nicsPer = gpn // one injection pipe per GPU
 	}
-	cap := func(override, beta float64) float64 {
-		if override > 0 {
-			return override
-		}
+	// Each link's capacity is its tier's 1/β, which keeps a solo flow's
+	// time identical to the α–β charge.
+	cap := func(beta float64) float64 {
 		if beta <= 0 {
 			return math.Inf(1)
 		}
 		return 1 / beta
 	}
-	nvCap := cap(topo.NVLinkBps, model.Beta[IntraNode])
-	nicCap := cap(topo.NICBps, model.Beta[InterNode])
-	pcieCap := cap(topo.PCIeBps, model.Beta[HostLink])
+	nvCap := cap(model.Beta[IntraNode])
+	nicCap := cap(model.Beta[InterNode])
+	pcieCap := cap(model.Beta[HostLink])
 
 	ct := &contention{nvBase: 0, pcieBase: n, nicBase: 2 * n, trunk: -1,
 		nicsPer: nicsPer, gpn: gpn}

@@ -62,14 +62,6 @@ func (p *FaultPlan) Validate(n int) error {
 	return nil
 }
 
-// Len reports the number of planned failures (0 for a nil plan).
-func (p *FaultPlan) Len() int {
-	if p == nil {
-		return 0
-	}
-	return len(p.Failures)
-}
-
 // failAt returns the earliest planned failure time for the rank, or 0
 // when the plan holds none (0 is unambiguous: Validate rejects
 // non-positive times).

@@ -50,9 +50,6 @@ func (g *Grid) RowIndex(rank int) int { return rank / g.C }
 // ColIndex returns the grid column j of a rank.
 func (g *Grid) ColIndex(rank int) int { return rank % g.C }
 
-// RankAt returns the global rank at grid position (i, j).
-func (g *Grid) RankAt(i, j int) int { return i*g.C + j }
-
 // RowComm returns the communicator over the rank's process row P(i,:).
 func (g *Grid) RowComm(rank int) *Comm { return g.rowComms[g.RowIndex(rank)] }
 

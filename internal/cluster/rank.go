@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -453,35 +452,6 @@ func (res *Result) LinkTraffic() [3]int64 {
 	return out
 }
 
-// PhaseLinkTraffic sums the per-tier wire bytes booked under the named
-// phase across all ranks.
-func (res *Result) PhaseLinkTraffic(phase string) [3]int64 {
-	var out [3]int64
-	for _, s := range res.Ranks {
-		lb := s.LinkBytes[phase]
-		for l, v := range lb {
-			out[l] += v
-		}
-	}
-	return out
-}
-
-// Phases returns the sorted names of all phases observed.
-func (res *Result) Phases() []string {
-	set := map[string]struct{}{}
-	for _, s := range res.Ranks {
-		for k := range s.PhaseTotal {
-			set[k] = struct{}{}
-		}
-	}
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Cluster is a set of ranks sharing a cost model. Communicators are
 // created from the cluster before Run and shared by all ranks.
 type Cluster struct {
@@ -554,9 +524,6 @@ func New(n int, model CostModel) *Cluster {
 	}
 	return c
 }
-
-// Backend reports the resolved execution backend this cluster runs on.
-func (c *Cluster) Backend() Backend { return c.backend }
 
 // Run executes body once per rank concurrently and returns per-rank
 // accounting. Ranks must all reach every collective they participate
@@ -647,4 +614,6 @@ func (c *Cluster) Run(body func(r *Rank) error) (*Result, error) {
 // AdvanceBy adds dt simulated seconds to the clock under the current
 // phase (compute, not communication). It is the escape hatch for
 // schedulers that compute durations out-of-band; dt must be >= 0.
+//
+//gnnvet:allow deadexport — the engine and cluster tests script stage durations with it
 func (r *Rank) AdvanceBy(dt float64) { r.advance(dt, false) }

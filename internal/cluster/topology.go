@@ -40,11 +40,6 @@ type Topology struct {
 	// in addition to its NIC. Values <= 1 (or a single-node cluster)
 	// model a non-blocking fabric with no shared core.
 	Oversub float64
-
-	// Capacity overrides in bytes/second. Zero derives each capacity
-	// from the cost model's Beta for the matching tier, which is what
-	// keeps a solo flow's time identical to the α–β charge.
-	NVLinkBps, NICBps, PCIeBps float64
 }
 
 // String returns the flag spelling; the nil topology is "ideal".
@@ -66,9 +61,6 @@ func (t *Topology) Validate() error {
 	}
 	if t.Oversub < 0 {
 		return fmt.Errorf("cluster: topology %q: Oversub must be >= 0, got %v", t.Name, t.Oversub)
-	}
-	if t.NVLinkBps < 0 || t.NICBps < 0 || t.PCIeBps < 0 {
-		return fmt.Errorf("cluster: topology %q: capacity overrides must be >= 0", t.Name)
 	}
 	return nil
 }

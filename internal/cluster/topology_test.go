@@ -234,7 +234,6 @@ func TestTopologyValidate(t *testing.T) {
 	bad := []*Topology{
 		{Name: "neg-nics", NICsPerNode: -1},
 		{Name: "neg-oversub", Oversub: -2},
-		{Name: "neg-cap", NICBps: -1},
 	}
 	for _, topo := range bad {
 		if err := topo.Validate(); err == nil {

@@ -131,12 +131,6 @@ type BulkSample struct {
 	Cost    Cost
 }
 
-// InputFrontier returns the deepest frontier — the vertices whose
-// features feed forward propagation.
-func (b *BulkSample) InputFrontier() *Frontier {
-	return b.Layers[len(b.Layers)-1].Cols
-}
-
 // LayerStepper runs one layer of Algorithm 1 in bulk over an adjacency
 // matrix it is given whole. Every Sampler is one; the graph-wise
 // ClusterGCN is one without being a matrix construction.

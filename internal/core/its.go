@@ -28,6 +28,8 @@ type FloatRNG interface {
 // with probability proportional to weights, without replacement.
 // It returns the selected positions (sorted) and the number of
 // elementary operations performed (for cost accounting).
+//
+//gnnvet:allow deadexport — the math/rand oracle that core's ITS tests and the root BenchmarkITS hold RowSampler to
 func SampleRowITS(weights []float64, s int, rng FloatRNG) (picks []int, ops int64) {
 	var sc itsScratch
 	return sampleRowITS(weights, s, rng, &sc)
@@ -184,6 +186,8 @@ func rowSeed(seed int64, row int) int64 {
 }
 
 // NewRowRNG returns the deterministic RNG for the given (seed, row).
+//
+//gnnvet:allow deadexport — seeds the math/rand oracle in core's ITS tests and the root BenchmarkITS
 func NewRowRNG(seed int64, row int) *rand.Rand {
 	return rand.New(rand.NewSource(rowSeed(seed, row)))
 }

@@ -19,6 +19,7 @@ type LADIES struct {
 	// replacement) unbiased estimator of exact aggregation. The
 	// paper's performance study uses unweighted binary adjacencies;
 	// enable this for accuracy-sensitive training.
+	//gnnvet:allow deadexport — no program sets it; core's unbiasedness test pins the estimator
 	Reweight bool
 }
 

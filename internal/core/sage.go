@@ -154,37 +154,6 @@ func extractNodewise(cur *Frontier, picks, rowPtr []int) *LayerSample {
 	return &LayerSample{Adj: adj, Rows: cur, Cols: next}
 }
 
-// FinishStep completes a node-wise layer of s given the raw probability
-// matrix P = Q·A: NORM, ITS sampling of fan entries per row, and
-// extraction (rows of P must align with cur's stacked frontier). It
-// normalizes P in place, then samples each row through RowSampler: the
-// matrix path as Algorithm 1 writes it, kept as the reference that
-// SAGE.Step and SAGE.FinishStep are held equal to.
-func FinishStep(s Sampler, p *sparse.CSR, cur *Frontier, fan int, seed int64) (*LayerSample, Cost) {
-	// NORM, SAMPLE, EXTRACT.
-	cost := Cost{Kernels: 3}
-	s.Norm(p)
-
-	// SAMPLE: ITS per row; one RowSampler reuses the RNG register and
-	// ITS scratch across all rows.
-	rowPtr := make([]int, p.Rows+1)
-	picks := make([]int, 0, min(p.NNZ(), p.Rows*max(fan, 0)))
-	var rs RowSampler
-	for i := 0; i < p.Rows; i++ {
-		cols, vals := p.Row(i)
-		sel, ops := rs.Sample(vals, fan, seed, i)
-		cost.SampleOps += ops
-		for _, t := range sel {
-			picks = append(picks, cols[t])
-		}
-		rowPtr[i+1] = len(picks)
-	}
-
-	ls := extractNodewise(cur, picks, rowPtr)
-	cost.ExtractOps += int64(len(picks))
-	return ls, cost
-}
-
 // FinishStep is FinishStep(sg, …) without writing P: it samples the
 // un-normalized rows with NORM fused into the prefix sum — Step's loop,
 // reading P's rows in order — and returns the same sample and Cost.

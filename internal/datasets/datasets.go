@@ -121,11 +121,6 @@ var (
 // ProductsLike returns the OGB-Products analog at the given profile.
 func ProductsLike(p Profile) *Dataset { return load("products", p) }
 
-// ProteinLike returns the HipMCL-Protein analog at the given profile.
-// Like the original, its features are random: it exists to measure
-// performance on a very dense graph.
-func ProteinLike(p Profile) *Dataset { return load("protein", p) }
-
 // PapersLike returns the OGB-Papers100M analog at the given profile
 // (directed, highest vertex count, lowest density).
 func PapersLike(p Profile) *Dataset { return load("papers", p) }

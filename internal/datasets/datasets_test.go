@@ -33,7 +33,7 @@ func TestTinyPresetsLoad(t *testing.T) {
 func TestDensityOrderingPreserved(t *testing.T) {
 	// Table 3 shape: Protein is densest, Papers is sparsest.
 	products := ProductsLike(Tiny)
-	protein := ProteinLike(Tiny)
+	protein := load("protein", Tiny)
 	papers := PapersLike(Tiny)
 	if !(protein.Graph.AvgDegree() > products.Graph.AvgDegree()) {
 		t.Fatalf("protein (%.1f) not denser than products (%.1f)",
@@ -99,7 +99,8 @@ func TestSBMStructure(t *testing.T) {
 	// Homophily: most edges must stay within a community.
 	intra, total := 0, 0
 	for u := 0; u < d.Graph.NumVertices(); u++ {
-		for _, v := range d.Graph.Neighbors(u) {
+		cols, _ := d.Graph.Adj.Row(u)
+		for _, v := range cols {
 			total++
 			if d.Labels[u] == d.Labels[v] {
 				intra++

@@ -32,18 +32,12 @@ func FromSlice(rows, cols int, data []float64) *Matrix {
 }
 
 // At returns the element at (i, j).
+//
+//gnnvet:allow deadexport — the pipeline and dense tests read single entries with it
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
-
-// Set assigns the element at (i, j).
-func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
 // RowView returns a view of row i; mutations are visible in m.
 func (m *Matrix) RowView(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
-
-// Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	return &Matrix{Rows: m.Rows, Cols: m.Cols, Data: append([]float64(nil), m.Data...)}
-}
 
 // Bytes returns the payload size used by communication cost modeling.
 func (m *Matrix) Bytes() int { return 8 * len(m.Data) }
@@ -63,13 +57,6 @@ func (m *Matrix) AddInPlace(b *Matrix) {
 	}
 	for i := range m.Data {
 		m.Data[i] += b.Data[i]
-	}
-}
-
-// Scale multiplies every element by f.
-func (m *Matrix) Scale(f float64) {
-	for i := range m.Data {
-		m.Data[i] *= f
 	}
 }
 

@@ -330,3 +330,18 @@ func TestMatMulTDimPanics(t *testing.T) {
 	}()
 	MatMulTInto(New(2, 2), New(2, 3), New(2, 4), New(4, 2))
 }
+
+// Set assigns the element at (i, j).
+func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
+
+// Clone returns a deep copy.
+func (m *Matrix) Clone() *Matrix {
+	return &Matrix{Rows: m.Rows, Cols: m.Cols, Data: append([]float64(nil), m.Data...)}
+}
+
+// Scale multiplies every element by f.
+func (m *Matrix) Scale(f float64) {
+	for i := range m.Data {
+		m.Data[i] *= f
+	}
+}

@@ -182,7 +182,7 @@ func TestNormalizeAdjMean(t *testing.T) {
 	adj := sparse.FromEntries(2, 3, [][3]float64{{0, 0, 1}, {0, 2, 1}, {1, 1, 1}})
 	norm := normalizeAdj(adj, &workspace{})
 	if norm.At(0, 0) != 0.5 || norm.At(0, 2) != 0.5 || norm.At(1, 1) != 1 {
-		t.Fatalf("mean normalization wrong: %v", norm.ToDense())
+		t.Fatalf("mean normalization wrong: rowptr %v cols %v vals %v", norm.RowPtr, norm.ColIdx, norm.Val)
 	}
 	// Original must be untouched.
 	if adj.At(0, 0) != 1 {

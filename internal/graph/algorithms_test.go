@@ -164,7 +164,8 @@ func TestBFSLevelsMatchExplosionBFS(t *testing.T) {
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
-		for _, u := range g.Neighbors(v) {
+		nbrs, _ := g.Adj.Row(v)
+		for _, u := range nbrs {
 			if want[u] == -1 {
 				want[u] = want[v] + 1
 				queue = append(queue, u)

@@ -54,12 +54,6 @@ func (g *Graph) Degrees() []int {
 	return out
 }
 
-// Neighbors returns the out-neighbors of v (aliased, do not modify).
-func (g *Graph) Neighbors(v int) []int {
-	cols, _ := g.Adj.Row(v)
-	return cols
-}
-
 // RMATConfig parameterizes a Kronecker (R-MAT) generator, the standard
 // scale-free generator used to stand in for the OGB/HipMCL datasets.
 type RMATConfig struct {
@@ -114,6 +108,8 @@ func RMAT(cfg RMATConfig) *Graph {
 
 // ErdosRenyi generates a uniform random directed graph with
 // approximately avgDegree out-edges per vertex.
+//
+//gnnvet:allow deadexport — the random graph the graph, core, distsample and gnn tests sample from
 func ErdosRenyi(n int, avgDegree float64, seed int64) *Graph {
 	rng := rand.New(rand.NewSource(seed))
 	target := int(avgDegree * float64(n))

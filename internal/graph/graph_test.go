@@ -21,7 +21,8 @@ func TestRMATBasicProperties(t *testing.T) {
 	}
 	// No self loops.
 	for i := 0; i < g.NumVertices(); i++ {
-		for _, c := range g.Neighbors(i) {
+		nbrs, _ := g.Adj.Row(i)
+		for _, c := range nbrs {
 			if c == i {
 				t.Fatalf("self loop at %d", i)
 			}
@@ -82,7 +83,8 @@ func TestEnsureMinOutDegree(t *testing.T) {
 	}
 	// Original edges must be preserved.
 	for i := 0; i < g.NumVertices(); i++ {
-		for _, c := range g.Neighbors(i) {
+		nbrs, _ := g.Adj.Row(i)
+		for _, c := range nbrs {
 			if g2.Adj.At(i, c) != 1 {
 				t.Fatalf("edge (%d,%d) lost", i, c)
 			}

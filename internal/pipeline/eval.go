@@ -55,6 +55,8 @@ func Evaluate(d *datasets.Dataset, params []float64, cfg Config, vertices []int)
 // This is the sampling-free reference that sampled evaluation
 // approximates; the gap between the two is the accuracy cost of
 // sampling.
+//
+//gnnvet:allow deadexport — the sampling-free reference the pipeline and root accuracy tests compare against
 func EvaluateFull(d *datasets.Dataset, params []float64, cfg Config, vertices []int) float64 {
 	cfg = cfg.mustDefaults(d)
 	model := cfg.newModel(d)

@@ -177,6 +177,9 @@ func (c Config) withDefaults(d *datasets.Dataset) (Config, error) {
 // driver's input passes through: bad input is an error naming the
 // field, never a panic inside the first attempt.
 func (c Config) normalised(d *datasets.Dataset) (Config, error) {
+	if c.C < 0 {
+		return c, fmt.Errorf("pipeline: replication factor C=%d: must be >= 1 (0 means 1)", c.C)
+	}
 	c, err := c.withDefaults(d)
 	switch {
 	case err != nil:

@@ -190,6 +190,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 		want []string
 	}{
 		{Config{P: 0}, []string{"p=0"}},
+		{Config{P: 2, C: -3}, []string{"replication factor C=-3"}},
 		{Config{P: 2, Sampler: "bogus"}, append([]string{`unknown sampler "bogus"`}, keys...)},
 		{Config{P: 2, Algorithm: 7}, []string{"unknown algorithm 7"}},
 		{Config{P: 2, Epochs: -1}, []string{"negative epoch count"}},

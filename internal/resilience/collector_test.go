@@ -120,28 +120,6 @@ func TestCollectorPanicsOnBadP(t *testing.T) {
 	NewCollector(0)
 }
 
-func TestRandomPlanDeterministicAndBounded(t *testing.T) {
-	a := RandomPlan(42, 8, 5, 0.1, 2.0)
-	b := RandomPlan(42, 8, 5, 0.1, 2.0)
-	if a.String() != b.String() {
-		t.Fatalf("same seed produced different plans: %q vs %q", a, b)
-	}
-	if a.Len() != 5 {
-		t.Fatalf("plan has %d failures, want 5", a.Len())
-	}
-	if err := a.Validate(8); err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range a.Failures {
-		if f.At < 0.1 || f.At >= 2.0 {
-			t.Fatalf("failure time %v outside [0.1, 2.0)", f.At)
-		}
-	}
-	if c := RandomPlan(43, 8, 5, 0.1, 2.0); c.String() == a.String() {
-		t.Fatal("different seeds produced identical plans")
-	}
-}
-
 func TestStatsRecordFailure(t *testing.T) {
 	var s Stats
 	s.RecordFailure(&cluster.RankFailure{Rank: 2, At: 5}, 1, 3)

@@ -1,6 +1,7 @@
 package resilience_test
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"reflect"
@@ -120,7 +121,7 @@ func TestDifferentialCrashRecovery(t *testing.T) {
 			if trial%7 == 0 {
 				nFail = 2
 			}
-			failCfg.Faults = resilience.RandomPlan(
+			failCfg.Faults = RandomPlan(
 				rng.Int63(), cfg.P, nFail,
 				clean.Cluster.SimTime*0.05, clean.Cluster.SimTime*0.75)
 			failed := run(failCfg, be)
@@ -239,5 +240,48 @@ func TestCheckpointShortensRecovery(t *testing.T) {
 	}
 	if !reflect.DeepEqual(ckptClean.Params, cres.Params) || !reflect.DeepEqual(ckptClean.Cluster, cres.Cluster) {
 		t.Fatal("checkpointed recovery is not bit-identical to its unfailed twin")
+	}
+}
+
+// RandomPlan draws k failures deterministically from seed: ranks
+// uniform over [0, p), fail times uniform over [minAt, maxAt). Multiple
+// failures may land on one rank (the earliest fires; after a restart
+// retires it, a later one can fire on the next attempt). The
+// randomized differential trials draw their plans here.
+func RandomPlan(seed int64, p, k int, minAt, maxAt float64) *cluster.FaultPlan {
+	if k <= 0 || p <= 0 || !(maxAt > minAt) || !(minAt >= 0) {
+		panic(fmt.Sprintf("resilience: bad RandomPlan args p=%d k=%d window=[%v,%v)", p, k, minAt, maxAt))
+	}
+	rng := rand.New(rand.NewSource(seed))
+	fs := make([]cluster.Failure, k)
+	for i := range fs {
+		at := minAt + rng.Float64()*(maxAt-minAt)
+		if !(at > 0) {
+			at = minAt + (maxAt-minAt)/2
+		}
+		fs[i] = cluster.Failure{Rank: rng.Intn(p), At: at}
+	}
+	return &cluster.FaultPlan{Failures: fs}
+}
+
+func TestRandomPlanDeterministicAndBounded(t *testing.T) {
+	a := RandomPlan(42, 8, 5, 0.1, 2.0)
+	b := RandomPlan(42, 8, 5, 0.1, 2.0)
+	if a.String() != b.String() {
+		t.Fatalf("same seed produced different plans: %q vs %q", a, b)
+	}
+	if len(a.Failures) != 5 {
+		t.Fatalf("plan has %d failures, want 5", len(a.Failures))
+	}
+	if err := a.Validate(8); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range a.Failures {
+		if f.At < 0.1 || f.At >= 2.0 {
+			t.Fatalf("failure time %v outside [0.1, 2.0)", f.At)
+		}
+	}
+	if c := RandomPlan(43, 8, 5, 0.1, 2.0); c.String() == a.String() {
+		t.Fatal("different seeds produced identical plans")
 	}
 }

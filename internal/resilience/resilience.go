@@ -28,14 +28,13 @@
 //
 // Failure plans enter only through cluster.CostModel.Faults (the
 // FaultPlan seam); the faultseam analyzer enforces that no other
-// package constructs plan values directly — use FailAt / Plan /
-// RandomPlan.
+// package constructs plan values directly — use FailAt, or
+// cliutil.ParseFaults for the -faults flag.
 package resilience
 
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
 	"sync"
 
 	"repro/internal/cluster"
@@ -46,41 +45,6 @@ import (
 // clock reaches at (seconds).
 func FailAt(rank int, at float64) *cluster.FaultPlan {
 	return &cluster.FaultPlan{Failures: []cluster.Failure{{Rank: rank, At: at}}}
-}
-
-// Plan builds a plan from explicit (rank, at) pairs.
-func Plan(failures ...cluster.Failure) *cluster.FaultPlan {
-	if len(failures) == 0 {
-		return nil
-	}
-	return &cluster.FaultPlan{Failures: append([]cluster.Failure(nil), failures...)}
-}
-
-// Failure constructs one plan entry; with Plan it is the composable
-// form of FailAt.
-func Failure(rank int, at float64) cluster.Failure {
-	return cluster.Failure{Rank: rank, At: at}
-}
-
-// RandomPlan draws k failures deterministically from seed: ranks
-// uniform over [0, p), fail times uniform over [minAt, maxAt). Multiple
-// failures may land on one rank (the earliest fires; after a restart
-// retires it, a later one can fire on the next attempt). Used by the
-// sweep harness and the randomized differential trials.
-func RandomPlan(seed int64, p, k int, minAt, maxAt float64) *cluster.FaultPlan {
-	if k <= 0 || p <= 0 || !(maxAt > minAt) || !(minAt >= 0) {
-		panic(fmt.Sprintf("resilience: bad RandomPlan args p=%d k=%d window=[%v,%v)", p, k, minAt, maxAt))
-	}
-	rng := rand.New(rand.NewSource(seed))
-	fs := make([]cluster.Failure, k)
-	for i := range fs {
-		at := minAt + rng.Float64()*(maxAt-minAt)
-		if !(at > 0) {
-			at = minAt + (maxAt-minAt)/2
-		}
-		fs[i] = cluster.Failure{Rank: rng.Intn(p), At: at}
-	}
-	return &cluster.FaultPlan{Failures: fs}
 }
 
 // Stats reports what recovery cost: how many attempts a run took, which

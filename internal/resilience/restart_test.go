@@ -62,19 +62,19 @@ func TestRunWithRestarts(t *testing.T) {
 			plan: FailAt(1, 5), script: []error{fail(1, 5)},
 			calls:    []call{{Plan: "1@5"}, {}},
 			restores: []bool{false},
-			stats: &Stats{Attempts: 2, Failures: []cluster.Failure{Failure(1, 5)},
+			stats: &Stats{Attempts: 2, Failures: []cluster.Failure{{Rank: 1, At: 5}},
 				RestartEpochs: []int{0}, WastedSim: 5}},
 		{name: "fault, published checkpoint: resume",
 			plan: FailAt(0, 5), col: publish(t, 2, 3), script: []error{fail(0, 5)},
 			calls:    []call{{Plan: "0@5"}, {StartEpoch: 2, Resumed: true}},
 			restores: []bool{true},
-			stats: &Stats{Attempts: 2, Failures: []cluster.Failure{Failure(0, 5)},
+			stats: &Stats{Attempts: 2, Failures: []cluster.Failure{{Rank: 0, At: 5}},
 				RestartEpochs: []int{2}, WastedSim: 2}}, // 5 − restore clock 3
 		{name: "two faults retire two entries",
-			plan: Plan(Failure(0, 1), Failure(1, 2)), script: []error{fail(0, 1), fail(1, 2)},
+			plan: &cluster.FaultPlan{Failures: []cluster.Failure{{Rank: 0, At: 1}, {Rank: 1, At: 2}}}, script: []error{fail(0, 1), fail(1, 2)},
 			calls:    []call{{Plan: "0@1,1@2"}, {Plan: "1@2"}, {}},
 			restores: []bool{false, false},
-			stats: &Stats{Attempts: 3, Failures: []cluster.Failure{Failure(0, 1), Failure(1, 2)},
+			stats: &Stats{Attempts: 3, Failures: []cluster.Failure{{Rank: 0, At: 1}, {Rank: 1, At: 2}},
 				RestartEpochs: []int{0, 0}, WastedSim: 3}},
 		{name: "non-fault error returns at once, unwrapped",
 			plan: FailAt(0, 1), script: []error{bug},

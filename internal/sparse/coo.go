@@ -86,6 +86,8 @@ func FromEntries(rows, cols int, entries [][3]float64) *CSR {
 
 // FromDense builds a CSR matrix from a row-major dense slice, storing
 // every nonzero entry. For tests and small examples.
+//
+//gnnvet:allow deadexport — builds hand-written fixtures in the sparse, graph and core tests
 func FromDense(rows, cols int, data []float64) *CSR {
 	if len(data) != rows*cols {
 		panic(fmt.Sprintf("sparse: FromDense got %d values for %dx%d", len(data), rows, cols))

@@ -118,12 +118,9 @@ func (m *CSR) Clone() *CSR {
 	return c
 }
 
-// Zero returns an empty rows x cols matrix.
-func Zero(rows, cols int) *CSR {
-	return &CSR{Rows: rows, Cols: cols, RowPtr: make([]int, rows+1)}
-}
-
 // Identity returns the n x n identity matrix.
+//
+//gnnvet:allow deadexport — a fixture for the sparse and graphio tests
 func Identity(n int) *CSR {
 	m := &CSR{
 		Rows:   n,
@@ -138,31 +135,6 @@ func Identity(n int) *CSR {
 		m.Val[i] = 1
 	}
 	return m
-}
-
-// RowSums returns the sum of values in each row.
-func (m *CSR) RowSums() []float64 {
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		s := 0.0
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			s += m.Val[k]
-		}
-		out[i] = s
-	}
-	return out
-}
-
-// ScaleRows multiplies every entry of row i by f[i], in place.
-func (m *CSR) ScaleRows(f []float64) {
-	if len(f) != m.Rows {
-		panic(fmt.Sprintf("sparse: ScaleRows factor length %d, want %d", len(f), m.Rows))
-	}
-	for i := 0; i < m.Rows; i++ {
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			m.Val[k] *= f[i]
-		}
-	}
 }
 
 // NormalizeRows scales each nonempty row so its values sum to 1, in
@@ -216,18 +188,6 @@ func (m *CSR) Transpose() *CSR {
 		}
 	}
 	return t
-}
-
-// ToDense materializes the matrix as a row-major dense slice, for tests
-// and small examples only.
-func (m *CSR) ToDense() []float64 {
-	out := make([]float64, m.Rows*m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			out[i*m.Cols+m.ColIdx[k]] = m.Val[k]
-		}
-	}
-	return out
 }
 
 // Equal reports whether two matrices have identical shape and entries

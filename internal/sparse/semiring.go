@@ -53,14 +53,6 @@ var MinPlus = Semiring{
 	Zero: math.Inf(1),
 }
 
-// MaxMin is the bottleneck (max-min) semiring: widest-path capacities.
-var MaxMin = Semiring{
-	Name: "max-min",
-	Add:  math.Max,
-	Mul:  math.Min,
-	Zero: math.Inf(-1),
-}
-
 // SpGEMMSemiring computes C = A ⊗.⊕ B over the given semiring using
 // the same Gustavson row-wise schedule as SpGEMM. The returned op
 // count is the number of ⊗ applications. Slower than the specialized

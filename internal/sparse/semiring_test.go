@@ -104,3 +104,11 @@ func TestSemiringZeroDropping(t *testing.T) {
 		t.Fatalf("stored unreachable entries: %v", prod.ToDense())
 	}
 }
+
+// MaxMin is the bottleneck (max-min) semiring: widest-path capacities.
+var MaxMin = Semiring{
+	Name: "max-min",
+	Add:  math.Max,
+	Mul:  math.Min,
+	Zero: math.Inf(-1),
+}

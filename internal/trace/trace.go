@@ -6,9 +6,7 @@ package trace
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-	"sort"
 	"sync"
 )
 
@@ -20,9 +18,6 @@ type LinkBytes struct {
 	InterNode int64 `json:"inter_node"`
 	Host      int64 `json:"host"`
 }
-
-// Total sums the tiers.
-func (lb LinkBytes) Total() int64 { return lb.IntraNode + lb.InterNode + lb.Host }
 
 // PhysLinkUtil is the stable serialization of one physical link's
 // traffic under a contention topology: the named link (an NVLink port,
@@ -62,18 +57,6 @@ func (r *Report) Add(id string, rows any) {
 	r.Results[id] = rows
 }
 
-// IDs returns the recorded experiment ids, sorted.
-func (r *Report) IDs() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.Results))
-	for id := range r.Results {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // WriteJSON serializes the report with stable formatting.
 func (r *Report) WriteJSON(w io.Writer) error {
 	r.mu.Lock()
@@ -84,22 +67,4 @@ func (r *Report) WriteJSON(w io.Writer) error {
 		Meta    map[string]string `json:"meta"`
 		Results map[string]any    `json:"results"`
 	}{r.Meta, r.Results})
-}
-
-// ReadJSON parses a report written by WriteJSON. Row payloads come
-// back as generic JSON values; use the typed accessors of the caller
-// if needed.
-func ReadJSON(rd io.Reader) (*Report, error) {
-	var raw struct {
-		Meta    map[string]string `json:"meta"`
-		Results map[string]any    `json:"results"`
-	}
-	if err := json.NewDecoder(rd).Decode(&raw); err != nil {
-		return nil, fmt.Errorf("trace: %w", err)
-	}
-	rep := NewReport(raw.Meta)
-	for id, rows := range raw.Results {
-		rep.Add(id, rows)
-	}
-	return rep, nil
 }

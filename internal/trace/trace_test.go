@@ -2,6 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -23,9 +26,10 @@ func TestReportRoundTrip(t *testing.T) {
 	if back.Meta["profile"] != "tiny" {
 		t.Fatal("meta lost")
 	}
-	ids := back.IDs()
-	if len(ids) != 2 || ids[0] != "acc" || ids[1] != "fig4" {
-		t.Fatalf("ids = %v", ids)
+	_, acc := back.Results["acc"]
+	_, fig4 := back.Results["fig4"]
+	if len(back.Results) != 2 || !acc || !fig4 {
+		t.Fatalf("results = %v", back.Results)
 	}
 }
 
@@ -33,7 +37,7 @@ func TestReportOverwrite(t *testing.T) {
 	rep := NewReport(nil)
 	rep.Add("x", 1)
 	rep.Add("x", 2)
-	if len(rep.IDs()) != 1 {
+	if len(rep.Results) != 1 {
 		t.Fatal("duplicate id not replaced")
 	}
 }
@@ -70,7 +74,25 @@ func TestConcurrentAdd(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if len(rep.IDs()) != 20 {
-		t.Fatalf("lost adds: %d", len(rep.IDs()))
+	if len(rep.Results) != 20 {
+		t.Fatalf("lost adds: %d", len(rep.Results))
 	}
+}
+
+// ReadJSON parses a report written by WriteJSON. Row payloads come
+// back as generic JSON values; use the typed accessors of the caller
+// if needed.
+func ReadJSON(rd io.Reader) (*Report, error) {
+	var raw struct {
+		Meta    map[string]string `json:"meta"`
+		Results map[string]any    `json:"results"`
+	}
+	if err := json.NewDecoder(rd).Decode(&raw); err != nil {
+		return nil, fmt.Errorf("trace: %w", err)
+	}
+	rep := NewReport(raw.Meta)
+	for id, rows := range raw.Results {
+		rep.Add(id, rows)
+	}
+	return rep, nil
 }

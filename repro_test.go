@@ -4,16 +4,32 @@ import (
 	"bytes"
 	"io"
 	"testing"
+
+	"repro/internal/autotune"
+	"repro/internal/bench"
+	"repro/internal/cache"
+	"repro/internal/cliutil"
+	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/datasets"
+	"repro/internal/graph"
+	"repro/internal/graphio"
+	"repro/internal/pipeline"
+	"repro/internal/resilience"
 )
 
 // tinyDataset returns a small learnable dataset for fast API tests.
 func tinyDataset() *Dataset {
-	return SBMDataset(512, 4, 8, 1)
+	return datasets.SBM(datasets.SBMConfig{
+		N: 512, Classes: 4, Features: 8,
+		IntraDeg: 10, InterDeg: 2, Noise: 0.5,
+		BatchSize: 32, Fanouts: []int{5, 3}, LayerWidth: 32, Seed: 1,
+	})
 }
 
 func TestPublicSamplers(t *testing.T) {
 	d := ProductsLike(Tiny)
-	for _, s := range []Sampler{GraphSAGE(), LADIES(), FastGCN()} {
+	for _, s := range []Sampler{GraphSAGE(), LADIES(), core.FastGCN{}} {
 		fanouts := d.Fanouts
 		if s.Name() != "GraphSAGE" {
 			fanouts = []int{d.LayerWidth}
@@ -30,7 +46,7 @@ func TestPublicSamplers(t *testing.T) {
 
 func TestPublicClusterGCN(t *testing.T) {
 	d := ProductsLike(Tiny)
-	cg := NewClusterGCN(d.Graph.Adj, 4, 1)
+	cg := core.NewClusterGCN(d.Graph.Adj, 4, 1)
 	batches := cg.Batches(2, 1)
 	bulk := SampleBulk(cg, d.Graph.Adj, batches, []int{0}, 1)
 	if err := bulk.Validate(d.Graph.NumVertices()); err != nil {
@@ -58,7 +74,7 @@ func TestPublicTrainWithCache(t *testing.T) {
 	d := tinyDataset()
 	res, err := Train(d, TrainConfig{
 		P: 4, C: 1, Epochs: 1, Seed: 2, MaxBatches: 8,
-		CachePolicy: CacheStaticDegree, CacheFrac: 0.1,
+		CachePolicy: cache.StaticDegree, CacheFrac: 0.1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -80,25 +96,25 @@ func TestPublicQuiverBaseline(t *testing.T) {
 }
 
 func TestPublicFigures(t *testing.T) {
-	opts := ExperimentOptions{Profile: Tiny, GPUCounts: []int{4}, Seed: 4}
-	if _, err := Figure4(io.Discard, opts); err != nil {
+	opts := bench.Options{Profile: Tiny, GPUCounts: []int{4}, Seed: 4}
+	if _, err := bench.Fig4(io.Discard, opts); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Figure5(io.Discard, opts); err != nil {
+	if _, err := bench.Fig5(io.Discard, opts); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Figure6(io.Discard, opts); err != nil {
+	if _, err := bench.Fig6(io.Discard, opts); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Figure7(io.Discard, "sage", opts); err != nil {
+	if _, err := bench.Fig7(io.Discard, "sage", opts); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	Table2(&buf)
+	bench.Table2(&buf)
 	if buf.Len() == 0 {
 		t.Fatal("table 2 empty")
 	}
-	if _, err := Table3(io.Discard, Tiny); err != nil {
+	if _, err := bench.Table3(io.Discard, Tiny); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -106,10 +122,10 @@ func TestPublicFigures(t *testing.T) {
 func TestPublicSaveLoadDataset(t *testing.T) {
 	d := ProductsLike(Tiny)
 	var buf bytes.Buffer
-	if err := SaveDataset(&buf, d); err != nil {
+	if err := graphio.WriteDataset(&buf, d); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadDataset(&buf)
+	back, err := graphio.ReadDataset(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +148,7 @@ func TestPublicCostModel(t *testing.T) {
 
 func TestPublicAccuracyExperiment(t *testing.T) {
 	d := tinyDataset()
-	res, err := AccuracyExperiment(io.Discard, d, 2, 6)
+	res, err := bench.Accuracy(io.Discard, d, bench.Options{Epochs: 2, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +159,7 @@ func TestPublicAccuracyExperiment(t *testing.T) {
 
 func TestPublicAutoTune(t *testing.T) {
 	d := ProductsLike(Tiny)
-	cfg, err := AutoTune(d, TrainConfig{P: 4})
+	cfg, err := autotune.TuneConfig(autotune.DefaultMemoryModel(), d, TrainConfig{P: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,14 +173,14 @@ func TestPublicAutoTune(t *testing.T) {
 
 func TestPublicAnalytics(t *testing.T) {
 	d := ProductsLike(Tiny)
-	if TriangleCount(d.Graph) <= 0 {
+	if graph.TriangleCount(d.Graph) <= 0 {
 		t.Fatal("no triangles in a dense scale-free graph?")
 	}
-	_, comps := ConnectedComponents(d.Graph)
+	_, comps := graph.ConnectedComponents(d.Graph)
 	if comps < 1 {
 		t.Fatal("no components")
 	}
-	levels := BFSLevels(d.Graph, 0)
+	levels := graph.BFSLevels(d.Graph, 0)
 	if levels[0] != 0 {
 		t.Fatal("source level wrong")
 	}
@@ -177,15 +193,15 @@ func TestPublicEvaluateFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc := EvaluateFull(d, res.Params, cfg, d.Test)
+	acc := pipeline.EvaluateFull(d, res.Params, cfg, d.Test)
 	if acc <= 0.3 {
 		t.Fatalf("full-batch accuracy %.3f too low", acc)
 	}
 }
 
 func TestPublicFigure7LadiesAndTables(t *testing.T) {
-	opts := ExperimentOptions{Profile: Tiny, GPUCounts: []int{4}, Seed: 22}
-	if _, err := Figure7(io.Discard, "ladies", opts); err != nil {
+	opts := bench.Options{Profile: Tiny, GPUCounts: []int{4}, Seed: 22}
+	if _, err := bench.Fig7(io.Discard, "ladies", opts); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -203,7 +219,7 @@ func TestPublicFaultRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfgCkpt.Faults = FailAt(1, clean.Cluster.SimTime*0.9)
+	cfgCkpt.Faults = resilience.FailAt(1, clean.Cluster.SimTime*0.9)
 	failed, err := Train(d, cfgCkpt)
 	if err != nil {
 		t.Fatal(err)
@@ -212,7 +228,7 @@ func TestPublicFaultRecovery(t *testing.T) {
 	if rec.Attempts != 2 || len(rec.Failures) != 1 || rec.WastedSim <= 0 {
 		t.Fatalf("unexpected recovery stats: %+v", rec)
 	}
-	if rec.Failures[0] != FaultFailure(1, clean.Cluster.SimTime*0.9) {
+	if rec.Failures[0] != (cluster.Failure{Rank: 1, At: clean.Cluster.SimTime * 0.9}) {
 		t.Fatalf("fired failure mismatch: %+v", rec.Failures[0])
 	}
 	for i, got := range failed.Params {
@@ -220,20 +236,17 @@ func TestPublicFaultRecovery(t *testing.T) {
 			t.Fatalf("param %d diverged after recovery: %v != %v", i, got, ckpt.Params[i])
 		}
 	}
-	if _, err := ParseFaults("1@0.5,3@1.25"); err != nil {
+	if _, err := cliutil.ParseFaults("1@0.5,3@1.25"); err != nil {
 		t.Fatal(err)
 	}
-	if p, err := ParseFaults("default"); err != nil || p != nil {
+	if p, err := cliutil.ParseFaults("default"); err != nil || p != nil {
 		t.Fatalf("default spelling: plan %v err %v", p, err)
-	}
-	if NewFaultPlan(FaultFailure(0, 0.5)) == nil || RandomFaultPlan(1, 4, 2, 0.1, 0.2) == nil {
-		t.Fatal("plan constructors returned nil")
 	}
 }
 
 func TestPublicResilienceExperiment(t *testing.T) {
-	opts := ExperimentOptions{Profile: Tiny, Seed: 33, MaxBatches: 2}
-	rows, err := ResilienceExperiment(io.Discard, "products", 4, []int{0, 1}, nil, opts)
+	opts := bench.Options{Profile: Tiny, Seed: 33, MaxBatches: 2}
+	rows, err := bench.Resilience(io.Discard, "products", 4, []int{0, 1}, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
