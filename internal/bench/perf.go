@@ -135,7 +135,8 @@ func perfMatrix() []perfCase {
 // scheduler noise while keeping the suite CI-cheap.
 const perfReps = 5
 
-// Perf measures the pinned workload matrix and prints one row per
+// Perf measures the pinned workload matrix, then one uncached
+// products/Bench dataset construction, and prints one row per
 // workload. Options contributes only the cost model; the matrix's
 // sizes, seeds and topologies are pinned so baselines stay comparable.
 func Perf(w io.Writer, o Options) ([]PerfRow, error) {
@@ -144,6 +145,16 @@ func Perf(w io.Writer, o Options) ([]PerfRow, error) {
 	fmt.Fprintf(w, "%-40s %10s %10s %12s %14s %10s %8s\n",
 		"workload", "wall-sec", "wall-med", "sim-sec", "alloc-bytes", "allocs", "ledger")
 	var rows []PerfRow
+	measure := func(name string, run func() (simSec float64, ledgerPeak int, err error)) error {
+		row, err := measurePerf(name, run)
+		if err != nil {
+			return fmt.Errorf("bench: perf %s: %w", name, err)
+		}
+		rows = append(rows, row)
+		fmt.Fprintf(w, "%-40s %10.3f %10.3f %12.6g %14d %10d %8d\n",
+			row.Name, row.WallSec, row.WallMedianSec, row.SimSec, row.AllocBytes, row.Allocs, row.LedgerPeak)
+		return nil
+	}
 	for _, pc := range perfMatrix() {
 		d, err := datasets.ByName("products", pc.prof)
 		if err != nil {
@@ -155,43 +166,63 @@ func Perf(w io.Writer, o Options) ([]PerfRow, error) {
 		if _, err := pipeline.Run(d, cfg); err != nil {
 			return nil, fmt.Errorf("bench: perf %s: %w", pc.name, err)
 		}
-		row := PerfRow{Name: pc.name}
-		walls := make([]float64, 0, perfReps)
-		for rep := 0; rep < perfReps; rep++ {
-			var m0, m1 runtime.MemStats
-			runtime.ReadMemStats(&m0)
-			//gnnvet:allow walltime — the perf harness's job is measuring real wall time (sim_sec carries the simulated clock)
-			t0 := time.Now()
+		if err := measure(pc.name, func() (float64, int, error) {
 			res, err := pipeline.Run(d, cfg)
-			//gnnvet:allow walltime — wall_sec perf-baseline measurement, not simulated time
-			wall := time.Since(t0).Seconds()
-			runtime.ReadMemStats(&m1)
 			if err != nil {
-				return nil, fmt.Errorf("bench: perf %s: %w", pc.name, err)
+				return 0, 0, err
 			}
-			walls = append(walls, wall)
-			row.SimSec = res.Cluster.SimTime
-			// Allocation counters take the min over reps like the wall
-			// clock: runtime background allocations (GC bookkeeping,
-			// timers) only ever add, and a single noisy rep must not
-			// move the near-deterministic counters the 10% gate bounds.
-			bytes := int64(m1.TotalAlloc - m0.TotalAlloc)
-			allocs := int64(m1.Mallocs - m0.Mallocs)
-			if rep == 0 || bytes < row.AllocBytes {
-				row.AllocBytes = bytes
-			}
-			if rep == 0 || allocs < row.Allocs {
-				row.Allocs = allocs
-			}
-			row.LedgerPeak = res.Cluster.LedgerPeakSpans
+			return res.Cluster.SimTime, res.Cluster.LedgerPeakSpans, nil
+		}); err != nil {
+			return nil, err
 		}
-		row.WallSec = minOf(walls)
-		row.WallMedianSec = medianOf(walls)
-		rows = append(rows, row)
-		fmt.Fprintf(w, "%-40s %10.3f %10.3f %12.6g %14d %10d %8d\n",
-			row.Name, row.WallSec, row.WallMedianSec, row.SimSec, row.AllocBytes, row.Allocs, row.LedgerPeak)
+	}
+	// Host cost of building the benchmark's largest dataset from
+	// scratch: no simulated time, so sim_sec is 0.
+	if err := measure("build-products-bench", func() (float64, int, error) {
+		_, err := datasets.Build("products", datasets.Bench)
+		return 0, 0, err
+	}); err != nil {
+		return nil, err
 	}
 	return rows, nil
+}
+
+// measurePerf runs one workload perfReps times and reports the minimum
+// and median wall clock and the minimum allocation counters.
+func measurePerf(name string, run func() (simSec float64, ledgerPeak int, err error)) (PerfRow, error) {
+	row := PerfRow{Name: name}
+	walls := make([]float64, 0, perfReps)
+	for rep := 0; rep < perfReps; rep++ {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		//gnnvet:allow walltime — the perf harness's job is measuring real wall time (sim_sec carries the simulated clock)
+		t0 := time.Now()
+		simSec, ledgerPeak, err := run()
+		//gnnvet:allow walltime — wall_sec perf-baseline measurement, not simulated time
+		wall := time.Since(t0).Seconds()
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			return row, err
+		}
+		walls = append(walls, wall)
+		row.SimSec = simSec
+		// Allocation counters take the min over reps like the wall
+		// clock: runtime background allocations (GC bookkeeping,
+		// timers) only ever add, and a single noisy rep must not
+		// move the near-deterministic counters the 10% gate bounds.
+		bytes := int64(m1.TotalAlloc - m0.TotalAlloc)
+		allocs := int64(m1.Mallocs - m0.Mallocs)
+		if rep == 0 || bytes < row.AllocBytes {
+			row.AllocBytes = bytes
+		}
+		if rep == 0 || allocs < row.Allocs {
+			row.Allocs = allocs
+		}
+		row.LedgerPeak = ledgerPeak
+	}
+	row.WallSec = minOf(walls)
+	row.WallMedianSec = medianOf(walls)
+	return row, nil
 }
 
 func minOf(xs []float64) float64 {

@@ -119,36 +119,48 @@ var (
 )
 
 // ProductsLike returns the OGB-Products analog at the given profile.
-func ProductsLike(p Profile) *Dataset { return load("products", p) }
+func ProductsLike(p Profile) *Dataset { return mustLoad("products", p) }
 
 // PapersLike returns the OGB-Papers100M analog at the given profile
 // (directed, highest vertex count, lowest density).
-func PapersLike(p Profile) *Dataset { return load("papers", p) }
+func PapersLike(p Profile) *Dataset { return mustLoad("papers", p) }
 
 // ByName returns the named dataset ("products", "protein", "papers").
-func ByName(name string, p Profile) (*Dataset, error) {
-	if _, ok := presets[name]; !ok {
-		return nil, fmt.Errorf("datasets: unknown dataset %q", name)
-	}
-	return load(name, p), nil
-}
+// Each (name, profile) is built once per process and then shared.
+func ByName(name string, p Profile) (*Dataset, error) { return load(name, p) }
 
 // Names lists the available perf datasets in presentation order.
 func Names() []string { return []string{"products", "protein", "papers"} }
 
-func load(name string, p Profile) *Dataset {
+func mustLoad(name string, p Profile) *Dataset {
+	d, err := load(name, p)
+	if err != nil {
+		panic(err)
+	}
+	return d
+}
+
+func load(name string, p Profile) (*Dataset, error) {
 	key := fmt.Sprintf("%s/%s", name, p)
 	cacheMu.Lock()
 	defer cacheMu.Unlock()
 	if d, ok := cache[key]; ok {
-		return d
+		return d, nil
 	}
-	d := build(name, p)
+	d, err := Build(name, p)
+	if err != nil {
+		return nil, err
+	}
 	cache[key] = d
-	return d
+	return d, nil
 }
 
-func build(name string, p Profile) *Dataset {
+// Build constructs the named dataset at profile p, bypassing the
+// cache: every call pays the whole construction (ByName pays it once).
+func Build(name string, p Profile) (*Dataset, error) {
+	if _, ok := presets[name]; !ok {
+		return nil, fmt.Errorf("datasets: unknown dataset %q", name)
+	}
 	ps := presets[name][p]
 	seed := int64(len(name))*1000 + int64(p)
 	g := graph.RMAT(graph.RMATConfig{
@@ -191,5 +203,5 @@ func build(name string, p Profile) *Dataset {
 		Fanouts:    ps.fanouts,
 		LayerWidth: ps.layerWidth,
 	}
-	return d
+	return d, nil
 }

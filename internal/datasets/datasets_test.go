@@ -33,7 +33,7 @@ func TestTinyPresetsLoad(t *testing.T) {
 func TestDensityOrderingPreserved(t *testing.T) {
 	// Table 3 shape: Protein is densest, Papers is sparsest.
 	products := ProductsLike(Tiny)
-	protein := load("protein", Tiny)
+	protein := mustLoad("protein", Tiny)
 	papers := PapersLike(Tiny)
 	if !(protein.Graph.AvgDegree() > products.Graph.AvgDegree()) {
 		t.Fatalf("protein (%.1f) not denser than products (%.1f)",

@@ -71,7 +71,11 @@ func TestPresetDigests(t *testing.T) {
 	for _, name := range Names() {
 		for _, p := range []Profile{Tiny, Small, Bench, Scale} {
 			key := fmt.Sprintf("%s/%s", name, p)
-			got[key] = datasetDigest(build(name, p))
+			d, err := Build(name, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[key] = datasetDigest(d)
 		}
 	}
 	got["sbm"] = datasetDigest(DefaultSBM())

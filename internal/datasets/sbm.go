@@ -38,18 +38,13 @@ func SBM(cfg SBMConfig) *Dataset {
 		labels[i] = i * c / n // contiguous communities
 	}
 
-	coo := sparse.NewCOO(n, n, int(float64(n)*(cfg.IntraDeg+cfg.InterDeg))+n)
-	seen := map[int64]struct{}{}
+	edges := int(float64(n) * (cfg.IntraDeg + cfg.InterDeg))
+	coo := sparse.NewCOO(n, n, edges+n)
+	seen := graph.NewEdgeSet(edges)
 	addEdge := func(u, v int) {
-		if u == v {
-			return
+		if u != v && seen.Add(u, v) {
+			coo.Add(u, v, 1)
 		}
-		key := int64(u)<<32 | int64(v)
-		if _, dup := seen[key]; dup {
-			return
-		}
-		seen[key] = struct{}{}
-		coo.Add(u, v, 1)
 	}
 	commSize := (n + c - 1) / c
 	for u := 0; u < n; u++ {
@@ -110,11 +105,4 @@ func DefaultSBM() *Dataset {
 		LayerWidth: 64,
 		Seed:       99,
 	})
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -58,15 +58,46 @@ func TestRMATDeterministic(t *testing.T) {
 }
 
 func TestErdosRenyi(t *testing.T) {
-	g := ErdosRenyi(500, 6, 3)
-	if err := g.Adj.Validate(); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		n         int
+		avgDegree float64
+		edges     int
+	}{
+		{500, 6, 3000},
+		// Asking for more than the n·(n−1) edges of a simple directed
+		// graph returns the complete graph instead of drawing forever.
+		{4, 5, 12},
+		{1, 3, 0},
+	} {
+		g := ErdosRenyi(tc.n, tc.avgDegree, 3)
+		if err := g.Adj.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if g.NumEdges() != tc.edges {
+			t.Fatalf("ErdosRenyi(%d, %v): %d edges, want %d", tc.n, tc.avgDegree, g.NumEdges(), tc.edges)
+		}
 	}
-	if g.NumEdges() != 3000 {
-		t.Fatalf("edges = %d, want 3000", g.NumEdges())
+}
+
+func TestEdgeSet(t *testing.T) {
+	// Sized for 2 edges, then filled well past it: the table grows.
+	s := NewEdgeSet(2)
+	for r := 0; r < 40; r++ {
+		for c := 0; c < 40; c++ {
+			if r != c && !s.Add(r, c) {
+				t.Fatalf("(%d,%d) reported present before it was added", r, c)
+			}
+		}
 	}
-	if g.AvgDegree() != 6 {
-		t.Fatalf("avg degree = %v", g.AvgDegree())
+	for r := 0; r < 40; r++ {
+		for c := 0; c < 40; c++ {
+			if r != c && s.Add(r, c) {
+				t.Fatalf("(%d,%d) reported absent after it was added", r, c)
+			}
+		}
+	}
+	if !s.Add(1<<31, 7) || !s.Add(7, 1<<31) || s.Add(1<<31, 7) {
+		t.Fatal("high vertex ids collide")
 	}
 }
 
@@ -88,6 +119,19 @@ func TestEnsureMinOutDegree(t *testing.T) {
 			if g2.Adj.At(i, c) != 1 {
 				t.Fatalf("edge (%d,%d) lost", i, c)
 			}
+		}
+	}
+}
+
+func TestEnsureMinOutDegreeCapsAtCompleteRows(t *testing.T) {
+	// With 3 vertices a row can hold only 2 neighbors.
+	g := EnsureMinOutDegree(New(sparse.FromEntries(3, 3, [][3]float64{{1, 0, 1}})), 3, 1)
+	if err := g.Adj.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range g.Degrees() {
+		if d != 2 {
+			t.Fatalf("vertex %d degree %d, want 2", i, d)
 		}
 	}
 }

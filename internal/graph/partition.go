@@ -35,13 +35,6 @@ func BlockOwner(n, blocks, r int) int {
 	return rem + (r-boundary)/base
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Batches splits the given training vertex ids into contiguous batches
 // of size b (the final batch may be smaller). The returned slices alias
 // train.

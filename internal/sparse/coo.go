@@ -1,9 +1,6 @@
 package sparse
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // COO is a coordinate-format sparse matrix used as a construction
 // staging format; convert to CSR with ToCSR before computation.
@@ -24,8 +21,8 @@ func NewCOO(rows, cols, nnz int) *COO {
 	}
 }
 
-// Add appends entry (i, j) = v. Duplicate coordinates are summed during
-// ToCSR.
+// Add appends entry (i, j) = v. Duplicate coordinates are summed, in
+// insertion order, during ToCSR.
 func (m *COO) Add(i, j int, v float64) {
 	if i < 0 || i >= m.Rows || j < 0 || j >= m.Cols {
 		panic(fmt.Sprintf("sparse: COO entry (%d,%d) outside %dx%d", i, j, m.Rows, m.Cols))
@@ -38,44 +35,66 @@ func (m *COO) Add(i, j int, v float64) {
 // NNZ returns the number of (possibly duplicate) stored entries.
 func (m *COO) NNZ() int { return len(m.R) }
 
-// ToCSR converts to CSR, sorting entries and summing duplicates.
+// ToCSR converts to CSR: entries sorted by (row, column), duplicate
+// coordinates summed in insertion order. Two stable counting passes,
+// by column and then by row, make it O(nnz + rows + cols).
 func (m *COO) ToCSR() *CSR {
 	n := len(m.R)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
+	colNext := make([]int, m.Cols+1)
+	for _, c := range m.C {
+		colNext[c+1]++
 	}
-	sort.Slice(order, func(a, b int) bool {
-		ia, ib := order[a], order[b]
-		if m.R[ia] != m.R[ib] {
-			return m.R[ia] < m.R[ib]
-		}
-		return m.C[ia] < m.C[ib]
-	})
+	for j := 0; j < m.Cols; j++ {
+		colNext[j+1] += colNext[j]
+	}
+	byCol := make([]int, n)
+	for k, c := range m.C {
+		byCol[colNext[c]] = k
+		colNext[c]++
+	}
 
+	// Scatter by row into the output arrays. Afterwards RowPtr[i] is
+	// the end of row i's (still uncompacted) span.
 	out := &CSR{Rows: m.Rows, Cols: m.Cols, RowPtr: make([]int, m.Rows+1)}
-	out.ColIdx = make([]int, 0, n)
-	out.Val = make([]float64, 0, n)
-	prevR, prevC := -1, -1
-	for _, idx := range order {
-		r, c, v := m.R[idx], m.C[idx], m.V[idx]
-		if r == prevR && c == prevC {
-			out.Val[len(out.Val)-1] += v
-			continue
-		}
-		out.ColIdx = append(out.ColIdx, c)
-		out.Val = append(out.Val, v)
+	for _, r := range m.R {
 		out.RowPtr[r+1]++
-		prevR, prevC = r, c
 	}
 	for i := 0; i < m.Rows; i++ {
 		out.RowPtr[i+1] += out.RowPtr[i]
 	}
+	out.ColIdx = make([]int, n)
+	out.Val = make([]float64, n)
+	for _, k := range byCol {
+		pos := out.RowPtr[m.R[k]]
+		out.ColIdx[pos] = m.C[k]
+		out.Val[pos] = m.V[k]
+		out.RowPtr[m.R[k]]++
+	}
+
+	// Compact in place, summing each run of equal columns in order.
+	w, begin := 0, 0
+	for i := 0; i < m.Rows; i++ {
+		end := out.RowPtr[i]
+		out.RowPtr[i] = w
+		for pos := begin; pos < end; pos++ {
+			if c := out.ColIdx[pos]; w > out.RowPtr[i] && out.ColIdx[w-1] == c {
+				out.Val[w-1] += out.Val[pos]
+			} else {
+				out.ColIdx[w] = c
+				out.Val[w] = out.Val[pos]
+				w++
+			}
+		}
+		begin = end
+	}
+	out.RowPtr[m.Rows] = w
+	out.ColIdx = out.ColIdx[:w]
+	out.Val = out.Val[:w]
 	return out
 }
 
 // FromEntries builds a CSR matrix from explicit (row, col, val) triples,
-// summing duplicates. It is a convenience for tests and examples.
+// summing duplicates in insertion order. It is a convenience for tests and examples.
 func FromEntries(rows, cols int, entries [][3]float64) *CSR {
 	coo := NewCOO(rows, cols, len(entries))
 	for _, e := range entries {
