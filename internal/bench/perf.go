@@ -145,16 +145,6 @@ func Perf(w io.Writer, o Options) ([]PerfRow, error) {
 	fmt.Fprintf(w, "%-40s %10s %10s %12s %14s %10s %8s\n",
 		"workload", "wall-sec", "wall-med", "sim-sec", "alloc-bytes", "allocs", "ledger")
 	var rows []PerfRow
-	measure := func(name string, run func() (simSec float64, ledgerPeak int, err error)) error {
-		row, err := measurePerf(name, run)
-		if err != nil {
-			return fmt.Errorf("bench: perf %s: %w", name, err)
-		}
-		rows = append(rows, row)
-		fmt.Fprintf(w, "%-40s %10.3f %10.3f %12.6g %14d %10d %8d\n",
-			row.Name, row.WallSec, row.WallMedianSec, row.SimSec, row.AllocBytes, row.Allocs, row.LedgerPeak)
-		return nil
-	}
 	for _, pc := range perfMatrix() {
 		d, err := datasets.ByName("products", pc.prof)
 		if err != nil {
@@ -166,30 +156,34 @@ func Perf(w io.Writer, o Options) ([]PerfRow, error) {
 		if _, err := pipeline.Run(d, cfg); err != nil {
 			return nil, fmt.Errorf("bench: perf %s: %w", pc.name, err)
 		}
-		if err := measure(pc.name, func() (float64, int, error) {
+		row, err := measurePerf(w, pc.name, func() (float64, int, error) {
 			res, err := pipeline.Run(d, cfg)
 			if err != nil {
 				return 0, 0, err
 			}
 			return res.Cluster.SimTime, res.Cluster.LedgerPeakSpans, nil
-		}); err != nil {
+		})
+		if err != nil {
 			return nil, err
 		}
+		rows = append(rows, row)
 	}
 	// Host cost of building the benchmark's largest dataset from
 	// scratch: no simulated time, so sim_sec is 0.
-	if err := measure("build-products-bench", func() (float64, int, error) {
+	row, err := measurePerf(w, "build-products-bench", func() (float64, int, error) {
 		_, err := datasets.Build("products", datasets.Bench)
 		return 0, 0, err
-	}); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
-	return rows, nil
+	return append(rows, row), nil
 }
 
-// measurePerf runs one workload perfReps times and reports the minimum
-// and median wall clock and the minimum allocation counters.
-func measurePerf(name string, run func() (simSec float64, ledgerPeak int, err error)) (PerfRow, error) {
+// measurePerf runs one workload perfReps times, prints its row and
+// returns it: the minimum and median wall clock and the minimum
+// allocation counters.
+func measurePerf(w io.Writer, name string, run func() (simSec float64, ledgerPeak int, err error)) (PerfRow, error) {
 	row := PerfRow{Name: name}
 	walls := make([]float64, 0, perfReps)
 	for rep := 0; rep < perfReps; rep++ {
@@ -202,7 +196,7 @@ func measurePerf(name string, run func() (simSec float64, ledgerPeak int, err er
 		wall := time.Since(t0).Seconds()
 		runtime.ReadMemStats(&m1)
 		if err != nil {
-			return row, err
+			return row, fmt.Errorf("bench: perf %s: %w", name, err)
 		}
 		walls = append(walls, wall)
 		row.SimSec = simSec
@@ -222,6 +216,8 @@ func measurePerf(name string, run func() (simSec float64, ledgerPeak int, err er
 	}
 	row.WallSec = minOf(walls)
 	row.WallMedianSec = medianOf(walls)
+	fmt.Fprintf(w, "%-40s %10.3f %10.3f %12.6g %14d %10d %8d\n",
+		row.Name, row.WallSec, row.WallMedianSec, row.SimSec, row.AllocBytes, row.Allocs, row.LedgerPeak)
 	return row, nil
 }
 

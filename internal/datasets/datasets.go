@@ -127,20 +127,7 @@ func PapersLike(p Profile) *Dataset { return mustLoad("papers", p) }
 
 // ByName returns the named dataset ("products", "protein", "papers").
 // Each (name, profile) is built once per process and then shared.
-func ByName(name string, p Profile) (*Dataset, error) { return load(name, p) }
-
-// Names lists the available perf datasets in presentation order.
-func Names() []string { return []string{"products", "protein", "papers"} }
-
-func mustLoad(name string, p Profile) *Dataset {
-	d, err := load(name, p)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
-func load(name string, p Profile) (*Dataset, error) {
+func ByName(name string, p Profile) (*Dataset, error) {
 	key := fmt.Sprintf("%s/%s", name, p)
 	cacheMu.Lock()
 	defer cacheMu.Unlock()
@@ -153,6 +140,17 @@ func load(name string, p Profile) (*Dataset, error) {
 	}
 	cache[key] = d
 	return d, nil
+}
+
+// Names lists the available perf datasets in presentation order.
+func Names() []string { return []string{"products", "protein", "papers"} }
+
+func mustLoad(name string, p Profile) *Dataset {
+	d, err := ByName(name, p)
+	if err != nil {
+		panic(err)
+	}
+	return d
 }
 
 // Build constructs the named dataset at profile p, bypassing the

@@ -6,6 +6,7 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"repro/internal/sparse"
@@ -139,9 +140,9 @@ func ErdosRenyi(n int, avgDegree float64, seed int64) *Graph {
 
 // EdgeSet is a set of directed edges (r, c) with r ≠ c and both below
 // 2^32: open addressing over one flat array of packed keys, linear
-// probing, sized to a power of two at least twice the expected count.
-// Key 0 is the self loop (0, 0), which is never stored, so it marks an
-// empty slot.
+// probing. The array is a power of two at least twice the expected
+// count, and doubles before it would pass half full. Key 0 is the self
+// loop (0, 0), which is never stored, so it marks an empty slot.
 type EdgeSet struct {
 	slots []uint64
 	shift uint // 64 − log2(len(slots))
@@ -222,7 +223,7 @@ func (s *EdgeSet) touch(rs, cs []int) {
 // requires every frontier vertex to have someone to sample. The output
 // is binary and is written row by row: a row already at minDeg is
 // copied, a shorter one draws its missing neighbors, checking each
-// draw against the short row, and is then insertion-sorted.
+// draw against the short row, and is then sorted.
 func EnsureMinOutDegree(g *Graph, minDeg int, seed int64) *Graph {
 	rng := rand.New(rand.NewSource(seed))
 	n := g.NumVertices()
@@ -239,13 +240,13 @@ func EnsureMinOutDegree(g *Graph, minDeg int, seed int64) *Graph {
 		adj.ColIdx = append(adj.ColIdx, cols...)
 		for len(adj.ColIdx)-start < want {
 			c := rng.Intn(n)
-			if c == i || contains(adj.ColIdx[start:], c) {
+			if c == i || slices.Contains(adj.ColIdx[start:], c) {
 				continue
 			}
 			adj.ColIdx = append(adj.ColIdx, c)
 		}
 		if len(cols) < want {
-			insertionSort(adj.ColIdx[start:])
+			slices.Sort(adj.ColIdx[start:])
 		}
 		adj.RowPtr[i+1] = len(adj.ColIdx)
 	}
@@ -253,21 +254,4 @@ func EnsureMinOutDegree(g *Graph, minDeg int, seed int64) *Graph {
 		adj.Val[k] = 1
 	}
 	return New(adj)
-}
-
-func contains(xs []int, x int) bool {
-	for _, y := range xs {
-		if y == x {
-			return true
-		}
-	}
-	return false
-}
-
-func insertionSort(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }
