@@ -21,7 +21,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/gnn"
-	"repro/internal/graph"
 	"repro/internal/pipeline"
 	"repro/internal/sparse"
 )
@@ -394,24 +393,4 @@ func BenchmarkOverlapVsSequentialPartitionedSmall(b *testing.B) {
 	b.ReportMetric(seqT, "seq_sim_sec/epoch")
 	b.ReportMetric(ovT, "overlap_sim_sec/epoch")
 	b.ReportMetric(seqT/ovT, "overlap_speedup")
-}
-
-// BenchmarkSemiringSpGEMM measures the generic semiring kernel against
-// the specialized arithmetic one (BenchmarkSpGEMM).
-func BenchmarkSemiringSpGEMM(b *testing.B) {
-	d := datasets.ProductsLike(datasets.Tiny)
-	a := d.Graph.Adj
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sparse.SpGEMMSemiring(a, a, sparse.OrAnd)
-	}
-}
-
-// BenchmarkTriangleCount measures the masked-SpGEMM analytics path.
-func BenchmarkTriangleCount(b *testing.B) {
-	d := datasets.ProductsLike(datasets.Tiny)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		graph.TriangleCount(d.Graph)
-	}
 }

@@ -25,7 +25,7 @@ type oneDPin struct {
 
 // oneDPins were captured from the 1D baseline as it ran before it moved
 // onto a per-rank sparse.Scratch (allocating SpGEMM per stage, pairwise
-// AddCSR fold). Both backends must reproduce them.
+// merge fold into fresh sums). Both backends must reproduce them.
 var oneDPins = map[int]oneDPin{
 	4: {0x3f340d836eed25c8, [3][2]uint64{
 		{0x3f301b8a7b7864db, 0x3f11326e7082c058}, {0x3e88986c0bdb9a34, 0}, {0x3f0f772f2f9a2bcf, 0}},

@@ -1,5 +1,5 @@
 // Package cliutil holds the flag-parsing helpers shared by the CLI
-// binaries (trainer, gnnbench, compare, datagen, perfdiff), so -profile
+// binaries (trainer, gnnbench, compare, perfdiff, gnnvet), so -profile
 // and -gpus accept one vocabulary everywhere and the validation is tested
 // in one place instead of re-implemented per main package. The
 // platform flags (collective algorithms, topology, backend, faults,

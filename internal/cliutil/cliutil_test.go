@@ -11,8 +11,9 @@ import (
 	"repro/internal/datasets"
 )
 
-// The four CLIs (trainer, gnnbench, compare, datagen) share this flag
-// vocabulary; these tables are the single conformance suite for it.
+// The three CLIs that take -profile and the platform flags (trainer,
+// gnnbench, compare) share this flag vocabulary; these tables are the
+// single conformance suite for it.
 
 func TestParseProfileAccepts(t *testing.T) {
 	want := map[string]datasets.Profile{

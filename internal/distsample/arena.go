@@ -166,7 +166,7 @@ func (ar *stageArena) countStage(prod *sparse.CSR, base int) int {
 // foldStages combines the members' stage products inside the all-reduce
 // rendezvous: per (row, column), values add in (member, stage) order —
 // exactly the float sequence of the old per-member merge chains folded
-// across members with AddCSR — into the first destination's res buffer,
+// pairwise across members — into the first destination's res buffer,
 // which becomes every member's read-only total. See stageArena for why
 // rewriting it here is safe.
 func foldStages(vals, dests []*stageArena) {

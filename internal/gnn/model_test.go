@@ -179,7 +179,10 @@ func TestGatherFeatures(t *testing.T) {
 }
 
 func TestNormalizeAdjMean(t *testing.T) {
-	adj := sparse.FromEntries(2, 3, [][3]float64{{0, 0, 1}, {0, 2, 1}, {1, 1, 1}})
+	adj := sparse.FromDense(2, 3, []float64{
+		1, 0, 1,
+		0, 1, 0,
+	})
 	norm := normalizeAdj(adj, &workspace{})
 	if norm.At(0, 0) != 0.5 || norm.At(0, 2) != 0.5 || norm.At(1, 1) != 1 {
 		t.Fatalf("mean normalization wrong: rowptr %v cols %v vals %v", norm.RowPtr, norm.ColIdx, norm.Val)

@@ -125,7 +125,11 @@ func TestEnsureMinOutDegree(t *testing.T) {
 
 func TestEnsureMinOutDegreeCapsAtCompleteRows(t *testing.T) {
 	// With 3 vertices a row can hold only 2 neighbors.
-	g := EnsureMinOutDegree(New(sparse.FromEntries(3, 3, [][3]float64{{1, 0, 1}})), 3, 1)
+	g := EnsureMinOutDegree(New(sparse.FromDense(3, 3, []float64{
+		0, 0, 0,
+		1, 0, 0,
+		0, 0, 0,
+	})), 3, 1)
 	if err := g.Adj.Validate(); err != nil {
 		t.Fatal(err)
 	}

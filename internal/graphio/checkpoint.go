@@ -325,39 +325,6 @@ func readStreamSnapshot(r io.Reader) (cluster.StreamSnapshot, error) {
 	return ss, nil
 }
 
-func writeFloatSlice(w io.Writer, s []float64) error {
-	if err := writeInts(w, int64(len(s))); err != nil {
-		return err
-	}
-	buf := make([]byte, 8)
-	for _, v := range s {
-		binary.LittleEndian.PutUint64(buf, math.Float64bits(v))
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func readFloatSlice(r io.Reader) ([]float64, error) {
-	n, err := readInts(r, 1)
-	if err != nil {
-		return nil, err
-	}
-	if n[0] < 0 || n[0] > maxWireElems {
-		return nil, fmt.Errorf("graphio: implausible float-slice length %d", n[0])
-	}
-	out := make([]float64, 0, capHint(int(n[0])))
-	buf := make([]byte, 8)
-	for i := int64(0); i < n[0]; i++ {
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, err
-		}
-		out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(buf)))
-	}
-	return out, nil
-}
-
 func sortedKeys(m map[string]int64) []string {
 	ks := make([]string, 0, len(m))
 	for k := range m {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/datasets"
 )
 
 // Native Go fuzz targets for the binary readers: arbitrary input must
@@ -13,65 +12,6 @@ import (
 // never an input-length-independent allocation. Seed corpora live
 // under testdata/fuzz (valid serializations plus truncations and
 // header mutations); CI runs each target for a short budget.
-
-// fuzzDataset is a small valid dataset serialization used as the
-// well-formed seed.
-func fuzzDataset(tb testing.TB) []byte {
-	tb.Helper()
-	var buf bytes.Buffer
-	if err := WriteDataset(&buf, datasets.DefaultSBM()); err != nil {
-		tb.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-func FuzzReadDataset(f *testing.F) {
-	valid := fuzzDataset(f)
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2]) // truncation
-	f.Add(valid[:7])            // magic only
-	mutated := append([]byte(nil), valid...)
-	mutated[10] ^= 0xff // corrupt the name length
-	f.Add(mutated)
-	f.Add([]byte("GNNDS1\n"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		d, err := ReadDataset(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		// A successful parse must hand back a consistent dataset: the
-		// invariants the training pipeline relies on without checking.
-		if d.Graph.NumVertices() != d.Features.Rows || len(d.Labels) != d.Graph.NumVertices() {
-			t.Fatalf("accepted inconsistent dataset: %d vertices, %d feature rows, %d labels",
-				d.Graph.NumVertices(), d.Features.Rows, len(d.Labels))
-		}
-		if err := d.Graph.Adj.Validate(); err != nil {
-			t.Fatalf("accepted invalid adjacency: %v", err)
-		}
-	})
-}
-
-func FuzzReadCSR(f *testing.F) {
-	var buf bytes.Buffer
-	if err := WriteCSR(&buf, datasets.DefaultSBM().Graph.Adj); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
-	f.Add(valid)
-	f.Add(valid[:len(valid)-9]) // truncated payload
-	f.Add(valid[:24])           // header only
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := ReadCSR(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		if err := m.Validate(); err != nil {
-			t.Fatalf("ReadCSR accepted an invalid matrix: %v", err)
-		}
-	})
-}
 
 func FuzzReadParams(f *testing.F) {
 	var buf bytes.Buffer
@@ -143,31 +83,6 @@ func FuzzCheckpointRead(f *testing.F) {
 		}
 		if !bytes.Equal(out.Bytes(), out2.Bytes()) {
 			t.Fatal("checkpoint round trip is not byte-stable")
-		}
-	})
-}
-
-// FuzzRoundTrip pins write→read identity through the fuzzer's mutation
-// of the dataset-shaping knobs it can reach from raw bytes: any input
-// ReadDataset accepts must survive a re-serialization round trip.
-func FuzzRoundTrip(f *testing.F) {
-	f.Add(fuzzDataset(f))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		d, err := ReadDataset(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := WriteDataset(&buf, d); err != nil {
-			t.Fatalf("re-serializing an accepted dataset failed: %v", err)
-		}
-		d2, err := ReadDataset(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("re-reading a re-serialized dataset failed: %v", err)
-		}
-		if d2.Graph.NumVertices() != d.Graph.NumVertices() || d2.Graph.NumEdges() != d.Graph.NumEdges() {
-			t.Fatalf("round trip changed the graph: %d/%d -> %d/%d vertices/edges",
-				d.Graph.NumVertices(), d.Graph.NumEdges(), d2.Graph.NumVertices(), d2.Graph.NumEdges())
 		}
 	})
 }

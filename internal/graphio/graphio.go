@@ -1,14 +1,11 @@
-// Package graphio serializes graphs and datasets to a compact binary
-// format so generated benchmark inputs can be saved, shared and
-// reloaded without regenerating (R-MAT generation at the bench profile
-// takes ~10s; loading takes a fraction of that).
+// Package graphio serializes training state to a compact binary
+// format: a model's flat parameter vector (WriteParams/ReadParams,
+// behind trainer -save/-load) and the resumable checkpoint
+// (WriteCheckpoint/ReadCheckpoint, behind resilience restarts).
 //
-// Format (little-endian):
-//
-//	magic "GNNDS1\n" | section tag bytes | payloads
-//
-// Sections: 'A' adjacency CSR, 'F' dense features, 'L' labels +
-// splits, 'M' metadata. All integers are int64 on the wire.
+// Every file opens with a 7-byte magic. All integers are little-endian
+// int64 on the wire; a float slice is its length followed by the
+// values' IEEE-754 bits.
 package graphio
 
 import (
@@ -17,88 +14,38 @@ import (
 	"fmt"
 	"io"
 	"math"
-
-	"repro/internal/datasets"
-	"repro/internal/dense"
-	"repro/internal/graph"
-	"repro/internal/sparse"
 )
 
-var magic = []byte("GNNDS1\n")
+const paramsMagic = "GNNCK1\n"
 
-// WriteCSR writes a sparse matrix.
-func WriteCSR(w io.Writer, m *sparse.CSR) error {
-	if err := writeInts(w, int64(m.Rows), int64(m.Cols), int64(m.NNZ())); err != nil {
+// WriteParams serializes a flat parameter vector (model checkpoint).
+func WriteParams(w io.Writer, params []float64) error {
+	bw := bufio.NewWriterSize(w, 1<<16)
+	if _, err := bw.WriteString(paramsMagic); err != nil {
 		return err
 	}
-	for _, p := range m.RowPtr {
-		if err := writeInts(w, int64(p)); err != nil {
-			return err
-		}
+	if err := writeFloatSlice(bw, params); err != nil {
+		return err
 	}
-	for _, c := range m.ColIdx {
-		if err := writeInts(w, int64(c)); err != nil {
-			return err
-		}
-	}
-	for _, v := range m.Val {
-		if err := binary.Write(w, binary.LittleEndian, math.Float64bits(v)); err != nil {
-			return err
-		}
-	}
-	return nil
+	return bw.Flush()
 }
 
-// ReadCSR reads a sparse matrix written by WriteCSR.
-func ReadCSR(r io.Reader) (*sparse.CSR, error) {
-	dims, err := readInts(r, 3)
-	if err != nil {
+// ReadParams loads a checkpoint written by WriteParams.
+func ReadParams(r io.Reader) ([]float64, error) {
+	br := bufio.NewReaderSize(r, 1<<16)
+	head := make([]byte, len(paramsMagic))
+	if _, err := io.ReadFull(br, head); err != nil {
 		return nil, err
 	}
-	rows64, cols64, nnz64 := dims[0], dims[1], dims[2]
-	// Bounds-check the header before trusting it with allocations: a
-	// hostile or corrupted header must fail cleanly, not ask the
-	// runtime for petabytes (fuzz-pinned).
-	if rows64 < 0 || cols64 < 0 || nnz64 < 0 {
-		return nil, fmt.Errorf("graphio: negative dimensions in header")
+	if string(head) != paramsMagic {
+		return nil, fmt.Errorf("graphio: bad checkpoint magic %q", head)
 	}
-	if rows64 > maxWireElems || cols64 > maxWireElems || nnz64 > maxWireElems {
-		return nil, fmt.Errorf("graphio: implausible matrix header %dx%d nnz=%d", rows64, cols64, nnz64)
-	}
-	rows, cols, nnz := int(rows64), int(cols64), int(nnz64)
-	m := &sparse.CSR{Rows: rows, Cols: cols,
-		RowPtr: make([]int, 0, capHint(rows+1)), ColIdx: make([]int, 0, capHint(nnz)),
-		Val: make([]float64, 0, capHint(nnz))}
-	for i := 0; i <= rows; i++ {
-		v, err := readInts(r, 1)
-		if err != nil {
-			return nil, err
-		}
-		m.RowPtr = append(m.RowPtr, int(v[0]))
-	}
-	for i := 0; i < nnz; i++ {
-		v, err := readInts(r, 1)
-		if err != nil {
-			return nil, err
-		}
-		m.ColIdx = append(m.ColIdx, int(v[0]))
-	}
-	buf := make([]byte, 8)
-	for i := 0; i < nnz; i++ {
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, err
-		}
-		m.Val = append(m.Val, math.Float64frombits(binary.LittleEndian.Uint64(buf)))
-	}
-	if err := m.Validate(); err != nil {
-		return nil, fmt.Errorf("graphio: loaded matrix invalid: %w", err)
-	}
-	return m, nil
+	return readFloatSlice(br)
 }
 
-// maxWireElems bounds any single on-wire element count (rows, columns,
-// nonzeros, slice lengths): far above every legitimate profile, far
-// below anything that could exhaust memory on its own.
+// maxWireElems bounds any single on-wire element count (slice lengths,
+// map sizes): far above every legitimate run, far below anything that
+// could exhaust memory on its own.
 const maxWireElems = 1 << 31
 
 // capHint bounds a pre-allocation capacity for an on-wire count:
@@ -114,144 +61,6 @@ func capHint(n int) int {
 		return 0
 	}
 	return n
-}
-
-// WriteDense writes a dense matrix.
-func WriteDense(w io.Writer, m *dense.Matrix) error {
-	if err := writeInts(w, int64(m.Rows), int64(m.Cols)); err != nil {
-		return err
-	}
-	buf := make([]byte, 8)
-	for _, v := range m.Data {
-		binary.LittleEndian.PutUint64(buf, math.Float64bits(v))
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadDense reads a dense matrix written by WriteDense.
-func ReadDense(r io.Reader) (*dense.Matrix, error) {
-	dims, err := readInts(r, 2)
-	if err != nil {
-		return nil, err
-	}
-	// Check each dimension and the product before allocating: a hostile
-	// header must not overflow rows*cols into a small positive count or
-	// demand a giant up-front allocation (fuzz-pinned).
-	if dims[0] < 0 || dims[1] < 0 || dims[0] > maxWireElems || dims[1] > maxWireElems {
-		return nil, fmt.Errorf("graphio: bad dense dimensions %dx%d", dims[0], dims[1])
-	}
-	rows, cols := int(dims[0]), int(dims[1])
-	total := dims[0] * dims[1]
-	if total > maxWireElems {
-		return nil, fmt.Errorf("graphio: implausible dense payload %dx%d", rows, cols)
-	}
-	data := make([]float64, 0, capHint(int(total)))
-	buf := make([]byte, 8)
-	for i := int64(0); i < total; i++ {
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, err
-		}
-		data = append(data, math.Float64frombits(binary.LittleEndian.Uint64(buf)))
-	}
-	return dense.FromSlice(rows, cols, data), nil
-}
-
-// WriteDataset serializes a full dataset.
-func WriteDataset(w io.Writer, d *datasets.Dataset) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.Write(magic); err != nil {
-		return err
-	}
-	if err := writeString(bw, d.Name); err != nil {
-		return err
-	}
-	if err := writeInts(bw,
-		int64(d.NumClasses), int64(d.BatchSize), int64(d.LayerWidth)); err != nil {
-		return err
-	}
-	if err := writeIntSlice(bw, d.Fanouts); err != nil {
-		return err
-	}
-	if err := WriteCSR(bw, d.Graph.Adj); err != nil {
-		return err
-	}
-	if err := WriteDense(bw, d.Features); err != nil {
-		return err
-	}
-	for _, s := range [][]int{d.Labels, d.Train, d.Val, d.Test} {
-		if err := writeIntSlice(bw, s); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadDataset loads a dataset written by WriteDataset.
-func ReadDataset(r io.Reader) (*datasets.Dataset, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	head := make([]byte, len(magic))
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, err
-	}
-	if string(head) != string(magic) {
-		return nil, fmt.Errorf("graphio: bad magic %q", head)
-	}
-	name, err := readString(br)
-	if err != nil {
-		return nil, err
-	}
-	meta, err := readInts(br, 3)
-	if err != nil {
-		return nil, err
-	}
-	fanouts, err := readIntSlice(br)
-	if err != nil {
-		return nil, err
-	}
-	adj, err := ReadCSR(br)
-	if err != nil {
-		return nil, err
-	}
-	if adj.Rows != adj.Cols {
-		// graph.New panics on non-square adjacency; a corrupted file
-		// must fail as an error instead (fuzz-pinned).
-		return nil, fmt.Errorf("graphio: adjacency must be square, got %dx%d", adj.Rows, adj.Cols)
-	}
-	feats, err := ReadDense(br)
-	if err != nil {
-		return nil, err
-	}
-	var slices [4][]int
-	for i := range slices {
-		s, err := readIntSlice(br)
-		if err != nil {
-			return nil, err
-		}
-		slices[i] = s
-	}
-	d := &datasets.Dataset{
-		Name:       name,
-		Graph:      graph.New(adj),
-		Features:   feats,
-		Labels:     slices[0],
-		NumClasses: int(meta[0]),
-		Train:      slices[1],
-		Val:        slices[2],
-		Test:       slices[3],
-		BatchSize:  int(meta[1]),
-		Fanouts:    fanouts,
-		LayerWidth: int(meta[2]),
-	}
-	if len(d.Labels) != d.Graph.NumVertices() {
-		return nil, fmt.Errorf("graphio: %d labels for %d vertices", len(d.Labels), d.Graph.NumVertices())
-	}
-	if d.Features.Rows != d.Graph.NumVertices() {
-		return nil, fmt.Errorf("graphio: %d feature rows for %d vertices", d.Features.Rows, d.Graph.NumVertices())
-	}
-	return d, nil
 }
 
 func writeInts(w io.Writer, vs ...int64) error {
@@ -277,35 +86,37 @@ func readInts(r io.Reader, n int) ([]int64, error) {
 	return out, nil
 }
 
-func writeIntSlice(w io.Writer, s []int) error {
+func writeFloatSlice(w io.Writer, s []float64) error {
 	if err := writeInts(w, int64(len(s))); err != nil {
 		return err
 	}
+	buf := make([]byte, 8)
 	for _, v := range s {
-		if err := writeInts(w, int64(v)); err != nil {
+		binary.LittleEndian.PutUint64(buf, math.Float64bits(v))
+		if _, err := w.Write(buf); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func readIntSlice(r io.Reader) ([]int, error) {
+func readFloatSlice(r io.Reader) ([]float64, error) {
 	n, err := readInts(r, 1)
 	if err != nil {
 		return nil, err
 	}
 	if n[0] < 0 || n[0] > maxWireElems {
-		return nil, fmt.Errorf("graphio: implausible slice length %d", n[0])
+		return nil, fmt.Errorf("graphio: implausible float-slice length %d", n[0])
 	}
 	// Incremental growth: a lying length costs at most the input's
 	// real size in reads, never an up-front giant allocation.
-	out := make([]int, 0, capHint(int(n[0])))
+	out := make([]float64, 0, capHint(int(n[0])))
 	buf := make([]byte, 8)
 	for i := int64(0); i < n[0]; i++ {
 		if _, err := io.ReadFull(r, buf); err != nil {
 			return nil, err
 		}
-		out = append(out, int(int64(binary.LittleEndian.Uint64(buf))))
+		out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(buf)))
 	}
 	return out, nil
 }
@@ -331,51 +142,4 @@ func readString(r io.Reader) (string, error) {
 		return "", err
 	}
 	return string(buf), nil
-}
-
-// WriteParams serializes a flat parameter vector (model checkpoint).
-func WriteParams(w io.Writer, params []float64) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.Write([]byte("GNNCK1\n")); err != nil {
-		return err
-	}
-	if err := writeInts(bw, int64(len(params))); err != nil {
-		return err
-	}
-	buf := make([]byte, 8)
-	for _, v := range params {
-		binary.LittleEndian.PutUint64(buf, math.Float64bits(v))
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadParams loads a checkpoint written by WriteParams.
-func ReadParams(r io.Reader) ([]float64, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	head := make([]byte, 7)
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, err
-	}
-	if string(head) != "GNNCK1\n" {
-		return nil, fmt.Errorf("graphio: bad checkpoint magic %q", head)
-	}
-	n, err := readInts(br, 1)
-	if err != nil {
-		return nil, err
-	}
-	if n[0] < 0 || n[0] > maxWireElems {
-		return nil, fmt.Errorf("graphio: implausible parameter count %d", n[0])
-	}
-	out := make([]float64, 0, capHint(int(n[0])))
-	buf := make([]byte, 8)
-	for i := int64(0); i < n[0]; i++ {
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, err
-		}
-		out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(buf)))
-	}
-	return out, nil
 }

@@ -2,131 +2,9 @@ package graphio
 
 import (
 	"bytes"
-	"math/rand"
+	"io"
 	"testing"
-
-	"repro/internal/datasets"
-	"repro/internal/dense"
-	"repro/internal/sparse"
 )
-
-func TestCSRRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 10; trial++ {
-		coo := sparse.NewCOO(1+rng.Intn(30), 1+rng.Intn(30), 50)
-		for i := 0; i < 40; i++ {
-			coo.Add(rng.Intn(coo.Rows), rng.Intn(coo.Cols), rng.NormFloat64())
-		}
-		m := coo.ToCSR()
-		var buf bytes.Buffer
-		if err := WriteCSR(&buf, m); err != nil {
-			t.Fatal(err)
-		}
-		back, err := ReadCSR(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sparse.Equal(m, back, 0) {
-			t.Fatalf("trial %d: round trip changed matrix", trial)
-		}
-	}
-}
-
-func TestCSRRejectsCorruptHeader(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteCSR(&buf, sparse.Identity(3)); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	data[0] = 0xFF // corrupt rows to a huge/negative value
-	data[7] = 0xFF
-	if _, err := ReadCSR(bytes.NewReader(data)); err == nil {
-		t.Fatal("expected error for corrupt header")
-	}
-}
-
-func TestCSRTruncatedStream(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteCSR(&buf, sparse.Identity(5)); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()[:buf.Len()-9]
-	if _, err := ReadCSR(bytes.NewReader(data)); err == nil {
-		t.Fatal("expected error for truncated stream")
-	}
-}
-
-func TestDenseRoundTrip(t *testing.T) {
-	m := dense.New(7, 5)
-	for i := range m.Data {
-		m.Data[i] = float64(i) * 0.25
-	}
-	var buf bytes.Buffer
-	if err := WriteDense(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadDense(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Rows != 7 || back.Cols != 5 {
-		t.Fatal("shape lost")
-	}
-	for i := range m.Data {
-		if back.Data[i] != m.Data[i] {
-			t.Fatal("values lost")
-		}
-	}
-}
-
-func TestDatasetRoundTrip(t *testing.T) {
-	d := datasets.ProductsLike(datasets.Tiny)
-	var buf bytes.Buffer
-	if err := WriteDataset(&buf, d); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadDataset(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Name != d.Name || back.NumClasses != d.NumClasses ||
-		back.BatchSize != d.BatchSize || back.LayerWidth != d.LayerWidth {
-		t.Fatal("metadata lost")
-	}
-	if !sparse.Equal(back.Graph.Adj, d.Graph.Adj, 0) {
-		t.Fatal("adjacency lost")
-	}
-	for i := range d.Features.Data {
-		if back.Features.Data[i] != d.Features.Data[i] {
-			t.Fatal("features lost")
-		}
-	}
-	for i := range d.Labels {
-		if back.Labels[i] != d.Labels[i] {
-			t.Fatal("labels lost")
-		}
-	}
-	if len(back.Train) != len(d.Train) || len(back.Test) != len(d.Test) {
-		t.Fatal("splits lost")
-	}
-	for i := range d.Fanouts {
-		if back.Fanouts[i] != d.Fanouts[i] {
-			t.Fatal("fanouts lost")
-		}
-	}
-}
-
-func TestDatasetBadMagic(t *testing.T) {
-	if _, err := ReadDataset(bytes.NewReader([]byte("NOTADS1\nxxxx"))); err == nil {
-		t.Fatal("expected error for bad magic")
-	}
-}
-
-func TestDatasetEmptyStream(t *testing.T) {
-	if _, err := ReadDataset(bytes.NewReader(nil)); err == nil {
-		t.Fatal("expected error for empty stream")
-	}
-}
 
 func TestParamsRoundTrip(t *testing.T) {
 	params := make([]float64, 1000)
@@ -178,44 +56,32 @@ func (f *failAfter) Write(p []byte) (int, error) {
 
 var errShort = bytes.ErrTooLarge
 
-func TestWriteCSRPropagatesErrors(t *testing.T) {
-	m := sparse.Identity(64)
-	for _, budget := range []int{0, 8, 24, 600, 1100} {
-		if err := WriteCSR(&failAfter{n: budget}, m); err == nil {
-			t.Fatalf("budget %d: expected write error", budget)
+// TestWritersPropagateErrors cuts each format's writer at every byte
+// budget short of its full encoding: every cut must surface the
+// writer's error, and the full budget must succeed.
+func TestWritersPropagateErrors(t *testing.T) {
+	params := make([]float64, 100)
+	for i := range params {
+		params[i] = float64(i) / 3
+	}
+	for _, tc := range []struct {
+		name  string
+		write func(io.Writer) error
+	}{
+		{"params", func(w io.Writer) error { return WriteParams(w, params) }},
+		{"checkpoint", func(w io.Writer) error { return WriteCheckpoint(w, randCheckpoint(3)) }},
+	} {
+		var full bytes.Buffer
+		if err := tc.write(&full); err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-func TestWriteDensePropagatesErrors(t *testing.T) {
-	m := dense.New(16, 16)
-	for _, budget := range []int{0, 8, 100} {
-		if err := WriteDense(&failAfter{n: budget}, m); err == nil {
-			t.Fatalf("budget %d: expected write error", budget)
+		for budget := 0; budget < full.Len(); budget++ {
+			if err := tc.write(&failAfter{n: budget}); err == nil {
+				t.Fatalf("%s: budget %d/%d: expected write error", tc.name, budget, full.Len())
+			}
 		}
-	}
-}
-
-func TestWriteDatasetPropagatesErrors(t *testing.T) {
-	d := datasets.ProductsLike(datasets.Tiny)
-	for _, budget := range []int{0, 4, 40, 4000} {
-		if err := WriteDataset(&failAfter{n: budget}, d); err == nil {
-			t.Fatalf("budget %d: expected write error", budget)
-		}
-	}
-}
-
-func TestReadDatasetTruncations(t *testing.T) {
-	d := datasets.ProductsLike(datasets.Tiny)
-	var buf bytes.Buffer
-	if err := WriteDataset(&buf, d); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	for _, frac := range []float64{0.01, 0.1, 0.5, 0.95} {
-		cut := int(float64(len(full)) * frac)
-		if _, err := ReadDataset(bytes.NewReader(full[:cut])); err == nil {
-			t.Fatalf("truncation at %d bytes accepted", cut)
+		if err := tc.write(&failAfter{n: full.Len()}); err != nil {
+			t.Fatalf("%s: full budget %d: %v", tc.name, full.Len(), err)
 		}
 	}
 }

@@ -80,20 +80,13 @@ func BenchmarkSpMMT(b *testing.B) {
 	benchSpMM(b, SpMMTInto, benchFanout(700, 4000, 5), 700, 4000, 64)
 }
 
-func BenchmarkTranspose(b *testing.B) {
-	a := benchGraph(b, 10000, 16)
+func BenchmarkMergeCSRInto(b *testing.B) {
+	srcs := []*CSR{benchGraph(b, 5000, 8), benchGraph(b, 5000, 8)}
+	var sc Scratch
+	var out CSR
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.Transpose()
-	}
-}
-
-func BenchmarkAddCSR(b *testing.B) {
-	x := benchGraph(b, 5000, 8)
-	y := benchGraph(b, 5000, 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		AddCSR(x, y)
+		sc.MergeCSRInto(&out, srcs)
 	}
 }
 

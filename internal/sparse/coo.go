@@ -93,16 +93,6 @@ func (m *COO) ToCSR() *CSR {
 	return out
 }
 
-// FromEntries builds a CSR matrix from explicit (row, col, val) triples,
-// summing duplicates in insertion order. It is a convenience for tests and examples.
-func FromEntries(rows, cols int, entries [][3]float64) *CSR {
-	coo := NewCOO(rows, cols, len(entries))
-	for _, e := range entries {
-		coo.Add(int(e[0]), int(e[1]), e[2])
-	}
-	return coo.ToCSR()
-}
-
 // FromDense builds a CSR matrix from a row-major dense slice, storing
 // every nonzero entry. For tests and small examples.
 //

@@ -8,6 +8,16 @@ import (
 	"testing"
 )
 
+// FromEntries builds a CSR matrix from explicit (row, col, val) triples,
+// summing duplicates in insertion order.
+func FromEntries(rows, cols int, entries [][3]float64) *CSR {
+	coo := NewCOO(rows, cols, len(entries))
+	for _, e := range entries {
+		coo.Add(int(e[0]), int(e[1]), e[2])
+	}
+	return coo.ToCSR()
+}
+
 // referenceCSR is ToCSR's contract written the obvious way: a stable
 // sort of the entries by (row, column), then each run of equal
 // coordinates summed left to right, that is, in insertion order.

@@ -45,6 +45,8 @@ func (m *CSR) Row(i int) (cols []int, vals []float64) {
 }
 
 // At returns the value at (i, j), or 0 if no entry is stored.
+//
+//gnnvet:allow deadexport — the sparse, core, gnn and graph tests read single entries with it
 func (m *CSR) At(i, j int) float64 {
 	cols, vals := m.Row(i)
 	k := sort.SearchInts(cols, j)
@@ -118,25 +120,6 @@ func (m *CSR) Clone() *CSR {
 	return c
 }
 
-// Identity returns the n x n identity matrix.
-//
-//gnnvet:allow deadexport — a fixture for the sparse and graphio tests
-func Identity(n int) *CSR {
-	m := &CSR{
-		Rows:   n,
-		Cols:   n,
-		RowPtr: make([]int, n+1),
-		ColIdx: make([]int, n),
-		Val:    make([]float64, n),
-	}
-	for i := 0; i < n; i++ {
-		m.RowPtr[i+1] = i + 1
-		m.ColIdx[i] = i
-		m.Val[i] = 1
-	}
-	return m
-}
-
 // NormalizeRows scales each nonempty row so its values sum to 1, in
 // place. Rows whose sum is zero are left untouched.
 func (m *CSR) NormalizeRows() {
@@ -160,34 +143,6 @@ func (m *CSR) Apply(f func(float64) float64) {
 	for k := range m.Val {
 		m.Val[k] = f(m.Val[k])
 	}
-}
-
-// Transpose returns the transposed matrix using a counting pass.
-func (m *CSR) Transpose() *CSR {
-	t := &CSR{
-		Rows:   m.Cols,
-		Cols:   m.Rows,
-		RowPtr: make([]int, m.Cols+1),
-		ColIdx: make([]int, m.NNZ()),
-		Val:    make([]float64, m.NNZ()),
-	}
-	for _, c := range m.ColIdx {
-		t.RowPtr[c+1]++
-	}
-	for i := 0; i < m.Cols; i++ {
-		t.RowPtr[i+1] += t.RowPtr[i]
-	}
-	next := append([]int(nil), t.RowPtr[:m.Cols]...)
-	for i := 0; i < m.Rows; i++ {
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			c := m.ColIdx[k]
-			pos := next[c]
-			next[c]++
-			t.ColIdx[pos] = i
-			t.Val[pos] = m.Val[k]
-		}
-	}
-	return t
 }
 
 // Equal reports whether two matrices have identical shape and entries

@@ -72,6 +72,51 @@ func TestCOOAddOutOfRangePanics(t *testing.T) {
 	NewCOO(2, 2, 1).Add(2, 0, 1)
 }
 
+// Identity returns the n x n identity matrix.
+func Identity(n int) *CSR {
+	m := &CSR{
+		Rows:   n,
+		Cols:   n,
+		RowPtr: make([]int, n+1),
+		ColIdx: make([]int, n),
+		Val:    make([]float64, n),
+	}
+	for i := 0; i < n; i++ {
+		m.RowPtr[i+1] = i + 1
+		m.ColIdx[i] = i
+		m.Val[i] = 1
+	}
+	return m
+}
+
+// Transpose returns the transposed matrix using a counting pass.
+func (m *CSR) Transpose() *CSR {
+	t := &CSR{
+		Rows:   m.Cols,
+		Cols:   m.Rows,
+		RowPtr: make([]int, m.Cols+1),
+		ColIdx: make([]int, m.NNZ()),
+		Val:    make([]float64, m.NNZ()),
+	}
+	for _, c := range m.ColIdx {
+		t.RowPtr[c+1]++
+	}
+	for i := 0; i < m.Cols; i++ {
+		t.RowPtr[i+1] += t.RowPtr[i]
+	}
+	next := append([]int(nil), t.RowPtr[:m.Cols]...)
+	for i := 0; i < m.Rows; i++ {
+		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
+			c := m.ColIdx[k]
+			pos := next[c]
+			next[c]++
+			t.ColIdx[pos] = i
+			t.Val[pos] = m.Val[k]
+		}
+	}
+	return t
+}
+
 func TestTransposeInvolution(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 20; trial++ {

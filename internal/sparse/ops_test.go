@@ -149,7 +149,7 @@ func TestColRangePartitionReassembles(t *testing.T) {
 	for t, qik := range sc.SliceColBlocks(q, lo, hi) {
 		ak := SliceRows(a, lo[t], hi[t])
 		part, _ := SpGEMM(qik, ak)
-		acc = AddCSR(acc, part)
+		acc = sc.MergeCSRInto(new(CSR), []*CSR{acc, part})
 	}
 	if !Equal(full, acc, 1e-12) {
 		t.Fatal("staged block product != full product")

@@ -70,8 +70,8 @@ func CopyCSRInto(out, a *CSR) *CSR {
 }
 
 // MergeCSRInto sums row-aligned matrices into out, reusing out's
-// storage and the workspace's accumulator: the arena form of AddCSR,
-// generalised to any number of sources in one pass (see merge).
+// storage and the workspace's accumulator: any number of sources in
+// one pass (see merge).
 func (s *Scratch) MergeCSRInto(out *CSR, srcs []*CSR) *CSR {
 	return merge(out, &s.acc, srcs)
 }

@@ -177,15 +177,7 @@ func partition(a []int) int {
 	return i
 }
 
-// AddCSR returns A + B for same-shaped sparse matrices: the merge of
-// the two sources, freshly allocated and owned by the caller.
-func AddCSR(a, b *CSR) *CSR {
-	var acc spa
-	return merge(new(CSR), &acc, []*CSR{a, b})
-}
-
-// merge is the one merge body, shared by AddCSR and
-// Scratch.MergeCSRInto: it sums row-aligned matrices into out's
+// merge is the one merge body, behind Scratch.MergeCSRInto: it sums row-aligned matrices into out's
 // storage. Per (row, column) the values add in source order, and each
 // row's columns come out sorted. A row only one source populates —
 // every row of a GraphSAGE product, whose Q row selects one row of A

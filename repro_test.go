@@ -12,8 +12,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/datasets"
-	"repro/internal/graph"
-	"repro/internal/graphio"
 	"repro/internal/pipeline"
 	"repro/internal/resilience"
 )
@@ -119,26 +117,6 @@ func TestPublicFigures(t *testing.T) {
 	}
 }
 
-func TestPublicSaveLoadDataset(t *testing.T) {
-	d := ProductsLike(Tiny)
-	var buf bytes.Buffer
-	if err := graphio.WriteDataset(&buf, d); err != nil {
-		t.Fatal(err)
-	}
-	back, err := graphio.ReadDataset(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Graph.NumEdges() != d.Graph.NumEdges() {
-		t.Fatal("round trip lost edges")
-	}
-	// Loaded dataset must be usable for sampling directly.
-	bulk := SampleBulk(GraphSAGE(), back.Graph.Adj, back.Batches(), back.Fanouts, 5)
-	if err := bulk.Validate(back.Graph.NumVertices()); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPublicCostModel(t *testing.T) {
 	m := Perlmutter()
 	if m.GPUsPerNode != 4 {
@@ -168,21 +146,6 @@ func TestPublicAutoTune(t *testing.T) {
 	}
 	if _, err := Train(d, cfg); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPublicAnalytics(t *testing.T) {
-	d := ProductsLike(Tiny)
-	if graph.TriangleCount(d.Graph) <= 0 {
-		t.Fatal("no triangles in a dense scale-free graph?")
-	}
-	_, comps := graph.ConnectedComponents(d.Graph)
-	if comps < 1 {
-		t.Fatal("no components")
-	}
-	levels := graph.BFSLevels(d.Graph, 0)
-	if levels[0] != 0 {
-		t.Fatal("source level wrong")
 	}
 }
 
