@@ -77,6 +77,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 	}
+	// -overlap reaches fig4 and fig6 only, alone or under all.
+	if *overlap && *experiment != "fig4" && *experiment != "fig6" && *experiment != "all" {
+		return fmt.Errorf("-overlap applies only to -experiment fig4, fig6 or all (selected: %s)", *experiment)
+	}
 
 	opts := bench.Options{MaxBatches: *maxBatches, Seed: *seed, Overlap: *overlap, Epochs: *epochs}
 	if opts.Profile, err = cliutil.ParseProfile(*profile); err != nil {

@@ -58,6 +58,7 @@ func TestBadInputIsAnError(t *testing.T) {
 		{"perfout outside perf", []string{"-experiment", "scaling", "-perfout", "x.json"}, "-perfout applies only to -experiment perf", ""},
 		{"perfbaseline outside perf", []string{"-experiment", "all", "-perfbaseline", "x.json"}, "-perfbaseline applies only to -experiment perf", ""},
 		{"sweepworkers outside scaling", []string{"-experiment", "fig4", "-sweepworkers", "2"}, "-sweepworkers applies only to -experiment scaling", ""},
+		{"overlap outside fig4 and fig6", []string{"-experiment", "fig5", "-overlap"}, "-overlap applies only to -experiment fig4, fig6 or all", ""},
 		{"zero gpu count", []string{"-experiment", "fig4", "-gpus", "4,0"}, "bad GPU count 0", ""},
 		{"negative maxbatches, sampling-only experiment", []string{"-experiment", "table3", "-maxbatches", "-3"}, "bad -maxbatches -3", ""},
 		{"negative maxbatches, every experiment", []string{"-experiment", "all", "-maxbatches", "-1"}, "bad -maxbatches -1", ""},

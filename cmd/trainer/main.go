@@ -14,7 +14,6 @@ import (
 	"strings"
 
 	"repro/internal/autotune"
-	"repro/internal/cache"
 	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/datasets"
@@ -43,9 +42,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		lr        = fs.Float64("lr", 0.01, "learning rate")
 		seed      = fs.Int64("seed", 1, "seed")
 		maxB      = fs.Int("maxbatches", 0, "cap batches per epoch (0 = all)")
-		cachePol  = fs.String("cache", "none", "feature cache: none, static, lru")
-		cacheFrac = fs.Float64("cachefrac", 0.1, "cache capacity as fraction of vertices")
-		dropout   = fs.Float64("dropout", 0, "dropout rate on hidden activations")
 		overlap   = fs.Bool("overlap", false, "software-pipeline sampling and feature fetch against propagation (both algorithms; partitioned collectives run on per-stage streams)")
 		ckptOut   = fs.String("checkpoint", "", "write trained parameters to this file")
 		ckptIn    = fs.String("resume", "", "initialize parameters from this checkpoint")
@@ -55,6 +51,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 		"allreduce": " (with -autotune, default = choose by node span)"})
 	if help, err := cliutil.ParseFlags(fs, args, stderr); help || err != nil {
 		return err
+	}
+	// pipeline.Config reads a zero as "unset", so a typed zero would
+	// silently train with the default instead.
+	if *epochs == 0 {
+		return fmt.Errorf("bad -epochs 0: must be >= 1")
+	}
+	if *lr == 0 {
+		return fmt.Errorf("bad -lr 0: must be positive")
 	}
 
 	prof, err := cliutil.ParseProfile(*profile)
@@ -89,19 +93,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	default:
 		return fmt.Errorf("unknown algorithm %q (want replicated or partitioned)", *algorithm)
 	}
-	switch *cachePol {
-	case "static":
-		cfg.CachePolicy = cache.StaticDegree
-		cfg.CacheFrac = *cacheFrac
-	case "lru":
-		cfg.CachePolicy = cache.LRU
-		cfg.CacheFrac = *cacheFrac
-	case "none":
-	default:
-		return fmt.Errorf("unknown cache policy %q", *cachePol)
-	}
-
-	cfg.Dropout = *dropout
 	if *tune {
 		tuned, err := autotune.TuneConfig(autotune.DefaultMemoryModel(), d, cfg)
 		if err != nil {

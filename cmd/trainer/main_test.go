@@ -35,7 +35,6 @@ func TestFlagCombinations(t *testing.T) {
 			"-topology", "oversub", "-allreduce", "ring", "-alltoall", "pairwise", "-backend", "des"}, "algorithm=partitioned"},
 		{"ladies", []string{"-sampler", "ladies", "-backend", "goroutine"}, "sampler=ladies"},
 		{"fastgcn hier", []string{"-p", "8", "-sampler", "fastgcn", "-allreduce", "hier"}, "sampler=fastgcn"},
-		{"lru cache, dropout", []string{"-cache", "lru", "-cachefrac", "0.2", "-dropout", "0.1"}, "test accuracy"},
 		{"fault recovered from a checkpoint", []string{"-p", "4", "-epochs", "3", "-faults", "2@0.0002", "-ckpt-interval", "1",
 			"-backend", "des"}, "recovery: 2 attempt(s), 1 failure(s) fired"},
 	} {
@@ -75,14 +74,11 @@ func TestFlagCombinations(t *testing.T) {
 		{"negative c under autotune", []string{"-p", "2", "-c", "-3", "-autotune"}, "replication factor C=-3", ""},
 		{"partitioned c^2 does not divide p", []string{"-p", "8", "-c", "4", "-algorithm", "partitioned"}, "c^2 | p", ""},
 		{"negative epochs", []string{"-epochs", "-1"}, "negative epoch count", ""},
+		{"zero epochs", []string{"-epochs", "0"}, "bad -epochs 0", ""},
+		{"zero learning rate", []string{"-lr", "0"}, "bad -lr 0", ""},
 		{"negative maxbatches", []string{"-maxbatches", "-3"}, "MaxBatches=-3", ""},
-		{"dropout 2", []string{"-dropout", "2"}, "dropout rate 2", ""},
 		{"unknown sampler", []string{"-sampler", "bogus"}, `unknown sampler "bogus"`, ""},
 		{"unknown algorithm", []string{"-algorithm", "bogus"}, `unknown algorithm "bogus"`, ""},
-		{"unknown cache", []string{"-cache", "bogus"}, `unknown cache policy "bogus"`, ""},
-		{"negative cache fraction", []string{"-cache", "lru", "-cachefrac", "-1"}, "cache fraction -1", ""},
-		{"NaN cache fraction", []string{"-cache", "lru", "-cachefrac", "NaN"}, "cache fraction NaN", ""},
-		{"cache fraction above 1", []string{"-cache", "lru", "-cachefrac", "7"}, "cache fraction 7", ""},
 		{"unknown topology", []string{"-topology", "torus"}, `unknown topology "torus"`, ""},
 		{"unknown backend", []string{"-backend", "thread"}, "thread", ""},
 		{"ring all-to-all", []string{"-alltoall", "ring"}, "ring", ""},

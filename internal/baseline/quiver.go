@@ -144,12 +144,8 @@ func CPULadiesReference(d *datasets.Dataset, layers int, maxBatches int, seed in
 	if model.GPUsPerNode == 0 {
 		model = cluster.Perlmutter()
 	}
-	batches := d.Batches()
-	total := len(batches)
-	if maxBatches > 0 && maxBatches < total {
-		batches = batches[:maxBatches]
-	}
-	scale := float64(total) / float64(len(batches))
+	batches := pipeline.Batches(d, maxBatches)
+	scale := pipeline.BlockScale(d.NumBatches(), len(batches), 1)
 	fanouts := core.LayerSizes(core.LADIES{}, nil, d.LayerWidth, layers)
 
 	cl := cluster.New(1, model)

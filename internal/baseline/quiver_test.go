@@ -1,7 +1,6 @@
 package baseline
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/cluster"
@@ -122,9 +121,6 @@ func TestBadInputIsAnErrorForBothDrivers(t *testing.T) {
 		{"ckpt interval < 0", pipeline.Config{P: 2, CkptInterval: -1}, &QuiverConfig{P: 2, CkptInterval: -1}},
 		{"fault rank outside p", pipeline.Config{P: 2, Faults: resilience.FailAt(2, 1)},
 			&QuiverConfig{P: 2, Faults: resilience.FailAt(2, 1)}},
-		{"dropout = 1", pipeline.Config{P: 2, Dropout: 1}, nil},
-		{"dropout < 0", pipeline.Config{P: 2, Dropout: -0.5}, nil},
-		{"dropout NaN", pipeline.Config{P: 2, Dropout: math.NaN()}, nil},
 		{"unknown sampler", pipeline.Config{P: 2, Sampler: "bogus"}, nil},
 		{"unknown algorithm", pipeline.Config{P: 2, Algorithm: 7}, nil},
 		{"c does not divide p", pipeline.Config{P: 4, C: 3}, nil},

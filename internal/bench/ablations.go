@@ -32,7 +32,7 @@ func Amortization(w io.Writer, dataset string, ks []int, o Options) ([]Amortizat
 	if err != nil {
 		return nil, err
 	}
-	batches := Batches(d, o.MaxBatches)
+	batches := pipeline.Batches(d, o.MaxBatches)
 	fmt.Fprintf(w, "Bulk-size amortization sweep, dataset=%s (%d batches)\n", dataset, len(batches))
 	fmt.Fprintf(w, "%6s %14s\n", "k", "sim sampling s")
 	var rows []AmortizationRow
@@ -92,7 +92,7 @@ func RunOneDSampling(d *datasets.Dataset, p, maxBatches int, seed int64, model c
 	cl := cluster.New(p, model)
 	world := cl.World()
 	oneD := distsample.NewOneDSet(p, d.Graph.Adj)
-	batches := Batches(d, maxBatches)
+	batches := pipeline.Batches(d, maxBatches)
 	return cl.Run(func(r *cluster.Rank) error {
 		local := distsample.ReplicatedBatches(p, r.ID, batches)
 		distsample.SampleSAGE1D(r, oneD[r.ID], world, local, d.Fanouts, seed)
@@ -208,7 +208,7 @@ func (o Options) quarterEpochConfig(d *datasets.Dataset, alg pipeline.Algorithm,
 		c = partitionedCFor(p)
 	}
 	return pipeline.Config{
-		P: p, C: c, K: QuarterEpochBulk(len(Batches(d, o.MaxBatches)), p),
+		P: p, C: c, K: QuarterEpochBulk(len(pipeline.Batches(d, o.MaxBatches)), p),
 		Algorithm:     alg,
 		SparsityAware: alg == pipeline.GraphPartitioned,
 		MaxBatches:    o.MaxBatches, Seed: o.Seed, Model: o.Model,

@@ -84,16 +84,6 @@ func (o Options) gpus(def []int) []int {
 	return def
 }
 
-// Batches returns d's global batch list, truncated to the first
-// maxBatches when the cap is set (0 = all).
-func Batches(d *datasets.Dataset, maxBatches int) [][]int {
-	batches := d.Batches()
-	if maxBatches > 0 && maxBatches < len(batches) {
-		batches = batches[:maxBatches]
-	}
-	return batches
-}
-
 // QuarterEpochBulk is the bulk size the overlap studies train with:
 // overlap pays off exactly when memory forces k below the batch count
 // (several bulk rounds per epoch), so a quarter of the epoch's batches
@@ -325,7 +315,7 @@ func RunPartitionedSampling(d *datasets.Dataset, s core.Sampler, sizes []int, p,
 	cl := cluster.New(p, o.Model)
 	grid := cluster.NewGrid(cl, p, c)
 	set := distsample.NewPartitionedSet(grid, d.Graph.Adj, aware)
-	batches := Batches(d, o.MaxBatches)
+	batches := pipeline.Batches(d, o.MaxBatches)
 	res, err := cl.Run(func(r *cluster.Rank) error {
 		distsample.SamplePartitioned(r, set[r.ID], s, distsample.LocalBatches(grid, r.ID, batches), sizes, o.Seed)
 		return nil
@@ -360,6 +350,7 @@ func Fig7(w io.Writer, sampler string, o Options) ([]Fig7Row, error) {
 		}
 		s := entry.New(d.Graph)
 		sizes := core.LayerSizes(s, d.Fanouts, d.LayerWidth, 0)
+		processed := len(pipeline.Batches(d, o.MaxBatches))
 		cpuRef := 0.0
 		if s.LayerWise() {
 			cpuRef, err = baseline.CPULadiesReference(d, len(sizes), o.MaxBatches, o.Seed, o.Model)
@@ -379,7 +370,7 @@ func Fig7(w io.Writer, sampler string, o Options) ([]Fig7Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			scale := extrapolation(d, o.MaxBatches, p/c)
+			scale := pipeline.BlockScale(d.NumBatches(), processed, p/c)
 			row := Fig7Row{
 				Dataset: name, Sampler: sampler, P: p, C: c,
 				Probability: res.Phase(distsample.PhaseProbability) * scale,
@@ -399,12 +390,4 @@ func Fig7(w io.Writer, sampler string, o Options) ([]Fig7Row, error) {
 		}
 	}
 	return rows, nil
-}
-
-func extrapolation(d *datasets.Dataset, maxBatches, blocks int) float64 {
-	total := d.NumBatches()
-	if maxBatches <= 0 || maxBatches >= total {
-		return 1
-	}
-	return pipeline.BlockScale(total, maxBatches, blocks)
 }

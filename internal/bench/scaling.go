@@ -118,7 +118,7 @@ func Scaling(w io.Writer, o Options) ([]ScalingRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	total := len(Batches(d, o.MaxBatches))
+	total := len(pipeline.Batches(d, o.MaxBatches))
 
 	collectives := []struct {
 		name string

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/distsample"
+	"repro/internal/pipeline"
 )
 
 // TprobRow compares measured 1.5D probability-generation communication
@@ -42,7 +43,7 @@ func Tprob(w io.Writer, dataset string, p int, cs []int, o Options) ([]TprobRow,
 	if err != nil {
 		return nil, err
 	}
-	k := len(Batches(d, o.MaxBatches))
+	k := len(pipeline.Batches(d, o.MaxBatches))
 	b := float64(d.BatchSize)
 	deg := d.Graph.AvgDegree()
 	alpha := o.Model.Alpha[1] // inter-node tier dominates at scale

@@ -18,7 +18,7 @@ func benchMat(r, c int) *Matrix {
 // hidden activation or its gradient.
 func benchReLU(r, c int) *Matrix {
 	m := benchMat(r, c)
-	ReLUInto(m, m, nil)
+	ReLUInto(m, m)
 	return m
 }
 

@@ -256,41 +256,22 @@ func zeroIf(cond bool, v float64) float64 {
 	return math.Float64frombits(bits)
 }
 
-// ReLUInto writes z into h with negative elements replaced by 0. With a
-// non-nil mask (inverted dropout) each element is also scaled by the
-// mask's.
-func ReLUInto(h, z, mask *Matrix) {
+// ReLUInto writes z into h with negative elements replaced by 0.
+func ReLUInto(h, z *Matrix) {
 	checkDst("ReLU", h, z.Rows, z.Cols)
 	out := h.Data[:len(z.Data)]
-	if mask == nil {
-		for i, v := range z.Data {
-			out[i] = zeroIf(v < 0, v)
-		}
-		return
-	}
-	checkDst("ReLU mask", mask, z.Rows, z.Cols)
-	scale := mask.Data[:len(z.Data)]
 	for i, v := range z.Data {
-		out[i] = zeroIf(v < 0, v) * scale[i]
+		out[i] = zeroIf(v < 0, v)
 	}
 }
 
 // ReLUGradInPlace turns the gradient of a ReLUInto output into the
-// gradient of its pre-activation z: grad[i] becomes 0 where z[i] <= 0
-// and is scaled by mask[i] (when mask is non-nil) elsewhere.
-func ReLUGradInPlace(grad, z, mask *Matrix) {
+// gradient of its pre-activation z: grad[i] becomes 0 where z[i] <= 0.
+func ReLUGradInPlace(grad, z *Matrix) {
 	checkDst("ReLUGrad", grad, z.Rows, z.Cols)
 	g := grad.Data[:len(z.Data)]
-	if mask == nil {
-		for i, zv := range z.Data {
-			g[i] = zeroIf(zv <= 0, g[i])
-		}
-		return
-	}
-	checkDst("ReLUGrad mask", mask, z.Rows, z.Cols)
-	scale := mask.Data[:len(z.Data)]
 	for i, zv := range z.Data {
-		g[i] = zeroIf(zv <= 0, g[i]*scale[i])
+		g[i] = zeroIf(zv <= 0, g[i])
 	}
 }
 

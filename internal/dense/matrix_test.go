@@ -98,23 +98,14 @@ func TestMatMulDimPanics(t *testing.T) {
 
 func TestReLUAndGrad(t *testing.T) {
 	z := FromSlice(2, 2, []float64{-1, 2, 0, 3})
-	mask := FromSlice(2, 2, []float64{2, 2, 2, 0})
-	for _, tc := range []struct {
-		mask         *Matrix
-		wantH, wantG []float64
-	}{
-		{nil, []float64{0, 2, 0, 3}, []float64{0, 10, 0, 10}},
-		{mask, []float64{0, 4, 0, 0}, []float64{0, 20, 0, 0}},
-	} {
-		h := FromSlice(2, 2, []float64{9, 9, 9, 9})
-		ReLUInto(h, z, tc.mask)
-		g := FromSlice(2, 2, []float64{10, 10, 10, 10})
-		ReLUGradInPlace(g, z, tc.mask)
-		for i := range tc.wantH {
-			if h.Data[i] != tc.wantH[i] || g.Data[i] != tc.wantG[i] {
-				t.Fatalf("mask %v: ReLU = %v, want %v; grad = %v, want %v",
-					tc.mask != nil, h.Data, tc.wantH, g.Data, tc.wantG)
-			}
+	wantH, wantG := []float64{0, 2, 0, 3}, []float64{0, 10, 0, 10}
+	h := FromSlice(2, 2, []float64{9, 9, 9, 9})
+	ReLUInto(h, z)
+	g := FromSlice(2, 2, []float64{10, 10, 10, 10})
+	ReLUGradInPlace(g, z)
+	for i := range wantH {
+		if h.Data[i] != wantH[i] || g.Data[i] != wantG[i] {
+			t.Fatalf("ReLU = %v, want %v; grad = %v, want %v", h.Data, wantH, g.Data, wantG)
 		}
 	}
 }
@@ -261,7 +252,7 @@ func TestReLUGradShapePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	ReLUGradInPlace(New(3, 2), New(2, 2), nil)
+	ReLUGradInPlace(New(3, 2), New(2, 2))
 }
 
 func TestCrossEntropyBadLabelPanics(t *testing.T) {

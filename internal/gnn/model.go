@@ -41,10 +41,6 @@ type Model struct {
 	wOut   *dense.Matrix
 	bOut   []float64
 	outOff int // wOut starts at flat[outOff], bOut follows it
-
-	// dropout state (see SetDropout); zero rate = disabled.
-	dropRate float64
-	dropSeed int64
 }
 
 // NewModel allocates and Xavier-initializes a model.
@@ -186,13 +182,8 @@ func (m *Model) Forward(bg *core.BatchGraph, feats *dense.Matrix) (*Activations,
 		flops += dense.MatMulInto(zNeigh, la.agg, lay.WNeigh)
 		la.z.AddInPlace(zNeigh)
 
-		la.mask = nil
-		if m.dropRate > 0 {
-			la.mask = ws.mat(rows, m.Cfg.Hidden)
-			fillDropoutMask(la.mask, m.dropRate, m.dropSeed, t)
-		}
 		h = zNeigh // added into z and dead: the layer's output takes its place
-		dense.ReLUInto(h, la.z, la.mask)
+		dense.ReLUInto(h, la.z)
 	}
 	act.hTop = h
 	act.Logits = ws.mat(h.Rows, m.Cfg.Classes)
@@ -270,7 +261,7 @@ func (m *Model) BackwardInto(act *Activations, dLogits *dense.Matrix, grads []fl
 		nnz := int64(la.norm.NNZ())
 
 		dz := dh
-		dense.ReLUGradInPlace(dz, la.z, la.mask)
+		dense.ReLUGradInPlace(dz, la.z)
 
 		gSelf := ws.view(in, hidden, grads[lay.off:])
 		gNeigh := ws.view(in, hidden, grads[lay.off+in*hidden:])

@@ -28,10 +28,8 @@ func stepFixture() (*core.BatchGraph, *dense.Matrix, []int) {
 	return bg, GatherFeatures(d.Features, bg.InputVertices()), d.Labels
 }
 
-func stepModel(dropout float64) *Model {
-	m := NewModel(Config{In: 8, Hidden: 16, Classes: 4, Layers: 2, Seed: 6})
-	m.SetDropout(dropout, 42)
-	return m
+func stepModel() *Model {
+	return NewModel(Config{In: 8, Hidden: 16, Classes: 4, Layers: 2, Seed: 6})
 }
 
 func gradHash(grads []float64) uint64 {
@@ -50,43 +48,37 @@ func gradHash(grads []float64) uint64 {
 // step returns what the matrix algorithm returns and charges what it
 // performs.
 func TestStepPinned(t *testing.T) {
+	const (
+		wantFwd, wantBwd = 74752, 149504
+		wantLossBits     = 0x3ff73c20b6c97128
+		wantGradFNV      = 0xe9844c0946173d4d
+	)
 	bg, feats, labels := stepFixture()
-	for _, pin := range []struct {
-		dropout  float64
-		fwd, bwd int64
-		lossBits uint64
-		gradFNV  uint64
-	}{
-		{0, 74752, 149504, 0x3ff73c20b6c97128, 0xe9844c0946173d4d},
-		{0.5, 74752, 149504, 0x3ffccc4543589046, 0x6c09fa00e0561255},
-	} {
-		m := stepModel(pin.dropout)
-		// Twice: the second step runs in the first one's recycled memory
-		// and writes its gradient over a buffer of garbage.
-		dirty := make([]float64, m.NumParams())
-		for i := range dirty {
-			dirty[i] = math.NaN()
+	m := stepModel()
+	// Twice: the second step runs in the first one's recycled memory
+	// and writes its gradient over a buffer of garbage.
+	dirty := make([]float64, m.NumParams())
+	for i := range dirty {
+		dirty[i] = math.NaN()
+	}
+	for step := 0; step < 2; step++ {
+		act, fwd := m.Forward(bg, feats)
+		loss, dLogits := Loss(act, act.SeedLabels(labels))
+		var grads []float64
+		var bwd int64
+		if step == 0 {
+			grads, bwd = m.Backward(act, dLogits)
+		} else {
+			grads, bwd = dirty, m.BackwardInto(act, dLogits, dirty)
 		}
-		for step := 0; step < 2; step++ {
-			act, fwd := m.Forward(bg, feats)
-			loss, dLogits := Loss(act, act.SeedLabels(labels))
-			var grads []float64
-			var bwd int64
-			if step == 0 {
-				grads, bwd = m.Backward(act, dLogits)
-			} else {
-				grads, bwd = dirty, m.BackwardInto(act, dLogits, dirty)
-			}
-			if fwd != pin.fwd || bwd != pin.bwd {
-				t.Errorf("dropout %v step %d: flops %d/%d, want %d/%d",
-					pin.dropout, step, fwd, bwd, pin.fwd, pin.bwd)
-			}
-			if got := math.Float64bits(loss); got != pin.lossBits {
-				t.Errorf("dropout %v step %d: loss bits %#x, want %#x", pin.dropout, step, got, pin.lossBits)
-			}
-			if got := gradHash(grads); got != pin.gradFNV {
-				t.Errorf("dropout %v step %d: gradient FNV-1a %#x, want %#x", pin.dropout, step, got, pin.gradFNV)
-			}
+		if fwd != wantFwd || bwd != wantBwd {
+			t.Errorf("step %d: flops %d/%d, want %d/%d", step, fwd, bwd, wantFwd, wantBwd)
+		}
+		if got := math.Float64bits(loss); got != wantLossBits {
+			t.Errorf("step %d: loss bits %#x, want %#x", step, got, uint64(wantLossBits))
+		}
+		if got := gradHash(grads); got != wantGradFNV {
+			t.Errorf("step %d: gradient FNV-1a %#x, want %#x", step, got, uint64(wantGradFNV))
 		}
 	}
 }
@@ -95,7 +87,7 @@ func TestStepPinned(t *testing.T) {
 // Activations of one model must not share a workspace.
 func TestLiveActivationsShareNoStorage(t *testing.T) {
 	bg, feats, _ := stepFixture()
-	m := stepModel(0.5)
+	m := stepModel()
 	// Warm the free list so both forwards below could be handed the
 	// same recycled workspace if the list did not remove it.
 	act, _ := m.Forward(bg, feats)
@@ -107,7 +99,7 @@ func TestLiveActivationsShareNoStorage(t *testing.T) {
 	if a.ws == b.ws {
 		t.Fatal("two live Activations hold the same workspace")
 	}
-	for _, x := range []*dense.Matrix{b.Logits, b.hTop, b.layers[0].z, b.layers[0].agg, b.layers[0].mask, b.layers[1].h} {
+	for _, x := range []*dense.Matrix{b.Logits, b.hTop, b.layers[0].z, b.layers[0].agg, b.layers[1].h} {
 		for i := range x.Data {
 			x.Data[i] = math.NaN()
 		}
@@ -130,11 +122,11 @@ func TestFreshModelReusesStepMemory(t *testing.T) {
 		_, dLogits := Loss(act, act.SeedLabels(labels))
 		m.Backward(act, dLogits)
 	}
-	warm := stepModel(0.5)
+	warm := stepModel()
 	step(warm)
 	warmStep := testing.AllocsPerRun(10, func() { step(warm) })
-	build := testing.AllocsPerRun(10, func() { stepModel(0.5) })
-	freshStep := testing.AllocsPerRun(10, func() { step(stepModel(0.5)) }) - build
+	build := testing.AllocsPerRun(10, func() { stepModel() })
+	freshStep := testing.AllocsPerRun(10, func() { step(stepModel()) }) - build
 	if freshStep != warmStep {
 		t.Fatalf("a fresh model's step made %v allocations, a warm model's %v", freshStep, warmStep)
 	}
@@ -145,7 +137,7 @@ func TestFreshModelReusesStepMemory(t *testing.T) {
 // gradient's bytes less than one that returns a fresh gradient.
 func TestBackwardIntoAllocatesNoGradient(t *testing.T) {
 	bg, feats, labels := stepFixture()
-	m := stepModel(0.5)
+	m := stepModel()
 	grads := make([]float64, m.NumParams())
 	step := func(into bool) {
 		act, _ := m.Forward(bg, feats)
@@ -177,7 +169,7 @@ func TestBackwardIntoAllocatesNoGradient(t *testing.T) {
 
 func TestSecondBackwardPanics(t *testing.T) {
 	bg, feats, labels := stepFixture()
-	m := stepModel(0)
+	m := stepModel()
 	act, _ := m.Forward(bg, feats)
 	_, dLogits := Loss(act, act.SeedLabels(labels))
 	dLogits = &dense.Matrix{Rows: dLogits.Rows, Cols: dLogits.Cols, Data: append([]float64(nil), dLogits.Data...)}
@@ -195,7 +187,7 @@ func TestSecondBackwardPanics(t *testing.T) {
 // each return the serial step's gradient.
 func TestConcurrentStepsMatchSerial(t *testing.T) {
 	bg, feats, labels := stepFixture()
-	m := stepModel(0.5)
+	m := stepModel()
 	step := func() uint64 {
 		act, _ := m.Forward(bg, feats)
 		_, dLogits := Loss(act, act.SeedLabels(labels))

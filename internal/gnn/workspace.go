@@ -48,7 +48,6 @@ type layerAct struct {
 	h    *dense.Matrix // input (t = 0: the caller's features, not workspace memory)
 	z    *dense.Matrix // pre-activation
 	agg  *dense.Matrix // norm · h
-	mask *dense.Matrix // dropout mask, nil when disabled
 	norm sparse.CSR    // aggregation operator: the batch adjacency's structure, normalized values
 }
 

@@ -13,18 +13,16 @@ import (
 
 // Checkpoint is the complete resumable training state captured at an
 // epoch boundary: everything a restarted run needs to continue
-// bit-identically to an uninterrupted one. Params / optimizer moments /
-// DropSeed come from rank 0 (the state is replicated, so one copy
-// suffices); Ranks holds the per-rank simulated-time accounting
-// snapshots (clocks, phase accumulators, traffic counters) that let the
-// restored run's simulated timeline continue the exact float-addition
-// sequences of the original.
+// bit-identically to an uninterrupted one. Params and optimizer moments
+// come from rank 0 (the state is replicated, so one copy suffices);
+// Ranks holds the per-rank simulated-time accounting snapshots (clocks,
+// phase accumulators, traffic counters) that let the restored run's
+// simulated timeline continue the exact float-addition sequences of the
+// original.
 type Checkpoint struct {
 	// Epoch is the number of completed epochs (the restart resumes at
 	// epoch index Epoch).
 	Epoch int
-	// DropSeed is the dropout mask-stream position (RNG stream state).
-	DropSeed int64
 	// Params is the flat model parameter vector.
 	Params []float64
 	// OptT / OptM / OptV are the Adam step count and moment vectors
@@ -40,7 +38,7 @@ type Checkpoint struct {
 // params-only "GNNCK1\n" files; ckptVersion gates layout skew.
 var ckptMagic = []byte("GNNRS1\n")
 
-const ckptVersion = 1
+const ckptVersion = 2
 
 // WriteCheckpoint serializes a resumable training checkpoint. The
 // encoding is deterministic (map keys are sorted), so identical states
@@ -50,7 +48,7 @@ func WriteCheckpoint(w io.Writer, ck *Checkpoint) error {
 	if _, err := bw.Write(ckptMagic); err != nil {
 		return err
 	}
-	if err := writeInts(bw, ckptVersion, int64(ck.Epoch), ck.DropSeed, int64(ck.OptT)); err != nil {
+	if err := writeInts(bw, ckptVersion, int64(ck.Epoch), int64(ck.OptT)); err != nil {
 		return err
 	}
 	for _, fs := range [][]float64{ck.Params, ck.OptM, ck.OptV} {
@@ -82,7 +80,7 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	if string(head) != string(ckptMagic) {
 		return nil, fmt.Errorf("graphio: bad resumable-checkpoint magic %q", head)
 	}
-	hdr, err := readInts(br, 4)
+	hdr, err := readInts(br, 3)
 	if err != nil {
 		return nil, err
 	}
@@ -92,10 +90,10 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	if hdr[1] < 0 || hdr[1] > maxWireElems {
 		return nil, fmt.Errorf("graphio: implausible checkpoint epoch %d", hdr[1])
 	}
-	if hdr[3] < 0 || hdr[3] > maxWireElems {
-		return nil, fmt.Errorf("graphio: implausible optimizer step count %d", hdr[3])
+	if hdr[2] < 0 || hdr[2] > maxWireElems {
+		return nil, fmt.Errorf("graphio: implausible optimizer step count %d", hdr[2])
 	}
-	ck := &Checkpoint{Epoch: int(hdr[1]), DropSeed: hdr[2], OptT: int(hdr[3])}
+	ck := &Checkpoint{Epoch: int(hdr[1]), OptT: int(hdr[2])}
 	if ck.Params, err = readFloatSlice(br); err != nil {
 		return nil, err
 	}

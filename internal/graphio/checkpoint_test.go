@@ -39,10 +39,9 @@ func randCheckpoint(seed int64) *Checkpoint {
 	}
 	p := 1 + rng.Intn(4)
 	ck := &Checkpoint{
-		Epoch:    rng.Intn(10),
-		DropSeed: rng.Int63(),
-		Params:   floats(16 + rng.Intn(64)),
-		OptT:     rng.Intn(100),
+		Epoch:  rng.Intn(10),
+		Params: floats(16 + rng.Intn(64)),
+		OptT:   rng.Intn(100),
 	}
 	ck.OptM = floats(len(ck.Params))
 	ck.OptV = floats(len(ck.Params))
@@ -88,7 +87,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if got.Epoch != ck.Epoch || got.DropSeed != ck.DropSeed || got.OptT != ck.OptT {
+		if got.Epoch != ck.Epoch || got.OptT != ck.OptT {
 			t.Fatalf("seed %d: header fields changed: %+v vs %+v", seed, got, ck)
 		}
 		for name, pair := range map[string][2][]float64{
@@ -187,7 +186,7 @@ func TestCheckpointCorruption(t *testing.T) {
 func TestCheckpointHostileLengths(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write(ckptMagic)
-	_ = writeInts(&buf, ckptVersion, 0, 0, 0)
+	_ = writeInts(&buf, ckptVersion, 0, 0)
 	_ = writeInts(&buf, int64(1)<<40) // params length far beyond the payload
 	if _, err := ReadCheckpoint(bytes.NewReader(buf.Bytes())); err == nil {
 		t.Fatal("absurd params length accepted")
@@ -195,7 +194,7 @@ func TestCheckpointHostileLengths(t *testing.T) {
 
 	buf.Reset()
 	buf.Write(ckptMagic)
-	_ = writeInts(&buf, ckptVersion, 0, 0, 0)
+	_ = writeInts(&buf, ckptVersion, 0, 0)
 	for i := 0; i < 3; i++ {
 		_ = writeInts(&buf, 0) // empty params/optM/optV
 	}
@@ -208,7 +207,7 @@ func TestCheckpointHostileLengths(t *testing.T) {
 	// not a partial value.
 	buf.Reset()
 	buf.Write(ckptMagic)
-	_ = writeInts(&buf, ckptVersion, 0, 0, 0)
+	_ = writeInts(&buf, ckptVersion, 0, 0)
 	_ = writeInts(&buf, 8) // claims 8 params, provides none
 	if _, err := ReadCheckpoint(bytes.NewReader(buf.Bytes())); err != io.ErrUnexpectedEOF && err != io.EOF {
 		t.Fatalf("short params payload: got %v, want unexpected EOF", err)

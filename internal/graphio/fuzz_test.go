@@ -35,12 +35,11 @@ func FuzzReadParams(f *testing.F) {
 func FuzzCheckpointRead(f *testing.F) {
 	var buf bytes.Buffer
 	ck := &Checkpoint{
-		Epoch:    3,
-		DropSeed: 42,
-		Params:   []float64{1, -2.5, 3e-9},
-		OptT:     7,
-		OptM:     []float64{0.1, 0.2, 0.3},
-		OptV:     []float64{0.01, 0.02, 0.03},
+		Epoch:  3,
+		Params: []float64{1, -2.5, 3e-9},
+		OptT:   7,
+		OptM:   []float64{0.1, 0.2, 0.3},
+		OptV:   []float64{0.01, 0.02, 0.03},
 		Ranks: []cluster.RankSnapshot{{
 			Phases:    []string{"sampling", "propagation"},
 			BytesSent: 1 << 20,

@@ -8,7 +8,6 @@ package pipeline
 import (
 	"slices"
 
-	"repro/internal/cache"
 	"repro/internal/cluster"
 	"repro/internal/dense"
 	"repro/internal/freelist"
@@ -25,20 +24,15 @@ type FeatureStore struct {
 	Lo, Hi int
 	N      int
 
-	// global backs cache serving in the simulation: a cached row's
-	// contents equal the global row (a real cache would have copied
-	// it at prefetch or on first fetch).
-	global *dense.Matrix
-
 	// scratch is the set's fetch workspaces, shared by every block and
 	// indexed by rank (grid slot (i, j) is scratch[i*c+j]), recycled by
 	// position from run to run like the partitioned stage arenas (see
-	// NewFeatureStores). Before it, every FetchCached call rebuilt the
+	// NewFeatureStores). Before it, every Fetch call rebuilt the
 	// request/response bookkeeping from fresh heap once per batch.
 	scratch []*fetchScratch
 }
 
-// fetchScratch is one rank's reusable bookkeeping for FetchCached's two
+// fetchScratch is one rank's reusable bookkeeping for Fetch's two
 // all-to-allv rounds, sized by the rank's requests and the rows it
 // serves, never by the column's size. The request lists and response
 // rows cross the wire by reference; reuse is safe by the rendezvous
@@ -58,9 +52,8 @@ type FeatureStore struct {
 //
 //gnnvet:arena
 type fetchScratch struct {
-	pos      map[int]int  // vertex -> output slot of its first request, or fetchCacheHit
+	pos      map[int]int  // vertex -> output slot of its first request
 	wanted   []fetchEntry // distinct vertices to fetch, grouped by owner
-	hits     []fetchEntry // output slots served from the cache (owner unused)
 	repeats  []fetchRepeat
 	owners   []int // owners asked, ascending: round one's destinations
 	reqs     [][]int
@@ -79,9 +72,6 @@ type fetchEntry struct {
 
 // fetchRepeat is a later output slot of an already requested vertex.
 type fetchRepeat struct{ first, slot int32 }
-
-// fetchCacheHit marks a vertex served from the cache in this request.
-const fetchCacheHit = -1
 
 // freeScratchSets holds the fetch workspaces of released store sets.
 var freeScratchSets freelist.List[[]*fetchScratch]
@@ -102,8 +92,7 @@ func NewFeatureStores(g *cluster.Grid, feats *dense.Matrix) []*FeatureStore {
 	for i := 0; i < g.Rows; i++ {
 		lo, hi := graph.BlockRowRange(feats.Rows, g.Rows, i)
 		h := dense.FromSlice(hi-lo, feats.Cols, feats.Data[lo*feats.Cols:hi*feats.Cols])
-		blocks[i] = &FeatureStore{Grid: g, H: h, Lo: lo, Hi: hi, N: feats.Rows, global: feats,
-			scratch: scratch}
+		blocks[i] = &FeatureStore{Grid: g, H: h, Lo: lo, Hi: hi, N: feats.Rows, scratch: scratch}
 	}
 	out := make([]*FeatureStore, g.P)
 	for rank := 0; rank < g.P; rank++ {
@@ -132,7 +121,7 @@ func (fs *FeatureStore) fetchScratchFor(rank int) *fetchScratch {
 	return s
 }
 
-// freeFeatures holds FetchCached results whose last reader — the
+// freeFeatures holds Fetch results whose last reader — the
 // propagation step's Backward — is done with them.
 var freeFeatures freelist.List[*dense.Matrix]
 
@@ -160,20 +149,10 @@ func takeFeatures(rows, cols int) *dense.Matrix {
 // dominates the modeled cost, and its volume shrinks as the
 // replication factor c grows because each rank owns a larger block of
 // H (the scaling lever of Figure 6).
-func (fs *FeatureStore) Fetch(r *cluster.Rank, vertices []int) *dense.Matrix {
-	return fs.FetchCached(r, vertices, nil)
-}
-
-// FetchCached is Fetch with an optional per-rank feature cache (the
-// SALIENT++-style extension of Section 8.1.2): cached vertices are
-// served from device memory and never enter the all-to-allv, shrinking
-// the communication volume. Rows fetched remotely are admitted to the
-// cache. Pass a nil cache to disable.
 //
 // Repeated vertices in one request are deduplicated before the
-// all-to-allv: each distinct vertex crosses the wire (and touches the
-// cache — one Lookup, at most one Admit) once per request, and its row
-// is then copied into every output slot that asked for it.
+// all-to-allv: each distinct vertex crosses the wire once per request,
+// and its row is then copied into every output slot that asked for it.
 //
 // The collectives go through the communicator clone dedicated to the
 // calling stream (ForStream), so a fetch stage prefetching on its own
@@ -184,44 +163,26 @@ func (fs *FeatureStore) Fetch(r *cluster.Rank, vertices []int) *dense.Matrix {
 // of it is written here, over whatever a finished step left behind. It
 // is taken only once both collectives are over, so the ranks parked in
 // them hold no output matrix.
-func (fs *FeatureStore) FetchCached(r *cluster.Rank, vertices []int, c cache.Cache) *dense.Matrix {
+func (fs *FeatureStore) Fetch(r *cluster.Rank, vertices []int) *dense.Matrix {
 	g := fs.Grid
 	colComm := g.ColComm(r.ID).ForStream(r)
 	members := colComm.Size() // == g.Rows
 	f := fs.H.Cols
-	me := colComm.LocalIndex(r)
 
 	// Deduplicate the request, remembering every output slot each
-	// distinct vertex fills. Cache hits are served from device memory.
-	// The bookkeeping comes from the rank's persistent workspace (see
-	// fetchScratch for why reuse across batches is safe).
+	// distinct vertex fills. The bookkeeping comes from the rank's
+	// persistent workspace (see fetchScratch for why reuse across
+	// batches is safe).
 	sc := fs.fetchScratchFor(r.ID)
 	clear(sc.pos)
-	sc.wanted, sc.hits, sc.repeats = sc.wanted[:0], sc.hits[:0], sc.repeats[:0]
-	var cachedBytes int64
+	sc.wanted, sc.repeats = sc.wanted[:0], sc.repeats[:0]
 	for i, v := range vertices {
-		first, seen := sc.pos[v]
-		if seen && first == fetchCacheHit {
-			sc.hits = append(sc.hits, fetchEntry{vertex: v, slot: int32(i)})
-			cachedBytes += int64(8 * f)
-			continue
-		}
-		if seen {
+		if first, seen := sc.pos[v]; seen {
 			sc.repeats = append(sc.repeats, fetchRepeat{int32(first), int32(i)})
 			continue
 		}
-		owner := graph.BlockOwner(fs.N, members, v)
-		if c != nil && owner != me && c.Lookup(v) {
-			sc.pos[v] = fetchCacheHit
-			sc.hits = append(sc.hits, fetchEntry{vertex: v, slot: int32(i)})
-			cachedBytes += int64(8 * f)
-			continue
-		}
 		sc.pos[v] = i
-		sc.wanted = append(sc.wanted, fetchEntry{v, int32(owner), int32(i)})
-	}
-	if cachedBytes > 0 {
-		r.ChargeMem(cachedBytes)
+		sc.wanted = append(sc.wanted, fetchEntry{v, int32(graph.BlockOwner(fs.N, members, v)), int32(i)})
 	}
 
 	// One request list per owner actually asked, owners ascending and
@@ -271,9 +232,6 @@ func (fs *FeatureStore) FetchCached(r *cluster.Rank, vertices []int, c cache.Cac
 	})
 
 	out := takeFeatures(len(vertices), f)
-	for _, e := range sc.hits {
-		copy(out.RowView(int(e.slot)), fs.global.RowView(e.vertex))
-	}
 	// Every owner asked answers once, in ascending owner order: the rows
 	// arrive in the order of sc.wanted.
 	k := 0
@@ -282,9 +240,6 @@ func (fs *FeatureStore) FetchCached(r *cluster.Rank, vertices []int, c cache.Cac
 			e := sc.wanted[k]
 			k++
 			copy(out.RowView(int(e.slot)), rows.RowView(i))
-			if c != nil && int(e.owner) != me {
-				c.Admit(e.vertex)
-			}
 		}
 	}
 	for _, rp := range sc.repeats {
@@ -292,4 +247,10 @@ func (fs *FeatureStore) FetchCached(r *cluster.Rank, vertices []int, c cache.Cac
 	}
 	r.ChargeMem(int64(len(vertices) * f * 8))
 	return out
+}
+
+// FetchCached is Fetch under the name benchmark/walk.go calls; its
+// third argument is ignored. It goes with ROADMAP item 1a.
+func (fs *FeatureStore) FetchCached(r *cluster.Rank, vertices []int, _ any) *dense.Matrix {
+	return fs.Fetch(r, vertices)
 }

@@ -3,7 +3,6 @@ package pipeline
 import (
 	"fmt"
 
-	"repro/internal/cache"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/datasets"
@@ -86,17 +85,6 @@ type Config struct {
 
 	Sampler string // a core.Samplers key; empty selects the first
 
-	// Dropout applies inverted dropout at this rate on hidden
-	// activations during training (0 disables).
-	Dropout float64
-
-	// CachePolicy enables per-rank feature caching in the fetch step
-	// (the SALIENT++-style extension of Section 8.1.2). CacheFrac is
-	// the per-rank cache capacity as a fraction of the vertex count, in
-	// (0, 1] whenever a policy is set.
-	CachePolicy cache.Policy
-	CacheFrac   float64
-
 	Epochs     int
 	LR         float64
 	MaxBatches int // process at most this many global batches per epoch (0 = all); timings are extrapolated
@@ -110,14 +98,14 @@ type Config struct {
 	// and Result.Recovery reports what the recovery cost.
 	Faults *cluster.FaultPlan
 	// CkptInterval checkpoints the complete resumable state — model
-	// parameters, Adam moments, dropout stream position, and every
-	// rank's simulated-time accounting snapshot — every CkptInterval
-	// completed epochs (0 disables). Each rank charges the checkpoint's
-	// serialized bytes over HostLink at each boundary, so checkpointing
-	// costs simulated time whether or not a failure ever fires. With
-	// Topology == nil and CachePolicy == None, a failed-and-restored
-	// run's Result is bit-identical to an unfailed run with the same
-	// interval (the differential crash-recovery suite pins this).
+	// parameters, Adam moments, and every rank's simulated-time
+	// accounting snapshot — every CkptInterval completed epochs (0
+	// disables). Each rank charges the checkpoint's serialized bytes
+	// over HostLink at each boundary, so checkpointing costs simulated
+	// time whether or not a failure ever fires. With Topology == nil, a
+	// failed-and-restored run's Result is bit-identical to an unfailed
+	// run with the same interval (the differential crash-recovery suite
+	// pins this).
 	CkptInterval int
 
 	Seed  int64
@@ -198,10 +186,6 @@ func (c Config) normalised(d *datasets.Dataset) (Config, error) {
 		return c, fmt.Errorf("pipeline: negative batch cap MaxBatches=%d (0 = all batches)", c.MaxBatches)
 	case !(c.LR > 0):
 		return c, fmt.Errorf("pipeline: learning rate %v: must be positive", c.LR)
-	case !(c.Dropout >= 0 && c.Dropout < 1):
-		return c, fmt.Errorf("pipeline: dropout rate %v outside [0, 1)", c.Dropout)
-	case c.CachePolicy != cache.None && !(c.CacheFrac > 0 && c.CacheFrac <= 1):
-		return c, fmt.Errorf("pipeline: cache fraction %v outside (0, 1]", c.CacheFrac)
 	case c.CkptInterval < 0:
 		return c, fmt.Errorf("pipeline: negative checkpoint interval %d", c.CkptInterval)
 	}
@@ -382,11 +366,6 @@ func (b *bulk) newAttempt(cfg Config, batches [][]int, grid *cluster.Grid, store
 
 	rank := func(r *cluster.Rank) func(int64) (engine.Stage, engine.Stage) {
 		store := stores[r.ID]
-		var featCache cache.Cache
-		if cfg.CachePolicy != cache.None {
-			capacity := int(cfg.CacheFrac * float64(d.Graph.NumVertices()))
-			featCache = cache.New(cfg.CachePolicy, capacity, d.Graph.Degrees())
-		}
 		var local [][]int
 		trainOffset := 0
 		if partitioned {
@@ -403,7 +382,7 @@ func (b *bulk) newAttempt(cfg Config, batches [][]int, grid *cluster.Grid, store
 			Run: func(rf *cluster.Rank, idx int, in any) (any, error) {
 				it := in.(FetchItem)
 				rf.SetPhase(PhaseFeatureFetch)
-				return TrainItem{Batch: it.Batch, Feats: store.FetchCached(rf, it.Inputs, featCache)}, nil
+				return TrainItem{Batch: it.Batch, Feats: store.Fetch(rf, it.Inputs)}, nil
 			},
 		}
 

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cache"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/datasets"
@@ -196,11 +195,6 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{Config{P: 2, Epochs: -1}, []string{"negative epoch count"}},
 		{Config{P: 2, MaxBatches: -3}, []string{"MaxBatches=-3"}},
 		{Config{P: 2, LR: -0.1}, []string{"learning rate"}},
-		{Config{P: 2, Dropout: 1}, []string{"dropout rate 1"}},
-		{Config{P: 2, CachePolicy: cache.LRU, CacheFrac: -1}, []string{"cache fraction -1"}},
-		{Config{P: 2, CachePolicy: cache.LRU, CacheFrac: math.NaN()}, []string{"cache fraction NaN"}},
-		{Config{P: 2, CachePolicy: cache.StaticDegree, CacheFrac: 7}, []string{"cache fraction 7"}},
-		{Config{P: 2, CachePolicy: cache.StaticDegree}, []string{"cache fraction 0"}},
 		{Config{P: 2, CkptInterval: -1}, []string{"negative checkpoint interval"}},
 	} {
 		_, err := Run(d, c.cfg)
@@ -327,57 +321,19 @@ func TestFastGCNPartitionedRuns(t *testing.T) {
 	}
 }
 
-func TestFeatureCacheReducesFetchTime(t *testing.T) {
-	// Caching is a bandwidth optimization: with repeated fetches
-	// deduplicated per request, its win is the β·bytes it keeps off
-	// the wire, so measure it on a skewed-degree graph where the
-	// static working set actually absorbs traffic, and assert the
-	// traffic reduction directly as well.
-	d := datasets.ProductsLike(datasets.Tiny)
-	base, err := Run(d, Config{P: 8, C: 1, Epochs: 1, Seed: 14})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached, err := Run(d, Config{P: 8, C: 1, Epochs: 1, Seed: 14,
-		CachePolicy: cache.StaticDegree, CacheFrac: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cached.LastEpoch().FeatureFetch >= base.LastEpoch().FeatureFetch {
-		t.Fatalf("cache did not reduce fetch: %v vs %v",
-			cached.LastEpoch().FeatureFetch, base.LastEpoch().FeatureFetch)
-	}
-	bytesSent := func(r *Result) int64 {
-		var total int64
-		for _, s := range r.Cluster.Ranks {
-			total += s.BytesSent
-		}
-		return total
-	}
-	if cb, bb := bytesSent(cached), bytesSent(base); cb >= bb {
-		t.Fatalf("cache did not reduce wire traffic: %d vs %d bytes", cb, bb)
-	}
-	// Cached runs must still train correctly (same loss trajectory
-	// shape: decreasing).
-	if cached.LastEpoch().Loss <= 0 {
-		t.Fatal("cached run lost the loss signal")
-	}
-}
-
-func TestFetchCachedCorrectRows(t *testing.T) {
+func TestFetchCorrectRows(t *testing.T) {
 	d := tinySBM()
 	cl := cluster.New(4, cluster.Perlmutter())
 	g := cluster.NewGrid(cl, 4, 1)
 	stores := NewFeatureStores(g, d.Features)
 	want := []int{0, 100, 511, 100, 7, 0}
 	_, err := cl.Run(func(r *cluster.Rank) error {
-		c := cache.New(cache.StaticDegree, 64, d.Graph.Degrees())
-		for trial := 0; trial < 2; trial++ { // second pass hits LRU/admitted
-			got := stores[r.ID].FetchCached(r, want, c)
+		for trial := 0; trial < 2; trial++ { // second pass runs on warm scratch
+			got := stores[r.ID].Fetch(r, want)
 			for i, v := range want {
 				for j := 0; j < got.Cols; j++ {
 					if got.At(i, j) != d.Features.At(v, j) {
-						t.Errorf("rank %d: cached fetch row %d wrong", r.ID, i)
+						t.Errorf("rank %d: fetch row %d wrong", r.ID, i)
 						return nil
 					}
 				}
@@ -428,22 +384,6 @@ func TestSimulationDeterministic(t *testing.T) {
 	if ea.Sampling != eb.Sampling || ea.FeatureFetch != eb.FeatureFetch ||
 		ea.Propagation != eb.Propagation || ea.Loss != eb.Loss {
 		t.Fatalf("simulation not deterministic:\n%+v\n%+v", ea, eb)
-	}
-}
-
-func TestRunWithDropout(t *testing.T) {
-	d := tinySBM()
-	res, err := Run(d, Config{P: 2, C: 1, Epochs: 4, Seed: 18, LR: 0.02, Dropout: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.LastEpoch().Loss >= res.Epochs[0].Loss {
-		t.Fatalf("dropout training failed to reduce loss: %v -> %v",
-			res.Epochs[0].Loss, res.LastEpoch().Loss)
-	}
-	acc := Evaluate(d, res.Params, Config{P: 2, C: 1, Seed: 18}, d.Test)
-	if acc < 0.4 {
-		t.Fatalf("accuracy %.3f too low", acc)
 	}
 }
 
@@ -729,8 +669,8 @@ func TestFetchCachedScratchReuse(t *testing.T) {
 	wantA := []int{0, 100, 511, 7}
 	wantB := []int{3, 9, 200, 450, 12, 100}
 	_, err := cl.Run(func(r *cluster.Rank) error {
-		a := stores[r.ID].FetchCached(r, wantA, nil)
-		b := stores[r.ID].FetchCached(r, wantB, nil) // warm scratch
+		a := stores[r.ID].Fetch(r, wantA)
+		b := stores[r.ID].Fetch(r, wantB) // warm scratch
 		for i, v := range wantA {
 			for j := 0; j < a.Cols; j++ {
 				if a.At(i, j) != d.Features.At(v, j) {
@@ -756,23 +696,16 @@ func TestFetchCachedScratchReuse(t *testing.T) {
 
 func TestFetchCachedDedupesRepeatedVertices(t *testing.T) {
 	// Repeated vertices in one request cross the wire once: the wire
-	// volume of [v, v, v, w] equals that of [v, w], rows land in every
-	// slot, and the cache sees one Lookup and at most one Admit per
-	// distinct vertex per request.
+	// volume of [v, v, v, w] equals that of [v, w], and rows land in
+	// every slot.
 	d := tinySBM()
-	fetchBytes := func(verts []int, withCache bool) (int64, cache.Stats, *dense.Matrix) {
+	fetchBytes := func(verts []int) (int64, *dense.Matrix) {
 		cl := cluster.New(4, cluster.Perlmutter())
 		g := cluster.NewGrid(cl, 4, 1)
 		stores := NewFeatureStores(g, d.Features)
-		caches := make([]cache.Cache, 4)
-		if withCache {
-			for i := range caches {
-				caches[i] = cache.New(cache.LRU, 64, nil)
-			}
-		}
 		var out *dense.Matrix
 		res, err := cl.Run(func(r *cluster.Rank) error {
-			got := stores[r.ID].FetchCached(r, verts, caches[r.ID])
+			got := stores[r.ID].Fetch(r, verts)
 			if r.ID == 0 {
 				out = got
 			}
@@ -785,15 +718,11 @@ func TestFetchCachedDedupesRepeatedVertices(t *testing.T) {
 		for _, s := range res.Ranks {
 			total += s.BytesSent
 		}
-		var st cache.Stats
-		if withCache {
-			st = caches[0].Stats()
-		}
-		return total, st, out
+		return total, out
 	}
 	// 400 is remote to rank 0 (4 ranks own 128 rows each).
-	repeated, _, out := fetchBytes([]int{400, 400, 400, 7}, false)
-	distinct, _, _ := fetchBytes([]int{400, 7}, false)
+	repeated, out := fetchBytes([]int{400, 400, 400, 7})
+	distinct, _ := fetchBytes([]int{400, 7})
 	if repeated != distinct {
 		t.Fatalf("repeats crossed the wire: %d bytes vs %d for distinct", repeated, distinct)
 	}
@@ -808,13 +737,6 @@ func TestFetchCachedDedupesRepeatedVertices(t *testing.T) {
 		if out.At(3, j) != d.Features.At(7, j) {
 			t.Fatalf("distinct slot row wrong at col %d", j)
 		}
-	}
-	// Cache accounting: one miss per distinct remote vertex on rank 0
-	// ([400 x3] -> 1 miss), and a repeat of a cached vertex stays one
-	// hit per request.
-	_, st, _ := fetchBytes([]int{400, 400, 400}, true)
-	if st.Misses != 1 || st.Hits != 0 {
-		t.Fatalf("repeated request should Lookup once: %+v", st)
 	}
 }
 
@@ -1131,7 +1053,7 @@ func TestRunRejectsInvalidTopology(t *testing.T) {
 }
 
 // A released store set's fetch workspaces serve the next set: after one
-// run, a new store's first FetchCached allocates no more than a warm
+// run, a new store's first Fetch allocates no more than a warm
 // store's next call does. GC is held off while counting (see
 // TestFetchCachedCostsWhatItRequests).
 func TestFreshStoresReuseFetchMemory(t *testing.T) {
@@ -1143,7 +1065,7 @@ func TestFreshStoresReuseFetchMemory(t *testing.T) {
 	verts := []int{3, 9, 200, 450, 12, 100, 511, 7, 100}
 	call := func(stores []*FeatureStore) {
 		if _, err := cl.Run(func(r *cluster.Rank) error {
-			freeFeatures.Put(stores[r.ID].FetchCached(r, verts, nil))
+			freeFeatures.Put(stores[r.ID].Fetch(r, verts))
 			return nil
 		}); err != nil {
 			t.Fatal(err)
@@ -1201,7 +1123,7 @@ func TestFetchCachedCostsWhatItRequests(t *testing.T) {
 					next, _ := graph.BlockRowRange(rows, n, (r.ID+1)%n)
 					verts := []int{next, next + 1, lo, next, next + 2, lo, next + 1, lo + 1}
 					for i := 0; i < calls; i++ {
-						freeFeatures.Put(stores[r.ID].FetchCached(r, verts, nil))
+						freeFeatures.Put(stores[r.ID].Fetch(r, verts))
 					}
 					return nil
 				}); err != nil {

@@ -67,8 +67,8 @@ type Attempt struct {
 // it contributes zero gradients to the all-reduce.
 type TrainItem struct {
 	Batch *core.BatchGraph
-	// Feats is a FetchCached result: the propagation stage hands it back
-	// to FetchCached's free list once the step is done with it.
+	// Feats is a Fetch result: the propagation stage hands it back to
+	// Fetch's free list once the step is done with it.
 	Feats *dense.Matrix
 }
 
@@ -86,11 +86,8 @@ func Train(d *datasets.Dataset, cfg Config, strategy Strategy) (*Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	batches := d.Batches()
-	totalBatches := len(batches)
-	if cfg.MaxBatches > 0 && cfg.MaxBatches < totalBatches {
-		batches = batches[:cfg.MaxBatches]
-	}
+	totalBatches := d.NumBatches()
+	batches := Batches(d, cfg.MaxBatches)
 
 	// Per-rank loss sums and batch counts, aggregated after the run
 	// into a global batch-weighted epoch loss (ranks may count unequal
@@ -109,14 +106,7 @@ func Train(d *datasets.Dataset, cfg Config, strategy Strategy) (*Result, error) 
 	// rank is synchronized in the collective. This removes the
 	// dominant O(p·params) host-side cost per step — the simulated
 	// times and training outcome are unchanged.
-	newModel := func() *gnn.Model {
-		m := cfg.newModel(d)
-		if cfg.Dropout > 0 {
-			m.SetDropout(cfg.Dropout, cfg.Seed)
-		}
-		return m
-	}
-	model := newModel()
+	model := cfg.newModel(d)
 	opt := dense.NewAdam(cfg.LR)
 	// Shared all-zero gradient vector contributed by iterations without
 	// a real batch; the collective never mutates members' inputs.
@@ -199,7 +189,6 @@ func Train(d *datasets.Dataset, cfg Config, strategy Strategy) (*Result, error) 
 								total[i] *= inv
 							}
 							opt.Step(model.Params(), total)
-							model.NextDropoutSeed()
 						})
 						// The fold read grads inside the rendezvous, before
 						// any member could leave it.
@@ -233,7 +222,7 @@ func Train(d *datasets.Dataset, cfg Config, strategy Strategy) (*Result, error) 
 					r.ChargeLink(cluster.HostLink, ckptBytes)
 					if r.ID == 0 {
 						t, am, av := opt.State()
-						if err := col.AddState(bdry, model.DropoutSeed(), model.Params(), t, am, av); err != nil {
+						if err := col.AddState(bdry, model.Params(), t, am, av); err != nil {
 							return err
 						}
 					}
@@ -262,12 +251,11 @@ func Train(d *datasets.Dataset, cfg Config, strategy Strategy) (*Result, error) 
 	// the checkpoint's, or with none to the deterministic initial state.
 	restore := func(ck *graphio.Checkpoint) {
 		if ck == nil {
-			model = newModel()
+			model = cfg.newModel(d)
 			opt = dense.NewAdam(cfg.LR)
 			return
 		}
 		model.SetParams(ck.Params)
-		model.SetDropoutSeed(ck.DropSeed)
 		opt.SetState(ck.OptT, ck.OptM, ck.OptV)
 	}
 	res, rec, err := resilience.RunWithRestarts(cfg.Model.Faults, col, restore, attempt)
@@ -320,6 +308,16 @@ func takeGrads(n int) []float64 {
 		return make([]float64, n)
 	}
 	return g[:n]
+}
+
+// Batches returns d's global batch list, truncated to the first
+// maxBatches when the cap is set (0 = all).
+func Batches(d *datasets.Dataset, maxBatches int) [][]int {
+	batches := d.Batches()
+	if maxBatches > 0 && maxBatches < len(batches) {
+		batches = batches[:maxBatches]
+	}
+	return batches
 }
 
 // BlockScale returns the extrapolation factor from a truncated batch

@@ -23,7 +23,7 @@ func TestCollectorPublishesCompleteBoundary(t *testing.T) {
 	if err := c.AddRank(1, 0, snapWithClock(1.5)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.AddState(1, 7, []float64{1, 2}, 3, []float64{0.1}, []float64{0.2}); err != nil {
+	if err := c.AddState(1, []float64{1, 2}, 3, []float64{0.1}, []float64{0.2}); err != nil {
 		t.Fatal(err)
 	}
 	// Boundary incomplete: rank 1 has not contributed.
@@ -37,7 +37,7 @@ func TestCollectorPublishesCompleteBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ck == nil || ck.Epoch != 1 || ck.DropSeed != 7 || ck.OptT != 3 || len(ck.Ranks) != 2 {
+	if ck == nil || ck.Epoch != 1 || ck.OptT != 3 || len(ck.Ranks) != 2 {
 		t.Fatalf("published checkpoint %+v is wrong", ck)
 	}
 	if got := c.LatestClock(); got != 2.5 {
@@ -63,10 +63,10 @@ func TestCollectorRejectsDuplicatesAndOverlap(t *testing.T) {
 	if err := c.AddRank(1, 0, snapWithClock(1)); err == nil || !strings.Contains(err.Error(), "duplicate snapshot") {
 		t.Fatalf("duplicate rank snapshot: err = %v", err)
 	}
-	if err := c.AddState(1, 0, nil, 0, nil, nil); err != nil {
+	if err := c.AddState(1, nil, 0, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.AddState(1, 0, nil, 0, nil, nil); err == nil || !strings.Contains(err.Error(), "duplicate training state") {
+	if err := c.AddState(1, nil, 0, nil, nil); err == nil || !strings.Contains(err.Error(), "duplicate training state") {
 		t.Fatalf("duplicate state: err = %v", err)
 	}
 	// Opening boundary 2 while boundary 1 is incomplete breaks the
@@ -78,7 +78,7 @@ func TestCollectorRejectsDuplicatesAndOverlap(t *testing.T) {
 
 func TestCollectorAbortKeepsLatest(t *testing.T) {
 	c := NewCollector(1)
-	if err := c.AddState(1, 0, []float64{4}, 1, nil, nil); err != nil {
+	if err := c.AddState(1, []float64{4}, 1, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.AddRank(1, 0, snapWithClock(1)); err != nil {
@@ -99,7 +99,7 @@ func TestCollectorAbortKeepsLatest(t *testing.T) {
 		t.Fatalf("Abort lost the published checkpoint: %+v", ck)
 	}
 	// The aborted boundary can be rebuilt from scratch.
-	if err := c.AddState(2, 0, []float64{5}, 2, nil, nil); err != nil {
+	if err := c.AddState(2, []float64{5}, 2, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.AddRank(2, 0, snapWithClock(2)); err != nil {

@@ -37,11 +37,9 @@ func recoveryDataset() *datasets.Dataset {
 // complete simulated-time cluster accounting. Both backends, all three
 // training strategies.
 //
-// Topology stays nil and the feature cache stays off: the contention
-// ledger and cache-residency state are deliberately not part of a
-// checkpoint (a real restart re-warms its caches), so exact recovery
-// is only promised for the pure α–β model — the same scope as
-// cross-backend bit-identity.
+// Topology stays nil: the contention ledger is deliberately not part
+// of a checkpoint, so exact recovery is only promised for the pure α–β
+// model — the same scope as cross-backend bit-identity.
 func TestDifferentialCrashRecovery(t *testing.T) {
 	trials := 120
 	if testing.Short() {

@@ -11,9 +11,8 @@
 // same checkpoint schedule and no failure. Three mechanisms combine to
 // make that hold exactly, not just approximately:
 //
-//   - The replicated training state (model parameters, Adam moments,
-//     dropout mask-stream position) is captured once per boundary —
-//     rank 0's copy, which equals every rank's copy because the
+//   - The replicated training state (model parameters and Adam
+//     moments) is captured once per boundary — rank 0's copy, which equals every rank's copy because the
 //     optimizer steps inside an AllReduce transform.
 //   - Each rank's simulated-time accounting (clock, per-phase float
 //     accumulators, traffic counters, finished forked streams) is
@@ -143,7 +142,7 @@ func (c *Collector) AddRank(epoch, rank int, snap cluster.RankSnapshot) error {
 
 // AddState contributes the replicated training state at boundary epoch
 // (call from rank 0, once per boundary).
-func (c *Collector) AddState(epoch int, dropSeed int64, params []float64, optT int, optM, optV []float64) error {
+func (c *Collector) AddState(epoch int, params []float64, optT int, optM, optV []float64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.open(epoch); err != nil {
@@ -152,7 +151,6 @@ func (c *Collector) AddState(epoch int, dropSeed int64, params []float64, optT i
 	if c.state {
 		return fmt.Errorf("resilience: duplicate training state at boundary %d", epoch)
 	}
-	c.build.DropSeed = dropSeed
 	c.build.Params = append([]float64(nil), params...)
 	c.build.OptT = optT
 	c.build.OptM = append([]float64(nil), optM...)

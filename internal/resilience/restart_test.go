@@ -15,7 +15,7 @@ import (
 func publish(t *testing.T, epoch int, at float64) *Collector {
 	t.Helper()
 	c := NewCollector(1)
-	if err := c.AddState(epoch, 0, []float64{1}, 1, []float64{0}, []float64{0}); err != nil {
+	if err := c.AddState(epoch, []float64{1}, 1, []float64{0}, []float64{0}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.AddRank(epoch, 0, snapWithClock(at)); err != nil {

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/autotune"
 	"repro/internal/bench"
-	"repro/internal/cache"
 	"repro/internal/cliutil"
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -65,20 +64,6 @@ func TestPublicTrainAndEvaluate(t *testing.T) {
 	acc := Evaluate(d, res.Params, cfg, d.Test)
 	if acc < 0 || acc > 1 {
 		t.Fatalf("accuracy out of range: %v", acc)
-	}
-}
-
-func TestPublicTrainWithCache(t *testing.T) {
-	d := tinyDataset()
-	res, err := Train(d, TrainConfig{
-		P: 4, C: 1, Epochs: 1, Seed: 2, MaxBatches: 8,
-		CachePolicy: cache.StaticDegree, CacheFrac: 0.1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.LastEpoch().FeatureFetch <= 0 {
-		t.Fatal("no fetch time")
 	}
 }
 
