@@ -36,16 +36,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		epochs     = fs.Int("epochs", 15, "training epochs for the accuracy experiment")
 		seed       = fs.Int64("seed", 20240101, "experiment seed")
 		jsonOut    = fs.String("json", "", "also write results as JSON to this file")
-		overlap    = fs.Bool("overlap", false, "run the replicated-pipeline training experiments (fig4, fig6) on the overlapped engine schedule; the overlap experiment always measures sequential vs overlapped for both algorithms")
 		perfOut    = fs.String("perfout", "", "perf experiment: write the measured rows as a new baseline file (BENCH_*.json)")
 		perfBase   = fs.String("perfbaseline", "", "perf experiment: compare against this committed baseline, print the margins, and fail on >25% wall-time regression")
-		sweepWorks = fs.String("sweepworkers", "default", "worker-pool size for sweep experiments (scaling): default = one per CPU, 1 = serial; tables are byte-identical at any setting")
 	)
-	platform := cliutil.RegisterPlatformFlags(fs, true, map[string]string{
-		"allreduce":     " (the collectives, tprob and scaling experiments sweep their algorithm sets regardless)",
-		"topology":      " (the contention experiment sweeps its topology set regardless)",
-		"faults":        " (resilience experiment: overrides the auto fault at ~60% of the clean span)",
-		"ckpt-interval": " (resilience experiment: restricts the interval sweep to this cadence)",
+	platform := cliutil.RegisterPlatformFlags(fs, false, map[string]string{
+		"allreduce": " (the collectives, tprob and scaling experiments sweep their algorithm sets regardless)",
+		"topology":  " (the contention experiment sweeps its topology set regardless)",
 	})
 	if help, err := cliutil.ParseFlags(fs, args, stderr); help || err != nil {
 		return err
@@ -64,32 +60,31 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *epochs < 1 {
 		return fmt.Errorf("bad -epochs %d: must be >= 1", *epochs)
 	}
+	// The harness reads seed 0 as unset and would run the default.
+	if *seed == 0 {
+		return fmt.Errorf("bad -seed 0: must be nonzero")
+	}
 	// Experiment-scoped flags error out under any other experiment
 	// instead of silently doing nothing.
-	for _, c := range []struct{ name, value, want string }{
-		{"perfout", *perfOut, "perf"},
-		{"perfbaseline", *perfBase, "perf"},
-		{"sweepworkers", *sweepWorks, "scaling"},
-		{"faults", fs.Lookup("faults").Value.String(), "resilience"},
-		{"ckpt-interval", fs.Lookup("ckpt-interval").Value.String(), "resilience"},
+	for _, c := range []struct{ name, value string }{
+		{"perfout", *perfOut},
+		{"perfbaseline", *perfBase},
 	} {
-		if err := cliutil.RequireExperiment(c.name, c.value, *experiment, c.want); err != nil {
+		if err := cliutil.RequireExperiment(c.name, c.value, *experiment, "perf"); err != nil {
 			return err
 		}
 	}
-	// -overlap reaches fig4 and fig6 only, alone or under all.
-	if *overlap && *experiment != "fig4" && *experiment != "fig6" && *experiment != "all" {
-		return fmt.Errorf("-overlap applies only to -experiment fig4, fig6 or all (selected: %s)", *experiment)
+	// An experiment whose table entry has no GPU axis pins its counts;
+	// "all" applies -gpus to the entries that have one.
+	if *gpus != "" && *experiment != "all" && selected[0].GPUs == nil {
+		return fmt.Errorf("-gpus does not apply to -experiment %s: it has no GPU axis", *experiment)
 	}
 
-	opts := bench.Options{MaxBatches: *maxBatches, Seed: *seed, Overlap: *overlap, Epochs: *epochs}
+	opts := bench.Options{MaxBatches: *maxBatches, Seed: *seed, Epochs: *epochs}
 	if opts.Profile, err = cliutil.ParseProfile(*profile); err != nil {
 		return err
 	}
-	if opts.Model, opts.CkptInterval, err = platform(); err != nil {
-		return err
-	}
-	if opts.SweepWorkers, err = cliutil.ParseSweepWorkers(*sweepWorks); err != nil {
+	if opts.Model, _, err = platform(); err != nil {
 		return err
 	}
 	if *gpus != "" {
@@ -101,7 +96,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		"profile":    *profile,
 		"seed":       fmt.Sprint(*seed),
 		"maxbatches": fmt.Sprint(*maxBatches),
-		"overlap":    fmt.Sprint(*overlap),
 		"allreduce":  opts.Model.Collectives.AllReduce.String(),
 		"alltoall":   opts.Model.Collectives.AllToAll.String(),
 		"topology":   opts.Model.Topology.String(),

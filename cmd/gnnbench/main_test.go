@@ -22,7 +22,8 @@ func gnnbench(args ...string) (stdout, stderr string, err error) {
 }
 
 // Every id of the table (perf aside: it measures wall time for
-// minutes) runs end to end through the CLI at the smallest size.
+// minutes) runs end to end through the CLI at the smallest size, on
+// four GPUs where the entry has a GPU axis.
 func TestEveryExperimentRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
@@ -32,7 +33,11 @@ func TestEveryExperimentRuns(t *testing.T) {
 			continue
 		}
 		t.Run(e.ID, func(t *testing.T) {
-			out, _, err := gnnbench("-experiment", e.ID, "-profile", "tiny", "-maxbatches", "2", "-gpus", "4", "-epochs", "2")
+			args := []string{"-experiment", e.ID, "-profile", "tiny", "-maxbatches", "2", "-epochs", "2"}
+			if e.GPUs != nil {
+				args = append(args, "-gpus", "4")
+			}
+			out, _, err := gnnbench(args...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -53,13 +58,12 @@ func TestBadInputIsAnError(t *testing.T) {
 		env  string // $GNN_BACKEND for the run, when set
 	}{
 		{"unknown id", []string{"-experiment", "fig8"}, `unknown experiment "fig8"`, ""},
-		{"faults outside resilience", []string{"-experiment", "fig4", "-faults", "1@0.5"}, "-faults applies only to -experiment resilience", ""},
-		{"ckpt-interval outside resilience", []string{"-experiment", "all", "-ckpt-interval", "2"}, "-ckpt-interval applies only to -experiment resilience", ""},
 		{"perfout outside perf", []string{"-experiment", "scaling", "-perfout", "x.json"}, "-perfout applies only to -experiment perf", ""},
 		{"perfbaseline outside perf", []string{"-experiment", "all", "-perfbaseline", "x.json"}, "-perfbaseline applies only to -experiment perf", ""},
-		{"sweepworkers outside scaling", []string{"-experiment", "fig4", "-sweepworkers", "2"}, "-sweepworkers applies only to -experiment scaling", ""},
-		{"overlap outside fig4 and fig6", []string{"-experiment", "fig5", "-overlap"}, "-overlap applies only to -experiment fig4, fig6 or all", ""},
 		{"zero gpu count", []string{"-experiment", "fig4", "-gpus", "4,0"}, "bad GPU count 0", ""},
+		{"gpus on table3", []string{"-experiment", "table3", "-gpus", "8"}, "-gpus does not apply to -experiment table3", ""},
+		{"gpus on partition", []string{"-experiment", "partition", "-gpus", "8"}, "-gpus does not apply to -experiment partition", ""},
+		{"zero seed", []string{"-experiment", "acc", "-seed", "0"}, "bad -seed 0", ""},
 		{"negative maxbatches, sampling-only experiment", []string{"-experiment", "table3", "-maxbatches", "-3"}, "bad -maxbatches -3", ""},
 		{"negative maxbatches, every experiment", []string{"-experiment", "all", "-maxbatches", "-1"}, "bad -maxbatches -1", ""},
 		{"negative epochs", []string{"-experiment", "acc", "-epochs", "-5"}, "bad -epochs -5", ""},
@@ -67,10 +71,6 @@ func TestBadInputIsAnError(t *testing.T) {
 		{"bad topology", []string{"-experiment", "fig4", "-topology", "torus"}, `unknown topology "torus"`, ""},
 		{"bad backend", []string{"-experiment", "fig4", "-backend", "thread"}, "thread", ""},
 		{"bad allreduce", []string{"-experiment", "fig4", "-allreduce", "pairwise"}, "pairwise", ""},
-		{"bad faults", []string{"-experiment", "resilience", "-faults", "1@"}, "bad fault", ""},
-		{"fault rank outside p", []string{"-experiment", "resilience", "-profile", "tiny", "-maxbatches", "2", "-gpus", "4", "-faults", "9@0.0001"}, "rank 9", ""},
-		{"bad ckpt-interval", []string{"-experiment", "resilience", "-ckpt-interval", "-1"}, "bad checkpoint interval", ""},
-		{"bad sweepworkers", []string{"-experiment", "scaling", "-sweepworkers", "0"}, "bad sweep worker count", ""},
 		{"bad profile", []string{"-experiment", "fig4", "-profile", "huge"}, `unknown profile "huge"`, ""},
 		{"invalid grid", []string{"-experiment", "fig4", "-profile", "tiny", "-gpus", "5"}, "must divide", ""},
 		{"invalid 1.5D grid", []string{"-experiment", "fig7sage", "-profile", "tiny", "-gpus", "9"}, "c^2 must divide p (p=9 c=2)", ""},

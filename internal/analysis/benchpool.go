@@ -11,7 +11,7 @@ import (
 // the seam is the sweep worker pool (pool.go): an experiment that
 // spawns its own goroutines re-derives — usually wrongly — the
 // deterministic result ordering, per-cell panic isolation and
-// -sweepworkers bound runCells already gives. In internal/dense it is
+// worker bound runCells already gives. In internal/dense it is
 // ParallelRows (matrix.go), the module's one kernel fan-out. The sparse
 // and sampling kernels (internal/sparse, internal/core) have no seam:
 // they run on the calling rank's goroutine, because inside a rank body
@@ -36,7 +36,7 @@ const benchPath = "repro/internal/bench"
 
 var fanoutScopes = map[string]fanoutScope{
 	benchPath: {"pool.go", "the pool seam",
-		"run sweep cells through runCells (pool.go), which already gives deterministic ordering, panic isolation and the -sweepworkers bound"},
+		"run sweep cells through runCells (pool.go), which already gives deterministic ordering, panic isolation and a worker bound"},
 	"repro/internal/dense": {"matrix.go", "the ParallelRows seam",
 		"stripe kernels through ParallelRows (matrix.go), behind Serial's work threshold"},
 	"repro/internal/sparse": {"", "dense.ParallelRows",

@@ -85,10 +85,10 @@ type PartitionRow struct {
 	ObliviousBytes int64
 }
 
-// RunOneDSampling measures one bulk GraphSAGE sampling run under the 1D
+// runOneDSampling measures one bulk GraphSAGE sampling run under the 1D
 // block-row partitioning — the baseline the 1.5D algorithm is compared
 // against (sampling only, like RunPartitionedSampling).
-func RunOneDSampling(d *datasets.Dataset, p, maxBatches int, seed int64, model cluster.CostModel) (*cluster.Result, error) {
+func runOneDSampling(d *datasets.Dataset, p, maxBatches int, seed int64, model cluster.CostModel) (*cluster.Result, error) {
 	cl := cluster.New(p, model)
 	world := cl.World()
 	oneD := distsample.NewOneDSet(p, d.Graph.Adj)
@@ -116,14 +116,14 @@ func PartitionAblation(w io.Writer, dataset string, ps []int, o Options) ([]Part
 		"1D time", "1D bytes", "1.5D time", "1.5D bytes", "oblivious time", "oblivious bytes")
 	var rows []PartitionRow
 	for _, p := range ps {
-		c := CFor(p) / 2
+		c := cFor(p) / 2
 		if c < 2 {
 			c = 2
 		}
 		for (p/c)%c != 0 && c > 1 {
 			c /= 2
 		}
-		res1, err := RunOneDSampling(d, p, o.MaxBatches, o.Seed, o.Model)
+		res1, err := runOneDSampling(d, p, o.MaxBatches, o.Seed, o.Model)
 		if err != nil {
 			return nil, err
 		}
@@ -177,7 +177,7 @@ type OverlapRow struct {
 // partitionedCFor shrinks the Figure 4 replication factor until it
 // satisfies the 1.5D grid constraint c^2 | p.
 func partitionedCFor(p int) int {
-	c := CFor(p)
+	c := cFor(p)
 	for c > 1 && (p%(c*c) != 0 || p%c != 0) {
 		c /= 2
 	}
@@ -201,14 +201,17 @@ var distributedAlgorithms = []struct {
 // quarterEpochConfig is the training run the overlap and contention
 // studies measure for one algorithm at p GPUs: the Figure 4 replication
 // factor (shrunk to a valid grid for the partitioned algorithm) and a
-// quarter-epoch bulk, so the schedule has rounds to pipeline.
+// quarter-epoch bulk. Overlap pays off exactly when memory forces k
+// below the batch count (several bulk rounds per epoch), so a quarter
+// of the epoch's batches gives the schedule rounds to pipeline — but
+// never less than one batch per rank.
 func (o Options) quarterEpochConfig(d *datasets.Dataset, alg pipeline.Algorithm, p int) pipeline.Config {
-	c := CFor(p)
+	c := cFor(p)
 	if alg == pipeline.GraphPartitioned {
 		c = partitionedCFor(p)
 	}
 	return pipeline.Config{
-		P: p, C: c, K: QuarterEpochBulk(len(pipeline.Batches(d, o.MaxBatches)), p),
+		P: p, C: c, K: max(len(pipeline.Batches(d, o.MaxBatches))/4, p),
 		Algorithm:     alg,
 		SparsityAware: alg == pipeline.GraphPartitioned,
 		MaxBatches:    o.MaxBatches, Seed: o.Seed, Model: o.Model,

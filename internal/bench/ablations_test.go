@@ -72,7 +72,7 @@ func TestOneDBaselinePinned(t *testing.T) {
 		for _, be := range []cluster.Backend{cluster.GoroutineBackend, cluster.DESBackend} {
 			model := cluster.Perlmutter()
 			model.Backend = be
-			res, err := RunOneDSampling(d, p, 0, 1, model)
+			res, err := runOneDSampling(d, p, 0, 1, model)
 			if err != nil {
 				t.Fatal(err)
 			}

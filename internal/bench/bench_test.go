@@ -175,11 +175,11 @@ func TestTprobModelWithinOrderOfMagnitude(t *testing.T) {
 }
 
 func TestCKHelpers(t *testing.T) {
-	if CFor(4) != 1 || CFor(8) != 2 || CFor(128) != 8 {
-		t.Fatal("CFor mapping wrong")
+	if cFor(4) != 1 || cFor(8) != 2 || cFor(128) != 8 {
+		t.Fatal("cFor mapping wrong")
 	}
-	if KFor(4, 100) != 50 || KFor(64, 100) != 0 {
-		t.Fatal("KFor mapping wrong")
+	if kFor(4, 100) != 50 || kFor(64, 100) != 0 {
+		t.Fatal("kFor mapping wrong")
 	}
 }
 

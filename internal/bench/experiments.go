@@ -17,7 +17,8 @@ type Experiment struct {
 	// GPUs is the default GPU axis, swept when Options.GPUCounts is nil
 	// (single-count experiments run the first entry of whichever list
 	// applies). nil means the experiment has no GPU axis: its counts are
-	// part of its definition and Options.GPUCounts is ignored.
+	// part of its definition, Options.GPUCounts is ignored, and gnnbench
+	// rejects -gpus for it.
 	GPUs       []int
 	Standalone bool // not part of "all"
 	// Run prints the experiment's table to w and returns its rows for
@@ -87,11 +88,7 @@ var Experiments = []Experiment{
 		Run: func(w io.Writer, o Options) (any, error) { return OverlapAnalysis(w, o) }},
 	{ID: "resilience", Doc: "checkpoint-interval sweep vs injected fail-stop: clean overhead, attempts, resume epoch, wasted + total simulated work", GPUs: multiNodeGPUs,
 		Run: func(w io.Writer, o Options) (any, error) {
-			var intervals []int // nil: the full sweep
-			if o.CkptInterval > 0 {
-				intervals = []int{0, o.CkptInterval}
-			}
-			return Resilience(w, "products", o.gpus(multiNodeGPUs)[0], intervals, o.Model.Faults, o)
+			return Resilience(w, "products", o.gpus(multiNodeGPUs)[0], nil, o)
 		}},
 	{ID: "verify", Doc: "reproduction self-checks",
 		Run: func(w io.Writer, o Options) (any, error) { return Verify(w, o) }},

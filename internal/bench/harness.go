@@ -9,7 +9,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"runtime"
 
 	"repro/internal/baseline"
 	"repro/internal/cluster"
@@ -39,27 +38,8 @@ type Options struct {
 	// override that one field per row.
 	Model cluster.CostModel
 
-	// Overlap runs the paper's pipeline on the staged engine's
-	// software-pipelined schedule in the experiments that train with
-	// pipeline.Run and consult this knob (Fig4/Fig6, both Graph
-	// Replicated); baselines stay bulk synchronous, and
-	// OverlapAnalysis ignores the knob — it measures sequential vs
-	// overlapped for both algorithms (replicated and 1.5D
-	// partitioned) unconditionally. Off reproduces the paper's
-	// schedule.
-	Overlap bool
-
-	// SweepWorkers bounds the worker pool the sweep experiments run
-	// their cells on (see runCells): 0 defaults to GOMAXPROCS, 1 runs
-	// serially. Tables are byte-identical at any setting — cells are
-	// independent simulations and fold in enumeration order.
-	SweepWorkers int
-
 	// Epochs is the accuracy experiment's training length (0 = 15).
 	Epochs int
-	// CkptInterval restricts the resilience experiment's interval sweep
-	// to {0, CkptInterval} (0 = the full {0, 1, 2, 4} sweep).
-	CkptInterval int
 }
 
 func (o Options) withDefaults() Options {
@@ -68,9 +48,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Seed == 0 {
 		o.Seed = 20240101
-	}
-	if o.SweepWorkers == 0 {
-		o.SweepWorkers = runtime.GOMAXPROCS(0)
 	}
 	return o
 }
@@ -84,15 +61,6 @@ func (o Options) gpus(def []int) []int {
 	return def
 }
 
-// QuarterEpochBulk is the bulk size the overlap studies train with:
-// overlap pays off exactly when memory forces k below the batch count
-// (several bulk rounds per epoch), so a quarter of the epoch's batches
-// gives the schedule rounds to pipeline — but never less than one batch
-// per rank.
-func QuarterEpochBulk(batches, p int) int {
-	return max(batches/4, p)
-}
-
 // bytesSent sums the bytes every rank of a run injected.
 func bytesSent(res *cluster.Result) int64 {
 	var total int64
@@ -102,9 +70,9 @@ func bytesSent(res *cluster.Result) int64 {
 	return total
 }
 
-// CFor mirrors the paper's per-GPU-count replication factors in the
+// cFor mirrors the paper's per-GPU-count replication factors in the
 // Figure 4 annotations: replication grows with aggregate memory.
-func CFor(p int) int {
+func cFor(p int) int {
 	switch {
 	case p <= 4:
 		return 1
@@ -117,10 +85,10 @@ func CFor(p int) int {
 	}
 }
 
-// KFor mirrors the paper's bulk sizes: small GPU counts lack the
+// kFor mirrors the paper's bulk sizes: small GPU counts lack the
 // memory to sample every minibatch in one bulk (k < all); larger
 // counts sample all at once (k=all, reported as 0 here).
-func KFor(p, totalBatches int) int {
+func kFor(p, totalBatches int) int {
 	if p <= 4 {
 		return totalBatches / 2
 	}
@@ -154,14 +122,13 @@ func Fig4(w io.Writer, o Options) ([]Fig4Row, error) {
 			return nil, err
 		}
 		for _, p := range o.gpus(figureGPUs) {
-			c := CFor(p)
-			k := KFor(p, d.NumBatches())
+			c := cFor(p)
+			k := kFor(p, d.NumBatches())
 			res, err := pipeline.Run(d, pipeline.Config{
 				P: p, C: c, K: k,
 				MaxBatches: o.MaxBatches,
 				Seed:       o.Seed,
 				Model:      o.Model,
-				Overlap:    o.Overlap,
 			})
 			if err != nil {
 				return nil, err
@@ -261,16 +228,15 @@ func Fig6(w io.Writer, o Options) ([]Fig6Row, error) {
 		for _, p := range o.gpus(figureGPUs) {
 			run := func(c int) (pipeline.EpochStats, error) {
 				res, err := pipeline.Run(d, pipeline.Config{
-					P: p, C: c, K: KFor(p, d.NumBatches()),
+					P: p, C: c, K: kFor(p, d.NumBatches()),
 					MaxBatches: o.MaxBatches, Seed: o.Seed, Model: o.Model,
-					Overlap: o.Overlap,
 				})
 				if err != nil {
 					return pipeline.EpochStats{}, err
 				}
 				return res.LastEpoch(), nil
 			}
-			rep, err := run(CFor(p))
+			rep, err := run(cFor(p))
 			if err != nil {
 				return nil, err
 			}
@@ -361,7 +327,7 @@ func Fig7(w io.Writer, sampler string, o Options) ([]Fig7Row, error) {
 		for _, p := range o.gpus(fig7GPUs) {
 			c := cOf[p]
 			if c == 0 {
-				c = CFor(p) / 2
+				c = cFor(p) / 2
 				if c == 0 {
 					c = 1
 				}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/cluster"
 	"repro/internal/datasets"
 	"repro/internal/pipeline"
 	"repro/internal/resilience"
@@ -46,13 +45,10 @@ const resilienceEpochs = 4
 // over HostLink at each boundary), while sparse ones make a failure
 // expensive (everything past the last boundary is re-executed). The
 // injected failure lands at ~60% of the no-checkpoint clean run's
-// simulated span (rank p/2), or at the caller's explicit plan when
-// faults is non-nil (the resilience Experiments entry passes the
-// platform's, Options.Model.Faults). The plan reaches only the faulted
-// runs: the clean ones run on the model with its plan stripped. Cells
-// run serially: each failed run already contains restarts, and the
-// table is small.
-func Resilience(w io.Writer, dataset string, p int, intervals []int, faults *cluster.FaultPlan, o Options) ([]ResilienceRow, error) {
+// simulated span (rank p/2); any plan on Options.Model is stripped.
+// nil intervals sweep {0, 1, 2, 4}. Cells run serially: each failed
+// run already contains restarts, and the table is small.
+func Resilience(w io.Writer, dataset string, p int, intervals []int, o Options) ([]ResilienceRow, error) {
 	o = o.withDefaults()
 	o.Model.Faults = nil
 	d, err := datasets.ByName(dataset, o.Profile)
@@ -86,10 +82,7 @@ func Resilience(w io.Writer, dataset string, p int, intervals []int, faults *clu
 		if err != nil {
 			return nil, fmt.Errorf("bench: resilience %s clean baseline: %w", st.name, err)
 		}
-		plan := faults
-		if plan == nil {
-			plan = resilience.FailAt(p/2, clean0.Cluster.SimTime*0.6)
-		}
+		plan := resilience.FailAt(p/2, clean0.Cluster.SimTime*0.6)
 		for _, interval := range intervals {
 			cfg := base
 			cfg.CkptInterval = interval

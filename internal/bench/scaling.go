@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"time"
 
 	"repro/internal/cluster"
@@ -102,11 +103,11 @@ type scalingCell struct {
 //   - Strong scaling runs the full batch list at every p, so the ideal
 //     epoch time halves as p doubles; efficiency is T(p₀)·p₀/(T(p)·p).
 //
-// Cells are independent simulations and run on the sweep worker pool
-// (Options.SweepWorkers); results fold in enumeration order, so the
-// table is byte-identical at any worker count (goroutine-backend
-// cells on contended topologies additionally run isolated from pool
-// siblings — see the run-phase comment). WallSec reports the
+// Cells are independent simulations and run on the sweep worker pool,
+// one worker per GOMAXPROCS; results fold in enumeration order, so the
+// table is byte-identical at any pool size (goroutine-backend cells on
+// contended topologies additionally run isolated from pool siblings —
+// see the run-phase comment). WallSec reports the
 // real time the simulator needed per run — the simulator-performance
 // axis this study exists to keep honest (the perf suite gates it; see
 // Perf).
@@ -152,7 +153,7 @@ func Scaling(w io.Writer, o Options) ([]ScalingRow, error) {
 							topoName: topo.name, topo: topo.topo,
 							p: p, series: series,
 						}
-						cell.c = CFor(p)
+						cell.c = cFor(p)
 						switch alg {
 						case "partitioned":
 							cell.c = scalingPartitionedC(p)
@@ -244,7 +245,7 @@ func Scaling(w io.Writer, o Options) ([]ScalingRow, error) {
 	// (first-committed-first-served, see cluster/contention.go), so a
 	// goroutine-backend cluster's ledger order shifts when sibling
 	// cells share the scheduler — isolating those cells gives them the
-	// same solo-process conditions a -sweepworkers 1 run does. The DES
+	// same solo-process conditions a one-worker pool gives them. The DES
 	// backend is immune (one event loop per cluster fixes the order),
 	// and contention-off charging is scheduler-independent by the
 	// bit-identicality discipline. (At GOMAXPROCS>1 the goroutine
@@ -270,7 +271,7 @@ func Scaling(w io.Writer, o Options) ([]ScalingRow, error) {
 			errs[idx[k]] = e
 		}
 	}
-	runPhase(robust, o.SweepWorkers)
+	runPhase(robust, runtime.GOMAXPROCS(0))
 	runPhase(sensitive, 1)
 
 	fmt.Fprintf(w, "Scaling study: %s/%s, weak + strong, per algorithm x collective x topology (simulated epoch seconds)\n",

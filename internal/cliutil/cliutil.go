@@ -1,7 +1,7 @@
 // Package cliutil holds the flag-parsing helpers shared by the CLI
-// binaries (trainer, gnnbench, compare, perfdiff, gnnvet), so -profile
-// and -gpus accept one vocabulary everywhere and the validation is tested
-// in one place instead of re-implemented per main package. The
+// binaries (trainer, gnnbench, perfdiff, gnnvet), so -profile accepts
+// one vocabulary everywhere and the validation is tested in one place
+// instead of re-implemented per main package. The
 // platform flags (collective algorithms, topology, backend, faults,
 // checkpoint interval) are declared once and parsed into one
 // cluster.CostModel, by RegisterPlatformFlags; this package's tests pin
@@ -84,27 +84,6 @@ func ParseGPUCounts(s string) ([]int, error) {
 		}
 	}
 	return counts, nil
-}
-
-// ParseSweepWorkers parses a -sweepworkers flag: the worker-pool size
-// the sweep experiments run their cells on. Empty and "default" mean
-// one worker per CPU (GOMAXPROCS, resolved at run time, so 0 is
-// returned here); 1 pins the sweep serial. Zero and negative counts
-// are rejected rather than silently serialized — a miscomputed
-// $(nproc) in a CI script should fail loudly.
-func ParseSweepWorkers(s string) (int, error) {
-	s = strings.TrimSpace(s)
-	if s == "" || s == "default" {
-		return 0, nil
-	}
-	v, err := strconv.Atoi(s)
-	if err != nil {
-		return 0, fmt.Errorf("bad sweep worker count %q (want a positive integer or \"default\")", s)
-	}
-	if v < 1 {
-		return 0, fmt.Errorf("bad sweep worker count %d: must be at least 1 (1 = serial)", v)
-	}
-	return v, nil
 }
 
 // ParseFaults parses a -faults flag: a comma-separated list of

@@ -11,9 +11,9 @@ import (
 	"repro/internal/datasets"
 )
 
-// The three CLIs that take -profile and the platform flags (trainer,
-// gnnbench, compare) share this flag vocabulary; these tables are the
-// single conformance suite for it.
+// The two CLIs that take -profile and the platform flags (trainer and
+// gnnbench) share this flag vocabulary; these tables are the single
+// conformance suite for it.
 
 func TestParseProfileAccepts(t *testing.T) {
 	want := map[string]datasets.Profile{
@@ -78,41 +78,14 @@ func TestParseGPUCountsRejects(t *testing.T) {
 	}
 }
 
-func TestParseSweepWorkersAccepts(t *testing.T) {
-	cases := map[string]int{
-		"":          0, // unset -> GOMAXPROCS at run time
-		"default":   0,
-		" default ": 0,
-		"1":         1, // serial
-		"2":         2,
-		" 8 ":       8,
-		"128":       128,
-	}
-	for in, want := range cases {
-		got, err := ParseSweepWorkers(in)
-		if err != nil || got != want {
-			t.Errorf("ParseSweepWorkers(%q) = %d, %v; want %d", in, got, err, want)
-		}
-	}
-}
-
-func TestParseSweepWorkersRejects(t *testing.T) {
-	for _, in := range []string{"0", "-1", "-8", "two", "1.5", "4,8", "8x", "GOMAXPROCS"} {
-		if _, err := ParseSweepWorkers(in); err == nil {
-			t.Errorf("ParseSweepWorkers(%q) accepted", in)
-		}
-	}
-}
-
 // Contradictory flag combinations: experiment-scoped flags must error,
 // not no-op, when another experiment is selected.
 func TestRequireExperimentTable(t *testing.T) {
 	accept := []struct{ flag, value, experiment, want string }{
-		{"perfout", "", "scaling", "perf"},             // unset anywhere
-		{"sweepworkers", "default", "perf", "scaling"}, // default anywhere
+		{"perfout", "", "scaling", "perf"},          // unset anywhere
+		{"perfbaseline", "default", "fig4", "perf"}, // default anywhere
 		{"perfout", "BENCH_0009.json", "perf", "perf"},
 		{"perfbaseline", "BENCH_0008.json", "perf", "perf"},
-		{"sweepworkers", "2", "scaling", "scaling"},
 	}
 	for _, c := range accept {
 		if err := RequireExperiment(c.flag, c.value, c.experiment, c.want); err != nil {
@@ -122,7 +95,7 @@ func TestRequireExperimentTable(t *testing.T) {
 	reject := []struct{ flag, value, experiment, want string }{
 		{"perfout", "BENCH_0009.json", "scaling", "perf"},
 		{"perfbaseline", "BENCH_0008.json", "all", "perf"},
-		{"sweepworkers", "2", "fig4", "scaling"},
+		{"perfout", "BENCH_0009.json", "fig4", "perf"},
 	}
 	for _, c := range reject {
 		if err := RequireExperiment(c.flag, c.value, c.experiment, c.want); err == nil {

@@ -5,32 +5,6 @@ import (
 	"testing"
 )
 
-// Native Go fuzz target for the -sweepworkers parser: arbitrary flag
-// strings must parse or error, never panic, and anything accepted must
-// be a valid pool size (0 = GOMAXPROCS sentinel, otherwise >= 1).
-func FuzzParseSweepWorkers(f *testing.F) {
-	for _, s := range []string{"", "default", " default ", "1", "2", "8",
-		"128", "0", "-1", "two", "1.5", "4,8", "8x", " 16 ", "\x00", "+3"} {
-		f.Add(s)
-	}
-	f.Fuzz(func(t *testing.T, s string) {
-		v, err := ParseSweepWorkers(s)
-		if err != nil {
-			return
-		}
-		if v < 0 {
-			t.Fatalf("ParseSweepWorkers(%q) accepted negative pool size %d", s, v)
-		}
-		if v == 0 {
-			// Only the explicit default spellings may map to the
-			// GOMAXPROCS sentinel; a literal "0" must be rejected.
-			if trimmed := strings.TrimSpace(s); trimmed != "" && trimmed != "default" {
-				t.Fatalf("ParseSweepWorkers(%q) returned the default sentinel for a non-default spelling", s)
-			}
-		}
-	})
-}
-
 // FuzzParseFaults pins the -faults parser: arbitrary flag strings must
 // parse or error, never panic, and any accepted plan must be valid
 // (positive finite times, non-negative ranks) and round-trip through

@@ -45,8 +45,7 @@ const (
 const BackendEnv = "GNN_BACKEND"
 
 // BackendFlagUsage is the flag help shared by the CLIs (cmd/trainer,
-// cmd/gnnbench, cmd/compare) so the binaries' flag sets stay in
-// lockstep.
+// cmd/gnnbench) so the binaries' flag sets stay in lockstep.
 const BackendFlagUsage = "simulator backend: default, goroutine or des (default resolves $GNN_BACKEND, then goroutine)"
 
 // String returns the flag spelling of the backend.

@@ -92,8 +92,8 @@ type Collectives struct {
 	AllToAll CollectiveAlgorithm
 }
 
-// Flag help shared by the CLIs (cmd/trainer, cmd/gnnbench, cmd/compare)
-// so the three binaries' flag sets stay in lockstep.
+// Flag help shared by the CLIs (cmd/trainer, cmd/gnnbench) so the two
+// binaries' flag sets stay in lockstep.
 const (
 	AllReduceFlagUsage = "all-reduce schedule: default, flat, ring or hier (governs all-reduce, all-gather and broadcast)"
 	AllToAllFlagUsage  = "all-to-allv schedule: default, flat or pairwise"

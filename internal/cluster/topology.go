@@ -89,7 +89,7 @@ func OversubscribedTopology(factor float64) *Topology {
 }
 
 // TopologyFlagUsage is the -topology help text shared by the CLIs
-// (cmd/trainer, cmd/gnnbench, cmd/compare).
+// (cmd/trainer, cmd/gnnbench).
 const TopologyFlagUsage = "physical-link topology: ideal (pure α–β, no contention), perlmutter (per-GPU NIC injection) or oversub (one NIC per node, 4x-oversubscribed fabric core)"
 
 // ParseTopology parses a flag spelling. "ideal" (or the empty string)

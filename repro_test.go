@@ -194,7 +194,7 @@ func TestPublicFaultRecovery(t *testing.T) {
 
 func TestPublicResilienceExperiment(t *testing.T) {
 	opts := bench.Options{Profile: Tiny, Seed: 33, MaxBatches: 2}
-	rows, err := bench.Resilience(io.Discard, "products", 4, []int{0, 1}, nil, opts)
+	rows, err := bench.Resilience(io.Discard, "products", 4, []int{0, 1}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
