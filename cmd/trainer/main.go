@@ -60,6 +60,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *lr == 0 {
 		return fmt.Errorf("bad -lr 0: must be positive")
 	}
+	if *c == 0 && !*tune {
+		return fmt.Errorf("bad -c 0: must be >= 1 (0 = choose only with -autotune)")
+	}
 
 	prof, err := cliutil.ParseProfile(*profile)
 	if err != nil {

@@ -13,8 +13,8 @@ import (
 // synchronizes on. Both backends execute the same rank bodies and
 // charge the same cost model, so results — trained parameters, losses,
 // simulated seconds, link traffic — are bit-identical between them
-// (pinned by the golden tests and the goroutine-vs-DES differential
-// suite); only the wall-clock cost of running the simulator differs.
+// (pinned by the golden tests and the pipeline's differential harness);
+// only the wall-clock cost of running the simulator differs.
 type Backend int
 
 const (

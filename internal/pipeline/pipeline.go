@@ -104,8 +104,8 @@ type Config struct {
 	// over HostLink at each boundary, so checkpointing costs simulated
 	// time whether or not a failure ever fires. With Topology == nil, a
 	// failed-and-restored run's Result is bit-identical to an unfailed
-	// run with the same interval (the differential crash-recovery suite
-	// pins this).
+	// run with the same interval (the crash row of the differential
+	// harness pins this).
 	CkptInterval int
 
 	Seed  int64
@@ -249,7 +249,7 @@ type Result struct {
 	// Recovery reports the restart bookkeeping when fault injection or
 	// checkpointing was configured (nil otherwise): attempts, fired
 	// failures, wasted simulated work. Diagnostic only — the
-	// differential suite excludes it from bit-identity comparison.
+	// differential harness excludes it from bit-identity comparison.
 	Recovery *resilience.Stats
 }
 

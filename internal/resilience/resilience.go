@@ -5,7 +5,7 @@
 // (pipeline.Train, and so every strategy run on it) survives injected
 // failures.
 //
-// The contract the differential crash-recovery suite pins: a run that
+// The contract the differential harness's crash row pins: a run that
 // fails at simulated time t and restarts from its latest epoch-boundary
 // checkpoint finishes with a Result bit-identical to a run with the
 // same checkpoint schedule and no failure. Three mechanisms combine to
@@ -21,7 +21,7 @@
 //     after the restore point happens in the uninterrupted run's order.
 //   - Checkpoint state always round-trips through the graphio binary
 //     codec (encode + decode in memory) before a restore consumes it,
-//     so every recovery exercises — and the differential suite
+//     so every recovery exercises — and the differential harness
 //     therefore verifies — the serialized form, not a shortcut through
 //     live pointers.
 //
@@ -50,7 +50,7 @@ func FailAt(rank int, at float64) *cluster.FaultPlan {
 // injected failures fired, and how much simulated work was discarded
 // (time from each attempt's restore point to its failure). A clean run
 // has Attempts == 1 and zeroes elsewhere. Stats is diagnostic output —
-// the differential suite excludes it from bit-identity comparison,
+// the differential harness excludes it from bit-identity comparison,
 // since an unfailed run has nothing to record here.
 type Stats struct {
 	// Attempts counts cluster runs, including the successful final one.
