@@ -6,9 +6,10 @@
 // charging path (charging), that all blocking is backend-neutral
 // (parkwake), that arena-backed buffers stay within their epoch
 // (arenaescape), that fault-injection plans are constructed only
-// behind the FaultPlan seam (faultseam), and that every library name
+// behind the FaultPlan seam (faultseam), that every library name
 // has a program user and every exported field a non-test writer
-// (deadexport). Since PR 9 the suite is interprocedural: a call-graph
+// (deadexport), and that shared state is touched in the DES backend's
+// commit order or is marked order-insensitive (commitseam). Since PR 9 the suite is interprocedural: a call-graph
 // facts layer summarizes every function in the module, so wrapping a
 // violation in a helper — even one in another package — no longer
 // hides it.
@@ -17,7 +18,7 @@
 //
 //	go run ./cmd/gnnvet ./...
 //	go run ./cmd/gnnvet -checks charging,parkwake ./...
-//	go run ./cmd/gnnvet -sarif gnnvet.sarif -expectallows 14 ./...
+//	go run ./cmd/gnnvet -sarif gnnvet.sarif -expectallows 19 ./...
 //
 // gnnvet always analyzes the whole module containing the working
 // directory (test files included); the ./... argument is accepted for

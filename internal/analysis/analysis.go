@@ -186,6 +186,7 @@ var Analyzers = []*Analyzer{
 	ArenaEscape,
 	Faultseam,
 	Deadexport,
+	CommitSeam,
 }
 
 func knownChecks() map[string]bool {

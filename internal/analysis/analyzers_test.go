@@ -70,3 +70,9 @@ func TestAllowMarkers(t *testing.T) {
 func TestDeadexport(t *testing.T) {
 	analysistest.RunModule(t, analysis.Deadexport, "testdata/deadexport")
 }
+
+// The commitseam fixture loads as the cluster package: its registries
+// name cluster's commit sections and commit-section mutexes.
+func TestCommitSeam(t *testing.T) {
+	analysistest.Run(t, analysis.CommitSeam, "testdata/commitseam", "repro/internal/cluster")
+}

@@ -12,11 +12,12 @@ import (
 // ParkWake keeps cluster-driven code on the backend-neutral blocking
 // primitives. Under the goroutine backend a naked channel receive or
 // WaitGroup.Wait merely blocks a goroutine; under the discrete-event
-// backend (PR 6) there is exactly one runnable task, so any wait that
-// does not park on the scheduler (Queue.Send/Recv, Forked.Join, the
-// collective rendezvous) hangs the whole simulation. Equally fatal:
-// parking while holding a mutex — the task that would wake us may
-// first need that lock. Only the backends themselves (backend.go: the
+// backend a task runs only when the scheduler resumes it, so any wait
+// that does not park on the scheduler (Queue.Send/Recv, Forked.Join,
+// the collective rendezvous) hangs the whole simulation. Equally fatal:
+// parking, or waiting at the commit gate, while holding a mutex — the
+// task that would wake us, or whose turn comes first, may need that
+// lock. Only the backends themselves (backend.go: the
 // two waiter/scheduler implementations) are exempt; the primitives
 // built on waiter.park are checked like everything above them.
 var ParkWake = &Analyzer{
@@ -64,7 +65,9 @@ var parkCalls = map[parkKey]bool{
 	{clusterPath, "Queue", "Recv"}:            true,
 	{clusterPath, "Forked", "Join"}:           true,
 	{clusterPath, "waiter", "park"}:           true,
+	{clusterPath, "waiter", "gate"}:           true,
 	{clusterPath + "/sim", "Task", "Park"}:    true,
+	{clusterPath + "/sim", "Task", "Gate"}:    true,
 }
 
 func runParkWake(pass *Pass) error {

@@ -10,12 +10,14 @@ import "sync"
 
 // waiter stubs the blocking seam.
 type waiter interface {
+	gate()
 	park()
 	ready(at float64)
 }
 
 type goWaiter chan struct{}
 
+func (w goWaiter) gate()         {}
 func (w goWaiter) park()         { <-w }
 func (w goWaiter) ready(float64) { w <- struct{}{} }
 

@@ -1,6 +1,6 @@
 // Fixture: cluster-driven code runs on rank timelines; under the DES
-// backend exactly one task is runnable, so any block that bypasses the
-// scheduler's park/wake hangs the simulation.
+// backend a task runs only when the scheduler resumes it, so any block
+// that bypasses the scheduler's park/wake hangs the simulation.
 package cluster
 
 import (
@@ -92,6 +92,21 @@ func (g *gate) unlockThenWaiterPark(w waiter) {
 	g.waiting = w
 	g.mu.Unlock()
 	w.park() // recorded under the lock, parked outside it: fine
+}
+
+// A commit section opens with the gate before its own mutex: waiting
+// for the turn holding the lock would block the turn holder on it.
+func (g *gate) lockedGate(w waiter) {
+	g.mu.Lock()
+	w.gate() // want `gate may park the rank while g\.mu is locked:`
+	g.mu.Unlock()
+}
+
+func (g *gate) gateThenLock(w waiter) {
+	w.gate()
+	g.mu.Lock()
+	g.open = true
+	g.mu.Unlock()
 }
 
 // auditedJoin shows the escape hatch for driver-level code that runs

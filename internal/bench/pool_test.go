@@ -107,7 +107,7 @@ func stripWallColumn(table string) string {
 // serial one — scheduling may reorder execution, never results. The
 // pool has one worker per GOMAXPROCS, so the study runs at 1 (serial)
 // and 4. The full-table comparison runs on the DES backend, which is
-// deterministic at any GOMAXPROCS (one event loop per cluster),
+// deterministic at any GOMAXPROCS (it commits in event-key order),
 // contended cells included. The goroutine backend's contended cells
 // run in the serial phase, but their clocks are scheduler-dependent at
 // GOMAXPROCS>1 even with no pool at all (see Scaling's run-phase

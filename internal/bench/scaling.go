@@ -246,7 +246,7 @@ func Scaling(w io.Writer, o Options) ([]ScalingRow, error) {
 	// goroutine-backend cluster's ledger order shifts when sibling
 	// cells share the scheduler — isolating those cells gives them the
 	// same solo-process conditions a one-worker pool gives them. The DES
-	// backend is immune (one event loop per cluster fixes the order),
+	// backend is immune (its scheduler commits in event-key order),
 	// and contention-off charging is scheduler-independent by the
 	// bit-identicality discipline. (At GOMAXPROCS>1 the goroutine
 	// backend's contended timings are scheduler-dependent even run to

@@ -26,17 +26,17 @@ const (
 	DefaultBackend Backend = iota
 	// GoroutineBackend runs one goroutine per rank and per forked
 	// stream, each blocking on its own one-token semaphore. It is the
-	// default, and the faster backend on a multi-core host (rank bodies
-	// run in parallel); event order — and with it contended timings —
-	// follows the Go scheduler.
+	// default; rank bodies run in parallel and event order — and with
+	// it contended timings — follows the Go scheduler.
 	GoroutineBackend
-	// DESBackend runs the whole cluster as one discrete-event loop
-	// (internal/cluster/sim): a single-threaded cooperative scheduler
-	// with a priority event queue keyed by (time, rank, seq). Ranks
-	// become tasks that park at synchronization points instead of
-	// blocking OS threads, which removes the scheduler-churn wall at
-	// large p and makes event order — and therefore contention-model
-	// timings — deterministic.
+	// DESBackend runs the whole cluster as one discrete-event scheduler
+	// (internal/cluster/sim) with a priority event queue keyed by (time,
+	// rank, seq). Ranks become tasks that park at synchronization points;
+	// up to GOMAXPROCS of their segments run at once, and every commit
+	// section (a rendezvous arrival, a queue operation, a fork or join,
+	// a contention-ledger transaction, a rank's exit) runs in key order.
+	// Event order — and therefore contention-model timings — is
+	// deterministic at any GOMAXPROCS.
 	DESBackend
 )
 
@@ -79,9 +79,10 @@ func ParseBackend(s string) (Backend, error) {
 // explicit > $GNN_BACKEND > goroutine. Exported for harness layers
 // that need the execution mode before any cluster exists — the sweep
 // worker pool keeps goroutine-backend cells with a contended topology
-// off the pool, because the contention ledger commits in real lock
-// order and concurrent sibling cells would perturb it (the DES
-// backend's single event loop per cluster is immune).
+// off the pool, because the goroutine backend's contention ledger
+// commits in real lock order and concurrent sibling cells would
+// perturb it (the DES backend commits in event-key order, whatever
+// else the host runs).
 func (b Backend) Resolve() Backend { return resolveBackend(b) }
 
 // resolveBackend turns an unset selection into a concrete backend:
@@ -100,24 +101,32 @@ func resolveBackend(b Backend) Backend {
 
 // waiter is one timeline's blocking handle, and with scheduler below
 // all a backend is. Every primitive — the collective rendezvous,
-// Queue, Forked.Join — blocks the same way: under its own
-// mutex it records the caller's waiter in its wait list, unlocks, and
-// parks; whoever completes the wait removes the entry and readies it
-// exactly once, at a simulated time that only orders events.
+// Queue, Forked.Join — blocks the same way: it opens its commit
+// section with gate, records the caller's waiter in its wait list
+// under its own mutex, unlocks, and parks; whoever completes the wait
+// removes the entry and readies it exactly once, inside its own commit
+// section, at a simulated time that only orders events.
 type waiter interface {
+	// gate opens a commit section: it returns once the calling timeline
+	// may touch state its peers share, and on the DES backend that is
+	// in event-key order. Call it before the primitive's own mutex,
+	// never while holding one.
+	gate()
 	// park blocks the calling timeline until its waiter is readied. The
 	// caller must hold no lock: the peer that readies it may need it.
 	park()
 	// ready resumes the parked timeline at simulated time at. It may
 	// land before the matching park (the caller is between its unlock
-	// and its park), so an implementation must remember it.
+	// and its park), so an implementation must remember it. Called only
+	// inside a commit section.
 	ready(at float64)
 }
 
 // scheduler starts timelines and waits for them.
 type scheduler interface {
 	// spawn starts fn as a new timeline of the given rank at simulated
-	// time at, handing it the waiter it blocks on.
+	// time at, handing it the waiter it blocks on. Called only inside a
+	// commit section, or before wait.
 	spawn(rank int, at float64, fn func(waiter))
 	// wait returns once every spawned timeline has finished.
 	wait()
@@ -138,6 +147,7 @@ type goWaiter chan struct{}
 
 func newGoWaiter() goWaiter { return make(goWaiter, 1) }
 
+func (w goWaiter) gate()         {}
 func (w goWaiter) park()         { <-w }
 func (w goWaiter) ready(float64) { w <- struct{}{} }
 
@@ -159,11 +169,12 @@ func (s *goSched) diag() string { return " [backend=goroutine]" }
 // pointer, it boxes without allocating.
 type taskWaiter sim.Task
 
+func (w *taskWaiter) gate()            { (*sim.Task)(w).Gate() }
 func (w *taskWaiter) park()            { (*sim.Task)(w).Park() }
 func (w *taskWaiter) ready(at float64) { (*sim.Task)(w).Ready(at) }
 
-// desSched runs every timeline as a task of one discrete-event loop;
-// wait drives the loop and rethrows a task's escaped panic.
+// desSched runs every timeline as a task of one discrete-event
+// scheduler; wait drives it and rethrows a task's escaped panic.
 type desSched struct{ s *sim.Sched }
 
 func (d desSched) spawn(rank int, at float64, fn func(waiter)) {
@@ -173,9 +184,12 @@ func (d desSched) spawn(rank int, at float64, fn func(waiter)) {
 
 func (d desSched) wait() { d.s.Run() }
 
-// diag reports the event-queue depth: a drained queue with parked ranks
+// diag reports the scheduler's load: a drained queue with parked ranks
 // is the classic deadlock symptom, a deep one points at livelock in the
-// simulated program.
+// simulated program, and the running and gate-waiting segment counts
+// show what was in flight beside the diagnosing one.
 func (d desSched) diag() string {
-	return fmt.Sprintf(" [backend=des, %d queued events]", d.s.Depth())
+	queued, running, waiting := d.s.Load()
+	return fmt.Sprintf(" [backend=des, %d queued events, %d segments running, %d waiting for the gate]",
+		queued, running, waiting)
 }

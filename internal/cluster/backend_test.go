@@ -2,10 +2,24 @@ package cluster
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 )
+
+// atWorkers runs f once per worker count the DES backend's abort paths
+// are held to: the serial scheduler (GOMAXPROCS=1) and four segments
+// at once.
+func atWorkers(t *testing.T, f func(t *testing.T)) {
+	t.Helper()
+	for _, w := range []int{1, 4} {
+		t.Run(fmt.Sprintf("W=%d", w), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(w))
+			f(t)
+		})
+	}
+}
 
 // desModel returns the test cost model pinned to the discrete-event
 // backend.
@@ -15,20 +29,26 @@ func desModel() CostModel {
 	return m
 }
 
-// bothBackends runs the scenario under each backend and holds it to the
-// backend contract: the same simulated makespan on both.
+// bothBackends runs the scenario under each backend, the DES one at
+// every worker count, and holds it to the backend contract: the same
+// simulated makespan everywhere.
 func bothBackends(t *testing.T, scenario func(t *testing.T, m CostModel) float64) {
 	t.Helper()
-	var simTime [2]float64
-	for i, be := range []Backend{GoroutineBackend, DESBackend} {
+	var want float64
+	for _, be := range []Backend{GoroutineBackend, DESBackend} {
 		t.Run(be.String(), func(t *testing.T) {
 			m := testModel()
 			m.Backend = be
-			simTime[i] = scenario(t, m)
+			if be == GoroutineBackend {
+				want = scenario(t, m)
+				return
+			}
+			atWorkers(t, func(t *testing.T) {
+				if got := scenario(t, m); got != want {
+					t.Fatalf("SimTime differs: goroutine %v vs des %v", want, got)
+				}
+			})
 		})
-	}
-	if simTime[0] != simTime[1] {
-		t.Fatalf("SimTime differs: goroutine %v vs des %v", simTime[0], simTime[1])
 	}
 }
 
@@ -100,44 +120,45 @@ func TestDESCollectivesMatchGoroutines(t *testing.T) {
 }
 
 // TestDESMismatchedCollectivesDiagnostic: the deadlock detector works
-// under DES and its diagnostic names the backend and the event-queue
-// depth (the DES analogue of a goroutine dump).
+// under DES at every worker count, and its diagnostic names the backend
+// and the scheduler's load (the DES analogue of a goroutine dump).
 func TestDESMismatchedCollectivesDiagnostic(t *testing.T) {
-	cl := New(2, desModel())
-	world := cl.World()
-	var msgs []string // DES runs ranks one at a time: no mutex needed
-	_, err := cl.Run(func(r *Rank) (err error) {
-		defer func() {
-			if p := recover(); p != nil {
-				msgs = append(msgs, fmt.Sprint(p))
+	atWorkers(t, func(t *testing.T) {
+		cl := New(2, desModel())
+		world := cl.World()
+		msgs := make([]string, 2)
+		_, err := cl.Run(func(r *Rank) (err error) {
+			defer func() {
+				if p := recover(); p != nil {
+					msgs[r.ID] = fmt.Sprint(p)
+				}
+			}()
+			if r.ID == 0 {
+				Barrier(world, r)
+			} else {
+				AllReduceSum(world, r, []float64{1})
 			}
-		}()
-		if r.ID == 0 {
-			Barrier(world, r)
-		} else {
-			AllReduceSum(world, r, []float64{1})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return nil
+		for rank, m := range msgs {
+			if !strings.Contains(m, "mismatched collectives") {
+				t.Fatalf("rank %d: panic lacks diagnosis: %q", rank, m)
+			}
+			if !strings.Contains(m, "backend=des") || !strings.Contains(m, "queued events") ||
+				!strings.Contains(m, "waiting for the gate") {
+				t.Fatalf("rank %d: panic lacks DES backend diagnostics: %q", rank, m)
+			}
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(msgs) != 2 {
-		t.Fatalf("want both ranks to panic, got %d panics: %v", len(msgs), msgs)
-	}
-	for _, m := range msgs {
-		if !strings.Contains(m, "mismatched collectives") {
-			t.Fatalf("panic lacks diagnosis: %q", m)
-		}
-		if !strings.Contains(m, "backend=des") || !strings.Contains(m, "queued events") {
-			t.Fatalf("panic lacks DES backend diagnostics: %q", m)
-		}
-	}
 }
 
 // TestDESAbandonedCollectiveDiagnostic: poisoning a rendezvous wakes
-// every parked member, on both backends, and each panics with the
-// diagnostic naming the missing rank and the backend.
+// every parked member, on both backends and at every DES worker count,
+// and each panics with the diagnostic naming the missing rank and the
+// backend.
 func TestDESAbandonedCollectiveDiagnostic(t *testing.T) {
 	bothBackends(t, func(t *testing.T, m CostModel) float64 {
 		cl := New(4, m)

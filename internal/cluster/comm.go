@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -81,14 +82,30 @@ func (c *Cluster) NewComm(members []int) *Comm {
 
 // register records a new communicator (or clone) on the cluster and on
 // each member rank, so a finishing rank sweeps only its own
-// communicators.
+// communicators. A rank's list is kept in (dup key, members) order, not
+// creation order: clones and hierarchical sub-communicators are created
+// by whichever member asks first, and markDone's sweep readies parked
+// members in list order. The list is replaced, never edited in place,
+// so a sweep may walk the header it read without the lock.
 func (c *Cluster) register(comm *Comm) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.comms = append(c.comms, comm)
 	for _, m := range comm.members {
-		c.rankComms[m] = append(c.rankComms[m], comm)
+		old := c.rankComms[m]
+		i := sort.Search(len(old), func(k int) bool { return commLess(comm, old[k]) })
+		list := make([]*Comm, 0, len(old)+1)
+		list = append(append(append(list, old[:i]...), comm), old[i:]...)
+		c.rankComms[m] = list
 	}
+}
+
+// commLess orders communicators by dup key, then member list.
+func commLess(a, b *Comm) bool {
+	if a.key != b.key {
+		return a.key < b.key
+	}
+	return slices.Compare(a.members, b.members) < 0
 }
 
 // World returns a communicator over all ranks.
@@ -300,7 +317,6 @@ func (c *Comm) exchange(r *Rank, op string, s slot) []slot {
 // charging path uses it to solve one collective's member flows in a
 // single ledger transaction. A nil transform returns the slots as-is.
 func (c *Comm) exchangeTransform(r *Rank, op string, s slot, transform func([]slot) []slot) []slot {
-	c.checkDriver(r)
 	out, gen := c.arrive(r, op, s, transform)
 	if out != nil {
 		return out
@@ -308,25 +324,32 @@ func (c *Comm) exchangeTransform(r *Rank, op string, s slot, transform func([]sl
 	// One wake suffices — only generation completion or poison readies
 	// a parked member, and the next generation cannot finish (it needs
 	// this very rank) before it resumes, so rv.out is still ours then.
+	// Both outcomes were settled by the waker's commit, so reading them
+	// needs no commit section: a completed generation returns its
+	// slots even if a later one has been poisoned since (this member
+	// meets the poison at its next arrival), and a generation poisoned
+	// while incomplete panics with the error that woke it.
 	r.w.park()
 	rv := c.rv
 	rv.mu.Lock()
 	defer rv.mu.Unlock()
+	if rv.gen != gen {
+		return rv.out
+	}
 	if rv.failed != nil {
 		panic(rv.failed)
 	}
-	if rv.gen == gen {
-		panic(fmt.Sprintf("cluster: spurious wake on comm %v (dup %q) during %s", c.members, c.key, op))
-	}
-	return rv.out
+	panic(fmt.Sprintf("cluster: spurious wake on comm %v (dup %q) during %s", c.members, c.key, op))
 }
 
-// arrive is exchangeTransform's locked half. The last arriver completes
-// the generation, readies the parked members and gets the output slots;
-// an earlier one is recorded as parked and gets nil plus the generation
-// it must park for. The unlock is deferred so every diagnostic panic
-// below releases the rendezvous.
+// arrive is exchangeTransform's commit section. The last arriver
+// completes the generation, readies the parked members and gets the
+// output slots; an earlier one is recorded as parked and gets nil plus
+// the generation it must park for. The unlock is deferred so every
+// diagnostic panic below releases the rendezvous.
 func (c *Comm) arrive(r *Rank, op string, s slot, transform func([]slot) []slot) ([]slot, uint64) {
+	r.w.gate()
+	c.checkDriver(r)
 	idx := c.LocalIndex(r)
 	rv := c.rv
 	rv.mu.Lock()

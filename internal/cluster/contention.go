@@ -27,9 +27,12 @@ import (
 // already-committed flow is never retroactively slowed (its owner's
 // clock has advanced). When transfers from concurrently-running
 // schedules (different streams, different communicators) overlap in
-// simulated time, which one sees the other therefore follows the real
+// simulated time, which one sees the other therefore follows the
+// commit order. The DES backend fixes it by event key (transact runs
+// only inside commit sections), so its contended timings repeat
+// exactly at any worker count; on the goroutine backend it is the real
 // arrival order — like queueing on real hardware, contended timings
-// carry a small run-to-run variance; contention-off runs (Topology ==
+// carry a small run-to-run variance. Contention-off runs (Topology ==
 // nil) never enter this file and stay bit-deterministic.
 
 // flowReq is one transfer's demand handed to the ledger: it starts at

@@ -151,9 +151,10 @@ func abortProbe(t *testing.T, backend Backend, collectives Collectives,
 }
 
 // TestCollectiveAbortOnRankFailure is the abort-path golden suite:
-// every collective, on both backends, must observe a clean recoverable
-// abort naming the failed rank — never a hang and never a bug-class
-// panic — when a member dies before joining.
+// every collective, on both backends and at every DES worker count,
+// must observe a clean recoverable abort naming the failed rank — never
+// a hang and never a bug-class panic — when a member dies before
+// joining.
 func TestCollectiveAbortOnRankFailure(t *testing.T) {
 	ops := []struct {
 		name string
@@ -198,31 +199,38 @@ func TestCollectiveAbortOnRankFailure(t *testing.T) {
 	for _, backend := range []Backend{GoroutineBackend, DESBackend} {
 		for _, tc := range ops {
 			t.Run(fmt.Sprintf("%s/backend-%d", tc.name, backend), func(t *testing.T) {
-				runErr, rankErrs := abortProbe(t, backend, tc.coll, tc.op)
-				if runErr == nil {
-					t.Fatal("Run succeeded despite failed member")
+				probe := func(t *testing.T) {
+					runErr, rankErrs := abortProbe(t, backend, tc.coll, tc.op)
+					if runErr == nil {
+						t.Fatal("Run succeeded despite failed member")
+					}
+					if !errors.Is(runErr, ErrRankFailed) {
+						t.Fatalf("Run error %v does not wrap ErrRankFailed", runErr)
+					}
+					var rf *RankFailure
+					if !errors.As(runErr, &rf) || rf.Rank != 1 {
+						t.Fatalf("Run error %v does not surface the rank-1 failure", runErr)
+					}
+					for id, err := range rankErrs {
+						if id == 1 {
+							// The failed rank died in the charge, before op.
+							continue
+						}
+						if err == nil {
+							t.Fatalf("surviving rank %d completed the collective", id)
+						}
+						if !errors.Is(err, ErrRankFailed) {
+							t.Fatalf("rank %d abort %v does not wrap ErrRankFailed", id, err)
+						}
+						if !strings.Contains(err.Error(), "rank 1") || !strings.Contains(err.Error(), "fail-stop") {
+							t.Fatalf("rank %d abort %q lacks the failed-rank diagnostic", id, err)
+						}
+					}
 				}
-				if !errors.Is(runErr, ErrRankFailed) {
-					t.Fatalf("Run error %v does not wrap ErrRankFailed", runErr)
-				}
-				var rf *RankFailure
-				if !errors.As(runErr, &rf) || rf.Rank != 1 {
-					t.Fatalf("Run error %v does not surface the rank-1 failure", runErr)
-				}
-				for id, err := range rankErrs {
-					if id == 1 {
-						// The failed rank died in the charge, before op.
-						continue
-					}
-					if err == nil {
-						t.Fatalf("surviving rank %d completed the collective", id)
-					}
-					if !errors.Is(err, ErrRankFailed) {
-						t.Fatalf("rank %d abort %v does not wrap ErrRankFailed", id, err)
-					}
-					if !strings.Contains(err.Error(), "rank 1") || !strings.Contains(err.Error(), "fail-stop") {
-						t.Fatalf("rank %d abort %q lacks the failed-rank diagnostic", id, err)
-					}
+				if backend == DESBackend {
+					atWorkers(t, probe)
+				} else {
+					probe(t)
 				}
 			})
 		}

@@ -44,6 +44,7 @@ func (q *Queue) Prefill(v any) {
 
 // Send enqueues v, parking r while the queue is full.
 func (q *Queue) Send(r *Rank, v any) {
+	r.w.gate()
 	q.mu.Lock()
 	if len(q.buf) < q.capacity {
 		q.buf = append(q.buf, v)
@@ -63,12 +64,16 @@ func (q *Queue) Send(r *Rank, v any) {
 }
 
 // Recv dequeues the oldest value, parking r while the queue is empty.
+// The wake-up starts a new segment that touches the queue again, so it
+// reopens the commit section.
 func (q *Queue) Recv(r *Rank) any {
+	r.w.gate()
 	q.mu.Lock()
 	for len(q.buf) == 0 {
 		q.recvW = append(q.recvW, r.w)
 		q.mu.Unlock()
 		r.w.park()
+		r.w.gate()
 		q.mu.Lock()
 	}
 	v := q.buf[0]
@@ -96,11 +101,13 @@ type Forked struct {
 // timeline of r's scheduler, started at the fork's simulated time and
 // sharing the rank id for event tie-breaking.
 func (r *Rank) ForkStream(name string, fn func(s *Rank)) *Forked {
+	r.w.gate()
 	s := r.newStream(name)
 	f := &Forked{}
 	r.cl.sched.spawn(r.ID, s.clock, func(w waiter) {
 		s.w = w
 		fn(s)
+		w.gate()
 		f.mu.Lock()
 		f.done = true
 		if f.joiner != nil {
@@ -115,6 +122,7 @@ func (r *Rank) ForkStream(name string, fn func(s *Rank)) *Forked {
 // advances no simulated time — like joining a goroutine, it only
 // synchronizes control flow; makespans aggregate through MaxClock.
 func (f *Forked) Join(r *Rank) {
+	r.w.gate()
 	f.mu.Lock()
 	if f.done {
 		f.mu.Unlock()

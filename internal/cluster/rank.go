@@ -80,6 +80,7 @@ type Rank struct {
 // only the exact integer counters are accumulated shared, because
 // integer addition commutes and float addition's rounding does not.
 type acct struct {
+	//gnnvet:allow commitseam — integer counters commute, phase slots are folded by name, and streams are listed by ForkStream inside its commit section
 	mu         sync.Mutex
 	phaseIdx   map[string]int // phase name -> slot
 	phaseNames []string       // slot -> phase name
@@ -324,6 +325,7 @@ func (r *Rank) ChargeKernels(n int) {
 func (r *Rank) ChargeLink(l Link, bytes int64) {
 	r.countLink(l, bytes)
 	if ct := r.cont; ct != nil {
+		r.w.gate()
 		fin := ct.transact([]flowReq{{
 			start: r.model.wireEntry(r.clock, l),
 			bytes: float64(bytes),
@@ -495,14 +497,18 @@ type Cluster struct {
 // communicators for collectives now unable to complete, poisoning their
 // rendezvous so waiters panic with a diagnostic instead of hanging. A
 // communicator without the rank cannot be stranded by it, and a peer
-// arriving later at one with it is caught by arrive's own scan.
-func (c *Cluster) markDone(rank int) {
+// arriving later at one with it is caught by arrive's own scan. It is
+// the rank's last commit section.
+func (c *Cluster) markDone(r *Rank) {
+	r.w.gate()
+	rank := r.ID
 	c.mu.Lock()
 	if c.done == nil {
 		c.done = make([]bool, c.N)
 	}
 	c.done[rank] = true
-	// Registration only appends, so this header stays valid unlocked.
+	// Registration replaces the list, so this header stays valid
+	// unlocked.
 	comms := c.rankComms[rank]
 	c.mu.Unlock()
 	c.anyDone.Store(true)
@@ -569,7 +575,7 @@ func (c *Cluster) Run(body func(r *Rank) error) (*Result, error) {
 	for _, r := range ranks {
 		c.sched.spawn(r.ID, 0, func(w waiter) {
 			r.w = w
-			defer c.markDone(r.ID)
+			defer c.markDone(r)
 			errs[r.ID] = c.runBody(body, r)
 		})
 	}

@@ -1,27 +1,43 @@
 // Package sim is the discrete-event core of the cluster simulator's
-// DES backend: a single-threaded cooperative scheduler driving one
-// task per simulated rank (or rank stream) off a priority event queue.
+// DES backend: a parallel scheduler driving one task per simulated
+// rank (or rank stream) off a priority event queue, whose shared-state
+// commits happen in the order a one-task-at-a-time loop would make
+// them.
 //
-// Exactly one task runs at any moment. A task runs until it blocks on
-// a simulated synchronization point (a collective rendezvous, a
-// bounded stage queue, a stream join), parks itself, and
-// hands control back to the scheduler, which pops the next event and
-// resumes its task. Tasks are implemented as goroutines for their
-// stacks only — the resume/yield channel handoff guarantees a single
-// runnable goroutine, so scheduler and simulator state need no locks
-// and the race detector sees a clean happens-before chain through the
-// channels.
+// A task runs until it blocks on a simulated synchronization point (a
+// collective rendezvous, a bounded stage queue, a stream join) and
+// parks; a peer readies it again with an event. A *segment* is one
+// task's code from a resume to its next park or exit. Its key is the
+// event's Key = (time, rank, seq): simulated seconds first, then rank
+// id, then a global sequence number assigned when the event is pushed.
+// The (rank, seq) tail makes ties — ubiquitous in a bulk-synchronous
+// program, where every member of a collective wakes at the same
+// simulated instant — deterministic.
 //
-// Events are ordered by Key = (time, rank, seq): simulated seconds
-// first, then rank id, then a global monotonically increasing sequence
-// number assigned when the event is pushed. The (rank, seq) tail makes
-// ties — ubiquitous in a bulk-synchronous program, where every member
-// of a collective wakes at the same simulated instant — deterministic,
-// so a DES run is a pure function of the program, never of goroutine
-// scheduling.
+// Up to W = runtime.GOMAXPROCS(0) segments run at once, each on its own
+// goroutine. What a segment does to its own rank's state runs in
+// parallel with the others; what it does to shared state it does inside
+// a *commit section*, which it opens by calling Task.Gate. Gate returns
+// once the segment's key is the minimum over the event queue and every
+// popped segment, and the segment then holds the commit turn until it
+// parks or exits. A segment waiting for the turn gives up its worker
+// slot, so another event can be popped meanwhile. Because the turn
+// passes in key order and only the turn holder may push events (Ready)
+// or start tasks (Spawn), commits, Ready calls and sequence numbers
+// happen exactly as in the serial loop that pops one event and runs its
+// segment to the end before popping the next (W = 1 is that loop). A
+// DES run is therefore a pure function of the program, never of
+// goroutine scheduling, at any W.
+//
+// The caller's contract: a segment touches state another task can reach
+// only after Gate, and holds no lock while it parks or calls Gate.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"runtime"
+	"sync"
+)
 
 // Key orders events: simulated time, then rank, then push sequence.
 type Key struct {
@@ -41,56 +57,93 @@ func (k Key) Less(o Key) bool {
 	return k.Seq < o.Seq
 }
 
-// event is one queue entry: resume this task at this key.
-type event struct {
-	key  Key
-	task *Task
+// taskHeap is a binary min-heap of tasks ordered by their keys. A task
+// sits in at most one heap at a time (the event queue or the popped
+// segments), so one index field per task lets either heap remove it
+// from the middle.
+type taskHeap []*Task
+
+func (h taskHeap) less(i, j int) bool { return h[i].key.Less(h[j].key) }
+
+func (h taskHeap) swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].idx = i
+	h[j].idx = j
 }
 
-// eventQueue is a binary min-heap of events ordered by Key.
-type eventQueue struct {
-	es []event
-}
-
-func (q *eventQueue) Len() int { return len(q.es) }
-
-func (q *eventQueue) push(e event) {
-	q.es = append(q.es, e)
-	i := len(q.es) - 1
+func (h taskHeap) up(i int) {
 	for i > 0 {
 		p := (i - 1) / 2
-		if !q.es[i].key.Less(q.es[p].key) {
+		if !h.less(i, p) {
 			break
 		}
-		q.es[i], q.es[p] = q.es[p], q.es[i]
+		h.swap(i, p)
 		i = p
 	}
 }
 
-func (q *eventQueue) pop() event {
-	top := q.es[0]
-	last := len(q.es) - 1
-	q.es[0] = q.es[last]
-	q.es = q.es[:last]
-	n := last
-	i := 0
+func (h taskHeap) down(i int) {
+	n := len(h)
 	for {
 		l, r := 2*i+1, 2*i+2
 		min := i
-		if l < n && q.es[l].key.Less(q.es[min].key) {
+		if l < n && h.less(l, min) {
 			min = l
 		}
-		if r < n && q.es[r].key.Less(q.es[min].key) {
+		if r < n && h.less(r, min) {
 			min = r
 		}
 		if min == i {
-			break
+			return
 		}
-		q.es[i], q.es[min] = q.es[min], q.es[i]
+		h.swap(i, min)
 		i = min
 	}
-	return top
 }
+
+func (h *taskHeap) push(t *Task) {
+	t.idx = len(*h)
+	*h = append(*h, t)
+	h.up(t.idx)
+}
+
+// remove takes t out of the heap; pop is remove of the top.
+func (h *taskHeap) remove(t *Task) {
+	i, last := t.idx, len(*h)-1
+	if i != last {
+		h.swap(i, last)
+	}
+	(*h)[last] = nil
+	*h = (*h)[:last]
+	if i != last {
+		h.down(i)
+		h.up(i)
+	}
+}
+
+func (h *taskHeap) pop() *Task {
+	t := (*h)[0]
+	h.remove(t)
+	return t
+}
+
+// top returns the minimum-key task, or nil when the heap is empty.
+func (h taskHeap) top() *Task {
+	if len(h) == 0 {
+		return nil
+	}
+	return h[0]
+}
+
+// state is where a task is in its park/ready cycle.
+type state uint8
+
+const (
+	parked  state = iota // no event: waits for a Ready
+	queued               // in the event queue
+	running              // popped, its segment holds a worker slot
+	gated                // popped, its segment waits for the commit turn
+)
 
 // Task is one cooperative thread of simulated execution (a rank body
 // or one of its forked streams).
@@ -98,104 +151,229 @@ type Task struct {
 	// Rank is the simulated rank id used for event tie-breaking.
 	Rank int
 
-	s      *Sched
+	s   *Sched
+	key Key // the queued event's key, then the popped segment's
+	idx int // position in the heap holding the task
+	st  state
+	// next holds a Ready that landed while the task's own segment was
+	// still running (a task readying itself before it parks); Park
+	// queues it.
+	next    Key
+	hasNext bool
+	// resume carries one wake-up: the pop that starts a segment, or the
+	// grant of the commit turn. Buffered, so the waker never blocks.
 	resume chan struct{}
-	// queued guards against double-Ready: a task already holding an
-	// event in the queue must not be pushed again.
-	queued bool
 }
 
-// Sched is the scheduler: an event queue plus the live-task count.
-// Create one per simulated run with New; it is not reusable.
+// Sched is the scheduler: the event queue, the popped segments and the
+// commit turn. Create one per simulated run with New; it is not
+// reusable.
 type Sched struct {
-	q    eventQueue
+	mu      sync.Mutex
+	drained sync.Cond // Run waits here for every task to finish or wedge
+
+	events  taskHeap // queued tasks, keyed by their next event
+	segs    taskHeap // popped segments that have not parked or exited
+	turn    *Task    // the segment holding the commit turn, if any
+	active  int      // segments holding a worker slot
+	waiting int      // segments waiting for the commit turn
+	workers int
+	started bool // Run has begun popping events
+
 	seq  uint64
 	live int
-	// yield is the single-token handoff back to the Run loop; exactly
-	// one task goroutine is ever unparked, so the channel never sees
-	// concurrent senders.
-	yield chan struct{}
-	// trap records the first panic that escaped a task body; Run
-	// rethrows it on the scheduler goroutine once the loop drains, so
-	// an un-recovered simulated-program panic still crashes the
+	// trap records the first panic that escaped a task body (in commit
+	// order); Run rethrows it on its own goroutine once no task can
+	// run, so an un-recovered simulated-program panic still crashes the
 	// process with its diagnostic (matching the goroutine backend)
 	// instead of wedging the event loop.
 	trap any
 }
 
-// New returns an empty scheduler.
+// New returns an empty scheduler that runs up to GOMAXPROCS segments
+// at once.
 func New() *Sched {
-	return &Sched{yield: make(chan struct{})}
+	s := &Sched{workers: runtime.GOMAXPROCS(0)}
+	s.drained.L = &s.mu
+	return s
 }
 
 // Spawn creates a parked task that will execute fn when first readied.
-// fn runs on its own goroutine but only ever while the scheduler has
-// handed it the run token.
+// Callable before Run, or by the segment holding the commit turn.
 func (s *Sched) Spawn(rank int, fn func(t *Task)) *Task {
-	t := &Task{Rank: rank, s: s, resume: make(chan struct{})}
+	t := &Task{Rank: rank, s: s, resume: make(chan struct{}, 1)}
+	s.mu.Lock()
 	s.live++
+	s.mu.Unlock()
 	go func() {
 		<-t.resume
 		defer func() {
-			if p := recover(); p != nil && s.trap == nil {
+			p := recover()
+			if p != nil {
+				// Record panics in commit order, so the one Run
+				// rethrows does not depend on which goroutine lost the
+				// race to the lock.
+				t.Gate()
+			}
+			s.mu.Lock()
+			if p != nil && s.trap == nil {
 				s.trap = p
 			}
 			s.live--
-			s.yield <- struct{}{}
+			t.hasNext = false
+			s.endLocked(t)
+			s.mu.Unlock()
 		}()
 		fn(t)
 	}()
 	return t
 }
 
-// Ready schedules t to resume at simulated time tm. Callable from the
-// scheduler's caller (before Run) or from the currently running task;
-// both are single-threaded with respect to the queue. Readying an
-// already-queued task is a scheduling bug and panics.
+// Ready schedules t to resume at simulated time tm. Callable before
+// Run, or by the segment holding the commit turn (a task may also ready
+// itself before it parks). Readying an already-queued task is a
+// scheduling bug and panics.
 func (s *Sched) Ready(t *Task, tm float64) {
-	if t.queued {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if t.st == queued || t.hasNext {
 		panic(fmt.Sprintf("sim: task (rank %d) readied twice", t.Rank))
 	}
-	t.queued = true
-	s.q.push(event{key: Key{Time: tm, Rank: t.Rank, Seq: s.seq}, task: t})
+	k := Key{Time: tm, Rank: t.Rank, Seq: s.seq}
 	s.seq++
+	if t.st != parked {
+		t.next, t.hasNext = k, true
+		return
+	}
+	t.key, t.st = k, queued
+	s.events.push(t)
+	s.dispatchLocked()
 }
 
 // Ready is Sched.Ready(t, tm) on the scheduler that spawned t.
 func (t *Task) Ready(tm float64) { t.s.Ready(t, tm) }
 
-// Park blocks the calling task until a peer (or the deadlock detector)
-// readies it again. The caller must not hold any lock a concurrently
-// runnable task could need — under this scheduler that means no lock
-// at all, since the resumed peer may be any task.
-func (t *Task) Park() {
-	t.s.yield <- struct{}{}
+// Gate blocks the calling task until its segment holds the commit turn:
+// its key is the minimum over the event queue and every popped segment.
+// The turn is held until the segment parks or exits, so a second Gate
+// in one segment returns at once. While it waits the segment gives up
+// its worker slot. The caller must hold no lock.
+func (t *Task) Gate() {
+	s := t.s
+	s.mu.Lock()
+	if s.turn == t {
+		s.mu.Unlock()
+		return
+	}
+	if s.turn == nil && s.segs.top() == t && !s.queuedBefore(t) {
+		s.turn = t
+		s.mu.Unlock()
+		return
+	}
+	t.st = gated
+	s.waiting++
+	s.active--
+	s.dispatchLocked()
+	s.mu.Unlock()
 	<-t.resume
 }
 
-// Depth reports the number of queued events — part of the deadlock
-// diagnostics surfaced by the cluster's poisoned-rendezvous errors.
-func (s *Sched) Depth() int { return s.q.Len() }
+// Park ends the calling task's segment and blocks until a peer readies
+// it again. The caller must hold no lock: the peer that readies it may
+// need it.
+func (t *Task) Park() {
+	s := t.s
+	s.mu.Lock()
+	s.endLocked(t)
+	s.mu.Unlock()
+	<-t.resume
+}
 
-// Run drives the event loop until every spawned task has finished.
-// An empty queue with live tasks is a deadlock: every remaining task
-// is parked with no event that could ever wake it, so Run panics with
-// the queue/live diagnostics (the simulated program's own deadlock
-// detectors usually fire first, with a richer message).
-func (s *Sched) Run() {
-	for s.live > 0 {
-		if s.q.Len() == 0 {
-			if s.trap != nil {
-				panic(s.trap)
-			}
-			panic(fmt.Sprintf("sim: deadlock: %d tasks parked with no pending events", s.live))
-		}
-		e := s.q.pop()
-		e.task.queued = false
-		e.task.resume <- struct{}{}
-		<-s.yield
+// queuedBefore reports whether an event in the queue sorts before t's
+// segment. Caller holds s.mu.
+func (s *Sched) queuedBefore(t *Task) bool {
+	e := s.events.top()
+	return e != nil && e.key.Less(t.key)
+}
+
+// endLocked retires t's segment: it leaves the popped set, frees its
+// slot and the commit turn, and queues a Ready it made on itself; then
+// the turn, free slots and Run are brought up to date. Caller holds
+// s.mu.
+func (s *Sched) endLocked(t *Task) {
+	s.segs.remove(t)
+	s.active--
+	if s.turn == t {
+		s.turn = nil
 	}
-	if s.trap != nil {
-		panic(s.trap)
+	t.st = parked
+	if t.hasNext {
+		t.key, t.st, t.hasNext = t.next, queued, false
+		s.events.push(t)
+	}
+	s.grantLocked()
+	s.dispatchLocked()
+	if s.live == 0 || len(s.segs)+len(s.events) == 0 {
+		s.drained.Signal()
+	}
+}
+
+// grantLocked hands a free commit turn to the minimum popped segment if
+// it is waiting for it and no queued event sorts before it. (A minimum
+// segment still running takes the turn itself when it reaches Gate; a
+// queued minimum is popped by dispatchLocked.) Caller holds s.mu.
+func (s *Sched) grantLocked() {
+	m := s.segs.top()
+	if s.turn != nil || m == nil || m.st != gated || s.queuedBefore(m) {
+		return
+	}
+	s.turn = m
+	m.st = running
+	s.waiting--
+	s.active++
+	m.resume <- struct{}{}
+}
+
+// dispatchLocked pops events into free worker slots, starting their
+// segments. Caller holds s.mu.
+func (s *Sched) dispatchLocked() {
+	for s.started && s.active < s.workers && len(s.events) > 0 {
+		t := s.events.pop()
+		t.st = running
+		s.segs.push(t)
+		s.active++
+		t.resume <- struct{}{}
+	}
+}
+
+// Load reports the events queued, the segments running and the
+// segments waiting for the commit turn — part of the deadlock
+// diagnostics surfaced by the cluster's poisoned-rendezvous errors.
+func (s *Sched) Load() (queued, running, waiting int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.events), len(s.segs) - s.waiting, s.waiting
+}
+
+// Run drives the tasks until every spawned task has finished. An empty
+// queue with no segment running while tasks are live is a deadlock:
+// every remaining task is parked with no event that could ever wake it,
+// so Run panics with the count (the simulated program's own deadlock
+// detectors usually fire first, with a richer message). A panic that
+// escaped a task body is rethrown here instead.
+func (s *Sched) Run() {
+	s.mu.Lock()
+	s.started = true
+	s.dispatchLocked()
+	for s.live > 0 && len(s.segs)+len(s.events) > 0 {
+		s.drained.Wait()
+	}
+	live, trap := s.live, s.trap
+	s.mu.Unlock()
+	if trap != nil {
+		panic(trap)
+	}
+	if live > 0 {
+		panic(fmt.Sprintf("sim: deadlock: %d tasks parked with no pending events", live))
 	}
 }

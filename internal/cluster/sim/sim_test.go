@@ -1,48 +1,57 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 )
 
-// TestEventQueuePopsKeyOrder is the determinism property test: however
-// events are interleaved at push time — including many sharing one
-// timestamp — they pop in strict (time, rank, seq) order.
+// withWorkers runs f with GOMAXPROCS — and so the scheduler's worker
+// count — set to w.
+func withWorkers(w int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(w))
+	f()
+}
+
+// TestEventQueuePopsKeyOrder is the determinism property test of the
+// queue: however tasks are interleaved at push time — including many
+// sharing one timestamp, and removals from the middle — they pop in
+// strict (time, rank, seq) order.
 func TestEventQueuePopsKeyOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260807))
 	for trial := 0; trial < 200; trial++ {
-		var q eventQueue
+		var h taskHeap
 		n := 1 + rng.Intn(64)
 		// A tiny time domain forces heavy timestamp collisions, the
 		// regime the (rank, seq) tie-break exists for.
 		times := []float64{0, 0, 1e-6, 1e-6, 2e-6}
-		var seq uint64
-		keys := make([]Key, 0, n)
+		var tasks []*Task
 		for i := 0; i < n; i++ {
-			k := Key{
-				Time: times[rng.Intn(len(times))],
-				Rank: rng.Intn(4),
-				Seq:  seq,
+			tk := &Task{key: Key{Time: times[rng.Intn(len(times))], Rank: rng.Intn(4), Seq: uint64(i)}}
+			h.push(tk)
+			tasks = append(tasks, tk)
+		}
+		removed := 0
+		for _, tk := range tasks {
+			if rng.Intn(4) == 0 {
+				h.remove(tk)
+				removed++
 			}
-			seq++
-			q.push(event{key: k})
-			keys = append(keys, k)
 		}
 		var prev Key
-		for i := 0; i < n; i++ {
-			got := q.pop().key
-			if i > 0 && got.Less(prev) {
-				t.Fatalf("trial %d: pop %d out of order: %+v after %+v", trial, i, got, prev)
-			}
+		for i := 0; i < n-removed; i++ {
+			got := h.pop().key
 			if i > 0 && !prev.Less(got) {
 				t.Fatalf("trial %d: pop %d not strictly increasing: %+v then %+v", trial, i, prev, got)
 			}
 			prev = got
 		}
-		if q.Len() != 0 {
-			t.Fatalf("trial %d: %d events left after draining", trial, q.Len())
+		if len(h) != 0 {
+			t.Fatalf("trial %d: %d tasks left after draining", trial, len(h))
 		}
-		_ = keys
 	}
 }
 
@@ -68,85 +77,227 @@ func TestKeyOrdering(t *testing.T) {
 }
 
 // TestSchedulerRunsTasksInReadyOrder: tasks readied at one timestamp
-// execute in rank order, and the whole interleaving is reproducible.
+// commit in rank order at every worker count.
 func TestSchedulerRunsTasksInReadyOrder(t *testing.T) {
-	run := func() []int {
-		s := New()
-		var order []int
-		tasks := make([]*Task, 8)
-		for i := range tasks {
-			i := i
-			tasks[i] = s.Spawn(i, func(tk *Task) {
-				order = append(order, i)
-			})
-		}
-		// Ready in scrambled order; the queue must still pop by rank.
-		for _, i := range []int{5, 2, 7, 0, 3, 6, 1, 4} {
-			s.Ready(tasks[i], 0)
-		}
-		s.Run()
-		return order
-	}
-	a := run()
-	for i, r := range a {
-		if r != i {
-			t.Fatalf("tasks ran out of rank order: %v", a)
-		}
+	for _, w := range []int{1, 4} {
+		withWorkers(w, func() {
+			s := New()
+			var order []int
+			tasks := make([]*Task, 8)
+			for i := range tasks {
+				i := i
+				tasks[i] = s.Spawn(i, func(tk *Task) {
+					tk.Gate()
+					order = append(order, i)
+				})
+			}
+			// Ready in scrambled order; the queue must still pop by rank.
+			for _, i := range []int{5, 2, 7, 0, 3, 6, 1, 4} {
+				s.Ready(tasks[i], 0)
+			}
+			s.Run()
+			for i, r := range order {
+				if r != i {
+					t.Fatalf("W=%d: tasks committed out of rank order: %v", w, order)
+				}
+			}
+		})
 	}
 }
 
 // TestSchedulerParkReady: a parked task resumes when a peer readies it,
 // and values written before Ready are visible after Park returns.
 func TestSchedulerParkReady(t *testing.T) {
-	s := New()
-	var got int
-	var waiter *Task
-	parked := false
-	waiter = s.Spawn(0, func(tk *Task) {
-		parked = true
-		tk.Park()
-		if got != 42 {
-			t.Errorf("parked task woke before peer wrote: got %d", got)
+	for _, w := range []int{1, 4} {
+		withWorkers(w, func() {
+			s := New()
+			var got int
+			var waiter *Task
+			parked := false
+			waiter = s.Spawn(0, func(tk *Task) {
+				tk.Gate()
+				parked = true
+				tk.Park()
+				if got != 42 {
+					t.Errorf("W=%d: parked task woke before peer wrote: got %d", w, got)
+				}
+			})
+			producer := s.Spawn(1, func(tk *Task) {
+				tk.Gate()
+				if !parked {
+					t.Errorf("W=%d: rank order violated: producer committed before waiter parked", w)
+				}
+				got = 42
+				s.Ready(waiter, 3.5)
+			})
+			s.Ready(waiter, 0)
+			s.Ready(producer, 0)
+			s.Run()
+		})
+	}
+}
+
+// program is one random task program: each task alternates local work
+// with commit sections that log, park, ready a parked peer at a random
+// time, ready itself for a later time and park, or spawn a new task.
+type program struct {
+	seed int64
+	s    *Sched
+	// Touched only inside commit sections.
+	rng      *rand.Rand
+	log      []string
+	parked   []*Task
+	runnable int // live tasks not parked
+	spawned  int
+}
+
+var progTimes = []float64{0, 0, 1, 1, 2, 3}
+
+func (p *program) task(id, steps int) func(*Task) {
+	return func(t *Task) {
+		for k := 0; k < steps; k++ {
+			spin(id*31 + k) // rank-local work, in parallel at W > 1
+			t.Gate()
+			p.log = append(p.log, fmt.Sprintf("%d.%d", id, k))
+			switch p.rng.Intn(5) {
+			case 0: // ready a parked peer
+				if len(p.parked) > 0 {
+					j := p.rng.Intn(len(p.parked))
+					q := p.parked[j]
+					p.parked = append(p.parked[:j], p.parked[j+1:]...)
+					p.runnable++
+					q.Ready(progTimes[p.rng.Intn(len(progTimes))])
+				}
+			case 1: // park until a peer readies us, if a peer can
+				if p.runnable > 1 {
+					p.runnable--
+					p.parked = append(p.parked, t)
+					t.Park()
+				}
+			case 2: // start a new task
+				if p.spawned < 24 {
+					p.spawned++
+					p.runnable++
+					u := p.s.Spawn(p.rng.Intn(4), p.task(p.spawned, 1+p.rng.Intn(6)))
+					u.Ready(progTimes[p.rng.Intn(len(progTimes))])
+				}
+			case 3: // yield: ready ourselves, then park until that event
+				t.Ready(progTimes[p.rng.Intn(len(progTimes))])
+				t.Park()
+			}
 		}
-	})
-	producer := s.Spawn(1, func(tk *Task) {
-		if !parked {
-			t.Error("rank order violated: producer ran before waiter parked")
+		t.Gate()
+		p.log = append(p.log, fmt.Sprintf("%d.exit", id))
+		p.runnable--
+		if p.runnable == 0 {
+			// The last runnable task wakes everyone left.
+			for _, q := range p.parked {
+				p.runnable++
+				q.Ready(progTimes[p.rng.Intn(len(progTimes))])
+			}
+			p.parked = nil
 		}
-		got = 42
-		s.Ready(waiter, 3.5)
-	})
-	s.Ready(waiter, 0)
-	s.Ready(producer, 0)
-	s.Run()
+	}
+}
+
+// spin is local work whose length varies by task, so segments finish
+// out of key order at W > 1.
+func spin(n int) {
+	x := 0
+	for i := 0; i < (n%7)*2000; i++ {
+		x += i
+	}
+	if x < 0 {
+		panic("unreachable")
+	}
+	runtime.Gosched()
+}
+
+func (p *program) run() []string {
+	p.s = New()
+	p.rng = rand.New(rand.NewSource(p.seed))
+	shape := rand.New(rand.NewSource(p.seed + 1))
+	n := 2 + shape.Intn(7)
+	for i := 0; i < n; i++ {
+		p.spawned++
+		p.runnable++
+		tk := p.s.Spawn(shape.Intn(4), p.task(p.spawned, 1+shape.Intn(8)))
+		p.s.Ready(tk, progTimes[shape.Intn(len(progTimes))])
+	}
+	p.s.Run()
+	return p.log
+}
+
+// TestParallelCommitOrderMatchesSerial: random task programs log the
+// same commit order at W = 2, 4 and 8 as the serial scheduler (W = 1).
+func TestParallelCommitOrderMatchesSerial(t *testing.T) {
+	seeds := 60
+	if testing.Short() {
+		seeds = 15
+	}
+	for seed := int64(0); seed < int64(seeds); seed++ {
+		var serial []string
+		withWorkers(1, func() { serial = (&program{seed: seed}).run() })
+		for _, w := range []int{2, 4, 8} {
+			var got []string
+			withWorkers(w, func() { got = (&program{seed: seed}).run() })
+			if !reflect.DeepEqual(got, serial) {
+				t.Fatalf("seed %d W=%d: commit order differs from serial\n serial %v\n got    %v", seed, w, serial, got)
+			}
+		}
+	}
 }
 
 // TestSchedulerDeadlockPanics: tasks parked forever must crash with a
-// diagnostic, not hang the loop.
+// diagnostic, not hang the loop — at every worker count.
 func TestSchedulerDeadlockPanics(t *testing.T) {
-	defer func() {
-		if p := recover(); p == nil {
-			t.Fatal("no panic for a parked task with an empty queue")
-		}
-	}()
-	s := New()
-	tk := s.Spawn(0, func(tk *Task) { tk.Park() })
-	s.Ready(tk, 0)
-	s.Run()
+	for _, w := range []int{1, 4} {
+		withWorkers(w, func() {
+			defer func() {
+				p := recover()
+				if msg, ok := p.(string); !ok || !strings.HasPrefix(msg, "sim: deadlock") {
+					t.Fatalf("W=%d: want a sim: deadlock panic, got %v", w, p)
+				}
+			}()
+			s := New()
+			for i := 0; i < 6; i++ {
+				tk := s.Spawn(i, func(tk *Task) {
+					spin(i)
+					tk.Gate()
+					tk.Park()
+				})
+				s.Ready(tk, 0)
+			}
+			s.Run()
+		})
+	}
 }
 
 // TestSchedulerRethrowsTaskPanic: a panic escaping a task body must
-// surface from Run on the scheduler goroutine.
+// surface from Run on the scheduler goroutine, and peers parked waiting
+// for the panicking task must not wedge it.
 func TestSchedulerRethrowsTaskPanic(t *testing.T) {
-	defer func() {
-		if p := recover(); p == nil {
-			t.Fatal("task panic swallowed")
-		} else if s, ok := p.(string); !ok || s != "boom" {
-			t.Fatalf("panic value mangled: %v", p)
-		}
-	}()
-	s := New()
-	tk := s.Spawn(0, func(tk *Task) { panic("boom") })
-	s.Ready(tk, 0)
-	s.Run()
+	for _, w := range []int{1, 4} {
+		withWorkers(w, func() {
+			defer func() {
+				if p := recover(); p == nil {
+					t.Fatalf("W=%d: task panic swallowed", w)
+				} else if s, ok := p.(string); !ok || s != "boom" {
+					t.Fatalf("W=%d: panic value mangled: %v", w, p)
+				}
+			}()
+			s := New()
+			for i := 0; i < 6; i++ {
+				tk := s.Spawn(i, func(tk *Task) {
+					spin(i)
+					tk.Gate()
+					tk.Park() // waits for a ready that never comes
+				})
+				s.Ready(tk, 0)
+			}
+			tk := s.Spawn(7, func(tk *Task) { panic("boom") })
+			s.Ready(tk, 1)
+			s.Run()
+		})
+	}
 }

@@ -114,6 +114,7 @@ var presets = map[string]map[Profile]preset{
 }
 
 var (
+	//gnnvet:allow commitseam — a (name, profile) builds the same dataset whichever caller builds it first
 	cacheMu sync.Mutex
 	cache   = map[string]*Dataset{}
 )

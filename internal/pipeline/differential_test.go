@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -168,21 +169,28 @@ func sameTraining(a, b *pipeline.Result) error {
 	return nil
 }
 
-// exact is the one carve-out: under a contention topology the ledger
-// serves concurrent flows in arrival order, which is deterministic per
-// backend but unspecified across backends and not part of a checkpoint.
-// Rows that hold a twin to identical results therefore need the pure
-// α–β model; training values hold under every topology.
+// exact is the one carve-out, and it is cross-backend only: under a
+// contention topology the ledger serves concurrent flows in commit
+// order, which the DES backend fixes by event key at any worker count
+// and the goroutine backend leaves to the Go scheduler; neither order
+// is part of a checkpoint. Rows that hold a twin to identical results
+// across backends or a restore therefore need the pure α–β model, or
+// the DES backend where the row stays on it; training values hold under
+// every topology.
 func exact(s spec) bool { return s.Topology == nil }
+
+// des is a spec on the DES backend, whose contended runs are exact too.
+func des(s spec) bool { return s.Backend == cluster.DESBackend }
 
 // row is one transformation: for n specs per backend (short in -short
 // mode) that it applies to, the twin's result must pass the oracle
 // against the spec's reference run. A cold row draws only from the
-// specs TestMain ran.
+// specs TestMain ran; a desOnly row only DES specs.
 type row struct {
 	name     string
 	n, short int
 	cold     bool
+	desOnly  bool
 	applies  func(spec) bool
 	twin     func(i int, s spec, ref *pipeline.Result) (*pipeline.Result, error)
 	oracle   func(a, b *pipeline.Result) error
@@ -200,8 +208,25 @@ var transformations = []row{
 		}},
 	// Run memory is recycled through the process's free lists: whatever
 	// an earlier run left there, a run computes what a fresh one does.
-	{name: "repeat", n: 12, short: 12, applies: exact, oracle: identical,
-		twin: func(_ int, s spec, _ *pipeline.Result) (*pipeline.Result, error) { return s.run() }},
+	{name: "repeat", n: 12, short: 12, oracle: identical,
+		applies: func(s spec) bool { return exact(s) || des(s) },
+		twin:    func(_ int, s spec, _ *pipeline.Result) (*pipeline.Result, error) { return s.run() }},
+	// The DES backend runs up to GOMAXPROCS segments at once and commits
+	// in event-key order, so the worker count never changes a result,
+	// contended ones included: W = 1 and W = 4 both equal the reference.
+	{name: "workers", n: 40, short: 8, desOnly: true, applies: des, oracle: identical,
+		twin: func(_ int, s spec, ref *pipeline.Result) (*pipeline.Result, error) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			serial, err := s.run()
+			if err == nil {
+				err = identical(ref, serial)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("W=1: %w", err)
+			}
+			runtime.GOMAXPROCS(4)
+			return s.run()
+		}},
 	{name: "concurrent", n: 4, short: 4, applies: exact, oracle: identical, twin: runBesideSiblings},
 	// Two epochs or more, so that a checkpoint can precede the failure.
 	{name: "crash", n: 200, short: 12, oracle: identical, twin: crashAndRestore,
@@ -304,6 +329,9 @@ func TestDifferential(t *testing.T) {
 			n = row.short
 		}
 		left[r] = map[cluster.Backend]int{backends[0]: n, backends[1]: n}
+		if row.desOnly {
+			left[r][cluster.GoroutineBackend] = 0
+		}
 	}
 	open := func() bool {
 		for _, l := range left {

@@ -103,6 +103,7 @@ const PhaseCheckpoint = "checkpoint"
 // The published form is the serialized checkpoint (graphio bytes), so
 // a restore must go through the codec.
 type Collector struct {
+	//gnnvet:allow commitseam — snapshots are filed by rank, and a boundary is serialized once all p are in
 	mu    sync.Mutex
 	p     int
 	epoch int // boundary under construction; -1 = none

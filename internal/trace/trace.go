@@ -35,6 +35,7 @@ type PhysLinkUtil struct {
 
 // Report accumulates experiment results. Safe for concurrent Add.
 type Report struct {
+	//gnnvet:allow commitseam — results are filed by experiment id
 	mu      sync.Mutex
 	Meta    map[string]string `json:"meta"`
 	Results map[string]any    `json:"results"`
