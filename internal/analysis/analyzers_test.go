@@ -71,8 +71,11 @@ func TestDeadexport(t *testing.T) {
 	analysistest.RunModule(t, analysis.Deadexport, "testdata/deadexport")
 }
 
-// The commitseam fixture loads as the cluster package: its registries
-// name cluster's commit sections and commit-section mutexes.
+// The commitseam fixtures load as the cluster package: its registries
+// name cluster's commit sections and commit-section mutexes. The
+// noflush fixture is a second cluster package whose opener drops the
+// flush.
 func TestCommitSeam(t *testing.T) {
 	analysistest.Run(t, analysis.CommitSeam, "testdata/commitseam", "repro/internal/cluster")
+	analysistest.Run(t, analysis.CommitSeam, "testdata/commitseam/noflush", "repro/internal/cluster")
 }

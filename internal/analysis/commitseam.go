@@ -7,43 +7,50 @@ import (
 
 // CommitSeam keeps the DES backend's commit order whole. The
 // discrete-event scheduler runs up to GOMAXPROCS rank segments at once
-// and orders only their commit sections, which open with waiter.gate
-// and run in event-key order; everything else a segment does must not
-// depend on the order segments happen to run in. Two rules follow:
+// and orders only their commit sections, which open with Rank.gate and
+// run in event-key order; everything else a segment does must not
+// depend on the order segments happen to run in. The rules:
 //
 //   - The calls that create events or consume shared simulated time —
 //     waiter.ready, scheduler.spawn and (*contention).transact — are
 //     made only inside the commit sections registered in
-//     commitSections, and a section that opens itself calls waiter.gate
-//     before it takes any mutex.
+//     commitSections, and a section that opens itself calls Rank.gate
+//     holding no mutex.
+//   - Rank.gate is the one opener: it calls waiter.gate, then flushes
+//     the timeline's deferred queue sends. A waiter.gate anywhere else
+//     skips that flush, and a send performed (Queue.commit, through
+//     committer) anywhere but the flush commits out of program order.
 //   - A sync.Mutex or sync.RWMutex (a struct field or a package-level
 //     variable) guards either commit-section state, registered in
 //     commitState, or state whose outcome does not depend on the order
 //     segments take the lock; the second kind carries
 //     //gnnvet:allow commitseam — <why the order cannot matter>.
+//     Section-only state is locked nowhere but inside a section, after
+//     its gate.
 //
 // Rank bodies reach nearly every package, so the mutex rule covers the
 // whole module except the scheduler below the seam
 // (internal/cluster/sim), whose own lock is what implements the order.
 var CommitSeam = &Analyzer{
 	Name: "commitseam",
-	Doc:  "confine waiter.ready, scheduler.spawn and the contention ledger to registered commit sections, and make every mutex a registered commit section or an allow-marked order-insensitive one",
+	Doc:  "confine waiter.ready, scheduler.spawn, the contention ledger and queue commits to registered commit sections opened by Rank.gate, and make every mutex a registered commit section or an allow-marked order-insensitive one",
 	Run:  runCommitSeam,
 }
 
 // commitSections registers every function allowed to ready a waiter,
 // spawn a timeline or transact on the contention ledger. True marks a
-// section that opens itself: it calls waiter.gate, before any lock.
-// The others run inside a section named in their comment, or before
-// the scheduler starts.
+// section that opens itself: it calls Rank.gate (Rank.gate itself,
+// waiter.gate), holding no lock. The others run inside a section named
+// in their comment, or before the scheduler starts.
 var commitSections = map[parkKey]bool{
+	gateOpener:                              true,
 	{clusterPath, "Comm", "arrive"}:         true,
-	{clusterPath, "Queue", "Send"}:          true,
-	{clusterPath, "Queue", "Recv"}:          true,
+	{clusterPath, "Queue", "Recv"}:          true, // on an empty queue
 	{clusterPath, "Rank", "ForkStream"}:     true, // its stream's exit gates before readying the joiner
 	{clusterPath, "Forked", "Join"}:         true,
 	{clusterPath, "Rank", "ChargeLink"}:     true,
 	{clusterPath, "Cluster", "markDone"}:    true,
+	{clusterPath, "Queue", "commit"}:        false, // Rank.gate's flush
 	{clusterPath, "rendezvous", "release"}:  false, // arrive, poison
 	{clusterPath, "Comm", "poison"}:         false, // arrive, checkAbandoned
 	{clusterPath, "Comm", "checkAbandoned"}: false, // markDone
@@ -55,20 +62,21 @@ var commitSections = map[parkKey]bool{
 
 // commitState registers the mutexes that guard commit-section state,
 // keyed by (package, type or "" for a package-level variable, field or
-// variable name).
+// variable name). True marks section-only state: locked only inside a
+// registered section, after an opening section's gate.
 var commitState = map[parkKey]bool{
-	{clusterPath, "rendezvous", "mu"}: true, // arrive, poison
-	{clusterPath, "Queue", "mu"}:      true, // Send, Recv
-	{clusterPath, "Forked", "mu"}:     true, // Join, the stream's exit
-	{clusterPath, "contention", "mu"}: true, // transact; reset and stats run outside Run
+	{clusterPath, "Queue", "mu"}:      true,  // Recv (allow-marked fast path), commit
+	{clusterPath, "Forked", "mu"}:     true,  // Join, the stream's exit
+	{clusterPath, "rendezvous", "mu"}: false, // arrive, poison; a woken member reads its outcome
+	{clusterPath, "contention", "mu"}: false, // transact; reset and stats run outside Run
 	// done (markDone, arrive); the failures and communicator lists are
 	// filed order-free (noteFailure keeps the first root per rank,
 	// register keeps each rank's list sorted).
-	{clusterPath, "Cluster", "mu"}:    true,
-	{clusterPath, "Comm", "driverMu"}: true, // arrive; reset by Run
+	{clusterPath, "Cluster", "mu"}:    false,
+	{clusterPath, "Comm", "driverMu"}: false, // arrive; reset by Run
 	// Dup runs outside any section, but a clone is a function of its
 	// key and register files it in canonical order.
-	{clusterPath, "Comm", "dupMu"}: true,
+	{clusterPath, "Comm", "dupMu"}: false,
 }
 
 // orderingCalls are the calls confined to commitSections.
@@ -77,6 +85,17 @@ var orderingCalls = map[parkKey]bool{
 	{clusterPath, "scheduler", "spawn"}:     true,
 	{clusterPath, "contention", "transact"}: true,
 }
+
+// The seam's opener, the scheduler gate below it, and the calls that
+// perform a deferred queue send (confined to the opener's flush).
+var (
+	gateOpener = parkKey{clusterPath, "Rank", "gate"}
+	waiterGate = parkKey{clusterPath, "waiter", "gate"}
+	sendCommit = map[parkKey]bool{
+		{clusterPath, "committer", "commit"}: true,
+		{clusterPath, "Queue", "commit"}:     true,
+	}
+)
 
 const simPath = clusterPath + "/sim"
 
@@ -110,23 +129,35 @@ func funcKey(pass *Pass, path string, d *ast.FuncDecl) parkKey {
 	return k
 }
 
-// checkSection reports ordering calls outside registered sections, and
-// a registered opening section that takes a lock before its gate or
-// never gates.
+// checkSection reports ordering calls outside registered sections, a
+// gate or send commit that bypasses Rank.gate's flush, section-only
+// state locked outside its section, and a registered opening section
+// that holds a lock across its gate or never gates.
 func checkSection(pass *Pass, path string, d *ast.FuncDecl) {
 	if d.Body == nil {
 		return
 	}
 	key := funcKey(pass, path, d)
 	opens, registered := commitSections[key]
-	gated, locked := false, false
+	gated, flushed := false, false
+	held := 0 // lexically outstanding locks
 	ast.Inspect(d.Body, func(n ast.Node) bool {
+		if def, ok := n.(*ast.DeferStmt); ok {
+			kind, _ := mutexCall(pass, def.Call)
+			return kind != "Unlock" // a deferred unlock holds the lock to return
+		}
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		if kind, _ := mutexCall(pass, call); kind == "Lock" || kind == "RLock" {
-			locked = true
+		switch kind, _ := mutexCall(pass, call); kind {
+		case "Lock":
+			held++
+			if state, ok := lockedState(pass, call); ok && commitState[state] && (!registered || opens && !gated) {
+				pass.Reportf(call.Pos(), "%s locks %s.%s outside a commit section: it is section-only state, touched in event-key order", d.Name.Name, state.recv, state.name)
+			}
+		case "Unlock":
+			held--
 		}
 		fn := calleeFunc(pass.TypesInfo, call)
 		if fn == nil {
@@ -134,20 +165,61 @@ func checkSection(pass *Pass, path string, d *ast.FuncDecl) {
 		}
 		pkg, recv := recvTypeName(fn)
 		called := parkKey{pkg, recv, fn.Name()}
-		if called == (parkKey{clusterPath, "waiter", "gate"}) {
-			if opens && locked && !gated {
+		switch {
+		case called == waiterGate && key != gateOpener:
+			pass.Reportf(call.Pos(), "waiter.gate outside Rank.gate skips the flush of the timeline's deferred queue sends: open the section with Rank.gate")
+		case sendCommit[called] && key != gateOpener:
+			pass.Reportf(call.Pos(), "queue send committed outside Rank.gate's flush: a send commits at its timeline's next commit section, in program order")
+		case sendCommit[called]:
+			flushed = true
+		}
+		if called == waiterGate || called == gateOpener {
+			if opens && held > 0 && !gated {
 				pass.Reportf(call.Pos(), "%s takes a lock before its gate: a segment must wait for its turn holding no lock", d.Name.Name)
 			}
 			gated = true
 		}
 		if orderingCalls[called] && !registered {
-			pass.Reportf(call.Pos(), "%s.%s outside a registered commit section: under the DES backend it must run in event-key order; open a section with waiter.gate and register it in commitSections", recv, fn.Name())
+			pass.Reportf(call.Pos(), "%s.%s outside a registered commit section: under the DES backend it must run in event-key order; open a section with Rank.gate and register it in commitSections", recv, fn.Name())
 		}
 		return true
 	})
 	if opens && !gated {
-		pass.Reportf(d.Name.Pos(), "commit section %s never calls waiter.gate", d.Name.Name)
+		pass.Reportf(d.Name.Pos(), "commit section %s never calls Rank.gate", d.Name.Name)
 	}
+	if key == gateOpener && !flushed {
+		pass.Reportf(d.Name.Pos(), "Rank.gate skips the flush: it must commit the timeline's deferred queue sends after waiter.gate")
+	}
+}
+
+// lockedState names the mutex a Lock call takes the way commitState
+// does: (package, owning struct type or "", field or variable name).
+func lockedState(pass *Pass, call *ast.CallExpr) (parkKey, bool) {
+	sel := ast.Unparen(call.Fun).(*ast.SelectorExpr) // mutexCall matched it
+	var id *ast.Ident
+	recv := ""
+	switch x := ast.Unparen(sel.X).(type) {
+	case *ast.Ident:
+		id = x
+	case *ast.SelectorExpr:
+		id = x.Sel
+		if s, ok := pass.TypesInfo.Selections[x]; ok {
+			t := s.Recv()
+			if ptr, ok := t.(*types.Pointer); ok {
+				t = ptr.Elem()
+			}
+			if named, ok := t.(*types.Named); ok {
+				recv = named.Obj().Name()
+			}
+		}
+	default:
+		return parkKey{}, false
+	}
+	obj := pass.TypesInfo.Uses[id]
+	if obj == nil || obj.Pkg() == nil {
+		return parkKey{}, false
+	}
+	return parkKey{obj.Pkg().Path(), recv, id.Name}, true
 }
 
 // checkMutexes reports mutex fields of the declared struct types, and
@@ -156,7 +228,7 @@ func checkSection(pass *Pass, path string, d *ast.FuncDecl) {
 func checkMutexes(pass *Pass, path string, d *ast.GenDecl) {
 	report := func(id *ast.Ident, recv string) {
 		obj := pass.TypesInfo.Defs[id]
-		if obj == nil || !isMutex(obj.Type()) || commitState[parkKey{path, recv, id.Name}] {
+		if _, registered := commitState[parkKey{path, recv, id.Name}]; obj == nil || !isMutex(obj.Type()) || registered {
 			return
 		}
 		owner := id.Name

@@ -38,7 +38,7 @@ const (
 	// transitively (outside test files and allowed lines).
 	FactWallClock Fact = iota
 	// FactMayPark: may park the calling rank's task — calls a
-	// collective, Queue.Send/Recv, Forked.Join or sim.Task.Park,
+	// collective, Queue.Recv, Forked.Join or sim.Task.Park,
 	// directly or transitively.
 	FactMayPark
 	// FactBlocksNative: blocks on a naked channel rendezvous (send,

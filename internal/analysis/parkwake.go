@@ -13,7 +13,7 @@ import (
 // primitives. Under the goroutine backend a naked channel receive or
 // WaitGroup.Wait merely blocks a goroutine; under the discrete-event
 // backend a task runs only when the scheduler resumes it, so any wait
-// that does not park on the scheduler (Queue.Send/Recv, Forked.Join,
+// that does not park on the scheduler (Queue.Recv, Forked.Join,
 // the collective rendezvous) hangs the whole simulation. Equally fatal:
 // parking, or waiting at the commit gate, while holding a mutex — the
 // task that would wake us, or whose turn comes first, may need that
@@ -61,7 +61,6 @@ var parkCalls = map[parkKey]bool{
 	{clusterPath, "", "AllReduceGenericInto"}: true,
 	{clusterPath, "", "Send"}:                 true,
 	{clusterPath, "", "Recv"}:                 true,
-	{clusterPath, "Queue", "Send"}:            true,
 	{clusterPath, "Queue", "Recv"}:            true,
 	{clusterPath, "Forked", "Join"}:           true,
 	{clusterPath, "waiter", "park"}:           true,

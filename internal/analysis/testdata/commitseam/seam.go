@@ -1,7 +1,8 @@
 // Fixture: under the parallel DES backend only commit sections run in
 // event-key order, so the calls that create events or touch the
-// contention ledger stay inside registered sections, and every mutex is
-// either commit-section state or marked order-insensitive.
+// contention ledger stay inside registered sections opened by
+// Rank.gate, a queue send commits only in Rank.gate's flush, and every
+// mutex is either commit-section state or marked order-insensitive.
 package cluster
 
 import "sync"
@@ -20,44 +21,108 @@ type contention struct{ mu sync.Mutex }
 
 func (ct *contention) transact() {}
 
+type committer interface{ commit(at float64) }
+
+type pendingSend struct {
+	q  committer
+	at float64
+}
+
 type Rank struct {
-	w    waiter
-	cont *contention
+	w     waiter
+	cont  *contention
+	sends []pendingSend
+}
+
+// gate is the opener: the scheduler gate, then the flush.
+func (r *Rank) gate() {
+	r.w.gate()
+	for _, p := range r.sends {
+		p.q.commit(p.at)
+	}
+	r.sends = r.sends[:0]
 }
 
 type Queue struct {
-	mu    sync.Mutex
-	recvW []waiter
+	mu     sync.Mutex
+	n      int
+	staged []any
+	recv   waiter
 }
 
-// Send is registered and opens its section before its lock.
+// commit runs inside the flush, so its ready is in-section.
+func (q *Queue) commit(at float64) {
+	q.mu.Lock()
+	if q.recv != nil {
+		q.recv.ready(at)
+	}
+	q.mu.Unlock()
+}
+
+// Send stages without a section, but may not perform the send itself.
 func (q *Queue) Send(r *Rank, v any) {
-	r.w.gate()
-	q.mu.Lock()
-	q.recvW[0].ready(0)
-	q.mu.Unlock()
+	q.staged = append(q.staged, v)
+	q.commit(0) // want `queue send committed outside Rank.gate's flush`
 }
 
-// Recv is registered but takes its lock before the gate.
+// Recv's fast path touches queue state before the gate: a finding
+// unless allow-marked, as here.
 func (q *Queue) Recv(r *Rank) any {
+	//gnnvet:allow commitseam — the fixture's fast path
 	q.mu.Lock()
-	r.w.gate() // want `Recv takes a lock before its gate`
+	if q.n > 0 {
+		q.n--
+		q.mu.Unlock()
+		return nil
+	}
 	q.mu.Unlock()
+	r.gate()
+	q.mu.Lock()
+	q.recv = r.w
+	q.mu.Unlock()
+	r.w.park()
 	return nil
+}
+
+// peek is not a section: locking section-only state here is a finding.
+func (q *Queue) peek() int {
+	q.mu.Lock() // want `peek locks Queue.mu outside a commit section`
+	defer q.mu.Unlock()
+	return q.n
+}
+
+type Cluster struct{ mu sync.Mutex }
+
+// markDone holds a lock across its gate: the deferred unlock runs at
+// return.
+func (c *Cluster) markDone(r *Rank) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	r.gate() // want `markDone takes a lock before its gate`
 }
 
 type Forked struct{ mu sync.Mutex }
 
 // Join is registered as opening its own section but never gates.
-func (f *Forked) Join(r *Rank) { // want `commit section Join never calls waiter.gate`
-	f.mu.Lock()
+func (f *Forked) Join(r *Rank) { // want `commit section Join never calls Rank.gate`
+	f.mu.Lock() // want `Join locks Forked.mu outside a commit section`
 	f.mu.Unlock()
 }
 
-// ChargeLink is registered; the ledger call inside it is confined.
+// ChargeLink gates on the waiter directly, skipping the flush.
 func (r *Rank) ChargeLink() {
-	r.w.gate()
+	r.w.gate() // want `waiter.gate outside Rank.gate skips the flush`
 	r.cont.transact()
+}
+
+type Comm struct{ rv *rendezvous }
+
+// arrive opens its section through Rank.gate before its lock.
+func (c *Comm) arrive(r *Rank) {
+	r.gate()
+	c.rv.mu.Lock()
+	c.rv.release()
+	c.rv.mu.Unlock()
 }
 
 type rendezvous struct {

@@ -2,7 +2,7 @@
 // channel, goroutine and WaitGroup use is the machinery below the
 // park/wake seam, so the file (and only this file) is exempt. The stubs
 // also give the fixture park-capable callees: the analyzer recognizes
-// waiter.park, Queue.Send/Recv and Barrier by name in this package
+// waiter.park, Queue.Recv and Barrier by name in this package
 // path.
 package cluster
 

@@ -218,13 +218,13 @@ func TestGoroutineDiagnosticNamesBackend(t *testing.T) {
 	}
 }
 
-// TestDESQueueBackpressure: a Queue parks senders on a full buffer and
-// receivers on an empty one, preserving FIFO order across the handoff
-// between a forked producer stream and the main timeline — 10,000 items
-// through one slot included, where every item parks one side. The
-// joinFirst case joins the producer before draining it (under DES the
-// stream has not even started, so the joiner parks); every case joins
-// once more at the end, after the body has returned.
+// TestDESQueueBackpressure: a producer stream sends only after taking
+// a credit, and the main timeline returns one after each dequeue — the
+// protocol that bounds every Queue — so FIFO order survives the handoff
+// both ways, 10,000 items through one slot included, where every item
+// parks one side. The joinFirst case joins the producer before draining
+// it (under DES the stream has not even started, so the joiner parks);
+// every case joins once more at the end, after the body has returned.
 func TestDESQueueBackpressure(t *testing.T) {
 	for _, c := range []struct {
 		capacity, items int
@@ -234,10 +234,15 @@ func TestDESQueueBackpressure(t *testing.T) {
 			bothBackends(t, func(t *testing.T, m CostModel) float64 {
 				cl := New(1, m)
 				res, err := cl.Run(func(r *Rank) error {
-					q := r.NewQueue(c.capacity)
+					q := NewQueue[int](c.capacity)
+					credits := NewQueue[float64](c.capacity)
+					for i := 0; i < c.capacity; i++ {
+						credits.Prefill(0)
+					}
 					sent := 0
 					f := r.ForkStream("producer", func(s *Rank) {
 						for i := 0; i < c.items; i++ {
+							s.WaitUntil(credits.Recv(s))
 							s.AdvanceBy(1e-6)
 							q.Send(s, i)
 							sent++
@@ -247,10 +252,11 @@ func TestDESQueueBackpressure(t *testing.T) {
 						f.Join(r)
 					}
 					for i := 0; i < c.items; i++ {
-						if got := q.Recv(r).(int); got != i {
+						if got := q.Recv(r); got != i {
 							return fmt.Errorf("item %d arrived as %d", i, got)
 						}
 						r.AdvanceBy(2e-6)
+						credits.Send(r, r.Clock())
 					}
 					f.Join(r)
 					if sent != c.items {
@@ -265,6 +271,19 @@ func TestDESQueueBackpressure(t *testing.T) {
 			})
 		})
 	}
+}
+
+// TestQueueSendPastCapacityPanics: capacity is an asserted bound, and
+// the panic names the protocol that keeps a queue within it.
+func TestQueueSendPastCapacityPanics(t *testing.T) {
+	q := NewQueue[int](1)
+	q.Prefill(1)
+	defer func() {
+		if p := recover(); p == nil || !strings.Contains(fmt.Sprint(p), "credit protocol") {
+			t.Fatalf("Prefill past capacity: recovered %v, want a credit-protocol panic", p)
+		}
+	}()
+	q.Prefill(2)
 }
 
 // TestGoWaiterKeepsEarlyReady: a primitive unlocks before it parks, so

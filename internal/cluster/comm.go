@@ -348,7 +348,7 @@ func (c *Comm) exchangeTransform(r *Rank, op string, s slot, transform func([]sl
 // the generation it must park for. The unlock is deferred so every
 // diagnostic panic below releases the rendezvous.
 func (c *Comm) arrive(r *Rank, op string, s slot, transform func([]slot) []slot) ([]slot, uint64) {
-	r.w.gate()
+	r.gate()
 	c.checkDriver(r)
 	idx := c.LocalIndex(r)
 	rv := c.rv

@@ -2,88 +2,103 @@ package cluster
 
 import "sync"
 
-// Queue is a bounded FIFO handoff between two concurrent timelines of
-// one rank (a staged pipeline's item and credit channels): buffered
-// values plus the parked senders and receivers, blocking through the
-// waiter seam like every other primitive. Queues carry no simulated
-// time themselves — simulated backpressure is expressed by the values
+// Queue is a bounded FIFO handoff from one timeline of a rank to
+// another (a staged pipeline's item and credit channels): one sending
+// timeline, one receiving timeline. Queues carry no simulated time
+// themselves — simulated backpressure is expressed by the values
 // flowing through them (item completion times, credit clocks) and
-// charged explicitly by the stages; the clock a peer is readied at only
-// orders events.
-type Queue struct {
-	mu       sync.Mutex
-	capacity int
-	buf      []any
-	sendW    []queueWaiter // parked senders, each carrying its pending value
-	recvW    []waiter      // parked receivers
-}
+// charged explicitly by the stages; the clock a receiver is readied at
+// only orders events.
+//
+// Send never blocks. Its user keeps the queue within capacity — the
+// engine's credit protocol does: a producer sends only after taking a
+// credit, and a consumer returns the credit after dequeuing — so
+// capacity is an asserted bound, not a wait. A send is staged on the
+// sending timeline and committed at that timeline's next commit
+// section (Rank.gate); only then can the receiver see it. Recv takes a
+// committed value without a commit section, and only an empty queue
+// parks its receiver until a commit hands it the next value.
+type Queue[T any] struct {
+	// staged holds the values sent but not yet committed, in send
+	// order. Only the sending timeline touches it.
+	staged []T
 
-type queueWaiter struct {
-	w   waiter
-	val any
+	mu      sync.Mutex
+	ring    []T // committed values: n of them from head, wrapping
+	head, n int
+	recv    waiter // the parked receiver, or nil
 }
 
 // NewQueue creates a bounded queue with the given capacity (values < 1
 // are treated as 1).
-func (r *Rank) NewQueue(capacity int) *Queue {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Queue{capacity: capacity}
+func NewQueue[T any](capacity int) *Queue[T] {
+	return &Queue[T]{ring: make([]T, max(capacity, 1))}
 }
 
-// Prefill enqueues v before the queue is in use (initial credits); it
-// must not be called once Send/Recv traffic has started and panics if
-// the queue is already full.
-func (q *Queue) Prefill(v any) {
-	if len(q.buf) >= q.capacity {
-		panic("cluster: Prefill on a full queue")
+// Prefill enqueues v before the queue is in use (initial credits).
+func (q *Queue[T]) Prefill(v T) { q.push(v) }
+
+// push appends v to the committed values. Caller holds q.mu, or the
+// queue is not in use yet.
+func (q *Queue[T]) push(v T) {
+	if q.n == len(q.ring) {
+		panic("cluster: send on a full queue: the credit protocol bounds every queue (a producer sends only after taking a credit, a consumer returns it after dequeuing)")
 	}
-	q.buf = append(q.buf, v)
+	q.ring[(q.head+q.n)%len(q.ring)] = v
+	q.n++
 }
 
-// Send enqueues v, parking r while the queue is full.
-func (q *Queue) Send(r *Rank, v any) {
-	r.w.gate()
+// Send enqueues v without blocking. The send commits at r's next
+// commit section, stamped with r's clock now.
+func (q *Queue[T]) Send(r *Rank, v T) {
+	q.staged = append(q.staged, v)
+	r.sends = append(r.sends, pendingSend{q, r.clock})
+}
+
+// commit performs the oldest staged send: it appends the value to the
+// committed ones and readies a parked receiver at the send's clock.
+// Only the sender's Rank.gate calls it, inside the commit section it
+// opens.
+func (q *Queue[T]) commit(at float64) {
+	v := q.staged[0]
+	n := copy(q.staged, q.staged[1:])
+	clear(q.staged[n:])
+	q.staged = q.staged[:n]
 	q.mu.Lock()
-	if len(q.buf) < q.capacity {
-		q.buf = append(q.buf, v)
-		if len(q.recvW) > 0 {
-			w := q.recvW[0]
-			q.recvW = q.recvW[1:]
-			w.ready(r.clock)
-		}
-		q.mu.Unlock()
-		return
+	q.push(v)
+	if w := q.recv; w != nil {
+		q.recv = nil
+		w.ready(at)
 	}
-	// Full: park with the value; the receiver that frees a slot moves
-	// it into the buffer and readies us.
-	q.sendW = append(q.sendW, queueWaiter{w: r.w, val: v})
 	q.mu.Unlock()
-	r.w.park()
 }
 
 // Recv dequeues the oldest value, parking r while the queue is empty.
-// The wake-up starts a new segment that touches the queue again, so it
-// reopens the commit section.
-func (q *Queue) Recv(r *Rank) any {
-	r.w.gate()
+// A non-empty queue needs no commit section: a value is committed only
+// inside one, so it precedes the receiver in event-key order, and the
+// one operation that can race the receiver — a commit at the tail —
+// commutes with taking the head. An empty queue opens a section, so
+// every send ordered before r has committed, and re-checks; a receiver
+// still facing an empty queue parks, and the commit that wakes it has
+// left its value at the head, so it takes it without gating again.
+func (q *Queue[T]) Recv(r *Rank) T {
+	//gnnvet:allow commitseam — the non-empty fast path takes a committed value, which precedes the receiver in event-key order; a commit at the tail commutes with taking the head
 	q.mu.Lock()
-	for len(q.buf) == 0 {
-		q.recvW = append(q.recvW, r.w)
+	if q.n == 0 {
 		q.mu.Unlock()
-		r.w.park()
-		r.w.gate()
+		r.gate()
 		q.mu.Lock()
+		if q.n == 0 {
+			q.recv = r.w
+			q.mu.Unlock()
+			r.w.park()
+			q.mu.Lock()
+		}
 	}
-	v := q.buf[0]
-	q.buf = q.buf[1:]
-	if len(q.sendW) > 0 {
-		s := q.sendW[0]
-		q.sendW = q.sendW[1:]
-		q.buf = append(q.buf, s.val)
-		s.w.ready(r.clock)
-	}
+	v := q.ring[q.head]
+	q.ring[q.head] = *new(T)
+	q.head = (q.head + 1) % len(q.ring)
+	q.n--
 	q.mu.Unlock()
 	return v
 }
@@ -101,13 +116,13 @@ type Forked struct {
 // timeline of r's scheduler, started at the fork's simulated time and
 // sharing the rank id for event tie-breaking.
 func (r *Rank) ForkStream(name string, fn func(s *Rank)) *Forked {
-	r.w.gate()
+	r.gate()
 	s := r.newStream(name)
 	f := &Forked{}
 	r.cl.sched.spawn(r.ID, s.clock, func(w waiter) {
 		s.w = w
 		fn(s)
-		w.gate()
+		s.gate()
 		f.mu.Lock()
 		f.done = true
 		if f.joiner != nil {
@@ -122,7 +137,7 @@ func (r *Rank) ForkStream(name string, fn func(s *Rank)) *Forked {
 // advances no simulated time — like joining a goroutine, it only
 // synchronizes control flow; makespans aggregate through MaxClock.
 func (f *Forked) Join(r *Rank) {
-	r.w.gate()
+	r.gate()
 	f.mu.Lock()
 	if f.done {
 		f.mu.Unlock()

@@ -69,6 +69,37 @@ type Rank struct {
 	// w is the handle this timeline parks on and its peers ready: the
 	// one way the rendezvous, stage queues and stream joins block.
 	w waiter
+	// sends are this timeline's queue sends awaiting their commit, in
+	// program order (see gate).
+	sends []pendingSend
+}
+
+// pendingSend is a Queue.Send awaiting its commit: the queue and the
+// sender's clock at the send.
+type pendingSend struct {
+	q  committer
+	at float64
+}
+
+// committer is a queue seen by its sender's flush: commit performs the
+// oldest staged send, readying a parked receiver at the given clock.
+type committer interface{ commit(at float64) }
+
+// gate opens a commit section on r's timeline, then commits the queue
+// sends r made since its last one, in program order. Every commit
+// section opens here, so sends commit before anything else r does
+// under the turn. That is exact: in the serial event loop nothing runs
+// between a send and the segment's next commit section but the
+// segment's own section-free work, so each commit readies the same
+// receiver at the same key, with the same sequence number, as a send
+// committed on the spot.
+func (r *Rank) gate() {
+	r.w.gate()
+	for _, p := range r.sends {
+		p.q.commit(p.at)
+	}
+	clear(r.sends)
+	r.sends = r.sends[:0]
 }
 
 // acct is the phase/traffic accounting shared across a rank's streams.
@@ -325,7 +356,7 @@ func (r *Rank) ChargeKernels(n int) {
 func (r *Rank) ChargeLink(l Link, bytes int64) {
 	r.countLink(l, bytes)
 	if ct := r.cont; ct != nil {
-		r.w.gate()
+		r.gate()
 		fin := ct.transact([]flowReq{{
 			start: r.model.wireEntry(r.clock, l),
 			bytes: float64(bytes),
@@ -500,7 +531,7 @@ type Cluster struct {
 // arriving later at one with it is caught by arrive's own scan. It is
 // the rank's last commit section.
 func (c *Cluster) markDone(r *Rank) {
-	r.w.gate()
+	r.gate()
 	rank := r.ID
 	c.mu.Lock()
 	if c.done == nil {

@@ -8,10 +8,10 @@
 //     inline on the caller's rank, in item order — byte-for-byte the
 //     classic bulk-synchronous loop (sample; fetch; train; sample; ...).
 //   - Overlapped (Overlap on): every stage but the last runs on its
-//     own forked rank stream (cluster.Rank.ForkStream) in its own
-//     goroutine, connected by bounded channels, so stage s prefetches
-//     item i+1 while stage s+1 works on item i. The last stage runs on
-//     the caller's main timeline, so the rank's final clock is the
+//     own forked rank stream (cluster.Rank.ForkStream), connected by
+//     bounded queues (cluster.Queue), so stage s prefetches item i+1
+//     while stage s+1 works on item i. The last stage runs on the
+//     caller's main timeline, so the rank's final clock is the
 //     pipeline makespan.
 //
 // Simulated time stays honest under concurrency: each stage's charges
@@ -24,6 +24,13 @@
 // capacity), which is what makes a capacity-1 queue model classic
 // double buffering. Epoch time is therefore the max over concurrent
 // streams, never the sum of phases.
+//
+// Credits bound every queue: each item queue has a credit queue
+// flowing back, prefilled with one credit per slot; a stage sends an
+// item only after taking a credit, and returns a credit after
+// dequeuing an item. No queue ever holds more than its capacity, so
+// Send never blocks — a stage waits only in Recv, for an item or a
+// credit.
 //
 // Stage Run functions must be safe to run concurrently with the other
 // stages' Run functions: a stage owns its mutable state exclusively.
@@ -184,22 +191,20 @@ func (p *Pipeline) executeOverlapped(r *cluster.Rank, n int) error {
 		}
 		names[st.Name] = i
 	}
-	items := make([]*cluster.Queue, s-1)
-	credits := make([]*cluster.Queue, s-1)
+	items := make([]*cluster.Queue[token], s-1)
+	credits := make([]*cluster.Queue[float64], s-1)
 	for i, st := range p.Stages[:s-1] {
-		q := st.Queue
-		if q < 1 {
-			q = 1
-		}
-		items[i] = r.NewQueue(q)
-		credits[i] = r.NewQueue(q)
+		q := max(st.Queue, 1)
+		items[i] = cluster.NewQueue[token](q)
+		credits[i] = cluster.NewQueue[float64](q)
 		for j := 0; j < q; j++ {
-			credits[i].Prefill(0.0) // queue starts empty: q free slots at t=0
+			credits[i].Prefill(0) // queue starts empty: q free slots at t=0
 		}
 	}
 	forks := make([]*cluster.Forked, s-1)
 	for i := 0; i < s-1; i++ {
-		var in, inCred *cluster.Queue
+		var in *cluster.Queue[token]
+		var inCred *cluster.Queue[float64]
 		if i > 0 {
 			in, inCred = items[i-1], credits[i-1]
 		}
@@ -220,12 +225,13 @@ func (p *Pipeline) executeOverlapped(r *cluster.Rank, n int) error {
 // item is still received, credited and forwarded, with Run skipped and
 // the error riding the tokens to the final stage.
 func (p *Pipeline) runStage(r *cluster.Rank, s, n int,
-	in, inCred, out, outCred *cluster.Queue) error {
+	in *cluster.Queue[token], inCred *cluster.Queue[float64],
+	out *cluster.Queue[token], outCred *cluster.Queue[float64]) error {
 	var failed error
 	for i := 0; i < n; i++ {
 		var val any
 		if in != nil {
-			tok := in.Recv(r).(token)
+			tok := in.Recv(r)
 			if tok.err != nil && failed == nil {
 				failed = tok.err
 			}
@@ -244,7 +250,7 @@ func (p *Pipeline) runStage(r *cluster.Rank, s, n int,
 		if outCred != nil {
 			// A free output slot is a precondition for starting the
 			// item (double buffering: nowhere to put it otherwise).
-			t := outCred.Recv(r).(float64)
+			t := outCred.Recv(r)
 			if failed == nil && t > r.Clock() {
 				r.SetPhase(PhaseStall)
 				if err := waitUntil(r, t); err != nil {

@@ -34,11 +34,13 @@ type FeatureStore struct {
 
 // fetchScratch is one rank's reusable bookkeeping for Fetch's two
 // all-to-allv rounds, sized by the rank's requests and the rows it
-// serves, never by the column's size. The request lists and response
-// rows cross the wire by reference; reuse is safe by the rendezvous
-// happens-before edges: an owner reads request lists between the two
-// rounds, and a requester rewrites its lists only after leaving round
-// two — which the owner must have entered, so it is done reading.
+// serves; only count has one entry per column member, and a call
+// touches only the entries of the owners it asks. The request lists
+// and response rows cross the wire by reference; reuse is safe by the
+// rendezvous happens-before edges: an owner reads request lists
+// between the two rounds, and a requester rewrites its lists only
+// after leaving round two — which the owner must have entered, so it
+// is done reading.
 // Response rows are read by requesters before they enter any later
 // collective on the column communicator; the owner rewrites them only
 // behind its next call's round one, which every member must have
@@ -54,8 +56,10 @@ type FeatureStore struct {
 type fetchScratch struct {
 	pos      map[int]int  // vertex -> output slot of its first request
 	wanted   []fetchEntry // distinct vertices to fetch, grouped by owner
+	grouped  []fetchEntry // the grouping pass's output, swapped with wanted
 	repeats  []fetchRepeat
-	owners   []int // owners asked, ascending: round one's destinations
+	count    []int32 // per owner, zero between calls: the grouping pass's counts
+	owners   []int   // owners asked, ascending: round one's destinations
 	reqs     [][]int
 	reqVerts []int // backing of reqs
 	resps    []dense.Matrix
@@ -186,21 +190,40 @@ func (fs *FeatureStore) Fetch(r *cluster.Rank, vertices []int) *dense.Matrix {
 	}
 
 	// One request list per owner actually asked, owners ascending and
-	// each list in first-request order.
-	slices.SortStableFunc(sc.wanted, func(a, b fetchEntry) int { return int(a.owner - b.owner) })
-	sc.reqVerts = sc.reqVerts[:0]
+	// each list in first-request order: a stable counting pass. It
+	// counts and offsets only the owners asked (count is zero between
+	// calls), so it never scans the column.
+	if len(sc.count) < members {
+		sc.count = make([]int32, members)
+	}
+	sc.owners = sc.owners[:0]
 	for _, e := range sc.wanted {
-		sc.reqVerts = append(sc.reqVerts, e.vertex)
-	}
-	sc.owners, sc.reqs = sc.owners[:0], sc.reqs[:0]
-	for lo, hi := 0, 0; lo < len(sc.wanted); lo = hi {
-		owner := sc.wanted[lo].owner
-		for hi < len(sc.wanted) && sc.wanted[hi].owner == owner {
-			hi++
+		if sc.count[e.owner] == 0 {
+			sc.owners = append(sc.owners, int(e.owner))
 		}
-		sc.owners = append(sc.owners, int(owner))
-		sc.reqs = append(sc.reqs, sc.reqVerts[lo:hi])
+		sc.count[e.owner]++
 	}
+	slices.Sort(sc.owners)
+	n := len(sc.wanted)
+	sc.reqVerts = slices.Grow(sc.reqVerts[:0], n)[:n]
+	sc.grouped = slices.Grow(sc.grouped[:0], n)[:n]
+	sc.reqs = sc.reqs[:0]
+	var off int32
+	for _, o := range sc.owners {
+		c := sc.count[o]
+		sc.count[o] = off
+		sc.reqs = append(sc.reqs, sc.reqVerts[off:off+c])
+		off += c
+	}
+	for _, e := range sc.wanted {
+		i := sc.count[e.owner]
+		sc.count[e.owner]++
+		sc.grouped[i], sc.reqVerts[i] = e, e.vertex
+	}
+	for _, o := range sc.owners {
+		sc.count[o] = 0
+	}
+	sc.wanted, sc.grouped = sc.grouped, sc.wanted
 
 	askers, incoming := cluster.AllToAllvSparse(colComm, r, sc.owners, sc.reqs, func(q []int) int {
 		return 8 * len(q)
