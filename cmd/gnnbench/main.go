@@ -74,6 +74,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 	}
+	// The gate's inputs are read before the suite spends its minutes.
+	if *perfBase != "" {
+		if _, _, err := bench.LoadPerfGate(*perfBase); err != nil {
+			return err
+		}
+	}
 	// An experiment whose table entry has no GPU axis pins its counts;
 	// "all" applies -gpus to the entries that have one.
 	if *gpus != "" && *experiment != "all" && selected[0].GPUs == nil {
@@ -99,7 +105,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		"allreduce":  opts.Model.Collectives.AllReduce.String(),
 		"alltoall":   opts.Model.Collectives.AllToAll.String(),
 		"topology":   opts.Model.Topology.String(),
-		"backend":    opts.Model.Backend.String(),
 	})
 
 	for i, e := range selected {

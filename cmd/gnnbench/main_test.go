@@ -55,32 +55,29 @@ func TestBadInputIsAnError(t *testing.T) {
 		name string
 		args []string
 		want string // substring of the error
-		env  string // $GNN_BACKEND for the run, when set
 	}{
-		{"unknown id", []string{"-experiment", "fig8"}, `unknown experiment "fig8"`, ""},
-		{"perfout outside perf", []string{"-experiment", "scaling", "-perfout", "x.json"}, "-perfout applies only to -experiment perf", ""},
-		{"perfbaseline outside perf", []string{"-experiment", "all", "-perfbaseline", "x.json"}, "-perfbaseline applies only to -experiment perf", ""},
-		{"zero gpu count", []string{"-experiment", "fig4", "-gpus", "4,0"}, "bad GPU count 0", ""},
-		{"gpus on table3", []string{"-experiment", "table3", "-gpus", "8"}, "-gpus does not apply to -experiment table3", ""},
-		{"gpus on partition", []string{"-experiment", "partition", "-gpus", "8"}, "-gpus does not apply to -experiment partition", ""},
-		{"zero seed", []string{"-experiment", "acc", "-seed", "0"}, "bad -seed 0", ""},
-		{"negative maxbatches, sampling-only experiment", []string{"-experiment", "table3", "-maxbatches", "-3"}, "bad -maxbatches -3", ""},
-		{"negative maxbatches, every experiment", []string{"-experiment", "all", "-maxbatches", "-1"}, "bad -maxbatches -1", ""},
-		{"negative epochs", []string{"-experiment", "acc", "-epochs", "-5"}, "bad -epochs -5", ""},
-		{"non-numeric gpus", []string{"-experiment", "fig4", "-gpus", "four"}, "bad GPU count list", ""},
-		{"bad topology", []string{"-experiment", "fig4", "-topology", "torus"}, `unknown topology "torus"`, ""},
-		{"bad backend", []string{"-experiment", "fig4", "-backend", "thread"}, "thread", ""},
-		{"bad allreduce", []string{"-experiment", "fig4", "-allreduce", "pairwise"}, "pairwise", ""},
-		{"bad profile", []string{"-experiment", "fig4", "-profile", "huge"}, `unknown profile "huge"`, ""},
-		{"invalid grid", []string{"-experiment", "fig4", "-profile", "tiny", "-gpus", "5"}, "must divide", ""},
-		{"invalid 1.5D grid", []string{"-experiment", "fig7sage", "-profile", "tiny", "-gpus", "9"}, "c^2 must divide p (p=9 c=2)", ""},
-		{"unknown flag", []string{"-perfreps", "3"}, "flag provided but not defined", ""},
-		{"mistyped $GNN_BACKEND", []string{"-experiment", "fig4"}, `$GNN_BACKEND: cluster: unknown backend "dse"`, "dse"},
+		{"unknown id", []string{"-experiment", "fig8"}, `unknown experiment "fig8"`},
+		{"perfout outside perf", []string{"-experiment", "scaling", "-perfout", "x.json"}, "-perfout applies only to -experiment perf"},
+		{"perfbaseline outside perf", []string{"-experiment", "all", "-perfbaseline", "x.json"}, "-perfbaseline applies only to -experiment perf"},
+		{"zero gpu count", []string{"-experiment", "fig4", "-gpus", "4,0"}, "bad GPU count 0"},
+		{"gpus on table3", []string{"-experiment", "table3", "-gpus", "8"}, "-gpus does not apply to -experiment table3"},
+		{"gpus on partition", []string{"-experiment", "partition", "-gpus", "8"}, "-gpus does not apply to -experiment partition"},
+		{"zero seed", []string{"-experiment", "acc", "-seed", "0"}, "bad -seed 0"},
+		{"negative maxbatches, sampling-only experiment", []string{"-experiment", "table3", "-maxbatches", "-3"}, "bad -maxbatches -3"},
+		{"negative maxbatches, every experiment", []string{"-experiment", "all", "-maxbatches", "-1"}, "bad -maxbatches -1"},
+		{"negative epochs", []string{"-experiment", "acc", "-epochs", "-5"}, "bad -epochs -5"},
+		{"non-numeric gpus", []string{"-experiment", "fig4", "-gpus", "four"}, "bad GPU count list"},
+		{"bad topology", []string{"-experiment", "fig4", "-topology", "torus"}, `unknown topology "torus"`},
+		{"bad backend", []string{"-experiment", "fig4", "-backend", "des"}, "flag provided but not defined: -backend"},
+		{"bad allreduce", []string{"-experiment", "fig4", "-allreduce", "pairwise"}, "pairwise"},
+		{"bad profile", []string{"-experiment", "fig4", "-profile", "huge"}, `unknown profile "huge"`},
+		{"invalid grid", []string{"-experiment", "fig4", "-profile", "tiny", "-gpus", "5"}, "must divide"},
+		{"invalid 1.5D grid", []string{"-experiment", "fig7sage", "-profile", "tiny", "-gpus", "9"}, "c^2 must divide p (p=9 c=2)"},
+		{"unknown flag", []string{"-perfreps", "3"}, "flag provided but not defined"},
+		// Read before the suite measures anything, so this fails at once.
+		{"missing perf baseline", []string{"-experiment", "perf", "-perfbaseline", "/nonexistent/BENCH.json"}, "open /nonexistent/BENCH.json"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			if c.env != "" {
-				t.Setenv("GNN_BACKEND", c.env)
-			}
 			_, _, err := gnnbench(c.args...)
 			if err == nil {
 				t.Fatal("accepted")
@@ -93,12 +90,12 @@ func TestBadInputIsAnError(t *testing.T) {
 }
 
 // The platform flags mean the same thing for every id: acc runs under
-// the model they assemble, so -backend des is recorded and — by the
-// backend contract — trains to the same accuracy.
+// the model they assemble, so -allreduce ring is recorded and — the
+// ring sums in the flat tree's order — trains to the same accuracy.
 func TestAccRunsUnderThePlatformFlags(t *testing.T) {
-	report := func(backend string) (meta map[string]string, acc any) {
+	report := func(allreduce string) (meta map[string]string, acc any) {
 		path := filepath.Join(t.TempDir(), "acc.json")
-		if _, _, err := gnnbench("-experiment", "acc", "-epochs", "2", "-backend", backend, "-json", path); err != nil {
+		if _, _, err := gnnbench("-experiment", "acc", "-epochs", "2", "-allreduce", allreduce, "-json", path); err != nil {
 			t.Fatal(err)
 		}
 		data, err := os.ReadFile(path)
@@ -114,13 +111,13 @@ func TestAccRunsUnderThePlatformFlags(t *testing.T) {
 		}
 		return rep.Meta, rep.Results["acc"]
 	}
-	desMeta, desAcc := report("des")
-	_, goAcc := report("goroutine")
-	if desMeta["backend"] != "des" {
-		t.Errorf("meta %v does not record backend des", desMeta)
+	ringMeta, ringAcc := report("ring")
+	_, flatAcc := report("flat")
+	if ringMeta["allreduce"] != "ring" {
+		t.Errorf("meta %v does not record allreduce ring", ringMeta)
 	}
-	if desAcc == nil || !reflect.DeepEqual(desAcc, goAcc) {
-		t.Errorf("accuracy differs across backends: des %v, goroutine %v", desAcc, goAcc)
+	if ringAcc == nil || !reflect.DeepEqual(ringAcc, flatAcc) {
+		t.Errorf("accuracy differs across all-reduce schedules: ring %v, flat %v", ringAcc, flatAcc)
 	}
 }
 

@@ -3,12 +3,12 @@
 // goldens and the perf gate only observe after the fact — that every
 // run is a pure function of its config (walltime, globalrand,
 // maporder), that all collective cost flows through the single
-// charging path (charging), that all blocking is backend-neutral
+// charging path (charging), that all blocking parks on the scheduler
 // (parkwake), that arena-backed buffers stay within their epoch
 // (arenaescape), that fault-injection plans are constructed only
 // behind the FaultPlan seam (faultseam), that every library name
 // has a program user and every exported field a non-test writer
-// (deadexport), and that shared state is touched in the DES backend's
+// (deadexport), and that shared state is touched in the scheduler's
 // commit order or is marked order-insensitive (commitseam). Since PR 9 the suite is interprocedural: a call-graph
 // facts layer summarizes every function in the module, so wrapping a
 // violation in a helper — even one in another package — no longer

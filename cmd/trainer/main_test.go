@@ -32,11 +32,11 @@ func TestFlagCombinations(t *testing.T) {
 		{"defaults", nil, "p=4 c=1 sampler=sage algorithm=replicated"},
 		{"replicated c=2 bulk", []string{"-p", "4", "-c", "2", "-k", "2"}, "bulk size clamped up from k=2 to 4"},
 		{"partitioned overlapped, contended, des", []string{"-p", "8", "-c", "2", "-algorithm", "partitioned", "-overlap",
-			"-topology", "oversub", "-allreduce", "ring", "-alltoall", "pairwise", "-backend", "des"}, "algorithm=partitioned"},
-		{"ladies", []string{"-sampler", "ladies", "-backend", "goroutine"}, "sampler=ladies"},
+			"-topology", "oversub", "-allreduce", "ring", "-alltoall", "pairwise"}, "algorithm=partitioned"},
+		{"ladies", []string{"-sampler", "ladies"}, "sampler=ladies"},
 		{"fastgcn hier", []string{"-p", "8", "-sampler", "fastgcn", "-allreduce", "hier"}, "sampler=fastgcn"},
-		{"fault recovered from a checkpoint", []string{"-p", "4", "-epochs", "3", "-faults", "2@0.0002", "-ckpt-interval", "1",
-			"-backend", "des"}, "recovery: 2 attempt(s), 1 failure(s) fired"},
+		{"fault recovered from a checkpoint", []string{"-p", "4", "-epochs", "3", "-faults", "2@0.0002", "-ckpt-interval", "1"},
+			"recovery: 2 attempt(s), 1 failure(s) fired"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			out, err := trainer(c.args...)
@@ -66,37 +66,32 @@ func TestFlagCombinations(t *testing.T) {
 		name string
 		args []string
 		want string // substring of the error
-		env  string // $GNN_BACKEND for the run, when set
 	}{
-		{"p = 0", []string{"-p", "0"}, "p=0", ""},
-		{"c does not divide p", []string{"-p", "4", "-c", "3"}, "must divide", ""},
-		{"negative c", []string{"-p", "2", "-c", "-3"}, "replication factor C=-3", ""},
-		{"negative c under autotune", []string{"-p", "2", "-c", "-3", "-autotune"}, "replication factor C=-3", ""},
-		{"partitioned c^2 does not divide p", []string{"-p", "8", "-c", "4", "-algorithm", "partitioned"}, "c^2 | p", ""},
-		{"negative epochs", []string{"-epochs", "-1"}, "negative epoch count", ""},
-		{"zero epochs", []string{"-epochs", "0"}, "bad -epochs 0", ""},
-		{"zero learning rate", []string{"-lr", "0"}, "bad -lr 0", ""},
-		{"zero c", []string{"-c", "0"}, "bad -c 0", ""},
-		{"negative maxbatches", []string{"-maxbatches", "-3"}, "MaxBatches=-3", ""},
-		{"unknown sampler", []string{"-sampler", "bogus"}, `unknown sampler "bogus"`, ""},
-		{"unknown algorithm", []string{"-algorithm", "bogus"}, `unknown algorithm "bogus"`, ""},
-		{"unknown topology", []string{"-topology", "torus"}, `unknown topology "torus"`, ""},
-		{"unknown backend", []string{"-backend", "thread"}, "thread", ""},
-		{"ring all-to-all", []string{"-alltoall", "ring"}, "ring", ""},
-		{"malformed fault", []string{"-faults", "1@"}, "bad fault", ""},
-		{"fault rank outside p", []string{"-p", "4", "-faults", "9@0.1"}, "rank 9", ""},
-		{"negative ckpt-interval", []string{"-ckpt-interval", "-2"}, "bad checkpoint interval", ""},
-		{"unknown profile", []string{"-profile", "huge"}, `unknown profile "huge"`, ""},
-		{"unknown profile with sbm", []string{"-dataset", "sbm", "-profile", "bogus"}, `unknown profile "bogus"`, ""},
-		{"unknown dataset", []string{"-dataset", "cora"}, "cora", ""},
-		{"autotune at p = 0", []string{"-p", "0", "-autotune"}, "p=0", ""},
-		{"unknown flag", []string{"-gpus", "4"}, "flag provided but not defined", ""},
-		{"mistyped $GNN_BACKEND", nil, `$GNN_BACKEND: cluster: unknown backend "dse"`, "dse"},
+		{"p = 0", []string{"-p", "0"}, "p=0"},
+		{"c does not divide p", []string{"-p", "4", "-c", "3"}, "must divide"},
+		{"negative c", []string{"-p", "2", "-c", "-3"}, "replication factor C=-3"},
+		{"negative c under autotune", []string{"-p", "2", "-c", "-3", "-autotune"}, "replication factor C=-3"},
+		{"partitioned c^2 does not divide p", []string{"-p", "8", "-c", "4", "-algorithm", "partitioned"}, "c^2 | p"},
+		{"negative epochs", []string{"-epochs", "-1"}, "negative epoch count"},
+		{"zero epochs", []string{"-epochs", "0"}, "bad -epochs 0"},
+		{"zero learning rate", []string{"-lr", "0"}, "bad -lr 0"},
+		{"zero c", []string{"-c", "0"}, "bad -c 0"},
+		{"negative maxbatches", []string{"-maxbatches", "-3"}, "MaxBatches=-3"},
+		{"unknown sampler", []string{"-sampler", "bogus"}, `unknown sampler "bogus"`},
+		{"unknown algorithm", []string{"-algorithm", "bogus"}, `unknown algorithm "bogus"`},
+		{"unknown topology", []string{"-topology", "torus"}, `unknown topology "torus"`},
+		{"unknown backend", []string{"-backend", "des"}, "flag provided but not defined: -backend"},
+		{"ring all-to-all", []string{"-alltoall", "ring"}, "ring"},
+		{"malformed fault", []string{"-faults", "1@"}, "bad fault"},
+		{"fault rank outside p", []string{"-p", "4", "-faults", "9@0.1"}, "rank 9"},
+		{"negative ckpt-interval", []string{"-ckpt-interval", "-2"}, "bad checkpoint interval"},
+		{"unknown profile", []string{"-profile", "huge"}, `unknown profile "huge"`},
+		{"unknown profile with sbm", []string{"-dataset", "sbm", "-profile", "bogus"}, `unknown profile "bogus"`},
+		{"unknown dataset", []string{"-dataset", "cora"}, "cora"},
+		{"autotune at p = 0", []string{"-p", "0", "-autotune"}, "p=0"},
+		{"unknown flag", []string{"-gpus", "4"}, "flag provided but not defined"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			if c.env != "" {
-				t.Setenv("GNN_BACKEND", c.env)
-			}
 			out, err := trainer(c.args...)
 			if err == nil {
 				t.Fatalf("accepted:\n%s", out)

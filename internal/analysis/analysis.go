@@ -1,6 +1,6 @@
 // Package analysis is a self-contained static-analysis framework plus
 // the gnnvet analyzer suite that mechanically enforces the simulator's
-// determinism, charging-path and backend-neutrality invariants.
+// determinism, charging-path and park/wake invariants.
 //
 // The API deliberately mirrors golang.org/x/tools/go/analysis
 // (Analyzer / Pass / Diagnostic) so the suite could be rebased onto

@@ -71,11 +71,11 @@ func TestDeadexport(t *testing.T) {
 	analysistest.RunModule(t, analysis.Deadexport, "testdata/deadexport")
 }
 
-// The commitseam fixtures load as the cluster package: its registries
-// name cluster's commit sections and commit-section mutexes. The
-// noflush fixture is a second cluster package whose opener drops the
-// flush.
+// The commitseam fixtures are modules holding a cluster package and a
+// stub of the scheduler it calls: the registries name cluster's commit
+// sections, its commit-section mutexes and the scheduler's calls. The
+// noflush fixture's opener drops the flush.
 func TestCommitSeam(t *testing.T) {
-	analysistest.Run(t, analysis.CommitSeam, "testdata/commitseam", "repro/internal/cluster")
-	analysistest.Run(t, analysis.CommitSeam, "testdata/commitseam/noflush", "repro/internal/cluster")
+	analysistest.RunModule(t, analysis.CommitSeam, "testdata/commitseam/seam")
+	analysistest.RunModule(t, analysis.CommitSeam, "testdata/commitseam/noflush")
 }

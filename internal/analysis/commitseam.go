@@ -5,19 +5,19 @@ import (
 	"go/types"
 )
 
-// CommitSeam keeps the DES backend's commit order whole. The
+// CommitSeam keeps the scheduler's commit order whole. The
 // discrete-event scheduler runs up to GOMAXPROCS rank segments at once
 // and orders only their commit sections, which open with Rank.gate and
 // run in event-key order; everything else a segment does must not
 // depend on the order segments happen to run in. The rules:
 //
 //   - The calls that create events or consume shared simulated time —
-//     waiter.ready, scheduler.spawn and (*contention).transact — are
+//     sim.Task.Ready, sim.Sched.Spawn and (*contention).transact — are
 //     made only inside the commit sections registered in
 //     commitSections, and a section that opens itself calls Rank.gate
 //     holding no mutex.
-//   - Rank.gate is the one opener: it calls waiter.gate, then flushes
-//     the timeline's deferred queue sends. A waiter.gate anywhere else
+//   - Rank.gate is the one opener: it calls sim.Task.Gate, then flushes
+//     the timeline's deferred queue sends. A Task.Gate anywhere else
 //     skips that flush, and a send performed (Queue.commit, through
 //     committer) anywhere but the flush commits out of program order.
 //   - A sync.Mutex or sync.RWMutex (a struct field or a package-level
@@ -28,19 +28,21 @@ import (
 //     Section-only state is locked nowhere but inside a section, after
 //     its gate.
 //
+// The first two rules bind internal/cluster, the scheduler's one client
+// in the simulator (a program may drive a bare scheduler of its own).
 // Rank bodies reach nearly every package, so the mutex rule covers the
 // whole module except the scheduler below the seam
 // (internal/cluster/sim), whose own lock is what implements the order.
 var CommitSeam = &Analyzer{
 	Name: "commitseam",
-	Doc:  "confine waiter.ready, scheduler.spawn, the contention ledger and queue commits to registered commit sections opened by Rank.gate, and make every mutex a registered commit section or an allow-marked order-insensitive one",
+	Doc:  "confine sim.Task.Ready, sim.Sched.Spawn, the contention ledger and queue commits to registered commit sections opened by Rank.gate, and make every mutex a registered commit section or an allow-marked order-insensitive one",
 	Run:  runCommitSeam,
 }
 
-// commitSections registers every function allowed to ready a waiter,
+// commitSections registers every function allowed to ready a task,
 // spawn a timeline or transact on the contention ledger. True marks a
 // section that opens itself: it calls Rank.gate (Rank.gate itself,
-// waiter.gate), holding no lock. The others run inside a section named
+// sim.Task.Gate), holding no lock. The others run inside a section named
 // in their comment, or before the scheduler starts.
 var commitSections = map[parkKey]bool{
 	gateOpener:                              true,
@@ -57,7 +59,7 @@ var commitSections = map[parkKey]bool{
 	// Its ledger transaction is the transform arrive runs for the last
 	// arriver.
 	{clusterPath, "Comm", "contendedFinish"}: false,
-	{clusterPath, "Cluster", "Run"}:          false, // spawns the rank timelines before wait
+	{clusterPath, "Cluster", "spawn"}:        false, // Run, before the scheduler runs; ForkStream
 }
 
 // commitState registers the mutexes that guard commit-section state,
@@ -81,8 +83,9 @@ var commitState = map[parkKey]bool{
 
 // orderingCalls are the calls confined to commitSections.
 var orderingCalls = map[parkKey]bool{
-	{clusterPath, "waiter", "ready"}:        true,
-	{clusterPath, "scheduler", "spawn"}:     true,
+	{simPath, "Task", "Ready"}:              true,
+	{simPath, "Sched", "Ready"}:             true,
+	{simPath, "Sched", "Spawn"}:             true,
 	{clusterPath, "contention", "transact"}: true,
 }
 
@@ -90,7 +93,7 @@ var orderingCalls = map[parkKey]bool{
 // perform a deferred queue send (confined to the opener's flush).
 var (
 	gateOpener = parkKey{clusterPath, "Rank", "gate"}
-	waiterGate = parkKey{clusterPath, "waiter", "gate"}
+	taskGate   = parkKey{simPath, "Task", "Gate"}
 	sendCommit = map[parkKey]bool{
 		{clusterPath, "committer", "commit"}: true,
 		{clusterPath, "Queue", "commit"}:     true,
@@ -166,21 +169,21 @@ func checkSection(pass *Pass, path string, d *ast.FuncDecl) {
 		pkg, recv := recvTypeName(fn)
 		called := parkKey{pkg, recv, fn.Name()}
 		switch {
-		case called == waiterGate && key != gateOpener:
-			pass.Reportf(call.Pos(), "waiter.gate outside Rank.gate skips the flush of the timeline's deferred queue sends: open the section with Rank.gate")
+		case called == taskGate && key != gateOpener && path == clusterPath:
+			pass.Reportf(call.Pos(), "Task.Gate outside Rank.gate skips the flush of the timeline's deferred queue sends: open the section with Rank.gate")
 		case sendCommit[called] && key != gateOpener:
 			pass.Reportf(call.Pos(), "queue send committed outside Rank.gate's flush: a send commits at its timeline's next commit section, in program order")
 		case sendCommit[called]:
 			flushed = true
 		}
-		if called == waiterGate || called == gateOpener {
+		if called == taskGate || called == gateOpener {
 			if opens && held > 0 && !gated {
 				pass.Reportf(call.Pos(), "%s takes a lock before its gate: a segment must wait for its turn holding no lock", d.Name.Name)
 			}
 			gated = true
 		}
-		if orderingCalls[called] && !registered {
-			pass.Reportf(call.Pos(), "%s.%s outside a registered commit section: under the DES backend it must run in event-key order; open a section with Rank.gate and register it in commitSections", recv, fn.Name())
+		if orderingCalls[called] && !registered && path == clusterPath {
+			pass.Reportf(call.Pos(), "%s.%s outside a registered commit section: it must run in event-key order; open a section with Rank.gate and register it in commitSections", recv, fn.Name())
 		}
 		return true
 	})
@@ -188,7 +191,7 @@ func checkSection(pass *Pass, path string, d *ast.FuncDecl) {
 		pass.Reportf(d.Name.Pos(), "commit section %s never calls Rank.gate", d.Name.Name)
 	}
 	if key == gateOpener && !flushed {
-		pass.Reportf(d.Name.Pos(), "Rank.gate skips the flush: it must commit the timeline's deferred queue sends after waiter.gate")
+		pass.Reportf(d.Name.Pos(), "Rank.gate skips the flush: it must commit the timeline's deferred queue sends after Task.Gate")
 	}
 }
 
@@ -235,7 +238,7 @@ func checkMutexes(pass *Pass, path string, d *ast.GenDecl) {
 		if recv != "" {
 			owner = recv + "." + id.Name
 		}
-		pass.Reportf(id.Pos(), "mutex %s is neither a registered commit section nor marked order-insensitive: segments run in parallel under the DES backend, so say why the order they take it in cannot change a result (//gnnvet:allow commitseam — <reason>) or register it in commitState", owner)
+		pass.Reportf(id.Pos(), "mutex %s is neither a registered commit section nor marked order-insensitive: segments run in parallel, so say why the order they take it in cannot change a result (//gnnvet:allow commitseam — <reason>) or register it in commitState", owner)
 	}
 	for _, spec := range d.Specs {
 		switch s := spec.(type) {

@@ -350,12 +350,10 @@ func baseName(full string) string {
 }
 
 // blocksNativeExempt: the layers below the park/wake seam legitimately
-// use channels — the seam files in internal/cluster, the discrete-event
-// scheduler, and the bench worker pool.
+// use channels — the discrete-event scheduler and the bench worker
+// pool.
 func blocksNativeExempt(pkgPath, filename string) bool {
 	switch pkgPath {
-	case clusterPath:
-		return parkWakeExemptFiles[filename]
 	case clusterPath + "/sim":
 		return true
 	case benchPath:

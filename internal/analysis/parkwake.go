@@ -9,20 +9,18 @@ import (
 	"sort"
 )
 
-// ParkWake keeps cluster-driven code on the backend-neutral blocking
-// primitives. Under the goroutine backend a naked channel receive or
-// WaitGroup.Wait merely blocks a goroutine; under the discrete-event
-// backend a task runs only when the scheduler resumes it, so any wait
-// that does not park on the scheduler (Queue.Recv, Forked.Join,
-// the collective rendezvous) hangs the whole simulation. Equally fatal:
-// parking, or waiting at the commit gate, while holding a mutex — the
-// task that would wake us, or whose turn comes first, may need that
-// lock. Only the backends themselves (backend.go: the
-// two waiter/scheduler implementations) are exempt; the primitives
-// built on waiter.park are checked like everything above them.
+// ParkWake keeps cluster-driven code on the scheduler's blocking
+// primitives. A rank runs as a task of the discrete-event scheduler
+// (internal/cluster/sim) and runs only when the scheduler resumes it,
+// so any wait that does not park on the scheduler (Queue.Recv,
+// Forked.Join, the collective rendezvous) hangs the whole simulation.
+// Equally fatal: parking, or waiting at the commit gate, while holding a
+// mutex — the task that would wake us, or whose turn comes first, may
+// need that lock. Only the scheduler itself is exempt; the primitives
+// built on sim.Task.Park are checked like everything above them.
 var ParkWake = &Analyzer{
 	Name: "parkwake",
-	Doc:  "cluster-driven code must block through backend-neutral park/wake, never raw channels/WaitGroups, and never park holding a mutex",
+	Doc:  "cluster-driven code must block through the scheduler's park/wake, never raw channels/WaitGroups, and never park holding a mutex",
 	Run:  runParkWake,
 }
 
@@ -35,12 +33,6 @@ var parkWakeScope = map[string]bool{
 	"repro/internal/pipeline":   true,
 	"repro/internal/baseline":   true,
 	"repro/internal/distsample": true,
-}
-
-// parkWakeExemptFiles implement the park/wake seam and legitimately
-// touch channels and goroutines (the goroutine backend).
-var parkWakeExemptFiles = map[string]bool{
-	"backend.go": true,
 }
 
 // parkCalls names the functions that may park the calling task,
@@ -63,8 +55,7 @@ var parkCalls = map[parkKey]bool{
 	{clusterPath, "", "Recv"}:                 true,
 	{clusterPath, "Queue", "Recv"}:            true,
 	{clusterPath, "Forked", "Join"}:           true,
-	{clusterPath, "waiter", "park"}:           true,
-	{clusterPath, "waiter", "gate"}:           true,
+	{clusterPath, "Rank", "gate"}:             true,
 	{clusterPath + "/sim", "Task", "Park"}:    true,
 	{clusterPath + "/sim", "Task", "Gate"}:    true,
 }
@@ -74,7 +65,7 @@ func runParkWake(pass *Pass) error {
 		return nil
 	}
 	for _, f := range pass.Files {
-		if pass.IsTestFile(f) || parkWakeExemptFiles[pass.Filename(f)] {
+		if pass.IsTestFile(f) {
 			continue
 		}
 		// Every function body is scanned as its own scope (its lock set
@@ -123,24 +114,24 @@ func checkFuncBody(pass *Pass, body *ast.BlockStmt) {
 			return true
 		case *ast.GoStmt:
 			pass.Reportf(n.Pos(),
-				"raw goroutine spawn in cluster-driven code: under the DES backend this goroutine is invisible to the scheduler; fork concurrent work with Rank.ForkStream")
+				"raw goroutine spawn in cluster-driven code: this goroutine is invisible to the scheduler; fork concurrent work with Rank.ForkStream")
 			return true
 		case *ast.SendStmt:
 			pass.Reportf(n.Pos(),
-				"naked channel send bypasses the backend-neutral park/wake and hangs the DES backend; use a cluster.Queue")
+				"naked channel send bypasses the scheduler's park/wake and hangs the simulation; use a cluster.Queue")
 		case *ast.UnaryExpr:
 			if n.Op == token.ARROW {
 				pass.Reportf(n.Pos(),
-					"naked channel receive bypasses the backend-neutral park/wake and hangs the DES backend; use a cluster.Queue")
+					"naked channel receive bypasses the scheduler's park/wake and hangs the simulation; use a cluster.Queue")
 			}
 		case *ast.SelectStmt:
 			pass.Reportf(n.Pos(),
-				"select blocks outside the scheduler and hangs the DES backend; use backend-neutral park/wake")
+				"select blocks outside the scheduler and hangs the simulation; use the scheduler's park/wake")
 		case *ast.RangeStmt:
 			if tv, ok := pass.TypesInfo.Types[n.X]; ok {
 				if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
 					pass.Reportf(n.Pos(),
-						"ranging over a channel blocks outside the scheduler and hangs the DES backend; use a cluster.Queue")
+						"ranging over a channel blocks outside the scheduler and hangs the simulation; use a cluster.Queue")
 				}
 			}
 		case *ast.CallExpr:
@@ -156,18 +147,18 @@ func checkFuncBody(pass *Pass, body *ast.BlockStmt) {
 			if fn := calleeFunc(pass.TypesInfo, n); fn != nil {
 				if fn.Pkg() != nil && fn.Pkg().Path() == "time" && fn.Name() == "Sleep" {
 					pass.Reportf(n.Pos(),
-						"time.Sleep blocks the OS thread, not the simulated rank: it stalls the DES backend and charges no simulated time")
+						"time.Sleep blocks the OS thread, not the simulated rank: it stalls the scheduler and charges no simulated time")
 				}
 				if isWaitCall(fn) {
 					pass.Reportf(n.Pos(),
-						"%s.Wait blocks outside the scheduler and hangs the DES backend; join forked work with Forked.Join", waitRecvName(fn))
+						"%s.Wait blocks outside the scheduler and hangs the simulation; join forked work with Forked.Join", waitRecvName(fn))
 				}
 				// Transitive: a helper summarized as blocking on a naked
-				// channel rendezvous hangs the DES backend from here just
+				// channel rendezvous hangs the simulation from here just
 				// as surely as an inline receive would.
 				if pass.Facts != nil && pass.Facts.Has(fn, FactBlocksNative) {
 					pass.Reportf(n.Pos(),
-						"call blocks outside the scheduler: %s → %s — under the DES backend there is one runnable task, so a native block hangs the simulation; route it through the park/wake seam",
+						"call blocks outside the scheduler: %s → %s — a native block the scheduler cannot see hangs the simulation; route it through the park/wake seam",
 						shortKey(FuncKey(fn)), pass.Facts.Via(fn, FactBlocksNative))
 				}
 				pkg, recv := recvTypeName(fn)

@@ -2,10 +2,10 @@
 // timeline's deferred queue sends.
 package cluster
 
-type waiter interface{ gate() }
+import "repro/internal/cluster/sim"
 
-type Rank struct{ w waiter }
+type Rank struct{ t *sim.Task }
 
 func (r *Rank) gate() { // want `Rank.gate skips the flush`
-	r.w.gate()
+	r.t.Gate()
 }

@@ -1,21 +1,15 @@
-// Fixture: under the parallel DES backend only commit sections run in
+// Fixture: under the parallel scheduler only commit sections run in
 // event-key order, so the calls that create events or touch the
 // contention ledger stay inside registered sections opened by
 // Rank.gate, a queue send commits only in Rank.gate's flush, and every
 // mutex is either commit-section state or marked order-insensitive.
 package cluster
 
-import "sync"
+import (
+	"sync"
 
-type waiter interface {
-	gate()
-	park()
-	ready(at float64)
-}
-
-type scheduler interface {
-	spawn(rank int, at float64, fn func(waiter))
-}
+	"repro/internal/cluster/sim"
+)
 
 type contention struct{ mu sync.Mutex }
 
@@ -29,14 +23,14 @@ type pendingSend struct {
 }
 
 type Rank struct {
-	w     waiter
+	t     *sim.Task
 	cont  *contention
 	sends []pendingSend
 }
 
 // gate is the opener: the scheduler gate, then the flush.
 func (r *Rank) gate() {
-	r.w.gate()
+	r.t.Gate()
 	for _, p := range r.sends {
 		p.q.commit(p.at)
 	}
@@ -47,14 +41,14 @@ type Queue struct {
 	mu     sync.Mutex
 	n      int
 	staged []any
-	recv   waiter
+	recv   *sim.Task
 }
 
 // commit runs inside the flush, so its ready is in-section.
 func (q *Queue) commit(at float64) {
 	q.mu.Lock()
 	if q.recv != nil {
-		q.recv.ready(at)
+		q.recv.Ready(at)
 	}
 	q.mu.Unlock()
 }
@@ -78,9 +72,9 @@ func (q *Queue) Recv(r *Rank) any {
 	q.mu.Unlock()
 	r.gate()
 	q.mu.Lock()
-	q.recv = r.w
+	q.recv = r.t
 	q.mu.Unlock()
-	r.w.park()
+	r.t.Park()
 	return nil
 }
 
@@ -109,9 +103,9 @@ func (f *Forked) Join(r *Rank) { // want `commit section Join never calls Rank.g
 	f.mu.Unlock()
 }
 
-// ChargeLink gates on the waiter directly, skipping the flush.
+// ChargeLink gates on the task directly, skipping the flush.
 func (r *Rank) ChargeLink() {
-	r.w.gate() // want `waiter.gate outside Rank.gate skips the flush`
+	r.t.Gate() // want `Task.Gate outside Rank.gate skips the flush`
 	r.cont.transact()
 }
 
@@ -127,22 +121,22 @@ func (c *Comm) arrive(r *Rank) {
 
 type rendezvous struct {
 	mu     sync.Mutex
-	parked []waiter
+	parked []*sim.Task
 }
 
 // release runs inside other sections and may ready without gating.
 func (rv *rendezvous) release() {
-	for _, w := range rv.parked {
-		w.ready(0)
+	for _, t := range rv.parked {
+		t.Ready(0)
 	}
 }
 
 // wake is not registered: every ordering call in it, closures
 // included, is a finding.
-func wake(w waiter, s scheduler, ct *contention) {
-	w.ready(1) // want `waiter.ready outside a registered commit section`
+func wake(t *sim.Task, s *sim.Sched, ct *contention) {
+	t.Ready(1) // want `Task.Ready outside a registered commit section`
 	func() {
-		s.spawn(0, 0, nil) // want `scheduler.spawn outside a registered commit section`
+		s.Spawn(0, nil) // want `Sched.Spawn outside a registered commit section`
 	}()
 	ct.transact() // want `contention.transact outside a registered commit section`
 }

@@ -1,6 +1,6 @@
-// Fixture: cluster-driven code runs on rank timelines; under the DES
-// backend a task runs only when the scheduler resumes it, so any block
-// that bypasses the scheduler's park/wake hangs the simulation.
+// Fixture: cluster-driven code runs on rank timelines; a task runs only
+// when the scheduler resumes it, so any block that bypasses the
+// scheduler's park/wake hangs the simulation.
 package cluster
 
 import (
@@ -65,45 +65,21 @@ func (g *registry) unlockThenPark() int {
 	return g.q.Recv() // lock released before blocking: fine
 }
 
-// A primitive built on the seam records its waiter under its own mutex
-// and must release it before parking: the peer that readies the waiter
-// takes the same mutex first.
-type gate struct {
-	mu      sync.Mutex
-	open    bool
-	waiting waiter
-}
-
-func (g *gate) lockedWaiterPark(w waiter) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if !g.open {
-		g.waiting = w
-		w.park() // want `park may park the rank while g\.mu is locked:` `deferred Unlock holds it to return`
-	}
-}
-
-func (g *gate) unlockThenWaiterPark(w waiter) {
-	g.mu.Lock()
-	if g.open {
-		g.mu.Unlock()
-		return
-	}
-	g.waiting = w
-	g.mu.Unlock()
-	w.park() // recorded under the lock, parked outside it: fine
-}
-
 // A commit section opens with the gate before its own mutex: waiting
 // for the turn holding the lock would block the turn holder on it.
-func (g *gate) lockedGate(w waiter) {
+type gate struct {
+	mu   sync.Mutex
+	open bool
+}
+
+func (g *gate) lockedGate(r *Rank) {
 	g.mu.Lock()
-	w.gate() // want `gate may park the rank while g\.mu is locked:`
+	r.gate() // want `gate may park the rank while g\.mu is locked:`
 	g.mu.Unlock()
 }
 
-func (g *gate) gateThenLock(w waiter) {
-	w.gate()
+func (g *gate) gateThenLock(r *Rank) {
+	r.gate()
 	g.mu.Lock()
 	g.open = true
 	g.mu.Unlock()

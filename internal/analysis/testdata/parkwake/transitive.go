@@ -1,6 +1,6 @@
 // Fixture: the facts layer sees through helpers — a naked block or a
-// park-capable call one level down is as fatal to the DES backend as
-// an inline one.
+// park-capable call one level down is as fatal to the scheduler as an
+// inline one.
 package cluster
 
 import "sync"
@@ -11,8 +11,8 @@ func blockingHelper(ch chan int) int {
 	return <-ch // want `naked channel receive`
 }
 
-// callsBlockingHelper has no channel in sight, yet hangs the DES
-// backend just the same.
+// callsBlockingHelper has no channel in sight, yet hangs the
+// simulation just the same.
 func callsBlockingHelper(ch chan int) int {
 	return blockingHelper(ch) // want `call blocks outside the scheduler: cluster\.blockingHelper → channel receive`
 }

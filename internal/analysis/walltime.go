@@ -9,8 +9,8 @@ import (
 // time lives on Rank clocks, and the perf gate treats any sim_sec
 // drift as a correctness breach. A time.Now or time.Sleep smuggled
 // into a charging path would make results machine- and load-dependent
-// (and a Sleep additionally stalls the DES backend, which runs one
-// task at a time and never advances wall time). The bench harness's
+// (and a Sleep additionally stalls the scheduler, whose segments wait
+// for the commit turn in simulated-time order). The bench harness's
 // wall-timing of real executions and CLI-facing code are the audited
 // exceptions, each carrying a //gnnvet:allow walltime marker.
 var Walltime = &Analyzer{

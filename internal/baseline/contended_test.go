@@ -70,7 +70,7 @@ func (r contendedRun) exec(t *testing.T) contendedGolden {
 	t.Helper()
 	d := datasets.ProductsLike(r.profile)
 	cfg := pipeline.Config{P: r.p, C: r.c, Epochs: r.epochs, MaxBatches: r.maxBatches, Seed: 17,
-		Overlap: r.overlap, Topology: cluster.OversubscribedTopology(4), Backend: cluster.DESBackend}
+		Overlap: r.overlap, Topology: cluster.OversubscribedTopology(4)}
 	var res *pipeline.Result
 	var err error
 	if r.quiver {

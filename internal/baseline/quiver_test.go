@@ -174,20 +174,18 @@ func TestGoldenQuiverBitIdentical(t *testing.T) {
 		IntraDeg: 10, InterDeg: 2, Noise: 0.5,
 		BatchSize: 32, Fanouts: []int{5, 3}, LayerWidth: 32, Seed: 7,
 	})
-	for _, be := range []cluster.Backend{cluster.GoroutineBackend, cluster.DESBackend} {
-		res, err := RunQuiver(d, QuiverConfig{P: 4, Epochs: 2, Seed: 5, MaxBatches: 8, Backend: be})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := res.Cluster.SimTime, 0.00085561327706666656; got != want {
-			t.Errorf("%v: SimTime = %.17g, want %.17g", be, got, want)
-		}
-		if got, want := res.LastEpoch().Total, 0.00064173826279999985; got != want {
-			t.Errorf("%v: Total = %.17g, want %.17g", be, got, want)
-		}
-		if got, want := res.LastEpoch().Loss, 0.2484752598843977; got != want {
-			t.Errorf("%v: Loss = %.17g, want %.17g", be, got, want)
-		}
+	res, err := RunQuiver(d, QuiverConfig{P: 4, Epochs: 2, Seed: 5, MaxBatches: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := res.Cluster.SimTime, 0.00085561327706666656; got != want {
+		t.Errorf("SimTime = %.17g, want %.17g", got, want)
+	}
+	if got, want := res.LastEpoch().Total, 0.00064173826279999985; got != want {
+		t.Errorf("Total = %.17g, want %.17g", got, want)
+	}
+	if got, want := res.LastEpoch().Loss, 0.2484752598843977; got != want {
+		t.Errorf("Loss = %.17g, want %.17g", got, want)
 	}
 }
 
@@ -245,18 +243,15 @@ func TestGoldenQuiverContentionOffPerAlgorithm(t *testing.T) {
 			0.00085561327706666656, 0.2484752598843977},
 	}
 	for _, g := range golden {
-		for _, be := range []cluster.Backend{cluster.GoroutineBackend, cluster.DESBackend} {
-			res, err := RunQuiver(d, QuiverConfig{P: 4, Epochs: 2, Seed: 5, MaxBatches: 8,
-				Model: onModel(g.tbl), Topology: nil, Backend: be})
-			if err != nil {
-				t.Fatalf("%s/%v: %v", g.table, be, err)
-			}
-			if got := res.Cluster.SimTime; got != g.sim {
-				t.Errorf("%s/%v: SimTime = %.17g, want %.17g", g.table, be, got, g.sim)
-			}
-			if got := res.LastEpoch().Loss; got != g.loss {
-				t.Errorf("%s/%v: Loss = %.17g, want %.17g", g.table, be, got, g.loss)
-			}
+		res, err := RunQuiver(d, QuiverConfig{P: 4, Epochs: 2, Seed: 5, MaxBatches: 8, Model: onModel(g.tbl)})
+		if err != nil {
+			t.Fatalf("%s: %v", g.table, err)
+		}
+		if got := res.Cluster.SimTime; got != g.sim {
+			t.Errorf("%s: SimTime = %.17g, want %.17g", g.table, got, g.sim)
+		}
+		if got := res.LastEpoch().Loss; got != g.loss {
+			t.Errorf("%s: Loss = %.17g, want %.17g", g.table, got, g.loss)
 		}
 	}
 }

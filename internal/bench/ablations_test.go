@@ -25,7 +25,7 @@ type oneDPin struct {
 
 // oneDPins were captured from the 1D baseline as it ran before it moved
 // onto a per-rank sparse.Scratch (allocating SpGEMM per stage, pairwise
-// merge fold into fresh sums). Both backends must reproduce them.
+// merge fold into fresh sums). Every run must reproduce them.
 var oneDPins = map[int]oneDPin{
 	4: {0x3f340d836eed25c8, [3][2]uint64{
 		{0x3f301b8a7b7864db, 0x3f11326e7082c058}, {0x3e88986c0bdb9a34, 0}, {0x3f0f772f2f9a2bcf, 0}},
@@ -61,7 +61,7 @@ func oneDCharge(res *cluster.Result) oneDPin {
 }
 
 // The 1D block-row baseline charges exactly the pinned simulated times
-// and bytes at every p on both backends: its host kernels may change,
+// and bytes at every p: its host kernels may change,
 // what the device is charged may not.
 func TestOneDBaselinePinned(t *testing.T) {
 	d, err := datasets.ByName("products", datasets.Tiny)
@@ -69,16 +69,12 @@ func TestOneDBaselinePinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range []int{4, 8} {
-		for _, be := range []cluster.Backend{cluster.GoroutineBackend, cluster.DESBackend} {
-			model := cluster.Perlmutter()
-			model.Backend = be
-			res, err := runOneDSampling(d, p, 0, 1, model)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := oneDCharge(res); got != oneDPins[p] {
-				t.Errorf("p=%d on %v: charged %#v, pinned %#v", p, be, got, oneDPins[p])
-			}
+		res, err := runOneDSampling(d, p, 0, 1, cluster.Perlmutter())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := oneDCharge(res); got != oneDPins[p] {
+			t.Errorf("p=%d: charged %#v, pinned %#v", p, got, oneDPins[p])
 		}
 	}
 }

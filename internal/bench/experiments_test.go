@@ -7,16 +7,13 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/datasets"
 )
 
 // quickOpts keeps the axis tests cheap and deterministic: tiny
-// datasets, two batches, the discrete-event backend.
+// datasets, two batches.
 func quickOpts(gpus []int) Options {
-	model := cluster.Perlmutter()
-	model.Backend = cluster.DESBackend
-	return Options{Profile: datasets.Tiny, MaxBatches: 2, Seed: 1, GPUCounts: gpus, Model: model}
+	return Options{Profile: datasets.Tiny, MaxBatches: 2, Seed: 1, GPUCounts: gpus}
 }
 
 // distinct returns the distinct values of ps in first-seen order.

@@ -31,7 +31,7 @@ type Options struct {
 
 	// Model is the platform every simulated cluster of the experiment
 	// charges under, and the only carrier of machine selections:
-	// collective schedules, topology, execution backend and fault plan
+	// collective schedules, topology and fault plan
 	// ride on it (cliutil.RegisterPlatformFlags assembles it from the
 	// CLI flags). A zero Model means cluster.Perlmutter(). Experiments
 	// that sweep a selection (collectives, tprob, contention, scaling)

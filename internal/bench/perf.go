@@ -73,40 +73,22 @@ type perfCase struct {
 // perfMatrix pins the workloads the suite always measures, spanning
 // the charging paths that matter: the replicated and 1.5D partitioned
 // epoch at the acceptance configuration (small, p=16), the large-p
-// regime the scaling study sweeps (tiny, p=512), and the contention
-// ledger under an oversubscribed fabric.
+// regime the scaling study sweeps (tiny, p=512 and p=2048), and the
+// contention ledger under an oversubscribed fabric. The -des suffixes
+// date from when a second execution backend ran twin rows; they stay so
+// the BENCH_*.json trajectory keeps comparing like with like.
 func perfMatrix() []perfCase {
 	oversub := cluster.OversubscribedTopology(4)
-	des := cluster.DESBackend
 	return []perfCase{
 		{"epoch-replicated-small-p16", datasets.Small,
 			pipeline.Config{P: 16, C: 4, K: pipeline.KAll, Epochs: 1, Seed: 20240101}},
-		{"epoch-partitioned-small-p16", datasets.Small,
-			pipeline.Config{P: 16, C: 2, K: pipeline.KAll, Epochs: 1, Seed: 20240101,
-				Algorithm: pipeline.GraphPartitioned, SparsityAware: true}},
-		{"epoch-replicated-tiny-p512", datasets.Tiny,
-			pipeline.Config{P: 512, C: 8, K: pipeline.KAll, Epochs: 1, Seed: 20240101}},
-		{"epoch-contention-tiny-p128-oversub", datasets.Tiny,
-			pipeline.Config{P: 128, C: 8, K: pipeline.KAll, Epochs: 1, Seed: 20240101,
-				Topology: oversub}},
-		// Discrete-event backend rows: the same simulated workloads run
-		// as one event loop instead of p goroutines. Contention-off rows
-		// must match their goroutine twins' simulated seconds exactly;
-		// the contention row may differ in the last digits — the ledger
-		// is first-committed-first-served in arrival order (see
-		// contention.go), and each backend has its own deterministic
-		// arrival order. The wall-clock columns are what the DES rebase
-		// is accountable to, including the p=2048 point no goroutine row
-		// covers.
 		{"epoch-replicated-tiny-p512-des", datasets.Tiny,
-			pipeline.Config{P: 512, C: 8, K: pipeline.KAll, Epochs: 1, Seed: 20240101,
-				Backend: des}},
+			pipeline.Config{P: 512, C: 8, K: pipeline.KAll, Epochs: 1, Seed: 20240101}},
 		{"epoch-replicated-tiny-p2048-des", datasets.Tiny,
-			pipeline.Config{P: 2048, C: 8, K: pipeline.KAll, Epochs: 1, Seed: 20240101,
-				Backend: des}},
+			pipeline.Config{P: 2048, C: 8, K: pipeline.KAll, Epochs: 1, Seed: 20240101}},
 		{"epoch-partitioned-small-p16-des", datasets.Small,
 			pipeline.Config{P: 16, C: 2, K: pipeline.KAll, Epochs: 1, Seed: 20240101,
-				Algorithm: pipeline.GraphPartitioned, SparsityAware: true, Backend: des}},
+				Algorithm: pipeline.GraphPartitioned, SparsityAware: true}},
 		// Large-p partitioned row at c=CMax(512)=16 — the replication
 		// factor that keeps the 1.5D grid tractable past p=512 (the
 		// scaling study's cmax series; fixed c=2 is the regime whose
@@ -114,10 +96,10 @@ func perfMatrix() []perfCase {
 		// under many small per-rank frontiers, not just the p=16 shape.
 		{"epoch-partitioned-tiny-p512-des", datasets.Tiny,
 			pipeline.Config{P: 512, C: 16, K: pipeline.KAll, Epochs: 1, Seed: 20240101,
-				Algorithm: pipeline.GraphPartitioned, SparsityAware: true, Backend: des}},
+				Algorithm: pipeline.GraphPartitioned, SparsityAware: true}},
 		{"epoch-contention-tiny-p128-oversub-des", datasets.Tiny,
 			pipeline.Config{P: 128, C: 8, K: pipeline.KAll, Epochs: 1, Seed: 20240101,
-				Topology: oversub, Backend: des}},
+				Topology: oversub}},
 		// Crash-recovery row: the replicated acceptance shape run for two
 		// epochs with an epoch-1 checkpoint and a pinned fail-stop at
 		// 0.7ms simulated — ~73% of the clean span, inside epoch 2 — so
@@ -302,24 +284,37 @@ const perfAllocTolerance = 1.10
 // default is PerfWallTolerance) instead of editing the baseline —
 // allocation and simulated-seconds checks are unaffected by it.
 func PerfGate(w io.Writer, baselinePath string, rows []PerfRow) error {
-	base, err := ReadPerfBaseline(baselinePath)
+	base, wallTol, err := LoadPerfGate(baselinePath)
 	if err != nil {
 		return err
 	}
-	wallTol := PerfWallTolerance
-	if s := os.Getenv("PERF_WALL_TOLERANCE"); s != "" {
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil || v <= 0 {
-			return fmt.Errorf("bench: bad PERF_WALL_TOLERANCE %q", s)
-		}
-		wallTol = v
-		fmt.Fprintf(w, "perf gate: wall tolerance overridden to %.2fx via PERF_WALL_TOLERANCE\n", v)
+	if wallTol != PerfWallTolerance {
+		fmt.Fprintf(w, "perf gate: wall tolerance overridden to %.2fx via PERF_WALL_TOLERANCE\n", wallTol)
 	}
 	if PerfDiff(w, base, &PerfBaseline{Rows: rows}, wallTol) {
 		return fmt.Errorf("bench: perf gate failed vs %s (FAIL and missing rows above)", baselinePath)
 	}
 	fmt.Fprintf(w, "perf gate OK vs %s (%d workloads within tolerance)\n", baselinePath, len(base.Rows))
 	return nil
+}
+
+// LoadPerfGate reads and validates PerfGate's inputs: the baseline
+// file, its schema, and the PERF_WALL_TOLERANCE override. A command
+// calls it before measuring, so a bad input fails before the suite
+// runs rather than after.
+func LoadPerfGate(baselinePath string) (base *PerfBaseline, wallTol float64, err error) {
+	if base, err = ReadPerfBaseline(baselinePath); err != nil {
+		return nil, 0, err
+	}
+	wallTol = PerfWallTolerance
+	if s := os.Getenv("PERF_WALL_TOLERANCE"); s != "" {
+		v, err := strconv.ParseFloat(s, 64)
+		if err != nil || v <= 0 {
+			return nil, 0, fmt.Errorf("bench: bad PERF_WALL_TOLERANCE %q", s)
+		}
+		wallTol = v
+	}
+	return base, wallTol, nil
 }
 
 func relDiff(a, b float64) float64 {

@@ -3,7 +3,6 @@ package bench
 import (
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/datasets"
 	"repro/internal/pipeline"
 )
@@ -15,8 +14,7 @@ func BenchmarkP512DES(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := pipeline.Config{P: 512, C: 8, K: pipeline.KAll, Epochs: 1, Seed: 20240101,
-		Backend: cluster.DESBackend}
+	cfg := pipeline.Config{P: 512, C: 8, K: pipeline.KAll, Epochs: 1, Seed: 20240101}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := pipeline.Run(d, cfg); err != nil {
@@ -25,25 +23,19 @@ func BenchmarkP512DES(b *testing.B) {
 	}
 }
 
-// BenchmarkP8192Weak compares the execution backends head to head on
-// the scaling study's largest replicated cell (tiny profile, one epoch
-// of 4 batches across 8192 ranks — the weak-scaling p=8192 row). Not
-// part of the perf gate; the numbers are recorded in EXPERIMENTS.md.
+// BenchmarkP8192Weak times the scaling study's largest replicated cell
+// (tiny profile, one epoch across 8192 ranks — the weak-scaling p=8192
+// row). Not part of the perf gate.
 func BenchmarkP8192Weak(b *testing.B) {
 	d, err := datasets.ByName("products", datasets.Tiny)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, be := range []cluster.Backend{cluster.GoroutineBackend, cluster.DESBackend} {
-		b.Run(be.String(), func(b *testing.B) {
-			cfg := pipeline.Config{P: 8192, C: 8, K: pipeline.KAll, Epochs: 1, Seed: 20240101,
-				Backend: be}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := pipeline.Run(d, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	cfg := pipeline.Config{P: 8192, C: 8, K: pipeline.KAll, Epochs: 1, Seed: 20240101}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := pipeline.Run(d, cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -114,6 +114,10 @@ func TestPerfGatePrintsMargins(t *testing.T) {
 	if err := PerfGate(&sb, path, got); err != nil {
 		t.Fatalf("gate failed a 40%% wall regression under a 1.5x allowance: %v\n%s", err, sb.String())
 	}
+	t.Setenv("PERF_WALL_TOLERANCE", "fast")
+	if _, _, err := LoadPerfGate(path); err == nil {
+		t.Fatal("bad PERF_WALL_TOLERANCE accepted")
+	}
 }
 
 func TestPerfBaselineRejectsWrongSchema(t *testing.T) {

@@ -9,8 +9,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-
-	"repro/internal/cluster"
 )
 
 func TestRunCellsCoversEveryCellOnce(t *testing.T) {
@@ -106,24 +104,17 @@ func stripWallColumn(table string) string {
 // parallel sweep prints the same table and returns the same rows as a
 // serial one — scheduling may reorder execution, never results. The
 // pool has one worker per GOMAXPROCS, so the study runs at 1 (serial)
-// and 4. The full-table comparison runs on the DES backend, which is
-// deterministic at any GOMAXPROCS (it commits in event-key order),
-// contended cells included. The goroutine backend's contended cells
-// run in the serial phase, but their clocks are scheduler-dependent at
-// GOMAXPROCS>1 even with no pool at all (see Scaling's run-phase
-// comment), so the goroutine comparison pins every contention-off row
-// exactly and each contended cell without its timing columns.
+// and 4. The scheduler commits in event-key order, so the whole table
+// compares exactly, contended cells included.
 func TestScalingPoolDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep determinism is a long test")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	run := func(procs int, be cluster.Backend) (string, []ScalingRow) {
+	run := func(procs int) (string, []ScalingRow) {
 		runtime.GOMAXPROCS(procs)
 		var buf bytes.Buffer
-		model := cluster.Perlmutter()
-		model.Backend = be
-		rows, err := Scaling(&buf, Options{Profile: 0, GPUCounts: []int{8, 32}, Seed: 1, Model: model})
+		rows, err := Scaling(&buf, Options{Profile: 0, GPUCounts: []int{8, 32}, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,33 +123,12 @@ func TestScalingPoolDeterminism(t *testing.T) {
 		}
 		return stripWallColumn(buf.String()), rows
 	}
-	serialTable, serialRows := run(1, cluster.DESBackend)
-	parTable, parRows := run(4, cluster.DESBackend)
+	serialTable, serialRows := run(1)
+	parTable, parRows := run(4)
 	if serialTable != parTable {
 		t.Errorf("parallel sweep table differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", serialTable, parTable)
 	}
 	if !reflect.DeepEqual(serialRows, parRows) {
 		t.Error("parallel sweep rows differ from serial")
-	}
-
-	_, gSerialRows := run(1, cluster.GoroutineBackend)
-	_, gParRows := run(4, cluster.GoroutineBackend)
-	if len(gSerialRows) != len(gParRows) {
-		t.Fatalf("goroutine backend: %d rows serial, %d parallel", len(gSerialRows), len(gParRows))
-	}
-	contended := 0
-	for i, s := range gSerialRows {
-		p := gParRows[i]
-		if s.Topology != "ideal" {
-			contended++
-			s.EpochSec, s.Efficiency, s.LedgerPeak = 0, 0, 0
-			p.EpochSec, p.Efficiency, p.LedgerPeak = 0, 0, 0
-		}
-		if s != p {
-			t.Errorf("goroutine backend row %d differs between serial and parallel sweeps:\n%+v\n%+v", i, s, p)
-		}
-	}
-	if contended == 0 {
-		t.Error("the goroutine comparison holds no contended cell")
 	}
 }

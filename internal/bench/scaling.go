@@ -33,8 +33,9 @@ type ScalingRow struct {
 // ScalingGPUCounts is the default GPU-count axis of the scaling study.
 // It reaches past the p=512 the paper's scaling argument is about —
 // far past the p≤128 the figure experiments sweep — into the p=4096
-// and p=8192 regime the discrete-event backend makes simulable (one
-// event loop instead of 8192 goroutines; see cluster.DESBackend).
+// and p=8192 regime the discrete-event scheduler makes simulable (it
+// runs at most GOMAXPROCS rank segments at once; see
+// internal/cluster/sim).
 var ScalingGPUCounts = []int{8, 32, 128, 512, 4096, 8192}
 
 // scalingPartitionedC returns the replication factor the fixed-c
@@ -105,9 +106,7 @@ type scalingCell struct {
 //
 // Cells are independent simulations and run on the sweep worker pool,
 // one worker per GOMAXPROCS; results fold in enumeration order, so the
-// table is byte-identical at any pool size (goroutine-backend cells on
-// contended topologies additionally run isolated from pool siblings —
-// see the run-phase comment). WallSec reports the
+// table is byte-identical at any pool size. WallSec reports the
 // real time the simulator needed per run — the simulator-performance
 // axis this study exists to keep honest (the perf suite gates it; see
 // Perf).
@@ -238,41 +237,15 @@ func Scaling(w io.Writer, o Options) ([]ScalingRow, error) {
 		return nil
 	}
 
-	// Two run phases: cells whose simulation is scheduler-order-robust
-	// go through the worker pool; goroutine-backend cells on a
-	// contended topology run serially AFTER the pool drains. The
-	// contention ledger commits flows in real lock-acquisition order
-	// (first-committed-first-served, see cluster/contention.go), so a
-	// goroutine-backend cluster's ledger order shifts when sibling
-	// cells share the scheduler — isolating those cells gives them the
-	// same solo-process conditions a one-worker pool gives them. The DES
-	// backend is immune (its scheduler commits in event-key order),
-	// and contention-off charging is scheduler-independent by the
-	// bit-identicality discipline. (At GOMAXPROCS>1 the goroutine
-	// backend's contended timings are scheduler-dependent even run to
-	// run with no pool at all — the perf gate pins GOMAXPROCS=1 for
-	// exactly this reason.)
-	des := o.Model.Backend.Resolve() == cluster.DESBackend
-	var robust, sensitive []int
-	for i, cell := range cells {
-		if cell.skip != "" {
-			continue
+	// Every cell runs through the worker pool: the scheduler commits in
+	// event-key order, so sibling cells sharing the host cannot move a
+	// cell's result.
+	errs := runCells(len(cells), runtime.GOMAXPROCS(0), func(i int) error {
+		if cells[i].skip != "" {
+			return nil
 		}
-		if des || cell.topo == nil {
-			robust = append(robust, i)
-		} else {
-			sensitive = append(sensitive, i)
-		}
-	}
-	errs := make([]error, len(cells))
-	runPhase := func(idx []int, workers int) {
-		sub := runCells(len(idx), workers, func(k int) error { return runOne(cells[idx[k]]) })
-		for k, e := range sub {
-			errs[idx[k]] = e
-		}
-	}
-	runPhase(robust, runtime.GOMAXPROCS(0))
-	runPhase(sensitive, 1)
+		return runOne(cells[i])
+	})
 
 	fmt.Fprintf(w, "Scaling study: %s/%s, weak + strong, per algorithm x collective x topology (simulated epoch seconds)\n",
 		d.Name, o.Profile)

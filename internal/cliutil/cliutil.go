@@ -2,7 +2,7 @@
 // binaries (trainer, gnnbench, perfdiff, gnnvet), so -profile accepts
 // one vocabulary everywhere and the validation is tested in one place
 // instead of re-implemented per main package. The
-// platform flags (collective algorithms, topology, backend, faults,
+// platform flags (collective algorithms, topology, faults,
 // checkpoint interval) are declared once and parsed into one
 // cluster.CostModel, by RegisterPlatformFlags; this package's tests pin
 // the accept/reject tables of the cluster parsers behind them alongside
@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"strconv"
 	"strings"
 
@@ -139,8 +138,8 @@ func ParseCkptInterval(s string) (int, error) {
 	return v, nil
 }
 
-// RegisterPlatformFlags declares -allreduce, -alltoall, -topology and
-// -backend on fs — plus -faults and -ckpt-interval when withFaults —
+// RegisterPlatformFlags declares -allreduce, -alltoall and -topology on
+// fs — plus -faults and -ckpt-interval when withFaults —
 // with the shared help texts, each followed by the command's own note
 // from notes (keyed by flag name) where it has one. Call the returned
 // function after fs.Parse: it assembles the platform the flags describe
@@ -152,7 +151,6 @@ func RegisterPlatformFlags(fs *flag.FlagSet, withFaults bool, notes map[string]s
 	allreduce := str("allreduce", "default", cluster.AllReduceFlagUsage)
 	alltoall := str("alltoall", "default", cluster.AllToAllFlagUsage)
 	topology := str("topology", "ideal", cluster.TopologyFlagUsage)
-	backend := str("backend", "default", cluster.BackendFlagUsage)
 	faults, ckpt := new(string), new(string)
 	if withFaults {
 		faults = str("faults", "default", "fail-stop injection plan: comma-separated rank@seconds events (e.g. 1@0.5,3@1.25)")
@@ -165,16 +163,6 @@ func RegisterPlatformFlags(fs *flag.FlagSet, withFaults bool, notes map[string]s
 		}
 		if m.Topology, err = cluster.ParseTopology(*topology); err != nil {
 			return m, 0, err
-		}
-		if m.Backend, err = cluster.ParseBackend(*backend); err != nil {
-			return m, 0, err
-		}
-		if m.Backend == cluster.DefaultBackend {
-			// The library ignores an unparsable environment value; a
-			// command must not, or a typo silently runs on goroutines.
-			if _, err = cluster.ParseBackend(os.Getenv(cluster.BackendEnv)); err != nil {
-				return m, 0, fmt.Errorf("$%s: %w", cluster.BackendEnv, err)
-			}
 		}
 		if m.Faults, err = ParseFaults(*faults); err != nil {
 			return m, 0, err

@@ -158,47 +158,6 @@ func TestTopologyFlagTable(t *testing.T) {
 	}
 }
 
-// -backend accept/reject table (cluster.ParseBackend).
-func TestBackendFlagTable(t *testing.T) {
-	// Case and surrounding space are normalized; "" means default.
-	accept := []struct {
-		in   string
-		want cluster.Backend
-	}{
-		{"", cluster.DefaultBackend},
-		{"default", cluster.DefaultBackend},
-		{"Default", cluster.DefaultBackend},
-		{"goroutine", cluster.GoroutineBackend},
-		{"goroutines", cluster.GoroutineBackend},
-		{"go", cluster.GoroutineBackend},
-		{" Goroutine ", cluster.GoroutineBackend},
-		{"des", cluster.DESBackend},
-		{"DES", cluster.DESBackend},
-		{"event", cluster.DESBackend},
-		{"discrete-event", cluster.DESBackend},
-	}
-	for _, c := range accept {
-		got, err := cluster.ParseBackend(c.in)
-		if err != nil {
-			t.Errorf("ParseBackend(%q) rejected: %v", c.in, err)
-		} else if got != c.want {
-			t.Errorf("ParseBackend(%q) = %v, want %v", c.in, got, c.want)
-		}
-	}
-	for _, in := range []string{"thread", "goroutine,des", "des2", "events", "1"} {
-		if _, err := cluster.ParseBackend(in); err == nil {
-			t.Errorf("ParseBackend(%q) accepted", in)
-		}
-	}
-	// The round trip the CLIs rely on for trace metadata.
-	for _, b := range []cluster.Backend{cluster.DefaultBackend, cluster.GoroutineBackend, cluster.DESBackend} {
-		got, err := cluster.ParseBackend(b.String())
-		if err != nil || got != b {
-			t.Errorf("ParseBackend(%v.String()) = %v, %v; want identity", b, got, err)
-		}
-	}
-}
-
 func TestParseFaultsAccepts(t *testing.T) {
 	cases := map[string]string{
 		"":              "",
@@ -273,7 +232,7 @@ func TestRegisterPlatformFlags(t *testing.T) {
 	fs := flag.NewFlagSet("cmd", flag.ContinueOnError)
 	parse := RegisterPlatformFlags(fs, true, map[string]string{"topology": " (a note)"})
 	if err := fs.Parse([]string{"-allreduce", "ring", "-alltoall", "pairwise", "-topology", "oversub",
-		"-backend", "des", "-faults", "1@0.5", "-ckpt-interval", "2"}); err != nil {
+		"-faults", "1@0.5", "-ckpt-interval", "2"}); err != nil {
 		t.Fatal(err)
 	}
 	m, ckpt, err := parse()
@@ -281,7 +240,7 @@ func TestRegisterPlatformFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	if m.Collectives != (cluster.Collectives{AllReduce: cluster.Ring, AllToAll: cluster.Pairwise}) ||
-		m.Topology == nil || m.Backend != cluster.DESBackend || m.Faults.String() != "1@0.5" || ckpt != 2 {
+		m.Topology == nil || m.Faults.String() != "1@0.5" || ckpt != 2 {
 		t.Errorf("parsed %+v, ckpt-interval %d", m, ckpt)
 	}
 	if base := cluster.Perlmutter(); m.GPUsPerNode != base.GPUsPerNode || m.Alpha != base.Alpha || m.Beta != base.Beta {
@@ -289,9 +248,6 @@ func TestRegisterPlatformFlags(t *testing.T) {
 	}
 	if got, want := fs.Lookup("topology").Usage, cluster.TopologyFlagUsage+" (a note)"; got != want {
 		t.Errorf("-topology usage %q, want %q", got, want)
-	}
-	if got := fs.Lookup("backend").Usage; got != cluster.BackendFlagUsage {
-		t.Errorf("-backend usage %q", got)
 	}
 
 	fs = flag.NewFlagSet("cmd", flag.ContinueOnError)
@@ -306,11 +262,11 @@ func TestRegisterPlatformFlags(t *testing.T) {
 	if m, ckpt, err := parse(); err != nil || !reflect.DeepEqual(m, cluster.Perlmutter()) || ckpt != 0 {
 		t.Errorf("no flags: parsed %+v, ckpt-interval %d, err %v; want plain Perlmutter", m, ckpt, err)
 	}
-	if err := fs.Parse([]string{"-backend", "thread"}); err != nil {
+	if err := fs.Parse([]string{"-topology", "torus"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := parse(); err == nil {
-		t.Error("bad -backend accepted")
+		t.Error("bad -topology accepted")
 	}
 }
 

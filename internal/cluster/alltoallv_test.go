@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -54,7 +53,7 @@ func payload(k, s, d, n int) []int {
 // what the dense one delivers for the same pattern (absent parts being
 // empty on the dense side), and charges bit for bit alike — clocks,
 // per-op counts and bytes, link traffic — under both all-to-allv
-// algorithms, on a contended topology, and on both backends.
+// algorithms and on a contended topology.
 func TestAllToAllvSparseMatchesDense(t *testing.T) {
 	const n, rounds = 8, 12
 	patterns := randomPatterns(rand.New(rand.NewSource(26)), n, rounds)
@@ -64,17 +63,13 @@ func TestAllToAllvSparseMatchesDense(t *testing.T) {
 	contended.Topology = OversubscribedTopology(4)
 	models := map[string]CostModel{"flat": testModel(), "pairwise": pairwise, "oversubscribed": contended}
 	for _, name := range []string{"flat", "pairwise", "oversubscribed"} {
-		for _, be := range []Backend{GoroutineBackend, DESBackend} {
-			t.Run(name+"/"+be.String(), func(t *testing.T) {
-				m := models[name]
-				m.Backend = be
-				dense := runPatterns(t, m, patterns, false)
-				sparse := runPatterns(t, m, patterns, true)
-				if !reflect.DeepEqual(dense, sparse) {
-					t.Fatalf("sparse run differs from dense:\ndense  %+v\nsparse %+v", dense.Ranks, sparse.Ranks)
-				}
-			})
-		}
+		t.Run(name+"/"+DESBackend.String(), func(t *testing.T) {
+			dense := runPatterns(t, models[name], patterns, false)
+			sparse := runPatterns(t, models[name], patterns, true)
+			if !reflect.DeepEqual(dense, sparse) {
+				t.Fatalf("sparse run differs from dense:\ndense  %+v\nsparse %+v", dense.Ranks, sparse.Ranks)
+			}
+		})
 	}
 }
 
@@ -174,8 +169,8 @@ func TestAllToAllvSparseRejectsBadDestinations(t *testing.T) {
 // rank 1 first completes a collective on a communicator without rank 0
 // and only then enters one it shares with rank 0.
 func TestLateArrivalAtFinishedPeerDiagnosed(t *testing.T) {
-	bothBackends(t, func(t *testing.T, m CostModel) float64 {
-		cl := New(4, m)
+	onDES(t, func(t *testing.T) float64 {
+		cl := New(4, testModel())
 		pair := cl.NewComm([]int{0, 1})
 		rest := cl.NewComm([]int{1, 2, 3})
 		var msg string
@@ -188,11 +183,8 @@ func TestLateArrivalAtFinishedPeerDiagnosed(t *testing.T) {
 				return nil
 			}
 			defer func() { msg = fmt.Sprint(recover()) }()
-			// Under DES rank 0 has returned by now; under goroutines wait
-			// for it, so the arrival scan is what fires.
-			for !finished(cl, 0) {
-				runtime.Gosched()
-			}
+			// Rank 0's exit committed before rank 1's first barrier, so
+			// the arrival scan is what fires.
 			Barrier(pair, r)
 			return nil
 		})
@@ -204,11 +196,4 @@ func TestLateArrivalAtFinishedPeerDiagnosed(t *testing.T) {
 		}
 		return 0
 	})
-}
-
-// finished reports whether the rank's body has returned in this Run.
-func finished(cl *Cluster, rank int) bool {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	return cl.done != nil && cl.done[rank]
 }

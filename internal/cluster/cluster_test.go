@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -202,6 +203,72 @@ func TestAllReduceGenericOrdered(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAllReduceGenericFoldsOncePerGeneration: the reduce runs exactly
+// once per collective and completes before any member returns, at
+// GOMAXPROCS 1 and 4, on an uncontended cluster (whose last arriver
+// yields at the rendezvous) and on a contended one (whose last arriver
+// keeps its turn). Two process rows fold side by side for several
+// generations; the reduce writes the destinations last, after letting
+// the other members run.
+func TestAllReduceGenericFoldsOncePerGeneration(t *testing.T) {
+	const rows, size, gens = 2, 4, 6
+	for _, topo := range []struct {
+		name string
+		topo *Topology
+	}{{"ideal", nil}, {"oversubscribed", OversubscribedTopology(4)}} {
+		t.Run(topo.name, func(t *testing.T) {
+			atWorkers(t, func(t *testing.T) float64 {
+				m := testModel()
+				m.Topology = topo.topo
+				cl := New(rows*size, m)
+				var comms [rows]*Comm
+				var folds [rows][gens]atomic.Int32
+				for i := range comms {
+					comms[i] = cl.NewComm([]int{i * size, i*size + 1, i*size + 2, i*size + 3})
+				}
+				res, err := cl.Run(func(r *Rank) error {
+					row := r.ID / size
+					for g := 0; g < gens; g++ {
+						r.AdvanceBy(float64(r.ID%3) * 1e-6)
+						got := AllReduceGenericInto(comms[row], r, r.ID+g, 8, new(int), func(vals []int, dests []*int) {
+							folds[row][g].Add(1)
+							sum := 0
+							for _, v := range vals {
+								sum += v
+							}
+							for i := 0; i < 100; i++ {
+								runtime.Gosched()
+							}
+							for _, d := range dests {
+								*d = sum
+							}
+						})
+						want := size*size*row + size*(size-1)/2 + size*g
+						if *got != want {
+							return fmt.Errorf("rank %d generation %d returned %d, want %d", r.ID, g, *got, want)
+						}
+						if n := folds[row][g].Load(); n != 1 {
+							return fmt.Errorf("rank %d generation %d returned after %d folds", r.ID, g, n)
+						}
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for row := range folds {
+					for g := range folds[row] {
+						if n := folds[row][g].Load(); n != 1 {
+							t.Fatalf("row %d generation %d folded %d times", row, g, n)
+						}
+					}
+				}
+				return res.SimTime
+			})
+		})
 	}
 }
 

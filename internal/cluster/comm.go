@@ -6,6 +6,8 @@ import (
 	"slices"
 	"sort"
 	"sync"
+
+	"repro/internal/cluster/sim"
 )
 
 // Comm is a communicator over a subset of the cluster's ranks, like an
@@ -262,7 +264,7 @@ type rendezvous struct {
 // at (its entry clock; collectives complete at max entry + cost, so
 // the wake time only orders events, never changes results).
 type parkedMember struct {
-	w     waiter
+	t     *sim.Task
 	clock float64
 }
 
@@ -284,7 +286,7 @@ func (rv *rendezvous) genBuf() []slot {
 // order. Caller holds rv.mu.
 func (rv *rendezvous) release() {
 	for _, p := range rv.parked {
-		p.w.ready(p.clock)
+		p.t.Ready(p.clock)
 	}
 	rv.parked = rv.parked[:0]
 }
@@ -297,8 +299,16 @@ func (c *Comm) poison(err error) {
 	c.rv.release()
 }
 
-// diag appends execution-backend context to a deadlock diagnostic.
-func (c *Comm) diag() string { return c.cl.sched.diag() }
+// diag appends the scheduler's load to a deadlock diagnostic: a
+// drained queue with parked ranks is the classic deadlock symptom, a
+// deep one points at livelock in the simulated program, and the running
+// and gate-waiting segment counts show what was in flight beside the
+// diagnosing one.
+func (c *Comm) diag() string {
+	queued, running, waiting := c.cl.sched.Load()
+	return fmt.Sprintf(" [backend=des, %d queued events, %d segments running, %d waiting for the gate]",
+		queued, running, waiting)
+}
 
 // exchange contributes one slot under the named collective and returns
 // all n slots once every participant has arrived. The returned slice
@@ -307,7 +317,7 @@ func (c *Comm) diag() string { return c.cl.sched.diag() }
 // or whose peers can never arrive because their rank bodies already
 // returned, poisons the rendezvous and panics all participants.
 func (c *Comm) exchange(r *Rank, op string, s slot) []slot {
-	return c.exchangeTransform(r, op, s, nil)
+	return c.exchangeTransform(r, op, s, nil, false)
 }
 
 // exchangeTransform is exchange with a completion hook: the last
@@ -316,8 +326,18 @@ func (c *Comm) exchange(r *Rank, op string, s slot) []slot {
 // every participant receives the transformed slots. The contention
 // charging path uses it to solve one collective's member flows in a
 // single ledger transaction. A nil transform returns the slots as-is.
-func (c *Comm) exchangeTransform(r *Rank, op string, s slot, transform func([]slot) []slot) []slot {
-	out, gen := c.arrive(r, op, s, transform)
+//
+// With yield set, a last arriver on an uncontended cluster ends its
+// segment at the rendezvous: it readies itself at its entry clock, like
+// every member it wakes, and parks, so the work it does after the
+// collective no longer holds the commit turn. Contended runs never
+// yield, which keeps their commit order (and with it the ledger's
+// outcome) as it was.
+func (c *Comm) exchangeTransform(r *Rank, op string, s slot, transform func([]slot) []slot, yield bool) []slot {
+	out, gen, yielded := c.arrive(r, op, s, transform, yield)
+	if yielded {
+		r.t.Park()
+	}
 	if out != nil {
 		return out
 	}
@@ -329,7 +349,7 @@ func (c *Comm) exchangeTransform(r *Rank, op string, s slot, transform func([]sl
 	// slots even if a later one has been poisoned since (this member
 	// meets the poison at its next arrival), and a generation poisoned
 	// while incomplete panics with the error that woke it.
-	r.w.park()
+	r.t.Park()
 	rv := c.rv
 	rv.mu.Lock()
 	defer rv.mu.Unlock()
@@ -343,11 +363,12 @@ func (c *Comm) exchangeTransform(r *Rank, op string, s slot, transform func([]sl
 }
 
 // arrive is exchangeTransform's commit section. The last arriver
-// completes the generation, readies the parked members and gets the
-// output slots; an earlier one is recorded as parked and gets nil plus
-// the generation it must park for. The unlock is deferred so every
-// diagnostic panic below releases the rendezvous.
-func (c *Comm) arrive(r *Rank, op string, s slot, transform func([]slot) []slot) ([]slot, uint64) {
+// completes the generation, readies the parked members (and itself,
+// when it yields) and gets the output slots; an earlier one is recorded
+// as parked and gets nil plus the generation it must park for. The
+// unlock is deferred so every diagnostic panic below releases the
+// rendezvous.
+func (c *Comm) arrive(r *Rank, op string, s slot, transform func([]slot) []slot, yield bool) (out []slot, gen uint64, yielded bool) {
 	r.gate()
 	c.checkDriver(r)
 	idx := c.LocalIndex(r)
@@ -401,7 +422,11 @@ func (c *Comm) arrive(r *Rank, op string, s slot, transform func([]slot) []slot)
 		// Completion time is charged by each member itself, so the wake
 		// time only orders events.
 		rv.release()
-		return rv.out, rv.gen
+		if yield && c.cl.cont == nil {
+			r.t.Ready(s.clock)
+			return rv.out, rv.gen, true
+		}
+		return rv.out, rv.gen, false
 	}
 	// A peer that already finished its rank body can never arrive. The
 	// scan is gated on the lock-free anyDone flag, so the common case
@@ -413,8 +438,8 @@ func (c *Comm) arrive(r *Rank, op string, s slot, transform func([]slot) []slot)
 			panic(err)
 		}
 	}
-	rv.parked = append(rv.parked, parkedMember{w: r.w, clock: s.clock})
-	return nil, rv.gen
+	rv.parked = append(rv.parked, parkedMember{t: r.t, clock: s.clock})
+	return nil, rv.gen, false
 }
 
 // abandonedLocked returns a member rank that can never join the
@@ -651,7 +676,7 @@ func AllToAllvSparse[T any](c *Comm, r *Rank, dst []int, parts []T, bytes func(T
 		func(slots []slot) []slot {
 			ringBuckets[T](c.rv).fill(slots)
 			return slots
-		})
+		}, false)
 	b := slots[me].val.(*buckets[T])
 	lo, hi := b.off[me], b.off[me+1]
 	src, got = b.src[lo:hi], b.parts[lo:hi]
@@ -771,7 +796,7 @@ func AllReduceSum(c *Comm, r *Rank, x []float64) []float64 {
 // read-only. A non-nil apply runs on the shared total inside the
 // transform: exactly once per collective, while every other member is
 // blocked in the rendezvous, which is what makes the shared-model
-// optimizer step of AllReduceSumApply race-free on both backends.
+// optimizer step of AllReduceSumApply race-free.
 //
 // Hierarchical composes three such collectives: members reduce within
 // their node at the NVLink tier, node leaders (smallest rank per node)
@@ -821,7 +846,7 @@ func allReduceSum(c *Comm, r *Rank, x []float64, alg CollectiveAlgorithm, apply 
 				slots[i].bytes = maxBytes
 			}
 			return slots
-		})
+		}, false)
 	entry := maxClock(slots)
 	me := c.LocalIndex(r)
 	out := slots[me].val.([]float64)
@@ -842,21 +867,21 @@ func allReduceSum(c *Comm, r *Rank, x []float64, alg CollectiveAlgorithm, apply 
 // every member is synchronized inside the rendezvous (for the
 // hierarchical schedule: inside the node-leader stage, before any
 // member leaves the broadcast), so mutations of shared training state
-// are race-free under both backends.
+// are race-free.
 func AllReduceSumApply(c *Comm, r *Rank, x []float64, apply func(total []float64)) {
 	allReduceSum(c, r, x, c.allReduceAlg(), apply)
 }
 
-// AllReduceGenericInto folds arbitrary values: the fold runs once,
-// inside the rendezvous, by a caller-supplied reducer that writes each
-// member's private result into that member's destination (the same
-// move allReduceSum made for the elementwise sum — O(n)
-// combines total instead of every member redoing all n). reduce
-// receives the contributions and the destinations in member order (the
-// fold need not be commutative) and must leave every destination
-// holding the full fold; each member returns its own destination, free
-// to mutate. Because the fold completes before any member leaves the
-// collective — while every member is parked, its buffers quiescent — a
+// AllReduceGenericInto folds arbitrary values: the fold runs once per
+// collective, by a caller-supplied reducer that writes each member's
+// private result into that member's destination (the same move
+// allReduceSum made for the elementwise sum — O(n) combines total
+// instead of every member redoing all n). reduce receives the
+// contributions and the destinations in member order (the fold need
+// not be commutative) and must leave every destination holding the
+// full fold; each member returns its own destination, free to mutate.
+// The fold runs after every member has arrived and completes before any
+// member returns — while every member's buffers are quiescent — so a
 // caller may contribute and receive epoch-persistent arena storage: the
 // property the 1.5D SpGEMM's accumulator and result arenas rely on.
 // bytes sizes the caller's contribution; per the shared charging-path
@@ -865,6 +890,12 @@ func AllReduceSumApply(c *Comm, r *Rank, x []float64, apply func(total []float64
 // flat, so a Hierarchical selection charges the flat schedule; Ring
 // charges the ring schedule. Used for the sparse-matrix all-reduce in
 // the 1.5D SpGEMM.
+//
+// The fold runs outside the commit section: the rendezvous only
+// gathers the contributions, and the first member to resume folds them
+// while the others wait for it. The last arriver yields (see
+// exchangeTransform), so folds on different communicators run side by
+// side, each on one worker.
 func AllReduceGenericInto[T, D any](c *Comm, r *Rank, val T, bytes int, dest D, reduce func(vals []T, dests []D)) D {
 	alg := c.allReduceAlg()
 	if alg != Ring {
@@ -876,29 +907,52 @@ func AllReduceGenericInto[T, D any](c *Comm, r *Rank, val T, bytes int, dest D, 
 	}
 	slots := c.exchangeTransform(r, "allreduce-generic", slot{clock: r.clock, val: contrib{val, dest}, bytes: bytes},
 		func(slots []slot) []slot {
-			vals := make([]T, len(slots))
-			dests := make([]D, len(slots))
+			f := &fold[T, D]{vals: make([]T, len(slots)), dests: make([]D, len(slots))}
+			maxBytes := 0
 			for i, s := range slots {
 				cb := s.val.(contrib)
-				vals[i], dests[i] = cb.val, cb.dest
-			}
-			reduce(vals, dests)
-			maxBytes := 0
-			for _, s := range slots {
-				if s.bytes > maxBytes {
-					maxBytes = s.bytes
-				}
+				f.vals[i], f.dests[i] = cb.val, cb.dest
+				maxBytes = max(maxBytes, s.bytes)
 			}
 			for i := range slots {
-				slots[i].val = dests[i]
+				slots[i].val = f
 				slots[i].bytes = maxBytes
 			}
 			return slots
-		})
+		}, true)
+	f := slots[0].val.(*fold[T, D])
+	f.run(c, reduce)
 	entry := maxClock(slots)
 	me := c.LocalIndex(r)
 	c.chargeCollective(r, "allreduce-generic", entry, allReduceCost(c, alg, slots[me].bytes, bytes))
-	return slots[me].val.(D)
+	return f.dests[me]
+}
+
+// fold is one AllReduceGenericInto generation's gathered contributions.
+type fold[T, D any] struct {
+	vals  []T
+	dests []D
+	once  sync.Once
+	// failed is the diagnostic of a reduce that panicked, which every
+	// member panics with.
+	failed error
+}
+
+// run applies reduce exactly once across the members that call it and
+// returns once it has finished.
+func (f *fold[T, D]) run(c *Comm, reduce func(vals []T, dests []D)) {
+	f.once.Do(func() {
+		defer func() {
+			if p := recover(); p != nil {
+				f.failed = fmt.Errorf("cluster: allreduce-generic reduce panicked on comm %v (dup %q): %v%s",
+					c.members, c.key, p, c.diag())
+			}
+		}()
+		reduce(f.vals, f.dests)
+	})
+	if f.failed != nil {
+		panic(f.failed)
+	}
 }
 
 // hierComms lazily builds (exactly once) the per-node and leader

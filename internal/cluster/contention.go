@@ -21,19 +21,17 @@ import (
 // Atomicity and ordering. All member flows of one collective call are
 // solved and committed in a single ledger transaction (inside the
 // collective's rendezvous), so sharing *within* a collective is exact
-// max-min fair and independent of goroutine scheduling. *Across*
+// max-min fair and independent of host scheduling. *Across*
 // transactions the ledger is first-committed-first-served: a flow
 // shares with the flows already committed when it arrives, and an
 // already-committed flow is never retroactively slowed (its owner's
 // clock has advanced). When transfers from concurrently-running
 // schedules (different streams, different communicators) overlap in
 // simulated time, which one sees the other therefore follows the
-// commit order. The DES backend fixes it by event key (transact runs
-// only inside commit sections), so its contended timings repeat
-// exactly at any worker count; on the goroutine backend it is the real
-// arrival order — like queueing on real hardware, contended timings
-// carry a small run-to-run variance. Contention-off runs (Topology ==
-// nil) never enter this file and stay bit-deterministic.
+// commit order. The scheduler fixes it by event key (transact runs
+// only inside commit sections), so contended timings repeat exactly at
+// any worker count. Contention-off runs (Topology == nil) never enter
+// this file.
 
 // flowReq is one transfer's demand handed to the ledger: it starts at
 // start simulated seconds, must move bytes, and occupies every link in
@@ -442,7 +440,7 @@ func (ct *contention) solveLocked(flows []flowReq) []float64 {
 // (wireBytes through the member's own injection links, starting after
 // the schedule's latency portion), and one ledger transaction inside a
 // second rendezvous round solves all members together — sharing within
-// the collective is exact and independent of goroutine scheduling.
+// the collective is exact and independent of host scheduling.
 func (c *Comm) contendedFinish(r *Rank, op string, entry float64, cost collCost) float64 {
 	ct := c.cl.cont
 	beta := c.cl.Model.Beta[c.link]
@@ -464,6 +462,6 @@ func (c *Comm) contendedFinish(r *Rank, op string, entry float64, cost collCost)
 				out[i] = slot{clock: fin[i]}
 			}
 			return out
-		})
+		}, false)
 	return slots[c.LocalIndex(r)].clock
 }

@@ -1,6 +1,6 @@
 // Package cluster simulates a multi-GPU, multi-node cluster for the
-// distributed sampling experiments. Each simulated GPU is a goroutine
-// "rank"; collectives really exchange data between ranks (so results
+// distributed sampling experiments. Each simulated GPU is a "rank", a
+// task of one discrete-event scheduler (internal/cluster/sim); collectives really exchange data between ranks (so results
 // are bit-for-bit what a real distributed run would compute) while an
 // α–β communication model plus device throughput profiles accrue
 // *simulated* time on per-rank clocks.
@@ -57,13 +57,10 @@ func (l Link) String() string {
 type CostModel struct {
 	GPUsPerNode int
 
-	// Backend selects the execution machinery (goroutine-per-rank or
-	// the discrete-event loop). Riding the cost model, like the
-	// Collectives table and Topology, means a selection travels
-	// everywhere a model does — pipeline configs, baselines, the bench
-	// harness — without extra plumbing. Both backends produce
-	// bit-identical results; DefaultBackend resolves $GNN_BACKEND and
-	// falls back to the goroutine backend.
+	// Backend is inert: every run executes on the discrete-event
+	// scheduler. benchmark/ still sets it.
+	//
+	//gnnvet:allow deadexport — shim set by benchmark/ until ROADMAP item 1(b) deletes it
 	Backend Backend
 
 	// Collectives selects, per operation class, the schedule the

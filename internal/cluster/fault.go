@@ -11,7 +11,7 @@ import (
 // Failure is one planned fail-stop event: the rank halts permanently
 // the first time its own simulated clock reaches At (checked on the
 // per-charge path, so the failure lands at the first charge boundary
-// at or after At — deterministically, on both backends). At must be
+// at or after At — deterministically). At must be
 // strictly positive: a rank that was dead before doing anything is a
 // smaller cluster, not a failure.
 type Failure struct {
@@ -138,7 +138,7 @@ var ErrRankFailed = errors.New("rank failed (injected fail-stop)")
 
 // RankFailure is the error a planned fail-stop surfaces: the failing
 // rank's body panics with it at the charge that crosses the planned
-// time, the cluster backend recovers it into the rank's error slot,
+// time, the cluster recovers it into the rank's error slot,
 // and Run returns the earliest one so a restart driver can identify —
 // and retire, via FaultPlan.Without — the failure that fired. At is
 // the planned time (the plan entry), not the clock reading at the

@@ -73,29 +73,26 @@ func TestFaultPlanString(t *testing.T) {
 // time, Run surfaces the planned failure, and survivors complete their
 // accounting normally up to the abort.
 func TestRankFailureStopsAtPlannedTime(t *testing.T) {
-	for _, backend := range []Backend{GoroutineBackend, DESBackend} {
-		m := testModel()
-		m.Backend = backend
-		m.Faults = &FaultPlan{Failures: []Failure{{Rank: 1, At: 1e-9}}}
-		cl := New(4, m)
-		_, err := cl.Run(func(r *Rank) error {
-			r.SetPhase("work")
-			r.ChargeDense(1 << 20) // every rank's clock crosses 1e-9s here
-			return nil
-		})
-		if err == nil {
-			t.Fatalf("backend %v: Run succeeded despite planned failure", backend)
-		}
-		if !errors.Is(err, ErrRankFailed) {
-			t.Fatalf("backend %v: error %v does not wrap ErrRankFailed", backend, err)
-		}
-		var rf *RankFailure
-		if !errors.As(err, &rf) {
-			t.Fatalf("backend %v: error %v is not a RankFailure", backend, err)
-		}
-		if rf.Rank != 1 || rf.At != 1e-9 {
-			t.Fatalf("backend %v: failure = rank %d at %v, want rank 1 at 1e-9", backend, rf.Rank, rf.At)
-		}
+	m := testModel()
+	m.Faults = &FaultPlan{Failures: []Failure{{Rank: 1, At: 1e-9}}}
+	cl := New(4, m)
+	_, err := cl.Run(func(r *Rank) error {
+		r.SetPhase("work")
+		r.ChargeDense(1 << 20) // every rank's clock crosses 1e-9s here
+		return nil
+	})
+	if err == nil {
+		t.Fatal("Run succeeded despite planned failure")
+	}
+	if !errors.Is(err, ErrRankFailed) {
+		t.Fatalf("error %v does not wrap ErrRankFailed", err)
+	}
+	var rf *RankFailure
+	if !errors.As(err, &rf) {
+		t.Fatalf("error %v is not a RankFailure", err)
+	}
+	if rf.Rank != 1 || rf.At != 1e-9 {
+		t.Fatalf("failure = rank %d at %v, want rank 1 at 1e-9", rf.Rank, rf.At)
 	}
 }
 
@@ -114,12 +111,11 @@ func TestNilFaultPlanInert(t *testing.T) {
 // abortProbe runs body-level collectives on a 4-rank cluster where
 // rank 1 dies before joining, and returns Run's error plus each
 // surviving rank's observed abort error.
-func abortProbe(t *testing.T, backend Backend, collectives Collectives,
+func abortProbe(t *testing.T, collectives Collectives,
 	op func(c *Comm, r *Rank)) (runErr error, rankErrs []error) {
 	t.Helper()
 	const p = 4
 	m := testModel()
-	m.Backend = backend
 	m.Collectives = collectives
 	m.Faults = &FaultPlan{Failures: []Failure{{Rank: 1, At: 1e-9}}}
 	cl := New(p, m)
@@ -151,8 +147,7 @@ func abortProbe(t *testing.T, backend Backend, collectives Collectives,
 }
 
 // TestCollectiveAbortOnRankFailure is the abort-path golden suite:
-// every collective, on both backends and at every DES worker count,
-// must observe a clean recoverable abort naming the failed rank — never
+// every collective, at every worker count, must observe a clean recoverable abort naming the failed rank — never
 // a hang and never a bug-class panic — when a member dies before
 // joining.
 func TestCollectiveAbortOnRankFailure(t *testing.T) {
@@ -196,56 +191,48 @@ func TestCollectiveAbortOnRankFailure(t *testing.T) {
 			AllReduceGenericInto(c, r, r.ID, 8, dest, func(vals []int, dests [][]int) {})
 		}},
 	}
-	for _, backend := range []Backend{GoroutineBackend, DESBackend} {
-		for _, tc := range ops {
-			t.Run(fmt.Sprintf("%s/backend-%d", tc.name, backend), func(t *testing.T) {
-				probe := func(t *testing.T) {
-					runErr, rankErrs := abortProbe(t, backend, tc.coll, tc.op)
-					if runErr == nil {
-						t.Fatal("Run succeeded despite failed member")
+	for _, tc := range ops {
+		// The second level names the scheduler by its Backend number.
+		t.Run(fmt.Sprintf("%s/backend-%d", tc.name, DESBackend), func(t *testing.T) {
+			atWorkers(t, func(t *testing.T) float64 {
+				runErr, rankErrs := abortProbe(t, tc.coll, tc.op)
+				if runErr == nil {
+					t.Fatal("Run succeeded despite failed member")
+				}
+				if !errors.Is(runErr, ErrRankFailed) {
+					t.Fatalf("Run error %v does not wrap ErrRankFailed", runErr)
+				}
+				var rf *RankFailure
+				if !errors.As(runErr, &rf) || rf.Rank != 1 {
+					t.Fatalf("Run error %v does not surface the rank-1 failure", runErr)
+				}
+				for id, err := range rankErrs {
+					if id == 1 {
+						// The failed rank died in the charge, before op.
+						continue
 					}
-					if !errors.Is(runErr, ErrRankFailed) {
-						t.Fatalf("Run error %v does not wrap ErrRankFailed", runErr)
+					if err == nil {
+						t.Fatalf("surviving rank %d completed the collective", id)
 					}
-					var rf *RankFailure
-					if !errors.As(runErr, &rf) || rf.Rank != 1 {
-						t.Fatalf("Run error %v does not surface the rank-1 failure", runErr)
+					if !errors.Is(err, ErrRankFailed) {
+						t.Fatalf("rank %d abort %v does not wrap ErrRankFailed", id, err)
 					}
-					for id, err := range rankErrs {
-						if id == 1 {
-							// The failed rank died in the charge, before op.
-							continue
-						}
-						if err == nil {
-							t.Fatalf("surviving rank %d completed the collective", id)
-						}
-						if !errors.Is(err, ErrRankFailed) {
-							t.Fatalf("rank %d abort %v does not wrap ErrRankFailed", id, err)
-						}
-						if !strings.Contains(err.Error(), "rank 1") || !strings.Contains(err.Error(), "fail-stop") {
-							t.Fatalf("rank %d abort %q lacks the failed-rank diagnostic", id, err)
-						}
+					if !strings.Contains(err.Error(), "rank 1") || !strings.Contains(err.Error(), "fail-stop") {
+						t.Fatalf("rank %d abort %q lacks the failed-rank diagnostic", id, err)
 					}
 				}
-				if backend == DESBackend {
-					atWorkers(t, probe)
-				} else {
-					probe(t)
-				}
+				return 0
 			})
-		}
+		})
 	}
 }
 
 // TestBugClassPanicStillCrashes pins the fault/bug separation: a
 // non-fault panic in a rank body is not converted into an error. The
-// DES backend re-raises a trapped task panic on the caller's
-// goroutine, which is where this test can observe it (the goroutine
-// backend would crash the whole process, by design).
+// scheduler re-raises a trapped task panic on the caller's goroutine,
+// which is where this test can observe it.
 func TestBugClassPanicStillCrashes(t *testing.T) {
-	m := testModel()
-	m.Backend = DESBackend
-	cl := New(1, m)
+	cl := New(1, testModel())
 	defer func() {
 		if recover() == nil {
 			t.Fatal("bug-class panic was swallowed")

@@ -43,22 +43,3 @@ func FuzzParseCollectives(f *testing.F) {
 		}
 	})
 }
-
-func FuzzParseBackend(f *testing.F) {
-	for _, s := range []string{"default", "", "goroutine", "goroutines", "go",
-		"des", "DES", "event", "discrete-event", " Des ", "thread", "des2", "\x00"} {
-		f.Add(s)
-	}
-	f.Fuzz(func(t *testing.T, s string) {
-		b, err := ParseBackend(s)
-		if err != nil {
-			return
-		}
-		// Accepted spellings round-trip through String (the CLIs stamp
-		// b.String() into trace metadata and re-parse it).
-		got, err := ParseBackend(b.String())
-		if err != nil || got != b {
-			t.Fatalf("ParseBackend(%q).String() = %q does not round-trip: %v, %v", s, b.String(), got, err)
-		}
-	})
-}

@@ -1,6 +1,10 @@
 package cluster
 
-import "sync"
+import (
+	"sync"
+
+	"repro/internal/cluster/sim"
+)
 
 // Queue is a bounded FIFO handoff from one timeline of a rank to
 // another (a staged pipeline's item and credit channels): one sending
@@ -26,7 +30,7 @@ type Queue[T any] struct {
 	mu      sync.Mutex
 	ring    []T // committed values: n of them from head, wrapping
 	head, n int
-	recv    waiter // the parked receiver, or nil
+	recv    *sim.Task // the parked receiver, or nil
 }
 
 // NewQueue creates a bounded queue with the given capacity (values < 1
@@ -66,9 +70,9 @@ func (q *Queue[T]) commit(at float64) {
 	q.staged = q.staged[:n]
 	q.mu.Lock()
 	q.push(v)
-	if w := q.recv; w != nil {
+	if t := q.recv; t != nil {
 		q.recv = nil
-		w.ready(at)
+		t.Ready(at)
 	}
 	q.mu.Unlock()
 }
@@ -89,9 +93,9 @@ func (q *Queue[T]) Recv(r *Rank) T {
 		r.gate()
 		q.mu.Lock()
 		if q.n == 0 {
-			q.recv = r.w
+			q.recv = r.t
 			q.mu.Unlock()
-			r.w.park()
+			r.t.Park()
 			q.mu.Lock()
 		}
 	}
@@ -107,7 +111,7 @@ func (q *Queue[T]) Recv(r *Rank) T {
 type Forked struct {
 	mu     sync.Mutex
 	done   bool
-	joiner waiter // parked in Join, readied at joinAt when the body returns
+	joiner *sim.Task // parked in Join, readied at joinAt when the body returns
 	joinAt float64
 }
 
@@ -119,14 +123,13 @@ func (r *Rank) ForkStream(name string, fn func(s *Rank)) *Forked {
 	r.gate()
 	s := r.newStream(name)
 	f := &Forked{}
-	r.cl.sched.spawn(r.ID, s.clock, func(w waiter) {
-		s.w = w
+	r.cl.spawn(s, func() {
 		fn(s)
 		s.gate()
 		f.mu.Lock()
 		f.done = true
 		if f.joiner != nil {
-			f.joiner.ready(f.joinAt)
+			f.joiner.Ready(f.joinAt)
 		}
 		f.mu.Unlock()
 	})
@@ -143,7 +146,7 @@ func (f *Forked) Join(r *Rank) {
 		f.mu.Unlock()
 		return
 	}
-	f.joiner, f.joinAt = r.w, r.clock
+	f.joiner, f.joinAt = r.t, r.clock
 	f.mu.Unlock()
-	r.w.park()
+	r.t.Park()
 }

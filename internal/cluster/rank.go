@@ -6,6 +6,8 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/cluster/sim"
 )
 
 // Rank is one simulated device (a "GPU") executing the per-process body
@@ -66,9 +68,10 @@ type Rank struct {
 
 	// cl is the owning cluster.
 	cl *Cluster
-	// w is the handle this timeline parks on and its peers ready: the
-	// one way the rendezvous, stage queues and stream joins block.
-	w waiter
+	// t is the scheduler task running this timeline: it parks on it and
+	// its peers ready it, the one way the rendezvous, stage queues and
+	// stream joins block.
+	t *sim.Task
 	// sends are this timeline's queue sends awaiting their commit, in
 	// program order (see gate).
 	sends []pendingSend
@@ -94,7 +97,7 @@ type committer interface{ commit(at float64) }
 // receiver at the same key, with the same sequence number, as a send
 // committed on the spot.
 func (r *Rank) gate() {
-	r.w.gate()
+	r.t.Gate()
 	for _, p := range r.sends {
 		p.q.commit(p.at)
 	}
@@ -103,8 +106,8 @@ func (r *Rank) gate() {
 }
 
 // acct is the phase/traffic accounting shared across a rank's streams.
-// Streams run on separate goroutines, so shared updates take the
-// mutex; each stream's clock is goroutine-local and needs no lock.
+// Streams run as separate tasks, so shared updates take the mutex;
+// each stream's clock is task-local and needs no lock.
 // Phase names are interned to index-addressed slots (phaseIdx) so the
 // per-charge path performs no map operations; the float64 second
 // accumulators themselves live on each stream (see Rank.phaseTotal) —
@@ -150,7 +153,7 @@ func (a *acct) slotFor(name string) int {
 // caller's current time. Charges and collectives issued on the handle
 // advance only its own clock; phase totals accrue to the shared
 // buckets. A communicator must not be used by two streams of the same
-// rank concurrently. The handle has no waiter until it is spawned.
+// rank concurrently. The handle has no task until it is spawned.
 func (r *Rank) newStream(name string) *Rank {
 	s := &Rank{
 		ID:     r.ID,
@@ -295,7 +298,7 @@ func (r *Rank) advance(dt float64, comm bool) {
 		// a charge during unwinding cannot re-fire, and panic with the
 		// planned time (not the overshot clock) so the restart driver
 		// can retire exactly the plan entry that fired. The cluster
-		// backend recovers the panic into the rank's error slot; peers
+		// recovers the panic into the rank's error slot; peers
 		// blocked on this rank's collectives observe a poisoned
 		// rendezvous wrapping ErrRankFailed.
 		at := r.failAt
@@ -491,12 +494,8 @@ type Cluster struct {
 	N     int
 	Model CostModel
 
-	// backend is the resolved execution backend (never
-	// DefaultBackend): Model.Backend, then $GNN_BACKEND, then the
-	// goroutine backend — fixed at construction so every Run agrees.
-	backend Backend
 	// sched runs the timelines of the latest Run (nil before the first).
-	sched scheduler
+	sched *sim.Sched
 
 	mu    sync.Mutex
 	comms []*Comm
@@ -548,6 +547,16 @@ func (c *Cluster) markDone(r *Rank) {
 	}
 }
 
+// spawn starts r's timeline as a new scheduler task running fn, ready
+// at r's clock. Called before the scheduler runs (Run) or inside a
+// commit section (ForkStream).
+func (c *Cluster) spawn(r *Rank, fn func()) {
+	c.sched.Spawn(r.ID, func(t *sim.Task) {
+		r.t = t
+		fn()
+	}).Ready(r.clock)
+}
+
 // New returns a cluster of n ranks under the given cost model. A model
 // carrying a Topology panics here if the topology is invalid (callers
 // with error returns validate via Topology.Validate first).
@@ -555,7 +564,7 @@ func New(n int, model CostModel) *Cluster {
 	if n <= 0 {
 		panic("cluster: need at least one rank")
 	}
-	c := &Cluster{N: n, Model: model, backend: resolveBackend(model.Backend), rankComms: make([][]*Comm, n)}
+	c := &Cluster{N: n, Model: model, rankComms: make([][]*Comm, n)}
 	if model.Topology != nil {
 		c.cont = newContention(model, n)
 	}
@@ -569,7 +578,7 @@ func New(n int, model CostModel) *Cluster {
 // detector poisons the rendezvous and the waiting ranks panic with a
 // diagnostic (real MPI would hang). Bodies should still return errors
 // only at synchronized points. Any streams a body forks must be joined
-// (their goroutines finished) before the body returns.
+// (their tasks finished) before the body returns.
 func (c *Cluster) Run(body func(r *Rank) error) (*Result, error) {
 	// Reset the per-run deadlock-detector and stream-binding state so
 	// a cluster can host consecutive Run calls (a later run may drive
@@ -602,15 +611,14 @@ func (c *Cluster) Run(body func(r *Rank) error) (*Result, error) {
 	}
 	errs := make([]error, c.N)
 	// One timeline per rank, started at t=0 in rank order.
-	c.sched = newScheduler(c.backend)
+	c.sched = sim.New()
 	for _, r := range ranks {
-		c.sched.spawn(r.ID, 0, func(w waiter) {
-			r.w = w
+		c.spawn(r, func() {
 			defer c.markDone(r)
 			errs[r.ID] = c.runBody(body, r)
 		})
 	}
-	c.sched.wait()
+	c.sched.Run()
 	// Error selection: a bug-class error wins (first by rank order, the
 	// historical behavior); otherwise, when every error is fault-class,
 	// return the earliest RankFailure — the root cause a restart driver

@@ -1,5 +1,5 @@
-// Package sim is the discrete-event core of the cluster simulator's
-// DES backend: a parallel scheduler driving one task per simulated
+// Package sim is the discrete-event core of the cluster simulator: a
+// parallel scheduler driving one task per simulated
 // rank (or rank stream) off a priority event queue, whose shared-state
 // commits happen in the order a one-task-at-a-time loop would make
 // them.
@@ -185,8 +185,7 @@ type Sched struct {
 	// trap records the first panic that escaped a task body (in commit
 	// order); Run rethrows it on its own goroutine once no task can
 	// run, so an un-recovered simulated-program panic still crashes the
-	// process with its diagnostic (matching the goroutine backend)
-	// instead of wedging the event loop.
+	// process with its diagnostic instead of wedging the event loop.
 	trap any
 }
 

@@ -43,9 +43,9 @@ func TestDupIdentity(t *testing.T) {
 // clones' private rendezvous keep the sequences from interleaving, and
 // both deliver correct values.
 func TestStreamClonesIsolateCollectives(t *testing.T) {
-	bothBackends(t, func(t *testing.T, model CostModel) float64 {
+	onDES(t, func(t *testing.T) float64 {
 		run := func() ([]float64, []float64, float64) {
-			cl := New(4, model)
+			cl := New(4, testModel())
 			world := cl.World()
 			var mainOut, streamOut []float64
 			res, err := cl.Run(func(r *Rank) error {
@@ -156,8 +156,8 @@ func TestAbandonedCollectivePanics(t *testing.T) {
 // communicator from a differently-named stream than the first without
 // tripping the two-streams check.
 func TestDriverBindingsResetAcrossRuns(t *testing.T) {
-	bothBackends(t, func(t *testing.T, model CostModel) float64 {
-		cl := New(2, model)
+	onDES(t, func(t *testing.T) float64 {
+		cl := New(2, testModel())
 		world := cl.World()
 		// First run: base comm driven from the main timeline.
 		if _, err := cl.Run(func(r *Rank) error {
@@ -189,8 +189,8 @@ func TestDriverBindingsResetAcrossRuns(t *testing.T) {
 // driven by at most one stream of each member rank is enforced, with a
 // panic pointing at ForStream/Dup.
 func TestTwoStreamsOneCommPanics(t *testing.T) {
-	bothBackends(t, func(t *testing.T, model CostModel) float64 {
-		cl := New(1, model)
+	onDES(t, func(t *testing.T) float64 {
+		cl := New(1, testModel())
 		world := cl.World()
 		var msg string
 		res, err := cl.Run(func(r *Rank) error {

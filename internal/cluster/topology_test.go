@@ -289,7 +289,7 @@ func TestExchangeTransformPanicPoisonsRendezvous(t *testing.T) {
 		_, _ = cl.Run(func(r *Rank) error {
 			defer func() { panics <- recover() }()
 			comm.exchangeTransform(r, "boom", slot{clock: r.clock},
-				func([]slot) []slot { panic("transform exploded") })
+				func([]slot) []slot { panic("transform exploded") }, false)
 			return nil
 		})
 		close(done)

@@ -15,19 +15,17 @@ import (
 // every epoch). These tests pin the reuse contract: a pass over warm
 // arenas — buffers grown and dirtied by a previous pass — must be
 // bit-identical, in both samples and simulated charges, to the same
-// pass over a fresh set, on both execution backends.
+// pass over a fresh set.
 
 // runTwoPasses samples twice from the same cluster run and returns the
 // second pass's samples plus the final simulated clock. When warm is
 // true the second pass reuses the first pass's set (arenas dirty);
 // otherwise it gets a freshly built set, the cold control.
-func runTwoPasses(t *testing.T, be cluster.Backend, s core.Sampler, a *sparse.CSR,
+func runTwoPasses(t *testing.T, s core.Sampler, a *sparse.CSR,
 	batches [][]int, warm bool) ([]*core.BulkSample, float64) {
 	t.Helper()
 	const p, c = 8, 2
-	m := cluster.Perlmutter()
-	m.Backend = be
-	cl := cluster.New(p, m)
+	cl := cluster.New(p, cluster.Perlmutter())
 	g := cluster.NewGrid(cl, p, c)
 	setA := NewPartitionedSet(g, a, true)
 	setB := setA
@@ -53,18 +51,16 @@ func runTwoPasses(t *testing.T, be cluster.Backend, s core.Sampler, a *sparse.CS
 func TestArenaReuseBitIdentical(t *testing.T) {
 	a := testGraph(150, 10, 7)
 	batches := makeBatches(8, 4, 150)
-	for _, be := range []cluster.Backend{cluster.GoroutineBackend, cluster.DESBackend} {
-		for _, entry := range core.Samplers {
-			algo, s := entry.Key, entry.New(graph.New(a))
-			warm, warmSim := runTwoPasses(t, be, s, a, batches, true)
-			cold, coldSim := runTwoPasses(t, be, s, a, batches, false)
-			if warmSim != coldSim {
-				t.Errorf("%v/%s: warm-arena sim clock %.17g, fresh-arena %.17g", be, algo, warmSim, coldSim)
-			}
-			for rank := range warm {
-				if err := sameBulk(warm[rank], cold[rank]); err != nil {
-					t.Errorf("%v/%s rank %d: warm arenas changed the sample: %v", be, algo, rank, err)
-				}
+	for _, entry := range core.Samplers {
+		algo, s := entry.Key, entry.New(graph.New(a))
+		warm, warmSim := runTwoPasses(t, s, a, batches, true)
+		cold, coldSim := runTwoPasses(t, s, a, batches, false)
+		if warmSim != coldSim {
+			t.Errorf("%s: warm-arena sim clock %.17g, fresh-arena %.17g", algo, warmSim, coldSim)
+		}
+		for rank := range warm {
+			if err := sameBulk(warm[rank], cold[rank]); err != nil {
+				t.Errorf("%s rank %d: warm arenas changed the sample: %v", algo, rank, err)
 			}
 		}
 	}
@@ -79,9 +75,7 @@ func TestFreshSetReusesArenaMemory(t *testing.T) {
 	const p, c = 8, 2
 	a := testGraph(150, 10, 9)
 	batches := makeBatches(8, 4, 150)
-	m := cluster.Perlmutter()
-	m.Backend = cluster.DESBackend
-	cl := cluster.New(p, m)
+	cl := cluster.New(p, cluster.Perlmutter())
 	g := cluster.NewGrid(cl, p, c)
 	qs := make([]*sparse.CSR, p)
 	for rank := range qs {
@@ -116,7 +110,7 @@ func TestFreshSetReusesArenaMemory(t *testing.T) {
 func TestArenaReuseMatchesLocalOracle(t *testing.T) {
 	a := testGraph(150, 10, 8)
 	batches := makeBatches(8, 4, 150)
-	results, _ := runTwoPasses(t, cluster.GoroutineBackend, core.SAGE{}, a, batches, true)
+	results, _ := runTwoPasses(t, core.SAGE{}, a, batches, true)
 	const p, c = 8, 2
 	cl := cluster.New(p, cluster.Perlmutter())
 	g := cluster.NewGrid(cl, p, c)

@@ -112,16 +112,7 @@ func TestReplicatedSamplingHasNoCommunication(t *testing.T) {
 func runPartitioned(t *testing.T, a *sparse.CSR, batches [][]int, p, c int,
 	s core.Sampler, sizes []int, aware bool) ([]*core.BulkSample, *cluster.Result) {
 	t.Helper()
-	return runPartitionedOn(t, cluster.Perlmutter().Backend, a, batches, p, c, s, sizes, aware)
-}
-
-// runPartitionedOn is runPartitioned on the given execution backend.
-func runPartitionedOn(t *testing.T, be cluster.Backend, a *sparse.CSR, batches [][]int, p, c int,
-	s core.Sampler, sizes []int, aware bool) ([]*core.BulkSample, *cluster.Result) {
-	t.Helper()
-	m := cluster.Perlmutter()
-	m.Backend = be
-	cl := cluster.New(p, m)
+	cl := cluster.New(p, cluster.Perlmutter())
 	g := cluster.NewGrid(cl, p, c)
 	set := NewPartitionedSet(g, a, aware)
 	results := make([]*core.BulkSample, p)
@@ -299,7 +290,7 @@ func chargeDigest(res *cluster.Result) string {
 // partitionedChargePins are chargeDigest of every 1.5D run below, keyed
 // "sampler p=P c=C aware|oblivious", captured from the matrix-multiplying
 // stage loop (SPA products, merged fold, private result copies) before
-// the host switched to row gathers. Both backends must reproduce them:
+// the host switched to row gathers. Every run must reproduce them:
 // what the host executes may change, what the device is charged may not.
 var partitionedChargePins = map[string]string{
 	"sage p=4 c=1 aware":         "ccf809047bf65c02",
@@ -330,9 +321,8 @@ var partitionedChargePins = map[string]string{
 
 // Every sampler of the table, under every distribution of A, returns
 // on every rank what the serial bulk sampler returns for that rank's
-// batches, layer for layer; every 1.5D grid, either row-fetching scheme
-// and either backend charge exactly the pinned simulated times and
-// bytes.
+// batches, layer for layer; every 1.5D grid and either row-fetching
+// scheme charge exactly the pinned simulated times and bytes.
 func TestDistributedMatchesSerialForEverySampler(t *testing.T) {
 	a := testGraph(150, 10, 13)
 	g := graph.New(a)
@@ -365,12 +355,10 @@ func TestDistributedMatchesSerialForEverySampler(t *testing.T) {
 			for _, aware := range []bool{true, false} {
 				scheme := map[bool]string{true: "aware", false: "oblivious"}[aware]
 				key := fmt.Sprintf("%s p=%d c=%d %s", entry.Key, pc[0], pc[1], scheme)
-				for _, be := range []cluster.Backend{cluster.GoroutineBackend, cluster.DESBackend} {
-					results, res := runPartitionedOn(t, be, a, batches, pc[0], pc[1], s, sizes, aware)
-					check(fmt.Sprintf("1.5D %v p=%d c=%d %s", be, pc[0], pc[1], scheme), results)
-					if got := chargeDigest(res); got != partitionedChargePins[key] {
-						t.Errorf("%s on %v: charge digest %s, pinned %s", key, be, got, partitionedChargePins[key])
-					}
+				results, res := runPartitioned(t, a, batches, pc[0], pc[1], s, sizes, aware)
+				check(fmt.Sprintf("1.5D p=%d c=%d %s", pc[0], pc[1], scheme), results)
+				if got := chargeDigest(res); got != partitionedChargePins[key] {
+					t.Errorf("%s: charge digest %s, pinned %s", key, got, partitionedChargePins[key])
 				}
 			}
 		}

@@ -13,7 +13,7 @@ import (
 )
 
 // TestDifferentialOverlapWorkers: random overlapped
-// pipelines on the DES backend — random stage durations and queue
+// pipelines on the scheduler — random stage durations and queue
 // capacities (1–3), link charges contending on an oversubscribed
 // fabric, a gradient-style all-reduce in the last stage and an
 // injected fail-stop — log the same clocks, stall buckets and commit
@@ -62,7 +62,6 @@ func overlapDESLog(t *testing.T, seed int64, w int) string {
 		}
 	}
 	m := cluster.Perlmutter()
-	m.Backend = cluster.DESBackend
 	m.Topology = cluster.OversubscribedTopology(4)
 	m.Faults = &cluster.FaultPlan{Failures: []cluster.Failure{
 		{Rank: rng.Intn(p), At: float64(n*stages) * rng.Float64() * 60e-6}}}

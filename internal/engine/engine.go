@@ -19,7 +19,7 @@
 // along with the item, and a consumer that outruns its producer stalls
 // (WaitUntil, charged to the PhaseStall bucket) until the item is
 // ready in simulated time. Bounded queues exert the same backpressure
-// on the clocks that they exert on the goroutines: a producer may not
+// on the clocks that they exert on the streams: a producer may not
 // start item i before the consumer has dequeued item i-q (q = queue
 // capacity), which is what makes a capacity-1 queue model classic
 // double buffering. Epoch time is therefore the max over concurrent
@@ -136,9 +136,8 @@ func (p *Pipeline) executeSequential(r *cluster.Rank, n int) error {
 // the stage's error. This is what keeps the overlapped schedule's
 // queue protocol in lockstep through a failure: the error rides the
 // tokens downstream, every queue drains, and the forked streams join,
-// so Execute returns the failure cleanly on both backends instead of
-// leaking parked stream tasks (which the DES scheduler would diagnose
-// as a deadlock). Bug-class panics still crash.
+// so Execute returns the failure cleanly instead of leaking parked
+// stream tasks (which the scheduler would diagnose as a deadlock). Bug-class panics still crash.
 func runItem(st Stage, r *cluster.Rank, i int, in any) (v any, err error) {
 	defer func() {
 		p := recover()
@@ -179,9 +178,8 @@ func waitUntil(r *cluster.Rank, t float64) (err error) {
 // flow downstream through bounded queues; queue-slot credits (each
 // carrying the consumer's simulated dequeue time) flow back upstream,
 // so both the concurrent streams and the simulated clocks feel the
-// bounded queues. The queues and forks are the cluster's
-// backend-neutral primitives, so the same code runs on goroutines or
-// as discrete-event tasks.
+// bounded queues. The queues and forks are the cluster's park/wake
+// primitives, so every stream is a task of the cluster's scheduler.
 func (p *Pipeline) executeOverlapped(r *cluster.Rank, n int) error {
 	s := len(p.Stages)
 	names := make(map[string]int, s)

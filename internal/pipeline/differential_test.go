@@ -23,8 +23,8 @@ import (
 // *where* work runs: it never changes *what* is computed. One generator
 // draws tiny runs over every strategy (replicated, 1.5D partitioned
 // sparsity-aware and oblivious, Quiver on GPU and UVA), every sampler,
-// grid, bulk size, schedule, checkpoint interval, collective table,
-// topology and backend. Each row of the transformation table runs a
+// grid, bulk size, schedule, checkpoint interval, collective table
+// and topology. Each row of the transformation table runs a
 // spec's twin and holds it, by one of two oracles, to the spec's own run.
 
 // differentialData is large enough to exercise every phase and small
@@ -48,7 +48,7 @@ func (s spec) run() (*pipeline.Result, error) {
 	}
 	return baseline.RunQuiver(differentialData, baseline.QuiverConfig{
 		P: s.P, UVA: s.quiver == "uva", Epochs: s.Epochs, MaxBatches: s.MaxBatches, Seed: s.Seed,
-		Model: s.Model, Topology: s.Topology, Backend: s.Backend, Faults: s.Faults, CkptInterval: s.CkptInterval,
+		Model: s.Model, Topology: s.Topology, Faults: s.Faults, CkptInterval: s.CkptInterval,
 	})
 }
 
@@ -61,19 +61,17 @@ func (s spec) String() string {
 		}
 		strategy += fmt.Sprintf(" sampler=%s c=%d k=%d overlap=%v", s.Sampler, s.C, s.K, s.Overlap)
 	}
-	return fmt.Sprintf("{%s p=%d epochs=%d maxbatches=%d seed=%d ckpt=%d allreduce=%v alltoall=%v topology=%v backend=%v faults=%v}",
+	return fmt.Sprintf("{%s p=%d epochs=%d maxbatches=%d seed=%d ckpt=%d allreduce=%v alltoall=%v topology=%v faults=%v}",
 		strategy, s.P, s.Epochs, s.MaxBatches, s.Seed, s.CkptInterval,
-		s.Model.Collectives.AllReduce, s.Model.Collectives.AllToAll, s.Topology, s.Backend, s.Faults)
+		s.Model.Collectives.AllReduce, s.Model.Collectives.AllToAll, s.Topology, s.Faults)
 }
 
 var (
-	backends         = []cluster.Backend{cluster.GoroutineBackend, cluster.DESBackend}
 	ringPairwise     = cluster.Collectives{AllReduce: cluster.Ring, AllToAll: cluster.Pairwise}
 	collectiveTables = []cluster.Collectives{{}, ringPairwise, {AllReduce: cluster.Hierarchical}}
 )
 
-// draw returns the i-th spec. Backends alternate with i, so a row sees
-// both equally often.
+// draw returns the i-th spec.
 func draw(i int) spec {
 	rng := rand.New(rand.NewSource(20240817 + int64(i)))
 	ps := []int{2, 4, 8}
@@ -84,7 +82,6 @@ func draw(i int) spec {
 		Seed:         rng.Int63n(1 << 20),
 		CkptInterval: rng.Intn(3), // 0: a failure restarts from scratch
 		Model:        cluster.Perlmutter(),
-		Backend:      backends[i%2],
 	}}
 	s.Model.Collectives = collectiveTables[rng.Intn(len(collectiveTables))]
 	if rng.Intn(4) == 0 {
@@ -169,52 +166,35 @@ func sameTraining(a, b *pipeline.Result) error {
 	return nil
 }
 
-// exact is the one carve-out, and it is cross-backend only: under a
-// contention topology the ledger serves concurrent flows in commit
-// order, which the DES backend fixes by event key at any worker count
-// and the goroutine backend leaves to the Go scheduler; neither order
-// is part of a checkpoint. Rows that hold a twin to identical results
-// across backends or a restore therefore need the pure α–β model, or
-// the DES backend where the row stays on it; training values hold under
-// every topology.
+// exact is the one carve-out: under a contention topology the ledger
+// serves concurrent flows in commit order, and its history is not part
+// of a checkpoint. Rows that hold a restore to identical results
+// therefore need the pure α–β model; training values hold under every
+// topology.
 func exact(s spec) bool { return s.Topology == nil }
 
-// des is a spec on the DES backend, whose contended runs are exact too.
-func des(s spec) bool { return s.Backend == cluster.DESBackend }
-
-// row is one transformation: for n specs per backend (short in -short
-// mode) that it applies to, the twin's result must pass the oracle
-// against the spec's reference run. A cold row draws only from the
-// specs TestMain ran; a desOnly row only DES specs.
+// row is one transformation: for n specs (short in -short mode) that it
+// applies to (every spec when applies is nil), the twin's result must
+// pass the oracle against the spec's reference run. A cold row draws
+// only from the specs TestMain ran.
 type row struct {
 	name     string
 	n, short int
 	cold     bool
-	desOnly  bool
 	applies  func(spec) bool
 	twin     func(i int, s spec, ref *pipeline.Result) (*pipeline.Result, error)
 	oracle   func(a, b *pipeline.Result) error
 }
 
 var transformations = []row{
-	{name: "backend", n: 500, short: 25, applies: exact, oracle: identical,
-		twin: func(_ int, s spec, _ *pipeline.Result) (*pipeline.Result, error) {
-			if s.Backend == backends[0] {
-				s.Backend = backends[1]
-			} else {
-				s.Backend = backends[0]
-			}
-			return s.run()
-		}},
 	// Run memory is recycled through the process's free lists: whatever
 	// an earlier run left there, a run computes what a fresh one does.
 	{name: "repeat", n: 12, short: 12, oracle: identical,
-		applies: func(s spec) bool { return exact(s) || des(s) },
-		twin:    func(_ int, s spec, _ *pipeline.Result) (*pipeline.Result, error) { return s.run() }},
-	// The DES backend runs up to GOMAXPROCS segments at once and commits
+		twin: func(_ int, s spec, _ *pipeline.Result) (*pipeline.Result, error) { return s.run() }},
+	// The scheduler runs up to GOMAXPROCS segments at once and commits
 	// in event-key order, so the worker count never changes a result,
 	// contended ones included: W = 1 and W = 4 both equal the reference.
-	{name: "workers", n: 40, short: 8, desOnly: true, applies: des, oracle: identical,
+	{name: "workers", n: 40, short: 8, oracle: identical,
 		twin: func(_ int, s spec, ref *pipeline.Result) (*pipeline.Result, error) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 			serial, err := s.run()
@@ -227,7 +207,7 @@ var transformations = []row{
 			runtime.GOMAXPROCS(4)
 			return s.run()
 		}},
-	{name: "concurrent", n: 4, short: 4, applies: exact, oracle: identical, twin: runBesideSiblings},
+	{name: "concurrent", n: 4, short: 4, oracle: identical, twin: runBesideSiblings},
 	// Two epochs or more, so that a checkpoint can precede the failure.
 	{name: "crash", n: 200, short: 12, oracle: identical, twin: crashAndRestore,
 		applies: func(s spec) bool { return exact(s) && s.Epochs >= 2 }},
@@ -319,41 +299,29 @@ func crashAndRestore(i int, s spec, clean *pipeline.Result) (*pipeline.Result, e
 }
 
 // TestDifferential walks the specs once: a spec's reference run serves
-// every row still short of specs on its backend, and is dropped after.
-// A row stops at its first failure; the others go on.
+// every row still short of specs, and is dropped after. A row stops at
+// its first failure; the others go on.
 func TestDifferential(t *testing.T) {
-	left := make([]map[cluster.Backend]int, len(transformations)) // specs each row still needs
+	left := make([]int, len(transformations)) // specs each row still needs
 	for r, row := range transformations {
-		n := row.n
+		left[r] = row.n
 		if testing.Short() {
-			n = row.short
-		}
-		left[r] = map[cluster.Backend]int{backends[0]: n, backends[1]: n}
-		if row.desOnly {
-			left[r][cluster.GoroutineBackend] = 0
+			left[r] = row.short
 		}
 	}
-	open := func() bool {
-		for _, l := range left {
-			if l[backends[0]]+l[backends[1]] > 0 {
-				return true
-			}
-		}
-		return false
-	}
-	for i := 0; open(); i++ {
+	for i := 0; slices.ContainsFunc(left, func(n int) bool { return n > 0 }); i++ {
 		s := draw(i)
 		var ref *pipeline.Result
 		if i < coldSpecs {
 			ref = coldRefs[i]
 		}
 		for r, row := range transformations {
-			if left[r][s.Backend] == 0 || !row.applies(s) {
+			if left[r] == 0 || row.applies != nil && !row.applies(s) {
 				continue
 			}
 			if row.cold && i >= coldSpecs {
 				t.Errorf("%s: too few of the %d cold specs apply", row.name, coldSpecs)
-				clear(left[r])
+				left[r] = 0
 				continue
 			}
 			var err error
@@ -368,10 +336,10 @@ func TestDifferential(t *testing.T) {
 			}
 			if err != nil {
 				t.Errorf("%s: spec %d %v: %v", row.name, i, s, err)
-				clear(left[r])
+				left[r] = 0
 				continue
 			}
-			left[r][s.Backend]--
+			left[r]--
 		}
 	}
 }

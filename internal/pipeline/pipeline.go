@@ -57,12 +57,10 @@ type Config struct {
 	// split bandwidth instead of each charging full β.
 	Topology *cluster.Topology
 
-	// Backend selects the simulator's execution backend (set on
-	// Model.Backend): the goroutine backend runs one goroutine per
-	// rank, the discrete-event backend runs the whole cluster as one
-	// event loop (cluster.DESBackend). Results are bit-identical
-	// either way; only wall time differs. Zero resolves $GNN_BACKEND,
-	// then goroutines.
+	// Backend is inert: every run executes on the discrete-event
+	// scheduler. benchmark/ still sets it.
+	//
+	//gnnvet:allow deadexport — shim set by benchmark/ until ROADMAP item 1(b) deletes it
 	Backend cluster.Backend
 
 	// Overlap runs the staged-execution engine in its software-
@@ -120,7 +118,7 @@ type Config struct {
 }
 
 // withDefaults fills zero fields, resolves Sampler through core.Samplers
-// and merges the platform fields (Topology, Backend, Faults) into Model
+// and merges the platform fields (Topology, Faults) into Model
 // — the one place a training run's cost model is assembled. The model
 // is the platform: the CLIs and the bench harness set their selections
 // on it and nowhere else (collective schedules live only there); the
@@ -151,9 +149,6 @@ func (c Config) withDefaults(d *datasets.Dataset) (Config, error) {
 	}
 	if c.Topology != nil {
 		c.Model.Topology = c.Topology
-	}
-	if c.Backend != cluster.DefaultBackend {
-		c.Model.Backend = c.Backend
 	}
 	if c.Faults != nil {
 		c.Model.Faults = c.Faults

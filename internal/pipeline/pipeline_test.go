@@ -640,26 +640,21 @@ func TestHierAllReduceSameTraining(t *testing.T) {
 // the (documented) ChargeMem term the old generic all-reduce lacked.
 func TestGoldenFlatTreeBitIdentical(t *testing.T) {
 	d := tinySBM()
-	// Every golden must hold bit-for-bit on both execution backends:
-	// the backend moves the simulator's machinery, never its results.
 	check := func(name string, cfg Config, wantSim, wantTotal, wantLoss float64) {
 		t.Helper()
-		for _, be := range []cluster.Backend{cluster.GoroutineBackend, cluster.DESBackend} {
-			cfg.Backend = be
-			res, err := Run(d, cfg)
-			if err != nil {
-				t.Fatalf("%s/%v: %v", name, be, err)
-			}
-			e := res.LastEpoch()
-			if res.Cluster.SimTime != wantSim {
-				t.Errorf("%s/%v: SimTime = %.17g, want %.17g", name, be, res.Cluster.SimTime, wantSim)
-			}
-			if e.Total != wantTotal {
-				t.Errorf("%s/%v: Total = %.17g, want %.17g", name, be, e.Total, wantTotal)
-			}
-			if e.Loss != wantLoss {
-				t.Errorf("%s/%v: Loss = %.17g, want %.17g", name, be, e.Loss, wantLoss)
-			}
+		res, err := Run(d, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		e := res.LastEpoch()
+		if res.Cluster.SimTime != wantSim {
+			t.Errorf("%s: SimTime = %.17g, want %.17g", name, res.Cluster.SimTime, wantSim)
+		}
+		if e.Total != wantTotal {
+			t.Errorf("%s: Total = %.17g, want %.17g", name, e.Total, wantTotal)
+		}
+		if e.Loss != wantLoss {
+			t.Errorf("%s: Loss = %.17g, want %.17g", name, e.Loss, wantLoss)
 		}
 	}
 	check("replicated", Config{P: 8, C: 2, Epochs: 2, Seed: 5, MaxBatches: 8},
@@ -713,27 +708,25 @@ func TestGoldenContentionOffPerAlgorithm(t *testing.T) {
 		{GraphPartitioned, "hier", 0.0010942991241333338, 0.66800119073290198},
 	}
 	for _, g := range golden {
-		for _, be := range []cluster.Backend{cluster.GoroutineBackend, cluster.DESBackend} {
-			// An explicit "ideal" parse is the nil topology: the same run.
-			topo, err := cluster.ParseTopology("ideal")
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := Run(d, Config{P: 8, C: 2, Epochs: 2, Seed: 5, MaxBatches: 8,
-				Algorithm: g.algorithm, SparsityAware: g.algorithm == GraphPartitioned,
-				Model: onModel(tables[g.table]), Topology: topo, Backend: be})
-			if err != nil {
-				t.Fatalf("%v/%s/%v: %v", g.algorithm, g.table, be, err)
-			}
-			if got := res.Cluster.SimTime; got != g.sim {
-				t.Errorf("%v/%s/%v: SimTime = %.17g, want %.17g", g.algorithm, g.table, be, got, g.sim)
-			}
-			if got := res.LastEpoch().Loss; got != g.loss {
-				t.Errorf("%v/%s/%v: Loss = %.17g, want %.17g", g.algorithm, g.table, be, got, g.loss)
-			}
-			if res.Cluster.PhysLinks != nil {
-				t.Errorf("%v/%s/%v: contention-off run reported physical links", g.algorithm, g.table, be)
-			}
+		// An explicit "ideal" parse is the nil topology: the same run.
+		topo, err := cluster.ParseTopology("ideal")
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(d, Config{P: 8, C: 2, Epochs: 2, Seed: 5, MaxBatches: 8,
+			Algorithm: g.algorithm, SparsityAware: g.algorithm == GraphPartitioned,
+			Model: onModel(tables[g.table]), Topology: topo})
+		if err != nil {
+			t.Fatalf("%v/%s: %v", g.algorithm, g.table, err)
+		}
+		if got := res.Cluster.SimTime; got != g.sim {
+			t.Errorf("%v/%s: SimTime = %.17g, want %.17g", g.algorithm, g.table, got, g.sim)
+		}
+		if got := res.LastEpoch().Loss; got != g.loss {
+			t.Errorf("%v/%s: Loss = %.17g, want %.17g", g.algorithm, g.table, got, g.loss)
+		}
+		if res.Cluster.PhysLinks != nil {
+			t.Errorf("%v/%s: contention-off run reported physical links", g.algorithm, g.table)
 		}
 	}
 }
@@ -809,9 +802,7 @@ func TestRunRejectsInvalidTopology(t *testing.T) {
 // TestFetchCachedCostsWhatItRequests).
 func TestFreshStoresReuseFetchMemory(t *testing.T) {
 	d := tinySBM()
-	model := cluster.Perlmutter()
-	model.Backend = cluster.DESBackend
-	cl := cluster.New(4, model)
+	cl := cluster.New(4, cluster.Perlmutter())
 	g := cluster.NewGrid(cl, 4, 2)
 	verts := []int{3, 9, 200, 450, 12, 100, 511, 7, 100}
 	call := func(stores []*FeatureStore) {
@@ -861,9 +852,7 @@ func TestFetchCachedCostsWhatItRequests(t *testing.T) {
 	perCall := map[int]cost{}
 	scratch := map[int][8]int{}
 	for _, n := range []int{4, 256} {
-		model := cluster.Perlmutter()
-		model.Backend = cluster.DESBackend
-		cl := cluster.New(n, model)
+		cl := cluster.New(n, cluster.Perlmutter())
 		g := cluster.NewGrid(cl, n, 1)
 		stores := NewFeatureStores(g, feats)
 		clear(stores[0].scratch)
