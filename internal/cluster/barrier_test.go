@@ -2,8 +2,8 @@ package cluster
 
 // Barrier synchronizes all members; cost α·⌈log2 n⌉ at the worst tier.
 func Barrier(c *Comm, r *Rank) {
-	slots := c.exchange(r, "barrier", slot{clock: r.clock})
-	c.chargeCollective(r, "barrier", maxClock(slots), barrierCost(c))
+	_, entry := c.exchange(r, "barrier", slot{clock: r.clock})
+	c.chargeCollective(r, "barrier", entry, barrierCost(c))
 }
 
 func barrierCost(c *Comm) collCost {

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"repro/internal/cluster/sim"
+	"repro/internal/dense"
 )
 
 // Comm is a communicator over a subset of the cluster's ranks, like an
@@ -217,6 +218,9 @@ func (c *Comm) Tier() Link { return c.link }
 type slot struct {
 	clock float64
 	val   any
+	// vec is the sum all-reduce's contribution, carried unboxed so that
+	// contributing allocates nothing.
+	vec   []float64
 	bytes int
 }
 
@@ -236,6 +240,11 @@ type rendezvous struct {
 	waiting []bool // member indices arrived in the current generation
 	slots   []slot
 	out     []slot
+	// entry is the latest entry clock of the in-flight generation, kept
+	// as members arrive; outEntry is the completed generation's, handed
+	// out with out.
+	entry    float64
+	outEntry float64
 	// bufs is a three-generation ring reusing the slot storage instead
 	// of allocating n slots per collective. Three is the safe depth: a
 	// participant consumes generation g's slots before it arrives at
@@ -253,6 +262,14 @@ type rendezvous struct {
 	// there, and a member's next collective ends at g+2 — or at g+3
 	// under contention, whose extra rounds never touch this ring.
 	sparse [3][]any
+	// sums holds the sum all-reduce's fold records on the same ring.
+	// Every reader of generation g's total is done with it (or has
+	// copied it) before g+3's transform: members read it before their
+	// next collective here, and under the hierarchical schedule a
+	// leader's node peers read it from the node broadcast before their
+	// next node collective, which their leader joins before it can
+	// arrive here again.
+	sums   [3]*sumFold
 	failed error // poisoned: every current and future participant panics
 	// parked are the members waiting on the in-flight generation; the
 	// last arriver — or the poison path — readies them and clears the
@@ -311,12 +328,15 @@ func (c *Comm) diag() string {
 }
 
 // exchange contributes one slot under the named collective and returns
-// all n slots once every participant has arrived. The returned slice
-// is shared and must be treated as read-only. Deadlock detection: a
-// participant whose collective name disagrees with the in-flight one,
-// or whose peers can never arrive because their rank bodies already
-// returned, poisons the rendezvous and panics all participants.
-func (c *Comm) exchange(r *Rank, op string, s slot) []slot {
+// all n slots once every participant has arrived, with the latest entry
+// clock among them: collectives are bulk synchronous, so everyone leaves
+// no earlier than the slowest arriver plus the modeled cost. The
+// returned slice is shared and must be treated as read-only. Deadlock
+// detection: a participant whose collective name disagrees with the
+// in-flight one, or whose peers can never arrive because their rank
+// bodies already returned, poisons the rendezvous and panics all
+// participants.
+func (c *Comm) exchange(r *Rank, op string, s slot) ([]slot, float64) {
 	return c.exchangeTransform(r, op, s, nil, false)
 }
 
@@ -333,13 +353,13 @@ func (c *Comm) exchange(r *Rank, op string, s slot) []slot {
 // collective no longer holds the commit turn. Contended runs never
 // yield, which keeps their commit order (and with it the ledger's
 // outcome) as it was.
-func (c *Comm) exchangeTransform(r *Rank, op string, s slot, transform func([]slot) []slot, yield bool) []slot {
-	out, gen, yielded := c.arrive(r, op, s, transform, yield)
+func (c *Comm) exchangeTransform(r *Rank, op string, s slot, transform func([]slot) []slot, yield bool) ([]slot, float64) {
+	out, entry, gen, yielded := c.arrive(r, op, s, transform, yield)
 	if yielded {
 		r.t.Park()
 	}
 	if out != nil {
-		return out
+		return out, entry
 	}
 	// One wake suffices — only generation completion or poison readies
 	// a parked member, and the next generation cannot finish (it needs
@@ -354,7 +374,7 @@ func (c *Comm) exchangeTransform(r *Rank, op string, s slot, transform func([]sl
 	rv.mu.Lock()
 	defer rv.mu.Unlock()
 	if rv.gen != gen {
-		return rv.out
+		return rv.out, rv.outEntry
 	}
 	if rv.failed != nil {
 		panic(rv.failed)
@@ -364,11 +384,11 @@ func (c *Comm) exchangeTransform(r *Rank, op string, s slot, transform func([]sl
 
 // arrive is exchangeTransform's commit section. The last arriver
 // completes the generation, readies the parked members (and itself,
-// when it yields) and gets the output slots; an earlier one is recorded
-// as parked and gets nil plus the generation it must park for. The
-// unlock is deferred so every diagnostic panic below releases the
-// rendezvous.
-func (c *Comm) arrive(r *Rank, op string, s slot, transform func([]slot) []slot, yield bool) (out []slot, gen uint64, yielded bool) {
+// when it yields) and gets the output slots and the entry clock; an
+// earlier one is recorded as parked and gets nil plus the generation it
+// must park for. The unlock is deferred so every diagnostic panic below
+// releases the rendezvous.
+func (c *Comm) arrive(r *Rank, op string, s slot, transform func([]slot) []slot, yield bool) (out []slot, entry float64, gen uint64, yielded bool) {
 	r.gate()
 	c.checkDriver(r)
 	idx := c.LocalIndex(r)
@@ -381,6 +401,7 @@ func (c *Comm) arrive(r *Rank, op string, s slot, transform func([]slot) []slot,
 	if rv.arrived == 0 {
 		rv.op = op
 		rv.slots = rv.genBuf()
+		rv.entry = 0
 	} else if rv.op != op {
 		err := fmt.Errorf("cluster: mismatched collectives on comm %v (dup %q): rank %d called %s while %s is in flight%s",
 			c.members, c.key, r.ID, op, rv.op, c.diag())
@@ -390,6 +411,9 @@ func (c *Comm) arrive(r *Rank, op string, s slot, transform func([]slot) []slot,
 	rv.slots[idx] = s
 	rv.waiting[idx] = true
 	rv.arrived++
+	if s.clock > rv.entry {
+		rv.entry = s.clock
+	}
 	if rv.arrived == rv.n {
 		if transform != nil {
 			// A transform panic fires with the generation complete, which
@@ -412,6 +436,7 @@ func (c *Comm) arrive(r *Rank, op string, s slot, transform func([]slot) []slot,
 		} else {
 			rv.out = rv.slots
 		}
+		rv.outEntry = rv.entry
 		rv.slots = nil
 		rv.arrived = 0
 		rv.op = ""
@@ -424,9 +449,9 @@ func (c *Comm) arrive(r *Rank, op string, s slot, transform func([]slot) []slot,
 		rv.release()
 		if yield && c.cl.cont == nil {
 			r.t.Ready(s.clock)
-			return rv.out, rv.gen, true
+			return rv.out, rv.outEntry, rv.gen, true
 		}
-		return rv.out, rv.gen, false
+		return rv.out, rv.outEntry, rv.gen, false
 	}
 	// A peer that already finished its rank body can never arrive. The
 	// scan is gated on the lock-free anyDone flag, so the common case
@@ -439,7 +464,7 @@ func (c *Comm) arrive(r *Rank, op string, s slot, transform func([]slot) []slot,
 		}
 	}
 	rv.parked = append(rv.parked, parkedMember{t: r.t, clock: s.clock})
-	return nil, rv.gen, false
+	return nil, 0, rv.gen, false
 }
 
 // abandonedLocked returns a member rank that can never join the
@@ -499,19 +524,6 @@ func (c *Comm) checkAbandoned() {
 	}
 }
 
-// maxClock returns the maximum entry clock across slots: collectives
-// are bulk synchronous, so everyone leaves no earlier than the slowest
-// arriver plus the modeled cost.
-func maxClock(slots []slot) float64 {
-	m := 0.0
-	for _, s := range slots {
-		if s.clock > m {
-			m = s.clock
-		}
-	}
-	return m
-}
-
 func log2Ceil(n int) float64 {
 	if n <= 1 {
 		return 0
@@ -549,9 +561,9 @@ func broadcastAlg[T any](c *Comm, r *Rank, root int, val T, bytes int, alg Colle
 		s.val = val
 		s.bytes = bytes
 	}
-	slots := c.exchange(r, "broadcast", s)
+	slots, entry := c.exchange(r, "broadcast", s)
 	rs := slots[root]
-	c.chargeCollective(r, "broadcast", maxClock(slots), broadcastCost(c, alg, rs.bytes, me == root))
+	c.chargeCollective(r, "broadcast", entry, broadcastCost(c, alg, rs.bytes, me == root))
 	return rs.val.(T)
 }
 
@@ -560,12 +572,12 @@ func broadcastAlg[T any](c *Comm, r *Rank, root int, val T, bytes int, alg Colle
 // α·⌈log2 n⌉ + β·(total bytes); Ring charges (n−1)·α with the same β
 // term.
 func AllGather[T any](c *Comm, r *Rank, val T, bytes int) []T {
-	slots := c.exchange(r, "allgather", slot{clock: r.clock, val: val, bytes: bytes})
+	slots, entry := c.exchange(r, "allgather", slot{clock: r.clock, val: val, bytes: bytes})
 	total := 0
 	for _, s := range slots {
 		total += s.bytes
 	}
-	c.chargeCollective(r, "allgather", maxClock(slots), allGatherCost(c, c.allReduceAlg(), total, bytes))
+	c.chargeCollective(r, "allgather", entry, allGatherCost(c, c.allReduceAlg(), total, bytes))
 	out := make([]T, len(slots))
 	for i, s := range slots {
 		out[i] = s.val.(T)
@@ -578,8 +590,7 @@ func AllGather[T any](c *Comm, r *Rank, val T, bytes int) []T {
 // α + β·(own bytes).
 func Gather[T any](c *Comm, r *Rank, root int, val T, bytes int) []T {
 	me := c.LocalIndex(r)
-	slots := c.exchange(r, "gather", slot{clock: r.clock, val: val, bytes: bytes})
-	entry := maxClock(slots)
+	slots, entry := c.exchange(r, "gather", slot{clock: r.clock, val: val, bytes: bytes})
 	if me == root {
 		total := 0
 		for i, s := range slots {
@@ -612,8 +623,7 @@ func Scatter[T any](c *Comm, r *Rank, root int, parts []T, bytes func(T) int) T 
 		}
 		s.val = parts
 	}
-	slots := c.exchange(r, "scatter", s)
-	entry := maxClock(slots)
+	slots, entry := c.exchange(r, "scatter", s)
 	rootParts := slots[root].val.([]T)
 	mine := rootParts[me]
 	if me == root {
@@ -649,11 +659,11 @@ func AllToAllv[T any](c *Comm, r *Rank, parts []T, bytes func(T) int) []T {
 // senders, in ascending sender order (a sender's parts to one member
 // keep their order). A member lists only the destinations it sends to,
 // so the host work is O(n + messages) per collective: the last arriver
-// buckets every message by destination once, inside the rendezvous, and
-// takes the entry clock once. FlatTree charges the linear exchange
-// (n−1)·α + β·max(bytes sent, bytes received); Pairwise charges the
-// Bruck log-round schedule. Both exclude the self part. This is the
-// feature-fetching primitive of Section 6.2.
+// buckets every message by destination once, inside the rendezvous.
+// FlatTree charges the linear exchange (n−1)·α + β·max(bytes sent,
+// bytes received); Pairwise charges the Bruck log-round schedule. Both
+// exclude the self part. This is the feature-fetching primitive of
+// Section 6.2.
 //
 // The returned slices are shared and read-only, valid through the
 // caller's next collective on c (a reply may pass src back as its
@@ -672,7 +682,7 @@ func AllToAllvSparse[T any](c *Comm, r *Rank, dst []int, parts []T, bytes func(T
 			sent += bytes(parts[k])
 		}
 	}
-	slots := c.exchangeTransform(r, "alltoallv", slot{clock: r.clock, val: sparseMsg[T]{dst, parts}},
+	slots, entry := c.exchangeTransform(r, "alltoallv", slot{clock: r.clock, val: sparseMsg[T]{dst, parts}},
 		func(slots []slot) []slot {
 			ringBuckets[T](c.rv).fill(slots)
 			return slots
@@ -686,7 +696,7 @@ func AllToAllvSparse[T any](c *Comm, r *Rank, dst []int, parts []T, bytes func(T
 			recvd += bytes(got[k])
 		}
 	}
-	c.chargeCollective(r, "alltoallv", b.entry, allToAllvCost(c, c.allToAllAlg(), sent, recvd))
+	c.chargeCollective(r, "alltoallv", entry, allToAllvCost(c, c.allToAllAlg(), sent, recvd))
 	return src, got
 }
 
@@ -702,7 +712,6 @@ type buckets[T any] struct {
 	off   []int
 	src   []int
 	parts []T
-	entry float64 // latest entry clock across members
 }
 
 // ringBuckets returns the generation's reusable bucket buffers for
@@ -748,7 +757,6 @@ func (b *buckets[T]) fill(slots []slot) {
 			b.src[j], b.parts[j] = i, m.parts[k]
 		}
 	}
-	b.entry = maxClock(slots)
 	for i := range slots {
 		slots[i].val = b
 	}
@@ -788,15 +796,16 @@ func AllReduceSum(c *Comm, r *Rank, x []float64) []float64 {
 }
 
 // allReduceSum is the sum all-reduce under alg. The elementwise fold is
-// identical on every member (zeros, then += each slot in member order),
-// so the last arriver computes it once inside the rendezvous transform
-// — O(n·len) total instead of the O(n²·len) of every member re-folding
-// all n slots, the dominant simulator cost at large p — and every
-// member receives the one shared total, which must be treated as
-// read-only. A non-nil apply runs on the shared total inside the
-// transform: exactly once per collective, while every other member is
-// blocked in the rendezvous, which is what makes the shared-model
-// optimizer step of AllReduceSumApply race-free.
+// identical on every member (+0, then += each contribution in member
+// order), so it runs once per collective — O(n·len) total instead of
+// the O(n²·len) of every member re-folding all n contributions, the
+// dominant simulator cost at large p — and every member receives the
+// one shared total: read-only, and valid through the member's next
+// collective on c. Like AllReduceGenericInto's, the fold runs off the
+// commit turn (see fold). A non-nil apply runs on the total right after
+// the fold, exactly once per collective and before any member returns,
+// which is what makes the shared-model optimizer step of
+// AllReduceSumApply race-free.
 //
 // Hierarchical composes three such collectives: members reduce within
 // their node at the NVLink tier, node leaders (smallest rank per node)
@@ -822,36 +831,25 @@ func allReduceSum(c *Comm, r *Rank, x []float64, alg CollectiveAlgorithm, apply 
 			return broadcastAlg(node, r, 0, total, 8*len(x), FlatTree)
 		}
 	}
-	slots := c.exchangeTransform(r, "allreduce", slot{clock: r.clock, val: x, bytes: 8 * len(x)},
+	slots, entry := c.exchangeTransform(r, "allreduce", slot{clock: r.clock, vec: x, bytes: 8 * len(x)},
 		func(slots []slot) []slot {
-			sum := make([]float64, len(slots[0].val.([]float64)))
+			f := c.rv.sumRecord()
 			maxBytes := 0
-			for _, s := range slots {
-				v := s.val.([]float64)
-				if len(v) != len(sum) {
-					panic(fmt.Sprintf("cluster: AllReduceSum length mismatch %d vs %d", len(v), len(sum)))
-				}
-				for i, f := range v {
-					sum[i] += f
-				}
-				if s.bytes > maxBytes {
-					maxBytes = s.bytes
-				}
-			}
-			if apply != nil {
-				apply(sum)
+			for i, s := range slots {
+				f.vals[i] = s.vec
+				maxBytes = max(maxBytes, s.bytes)
 			}
 			for i := range slots {
-				slots[i].val = sum
+				slots[i].val = f
 				slots[i].bytes = maxBytes
 			}
 			return slots
-		}, false)
-	entry := maxClock(slots)
+		}, true)
+	f := slots[0].val.(*sumFold)
+	f.run(c, "allreduce", func() { f.sum(apply) })
 	me := c.LocalIndex(r)
-	out := slots[me].val.([]float64)
 	c.chargeCollective(r, "allreduce", entry, allReduceCost(c, alg, slots[me].bytes, 8*len(x)))
-	return out
+	return f.dests
 }
 
 // AllReduceSumApply is AllReduceSum fused with a post-reduction step
@@ -863,9 +861,9 @@ func allReduceSum(c *Comm, r *Rank, x []float64, alg CollectiveAlgorithm, apply 
 // (scale it, step the one shared optimizer/model). The charged time and
 // traffic are identical to AllReduceSum on every member; what changes
 // is only the host-side work the simulator itself performs, which is
-// what the replicated-state dedup removes at large p. apply runs while
-// every member is synchronized inside the rendezvous (for the
-// hierarchical schedule: inside the node-leader stage, before any
+// what the replicated-state dedup removes at large p. apply runs after
+// every member has arrived and finishes before any member returns (for
+// the hierarchical schedule: in the node-leader stage, before any
 // member leaves the broadcast), so mutations of shared training state
 // are race-free.
 func AllReduceSumApply(c *Comm, r *Rank, x []float64, apply func(total []float64)) {
@@ -875,7 +873,7 @@ func AllReduceSumApply(c *Comm, r *Rank, x []float64, apply func(total []float64
 // AllReduceGenericInto folds arbitrary values: the fold runs once per
 // collective, by a caller-supplied reducer that writes each member's
 // private result into that member's destination (the same move
-// allReduceSum made for the elementwise sum — O(n) combines total
+// allReduceSum makes for the elementwise sum — O(n) combines total
 // instead of every member redoing all n). reduce receives the
 // contributions and the destinations in member order (the fold need
 // not be commutative) and must leave every destination holding the
@@ -890,12 +888,6 @@ func AllReduceSumApply(c *Comm, r *Rank, x []float64, apply func(total []float64
 // flat, so a Hierarchical selection charges the flat schedule; Ring
 // charges the ring schedule. Used for the sparse-matrix all-reduce in
 // the 1.5D SpGEMM.
-//
-// The fold runs outside the commit section: the rendezvous only
-// gathers the contributions, and the first member to resume folds them
-// while the others wait for it. The last arriver yields (see
-// exchangeTransform), so folds on different communicators run side by
-// side, each on one worker.
 func AllReduceGenericInto[T, D any](c *Comm, r *Rank, val T, bytes int, dest D, reduce func(vals []T, dests []D)) D {
 	alg := c.allReduceAlg()
 	if alg != Ring {
@@ -905,7 +897,7 @@ func AllReduceGenericInto[T, D any](c *Comm, r *Rank, val T, bytes int, dest D, 
 		val  T
 		dest D
 	}
-	slots := c.exchangeTransform(r, "allreduce-generic", slot{clock: r.clock, val: contrib{val, dest}, bytes: bytes},
+	slots, entry := c.exchangeTransform(r, "allreduce-generic", slot{clock: r.clock, val: contrib{val, dest}, bytes: bytes},
 		func(slots []slot) []slot {
 			f := &fold[T, D]{vals: make([]T, len(slots)), dests: make([]D, len(slots))}
 			maxBytes := 0
@@ -921,37 +913,165 @@ func AllReduceGenericInto[T, D any](c *Comm, r *Rank, val T, bytes int, dest D, 
 			return slots
 		}, true)
 	f := slots[0].val.(*fold[T, D])
-	f.run(c, reduce)
-	entry := maxClock(slots)
+	f.run(c, "allreduce-generic", func() { reduce(f.vals, f.dests) })
 	me := c.LocalIndex(r)
 	c.chargeCollective(r, "allreduce-generic", entry, allReduceCost(c, alg, slots[me].bytes, bytes))
 	return f.dests[me]
 }
 
-// fold is one AllReduceGenericInto generation's gathered contributions.
+// fold is one all-reduce generation's gathered contributions, in member
+// order, and the storage the fold writes: one destination per member
+// for AllReduceGenericInto, the total's elements for the sum.
+//
+// The fold runs outside the commit section: the rendezvous only gathers
+// the contributions, and the first member to resume folds them while
+// the others wait for it. The last arriver yields (see
+// exchangeTransform), so folds on different communicators run side by
+// side, each on its own worker.
 type fold[T, D any] struct {
 	vals  []T
 	dests []D
 	once  sync.Once
-	// failed is the diagnostic of a reduce that panicked, which every
+	// failed is the diagnostic of a fold that panicked, which every
 	// member panics with.
 	failed error
 }
 
-// run applies reduce exactly once across the members that call it and
+// run runs body exactly once across the members that call it and
 // returns once it has finished.
-func (f *fold[T, D]) run(c *Comm, reduce func(vals []T, dests []D)) {
+func (f *fold[T, D]) run(c *Comm, op string, body func()) {
 	f.once.Do(func() {
 		defer func() {
 			if p := recover(); p != nil {
-				f.failed = fmt.Errorf("cluster: allreduce-generic reduce panicked on comm %v (dup %q): %v%s",
-					c.members, c.key, p, c.diag())
+				f.failed = fmt.Errorf("cluster: %s fold panicked on comm %v (dup %q): %v%s",
+					op, c.members, c.key, p, c.diag())
 			}
 		}()
-		reduce(f.vals, f.dests)
+		body()
 	})
 	if f.failed != nil {
 		panic(f.failed)
+	}
+}
+
+// sumFold is one sum all-reduce generation's record: the contributions
+// and the total (dests), plus the map the fold reuses. It lives on the
+// rendezvous's ring, so its buffers serve every third generation.
+type sumFold struct {
+	fold[[]float64, float64]
+	// shared maps each contribution's backing array to the number of
+	// contributions that share it, then a shared one to its zero test.
+	shared map[*float64]int
+}
+
+// Zero-test outcomes of a backing array in sumFold.shared.
+const (
+	sharedZero = -1
+	sharedLive = -2
+)
+
+// sumRecord returns the generation's fold record, ready for its n
+// contributions. Caller holds rv.mu (inside the transform); every
+// member of the generation that last used the record has returned from
+// it.
+func (rv *rendezvous) sumRecord() *sumFold {
+	f := rv.sums[rv.gen%3]
+	if f == nil {
+		f = &sumFold{}
+		rv.sums[rv.gen%3] = f
+	}
+	f.vals = resize(f.vals, rv.n)
+	f.once = sync.Once{}
+	f.failed = nil
+	return f
+}
+
+// sum folds the contributions into the total and runs apply on it. The
+// element range is split into stripes (in parallel when the fold is big
+// enough, see dense.Serial), and each stripe adds the contributions in
+// member order, so every element is added in the serial loop's order,
+// bit for bit. (Where several NaNs meet, IEEE 754 leaves open whose
+// payload the result carries; the vector kernels keep the running
+// sum's.)
+func (f *sumFold) sum(apply func(total []float64)) {
+	n := len(f.vals[0])
+	for _, v := range f.vals {
+		if len(v) != n {
+			panic(fmt.Sprintf("cluster: AllReduceSum length mismatch %d vs %d", len(v), n))
+		}
+	}
+	f.dests = resize(f.dests, n)
+	total, adds := f.dests, f.addends()
+	if dense.Serial(n, int64(len(adds))*int64(n)) {
+		addStripe(total, adds, 0, n)
+	} else {
+		dense.ParallelRows(n, func(lo, hi int) { addStripe(total, adds, lo, hi) })
+	}
+	if apply != nil {
+		apply(total)
+	}
+}
+
+// addends compacts vals, in place and in member order, to the
+// contributions the fold must add: all of them, except that a backing
+// array several members contribute (training's shared zero gradient)
+// is tested for all-zero once and dropped wherever it appears when it
+// is. Dropping is exact: the total starts at +0, and a sum of float64s
+// that starts at +0 is never −0 (x + −x is +0 under round-to-nearest),
+// so adding ±0 never changes it. A shared non-zero array is kept once
+// per member that contributes it.
+func (f *sumFold) addends() [][]float64 {
+	if len(f.vals[0]) == 0 {
+		return nil
+	}
+	if f.shared == nil {
+		f.shared = make(map[*float64]int, len(f.vals))
+	}
+	clear(f.shared)
+	for _, v := range f.vals {
+		f.shared[&v[0]]++
+	}
+	adds := f.vals[:0]
+	for _, v := range f.vals {
+		k := &v[0]
+		switch f.shared[k] {
+		case 1, sharedLive:
+		case sharedZero:
+			continue
+		default:
+			if allZero(v) {
+				f.shared[k] = sharedZero
+				continue
+			}
+			f.shared[k] = sharedLive
+		}
+		adds = append(adds, v)
+	}
+	return adds
+}
+
+func allZero(v []float64) bool {
+	for _, x := range v {
+		if x != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// addStripe sets total[lo:hi] to +0 plus every addend's [lo:hi], in
+// order, two addends per pass. The scale 1 makes every multiply exact
+// and the kernels never fuse the add, so each element takes exactly
+// the serial loop's adds.
+func addStripe(total []float64, adds [][]float64, lo, hi int) {
+	t := total[lo:hi]
+	clear(t)
+	k := 0
+	for ; k+1 < len(adds); k += 2 {
+		dense.Axpy2(t, 1, adds[k][lo:hi], 1, adds[k+1][lo:hi])
+	}
+	if k < len(adds) {
+		dense.Axpy(t, 1, adds[k][lo:hi])
 	}
 }
 

@@ -450,7 +450,7 @@ func (c *Comm) contendedFinish(r *Rank, op string, entry float64, cost collCost)
 		alphaSec = 0
 	}
 	req := flowReq{start: entry + alphaSec, bytes: cost.wireBytes, links: ct.linksFor(r.ID, c.link)}
-	slots := c.exchangeTransform(r, op+"#contend", slot{clock: req.start, val: req},
+	slots, _ := c.exchangeTransform(r, op+"#contend", slot{clock: req.start, val: req},
 		func(slots []slot) []slot {
 			flows := make([]flowReq, len(slots))
 			for i, s := range slots {

@@ -236,9 +236,10 @@ func (ps *Partitioned) SpGEMM15D(r *cluster.Rank, q *sparse.CSR) *sparse.CSR {
 	}
 
 	// Partial sums combine across the process row (Algorithm 2 line
-	// 14), folded once inside the rendezvous into the process row's one
-	// total; the fold completing inside the collective is what lets the
-	// next call reuse the stage products and rewrite the total. The
+	// 14), folded once per collective into the process row's one total;
+	// the fold completing before any member leaves the collective is
+	// what lets the next call reuse the stage products and rewrite the
+	// total. The
 	// contribution bytes are this rank's partial sum in CSR form: cum
 	// nonzeros over q.Rows rows, sized like the old accumulator.
 	partialBytes := 8*(q.Rows+1) + 16*cum

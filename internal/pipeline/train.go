@@ -101,15 +101,16 @@ func Train(d *datasets.Dataset, cfg Config, strategy Strategy) (*Result, error) 
 	// keeps ONE model and ONE Adam for the whole cluster instead of p
 	// replicas. Ranks read the shared parameters concurrently
 	// (Forward/Backward never mutate the model); the single write site
-	// is the optimizer step, which runs exactly once per minibatch
-	// inside the gradient all-reduce (AllReduceSumApply) while every
-	// rank is synchronized in the collective. This removes the
+	// is the optimizer step, which runs exactly once per minibatch as
+	// part of the gradient all-reduce (AllReduceSumApply): after every
+	// rank has contributed and before any rank leaves. This removes the
 	// dominant O(p·params) host-side cost per step — the simulated
 	// times and training outcome are unchanged.
 	model := cfg.newModel(d)
 	opt := dense.NewAdam(cfg.LR)
 	// Shared all-zero gradient vector contributed by iterations without
-	// a real batch; the collective never mutates members' inputs.
+	// a real batch; the collective never mutates members' inputs, and
+	// its fold skips a shared all-zero contribution.
 	zeroGrads := make([]float64, model.NumParams())
 	optimizerFlops := int64(strategy.OptimizerFlopsPerParam * model.NumParams())
 
@@ -182,7 +183,7 @@ func Train(d *datasets.Dataset, cfg Config, strategy Strategy) (*Result, error) 
 						// The gradient all-reduce schedule (flat / ring /
 						// hierarchical) is dispatched by the model's
 						// Collectives table. The optimizer step runs once,
-						// on the shared model, inside the collective.
+						// on the shared model, before any rank returns.
 						cluster.AllReduceSumApply(world, rm, grads, func(total []float64) {
 							inv := 1.0 / float64(cfg.P)
 							for i := range total {
@@ -190,8 +191,8 @@ func Train(d *datasets.Dataset, cfg Config, strategy Strategy) (*Result, error) 
 							}
 							opt.Step(model.Params(), total)
 						})
-						// The fold read grads inside the rendezvous, before
-						// any member could leave it.
+						// The fold read grads before any member could
+						// leave the collective.
 						if ti.Batch != nil {
 							freeGrads.Put(grads)
 						}

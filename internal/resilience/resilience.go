@@ -12,8 +12,9 @@
 // make that hold exactly, not just approximately:
 //
 //   - The replicated training state (model parameters and Adam
-//     moments) is captured once per boundary — rank 0's copy, which equals every rank's copy because the
-//     optimizer steps inside an AllReduce transform.
+//     moments) is captured once per boundary — rank 0's copy, which
+//     equals every rank's copy because the one shared optimizer steps
+//     once per gradient all-reduce, before any rank leaves it.
 //   - Each rank's simulated-time accounting (clock, per-phase float
 //     accumulators, traffic counters, finished forked streams) is
 //     snapshotted via cluster.RankSnapshot, whose Restore re-interns
