@@ -43,19 +43,20 @@ var CommitSeam = &Analyzer{
 // spawn a timeline or transact on the contention ledger. True marks a
 // section that opens itself: it calls Rank.gate (Rank.gate itself,
 // sim.Task.Gate), holding no lock. The others run inside a section named
-// in their comment, or before the scheduler starts.
+// in their comment, before the scheduler starts, or in its drain hook,
+// while no segment can.
 var commitSections = map[parkKey]bool{
-	gateOpener:                              true,
-	{clusterPath, "Comm", "arrive"}:         true,
-	{clusterPath, "Queue", "Recv"}:          true, // on an empty queue
-	{clusterPath, "Rank", "ForkStream"}:     true, // its stream's exit gates before readying the joiner
-	{clusterPath, "Forked", "Join"}:         true,
-	{clusterPath, "Rank", "ChargeLink"}:     true,
-	{clusterPath, "Cluster", "markDone"}:    true,
-	{clusterPath, "Queue", "commit"}:        false, // Rank.gate's flush
-	{clusterPath, "rendezvous", "release"}:  false, // arrive, poison
-	{clusterPath, "Comm", "poison"}:         false, // arrive, checkAbandoned
-	{clusterPath, "Comm", "checkAbandoned"}: false, // markDone
+	gateOpener:                             true,
+	{clusterPath, "Comm", "arrive"}:        true,
+	{clusterPath, "Queue", "Recv"}:         true, // on an empty queue
+	{clusterPath, "Rank", "ForkStream"}:    true, // its stream's exit gates before readying the joiner
+	{clusterPath, "Forked", "Join"}:        true,
+	{clusterPath, "Rank", "ChargeLink"}:    true,
+	{clusterPath, "Queue", "commit"}:       false, // Rank.gate's flush
+	{clusterPath, "rendezvous", "release"}: false, // arrive, poison
+	{clusterPath, "Comm", "poison"}:        false, // arrive, abandon
+	{clusterPath, "Cluster", "drain"}:      false, // the drain hook
+	{clusterPath, "Comm", "abandon"}:       false, // drain
 	// Its ledger transaction is the transform arrive runs for the last
 	// arriver.
 	{clusterPath, "Comm", "contendedFinish"}: false,
@@ -69,15 +70,13 @@ var commitSections = map[parkKey]bool{
 var commitState = map[parkKey]bool{
 	{clusterPath, "Queue", "mu"}:      true,  // Recv (allow-marked fast path), commit
 	{clusterPath, "Forked", "mu"}:     true,  // Join, the stream's exit
-	{clusterPath, "rendezvous", "mu"}: false, // arrive, poison; a woken member reads its outcome
+	{clusterPath, "rendezvous", "mu"}: false, // arrive, poison, abandon; a woken member reads its outcome
 	{clusterPath, "contention", "mu"}: false, // transact; reset and stats run outside Run
-	// done (markDone, arrive); the failures and communicator lists are
-	// filed order-free (noteFailure keeps the first root per rank,
-	// register keeps each rank's list sorted).
-	{clusterPath, "Cluster", "mu"}:    false,
-	{clusterPath, "Comm", "driverMu"}: false, // arrive; reset by Run
+	// The failures are filed order-free: noteFailure keeps the first
+	// root per rank.
+	{clusterPath, "Cluster", "mu"}: false,
 	// Dup runs outside any section, but a clone is a function of its
-	// key and register files it in canonical order.
+	// key.
 	{clusterPath, "Comm", "dupMu"}: false,
 }
 

@@ -87,12 +87,12 @@ func (q *Queue) peek() int {
 
 type Cluster struct{ mu sync.Mutex }
 
-// markDone holds a lock across its gate: the deferred unlock runs at
+// ForkStream holds a lock across its gate: the deferred unlock runs at
 // return.
-func (c *Cluster) markDone(r *Rank) {
+func (r *Rank) ForkStream(c *Cluster) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	r.gate() // want `markDone takes a lock before its gate`
+	r.gate() // want `ForkStream takes a lock before its gate`
 }
 
 type Forked struct{ mu sync.Mutex }

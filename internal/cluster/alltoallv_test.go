@@ -163,11 +163,11 @@ func TestAllToAllvSparseRejectsBadDestinations(t *testing.T) {
 	}
 }
 
-// TestLateArrivalAtFinishedPeerDiagnosed: markDone sweeps only the
-// finishing rank's communicators, so a peer that enters a collective
-// with it afterwards must be caught on arrival. Rank 0 returns at once;
-// rank 1 first completes a collective on a communicator without rank 0
-// and only then enters one it shares with rank 0.
+// TestLateArrivalAtFinishedPeerDiagnosed: a peer that enters a
+// collective with a rank whose body has already returned is diagnosed
+// too. Rank 0 returns at once; rank 1 first completes a collective on a
+// communicator without rank 0 and only then enters one it shares with
+// rank 0.
 func TestLateArrivalAtFinishedPeerDiagnosed(t *testing.T) {
 	onDES(t, func(t *testing.T) float64 {
 		cl := New(4, testModel())
@@ -183,8 +183,9 @@ func TestLateArrivalAtFinishedPeerDiagnosed(t *testing.T) {
 				return nil
 			}
 			defer func() { msg = fmt.Sprint(recover()) }()
-			// Rank 0's exit committed before rank 1's first barrier, so
-			// the arrival scan is what fires.
+			// Rank 0 returned before rank 1's first barrier, so nothing
+			// poisons this one until the drain finds rank 1 parked here
+			// once no timeline can run.
 			Barrier(pair, r)
 			return nil
 		})

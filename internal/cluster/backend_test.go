@@ -103,6 +103,39 @@ func TestDESAbandonedCollectiveDiagnostic(t *testing.T) {
 	})
 }
 
+// TestDESDeadlockNamesParkedTimelines: when no timeline can run and no
+// collective waits on a finished member, the drain panics naming each
+// parked timeline — rank, stream and what it waits in — ranks by id,
+// each rank's timelines in creation order. Rank 0 waits in a barrier
+// rank 1 never reaches: rank 1 joins a stream stuck receiving from a
+// queue nobody sends on.
+func TestDESDeadlockNamesParkedTimelines(t *testing.T) {
+	atWorkers(t, func(t *testing.T) float64 {
+		cl := New(2, testModel())
+		world := cl.World()
+		var msg string
+		func() {
+			defer func() { msg = fmt.Sprint(recover()) }()
+			_, _ = cl.Run(func(r *Rank) error {
+				if r.ID == 0 {
+					Barrier(world, r)
+					return nil
+				}
+				q := NewQueue[int](1)
+				r.ForkStream("consumer", func(s *Rank) { q.Recv(s) }).Join(r)
+				return nil
+			})
+		}()
+		want := `deadlock: 3 timelines parked with no pending events [backend=des]: ` +
+			`rank 0 stream "" in barrier on comm [0 1] (dup ""); ` +
+			`rank 1 stream "" in Join; rank 1 stream "consumer" in Queue.Recv`
+		if !strings.Contains(msg, want) {
+			t.Fatalf("deadlock diagnostic %q, want it to contain %q", msg, want)
+		}
+		return 0
+	})
+}
+
 // TestDESQueueBackpressure: a producer stream sends only after taking
 // a credit, and the main timeline returns one after each dequeue — the
 // protocol that bounds every Queue — so FIFO order survives the handoff

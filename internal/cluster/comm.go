@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"sync"
 
@@ -38,12 +37,6 @@ type Comm struct {
 	dupMu sync.Mutex
 	dups  map[string]*Comm
 
-	// drivers records, per member rank, the stream that drives this
-	// communicator (first use wins); a second stream of the same rank
-	// is a programming error that would interleave the rendezvous.
-	driverMu sync.Mutex
-	drivers  map[int]string
-
 	// lazily built sub-communicators for the hierarchical all-reduce.
 	hierOnce    sync.Once
 	hierIntra   map[int]*Comm
@@ -72,43 +65,13 @@ func (c *Cluster) NewComm(members []int) *Comm {
 		}
 		idx[m] = i
 	}
-	comm := &Comm{
+	return &Comm{
 		cl:      c,
 		members: sorted,
 		index:   idx,
 		rv:      newRendezvous(len(sorted)),
 		link:    c.Model.worstLink(sorted),
 	}
-	c.register(comm)
-	return comm
-}
-
-// register records a new communicator (or clone) on the cluster and on
-// each member rank, so a finishing rank sweeps only its own
-// communicators. A rank's list is kept in (dup key, members) order, not
-// creation order: clones and hierarchical sub-communicators are created
-// by whichever member asks first, and markDone's sweep readies parked
-// members in list order. The list is replaced, never edited in place,
-// so a sweep may walk the header it read without the lock.
-func (c *Cluster) register(comm *Comm) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.comms = append(c.comms, comm)
-	for _, m := range comm.members {
-		old := c.rankComms[m]
-		i := sort.Search(len(old), func(k int) bool { return commLess(comm, old[k]) })
-		list := make([]*Comm, 0, len(old)+1)
-		list = append(append(append(list, old[:i]...), comm), old[i:]...)
-		c.rankComms[m] = list
-	}
-}
-
-// commLess orders communicators by dup key, then member list.
-func commLess(a, b *Comm) bool {
-	if a.key != b.key {
-		return a.key < b.key
-	}
-	return slices.Compare(a.members, b.members) < 0
 }
 
 // World returns a communicator over all ranks.
@@ -150,7 +113,6 @@ func (c *Comm) Dup(key string) *Comm {
 		base:    base,
 		key:     key,
 	}
-	base.cl.register(d)
 	if base.dups == nil {
 		base.dups = map[string]*Comm{}
 	}
@@ -168,31 +130,18 @@ func (c *Comm) ForStream(r *Rank) *Comm { return c.Dup(r.stream) }
 
 // checkDriver enforces the one-driving-stream-per-member-rank
 // invariant: the first collective a rank issues on this communicator
-// binds it to that rank's stream for the cluster's lifetime.
+// binds it to that rank's stream for the run. Caller is arrive, inside
+// its commit section.
 func (c *Comm) checkDriver(r *Rank) {
-	c.driverMu.Lock()
-	defer c.driverMu.Unlock()
-	if c.drivers == nil {
-		c.drivers = map[int]string{}
-	}
-	prev, ok := c.drivers[r.ID]
+	prev, ok := r.acct.drivers[c]
 	if !ok {
-		c.drivers[r.ID] = r.stream
+		r.acct.drivers[c] = r.stream
 		return
 	}
 	if prev != r.stream {
 		panic(fmt.Sprintf("cluster: comm %v (dup %q) driven by two streams of rank %d (%q then %q); duplicate it per stream with ForStream/Dup",
 			c.members, c.key, r.ID, prev, r.stream))
 	}
-}
-
-// resetDrivers clears the stream bindings; Cluster.Run calls it so a
-// later run may drive this communicator from a differently-named
-// stream than the last.
-func (c *Comm) resetDrivers() {
-	c.driverMu.Lock()
-	c.drivers = nil
-	c.driverMu.Unlock()
 }
 
 // Size returns the number of members.
@@ -226,11 +175,12 @@ type slot struct {
 
 // rendezvous synchronizes one collective call across n participants
 // with a generation counter so back-to-back collectives don't race.
-// It detects two classes of would-be deadlocks and poisons itself so
-// every participant panics with a diagnostic instead of hanging:
-// mismatched collective sequences (members calling different
-// collectives on the same communicator) and abandoned collectives (a
-// member's rank body returned while peers wait for it).
+// It is poisoned on two classes of would-be deadlocks, so every
+// participant panics with a diagnostic instead of hanging: mismatched
+// collective sequences (members calling different collectives on the
+// same communicator), which arrive detects, and abandoned collectives
+// (a member's rank body returned while peers wait for it), which the
+// cluster's drain finds once no timeline can run.
 type rendezvous struct {
 	mu      sync.Mutex
 	n       int
@@ -272,8 +222,7 @@ type rendezvous struct {
 	sums   [3]*sumFold
 	failed error // poisoned: every current and future participant panics
 	// parked are the members waiting on the in-flight generation; the
-	// last arriver — or the poison path — readies them and clears the
-	// list.
+	// last arriver — or a poison — readies them and clears the list.
 	parked []parkedMember
 }
 
@@ -331,11 +280,11 @@ func (c *Comm) diag() string {
 // all n slots once every participant has arrived, with the latest entry
 // clock among them: collectives are bulk synchronous, so everyone leaves
 // no earlier than the slowest arriver plus the modeled cost. The
-// returned slice is shared and must be treated as read-only. Deadlock
-// detection: a participant whose collective name disagrees with the
-// in-flight one, or whose peers can never arrive because their rank
-// bodies already returned, poisons the rendezvous and panics all
-// participants.
+// returned slice is shared and must be treated as read-only. A
+// participant whose collective name disagrees with the in-flight one
+// poisons the rendezvous and panics all participants; so does the
+// drain, for peers that can never arrive because their rank bodies
+// already returned.
 func (c *Comm) exchange(r *Rank, op string, s slot) ([]slot, float64) {
 	return c.exchangeTransform(r, op, s, nil, false)
 }
@@ -369,7 +318,7 @@ func (c *Comm) exchangeTransform(r *Rank, op string, s slot, transform func([]sl
 	// slots even if a later one has been poisoned since (this member
 	// meets the poison at its next arrival), and a generation poisoned
 	// while incomplete panics with the error that woke it.
-	r.t.Park()
+	r.park(op, c)
 	rv := c.rv
 	rv.mu.Lock()
 	defer rv.mu.Unlock()
@@ -416,11 +365,10 @@ func (c *Comm) arrive(r *Rank, op string, s slot, transform func([]slot) []slot,
 	}
 	if rv.arrived == rv.n {
 		if transform != nil {
-			// A transform panic fires with the generation complete, which
-			// disables both of the deadlock detector's poison paths (the
-			// entry scan and checkAbandoned bail when arrived == n), so
-			// poison the rendezvous here before propagating: the n-1
-			// parked members panic with the diagnostic instead of waiting
+			// A transform panic fires with every member arrived, so no
+			// member is missing for the drain to find: poison the
+			// rendezvous here before propagating, and the n-1 parked
+			// members panic with the diagnostic instead of waiting
 			// forever.
 			func() {
 				defer func() {
@@ -453,39 +401,28 @@ func (c *Comm) arrive(r *Rank, op string, s slot, transform func([]slot) []slot,
 		}
 		return rv.out, rv.outEntry, rv.gen, false
 	}
-	// A peer that already finished its rank body can never arrive. The
-	// scan is gated on the lock-free anyDone flag, so the common case
-	// (all bodies still running) pays nothing here.
-	if c.cl.anyDone.Load() {
-		if m := c.abandonedLocked(); m >= 0 {
-			err := c.abandonErr(m, op)
-			c.poison(err)
-			panic(err)
-		}
-	}
 	rv.parked = append(rv.parked, parkedMember{t: r.t, clock: s.clock})
 	return nil, 0, rv.gen, false
 }
 
-// abandonedLocked returns a member rank that can never join the
-// in-flight collective because its body already returned, or -1.
-// Caller holds rv.mu.
-func (c *Comm) abandonedLocked() int {
+// abandon poisons the in-flight collective if a member that has not
+// arrived has finished its rank body (the first such in member order),
+// and reports whether it did. The drain calls it while no timeline
+// runs.
+func (c *Comm) abandon() bool {
 	rv := c.rv
-	if rv.failed != nil || rv.arrived == 0 || rv.arrived == rv.n {
-		return -1
-	}
-	c.cl.mu.Lock()
-	defer c.cl.mu.Unlock()
-	if c.cl.done == nil {
-		return -1
+	rv.mu.Lock()
+	defer rv.mu.Unlock()
+	if rv.failed != nil {
+		return false
 	}
 	for i, m := range c.members {
 		if !rv.waiting[i] && c.cl.done[m] {
-			return m
+			c.poison(c.abandonErr(m, rv.op))
+			return true
 		}
 	}
-	return -1
+	return false
 }
 
 // abandonErr is the shared diagnostic for a collective a peer can
@@ -510,18 +447,6 @@ func (c *Comm) abandonErr(m int, op string) error {
 	}
 	return fmt.Errorf("cluster: deadlock on comm %v (dup %q): rank %d finished without joining %s%s",
 		c.members, c.key, m, op, c.diag())
-}
-
-// checkAbandoned poisons the rendezvous if members are waiting for a
-// peer whose rank body has already returned. Called by the cluster
-// each time a rank body finishes.
-func (c *Comm) checkAbandoned() {
-	rv := c.rv
-	rv.mu.Lock()
-	defer rv.mu.Unlock()
-	if m := c.abandonedLocked(); m >= 0 {
-		c.poison(c.abandonErr(m, rv.op))
-	}
 }
 
 func log2Ceil(n int) float64 {

@@ -30,7 +30,7 @@ func (f Failure) String() string { return fmt.Sprintf("%d@%v", f.Rank, f.At) }
 //
 // Failure times are absolute simulated times on the failing rank's own
 // clock. When a failed run restarts from a checkpoint, the driver
-// removes the failure that fired (FaultPlan.Without) so the restarted
+// removes the failure that fired (FaultPlan.Retire) so the restarted
 // timeline does not re-fire it forever; remaining failures whose time
 // falls at or before the restored clock fire on the rank's first
 // subsequent charge.
@@ -78,14 +78,17 @@ func (p *FaultPlan) failAt(rank int) float64 {
 	return at
 }
 
-// Without returns a copy of the plan with the first entry equal to f
-// removed — the restart driver's step after a failure fires, so a
-// restored timeline does not re-fire it. Returns nil when the removal
-// empties the plan.
-func (p *FaultPlan) Without(f Failure) *FaultPlan {
+// Retire returns a copy of the plan with the first entry equal to the
+// fired failure removed — the restart driver's step after Run surfaces
+// a RankFailure, so a restored timeline does not re-fire it. It is
+// phrased on the error itself so drivers never assemble Failure values
+// by hand (the faultseam analyzer confines that to the seam packages).
+// Returns nil when the removal empties the plan.
+func (p *FaultPlan) Retire(rf *RankFailure) *FaultPlan {
 	if p == nil {
 		return nil
 	}
+	f := Failure{Rank: rf.Rank, At: rf.At}
 	out := make([]Failure, 0, len(p.Failures))
 	removed := false
 	for _, e := range p.Failures {
@@ -99,14 +102,6 @@ func (p *FaultPlan) Without(f Failure) *FaultPlan {
 		return nil
 	}
 	return &FaultPlan{Failures: out}
-}
-
-// Retire returns the plan with the fired failure removed — the restart
-// driver's step after Run surfaces a RankFailure, phrased on the error
-// itself so drivers never assemble Failure values by hand (the
-// faultseam analyzer confines that to the seam packages).
-func (p *FaultPlan) Retire(rf *RankFailure) *FaultPlan {
-	return p.Without(Failure{Rank: rf.Rank, At: rf.At})
 }
 
 // String renders the plan in the canonical -faults flag form:
@@ -140,7 +135,7 @@ var ErrRankFailed = errors.New("rank failed (injected fail-stop)")
 // rank's body panics with it at the charge that crosses the planned
 // time, the cluster recovers it into the rank's error slot,
 // and Run returns the earliest one so a restart driver can identify —
-// and retire, via FaultPlan.Without — the failure that fired. At is
+// and retire, via FaultPlan.Retire — the failure that fired. At is
 // the planned time (the plan entry), not the clock reading at the
 // fatal charge's end.
 type RankFailure struct {
@@ -168,7 +163,7 @@ func faultClass(p any) error {
 }
 
 // noteFailure records the RankFailure at the root of err (if any)
-// against the terminating rank, so the deadlock detector can diagnose
+// against the terminating rank, so the drain can diagnose
 // abandoned collectives as fault aborts and Run can return the
 // earliest failure. The root is recorded under its own rank too: a
 // rank that aborts because a peer died (a cascade — e.g. a group
@@ -226,10 +221,10 @@ func (c *Cluster) earliestFailure() *RankFailure {
 // A fault-class error the body RETURNS is recorded too: the engine's
 // overlapped schedule converts a forked stream's fail-stop panic into a
 // stage error that rides the queue tokens back to the body, so the
-// failure reaches here as a return value, not a panic. Recording must
-// happen before this rank's deferred markDone sweeps the deadlock
-// detector (defer order guarantees it), so survivors' abandoned
-// collectives are diagnosed as fault aborts rather than deadlocks.
+// failure reaches here as a return value, not a panic. Recording
+// happens before the rank's exit marks it done, so when the drain finds
+// survivors' abandoned collectives it diagnoses them as fault aborts
+// rather than deadlocks.
 func (c *Cluster) runBody(body func(r *Rank) error, r *Rank) (err error) {
 	defer func() {
 		p := recover()

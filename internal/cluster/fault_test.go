@@ -36,25 +36,25 @@ func TestFaultPlanValidate(t *testing.T) {
 func nan() float64 { z := 0.0; return z / z }
 func inf() float64 { z := 0.0; return 1 / z }
 
-func TestFaultPlanWithout(t *testing.T) {
+func TestFaultPlanRetire(t *testing.T) {
 	p := &FaultPlan{Failures: []Failure{{Rank: 1, At: 2}, {Rank: 0, At: 1}, {Rank: 1, At: 2}}}
-	p2 := p.Without(Failure{Rank: 1, At: 2})
+	p2 := p.Retire(&RankFailure{Rank: 1, At: 2})
 	if len(p2.Failures) != 2 {
-		t.Fatalf("Without removed %d entries, want exactly 1 (len %d)", len(p.Failures)-len(p2.Failures), len(p2.Failures))
+		t.Fatalf("Retire removed %d entries, want exactly 1 (len %d)", len(p.Failures)-len(p2.Failures), len(p2.Failures))
 	}
 	if got := p2.String(); got != "0@1,1@2" {
-		t.Fatalf("plan after Without = %q, want %q", got, "0@1,1@2")
+		t.Fatalf("plan after Retire = %q, want %q", got, "0@1,1@2")
 	}
-	p3 := p2.Without(Failure{Rank: 1, At: 2}).Without(Failure{Rank: 0, At: 1})
+	p3 := p2.Retire(&RankFailure{Rank: 1, At: 2}).Retire(&RankFailure{Rank: 0, At: 1})
 	if p3 != nil {
 		t.Fatalf("emptied plan = %v, want nil", p3)
 	}
-	if (*FaultPlan)(nil).Without(Failure{Rank: 0, At: 1}) != nil {
-		t.Fatal("nil plan Without != nil")
+	if (*FaultPlan)(nil).Retire(&RankFailure{Rank: 0, At: 1}) != nil {
+		t.Fatal("nil plan Retire != nil")
 	}
-	// Without never mutates the receiver (restart drivers share plans).
+	// Retire never mutates the receiver (restart drivers share plans).
 	if len(p.Failures) != 3 {
-		t.Fatalf("Without mutated receiver: len %d", len(p.Failures))
+		t.Fatalf("Retire mutated receiver: len %d", len(p.Failures))
 	}
 }
 
@@ -108,23 +108,22 @@ func TestNilFaultPlanInert(t *testing.T) {
 	}
 }
 
-// abortProbe runs body-level collectives on a 4-rank cluster where
-// rank 1 dies before joining, and returns Run's error plus each
+// abortProbe runs body-level collectives on a p-rank cluster where
+// rank dead dies before joining, and returns Run's error plus each
 // surviving rank's observed abort error.
-func abortProbe(t *testing.T, collectives Collectives,
+func abortProbe(t *testing.T, p, dead int, collectives Collectives,
 	op func(c *Comm, r *Rank)) (runErr error, rankErrs []error) {
 	t.Helper()
-	const p = 4
 	m := testModel()
 	m.Collectives = collectives
-	m.Faults = &FaultPlan{Failures: []Failure{{Rank: 1, At: 1e-9}}}
+	m.Faults = &FaultPlan{Failures: []Failure{{Rank: dead, At: 1e-9}}}
 	cl := New(p, m)
 	world := cl.World()
 	rankErrs = make([]error, p)
 	runErr = func() error {
 		_, err := cl.Run(func(r *Rank) error {
 			r.SetPhase("work")
-			r.ChargeDense(1 << 20) // rank 1 halts here
+			r.ChargeDense(1 << 20) // the dead rank halts here
 			err := func() (err error) {
 				defer func() {
 					if pv := recover(); pv != nil {
@@ -151,6 +150,39 @@ func abortProbe(t *testing.T, collectives Collectives,
 // a hang and never a bug-class panic — when a member dies before
 // joining.
 func TestCollectiveAbortOnRankFailure(t *testing.T) {
+	// check probes op on p ranks with rank dead failing; want, if set,
+	// holds a fragment of each survivor's abort message.
+	check := func(t *testing.T, p, dead int, coll Collectives, op func(c *Comm, r *Rank), want map[int]string) {
+		runErr, rankErrs := abortProbe(t, p, dead, coll, op)
+		if runErr == nil {
+			t.Fatal("Run succeeded despite failed member")
+		}
+		if !errors.Is(runErr, ErrRankFailed) {
+			t.Fatalf("Run error %v does not wrap ErrRankFailed", runErr)
+		}
+		var rf *RankFailure
+		if !errors.As(runErr, &rf) || rf.Rank != dead {
+			t.Fatalf("Run error %v does not surface the rank-%d failure", runErr, dead)
+		}
+		for id, err := range rankErrs {
+			if id == dead {
+				// The failed rank died in the charge, before op.
+				continue
+			}
+			if err == nil {
+				t.Fatalf("surviving rank %d completed the collective", id)
+			}
+			if !errors.Is(err, ErrRankFailed) {
+				t.Fatalf("rank %d abort %v does not wrap ErrRankFailed", id, err)
+			}
+			if !strings.Contains(err.Error(), fmt.Sprintf("rank %d", dead)) || !strings.Contains(err.Error(), "fail-stop") {
+				t.Fatalf("rank %d abort %q lacks the failed-rank diagnostic", id, err)
+			}
+			if w := want[id]; !strings.Contains(err.Error(), w) {
+				t.Fatalf("rank %d abort %q, want it to say %q", id, err, w)
+			}
+		}
+	}
 	ops := []struct {
 		name string
 		coll Collectives
@@ -195,32 +227,52 @@ func TestCollectiveAbortOnRankFailure(t *testing.T) {
 		// The second level names the scheduler by its Backend number.
 		t.Run(fmt.Sprintf("%s/backend-%d", tc.name, DESBackend), func(t *testing.T) {
 			atWorkers(t, func(t *testing.T) float64 {
-				runErr, rankErrs := abortProbe(t, tc.coll, tc.op)
-				if runErr == nil {
-					t.Fatal("Run succeeded despite failed member")
-				}
-				if !errors.Is(runErr, ErrRankFailed) {
-					t.Fatalf("Run error %v does not wrap ErrRankFailed", runErr)
-				}
-				var rf *RankFailure
-				if !errors.As(runErr, &rf) || rf.Rank != 1 {
-					t.Fatalf("Run error %v does not surface the rank-1 failure", runErr)
-				}
-				for id, err := range rankErrs {
-					if id == 1 {
-						// The failed rank died in the charge, before op.
-						continue
-					}
-					if err == nil {
-						t.Fatalf("surviving rank %d completed the collective", id)
-					}
-					if !errors.Is(err, ErrRankFailed) {
-						t.Fatalf("rank %d abort %v does not wrap ErrRankFailed", id, err)
-					}
-					if !strings.Contains(err.Error(), "rank 1") || !strings.Contains(err.Error(), "fail-stop") {
-						t.Fatalf("rank %d abort %q lacks the failed-rank diagnostic", id, err)
-					}
-				}
+				check(t, 4, 1, tc.coll, tc.op, nil)
+				return 0
+			})
+		})
+	}
+	// On two nodes of four the hierarchical all-reduce aborts in
+	// cascades: a node leader aborting in the leaders' stage strands its
+	// node's closing broadcast.
+	cascades := []struct {
+		name string
+		dead int
+		want map[int]string
+	}{
+		{"allreduce-hier-p8-leader", 4, map[int]string{
+			0: "rank 4 died before joining allreduce",
+			1: "rank 0 aborted before joining broadcast",
+			2: "rank 0 aborted before joining broadcast",
+			3: "rank 0 aborted before joining broadcast",
+			5: "rank 4 died before joining allreduce",
+			6: "rank 4 died before joining allreduce",
+			7: "rank 4 died before joining allreduce",
+		}},
+		{"allreduce-hier-p8-nonleader", 5, map[int]string{
+			0: "rank 4 aborted before joining allreduce",
+			1: "rank 0 aborted before joining broadcast",
+			2: "rank 0 aborted before joining broadcast",
+			3: "rank 0 aborted before joining broadcast",
+			4: "rank 5 died before joining allreduce",
+			6: "rank 5 died before joining allreduce",
+			7: "rank 5 died before joining allreduce",
+		}},
+		{"allreduce-hier-p8-rank0", 0, map[int]string{
+			1: "rank 0 died before joining allreduce",
+			2: "rank 0 died before joining allreduce",
+			3: "rank 0 died before joining allreduce",
+			4: "rank 0 died before joining allreduce",
+			5: "rank 4 aborted before joining broadcast",
+			6: "rank 4 aborted before joining broadcast",
+			7: "rank 4 aborted before joining broadcast",
+		}},
+	}
+	hier := Collectives{AllReduce: Hierarchical}
+	for _, tc := range cascades {
+		t.Run(fmt.Sprintf("%s/backend-%d", tc.name, DESBackend), func(t *testing.T) {
+			atWorkers(t, func(t *testing.T) float64 {
+				check(t, 8, tc.dead, hier, func(c *Comm, r *Rank) { AllReduceSum(c, r, []float64{1, 2}) }, tc.want)
 				return 0
 			})
 		})

@@ -95,7 +95,7 @@ func (q *Queue[T]) Recv(r *Rank) T {
 		if q.n == 0 {
 			q.recv = r.t
 			q.mu.Unlock()
-			r.t.Park()
+			r.park("Queue.Recv", nil)
 			q.mu.Lock()
 		}
 	}
@@ -148,5 +148,5 @@ func (f *Forked) Join(r *Rank) {
 	}
 	f.joiner, f.joinAt = r.t, r.clock
 	f.mu.Unlock()
-	r.t.Park()
+	r.park("Join", nil)
 }

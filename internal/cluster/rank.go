@@ -4,8 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/cluster/sim"
 )
@@ -75,6 +75,11 @@ type Rank struct {
 	// sends are this timeline's queue sends awaiting their commit, in
 	// program order (see gate).
 	sends []pendingSend
+	// waitIn names what the timeline is parked in, for the cluster's
+	// drain: a collective (on waitComm), "Queue.Recv" or "Join". Both
+	// are empty while the timeline runs.
+	waitIn   string
+	waitComm *Comm
 }
 
 // pendingSend is a Queue.Send awaiting its commit: the queue and the
@@ -105,6 +110,15 @@ func (r *Rank) gate() {
 	r.sends = r.sends[:0]
 }
 
+// park ends r's segment until a peer readies it, recording for the
+// drain what it waits in: the named collective on comm, or the named
+// primitive (comm nil).
+func (r *Rank) park(what string, comm *Comm) {
+	r.waitIn, r.waitComm = what, comm
+	r.t.Park()
+	r.waitIn, r.waitComm = "", nil
+}
+
 // acct is the phase/traffic accounting shared across a rank's streams.
 // Streams run as separate tasks, so shared updates take the mutex;
 // each stream's clock is task-local and needs no lock.
@@ -123,6 +137,11 @@ type acct struct {
 	opBytes    map[string]int64    // collective name -> bytes sent
 	linkBytes  map[string][3]int64 // phase -> wire bytes injected per Link tier
 	streams    []*Rank             // forked streams (main rank excluded)
+	// drivers binds each communicator the rank has issued a collective
+	// on to the stream that drives it (first use wins); a second stream
+	// is a programming error that would interleave the rendezvous. Only
+	// arrive touches it, inside its commit section.
+	drivers map[*Comm]string
 }
 
 func newAcct() *acct {
@@ -131,6 +150,7 @@ func newAcct() *acct {
 		opCount:   map[string]int64{},
 		opBytes:   map[string]int64{},
 		linkBytes: map[string][3]int64{},
+		drivers:   map[*Comm]string{},
 	}
 }
 
@@ -497,54 +517,61 @@ type Cluster struct {
 	// sched runs the timelines of the latest Run (nil before the first).
 	sched *sim.Sched
 
-	mu    sync.Mutex
-	comms []*Comm
-	// rankComms lists, per rank, the communicators (clones included) it
-	// is a member of.
-	rankComms [][]*Comm
 	// cont is the physical-link contention ledger, created once when
 	// the model carries a Topology and reset per Run; nil keeps the
 	// pure α–β charging path.
 	cont *contention
-	// done marks ranks whose Run bodies have returned; the deadlock
-	// detector uses it to poison rendezvous that can never complete.
-	// anyDone is the lock-free fast path: collectives skip the
-	// abandoned-peer scan entirely until some body has returned.
-	done    []bool
-	anyDone atomic.Bool
+	// done marks ranks whose Run bodies have returned, each written by
+	// its own rank's exit; the drain reads it to find collectives that
+	// can never complete.
+	done []bool
+	mu   sync.Mutex
 	// failures records, per terminated rank, the root injected
 	// fail-stop behind its termination in the current Run (nil when
 	// none fired) — the rank's own fail-stop, or, for a rank that
 	// aborted because a peer's failure poisoned its collective, that
-	// peer's failure. The deadlock detector consults it to diagnose an
+	// peer's failure. The drain consults it to diagnose an
 	// abandoned collective as a recoverable fault abort rather than a
 	// bug — including cascades, where the abandoning rank never failed
 	// itself — and Run returns the earliest root failure.
 	failures map[int]*RankFailure
 }
 
-// markDone records that a rank's body returned and sweeps the rank's
-// communicators for collectives now unable to complete, poisoning their
-// rendezvous so waiters panic with a diagnostic instead of hanging. A
-// communicator without the rank cannot be stranded by it, and a peer
-// arriving later at one with it is caught by arrive's own scan. It is
-// the rank's last commit section.
-func (c *Cluster) markDone(r *Rank) {
-	r.gate()
-	rank := r.ID
-	c.mu.Lock()
-	if c.done == nil {
-		c.done = make([]bool, c.N)
+// drain is the scheduler's drain hook, called when no timeline can
+// run. Every collective that waits on a member whose body has returned
+// can never complete, so it poisons each one's rendezvous, and the
+// members parked there abort with the diagnostic. It walks the parked
+// timelines in a fixed order — ranks by id, each rank's timelines in
+// creation order — so the poisons ready their members in the same
+// order at every worker count. A cascade (an aborting member strands a
+// collective of its own) is found by the next drain. With no such
+// collective the run is deadlocked, and drain panics naming every
+// parked timeline. ranks are the run's main timelines, by id.
+func (c *Cluster) drain(ranks []*Rank) bool {
+	var parked []*Rank
+	poisoned := false
+	for _, r := range ranks {
+		for _, tl := range append([]*Rank{r}, r.acct.streams...) {
+			if tl.waitIn != "" {
+				parked = append(parked, tl)
+			}
+			if tl.waitComm != nil && tl.waitComm.abandon() {
+				poisoned = true
+			}
+		}
 	}
-	c.done[rank] = true
-	// Registration replaces the list, so this header stays valid
-	// unlocked.
-	comms := c.rankComms[rank]
-	c.mu.Unlock()
-	c.anyDone.Store(true)
-	for _, comm := range comms {
-		comm.checkAbandoned()
+	if poisoned {
+		return true
 	}
+	what := make([]string, len(parked))
+	for i, tl := range parked {
+		what[i] = fmt.Sprintf("rank %d stream %q in %s", tl.ID, tl.stream, tl.waitIn)
+		if w := tl.waitComm; w != nil {
+			what[i] += fmt.Sprintf(" on comm %v (dup %q)", w.members, w.key)
+		}
+	}
+	panic(fmt.Sprintf("cluster: deadlock: %d timelines parked with no pending events [backend=des]: %s",
+		len(parked), strings.Join(what, "; ")))
 }
 
 // spawn starts r's timeline as a new scheduler task running fn, ready
@@ -564,7 +591,7 @@ func New(n int, model CostModel) *Cluster {
 	if n <= 0 {
 		panic("cluster: need at least one rank")
 	}
-	c := &Cluster{N: n, Model: model, rankComms: make([][]*Comm, n)}
+	c := &Cluster{N: n, Model: model}
 	if model.Topology != nil {
 		c.cont = newContention(model, n)
 	}
@@ -574,24 +601,16 @@ func New(n int, model CostModel) *Cluster {
 // Run executes body once per rank concurrently and returns per-rank
 // accounting. Ranks must all reach every collective they participate
 // in; a body that returns (error or not) while peers wait inside a
-// collective can never satisfy that collective, so the deadlock
-// detector poisons the rendezvous and the waiting ranks panic with a
-// diagnostic (real MPI would hang). Bodies should still return errors
-// only at synchronized points. Any streams a body forks must be joined
-// (their tasks finished) before the body returns.
+// collective can never satisfy that collective, so once no timeline
+// can run, the scheduler's drain poisons the rendezvous and the waiting
+// ranks panic with a diagnostic (real MPI would hang). Bodies should
+// still return errors only at synchronized points. Any streams a body
+// forks must be joined (their tasks finished) before the body returns.
 func (c *Cluster) Run(body func(r *Rank) error) (*Result, error) {
-	// Reset the per-run deadlock-detector and stream-binding state so
-	// a cluster can host consecutive Run calls (a later run may drive
-	// a communicator from a differently-named stream than the last).
-	c.mu.Lock()
+	// Per-run state starts fresh, so a cluster can host consecutive
+	// Run calls (the stream bindings live in each run's ranks).
 	c.done = make([]bool, c.N)
 	c.failures = nil
-	comms := append([]*Comm(nil), c.comms...)
-	c.mu.Unlock()
-	c.anyDone.Store(false)
-	for _, comm := range comms {
-		comm.resetDrivers()
-	}
 	if c.cont != nil {
 		c.cont.reset() // fresh simulated timeline: no stale occupancy
 	}
@@ -612,10 +631,11 @@ func (c *Cluster) Run(body func(r *Rank) error) (*Result, error) {
 	errs := make([]error, c.N)
 	// One timeline per rank, started at t=0 in rank order.
 	c.sched = sim.New()
+	c.sched.Drain = func() bool { return c.drain(ranks) }
 	for _, r := range ranks {
 		c.spawn(r, func() {
-			defer c.markDone(r)
 			errs[r.ID] = c.runBody(body, r)
+			c.done[r.ID] = true
 		})
 	}
 	c.sched.Run()

@@ -27,7 +27,8 @@
 // happen exactly as in the serial loop that pops one event and runs its
 // segment to the end before popping the next (W = 1 is that loop). A
 // DES run is therefore a pure function of the program, never of
-// goroutine scheduling, at any W.
+// goroutine scheduling, at any W. The one other place events are
+// pushed is the Drain hook, which runs when no segment can.
 //
 // The caller's contract: a segment touches state another task can reach
 // only after Gate, and holds no lock while it parks or calls Gate.
@@ -178,7 +179,9 @@ type Sched struct {
 	active  int      // segments holding a worker slot
 	waiting int      // segments waiting for the commit turn
 	workers int
-	started bool // Run has begun popping events
+	// popping lets dispatch start segments: false before Run and while
+	// the Drain hook runs.
+	popping bool
 
 	seq  uint64
 	live int
@@ -187,6 +190,15 @@ type Sched struct {
 	// run, so an un-recovered simulated-program panic still crashes the
 	// process with its diagnostic instead of wedging the event loop.
 	trap any
+
+	// Drain, if set, is called by Run when no task can run while some
+	// are live: the event queue and the popped segments are empty and
+	// every live task is parked. It runs on Run's goroutine, with no
+	// segment running, and may ready parked tasks (it is a commit
+	// section of its own); the tasks it readies start only after it
+	// returns, so it sees the whole drained state. It reports whether it
+	// readied any; if not, Run panics with the deadlock.
+	Drain func() bool
 }
 
 // New returns an empty scheduler that runs up to GOMAXPROCS segments
@@ -229,9 +241,9 @@ func (s *Sched) Spawn(rank int, fn func(t *Task)) *Task {
 }
 
 // Ready schedules t to resume at simulated time tm. Callable before
-// Run, or by the segment holding the commit turn (a task may also ready
-// itself before it parks). Readying an already-queued task is a
-// scheduling bug and panics.
+// Run, by the segment holding the commit turn (a task may also ready
+// itself before it parks), or by the Drain hook. Readying an
+// already-queued task is a scheduling bug and panics.
 func (s *Sched) Ready(t *Task, tm float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -336,7 +348,7 @@ func (s *Sched) grantLocked() {
 // dispatchLocked pops events into free worker slots, starting their
 // segments. Caller holds s.mu.
 func (s *Sched) dispatchLocked() {
-	for s.started && s.active < s.workers && len(s.events) > 0 {
+	for s.popping && s.active < s.workers && len(s.events) > 0 {
 		t := s.events.pop()
 		t.st = running
 		s.segs.push(t)
@@ -356,16 +368,29 @@ func (s *Sched) Load() (queued, running, waiting int) {
 
 // Run drives the tasks until every spawned task has finished. An empty
 // queue with no segment running while tasks are live is a deadlock:
-// every remaining task is parked with no event that could ever wake it,
-// so Run panics with the count (the simulated program's own deadlock
-// detectors usually fire first, with a richer message). A panic that
-// escaped a task body is rethrown here instead.
+// every remaining task is parked with no event that could ever wake it.
+// Run then calls the Drain hook, which may ready tasks to recover, and
+// panics with the count when there is no hook or it readies nothing. A
+// panic that escaped a task body is rethrown here instead, before the
+// hook is consulted.
 func (s *Sched) Run() {
 	s.mu.Lock()
-	s.started = true
-	s.dispatchLocked()
-	for s.live > 0 && len(s.segs)+len(s.events) > 0 {
-		s.drained.Wait()
+	for {
+		s.popping = true
+		s.dispatchLocked()
+		for s.live > 0 && len(s.segs)+len(s.events) > 0 {
+			s.drained.Wait()
+		}
+		if s.live == 0 || s.trap != nil || s.Drain == nil {
+			break
+		}
+		s.popping = false
+		s.mu.Unlock()
+		readied := s.Drain()
+		s.mu.Lock()
+		if !readied {
+			break
+		}
 	}
 	live, trap := s.live, s.trap
 	s.mu.Unlock()

@@ -301,3 +301,90 @@ func TestSchedulerRethrowsTaskPanic(t *testing.T) {
 		})
 	}
 }
+
+// TestSchedulerDrainHook: when every live task is parked, Run hands the
+// drained state to the Drain hook. A hook that readies a parked task
+// lets Run go on — once per drain, here, in the order readied, and with
+// the readied tasks starting only after the hook returns — a hook that
+// readies nothing leaves the deadlock panic, and a trapped task panic
+// is rethrown without consulting the hook.
+func TestSchedulerDrainHook(t *testing.T) {
+	// park spawns n tasks that register in commit order and park.
+	park := func(s *Sched, n int, parked *[]*Task, woke *[]int, hookDone *bool) {
+		for i := 0; i < n; i++ {
+			tk := s.Spawn(i, func(tk *Task) {
+				spin(i)
+				tk.Gate()
+				*parked = append(*parked, tk)
+				tk.Park()
+				if !*hookDone {
+					t.Errorf("rank %d resumed before the hook returned", tk.Rank)
+				}
+				tk.Gate()
+				*woke = append(*woke, tk.Rank)
+			})
+			s.Ready(tk, float64(n-i))
+		}
+	}
+	for _, w := range []int{1, 4} {
+		withWorkers(w, func() {
+			s := New()
+			var parked []*Task
+			var woke []int
+			hookDone, drains := false, 0
+			s.Drain = func() bool {
+				drains++
+				hookDone = false
+				// Ready the lowest-ranked parked task, one per drain.
+				best := 0
+				for i, tk := range parked {
+					if tk.Rank < parked[best].Rank {
+						best = i
+					}
+				}
+				parked[best].Ready(float64(drains))
+				parked = append(parked[:best], parked[best+1:]...)
+				hookDone = true
+				return true
+			}
+			park(s, 6, &parked, &woke, &hookDone)
+			s.Run()
+			if drains != 6 || !reflect.DeepEqual(woke, []int{0, 1, 2, 3, 4, 5}) {
+				t.Fatalf("W=%d: %d drains woke %v, want 6 waking ranks 0..5 in order", w, drains, woke)
+			}
+		})
+		withWorkers(w, func() {
+			defer func() {
+				if msg, ok := recover().(string); !ok || !strings.HasPrefix(msg, "sim: deadlock") {
+					t.Fatalf("W=%d: want a sim: deadlock panic, got %v", w, msg)
+				}
+			}()
+			s := New()
+			var parked []*Task
+			var woke []int
+			hookDone := true
+			s.Drain = func() bool { return false }
+			park(s, 6, &parked, &woke, &hookDone)
+			s.Run()
+		})
+		withWorkers(w, func() {
+			defer func() {
+				if p := recover(); p != "boom" {
+					t.Fatalf("W=%d: want the task panic, got %v", w, p)
+				}
+			}()
+			s := New()
+			var parked []*Task
+			var woke []int
+			hookDone := true
+			s.Drain = func() bool {
+				t.Errorf("W=%d: hook consulted despite a trapped panic", w)
+				return false
+			}
+			park(s, 6, &parked, &woke, &hookDone)
+			tk := s.Spawn(7, func(tk *Task) { panic("boom") })
+			s.Ready(tk, 1)
+			s.Run()
+		})
+	}
+}

@@ -1,6 +1,6 @@
 // Package graphio serializes training state to a compact binary
 // format: a model's flat parameter vector (WriteParams/ReadParams,
-// behind trainer -save/-load) and the resumable checkpoint
+// behind trainer -checkpoint/-resume) and the resumable checkpoint
 // (WriteCheckpoint/ReadCheckpoint, behind resilience restarts).
 //
 // Every file opens with a 7-byte magic. All integers are little-endian
