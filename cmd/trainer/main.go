@@ -44,7 +44,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		maxB      = fs.Int("maxbatches", 0, "cap batches per epoch (0 = all)")
 		overlap   = fs.Bool("overlap", false, "software-pipeline sampling and feature fetch against propagation (both algorithms; partitioned collectives run on per-stage streams)")
 		ckptOut   = fs.String("checkpoint", "", "write trained parameters to this file")
-		ckptIn    = fs.String("resume", "", "initialize parameters from this checkpoint")
+		ckptIn    = fs.String("resume", "", "evaluate test accuracy with the parameters in this checkpoint (training still starts fresh)")
 		tune      = fs.Bool("autotune", false, "choose c and k automatically by memory model")
 	)
 	platform := cliutil.RegisterPlatformFlags(fs, true, map[string]string{

@@ -29,7 +29,7 @@ func main() {
 		e.Sampling, e.FeatureFetch, e.Propagation, e.Total)
 
 	// Quiver strategy: per-minibatch sampling, no fetch locality.
-	quiver, err := repro.TrainQuiver(d, repro.QuiverConfig{P: 8, Epochs: 2, Seed: 7})
+	quiver, err := repro.Train(d, repro.TrainConfig{P: 8, Algorithm: repro.Quiver, Epochs: 2, Seed: 7})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,8 @@
 package baseline
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -11,7 +13,7 @@ import (
 
 func TestRunQuiverBasic(t *testing.T) {
 	d := datasets.ProductsLike(datasets.Tiny)
-	res, err := RunQuiver(d, QuiverConfig{P: 4, Seed: 1})
+	res, err := pipeline.Run(d, pipeline.Config{P: 4, Algorithm: pipeline.Quiver, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,6 +24,27 @@ func TestRunQuiverBasic(t *testing.T) {
 	if res.Params == nil {
 		t.Fatal("no trained parameters")
 	}
+	if res.Cfg.Algorithm != pipeline.Quiver || res.Cfg.C != 1 || res.EffectiveK != 4 {
+		t.Fatalf("Cfg.Algorithm = %d, Cfg.C = %d, EffectiveK = %d; want Quiver, 1 and P = 4",
+			res.Cfg.Algorithm, res.Cfg.C, res.EffectiveK)
+	}
+}
+
+// RunQuiver, the shim benchmark/ still calls, is pipeline.Run with
+// Algorithm Quiver: the same Result, field for field.
+func TestRunQuiverForwardsToRun(t *testing.T) {
+	d := datasets.ProductsLike(datasets.Tiny)
+	shim, err := RunQuiver(d, QuiverConfig{P: 4, Epochs: 2, MaxBatches: 8, Seed: 6, CkptInterval: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := pipeline.Run(d, pipeline.Config{P: 4, Algorithm: pipeline.Quiver, Epochs: 2, MaxBatches: 8, Seed: 6, CkptInterval: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(shim, run) {
+		t.Fatalf("RunQuiver and pipeline.Run differ:\n%+v\n%+v", shim, run)
+	}
 }
 
 func TestQuiverUVASamplingSlower(t *testing.T) {
@@ -31,11 +54,11 @@ func TestQuiverUVASamplingSlower(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gpu, err := RunQuiver(d, QuiverConfig{P: 4, Seed: 2})
+	gpu, err := pipeline.Run(d, pipeline.Config{P: 4, Algorithm: pipeline.Quiver, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	uva, err := RunQuiver(d, QuiverConfig{P: 4, UVA: true, Seed: 2})
+	uva, err := pipeline.Run(d, pipeline.Config{P: 4, Algorithm: pipeline.QuiverUVA, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,12 +75,10 @@ func TestQuiverPaysPerBatchKernelOverheads(t *testing.T) {
 	// same p. (Indirect check: sampling time strictly positive and at
 	// least the kernel floor of batches x layers x launches.)
 	d := datasets.ProductsLike(datasets.Tiny)
-	res, err := RunQuiver(d, QuiverConfig{P: 1, Seed: 3})
+	res, err := pipeline.Run(d, pipeline.Config{P: 1, Algorithm: pipeline.Quiver, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	model := res.Cfg // zero; just ensure struct accessible
-	_ = model
 	minKernelTime := float64(d.NumBatches()*2*4) * 10e-6 // layers x ~4 kernels
 	if res.LastEpoch().Sampling < minKernelTime {
 		t.Fatalf("sampling %v below kernel floor %v", res.LastEpoch().Sampling, minKernelTime)
@@ -70,7 +91,7 @@ func TestQuiverTrainsLoss(t *testing.T) {
 		IntraDeg: 10, InterDeg: 2, Noise: 0.5,
 		BatchSize: 32, Fanouts: []int{5, 3}, LayerWidth: 32, Seed: 4,
 	})
-	res, err := RunQuiver(d, QuiverConfig{P: 2, Epochs: 4, Seed: 4})
+	res, err := pipeline.Run(d, pipeline.Config{P: 2, Algorithm: pipeline.Quiver, Epochs: 4, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,46 +123,53 @@ func TestCPULadiesReferencePositiveAndScalesWithBatches(t *testing.T) {
 	}
 }
 
-// Bad input is an error from the one validation both drivers share —
-// never a panic inside the first attempt, never a silent fallback. Every
-// case runs through pipeline.Run, and through RunQuiver when
-// QuiverConfig can express it.
+// Bad input is an error from the one validation every algorithm
+// shares — never a panic inside the first attempt, never a silent
+// fallback. Every case runs through pipeline.Run, and again as Quiver
+// when quiver is set; the quiver rows are what only Quiver rejects.
 func TestBadInputIsAnErrorForBothDrivers(t *testing.T) {
 	d := datasets.ProductsLike(datasets.Tiny)
+	q := pipeline.Quiver
 	cases := []struct {
 		name   string
 		cfg    pipeline.Config
-		quiver *QuiverConfig
+		quiver bool
 	}{
-		{"p = 0", pipeline.Config{P: 0}, &QuiverConfig{P: 0}},
-		{"p < 0", pipeline.Config{P: -1}, &QuiverConfig{P: -1}},
-		{"epochs < 0", pipeline.Config{P: 2, Epochs: -1}, &QuiverConfig{P: 2, Epochs: -1}},
-		{"max batches < 0", pipeline.Config{P: 2, MaxBatches: -3}, &QuiverConfig{P: 2, MaxBatches: -3}},
-		{"lr < 0", pipeline.Config{P: 2, LR: -0.1}, nil},
-		{"ckpt interval < 0", pipeline.Config{P: 2, CkptInterval: -1}, &QuiverConfig{P: 2, CkptInterval: -1}},
-		{"fault rank outside p", pipeline.Config{P: 2, Faults: resilience.FailAt(2, 1)},
-			&QuiverConfig{P: 2, Faults: resilience.FailAt(2, 1)}},
-		{"unknown sampler", pipeline.Config{P: 2, Sampler: "bogus"}, nil},
-		{"unknown algorithm", pipeline.Config{P: 2, Algorithm: 7}, nil},
-		{"c does not divide p", pipeline.Config{P: 4, C: 3}, nil},
-		{"partitioned, c^2 does not divide p", pipeline.Config{P: 8, C: 4, Algorithm: pipeline.GraphPartitioned}, nil},
+		{"p = 0", pipeline.Config{P: 0}, true},
+		{"p < 0", pipeline.Config{P: -1}, true},
+		{"epochs < 0", pipeline.Config{P: 2, Epochs: -1}, true},
+		{"max batches < 0", pipeline.Config{P: 2, MaxBatches: -3}, true},
+		{"lr < 0", pipeline.Config{P: 2, LR: -0.1}, true},
+		{"ckpt interval < 0", pipeline.Config{P: 2, CkptInterval: -1}, true},
+		{"fault rank outside p", pipeline.Config{P: 2, Faults: resilience.FailAt(2, 1)}, true},
+		{"unknown sampler", pipeline.Config{P: 2, Sampler: "bogus"}, true},
+		{"unknown algorithm", pipeline.Config{P: 2, Algorithm: 7}, false},
+		{"c does not divide p", pipeline.Config{P: 4, C: 3}, false},
+		{"partitioned, c^2 does not divide p", pipeline.Config{P: 8, C: 4, Algorithm: pipeline.GraphPartitioned}, false},
+		{"quiver, c = 2", pipeline.Config{P: 4, C: 2, Algorithm: q}, false},
+		{"quiver, k = 4", pipeline.Config{P: 4, K: 4, Algorithm: q}, false},
+		{"quiver, sparsity-aware", pipeline.Config{P: 4, SparsityAware: true, Algorithm: q}, false},
+		{"quiver, ladies", pipeline.Config{P: 4, Sampler: "ladies", Algorithm: q}, false},
 	}
-	mustErr := func(t *testing.T, driver string, run func() error) {
+	mustErr := func(t *testing.T, cfg pipeline.Config) {
 		t.Helper()
 		defer func() {
 			if p := recover(); p != nil {
-				t.Errorf("%s panicked: %v", driver, p)
+				t.Errorf("algorithm %d panicked: %v", cfg.Algorithm, p)
 			}
 		}()
-		if err := run(); err == nil {
-			t.Errorf("%s accepted the config", driver)
+		if _, err := pipeline.Run(d, cfg); err == nil {
+			t.Errorf("algorithm %d accepted the config", cfg.Algorithm)
+		} else if strings.Contains(err.Error(), "\n") {
+			t.Errorf("error %q spans lines", err)
 		}
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			mustErr(t, "pipeline.Run", func() error { _, err := pipeline.Run(d, tc.cfg); return err })
-			if tc.quiver != nil {
-				mustErr(t, "RunQuiver", func() error { _, err := RunQuiver(d, *tc.quiver); return err })
+			mustErr(t, tc.cfg)
+			if tc.quiver {
+				tc.cfg.Algorithm = q
+				mustErr(t, tc.cfg)
 			}
 		})
 	}
@@ -152,7 +180,7 @@ func TestQuiverLossAggregatesAcrossRanksUnevenBatches(t *testing.T) {
 	// epoch loss must aggregate all 3 batch losses (the old rank-0-only
 	// report covered 2 and misweighted the epoch).
 	d := datasets.ProductsLike(datasets.Tiny)
-	res, err := RunQuiver(d, QuiverConfig{P: 2, MaxBatches: 3, Seed: 5})
+	res, err := pipeline.Run(d, pipeline.Config{P: 2, Algorithm: pipeline.Quiver, MaxBatches: 3, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,25 +195,32 @@ func TestQuiverLossAggregatesAcrossRanksUnevenBatches(t *testing.T) {
 
 // Golden values captured on the pre-refactor code: the pluggable
 // collective-algorithm layer must keep the default (FlatTree) Quiver
-// baseline bit-identical in simulated time and loss.
+// baseline bit-identical in simulated time and loss. It runs through
+// RunQuiver, the shim benchmark/ calls.
 func TestGoldenQuiverBitIdentical(t *testing.T) {
-	d := datasets.SBM(datasets.SBMConfig{
+	res, err := RunQuiver(goldenSBM(), QuiverConfig{P: 4, Epochs: 2, Seed: 5, MaxBatches: 8})
+	checkGolden(t, "flat", res, err, 0.00085561327706666656, 0.00064173826279999985, 0.2484752598843977)
+}
+
+// goldenSBM is the dataset every Quiver golden runs on.
+func goldenSBM() *datasets.Dataset {
+	return datasets.SBM(datasets.SBMConfig{
 		N: 512, Classes: 4, Features: 8,
 		IntraDeg: 10, InterDeg: 2, Noise: 0.5,
 		BatchSize: 32, Fanouts: []int{5, 3}, LayerWidth: 32, Seed: 7,
 	})
-	res, err := RunQuiver(d, QuiverConfig{P: 4, Epochs: 2, Seed: 5, MaxBatches: 8})
+}
+
+// checkGolden pins the simulated time, last-epoch total and loss of a
+// run that returned res and err bit-for-bit.
+func checkGolden(t *testing.T, name string, res *pipeline.Result, err error, wantSim, wantTotal, wantLoss float64) {
+	t.Helper()
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v", name, err)
 	}
-	if got, want := res.Cluster.SimTime, 0.00085561327706666656; got != want {
-		t.Errorf("SimTime = %.17g, want %.17g", got, want)
-	}
-	if got, want := res.LastEpoch().Total, 0.00064173826279999985; got != want {
-		t.Errorf("Total = %.17g, want %.17g", got, want)
-	}
-	if got, want := res.LastEpoch().Loss, 0.2484752598843977; got != want {
-		t.Errorf("Loss = %.17g, want %.17g", got, want)
+	got := [3]float64{res.Cluster.SimTime, res.LastEpoch().Total, res.LastEpoch().Loss}
+	if want := [3]float64{wantSim, wantTotal, wantLoss}; got != want {
+		t.Errorf("%s: (SimTime, Total, Loss) = %.17g, want %.17g", name, got, want)
 	}
 }
 
@@ -200,11 +235,11 @@ func onModel(tbl cluster.Collectives) cluster.CostModel {
 // gradient all-reduce changes the schedule, never the training values.
 func TestQuiverCollectivesSelection(t *testing.T) {
 	d := datasets.ProductsLike(datasets.Tiny)
-	flat, err := RunQuiver(d, QuiverConfig{P: 4, Seed: 3})
+	flat, err := pipeline.Run(d, pipeline.Config{P: 4, Algorithm: pipeline.Quiver, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring, err := RunQuiver(d, QuiverConfig{P: 4, Seed: 3,
+	ring, err := pipeline.Run(d, pipeline.Config{P: 4, Algorithm: pipeline.Quiver, Seed: 3,
 		Model: onModel(cluster.Collectives{AllReduce: cluster.Ring})})
 	if err != nil {
 		t.Fatal(err)
@@ -215,7 +250,7 @@ func TestQuiverCollectivesSelection(t *testing.T) {
 	if flat.Cluster.SimTime == ring.Cluster.SimTime {
 		t.Fatal("ring selection did not change the schedule")
 	}
-	if _, err := RunQuiver(d, QuiverConfig{P: 4, Seed: 3,
+	if _, err := pipeline.Run(d, pipeline.Config{P: 4, Algorithm: pipeline.Quiver, Seed: 3,
 		Model: onModel(cluster.Collectives{AllReduce: cluster.Pairwise})}); err == nil {
 		t.Fatal("invalid table accepted")
 	}
@@ -223,36 +258,25 @@ func TestQuiverCollectivesSelection(t *testing.T) {
 
 // Contention-off golden identity per collective algorithm for the
 // Quiver baseline: Topology == nil must keep every algorithm's
-// schedule bit-identical to the pre-topology code (the flat entry
-// equals the pre-refactor golden above).
+// schedule bit-identical to the pre-topology code. The flat entry is
+// TestGoldenQuiverBitIdentical's. Total was captured on the code
+// before Quiver became a pipeline.Algorithm.
 func TestGoldenQuiverContentionOffPerAlgorithm(t *testing.T) {
-	d := datasets.SBM(datasets.SBMConfig{
-		N: 512, Classes: 4, Features: 8,
-		IntraDeg: 10, InterDeg: 2, Noise: 0.5,
-		BatchSize: 32, Fanouts: []int{5, 3}, LayerWidth: 32, Seed: 7,
-	})
+	d := goldenSBM()
 	golden := []struct {
-		table     string
-		tbl       cluster.Collectives
-		sim, loss float64
+		table            string
+		tbl              cluster.Collectives
+		sim, total, loss float64
 	}{
-		{"flat", cluster.Collectives{}, 0.00085561327706666656, 0.2484752598843977},
 		{"ring", cluster.Collectives{AllReduce: cluster.Ring, AllToAll: cluster.Pairwise},
-			0.0008886240504, 0.2484752598843977},
+			0.0008886240504, 0.0006664963427999999, 0.2484752598843977},
 		{"hier", cluster.Collectives{AllReduce: cluster.Hierarchical},
-			0.00085561327706666656, 0.2484752598843977},
+			0.00085561327706666656, 0.00064173826279999985, 0.2484752598843977},
 	}
 	for _, g := range golden {
-		res, err := RunQuiver(d, QuiverConfig{P: 4, Epochs: 2, Seed: 5, MaxBatches: 8, Model: onModel(g.tbl)})
-		if err != nil {
-			t.Fatalf("%s: %v", g.table, err)
-		}
-		if got := res.Cluster.SimTime; got != g.sim {
-			t.Errorf("%s: SimTime = %.17g, want %.17g", g.table, got, g.sim)
-		}
-		if got := res.LastEpoch().Loss; got != g.loss {
-			t.Errorf("%s: Loss = %.17g, want %.17g", g.table, got, g.loss)
-		}
+		res, err := pipeline.Run(d, pipeline.Config{P: 4, Algorithm: pipeline.Quiver,
+			Epochs: 2, Seed: 5, MaxBatches: 8, Model: onModel(g.tbl)})
+		checkGolden(t, g.table, res, err, g.sim, g.total, g.loss)
 	}
 }
 
@@ -260,11 +284,11 @@ func TestGoldenQuiverContentionOffPerAlgorithm(t *testing.T) {
 // topology stretches the schedule without touching training values.
 func TestQuiverOversubscribedTopologySlows(t *testing.T) {
 	d := datasets.ProductsLike(datasets.Tiny)
-	ideal, err := RunQuiver(d, QuiverConfig{P: 8, Seed: 3, MaxBatches: 8})
+	ideal, err := pipeline.Run(d, pipeline.Config{P: 8, Algorithm: pipeline.Quiver, Seed: 3, MaxBatches: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	over, err := RunQuiver(d, QuiverConfig{P: 8, Seed: 3, MaxBatches: 8,
+	over, err := pipeline.Run(d, pipeline.Config{P: 8, Algorithm: pipeline.Quiver, Seed: 3, MaxBatches: 8,
 		Topology: cluster.OversubscribedTopology(4)})
 	if err != nil {
 		t.Fatal(err)
@@ -276,7 +300,7 @@ func TestQuiverOversubscribedTopologySlows(t *testing.T) {
 		t.Fatalf("oversubscription did not slow Quiver: %v vs %v",
 			over.Cluster.SimTime, ideal.Cluster.SimTime)
 	}
-	if _, err := RunQuiver(d, QuiverConfig{P: 4, Seed: 3,
+	if _, err := pipeline.Run(d, pipeline.Config{P: 4, Algorithm: pipeline.Quiver, Seed: 3,
 		Topology: &cluster.Topology{Name: "bad", Oversub: -1}}); err == nil {
 		t.Fatal("invalid topology accepted")
 	}

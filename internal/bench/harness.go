@@ -133,8 +133,9 @@ func Fig4(w io.Writer, o Options) ([]Fig4Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			q, err := baseline.RunQuiver(d, baseline.QuiverConfig{
-				P: p, MaxBatches: o.MaxBatches, Seed: o.Seed, Model: o.Model,
+			q, err := pipeline.Run(d, pipeline.Config{
+				P: p, Algorithm: pipeline.Quiver,
+				MaxBatches: o.MaxBatches, Seed: o.Seed, Model: o.Model,
 			})
 			if err != nil {
 				return nil, err
@@ -183,15 +184,16 @@ func Fig5(w io.Writer, o Options) ([]Fig5Row, error) {
 			return nil, err
 		}
 		for _, p := range o.gpus(figureGPUs) {
-			gpu, err := baseline.RunQuiver(d, baseline.QuiverConfig{
-				P: p, MaxBatches: o.MaxBatches, Seed: o.Seed, Model: o.Model,
-			})
+			run := func(a pipeline.Algorithm) (*pipeline.Result, error) {
+				return pipeline.Run(d, pipeline.Config{
+					P: p, Algorithm: a, MaxBatches: o.MaxBatches, Seed: o.Seed, Model: o.Model,
+				})
+			}
+			gpu, err := run(pipeline.Quiver)
 			if err != nil {
 				return nil, err
 			}
-			uva, err := baseline.RunQuiver(d, baseline.QuiverConfig{
-				P: p, UVA: true, MaxBatches: o.MaxBatches, Seed: o.Seed, Model: o.Model,
-			})
+			uva, err := run(pipeline.QuiverUVA)
 			if err != nil {
 				return nil, err
 			}

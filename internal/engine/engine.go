@@ -130,47 +130,40 @@ func (p *Pipeline) executeSequential(r *cluster.Rank, n int) error {
 	return nil
 }
 
-// runItem runs one stage body on one item, converting a recoverable
-// fault-class panic — the rank's own injected fail-stop from the
-// charge path, or a poisoned-collective abort after a peer died — into
-// the stage's error. This is what keeps the overlapped schedule's
-// queue protocol in lockstep through a failure: the error rides the
-// tokens downstream, every queue drains, and the forked streams join,
-// so Execute returns the failure cleanly instead of leaking parked
-// stream tasks (which the scheduler would diagnose as a deadlock). Bug-class panics still crash.
+// runItem runs one stage body on one item. A fault-class panic becomes
+// the stage's error (recoverFault): this is what keeps the overlapped
+// schedule's queue protocol in lockstep through a failure — the error
+// rides the tokens downstream, every queue drains, and the forked
+// streams join, so Execute returns the failure cleanly instead of
+// leaking parked stream tasks (which the scheduler would diagnose as a
+// deadlock).
 func runItem(st Stage, r *cluster.Rank, i int, in any) (v any, err error) {
-	defer func() {
-		p := recover()
-		if p == nil {
-			return
-		}
-		if e, ok := p.(error); ok && errors.Is(e, cluster.ErrRankFailed) {
-			err = e
-			return
-		}
-		panic(p)
-	}()
+	defer recoverFault(&err)
 	return st.Run(r, i, in)
 }
 
-// waitUntil advances r's clock to t, converting a fault-class panic —
-// the stream crossing its rank's injected fail-stop time during the
-// stall — into an error, for the same lockstep reason as runItem: a
-// stall is the other place runStage advances a clock.
+// waitUntil advances r's clock to t; a stall is the other place
+// runStage advances a clock, so it recovers the same way as runItem.
 func waitUntil(r *cluster.Rank, t float64) (err error) {
-	defer func() {
-		p := recover()
-		if p == nil {
-			return
-		}
-		if e, ok := p.(error); ok && errors.Is(e, cluster.ErrRankFailed) {
-			err = e
-			return
-		}
-		panic(p)
-	}()
+	defer recoverFault(&err)
 	r.WaitUntil(t)
 	return nil
+}
+
+// recoverFault, deferred, converts a recoverable fault-class panic —
+// the rank's own injected fail-stop from the charge path, or a
+// poisoned-collective abort after a peer died — into *err. Bug-class
+// panics still crash.
+func recoverFault(err *error) {
+	p := recover()
+	if p == nil {
+		return
+	}
+	if e, ok := p.(error); ok && errors.Is(e, cluster.ErrRankFailed) {
+		*err = e
+		return
+	}
+	panic(p)
 }
 
 // executeOverlapped forks one stream per producer stage and runs the

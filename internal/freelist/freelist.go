@@ -5,7 +5,7 @@
 //
 // It is a plain list, not a sync.Pool: a sync.Pool is emptied by every
 // garbage collection, and the simulator forces one before each attempt
-// (pipeline.Train) — the reuse has to survive exactly that boundary. A
+// (pipeline.Run) — the reuse has to survive exactly that boundary. A
 // list holds at most what was live at once, so it costs a process no
 // more than its busiest moment did.
 //

@@ -1,4 +1,4 @@
-package baseline
+package pipeline
 
 import (
 	"fmt"
@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/datasets"
-	"repro/internal/pipeline"
 )
 
 // contendedRun is one DES configuration on OversubscribedTopology(4).
@@ -69,16 +68,12 @@ func TestGoldenContendedDES(t *testing.T) {
 func (r contendedRun) exec(t *testing.T) contendedGolden {
 	t.Helper()
 	d := datasets.ProductsLike(r.profile)
-	cfg := pipeline.Config{P: r.p, C: r.c, Epochs: r.epochs, MaxBatches: r.maxBatches, Seed: 17,
+	cfg := Config{P: r.p, C: r.c, Epochs: r.epochs, MaxBatches: r.maxBatches, Seed: 17,
 		Overlap: r.overlap, Topology: cluster.OversubscribedTopology(4)}
-	var res *pipeline.Result
-	var err error
 	if r.quiver {
-		cfg.C, cfg.Sampler = 1, "sage"
-		res, err = pipeline.Train(d, cfg, pipeline.Strategy{NewAttempt: (&quiver{d: d}).newAttempt})
-	} else {
-		res, err = pipeline.Run(d, cfg)
+		cfg.Algorithm, cfg.C = Quiver, 1
 	}
+	res, err := Run(d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

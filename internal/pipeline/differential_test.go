@@ -11,7 +11,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/baseline"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/datasets"
@@ -35,34 +34,23 @@ var differentialData = datasets.SBM(datasets.SBMConfig{
 	BatchSize: 16, Fanouts: []int{3, 2}, LayerWidth: 8, Seed: 11,
 })
 
-// spec is one generated run: a pipeline.Config run through pipeline.Run,
-// or through baseline.RunQuiver when quiver names the baseline's mode.
-type spec struct {
-	pipeline.Config
-	quiver string // "gpu" or "uva"; "" is the bulk strategy
-}
+// spec is one generated run of pipeline.Run.
+type spec struct{ pipeline.Config }
 
-func (s spec) run() (*pipeline.Result, error) {
-	if s.quiver == "" {
-		return pipeline.Run(differentialData, s.Config)
-	}
-	return baseline.RunQuiver(differentialData, baseline.QuiverConfig{
-		P: s.P, UVA: s.quiver == "uva", Epochs: s.Epochs, MaxBatches: s.MaxBatches, Seed: s.Seed,
-		Model: s.Model, Topology: s.Topology, Faults: s.Faults, CkptInterval: s.CkptInterval,
-	})
-}
+func (s spec) run() (*pipeline.Result, error) { return pipeline.Run(differentialData, s.Config) }
 
 func (s spec) String() string {
-	strategy := "quiver-" + s.quiver
-	if s.quiver == "" {
+	strategy := "quiver-gpu"
+	switch s.Algorithm {
+	case pipeline.GraphReplicated:
 		strategy = "replicated"
-		if s.Algorithm == pipeline.GraphPartitioned {
-			strategy = fmt.Sprintf("partitioned(aware=%v)", s.SparsityAware)
-		}
-		strategy += fmt.Sprintf(" sampler=%s c=%d k=%d overlap=%v", s.Sampler, s.C, s.K, s.Overlap)
+	case pipeline.GraphPartitioned:
+		strategy = fmt.Sprintf("partitioned(aware=%v)", s.SparsityAware)
+	case pipeline.QuiverUVA:
+		strategy = "quiver-uva"
 	}
-	return fmt.Sprintf("{%s p=%d epochs=%d maxbatches=%d seed=%d ckpt=%d allreduce=%v alltoall=%v topology=%v faults=%v}",
-		strategy, s.P, s.Epochs, s.MaxBatches, s.Seed, s.CkptInterval,
+	return fmt.Sprintf("{%s sampler=%s c=%d k=%d overlap=%v p=%d epochs=%d maxbatches=%d seed=%d ckpt=%d allreduce=%v alltoall=%v topology=%v faults=%v}",
+		strategy, s.Sampler, s.C, s.K, s.Overlap, s.P, s.Epochs, s.MaxBatches, s.Seed, s.CkptInterval,
 		s.Model.Collectives.AllReduce, s.Model.Collectives.AllToAll, s.Topology, s.Faults)
 }
 
@@ -89,10 +77,10 @@ func draw(i int) spec {
 	}
 	switch rng.Intn(5) {
 	case 0:
-		s.quiver = "gpu"
+		s.Algorithm = pipeline.Quiver
 		return s
 	case 1:
-		s.quiver = "uva"
+		s.Algorithm = pipeline.QuiverUVA
 		return s
 	case 2, 3: // the 1.5D grid needs c² | p
 		s.Algorithm, s.SparsityAware = pipeline.GraphPartitioned, rng.Intn(2) == 0
@@ -227,9 +215,8 @@ var transformations = []row{
 			return s.run()
 		}},
 	// The overlapped schedule moves when work is charged, never what is
-	// computed; Quiver has no overlapped schedule.
+	// computed.
 	{name: "overlap", n: 8, short: 8, oracle: sameTraining,
-		applies: func(s spec) bool { return s.quiver == "" },
 		twin: func(_ int, s spec, _ *pipeline.Result) (*pipeline.Result, error) {
 			s.Overlap = !s.Overlap
 			return s.run()

@@ -85,7 +85,7 @@ var freeScratchSets freelist.List[[]*fetchScratch]
 // storage, not a copy — replicas in a process row share it (they would
 // hold identical copies on real hardware). The fetch workspaces are a
 // whole released set's, when the process has one, reused by position
-// (grid slot (i, j) keeps serving the rank at (i, j)); Train gives them
+// (grid slot (i, j) keeps serving the rank at (i, j)); Run gives them
 // back when its attempt has finished cleanly.
 func NewFeatureStores(g *cluster.Grid, feats *dense.Matrix) []*FeatureStore {
 	scratch, _ := freeScratchSets.Take()
@@ -163,7 +163,7 @@ func takeFeatures(rows, cols int) *dense.Matrix {
 // stream coexists with collective-bearing sampling on another.
 //
 // The result is the caller's until it hands it back to the package's
-// free list (Train's propagation stage does, after Backward): every row
+// free list (Run's propagation stage does, after Backward): every row
 // of it is written here, over whatever a finished step left behind. It
 // is taken only once both collectives are over, so the ranks parked in
 // them hold no output matrix.

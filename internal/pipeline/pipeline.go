@@ -6,6 +6,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/datasets"
+	"repro/internal/dense"
 	"repro/internal/distsample"
 	"repro/internal/engine"
 	"repro/internal/gnn"
@@ -27,7 +28,37 @@ const (
 	GraphReplicated Algorithm = iota
 	// GraphPartitioned partitions A 1.5D across the grid (Section 5.2).
 	GraphPartitioned
+	// Quiver is the baseline the paper beats (Section 7.3): every rank
+	// samples its minibatches one at a time on device from a replicated
+	// graph, paying the per-batch kernel overheads bulk sampling
+	// amortizes, and fetches features from all p ranks (C = 1, no
+	// replication locality). It takes GraphSAGE only, and no K.
+	Quiver
+	// QuiverUVA is Quiver with the graph in host DRAM, sampled through
+	// the PCIe link with a unified address space, and hostFeatureFraction
+	// of the feature rows served from host memory (Figure 5).
+	QuiverUVA
 )
+
+// quiver reports whether a is one of the Quiver baseline's modes.
+func (a Algorithm) quiver() bool { return a == Quiver || a == QuiverUVA }
+
+// optimizerFlopsPerParam is the dense work every rank charges per
+// optimizer step, per model parameter, for the step's memory traffic.
+// Known modelling gap (ROADMAP 4(c)): the bulk pipeline charges 3 and
+// the Quiver baseline 0, so the baseline's propagation phase is
+// undercharged by 3·NumParams flops per step. Levelling it moves every
+// Quiver sim_sec and needs the BENCH baselines re-captured.
+func (a Algorithm) optimizerFlopsPerParam() int {
+	if a.quiver() {
+		return 0
+	}
+	return 3
+}
+
+// hostFeatureFraction is the share of feature rows QuiverUVA serves
+// from host memory: the 80/20 host/device split quoted in Section 8.1.1.
+const hostFeatureFraction = 0.8
 
 // hiddenWidth is the width of every hidden layer of the trained model.
 const hiddenWidth = 64
@@ -68,17 +99,17 @@ type Config struct {
 	// minibatches proceed on their own simulated streams (bounded
 	// queues, double-buffered BulkSample handoff) while the current
 	// minibatch trains, so epoch time becomes the max over concurrent
-	// streams instead of the sum of phases. Applies to both
-	// algorithms: Graph Replicated sampling is communication-free
-	// (Section 5.1), and the Graph Partitioned algorithm's collectives
-	// run stream-safely on per-stage communicator clones
-	// (cluster.Comm.ForStream), so its sampling and feature-fetch
-	// stages prefetch on their own streams too. The paper's pipeline
-	// is bulk synchronous; this is the natural next optimization its
-	// structure permits. Off by default — the sequential schedule is
-	// identical to the paper's Figure 3 loop, and either way the
-	// training outcome is bit-identical (the schedule moves when work
-	// is charged, never what is computed).
+	// streams instead of the sum of phases. Applies to every
+	// algorithm: Graph Replicated and Quiver sampling are
+	// communication-free (Section 5.1), and the Graph Partitioned
+	// algorithm's collectives run stream-safely on per-stage
+	// communicator clones (cluster.Comm.ForStream), so its sampling and
+	// feature-fetch stages prefetch on their own streams too. The
+	// paper's pipeline is bulk synchronous; this is the natural next
+	// optimization its structure permits. Off by default — the
+	// sequential schedule is identical to the paper's Figure 3 loop, and
+	// either way the training outcome is bit-identical (the schedule
+	// moves when work is charged, never what is computed).
 	Overlap bool
 
 	Sampler string // a core.Samplers key; empty selects the first
@@ -164,6 +195,7 @@ func (c Config) normalised(d *datasets.Dataset) (Config, error) {
 		return c, fmt.Errorf("pipeline: replication factor C=%d: must be >= 1 (0 means 1)", c.C)
 	}
 	c, err := c.withDefaults(d)
+	_, sage := c.sampler.(core.SAGE)
 	switch {
 	case err != nil:
 		return c, err
@@ -171,10 +203,18 @@ func (c Config) normalised(d *datasets.Dataset) (Config, error) {
 		return c, fmt.Errorf("pipeline: p=%d: need at least one rank", c.P)
 	case c.P%c.C != 0:
 		return c, fmt.Errorf("pipeline: c=%d must divide p=%d", c.C, c.P)
-	case c.Algorithm != GraphReplicated && c.Algorithm != GraphPartitioned:
+	case c.Algorithm < GraphReplicated || c.Algorithm > QuiverUVA:
 		return c, fmt.Errorf("pipeline: unknown algorithm %d", c.Algorithm)
 	case c.Algorithm == GraphPartitioned && (c.P/c.C)%c.C != 0:
 		return c, fmt.Errorf("pipeline: partitioned algorithm needs c^2 | p (p=%d c=%d)", c.P, c.C)
+	case c.Algorithm.quiver() && c.C != 1:
+		return c, fmt.Errorf("pipeline: quiver fetches from all p ranks: C=%d, want 1", c.C)
+	case c.Algorithm.quiver() && c.K != 0:
+		return c, fmt.Errorf("pipeline: quiver samples one minibatch per call: K=%d, want 0", c.K)
+	case c.Algorithm.quiver() && c.SparsityAware:
+		return c, fmt.Errorf("pipeline: quiver has no SparsityAware fetch (partitioned algorithm only)")
+	case c.Algorithm.quiver() && !sage:
+		return c, fmt.Errorf("pipeline: quiver samples with GraphSAGE only: Sampler=%q", c.Sampler)
 	case c.Epochs < 0:
 		return c, fmt.Errorf("pipeline: negative epoch count %d", c.Epochs)
 	case c.MaxBatches < 0:
@@ -239,7 +279,8 @@ type Result struct {
 	// block samples at least one batch per round — the schedule clamps
 	// the bulk up rather than leaving blocks idle, and surfaces the
 	// inflation here so memory-budgeted callers (the autotuner picked
-	// K to fit) can see it.
+	// K to fit) can see it. A Quiver run's is P: one minibatch per rank
+	// per round.
 	EffectiveK int
 	// Recovery reports the restart bookkeeping when fault injection or
 	// checkpointing was configured (nil otherwise): attempts, fired
@@ -263,20 +304,26 @@ func (r *Result) LastEpoch() EpochStats {
 // counts divide unevenly (ranks without a real batch join with dummy
 // work).
 type schedule struct {
-	samplingBlocks int // ranks (replicated) or grid rows (partitioned) sharing the batch list
+	samplingBlocks int // ranks (replicated, Quiver) or grid rows (partitioned) sharing the batch list
 	sampPerRound   int // batches each sampling block handles per bulk round
 	rounds         int
 	trainPerRound  int // training iterations per round per rank
 	trainStride    int // replicated: 1; partitioned: c (row members interleave)
 }
 
-func makeSchedule(cfg Config, grid *cluster.Grid, totalBatches int) schedule {
+// makeSchedule is the schedule of a normalised cfg over totalBatches.
+// Quiver is the replicated schedule at K = P: one minibatch per rank
+// per round.
+func makeSchedule(cfg Config, totalBatches int) schedule {
 	s := schedule{trainStride: 1, samplingBlocks: cfg.P}
 	if cfg.Algorithm == GraphPartitioned {
-		s.samplingBlocks = grid.Rows
+		s.samplingBlocks = cfg.P / cfg.C
 		s.trainStride = cfg.C
 	}
 	bulk := cfg.K
+	if cfg.Algorithm.quiver() {
+		bulk = cfg.P
+	}
 	if bulk <= 0 || bulk > totalBatches {
 		bulk = totalBatches
 	}
@@ -304,12 +351,19 @@ func makeSchedule(cfg Config, grid *cluster.Grid, totalBatches int) schedule {
 // forced sampPerRound up to one batch per block.
 func (s schedule) effectiveBulk() int { return s.samplingBlocks * s.sampPerRound }
 
-// FetchItem is what a sampling stage hands its feature-fetch stage:
-// one extracted batch graph and its input frontier (zero for an
-// iteration without a real batch).
-type FetchItem struct {
-	Batch  *core.BatchGraph
-	Inputs []int
+// items is the number of engine items every rank runs per epoch.
+func (s schedule) items() int { return s.rounds * s.trainPerRound }
+
+// item is one minibatch on its way through the stages: the sampling
+// stage sets its batch graph and input frontier, the feature-fetch
+// stage its gathered features. A nil batch marks an iteration without
+// a real batch; it contributes zero gradients to the all-reduce.
+type item struct {
+	batch  *core.BatchGraph
+	inputs []int
+	// feats is a Fetch result: the propagation stage hands it back to
+	// Fetch's free list once the step is done with it.
+	feats *dense.Matrix
 }
 
 // newModel builds the freshly initialised model the config trains.
@@ -323,43 +377,62 @@ func (c Config) newModel(d *datasets.Dataset) *gnn.Model {
 	})
 }
 
-// Run simulates cfg.Epochs of distributed minibatch training over the
-// dataset and returns per-epoch phase breakdowns. The epoch loop is
-// Train's three-stage engine pipeline (bulk sampling → feature fetch →
-// propagation) with this file's bulk strategy; Config.Overlap selects
-// the software-pipelined schedule, the default is the paper's
-// bulk-synchronous one.
-func Run(d *datasets.Dataset, cfg Config) (*Result, error) {
-	b := &bulk{d: d}
-	res, err := Train(d, cfg, Strategy{OptimizerFlopsPerParam: 3, NewAttempt: b.newAttempt})
-	if err != nil {
-		return nil, err
-	}
-	res.Cfg, res.EffectiveK = b.cfg, b.sched.effectiveBulk()
-	return res, nil
-}
-
-// bulk is the paper's strategy: every sampling block samples K/blocks
-// minibatches per bulk call (Graph Replicated or 1.5D Graph
-// Partitioned), and features are fetched over the process column. It
-// keeps the latest attempt's normalised config and schedule for Run.
-type bulk struct {
-	d     *datasets.Dataset
-	cfg   Config
-	sched schedule
-}
-
-func (b *bulk) newAttempt(cfg Config, batches [][]int, grid *cluster.Grid, stores []*FeatureStore) Attempt {
-	d := b.d
+// newAttempt builds the algorithm's sampling and feature-fetch stages
+// for one cluster run of the normalised cfg over the (MaxBatches-
+// truncated) global batch list, on the attempt's freshly built grid and
+// feature stores (a failed attempt leaves poisoned rendezvous and
+// mid-flight arena state behind, so nothing built on them is reused).
+//
+// stages is called once per rank, on the rank's own task, and returns
+// the builder of that rank's two stages for one epoch (seeded with the
+// epoch's sampling seed). The stages charge their own phases and may
+// drive the grid's row and column communicators; the world
+// communicator, the model and the optimizer belong to Run's
+// propagation stage. release hands the attempt's reusable run memory
+// on; Run calls it once the cluster run has returned without error.
+func newAttempt(d *datasets.Dataset, cfg Config, sched schedule, batches [][]int, grid *cluster.Grid, stores []*FeatureStore) (
+	stages func(r *cluster.Rank) func(epochSeed int64) (sampling, fetch engine.Stage), release func()) {
 	partitioned := cfg.Algorithm == GraphPartitioned
-	var parts []*distsample.Partitioned
-	if partitioned {
-		parts = distsample.NewPartitionedSet(grid, d.Graph.Adj, cfg.SparsityAware)
+	uva := cfg.Algorithm == QuiverUVA
+	release = func() {}
+	// sample draws one round's chunk of local minibatches on rs.
+	var sample func(rs *cluster.Rank, chunk [][]int, round int, epochSeed int64) *core.BulkSample
+	switch {
+	case partitioned:
+		parts := distsample.NewPartitionedSet(grid, d.Graph.Adj, cfg.SparsityAware)
+		release = func() { distsample.ReleasePartitionedSet(parts) }
+		sample = func(rs *cluster.Rank, chunk [][]int, _ int, epochSeed int64) *core.BulkSample {
+			return distsample.SamplePartitioned(rs, parts[rs.ID], cfg.sampler, chunk, cfg.sizes, epochSeed)
+		}
+	case cfg.Algorithm.quiver():
+		// One bulk call of size one per minibatch, paying full kernel-
+		// launch overhead per batch per layer: the cost bulk sampling
+		// amortizes.
+		sample = func(rs *cluster.Rank, chunk [][]int, round int, epochSeed int64) *core.BulkSample {
+			if len(chunk) == 0 {
+				return nil
+			}
+			bulk := core.SampleBulk(cfg.sampler, d.Graph.Adj, chunk, cfg.sizes, epochSeed+int64(round))
+			cost := bulk.Cost
+			if uva {
+				// Graph lives in host DRAM: every adjacency row visited
+				// crosses PCIe (16 bytes/entry), and the irregular work
+				// runs at an effective rate bounded by the host link.
+				rs.ChargeLink(cluster.HostLink, cost.ProbFlops*16)
+				rs.ChargeSparse(cost.SampleOps + cost.ExtractOps)
+			} else {
+				rs.ChargeSparse(cost.Total())
+			}
+			rs.ChargeKernels(cost.Kernels)
+			return bulk
+		}
+	default:
+		sample = func(rs *cluster.Rank, chunk [][]int, _ int, epochSeed int64) *core.BulkSample {
+			return distsample.SampleReplicated(rs, cfg.sampler, d.Graph.Adj, chunk, cfg.sizes, epochSeed)
+		}
 	}
-	sched := makeSchedule(cfg, grid, len(batches))
-	b.cfg, b.sched = cfg, sched
 
-	rank := func(r *cluster.Rank) func(int64) (engine.Stage, engine.Stage) {
+	stages = func(r *cluster.Rank) func(int64) (engine.Stage, engine.Stage) {
 		store := stores[r.ID]
 		var local [][]int
 		trainOffset := 0
@@ -369,15 +442,21 @@ func (b *bulk) newAttempt(cfg Config, batches [][]int, grid *cluster.Grid, store
 		} else {
 			local = distsample.ReplicatedBatches(cfg.P, r.ID, batches)
 		}
-		// Feature fetch: all-to-allv over the process column; iterations
-		// without a real batch join with empty requests.
+		// Feature fetch: all-to-allv over the process column (the world
+		// at C = 1); iterations without a real batch join with empty
+		// requests. In UVA mode most rows also cross the host link.
 		fetch := engine.Stage{
 			Name:  PhaseFeatureFetch,
 			Queue: 1,
-			Run: func(rf *cluster.Rank, idx int, in any) (any, error) {
-				it := in.(FetchItem)
+			Run: func(rf *cluster.Rank, _ int, in any) (any, error) {
+				it := in.(item)
 				rf.SetPhase(PhaseFeatureFetch)
-				return TrainItem{Batch: it.Batch, Feats: store.Fetch(rf, it.Inputs)}, nil
+				it.feats = store.Fetch(rf, it.inputs)
+				if uva && it.batch != nil {
+					hostRows := int(hostFeatureFraction * float64(len(it.inputs)))
+					rf.ChargeLink(cluster.HostLink, int64(hostRows*d.Features.Cols*8))
+				}
+				return it, nil
 			},
 		}
 
@@ -405,17 +484,13 @@ func (b *bulk) newAttempt(cfg Config, batches [][]int, grid *cluster.Grid, store
 						chunk = local[lo:hi]
 						rs.SetPhase(PhaseSampling)
 						rs.PushPhase(PhaseSampling) // nested level for the driver's sub-phases
-						if partitioned {
-							cur = distsample.SamplePartitioned(rs, parts[rs.ID], cfg.sampler, chunk, cfg.sizes, epochSeed)
-						} else {
-							cur = distsample.SampleReplicated(rs, cfg.sampler, d.Graph.Adj, chunk, cfg.sizes, epochSeed)
-						}
+						cur = sample(rs, chunk, round, epochSeed)
 						rs.PopPhase()
 					}
-					var it FetchItem
+					var it item
 					if bi := t*sched.trainStride + trainOffset; bi < len(chunk) {
-						it.Batch = cur.ExtractBatch(bi)
-						it.Inputs = it.Batch.InputVertices()
+						it.batch = cur.ExtractBatch(bi)
+						it.inputs = it.batch.InputVertices()
 					}
 					return it, nil
 				},
@@ -423,9 +498,5 @@ func (b *bulk) newAttempt(cfg Config, batches [][]int, grid *cluster.Grid, store
 			return sampling, fetch
 		}
 	}
-	att := Attempt{Items: sched.rounds * sched.trainPerRound, Blocks: sched.samplingBlocks, Rank: rank}
-	if partitioned {
-		att.Release = func() { distsample.ReleasePartitionedSet(parts) }
-	}
-	return att
+	return stages, release
 }

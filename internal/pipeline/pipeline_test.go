@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"runtime/debug"
@@ -483,9 +484,7 @@ func TestSmallKScheduleSurfacesEffectiveBulk(t *testing.T) {
 	// samples at least one batch per round); the schedule clamps the
 	// bulk up and the run surfaces the inflation.
 	d := tinySBM()
-	cl := cluster.New(8, cluster.Perlmutter())
-	grid := cluster.NewGrid(cl, 8, 1)
-	s := makeSchedule(Config{P: 8, C: 1, K: 3}, grid, 16)
+	s := makeSchedule(Config{P: 8, C: 1, K: 3}, 16)
 	if s.sampPerRound != 1 {
 		t.Fatalf("sampPerRound = %d, want clamp to 1", s.sampPerRound)
 	}
@@ -630,43 +629,6 @@ func TestHierAllReduceSameTraining(t *testing.T) {
 	}
 }
 
-// Golden values captured on the pre-refactor code (inline α–β formulas,
-// AllReduceSumHier as a special-case function) at these exact configs.
-// The pluggable collective-algorithm layer must keep default (FlatTree)
-// runs — and the Hierarchical selection that replaced AllReduceSumHier —
-// bit-identical in simulated time and loss. The partitioned golden was
-// captured with the generic all-reduce's local-reduction memory charge
-// applied to the old code, since that satellite fix deliberately adds
-// the (documented) ChargeMem term the old generic all-reduce lacked.
-func TestGoldenFlatTreeBitIdentical(t *testing.T) {
-	d := tinySBM()
-	check := func(name string, cfg Config, wantSim, wantTotal, wantLoss float64) {
-		t.Helper()
-		res, err := Run(d, cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		e := res.LastEpoch()
-		if res.Cluster.SimTime != wantSim {
-			t.Errorf("%s: SimTime = %.17g, want %.17g", name, res.Cluster.SimTime, wantSim)
-		}
-		if e.Total != wantTotal {
-			t.Errorf("%s: Total = %.17g, want %.17g", name, e.Total, wantTotal)
-		}
-		if e.Loss != wantLoss {
-			t.Errorf("%s: Loss = %.17g, want %.17g", name, e.Loss, wantLoss)
-		}
-	}
-	check("replicated", Config{P: 8, C: 2, Epochs: 2, Seed: 5, MaxBatches: 8},
-		0.00055022244746666686, 0.00055033819413333347, 0.65450965782981307)
-	check("partitioned", Config{P: 8, C: 2, Epochs: 2, Seed: 5, MaxBatches: 8,
-		Algorithm: GraphPartitioned, SparsityAware: true},
-		0.001098003337466667, 0.00085527868810000049, 0.66800119073290198)
-	check("hier", Config{P: 8, C: 2, Epochs: 2, Seed: 5, MaxBatches: 8,
-		Model: onModel(cluster.Collectives{AllReduce: cluster.Hierarchical})},
-		0.00054651823413333334, 0.00054663398079999996, 0.65450965782981296)
-}
-
 // TestRunRejectsInvalidCollectives pins the validation path.
 func TestRunRejectsInvalidCollectives(t *testing.T) {
 	d := tinySBM()
@@ -682,30 +644,69 @@ func TestRunRejectsInvalidCollectives(t *testing.T) {
 	}
 }
 
-// Contention-off golden identity: with Topology == nil every strategy
+// checkGolden runs cfg and pins its simulated time, last-epoch total
+// and loss bit-for-bit. A run without a topology reports no physical
+// links.
+func checkGolden(t *testing.T, d *datasets.Dataset, name string, cfg Config, wantSim, wantTotal, wantLoss float64) {
+	t.Helper()
+	res, err := Run(d, cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	got := [3]float64{res.Cluster.SimTime, res.LastEpoch().Total, res.LastEpoch().Loss}
+	if want := [3]float64{wantSim, wantTotal, wantLoss}; got != want {
+		t.Errorf("%s: (SimTime, Total, Loss) = %.17g, want %.17g", name, got, want)
+	}
+	if res.Cluster.PhysLinks != nil {
+		t.Errorf("%s: contention-off run reported physical links", name)
+	}
+}
+
+// Golden values captured on the pre-refactor code (inline α–β formulas,
+// AllReduceSumHier as a special-case function) at these exact configs.
+// The pluggable collective-algorithm layer must keep default (FlatTree)
+// runs — and the Hierarchical selection that replaced AllReduceSumHier —
+// bit-identical in simulated time and loss. The partitioned golden was
+// captured with the generic all-reduce's local-reduction memory charge
+// applied to the old code, since that satellite fix deliberately adds
+// the (documented) ChargeMem term the old generic all-reduce lacked.
+// TestGoldenContentionOffPerAlgorithm pins the remaining collective
+// selections; no config runs in both.
+func TestGoldenFlatTreeBitIdentical(t *testing.T) {
+	d := tinySBM()
+	checkGolden(t, d, "replicated", Config{P: 8, C: 2, Epochs: 2, Seed: 5, MaxBatches: 8},
+		0.00055022244746666686, 0.00055033819413333347, 0.65450965782981307)
+	checkGolden(t, d, "partitioned", Config{P: 8, C: 2, Epochs: 2, Seed: 5, MaxBatches: 8,
+		Algorithm: GraphPartitioned, SparsityAware: true},
+		0.001098003337466667, 0.00085527868810000049, 0.66800119073290198)
+	checkGolden(t, d, "hier", Config{P: 8, C: 2, Epochs: 2, Seed: 5, MaxBatches: 8,
+		Model: onModel(cluster.Collectives{AllReduce: cluster.Hierarchical})},
+		0.00054651823413333334, 0.00054663398079999996, 0.65450965782981296)
+}
+
+// Contention-off golden identity: with Topology == nil every algorithm
 // must charge bit-identically to the pre-topology code under every
 // collective algorithm — the contention layer may not perturb the
-// ideal charging path. Values captured at the introduction of the
-// topology layer (the flat entries equal the pre-refactor goldens
-// above, pinning the chain back to the original inline formulas).
+// ideal charging path. SimTime and Loss were captured at the
+// introduction of the topology layer, Total on the code before Quiver
+// became an Algorithm. The flat rows and the replicated hier row are
+// TestGoldenFlatTreeBitIdentical's; the Quiver rows are
+// internal/baseline's TestGoldenQuiverBitIdentical and
+// TestGoldenQuiverContentionOffPerAlgorithm.
 func TestGoldenContentionOffPerAlgorithm(t *testing.T) {
 	d := tinySBM()
 	tables := map[string]cluster.Collectives{
-		"flat": {},
 		"ring": {AllReduce: cluster.Ring, AllToAll: cluster.Pairwise},
 		"hier": {AllReduce: cluster.Hierarchical},
 	}
 	golden := []struct {
-		algorithm Algorithm
-		table     string
-		sim, loss float64
+		algorithm        Algorithm
+		table            string
+		sim, total, loss float64
 	}{
-		{GraphReplicated, "flat", 0.00055022244746666686, 0.65450965782981307},
-		{GraphReplicated, "ring", 0.00073401284746666675, 0.65450965782981307},
-		{GraphReplicated, "hier", 0.00054651823413333334, 0.65450965782981296},
-		{GraphPartitioned, "flat", 0.001098003337466667, 0.66800119073290198},
-		{GraphPartitioned, "ring", 0.0012977937374666669, 0.66800119073290198},
-		{GraphPartitioned, "hier", 0.0010942991241333338, 0.66800119073290198},
+		{GraphReplicated, "ring", 0.00073401284746666675, 0.00073412859413333337, 0.65450965782981307},
+		{GraphPartitioned, "ring", 0.0012977937374666669, 0.0010051214881000004, 0.66800119073290198},
+		{GraphPartitioned, "hier", 0.0010942991241333338, 0.00085250052810000043, 0.66800119073290198},
 	}
 	for _, g := range golden {
 		// An explicit "ideal" parse is the nil topology: the same run.
@@ -713,21 +714,11 @@ func TestGoldenContentionOffPerAlgorithm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(d, Config{P: 8, C: 2, Epochs: 2, Seed: 5, MaxBatches: 8,
-			Algorithm: g.algorithm, SparsityAware: g.algorithm == GraphPartitioned,
-			Model: onModel(tables[g.table]), Topology: topo})
-		if err != nil {
-			t.Fatalf("%v/%s: %v", g.algorithm, g.table, err)
-		}
-		if got := res.Cluster.SimTime; got != g.sim {
-			t.Errorf("%v/%s: SimTime = %.17g, want %.17g", g.algorithm, g.table, got, g.sim)
-		}
-		if got := res.LastEpoch().Loss; got != g.loss {
-			t.Errorf("%v/%s: Loss = %.17g, want %.17g", g.algorithm, g.table, got, g.loss)
-		}
-		if res.Cluster.PhysLinks != nil {
-			t.Errorf("%v/%s: contention-off run reported physical links", g.algorithm, g.table)
-		}
+		checkGolden(t, d, fmt.Sprintf("%v/%s", g.algorithm, g.table),
+			Config{P: 8, C: 2, Epochs: 2, Seed: 5, MaxBatches: 8,
+				Algorithm: g.algorithm, SparsityAware: g.algorithm == GraphPartitioned,
+				Model: onModel(tables[g.table]), Topology: topo},
+			g.sim, g.total, g.loss)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"runtime"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/dense"
 	"repro/internal/engine"
@@ -14,80 +13,30 @@ import (
 	"repro/internal/resilience"
 )
 
-// Strategy is everything that differs between the training drivers —
-// the paper's bulk pipeline (Run) and the Quiver baseline
-// (baseline.RunQuiver). Train owns the rest of the loop, so a baseline
-// is charged by the same cost model through the same code.
-type Strategy struct {
-	// OptimizerFlopsPerParam is the dense work every rank charges per
-	// optimizer step, per model parameter, for the step's memory
-	// traffic. Known modelling gap: the bulk pipeline charges 3 and the
-	// Quiver baseline 0, so the baseline's propagation phase is
-	// undercharged by 3·NumParams flops per step. Levelling it moves
-	// every Quiver sim_sec and needs the BENCH baselines re-captured.
-	OptimizerFlopsPerParam int
-	// NewAttempt builds the strategy's state for one cluster run of the
-	// normalised cfg over the (MaxBatches-truncated) global batch list,
-	// on the freshly built grid and feature stores (a failed attempt
-	// leaves poisoned rendezvous and mid-flight arena state behind, so
-	// nothing built on them is reused).
-	NewAttempt func(cfg Config, batches [][]int, grid *cluster.Grid, stores []*FeatureStore) Attempt
-}
-
-// Attempt is a strategy's state for one cluster run.
-type Attempt struct {
-	// Items is the number of engine items every rank runs per epoch —
-	// identical on all ranks, so they issue the same collective sequence
-	// even when batches divide unevenly (ranks without a real batch join
-	// with empty work).
-	Items int
-	// Blocks is the number of units the batch list is split over (ranks,
-	// or grid rows for the partitioned algorithm): the MaxBatches
-	// extrapolation scales by the largest per-block share (BlockScale).
-	Blocks int
-	// Rank is called once per rank, on the rank's own task, and returns
-	// the builder of that rank's sampling and feature-fetch stages for
-	// one epoch (seeded with the epoch's sampling seed). The fetch stage
-	// must emit a TrainItem per item. The stages charge their own phases
-	// and may drive the grid's row and column communicators (through
-	// ForStream); the world communicator, the
-	// model, the optimizer and the loss bookkeeping belong to Train's
-	// propagation stage and are not theirs to touch.
-	Rank func(r *cluster.Rank) func(epochSeed int64) (sampling, fetch engine.Stage)
-	// Release, when set, hands the attempt's reusable run memory to the
-	// next attempt or run. Train calls it once the attempt's cluster run
-	// has returned without error, when no rank can still read it; a
-	// failed attempt's state is left to the garbage collector.
-	Release func()
-}
-
-// TrainItem is what a strategy's feature-fetch stage hands the
-// propagation stage: one minibatch's sampled graph and its gathered
-// input features. A nil Batch marks an iteration without a real batch;
-// it contributes zero gradients to the all-reduce.
-type TrainItem struct {
-	Batch *core.BatchGraph
-	// Feats is a Fetch result: the propagation stage hands it back to
-	// Fetch's free list once the step is done with it.
-	Feats *dense.Matrix
-}
-
-// Train is the one training loop: it normalises and validates cfg,
-// then simulates cfg.Epochs of data-parallel minibatch training with
-// the strategy's sampling and feature-fetch stages. Everything else is
-// Train's: the shared model and optimizer, the per-attempt cluster, the
+// Run is the one training loop: it normalises and validates cfg, then
+// simulates cfg.Epochs of data-parallel minibatch training over the
+// dataset and returns per-epoch phase breakdowns. An epoch is a
+// three-stage engine pipeline (sampling → feature fetch →
+// propagation); the algorithm picks the sampling stage (newAttempt),
+// so the paper's bulk algorithms and the Quiver baseline are charged
+// by the same cost model through the same code. Config.Overlap selects
+// the software-pipelined schedule, the default is the paper's
+// bulk-synchronous one. Everything but the sampling and fetch stages is
+// Run's: the shared model and optimizer, the per-attempt cluster, the
 // propagation stage with its gradient all-reduce, epoch-boundary
-// checkpoints, restart after injected failures, and the per-epoch
-// fold. The returned Result holds the parts every driver shares
-// (Epochs, Cluster, Params, Recovery); Cfg and EffectiveK are the
-// caller's to fill.
-func Train(d *datasets.Dataset, cfg Config, strategy Strategy) (*Result, error) {
+// checkpoints, restart after injected failures, and the per-epoch fold.
+func Run(d *datasets.Dataset, cfg Config) (*Result, error) {
 	cfg, err := cfg.normalised(d)
 	if err != nil {
 		return nil, err
 	}
 	totalBatches := d.NumBatches()
 	batches := Batches(d, cfg.MaxBatches)
+	sched := makeSchedule(cfg, len(batches))
+	// Extrapolation for MaxBatches truncation is per sampling block, not
+	// global: phase times are maxima across ranks, so they scale with
+	// the largest per-block share.
+	scale := BlockScale(totalBatches, len(batches), sched.samplingBlocks)
 
 	// Per-rank loss sums and batch counts, aggregated after the run
 	// into a global batch-weighted epoch loss (ranks may count unequal
@@ -112,7 +61,7 @@ func Train(d *datasets.Dataset, cfg Config, strategy Strategy) (*Result, error) 
 	// a real batch; the collective never mutates members' inputs, and
 	// its fold skips a shared all-zero contribution.
 	zeroGrads := make([]float64, model.NumParams())
-	optimizerFlops := int64(strategy.OptimizerFlopsPerParam * model.NumParams())
+	optimizerFlops := int64(cfg.Algorithm.optimizerFlopsPerParam() * model.NumParams())
 
 	// Epoch-boundary checkpointing: the collector assembles each
 	// boundary's checkpoint from per-rank contributions and publishes it
@@ -125,10 +74,9 @@ func Train(d *datasets.Dataset, cfg Config, strategy Strategy) (*Result, error) 
 	ckptBytes := resilience.CheckpointBytes(model.NumParams())
 
 	// attempt runs the cluster once from startEpoch, optionally seeded
-	// with a restored checkpoint. The cluster, grid, stores and strategy
+	// with a restored checkpoint. The cluster, grid, stores and sampling
 	// state are rebuilt per attempt: rebuilding them is both
 	// deterministic and what a real restart does.
-	var scale float64
 	attempt := func(plan *cluster.FaultPlan, startEpoch int, ck *graphio.Checkpoint) (*cluster.Result, error) {
 		// Collect earlier garbage first: otherwise peak memory depends on
 		// where the collector's last cycle fell in the caller's or a
@@ -139,11 +87,7 @@ func Train(d *datasets.Dataset, cfg Config, strategy Strategy) (*Result, error) 
 		cl := cluster.New(cfg.P, m)
 		grid := cluster.NewGrid(cl, cfg.P, cfg.C)
 		stores := NewFeatureStores(grid, d.Features)
-		att := strategy.NewAttempt(cfg, batches, grid, stores)
-		// Extrapolation for MaxBatches truncation is per sampling block,
-		// not global: phase times are maxima across ranks, so they scale
-		// with the largest per-block share.
-		scale = BlockScale(totalBatches, len(batches), att.Blocks)
+		rankStages, release := newAttempt(d, cfg, sched, batches, grid, stores)
 		world := grid.World()
 
 		res, err := cl.Run(func(r *cluster.Rank) error {
@@ -154,7 +98,7 @@ func Train(d *datasets.Dataset, cfg Config, strategy Strategy) (*Result, error) 
 				lossSums[r.ID] = make([]float64, cfg.Epochs)
 				lossCounts[r.ID] = make([]int, cfg.Epochs)
 			}
-			stages := att.Rank(r)
+			stages := rankStages(r)
 
 			for epoch := startEpoch; epoch < cfg.Epochs; epoch++ {
 				lossSum, lossN := 0.0, 0
@@ -164,11 +108,11 @@ func Train(d *datasets.Dataset, cfg Config, strategy Strategy) (*Result, error) 
 				propagation := engine.Stage{
 					Name: PhasePropagation,
 					Run: func(rm *cluster.Rank, idx int, in any) (any, error) {
-						ti := in.(TrainItem)
+						it := in.(item)
 						rm.SetPhase(PhasePropagation)
 						grads := zeroGrads
-						if ti.Batch != nil {
-							act, fwdFlops := model.Forward(ti.Batch, ti.Feats)
+						if it.batch != nil {
+							act, fwdFlops := model.Forward(it.batch, it.feats)
 							loss, dLogits := gnn.Loss(act, act.SeedLabels(d.Labels))
 							grads = takeGrads(len(zeroGrads))
 							bwdFlops := model.BackwardInto(act, dLogits, grads)
@@ -178,7 +122,7 @@ func Train(d *datasets.Dataset, cfg Config, strategy Strategy) (*Result, error) 
 							lossN++
 						}
 						// Backward was the features' last reader.
-						freeFeatures.Put(ti.Feats)
+						freeFeatures.Put(it.feats)
 
 						// The gradient all-reduce schedule (flat / ring /
 						// hierarchical) is dispatched by the model's
@@ -193,7 +137,7 @@ func Train(d *datasets.Dataset, cfg Config, strategy Strategy) (*Result, error) 
 						})
 						// The fold read grads before any member could
 						// leave the collective.
-						if ti.Batch != nil {
+						if it.batch != nil {
 							freeGrads.Put(grads)
 						}
 						if optimizerFlops > 0 {
@@ -206,7 +150,7 @@ func Train(d *datasets.Dataset, cfg Config, strategy Strategy) (*Result, error) 
 					Overlap: cfg.Overlap,
 					Stages:  []engine.Stage{sampling, fetch, propagation},
 				}
-				if err := pipe.Execute(r, att.Items); err != nil {
+				if err := pipe.Execute(r, sched.items()); err != nil {
 					return err
 				}
 				lossSums[r.ID][epoch] = lossSum
@@ -239,13 +183,11 @@ func Train(d *datasets.Dataset, cfg Config, strategy Strategy) (*Result, error) 
 		})
 		if err != nil {
 			// Ranks stopped mid-call: the attempt's fetch workspaces and
-			// strategy state go to the garbage collector, not the lists.
+			// sampling state go to the garbage collector, not the lists.
 			return nil, err
 		}
 		releaseFeatureStores(stores)
-		if att.Release != nil {
-			att.Release()
-		}
+		release()
 		return res, nil
 	}
 	// restore resets the shared training state before a re-attempt: to
@@ -294,7 +236,8 @@ func Train(d *datasets.Dataset, cfg Config, strategy Strategy) (*Result, error) 
 			epochs[e].Total = epochs[e].Sampling + epochs[e].FeatureFetch + epochs[e].Propagation
 		}
 	}
-	return &Result{Epochs: epochs, Cluster: res, Params: finalParams, Recovery: rec}, nil
+	return &Result{Epochs: epochs, Cluster: res, Params: finalParams, Cfg: cfg,
+		EffectiveK: sched.effectiveBulk(), Recovery: rec}, nil
 }
 
 // freeGrads holds gradient vectors whose all-reduce has returned. A

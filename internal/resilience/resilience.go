@@ -2,7 +2,7 @@
 // cluster: deterministic fail-stop injection plans, epoch-boundary
 // checkpointing of the complete resumable training state, and the one
 // restart driver (RunWithRestarts) through which the training loop
-// (pipeline.Train, and so every strategy run on it) survives injected
+// (pipeline.Run, and so every algorithm run on it) survives injected
 // failures.
 //
 // The contract the differential harness's crash row pins: a run that

@@ -8,9 +8,10 @@
 // a Graph Replicated (communication-free) or Graph Partitioned
 // (1.5D, sparsity-aware SpGEMM) algorithm, and wraps both in an
 // end-to-end training pipeline with all-to-allv feature fetching.
-// Multi-GPU clusters are simulated: collectives really move data
-// between goroutine ranks while an α–β cost model calibrated to the
-// paper's Perlmutter testbed accrues simulated time.
+// Multi-GPU clusters are simulated: ranks are tasks of a discrete-event
+// scheduler, collectives really move data between them, and an α–β
+// cost model calibrated to the paper's Perlmutter testbed accrues
+// simulated time.
 //
 // # Quick start
 //
@@ -31,7 +32,6 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/baseline"
 	"repro/internal/cliutil"
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -65,8 +65,6 @@ type (
 	// TrainResult is the outcome of a training run, including the
 	// Figure 4 phase breakdown per epoch.
 	TrainResult = pipeline.Result
-	// QuiverConfig drives the Quiver-strategy baseline.
-	QuiverConfig = baseline.QuiverConfig
 )
 
 // Dataset size profiles.
@@ -81,6 +79,11 @@ const (
 // matrix on every device, and sampling is communication-free (Section
 // 5.1).
 const GraphPartitioned = pipeline.GraphPartitioned
+
+// Quiver selects, as TrainConfig.Algorithm, the Quiver-strategy
+// baseline the paper compares against (Section 7.3): per-minibatch
+// sampling on a replicated graph and a feature fetch across all p ranks.
+const Quiver = pipeline.Quiver
 
 // GraphSAGE returns the node-wise GraphSAGE sampler (Section 4.1).
 func GraphSAGE() Sampler { return core.SAGE{} }
@@ -126,12 +129,6 @@ func Train(d *Dataset, cfg TrainConfig) (*TrainResult, error) {
 // vertices.
 func Evaluate(d *Dataset, params []float64, cfg TrainConfig, vertices []int) float64 {
 	return pipeline.Evaluate(d, params, cfg, vertices)
-}
-
-// TrainQuiver runs the Quiver-strategy baseline (per-batch sampling on
-// a replicated graph).
-func TrainQuiver(d *Dataset, cfg QuiverConfig) (*TrainResult, error) {
-	return baseline.RunQuiver(d, cfg)
 }
 
 // ProfileFromEnv returns the dataset profile named by the

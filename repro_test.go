@@ -69,7 +69,7 @@ func TestPublicTrainAndEvaluate(t *testing.T) {
 
 func TestPublicQuiverBaseline(t *testing.T) {
 	d := ProductsLike(Tiny)
-	res, err := TrainQuiver(d, QuiverConfig{P: 2, Seed: 3})
+	res, err := Train(d, TrainConfig{P: 2, Algorithm: Quiver, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
