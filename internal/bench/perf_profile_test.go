@@ -23,9 +23,11 @@ func BenchmarkP512DES(b *testing.B) {
 	}
 }
 
-// BenchmarkP8192Weak times the scaling study's largest replicated cell
-// (tiny profile, one epoch across 8192 ranks — the weak-scaling p=8192
-// row). Not part of the perf gate.
+// BenchmarkP8192Weak times the scaling study's largest replicated run
+// (tiny profile, flat, one epoch across 8192 ranks). The weak and
+// strong p=8192 rows share it: past p = total batches a weak row is
+// the raw makespan of this fixed-work run, not one batch per rank. Not
+// part of the perf gate.
 func BenchmarkP8192Weak(b *testing.B) {
 	d, err := datasets.ByName("products", datasets.Tiny)
 	if err != nil {

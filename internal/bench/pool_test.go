@@ -9,6 +9,9 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/datasets"
+	"repro/internal/pipeline"
 )
 
 func TestRunCellsCoversEveryCellOnce(t *testing.T) {
@@ -105,16 +108,20 @@ func stripWallColumn(table string) string {
 // serial one — scheduling may reorder execution, never results. The
 // pool has one worker per GOMAXPROCS, so the study runs at 1 (serial)
 // and 4. The scheduler commits in event-key order, so the whole table
-// compares exactly, contended cells included.
+// compares exactly, contended cells included. Small at p ∈ {4, 8} has,
+// for both algorithms, a weak cell with a run of its own (p=4 < 8
+// batches) and weak cells that share their strong twin's run (p=8):
+// every row must read what a run of its own config reads.
 func TestScalingPoolDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep determinism is a long test")
 	}
+	o := Options{Profile: datasets.Small, GPUCounts: []int{4, 8}, Seed: 1}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	run := func(procs int) (string, []ScalingRow) {
 		runtime.GOMAXPROCS(procs)
 		var buf bytes.Buffer
-		rows, err := Scaling(&buf, Options{Profile: 0, GPUCounts: []int{8, 32}, Seed: 1})
+		rows, err := Scaling(&buf, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,5 +137,84 @@ func TestScalingPoolDeterminism(t *testing.T) {
 	}
 	if !reflect.DeepEqual(serialRows, parRows) {
 		t.Error("parallel sweep rows differ from serial")
+	}
+
+	d, err := datasets.ByName("products", o.Profile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, _ := scalingCells(d, o.withDefaults())
+	live := runnableCells(cells)
+	if len(live) != len(serialRows) {
+		t.Fatalf("%d rows for %d runnable cells", len(serialRows), len(live))
+	}
+	errs := runCells(len(live), runtime.GOMAXPROCS(0), func(i int) error {
+		cfg, row := live[i].cfg, serialRows[i]
+		res, err := pipeline.Run(d, cfg)
+		if err != nil {
+			return err
+		}
+		want := res.LastEpoch().Total
+		if row.Mode == "weak" {
+			want = res.Cluster.SimTime
+		}
+		if row.P != cfg.P || row.C != cfg.C || row.Batches != cfg.MaxBatches ||
+			row.EpochSec != want || row.LedgerPeak != res.Cluster.LedgerPeakSpans {
+			return fmt.Errorf("row %+v; its own run reads epoch-sec %v, ledger %d", row, want, res.Cluster.LedgerPeakSpans)
+		}
+		return nil
+	})
+	for _, err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// runnableCells returns the cells of a scaling plan that become rows,
+// in row order.
+func runnableCells(cells []*scalingCell) []*scalingCell {
+	var live []*scalingCell
+	for _, cell := range cells {
+		if cell.skip == "" {
+			live = append(live, cell)
+		}
+	}
+	return live
+}
+
+// TestScalingCellsShareRunsByConfig pins the study's run plan without
+// simulating anything: two cells read one run exactly when their
+// configs are equal. At Tiny and Small every default p reaches the
+// batch count, so each weak cell is its strong twin's run; at Scale
+// (512 batches) the weak cells below p=512 keep runs of their own.
+func TestScalingCellsShareRunsByConfig(t *testing.T) {
+	for _, tc := range []struct {
+		profile     datasets.Profile
+		cells, runs int
+	}{
+		{datasets.Tiny, 180, 90},
+		{datasets.Small, 180, 90},
+		{datasets.Scale, 180, 138},
+	} {
+		d, err := datasets.ByName("products", tc.profile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells, runs := scalingCells(d, Options{Profile: tc.profile}.withDefaults())
+		live := runnableCells(cells)
+		if len(live) != tc.cells || len(runs) != tc.runs {
+			t.Errorf("%v: %d cells on %d runs, want %d on %d", tc.profile, len(live), len(runs), tc.cells, tc.runs)
+		}
+		for i, a := range live {
+			if !reflect.DeepEqual(runs[a.run].cfg, a.cfg) {
+				t.Errorf("%v: cell %+v reads a run of another config", tc.profile, a.row)
+			}
+			for _, b := range live[:i] {
+				if shared, equal := a.run == b.run, reflect.DeepEqual(a.cfg, b.cfg); shared != equal {
+					t.Errorf("%v: cells %+v and %+v: shared run %v, equal configs %v", tc.profile, a.row, b.row, shared, equal)
+				}
+			}
+		}
 	}
 }

@@ -21,9 +21,10 @@ type ScalingRow struct {
 	P, C       int
 	Batches    int // global batches simulated per epoch
 	// EpochSec is the simulated seconds the run charged. Weak rows
-	// report the raw makespan of the truncated run (per-rank work is
-	// pinned, so the raw clock is the comparable quantity); strong
-	// rows report the full epoch.
+	// report the raw makespan of the truncated run (below p = total
+	// batches per-rank work is pinned, so the raw clock is the
+	// comparable quantity; from there on it is a fixed-work run's
+	// makespan); strong rows report the full epoch.
 	EpochSec   float64
 	Efficiency float64 // vs the series' smallest p (weak: T₀·(w/w₀)/T; strong: T₀·p₀/(T·p))
 	WallSec    float64 // simulator wall-clock for the run (real seconds)
@@ -77,49 +78,29 @@ func isqrt(n int) int {
 }
 
 // scalingCell is one enumerated cell of the study: either a skip (with
-// its reason) or a run whose row the pool fills in.
+// its reason) or a row the fold projects from the cell's run.
 type scalingCell struct {
-	mode, alg string
-	collName  string
-	coll      cluster.Collectives
-	topoName  string
-	topo      *cluster.Topology
-	p, c      int
-	batches   int
-	series    int // index of the (mode, alg, coll, topo) efficiency series
-	perBlock  int // per-sampling-block batch share, for weak efficiency
-	skip      string
-	row       ScalingRow
+	row      ScalingRow      // label columns; the fold fills the measured ones
+	cfg      pipeline.Config // what the cell simulates (zero when skipped)
+	run      int             // index of the distinct run that simulates cfg
+	perBlock int             // per-sampling-block batch share, for weak efficiency
+	skip     string
 }
 
-// Scaling runs the weak- and strong-scaling study on one dataset
-// ("products" at the chosen profile): the replicated algorithm and two
-// partitioned series (fixed c=2, and c=CMax(p) — the c-sweep whose
-// crossover the table footer reports), each all-reduce schedule, ideal
-// and oversubscribed topologies, across the GPU axis.
-//
-//   - Weak scaling caps the epoch at min(p, total) batches, one per
-//     rank, so per-rank work is constant and the ideal epoch time is
-//     flat; efficiency is T(p₀)/T(p).
-//   - Strong scaling runs the full batch list at every p, so the ideal
-//     epoch time halves as p doubles; efficiency is T(p₀)·p₀/(T(p)·p).
-//
-// Cells are independent simulations and run on the sweep worker pool,
-// one worker per GOMAXPROCS; results fold in enumeration order, so the
-// table is byte-identical at any pool size. WallSec reports the
-// real time the simulator needed per run — the simulator-performance
-// axis this study exists to keep honest (the perf suite gates it; see
-// Perf).
-func Scaling(w io.Writer, o Options) ([]ScalingRow, error) {
-	o = o.withDefaults()
-	defaulted := len(o.GPUCounts) == 0
-	counts := o.gpus(ScalingGPUCounts)
-	d, err := datasets.ByName("products", o.Profile)
-	if err != nil {
-		return nil, err
-	}
-	total := len(pipeline.Batches(d, o.MaxBatches))
+// scalingRun is one distinct simulation and what its rows read: the raw
+// makespan (weak), the full epoch (strong), the wall and ledger peak.
+type scalingRun struct {
+	cfg                  pipeline.Config
+	simTime, epoch, wall float64
+	ledgerPeak           int
+}
 
+// scalingCells enumerates the study's cells in print order, each with
+// the config it simulates, and the distinct runs among them in order of
+// first use; cell.run indexes runs. It simulates nothing.
+func scalingCells(d *datasets.Dataset, o Options) (cells []*scalingCell, runs []*scalingRun) {
+	defaulted := len(o.GPUCounts) == 0
+	total := len(pipeline.Batches(d, o.MaxBatches))
 	collectives := []struct {
 		name string
 		tbl  cluster.Collectives
@@ -136,28 +117,18 @@ func Scaling(w io.Writer, o Options) ([]ScalingRow, error) {
 		{"oversub", cluster.OversubscribedTopology(4)},
 	}
 
-	// Enumerate every cell up front, in print order; the pool then
-	// runs them in any order and the fold below walks them back in
-	// enumeration order.
-	var cells []*scalingCell
-	series := 0
+	index := map[ScalingRow]int{}
 	for _, mode := range []string{"weak", "strong"} {
 		for _, alg := range []string{"replicated", "partitioned", "partitioned-cmax"} {
 			for _, coll := range collectives {
 				for _, topo := range topologies {
-					for _, p := range counts {
-						cell := &scalingCell{
-							mode: mode, alg: alg,
-							collName: coll.name, coll: coll.tbl,
-							topoName: topo.name, topo: topo.topo,
-							p: p, series: series,
-						}
-						cell.c = cFor(p)
+					for _, p := range o.gpus(ScalingGPUCounts) {
+						c, skip := cFor(p), ""
 						switch alg {
 						case "partitioned":
-							cell.c = scalingPartitionedC(p)
-							if cell.c == 0 {
-								cell.skip = "partitioned grid needs 4 | p"
+							c = scalingPartitionedC(p)
+							if c == 0 {
+								skip = "partitioned grid needs 4 | p"
 							} else if defaulted && p > 512 {
 								// The fixed-c=2 grid degrades superlinearly with
 								// p (its sampling collectives grow with the grid
@@ -167,84 +138,110 @@ func Scaling(w io.Writer, o Options) ([]ScalingRow, error) {
 								// The default axis stops the series at p=512; an
 								// explicit GPU list still runs any count
 								// (measured blow-up rows are in EXPERIMENTS.md).
-								cell.skip = fmt.Sprintf("fixed c=2 grid intractable past p=512 (force with -experiment scaling -gpus %d; see EXPERIMENTS.md)", p)
+								skip = fmt.Sprintf("fixed c=2 grid intractable past p=512 (force with -experiment scaling -gpus %d; see EXPERIMENTS.md)", p)
 							}
 						case "partitioned-cmax":
-							cell.c = CMax(p)
-							if cell.c == 0 {
-								cell.skip = "no replication factor with c^2 | p"
-							} else if cell.c == 2 {
-								cell.skip = "cmax=2 duplicates the c=2 series"
+							c = CMax(p)
+							if c == 0 {
+								skip = "no replication factor with c^2 | p"
+							} else if c == 2 {
+								skip = "cmax=2 duplicates the c=2 series"
 							}
 						}
 						batches := total
 						if mode == "weak" && p < total {
 							batches = p // one batch per rank
 						}
-						cell.batches = batches
 						// Sampling blocks sharing the batch list: ranks
 						// (replicated) or grid rows (partitioned).
 						blocks := p
-						if cell.c > 0 && alg != "replicated" {
-							blocks = p / cell.c
+						if c > 0 && alg != "replicated" {
+							blocks = p / c
 						}
-						cell.perBlock = (batches + blocks - 1) / blocks
+						cell := &scalingCell{
+							row: ScalingRow{
+								Mode: mode, Algorithm: alg, Collective: coll.name,
+								Topology: topo.name, P: p, C: c, Batches: batches,
+							},
+							perBlock: (batches + blocks - 1) / blocks, skip: skip,
+						}
 						cells = append(cells, cell)
+						if skip != "" {
+							continue
+						}
+						cell.cfg = pipeline.Config{
+							P: p, C: c, K: pipeline.KAll,
+							Epochs: 1, Seed: o.Seed,
+							Model:      o.Model,
+							Topology:   topo.topo,
+							MaxBatches: batches,
+						}
+						cell.cfg.Model.Collectives = coll.tbl
+						if alg != "replicated" {
+							cell.cfg.Algorithm = pipeline.GraphPartitioned
+							cell.cfg.SparsityAware = true
+						}
+						// The labels but the mode fix the config and key its
+						// run: a weak cell whose batch cap reaches the full list
+						// (p ≥ total) is the same simulation as its strong twin.
+						key := cell.row
+						key.Mode = ""
+						if _, ok := index[key]; !ok {
+							index[key] = len(runs)
+							runs = append(runs, &scalingRun{cfg: cell.cfg})
+						}
+						cell.run = index[key]
 					}
-					series++
 				}
 			}
 		}
 	}
+	return cells, runs
+}
 
-	runOne := func(cell *scalingCell) error {
-		model := o.Model
-		model.Collectives = cell.coll
-		cfg := pipeline.Config{
-			P: cell.p, C: cell.c, K: pipeline.KAll,
-			Epochs: 1, Seed: o.Seed,
-			Model:      model,
-			Topology:   cell.topo,
-			MaxBatches: cell.batches,
-		}
-		if cell.alg != "replicated" {
-			cfg.Algorithm = pipeline.GraphPartitioned
-			cfg.SparsityAware = true
-		}
+// Scaling runs the weak- and strong-scaling study on one dataset
+// ("products" at the chosen profile): the replicated algorithm and two
+// partitioned series (fixed c=2, and c=CMax(p) — the c-sweep whose
+// crossover the table footer reports), each all-reduce schedule, ideal
+// and oversubscribed topologies, across the GPU axis.
+//
+//   - Weak scaling caps the epoch at min(p, total) batches. Below
+//     p = total that is one batch per rank, so per-rank work is constant
+//     and the ideal epoch time is flat; efficiency is T(p₀)/T(p). From
+//     p = total on, the cap is the full list: a weak row is the raw
+//     makespan of a fixed-work run, the same run its strong twin reads.
+//   - Strong scaling runs the full batch list at every p, so the ideal
+//     epoch time halves as p doubles; efficiency is T(p₀)·p₀/(T(p)·p).
+//
+// Each distinct run is simulated once on the sweep worker pool, one
+// worker per GOMAXPROCS, and every cell naming it projects its row
+// from that run; rows fold in enumeration order, so the table is
+// byte-identical at any pool size. WallSec reports the real time the
+// simulator needed for the row's run — the simulator-performance axis
+// this study exists to keep honest (the perf suite gates it; see Perf).
+func Scaling(w io.Writer, o Options) ([]ScalingRow, error) {
+	o = o.withDefaults()
+	d, err := datasets.ByName("products", o.Profile)
+	if err != nil {
+		return nil, err
+	}
+	cells, runs := scalingCells(d, o)
+
+	// The scheduler commits in event-key order, so sibling runs sharing
+	// the host cannot move a run's result.
+	errs := runCells(len(runs), runtime.GOMAXPROCS(0), func(i int) error {
+		run := runs[i]
 		//gnnvet:allow walltime — scaling rows report real harness wall time next to the simulated makespan
 		t0 := time.Now()
-		res, err := pipeline.Run(d, cfg)
+		res, err := pipeline.Run(d, run.cfg)
 		if err != nil {
-			return fmt.Errorf("bench: scaling %s/%s/%s/%s p=%d: %w",
-				cell.mode, cell.alg, cell.collName, cell.topoName, cell.p, err)
+			return err
 		}
-		cell.row = ScalingRow{
-			Mode: cell.mode, Algorithm: cell.alg, Collective: cell.collName,
-			Topology: cell.topoName, P: cell.p, C: cell.c, Batches: cell.batches,
-			//gnnvet:allow walltime — wall-clock column of the scaling study
-			WallSec:    time.Since(t0).Seconds(),
-			LedgerPeak: res.Cluster.LedgerPeakSpans,
-		}
-		if cell.mode == "weak" {
-			// Raw truncated-run makespan: per-block work is pinned, so
-			// no extrapolation may enter the comparison
-			// (LastEpoch().Total is scaled to a full epoch when
-			// MaxBatches truncates).
-			cell.row.EpochSec = res.Cluster.SimTime
-		} else {
-			cell.row.EpochSec = res.LastEpoch().Total
-		}
+		//gnnvet:allow walltime — wall-clock column of the scaling study
+		run.wall = time.Since(t0).Seconds()
+		run.simTime, run.epoch = res.Cluster.SimTime, res.LastEpoch().Total
+		run.ledgerPeak = res.Cluster.LedgerPeakSpans
 		return nil
-	}
-
-	// Every cell runs through the worker pool: the scheduler commits in
-	// event-key order, so sibling cells sharing the host cannot move a
-	// cell's result.
-	errs := runCells(len(cells), runtime.GOMAXPROCS(0), func(i int) error {
-		if cells[i].skip != "" {
-			return nil
-		}
-		return runOne(cells[i])
 	})
 
 	fmt.Fprintf(w, "Scaling study: %s/%s, weak + strong, per algorithm x collective x topology (simulated epoch seconds)\n",
@@ -255,23 +252,34 @@ func Scaling(w io.Writer, o Options) ([]ScalingRow, error) {
 	// Fold in enumeration order: efficiency bases are per series, and
 	// the printed table never depends on pool scheduling.
 	var rows []ScalingRow
-	bases := map[int]*scalingCell{}
-	for i, cell := range cells {
+	bases := map[[4]string]*scalingCell{}
+	for _, cell := range cells {
+		row := &cell.row
 		if cell.skip != "" {
 			fmt.Fprintf(w, "%-6s %-16s %-6s %-8s %5d   - skipped: %s\n",
-				cell.mode, cell.alg, cell.collName, cell.topoName, cell.p, cell.skip)
+				row.Mode, row.Algorithm, row.Collective, row.Topology, row.P, cell.skip)
 			continue
 		}
-		if errs[i] != nil {
-			return nil, errs[i]
+		if err := errs[cell.run]; err != nil {
+			return nil, fmt.Errorf("bench: scaling %s/%s/%s/%s p=%d: %w",
+				row.Mode, row.Algorithm, row.Collective, row.Topology, row.P, err)
 		}
-		row := cell.row
-		base := bases[cell.series]
+		run := runs[cell.run]
+		row.WallSec, row.LedgerPeak = run.wall, run.ledgerPeak
+		row.EpochSec = run.epoch
+		if row.Mode == "weak" {
+			// Raw truncated-run makespan: LastEpoch().Total is scaled to
+			// a full epoch when MaxBatches truncates, and no
+			// extrapolation may enter the comparison.
+			row.EpochSec = run.simTime
+		}
+		series := [4]string{row.Mode, row.Algorithm, row.Collective, row.Topology}
+		base := bases[series]
 		if base == nil {
-			bases[cell.series] = cell
+			bases[series] = cell
 			row.Efficiency = 1
 		} else if row.EpochSec > 0 {
-			if cell.mode == "weak" {
+			if row.Mode == "weak" {
 				// Constant per-block work: a flat raw clock is 100%
 				// (scaled when ceil-division makes the per-block share
 				// differ from the base's).
@@ -281,7 +289,7 @@ func Scaling(w io.Writer, o Options) ([]ScalingRow, error) {
 				row.Efficiency = base.row.EpochSec * float64(base.row.P) / (row.EpochSec * float64(row.P))
 			}
 		}
-		rows = append(rows, row)
+		rows = append(rows, *row)
 		fmt.Fprintf(w, "%-6s %-16s %-6s %-8s %5d %3d %7d %10.4f %10.3f %9.3f %7d\n",
 			row.Mode, row.Algorithm, row.Collective, row.Topology, row.P, row.C,
 			row.Batches, row.EpochSec, row.Efficiency, row.WallSec, row.LedgerPeak)
