@@ -41,7 +41,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	)
 	platform := cliutil.RegisterPlatformFlags(fs, false, map[string]string{
 		"allreduce": " (the collectives, tprob and scaling experiments sweep their algorithm sets regardless)",
-		"topology":  " (the contention experiment sweeps its topology set regardless)",
+		"topology":  " (the contention and scaling experiments sweep their topology sets regardless)",
 	})
 	if help, err := cliutil.ParseFlags(fs, args, stderr); help || err != nil {
 		return err

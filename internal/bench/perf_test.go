@@ -4,8 +4,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/cluster"
 )
 
 func perfRowsForTest() []PerfRow {
@@ -167,6 +170,36 @@ func TestScalingTinySmoke(t *testing.T) {
 		if r.P == 512 && r.Topology == "oversub" && r.LedgerPeak == 0 {
 			t.Fatalf("oversub p=512 row booked no ledger spans: %+v", r)
 		}
+	}
+}
+
+// The scaling study sweeps its own topology set: a topology on
+// Options.Model reaches none of its rows, so the ideal rows book no
+// contention spans and every row equals the default run's.
+func TestScalingIgnoresModelTopology(t *testing.T) {
+	run := func(topo *cluster.Topology) []ScalingRow {
+		o := Options{Profile: 0, GPUCounts: []int{8}, Seed: 1, Model: cluster.Perlmutter()}
+		o.Model.Topology = topo
+		rows, err := Scaling(io.Discard, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range rows {
+			rows[i].WallSec = 0
+		}
+		return rows
+	}
+	want, got := run(nil), run(cluster.PerlmutterTopology())
+	if len(got) != len(want) {
+		t.Fatalf("%d rows under -topology perlmutter, %d by default", len(got), len(want))
+	}
+	for i, r := range got {
+		if r.Topology == "ideal" && (r.LedgerPeak != 0 || r.EpochSec != want[i].EpochSec) {
+			t.Errorf("ideal row ran under the model's topology: %+v, default run %+v", r, want[i])
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("rows under -topology perlmutter differ from the default run's")
 	}
 }
 

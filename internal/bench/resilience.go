@@ -92,7 +92,7 @@ func Resilience(w io.Writer, dataset string, p int, intervals []int, o Options) 
 					return nil, fmt.Errorf("bench: resilience %s interval %d clean: %w", st.name, interval, err)
 				}
 			}
-			cfg.Faults = plan
+			cfg.Model.Faults = plan
 			failed, err := pipeline.Run(d, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("bench: resilience %s interval %d faulted: %w", st.name, interval, err)

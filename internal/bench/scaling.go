@@ -173,10 +173,10 @@ func scalingCells(d *datasets.Dataset, o Options) (cells []*scalingCell, runs []
 							P: p, C: c, K: pipeline.KAll,
 							Epochs: 1, Seed: o.Seed,
 							Model:      o.Model,
-							Topology:   topo.topo,
 							MaxBatches: batches,
 						}
 						cell.cfg.Model.Collectives = coll.tbl
+						cell.cfg.Model.Topology = topo.topo
 						if alg != "replicated" {
 							cell.cfg.Algorithm = pipeline.GraphPartitioned
 							cell.cfg.SparsityAware = true

@@ -11,17 +11,8 @@ import (
 // of its current layer, with vertex v selected with probability
 // p_v = e_v^2 / Σ_u e_u^2 where e_v is v's edge count into the layer.
 // The sampled adjacency contains every edge between the current layer
-// and the sampled vertex set.
-type LADIES struct {
-	// Reweight divides every sampled edge value by s·p_v — the
-	// importance weighting of Zou et al. §3.2 that makes sampled
-	// aggregation an (approximately, for sampling without
-	// replacement) unbiased estimator of exact aggregation. The
-	// paper's performance study uses unweighted binary adjacencies;
-	// enable this for accuracy-sensitive training.
-	//gnnvet:allow deadexport — no program sets it; core's unbiasedness test pins the estimator
-	Reweight bool
-}
+// and the sampled vertex set, with A's edge values.
+type LADIES struct{}
 
 // Name implements Sampler.
 func (LADIES) Name() string { return "LADIES" }
@@ -81,7 +72,7 @@ func layerwiseStep(ls Sampler, a *sparse.CSR, cur *Frontier, s int, seed int64) 
 	ls.Norm(p)
 	cost.Kernels += 3
 
-	sampled, probs, c2 := SampleLayerwise(p, s, seed)
+	sampled, c2 := SampleLayerwise(p, s, seed)
 	cost.Add(c2)
 
 	// EXTRACT: row extraction A_R = Q_R · A for the stacked frontier,
@@ -92,58 +83,38 @@ func layerwiseStep(ls Sampler, a *sparse.CSR, cur *Frontier, s int, seed int64) 
 	cost.ExtractOps += int64(ar.NNZ())
 	cost.Kernels++
 
-	var weights [][]float64
-	if ld, ok := ls.(LADIES); ok && ld.Reweight {
-		weights = make([][]float64, len(sampled))
-		for b := range sampled {
-			w := make([]float64, len(sampled[b]))
-			for j, pv := range probs[b] {
-				if pv > 0 {
-					w[j] = 1 / (float64(s) * pv)
-				}
-			}
-			weights[b] = w
-		}
-	}
-	lsam, c3 := ExtractLayerwise(ar, cur, sampled, weights)
+	lsam, c3 := ExtractLayerwise(ar, cur, sampled)
 	cost.Add(c3)
 	return lsam, cost
 }
 
 // SampleLayerwise draws s vertices per batch row of the normalized
 // probability matrix P with ITS. It returns the sampled global vertex
-// ids per batch (sorted) and each one's selection probability, which
-// importance reweighting divides by. Exposed for the distributed
-// drivers, which compute P with a distributed SpGEMM.
-func SampleLayerwise(p *sparse.CSR, s int, seed int64) ([][]int, [][]float64, Cost) {
+// ids per batch (sorted). Exposed for the distributed drivers, which
+// compute P with a distributed SpGEMM.
+func SampleLayerwise(p *sparse.CSR, s int, seed int64) ([][]int, Cost) {
 	var cost Cost
 	sampled := make([][]int, p.Rows)
-	probs := make([][]float64, p.Rows)
 	var rs RowSampler
 	for b := 0; b < p.Rows; b++ {
 		cols, vals := p.Row(b)
 		sel, ops := rs.Sample(vals, s, seed, b)
 		cost.SampleOps += ops
 		sv := make([]int, len(sel))
-		pv := make([]float64, len(sel))
 		for j, t := range sel {
 			sv[j] = cols[t]
-			pv[j] = vals[t]
 		}
 		sampled[b] = sv // already sorted: sel ascending over sorted cols
-		probs[b] = pv
 	}
 	cost.Kernels++
-	return sampled, probs, cost
+	return sampled, cost
 }
 
 // ExtractLayerwise builds the layer-wise sampled adjacency given A_R
 // (the frontier rows of A, stacked in cur order — the row-extraction
-// product Q_R·A) and the per-batch sampled vertex sets, multiplying the
-// optional per-batch importance weights onto the sampled columns' edge
-// values (nil weights leave values untouched). Exposed for the
-// distributed drivers.
-func ExtractLayerwise(ar *sparse.CSR, cur *Frontier, sampled [][]int, weights [][]float64) (*LayerSample, Cost) {
+// product Q_R·A) and the per-batch sampled vertex sets, keeping A's
+// edge values. Exposed for the distributed drivers.
+func ExtractLayerwise(ar *sparse.CSR, cur *Frontier, sampled [][]int) (*LayerSample, Cost) {
 	var cost Cost
 	k := cur.K()
 	next := &Frontier{BatchPtr: make([]int, k+1)}
@@ -167,12 +138,8 @@ func ExtractLayerwise(ar *sparse.CSR, cur *Frontier, sampled [][]int, weights []
 			cols, vals := ar.Row(i)
 			for t, c := range cols {
 				if j, ok := pos[c]; ok {
-					v := vals[t]
-					if weights != nil {
-						v *= weights[b][j]
-					}
 					adj.ColIdx = append(adj.ColIdx, sampBase+j)
-					adj.Val = append(adj.Val, v)
+					adj.Val = append(adj.Val, vals[t])
 				}
 			}
 			adj.RowPtr[i+1] = len(adj.ColIdx)

@@ -324,47 +324,3 @@ func TestSamplerNames(t *testing.T) {
 		t.Fatal("sampler names wrong")
 	}
 }
-
-func TestLADIESReweightApproximatelyUnbiased(t *testing.T) {
-	// With importance weights 1/(s·p_v), the reweighted row sum is an
-	// (approximately, without replacement) unbiased estimator of the
-	// exact row sum: averaging over many seeds must land near the true
-	// neighbor count of each batch vertex.
-	a := testGraph(120, 15, 71)
-	batch := []int{3, 4, 5, 6}
-	const s, reps = 6, 300
-
-	exact := make([]float64, len(batch))
-	for i, v := range batch {
-		exact[i] = float64(a.RowNNZ(v))
-	}
-
-	est := make([]float64, len(batch))
-	for rep := 0; rep < reps; rep++ {
-		bs := SampleBulk(LADIES{Reweight: true}, a, [][]int{batch}, []int{s}, int64(rep)*7919)
-		ls := bs.Layers[0]
-		for i := range batch {
-			cols, vals := ls.Adj.Row(i)
-			_ = cols
-			for _, v := range vals {
-				est[i] += v
-			}
-		}
-	}
-	for i := range batch {
-		avg := est[i] / reps
-		if avg < exact[i]*0.7 || avg > exact[i]*1.3 {
-			t.Fatalf("vertex %d: reweighted estimate %.2f vs exact %.0f", batch[i], avg, exact[i])
-		}
-	}
-}
-
-func TestLADIESUnweightedKeepsBinaryValues(t *testing.T) {
-	a := testGraph(80, 10, 72)
-	bs := SampleBulk(LADIES{}, a, [][]int{{1, 2, 3}}, []int{5}, 17)
-	for _, v := range bs.Layers[0].Adj.Val {
-		if v != 1 {
-			t.Fatalf("unweighted LADIES produced value %v", v)
-		}
-	}
-}

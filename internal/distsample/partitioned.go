@@ -350,7 +350,7 @@ func layerwisePartitioned(r *cluster.Rank, ps *Partitioned, s core.Sampler, batc
 
 		// Sampling: row-wise, local on every replica.
 		r.SetPhase(PhaseSampling)
-		sampled, _, cost := core.SampleLayerwise(p, width, layerSeed)
+		sampled, cost := core.SampleLayerwise(p, width, layerSeed)
 		r.ChargeSparse(cost.SampleOps)
 		r.ChargeKernels(1)
 
@@ -372,7 +372,7 @@ func layerwisePartitioned(r *cluster.Rank, ps *Partitioned, s core.Sampler, batc
 			}
 			bf := core.NewFrontier([][]int{append([]int(nil), cur.Batch(b)...)})
 			arSlice := sparse.SliceRows(ar, cur.BatchPtr[b], cur.BatchPtr[b+1])
-			lsb, c := core.ExtractLayerwise(arSlice, bf, [][]int{sampled[b]}, nil)
+			lsb, c := core.ExtractLayerwise(arSlice, bf, [][]int{sampled[b]})
 			extractOps += c.ExtractOps
 			myParts = append(myParts, lsb)
 		}
