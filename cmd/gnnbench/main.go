@@ -60,10 +60,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *epochs < 1 {
 		return fmt.Errorf("bad -epochs %d: must be >= 1", *epochs)
 	}
-	// The harness reads seed 0 as unset and would run the default.
-	if *seed == 0 {
-		return fmt.Errorf("bad -seed 0: must be nonzero")
-	}
 	// Experiment-scoped flags error out under any other experiment
 	// instead of silently doing nothing.
 	for _, c := range []struct{ name, value string }{

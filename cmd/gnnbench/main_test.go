@@ -62,7 +62,6 @@ func TestBadInputIsAnError(t *testing.T) {
 		{"zero gpu count", []string{"-experiment", "fig4", "-gpus", "4,0"}, "bad GPU count 0"},
 		{"gpus on table3", []string{"-experiment", "table3", "-gpus", "8"}, "-gpus does not apply to -experiment table3"},
 		{"gpus on partition", []string{"-experiment", "partition", "-gpus", "8"}, "-gpus does not apply to -experiment partition"},
-		{"zero seed", []string{"-experiment", "acc", "-seed", "0"}, "bad -seed 0"},
 		{"negative maxbatches, sampling-only experiment", []string{"-experiment", "table3", "-maxbatches", "-3"}, "bad -maxbatches -3"},
 		{"negative maxbatches, every experiment", []string{"-experiment", "all", "-maxbatches", "-1"}, "bad -maxbatches -1"},
 		{"negative epochs", []string{"-experiment", "acc", "-epochs", "-5"}, "bad -epochs -5"},

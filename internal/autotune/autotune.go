@@ -124,10 +124,7 @@ func TuneCollectives(model cluster.CostModel, p int, t cluster.Collectives) clus
 	if t.AllReduce != cluster.DefaultAlgorithm {
 		return t
 	}
-	if model.GPUsPerNode == 0 {
-		model = cluster.Perlmutter()
-	}
-	if p > model.GPUsPerNode {
+	if p > model.OrPerlmutter().GPUsPerNode {
 		t.AllReduce = cluster.Hierarchical
 	} else {
 		t.AllReduce = cluster.FlatTree
@@ -136,20 +133,16 @@ func TuneCollectives(model cluster.CostModel, p int, t cluster.Collectives) clus
 }
 
 // TuneConfig fills C and K of a pipeline config using the memory
-// model, and the collective-algorithm table via TuneCollectives,
-// leaving explicit values untouched. K's "unset" sentinel is 0 and
-// only 0: an explicit "all minibatches" request is pipeline.KAll (any
-// negative K), which passes through untuned — K = 0 cannot mean both
-// "all" and "choose for me" at once.
+// model, and the collective-algorithm table on cfg.Model (where the
+// CLIs put -allreduce) via TuneCollectives, leaving explicit values
+// untouched. A model with no machine stays without one: the tuned
+// table rides it, and the pipeline completes the machine around it.
+// K's "unset" sentinel is 0 and only 0: an explicit "all minibatches"
+// request is pipeline.KAll (any negative K), which passes through
+// untuned — K = 0 cannot mean both "all" and "choose for me" at once.
 func TuneConfig(m MemoryModel, d *datasets.Dataset, cfg pipeline.Config) (pipeline.Config, error) {
 	if cfg.C < 0 {
 		return cfg, fmt.Errorf("autotune: replication factor C=%d: must be >= 1 (0 = choose)", cfg.C)
-	}
-	// The schedule is tuned on the model, where the CLIs put -allreduce;
-	// a zero model is first given the default platform, which the
-	// pipeline would otherwise install over the tuned table.
-	if cfg.Model.GPUsPerNode == 0 {
-		cfg.Model = cluster.Perlmutter()
 	}
 	cfg.Model.Collectives = TuneCollectives(cfg.Model, cfg.P, cfg.Model.Collectives)
 	if cfg.C > 0 && cfg.K != 0 {

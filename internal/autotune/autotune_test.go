@@ -187,21 +187,28 @@ func TestTuneConfigFillsCollectives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A zero model gets the default platform, so the pipeline keeps
-	// the tuned table instead of installing its own default over it.
-	if cfg.Model.GPUsPerNode == 0 || cfg.Model.Collectives.AllReduce != cluster.Hierarchical {
-		t.Fatalf("multi-node run tuned to %v on %+v", cfg.Model.Collectives.AllReduce, cfg.Model)
-	}
-	// An explicit ring on the model (where the CLIs put -allreduce)
-	// survives tuning.
-	model := cluster.Perlmutter()
-	model.Collectives.AllReduce = cluster.Ring
-	cfg, err = TuneConfig(DefaultMemoryModel(), d,
-		pipeline.Config{P: 16, C: 2, K: pipeline.KAll, Model: model})
+	// The pipeline keeps the table tuned on a zero model: it completes
+	// the machine around it instead of installing its own default.
+	cfg.MaxBatches, cfg.Epochs = 2, 1
+	res, err := pipeline.Run(d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Model.Collectives.AllReduce != cluster.Ring {
-		t.Fatalf("explicit ring overridden to %v", cfg.Model.Collectives.AllReduce)
+	if got := res.Cfg.Model.Collectives.AllReduce; got != cluster.Hierarchical {
+		t.Fatalf("multi-node run tuned to %v, ran %v", cfg.Model.Collectives.AllReduce, got)
+	}
+	// An explicit ring on the model (where the CLIs put -allreduce)
+	// survives tuning, with or without a machine on the model.
+	model := cluster.Perlmutter()
+	model.Collectives.AllReduce = cluster.Ring
+	for _, m := range []cluster.CostModel{model, {Collectives: model.Collectives, Topology: cluster.OversubscribedTopology(4)}} {
+		cfg, err = TuneConfig(DefaultMemoryModel(), d,
+			pipeline.Config{P: 16, C: 2, K: pipeline.KAll, Model: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg.Model.Collectives.AllReduce != cluster.Ring || cfg.Model.Topology != m.Topology {
+			t.Fatalf("tuning replaced the selections of %+v: %+v", m, cfg.Model)
+		}
 	}
 }

@@ -45,9 +45,6 @@ func RunQuiver(d *datasets.Dataset, cfg QuiverConfig) (*pipeline.Result, error) 
 // the wall the distributed implementation is compared against (43.9 s
 // for Papers, 3.12 s for Protein in the paper).
 func CPULadiesReference(d *datasets.Dataset, layers int, maxBatches int, seed int64, model cluster.CostModel) (float64, error) {
-	if model.GPUsPerNode == 0 {
-		model = cluster.Perlmutter()
-	}
 	batches := pipeline.Batches(d, maxBatches)
 	scale := pipeline.BlockScale(d.NumBatches(), len(batches), 1)
 	fanouts := core.LayerSizes(core.LADIES{}, nil, d.LayerWidth, layers)

@@ -142,6 +142,7 @@ func TestBadInputIsAnErrorForBothDrivers(t *testing.T) {
 		{"lr < 0", pipeline.Config{P: 2, LR: -0.1}, true},
 		{"ckpt interval < 0", pipeline.Config{P: 2, CkptInterval: -1}, true},
 		{"fault rank outside p", pipeline.Config{P: 2, Faults: resilience.FailAt(2, 1)}, true},
+		{"fault rank outside p, plan on a model with no machine", pipeline.Config{P: 2, Model: cluster.CostModel{Faults: resilience.FailAt(2, 1)}}, true},
 		{"unknown sampler", pipeline.Config{P: 2, Sampler: "bogus"}, true},
 		{"unknown algorithm", pipeline.Config{P: 2, Algorithm: 7}, false},
 		{"c does not divide p", pipeline.Config{P: 4, C: 3}, false},

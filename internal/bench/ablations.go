@@ -27,7 +27,6 @@ type AmortizationRow struct {
 // one bulk of the whole epoch, printed as k=all like Figure 4; each
 // effective bulk size runs once.
 func Amortization(w io.Writer, dataset string, ks []int, o Options) ([]AmortizationRow, error) {
-	o = o.withDefaults()
 	d, err := datasets.ByName(dataset, o.Profile)
 	if err != nil {
 		return nil, err
@@ -106,7 +105,6 @@ func runOneDSampling(d *datasets.Dataset, p, maxBatches int, seed int64, model c
 // broadcast): it runs bulk SAGE sampling under the 1D partitioning and
 // both 1.5D variants and reports time and traffic.
 func PartitionAblation(w io.Writer, dataset string, ps []int, o Options) ([]PartitionRow, error) {
-	o = o.withDefaults()
 	d, err := datasets.ByName(dataset, o.Profile)
 	if err != nil {
 		return nil, err
@@ -225,7 +223,6 @@ func (o Options) quarterEpochConfig(d *datasets.Dataset, alg pipeline.Algorithm,
 // (collective-bearing sampling on its own stream and communicator
 // clones) — alongside the analytic busiest-stream bound.
 func OverlapAnalysis(w io.Writer, o Options) ([]OverlapRow, error) {
-	o = o.withDefaults()
 	fmt.Fprintf(w, "Overlap: sampling and fetch pipelined against propagation (staged engine)\n")
 	fmt.Fprintf(w, "%-10s %-12s %5s %12s %12s %12s %12s %8s\n",
 		"dataset", "algorithm", "p", "sequential", "bound", "measured", "stall", "speedup")

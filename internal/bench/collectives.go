@@ -45,7 +45,6 @@ var collectiveCases = []struct {
 // defining property: inter-node traffic proportional to node count
 // rather than rank count.
 func CollectiveSweep(w io.Writer, o Options) ([]CollectiveRow, error) {
-	o = o.withDefaults()
 	sizes := []int{4 << 10, 4 << 20} // latency-bound and bandwidth-bound payloads
 	const iters = 2
 
@@ -75,6 +74,7 @@ func CollectiveSweep(w io.Writer, o Options) ([]CollectiveRow, error) {
 // runCollective times iters calls of one collective under one
 // algorithm on a fresh cluster and compares them to the analytic bound.
 func runCollective(model cluster.CostModel, op string, alg cluster.CollectiveAlgorithm, p, size, iters int) (CollectiveRow, error) {
+	model = model.OrPerlmutter() // the predictions price the machine the run charges
 	switch op {
 	case "alltoallv":
 		model.Collectives = cluster.Collectives{AllToAll: alg}

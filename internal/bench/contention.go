@@ -64,7 +64,6 @@ func contentionTopologies() []*cluster.Topology {
 // prefetch streams and the gradient all-reduce share NIC injection
 // bandwidth — next to per-physical-link utilization.
 func Contention(w io.Writer, o Options) ([]ContentionRow, error) {
-	o = o.withDefaults()
 	p := o.gpus(multiNodeGPUs)[0]
 	d, err := datasets.ByName("products", o.Profile)
 	if err != nil {

@@ -27,29 +27,22 @@ type Options struct {
 	// default axis — the one its Experiments entry states.
 	GPUCounts  []int
 	MaxBatches int // per-epoch batch cap with extrapolation; 0 = all
-	Seed       int64
+	// Seed seeds every run of the experiment as given; 0 is a seed
+	// like any other.
+	Seed int64
 
 	// Model is the platform every simulated cluster of the experiment
 	// charges under, and the only carrier of machine selections:
 	// collective schedules, topology and fault plan
 	// ride on it (cliutil.RegisterPlatformFlags assembles it from the
-	// CLI flags). A zero Model means cluster.Perlmutter(). Experiments
+	// CLI flags). A model with no machine is completed by
+	// cluster.CostModel.OrPerlmutter, keeping its selections. Experiments
 	// that sweep a selection (collectives, tprob, contention, scaling)
 	// override that one field per row.
 	Model cluster.CostModel
 
 	// Epochs is the accuracy experiment's training length (0 = 15).
 	Epochs int
-}
-
-func (o Options) withDefaults() Options {
-	if o.Model.GPUsPerNode == 0 {
-		o.Model = cluster.Perlmutter()
-	}
-	if o.Seed == 0 {
-		o.Seed = 20240101
-	}
-	return o
 }
 
 // gpus returns the GPU axis of an experiment whose default axis is def:
@@ -111,7 +104,6 @@ type Fig4Row struct {
 // Fig4 reproduces Figure 4: Graph Replicated pipeline vs the Quiver
 // baseline across GPU counts on all three datasets.
 func Fig4(w io.Writer, o Options) ([]Fig4Row, error) {
-	o = o.withDefaults()
 	var rows []Fig4Row
 	fmt.Fprintf(w, "Figure 4: Graph Replicated pipeline vs Quiver (per-epoch seconds, simulated)\n")
 	fmt.Fprintf(w, "%-10s %5s %3s %6s %10s %10s %10s %10s %10s %8s\n",
@@ -174,7 +166,6 @@ type Fig5Row struct {
 // Fig5 reproduces Figure 5: Quiver with GPU sampling vs UVA sampling
 // on Papers-like and Protein-like.
 func Fig5(w io.Writer, o Options) ([]Fig5Row, error) {
-	o = o.withDefaults()
 	var rows []Fig5Row
 	fmt.Fprintf(w, "Figure 5: Quiver GPU vs UVA sampling (per-epoch seconds, simulated)\n")
 	fmt.Fprintf(w, "%-10s %5s %12s %12s\n", "dataset", "p", "quiver-gpu", "quiver-uva")
@@ -217,7 +208,6 @@ type Fig6Row struct {
 // Fig6 reproduces Figure 6: the Graph Replicated pipeline with the
 // Figure 4 replication factors vs the same pipeline forced to c=1.
 func Fig6(w io.Writer, o Options) ([]Fig6Row, error) {
-	o = o.withDefaults()
 	var rows []Fig6Row
 	fmt.Fprintf(w, "Figure 6: effect of feature replication (per-epoch seconds, simulated)\n")
 	fmt.Fprintf(w, "%-10s %5s %10s %10s %12s %12s\n",
@@ -279,7 +269,6 @@ func RunPartitionedSampling(d *datasets.Dataset, s core.Sampler, sizes []int, p,
 	if p%c != 0 || (p/c)%c != 0 {
 		return nil, fmt.Errorf("bench: c^2 must divide p (p=%d c=%d)", p, c)
 	}
-	o = o.withDefaults()
 	cl := cluster.New(p, o.Model)
 	grid := cluster.NewGrid(cl, p, c)
 	set := distsample.NewPartitionedSet(grid, d.Graph.Adj, aware)
@@ -301,7 +290,6 @@ func RunPartitionedSampling(d *datasets.Dataset, s core.Sampler, sizes []int, p,
 // per-count replication factors. Layer-wise rows carry the serial CPU
 // LADIES reference.
 func Fig7(w io.Writer, sampler string, o Options) ([]Fig7Row, error) {
-	o = o.withDefaults()
 	entry, err := core.SamplerByName(sampler)
 	if err != nil {
 		return nil, err

@@ -122,7 +122,6 @@ const perfReps = 5
 // workload. Options contributes only the cost model; the matrix's
 // sizes, seeds and topologies are pinned so baselines stay comparable.
 func Perf(w io.Writer, o Options) ([]PerfRow, error) {
-	o = o.withDefaults()
 	fmt.Fprintf(w, "Simulator perf suite (GOMAXPROCS=%d, %d reps, wall min/median)\n", runtime.GOMAXPROCS(0), perfReps)
 	fmt.Fprintf(w, "%-40s %10s %10s %12s %14s %10s %8s\n",
 		"workload", "wall-sec", "wall-med", "sim-sec", "alloc-bytes", "allocs", "ledger")

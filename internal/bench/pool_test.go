@@ -143,7 +143,7 @@ func TestScalingPoolDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells, _ := scalingCells(d, o.withDefaults())
+	cells, _ := scalingCells(d, o)
 	live := runnableCells(cells)
 	if len(live) != len(serialRows) {
 		t.Fatalf("%d rows for %d runnable cells", len(serialRows), len(live))
@@ -201,7 +201,7 @@ func TestScalingCellsShareRunsByConfig(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cells, runs := scalingCells(d, Options{Profile: tc.profile}.withDefaults())
+		cells, runs := scalingCells(d, Options{Profile: tc.profile})
 		live := runnableCells(cells)
 		if len(live) != tc.cells || len(runs) != tc.runs {
 			t.Errorf("%v: %d cells on %d runs, want %d on %d", tc.profile, len(live), len(runs), tc.cells, tc.runs)

@@ -49,7 +49,6 @@ const resilienceEpochs = 4
 // nil intervals sweep {0, 1, 2, 4}. Cells run serially: each failed
 // run already contains restarts, and the table is small.
 func Resilience(w io.Writer, dataset string, p int, intervals []int, o Options) ([]ResilienceRow, error) {
-	o = o.withDefaults()
 	o.Model.Faults = nil
 	d, err := datasets.ByName(dataset, o.Profile)
 	if err != nil {

@@ -220,7 +220,6 @@ func scalingCells(d *datasets.Dataset, o Options) (cells []*scalingCell, runs []
 // simulator needed for the row's run — the simulator-performance axis
 // this study exists to keep honest (the perf suite gates it; see Perf).
 func Scaling(w io.Writer, o Options) ([]ScalingRow, error) {
-	o = o.withDefaults()
 	d, err := datasets.ByName("products", o.Profile)
 	if err != nil {
 		return nil, err

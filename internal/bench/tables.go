@@ -95,7 +95,6 @@ type AccuracyResult struct {
 // Pass d == nil for the default (paper-analog) dataset; o.Epochs sets
 // the training length (0 = 15).
 func Accuracy(w io.Writer, d *datasets.Dataset, o Options) (*AccuracyResult, error) {
-	o = o.withDefaults()
 	epochs := o.Epochs
 	if epochs <= 0 {
 		epochs = 15

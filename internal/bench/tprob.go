@@ -38,7 +38,6 @@ var tprobAlgorithms = []cluster.CollectiveAlgorithm{cluster.FlatTree, cluster.Ri
 // collective algorithm (the 1.5D schedule's row all-reduce follows the
 // model's Collectives table).
 func Tprob(w io.Writer, dataset string, p int, cs []int, o Options) ([]TprobRow, error) {
-	o = o.withDefaults()
 	d, err := datasets.ByName(dataset, o.Profile)
 	if err != nil {
 		return nil, err
@@ -46,8 +45,9 @@ func Tprob(w io.Writer, dataset string, p int, cs []int, o Options) ([]TprobRow,
 	k := len(pipeline.Batches(d, o.MaxBatches))
 	b := float64(d.BatchSize)
 	deg := d.Graph.AvgDegree()
-	alpha := o.Model.Alpha[1] // inter-node tier dominates at scale
-	beta := o.Model.Beta[1]
+	m := o.Model.OrPerlmutter()
+	alpha := m.Alpha[1] // inter-node tier dominates at scale
+	beta := m.Beta[1]
 
 	fmt.Fprintf(w, "T_prob model check (Section 5.2.1), dataset=%s p=%d, first layer\n", dataset, p)
 	fmt.Fprintf(w, "%-9s %3s %12s %12s %8s\n", "algo", "c", "measured(s)", "model(s)", "ratio")

@@ -25,7 +25,6 @@ type VerifyRow struct {
 // the simulated timings as measurements of the same computation the
 // paper runs.
 func Verify(w io.Writer, o Options) ([]VerifyRow, error) {
-	o = o.withDefaults()
 	d, err := datasets.ByName("products", o.Profile)
 	if err != nil {
 		return nil, err

@@ -140,6 +140,23 @@ func Perlmutter() CostModel {
 	}
 }
 
+// OrPerlmutter completes a model with no machine: when GPUsPerNode is
+// 0, m takes Perlmutter's machine — node width, per-tier α and β,
+// device rates and kernel launch — and keeps its own selections
+// (Collectives, Topology, Faults, Backend). A model with a machine is
+// returned as is. This is the one place "no machine means Perlmutter"
+// is decided; New applies it, so a caller that only builds a cluster
+// needs no default of its own.
+func (m CostModel) OrPerlmutter() CostModel {
+	if m.GPUsPerNode != 0 {
+		return m
+	}
+	p := Perlmutter()
+	m.GPUsPerNode, m.Alpha, m.Beta = p.GPUsPerNode, p.Alpha, p.Beta
+	m.SparseOps, m.DenseFlops, m.MemBW, m.KernelLaunch = p.SparseOps, p.DenseFlops, p.MemBW, p.KernelLaunch
+	return m
+}
+
 // wireEntry returns the simulated time a transfer's payload hits the
 // wire: the α handshake latency after the entry clock. One of the
 // two helpers ChargeLink prices transfers through — the

@@ -584,16 +584,17 @@ func (c *Cluster) spawn(r *Rank, fn func()) {
 	}).Ready(r.clock)
 }
 
-// New returns a cluster of n ranks under the given cost model. A model
-// carrying a Topology panics here if the topology is invalid (callers
-// with error returns validate via Topology.Validate first).
+// New returns a cluster of n ranks under the given cost model,
+// completed by CostModel.OrPerlmutter. A model carrying a Topology
+// panics here if the topology is invalid (callers with error returns
+// validate via Topology.Validate first).
 func New(n int, model CostModel) *Cluster {
 	if n <= 0 {
 		panic("cluster: need at least one rank")
 	}
-	c := &Cluster{N: n, Model: model}
+	c := &Cluster{N: n, Model: model.OrPerlmutter()}
 	if model.Topology != nil {
-		c.cont = newContention(model, n)
+		c.cont = newContention(c.Model, n)
 	}
 	return c
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -112,22 +113,37 @@ func TestFairShareZeroByteFlowIsFree(t *testing.T) {
 
 // Within one collective, same-node members sharing a NIC split its
 // bandwidth: a world all-to-allv under a one-NIC-per-node topology
-// takes GPUsPerNode times the β term of the ideal model.
+// takes GPUsPerNode times the β term of the ideal model. Every run is
+// made twice, the second time on a model with no machine, which New
+// completes to Perlmutter's keeping the topology: the charges must
+// match exactly.
 func TestCollectiveSharesNodeNIC(t *testing.T) {
+	if got := (CostModel{}).OrPerlmutter(); got != Perlmutter() {
+		t.Fatalf("zero model completed to %+v, want Perlmutter's", got)
+	}
 	run := func(topo *Topology) float64 {
 		model := Perlmutter()
 		model.Topology = topo
-		cl := New(8, model)
-		world := cl.World()
-		res, err := cl.Run(func(r *Rank) error {
-			parts := make([]int, 8)
-			AllToAllv(world, r, parts, func(int) int { return 1 << 20 })
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
+		var results [2]*Result
+		for i, m := range []CostModel{model, {Topology: topo}} {
+			cl := New(8, m)
+			world := cl.World()
+			res, err := cl.Run(func(r *Rank) error {
+				parts := make([]int, 8)
+				AllToAllv(world, r, parts, func(int) int { return 1 << 20 })
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			results[i] = res
 		}
-		return res.SimTime
+		perl, bare := results[0], results[1]
+		if bare.SimTime != perl.SimTime || !reflect.DeepEqual(bare.PhysLinks, perl.PhysLinks) {
+			t.Fatalf("topology %v: no-machine model charged %.17g s over %+v, Perlmutter %.17g s over %+v",
+				topo, bare.SimTime, bare.PhysLinks, perl.SimTime, perl.PhysLinks)
+		}
+		return perl.SimTime
 	}
 	model := Perlmutter()
 	vol := float64(7 << 20)

@@ -79,13 +79,15 @@ type Config struct {
 	SparsityAware bool // Algorithm 2 row fetching (vs oblivious broadcast)
 
 	// Topology selects the physical-link topology the simulated
-	// cluster charges under (set on Model.Topology): nil keeps the
-	// pure α–β model — no contention, bit-identical to the paper's
-	// closed forms — while cluster.PerlmutterTopology or
-	// cluster.OversubscribedTopology make links finite, shared
-	// resources so concurrent transfers (same-collective members on a
-	// shared NIC, prefetch streams against the gradient all-reduce)
-	// split bandwidth instead of each charging full β.
+	// cluster charges under: nil keeps the pure α–β model — no
+	// contention, bit-identical to the paper's closed forms — while
+	// cluster.PerlmutterTopology or cluster.OversubscribedTopology make
+	// links finite, shared resources so concurrent transfers
+	// (same-collective members on a shared NIC, prefetch streams
+	// against the gradient all-reduce) split bandwidth instead of each
+	// charging full β. A selection belongs on Model.Topology; this
+	// field, merged into it, stays only because benchmark/ sets it
+	// (ROADMAP item 1(b)).
 	Topology *cluster.Topology
 
 	// Backend is inert: every run executes on the discrete-event
@@ -118,13 +120,15 @@ type Config struct {
 	LR         float64
 	MaxBatches int // process at most this many global batches per epoch (0 = all); timings are extrapolated
 
-	// Faults is the fail-stop injection plan (merged into Model.Faults;
-	// an explicit Model.Faults wins only when this is nil). When a
-	// planned failure fires, the run aborts at the failed rank's
-	// simulated fail time, the driver retires the fired entry, restores
-	// the latest epoch-boundary checkpoint (or restarts from scratch if
+	// Faults is the fail-stop injection plan. When a planned failure
+	// fires, the run aborts at the failed rank's simulated fail time,
+	// the driver retires the fired entry, restores the latest
+	// epoch-boundary checkpoint (or restarts from scratch if
 	// CkptInterval is 0) and re-runs — so training always completes,
-	// and Result.Recovery reports what the recovery cost.
+	// and Result.Recovery reports what the recovery cost. A plan
+	// belongs on Model.Faults; this field, merged into it (an explicit
+	// Model.Faults wins only when this is nil), stays only because
+	// benchmark/ sets it (ROADMAP item 1(b)).
 	Faults *cluster.FaultPlan
 	// CkptInterval checkpoints the complete resumable state — model
 	// parameters, Adam moments, and every rank's simulated-time
@@ -148,14 +152,13 @@ type Config struct {
 	sizes   []int
 }
 
-// withDefaults fills zero fields, resolves Sampler through core.Samplers
-// and merges the platform fields (Topology, Faults) into Model
-// — the one place a training run's cost model is assembled. The model
-// is the platform: the CLIs and the bench harness set their selections
-// on it and nowhere else (collective schedules live only there); the
-// three fields are literal-friendly overrides for callers that build a
-// Config by hand, and win over the model's own entries. The only error
-// is an unknown sampler.
+// withDefaults fills zero fields, resolves Sampler through core.Samplers,
+// completes Model with cluster.CostModel.OrPerlmutter — so Result.Cfg
+// reports the machine the run used — and merges Topology and Faults
+// into it, each winning over the model's own entry when set. The model
+// is the platform: the CLIs, the bench harness and a hand-built Config
+// set their selections on it; the two fields remain only because
+// benchmark/ writes them. The only error is an unknown sampler.
 func (c Config) withDefaults(d *datasets.Dataset) (Config, error) {
 	if c.C <= 0 {
 		c.C = 1
@@ -175,9 +178,7 @@ func (c Config) withDefaults(d *datasets.Dataset) (Config, error) {
 	if c.LR == 0 {
 		c.LR = 0.01
 	}
-	if c.Model.GPUsPerNode == 0 {
-		c.Model = cluster.Perlmutter()
-	}
+	c.Model = c.Model.OrPerlmutter()
 	if c.Topology != nil {
 		c.Model.Topology = c.Topology
 	}

@@ -692,7 +692,9 @@ func TestGoldenFlatTreeBitIdentical(t *testing.T) {
 // became an Algorithm. The flat rows and the replicated hier row are
 // TestGoldenFlatTreeBitIdentical's; the Quiver rows are
 // internal/baseline's TestGoldenQuiverBitIdentical and
-// TestGoldenQuiverContentionOffPerAlgorithm.
+// TestGoldenQuiverContentionOffPerAlgorithm. Each row runs a second
+// time with its table on a model with no machine, which the pipeline
+// completes to the same Perlmutter run instead of dropping the table.
 func TestGoldenContentionOffPerAlgorithm(t *testing.T) {
 	d := tinySBM()
 	tables := map[string]cluster.Collectives{
@@ -714,11 +716,16 @@ func TestGoldenContentionOffPerAlgorithm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkGolden(t, d, fmt.Sprintf("%v/%s", g.algorithm, g.table),
-			Config{P: 8, C: 2, Epochs: 2, Seed: 5, MaxBatches: 8,
-				Algorithm: g.algorithm, SparsityAware: g.algorithm == GraphPartitioned,
-				Model: onModel(tables[g.table]), Topology: topo},
-			g.sim, g.total, g.loss)
+		for name, model := range map[string]cluster.CostModel{
+			"perlmutter": onModel(tables[g.table]),
+			"no machine": {Collectives: tables[g.table]},
+		} {
+			checkGolden(t, d, fmt.Sprintf("%v/%s/%s", g.algorithm, g.table, name),
+				Config{P: 8, C: 2, Epochs: 2, Seed: 5, MaxBatches: 8,
+					Algorithm: g.algorithm, SparsityAware: g.algorithm == GraphPartitioned,
+					Model: model, Topology: topo},
+				g.sim, g.total, g.loss)
+		}
 	}
 }
 
