@@ -46,6 +46,14 @@ type Loader struct {
 	// exactly once for both import resolution and analysis output
 	// (packages without in-package test files need no re-check).
 	built map[string]*Package
+	// underTest is the test-augmented variant of the package whose
+	// external test package is being checked: like `go test`, the
+	// external package imports it, so names an export_test.go file
+	// declares resolve. It stays nil when another module import of the
+	// external package depends on the package under test: `go test`
+	// would recompile that import against the augmented variant, which
+	// the loader does not, so both sides keep the base variant.
+	underTest *Package
 }
 
 type dirPkg struct {
@@ -101,6 +109,7 @@ func (l *Loader) LoadModule(root string) ([]*Package, error) {
 	var out []*Package
 	for _, p := range order {
 		d := byPath[p]
+		var augmented *Package
 		switch {
 		case l.IncludeTests && len(d.inTest) > 0:
 			// Only here is a second type-check of the same files
@@ -113,13 +122,18 @@ func (l *Loader) LoadModule(root string) ([]*Package, error) {
 				return nil, err
 			}
 			out = append(out, pkg)
+			augmented = pkg
 		case len(d.files) > 0:
 			// The base variant was already checked (with full Info)
 			// during the dependency pass — reuse it.
 			out = append(out, l.built[p])
 		}
 		if l.IncludeTests && len(d.extTest) > 0 {
+			if augmented != nil && !importsReach(byPath, d.extTest, p) {
+				l.underTest = augmented
+			}
 			pkg, err := l.check(p+"_test", d.extTest, byPath)
+			l.underTest = nil
 			if err != nil {
 				return nil, err
 			}
@@ -127,6 +141,36 @@ func (l *Loader) LoadModule(root string) ([]*Package, error) {
 		}
 	}
 	return out, nil
+}
+
+// importsReach reports whether a module import of files other than
+// target depends on target, directly or through its own imports.
+func importsReach(byPath map[string]*dirPkg, files []*ast.File, target string) bool {
+	seen := map[string]bool{target: true}
+	var reach func(path string) bool
+	reach = func(path string) bool {
+		if path == target {
+			return true
+		}
+		if seen[path] || byPath[path] == nil {
+			return false
+		}
+		seen[path] = true
+		for _, dep := range byPath[path].deps {
+			if reach(dep) {
+				return true
+			}
+		}
+		return false
+	}
+	for _, af := range files {
+		for _, im := range af.Imports {
+			if ip := strings.Trim(im.Path.Value, `"`); ip != target && reach(ip) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // scan walks the module for directories holding Go files and parses
@@ -252,11 +296,15 @@ func (l *Loader) check(path string, files []*ast.File, byPath map[string]*dirPkg
 }
 
 // importPkg resolves an import: module-internal paths against the base
-// variants (building on demand), "unsafe" specially, everything else
-// through the stdlib source importer.
+// variants (building on demand) — the package under test, from its
+// external test package, against its test-augmented variant — "unsafe"
+// specially, everything else through the stdlib source importer.
 func (l *Loader) importPkg(byPath map[string]*dirPkg, path string) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil
+	}
+	if l.underTest != nil && path == l.underTest.Path {
+		return l.underTest.Types, nil
 	}
 	if path == l.modPath || strings.HasPrefix(path, l.modPath+"/") {
 		return l.checkBase(byPath, path, nil)

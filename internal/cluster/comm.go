@@ -219,7 +219,10 @@ type rendezvous struct {
 	// leader's node peers read it from the node broadcast before their
 	// next node collective, which their leader joins before it can
 	// arrive here again.
-	sums   [3]*sumFold
+	sums [3]*sumFold
+	// msgs holds the all-to-allv contribution tables, one per payload
+	// type (see depositMsg).
+	msgs   []any
 	failed error // poisoned: every current and future participant panics
 	// parked are the members waiting on the in-flight generation; the
 	// last arriver — or a poison — readies them and clears the list.
@@ -286,7 +289,7 @@ func (c *Comm) diag() string {
 // drain, for peers that can never arrive because their rank bodies
 // already returned.
 func (c *Comm) exchange(r *Rank, op string, s slot) ([]slot, float64) {
-	return c.exchangeTransform(r, op, s, nil, false)
+	return c.exchangeTransform(r, op, s, nil, nil, false)
 }
 
 // exchangeTransform is exchange with a completion hook: the last
@@ -296,14 +299,20 @@ func (c *Comm) exchange(r *Rank, op string, s slot) ([]slot, float64) {
 // charging path uses it to solve one collective's member flows in a
 // single ledger transaction. A nil transform returns the slots as-is.
 //
+// A non-nil deposit runs at the caller's arrival, under the same lock,
+// with the caller's member index, and its result becomes the slot's
+// val: a collective that keeps its contributions in reusable rendezvous
+// storage (the all-to-allv's contribution tables) writes them there
+// instead of boxing a fresh value per call.
+//
 // With yield set, a last arriver on an uncontended cluster ends its
 // segment at the rendezvous: it readies itself at its entry clock, like
 // every member it wakes, and parks, so the work it does after the
 // collective no longer holds the commit turn. Contended runs never
 // yield, which keeps their commit order (and with it the ledger's
 // outcome) as it was.
-func (c *Comm) exchangeTransform(r *Rank, op string, s slot, transform func([]slot) []slot, yield bool) ([]slot, float64) {
-	out, entry, gen, yielded := c.arrive(r, op, s, transform, yield)
+func (c *Comm) exchangeTransform(r *Rank, op string, s slot, deposit func(idx int) any, transform func([]slot) []slot, yield bool) ([]slot, float64) {
+	out, entry, gen, yielded := c.arrive(r, op, s, deposit, transform, yield)
 	if yielded {
 		r.t.Park()
 	}
@@ -337,7 +346,7 @@ func (c *Comm) exchangeTransform(r *Rank, op string, s slot, transform func([]sl
 // earlier one is recorded as parked and gets nil plus the generation it
 // must park for. The unlock is deferred so every diagnostic panic below
 // releases the rendezvous.
-func (c *Comm) arrive(r *Rank, op string, s slot, transform func([]slot) []slot, yield bool) (out []slot, entry float64, gen uint64, yielded bool) {
+func (c *Comm) arrive(r *Rank, op string, s slot, deposit func(idx int) any, transform func([]slot) []slot, yield bool) (out []slot, entry float64, gen uint64, yielded bool) {
 	r.gate()
 	c.checkDriver(r)
 	idx := c.LocalIndex(r)
@@ -356,6 +365,9 @@ func (c *Comm) arrive(r *Rank, op string, s slot, transform func([]slot) []slot,
 			c.members, c.key, r.ID, op, rv.op, c.diag())
 		c.poison(err)
 		panic(err)
+	}
+	if deposit != nil {
+		s.val = deposit(idx)
 	}
 	rv.slots[idx] = s
 	rv.waiting[idx] = true
@@ -607,7 +619,10 @@ func AllToAllvSparse[T any](c *Comm, r *Rank, dst []int, parts []T, bytes func(T
 			sent += bytes(parts[k])
 		}
 	}
-	slots, entry := c.exchangeTransform(r, "alltoallv", slot{clock: r.clock, val: sparseMsg[T]{dst, parts}},
+	// The contribution goes into the communicator's reused table for
+	// T, so a warm call allocates nothing.
+	slots, entry := c.exchangeTransform(r, "alltoallv", slot{clock: r.clock},
+		func(idx int) any { return depositMsg(c.rv, idx, dst, parts) },
 		func(slots []slot) []slot {
 			ringBuckets[T](c.rv).fill(slots)
 			return slots
@@ -639,6 +654,33 @@ type buckets[T any] struct {
 	parts []T
 }
 
+// sparseMsgs is a communicator's contribution table for payload type
+// T: entry i is member i's message of the generation in flight.
+type sparseMsgs[T any] []sparseMsg[T]
+
+// depositMsg records member idx's contribution in the communicator's
+// table for T and returns it as the member's slot value. Caller holds
+// rv.mu (at the member's arrival). One table serves every generation:
+// a member rewrites its entry only when it arrives at a later
+// all-to-allv, and no member arrives there before the last arriver of
+// this one has bucketed every entry (fill, under the same lock).
+func depositMsg[T any](rv *rendezvous, idx int, dst []int, parts []T) *sparseMsg[T] {
+	var msgs *sparseMsgs[T]
+	for _, x := range rv.msgs {
+		if m, ok := x.(*sparseMsgs[T]); ok {
+			msgs = m
+			break
+		}
+	}
+	if msgs == nil {
+		m := make(sparseMsgs[T], rv.n)
+		msgs = &m
+		rv.msgs = append(rv.msgs, msgs)
+	}
+	(*msgs)[idx] = sparseMsg[T]{dst, parts}
+	return &(*msgs)[idx]
+}
+
 // ringBuckets returns the generation's reusable bucket buffers for
 // payload type T. Caller holds rv.mu (inside the transform).
 func ringBuckets[T any](rv *rendezvous) *buckets[T] {
@@ -661,7 +703,7 @@ func (b *buckets[T]) fill(slots []slot) {
 	clear(b.off)
 	total := 0
 	for _, s := range slots {
-		m := s.val.(sparseMsg[T])
+		m := s.val.(*sparseMsg[T])
 		for _, d := range m.dst {
 			b.off[d+2]++
 		}
@@ -675,7 +717,7 @@ func (b *buckets[T]) fill(slots []slot) {
 	b.src = resize(b.src, total)
 	b.parts = resize(b.parts, total)
 	for i, s := range slots {
-		m := s.val.(sparseMsg[T])
+		m := s.val.(*sparseMsg[T])
 		for k, d := range m.dst {
 			j := b.off[d+1]
 			b.off[d+1]++
@@ -756,7 +798,7 @@ func allReduceSum(c *Comm, r *Rank, x []float64, alg CollectiveAlgorithm, apply 
 			return broadcastAlg(node, r, 0, total, 8*len(x), FlatTree)
 		}
 	}
-	slots, entry := c.exchangeTransform(r, "allreduce", slot{clock: r.clock, vec: x, bytes: 8 * len(x)},
+	slots, entry := c.exchangeTransform(r, "allreduce", slot{clock: r.clock, vec: x, bytes: 8 * len(x)}, nil,
 		func(slots []slot) []slot {
 			f := c.rv.sumRecord()
 			maxBytes := 0
@@ -822,7 +864,7 @@ func AllReduceGenericInto[T, D any](c *Comm, r *Rank, val T, bytes int, dest D, 
 		val  T
 		dest D
 	}
-	slots, entry := c.exchangeTransform(r, "allreduce-generic", slot{clock: r.clock, val: contrib{val, dest}, bytes: bytes},
+	slots, entry := c.exchangeTransform(r, "allreduce-generic", slot{clock: r.clock, val: contrib{val, dest}, bytes: bytes}, nil,
 		func(slots []slot) []slot {
 			f := &fold[T, D]{vals: make([]T, len(slots)), dests: make([]D, len(slots))}
 			maxBytes := 0

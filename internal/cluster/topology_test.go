@@ -304,7 +304,7 @@ func TestExchangeTransformPanicPoisonsRendezvous(t *testing.T) {
 	go func() {
 		_, _ = cl.Run(func(r *Rank) error {
 			defer func() { panics <- recover() }()
-			comm.exchangeTransform(r, "boom", slot{clock: r.clock},
+			comm.exchangeTransform(r, "boom", slot{clock: r.clock}, nil,
 				func([]slot) []slot { panic("transform exploded") }, false)
 			return nil
 		})

@@ -157,8 +157,10 @@ func extractNodewise(cur *Frontier, picks, rowPtr []int) *LayerSample {
 // FinishStep is FinishStep(sg, …) without writing P: it samples the
 // un-normalized rows with NORM fused into the prefix sum — Step's loop,
 // reading P's rows in order — and returns the same sample and Cost.
-// Because P is only read, the 1.5D driver hands every member of a
-// process row the one shared product; benchmark/walk.go times it too.
+// Because P is only read, the 1.5D driver runs it on the process row's
+// one shared product, once per row inside the row fold, and every
+// member of the row receives the one sample it returns (read-only:
+// members share the LayerSample); benchmark/walk.go times it too.
 func (sg SAGE) FinishStep(p *sparse.CSR, cur *Frontier, s int, seed int64) (*LayerSample, Cost) {
 	ls, cost, _ := sg.sampleRows(p, nil, cur, s, seed)
 	return ls, cost

@@ -44,13 +44,23 @@ import (
 //     every member is parked in the collective, so every arena is
 //     quiescent; and every member's use of the previous total is over
 //     by the time it re-enters (it consumed it to get here), so res is
-//     safely rewritten. Members only read the total: the layer-wise
-//     driver, whose Norm writes, normalizes its own copy (normed).
-//     Contributed product storage is reusable as soon as the call
-//     returns.
+//     safely rewritten. Members only read the total. Contributed
+//     product storage is reusable as soon as the call returns.
+//   - fin, draw and normed (the layer's sample): each member states
+//     its finish step in fin before it enters the all-reduce; the fold
+//     checks that they agree, draws the layer once from the total into
+//     the first arena's draw record — the layer-wise Norm, which
+//     writes, on a copy in the first arena's normed — and points every
+//     member's drawn field at that record. The record holds only
+//     pointers to freshly allocated samples, so the next draw rewrites
+//     the record, never a sample a member still holds. A drawn sample
+//     is read-only for every member, and no member recycles it: a
+//     process row's c members hold the same layers in their BulkSamples
+//     (ExtractBatch copies what it hands on), so none of them owns one
+//     alone. The set's release drops the record.
 //
-// Everything else (Q_ik blocks, SPA, products, normed) never leaves the
-// rank. A stageArena serves one execution stream — the rank's sampling
+// Everything else (Q_ik blocks, SPA, products) never leaves the rank.
+// A stageArena serves one execution stream — the rank's sampling
 // stream.
 //
 //gnnvet:arena
@@ -62,7 +72,10 @@ type stageArena struct {
 	asm      sparse.CSR    // assembled right operand A_k
 	res      sparse.CSR    // the fold total, when this is the process row's first arena
 	total    *sparse.CSR   // the process row's fold total (some member's res), read-only
-	normed   sparse.CSR    // the layer-wise driver's private, normalized copy of the total
+	fin      finishStep    // this member's finish step for the call in flight
+	draw     rowDraw       // the fold's draw, when this is the process row's first arena
+	drawn    *rowDraw      // the process row's draw (some member's draw), read-only; nil without fin
+	normed   sparse.CSR    // the layer-wise draw's normalized copy of the total (first arena)
 
 	// stamp counts the running accumulator's nonzeros without building
 	// it: stamp[col] holds the tag of the last (call, row) that touched
@@ -167,9 +180,12 @@ func (ar *stageArena) countStage(prod *sparse.CSR, base int) int {
 // rendezvous: per (row, column), values add in (member, stage) order —
 // exactly the float sequence of the old per-member merge chains folded
 // pairwise across members — into the first destination's res buffer,
-// which becomes every member's read-only total. See stageArena for why
-// rewriting it here is safe.
+// which becomes every member's read-only total. With a finish step it
+// then draws the layer's sample from the total, once for the process
+// row, into the first destination's draw record, every member's
+// read-only draw. See stageArena for why rewriting both here is safe.
 func foldStages(vals, dests []*stageArena) {
+	agree(vals)
 	d0 := dests[0]
 	srcs := d0.foldSrcs[:0]
 	for _, v := range vals {
@@ -177,8 +193,13 @@ func foldStages(vals, dests []*stageArena) {
 	}
 	d0.foldSrcs = srcs
 	d0.MergeCSRInto(&d0.res, srcs)
+	var drawn *rowDraw
+	if fin := vals[0].fin; fin.s != nil {
+		d0.draw = fin.draw(&d0.res, &d0.normed)
+		drawn = &d0.draw
+	}
 	for _, d := range dests {
-		d.total = &d0.res
+		d.total, d.drawn = &d0.res, drawn
 	}
 }
 

@@ -19,8 +19,10 @@
 // sampler's Step (for GraphSAGE, a lookup of A's rows). The partitioned
 // driver runs the staged collectives with their real payloads, but for
 // a Q with one entry per row its stage products and row fold are row
-// copies, its c replicas share one read-only product per process row,
-// and GraphSAGE's NORM is fused into the sampling prefix sums.
+// copies, its c replicas share one read-only product and one read-only
+// sample per process row (the row fold draws each layer once, for all
+// c members), and GraphSAGE's NORM is fused into the sampling prefix
+// sums.
 package distsample
 
 import (
@@ -114,9 +116,11 @@ func ReleasePartitionedSet(set []*Partitioned) {
 	arenas := set[0].arenas
 	for _, a := range arenas {
 		if a != nil {
-			// total points into another arena of the set; nextTag keeps
-			// counting, because stamp still holds the old tags.
-			a.total = nil
+			// total and drawn point into another arena of the set, and
+			// the draw record and finish step hold the last samples and
+			// frontier; nextTag keeps counting, because stamp still
+			// holds the old tags.
+			a.total, a.drawn, a.draw, a.fin = nil, nil, rowDraw{}, finishStep{}
 		}
 	}
 	freeArenaSets.Put(arenas)
@@ -155,6 +159,16 @@ func payloadBytes(p *rowPayload) int {
 // accumulating (sparse.Scratch.SpGEMM, MergeCSRInto) and the running
 // nonzero count is the sum of the stage products' sizes.
 func (ps *Partitioned) SpGEMM15D(r *cluster.Rank, q *sparse.CSR) *sparse.CSR {
+	total, _ := ps.spgemm15D(r, q, finishStep{})
+	return total
+}
+
+// spgemm15D is SpGEMM15D with an optional finish step: when fin names a
+// sampler, the row fold also draws the layer's sample from the total,
+// once for the whole process row, and every member receives that one
+// read-only draw beside the total (nil when fin is empty). Every member
+// of the row must pass the same finish step.
+func (ps *Partitioned) spgemm15D(r *cluster.Rank, q *sparse.CSR, fin finishStep) (*sparse.CSR, *rowDraw) {
 	g := ps.Grid
 	j := g.ColIndex(r.ID)
 	stages := g.Rows / g.C // the q = p/c^2 stages of Algorithm 2
@@ -243,9 +257,10 @@ func (ps *Partitioned) SpGEMM15D(r *cluster.Rank, q *sparse.CSR) *sparse.CSR {
 	// contribution bytes are this rank's partial sum in CSR form: cum
 	// nonzeros over q.Rows rows, sized like the old accumulator.
 	partialBytes := 8*(q.Rows+1) + 16*cum
+	ar.fin = fin
 	sum := cluster.AllReduceGenericInto(rowComm, r, ar, partialBytes, ar, foldStages)
 	r.ChargeMem(int64(sum.total.NNZ()) * 16 * int64(rowComm.Size()))
-	return sum.total
+	return sum.total, sum.drawn
 }
 
 // atMostOnePerRow reports whether no row of q holds more than one entry.
@@ -280,7 +295,10 @@ func LocalBatches(g *cluster.Grid, rank int, batches [][]int) [][]int {
 // phases on the rank's clock. The 1.5D SpGEMM stands in for P = Q·A, so
 // of the sampler only BuildQ and LayerWise are called, then either the
 // node-wise completion (the sampler's FinishStep method, see
-// nodewiseFinisher) or Norm inside the layer-wise one below.
+// nodewiseFinisher) or Norm inside the layer-wise one below, both run
+// by the row fold once per process row (finishStep). The c members of
+// a process row hold the same batches, so they return the same layers:
+// node-wise, the very same read-only LayerSamples.
 func SamplePartitioned(r *cluster.Rank, ps *Partitioned, s core.Sampler, batches [][]int, sizes []int, seed int64) *core.BulkSample {
 	if s.LayerWise() {
 		return layerwisePartitioned(r, ps, s, batches, sizes, seed)
@@ -293,10 +311,11 @@ func SamplePartitioned(r *cluster.Rank, ps *Partitioned, s core.Sampler, batches
 		r.SetPhase(PhaseProbability)
 		q := s.BuildQ(cur, ps.N)
 		r.ChargeKernels(1)
-		p := ps.SpGEMM15D(r, q)
+		_, drawn := ps.spgemm15D(r, q, finishStep{s: s, cur: cur, size: fan, seed: layerSeed})
 
+		// The row's draw is charged to every member, as if each drew it.
 		r.SetPhase(PhaseSampling)
-		ls, cost := s.(nodewiseFinisher).FinishStep(p, cur, fan, layerSeed)
+		ls, cost := drawn.layer, drawn.cost
 		r.ChargeSparse(cost.SampleOps)
 		r.ChargeKernels(2)
 		r.SetPhase(PhaseExtraction)
@@ -313,9 +332,72 @@ func SamplePartitioned(r *cluster.Rank, ps *Partitioned, s core.Sampler, batches
 // nodewiseFinisher is the completion a node-wise sampler provides
 // besides core.Sampler's methods: NORM, SAMPLE and EXTRACT over P that
 // only read it (core.SAGE.FinishStep: NORM fused into ITS's prefix sum),
-// so every member of a process row samples SpGEMM15D's one shared total.
+// so the row fold samples the process row's one shared total in place.
 type nodewiseFinisher interface {
 	FinishStep(p *sparse.CSR, cur *core.Frontier, s int, seed int64) (*core.LayerSample, core.Cost)
+}
+
+// finishStep is one layer's completion of a process row's fold total:
+// the sampler with the frontier, per-row size (fan-out or layer width)
+// and layer seed. Every member of the row passes its own, and they must
+// agree; a zero finishStep (nil s) asks for the product alone.
+type finishStep struct {
+	s    core.Sampler
+	cur  *core.Frontier
+	size int
+	seed int64
+}
+
+// rowDraw is a process row's one sample of a layer, drawn by the row
+// fold: node-wise, the layer itself; layer-wise, the vertices sampled
+// per batch, which every member extracts its own share of. Its cost is
+// the draw's, which every member charges as its own. Read-only for
+// every member; each draw is freshly allocated, so a later draw never
+// rewrites one a member still holds.
+type rowDraw struct {
+	layer   *core.LayerSample
+	sampled [][]int
+	cost    core.Cost
+}
+
+// errRowDisagree is the fold's diagnostic when the members of a process
+// row pass different finish steps: they hold the same batches, so a
+// difference is a driver bug, and one draw cannot serve them all.
+const errRowDisagree = "distsample: process row members passed different finish steps"
+
+// agree panics, naming errRowDisagree, unless every member's finish
+// step (vals[m].fin) matches the first member's: present or not, and
+// then in seed, size and frontier length.
+func agree(vals []*stageArena) {
+	f0 := vals[0].fin
+	for m, v := range vals[1:] {
+		f := v.fin
+		if (f.s == nil) != (f0.s == nil) ||
+			f.s != nil && (f.seed != f0.seed || f.size != f0.size || f.cur.Len() != f0.cur.Len()) {
+			panic(fmt.Sprintf("%s: member 0 %s, member %d %s", errRowDisagree, f0, m+1, f))
+		}
+	}
+}
+
+func (f finishStep) String() string {
+	if f.s == nil {
+		return "no finish step"
+	}
+	return fmt.Sprintf("%s seed %d size %d frontier %d", f.s.Name(), f.seed, f.size, f.cur.Len())
+}
+
+// draw completes the layer from the row's total. Node-wise samplers
+// only read it; a layer-wise Norm rewrites its operand, so it
+// normalizes a copy in normed, scratch of the process row's first arena.
+func (f finishStep) draw(total, normed *sparse.CSR) rowDraw {
+	if !f.s.LayerWise() {
+		ls, cost := f.s.(nodewiseFinisher).FinishStep(total, f.cur, f.size, f.seed)
+		return rowDraw{layer: ls, cost: cost}
+	}
+	p := sparse.CopyCSRInto(normed, total)
+	f.s.Norm(p)
+	sampled, cost := core.SampleLayerwise(p, f.size, f.seed)
+	return rowDraw{sampled: sampled, cost: cost}
 }
 
 // SampleSAGEPartitioned is SamplePartitioned for GraphSAGE: the name
@@ -338,19 +420,19 @@ func layerwisePartitioned(r *cluster.Rank, ps *Partitioned, s core.Sampler, batc
 	for l, width := range widths {
 		layerSeed := seed + int64(l)*1e9
 
-		// Probabilities: P = Q·A with the sampler's normalization.
+		// Probabilities: P = Q·A with the sampler's normalization. The
+		// row fold normalizes a copy of the total and samples it once
+		// for the process row (finishStep.draw); every member charges
+		// the normalization and the draw as its own.
 		r.SetPhase(PhaseProbability)
 		q := s.BuildQ(cur, ps.N)
 		r.ChargeKernels(1)
-		// Norm rewrites its operand, and the product is the process
-		// row's shared total: normalize this rank's own copy.
-		p := sparse.CopyCSRInto(&ps.arena(r.ID).normed, ps.SpGEMM15D(r, q))
-		s.Norm(p)
+		p, drawn := ps.spgemm15D(r, q, finishStep{s: s, cur: cur, size: width, seed: layerSeed})
 		r.ChargeMem(int64(p.NNZ()) * 16)
 
-		// Sampling: row-wise, local on every replica.
+		// Sampling: row-wise, the same on every replica.
 		r.SetPhase(PhaseSampling)
-		sampled, cost := core.SampleLayerwise(p, width, layerSeed)
+		sampled, cost := drawn.sampled, drawn.cost
 		r.ChargeSparse(cost.SampleOps)
 		r.ChargeKernels(1)
 

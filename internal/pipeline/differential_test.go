@@ -3,6 +3,7 @@ package pipeline_test
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"reflect"
@@ -214,6 +215,10 @@ var transformations = []row{
 			}
 			return s.run()
 		}},
+	// Every sample a run draws is the serial sampler's (checkSamples).
+	// With it the package's tests take ~4 s on two cores; keep them
+	// under 10 s.
+	{name: "samples", n: 64, short: 16, oracle: identical, twin: checkSamples},
 	// The overlapped schedule moves when work is charged, never what is
 	// computed.
 	{name: "overlap", n: 8, short: 8, oracle: sameTraining,
@@ -233,6 +238,174 @@ var transformations = []row{
 			s.Topology = cluster.OversubscribedTopology(4)
 			return s.run()
 		}},
+}
+
+// A sample is one bulk sample a rank drew, as the sample hook saw it.
+type sample struct {
+	rank, round int
+	chunk       [][]int
+	sizes       []int
+	epochSeed   int64
+	bulk        *core.BulkSample
+}
+
+// sampled runs fn with the sample hook collecting every draw, and
+// returns fn's result and the draws. Ranks draw on their own timelines,
+// side by side, so the hook locks.
+func sampled(fn func() (*pipeline.Result, error)) (*pipeline.Result, []sample, error) {
+	var mu sync.Mutex
+	var got []sample
+	pipeline.SetSampleHook(func(rank, round int, chunk [][]int, sizes []int, epochSeed int64, bulk *core.BulkSample) {
+		mu.Lock()
+		got = append(got, sample{rank, round, chunk, sizes, epochSeed, bulk})
+		mu.Unlock()
+	})
+	defer pipeline.SetSampleHook(nil)
+	res, err := fn()
+	return res, got, err
+}
+
+// checkSamples is the sample oracle: every bulk sample the spec's run
+// draws, on every rank in every round, must equal the serial sampler's
+// draw over the same chunk — core.SampleBulk at the epoch seed for the
+// bulk strategies, and Quiver's per-minibatch draw, core.SampleBulk of
+// the one-batch chunk at the epoch seed plus the round. It recomputes
+// each draw independently of the run, so a defect every run shares (a
+// stale, mis-seeded or mis-shared draw) fails here although it passes
+// every run-against-run row. Specs that can restore a checkpoint also
+// run with crashAndRestore's failures: the failed attempts' draws and
+// the restored run's are held to the same oracle. The run itself must
+// be identical to the reference: the hook only reads.
+func checkSamples(i int, s spec, ref *pipeline.Result) (*pipeline.Result, error) {
+	res, draws, err := sampled(s.run)
+	if err != nil {
+		return nil, err
+	}
+	if err := serialOracle(s, draws); err != nil {
+		return nil, err
+	}
+	noteCoverage(s)
+	if exact(s) && s.Epochs >= 2 {
+		_, draws, err := sampled(func() (*pipeline.Result, error) { return crashAndRestore(i, s, ref) })
+		if err == nil {
+			err = serialOracle(s, draws)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("crash and restore: %w", err)
+		}
+		sampleCoverage["crash"] = true
+	}
+	return res, nil
+}
+
+// serialOracle recomputes every draw with the serial sampler.
+func serialOracle(s spec, draws []sample) error {
+	if len(draws) == 0 {
+		return errors.New("the run drew no sample")
+	}
+	key := s.Sampler
+	if key == "" {
+		key = core.Samplers[0].Key
+	}
+	entry, err := core.SamplerByName(key)
+	if err != nil {
+		return err
+	}
+	sampler := entry.New(differentialData.Graph)
+	quiver := s.Algorithm == pipeline.Quiver || s.Algorithm == pipeline.QuiverUVA
+	for _, d := range draws {
+		if len(d.chunk) == 0 {
+			if err := holdsNoVertex(d.bulk); err != nil {
+				return fmt.Errorf("rank %d round %d, empty chunk: %w", d.rank, d.round, err)
+			}
+			continue
+		}
+		seed := d.epochSeed
+		if quiver {
+			seed += int64(d.round)
+		}
+		want := core.SampleBulk(sampler, differentialData.Graph.Adj, d.chunk, d.sizes, seed)
+		if err := sameSample(d.bulk, want); err != nil {
+			return fmt.Errorf("rank %d round %d (epoch seed %d, %d batches): %w", d.rank, d.round, d.epochSeed, len(d.chunk), err)
+		}
+	}
+	return nil
+}
+
+// holdsNoVertex checks the sample of an empty chunk: none at all, or
+// layers over empty frontiers (a partitioned rank joins its row's
+// collectives without a batch).
+func holdsNoVertex(b *core.BulkSample) error {
+	if b == nil {
+		return nil
+	}
+	for l, ls := range b.Layers {
+		if ls.Cols.Len() != 0 || ls.Adj.NNZ() != 0 {
+			return fmt.Errorf("layer %d holds %d vertices and %d edges", l, ls.Cols.Len(), ls.Adj.NNZ())
+		}
+	}
+	return nil
+}
+
+// sameSample compares two bulk samples bit for bit: batches, and per
+// layer the adjacency and both frontiers.
+func sameSample(got, want *core.BulkSample) error {
+	switch {
+	case got == nil:
+		return errors.New("no sample")
+	case !slices.EqualFunc(got.Batches, want.Batches, slices.Equal[[]int]):
+		return errors.New("batches differ")
+	case len(got.Layers) != len(want.Layers):
+		return fmt.Errorf("%d layers, want %d", len(got.Layers), len(want.Layers))
+	}
+	sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for l, g := range got.Layers {
+		w := want.Layers[l]
+		switch {
+		case g.Adj.Rows != w.Adj.Rows || g.Adj.Cols != w.Adj.Cols ||
+			!slices.Equal(g.Adj.RowPtr, w.Adj.RowPtr) || !slices.Equal(g.Adj.ColIdx, w.Adj.ColIdx) ||
+			!slices.EqualFunc(g.Adj.Val, w.Adj.Val, sameBits):
+			return fmt.Errorf("layer %d: adjacency differs", l)
+		case !slices.Equal(g.Rows.Vertices, w.Rows.Vertices) || !slices.Equal(g.Rows.BatchPtr, w.Rows.BatchPtr):
+			return fmt.Errorf("layer %d: row frontier differs", l)
+		case !slices.Equal(g.Cols.Vertices, w.Cols.Vertices) || !slices.Equal(g.Cols.BatchPtr, w.Cols.BatchPtr):
+			return fmt.Errorf("layer %d: sampled frontier differs", l)
+		}
+	}
+	return nil
+}
+
+// sampleKinds are the kinds of run the sample oracle must have seen
+// once its row has checked every spec it asks for: every strategy, the
+// partitioned one with every sampler under both fetch schemes, and the
+// schedules, restarts and fabrics that could change what a run draws.
+func sampleKinds() []string {
+	kinds := []string{"replicated", "quiver-gpu", "quiver-uva", "overlap", "multi-epoch", "crash", "contended"}
+	for _, e := range core.Samplers {
+		for _, aware := range []bool{true, false} {
+			kinds = append(kinds, fmt.Sprintf("partitioned(aware=%v) %s", aware, e.Key))
+		}
+	}
+	return kinds
+}
+
+// sampleCoverage records the kinds checkSamples has checked.
+var sampleCoverage = map[string]bool{}
+
+func noteCoverage(s spec) {
+	switch s.Algorithm {
+	case pipeline.GraphReplicated:
+		sampleCoverage["replicated"] = true
+	case pipeline.GraphPartitioned:
+		sampleCoverage[fmt.Sprintf("partitioned(aware=%v) %s", s.SparsityAware, s.Sampler)] = true
+	case pipeline.Quiver:
+		sampleCoverage["quiver-gpu"] = true
+	case pipeline.QuiverUVA:
+		sampleCoverage["quiver-uva"] = true
+	}
+	sampleCoverage["overlap"] = sampleCoverage["overlap"] || s.Overlap
+	sampleCoverage["multi-epoch"] = sampleCoverage["multi-epoch"] || s.Epochs > 1
+	sampleCoverage["contended"] = sampleCoverage["contended"] || s.Topology != nil
 }
 
 // runBesideSiblings runs spec i at the same time as the three specs
@@ -327,6 +500,15 @@ func TestDifferential(t *testing.T) {
 				continue
 			}
 			left[r]--
+		}
+	}
+	// A failing row stops early, so coverage means something only
+	// after a clean walk.
+	if !testing.Short() && !t.Failed() {
+		for _, kind := range sampleKinds() {
+			if !sampleCoverage[kind] {
+				t.Errorf("samples: no %s spec among those checked", kind)
+			}
 		}
 	}
 }

@@ -378,6 +378,15 @@ func (c Config) newModel(d *datasets.Dataset) *gnn.Model {
 	})
 }
 
+// sampleHook, when set, receives every bulk sample a rank draws, once
+// per round: the rank, the round, the rank's chunk of minibatches, the
+// per-layer sizes, the epoch's sampling seed and the sample (nil for a
+// Quiver rank without a batch that round). It runs on the rank's
+// timeline, beside other ranks' timelines, and must only read the
+// sample. Only tests set it (the differential harness's sample oracle),
+// between runs.
+var sampleHook func(rank, round int, chunk [][]int, sizes []int, epochSeed int64, bulk *core.BulkSample)
+
 // newAttempt builds the algorithm's sampling and feature-fetch stages
 // for one cluster run of the normalised cfg over the (MaxBatches-
 // truncated) global batch list, on the attempt's freshly built grid and
@@ -487,6 +496,9 @@ func newAttempt(d *datasets.Dataset, cfg Config, sched schedule, batches [][]int
 						rs.PushPhase(PhaseSampling) // nested level for the driver's sub-phases
 						cur = sample(rs, chunk, round, epochSeed)
 						rs.PopPhase()
+						if sampleHook != nil {
+							sampleHook(rs.ID, round, chunk, cfg.sizes, epochSeed, cur)
+						}
 					}
 					var it item
 					if bi := t*sched.trainStride + trainOffset; bi < len(chunk) {
