@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"runtime"
 	"sort"
@@ -12,6 +13,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/datasets"
+	"repro/internal/dense"
 	"repro/internal/pipeline"
 	"repro/internal/resilience"
 )
@@ -149,9 +151,22 @@ func Perf(w io.Writer, o Options) ([]PerfRow, error) {
 		}
 		rows = append(rows, row)
 	}
+	// Host cost of the dense kernels alone: no simulated time, so
+	// sim_sec is 0.
+	round := denseProducts()
+	row, err := measurePerf(w, "kernel-dense-products", func() (float64, int, error) {
+		for i := 0; i < denseProductRounds; i++ {
+			round()
+		}
+		return 0, 0, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	rows = append(rows, row)
 	// Host cost of building the benchmark's largest dataset from
 	// scratch: no simulated time, so sim_sec is 0.
-	row, err := measurePerf(w, "build-products-bench", func() (float64, int, error) {
+	row, err = measurePerf(w, "build-products-bench", func() (float64, int, error) {
 		_, err := datasets.Build("products", datasets.Bench)
 		return 0, 0, err
 	})
@@ -159,6 +174,74 @@ func Perf(w io.Writer, o Options) ([]PerfRow, error) {
 		return nil, err
 	}
 	return append(rows, row), nil
+}
+
+// denseProductRounds is how many rounds of denseProducts the
+// kernel-dense-products row runs: ~0.25 s at the vector kernels' rate on a 2-core
+// host, so that a kernel running at half speed breaches the wall
+// gate's 25 % plus 0.1 s.
+const denseProductRounds = 32
+
+// denseProducts returns one round of the kernel-dense-products row:
+// MatMulInto, MatMulTInto and TMatMulInto at the shapes one training
+// step runs on replicated-bulk (the Bench profile: 32 features, hidden
+// width 64, frontiers of 4000 and 700 rows) and on contended-overlap
+// and largep-des (the Scale profile: 8 features, 16 seeds, 47
+// classes). A ReLU-zeroed operand stands in for a hidden activation or
+// its gradient. Inputs and destinations are built here, once, so the
+// row measures the kernels alone; the products run one after another,
+// each on the calling goroutine at GOMAXPROCS=1.
+func denseProducts() func() {
+	rng := rand.New(rand.NewSource(1))
+	mat := func(rows, cols int, relu bool) *dense.Matrix {
+		m := dense.New(rows, cols)
+		for i := range m.Data {
+			m.Data[i] = rng.NormFloat64()
+		}
+		if relu {
+			dense.ReLUInto(m, m)
+		}
+		return m
+	}
+	var products []func()
+	matMul := func(rows, inner, cols int, relu bool) {
+		c, a, b := dense.New(rows, cols), mat(rows, inner, relu), mat(inner, cols, false)
+		products = append(products, func() { dense.MatMulInto(c, a, b) })
+	}
+	matMulT := func(rows, inner, cols int) {
+		c, a, b, bt := dense.New(rows, cols), mat(rows, inner, true), mat(cols, inner, false), dense.New(inner, cols)
+		products = append(products, func() { dense.MatMulTInto(c, a, b, bt) })
+	}
+	tMatMul := func(batch, rows, cols int, relu bool) {
+		c, a, b := dense.New(rows, cols), mat(batch, rows, relu), mat(batch, cols, true)
+		products = append(products, func() { dense.TMatMulInto(c, a, b) })
+	}
+	matMul(4000, 32, 64, false)
+	matMul(700, 64, 64, true)
+	matMulT(700, 64, 64)
+	tMatMul(4000, 32, 64, false)
+	tMatMul(700, 64, 64, true)
+	bench := products
+	products = nil
+	matMul(96, 8, 64, false)
+	matMul(16, 64, 64, true)
+	matMul(16, 64, 47, true)
+	matMulT(16, 47, 64)
+	tMatMul(16, 64, 47, true)
+	tMatMul(96, 8, 64, false)
+	scale := products
+	// The Scale products run 100 times per Bench step: about as many
+	// multiply-adds, in small calls whose fixed cost weighs most.
+	return func() {
+		for _, p := range bench {
+			p()
+		}
+		for i := 0; i < 100; i++ {
+			for _, p := range scale {
+				p()
+			}
+		}
+	}
 }
 
 // measurePerf runs one workload perfReps times, prints its row and

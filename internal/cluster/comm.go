@@ -220,6 +220,9 @@ type rendezvous struct {
 	// next node collective, which their leader joins before it can
 	// arrive here again.
 	sums [3]*sumFold
+	// folds holds AllReduceGenericInto's fold records on the same ring,
+	// one per (contribution, destination) type pair (see depositFold).
+	folds [3][]any
 	// msgs holds the all-to-allv contribution tables, one per payload
 	// type (see depositMsg).
 	msgs   []any
@@ -801,16 +804,11 @@ func allReduceSum(c *Comm, r *Rank, x []float64, alg CollectiveAlgorithm, apply 
 	slots, entry := c.exchangeTransform(r, "allreduce", slot{clock: r.clock, vec: x, bytes: 8 * len(x)}, nil,
 		func(slots []slot) []slot {
 			f := c.rv.sumRecord()
-			maxBytes := 0
 			for i, s := range slots {
 				f.vals[i] = s.vec
-				maxBytes = max(maxBytes, s.bytes)
-			}
-			for i := range slots {
 				slots[i].val = f
-				slots[i].bytes = maxBytes
 			}
-			return slots
+			return shareMaxBytes(slots)
 		}, true)
 	f := slots[0].val.(*sumFold)
 	f.run(c, "allreduce", func() { f.sum(apply) })
@@ -860,30 +858,57 @@ func AllReduceGenericInto[T, D any](c *Comm, r *Rank, val T, bytes int, dest D, 
 	if alg != Ring {
 		alg = FlatTree
 	}
-	type contrib struct {
-		val  T
-		dest D
-	}
-	slots, entry := c.exchangeTransform(r, "allreduce-generic", slot{clock: r.clock, val: contrib{val, dest}, bytes: bytes}, nil,
-		func(slots []slot) []slot {
-			f := &fold[T, D]{vals: make([]T, len(slots)), dests: make([]D, len(slots))}
-			maxBytes := 0
-			for i, s := range slots {
-				cb := s.val.(contrib)
-				f.vals[i], f.dests[i] = cb.val, cb.dest
-				maxBytes = max(maxBytes, s.bytes)
-			}
-			for i := range slots {
-				slots[i].val = f
-				slots[i].bytes = maxBytes
-			}
-			return slots
-		}, true)
+	// The contribution goes into the generation's reused fold record,
+	// so a warm call allocates nothing.
+	slots, entry := c.exchangeTransform(r, "allreduce-generic", slot{clock: r.clock, bytes: bytes},
+		func(idx int) any { return depositFold(c.rv, idx, val, dest) }, shareMaxBytes, true)
 	f := slots[0].val.(*fold[T, D])
 	f.run(c, "allreduce-generic", func() { reduce(f.vals, f.dests) })
 	me := c.LocalIndex(r)
 	c.chargeCollective(r, "allreduce-generic", entry, allReduceCost(c, alg, slots[me].bytes, bytes))
 	return f.dests[me]
+}
+
+// depositFold records member idx's contribution and destination in the
+// generation's fold record for (T, D) and returns the record as the
+// member's slot value. Caller holds rv.mu (at the member's arrival).
+// The records sit on the rendezvous ring beside the sum's (see
+// rendezvous.sums): generation g's is emptied at g+3's first arrival,
+// which needs every member to have arrived at g+2 and so to have
+// returned from g.
+func depositFold[T, D any](rv *rendezvous, idx int, val T, dest D) *fold[T, D] {
+	ring := &rv.folds[rv.gen%3]
+	var f *fold[T, D]
+	for _, x := range *ring {
+		if g, ok := x.(*fold[T, D]); ok {
+			f = g
+			break
+		}
+	}
+	if f == nil {
+		f = &fold[T, D]{}
+		*ring = append(*ring, f)
+	}
+	if rv.arrived == 0 {
+		f.vals, f.dests = resize(f.vals, rv.n), resize(f.dests, rv.n)
+		f.once, f.failed = sync.Once{}, nil
+	}
+	f.vals[idx], f.dests[idx] = val, dest
+	return f
+}
+
+// shareMaxBytes is the all-reduces' common transform step (all of
+// AllReduceGenericInto's): every member is charged on the largest
+// contribution.
+func shareMaxBytes(slots []slot) []slot {
+	maxBytes := 0
+	for _, s := range slots {
+		maxBytes = max(maxBytes, s.bytes)
+	}
+	for i := range slots {
+		slots[i].bytes = maxBytes
+	}
+	return slots
 }
 
 // fold is one all-reduce generation's gathered contributions, in member

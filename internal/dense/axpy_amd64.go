@@ -24,10 +24,15 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
 
-// The assembly bodies require len(b), len(b0), len(b1) >= len(c).
+// The assembly bodies require len(b), len(b0), len(b1) >= len(c), and
+// productRowAsm what productRow checks: len(c) >= 1, k >= 1, and a and
+// b holding every element the chain reads.
 
 //go:noescape
 func axpyAsm(c []float64, a float64, b []float64)
 
 //go:noescape
 func axpy2Asm(c []float64, a0 float64, b0 []float64, a1 float64, b1 []float64)
+
+//go:noescape
+func productRowAsm(c []float64, a []float64, lda int, b []float64, ldb int, k int, cont bool, skip bool)

@@ -22,12 +22,14 @@ func benchReLU(r, c int) *Matrix {
 	return m
 }
 
-// The product benchmarks run the shapes of the benchmark's
-// replicated-bulk workload (products at the Bench profile: 32 features,
-// hidden width 64, frontiers of about 4000 and 700 rows): the first
-// convolution multiplies dense features, the second a half-zero hidden
-// activation. Each product writes into a destination allocated once, as
-// the model's workspace does.
+// The product benchmarks run the shapes of two benchmark workloads.
+// "layer0"/"layer1" are replicated-bulk's (the Bench profile: 32
+// features, hidden width 64, frontiers of about 4000 and 700 rows): the
+// first convolution multiplies dense features, the second a half-zero
+// hidden activation. "scale*" are the small products contended-overlap
+// and largep-des run (the Scale profile: 8 features, 16 seeds, 47
+// classes), where a call's fixed cost weighs most. Each product writes
+// into a destination allocated once, as the model's workspace does.
 func benchProduct(b *testing.B, f func(c, x, y *Matrix) int64, c, x, y *Matrix) {
 	b.ReportAllocs()
 	var flops int64
@@ -40,6 +42,9 @@ func benchProduct(b *testing.B, f func(c, x, y *Matrix) int64, c, x, y *Matrix) 
 func BenchmarkMatMul(b *testing.B) {
 	b.Run("layer0", func(b *testing.B) { benchProduct(b, MatMulInto, New(4000, 64), benchMat(4000, 32), benchMat(32, 64)) })
 	b.Run("layer1", func(b *testing.B) { benchProduct(b, MatMulInto, New(700, 64), benchReLU(700, 64), benchMat(64, 64)) })
+	b.Run("scale0", func(b *testing.B) { benchProduct(b, MatMulInto, New(96, 64), benchMat(96, 8), benchMat(8, 64)) })
+	b.Run("scale1", func(b *testing.B) { benchProduct(b, MatMulInto, New(16, 64), benchReLU(16, 64), benchMat(64, 64)) })
+	b.Run("scaleOut", func(b *testing.B) { benchProduct(b, MatMulInto, New(16, 47), benchReLU(16, 64), benchMat(64, 47)) })
 }
 
 func BenchmarkMatMulT(b *testing.B) {
@@ -51,6 +56,8 @@ func BenchmarkMatMulT(b *testing.B) {
 func BenchmarkTMatMul(b *testing.B) {
 	b.Run("layer0", func(b *testing.B) { benchProduct(b, TMatMulInto, New(32, 64), benchMat(4000, 32), benchReLU(4000, 64)) })
 	b.Run("layer1", func(b *testing.B) { benchProduct(b, TMatMulInto, New(64, 64), benchReLU(700, 64), benchReLU(700, 64)) })
+	b.Run("scale0", func(b *testing.B) { benchProduct(b, TMatMulInto, New(8, 64), benchMat(96, 8), benchReLU(96, 64)) })
+	b.Run("scaleOut", func(b *testing.B) { benchProduct(b, TMatMulInto, New(64, 47), benchReLU(16, 64), benchMat(16, 47)) })
 }
 
 func BenchmarkCrossEntropy(b *testing.B) {

@@ -102,7 +102,8 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 	}
 }
 
-// eachBody runs f under every body of Axpy/Axpy2 this platform has.
+// eachBody runs f under every body of productRow, Axpy and Axpy2 this
+// platform has.
 func eachBody(t *testing.T, f func(t *testing.T)) {
 	defer func(was bool) { useAsm = was }(useAsm)
 	for _, asm := range []bool{true, false} {
@@ -147,13 +148,26 @@ func TestKernelsMatchScalarReference(t *testing.T) {
 				t.Fatalf("TMatMulInto %s: flops %d, want %d", what, f, flops)
 			}
 		}
-		for _, cols := range []int{1, 3, 7, 8, 9, 47, 64} {
+		// Column counts straddle productRow's tile (tileWidth = 32) and
+		// its 4-lane groups.
+		for _, cols := range []int{1, 3, 7, 8, 9, 31, 32, 33, 40, 47, 63, 64, 65, 96} {
 			for _, rows := range []int{0, 1, 2, 5, 12} {
 				for _, inner := range []int{1, 2, 7, 33} {
 					for _, zeroFrac := range []float64{0, 0.5, 1} {
 						check(rows, inner, cols, zeroFrac, false)
 						check(rows, inner, cols, zeroFrac, true)
 					}
+				}
+			}
+		}
+		// Inner lengths straddling TMatMulInto's row chunk: its chains
+		// continue from one chunk into the next.
+		ch := tMatMulChunk
+		for _, cols := range []int{1, 33, 47} {
+			for _, inner := range []int{ch - 1, ch, ch + 1, 2*ch + 1} {
+				for _, zeroFrac := range []float64{0, 0.5} {
+					check(5, inner, cols, zeroFrac, false)
+					check(5, inner, cols, zeroFrac, true)
 				}
 			}
 		}
@@ -182,6 +196,41 @@ func TestAxpyBodiesAgree(t *testing.T) {
 				Axpy2(out[body], a1, b1, a0, b0)
 			}
 			sameBits(t, fmt.Sprintf("n=%d specials %v", n, specials), out[0], out[1])
+		}
+	}
+}
+
+// TestProductRowBodiesAgree holds the assembly body of productRow to the
+// Go body on arbitrary strides and c's own values, which the products
+// above never pass: continuation from any c (−0 and non-finite values
+// included), skipped and unskipped steps, every width through two full
+// tiles and a tail.
+func TestProductRowBodiesAgree(t *testing.T) {
+	if !asmSupported() {
+		t.Skip("one body on this platform")
+	}
+	defer func(was bool) { useAsm = was }(useAsm)
+	rng := rand.New(rand.NewSource(11))
+	for n := 0; n <= 70; n++ {
+		for _, k := range []int{0, 1, 2, 9} {
+			for _, specials := range []bool{false, true} {
+				lda, ldb := 1+rng.Intn(3), n+rng.Intn(3)
+				a := kernelMat(rng, 1, k*lda, 0.3, specials).Data
+				b := kernelMat(rng, 1, k*ldb+n, 0.1, specials).Data
+				c := kernelMat(rng, 1, n, 0.1, specials).Data
+				for _, cont := range []bool{false, true} {
+					for _, skip := range []bool{false, true} {
+						var out [2][]float64
+						for body, asm := range []bool{true, false} {
+							useAsm = asm
+							out[body] = append([]float64(nil), c...)
+							productRow(out[body], a, lda, b, ldb, k, cont, skip)
+						}
+						sameBits(t, fmt.Sprintf("n=%d k=%d lda=%d ldb=%d cont %v skip %v specials %v",
+							n, k, lda, ldb, cont, skip, specials), out[0], out[1])
+					}
+				}
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 // Package dense provides the row-major dense matrix kernels used for
-// GNN forward and backward propagation: blocked parallel matrix
-// multiplication, elementwise activations, softmax cross-entropy, and
+// GNN forward and backward propagation: matrix products built on one
+// register-tiled row kernel (productRow) and split over row stripes
+// when large, elementwise activations, softmax cross-entropy, and
 // parameter initialization.
 package dense
 
@@ -62,11 +63,11 @@ func (m *Matrix) AddInPlace(b *Matrix) {
 
 // Every product below overwrites a caller-owned destination of the
 // result's shape (whatever it held) and returns the multiply-add count.
-// All inner loops are Axpy/Axpy2, each output element accumulates its
-// terms from +0 in ascending order of the contracted index, and
-// MatMulInto and TMatMulInto skip the terms whose left factor is exactly
-// zero — so a product returns the same bits whichever body Axpy runs and
-// however rows are split across workers.
+// Each is a loop of productRow calls: every output element accumulates
+// its terms from +0 in ascending order of the contracted index, and
+// MatMulInto and TMatMulInto skip the terms whose left factor is ±0 —
+// so a product returns the same bits whichever body productRow runs
+// and however rows are split across workers.
 
 // MatMulInto computes C = A * B into c, parallelized over row stripes
 // of A.
@@ -85,29 +86,9 @@ func MatMulInto(c, a, b *Matrix) int64 {
 }
 
 func matMulRows(c, a, b *Matrix, lo, hi int) {
-	n := b.Cols
+	n, k := b.Cols, a.Cols
 	for i := lo; i < hi; i++ {
-		ci := c.Data[i*n : (i+1)*n]
-		clear(ci)
-		ai := a.Data[i*a.Cols : (i+1)*a.Cols]
-		// Pairs of k share one pass over ci; (c + x) + y is the scalar
-		// loop's schedule whether the adds sit in one pass or two.
-		k := 0
-		for ; k+1 < len(ai); k += 2 {
-			a0, a1 := ai[k], ai[k+1]
-			switch {
-			case a0 == 0 && a1 == 0:
-			case a1 == 0:
-				Axpy(ci, a0, b.Data[k*n:(k+1)*n])
-			case a0 == 0:
-				Axpy(ci, a1, b.Data[(k+1)*n:(k+2)*n])
-			default:
-				Axpy2(ci, a0, b.Data[k*n:(k+1)*n], a1, b.Data[(k+1)*n:(k+2)*n])
-			}
-		}
-		if k < len(ai) && ai[k] != 0 {
-			Axpy(ci, ai[k], b.Data[k*n:(k+1)*n])
-		}
+		productRow(c.Data[i*n:(i+1)*n], a.Data[i*k:], 1, b.Data, n, k, false, true)
 	}
 }
 
@@ -137,56 +118,38 @@ func MatMulTInto(c, a, b, bt *Matrix) int64 {
 }
 
 func matMulTRows(c, a, bt *Matrix, lo, hi int) {
-	n := bt.Cols
+	n, k := bt.Cols, a.Cols
 	for i := lo; i < hi; i++ {
-		ci := c.Data[i*n : (i+1)*n]
-		clear(ci)
-		ai := a.Data[i*a.Cols : (i+1)*a.Cols]
-		k := 0
-		for ; k+1 < len(ai); k += 2 {
-			Axpy2(ci, ai[k], bt.Data[k*n:(k+1)*n], ai[k+1], bt.Data[(k+1)*n:(k+2)*n])
-		}
-		if k < len(ai) {
-			Axpy(ci, ai[k], bt.Data[k*n:(k+1)*n])
-		}
+		productRow(c.Data[i*n:(i+1)*n], a.Data[i*k:], 1, bt.Data, n, k, false, false)
 	}
 }
 
+// tMatMulChunk is how many rows of A and B one pass of TMatMulInto
+// reads: at the model's widths (up to 64 + 64 columns) a chunk of both
+// is at most 64 KiB, so each output row's chain over the chunk finds
+// them in L1/L2 instead of streaming all of B from L2 once per output
+// strip.
+const tMatMulChunk = 64
+
 // TMatMulInto computes C = A^T * B into c. Serial: the output is small
 // (feature x feature) in GNN training while a.Rows, the batch
-// dimension, is large. Row pairs share one pass over each stripe of c;
-// for a fixed (k, j) the adds still land in ascending-i order.
+// dimension and the contracted index, is large. The rows are walked in
+// chunks of tMatMulChunk, every output row continuing its chain from
+// the previous chunk, so for a fixed (k, j) the adds still land in
+// ascending-i order.
 func TMatMulInto(c, a, b *Matrix) int64 {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("dense: TMatMul dims (%dx%d)^T * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	checkDst("TMatMul", c, a.Cols, b.Cols)
-	c.Zero()
 	m, n := a.Cols, b.Cols
-	i := 0
-	for ; i+1 < a.Rows; i += 2 {
-		a0, a1 := a.Data[i*m:(i+1)*m], a.Data[(i+1)*m:(i+2)*m]
-		b0, b1 := b.Data[i*n:(i+1)*n], b.Data[(i+1)*n:(i+2)*n]
-		for k, v0 := range a0 {
-			v1 := a1[k]
-			ck := c.Data[k*n : (k+1)*n]
-			switch {
-			case v0 == 0 && v1 == 0:
-			case v1 == 0:
-				Axpy(ck, v0, b0)
-			case v0 == 0:
-				Axpy(ck, v1, b1)
-			default:
-				Axpy2(ck, v0, b0, v1, b1)
-			}
-		}
+	if a.Rows == 0 {
+		c.Zero()
 	}
-	if i < a.Rows {
-		bi := b.Data[i*n : (i+1)*n]
-		for k, av := range a.Data[i*m : (i+1)*m] {
-			if av != 0 {
-				Axpy(c.Data[k*n:(k+1)*n], av, bi)
-			}
+	for i0 := 0; i0 < a.Rows; i0 += tMatMulChunk {
+		rows := min(tMatMulChunk, a.Rows-i0)
+		for k := 0; k < m; k++ {
+			productRow(c.Data[k*n:(k+1)*n], a.Data[i0*m+k:], m, b.Data[i0*n:], n, rows, i0 > 0, true)
 		}
 	}
 	return int64(a.Rows) * int64(a.Cols) * int64(b.Cols)
@@ -201,11 +164,15 @@ func checkDst(op string, c *Matrix, rows, cols int) {
 // parallelMinWork is the multiply-add count below which a kernel runs
 // on the calling goroutine. Spawning and joining a goroutine set costs
 // a few microseconds and a futex wake per worker — what 2^15 to 2^16
-// multiply-adds cost at the vector kernels' rate. Against fanning out
-// every call, serialising those under 2^17 measured -23 % epoch wall
-// time on the p=128 contended-overlap workload and -8 % on largep-des
-// (p=2048), whose minibatches are small, and changes nothing on
-// replicated-bulk, whose products are 20 to 60 times the threshold.
+// multiply-adds cost at the rate of the Axpy/Axpy2 row-update products
+// (3.4–4.7 Gmadd/s per core), which is what the break-even below was
+// measured with. Against fanning out every call, serialising those
+// under 2^17 measured -23 % epoch wall time on the p=128
+// contended-overlap workload and -8 % on largep-des (p=2048), whose
+// minibatches are small, and changes nothing on replicated-bulk, whose
+// products are 20 to 60 times the threshold. productRow runs about
+// twice that rate, so the break-even may now sit higher; it has not
+// been re-measured.
 const parallelMinWork = 1 << 17
 
 // Serial reports whether a kernel over rows rows performing work
