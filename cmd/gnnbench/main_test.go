@@ -60,6 +60,7 @@ func TestBadInputIsAnError(t *testing.T) {
 		{"perfout outside perf", []string{"-experiment", "scaling", "-perfout", "x.json"}, "-perfout applies only to -experiment perf"},
 		{"perfbaseline outside perf", []string{"-experiment", "all", "-perfbaseline", "x.json"}, "-perfbaseline applies only to -experiment perf"},
 		{"zero gpu count", []string{"-experiment", "fig4", "-gpus", "4,0"}, "bad GPU count 0"},
+		{"duplicate gpu count", []string{"-experiment", "fig4", "-gpus", "4,4"}, "bad GPU count list: 4 listed twice"},
 		{"gpus on table3", []string{"-experiment", "table3", "-gpus", "8"}, "-gpus does not apply to -experiment table3"},
 		{"gpus on partition", []string{"-experiment", "partition", "-gpus", "8"}, "-gpus does not apply to -experiment partition"},
 		{"negative maxbatches, sampling-only experiment", []string{"-experiment", "table3", "-maxbatches", "-3"}, "bad -maxbatches -3"},

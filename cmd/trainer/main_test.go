@@ -75,6 +75,7 @@ func TestFlagCombinations(t *testing.T) {
 		{"negative epochs", []string{"-epochs", "-1"}, "negative epoch count"},
 		{"zero epochs", []string{"-epochs", "0"}, "bad -epochs 0"},
 		{"zero learning rate", []string{"-lr", "0"}, "bad -lr 0"},
+		{"infinite learning rate", []string{"-lr", "Inf"}, "learning rate +Inf: must be positive and finite"},
 		{"zero c", []string{"-c", "0"}, "bad -c 0"},
 		{"negative maxbatches", []string{"-maxbatches", "-3"}, "MaxBatches=-3"},
 		{"unknown sampler", []string{"-sampler", "bogus"}, `unknown sampler "bogus"`},

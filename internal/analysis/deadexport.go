@@ -7,16 +7,18 @@ import (
 	"strings"
 )
 
-// Deadexport keeps the library to what the programs (cmd/*, examples/*,
-// benchmark/: the `package main` directories) use. A package-level
-// declaration of a library package is a finding when no non-test file
-// uses it outside the declaration itself; an exported field of a named
-// struct is one when no non-test code writes it (literal, assignment,
-// address, pointer-method call). A method also counts as used when an
-// interface the module declares or names has its name, or when it is
-// String, Error or Unwrap. Packages named "…test" are exempt. It is
-// direct use, not reachability: a name only dead code uses surfaces
-// once that code goes.
+// Deadexport keeps the library to what the programs (cmd/*, benchmark/:
+// the `package main` directories) use. A package-level declaration of a
+// library package is a finding when no non-test file uses it outside
+// the declaration itself; an exported field of a named struct is one
+// when no non-test code writes it (literal, assignment, address,
+// pointer-method call). A method also counts as used when an interface
+// the module declares or names has its name, or when it is String,
+// Error or Unwrap. A program under <module>/examples/ is a walkthrough
+// of the public facade, not a root: its uses count only for names the
+// module's root package declares, and its field writes not at all.
+// Packages named "…test" are exempt. It is direct use, not
+// reachability: a name only dead code uses surfaces once that code goes.
 var Deadexport = &Analyzer{
 	Name: "deadexport",
 	Doc:  "flag package-level declarations no non-test code uses and exported struct fields no non-test code writes",
@@ -40,8 +42,20 @@ func newUseIndex() *useIndex {
 // add records the uses, field writes and interface method names of the
 // package's non-test files, one declaration (or spec) at a time.
 func (u *useIndex) add(pkg *Package) {
+	root, _, example := strings.Cut(pkg.Path, "/examples/")
 	for _, f := range pkg.Files {
 		if isTestFile(pkg.Fset, f) {
+			continue
+		}
+		if example {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					if obj := pkg.Info.Uses[id]; obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == root {
+						u.used[declPos(obj)] = true
+					}
+				}
+				return true
+			})
 			continue
 		}
 		for _, d := range f.Decls {

@@ -1,9 +1,17 @@
 // Fixture: a library package. Its names count as used only when a
-// non-test file — here cmd/tool, a program — uses them.
+// non-test file — here cmd/tool, a program, or the root facade — uses
+// them.
 package lib
 
 // ForMain is used only by a program: live.
 func ForMain() int { return 1 }
+
+// ForFacade is used only by the root facade: live.
+func ForFacade() int { return 5 }
+
+// OnlyExample is called only from examples/walk, which keeps alive the
+// facade's names alone.
+func OnlyExample() int { return 6 } // want `func OnlyExample has no non-test use`
 
 // OnlyTested is called only from lib_test.go.
 func OnlyTested() int { return 2 } // want `func OnlyTested has no non-test use`
@@ -50,6 +58,8 @@ type Config struct {
 	Pointed  int     // its address is taken
 	Counter  Counter // a pointer method is called on it
 	TestOnly int     // want `field Config\.TestOnly is written by no non-test code`
+	// ByExample is set only by examples/walk's literal.
+	ByExample int // want `field Config\.ByExample is written by no non-test code`
 	//gnnvet:allow deadexport — fixture: an audited knob only tests set
 	Audited int
 	hidden  int // unexported fields are not checked
@@ -63,7 +73,7 @@ func (c *Counter) Inc() { c.N++ }
 
 // Get reads every Config field.
 func (c Config) Get() int {
-	return c.Keyed + c.Assigned + c.Pointed + c.Counter.N + c.TestOnly + c.Audited + c.hidden
+	return c.Keyed + c.Assigned + c.Pointed + c.Counter.N + c.TestOnly + c.ByExample + c.Audited + c.hidden
 }
 
 type testOnlyType struct{} // want `type testOnlyType has no non-test use`

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -71,15 +72,18 @@ func ParseInts(s string) ([]int, error) {
 }
 
 // ParseGPUCounts parses a -gpus flag: a comma-separated list of
-// strictly positive simulated GPU counts.
+// distinct, strictly positive simulated GPU counts.
 func ParseGPUCounts(s string) ([]int, error) {
 	counts, err := ParseInts(s)
 	if err != nil {
 		return nil, fmt.Errorf("bad GPU count list: %w", err)
 	}
-	for _, c := range counts {
+	for i, c := range counts {
 		if c <= 0 {
 			return nil, fmt.Errorf("bad GPU count %d: must be positive", c)
+		}
+		if slices.Contains(counts[:i], c) {
+			return nil, fmt.Errorf("bad GPU count list: %d listed twice", c)
 		}
 	}
 	return counts, nil

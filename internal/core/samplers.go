@@ -13,18 +13,20 @@ import (
 // algorithm's two sampler-dependent lines, and LayerWise says which of
 // its two SAMPLE/EXTRACT shapes follows them, so a driver that computes
 // P = Q·A its own way (internal/distsample's 1.5D SpGEMM) runs any
-// sampler through these three methods alone. Step is the whole layer
-// over a matrix held in one piece.
+// sampler through these three methods alone. Step samples a whole layer
+// from A held in one piece: the layer adjacency and the next frontier,
+// drawn with fanout s and the given seed for ITS.
 type Sampler interface {
-	LayerStepper
+	Step(a *sparse.CSR, cur *Frontier, s int, seed int64) (*LayerSample, Cost)
 	Name() string
 	// LayerWise reports the family. A node-wise sampler has one row of Q
 	// per frontier vertex, draws s neighbours per row and completes a
 	// layer from P with a FinishStep(p, cur, s, seed) method that only
-	// reads P (SAGE.FinishStep; the package FinishStep, which normalizes
-	// P in place, is its reference); a layer-wise one has one row per batch,
-	// draws s vertices per batch (SampleLayerwise) and extracts the
-	// frontier's rows and the sampled columns of A (ExtractLayerwise).
+	// reads P (SAGE.FinishStep; its reference, which normalizes P in
+	// place, is FinishStep in sage_fused_test.go); a layer-wise one has
+	// one row per batch, draws s vertices per batch (SampleLayerwise) and
+	// extracts the frontier's rows and the sampled columns of A
+	// (ExtractLayerwise).
 	LayerWise() bool
 	// BuildQ constructs the stacked sampler matrix Q^l over n vertices.
 	BuildQ(cur *Frontier, n int) *sparse.CSR

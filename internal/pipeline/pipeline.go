@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -220,8 +221,8 @@ func (c Config) normalised(d *datasets.Dataset) (Config, error) {
 		return c, fmt.Errorf("pipeline: negative epoch count %d", c.Epochs)
 	case c.MaxBatches < 0:
 		return c, fmt.Errorf("pipeline: negative batch cap MaxBatches=%d (0 = all batches)", c.MaxBatches)
-	case !(c.LR > 0):
-		return c, fmt.Errorf("pipeline: learning rate %v: must be positive", c.LR)
+	case !(c.LR > 0) || math.IsInf(c.LR, 1):
+		return c, fmt.Errorf("pipeline: learning rate %v: must be positive and finite", c.LR)
 	case c.CkptInterval < 0:
 		return c, fmt.Errorf("pipeline: negative checkpoint interval %d", c.CkptInterval)
 	}

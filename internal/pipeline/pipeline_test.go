@@ -196,6 +196,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{Config{P: 2, Epochs: -1}, []string{"negative epoch count"}},
 		{Config{P: 2, MaxBatches: -3}, []string{"MaxBatches=-3"}},
 		{Config{P: 2, LR: -0.1}, []string{"learning rate"}},
+		{Config{P: 2, LR: math.Inf(1)}, []string{"learning rate +Inf: must be positive and finite"}},
 		{Config{P: 2, CkptInterval: -1}, []string{"negative checkpoint interval"}},
 	} {
 		_, err := Run(d, c.cfg)

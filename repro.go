@@ -94,7 +94,7 @@ func LADIES() Sampler { return core.LADIES{} }
 // SampleBulk samples every minibatch in batches at once with the
 // matrix-based bulk approach (Algorithm 1 over the stacked matrices of
 // Equation 1). fanouts[0] applies at the batch layer.
-func SampleBulk(s core.LayerStepper, adj *CSR, batches [][]int, fanouts []int, seed int64) *BulkSample {
+func SampleBulk(s Sampler, adj *CSR, batches [][]int, fanouts []int, seed int64) *BulkSample {
 	return core.SampleBulk(s, adj, batches, fanouts, seed)
 }
 

@@ -41,16 +41,6 @@ func TestPublicSamplers(t *testing.T) {
 	}
 }
 
-func TestPublicClusterGCN(t *testing.T) {
-	d := ProductsLike(Tiny)
-	cg := core.NewClusterGCN(d.Graph.Adj, 4, 1)
-	batches := cg.Batches(2, 1)
-	bulk := SampleBulk(cg, d.Graph.Adj, batches, []int{0}, 1)
-	if err := bulk.Validate(d.Graph.NumVertices()); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPublicTrainAndEvaluate(t *testing.T) {
 	d := tinyDataset()
 	cfg := TrainConfig{P: 2, C: 1, Epochs: 2, Seed: 1, LR: 0.02, MaxBatches: 8}
