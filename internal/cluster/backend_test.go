@@ -61,7 +61,7 @@ func TestDESMismatchedCollectivesDiagnostic(t *testing.T) {
 			if !strings.Contains(m, "mismatched collectives") {
 				t.Fatalf("rank %d: panic lacks diagnosis: %q", rank, m)
 			}
-			if !strings.Contains(m, "backend=des") || !strings.Contains(m, "queued events") ||
+			if !strings.Contains(m, "queued events") ||
 				!strings.Contains(m, "waiting for the gate") {
 				t.Fatalf("rank %d: panic lacks the scheduler diagnostics: %q", rank, m)
 			}
@@ -95,7 +95,7 @@ func TestDESAbandonedCollectiveDiagnostic(t *testing.T) {
 		}
 		for rank, msg := range msgs[1:] {
 			if !strings.Contains(msg, "deadlock") || !strings.Contains(msg, "rank 0") ||
-				!strings.Contains(msg, "backend=des") {
+				!strings.Contains(msg, "queued events") {
 				t.Fatalf("rank %d woke with %q", rank+1, msg)
 			}
 		}
@@ -126,7 +126,7 @@ func TestDESDeadlockNamesParkedTimelines(t *testing.T) {
 				return nil
 			})
 		}()
-		want := `deadlock: 3 timelines parked with no pending events [backend=des]: ` +
+		want := `deadlock: 3 timelines parked with no pending events: ` +
 			`rank 0 stream "" in barrier on comm [0 1] (dup ""); ` +
 			`rank 1 stream "" in Join; rank 1 stream "consumer" in Queue.Recv`
 		if !strings.Contains(msg, want) {

@@ -2,7 +2,7 @@ package cluster
 
 // Barrier synchronizes all members; cost α·⌈log2 n⌉ at the worst tier.
 func Barrier(c *Comm, r *Rank) {
-	_, entry := c.exchange(r, "barrier", slot{clock: r.clock})
+	entry := c.exchangeTransform(r, "barrier", r.clock, nil, nil, false)
 	c.chargeCollective(r, "barrier", entry, barrierCost(c))
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"runtime/debug"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -270,48 +269,6 @@ func TestAllReduceGenericFoldsOncePerGeneration(t *testing.T) {
 				return res.SimTime
 			})
 		})
-	}
-}
-
-// TestAllReduceGenericWarmCallAllocatesNothing: contributions go into
-// the rendezvous's reused fold records, so once every slot of the ring
-// holds a record a further call allocates nothing on any member. As in
-// pipeline's TestFetchCachedCostsWhatItRequests, a run's own cost is
-// cancelled by subtracting a run with fewer calls.
-func TestAllReduceGenericWarmCallAllocatesNothing(t *testing.T) {
-	const n, more = 8, 6
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	cl := New(n, testModel())
-	world := cl.World()
-	dests := make([]int, n)
-	sum := func(vals []int, dests []*int) {
-		total := 0
-		for _, v := range vals {
-			total += v
-		}
-		for _, d := range dests {
-			*d = total
-		}
-	}
-	run := func(calls int) float64 {
-		return testing.AllocsPerRun(4, func() {
-			if _, err := cl.Run(func(r *Rank) error {
-				for i := 0; i < calls; i++ {
-					if got := AllReduceGenericInto(world, r, r.ID, 8, &dests[r.ID], sum); *got != n*(n-1)/2 {
-						return fmt.Errorf("rank %d got %d", r.ID, *got)
-					}
-				}
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	run(3) // a record on every slot of the ring
-	warm, hot := run(3), run(3+more)
-	if perCall := (hot - warm) / float64(more*n); perCall != 0 {
-		t.Fatalf("a warm AllReduceGenericInto allocates %v objects per member, want 0 (%v allocations at 3 calls, %v at %d)",
-			perCall, warm, hot, 3+more)
 	}
 }
 

@@ -203,7 +203,7 @@ func (c *Comm) chargeCollective(r *Rank, op string, entry float64, cost collCost
 		// (contendedFinish). The guard is cluster-global, so every
 		// member takes the same branch and the extra rendezvous round
 		// stays symmetric.
-		c.finish(r, c.contendedFinish(r, op, entry, cost))
+		c.finish(r, c.contendedFinish(r, entry, cost))
 	} else {
 		c.finish(r, entry+cost.seconds+cost.seconds2)
 	}

@@ -163,16 +163,6 @@ func (c *Comm) Members() []int { return c.members }
 // charge at (the worst link among its member pairs).
 func (c *Comm) Tier() Link { return c.link }
 
-// slot is the per-member contribution to a collective exchange.
-type slot struct {
-	clock float64
-	val   any
-	// vec is the sum all-reduce's contribution, carried unboxed so that
-	// contributing allocates nothing.
-	vec   []float64
-	bytes int
-}
-
 // rendezvous synchronizes one collective call across n participants
 // with a generation counter so back-to-back collectives don't race.
 // It is poisoned on two classes of would-be deadlocks, so every
@@ -188,44 +178,25 @@ type rendezvous struct {
 	gen     uint64
 	op      string // collective name of the in-flight generation
 	waiting []bool // member indices arrived in the current generation
-	slots   []slot
-	out     []slot
 	// entry is the latest entry clock of the in-flight generation, kept
-	// as members arrive; outEntry is the completed generation's, handed
-	// out with out.
+	// as members arrive; outEntry is the completed generation's.
 	entry    float64
 	outEntry float64
-	// bufs is a three-generation ring reusing the slot storage instead
-	// of allocating n slots per collective. Three is the safe depth: a
-	// participant consumes generation g's slots before it arrives at
-	// generation g+2 (collectives finish reading before returning, and
-	// the contention charging path interposes at most one nested
-	// generation), and generation g+3's first arrival — the earliest
-	// reuse — requires g+2 to have completed, i.e. every participant
-	// to have arrived at g+2.
-	bufs [3][]slot
-	// sparse holds the all-to-allv bucket buffers on the same ring, one
-	// per payload type the communicator has carried. Members read a
-	// generation's buckets until their next collective on the
-	// communicator returns. Generation g's are rewritten no sooner than
-	// by g+3's transform, which needs every member to have arrived
-	// there, and a member's next collective ends at g+2 — or at g+3
-	// under contention, whose extra rounds never touch this ring.
-	sparse [3][]any
-	// sums holds the sum all-reduce's fold records on the same ring.
-	// Every reader of generation g's total is done with it (or has
-	// copied it) before g+3's transform: members read it before their
-	// next collective here, and under the hierarchical schedule a
-	// leader's node peers read it from the node broadcast before their
-	// next node collective, which their leader joins before it can
-	// arrive here again.
-	sums [3]*sumFold
-	// folds holds AllReduceGenericInto's fold records on the same ring,
-	// one per (contribution, destination) type pair (see depositFold).
-	folds [3][]any
-	// msgs holds the all-to-allv contribution tables, one per payload
-	// type (see depositMsg).
-	msgs   []any
+	// recs is the ring every collective deposits its contributions into
+	// and reads its result from: generation g's records are recs[g%3],
+	// one per record type (see record). A member reads generation g's
+	// records until its next collective on the communicator returns (a
+	// result may feed that collective). Record g is rewritten no sooner
+	// than by g+3, whose first arrival needs every member at g+2, so
+	// every member has returned from g+1: uncontended, that is its next
+	// collective. Contended, each collective takes two generations, and
+	// the second (contendedFinish) deposits only into its flow table,
+	// which it reads before returning and no first round uses, so a
+	// first round's records wait for g+6. The hierarchical leaders'
+	// total is read by their node peers from the node broadcast, before
+	// their next node collective, which each leader joins before it can
+	// arrive at the leaders' communicator again.
+	recs   [3][]any
 	failed error // poisoned: every current and future participant panics
 	// parked are the members waiting on the in-flight generation; the
 	// last arriver — or a poison — readies them and clears the list.
@@ -244,14 +215,37 @@ func newRendezvous(n int) *rendezvous {
 	return &rendezvous{n: n, waiting: make([]bool, n)}
 }
 
-// genBuf returns the reusable slot buffer for the current generation.
-// Caller holds rv.mu (first arrival of the generation).
-func (rv *rendezvous) genBuf() []slot {
-	i := rv.gen % 3
-	if rv.bufs[i] == nil {
-		rv.bufs[i] = make([]slot, rv.n)
+// record returns the in-flight generation's record of type R, adding it
+// to the generation's ring slot on first use. Caller holds rv.mu.
+func record[R any](rv *rendezvous) *R {
+	ring := &rv.recs[rv.gen%3]
+	for _, x := range *ring {
+		if p, ok := x.(*R); ok {
+			return p
+		}
 	}
-	return rv.bufs[i]
+	p := new(R)
+	*ring = append(*ring, p)
+	return p
+}
+
+// table is a generation's contribution table for payload type T: member
+// i's value and its size in bytes.
+type table[T any] struct {
+	vals  []T
+	bytes []int
+}
+
+// deposit records member idx's contribution in the generation's table
+// for T and returns the table. Caller holds rv.mu (at the member's
+// arrival).
+func deposit[T any](rv *rendezvous, idx int, val T, bytes int) *table[T] {
+	t := record[table[T]](rv)
+	if t.vals == nil {
+		t.vals, t.bytes = make([]T, rv.n), make([]int, rv.n)
+	}
+	t.vals[idx], t.bytes[idx] = val, bytes
+	return t
 }
 
 // release readies every parked member at its entry clock, in arrival
@@ -278,35 +272,27 @@ func (c *Comm) poison(err error) {
 // diagnosing one.
 func (c *Comm) diag() string {
 	queued, running, waiting := c.cl.sched.Load()
-	return fmt.Sprintf(" [backend=des, %d queued events, %d segments running, %d waiting for the gate]",
+	return fmt.Sprintf(" [%d queued events, %d segments running, %d waiting for the gate]",
 		queued, running, waiting)
 }
 
-// exchange contributes one slot under the named collective and returns
-// all n slots once every participant has arrived, with the latest entry
-// clock among them: collectives are bulk synchronous, so everyone leaves
-// no earlier than the slowest arriver plus the modeled cost. The
-// returned slice is shared and must be treated as read-only. A
-// participant whose collective name disagrees with the in-flight one
-// poisons the rendezvous and panics all participants; so does the
-// drain, for peers that can never arrive because their rank bodies
-// already returned.
-func (c *Comm) exchange(r *Rank, op string, s slot) ([]slot, float64) {
-	return c.exchangeTransform(r, op, s, nil, nil, false)
-}
-
-// exchangeTransform is exchange with a completion hook: the last
-// arriver applies transform to the full slot set (under the rendezvous
-// lock, so the call is atomic with respect to this communicator) and
-// every participant receives the transformed slots. The contention
-// charging path uses it to solve one collective's member flows in a
-// single ledger transaction. A nil transform returns the slots as-is.
+// exchangeTransform runs one generation of the named collective: the
+// caller arrives with its entry clock and, once every participant has
+// arrived, gets the latest entry clock among them: collectives are bulk
+// synchronous, so everyone leaves no earlier than the slowest arriver
+// plus the modeled cost. A participant whose collective name disagrees
+// with the in-flight one poisons the rendezvous and panics all
+// participants; so does the drain, for peers that can never arrive
+// because their rank bodies already returned.
 //
-// A non-nil deposit runs at the caller's arrival, under the same lock,
-// with the caller's member index, and its result becomes the slot's
-// val: a collective that keeps its contributions in reusable rendezvous
-// storage (the all-to-allv's contribution tables) writes them there
-// instead of boxing a fresh value per call.
+// deposit runs at the caller's arrival, under the rendezvous lock, with
+// the caller's member index: it writes the caller's contribution into
+// the generation's records (deposit, fold.put), where every member
+// reads the result. The last arriver then runs transform (under the
+// same lock, so the call is atomic with respect to this communicator):
+// the all-to-allv buckets the messages there, and the contention
+// charging path solves one collective's member flows in a single ledger
+// transaction. Either hook may be nil.
 //
 // With yield set, a last arriver on an uncontended cluster ends its
 // segment at the rendezvous: it readies itself at its entry clock, like
@@ -314,28 +300,28 @@ func (c *Comm) exchange(r *Rank, op string, s slot) ([]slot, float64) {
 // collective no longer holds the commit turn. Contended runs never
 // yield, which keeps their commit order (and with it the ledger's
 // outcome) as it was.
-func (c *Comm) exchangeTransform(r *Rank, op string, s slot, deposit func(idx int) any, transform func([]slot) []slot, yield bool) ([]slot, float64) {
-	out, entry, gen, yielded := c.arrive(r, op, s, deposit, transform, yield)
+func (c *Comm) exchangeTransform(r *Rank, op string, clock float64, deposit func(idx int), transform func(), yield bool) float64 {
+	entry, gen, done, yielded := c.arrive(r, op, clock, deposit, transform, yield)
 	if yielded {
 		r.t.Park()
 	}
-	if out != nil {
-		return out, entry
+	if done {
+		return entry
 	}
 	// One wake suffices — only generation completion or poison readies
 	// a parked member, and the next generation cannot finish (it needs
-	// this very rank) before it resumes, so rv.out is still ours then.
-	// Both outcomes were settled by the waker's commit, so reading them
-	// needs no commit section: a completed generation returns its
-	// slots even if a later one has been poisoned since (this member
-	// meets the poison at its next arrival), and a generation poisoned
-	// while incomplete panics with the error that woke it.
+	// this very rank) before it resumes, so rv.outEntry is still ours
+	// then. Both outcomes were settled by the waker's commit, so reading
+	// them needs no commit section: a completed generation returns even
+	// if a later one has been poisoned since (this member meets the
+	// poison at its next arrival), and a generation poisoned while
+	// incomplete panics with the error that woke it.
 	r.park(op, c)
 	rv := c.rv
 	rv.mu.Lock()
 	defer rv.mu.Unlock()
 	if rv.gen != gen {
-		return rv.out, rv.outEntry
+		return rv.outEntry
 	}
 	if rv.failed != nil {
 		panic(rv.failed)
@@ -345,11 +331,11 @@ func (c *Comm) exchangeTransform(r *Rank, op string, s slot, deposit func(idx in
 
 // arrive is exchangeTransform's commit section. The last arriver
 // completes the generation, readies the parked members (and itself,
-// when it yields) and gets the output slots and the entry clock; an
-// earlier one is recorded as parked and gets nil plus the generation it
-// must park for. The unlock is deferred so every diagnostic panic below
-// releases the rendezvous.
-func (c *Comm) arrive(r *Rank, op string, s slot, deposit func(idx int) any, transform func([]slot) []slot, yield bool) (out []slot, entry float64, gen uint64, yielded bool) {
+// when it yields) and gets the entry clock with done set; an earlier
+// one is recorded as parked and gets the generation it must park for.
+// The unlock is deferred so every diagnostic panic below releases the
+// rendezvous.
+func (c *Comm) arrive(r *Rank, op string, clock float64, deposit func(idx int), transform func(), yield bool) (entry float64, gen uint64, done, yielded bool) {
 	r.gate()
 	c.checkDriver(r)
 	idx := c.LocalIndex(r)
@@ -361,7 +347,6 @@ func (c *Comm) arrive(r *Rank, op string, s slot, deposit func(idx int) any, tra
 	}
 	if rv.arrived == 0 {
 		rv.op = op
-		rv.slots = rv.genBuf()
 		rv.entry = 0
 	} else if rv.op != op {
 		err := fmt.Errorf("cluster: mismatched collectives on comm %v (dup %q): rank %d called %s while %s is in flight%s",
@@ -370,54 +355,49 @@ func (c *Comm) arrive(r *Rank, op string, s slot, deposit func(idx int) any, tra
 		panic(err)
 	}
 	if deposit != nil {
-		s.val = deposit(idx)
+		deposit(idx)
 	}
-	rv.slots[idx] = s
 	rv.waiting[idx] = true
 	rv.arrived++
-	if s.clock > rv.entry {
-		rv.entry = s.clock
+	if clock > rv.entry {
+		rv.entry = clock
 	}
-	if rv.arrived == rv.n {
-		if transform != nil {
-			// A transform panic fires with every member arrived, so no
-			// member is missing for the drain to find: poison the
-			// rendezvous here before propagating, and the n-1 parked
-			// members panic with the diagnostic instead of waiting
-			// forever.
-			func() {
-				defer func() {
-					if p := recover(); p != nil {
-						err := fmt.Errorf("cluster: %s transform panicked on comm %v (dup %q): %v%s",
-							op, c.members, c.key, p, c.diag())
-						c.poison(err)
-						panic(err)
-					}
-				}()
-				rv.out = transform(rv.slots)
+	if rv.arrived < rv.n {
+		rv.parked = append(rv.parked, parkedMember{t: r.t, clock: clock})
+		return 0, rv.gen, false, false
+	}
+	if transform != nil {
+		// A transform panic fires with every member arrived, so no
+		// member is missing for the drain to find: poison the rendezvous
+		// here before propagating, and the n-1 parked members panic with
+		// the diagnostic instead of waiting forever.
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					err := fmt.Errorf("cluster: %s transform panicked on comm %v (dup %q): %v%s",
+						op, c.members, c.key, p, c.diag())
+					c.poison(err)
+					panic(err)
+				}
 			}()
-		} else {
-			rv.out = rv.slots
-		}
-		rv.outEntry = rv.entry
-		rv.slots = nil
-		rv.arrived = 0
-		rv.op = ""
-		for i := range rv.waiting {
-			rv.waiting[i] = false
-		}
-		rv.gen++
-		// Completion time is charged by each member itself, so the wake
-		// time only orders events.
-		rv.release()
-		if yield && c.cl.cont == nil {
-			r.t.Ready(s.clock)
-			return rv.out, rv.outEntry, rv.gen, true
-		}
-		return rv.out, rv.outEntry, rv.gen, false
+			transform()
+		}()
 	}
-	rv.parked = append(rv.parked, parkedMember{t: r.t, clock: s.clock})
-	return nil, 0, rv.gen, false
+	rv.outEntry = rv.entry
+	rv.arrived = 0
+	rv.op = ""
+	for i := range rv.waiting {
+		rv.waiting[i] = false
+	}
+	rv.gen++
+	// Completion time is charged by each member itself, so the wake
+	// time only orders events.
+	rv.release()
+	yielded = yield && c.cl.cont == nil
+	if yielded {
+		r.t.Ready(clock)
+	}
+	return rv.outEntry, rv.gen, true, yielded
 }
 
 // abandon poisons the in-flight collective if a member that has not
@@ -495,58 +475,51 @@ func broadcastAlg[T any](c *Comm, r *Rank, root int, val T, bytes int, alg Colle
 	if alg != Ring {
 		alg = FlatTree
 	}
-	me := c.LocalIndex(r)
-	s := slot{clock: r.clock}
-	if me == root {
-		s.val = val
-		s.bytes = bytes
-	}
-	slots, entry := c.exchange(r, "broadcast", s)
-	rs := slots[root]
-	c.chargeCollective(r, "broadcast", entry, broadcastCost(c, alg, rs.bytes, me == root))
-	return rs.val.(T)
+	var t *table[T]
+	entry := c.exchangeTransform(r, "broadcast", r.clock,
+		func(idx int) { t = deposit(c.rv, idx, val, bytes) }, nil, false)
+	c.chargeCollective(r, "broadcast", entry, broadcastCost(c, alg, t.bytes[root], c.LocalIndex(r) == root))
+	return t.vals[root]
 }
 
 // AllGather collects every member's value; the result is indexed by
 // local member index. FlatTree charges recursive doubling
 // α·⌈log2 n⌉ + β·(total bytes); Ring charges (n−1)·α with the same β
-// term.
+// term. The result is the generation's contribution table: shared and
+// read-only, valid through the caller's next collective on c and no
+// longer.
 func AllGather[T any](c *Comm, r *Rank, val T, bytes int) []T {
-	slots, entry := c.exchange(r, "allgather", slot{clock: r.clock, val: val, bytes: bytes})
+	var t *table[T]
+	entry := c.exchangeTransform(r, "allgather", r.clock,
+		func(idx int) { t = deposit(c.rv, idx, val, bytes) }, nil, false)
 	total := 0
-	for _, s := range slots {
-		total += s.bytes
+	for _, b := range t.bytes {
+		total += b
 	}
 	c.chargeCollective(r, "allgather", entry, allGatherCost(c, c.allReduceAlg(), total, bytes))
-	out := make([]T, len(slots))
-	for i, s := range slots {
-		out[i] = s.val.(T)
-	}
-	return out
+	return t.vals
 }
 
 // Gather collects every member's value at root; non-root members
 // receive nil. Cost at root α·⌈log2 n⌉ + β·(received bytes); leaves pay
-// α + β·(own bytes).
+// α + β·(own bytes). Root's result is shared and read-only like
+// AllGather's.
 func Gather[T any](c *Comm, r *Rank, root int, val T, bytes int) []T {
-	me := c.LocalIndex(r)
-	slots, entry := c.exchange(r, "gather", slot{clock: r.clock, val: val, bytes: bytes})
-	if me == root {
-		total := 0
-		for i, s := range slots {
-			if i != root {
-				total += s.bytes
-			}
-		}
-		c.chargeCollective(r, "gather", entry, gatherCost(c, total, bytes, true))
-		out := make([]T, len(slots))
-		for i, s := range slots {
-			out[i] = s.val.(T)
-		}
-		return out
+	var t *table[T]
+	entry := c.exchangeTransform(r, "gather", r.clock,
+		func(idx int) { t = deposit(c.rv, idx, val, bytes) }, nil, false)
+	if c.LocalIndex(r) != root {
+		c.chargeCollective(r, "gather", entry, gatherCost(c, 0, bytes, false))
+		return nil
 	}
-	c.chargeCollective(r, "gather", entry, gatherCost(c, 0, bytes, false))
-	return nil
+	total := 0
+	for i, b := range t.bytes {
+		if i != root {
+			total += b
+		}
+	}
+	c.chargeCollective(r, "gather", entry, gatherCost(c, total, bytes, true))
+	return t.vals
 }
 
 // Scatter distributes parts[i] from root to member i. Root must pass a
@@ -556,15 +529,13 @@ func Gather[T any](c *Comm, r *Rank, root int, val T, bytes int) []T {
 // charges α + β·(its part).
 func Scatter[T any](c *Comm, r *Rank, root int, parts []T, bytes func(T) int) T {
 	me := c.LocalIndex(r)
-	s := slot{clock: r.clock}
-	if me == root {
-		if len(parts) != c.Size() {
-			panic(fmt.Sprintf("cluster: Scatter root passed %d parts for %d members", len(parts), c.Size()))
-		}
-		s.val = parts
+	if me == root && len(parts) != c.Size() {
+		panic(fmt.Sprintf("cluster: Scatter root passed %d parts for %d members", len(parts), c.Size()))
 	}
-	slots, entry := c.exchange(r, "scatter", s)
-	rootParts := slots[root].val.([]T)
+	var t *table[[]T]
+	entry := c.exchangeTransform(r, "scatter", r.clock,
+		func(idx int) { t = deposit(c.rv, idx, parts, 0) }, nil, false)
+	rootParts := t.vals[root]
 	mine := rootParts[me]
 	if me == root {
 		total := 0
@@ -622,15 +593,14 @@ func AllToAllvSparse[T any](c *Comm, r *Rank, dst []int, parts []T, bytes func(T
 			sent += bytes(parts[k])
 		}
 	}
-	// The contribution goes into the communicator's reused table for
-	// T, so a warm call allocates nothing.
-	slots, entry := c.exchangeTransform(r, "alltoallv", slot{clock: r.clock},
-		func(idx int) any { return depositMsg(c.rv, idx, dst, parts) },
-		func(slots []slot) []slot {
-			ringBuckets[T](c.rv).fill(slots)
-			return slots
-		}, false)
-	b := slots[me].val.(*buckets[T])
+	var in *table[sparseMsg[T]]
+	var b *buckets[T]
+	entry := c.exchangeTransform(r, "alltoallv", r.clock,
+		func(idx int) {
+			in = deposit(c.rv, idx, sparseMsg[T]{dst, parts}, 0)
+			b = record[buckets[T]](c.rv)
+		},
+		func() { b.fill(in.vals) }, false)
 	lo, hi := b.off[me], b.off[me+1]
 	src, got = b.src[lo:hi], b.parts[lo:hi]
 	recvd := 0
@@ -657,56 +627,14 @@ type buckets[T any] struct {
 	parts []T
 }
 
-// sparseMsgs is a communicator's contribution table for payload type
-// T: entry i is member i's message of the generation in flight.
-type sparseMsgs[T any] []sparseMsg[T]
-
-// depositMsg records member idx's contribution in the communicator's
-// table for T and returns it as the member's slot value. Caller holds
-// rv.mu (at the member's arrival). One table serves every generation:
-// a member rewrites its entry only when it arrives at a later
-// all-to-allv, and no member arrives there before the last arriver of
-// this one has bucketed every entry (fill, under the same lock).
-func depositMsg[T any](rv *rendezvous, idx int, dst []int, parts []T) *sparseMsg[T] {
-	var msgs *sparseMsgs[T]
-	for _, x := range rv.msgs {
-		if m, ok := x.(*sparseMsgs[T]); ok {
-			msgs = m
-			break
-		}
-	}
-	if msgs == nil {
-		m := make(sparseMsgs[T], rv.n)
-		msgs = &m
-		rv.msgs = append(rv.msgs, msgs)
-	}
-	(*msgs)[idx] = sparseMsg[T]{dst, parts}
-	return &(*msgs)[idx]
-}
-
-// ringBuckets returns the generation's reusable bucket buffers for
-// payload type T. Caller holds rv.mu (inside the transform).
-func ringBuckets[T any](rv *rendezvous) *buckets[T] {
-	ring := &rv.sparse[rv.gen%3]
-	for _, x := range *ring {
-		if b, ok := x.(*buckets[T]); ok {
-			return b
-		}
-	}
-	b := &buckets[T]{}
-	*ring = append(*ring, b)
-	return b
-}
-
 // fill buckets every member's messages by destination with a counting
-// sort, senders in ascending order, and hands every member the table.
-func (b *buckets[T]) fill(slots []slot) {
-	n := len(slots)
+// sort, senders in ascending order.
+func (b *buckets[T]) fill(contribs []sparseMsg[T]) {
+	n := len(contribs)
 	b.off = resize(b.off, n+2)
 	clear(b.off)
 	total := 0
-	for _, s := range slots {
-		m := s.val.(*sparseMsg[T])
+	for _, m := range contribs {
 		for _, d := range m.dst {
 			b.off[d+2]++
 		}
@@ -719,16 +647,12 @@ func (b *buckets[T]) fill(slots []slot) {
 	// which is bucket d+1's start.
 	b.src = resize(b.src, total)
 	b.parts = resize(b.parts, total)
-	for i, s := range slots {
-		m := s.val.(*sparseMsg[T])
+	for i, m := range contribs {
 		for k, d := range m.dst {
 			j := b.off[d+1]
 			b.off[d+1]++
 			b.src[j], b.parts[j] = i, m.parts[k]
 		}
-	}
-	for i := range slots {
-		slots[i].val = b
 	}
 }
 
@@ -801,20 +725,14 @@ func allReduceSum(c *Comm, r *Rank, x []float64, alg CollectiveAlgorithm, apply 
 			return broadcastAlg(node, r, 0, total, 8*len(x), FlatTree)
 		}
 	}
-	slots, entry := c.exchangeTransform(r, "allreduce", slot{clock: r.clock, vec: x, bytes: 8 * len(x)}, nil,
-		func(slots []slot) []slot {
-			f := c.rv.sumRecord()
-			for i, s := range slots {
-				f.vals[i] = s.vec
-				slots[i].val = f
-			}
-			return shareMaxBytes(slots)
-		}, true)
-	f := slots[0].val.(*sumFold)
+	var f *sumFold
+	entry := c.exchangeTransform(r, "allreduce", r.clock, func(idx int) {
+		f = record[sumFold](c.rv)
+		f.put(c.rv, idx, x, struct{}{}, 8*len(x))
+	}, nil, true)
 	f.run(c, "allreduce", func() { f.sum(apply) })
-	me := c.LocalIndex(r)
-	c.chargeCollective(r, "allreduce", entry, allReduceCost(c, alg, slots[me].bytes, 8*len(x)))
-	return f.dests
+	c.chargeCollective(r, "allreduce", entry, allReduceCost(c, alg, f.bytes, 8*len(x)))
+	return f.total
 }
 
 // AllReduceSumApply is AllReduceSum fused with a post-reduction step
@@ -858,62 +776,20 @@ func AllReduceGenericInto[T, D any](c *Comm, r *Rank, val T, bytes int, dest D, 
 	if alg != Ring {
 		alg = FlatTree
 	}
-	// The contribution goes into the generation's reused fold record,
-	// so a warm call allocates nothing.
-	slots, entry := c.exchangeTransform(r, "allreduce-generic", slot{clock: r.clock, bytes: bytes},
-		func(idx int) any { return depositFold(c.rv, idx, val, dest) }, shareMaxBytes, true)
-	f := slots[0].val.(*fold[T, D])
-	f.run(c, "allreduce-generic", func() { reduce(f.vals, f.dests) })
-	me := c.LocalIndex(r)
-	c.chargeCollective(r, "allreduce-generic", entry, allReduceCost(c, alg, slots[me].bytes, bytes))
-	return f.dests[me]
-}
-
-// depositFold records member idx's contribution and destination in the
-// generation's fold record for (T, D) and returns the record as the
-// member's slot value. Caller holds rv.mu (at the member's arrival).
-// The records sit on the rendezvous ring beside the sum's (see
-// rendezvous.sums): generation g's is emptied at g+3's first arrival,
-// which needs every member to have arrived at g+2 and so to have
-// returned from g.
-func depositFold[T, D any](rv *rendezvous, idx int, val T, dest D) *fold[T, D] {
-	ring := &rv.folds[rv.gen%3]
 	var f *fold[T, D]
-	for _, x := range *ring {
-		if g, ok := x.(*fold[T, D]); ok {
-			f = g
-			break
-		}
-	}
-	if f == nil {
-		f = &fold[T, D]{}
-		*ring = append(*ring, f)
-	}
-	if rv.arrived == 0 {
-		f.vals, f.dests = resize(f.vals, rv.n), resize(f.dests, rv.n)
-		f.once, f.failed = sync.Once{}, nil
-	}
-	f.vals[idx], f.dests[idx] = val, dest
-	return f
+	entry := c.exchangeTransform(r, "allreduce-generic", r.clock, func(idx int) {
+		f = record[fold[T, D]](c.rv)
+		f.put(c.rv, idx, val, dest, bytes)
+	}, nil, true)
+	f.run(c, "allreduce-generic", func() { reduce(f.vals, f.dests) })
+	c.chargeCollective(r, "allreduce-generic", entry, allReduceCost(c, alg, f.bytes, bytes))
+	return f.dests[c.LocalIndex(r)]
 }
 
-// shareMaxBytes is the all-reduces' common transform step (all of
-// AllReduceGenericInto's): every member is charged on the largest
-// contribution.
-func shareMaxBytes(slots []slot) []slot {
-	maxBytes := 0
-	for _, s := range slots {
-		maxBytes = max(maxBytes, s.bytes)
-	}
-	for i := range slots {
-		slots[i].bytes = maxBytes
-	}
-	return slots
-}
-
-// fold is one all-reduce generation's gathered contributions, in member
-// order, and the storage the fold writes: one destination per member
-// for AllReduceGenericInto, the total's elements for the sum.
+// fold is one all-reduce generation's record: the contributions and
+// the destinations the fold writes, in member order, and the largest
+// contribution's size, on which every member is charged (per the
+// shared charging-path convention).
 //
 // The fold runs outside the commit section: the rendezvous only gathers
 // the contributions, and the first member to resume folds them while
@@ -923,10 +799,25 @@ func shareMaxBytes(slots []slot) []slot {
 type fold[T, D any] struct {
 	vals  []T
 	dests []D
+	bytes int
 	once  sync.Once
 	// failed is the diagnostic of a fold that panicked, which every
 	// member panics with.
 	failed error
+}
+
+// put records member idx's contribution, its destination and its size
+// in bytes, emptying the record at the generation's first arrival.
+// Caller holds rv.mu (at the member's arrival).
+func (f *fold[T, D]) put(rv *rendezvous, idx int, val T, dest D, bytes int) {
+	if f.vals == nil {
+		f.vals, f.dests = make([]T, rv.n), make([]D, rv.n)
+	}
+	if rv.arrived == 0 {
+		f.bytes, f.once, f.failed = 0, sync.Once{}, nil
+	}
+	f.vals[idx], f.dests[idx] = val, dest
+	f.bytes = max(f.bytes, bytes)
 }
 
 // run runs body exactly once across the members that call it and
@@ -946,11 +837,12 @@ func (f *fold[T, D]) run(c *Comm, op string, body func()) {
 	}
 }
 
-// sumFold is one sum all-reduce generation's record: the contributions
-// and the total (dests), plus the map the fold reuses. It lives on the
-// rendezvous's ring, so its buffers serve every third generation.
+// sumFold is one sum all-reduce generation's record: the contributions,
+// the total every member receives (the sum has no per-member
+// destination) and the map the fold reuses.
 type sumFold struct {
-	fold[[]float64, float64]
+	fold[[]float64, struct{}]
+	total []float64
 	// shared maps each contribution's backing array to the number of
 	// contributions that share it, then a shared one to its zero test.
 	shared map[*float64]int
@@ -961,22 +853,6 @@ const (
 	sharedZero = -1
 	sharedLive = -2
 )
-
-// sumRecord returns the generation's fold record, ready for its n
-// contributions. Caller holds rv.mu (inside the transform); every
-// member of the generation that last used the record has returned from
-// it.
-func (rv *rendezvous) sumRecord() *sumFold {
-	f := rv.sums[rv.gen%3]
-	if f == nil {
-		f = &sumFold{}
-		rv.sums[rv.gen%3] = f
-	}
-	f.vals = resize(f.vals, rv.n)
-	f.once = sync.Once{}
-	f.failed = nil
-	return f
-}
 
 // sum folds the contributions into the total and runs apply on it. The
 // element range is split into stripes (in parallel when the fold is big
@@ -992,8 +868,8 @@ func (f *sumFold) sum(apply func(total []float64)) {
 			panic(fmt.Sprintf("cluster: AllReduceSum length mismatch %d vs %d", len(v), n))
 		}
 	}
-	f.dests = resize(f.dests, n)
-	total, adds := f.dests, f.addends()
+	f.total = resize(f.total, n)
+	total, adds := f.total, f.addends()
 	if dense.Serial(n, int64(len(adds))*int64(n)) {
 		addStripe(total, adds, 0, n)
 	} else {

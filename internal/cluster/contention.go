@@ -435,13 +435,18 @@ func (ct *contention) solveLocked(flows []flowReq) []float64 {
 	return fin
 }
 
+// contendOp names the contended second round of every collective: a
+// member reaches it only from a first round that every member shares,
+// so the name need not repeat the collective's.
+const contendOp = "contend"
+
 // contendedFinish is chargeCollective's completion time under a
 // contention topology: each member's flow is its schedule's β-portion
 // (wireBytes through the member's own injection links, starting after
 // the schedule's latency portion), and one ledger transaction inside a
 // second rendezvous round solves all members together — sharing within
 // the collective is exact and independent of host scheduling.
-func (c *Comm) contendedFinish(r *Rank, op string, entry float64, cost collCost) float64 {
+func (c *Comm) contendedFinish(r *Rank, entry float64, cost collCost) float64 {
 	ct := c.cl.cont
 	beta := c.cl.Model.Beta[c.link]
 	wireSec := cost.wireBytes * beta
@@ -450,18 +455,14 @@ func (c *Comm) contendedFinish(r *Rank, op string, entry float64, cost collCost)
 		alphaSec = 0
 	}
 	req := flowReq{start: entry + alphaSec, bytes: cost.wireBytes, links: ct.linksFor(r.ID, c.link)}
-	slots, _ := c.exchangeTransform(r, op+"#contend", slot{clock: req.start, val: req}, nil,
-		func(slots []slot) []slot {
-			flows := make([]flowReq, len(slots))
-			for i, s := range slots {
-				flows[i] = s.val.(flowReq)
+	var t *table[flowReq]
+	c.exchangeTransform(r, contendOp, req.start,
+		func(idx int) { t = deposit(c.rv, idx, req, 0) },
+		func() {
+			// Each flow's start is overwritten with its finish time.
+			for i, fin := range ct.transact(t.vals) {
+				t.vals[i].start = fin
 			}
-			fin := ct.transact(flows)
-			out := make([]slot, len(slots))
-			for i := range out {
-				out[i] = slot{clock: fin[i]}
-			}
-			return out
 		}, false)
-	return slots[c.LocalIndex(r)].clock
+	return t.vals[c.LocalIndex(r)].start
 }

@@ -570,7 +570,7 @@ func (c *Cluster) drain(ranks []*Rank) bool {
 			what[i] += fmt.Sprintf(" on comm %v (dup %q)", w.members, w.key)
 		}
 	}
-	panic(fmt.Sprintf("cluster: deadlock: %d timelines parked with no pending events [backend=des]: %s",
+	panic(fmt.Sprintf("cluster: deadlock: %d timelines parked with no pending events: %s",
 		len(parked), strings.Join(what, "; ")))
 }
 

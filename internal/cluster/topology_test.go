@@ -304,8 +304,8 @@ func TestExchangeTransformPanicPoisonsRendezvous(t *testing.T) {
 	go func() {
 		_, _ = cl.Run(func(r *Rank) error {
 			defer func() { panics <- recover() }()
-			comm.exchangeTransform(r, "boom", slot{clock: r.clock}, nil,
-				func([]slot) []slot { panic("transform exploded") }, false)
+			comm.exchangeTransform(r, "boom", r.clock, nil,
+				func() { panic("transform exploded") }, false)
 			return nil
 		})
 		close(done)
