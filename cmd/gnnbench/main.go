@@ -9,6 +9,7 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"flag"
 	"fmt"
 	"io"
@@ -61,12 +62,20 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("bad -epochs %d: must be >= 1", *epochs)
 	}
 	// Experiment-scoped flags error out under any other experiment
-	// instead of silently doing nothing.
-	for _, c := range []struct{ name, value string }{
-		{"perfout", *perfOut},
-		{"perfbaseline", *perfBase},
+	// instead of silently doing nothing. Only an -epochs the caller set
+	// counts, and "all" runs acc.
+	epochsSet := ""
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "epochs" && *experiment != "all" {
+			epochsSet = f.Value.String()
+		}
+	})
+	for _, c := range []struct{ name, value, want string }{
+		{"perfout", *perfOut, "perf"},
+		{"perfbaseline", *perfBase, "perf"},
+		{"epochs", epochsSet, "acc"},
 	} {
-		if err := cliutil.RequireExperiment(c.name, c.value, *experiment, "perf"); err != nil {
+		if err := cliutil.RequireExperiment(c.name, c.value, *experiment, c.want); err != nil {
 			return err
 		}
 	}
@@ -98,6 +107,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		"profile":    *profile,
 		"seed":       fmt.Sprint(*seed),
 		"maxbatches": fmt.Sprint(*maxBatches),
+		"gpus":       cmp.Or(*gpus, "default"),
+		"epochs":     fmt.Sprint(*epochs),
 		"allreduce":  opts.Model.Collectives.AllReduce.String(),
 		"alltoall":   opts.Model.Collectives.AllToAll.String(),
 		"topology":   opts.Model.Topology.String(),

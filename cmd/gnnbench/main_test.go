@@ -33,7 +33,10 @@ func TestEveryExperimentRuns(t *testing.T) {
 			continue
 		}
 		t.Run(e.ID, func(t *testing.T) {
-			args := []string{"-experiment", e.ID, "-profile", "tiny", "-maxbatches", "2", "-epochs", "2"}
+			args := []string{"-experiment", e.ID, "-profile", "tiny", "-maxbatches", "2"}
+			if e.ID == "acc" {
+				args = append(args, "-epochs", "2")
+			}
 			if e.GPUs != nil {
 				args = append(args, "-gpus", "4")
 			}
@@ -66,6 +69,8 @@ func TestBadInputIsAnError(t *testing.T) {
 		{"negative maxbatches, sampling-only experiment", []string{"-experiment", "table3", "-maxbatches", "-3"}, "bad -maxbatches -3"},
 		{"negative maxbatches, every experiment", []string{"-experiment", "all", "-maxbatches", "-1"}, "bad -maxbatches -1"},
 		{"negative epochs", []string{"-experiment", "acc", "-epochs", "-5"}, "bad -epochs -5"},
+		{"epochs on table3", []string{"-experiment", "table3", "-epochs", "3"}, "-epochs applies only to -experiment acc (selected: table3)"},
+		{"epochs at its default on fig4", []string{"-experiment", "fig4", "-epochs", "15"}, "-epochs applies only to -experiment acc (selected: fig4)"},
 		{"non-numeric gpus", []string{"-experiment", "fig4", "-gpus", "four"}, "bad GPU count list"},
 		{"bad topology", []string{"-experiment", "fig4", "-topology", "torus"}, `unknown topology "torus"`},
 		{"bad backend", []string{"-experiment", "fig4", "-backend", "des"}, "flag provided but not defined: -backend"},
@@ -113,8 +118,8 @@ func TestAccRunsUnderThePlatformFlags(t *testing.T) {
 	}
 	ringMeta, ringAcc := report("ring")
 	_, flatAcc := report("flat")
-	if ringMeta["allreduce"] != "ring" {
-		t.Errorf("meta %v does not record allreduce ring", ringMeta)
+	if ringMeta["allreduce"] != "ring" || ringMeta["epochs"] != "2" || ringMeta["gpus"] != "default" {
+		t.Errorf("meta %v does not record allreduce ring, epochs 2 and the default GPU axes", ringMeta)
 	}
 	if ringAcc == nil || !reflect.DeepEqual(ringAcc, flatAcc) {
 		t.Errorf("accuracy differs across all-reduce schedules: ring %v, flat %v", ringAcc, flatAcc)

@@ -172,48 +172,36 @@ type OverlapRow struct {
 	Speedup float64
 }
 
-// partitionedCFor shrinks the Figure 4 replication factor until it
-// satisfies the 1.5D grid constraint c^2 | p.
-func partitionedCFor(p int) int {
-	c := cFor(p)
-	for c > 1 && (p%(c*c) != 0 || p%c != 0) {
-		c /= 2
-	}
-	if c < 1 {
-		c = 1
-	}
-	return c
-}
-
 // distributedAlgorithms is the pair the overlap and contention studies
 // compare: the Graph Replicated pipeline and the sparsity-aware 1.5D
 // Graph Partitioned one.
-var distributedAlgorithms = []struct {
-	name string
-	alg  pipeline.Algorithm
-}{
-	{"replicated", pipeline.GraphReplicated},
-	{"partitioned", pipeline.GraphPartitioned},
+var distributedAlgorithms = []pipeline.Algorithm{pipeline.GraphReplicated, pipeline.GraphPartitioned}
+
+// algorithmName labels a distributed algorithm's rows.
+func algorithmName(a pipeline.Algorithm) string {
+	if a == pipeline.GraphPartitioned {
+		return "partitioned"
+	}
+	return "replicated"
 }
 
-// quarterEpochConfig is the training run the overlap and contention
+// quarterEpochSpec is the training run the overlap and contention
 // studies measure for one algorithm at p GPUs: the Figure 4 replication
-// factor (shrunk to a valid grid for the partitioned algorithm) and a
+// factor (for the partitioned algorithm, halved until c^2 | p) and a
 // quarter-epoch bulk. Overlap pays off exactly when memory forces k
 // below the batch count (several bulk rounds per epoch), so a quarter
 // of the epoch's batches gives the schedule rounds to pipeline — but
 // never less than one batch per rank.
-func (o Options) quarterEpochConfig(d *datasets.Dataset, alg pipeline.Algorithm, p int) pipeline.Config {
+func (o Options) quarterEpochSpec(d *datasets.Dataset, alg pipeline.Algorithm, p int) Spec {
 	c := cFor(p)
-	if alg == pipeline.GraphPartitioned {
-		c = partitionedCFor(p)
+	for alg == pipeline.GraphPartitioned && p%(c*c) != 0 {
+		c /= 2
 	}
-	return pipeline.Config{
+	return o.spec(d.Name, pipeline.Config{
 		P: p, C: c, K: max(len(pipeline.Batches(d, o.MaxBatches))/4, p),
 		Algorithm:     alg,
 		SparsityAware: alg == pipeline.GraphPartitioned,
-		MaxBatches:    o.MaxBatches, Seed: o.Seed, Model: o.Model,
-	}
+	})
 }
 
 // OverlapAnalysis measures the staged engine's overlapped schedule
@@ -223,49 +211,42 @@ func (o Options) quarterEpochConfig(d *datasets.Dataset, alg pipeline.Algorithm,
 // (collective-bearing sampling on its own stream and communicator
 // clones) — alongside the analytic busiest-stream bound.
 func OverlapAnalysis(w io.Writer, o Options) ([]OverlapRow, error) {
-	fmt.Fprintf(w, "Overlap: sampling and fetch pipelined against propagation (staged engine)\n")
-	fmt.Fprintf(w, "%-10s %-12s %5s %12s %12s %12s %12s %8s\n",
-		"dataset", "algorithm", "p", "sequential", "bound", "measured", "stall", "speedup")
-	var rows []OverlapRow
+	var specs []Spec
 	for _, name := range datasets.Names() {
 		d, err := datasets.ByName(name, o.Profile)
 		if err != nil {
 			return nil, err
 		}
-		for _, algo := range distributedAlgorithms {
+		for _, alg := range distributedAlgorithms {
 			for _, p := range o.gpus(figureGPUs) {
-				cfg := o.quarterEpochConfig(d, algo.alg, p)
-				res, err := pipeline.Run(d, cfg)
-				if err != nil {
-					return nil, err
-				}
-				e := res.LastEpoch()
-				seq := e.Total
-				over := e.Sampling
-				if e.FeatureFetch > over {
-					over = e.FeatureFetch
-				}
-				if e.Propagation > over {
-					over = e.Propagation
-				}
-				ovCfg := cfg
-				ovCfg.Overlap = true
-				ovRes, err := pipeline.Run(d, ovCfg)
-				if err != nil {
-					return nil, err
-				}
-				row := OverlapRow{Dataset: name, Algorithm: algo.name, P: p,
-					Sequential: seq,
-					Overlapped: over, Measured: ovRes.LastEpoch().Total,
-					Stall: ovRes.LastEpoch().Stall}
-				if row.Measured > 0 {
-					row.Speedup = seq / row.Measured
-				}
-				rows = append(rows, row)
-				fmt.Fprintf(w, "%-10s %-12s %5d %12.5f %12.5f %12.5f %12.5f %7.2fx\n",
-					name, algo.name, p, seq, over, row.Measured, row.Stall, row.Speedup)
+				seq := o.quarterEpochSpec(d, alg, p)
+				over := seq
+				over.Config.Overlap = true
+				specs = append(specs, seq, over)
 			}
 		}
+	}
+	runs, err := runSpecs(specs, lastEpoch)
+	if err != nil {
+		return nil, err
+	}
+
+	fmt.Fprintf(w, "Overlap: sampling and fetch pipelined against propagation (staged engine)\n")
+	fmt.Fprintf(w, "%-10s %-12s %5s %12s %12s %12s %12s %8s\n",
+		"dataset", "algorithm", "p", "sequential", "bound", "measured", "stall", "speedup")
+	var rows []OverlapRow
+	for i := 0; i < len(specs); i += 2 {
+		s, e, ov := specs[i], runs[i], runs[i+1]
+		row := OverlapRow{Dataset: s.Dataset, Algorithm: algorithmName(s.Config.Algorithm), P: s.Config.P,
+			Sequential: e.Total,
+			Overlapped: max(e.Sampling, e.FeatureFetch, e.Propagation),
+			Measured:   ov.Total, Stall: ov.Stall}
+		if row.Measured > 0 {
+			row.Speedup = row.Sequential / row.Measured
+		}
+		rows = append(rows, row)
+		fmt.Fprintf(w, "%-10s %-12s %5d %12.5f %12.5f %12.5f %12.5f %7.2fx\n",
+			row.Dataset, row.Algorithm, row.P, row.Sequential, row.Overlapped, row.Measured, row.Stall, row.Speedup)
 	}
 	return rows, nil
 }

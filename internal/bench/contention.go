@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/datasets"
-	"repro/internal/pipeline"
 	"repro/internal/trace"
 )
 
@@ -69,50 +68,52 @@ func Contention(w io.Writer, o Options) ([]ContentionRow, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The overlap experiment's runs, per topology (the ideal one first).
+	var specs []Spec
+	for _, alg := range distributedAlgorithms {
+		for _, topo := range contentionTopologies() {
+			for _, overlap := range []bool{false, true} {
+				s := o.quarterEpochSpec(d, alg, p)
+				s.Config.Model.Topology = topo
+				s.Config.Overlap = overlap
+				specs = append(specs, s)
+			}
+		}
+	}
+	runs, err := runSpecs(specs, result)
+	if err != nil {
+		return nil, err
+	}
 
 	fmt.Fprintf(w, "Shared-link contention: per-epoch seconds under finite physical links (p=%d)\n", p)
 	fmt.Fprintf(w, "%-12s %-12s %-8s %10s %10s %9s %8s %9s %6s\n",
 		"algorithm", "topology", "overlap", "total", "stall", "slowdown", "gain", "nic-util", "share")
-
 	var rows []ContentionRow
-	for _, algo := range distributedAlgorithms {
-		// Same methodology as the overlap experiment.
-		cfg := o.quarterEpochConfig(d, algo.alg, p)
-		ideal := map[bool]float64{} // overlap -> total under nil topology
-		for _, topo := range contentionTopologies() {
-			seqTotal := 0.0
-			for _, overlap := range []bool{false, true} {
-				cfg.Model.Topology = topo
-				cfg.Overlap = overlap
-				res, err := pipeline.Run(d, cfg)
-				if err != nil {
-					return nil, err
-				}
-				e := res.LastEpoch()
-				row := ContentionRow{
-					Dataset: "products", Algorithm: algo.name,
-					Topology: topo.String(), P: p, C: cfg.C, Overlap: overlap,
-					Total: e.Total, Stall: e.Stall,
-				}
-				if topo == nil {
-					ideal[overlap] = e.Total
-					row.Slowdown = 1
-				} else if base := ideal[overlap]; base > 0 {
-					row.Slowdown = e.Total / base
-				}
-				if !overlap {
-					seqTotal = e.Total
-				} else if e.Total > 0 {
-					row.OverlapGain = seqTotal / e.Total
-				}
-				row.Links, row.PeakNICUtil, row.PeakNICShare =
-					networkLinkUtil(res.Cluster)
-				rows = append(rows, row)
-				fmt.Fprintf(w, "%-12s %-12s %-8v %10.5f %10.5f %8.2fx %7.2fx %8.1f%% %6d\n",
-					algo.name, row.Topology, overlap, row.Total, row.Stall,
-					row.Slowdown, row.OverlapGain, 100*row.PeakNICUtil, row.PeakNICShare)
-			}
+	ideal := map[bool]float64{} // overlap -> the algorithm's total under the ideal topology
+	seqTotal := 0.0
+	for i, run := range runs {
+		cfg, e := specs[i].Config, run.LastEpoch()
+		row := ContentionRow{
+			Dataset: specs[i].Dataset, Algorithm: algorithmName(cfg.Algorithm),
+			Topology: cfg.Model.Topology.String(), P: p, C: cfg.C, Overlap: cfg.Overlap,
+			Total: e.Total, Stall: e.Stall,
 		}
+		if cfg.Model.Topology == nil {
+			ideal[cfg.Overlap] = e.Total
+			row.Slowdown = 1
+		} else if base := ideal[cfg.Overlap]; base > 0 {
+			row.Slowdown = e.Total / base
+		}
+		if !cfg.Overlap {
+			seqTotal = e.Total
+		} else if e.Total > 0 {
+			row.OverlapGain = seqTotal / e.Total
+		}
+		row.Links, row.PeakNICUtil, row.PeakNICShare = networkLinkUtil(run.Cluster)
+		rows = append(rows, row)
+		fmt.Fprintf(w, "%-12s %-12s %-8v %10.5f %10.5f %8.2fx %7.2fx %8.1f%% %6d\n",
+			row.Algorithm, row.Topology, row.Overlap, row.Total, row.Stall,
+			row.Slowdown, row.OverlapGain, 100*row.PeakNICUtil, row.PeakNICShare)
 	}
 	return rows, nil
 }

@@ -104,53 +104,46 @@ type Fig4Row struct {
 // Fig4 reproduces Figure 4: Graph Replicated pipeline vs the Quiver
 // baseline across GPU counts on all three datasets.
 func Fig4(w io.Writer, o Options) ([]Fig4Row, error) {
-	var rows []Fig4Row
-	fmt.Fprintf(w, "Figure 4: Graph Replicated pipeline vs Quiver (per-epoch seconds, simulated)\n")
-	fmt.Fprintf(w, "%-10s %5s %3s %6s %10s %10s %10s %10s %10s %8s\n",
-		"dataset", "p", "c", "k", "sampling", "fetch", "prop", "total", "quiver", "speedup")
+	var specs []Spec
 	for _, name := range datasets.Names() {
 		d, err := datasets.ByName(name, o.Profile)
 		if err != nil {
 			return nil, err
 		}
 		for _, p := range o.gpus(figureGPUs) {
-			c := cFor(p)
-			k := kFor(p, d.NumBatches())
-			res, err := pipeline.Run(d, pipeline.Config{
-				P: p, C: c, K: k,
-				MaxBatches: o.MaxBatches,
-				Seed:       o.Seed,
-				Model:      o.Model,
-			})
-			if err != nil {
-				return nil, err
-			}
-			q, err := pipeline.Run(d, pipeline.Config{
-				P: p, Algorithm: pipeline.Quiver,
-				MaxBatches: o.MaxBatches, Seed: o.Seed, Model: o.Model,
-			})
-			if err != nil {
-				return nil, err
-			}
-			e := res.LastEpoch()
-			row := Fig4Row{
-				Dataset: name, P: p, C: c, K: k,
-				Sampling: e.Sampling, FeatureFetch: e.FeatureFetch,
-				Propagation: e.Propagation, Total: e.Total,
-				QuiverTotal: q.LastEpoch().Total,
-			}
-			if row.Total > 0 {
-				row.Speedup = row.QuiverTotal / row.Total
-			}
-			rows = append(rows, row)
-			kLabel := fmt.Sprintf("%d", k)
-			if k == 0 {
-				kLabel = "all"
-			}
-			fmt.Fprintf(w, "%-10s %5d %3d %6s %10.4f %10.4f %10.4f %10.4f %10.4f %7.2fx\n",
-				name, p, c, kLabel, e.Sampling, e.FeatureFetch, e.Propagation,
-				row.Total, row.QuiverTotal, row.Speedup)
+			specs = append(specs,
+				o.spec(name, pipeline.Config{P: p, C: cFor(p), K: kFor(p, d.NumBatches())}),
+				o.spec(name, pipeline.Config{P: p, Algorithm: pipeline.Quiver}))
 		}
+	}
+	runs, err := runSpecs(specs, lastEpoch)
+	if err != nil {
+		return nil, err
+	}
+
+	var rows []Fig4Row
+	fmt.Fprintf(w, "Figure 4: Graph Replicated pipeline vs Quiver (per-epoch seconds, simulated)\n")
+	fmt.Fprintf(w, "%-10s %5s %3s %6s %10s %10s %10s %10s %10s %8s\n",
+		"dataset", "p", "c", "k", "sampling", "fetch", "prop", "total", "quiver", "speedup")
+	for i := 0; i < len(specs); i += 2 {
+		cfg, e := specs[i].Config, runs[i]
+		row := Fig4Row{
+			Dataset: specs[i].Dataset, P: cfg.P, C: cfg.C, K: cfg.K,
+			Sampling: e.Sampling, FeatureFetch: e.FeatureFetch,
+			Propagation: e.Propagation, Total: e.Total,
+			QuiverTotal: runs[i+1].Total,
+		}
+		if row.Total > 0 {
+			row.Speedup = row.QuiverTotal / row.Total
+		}
+		rows = append(rows, row)
+		kLabel := fmt.Sprintf("%d", row.K)
+		if row.K == 0 {
+			kLabel = "all"
+		}
+		fmt.Fprintf(w, "%-10s %5d %3d %6s %10.4f %10.4f %10.4f %10.4f %10.4f %7.2fx\n",
+			row.Dataset, row.P, row.C, kLabel, e.Sampling, e.FeatureFetch, e.Propagation,
+			row.Total, row.QuiverTotal, row.Speedup)
 	}
 	return rows, nil
 }
@@ -166,33 +159,27 @@ type Fig5Row struct {
 // Fig5 reproduces Figure 5: Quiver with GPU sampling vs UVA sampling
 // on Papers-like and Protein-like.
 func Fig5(w io.Writer, o Options) ([]Fig5Row, error) {
+	var specs []Spec
+	for _, name := range []string{"papers", "protein"} {
+		for _, p := range o.gpus(figureGPUs) {
+			specs = append(specs,
+				o.spec(name, pipeline.Config{P: p, Algorithm: pipeline.Quiver}),
+				o.spec(name, pipeline.Config{P: p, Algorithm: pipeline.QuiverUVA}))
+		}
+	}
+	runs, err := runSpecs(specs, lastEpoch)
+	if err != nil {
+		return nil, err
+	}
+
 	var rows []Fig5Row
 	fmt.Fprintf(w, "Figure 5: Quiver GPU vs UVA sampling (per-epoch seconds, simulated)\n")
 	fmt.Fprintf(w, "%-10s %5s %12s %12s\n", "dataset", "p", "quiver-gpu", "quiver-uva")
-	for _, name := range []string{"papers", "protein"} {
-		d, err := datasets.ByName(name, o.Profile)
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range o.gpus(figureGPUs) {
-			run := func(a pipeline.Algorithm) (*pipeline.Result, error) {
-				return pipeline.Run(d, pipeline.Config{
-					P: p, Algorithm: a, MaxBatches: o.MaxBatches, Seed: o.Seed, Model: o.Model,
-				})
-			}
-			gpu, err := run(pipeline.Quiver)
-			if err != nil {
-				return nil, err
-			}
-			uva, err := run(pipeline.QuiverUVA)
-			if err != nil {
-				return nil, err
-			}
-			row := Fig5Row{Dataset: name, P: p,
-				GPUTotal: gpu.LastEpoch().Total, UVATotal: uva.LastEpoch().Total}
-			rows = append(rows, row)
-			fmt.Fprintf(w, "%-10s %5d %12.4f %12.4f\n", name, p, row.GPUTotal, row.UVATotal)
-		}
+	for i := 0; i < len(specs); i += 2 {
+		row := Fig5Row{Dataset: specs[i].Dataset, P: specs[i].Config.P,
+			GPUTotal: runs[i].Total, UVATotal: runs[i+1].Total}
+		rows = append(rows, row)
+		fmt.Fprintf(w, "%-10s %5d %12.4f %12.4f\n", row.Dataset, row.P, row.GPUTotal, row.UVATotal)
 	}
 	return rows, nil
 }
@@ -208,41 +195,36 @@ type Fig6Row struct {
 // Fig6 reproduces Figure 6: the Graph Replicated pipeline with the
 // Figure 4 replication factors vs the same pipeline forced to c=1.
 func Fig6(w io.Writer, o Options) ([]Fig6Row, error) {
-	var rows []Fig6Row
-	fmt.Fprintf(w, "Figure 6: effect of feature replication (per-epoch seconds, simulated)\n")
-	fmt.Fprintf(w, "%-10s %5s %10s %10s %12s %12s\n",
-		"dataset", "p", "with-rep", "no-rep", "fetch(rep)", "fetch(none)")
+	var specs []Spec
 	for _, name := range []string{"papers", "protein"} {
 		d, err := datasets.ByName(name, o.Profile)
 		if err != nil {
 			return nil, err
 		}
 		for _, p := range o.gpus(figureGPUs) {
-			run := func(c int) (pipeline.EpochStats, error) {
-				res, err := pipeline.Run(d, pipeline.Config{
-					P: p, C: c, K: kFor(p, d.NumBatches()),
-					MaxBatches: o.MaxBatches, Seed: o.Seed, Model: o.Model,
-				})
-				if err != nil {
-					return pipeline.EpochStats{}, err
-				}
-				return res.LastEpoch(), nil
-			}
-			rep, err := run(cFor(p))
-			if err != nil {
-				return nil, err
-			}
-			none, err := run(1)
-			if err != nil {
-				return nil, err
-			}
-			row := Fig6Row{Dataset: name, P: p,
-				WithRep: rep.Total, NoRep: none.Total,
-				FetchRep: rep.FeatureFetch, FetchNone: none.FeatureFetch}
-			rows = append(rows, row)
-			fmt.Fprintf(w, "%-10s %5d %10.4f %10.4f %12.4f %12.4f\n",
-				name, p, row.WithRep, row.NoRep, row.FetchRep, row.FetchNone)
+			k := kFor(p, d.NumBatches())
+			specs = append(specs,
+				o.spec(name, pipeline.Config{P: p, C: cFor(p), K: k}),
+				o.spec(name, pipeline.Config{P: p, C: 1, K: k}))
 		}
+	}
+	runs, err := runSpecs(specs, lastEpoch)
+	if err != nil {
+		return nil, err
+	}
+
+	var rows []Fig6Row
+	fmt.Fprintf(w, "Figure 6: effect of feature replication (per-epoch seconds, simulated)\n")
+	fmt.Fprintf(w, "%-10s %5s %10s %10s %12s %12s\n",
+		"dataset", "p", "with-rep", "no-rep", "fetch(rep)", "fetch(none)")
+	for i := 0; i < len(specs); i += 2 {
+		rep, none := runs[i], runs[i+1]
+		row := Fig6Row{Dataset: specs[i].Dataset, P: specs[i].Config.P,
+			WithRep: rep.Total, NoRep: none.Total,
+			FetchRep: rep.FeatureFetch, FetchNone: none.FeatureFetch}
+		rows = append(rows, row)
+		fmt.Fprintf(w, "%-10s %5d %10.4f %10.4f %12.4f %12.4f\n",
+			row.Dataset, row.P, row.WithRep, row.NoRep, row.FetchRep, row.FetchNone)
 	}
 	return rows, nil
 }

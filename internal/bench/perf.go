@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -65,30 +66,24 @@ type PerfBaseline struct {
 // PerfSchema is the current baseline schema identifier.
 const PerfSchema = "gnn-repro-perf/v1"
 
-// perfCase is one pinned workload of the matrix.
-type perfCase struct {
-	name string
-	prof datasets.Profile
-	cfg  pipeline.Config
-}
-
-// perfMatrix pins the workloads the suite always measures, spanning
-// the charging paths that matter: the replicated and 1.5D partitioned
-// epoch at the acceptance configuration (small, p=16), the large-p
-// regime the scaling study sweeps (tiny, p=512 and p=2048), and the
-// contention ledger under an oversubscribed fabric. The -des suffixes
-// date from when a second execution backend ran twin rows; they stay so
-// the BENCH_*.json trajectory keeps comparing like with like.
-func perfMatrix() []perfCase {
+// perfMatrix pins the workloads the suite always measures, each a spec
+// named by its baseline row, spanning the charging paths that matter:
+// the replicated and 1.5D partitioned epoch at the acceptance
+// configuration (small, p=16), the large-p regime the scaling study
+// sweeps (tiny, p=512 and p=2048), and the contention ledger under an
+// oversubscribed fabric. The -des suffixes date from when a second
+// execution backend ran twin rows; they stay so the BENCH_*.json
+// trajectory keeps comparing like with like.
+func perfMatrix() []Spec {
 	oversub := cluster.OversubscribedTopology(4)
-	return []perfCase{
-		{"epoch-replicated-small-p16", datasets.Small,
+	return []Spec{
+		{"epoch-replicated-small-p16", "products", datasets.Small,
 			pipeline.Config{P: 16, C: 4, K: pipeline.KAll, Epochs: 1, Seed: 20240101}},
-		{"epoch-replicated-tiny-p512-des", datasets.Tiny,
+		{"epoch-replicated-tiny-p512-des", "products", datasets.Tiny,
 			pipeline.Config{P: 512, C: 8, K: pipeline.KAll, Epochs: 1, Seed: 20240101}},
-		{"epoch-replicated-tiny-p2048-des", datasets.Tiny,
+		{"epoch-replicated-tiny-p2048-des", "products", datasets.Tiny,
 			pipeline.Config{P: 2048, C: 8, K: pipeline.KAll, Epochs: 1, Seed: 20240101}},
-		{"epoch-partitioned-small-p16-des", datasets.Small,
+		{"epoch-partitioned-small-p16-des", "products", datasets.Small,
 			pipeline.Config{P: 16, C: 2, K: pipeline.KAll, Epochs: 1, Seed: 20240101,
 				Algorithm: pipeline.GraphPartitioned, SparsityAware: true}},
 		// Large-p partitioned row at c=CMax(512)=16 — the replication
@@ -96,10 +91,10 @@ func perfMatrix() []perfCase {
 		// scaling study's cmax series; fixed c=2 is the regime whose
 		// blow-up the cap message documents). Guards the arena hot path
 		// under many small per-rank frontiers, not just the p=16 shape.
-		{"epoch-partitioned-tiny-p512-des", datasets.Tiny,
+		{"epoch-partitioned-tiny-p512-des", "products", datasets.Tiny,
 			pipeline.Config{P: 512, C: 16, K: pipeline.KAll, Epochs: 1, Seed: 20240101,
 				Algorithm: pipeline.GraphPartitioned, SparsityAware: true}},
-		{"epoch-contention-tiny-p128-oversub-des", datasets.Tiny,
+		{"epoch-contention-tiny-p128-oversub-des", "products", datasets.Tiny,
 			pipeline.Config{P: 128, C: 8, K: pipeline.KAll, Epochs: 1, Seed: 20240101,
 				Topology: oversub}},
 		// Crash-recovery row: the replicated acceptance shape run for two
@@ -108,7 +103,7 @@ func perfMatrix() []perfCase {
 		// every rep pays the full recovery path (fail-stop unwind, poison
 		// sweep, checkpoint decode, resumed attempt). Guards the seam's
 		// wall cost; sim-sec pins the recovered timeline's determinism.
-		{"epoch-recovery-small-p16", datasets.Small,
+		{"epoch-recovery-small-p16", "products", datasets.Small,
 			pipeline.Config{P: 16, C: 4, K: pipeline.KAll, Epochs: 2, Seed: 20240101,
 				CkptInterval: 1, Faults: resilience.FailAt(8, 0.0007)}},
 	}
@@ -128,19 +123,18 @@ func Perf(w io.Writer, o Options) ([]PerfRow, error) {
 	fmt.Fprintf(w, "%-40s %10s %10s %12s %14s %10s %8s\n",
 		"workload", "wall-sec", "wall-med", "sim-sec", "alloc-bytes", "allocs", "ledger")
 	var rows []PerfRow
-	for _, pc := range perfMatrix() {
-		d, err := datasets.ByName("products", pc.prof)
+	for _, s := range perfMatrix() {
+		d, err := datasets.ByName(s.Dataset, s.Profile)
 		if err != nil {
 			return nil, err
 		}
-		cfg := pc.cfg
-		cfg.Model = o.Model
+		s.Config.Model = o.Model
 		// Warm-up run: faults in the dataset cache and steadies the heap.
-		if _, err := pipeline.Run(d, cfg); err != nil {
-			return nil, fmt.Errorf("bench: perf %s: %w", pc.name, err)
+		if _, err := pipeline.Run(d, s.Config); err != nil {
+			return nil, fmt.Errorf("bench: perf %s: %w", s.Name, err)
 		}
-		row, err := measurePerf(w, pc.name, func() (float64, int, error) {
-			res, err := pipeline.Run(d, cfg)
+		row, err := measurePerf(w, s.Name, func() (float64, int, error) {
+			res, err := pipeline.Run(d, s.Config)
 			if err != nil {
 				return 0, 0, err
 			}
@@ -278,21 +272,11 @@ func measurePerf(w io.Writer, name string, run func() (simSec float64, ledgerPea
 		}
 		row.LedgerPeak = ledgerPeak
 	}
-	row.WallSec = minOf(walls)
+	row.WallSec = slices.Min(walls)
 	row.WallMedianSec = medianOf(walls)
 	fmt.Fprintf(w, "%-40s %10.3f %10.3f %12.6g %14d %10d %8d\n",
 		row.Name, row.WallSec, row.WallMedianSec, row.SimSec, row.AllocBytes, row.Allocs, row.LedgerPeak)
 	return row, nil
-}
-
-func minOf(xs []float64) float64 {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
 }
 
 func medianOf(xs []float64) float64 {

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
@@ -11,7 +12,6 @@ import (
 	"testing"
 
 	"repro/internal/datasets"
-	"repro/internal/pipeline"
 )
 
 func TestRunCellsCoversEveryCellOnce(t *testing.T) {
@@ -103,90 +103,60 @@ func stripWallColumn(table string) string {
 	return strings.Join(lines, "\n")
 }
 
-// TestScalingPoolDeterminism pins the pool's central promise: a
-// parallel sweep prints the same table and returns the same rows as a
-// serial one — scheduling may reorder execution, never results. The
-// pool has one worker per GOMAXPROCS, so the study runs at 1 (serial)
-// and 4. The scheduler commits in event-key order, so the whole table
-// compares exactly, contended cells included. Small at p ∈ {4, 8} has,
-// for both algorithms, a weak cell with a run of its own (p=4 < 8
-// batches) and weak cells that share their strong twin's run (p=8):
-// every row must read what a run of its own config reads.
-func TestScalingPoolDeterminism(t *testing.T) {
+// specExperiments are the experiments whose training runs go through
+// runSpecs.
+var specExperiments = []string{"fig4", "fig5", "fig6", "overlap", "contention", "scaling", "resilience"}
+
+// TestPoolDeterminism pins the pool's central promise for every
+// experiment that runs its specs on it: a parallel sweep prints the same
+// table and returns the same rows as a serial one — scheduling may
+// reorder execution, never results. The pool has one worker per
+// GOMAXPROCS, so each experiment runs at 1 (serial) and 4. The
+// scheduler commits in event-key order, so the whole table compares
+// exactly, contended cells and fault recovery included. Concurrent runs
+// share the process's free lists, which CI's race step checks here.
+func TestPoolDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep determinism is a long test")
 	}
-	o := Options{Profile: datasets.Small, GPUCounts: []int{4, 8}, Seed: 1}
+	o := Options{Profile: datasets.Tiny, GPUCounts: []int{8, 16}, MaxBatches: 2, Seed: 1}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	run := func(procs int) (string, []ScalingRow) {
-		runtime.GOMAXPROCS(procs)
-		var buf bytes.Buffer
-		rows, err := Scaling(&buf, o)
+	for _, id := range specExperiments {
+		e, err := Select(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range rows {
-			rows[i].WallSec = 0
-		}
-		return stripWallColumn(buf.String()), rows
+		t.Run(id, func(t *testing.T) {
+			run := func(procs int) (string, any) {
+				runtime.GOMAXPROCS(procs)
+				var buf bytes.Buffer
+				rows, err := e[0].Run(&buf, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if scaling, ok := rows.([]ScalingRow); ok {
+					for i := range scaling {
+						scaling[i].WallSec = 0
+					}
+				}
+				return stripWallColumn(buf.String()), rows
+			}
+			serialTable, serialRows := run(1)
+			parTable, parRows := run(4)
+			if serialTable != parTable {
+				t.Errorf("parallel sweep table differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", serialTable, parTable)
+			}
+			if !reflect.DeepEqual(serialRows, parRows) {
+				t.Error("parallel sweep rows differ from serial")
+			}
+		})
 	}
-	serialTable, serialRows := run(1)
-	parTable, parRows := run(4)
-	if serialTable != parTable {
-		t.Errorf("parallel sweep table differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", serialTable, parTable)
-	}
-	if !reflect.DeepEqual(serialRows, parRows) {
-		t.Error("parallel sweep rows differ from serial")
-	}
-
-	d, err := datasets.ByName("products", o.Profile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cells, _ := scalingCells(d, o)
-	live := runnableCells(cells)
-	if len(live) != len(serialRows) {
-		t.Fatalf("%d rows for %d runnable cells", len(serialRows), len(live))
-	}
-	errs := runCells(len(live), runtime.GOMAXPROCS(0), func(i int) error {
-		cfg, row := live[i].cfg, serialRows[i]
-		res, err := pipeline.Run(d, cfg)
-		if err != nil {
-			return err
-		}
-		want := res.LastEpoch().Total
-		if row.Mode == "weak" {
-			want = res.Cluster.SimTime
-		}
-		if row.P != cfg.P || row.C != cfg.C || row.Batches != cfg.MaxBatches ||
-			row.EpochSec != want || row.LedgerPeak != res.Cluster.LedgerPeakSpans {
-			return fmt.Errorf("row %+v; its own run reads epoch-sec %v, ledger %d", row, want, res.Cluster.LedgerPeakSpans)
-		}
-		return nil
-	})
-	for _, err := range errs {
-		if err != nil {
-			t.Error(err)
-		}
-	}
-}
-
-// runnableCells returns the cells of a scaling plan that become rows,
-// in row order.
-func runnableCells(cells []*scalingCell) []*scalingCell {
-	var live []*scalingCell
-	for _, cell := range cells {
-		if cell.skip == "" {
-			live = append(live, cell)
-		}
-	}
-	return live
 }
 
 // TestScalingCellsShareRunsByConfig pins the study's run plan without
-// simulating anything: two cells read one run exactly when their
-// configs are equal. At Tiny and Small every default p reaches the
-// batch count, so each weak cell is its strong twin's run; at Scale
+// simulating anything: two cells' specs encode alike, so runSpecs gives
+// them one run, exactly when their configs are equal. At Tiny and Small every default p reaches
+// the batch count, so each weak cell is its strong twin's run; at Scale
 // (512 batches) the weak cells below p=512 keep runs of their own.
 func TestScalingCellsShareRunsByConfig(t *testing.T) {
 	for _, tc := range []struct {
@@ -201,17 +171,33 @@ func TestScalingCellsShareRunsByConfig(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cells, runs := scalingCells(d, Options{Profile: tc.profile})
-		live := runnableCells(cells)
-		if len(live) != tc.cells || len(runs) != tc.runs {
-			t.Errorf("%v: %d cells on %d runs, want %d on %d", tc.profile, len(live), len(runs), tc.cells, tc.runs)
+		cells, specs := scalingCells(d, Options{Profile: tc.profile})
+		var live []*scalingCell
+		for _, cell := range cells {
+			if cell.skip == "" {
+				live = append(live, cell)
+			}
+		}
+		if len(specs) != len(live) {
+			t.Fatalf("%v: %d specs for %d runnable cells", tc.profile, len(specs), len(live))
+		}
+		keys, distinct := make([]string, len(specs)), map[string]bool{}
+		for i, s := range specs {
+			key, err := json.Marshal(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys[i], distinct[string(key)] = string(key), true
+			if !reflect.DeepEqual(s, live[i].spec) {
+				t.Fatalf("%v: spec %d is not its cell's", tc.profile, i)
+			}
+		}
+		if len(live) != tc.cells || len(distinct) != tc.runs {
+			t.Errorf("%v: %d cells on %d runs, want %d on %d", tc.profile, len(live), len(distinct), tc.cells, tc.runs)
 		}
 		for i, a := range live {
-			if !reflect.DeepEqual(runs[a.run].cfg, a.cfg) {
-				t.Errorf("%v: cell %+v reads a run of another config", tc.profile, a.row)
-			}
-			for _, b := range live[:i] {
-				if shared, equal := a.run == b.run, reflect.DeepEqual(a.cfg, b.cfg); shared != equal {
+			for j, b := range live[:i] {
+				if shared, equal := keys[i] == keys[j], reflect.DeepEqual(a.spec, b.spec); shared != equal {
 					t.Errorf("%v: cells %+v and %+v: shared run %v, equal configs %v", tc.profile, a.row, b.row, shared, equal)
 				}
 			}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/datasets"
 	"repro/internal/pipeline"
 	"repro/internal/resilience"
 )
@@ -46,75 +45,71 @@ const resilienceEpochs = 4
 // expensive (everything past the last boundary is re-executed). The
 // injected failure lands at ~60% of the no-checkpoint clean run's
 // simulated span (rank p/2); any plan on Options.Model is stripped.
-// nil intervals sweep {0, 1, 2, 4}. Cells run serially: each failed
-// run already contains restarts, and the table is small.
+// nil intervals sweep {0, 1, 2, 4}. The runs go in two rounds, because
+// the fault time comes from the clean span: every clean run, then every
+// faulted one.
 func Resilience(w io.Writer, dataset string, p int, intervals []int, o Options) ([]ResilienceRow, error) {
 	o.Model.Faults = nil
-	d, err := datasets.ByName(dataset, o.Profile)
-	if err != nil {
-		return nil, err
-	}
 	if len(intervals) == 0 {
 		intervals = []int{0, 1, 2, 4}
 	}
-	strategies := []struct {
-		name string
-		cfg  pipeline.Config
-	}{
-		{"replicated", pipeline.Config{P: p, C: 4}},
-		{"partitioned", pipeline.Config{P: p, C: 2,
-			Algorithm: pipeline.GraphPartitioned, SparsityAware: true}},
+	strategies := []pipeline.Config{
+		{P: p, C: 4, Epochs: resilienceEpochs},
+		{P: p, C: 2, Epochs: resilienceEpochs,
+			Algorithm: pipeline.GraphPartitioned, SparsityAware: true},
 	}
+	// Per strategy, its no-checkpoint baseline, then one run per interval.
+	n := 1 + len(intervals)
+	var clean []Spec
+	for _, cfg := range strategies {
+		for _, interval := range append([]int{0}, intervals...) {
+			cfg.CkptInterval = interval
+			clean = append(clean, o.spec(dataset, cfg))
+		}
+	}
+	cleanRuns, err := runSpecs(clean, result)
+	if err != nil {
+		return nil, err
+	}
+	var faulted []Spec
+	for i, s := range clean {
+		if i%n != 0 {
+			s.Config.Model.Faults = resilience.FailAt(p/2, cleanRuns[i-i%n].Cluster.SimTime*0.6)
+			faulted = append(faulted, s)
+		}
+	}
+	faultedRuns, err := runSpecs(faulted, result)
+	if err != nil {
+		return nil, err
+	}
+
 	fmt.Fprintf(w, "Checkpoint/restore sweep, dataset=%s p=%d epochs=%d (fault at ~60%% of clean span)\n",
 		dataset, p, resilienceEpochs)
 	fmt.Fprintf(w, "%-12s %9s %12s %9s %12s %9s %7s %12s %12s\n",
 		"strategy", "interval", "clean sim s", "ovhd %", "fail at s", "attempts", "resume", "wasted sim s", "total sim s")
 	var rows []ResilienceRow
-	for _, st := range strategies {
-		base := st.cfg
-		base.Epochs = resilienceEpochs
-		base.Seed = o.Seed
-		base.MaxBatches = o.MaxBatches
-		base.Model = o.Model
-
-		clean0, err := pipeline.Run(d, base)
-		if err != nil {
-			return nil, fmt.Errorf("bench: resilience %s clean baseline: %w", st.name, err)
+	for i, failed := range faultedRuns {
+		// faulted[i] is clean[j] with a fault plan; clean[j-j%n] is its baseline.
+		j := i + i/len(intervals) + 1
+		clean0, clean := cleanRuns[j-j%n], cleanRuns[j]
+		rec := failed.Recovery
+		row := ResilienceRow{
+			Strategy:    algorithmName(faulted[i].Config.Algorithm),
+			Interval:    faulted[i].Config.CkptInterval,
+			CleanSim:    clean.Cluster.SimTime,
+			OverheadPct: (clean.Cluster.SimTime/clean0.Cluster.SimTime - 1) * 100,
+			Attempts:    rec.Attempts,
+			WastedSim:   rec.WastedSim,
+			TotalSim:    failed.Cluster.SimTime + rec.WastedSim,
 		}
-		plan := resilience.FailAt(p/2, clean0.Cluster.SimTime*0.6)
-		for _, interval := range intervals {
-			cfg := base
-			cfg.CkptInterval = interval
-			clean := clean0
-			if interval != 0 {
-				if clean, err = pipeline.Run(d, cfg); err != nil {
-					return nil, fmt.Errorf("bench: resilience %s interval %d clean: %w", st.name, interval, err)
-				}
-			}
-			cfg.Model.Faults = plan
-			failed, err := pipeline.Run(d, cfg)
-			if err != nil {
-				return nil, fmt.Errorf("bench: resilience %s interval %d faulted: %w", st.name, interval, err)
-			}
-			rec := failed.Recovery
-			row := ResilienceRow{
-				Strategy:    st.name,
-				Interval:    interval,
-				CleanSim:    clean.Cluster.SimTime,
-				OverheadPct: (clean.Cluster.SimTime/clean0.Cluster.SimTime - 1) * 100,
-				Attempts:    rec.Attempts,
-				WastedSim:   rec.WastedSim,
-				TotalSim:    failed.Cluster.SimTime + rec.WastedSim,
-			}
-			if len(rec.Failures) > 0 {
-				row.FailAt = rec.Failures[0].At
-				row.ResumeEpoch = rec.RestartEpochs[0]
-			}
-			rows = append(rows, row)
-			fmt.Fprintf(w, "%-12s %9d %12.5f %9.2f %12.5f %9d %7d %12.5f %12.5f\n",
-				row.Strategy, row.Interval, row.CleanSim, row.OverheadPct,
-				row.FailAt, row.Attempts, row.ResumeEpoch, row.WastedSim, row.TotalSim)
+		if len(rec.Failures) > 0 {
+			row.FailAt = rec.Failures[0].At
+			row.ResumeEpoch = rec.RestartEpochs[0]
 		}
+		rows = append(rows, row)
+		fmt.Fprintf(w, "%-12s %9d %12.5f %9.2f %12.5f %9d %7d %12.5f %12.5f\n",
+			row.Strategy, row.Interval, row.CleanSim, row.OverheadPct,
+			row.FailAt, row.Attempts, row.ResumeEpoch, row.WastedSim, row.TotalSim)
 	}
 	return rows, nil
 }

@@ -3,8 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
-	"runtime"
-	"time"
+	"math"
 
 	"repro/internal/cluster"
 	"repro/internal/datasets"
@@ -39,20 +38,6 @@ type ScalingRow struct {
 // internal/cluster/sim).
 var ScalingGPUCounts = []int{8, 32, 128, 512, 4096, 8192}
 
-// scalingPartitionedC returns the replication factor the fixed-c
-// partitioned series uses at p, or 0 when no valid grid exists: the
-// pipeline needs c | p and c² | p, and the series pins c=2 (so the
-// 1.5D algorithm's degradation at fixed replication stays visible),
-// which requires 4 | p. Counts that don't qualify are skipped, not
-// errors — the Tprob experiment set that precedent for invalid (p, c)
-// combos.
-func scalingPartitionedC(p int) int {
-	if p%4 != 0 {
-		return 0
-	}
-	return 2
-}
-
 // CMax returns the largest replication factor the 1.5D grid admits at
 // p — the biggest c with c | p and c² | p — or 0 when even c=2 does
 // not fit. Growing c toward √p shrinks the stage count p/c² and the
@@ -61,7 +46,7 @@ func scalingPartitionedC(p int) int {
 // at large p; the scaling study sweeps c ∈ {2, CMax(p)} and reports
 // where the series cross.
 func CMax(p int) int {
-	for c := isqrt(p); c >= 2; c-- {
+	for c := int(math.Sqrt(float64(p))); c >= 2; c-- {
 		if p%c == 0 && p%(c*c) == 0 {
 			return c
 		}
@@ -69,36 +54,20 @@ func CMax(p int) int {
 	return 0
 }
 
-func isqrt(n int) int {
-	c := 0
-	for (c+1)*(c+1) <= n {
-		c++
-	}
-	return c
-}
-
 // scalingCell is one enumerated cell of the study: either a skip (with
 // its reason) or a row the fold projects from the cell's run.
 type scalingCell struct {
-	row      ScalingRow      // label columns; the fold fills the measured ones
-	cfg      pipeline.Config // what the cell simulates (zero when skipped)
-	run      int             // index of the distinct run that simulates cfg
-	perBlock int             // per-sampling-block batch share, for weak efficiency
+	row      ScalingRow // label columns; the fold fills the measured ones
+	spec     Spec       // what the cell simulates (zero when skipped)
+	perBlock int        // per-sampling-block batch share, for weak efficiency
 	skip     string
 }
 
-// scalingRun is one distinct simulation and what its rows read: the raw
-// makespan (weak), the full epoch (strong), the wall and ledger peak.
-type scalingRun struct {
-	cfg                  pipeline.Config
-	simTime, epoch, wall float64
-	ledgerPeak           int
-}
-
-// scalingCells enumerates the study's cells in print order, each with
-// the config it simulates, and the distinct runs among them in order of
-// first use; cell.run indexes runs. It simulates nothing.
-func scalingCells(d *datasets.Dataset, o Options) (cells []*scalingCell, runs []*scalingRun) {
+// scalingCells enumerates the study's cells in print order, and the
+// specs of the runnable ones in the same order. It simulates nothing. A
+// weak cell whose batch cap reaches the full list (p ≥ total) has its
+// strong twin's spec, so runSpecs simulates the two once.
+func scalingCells(d *datasets.Dataset, o Options) (cells []*scalingCell, specs []Spec) {
 	defaulted := len(o.GPUCounts) == 0
 	total := len(pipeline.Batches(d, o.MaxBatches))
 	collectives := []struct {
@@ -117,7 +86,6 @@ func scalingCells(d *datasets.Dataset, o Options) (cells []*scalingCell, runs []
 		{"oversub", cluster.OversubscribedTopology(4)},
 	}
 
-	index := map[ScalingRow]int{}
 	for _, mode := range []string{"weak", "strong"} {
 		for _, alg := range []string{"replicated", "partitioned", "partitioned-cmax"} {
 			for _, coll := range collectives {
@@ -126,9 +94,12 @@ func scalingCells(d *datasets.Dataset, o Options) (cells []*scalingCell, runs []
 						c, skip := cFor(p), ""
 						switch alg {
 						case "partitioned":
-							c = scalingPartitionedC(p)
-							if c == 0 {
-								skip = "partitioned grid needs 4 | p"
+							// The series pins c=2, so the 1.5D algorithm's
+							// degradation at fixed replication stays visible;
+							// its grid needs c² | p.
+							c = 2
+							if p%4 != 0 {
+								c, skip = 0, "partitioned grid needs 4 | p"
 							} else if defaulted && p > 512 {
 								// The fixed-c=2 grid degrades superlinearly with
 								// p (its sampling collectives grow with the grid
@@ -169,34 +140,21 @@ func scalingCells(d *datasets.Dataset, o Options) (cells []*scalingCell, runs []
 						if skip != "" {
 							continue
 						}
-						cell.cfg = pipeline.Config{
-							P: p, C: c, K: pipeline.KAll,
-							Epochs: 1, Seed: o.Seed,
-							Model:      o.Model,
-							MaxBatches: batches,
-						}
-						cell.cfg.Model.Collectives = coll.tbl
-						cell.cfg.Model.Topology = topo.topo
+						cell.spec = o.spec(d.Name, pipeline.Config{P: p, C: c, K: pipeline.KAll, Epochs: 1})
+						cell.spec.Config.MaxBatches = batches
+						cell.spec.Config.Model.Collectives = coll.tbl
+						cell.spec.Config.Model.Topology = topo.topo
 						if alg != "replicated" {
-							cell.cfg.Algorithm = pipeline.GraphPartitioned
-							cell.cfg.SparsityAware = true
+							cell.spec.Config.Algorithm = pipeline.GraphPartitioned
+							cell.spec.Config.SparsityAware = true
 						}
-						// The labels but the mode fix the config and key its
-						// run: a weak cell whose batch cap reaches the full list
-						// (p ≥ total) is the same simulation as its strong twin.
-						key := cell.row
-						key.Mode = ""
-						if _, ok := index[key]; !ok {
-							index[key] = len(runs)
-							runs = append(runs, &scalingRun{cfg: cell.cfg})
-						}
-						cell.run = index[key]
+						specs = append(specs, cell.spec)
 					}
 				}
 			}
 		}
 	}
-	return cells, runs
+	return cells, specs
 }
 
 // Scaling runs the weak- and strong-scaling study on one dataset
@@ -213,35 +171,29 @@ func scalingCells(d *datasets.Dataset, o Options) (cells []*scalingCell, runs []
 //   - Strong scaling runs the full batch list at every p, so the ideal
 //     epoch time halves as p doubles; efficiency is T(p₀)·p₀/(T(p)·p).
 //
-// Each distinct run is simulated once on the sweep worker pool, one
-// worker per GOMAXPROCS, and every cell naming it projects its row
-// from that run; rows fold in enumeration order, so the table is
-// byte-identical at any pool size. WallSec reports the real time the
-// simulator needed for the row's run — the simulator-performance axis
-// this study exists to keep honest (the perf suite gates it; see Perf).
+// The runnable cells' specs go through runSpecs, so each distinct run
+// is simulated once, and rows fold in enumeration order. WallSec
+// reports the real time the simulator needed for the row's run — the
+// simulator-performance axis this study exists to keep honest (the
+// perf suite gates it; see Perf).
 func Scaling(w io.Writer, o Options) ([]ScalingRow, error) {
 	d, err := datasets.ByName("products", o.Profile)
 	if err != nil {
 		return nil, err
 	}
-	cells, runs := scalingCells(d, o)
-
-	// The scheduler commits in event-key order, so sibling runs sharing
-	// the host cannot move a run's result.
-	errs := runCells(len(runs), runtime.GOMAXPROCS(0), func(i int) error {
-		run := runs[i]
-		//gnnvet:allow walltime — scaling rows report real harness wall time next to the simulated makespan
-		t0 := time.Now()
-		res, err := pipeline.Run(d, run.cfg)
-		if err != nil {
-			return err
-		}
-		//gnnvet:allow walltime — wall-clock column of the scaling study
-		run.wall = time.Since(t0).Seconds()
-		run.simTime, run.epoch = res.Cluster.SimTime, res.LastEpoch().Total
-		run.ledgerPeak = res.Cluster.LedgerPeakSpans
-		return nil
+	cells, specs := scalingCells(d, o)
+	// What a row reads of its run: weak rows the raw makespan, strong
+	// rows the full epoch.
+	type measured struct {
+		simTime, epoch, wall float64
+		ledgerPeak           int
+	}
+	runs, err := runSpecs(specs, func(res *pipeline.Result, wall float64) measured {
+		return measured{res.Cluster.SimTime, res.LastEpoch().Total, wall, res.Cluster.LedgerPeakSpans}
 	})
+	if err != nil {
+		return nil, err
+	}
 
 	fmt.Fprintf(w, "Scaling study: %s/%s, weak + strong, per algorithm x collective x topology (simulated epoch seconds)\n",
 		d.Name, o.Profile)
@@ -259,11 +211,7 @@ func Scaling(w io.Writer, o Options) ([]ScalingRow, error) {
 				row.Mode, row.Algorithm, row.Collective, row.Topology, row.P, cell.skip)
 			continue
 		}
-		if err := errs[cell.run]; err != nil {
-			return nil, fmt.Errorf("bench: scaling %s/%s/%s/%s p=%d: %w",
-				row.Mode, row.Algorithm, row.Collective, row.Topology, row.P, err)
-		}
-		run := runs[cell.run]
+		run := runs[len(rows)]
 		row.WallSec, row.LedgerPeak = run.wall, run.ledgerPeak
 		row.EpochSec = run.epoch
 		if row.Mode == "weak" {

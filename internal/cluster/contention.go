@@ -69,7 +69,10 @@ type PhysLinkStat struct {
 type contention struct {
 	nvBase, pcieBase, nicBase int // first link id of each family
 	trunk                     int // trunk link id, -1 when unmodeled
-	nicsPer, gpn              int
+
+	// links holds, per tier and rank, the physical links a flow the
+	// rank injects on that tier occupies (read-only once built).
+	links [3][][]int
 
 	mu       sync.Mutex
 	names    []string
@@ -79,12 +82,14 @@ type contention struct {
 	maxFlows []int     // per link: peak concurrent flows observed
 
 	// Sweep scratch, reused across transactions (caller holds mu):
-	// counts is indexed by link id and reset via the touched list, and
+	// counts is indexed by link id and reset via the touched list,
 	// events grows to the transaction's event horizon once instead of
-	// reallocating per solve.
-	counts  []int
-	touched []int
-	events  []float64
+	// reallocating per solve, and fin, rem and rate (per flow) to its
+	// largest batch.
+	counts         []int
+	touched        []int
+	events         []float64
+	fin, rem, rate []float64
 
 	// curSpans/peakSpans track the ledger's committed-span population
 	// (inserts minus prunes) and its high-water mark — the "peak
@@ -121,8 +126,7 @@ func newContention(model CostModel, n int) *contention {
 	nicCap := cap(model.Beta[InterNode])
 	pcieCap := cap(model.Beta[HostLink])
 
-	ct := &contention{nvBase: 0, pcieBase: n, nicBase: 2 * n, trunk: -1,
-		nicsPer: nicsPer, gpn: gpn}
+	ct := &contention{nvBase: 0, pcieBase: n, nicBase: 2 * n, trunk: -1}
 	for r := 0; r < n; r++ {
 		ct.names = append(ct.names, fmt.Sprintf("nvlink:rank%d", r))
 		ct.caps = append(ct.caps, nvCap)
@@ -142,6 +146,19 @@ func newContention(model CostModel, n int) *contention {
 		ct.names = append(ct.names, "fabric-trunk")
 		ct.caps = append(ct.caps, float64(nodes)*nicCap/topo.Oversub)
 	}
+	// Each rank's links on every tier, cut from one backing array.
+	route := make([]int, 0, 4*n)
+	for r := 0; r < n; r++ {
+		at := len(route)
+		nic := ct.nicBase + (r/gpn)*nicsPer + (r%gpn)%nicsPer
+		route = append(route, ct.nvBase+r, ct.pcieBase+r, nic)
+		if ct.trunk >= 0 {
+			route = append(route, ct.trunk)
+		}
+		ct.links[IntraNode] = append(ct.links[IntraNode], route[at:at+1:at+1])
+		ct.links[HostLink] = append(ct.links[HostLink], route[at+1:at+2:at+2])
+		ct.links[InterNode] = append(ct.links[InterNode], route[at+2:len(route):len(route)])
+	}
 	ct.busy = make([][]span, len(ct.caps))
 	ct.bytes = make([]float64, len(ct.caps))
 	ct.maxFlows = make([]int, len(ct.caps))
@@ -150,19 +167,9 @@ func newContention(model CostModel, n int) *contention {
 }
 
 // linksFor returns the physical links a flow injected by the given
-// rank occupies on the given tier.
+// rank occupies on the given tier. The slice is shared: read-only.
 func (ct *contention) linksFor(rank int, l Link) []int {
-	switch l {
-	case IntraNode:
-		return []int{ct.nvBase + rank}
-	case HostLink:
-		return []int{ct.pcieBase + rank}
-	}
-	nic := ct.nicBase + (rank/ct.gpn)*ct.nicsPer + (rank%ct.gpn)%ct.nicsPer
-	if ct.trunk >= 0 {
-		return []int{nic, ct.trunk}
-	}
-	return []int{nic}
+	return ct.links[l][rank]
 }
 
 // reset clears the ledger for a fresh Run (simulated clocks restart at
@@ -171,7 +178,7 @@ func (ct *contention) reset() {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
 	for i := range ct.busy {
-		ct.busy[i] = nil
+		ct.busy[i] = ct.busy[i][:0]
 		ct.bytes[i] = 0
 		ct.maxFlows[i] = 0
 	}
@@ -198,24 +205,25 @@ func (ct *contention) stats() []PhysLinkStat {
 	return out
 }
 
-// transact solves one batch of flows against the committed ledger and
-// commits their occupancy, returning each flow's finish time. The
-// batch shares fairly among itself (exact progressive filling) and
-// with previously-committed overlapping flows (fixed occupancy).
-func (ct *contention) transact(flows []flowReq) []float64 {
+// transact solves one batch of flows against the committed ledger,
+// commits their occupancy, and overwrites each flow's start with its
+// finish time. The batch shares fairly among itself (exact progressive
+// filling) and with previously-committed overlapping flows (fixed
+// occupancy).
+func (ct *contention) transact(flows []flowReq) {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
 	fin := ct.solveLocked(flows)
-	for i, f := range flows {
-		if f.bytes <= 0 {
-			continue
+	for i := range flows {
+		f := &flows[i]
+		if f.bytes > 0 {
+			for _, l := range f.links {
+				ct.bytes[l] += f.bytes
+				ct.insertSpan(l, span{f.start, fin[i]})
+			}
 		}
-		for _, l := range f.links {
-			ct.bytes[l] += f.bytes
-			ct.insertSpan(l, span{f.start, fin[i]})
-		}
+		f.start = fin[i]
 	}
-	return fin
 }
 
 // soloLocked is the uncontended fast path: a single flow whose links
@@ -255,11 +263,13 @@ func (ct *contention) soloLocked(f flowReq, fin []float64) bool {
 // flow unless that flow starts before t0, i.e. unless concurrent
 // streams invert simulated time across transactions — a bounded,
 // accepted undercount (streams drift at most a bounded queue depth).
+// The survivors move to the front, so the link keeps its capacity for
+// the spans insertSpan adds.
 func (ct *contention) overlapping(l int, t0 float64) []span {
 	b := ct.busy[l]
 	i := sort.Search(len(b), func(k int) bool { return b[k].hi > t0 })
 	if i > 0 {
-		b = b[i:]
+		b = b[:copy(b, b[i:])]
 		ct.busy[l] = b
 		ct.curSpans -= i
 	}
@@ -285,10 +295,13 @@ func (ct *contention) insertSpan(l int, s span) {
 // flow completing, a committed span's boundary) every active flow
 // progresses at min over its links of capacity/(active flows on the
 // link); repeat until every batch flow has drained its bytes. Caller
-// holds ct.mu.
+// holds ct.mu; the returned finish times are scratch, valid until the
+// next solve.
 func (ct *contention) solveLocked(flows []flowReq) []float64 {
-	fin := make([]float64, len(flows))
-	rem := make([]float64, len(flows))
+	if n := len(flows); cap(ct.fin) < n {
+		ct.fin, ct.rem, ct.rate = make([]float64, n), make([]float64, n), make([]float64, n)
+	}
+	fin, rem, rate := ct.fin[:len(flows)], ct.rem[:len(flows)], ct.rate[:len(flows)]
 	active := 0
 	t := math.Inf(1)
 	for i, f := range flows {
@@ -337,7 +350,6 @@ func (ct *contention) solveLocked(flows []flowReq) []float64 {
 	sort.Float64s(events)
 	ct.events = events
 
-	rate := make([]float64, len(flows))
 	counts := ct.counts
 	for active > 0 {
 		// Flow count per link at time t (batch flows + committed spans).
@@ -458,11 +470,6 @@ func (c *Comm) contendedFinish(r *Rank, entry float64, cost collCost) float64 {
 	var t *table[flowReq]
 	c.exchangeTransform(r, contendOp, req.start,
 		func(idx int) { t = deposit(c.rv, idx, req, 0) },
-		func() {
-			// Each flow's start is overwritten with its finish time.
-			for i, fin := range ct.transact(t.vals) {
-				t.vals[i].start = fin
-			}
-		}, false)
+		func() { ct.transact(t.vals) }, false)
 	return t.vals[c.LocalIndex(r)].start
 }

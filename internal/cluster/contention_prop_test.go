@@ -54,7 +54,7 @@ func TestContentionPropertyWorkConservation(t *testing.T) {
 			flows[i] = flowReq{start: 0, bytes: math.Pow(10, 3+rng.Float64()*4), links: link}
 			total += flows[i].bytes
 		}
-		fin := ct.transact(flows)
+		fin := finishes(ct, flows)
 		last := 0.0
 		for _, f := range fin {
 			if f > last {
@@ -87,8 +87,8 @@ func TestContentionPropertyAddingFlowNeverSpeedsUp(t *testing.T) {
 		ctB := propTopology(t, 8)
 		flows := randomFlows(rng, ctA, 8)
 		extra := randomFlows(rng, ctA, 8)[:1]
-		finA := ctA.transact(flows)
-		finB := ctB.transact(append(append([]flowReq(nil), flows...), extra...))
+		finA := finishes(ctA, flows)
+		finB := finishes(ctB, append(append([]flowReq(nil), flows...), extra...))
 		for i := range flows {
 			if finB[i] < finA[i]-1e-9*math.Max(1e-12, finA[i]) {
 				t.Fatalf("trial %d: flow %d finished at %.17g with an extra flow vs %.17g without",
@@ -114,8 +114,8 @@ func TestContentionPropertyCapacityScaling(t *testing.T) {
 		for i := range flows {
 			flows[i].start = 0
 		}
-		finA := ctA.transact(flows)
-		finB := ctB.transact(append([]flowReq(nil), flows...))
+		finA := finishes(ctA, flows)
+		finB := finishes(ctB, append([]flowReq(nil), flows...))
 		for i := range flows {
 			if finA[i] == 0 && finB[i] == 0 {
 				continue // zero-byte or free transfer
@@ -137,8 +137,8 @@ func TestContentionPropertyDeterministicShares(t *testing.T) {
 		ctA := propTopology(t, 16)
 		ctB := propTopology(t, 16)
 		flows := randomFlows(rng, ctA, 16)
-		finA := ctA.transact(append([]flowReq(nil), flows...))
-		finB := ctB.transact(append([]flowReq(nil), flows...))
+		finA := finishes(ctA, append([]flowReq(nil), flows...))
+		finB := finishes(ctB, append([]flowReq(nil), flows...))
 		for i := range finA {
 			if finA[i] != finB[i] {
 				t.Fatalf("trial %d: flow %d finish not deterministic: %.17g vs %.17g",
@@ -147,8 +147,8 @@ func TestContentionPropertyDeterministicShares(t *testing.T) {
 		}
 		// A second identical transaction against the now-occupied ledger
 		// must also be deterministic given the same committed state.
-		finA2 := ctA.transact(append([]flowReq(nil), flows...))
-		finB2 := ctB.transact(append([]flowReq(nil), flows...))
+		finA2 := finishes(ctA, append([]flowReq(nil), flows...))
+		finB2 := finishes(ctB, append([]flowReq(nil), flows...))
 		for i := range finA2 {
 			if finA2[i] != finB2[i] {
 				t.Fatalf("trial %d: second-round finish not deterministic: %.17g vs %.17g",
@@ -173,7 +173,7 @@ func TestContentionSoloFastPathMatchesSweep(t *testing.T) {
 			}
 		}
 		want := f[0].start + f[0].bytes/capacity
-		fin := ct.transact(f)
+		fin := finishes(ct, f)
 		if fin[0] != want {
 			t.Fatalf("trial %d: solo fast path %.17g != analytic %.17g", trial, fin[0], want)
 		}

@@ -380,12 +380,13 @@ func (r *Rank) ChargeLink(l Link, bytes int64) {
 	r.countLink(l, bytes)
 	if ct := r.cont; ct != nil {
 		r.gate()
-		fin := ct.transact([]flowReq{{
+		flow := []flowReq{{
 			start: r.model.wireEntry(r.clock, l),
 			bytes: float64(bytes),
 			links: ct.linksFor(r.ID, l),
-		}})
-		r.advance(fin[0]-r.clock, true)
+		}}
+		ct.transact(flow)
+		r.advance(flow[0].start-r.clock, true)
 		return
 	}
 	r.advance(r.model.wireTime(l, bytes), true)

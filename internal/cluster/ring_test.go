@@ -10,7 +10,9 @@ import (
 // TestWarmCollectiveAllocatesNothing: every collective deposits its
 // contribution into its generation's records on the rendezvous's ring,
 // so once every slot of the ring holds them a further call allocates
-// nothing on any member, slice-typed payloads included. As in
+// nothing on any member, slice-typed payloads included — uncontended
+// ("ideal") and on an oversubscribed fabric, where each call also
+// solves its flows in the contention ledger. As in
 // pipeline's TestFetchCachedCostsWhatItRequests, a run's own cost is
 // cancelled by subtracting a run with fewer calls.
 func TestWarmCollectiveAllocatesNothing(t *testing.T) {
@@ -61,27 +63,33 @@ func TestWarmCollectiveAllocatesNothing(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cl := New(n, testModel())
-			world := cl.World()
-			run := func(calls int) float64 {
-				return testing.AllocsPerRun(4, func() {
-					if _, err := cl.Run(func(r *Rank) error {
-						for i := 0; i < calls; i++ {
-							if !tc.call(world, r) {
-								return fmt.Errorf("rank %d: wrong %s result", r.ID, tc.name)
+			for _, topo := range []*Topology{nil, OversubscribedTopology(4)} {
+				t.Run(topo.String(), func(t *testing.T) {
+					m := testModel()
+					m.Topology = topo
+					cl := New(n, m)
+					world := cl.World()
+					run := func(calls int) float64 {
+						return testing.AllocsPerRun(4, func() {
+							if _, err := cl.Run(func(r *Rank) error {
+								for i := 0; i < calls; i++ {
+									if !tc.call(world, r) {
+										return fmt.Errorf("rank %d: wrong %s result", r.ID, tc.name)
+									}
+								}
+								return nil
+							}); err != nil {
+								t.Fatal(err)
 							}
-						}
-						return nil
-					}); err != nil {
-						t.Fatal(err)
+						})
+					}
+					run(3) // records on every slot of the ring
+					warm, hot := run(3), run(3+more)
+					if perCall := (hot - warm) / float64(more*n); perCall != 0 {
+						t.Fatalf("a warm %s allocates %v objects per member, want 0 (%v allocations at 3 calls, %v at %d)",
+							tc.name, perCall, warm, hot, 3+more)
 					}
 				})
-			}
-			run(3) // records on every slot of the ring
-			warm, hot := run(3), run(3+more)
-			if perCall := (hot - warm) / float64(more*n); perCall != 0 {
-				t.Fatalf("a warm %s allocates %v objects per member, want 0 (%v allocations at 3 calls, %v at %d)",
-					tc.name, perCall, warm, hot, 3+more)
 			}
 		})
 	}

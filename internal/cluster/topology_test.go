@@ -17,6 +17,18 @@ func testContention(t *testing.T, topo *Topology, n int) *contention {
 	return newContention(model, n)
 }
 
+// finishes commits a copy of flows in one ledger transaction and
+// returns their finish times.
+func finishes(ct *contention, flows []flowReq) []float64 {
+	flows = append([]flowReq(nil), flows...)
+	ct.transact(flows)
+	fin := make([]float64, len(flows))
+	for i, f := range flows {
+		fin[i] = f.start
+	}
+	return fin
+}
+
 func approx(t *testing.T, name string, got, want float64) {
 	t.Helper()
 	if math.Abs(got-want) > 1e-9*math.Max(1, math.Abs(want)) {
@@ -29,7 +41,7 @@ func approx(t *testing.T, name string, got, want float64) {
 func TestFairShareSoloFlowMatchesBeta(t *testing.T) {
 	ct := testContention(t, OversubscribedTopology(0), 8)
 	beta := Perlmutter().Beta[InterNode]
-	fin := ct.transact([]flowReq{{start: 1.0, bytes: 1e6, links: ct.linksFor(0, InterNode)}})
+	fin := finishes(ct, []flowReq{{start: 1.0, bytes: 1e6, links: ct.linksFor(0, InterNode)}})
 	approx(t, "solo finish", fin[0], 1.0+1e6*beta)
 }
 
@@ -39,7 +51,7 @@ func TestFairShareTwoEqualFlowsTakeDouble(t *testing.T) {
 	// One NIC per node: ranks 0 and 1 share nic:node0.0.
 	ct := testContention(t, OversubscribedTopology(0), 8)
 	beta := Perlmutter().Beta[InterNode]
-	fin := ct.transact([]flowReq{
+	fin := finishes(ct, []flowReq{
 		{start: 0, bytes: 1e6, links: ct.linksFor(0, InterNode)},
 		{start: 0, bytes: 1e6, links: ct.linksFor(1, InterNode)},
 	})
@@ -53,14 +65,14 @@ func TestFairShareDisjointLinksIndependent(t *testing.T) {
 	ct := testContention(t, OversubscribedTopology(0), 8)
 	beta := Perlmutter().Beta[InterNode]
 	// Ranks 0 (node 0) and 4 (node 1) inject through different NICs.
-	fin := ct.transact([]flowReq{
+	fin := finishes(ct, []flowReq{
 		{start: 0, bytes: 1e6, links: ct.linksFor(0, InterNode)},
 		{start: 0, bytes: 1e6, links: ct.linksFor(4, InterNode)},
 	})
 	approx(t, "flow 0", fin[0], 1e6*beta)
 	approx(t, "flow 1", fin[1], 1e6*beta)
 	// NVLink ports and PCIe links are per-GPU: also disjoint.
-	fin = ct.transact([]flowReq{
+	fin = finishes(ct, []flowReq{
 		{start: 0, bytes: 1e6, links: ct.linksFor(0, IntraNode)},
 		{start: 0, bytes: 1e6, links: ct.linksFor(1, IntraNode)},
 	})
@@ -76,11 +88,11 @@ func TestFairShareStaggeredFlowSeesCommittedOccupancy(t *testing.T) {
 	ct := testContention(t, OversubscribedTopology(0), 8)
 	cap := 1 / Perlmutter().Beta[InterNode]
 	b := cap // one second of solo demand
-	fin := ct.transact([]flowReq{{start: 0, bytes: b, links: ct.linksFor(0, InterNode)}})
+	fin := finishes(ct, []flowReq{{start: 0, bytes: b, links: ct.linksFor(0, InterNode)}})
 	approx(t, "first flow", fin[0], 1.0)
 	// Second flow starts at 0.5: shares [0.5, 1.0) at cap/2 (moves
 	// 0.25·cap), then runs alone and needs 0.75 more seconds.
-	fin = ct.transact([]flowReq{{start: 0.5, bytes: b, links: ct.linksFor(1, InterNode)}})
+	fin = finishes(ct, []flowReq{{start: 0.5, bytes: b, links: ct.linksFor(1, InterNode)}})
 	approx(t, "staggered flow", fin[0], 1.75)
 }
 
@@ -92,7 +104,7 @@ func TestFairShareTrunkBoundsOversubscribedFlows(t *testing.T) {
 	nicCap := 1 / model.Beta[InterNode]
 	// 2 nodes: trunk capacity = 2·nic/4 = nic/2. A solo flow is
 	// trunk-bound at half the NIC rate.
-	fin := ct.transact([]flowReq{{start: 0, bytes: nicCap, links: ct.linksFor(0, InterNode)}})
+	fin := finishes(ct, []flowReq{{start: 0, bytes: nicCap, links: ct.linksFor(0, InterNode)}})
 	approx(t, "trunk-bound solo", fin[0], 2.0)
 }
 
@@ -100,7 +112,7 @@ func TestFairShareTrunkBoundsOversubscribedFlows(t *testing.T) {
 // leave no occupancy behind.
 func TestFairShareZeroByteFlowIsFree(t *testing.T) {
 	ct := testContention(t, OversubscribedTopology(0), 8)
-	fin := ct.transact([]flowReq{{start: 3, bytes: 0, links: ct.linksFor(0, InterNode)}})
+	fin := finishes(ct, []flowReq{{start: 3, bytes: 0, links: ct.linksFor(0, InterNode)}})
 	if fin[0] != 3 {
 		t.Fatalf("zero-byte flow finish = %v, want 3", fin[0])
 	}
