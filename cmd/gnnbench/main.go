@@ -33,7 +33,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		experiment = fs.String("experiment", "all", bench.Usage())
 		profile    = fs.String("profile", "small", cliutil.ProfileUsage)
 		gpus       = fs.String("gpus", "", "comma-separated GPU counts (default per experiment; single-count experiments run the first)")
-		maxBatches = fs.Int("maxbatches", 0, "cap batches per epoch and extrapolate (0 = all)")
+		maxBatches = fs.Int("maxbatches", 0, "cap batches per epoch (0 = all): fig4-fig7, overlap, contention, resilience and scaling's strong rows extrapolate to the full epoch; amortization, partition, tprob and scaling's weak rows print the capped run's own times; acc trains on every batch and verify samples its own 8")
 		epochs     = fs.Int("epochs", 15, "training epochs for the accuracy experiment")
 		seed       = fs.Int64("seed", 20240101, "experiment seed")
 		jsonOut    = fs.String("json", "", "also write results as JSON to this file")

@@ -194,8 +194,8 @@ func algorithmName(a pipeline.Algorithm) string {
 // never less than one batch per rank.
 func (o Options) quarterEpochSpec(d *datasets.Dataset, alg pipeline.Algorithm, p int) Spec {
 	c := cFor(p)
-	for alg == pipeline.GraphPartitioned && p%(c*c) != 0 {
-		c /= 2
+	if alg == pipeline.GraphPartitioned {
+		c = gridC(p, c)
 	}
 	return o.spec(d.Name, pipeline.Config{
 		P: p, C: c, K: max(len(pipeline.Batches(d, o.MaxBatches))/4, p),

@@ -175,7 +175,7 @@ func TestTprobModelWithinOrderOfMagnitude(t *testing.T) {
 }
 
 func TestCKHelpers(t *testing.T) {
-	if cFor(4) != 1 || cFor(8) != 2 || cFor(128) != 8 {
+	if cFor(4) != 1 || cFor(8) != 2 || cFor(128) != 8 || cFor(18) != 3 || cFor(5) != 1 {
 		t.Fatal("cFor mapping wrong")
 	}
 	if kFor(4, 100) != 50 || kFor(64, 100) != 0 {

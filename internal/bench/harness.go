@@ -25,8 +25,13 @@ type Options struct {
 	// GPUCounts is the GPU axis the experiment sweeps (single-count
 	// experiments run the first entry). nil means the experiment's own
 	// default axis — the one its Experiments entry states.
-	GPUCounts  []int
-	MaxBatches int // per-epoch batch cap with extrapolation; 0 = all
+	GPUCounts []int
+	// MaxBatches caps the batches per epoch (0 = all). Fig4–Fig7,
+	// overlap, contention, resilience and scaling's strong rows
+	// extrapolate their times to the full epoch; amortization,
+	// partition, tprob and scaling's weak rows report the capped run's
+	// own; Accuracy trains on every batch, and Verify samples its own 8.
+	MaxBatches int
 	// Seed seeds every run of the experiment as given; 0 is a seed
 	// like any other.
 	Seed int64
@@ -64,18 +69,36 @@ func bytesSent(res *cluster.Result) int64 {
 }
 
 // cFor mirrors the paper's per-GPU-count replication factors in the
-// Figure 4 annotations: replication grows with aggregate memory.
+// Figure 4 annotations: replication grows with aggregate memory. It is
+// the largest divisor of p not above the paper's factor for p's size
+// bracket, so a count the paper did not run still gets a grid (c | p).
 func cFor(p int) int {
+	c := 8
 	switch {
 	case p <= 4:
-		return 1
+		c = 1
 	case p <= 8:
-		return 2
+		c = 2
 	case p <= 32:
-		return 4
-	default:
-		return 8
+		c = 4
 	}
+	return divisorAtMost(p, c)
+}
+
+// divisorAtMost returns the largest divisor of p not above c (c >= 1).
+func divisorAtMost(p, c int) int {
+	for p%c != 0 {
+		c--
+	}
+	return c
+}
+
+// gridC halves c (>= 1) until c^2 | p, as the 1.5D grid needs.
+func gridC(p, c int) int {
+	for p%(c*c) != 0 {
+		c /= 2
+	}
+	return c
 }
 
 // kFor mirrors the paper's bulk sizes: small GPU counts lack the
@@ -299,10 +322,7 @@ func Fig7(w io.Writer, sampler string, o Options) ([]Fig7Row, error) {
 		for _, p := range o.gpus(fig7GPUs) {
 			c := cOf[p]
 			if c == 0 {
-				c = cFor(p) / 2
-				if c == 0 {
-					c = 1
-				}
+				c = gridC(p, max(cFor(p)/2, 1))
 			}
 			res, err := RunPartitionedSampling(d, s, sizes, p, c, true, o)
 			if err != nil {

@@ -45,17 +45,19 @@ const resilienceEpochs = 4
 // expensive (everything past the last boundary is re-executed). The
 // injected failure lands at ~60% of the no-checkpoint clean run's
 // simulated span (rank p/2); any plan on Options.Model is stripped.
-// nil intervals sweep {0, 1, 2, 4}. The runs go in two rounds, because
-// the fault time comes from the clean span: every clean run, then every
-// faulted one.
+// nil intervals sweep {0, 1, 2, 4}. The replicated strategy runs at
+// c=4 and the partitioned one at c=2, each lowered to the largest
+// factor p's grid admits (c | p; c^2 | p for the partitioned grid).
+// The runs go in two rounds, because the fault time comes from the
+// clean span: every clean run, then every faulted one.
 func Resilience(w io.Writer, dataset string, p int, intervals []int, o Options) ([]ResilienceRow, error) {
 	o.Model.Faults = nil
 	if len(intervals) == 0 {
 		intervals = []int{0, 1, 2, 4}
 	}
 	strategies := []pipeline.Config{
-		{P: p, C: 4, Epochs: resilienceEpochs},
-		{P: p, C: 2, Epochs: resilienceEpochs,
+		{P: p, C: divisorAtMost(p, 4), Epochs: resilienceEpochs},
+		{P: p, C: gridC(p, 2), Epochs: resilienceEpochs,
 			Algorithm: pipeline.GraphPartitioned, SparsityAware: true},
 	}
 	// Per strategy, its no-checkpoint baseline, then one run per interval.

@@ -48,16 +48,17 @@ import (
 //     product storage is reusable as soon as the call returns.
 //   - fin, draw and normed (the layer's sample): each member states
 //     its finish step in fin before it enters the all-reduce; the fold
-//     checks that they agree, draws the layer once from the total into
-//     the first arena's draw record — the layer-wise Norm, which
-//     writes, on a copy in the first arena's normed — and points every
-//     member's drawn field at that record. The record holds only
-//     pointers to freshly allocated samples, so the next draw rewrites
-//     the record, never a sample a member still holds. A drawn sample
-//     is read-only for every member, and no member recycles it: a
-//     process row's c members hold the same layers in their BulkSamples
-//     (ExtractBatch copies what it hands on), so none of them owns one
-//     alone. The set's release drops the record.
+//     checks that they agree, draws once from the total into the first
+//     arena's draw record — the layer, or a layer-wise sampler's
+//     sampled sets and then its extraction onto them; the layer-wise
+//     Norm, which writes, on a copy in the first arena's normed — and
+//     points every member's drawn field at that record. The record
+//     holds only pointers to freshly allocated samples, so the next
+//     draw rewrites the record, never a sample a member still holds.
+//     A drawn sample is read-only for every member, and no member
+//     recycles it: a process row's c members hold the same layers in
+//     their BulkSamples (ExtractBatch copies what it hands on), so none
+//     of them owns one alone. The set's release drops the record.
 //
 // Everything else (Q_ik blocks, SPA, products) never leaves the rank.
 // A stageArena serves one execution stream — the rank's sampling

@@ -67,7 +67,7 @@ func TestArenaReuseBitIdentical(t *testing.T) {
 }
 
 // A released set's arenas serve the next set at their grown sizes:
-// after one run, a new set's first SpGEMM15D allocates no more than a
+// after one run, a new set's first spgemm15D allocates no more than a
 // warm set's next call does. GC is held off while counting: a
 // collection frees the runtime's own caches, which then count as
 // allocations of whichever call refills them.
@@ -83,7 +83,7 @@ func TestFreshSetReusesArenaMemory(t *testing.T) {
 	}
 	call := func(set []*Partitioned) {
 		if _, err := cl.Run(func(r *cluster.Rank) error {
-			set[r.ID].SpGEMM15D(r, qs[r.ID])
+			set[r.ID].spgemm15D(r, qs[r.ID], finishStep{})
 			return nil
 		}); err != nil {
 			t.Fatal(err)

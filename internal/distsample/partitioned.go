@@ -20,9 +20,10 @@
 // driver runs the staged collectives with their real payloads, but for
 // a Q with one entry per row its stage products and row fold are row
 // copies, its c replicas share one read-only product and one read-only
-// sample per process row (the row fold draws each layer once, for all
-// c members), and GraphSAGE's NORM is fused into the sampling prefix
-// sums.
+// layer per process row (the row fold completes each layer once, for
+// all c members, for both sampler families — layer-wise extraction
+// included, whose all-gather across the row is charged but carries no
+// value), and GraphSAGE's NORM is fused into the sampling prefix sums.
 package distsample
 
 import (
@@ -117,9 +118,9 @@ func ReleasePartitionedSet(set []*Partitioned) {
 	for _, a := range arenas {
 		if a != nil {
 			// total and drawn point into another arena of the set, and
-			// the draw record and finish step hold the last samples and
-			// frontier; nextTag keeps counting, because stamp still
-			// holds the old tags.
+			// the draw record and finish step hold the last layer,
+			// sampled sets and frontier; nextTag keeps counting, because
+			// stamp still holds the old tags.
 			a.total, a.drawn, a.draw, a.fin = nil, nil, rowDraw{}, finishStep{}
 		}
 	}
@@ -139,12 +140,12 @@ func payloadBytes(p *rowPayload) int {
 	return p.rows.Bytes()
 }
 
-// SpGEMM15D computes P = Q·A for this rank's block row of Q, running
+// spgemm15D computes P = Q·A for this rank's block row of Q, running
 // the staged block algorithm of Algorithm 2 on the process grid. Q's
 // columns span the full vertex range [0, N). The result is the full
 // product for this rank's rows — one matrix per process row, the fold
 // total its c members share. It is read-only: it lives in the process
-// row's stage arenas, is valid until the row's next SpGEMM15D call on
+// row's stage arenas, is valid until the row's next spgemm15D call on
 // this set (or the set's release), and must not be passed back in as
 // Q. The collective schedules — the per-stage gathers/scatters and the row
 // all-reduce — charge under the cost model's Collectives table
@@ -158,16 +159,11 @@ func payloadBytes(p *rowPayload) int {
 // the fold has one source, so the kernels copy rows instead of
 // accumulating (sparse.Scratch.SpGEMM, MergeCSRInto) and the running
 // nonzero count is the sum of the stage products' sizes.
-func (ps *Partitioned) SpGEMM15D(r *cluster.Rank, q *sparse.CSR) *sparse.CSR {
-	total, _ := ps.spgemm15D(r, q, finishStep{})
-	return total
-}
-
-// spgemm15D is SpGEMM15D with an optional finish step: when fin names a
-// sampler, the row fold also draws the layer's sample from the total,
-// once for the whole process row, and every member receives that one
-// read-only draw beside the total (nil when fin is empty). Every member
-// of the row must pass the same finish step.
+//
+// When fin names a sampler, the row fold also completes the layer from
+// the total (finishStep.draw), once for the whole process row, and every
+// member receives that one read-only draw beside the total (nil when fin
+// is empty). Every member of the row must pass the same finish step.
 func (ps *Partitioned) spgemm15D(r *cluster.Rank, q *sparse.CSR, fin finishStep) (*sparse.CSR, *rowDraw) {
 	g := ps.Grid
 	j := g.ColIndex(r.ID)
@@ -295,38 +291,74 @@ func LocalBatches(g *cluster.Grid, rank int, batches [][]int) [][]int {
 // phases on the rank's clock. The 1.5D SpGEMM stands in for P = Q·A, so
 // of the sampler only BuildQ and LayerWise are called, then either the
 // node-wise completion (the sampler's FinishStep method, see
-// nodewiseFinisher) or Norm inside the layer-wise one below, both run
-// by the row fold once per process row (finishStep). The c members of
-// a process row hold the same batches, so they return the same layers:
-// node-wise, the very same read-only LayerSamples.
+// nodewiseFinisher) or Norm and the layer-wise extraction
+// (extractLayerwise), all run by the row fold once per process row
+// (finishStep). The c members of a process row hold the same batches,
+// so they return the very same read-only LayerSamples.
 func SamplePartitioned(r *cluster.Rank, ps *Partitioned, s core.Sampler, batches [][]int, sizes []int, seed int64) *core.BulkSample {
-	if s.LayerWise() {
-		return layerwisePartitioned(r, ps, s, batches, sizes, seed)
-	}
 	out := &core.BulkSample{Batches: batches}
 	cur := core.NewFrontier(batches)
-	for l, fan := range sizes {
-		layerSeed := seed + int64(l)*1e9
+	for l, size := range sizes {
+		fin := finishStep{s: s, cur: cur, size: size, seed: seed + int64(l)*1e9}
 
 		r.SetPhase(PhaseProbability)
 		q := s.BuildQ(cur, ps.N)
 		r.ChargeKernels(1)
-		_, drawn := ps.spgemm15D(r, q, finishStep{s: s, cur: cur, size: fan, seed: layerSeed})
+		p, drawn := ps.spgemm15D(r, q, fin)
+		if s.LayerWise() {
+			r.ChargeMem(int64(p.NNZ()) * 16) // the sampler's Norm over P
+		}
 
 		// The row's draw is charged to every member, as if each drew it.
 		r.SetPhase(PhaseSampling)
 		ls, cost := drawn.layer, drawn.cost
 		r.ChargeSparse(cost.SampleOps)
-		r.ChargeKernels(2)
-		r.SetPhase(PhaseExtraction)
-		r.ChargeSparse(cost.ExtractOps)
-		r.ChargeKernels(1)
+		if s.LayerWise() {
+			r.ChargeKernels(1)
+			r.SetPhase(PhaseExtraction)
+			fin.sampled = drawn.sampled
+			ls = ps.extractLayerwise(r, fin)
+		} else {
+			r.ChargeKernels(2)
+			r.SetPhase(PhaseExtraction)
+			r.ChargeSparse(cost.ExtractOps)
+			r.ChargeKernels(1)
+		}
 
 		out.Layers = append(out.Layers, ls)
 		out.Cost.Add(cost)
 		cur = ls.Cols
 	}
 	return out
+}
+
+// extractLayerwise is the layer-wise extraction of Section 5.2.3: row
+// extraction is a second 1.5D SpGEMM with the one-nonzero-per-row Q_R,
+// whose row fold column-extracts every batch onto its sampled set, once
+// for the process row (fin.sampled). The device splits column
+// extraction across the process row by batch and reassembles it with an
+// all-gather, so each member is charged its share, the batches b with
+// b%c equal to its column: their rows of A_R, and their parts of the
+// layer as all-gather bytes. The gathered value is never read: the
+// shared layer already holds every batch, and the charge depends only on
+// the bytes.
+func (ps *Partitioned) extractLayerwise(r *cluster.Rank, fin finishStep) *core.LayerSample {
+	g := ps.Grid
+	ar, drawn := ps.spgemm15D(r, (core.SAGE{}).BuildQ(fin.cur, ps.N), fin)
+	ls, rows := drawn.layer, fin.cur.BatchPtr
+	var ops int64
+	bytes := 0
+	for b := g.ColIndex(r.ID); b < fin.cur.K(); b += g.C {
+		lo, hi := rows[b], rows[b+1]
+		ops += int64(ar.RowPtr[hi] - ar.RowPtr[lo])
+		nnz := ls.Adj.RowPtr[hi] - ls.Adj.RowPtr[lo]
+		cols := ls.Cols.BatchPtr[b+1] - ls.Cols.BatchPtr[b]
+		bytes += 8*(hi-lo+1) + 16*nnz + 8*cols
+	}
+	r.ChargeSparse(ops)
+	r.ChargeKernels(1)
+	cluster.AllGather(g.RowComm(r.ID).ForStream(r), r, struct{}{}, bytes)
+	return ls
 }
 
 // nodewiseFinisher is the completion a node-wise sampler provides
@@ -339,21 +371,26 @@ type nodewiseFinisher interface {
 
 // finishStep is one layer's completion of a process row's fold total:
 // the sampler with the frontier, per-row size (fan-out or layer width)
-// and layer seed. Every member of the row passes its own, and they must
-// agree; a zero finishStep (nil s) asks for the product alone.
+// and layer seed, and for a layer-wise sampler's second product (Q_R·A)
+// the vertices its first drew per batch. Every member of the row passes
+// its own, and they must agree; a zero finishStep (nil s) asks for the
+// product alone.
 type finishStep struct {
-	s    core.Sampler
-	cur  *core.Frontier
-	size int
-	seed int64
+	s       core.Sampler
+	cur     *core.Frontier
+	size    int
+	seed    int64
+	sampled [][]int
 }
 
 // rowDraw is a process row's one sample of a layer, drawn by the row
-// fold: node-wise, the layer itself; layer-wise, the vertices sampled
-// per batch, which every member extracts its own share of. Its cost is
-// the draw's, which every member charges as its own. Read-only for
-// every member; each draw is freshly allocated, so a later draw never
-// rewrites one a member still holds.
+// fold: the layer itself, except from a layer-wise sampler's P, where
+// it is the vertices sampled per batch that the Q_R product's fold then
+// extracts the layer onto. Its cost is the draw's, which every member
+// charges as its own — but for that extraction, split across the row,
+// whose share each member charges instead (extractLayerwise).
+// Read-only for every member; each draw is freshly
+// allocated, so a later draw never rewrites one a member still holds.
 type rowDraw struct {
 	layer   *core.LayerSample
 	sampled [][]int
@@ -387,9 +424,14 @@ func (f finishStep) String() string {
 }
 
 // draw completes the layer from the row's total. Node-wise samplers
-// only read it; a layer-wise Norm rewrites its operand, so it
-// normalizes a copy in normed, scratch of the process row's first arena.
+// and the layer-wise extraction (from A_R = Q_R·A onto f.sampled) only
+// read it; a layer-wise Norm rewrites its operand, so it normalizes a
+// copy in normed, scratch of the process row's first arena.
 func (f finishStep) draw(total, normed *sparse.CSR) rowDraw {
+	if f.sampled != nil {
+		ls, cost := core.ExtractLayerwise(total, f.cur, f.sampled)
+		return rowDraw{layer: ls, cost: cost}
+	}
 	if !f.s.LayerWise() {
 		ls, cost := f.s.(nodewiseFinisher).FinishStep(total, f.cur, f.size, f.seed)
 		return rowDraw{layer: ls, cost: cost}
@@ -404,99 +446,4 @@ func (f finishStep) draw(total, normed *sparse.CSR) rowDraw {
 // benchmark/walk.go calls. It goes with ROADMAP item 1a.
 func SampleSAGEPartitioned(r *cluster.Rank, ps *Partitioned, batches [][]int, fanouts []int, seed int64) *core.BulkSample {
 	return SamplePartitioned(r, ps, core.SAGE{}, batches, fanouts, seed)
-}
-
-// layerwisePartitioned is the Graph Partitioned driver for layer-wise
-// samplers. Row extraction (Q_R·A) reuses the 1.5D SpGEMM; column
-// extraction is split across the process row and reassembled with an
-// all-gather, as described in Section 5.2.3.
-func layerwisePartitioned(r *cluster.Rank, ps *Partitioned, s core.Sampler, batches [][]int, widths []int, seed int64) *core.BulkSample {
-	out := &core.BulkSample{Batches: batches}
-	cur := core.NewFrontier(batches)
-	g := ps.Grid
-	myCol := g.ColIndex(r.ID)
-	rowComm := g.RowComm(r.ID).ForStream(r)
-
-	for l, width := range widths {
-		layerSeed := seed + int64(l)*1e9
-
-		// Probabilities: P = Q·A with the sampler's normalization. The
-		// row fold normalizes a copy of the total and samples it once
-		// for the process row (finishStep.draw); every member charges
-		// the normalization and the draw as its own.
-		r.SetPhase(PhaseProbability)
-		q := s.BuildQ(cur, ps.N)
-		r.ChargeKernels(1)
-		p, drawn := ps.spgemm15D(r, q, finishStep{s: s, cur: cur, size: width, seed: layerSeed})
-		r.ChargeMem(int64(p.NNZ()) * 16)
-
-		// Sampling: row-wise, the same on every replica.
-		r.SetPhase(PhaseSampling)
-		sampled, cost := drawn.sampled, drawn.cost
-		r.ChargeSparse(cost.SampleOps)
-		r.ChargeKernels(1)
-
-		// Extraction: row extraction is a second 1.5D SpGEMM with the
-		// one-nonzero-per-row Q_R; column extraction is split across
-		// the process row by batch and reassembled.
-		r.SetPhase(PhaseExtraction)
-		qr := (core.SAGE{}).BuildQ(cur, ps.N) // Q_R: one nonzero per frontier vertex
-		ar := ps.SpGEMM15D(r, qr)
-
-		k := cur.K()
-		perBatch := make([]*core.LayerSample, k)
-		var myParts []*core.LayerSample
-		var extractOps int64
-		for b := 0; b < k; b++ {
-			if b%g.C != myCol {
-				myParts = append(myParts, nil)
-				continue
-			}
-			bf := core.NewFrontier([][]int{append([]int(nil), cur.Batch(b)...)})
-			arSlice := sparse.SliceRows(ar, cur.BatchPtr[b], cur.BatchPtr[b+1])
-			lsb, c := core.ExtractLayerwise(arSlice, bf, [][]int{sampled[b]})
-			extractOps += c.ExtractOps
-			myParts = append(myParts, lsb)
-		}
-		r.ChargeSparse(extractOps)
-		r.ChargeKernels(1)
-
-		partBytes := 0
-		for _, pb := range myParts {
-			if pb != nil {
-				partBytes += pb.Adj.Bytes() + 8*pb.Cols.Len()
-			}
-		}
-		gathered := cluster.AllGather(rowComm, r, myParts, partBytes)
-		for col, parts := range gathered {
-			for b := 0; b < k; b++ {
-				if b%g.C == col {
-					perBatch[b] = parts[b]
-				}
-			}
-		}
-
-		ls := assembleLayer(perBatch, cur)
-		out.Layers = append(out.Layers, ls)
-		out.Cost.Add(cost)
-		cur = ls.Cols
-	}
-	return out
-}
-
-// assembleLayer merges per-batch layer samples (each a 1-batch
-// LayerSample) into one bulk LayerSample: adjacencies block-diagonal,
-// frontiers concatenated.
-func assembleLayer(perBatch []*core.LayerSample, cur *core.Frontier) *core.LayerSample {
-	adjs := make([]*sparse.CSR, len(perBatch))
-	next := &core.Frontier{BatchPtr: make([]int, len(perBatch)+1)}
-	for b, pb := range perBatch {
-		if pb == nil {
-			panic(fmt.Sprintf("distsample: batch %d missing after all-gather", b))
-		}
-		adjs[b] = pb.Adj
-		next.Vertices = append(next.Vertices, pb.Cols.Vertices...)
-		next.BatchPtr[b+1] = len(next.Vertices)
-	}
-	return &core.LayerSample{Adj: sparse.BlockDiag(adjs...), Rows: cur, Cols: next}
 }

@@ -17,10 +17,10 @@ import (
 // what that sharing promises: one draw per row, agreement checked by
 // name, and a failing draw that reaches every member as one error.
 
-// TestPartitionedRowSharesOneDraw: node-wise, the members of a process
-// row return the very same LayerSample pointers, layer for layer;
-// layer-wise, they return identical draws (each member assembles its
-// own layer from the row's one draw and the all-gathered batches).
+// TestPartitionedRowSharesOneDraw: for every sampler, node-wise and
+// layer-wise alike, the members of a process row return the very same
+// LayerSample pointers, layer for layer: the row fold completes each
+// layer once for the whole row.
 func TestPartitionedRowSharesOneDraw(t *testing.T) {
 	a := testGraph(150, 10, 21)
 	batches := makeBatches(8, 4, 150)
@@ -35,9 +35,6 @@ func TestPartitionedRowSharesOneDraw(t *testing.T) {
 				got, want := results[rank], results[first]
 				if err := sameBulk(got, want); err != nil {
 					t.Fatalf("%s p=%d c=%d: rank %d and rank %d differ: %v", entry.Key, p, c, rank, first, err)
-				}
-				if s.LayerWise() {
-					continue
 				}
 				for l := range got.Layers {
 					if got.Layers[l] != want.Layers[l] {

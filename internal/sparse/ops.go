@@ -26,36 +26,6 @@ func ExtractRows(a *CSR, rows []int) *CSR {
 	return out
 }
 
-// BlockDiag builds the block-diagonal matrix with the given blocks on
-// the diagonal. Used by the bulk LADIES column-extraction step
-// (Section 4.2.4), where each A_Ri block multiplies only its own
-// Q_Ci^{l-1}.
-func BlockDiag(blocks ...*CSR) *CSR {
-	rows, cols, nnz := 0, 0, 0
-	for _, b := range blocks {
-		rows += b.Rows
-		cols += b.Cols
-		nnz += b.NNZ()
-	}
-	out := &CSR{Rows: rows, Cols: cols, RowPtr: make([]int, rows+1)}
-	out.ColIdx = make([]int, 0, nnz)
-	out.Val = make([]float64, 0, nnz)
-	r, cOff := 0, 0
-	for _, b := range blocks {
-		for i := 0; i < b.Rows; i++ {
-			cs, vs := b.Row(i)
-			for k := range cs {
-				out.ColIdx = append(out.ColIdx, cs[k]+cOff)
-				out.Val = append(out.Val, vs[k])
-			}
-			r++
-			out.RowPtr[r] = len(out.ColIdx)
-		}
-		cOff += b.Cols
-	}
-	return out
-}
-
 // SliceRows returns the submatrix of rows [lo, hi) of A, sharing no
 // storage with A.
 func SliceRows(a *CSR, lo, hi int) *CSR {

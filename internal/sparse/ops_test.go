@@ -24,40 +24,6 @@ func TestExtractRowsMatchesSpGEMM(t *testing.T) {
 	}
 }
 
-func TestBlockDiagMatchesBulkLadiesIdentity(t *testing.T) {
-	// blockdiag(A1, A2) * vstack-of-column-extractors must equal the
-	// per-block products stacked (Section 4.2.4 structure).
-	rng := rand.New(rand.NewSource(23))
-	a1 := randomCSR(rng, 3, 5, 0.5)
-	a2 := randomCSR(rng, 4, 6, 0.5)
-	bd := BlockDiag(a1, a2)
-	if err := bd.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if bd.Rows != 7 || bd.Cols != 11 || bd.NNZ() != a1.NNZ()+a2.NNZ() {
-		t.Fatalf("block diag shape wrong: %v", bd)
-	}
-	// Column extractors picking columns {1,3} of each block, and the same
-	// two stacked into one 11x2 extractor.
-	qc1 := NewCOO(5, 2, 2)
-	qc1.Add(1, 0, 1)
-	qc1.Add(3, 1, 1)
-	qc2 := NewCOO(6, 2, 2)
-	qc2.Add(1, 0, 1)
-	qc2.Add(3, 1, 1)
-	stacked := NewCOO(11, 2, 4)
-	stacked.Add(1, 0, 1)
-	stacked.Add(3, 1, 1)
-	stacked.Add(5+1, 0, 1)
-	stacked.Add(5+3, 1, 1)
-	got, _ := SpGEMM(bd, stacked.ToCSR())
-	w1, _ := SpGEMM(a1, qc1.ToCSR())
-	w2, _ := SpGEMM(a2, qc2.ToCSR())
-	if !Equal(SliceRows(got, 0, 3), w1, 1e-12) || !Equal(SliceRows(got, 3, 7), w2, 1e-12) {
-		t.Fatal("block-diagonal bulk extraction disagrees with per-block products")
-	}
-}
-
 func TestSliceRows(t *testing.T) {
 	a := exampleGraph()
 	s := SliceRows(a, 2, 5)
