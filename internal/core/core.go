@@ -128,7 +128,11 @@ type LayerSample struct {
 type BulkSample struct {
 	Batches [][]int
 	Layers  []*LayerSample
-	Cost    Cost
+	// Cost sums the Cost of every layer's Step. Only drivers that run
+	// Step fill it (SampleBulk, distsample.SampleReplicated); the 1.5D
+	// and 1D drivers, which form P themselves and charge each phase on
+	// the rank's clock as they go, leave it zero.
+	Cost Cost
 }
 
 // SampleBulk runs Algorithm 1 for all layers over k batches in bulk.

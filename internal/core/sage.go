@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/graph"
@@ -56,24 +57,47 @@ func (SAGE) Norm(p *sparse.CSR) { p.NormalizeRows() }
 // place, and its NORM + prefix sum comes from sg.CDF. The result equals
 // BuildQ → sparse.SpGEMM → FinishStep field for field, Cost included.
 func (sg SAGE) Step(a *sparse.CSR, cur *Frontier, s int, seed int64) (*LayerSample, Cost) {
-	ls, cost, read := sg.sampleRows(a, cur.Vertices, cur, s, seed)
+	ls, cost, read := sg.sampleAll(a, cur.Vertices, cur, s, seed)
 	cost.Kernels += 2            // Q construction, SpGEMM
 	cost.ProbFlops = int64(read) // one multiply-add per entry of the gathered rows
 	return ls, cost
 }
 
-// sampleRows is GraphSAGE's NORM, SAMPLE and EXTRACT over the rows of P,
-// read from m: frontier row i is row rowOf[i] of m (Step passes A and the
-// frontier's vertices), or row i when rowOf is nil (FinishStep passes P).
-// m is only read. NORM is fused into ITS's prefix sum — from sg.CDF when
-// it is m's table, else graph.NormPrefix into scratch — so a row's
-// weights are scaled only where they are summed. read is the number of
-// entries in the rows read: P's nonzeros.
-func (sg SAGE) sampleRows(m *sparse.CSR, rowOf []int, cur *Frontier, s int, seed int64) (ls *LayerSample, cost Cost, read int) {
-	// NORM, SAMPLE, EXTRACT.
-	cost = Cost{Kernels: 3}
-	s = max(s, 0)
+// RowPicks is one row range's share of a node-wise draw (FinishRows):
+// the vertices sampled in its rows, in row order, where each row's picks
+// end, and the ITS operations spent. It is scratch: reused from call to
+// call, it keeps its buffers and RowSampler at their grown sizes.
+type RowPicks struct {
+	rs    RowSampler
+	picks []int
+	ends  []int // row lo+j's picks end at ends[j] in picks
+	ops   int64
+}
+
+// sampleAll is sampleRows over every frontier row, completed into the
+// layer: Step's and FinishStep's one serial pass.
+func (sg SAGE) sampleAll(m *sparse.CSR, rowOf []int, cur *Frontier, s int, seed int64) (*LayerSample, Cost, int) {
 	rows := cur.Len()
+	rowPtr := make([]int, rows+1)
+	rp := RowPicks{ends: rowPtr[1:]}
+	read := sg.sampleRows(m, rowOf, 0, rows, s, seed, &rp)
+	ls, cost := nodewiseLayer(cur, rp.picks, rowPtr, rp.ops)
+	return ls, cost, read
+}
+
+// sampleRows is GraphSAGE's NORM and SAMPLE over frontier rows [lo, hi)
+// of P, read from m: frontier row i is row rowOf[i] of m (Step passes A
+// and the frontier's vertices), or row i when rowOf is nil (FinishStep
+// passes P). m is only read. NORM is fused into ITS's prefix sum — from
+// sg.CDF when it is m's table, else graph.NormPrefix into scratch — so a
+// row's weights are scaled only where they are summed. Row i's picks go
+// to rp.picks, and their end to rp.ends[i-lo], which must hold hi-lo
+// entries. Every row reseeds its draw (rowSeed(seed, i)), so what a row
+// picks depends on that row alone: ranges drawn apart and joined in row
+// order (JoinRows) are one draw over all of them. read is the number of
+// entries in the rows read: P's nonzeros.
+func (sg SAGE) sampleRows(m *sparse.CSR, rowOf []int, lo, hi, s int, seed int64, rp *RowPicks) (read int) {
+	s = max(s, 0)
 	row := func(i int) int {
 		if rowOf == nil {
 			return i
@@ -81,27 +105,28 @@ func (sg SAGE) sampleRows(m *sparse.CSR, rowOf []int, cur *Frontier, s int, seed
 		return rowOf[i]
 	}
 	maxPicks := 0
-	for i := 0; i < rows; i++ {
+	for i := lo; i < hi; i++ {
 		deg := m.RowNNZ(row(i))
 		read += deg
 		maxPicks += min(deg, s)
 	}
 	table := sg.CDF.Of(m)
 
-	// SAMPLE: picks[rowPtr[i]:rowPtr[i+1]] are the sampled global vertex
-	// ids of frontier row i, in row-sorted order.
-	rowPtr := make([]int, rows+1)
-	picks := make([]int, 0, maxPicks)
-	var rs RowSampler
-	for i := 0; i < rows; i++ {
+	// SAMPLE: the picks of row i are the sampled global vertex ids, in
+	// row-sorted order.
+	if cap(rp.picks) < maxPicks {
+		rp.picks = make([]int, 0, maxPicks)
+	}
+	picks, ops, rs := rp.picks[:0], int64(0), &rp.rs
+	for i := lo; i < hi; i++ {
 		v := row(i)
 		cols, w := m.Row(v)
 		switch deg := len(cols); {
 		case deg <= s:
 			picks = append(picks, cols...)
-			cost.SampleOps += int64(deg)
+			ops += int64(deg)
 		case s > 0:
-			cost.SampleOps += int64(deg) // the prefix sum
+			ops += int64(deg) // the prefix sum
 			var inv float64
 			var cum []float64
 			if table {
@@ -117,17 +142,64 @@ func (sg SAGE) sampleRows(m *sparse.CSR, rowOf []int, cur *Frontier, s int, seed
 				break
 			}
 			rs.rng.Reseed(rowSeed(seed, i))
-			cost.SampleOps += rs.sc.draw(cum, w, inv, s, &rs.rng)
+			ops += rs.sc.draw(cum, w, inv, s, &rs.rng)
 			for _, t := range rs.sc.chosen {
 				picks = append(picks, cols[t])
 			}
 		}
-		rowPtr[i+1] = len(picks)
+		rp.ends[i-lo] = len(picks)
 	}
+	rp.picks, rp.ops = picks, ops
+	return read
+}
 
-	ls = extractNodewise(cur, picks, rowPtr)
-	cost.ExtractOps += int64(len(picks))
-	return ls, cost, read
+// FinishRows is FinishStep's draw over frontier rows [lo, hi) of p
+// alone, into rp. JoinRows completes the layer from the draws of
+// consecutive ranges: the 1.5D row fold draws row stripes of the
+// process row's total at once, each into its own RowPicks.
+func (sg SAGE) FinishRows(p *sparse.CSR, lo, hi, s int, seed int64, rp *RowPicks) {
+	if cap(rp.ends) < hi-lo {
+		rp.ends = make([]int, hi-lo)
+	}
+	rp.ends = rp.ends[:hi-lo]
+	sg.sampleRows(p, nil, lo, hi, s, seed, rp)
+}
+
+// JoinRows completes a node-wise layer over cur from stripes, the
+// FinishRows draws of consecutive row ranges that cover it in order. It
+// appends every stripe's picks to the first's, in row order, offsets
+// each row's end into the layer's row pointers, and returns what
+// FinishStep returns over the whole range, Cost included.
+func JoinRows(cur *Frontier, stripes []RowPicks) (*LayerSample, Cost) {
+	rowPtr := make([]int, cur.Len()+1)
+	first := &stripes[0]
+	var ops int64
+	row := 0
+	for k := range stripes {
+		st := &stripes[k]
+		base := 0
+		if k > 0 {
+			base = len(first.picks)
+			first.picks = append(first.picks, st.picks...)
+		}
+		for _, end := range st.ends {
+			row++
+			rowPtr[row] = base + end
+		}
+		ops += st.ops
+	}
+	if row != cur.Len() {
+		panic(fmt.Sprintf("core: row stripes cover %d of %d rows", row, cur.Len()))
+	}
+	return nodewiseLayer(cur, first.picks, rowPtr, ops)
+}
+
+// nodewiseLayer is the node-wise EXTRACT of drawn picks
+// (extractNodewise) and the draw's Cost: NORM, SAMPLE and EXTRACT, ops
+// ITS operations, one extraction operation per pick.
+func nodewiseLayer(cur *Frontier, picks, rowPtr []int, ops int64) (*LayerSample, Cost) {
+	cost := Cost{Kernels: 3, SampleOps: ops, ExtractOps: int64(len(picks))}
+	return extractNodewise(cur, picks, rowPtr), cost
 }
 
 // extractNodewise is the node-wise EXTRACT: one row per frontier vertex,
@@ -157,11 +229,12 @@ func extractNodewise(cur *Frontier, picks, rowPtr []int) *LayerSample {
 // FinishStep is FinishStep(sg, …) without writing P: it samples the
 // un-normalized rows with NORM fused into the prefix sum — Step's loop,
 // reading P's rows in order — and returns the same sample and Cost.
-// Because P is only read, the 1.5D driver runs it on the process row's
-// one shared product, once per row inside the row fold, and every
-// member of the row receives the one sample it returns (read-only:
+// Because P is only read, the 1.5D driver draws the process row's one
+// shared total in place, once per row inside the row fold (by row
+// stripes: FinishRows and JoinRows, which give FinishStep's result),
+// and every member of the row receives the one sample (read-only:
 // members share the LayerSample); benchmark/walk.go times it too.
 func (sg SAGE) FinishStep(p *sparse.CSR, cur *Frontier, s int, seed int64) (*LayerSample, Cost) {
-	ls, cost, _ := sg.sampleRows(p, nil, cur, s, seed)
+	ls, cost, _ := sg.sampleAll(p, nil, cur, s, seed)
 	return ls, cost
 }

@@ -23,7 +23,9 @@ type Sampler interface {
 	// per frontier vertex, draws s neighbours per row and completes a
 	// layer from P with a FinishStep(p, cur, s, seed) method that only
 	// reads P (SAGE.FinishStep; its reference, which normalizes P in
-	// place, is FinishStep in sage_fused_test.go); a layer-wise one has
+	// place, is FinishStep in sage_fused_test.go), and the same draw over
+	// a range of P's rows, FinishRows, for the 1.5D row fold's stripes
+	// (joined by JoinRows); a layer-wise one has
 	// one row per batch, draws s vertices per batch (SampleLayerwise) and
 	// extracts the frontier's rows and the sampled columns of A
 	// (ExtractLayerwise).

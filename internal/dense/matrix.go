@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Matrix is a row-major dense float64 matrix.
@@ -185,29 +186,56 @@ func Serial(rows int, work int64) bool {
 }
 
 // ParallelRows splits [0, rows) into one stripe per GOMAXPROCS worker
-// and returns when f has run on every stripe.
+// and returns when f has run on every stripe. A panic in a stripe does
+// not end the process: each stripe's panic is recovered, and once every
+// stripe has finished, the first of them in stripe order is raised
+// again, with its original value, on the calling goroutine. A caller
+// that recovers a kernel's panic (the collectives' folds poison their
+// generation with it) sees it as it would from a serial call.
 func ParallelRows(rows int, f func(lo, hi int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > rows {
-		workers = rows
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
+	workers := max(min(runtime.GOMAXPROCS(0), rows), 1)
+	var g stripeGroup
 	chunk := (rows + workers - 1) / workers
-	for lo := 0; lo < rows; lo += chunk {
-		hi := lo + chunk
-		if hi > rows {
-			hi = rows
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			f(lo, hi)
-		}(lo, hi)
+	for k, lo := 0, 0; lo < rows; k, lo = k+1, lo+chunk {
+		g.wg.Add(1)
+		go g.run(k, lo, min(lo+chunk, rows), f)
 	}
-	wg.Wait()
+	g.wg.Wait()
+	if p := g.first.Load(); p != nil {
+		panic(p.val)
+	}
+}
+
+// stripeGroup joins ParallelRows' stripes and keeps the panic of the
+// first stripe, in stripe order, that panicked. One value holds both,
+// so recording panics allocates nothing until a stripe panics.
+type stripeGroup struct {
+	wg    sync.WaitGroup
+	first atomic.Pointer[stripePanic]
+}
+
+// stripePanic is what a stripe recovered, and which stripe it was.
+type stripePanic struct {
+	stripe int
+	val    any
+}
+
+// run runs stripe k, rows [lo, hi), and records its panic unless a
+// stripe before it has recorded one.
+func (g *stripeGroup) run(k, lo, hi int, f func(lo, hi int)) {
+	defer g.wg.Done()
+	defer func() {
+		if v := recover(); v != nil {
+			p := &stripePanic{stripe: k, val: v}
+			for {
+				cur := g.first.Load()
+				if cur != nil && cur.stripe < k || g.first.CompareAndSwap(cur, p) {
+					return
+				}
+			}
+		}
+	}()
+	f(lo, hi)
 }
 
 // zeroIf returns +0 when cond holds and v otherwise. Selecting on the

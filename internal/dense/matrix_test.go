@@ -1,8 +1,11 @@
 package dense
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -334,5 +337,29 @@ func (m *Matrix) Clone() *Matrix {
 func (m *Matrix) Scale(f float64) {
 	for i := range m.Data {
 		m.Data[i] *= f
+	}
+}
+
+// TestParallelRowsReraisesFirstStripePanic: a panicking stripe does not
+// end the process. ParallelRows lets every stripe finish, then raises
+// the first panic in stripe order, with its value, on the caller.
+func TestParallelRowsReraisesFirstStripePanic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	var ran atomic.Int64
+	got := func() (rec any) {
+		defer func() { rec = recover() }()
+		ParallelRows(8, func(lo, hi int) {
+			ran.Add(int64(hi - lo))
+			if lo >= 2 {
+				panic(fmt.Sprintf("stripe at %d", lo))
+			}
+		})
+		return nil
+	}()
+	if got != "stripe at 2" {
+		t.Fatalf("recovered %v, want the first panicking stripe's value %q", got, "stripe at 2")
+	}
+	if n := ran.Load(); n != 8 {
+		t.Fatalf("stripes covered %d of 8 rows before the panic was raised", n)
 	}
 }

@@ -1,6 +1,11 @@
 package distsample
 
 import (
+	"runtime"
+	"sort"
+
+	"repro/internal/core"
+	"repro/internal/dense"
 	"repro/internal/sparse"
 )
 
@@ -46,6 +51,14 @@ import (
 //     by the time it re-enters (it consumed it to get here), so res is
 //     safely rewritten. Members only read the total. Contributed
 //     product storage is reusable as soon as the call returns.
+//   - the fold's stripes (stripeAcc, stripePicks, stripeLo; first
+//     arena): the fold fills res in row stripes, at once, through one
+//     dense.ParallelRows fan-out. Every member is parked while it runs,
+//     so nothing else reads res or the stage products; stripe t writes
+//     only res's rows [stripeLo[t], stripeLo[t+1]) — disjoint ranges of
+//     ColIdx and Val, which the count pass sized and pointed at before
+//     the fan-out — and its own accumulator and pick buffers, and the
+//     join that reads them runs after the fan-out has returned.
 //   - fin, draw and normed (the layer's sample): each member states
 //     its finish step in fin before it enters the all-reduce; the fold
 //     checks that they agree, draws once from the total into the first
@@ -89,6 +102,14 @@ type stageArena struct {
 	// foldSrcs is the reusable (member x stage) source list of the
 	// all-reduce fold, owned by the first destination's arena.
 	foldSrcs []*sparse.CSR
+
+	// The fold's row stripes (first arena): stripe t covers rows
+	// [stripeLo[t], stripeLo[t+1]) of res and owns stripeAcc[t], its
+	// merge accumulator, and stripePicks[t], its node-wise draw. They
+	// grow to the largest stripe count seen (GOMAXPROCS) and are reused.
+	stripeAcc   []sparse.Scratch
+	stripePicks []core.RowPicks
+	stripeLo    []int
 
 	// Owner-side response arenas: one flat allocation carved into
 	// per-member row payloads (the shared flat layout FetchCached
@@ -184,7 +205,9 @@ func (ar *stageArena) countStage(prod *sparse.CSR, base int) int {
 // which becomes every member's read-only total. With a finish step it
 // then draws the layer's sample from the total, once for the process
 // row, into the first destination's draw record, every member's
-// read-only draw. See stageArena for why rewriting both here is safe.
+// read-only draw. A count pass lays the total out (MergeLayout), then
+// row stripes fill it (see fold). See stageArena for why rewriting
+// both here is safe.
 func foldStages(vals, dests []*stageArena) {
 	agree(vals)
 	d0 := dests[0]
@@ -193,14 +216,83 @@ func foldStages(vals, dests []*stageArena) {
 		srcs = append(srcs, v.prodPtrs...)
 	}
 	d0.foldSrcs = srcs
-	d0.MergeCSRInto(&d0.res, srcs)
-	var drawn *rowDraw
-	if fin := vals[0].fin; fin.s != nil {
-		d0.draw = fin.draw(&d0.res, &d0.normed)
-		drawn = &d0.draw
-	}
+	d0.MergeLayout(&d0.res, srcs)
+	drawn := d0.fold(srcs, vals[0].fin, foldStripes(d0.res.Rows, int64(d0.res.NNZ())))
 	for _, d := range dests {
 		d.total, d.drawn = &d0.res, drawn
+	}
+}
+
+// foldStripes is the row fold's stripe count: one where dense.Serial
+// keeps a kernel on the calling goroutine (a small total, or one
+// core), else one per GOMAXPROCS worker and at most one per row.
+func foldStripes(rows int, nnz int64) int {
+	if dense.Serial(rows, nnz) {
+		return 1
+	}
+	return min(runtime.GOMAXPROCS(0), rows)
+}
+
+// fold fills the total MergeLayout laid out in res in k row stripes,
+// through one dense.ParallelRows fan-out (none for one stripe), and
+// completes the layer from it (nil without a finish step). A node-wise
+// stripe draws the rows it has just merged, while they are in cache,
+// into its own RowPicks, and core.JoinRows joins the stripes in row
+// order. Neither step can move a bit: a merged row reads only its own
+// rows of srcs, in source order, and a drawn row reseeds its draw from
+// its row index, so each stripe writes what the serial pass writes for
+// its rows (TestFoldStripesMatchSerial). A layer-wise draw stays serial
+// after the stripes: its Norm (LADIES, FastGCN) sums columns over all
+// rows, and the extraction onto the sampled sets is one call.
+func (d0 *stageArena) fold(srcs []*sparse.CSR, fin finishStep, k int) *rowDraw {
+	d0.splitStripes(k)
+	if k == 1 {
+		d0.foldStripe(srcs, fin, 0)
+	} else {
+		dense.ParallelRows(k, func(lo, hi int) {
+			for t := lo; t < hi; t++ {
+				d0.foldStripe(srcs, fin, t)
+			}
+		})
+	}
+	switch {
+	case fin.s == nil:
+		return nil
+	case fin.nodewise():
+		ls, cost := core.JoinRows(fin.cur, d0.stripePicks[:k])
+		d0.draw = rowDraw{layer: ls, cost: cost}
+	default:
+		d0.draw = fin.drawLayerwise(&d0.res, &d0.normed)
+	}
+	return &d0.draw
+}
+
+// splitStripes sizes the stripe scratch for k stripes and bounds them
+// so that each covers about an equal share of the total's entries plus
+// rows — what a stripe's copies, prefix sums and row loop cost.
+func (d0 *stageArena) splitStripes(k int) {
+	if len(d0.stripeAcc) < k {
+		d0.stripeAcc = append(d0.stripeAcc, make([]sparse.Scratch, k-len(d0.stripeAcc))...)
+		d0.stripePicks = append(d0.stripePicks, make([]core.RowPicks, k-len(d0.stripePicks))...)
+	}
+	rowPtr, rows := d0.res.RowPtr, d0.res.Rows
+	weight := rowPtr[rows] + rows
+	d0.stripeLo = growInts(d0.stripeLo, k+1)
+	for t := range k {
+		target := int(int64(weight) * int64(t) / int64(k))
+		d0.stripeLo[t] = sort.Search(rows, func(i int) bool { return rowPtr[i]+i >= target })
+	}
+	d0.stripeLo[k] = rows
+}
+
+// foldStripe merges stripe t's rows of the total and, for a node-wise
+// finish step, draws them. It writes only its rows of res and stripe
+// t's scratch.
+func (d0 *stageArena) foldStripe(srcs []*sparse.CSR, fin finishStep, t int) {
+	lo, hi := d0.stripeLo[t], d0.stripeLo[t+1]
+	d0.stripeAcc[t].MergeRowsInto(&d0.res, srcs, lo, hi)
+	if fin.nodewise() {
+		fin.s.(nodewiseFinisher).FinishRows(&d0.res, lo, hi, fin.size, fin.seed, &d0.stripePicks[t])
 	}
 }
 

@@ -351,12 +351,23 @@ func TestDistributedMatchesSerialForEverySampler(t *testing.T) {
 			t.Fatal(err)
 		}
 		check("replicated", replicated)
+		for rank, got := range replicated {
+			// The replicated driver runs Step, so its Cost is SampleBulk's.
+			if want := core.SampleBulk(s, a, got.Batches, sizes, 99).Cost; got.Cost != want {
+				t.Fatalf("%s replicated rank %d: Cost %+v, SampleBulk's %+v", entry.Key, rank, got.Cost, want)
+			}
+		}
 		for _, pc := range [][2]int{{4, 1}, {8, 2}, {16, 2}, {16, 4}} {
 			for _, aware := range []bool{true, false} {
 				scheme := map[bool]string{true: "aware", false: "oblivious"}[aware]
 				key := fmt.Sprintf("%s p=%d c=%d %s", entry.Key, pc[0], pc[1], scheme)
 				results, res := runPartitioned(t, a, batches, pc[0], pc[1], s, sizes, aware)
 				check(fmt.Sprintf("1.5D p=%d c=%d %s", pc[0], pc[1], scheme), results)
+				for rank, got := range results {
+					if got.Cost != (core.Cost{}) {
+						t.Fatalf("%s rank %d: the 1.5D driver filled Cost %+v, want it zero", key, rank, got.Cost)
+					}
+				}
 				if got := chargeDigest(res); got != partitionedChargePins[key] {
 					t.Errorf("%s: charge digest %s, pinned %s", key, got, partitionedChargePins[key])
 				}

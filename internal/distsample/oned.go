@@ -85,7 +85,8 @@ func (od *OneD) SpGEMM1D(r *cluster.Rank, world *cluster.Comm, q *sparse.CSR) *s
 }
 
 // SampleSAGE1D runs bulk GraphSAGE sampling with the 1D SpGEMM — the
-// scalability baseline for the 1.5D ablation.
+// scalability baseline for the 1.5D ablation. The sample's Cost stays
+// zero (see core.BulkSample).
 func SampleSAGE1D(r *cluster.Rank, od *OneD, world *cluster.Comm, batches [][]int, fanouts []int, seed int64) *core.BulkSample {
 	out := &core.BulkSample{Batches: batches}
 	cur := core.NewFrontier(batches)
@@ -106,7 +107,6 @@ func SampleSAGE1D(r *cluster.Rank, od *OneD, world *cluster.Comm, batches [][]in
 		r.ChargeKernels(3)
 
 		out.Layers = append(out.Layers, ls)
-		out.Cost.Add(cost)
 		cur = ls.Cols
 	}
 	return out

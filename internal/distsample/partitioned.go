@@ -290,11 +290,12 @@ func LocalBatches(g *cluster.Grid, rank int, batches [][]int) [][]int {
 // row of Q at layer l and charging the probability/sampling/extraction
 // phases on the rank's clock. The 1.5D SpGEMM stands in for P = Q·A, so
 // of the sampler only BuildQ and LayerWise are called, then either the
-// node-wise completion (the sampler's FinishStep method, see
-// nodewiseFinisher) or Norm and the layer-wise extraction
-// (extractLayerwise), all run by the row fold once per process row
-// (finishStep). The c members of a process row hold the same batches,
-// so they return the very same read-only LayerSamples.
+// node-wise completion (the sampler's FinishRows method, over the fold's
+// row stripes, see nodewiseFinisher) or Norm and the layer-wise
+// extraction (extractLayerwise), all run by the row fold once per
+// process row (finishStep). The c members of a process row hold the
+// same batches, so they return the very same read-only LayerSamples.
+// The sample's Cost stays zero (see core.BulkSample).
 func SamplePartitioned(r *cluster.Rank, ps *Partitioned, s core.Sampler, batches [][]int, sizes []int, seed int64) *core.BulkSample {
 	out := &core.BulkSample{Batches: batches}
 	cur := core.NewFrontier(batches)
@@ -326,7 +327,6 @@ func SamplePartitioned(r *cluster.Rank, ps *Partitioned, s core.Sampler, batches
 		}
 
 		out.Layers = append(out.Layers, ls)
-		out.Cost.Add(cost)
 		cur = ls.Cols
 	}
 	return out
@@ -362,11 +362,12 @@ func (ps *Partitioned) extractLayerwise(r *cluster.Rank, fin finishStep) *core.L
 }
 
 // nodewiseFinisher is the completion a node-wise sampler provides
-// besides core.Sampler's methods: NORM, SAMPLE and EXTRACT over P that
-// only read it (core.SAGE.FinishStep: NORM fused into ITS's prefix sum),
-// so the row fold samples the process row's one shared total in place.
+// besides core.Sampler's methods: NORM and SAMPLE over a range of P's
+// rows that only read it (core.SAGE.FinishRows: NORM fused into ITS's
+// prefix sum), so the row fold's stripes draw the process row's one
+// shared total in place, and core.JoinRows extracts the layer.
 type nodewiseFinisher interface {
-	FinishStep(p *sparse.CSR, cur *core.Frontier, s int, seed int64) (*core.LayerSample, core.Cost)
+	FinishRows(p *sparse.CSR, lo, hi, s int, seed int64, rp *core.RowPicks)
 }
 
 // finishStep is one layer's completion of a process row's fold total:
@@ -423,17 +424,19 @@ func (f finishStep) String() string {
 	return fmt.Sprintf("%s seed %d size %d frontier %d", f.s.Name(), f.seed, f.size, f.cur.Len())
 }
 
-// draw completes the layer from the row's total. Node-wise samplers
-// and the layer-wise extraction (from A_R = Q_R·A onto f.sampled) only
-// read it; a layer-wise Norm rewrites its operand, so it normalizes a
-// copy in normed, scratch of the process row's first arena.
-func (f finishStep) draw(total, normed *sparse.CSR) rowDraw {
+// nodewise reports whether the step is a node-wise sampler's draw,
+// which the fold's row stripes run (fold, nodewiseFinisher).
+func (f finishStep) nodewise() bool {
+	return f.s != nil && f.sampled == nil && !f.s.LayerWise()
+}
+
+// drawLayerwise completes a layer-wise step from the row's total,
+// serially: the extraction (from A_R = Q_R·A onto f.sampled) only reads
+// it; Norm rewrites its operand, so it normalizes a copy in normed,
+// scratch of the process row's first arena.
+func (f finishStep) drawLayerwise(total, normed *sparse.CSR) rowDraw {
 	if f.sampled != nil {
 		ls, cost := core.ExtractLayerwise(total, f.cur, f.sampled)
-		return rowDraw{layer: ls, cost: cost}
-	}
-	if !f.s.LayerWise() {
-		ls, cost := f.s.(nodewiseFinisher).FinishStep(total, f.cur, f.size, f.seed)
 		return rowDraw{layer: ls, cost: cost}
 	}
 	p := sparse.CopyCSRInto(normed, total)

@@ -71,9 +71,26 @@ func CopyCSRInto(out, a *CSR) *CSR {
 
 // MergeCSRInto sums row-aligned matrices into out, reusing out's
 // storage and the workspace's accumulator: any number of sources in
-// one pass (see merge).
+// one pass — MergeLayout, then MergeRowsInto over every row.
 func (s *Scratch) MergeCSRInto(out *CSR, srcs []*CSR) *CSR {
-	return merge(out, &s.acc, srcs)
+	mergeLayout(out, &s.acc, srcs)
+	merge(out, &s.acc, srcs, 0, out.Rows)
+	return out
+}
+
+// MergeLayout is MergeCSRInto's count pass (see mergeLayout): it gives
+// out the merge's shape and row pointers, and sizes ColIdx and Val
+// exactly, unwritten.
+func (s *Scratch) MergeLayout(out *CSR, srcs []*CSR) {
+	mergeLayout(out, &s.acc, srcs)
+}
+
+// MergeRowsInto fills rows [lo, hi) of the merge MergeLayout laid out
+// in out (see merge). Row ranges are independent: workspaces that fill
+// disjoint ranges of one out, in any order or at once, produce
+// MergeCSRInto's bits.
+func (s *Scratch) MergeRowsInto(out *CSR, srcs []*CSR, lo, hi int) {
+	merge(out, &s.acc, srcs, lo, hi)
 }
 
 // SpGEMM computes C = A * B into out, reusing out's storage and the

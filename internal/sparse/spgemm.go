@@ -18,9 +18,11 @@ func SpGEMM(a, b *CSR) (*CSR, int64) {
 // A sizing pass bounds the output by the flop count (collisions only
 // shrink it), so out's storage grows at most once; productRow then
 // appends each row. acc is widened only when some row of A has several
-// entries. The body is serial: dense.ParallelRows is the module's one
-// kernel fan-out, and inside a rank body the other ranks already hold
-// the cores.
+// entries. The body is serial: inside a rank body the other ranks
+// already hold the cores. Kernels stripe (dense.ParallelRows, the
+// module's one kernel fan-out) only inside the two row folds — the
+// sum all-reduce's and the 1.5D row fold, distsample.foldStages — which
+// run while every rank of their communicator is parked.
 func spgemm(out *CSR, acc *spa, a, b *CSR) (*CSR, int64) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("sparse: SpGEMM dimension mismatch %dx%d * %dx%d",
@@ -177,40 +179,88 @@ func partition(a []int) int {
 	return i
 }
 
-// merge is the one merge body, behind Scratch.MergeCSRInto: it sums row-aligned matrices into out's
-// storage. Per (row, column) the values add in source order, and each
-// row's columns come out sorted. A row only one source populates —
-// every row of a GraphSAGE product, whose Q row selects one row of A
-// held by one source — is copied instead, each value written as the
-// 0 + v the accumulator would produce; acc is widened only for rows
-// several sources populate.
-func merge(out *CSR, acc *spa, srcs []*CSR) *CSR {
+// mergeLayout is the merge's count pass. It checks that srcs are
+// row-aligned and sizes every merged row: the length of the one source
+// row when one source populates it, the number of distinct columns
+// (marked in acc) when several do. out gets the merge's shape, RowPtr
+// by prefix sum, and ColIdx and Val at exactly the merged size, for
+// merge to fill.
+func mergeLayout(out *CSR, acc *spa, srcs []*CSR) {
 	if len(srcs) == 0 {
 		panic("sparse: merge needs at least one source")
 	}
 	rows, colsN := srcs[0].Rows, srcs[0].Cols
-	total := 0
 	for _, src := range srcs {
 		if src.Rows != rows || src.Cols != colsN {
 			panic(fmt.Sprintf("sparse: merge shape mismatch %v vs %dx%d", src, rows, colsN))
 		}
-		total += src.NNZ()
 	}
 	out.Rows, out.Cols = rows, colsN
 	out.RowPtr = ensureInts(out.RowPtr, rows+1)
 	out.RowPtr[0] = 0
-	cols := ensureInts(out.ColIdx, total)[:0]
-	vals := ensureFloats(out.Val, total)[:0]
+	nnz := 0
 	for i := 0; i < rows; i++ {
-		var only *CSR
-		populated := 0
-		for _, src := range srcs {
-			if src.RowNNZ(i) > 0 {
-				only = src
-				populated++
+		switch only, populated := rowSources(srcs, i); {
+		case populated == 1:
+			nnz += only.RowNNZ(i)
+		case populated > 1:
+			acc.grow(colsN)
+			nnz += acc.distinct(srcs, i)
+		}
+		out.RowPtr[i+1] = nnz
+	}
+	out.ColIdx = ensureInts(out.ColIdx, nnz)
+	out.Val = ensureFloats(out.Val, nnz)
+}
+
+// rowSources returns how many sources populate row i, and the last of
+// them.
+func rowSources(srcs []*CSR, i int) (only *CSR, populated int) {
+	for _, src := range srcs {
+		if src.RowNNZ(i) > 0 {
+			only = src
+			populated++
+		}
+	}
+	return only, populated
+}
+
+// distinct returns the number of distinct columns in row i of srcs,
+// leaving the accumulator as it found it.
+func (s *spa) distinct(srcs []*CSR, i int) int {
+	for _, src := range srcs {
+		cs, _ := src.Row(i)
+		for _, c := range cs {
+			if !s.present[c] {
+				s.present[c] = true
+				s.idx = append(s.idx, c)
 			}
 		}
-		switch {
+	}
+	n := len(s.idx)
+	for _, c := range s.idx {
+		s.present[c] = false
+	}
+	s.idx = s.idx[:0]
+	return n
+}
+
+// merge is the one merge body: it sums rows [lo, hi) of row-aligned
+// matrices into out, which mergeLayout laid out, each row at its RowPtr
+// offset. Per (row, column) the values add in source order, and each
+// row's columns come out sorted. A row only one source populates —
+// every row of a GraphSAGE product, whose Q row selects one row of A
+// held by one source — is copied instead, each value written as the
+// 0 + v the accumulator would produce; acc is widened only for rows
+// several sources populate. A row depends on nothing but its own rows
+// of srcs, so disjoint row ranges may be filled in any order, or at
+// once with one accumulator each, and give the same bits.
+func merge(out *CSR, acc *spa, srcs []*CSR, lo, hi int) {
+	start, end := out.RowPtr[lo], out.RowPtr[hi]
+	cols := out.ColIdx[start:start:end]
+	vals := out.Val[start:start:end]
+	for i := lo; i < hi; i++ {
+		switch only, populated := rowSources(srcs, i); {
 		case populated == 1:
 			cs, vs := only.Row(i)
 			cols = append(cols, cs...)
@@ -218,7 +268,7 @@ func merge(out *CSR, acc *spa, srcs []*CSR) *CSR {
 				vals = append(vals, 0+v)
 			}
 		case populated > 1:
-			acc.grow(colsN)
+			acc.grow(out.Cols)
 			for _, src := range srcs {
 				cs, vs := src.Row(i)
 				for k := range cs {
@@ -227,8 +277,8 @@ func merge(out *CSR, acc *spa, srcs []*CSR) *CSR {
 			}
 			cols, vals = acc.drainInto(cols, vals)
 		}
-		out.RowPtr[i+1] = len(cols)
 	}
-	out.ColIdx, out.Val = cols, vals
-	return out
+	if len(cols) != end-start {
+		panic("sparse: merged rows disagree with their layout")
+	}
 }
