@@ -19,7 +19,8 @@ import (
 // pay. The two row folds are where kernels stripe, over row ranges
 // through ParallelRows: the sum all-reduce's (internal/cluster) and the
 // 1.5D row fold (internal/distsample's foldStages, which runs the sparse
-// merge and the node-wise draw on each stripe), because every rank of
+// merge, when it builds a total, and the node-wise draw on each
+// stripe), because every rank of
 // their communicator is parked while they run. Packages outside the
 // table are not checked.
 var Benchpool = &Analyzer{

@@ -74,6 +74,16 @@ type RowPicks struct {
 	ops   int64
 }
 
+// RowReader reads a sparse matrix's rows in place, as *sparse.CSR does:
+// row i's column indices and weights, and its length. The node-wise draw
+// reads P through it, so a driver holding P's rows in pieces — the 1.5D
+// row fold, in the blocks of A its stages received — draws them without
+// assembling P.
+type RowReader interface {
+	Row(i int) (cols []int, vals []float64)
+	RowNNZ(i int) int
+}
+
 // sampleAll is sampleRows over every frontier row, completed into the
 // layer: Step's and FinishStep's one serial pass.
 func (sg SAGE) sampleAll(m *sparse.CSR, rowOf []int, cur *Frontier, s int, seed int64) (*LayerSample, Cost, int) {
@@ -88,15 +98,16 @@ func (sg SAGE) sampleAll(m *sparse.CSR, rowOf []int, cur *Frontier, s int, seed 
 // sampleRows is GraphSAGE's NORM and SAMPLE over frontier rows [lo, hi)
 // of P, read from m: frontier row i is row rowOf[i] of m (Step passes A
 // and the frontier's vertices), or row i when rowOf is nil (FinishStep
-// passes P). m is only read. NORM is fused into ITS's prefix sum — from
-// sg.CDF when it is m's table, else graph.NormPrefix into scratch — so a
+// passes P, the row fold a reader of P's rows). m is only read. NORM is
+// fused into ITS's prefix sum — from sg.CDF when m is the table's
+// matrix, else graph.NormPrefix into scratch — so a
 // row's weights are scaled only where they are summed. Row i's picks go
 // to rp.picks, and their end to rp.ends[i-lo], which must hold hi-lo
 // entries. Every row reseeds its draw (rowSeed(seed, i)), so what a row
 // picks depends on that row alone: ranges drawn apart and joined in row
 // order (JoinRows) are one draw over all of them. read is the number of
 // entries in the rows read: P's nonzeros.
-func (sg SAGE) sampleRows(m *sparse.CSR, rowOf []int, lo, hi, s int, seed int64, rp *RowPicks) (read int) {
+func (sg SAGE) sampleRows(m RowReader, rowOf []int, lo, hi, s int, seed int64, rp *RowPicks) (read int) {
 	s = max(s, 0)
 	row := func(i int) int {
 		if rowOf == nil {
@@ -110,7 +121,8 @@ func (sg SAGE) sampleRows(m *sparse.CSR, rowOf []int, lo, hi, s int, seed int64,
 		read += deg
 		maxPicks += min(deg, s)
 	}
-	table := sg.CDF.Of(m)
+	a, _ := m.(*sparse.CSR)
+	table := a != nil && sg.CDF.Of(a)
 
 	// SAMPLE: the picks of row i are the sampled global vertex ids, in
 	// row-sorted order.
@@ -156,8 +168,11 @@ func (sg SAGE) sampleRows(m *sparse.CSR, rowOf []int, lo, hi, s int, seed int64,
 // FinishRows is FinishStep's draw over frontier rows [lo, hi) of p
 // alone, into rp. JoinRows completes the layer from the draws of
 // consecutive ranges: the 1.5D row fold draws row stripes of the
-// process row's total at once, each into its own RowPicks.
-func (sg SAGE) FinishRows(p *sparse.CSR, lo, hi, s int, seed int64, rp *RowPicks) {
+// process row's P at once, each into its own RowPicks, reading P's rows
+// where its stages received them. A row's draw reads its weights only
+// through graph.NormPrefix and ITS's zero test, so a −0 weight draws as
+// the +0 that P = Q·A stores in its place.
+func (sg SAGE) FinishRows(p RowReader, lo, hi, s int, seed int64, rp *RowPicks) {
 	if cap(rp.ends) < hi-lo {
 		rp.ends = make([]int, hi-lo)
 	}
@@ -229,11 +244,12 @@ func extractNodewise(cur *Frontier, picks, rowPtr []int) *LayerSample {
 // FinishStep is FinishStep(sg, …) without writing P: it samples the
 // un-normalized rows with NORM fused into the prefix sum — Step's loop,
 // reading P's rows in order — and returns the same sample and Cost.
-// Because P is only read, the 1.5D driver draws the process row's one
-// shared total in place, once per row inside the row fold (by row
-// stripes: FinishRows and JoinRows, which give FinishStep's result),
-// and every member of the row receives the one sample (read-only:
-// members share the LayerSample); benchmark/walk.go times it too.
+// Because P is only read, the 1.5D driver draws P's rows where its
+// stages received them, once per process row inside the row fold (by
+// row stripes: FinishRows and JoinRows, which give FinishStep's
+// result), and every member of the row receives the one sample
+// (read-only: members share the LayerSample); benchmark/walk.go times
+// it too.
 func (sg SAGE) FinishStep(p *sparse.CSR, cur *Frontier, s int, seed int64) (*LayerSample, Cost) {
 	ls, cost, _ := sg.sampleAll(p, nil, cur, s, seed)
 	return ls, cost

@@ -24,8 +24,8 @@ type Sampler interface {
 	// layer from P with a FinishStep(p, cur, s, seed) method that only
 	// reads P (SAGE.FinishStep; its reference, which normalizes P in
 	// place, is FinishStep in sage_fused_test.go), and the same draw over
-	// a range of P's rows, FinishRows, for the 1.5D row fold's stripes
-	// (joined by JoinRows); a layer-wise one has
+	// a range of P's rows read through a RowReader, FinishRows, for the
+	// 1.5D row fold's stripes (joined by JoinRows); a layer-wise one has
 	// one row per batch, draws s vertices per batch (SampleLayerwise) and
 	// extracts the frontier's rows and the sampled columns of A
 	// (ExtractLayerwise).

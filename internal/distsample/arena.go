@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dense"
+	"repro/internal/graph"
 	"repro/internal/sparse"
 )
 
@@ -21,11 +22,13 @@ import (
 // it to 0.24 GB (GOMAXPROCS=1). Handing the arenas of a finished run to
 // the next one takes the arena share out of every run after the
 // process's first (benchmark/ partitioned-dense: 0.46 GB → 0.02 GB per
-// epoch). The arena owns buffers that successive stages and calls
-// adopt, each resized to exactly the size the call computes for it
-// before writing (a product's flop bound, a payload's summed row
-// degrees); buffers scale with the active frontier's nonzeros, not
-// with p.
+// epoch). Drawing GraphSAGE's layer from the stage blocks in place
+// (stageRows) leaves no stage product, merge or total to build
+// (partitioned-dense peak RSS 423 MB → 115 MB). The arena owns buffers
+// that successive stages and calls adopt, each resized to exactly the
+// size the call computes for it before writing (a product's flop
+// bound, a payload's summed row degrees); buffers scale with the
+// active frontier's nonzeros, not with p.
 //
 // Reuse safety for the buffers that cross the wire rests on the
 // rendezvous happens-before edges of the collectives:
@@ -41,6 +44,16 @@ import (
 //     earlier than its next extraction — behind a later Gather on the
 //     same communicator, which cannot complete until every member
 //     passed this stage.
+//   - asms (the aware path's per-stage assembled blocks): stage t
+//     writes asms[t] at assembly; the in-place draw (stageRows) reads
+//     every member's blocks inside the row all-reduce, while every
+//     member is parked; only the next call's stage t rewrites asms[t],
+//     and a member makes that call only after leaving the fold.
+//   - blocks (stage t's right operand A_k): asms[t], or, on the
+//     sparsity-oblivious path, the broadcast owner block itself — a
+//     read-only reference to the owner's ALocal, which nobody writes
+//     once the set is built. The fold reads it like asms; the set's
+//     release drops the references.
 //   - prods and res (the row all-reduce contribution and result):
 //     AllReduceGenericInto folds all members' stage products inside
 //     the rendezvous, before any member leaves, into the res buffer of
@@ -58,7 +71,10 @@ import (
 //     only res's rows [stripeLo[t], stripeLo[t+1]) — disjoint ranges of
 //     ColIdx and Val, which the count pass sized and pointed at before
 //     the fan-out — and its own accumulator and pick buffers, and the
-//     join that reads them runs after the fan-out has returned.
+//     join that reads them runs after the fan-out has returned. Drawing
+//     in place, the stripes write no res: they read the members' Q and
+//     blocks, and view and viewPtr, which the fold wrote before the
+//     fan-out.
 //   - fin, draw and normed (the layer's sample): each member states
 //     its finish step in fin before it enters the all-reduce; the fold
 //     checks that they agree, draws once from the total into the first
@@ -73,7 +89,9 @@ import (
 //     their BulkSamples (ExtractBatch copies what it hands on), so none
 //     of them owns one alone. The set's release drops the record.
 //
-// Everything else (Q_ik blocks, SPA, products) never leaves the rank.
+// Everything else (Q_ik blocks, SPA, products) never leaves the rank,
+// but for the Q the fold reads beside the blocks (q): each member
+// allocates its own per call and reads it again only after the fold.
 // A stageArena serves one execution stream — the rank's sampling
 // stream.
 //
@@ -83,13 +101,18 @@ type stageArena struct {
 
 	prods    []sparse.CSR  // per-stage local products, merged in the final fold
 	prodPtrs []*sparse.CSR // prods as a fold source list, rebuilt per call
-	asm      sparse.CSR    // assembled right operand A_k
+	asms     []sparse.CSR  // per-stage assembled right operand A_k (sparsity-aware)
+	blocks   []*sparse.CSR // per-stage right operand A_k of the call in flight, read-only
+	q        *sparse.CSR   // the call's Q when the fold draws P in place (stageRows), else nil
 	res      sparse.CSR    // the fold total, when this is the process row's first arena
-	total    *sparse.CSR   // the process row's fold total (some member's res), read-only
+	total    *sparse.CSR   // the process row's fold total (some member's res), read-only; nil when drawn in place
+	nnz      int           // P's nonzeros, the fold total's size, set by the fold
 	fin      finishStep    // this member's finish step for the call in flight
 	draw     rowDraw       // the fold's draw, when this is the process row's first arena
 	drawn    *rowDraw      // the process row's draw (some member's draw), read-only; nil without fin
 	normed   sparse.CSR    // the layer-wise draw's normalized copy of the total (first arena)
+	view     stageRows     // the in-place draw's reader of P (first arena)
+	viewPtr  []int         // P's row pointers for the in-place draw's stripes (first arena)
 
 	// stamp counts the running accumulator's nonzeros without building
 	// it: stamp[col] holds the tag of the last (call, row) that touched
@@ -104,7 +127,7 @@ type stageArena struct {
 	foldSrcs []*sparse.CSR
 
 	// The fold's row stripes (first arena): stripe t covers rows
-	// [stripeLo[t], stripeLo[t+1]) of res and owns stripeAcc[t], its
+	// [stripeLo[t], stripeLo[t+1]) of P and owns stripeAcc[t], its
 	// merge accumulator, and stripePicks[t], its node-wise draw. They
 	// grow to the largest stripe count seen (GOMAXPROCS) and are reused.
 	stripeAcc   []sparse.Scratch
@@ -153,14 +176,19 @@ func (ps *Partitioned) arena(rank int) *stageArena {
 
 // stageProds returns the per-stage product headers (persistent,
 // grow-only) and the flat source list the fold consumes, in stage
-// order.
+// order, and sizes the per-stage operand slots (asms, blocks) with
+// them.
 func (ar *stageArena) stageProds(stages int) ([]sparse.CSR, []*sparse.CSR) {
 	if cap(ar.prods) < stages {
 		ar.prods = make([]sparse.CSR, stages)
 		ar.prodPtrs = make([]*sparse.CSR, stages)
+		ar.asms = make([]sparse.CSR, stages)
+		ar.blocks = make([]*sparse.CSR, stages)
 	}
 	ar.prods = ar.prods[:stages]
 	ar.prodPtrs = ar.prodPtrs[:stages]
+	ar.asms = ar.asms[:stages]
+	ar.blocks = ar.blocks[:stages]
 	for t := range ar.prods {
 		ar.prodPtrs[t] = &ar.prods[t]
 	}
@@ -208,18 +236,33 @@ func (ar *stageArena) countStage(prod *sparse.CSR, base int) int {
 // read-only draw. A count pass lays the total out (MergeLayout), then
 // row stripes fill it (see fold). See stageArena for why rewriting
 // both here is safe.
+//
+// When the members drew no products (q set: a node-wise step over a Q
+// with one unit entry per row), nothing is merged: the stripes draw P's
+// rows from the blocks of A the stages received (stageRows), and the
+// total stays nil. Every destination gets P's size either way.
 func foldStages(vals, dests []*stageArena) {
 	agree(vals)
 	d0 := dests[0]
-	srcs := d0.foldSrcs[:0]
-	for _, v := range vals {
-		srcs = append(srcs, v.prodPtrs...)
+	var srcs []*sparse.CSR
+	var total *sparse.CSR
+	if vals[0].q != nil {
+		d0.view = newStageRows(vals)
+		d0.viewPtr = d0.view.rowPtr(d0.viewPtr)
+	} else {
+		srcs = d0.foldSrcs[:0]
+		for _, v := range vals {
+			srcs = append(srcs, v.prodPtrs...)
+		}
+		d0.foldSrcs = srcs
+		d0.MergeLayout(&d0.res, srcs)
+		total = &d0.res
 	}
-	d0.foldSrcs = srcs
-	d0.MergeLayout(&d0.res, srcs)
-	drawn := d0.fold(srcs, vals[0].fin, foldStripes(d0.res.Rows, int64(d0.res.NNZ())))
+	rowPtr := d0.rowPtr(srcs)
+	nnz := rowPtr[len(rowPtr)-1]
+	drawn := d0.fold(srcs, vals[0].fin, foldStripes(len(rowPtr)-1, int64(nnz)))
 	for _, d := range dests {
-		d.total, d.drawn = &d0.res, drawn
+		d.total, d.nnz, d.drawn = total, nnz, drawn
 	}
 }
 
@@ -233,10 +276,21 @@ func foldStripes(rows int, nnz int64) int {
 	return min(runtime.GOMAXPROCS(0), rows)
 }
 
-// fold fills the total MergeLayout laid out in res in k row stripes,
-// through one dense.ParallelRows fan-out (none for one stripe), and
-// completes the layer from it (nil without a finish step). A node-wise
-// stripe draws the rows it has just merged, while they are in cache,
+// rowPtr returns P's row pointers: with srcs, those of the total
+// MergeLayout laid out in res; without, the in-place view's.
+func (d0 *stageArena) rowPtr(srcs []*sparse.CSR) []int {
+	if srcs == nil {
+		return d0.viewPtr
+	}
+	return d0.res.RowPtr[:d0.res.Rows+1]
+}
+
+// fold completes the layer from P in k row stripes, through one
+// dense.ParallelRows fan-out (none for one stripe), and returns it (nil
+// without a finish step). With srcs, P is the total MergeLayout laid
+// out in res, and each stripe first fills its rows of it; without, P is
+// read in place (view). A node-wise stripe draws its rows — just merged,
+// while they are in cache, or read where the stages received them —
 // into its own RowPicks, and core.JoinRows joins the stripes in row
 // order. Neither step can move a bit: a merged row reads only its own
 // rows of srcs, in source order, and a drawn row reseeds its draw from
@@ -245,7 +299,7 @@ func foldStripes(rows int, nnz int64) int {
 // after the stripes: its Norm (LADIES, FastGCN) sums columns over all
 // rows, and the extraction onto the sampled sets is one call.
 func (d0 *stageArena) fold(srcs []*sparse.CSR, fin finishStep, k int) *rowDraw {
-	d0.splitStripes(k)
+	d0.splitStripes(d0.rowPtr(srcs), k)
 	if k == 1 {
 		d0.foldStripe(srcs, fin, 0)
 	} else {
@@ -268,14 +322,14 @@ func (d0 *stageArena) fold(srcs []*sparse.CSR, fin finishStep, k int) *rowDraw {
 }
 
 // splitStripes sizes the stripe scratch for k stripes and bounds them
-// so that each covers about an equal share of the total's entries plus
-// rows — what a stripe's copies, prefix sums and row loop cost.
-func (d0 *stageArena) splitStripes(k int) {
+// so that each covers about an equal share of P's entries plus rows —
+// what a stripe's copies, prefix sums and row loop cost.
+func (d0 *stageArena) splitStripes(rowPtr []int, k int) {
 	if len(d0.stripeAcc) < k {
 		d0.stripeAcc = append(d0.stripeAcc, make([]sparse.Scratch, k-len(d0.stripeAcc))...)
 		d0.stripePicks = append(d0.stripePicks, make([]core.RowPicks, k-len(d0.stripePicks))...)
 	}
-	rowPtr, rows := d0.res.RowPtr, d0.res.Rows
+	rows := len(rowPtr) - 1
 	weight := rowPtr[rows] + rows
 	d0.stripeLo = growInts(d0.stripeLo, k+1)
 	for t := range k {
@@ -285,15 +339,69 @@ func (d0 *stageArena) splitStripes(k int) {
 	d0.stripeLo[k] = rows
 }
 
-// foldStripe merges stripe t's rows of the total and, for a node-wise
-// finish step, draws them. It writes only its rows of res and stripe
-// t's scratch.
+// foldStripe merges stripe t's rows of the total, when there are srcs,
+// and, for a node-wise finish step, draws them: from the total, or in
+// place. It writes only its rows of res and stripe t's scratch.
 func (d0 *stageArena) foldStripe(srcs []*sparse.CSR, fin finishStep, t int) {
 	lo, hi := d0.stripeLo[t], d0.stripeLo[t+1]
-	d0.stripeAcc[t].MergeRowsInto(&d0.res, srcs, lo, hi)
-	if fin.nodewise() {
-		fin.s.(nodewiseFinisher).FinishRows(&d0.res, lo, hi, fin.size, fin.seed, &d0.stripePicks[t])
+	var p core.RowReader = &d0.view
+	if srcs != nil {
+		d0.stripeAcc[t].MergeRowsInto(&d0.res, srcs, lo, hi)
+		p = &d0.res
 	}
+	if fin.nodewise() {
+		fin.s.(nodewiseFinisher).FinishRows(p, lo, hi, fin.size, fin.seed, &d0.stripePicks[t])
+	}
+}
+
+// stageRows reads the process row's P = Q·A in place when every row of
+// Q holds one unit entry (GraphSAGE's Q): row i of P is row v of A, v
+// being row i's column of Q, and block row k of A holding v (rows
+// [lo_k, hi_k)) reached the member of column j = k / stages at stage
+// t = k % stages as its right operand A_k, where it is row v − lo_k. P
+// holds each weight w of A as 0 + 1·w: w itself, but +0 for a −0, which
+// the node-wise draw treats alike (core.SAGE.FinishRows).
+type stageRows struct {
+	q       *sparse.CSR
+	members []*stageArena // the process row's arenas, in column order
+	stages  int           // A_k blocks per member
+	blocks  int           // the grid's block rows of A: stages · members
+}
+
+func newStageRows(members []*stageArena) stageRows {
+	stages := len(members[0].blocks)
+	return stageRows{q: members[0].q, members: members, stages: stages, blocks: stages * len(members)}
+}
+
+// at locates row i of P: the block holding it and its row there.
+func (v *stageRows) at(i int) (*sparse.CSR, int) {
+	u := v.q.ColIdx[v.q.RowPtr[i]]
+	k := graph.BlockOwner(v.q.Cols, v.blocks, u)
+	lo, _ := graph.BlockRowRange(v.q.Cols, v.blocks, k)
+	return v.members[k/v.stages].blocks[k%v.stages], u - lo
+}
+
+// Row implements core.RowReader.
+func (v *stageRows) Row(i int) ([]int, []float64) {
+	b, row := v.at(i)
+	return b.Row(row)
+}
+
+// RowNNZ implements core.RowReader.
+func (v *stageRows) RowNNZ(i int) int {
+	b, row := v.at(i)
+	return b.RowNNZ(row)
+}
+
+// rowPtr returns P's row pointers, in buf's storage: what the stripe
+// split weighs, and P's size.
+func (v *stageRows) rowPtr(buf []int) []int {
+	buf = growInts(buf, v.q.Rows+1)
+	buf[0] = 0
+	for i := range v.q.Rows {
+		buf[i+1] = buf[i] + v.RowNNZ(i)
+	}
+	return buf
 }
 
 // extractParts serves one stage's row requests from the owner's block:

@@ -8,7 +8,9 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/sparse"
 )
 
@@ -188,5 +190,202 @@ func TestFoldStripesAllocateOnlyTheFanOut(t *testing.T) {
 	if serial != serialAllocs || striped != serialAllocs+fanOutAllocs {
 		t.Fatalf("warm fold: %v allocations at one stripe, %v at two; want %d and %d + %d",
 			serial, striped, serialAllocs, serialAllocs, fanOutAllocs)
+	}
+}
+
+// inPlaceGraph is an n-vertex adjacency whose rows cycle through the
+// kinds the in-place draw reads apart: empty; at most s entries; more
+// than s, positive; more than s with one −0 weight; and more than s, all
+// −0.
+func inPlaceGraph(rng *rand.Rand, n, s int) *sparse.CSR {
+	a := &sparse.CSR{Rows: n, Cols: n, RowPtr: make([]int, n+1)}
+	for v := range n {
+		deg := s + 1 + rng.Intn(12)
+		switch v % 5 {
+		case 0:
+			deg = 0
+		case 1:
+			deg = 1 + rng.Intn(s)
+		}
+		cols := rng.Perm(n)[:deg]
+		slices.Sort(cols)
+		for e, c := range cols {
+			w := 0.01 + rng.Float64()
+			if v%5 == 4 || v%5 == 3 && e == deg/2 {
+				w = math.Copysign(0, -1)
+			}
+			a.ColIdx = append(a.ColIdx, c)
+			a.Val = append(a.Val, w)
+		}
+		a.RowPtr[v+1] = len(a.ColIdx)
+	}
+	return a
+}
+
+// randomBatches is k batches of b vertices drawn at random from [0, n),
+// repeats allowed.
+func randomBatches(rng *rand.Rand, k, b, n int) [][]int {
+	out := make([][]int, k)
+	for i := range out {
+		out[i] = make([]int, b)
+		for j := range out[i] {
+			out[i][j] = rng.Intn(n)
+		}
+	}
+	return out
+}
+
+// TestFoldInPlaceMatchesMerge: a GraphSAGE step's fold draws P's rows
+// from the blocks of A the stages received (stageRows) and builds no
+// total. On every grid and scheme it must return, rank for rank, the
+// layer and Cost that the SpGEMM + merge total (the same call without a
+// finish step) and SAGE.FinishStep give, bit for bit, and leave every
+// rank's clock where that call leaves it: the in-place path charges
+// every stage multiply and the total it no longer builds. Rows with a −0
+// weight draw as the +0 the total holds.
+func TestFoldInPlaceMatchesMerge(t *testing.T) {
+	const n, s, seed = 240, 3, 77
+	rng := rand.New(rand.NewSource(45))
+	a := inPlaceGraph(rng, n, s)
+	negZero := 0 // frontier rows with a −0 weight and more than s entries
+	for _, p := range []int{4, 16} {
+		for _, c := range []int{1, 2, 4} {
+			if p%(c*c) != 0 {
+				continue
+			}
+			for _, aware := range []bool{true, false} {
+				name := fmt.Sprintf("p=%d c=%d aware=%v", p, c, aware)
+				cl := cluster.New(p, cluster.Perlmutter())
+				g := cluster.NewGrid(cl, p, c)
+				batches := randomBatches(rng, 2*g.Rows, 6, n)
+				type result struct {
+					total *sparse.CSR
+					layer *core.LayerSample
+					cost  core.Cost
+					clock float64
+				}
+				run := func(inPlace bool) []result {
+					out := make([]result, p)
+					set := NewPartitionedSet(g, a, aware)
+					if _, err := cl.Run(func(r *cluster.Rank) error {
+						cur := core.NewFrontier(LocalBatches(g, r.ID, batches))
+						q := core.SAGE{}.BuildQ(cur, n)
+						res := &out[r.ID]
+						if inPlace {
+							fin := finishStep{s: core.SAGE{}, cur: cur, size: s, seed: seed}
+							var drawn *rowDraw
+							res.total, drawn = set[r.ID].spgemm15D(r, q, fin)
+							res.layer, res.cost, res.clock = drawn.layer, drawn.cost, r.Clock()
+							return nil
+						}
+						res.total, _ = set[r.ID].spgemm15D(r, q, finishStep{})
+						res.clock = r.Clock()
+						res.layer, res.cost = core.SAGE{}.FinishStep(res.total, cur, s, seed)
+						return nil
+					}); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					return out
+				}
+				got, want := run(true), run(false)
+				for rank := range got {
+					in, ref := got[rank], want[rank]
+					if in.total != nil || ref.total == nil {
+						t.Fatalf("%s rank %d: in-place call returned a total (%v), merging call none (%v)",
+							name, rank, in.total != nil, ref.total == nil)
+					}
+					if err := sameCSRBits(in.layer.Adj, ref.layer.Adj); err != nil {
+						t.Fatalf("%s rank %d: layer adjacency: %v", name, rank, err)
+					}
+					if !slices.Equal(in.layer.Cols.Vertices, ref.layer.Cols.Vertices) ||
+						!slices.Equal(in.layer.Cols.BatchPtr, ref.layer.Cols.BatchPtr) {
+						t.Fatalf("%s rank %d: the layer's frontier differs from FinishStep's", name, rank)
+					}
+					if in.cost != ref.cost {
+						t.Fatalf("%s rank %d: Cost %+v, FinishStep's %+v", name, rank, in.cost, ref.cost)
+					}
+					if in.clock != ref.clock {
+						t.Fatalf("%s rank %d: clock %.17g after the in-place call, %.17g after the merging one",
+							name, rank, in.clock, ref.clock)
+					}
+				}
+				for _, v := range got[0].layer.Rows.Vertices {
+					if v%5 >= 3 {
+						negZero++
+					}
+				}
+			}
+		}
+	}
+	if negZero == 0 {
+		t.Fatal("no frontier row held a −0 weight")
+	}
+}
+
+// TestFoldInPlaceStripesMatchSerial: the in-place draw at 1, 2 and 4
+// stripes, on a warm arena, gives SAGE.FinishStep's layer and Cost on
+// the serial product Q·A, bit for bit, whose −0 weights are +0.
+func TestFoldInPlaceStripesMatchSerial(t *testing.T) {
+	const n, s, seed, c, stages = 300, 3, 99, 2, 3
+	rng := rand.New(rand.NewSource(47))
+	a := inPlaceGraph(rng, n, s)
+	members := make([]*stageArena, c)
+	for j := range members {
+		members[j] = &stageArena{}
+		members[j].stageProds(stages)
+		for t := range stages {
+			lo, hi := graph.BlockRowRange(n, c*stages, j*stages+t)
+			members[j].blocks[t] = sparse.SliceRows(a, lo, hi)
+		}
+	}
+	d0 := members[0]
+	for trial := range 3 {
+		cur := stripeFrontier(rng, 150+rng.Intn(100), n)
+		q := core.SAGE{}.BuildQ(cur, n)
+		for _, m := range members {
+			m.q = q
+		}
+		p, _ := sparse.SpGEMM(q, a)
+		wantLS, wantCost := core.SAGE{}.FinishStep(p, cur, s, seed)
+		fin := finishStep{s: core.SAGE{}, cur: cur, size: s, seed: seed}
+		for _, k := range []int{4, 1, 2, 4} {
+			d0.view = newStageRows(members)
+			d0.viewPtr = d0.view.rowPtr(d0.viewPtr)
+			if !slices.Equal(d0.viewPtr, p.RowPtr) {
+				t.Fatalf("trial %d: in-place row pointers differ from the product's", trial)
+			}
+			drawn := d0.fold(nil, fin, k)
+			got := drawn.layer
+			if err := sameCSRBits(got.Adj, wantLS.Adj); err != nil {
+				t.Fatalf("trial %d, %d stripes: layer adjacency: %v", trial, k, err)
+			}
+			if !slices.Equal(got.Cols.Vertices, wantLS.Cols.Vertices) ||
+				!slices.Equal(got.Cols.BatchPtr, wantLS.Cols.BatchPtr) {
+				t.Fatalf("trial %d, %d stripes: the layer's frontier differs from FinishStep's", trial, k)
+			}
+			if drawn.cost != wantCost {
+				t.Fatalf("trial %d, %d stripes: Cost %+v, FinishStep's %+v", trial, k, drawn.cost, wantCost)
+			}
+		}
+	}
+}
+
+// TestFoldInPlaceOnlyForUnitRows: spgemm15D draws in place only from a
+// Q whose every row holds one entry of value 1, GraphSAGE's; any other
+// Q keeps the SpGEMM + merge path, whose total it returns.
+func TestFoldInPlaceOnlyForUnitRows(t *testing.T) {
+	cur := core.NewFrontier([][]int{{3, 1, 4}, {1, 5}})
+	unit := core.SAGE{}.BuildQ(cur, 8)
+	if !unitPerRow(unit) {
+		t.Fatal("GraphSAGE's Q is not drawn in place")
+	}
+	scaled := core.SAGE{}.BuildQ(cur, 8)
+	scaled.Val[2] = 2
+	empty := &sparse.CSR{Rows: 2, Cols: 8, RowPtr: []int{0, 1, 1}, ColIdx: []int{3}, Val: []float64{1}}
+	double := &sparse.CSR{Rows: 1, Cols: 8, RowPtr: []int{0, 2}, ColIdx: []int{2, 6}, Val: []float64{1, 1}}
+	for name, q := range map[string]*sparse.CSR{"a weight of 2": scaled, "an empty row": empty, "two entries": double} {
+		if unitPerRow(q) {
+			t.Fatalf("a Q with %s is drawn in place", name)
+		}
 	}
 }

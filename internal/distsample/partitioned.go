@@ -19,11 +19,13 @@
 // sampler's Step (for GraphSAGE, a lookup of A's rows). The partitioned
 // driver runs the staged collectives with their real payloads, but for
 // a Q with one entry per row its stage products and row fold are row
-// copies, its c replicas share one read-only product and one read-only
-// layer per process row (the row fold completes each layer once, for
-// all c members, for both sampler families — layer-wise extraction
-// included, whose all-gather across the row is charged but carries no
-// value), and GraphSAGE's NORM is fused into the sampling prefix sums.
+// copies (for GraphSAGE, none are made: the fold draws from the rows of
+// A the stages received), its c replicas share one read-only product
+// and one read-only layer per process row (the row fold completes each
+// layer once, for all c members, for both sampler families —
+// layer-wise extraction included, whose all-gather across the row is
+// charged but carries no value), and GraphSAGE's NORM is fused into the
+// sampling prefix sums.
 package distsample
 
 import (
@@ -117,11 +119,14 @@ func ReleasePartitionedSet(set []*Partitioned) {
 	arenas := set[0].arenas
 	for _, a := range arenas {
 		if a != nil {
-			// total and drawn point into another arena of the set, and
-			// the draw record and finish step hold the last layer,
-			// sampled sets and frontier; nextTag keeps counting, because
-			// stamp still holds the old tags.
+			// total and drawn point into another arena of the set, the
+			// draw record and finish step hold the last layer, sampled
+			// sets and frontier, and q, blocks and view the last Q and
+			// the set's A blocks; nextTag keeps counting, because stamp
+			// still holds the old tags.
 			a.total, a.drawn, a.draw, a.fin = nil, nil, rowDraw{}, finishStep{}
+			a.q, a.view = nil, stageRows{}
+			clear(a.blocks)
 		}
 	}
 	freeArenaSets.Put(arenas)
@@ -147,7 +152,8 @@ func payloadBytes(p *rowPayload) int {
 // total its c members share. It is read-only: it lives in the process
 // row's stage arenas, is valid until the row's next spgemm15D call on
 // this set (or the set's release), and must not be passed back in as
-// Q. The collective schedules — the per-stage gathers/scatters and the row
+// Q. It is nil when the fold drew the layer in place (below). The
+// collective schedules — the per-stage gathers/scatters and the row
 // all-reduce — charge under the cost model's Collectives table
 // (cluster.CollectiveAlgorithm), so algorithm comparisons reach the
 // 1.5D sampling path without any plumbing here.
@@ -158,12 +164,18 @@ func payloadBytes(p *rowPayload) int {
 // Q_R), each stage product is a gather of rows of A_k and each row of
 // the fold has one source, so the kernels copy rows instead of
 // accumulating (sparse.Scratch.SpGEMM, MergeCSRInto) and the running
-// nonzero count is the sum of the stage products' sizes.
+// nonzero count is the sum of the stage products' sizes. When that
+// entry is 1 in every row and fin is a node-wise step (GraphSAGE), the
+// host runs no multiply at all: a stage keeps its A_k (blocks) and
+// charges the product's flop bound, its size, from A_k's row lengths;
+// the fold reads P's rows where the stages received them (stageRows)
+// and builds no stage product, merge or total. The charges do not move,
+// and neither does the draw (TestFoldInPlaceMatchesMerge).
 //
 // When fin names a sampler, the row fold also completes the layer from
-// the total (finishStep.draw), once for the whole process row, and every
-// member receives that one read-only draw beside the total (nil when fin
-// is empty). Every member of the row must pass the same finish step.
+// P (see foldStages), once for the whole process row, and every member
+// receives that one read-only draw beside the total (nil when fin is
+// empty). Every member of the row must pass the same finish step.
 func (ps *Partitioned) spgemm15D(r *cluster.Rank, q *sparse.CSR, fin finishStep) (*sparse.CSR, *rowDraw) {
 	g := ps.Grid
 	j := g.ColIndex(r.ID)
@@ -195,7 +207,8 @@ func (ps *Partitioned) spgemm15D(r *cluster.Rank, q *sparse.CSR, fin finishStep)
 	// product is new to the count; otherwise stageArena.countStage
 	// finds the new ones.
 	prods, _ := ar.stageProds(stages)
-	oneHot := atMostOnePerRow(q)
+	inPlace := fin.nodewise() && unitPerRow(q)
+	oneHot := inPlace || atMostOnePerRow(q)
 	base := 0
 	if !oneHot {
 		base = ar.beginCount(ps.N, q.Rows)
@@ -224,7 +237,7 @@ func (ps *Partitioned) spgemm15D(r *cluster.Rank, q *sparse.CSR, fin finishStep)
 				r.ChargeSparse(extracted)
 			}
 			part := cluster.Scatter(colComm, r, ownerLocal, parts, payloadBytes)
-			blockK = assembleBlockInto(&ar.asm, hi[t]-lo[t], need, part.rows)
+			blockK = assembleBlockInto(&ar.asms[t], hi[t]-lo[t], need, part.rows)
 		} else {
 			// Sparsity-oblivious: broadcast the whole block row.
 			var block *sparse.CSR
@@ -233,13 +246,25 @@ func (ps *Partitioned) spgemm15D(r *cluster.Rank, q *sparse.CSR, fin finishStep)
 			}
 			blockK = cluster.Broadcast(colComm, r, ownerLocal, block, blockBytes(block))
 		}
+		ar.blocks[t] = blockK
 
-		prod, flops := ar.SpGEMM(&prods[t], qik, blockK)
-		r.ChargeSparse(flops)
-		if oneHot {
-			cum += prod.NNZ()
+		if inPlace {
+			// The product would gather one row of blockK per row of
+			// qik: its flop bound is its size.
+			var flops int64
+			for _, c := range qik.ColIdx {
+				flops += int64(blockK.RowNNZ(c))
+			}
+			r.ChargeSparse(flops)
+			cum += int(flops)
 		} else {
-			cum += ar.countStage(prod, base)
+			prod, flops := ar.SpGEMM(&prods[t], qik, blockK)
+			r.ChargeSparse(flops)
+			if oneHot {
+				cum += prod.NNZ()
+			} else {
+				cum += ar.countStage(prod, base)
+			}
 		}
 		r.ChargeMem(int64(cum) * 16)
 		r.ChargeKernels(2)
@@ -253,10 +278,24 @@ func (ps *Partitioned) spgemm15D(r *cluster.Rank, q *sparse.CSR, fin finishStep)
 	// contribution bytes are this rank's partial sum in CSR form: cum
 	// nonzeros over q.Rows rows, sized like the old accumulator.
 	partialBytes := 8*(q.Rows+1) + 16*cum
-	ar.fin = fin
+	ar.fin, ar.q = fin, nil
+	if inPlace {
+		ar.q = q
+	}
 	sum := cluster.AllReduceGenericInto(rowComm, r, ar, partialBytes, ar, foldStages)
-	r.ChargeMem(int64(sum.total.NNZ()) * 16 * int64(rowComm.Size()))
+	r.ChargeMem(int64(sum.nnz) * 16 * int64(rowComm.Size()))
 	return sum.total, sum.drawn
+}
+
+// unitPerRow reports whether every row of q holds one entry, of value 1
+// (GraphSAGE's Q): row i of Q·A is then the row of A that row i selects.
+func unitPerRow(q *sparse.CSR) bool {
+	for i := 0; i < q.Rows; i++ {
+		if q.RowNNZ(i) != 1 || q.Val[q.RowPtr[i]] != 1 {
+			return false
+		}
+	}
+	return true
 }
 
 // atMostOnePerRow reports whether no row of q holds more than one entry.
@@ -367,7 +406,7 @@ func (ps *Partitioned) extractLayerwise(r *cluster.Rank, fin finishStep) *core.L
 // prefix sum), so the row fold's stripes draw the process row's one
 // shared total in place, and core.JoinRows extracts the layer.
 type nodewiseFinisher interface {
-	FinishRows(p *sparse.CSR, lo, hi, s int, seed int64, rp *core.RowPicks)
+	FinishRows(p core.RowReader, lo, hi, s int, seed int64, rp *core.RowPicks)
 }
 
 // finishStep is one layer's completion of a process row's fold total:
