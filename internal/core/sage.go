@@ -12,10 +12,13 @@ import (
 // vertex samples s of its neighbors uniformly at random.
 type SAGE struct {
 	// CDF is the adjacency matrix's row-CDF table (graph.Graph.RowCDF).
-	// It only saves host time: when nil, or built from another matrix
-	// than the one Step is given, Step computes each sampled row's
-	// prefix sum into scratch with the routine that builds the table,
-	// and returns the same sample and the same Cost.
+	// It only saves host time. Step over A, and the 1.5D row fold over
+	// the blocks of A its stages received (a RowReader that names A),
+	// look each sampled row's prefix sums up in it. When it is nil, or
+	// built from another matrix than the one whose rows are read, the
+	// draw computes each sampled row's prefix sum into scratch with the
+	// routine that builds the table, and returns the same sample and the
+	// same Cost.
 	CDF *graph.RowCDF
 }
 
@@ -76,12 +79,32 @@ type RowPicks struct {
 
 // RowReader reads a sparse matrix's rows in place, as *sparse.CSR does:
 // row i's column indices and weights, and its length. The node-wise draw
-// reads P through it, so a driver holding P's rows in pieces — the 1.5D
-// row fold, in the blocks of A its stages received — draws them without
-// assembling P.
+// reads A or P through it, so a driver holding A in pieces — the 1.5D
+// row fold, in the blocks of A its stages received — draws P's rows
+// from A's without assembling P. Such a reader names the matrix it holds
+// in pieces with a Matrix method (see matrixOf), which is what lets the
+// draw look its rows up in SAGE.CDF.
 type RowReader interface {
 	Row(i int) (cols []int, vals []float64)
 	RowNNZ(i int) int
+}
+
+// ErrTableRow is the draw's diagnostic when a row it reads is not as
+// long as the row SAGE.CDF holds for it: the reader named a matrix it
+// does not hold, or read another row than the one looked up.
+const ErrTableRow = "core: a row read differs in length from its RowCDF row"
+
+// matrixOf names the matrix whose rows m reads, by that matrix's row
+// index: m itself, or the one a reader holding it in pieces names; nil
+// when m names none.
+func matrixOf(m RowReader) *sparse.CSR {
+	switch m := m.(type) {
+	case *sparse.CSR:
+		return m
+	case interface{ Matrix() *sparse.CSR }:
+		return m.Matrix()
+	}
+	return nil
 }
 
 // sampleAll is sampleRows over every frontier row, completed into the
@@ -97,11 +120,13 @@ func (sg SAGE) sampleAll(m *sparse.CSR, rowOf []int, cur *Frontier, s int, seed 
 
 // sampleRows is GraphSAGE's NORM and SAMPLE over frontier rows [lo, hi)
 // of P, read from m: frontier row i is row rowOf[i] of m (Step passes A
-// and the frontier's vertices), or row i when rowOf is nil (FinishStep
-// passes P, the row fold a reader of P's rows). m is only read. NORM is
-// fused into ITS's prefix sum — from sg.CDF when m is the table's
-// matrix, else graph.NormPrefix into scratch — so a
-// row's weights are scaled only where they are summed. Row i's picks go
+// and the frontier's vertices, the in-place row fold a reader of A's
+// blocks and Q's columns), or row i when rowOf is nil (FinishStep and
+// the merging row fold pass P). m is only read. NORM is fused into ITS's
+// prefix sum — looked up in sg.CDF by row of m when m names the table's
+// matrix (matrixOf), else graph.NormPrefix into scratch — so a row's
+// weights are scaled only where they are summed. A looked-up row must be
+// as long as the row read, or the draw panics naming ErrTableRow. Row i's picks go
 // to rp.picks, and their end to rp.ends[i-lo], which must hold hi-lo
 // entries. Every row reseeds its draw (rowSeed(seed, i)), so what a row
 // picks depends on that row alone: ranges drawn apart and joined in row
@@ -121,8 +146,7 @@ func (sg SAGE) sampleRows(m RowReader, rowOf []int, lo, hi, s int, seed int64, r
 		read += deg
 		maxPicks += min(deg, s)
 	}
-	a, _ := m.(*sparse.CSR)
-	table := a != nil && sg.CDF.Of(a)
+	table := sg.CDF.Of(matrixOf(m))
 
 	// SAMPLE: the picks of row i are the sampled global vertex ids, in
 	// row-sorted order.
@@ -142,7 +166,9 @@ func (sg SAGE) sampleRows(m RowReader, rowOf []int, lo, hi, s int, seed int64, r
 			var inv float64
 			var cum []float64
 			if table {
-				inv, cum = sg.CDF.Row(v)
+				if inv, cum = sg.CDF.Row(v); len(cum) != deg {
+					panic(fmt.Sprintf("%s: row %d holds %d entries, the table %d", ErrTableRow, v, deg, len(cum)))
+				}
 			} else {
 				cum = rs.sc.prefixBuf(deg)
 				inv = graph.NormPrefix(cum, w)
@@ -165,19 +191,22 @@ func (sg SAGE) sampleRows(m RowReader, rowOf []int, lo, hi, s int, seed int64, r
 	return read
 }
 
-// FinishRows is FinishStep's draw over frontier rows [lo, hi) of p
-// alone, into rp. JoinRows completes the layer from the draws of
+// FinishRows is FinishStep's draw over frontier rows [lo, hi) of P
+// alone, into rp: row i of P is row rowOf[i] of m, or row i of m when
+// rowOf is nil (m is P). JoinRows completes the layer from the draws of
 // consecutive ranges: the 1.5D row fold draws row stripes of the
 // process row's P at once, each into its own RowPicks, reading P's rows
-// where its stages received them. A row's draw reads its weights only
-// through graph.NormPrefix and ITS's zero test, so a −0 weight draws as
-// the +0 that P = Q·A stores in its place.
-func (sg SAGE) FinishRows(p RowReader, lo, hi, s int, seed int64, rp *RowPicks) {
+// where its stages received them — rows of A, by vertex, whose prefix
+// sums come from sg.CDF when the reader names A. A row's draw reads its
+// weights only through graph.NormPrefix (its own or the table's) and
+// ITS's zero test, so a −0 weight of A draws as the +0 that P = Q·A
+// stores in its place.
+func (sg SAGE) FinishRows(m RowReader, rowOf []int, lo, hi, s int, seed int64, rp *RowPicks) {
 	if cap(rp.ends) < hi-lo {
 		rp.ends = make([]int, hi-lo)
 	}
 	rp.ends = rp.ends[:hi-lo]
-	sg.sampleRows(p, nil, lo, hi, s, seed, rp)
+	sg.sampleRows(m, rowOf, lo, hi, s, seed, rp)
 }
 
 // JoinRows completes a node-wise layer over cur from stripes, the

@@ -24,7 +24,9 @@ import (
 // process's first (benchmark/ partitioned-dense: 0.46 GB → 0.02 GB per
 // epoch). Drawing GraphSAGE's layer from the stage blocks in place
 // (stageRows) leaves no stage product, merge or total to build
-// (partitioned-dense peak RSS 423 MB → 115 MB). The arena owns buffers
+// (partitioned-dense peak RSS 423 MB → 115 MB), and an aware stage's
+// block aliases the payload it received instead of copying it
+// (assembleBlockInto). The arena owns buffers
 // that successive stages and calls adopt, each resized to exactly the
 // size the call computes for it before writing (a product's flop
 // bound, a payload's summed row degrees); buffers scale with the
@@ -38,14 +40,18 @@ import (
 //     requester rewrites its list only after leaving that Scatter —
 //     which completes only after the owner arrived, i.e. after the
 //     owner finished reading.
-//   - parts (the Scatter payload): each member copies its part into
-//     its assembled block before entering the next collective on the
-//     column communicator. The owner rewrites its response arena no
-//     earlier than its next extraction — behind a later Gather on the
-//     same communicator, which cannot complete until every member
-//     passed this stage.
+//   - parts (the Scatter payload): each member's assembled block
+//     (asms) aliases its part's columns and values, and members read
+//     them until the call's fold ends: the stage product (SpGEMM)
+//     within the stage, the in-place draw inside the row all-reduce.
+//     An owner owns one block row, so it serves at most one stage of a
+//     call, and rewrites its response arena no earlier than its next
+//     call's extraction — behind that call's Gather on the same column
+//     communicator, which completes only once every column member has
+//     arrived, i.e. has left this call's fold.
 //   - asms (the aware path's per-stage assembled blocks): stage t
-//     writes asms[t] at assembly; the in-place draw (stageRows) reads
+//     writes asms[t]'s row pointers at assembly, its ColIdx and Val
+//     being the payload's (above); the in-place draw (stageRows) reads
 //     every member's blocks inside the row all-reduce, while every
 //     member is parked; only the next call's stage t rewrites asms[t],
 //     and a member makes that call only after leaving the fold.
@@ -104,6 +110,7 @@ type stageArena struct {
 	asms     []sparse.CSR  // per-stage assembled right operand A_k (sparsity-aware)
 	blocks   []*sparse.CSR // per-stage right operand A_k of the call in flight, read-only
 	q        *sparse.CSR   // the call's Q when the fold draws P in place (stageRows), else nil
+	a        *sparse.CSR   // with q: the set's A, of which blocks hold pieces
 	res      sparse.CSR    // the fold total, when this is the process row's first arena
 	total    *sparse.CSR   // the process row's fold total (some member's res), read-only; nil when drawn in place
 	nnz      int           // P's nonzeros, the fold total's size, set by the fold
@@ -111,7 +118,7 @@ type stageArena struct {
 	draw     rowDraw       // the fold's draw, when this is the process row's first arena
 	drawn    *rowDraw      // the process row's draw (some member's draw), read-only; nil without fin
 	normed   sparse.CSR    // the layer-wise draw's normalized copy of the total (first arena)
-	view     stageRows     // the in-place draw's reader of P (first arena)
+	view     stageRows     // the in-place draw's reader of A's rows (first arena)
 	viewPtr  []int         // P's row pointers for the in-place draw's stripes (first arena)
 
 	// stamp counts the running accumulator's nonzeros without building
@@ -344,62 +351,71 @@ func (d0 *stageArena) splitStripes(rowPtr []int, k int) {
 // place. It writes only its rows of res and stripe t's scratch.
 func (d0 *stageArena) foldStripe(srcs []*sparse.CSR, fin finishStep, t int) {
 	lo, hi := d0.stripeLo[t], d0.stripeLo[t+1]
-	var p core.RowReader = &d0.view
+	var m core.RowReader = &d0.view
+	rowOf := d0.view.of
 	if srcs != nil {
 		d0.stripeAcc[t].MergeRowsInto(&d0.res, srcs, lo, hi)
-		p = &d0.res
+		m, rowOf = &d0.res, nil
 	}
 	if fin.nodewise() {
-		fin.s.(nodewiseFinisher).FinishRows(p, lo, hi, fin.size, fin.seed, &d0.stripePicks[t])
+		fin.s.(nodewiseFinisher).FinishRows(m, rowOf, lo, hi, fin.size, fin.seed, &d0.stripePicks[t])
 	}
 }
 
 // stageRows reads the process row's P = Q·A in place when every row of
-// Q holds one unit entry (GraphSAGE's Q): row i of P is row v of A, v
-// being row i's column of Q, and block row k of A holding v (rows
-// [lo_k, hi_k)) reached the member of column j = k / stages at stage
-// t = k % stages as its right operand A_k, where it is row v − lo_k. P
-// holds each weight w of A as 0 + 1·w: w itself, but +0 for a −0, which
-// the node-wise draw treats alike (core.SAGE.FinishRows).
+// Q holds one unit entry (GraphSAGE's Q): row i of P is row of[i] of A,
+// of being Q's columns. It reads A's rows by global vertex from the
+// blocks the stages received: block row k of A (rows [lo_k, hi_k))
+// reached the member of column j = k / stages at stage t = k % stages
+// as its right operand A_k, where row v is row v − lo_k. It names A
+// (Matrix), the matrix it holds in pieces, so the draw takes each row's
+// prefix sums from A's RowCDF table when the sampler holds it. P holds
+// each weight w of A as 0 + 1·w: w itself, but +0 for a −0, which the
+// node-wise draw treats alike (core.SAGE.FinishRows).
 type stageRows struct {
-	q       *sparse.CSR
+	a       *sparse.CSR   // the matrix the blocks are pieces of; only its size is read
+	of      []int         // row i of P is row of[i] of A
 	members []*stageArena // the process row's arenas, in column order
 	stages  int           // A_k blocks per member
 	blocks  int           // the grid's block rows of A: stages · members
 }
 
 func newStageRows(members []*stageArena) stageRows {
-	stages := len(members[0].blocks)
-	return stageRows{q: members[0].q, members: members, stages: stages, blocks: stages * len(members)}
+	m0 := members[0]
+	stages := len(m0.blocks)
+	return stageRows{a: m0.a, of: m0.q.ColIdx[:m0.q.Rows], members: members,
+		stages: stages, blocks: stages * len(members)}
 }
 
-// at locates row i of P: the block holding it and its row there.
-func (v *stageRows) at(i int) (*sparse.CSR, int) {
-	u := v.q.ColIdx[v.q.RowPtr[i]]
-	k := graph.BlockOwner(v.q.Cols, v.blocks, u)
-	lo, _ := graph.BlockRowRange(v.q.Cols, v.blocks, k)
+// at locates row u of A: the block holding it and its row there.
+func (v *stageRows) at(u int) (*sparse.CSR, int) {
+	k := graph.BlockOwner(v.a.Rows, v.blocks, u)
+	lo, _ := graph.BlockRowRange(v.a.Rows, v.blocks, k)
 	return v.members[k/v.stages].blocks[k%v.stages], u - lo
 }
 
-// Row implements core.RowReader.
-func (v *stageRows) Row(i int) ([]int, []float64) {
-	b, row := v.at(i)
+// Matrix names A, the matrix whose rows Row reads (see core.RowReader).
+func (v *stageRows) Matrix() *sparse.CSR { return v.a }
+
+// Row implements core.RowReader: row u of A.
+func (v *stageRows) Row(u int) ([]int, []float64) {
+	b, row := v.at(u)
 	return b.Row(row)
 }
 
 // RowNNZ implements core.RowReader.
-func (v *stageRows) RowNNZ(i int) int {
-	b, row := v.at(i)
+func (v *stageRows) RowNNZ(u int) int {
+	b, row := v.at(u)
 	return b.RowNNZ(row)
 }
 
 // rowPtr returns P's row pointers, in buf's storage: what the stripe
 // split weighs, and P's size.
 func (v *stageRows) rowPtr(buf []int) []int {
-	buf = growInts(buf, v.q.Rows+1)
+	buf = growInts(buf, len(v.of)+1)
 	buf[0] = 0
-	for i := range v.q.Rows {
-		buf[i+1] = buf[i] + v.RowNNZ(i)
+	for i, u := range v.of {
+		buf[i+1] = buf[i] + v.RowNNZ(u)
 	}
 	return buf
 }
@@ -456,28 +472,35 @@ func (ar *stageArena) extractParts(a *sparse.CSR, lists [][]int) []*rowPayload {
 	return ar.parts
 }
 
-// assembleBlockInto is assembleBlock into a reusable matrix: row
-// ids[i] of the (height x rows.Cols) block is payload row i.
+// assembleBlockInto lays a scattered payload out as the (height x
+// rows.Cols) block it is part of, in out: row ids[i] of the block is
+// payload row i, every other row is empty. ids ascend (NonzeroCols
+// sorts them) and the payload holds its rows in that order, so the
+// block's entries are the payload's, in order: out gets its own row
+// pointers, and its ColIdx and Val alias the payload's — read-only, and
+// valid until the owner's next extraction (see stageArena's parts).
 func assembleBlockInto(out *sparse.CSR, height int, ids []int, rows *sparse.CSR) *sparse.CSR {
+	if rows.Rows != len(ids) {
+		panic(errMisaligned)
+	}
 	out.Rows, out.Cols = height, rows.Cols
 	out.RowPtr = growInts(out.RowPtr, height+1)
 	out.RowPtr[0] = 0
-	nnz := rows.NNZ()
-	cols := growInts(out.ColIdx, nnz)[:0]
-	vals := growFloats(out.Val, nnz)[:0]
 	cursor := 0
 	for i := 0; i < height; i++ {
 		if cursor < len(ids) && ids[cursor] == i {
-			cs, vs := rows.Row(cursor)
-			cols = append(cols, cs...)
-			vals = append(vals, vs...)
 			cursor++
 		}
-		out.RowPtr[i+1] = len(cols)
+		out.RowPtr[i+1] = rows.RowPtr[cursor]
 	}
 	if cursor != len(ids) {
-		panic("distsample: row payload misaligned with request")
+		panic(errMisaligned)
 	}
-	out.ColIdx, out.Val = cols, vals
+	nnz := rows.NNZ()
+	out.ColIdx, out.Val = rows.ColIdx[:nnz], rows.Val[:nnz]
 	return out
 }
+
+// errMisaligned is assembleBlockInto's diagnostic for a payload whose
+// rows do not match the ascending request list it answers.
+const errMisaligned = "distsample: row payload misaligned with request"

@@ -1,7 +1,9 @@
 package distsample
 
 import (
+	"math/rand"
 	"runtime/debug"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -121,4 +123,114 @@ func TestArenaReuseMatchesLocalOracle(t *testing.T) {
 			t.Fatalf("rank %d: %v", rank, err)
 		}
 	}
+}
+
+// TestPartitionedAwareBlockAliasesPayload: a sparsity-aware stage lays
+// the payload it received out as its block of A_k with row pointers of
+// its own, and ColIdx and Val that are the payload's storage. The block
+// equals A_k's requested rows, every other row empty, bit for bit. A
+// payload that does not match its ascending request list panics.
+func TestPartitionedAwareBlockAliasesPayload(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	a := inPlaceGraph(rng, 90, 3) // empty, short, long and −0 rows
+	lists := [][]int{{1, 4, 5, 20, 33}, {}, {0, 2, 89}, {5}}
+	var owner stageArena
+	parts := owner.extractParts(a, lists)
+	var out sparse.CSR
+	for m, ids := range lists {
+		rows := parts[m].rows
+		want := &sparse.CSR{Rows: a.Rows, Cols: a.Cols, RowPtr: make([]int, a.Rows+1)}
+		for u := range a.Rows {
+			if slices.Contains(ids, u) {
+				cs, vs := a.Row(u)
+				want.ColIdx = append(want.ColIdx, cs...)
+				want.Val = append(want.Val, vs...)
+			}
+			want.RowPtr[u+1] = len(want.ColIdx)
+		}
+		got := assembleBlockInto(&out, a.Rows, ids, rows)
+		if err := sameCSRBits(got, want); err != nil {
+			t.Fatalf("request %v: %v", ids, err)
+		}
+		if nnz := rows.NNZ(); nnz > 0 && (&got.ColIdx[0] != &rows.ColIdx[0] || &got.Val[0] != &rows.Val[0]) {
+			t.Fatalf("request %v: the block copied the payload's %d entries", ids, nnz)
+		}
+	}
+	rows := parts[0].rows // the rows of {1, 4, 5, 20, 33}
+	for name, ids := range map[string][]int{
+		"out of order":   {4, 1, 5, 20, 33},
+		"a row too few":  {1, 4, 5, 20},
+		"a row too many": {1, 4, 5, 20, 33, 40},
+		"past the block": {1, 4, 5, 20, 95},
+		"a repeated row": {1, 4, 4, 20, 33},
+	} {
+		func() {
+			defer func() {
+				if rec := recover(); rec != errMisaligned {
+					t.Fatalf("%s: recovered %v, want %q", name, rec, errMisaligned)
+				}
+			}()
+			assembleBlockInto(&out, a.Rows, ids, rows)
+		}()
+	}
+}
+
+// TestPartitionedAliasedBlocksMatchSerial: the aware stages' blocks
+// alias the owners' payloads, which an owner rewrites at its next
+// extraction. GraphSAGE (drawing with A's table) and LADIES, over four
+// layers at p=16 c=2 — consecutive calls, and LADIES's two calls per
+// layer — still give every rank the serial sample, and after the run
+// every stage block holding entries shares its owner's response
+// storage. CI runs it under -race at GOMAXPROCS=4.
+func TestPartitionedAliasedBlocksMatchSerial(t *testing.T) {
+	const p, c = 16, 2
+	a := testGraph(300, 12, 53)
+	gr := graph.New(a)
+	batches := makeBatches(32, 4, a.Rows)
+	for _, s := range []core.Sampler{core.SAGE{CDF: gr.RowCDF()}, core.LADIES{}} {
+		sizes := core.LayerSizes(s, []int{4, 3, 3, 2}, 6, 4)
+		cl := cluster.New(p, cluster.Perlmutter())
+		g := cluster.NewGrid(cl, p, c)
+		set := NewPartitionedSet(g, a, true)
+		results := make([]*core.BulkSample, p)
+		if _, err := cl.Run(func(r *cluster.Rank) error {
+			results[r.ID] = SamplePartitioned(r, set[r.ID], s, LocalBatches(g, r.ID, batches), sizes, 99)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for rank, got := range results {
+			if err := sameBulk(got, core.SampleBulk(s, a, got.Batches, sizes, 99)); err != nil {
+				t.Fatalf("%s rank %d: %v", s.Name(), rank, err)
+			}
+		}
+		stages, aliased := g.Rows/c, 0
+		for rank, ar := range set[0].arenas {
+			j := g.ColIndex(rank)
+			for st, blk := range ar.asms {
+				if blk.NNZ() == 0 {
+					continue
+				}
+				owner := set[0].arenas[(j*stages+st)*c+j] // grid slot (k, j), k = j·stages + st
+				if !inStorage(blk.ColIdx, owner.respCols) || !inStorage(blk.Val, owner.respVals) {
+					t.Fatalf("%s rank %d stage %d: the block does not alias its owner's payload", s.Name(), rank, st)
+				}
+				aliased++
+			}
+		}
+		if aliased == 0 {
+			t.Fatalf("%s: no stage block held an entry", s.Name())
+		}
+	}
+}
+
+// inStorage reports whether v's first element lies in buf's backing array.
+func inStorage[T any](v, buf []T) bool {
+	buf = buf[:cap(buf)]
+	for i := range buf {
+		if &buf[i] == &v[0] {
+			return true
+		}
+	}
+	return false
 }

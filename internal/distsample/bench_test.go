@@ -15,20 +15,23 @@ import (
 // protein/Small at p=16 c=2, process row 0 (one batch of 64), each
 // layer's frontier as serial sampling grows it. The c=2 members handle
 // q=4 stages each, one per block row of A their column handles.
-// "inplace" is the fold spgemm15D runs for GraphSAGE: it draws the
-// layer from the blocks of A the stages received (stageRows). "merge"
-// is the fold over stage products, which a Q with several entries per
-// row still takes: with one entry per row of Q, a stage product holds
-// the frontier rows whose vertex lies in its block, and the fold merges
-// them into the total before drawing. Compare with -cpu 1,2: the fold
-// stripes its rows over GOMAXPROCS workers once P is large enough.
+// Both draw with the sampler pipeline.Run passes, SAGE{CDF: the graph's
+// RowCDF table}. "inplace" is the fold spgemm15D runs for GraphSAGE: it
+// draws the layer from the blocks of A the stages received (stageRows),
+// each row's prefix sums looked up in the table. "merge" is the fold
+// over stage products, which a Q with several entries per row still
+// takes: with one entry per row of Q, a stage product holds the frontier
+// rows whose vertex lies in its block, and the fold merges them into
+// the total, then draws it, prefix-summing each row (the total is not
+// A). Compare with -cpu 1,2: the fold stripes its rows over GOMAXPROCS
+// workers once P is large enough.
 func BenchmarkRowFold(b *testing.B) {
 	const p, c = 16, 2
 	d, err := datasets.ByName("protein", datasets.Small)
 	if err != nil {
 		b.Fatal(err)
 	}
-	a := d.Graph.Adj
+	a, sg := d.Graph.Adj, core.SAGE{CDF: d.Graph.RowCDF()}
 	gridRows, stages := p/c, p/(c*c)
 	bulk := core.SampleBulk(core.SAGE{}, a, d.Batches()[:1], d.Fanouts, 1)
 	for l, ls := range bulk.Layers {
@@ -45,8 +48,8 @@ func BenchmarkRowFold(b *testing.B) {
 				*prod = blockRows(a, cur.Vertices, lo, hi)
 				inPlace[j].blocks[t] = sparse.SliceRows(a, lo, hi)
 			}
-			fin := finishStep{s: core.SAGE{}, cur: cur, size: d.Fanouts[l], seed: 7}
-			merging[j].fin, inPlace[j].fin, inPlace[j].q = fin, fin, q
+			fin := finishStep{s: sg, cur: cur, size: d.Fanouts[l], seed: 7}
+			merging[j].fin, inPlace[j].fin, inPlace[j].q, inPlace[j].a = fin, fin, q, a
 		}
 		for _, tc := range []struct {
 			name    string

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime/debug"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -237,16 +238,21 @@ func randomBatches(rng *rand.Rand, k, b, n int) [][]int {
 
 // TestFoldInPlaceMatchesMerge: a GraphSAGE step's fold draws P's rows
 // from the blocks of A the stages received (stageRows) and builds no
-// total. On every grid and scheme it must return, rank for rank, the
-// layer and Cost that the SpGEMM + merge total (the same call without a
-// finish step) and SAGE.FinishStep give, bit for bit, and leave every
-// rank's clock where that call leaves it: the in-place path charges
-// every stage multiply and the total it no longer builds. Rows with a −0
-// weight draw as the +0 the total holds.
+// total. On every grid and scheme, drawing with A's RowCDF table (the
+// sampler pipeline.Run passes) and without one, it must return, rank for
+// rank, the layer and Cost that the SpGEMM + merge total (the same call
+// without a finish step) and SAGE.FinishStep give, bit for bit, and
+// leave every rank's clock where that call leaves it: the in-place path
+// charges every stage multiply and the total it no longer builds. Rows
+// with a −0 weight draw as the +0 the total holds.
 func TestFoldInPlaceMatchesMerge(t *testing.T) {
 	const n, s, seed = 240, 3, 77
 	rng := rand.New(rand.NewSource(45))
 	a := inPlaceGraph(rng, n, s)
+	samplers := []struct {
+		name string
+		sg   core.SAGE
+	}{{"table", core.SAGE{CDF: graph.New(a).RowCDF()}}, {"no table", core.SAGE{}}}
 	negZero := 0 // frontier rows with a −0 weight and more than s entries
 	for _, p := range []int{4, 16} {
 		for _, c := range []int{1, 2, 4} {
@@ -264,15 +270,17 @@ func TestFoldInPlaceMatchesMerge(t *testing.T) {
 					cost  core.Cost
 					clock float64
 				}
-				run := func(inPlace bool) []result {
+				// run draws in place with sg, or, when sg is nil, merges the
+				// total and draws it with SAGE.FinishStep.
+				run := func(sg *core.SAGE) []result {
 					out := make([]result, p)
 					set := NewPartitionedSet(g, a, aware)
 					if _, err := cl.Run(func(r *cluster.Rank) error {
 						cur := core.NewFrontier(LocalBatches(g, r.ID, batches))
 						q := core.SAGE{}.BuildQ(cur, n)
 						res := &out[r.ID]
-						if inPlace {
-							fin := finishStep{s: core.SAGE{}, cur: cur, size: s, seed: seed}
+						if sg != nil {
+							fin := finishStep{s: *sg, cur: cur, size: s, seed: seed}
 							var drawn *rowDraw
 							res.total, drawn = set[r.ID].spgemm15D(r, q, fin)
 							res.layer, res.cost, res.clock = drawn.layer, drawn.cost, r.Clock()
@@ -287,26 +295,30 @@ func TestFoldInPlaceMatchesMerge(t *testing.T) {
 					}
 					return out
 				}
-				got, want := run(true), run(false)
-				for rank := range got {
-					in, ref := got[rank], want[rank]
-					if in.total != nil || ref.total == nil {
-						t.Fatalf("%s rank %d: in-place call returned a total (%v), merging call none (%v)",
-							name, rank, in.total != nil, ref.total == nil)
-					}
-					if err := sameCSRBits(in.layer.Adj, ref.layer.Adj); err != nil {
-						t.Fatalf("%s rank %d: layer adjacency: %v", name, rank, err)
-					}
-					if !slices.Equal(in.layer.Cols.Vertices, ref.layer.Cols.Vertices) ||
-						!slices.Equal(in.layer.Cols.BatchPtr, ref.layer.Cols.BatchPtr) {
-						t.Fatalf("%s rank %d: the layer's frontier differs from FinishStep's", name, rank)
-					}
-					if in.cost != ref.cost {
-						t.Fatalf("%s rank %d: Cost %+v, FinishStep's %+v", name, rank, in.cost, ref.cost)
-					}
-					if in.clock != ref.clock {
-						t.Fatalf("%s rank %d: clock %.17g after the in-place call, %.17g after the merging one",
-							name, rank, in.clock, ref.clock)
+				want := run(nil)
+				var got []result
+				for _, sm := range samplers {
+					got = run(&sm.sg)
+					for rank := range got {
+						in, ref := got[rank], want[rank]
+						if in.total != nil || ref.total == nil {
+							t.Fatalf("%s %s rank %d: in-place call returned a total (%v), merging call none (%v)",
+								name, sm.name, rank, in.total != nil, ref.total == nil)
+						}
+						if err := sameCSRBits(in.layer.Adj, ref.layer.Adj); err != nil {
+							t.Fatalf("%s %s rank %d: layer adjacency: %v", name, sm.name, rank, err)
+						}
+						if !slices.Equal(in.layer.Cols.Vertices, ref.layer.Cols.Vertices) ||
+							!slices.Equal(in.layer.Cols.BatchPtr, ref.layer.Cols.BatchPtr) {
+							t.Fatalf("%s %s rank %d: the layer's frontier differs from FinishStep's", name, sm.name, rank)
+						}
+						if in.cost != ref.cost {
+							t.Fatalf("%s %s rank %d: Cost %+v, FinishStep's %+v", name, sm.name, rank, in.cost, ref.cost)
+						}
+						if in.clock != ref.clock {
+							t.Fatalf("%s %s rank %d: clock %.17g after the in-place call, %.17g after the merging one",
+								name, sm.name, rank, in.clock, ref.clock)
+						}
 					}
 				}
 				for _, v := range got[0].layer.Rows.Vertices {
@@ -343,7 +355,7 @@ func TestFoldInPlaceStripesMatchSerial(t *testing.T) {
 		cur := stripeFrontier(rng, 150+rng.Intn(100), n)
 		q := core.SAGE{}.BuildQ(cur, n)
 		for _, m := range members {
-			m.q = q
+			m.q, m.a = q, a
 		}
 		p, _ := sparse.SpGEMM(q, a)
 		wantLS, wantCost := core.SAGE{}.FinishStep(p, cur, s, seed)
@@ -386,6 +398,68 @@ func TestFoldInPlaceOnlyForUnitRows(t *testing.T) {
 	for name, q := range map[string]*sparse.CSR{"a weight of 2": scaled, "an empty row": empty, "two entries": double} {
 		if unitPerRow(q) {
 			t.Fatalf("a Q with %s is drawn in place", name)
+		}
+	}
+}
+
+// TestFoldInPlaceTableRowGuard: the in-place draw looks a row's prefix
+// sums up in the sampler's RowCDF table by vertex and reads the row
+// itself from the block its stage received. When the received row is not
+// as long as the table's — here the owner's block lost an entry of a row
+// with more than s — every member's call fails naming core.ErrTableRow,
+// on both schemes; without a table the same blocks draw.
+func TestFoldInPlaceTableRowGuard(t *testing.T) {
+	const n, s, p, c = 120, 3, 8, 2
+	const v = 7 // v%5 == 2: more than s positive entries (inPlaceGraph)
+	rng := rand.New(rand.NewSource(49))
+	a := inPlaceGraph(rng, n, s)
+	if a.RowNNZ(v) <= s {
+		t.Fatalf("row %d holds %d entries, want more than %d", v, a.RowNNZ(v), s)
+	}
+	short := &sparse.CSR{Rows: n, Cols: n, RowPtr: make([]int, n+1)}
+	for u := range n {
+		cols, vals := a.Row(u)
+		if u == v {
+			cols, vals = cols[1:], vals[1:]
+		}
+		short.ColIdx = append(short.ColIdx, cols...)
+		short.Val = append(short.Val, vals...)
+		short.RowPtr[u+1] = len(short.ColIdx)
+	}
+	tab := graph.New(a).RowCDF()
+	for _, aware := range []bool{true, false} {
+		cl := cluster.New(p, cluster.Perlmutter())
+		g := cluster.NewGrid(cl, p, c)
+		batches := randomBatches(rng, 2*g.Rows, 5, n)
+		for _, b := range batches {
+			b[0] = v
+		}
+		for _, sg := range []core.SAGE{{CDF: tab}, {}} {
+			set := NewPartitionedSet(g, a, aware)
+			for _, ps := range set {
+				if ps.Lo <= v && v < ps.Hi {
+					ps.ALocal = sparse.SliceRows(short, ps.Lo, ps.Hi)
+				}
+			}
+			got := make([]any, p)
+			if _, err := cl.Run(func(r *cluster.Rank) error {
+				defer func() { got[r.ID] = recover() }()
+				SamplePartitioned(r, set[r.ID], sg, LocalBatches(g, r.ID, batches), []int{s}, 3)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			for rank, rec := range got {
+				if sg.CDF == nil {
+					if rec != nil {
+						t.Fatalf("aware=%v, no table: rank %d panicked: %v", aware, rank, rec)
+					}
+					continue
+				}
+				if err, ok := rec.(error); !ok || !strings.Contains(err.Error(), core.ErrTableRow) {
+					t.Fatalf("aware=%v: rank %d recovered %v, want the fold's error naming %q", aware, rank, rec, core.ErrTableRow)
+				}
+			}
 		}
 	}
 }

@@ -24,8 +24,8 @@
 // and one read-only layer per process row (the row fold completes each
 // layer once, for all c members, for both sampler families —
 // layer-wise extraction included, whose all-gather across the row is
-// charged but carries no value), and GraphSAGE's NORM is fused into the
-// sampling prefix sums.
+// charged but carries no value), and GraphSAGE's NORM + prefix sums
+// are looked up in the graph's RowCDF table when the sampler holds it.
 package distsample
 
 import (
@@ -55,6 +55,9 @@ type Partitioned struct {
 	// local (row g of A is ALocal row g-Lo).
 	ALocal *sparse.CSR
 	Lo, Hi int
+	// a is the whole matrix the set sliced: what the in-place draw's
+	// reader names, so the draw finds A's rows in A's RowCDF table.
+	a *sparse.CSR
 	// SparsityAware selects Algorithm 2's row-fetching scheme; when
 	// false the owner broadcasts its whole block row each stage (the
 	// sparsity-oblivious baseline the paper contrasts against).
@@ -96,6 +99,7 @@ func NewPartitionedSet(g *cluster.Grid, a *sparse.CSR, sparsityAware bool) []*Pa
 			Grid:          g,
 			N:             a.Rows,
 			ALocal:        sparse.SliceRows(a, lo, hi),
+			a:             a,
 			Lo:            lo,
 			Hi:            hi,
 			SparsityAware: sparsityAware,
@@ -121,11 +125,11 @@ func ReleasePartitionedSet(set []*Partitioned) {
 		if a != nil {
 			// total and drawn point into another arena of the set, the
 			// draw record and finish step hold the last layer, sampled
-			// sets and frontier, and q, blocks and view the last Q and
-			// the set's A blocks; nextTag keeps counting, because stamp
+			// sets and frontier, and q, a, blocks and view the last Q,
+			// the set's A and its blocks; nextTag keeps counting, because stamp
 			// still holds the old tags.
 			a.total, a.drawn, a.draw, a.fin = nil, nil, rowDraw{}, finishStep{}
-			a.q, a.view = nil, stageRows{}
+			a.q, a.a, a.view = nil, nil, stageRows{}
 			clear(a.blocks)
 		}
 	}
@@ -169,8 +173,13 @@ func payloadBytes(p *rowPayload) int {
 // host runs no multiply at all: a stage keeps its A_k (blocks) and
 // charges the product's flop bound, its size, from A_k's row lengths;
 // the fold reads P's rows where the stages received them (stageRows)
-// and builds no stage product, merge or total. The charges do not move,
-// and neither does the draw (TestFoldInPlaceMatchesMerge).
+// and builds no stage product, merge or total. It reads each row's
+// columns and weights from its block, and its NORM + prefix sum from
+// the sampler's table of A (core.SAGE.CDF, looked up by vertex), so
+// no row is summed again. An aware stage's block is the payload it
+// received, given row pointers, not copied (assembleBlockInto). The
+// charges do not move, and neither does the draw
+// (TestFoldInPlaceMatchesMerge).
 //
 // When fin names a sampler, the row fold also completes the layer from
 // P (see foldStages), once for the whole process row, and every member
@@ -278,9 +287,9 @@ func (ps *Partitioned) spgemm15D(r *cluster.Rank, q *sparse.CSR, fin finishStep)
 	// contribution bytes are this rank's partial sum in CSR form: cum
 	// nonzeros over q.Rows rows, sized like the old accumulator.
 	partialBytes := 8*(q.Rows+1) + 16*cum
-	ar.fin, ar.q = fin, nil
+	ar.fin, ar.q, ar.a = fin, nil, nil
 	if inPlace {
-		ar.q = q
+		ar.q, ar.a = q, ps.a
 	}
 	sum := cluster.AllReduceGenericInto(rowComm, r, ar, partialBytes, ar, foldStages)
 	r.ChargeMem(int64(sum.nnz) * 16 * int64(rowComm.Size()))
@@ -402,11 +411,12 @@ func (ps *Partitioned) extractLayerwise(r *cluster.Rank, fin finishStep) *core.L
 
 // nodewiseFinisher is the completion a node-wise sampler provides
 // besides core.Sampler's methods: NORM and SAMPLE over a range of P's
-// rows that only read it (core.SAGE.FinishRows: NORM fused into ITS's
-// prefix sum), so the row fold's stripes draw the process row's one
-// shared total in place, and core.JoinRows extracts the layer.
+// rows that only read them (core.SAGE.FinishRows: NORM fused into ITS's
+// prefix sum, or looked up in A's table), so the row fold's stripes draw
+// the process row's one shared total, or A's rows where the stages
+// received them, in place, and core.JoinRows extracts the layer.
 type nodewiseFinisher interface {
-	FinishRows(p core.RowReader, lo, hi, s int, seed int64, rp *core.RowPicks)
+	FinishRows(m core.RowReader, rowOf []int, lo, hi, s int, seed int64, rp *core.RowPicks)
 }
 
 // finishStep is one layer's completion of a process row's fold total:

@@ -11,10 +11,11 @@ import (
 // vertex v, the NORM + prefix sum of row v of A — the distribution
 // GraphSAGE samples v's neighbours from (Algorithm 1 with a one-hot
 // Q row). It is a pure function of the adjacency matrix, n + nnz
-// floats, built the first time a sampler over the whole matrix asks for
-// it (Of) and read-only from then on, so every rank, epoch and bulk
-// call shares it and a run that only ever holds blocks of A never pays
-// for it.
+// floats, built the first time a draw reading A's rows asks for it
+// (Of) — SAGE.Step over A, or the 1.5D row fold over the blocks of A
+// its stages received, which names A — and read-only from then on, so
+// every rank, epoch and bulk call of either driver shares it: once per
+// graph per process.
 type RowCDF struct {
 	adj   *sparse.CSR
 	build sync.Once
