@@ -23,16 +23,19 @@
 //
 // What a step returns as Cost is always the matrix algorithm's work —
 // that is what the simulated device is charged. What the host executes
-// to produce the sample may be less: with A whole, SAGE.Step reads the
-// rows of A that Q would select instead of multiplying, and takes
-// their NORM + prefix sums from the graph's row-CDF table. With A
-// partitioned, internal/distsample still forms P = Q·A block by block,
-// but for GraphSAGE's one-entry rows of Q the sparse kernels copy rows
-// of A rather than accumulate them, and SAGE.FinishStep samples P's rows
-// with NORM fused into the prefix sum, never writing P. The matrix
-// blocks as Algorithm 1 writes them (BuildQ, sparse.SpGEMM, Norm,
-// FinishStep) are what runs when Q's rows have many nonzeros (LADIES,
-// FastGCN), and what the tests hold both fused paths equal to.
+// to produce the sample may be less. Wherever Q has one unit entry per
+// row — GraphSAGE's Q^l, and a layer-wise EXTRACT's row selector Q_R —
+// row i of Q·A is the row of A that row i of Q selects, so no driver
+// multiplies: the node-wise draw (SAGE.FinishRows) and the layer-wise
+// extraction (ExtractLayerwise) read those rows in place through a
+// RowReader. With A whole the reader is A itself (Step), and
+// GraphSAGE's NORM + prefix sums come from the graph's row-CDF table;
+// with A in block rows (internal/distsample's 1D and 1.5D drivers) it
+// reads the blocks of A the driver's stages received. The matrix blocks
+// as Algorithm 1 writes them (BuildQ, sparse.SpGEMM, Norm) are what runs
+// when Q's rows have many nonzeros (LADIES's and FastGCN's P), and, with
+// SAGE.FinishStep sampling a formed P, what the tests hold the in-place
+// paths equal to.
 package core
 
 import (
@@ -130,8 +133,8 @@ type BulkSample struct {
 	Layers  []*LayerSample
 	// Cost sums the Cost of every layer's Step. Only drivers that run
 	// Step fill it (SampleBulk, distsample.SampleReplicated); the 1.5D
-	// and 1D drivers, which form P themselves and charge each phase on
-	// the rank's clock as they go, leave it zero.
+	// and 1D drivers, which run the product themselves and charge each
+	// phase on the rank's clock as they go, leave it zero.
 	Cost Cost
 }
 

@@ -76,14 +76,13 @@ func layerwiseStep(ls Sampler, a *sparse.CSR, cur *Frontier, s int, seed int64) 
 	cost.Add(c2)
 
 	// EXTRACT: row extraction A_R = Q_R · A for the stacked frontier,
-	// then per-batch column extraction onto each batch's sampled set —
-	// the batched small SpGEMMs standing in for the block-diagonal
-	// product of Section 4.2.4.
-	ar := sparse.ExtractRows(a, cur.Vertices)
-	cost.ExtractOps += int64(ar.NNZ())
+	// then per-batch column extraction onto each batch's sampled set — the
+	// batched small SpGEMMs standing in for the block-diagonal product of
+	// Section 4.2.4. A_R's rows are A's, read in place; the gather is
+	// charged one operation per entry, as many as the extraction reads.
+	lsam, c3 := ExtractLayerwise(a, cur.Vertices, cur, sampled)
+	cost.ExtractOps += c3.ExtractOps
 	cost.Kernels++
-
-	lsam, c3 := ExtractLayerwise(ar, cur, sampled)
 	cost.Add(c3)
 	return lsam, cost
 }
@@ -110,34 +109,41 @@ func SampleLayerwise(p *sparse.CSR, s int, seed int64) ([][]int, Cost) {
 	return sampled, cost
 }
 
-// ExtractLayerwise builds the layer-wise sampled adjacency given A_R
-// (the frontier rows of A, stacked in cur order — the row-extraction
-// product Q_R·A) and the per-batch sampled vertex sets, keeping A's
-// edge values. Exposed for the distributed drivers.
-func ExtractLayerwise(ar *sparse.CSR, cur *Frontier, sampled [][]int) (*LayerSample, Cost) {
+// ExtractLayerwise builds the layer-wise sampled adjacency from A_R =
+// Q_R·A, the frontier's rows of A in cur order, and the per-batch
+// sampled sets (sorted and distinct, as SampleLayerwise returns them),
+// copying A's edge values bit for bit, −0 included. Row i of A_R is row
+// rowOf[i] of m, or row i of m when rowOf is nil, as in SAGE.FinishRows:
+// the serial step reads A, the 1.5D row fold the blocks of A its stages
+// received.
+func ExtractLayerwise(m RowReader, rowOf []int, cur *Frontier, sampled [][]int) (*LayerSample, Cost) {
 	var cost Cost
 	k := cur.K()
 	next := &Frontier{BatchPtr: make([]int, k+1)}
 	adj := &sparse.CSR{Rows: cur.Len(), RowPtr: make([]int, cur.Len()+1)}
 	colCursor := 0
 	for b := 0; b < k; b++ {
-		rb := cur.Batch(b)
+		rb, samp := cur.Batch(b), sampled[b]
 		next.Vertices = append(next.Vertices, rb...)
 		colCursor += len(rb)
 		sampBase := colCursor
-		colCursor += len(sampled[b])
-		next.Vertices = append(next.Vertices, sampled[b]...)
+		colCursor += len(samp)
+		next.Vertices = append(next.Vertices, samp...)
 		next.BatchPtr[b+1] = len(next.Vertices)
 
-		// Column-extract this batch's rows of A_R onto sampled[b].
-		pos := make(map[int]int, len(sampled[b]))
-		for j, v := range sampled[b] {
-			pos[v] = j
-		}
+		// Column-extract this batch's rows of A_R onto samp: a row's
+		// columns ascend, as samp does, so one pass intersects them.
 		for i := cur.BatchPtr[b]; i < cur.BatchPtr[b+1]; i++ {
-			cols, vals := ar.Row(i)
+			cols, vals := m.Row(rowAt(rowOf, i))
+			j := 0
 			for t, c := range cols {
-				if j, ok := pos[c]; ok {
+				for j < len(samp) && samp[j] < c {
+					j++
+				}
+				if j == len(samp) {
+					break
+				}
+				if samp[j] == c {
 					adj.ColIdx = append(adj.ColIdx, sampBase+j)
 					adj.Val = append(adj.Val, vals[t])
 				}

@@ -79,14 +79,24 @@ type RowPicks struct {
 
 // RowReader reads a sparse matrix's rows in place, as *sparse.CSR does:
 // row i's column indices and weights, and its length. The node-wise draw
-// reads A or P through it, so a driver holding A in pieces — the 1.5D
-// row fold, in the blocks of A its stages received — draws P's rows
-// from A's without assembling P. Such a reader names the matrix it holds
-// in pieces with a Matrix method (see matrixOf), which is what lets the
-// draw look its rows up in SAGE.CDF.
+// and the layer-wise extraction read A or a product through it, so a
+// driver holding A in pieces — the 1D baseline and the 1.5D row fold, in
+// the blocks of A their stages received — reads the rows of a product
+// with a one-entry-per-row Q from A's without assembling it. Such a
+// reader names the matrix it holds in pieces with a Matrix method (see
+// matrixOf), which is what lets the draw look its rows up in SAGE.CDF.
 type RowReader interface {
 	Row(i int) (cols []int, vals []float64)
 	RowNNZ(i int) int
+}
+
+// rowAt is the row of a reader that frontier row i reads: rowOf[i], or
+// i itself when rowOf is nil.
+func rowAt(rowOf []int, i int) int {
+	if rowOf == nil {
+		return i
+	}
+	return rowOf[i]
 }
 
 // ErrTableRow is the draw's diagnostic when a row it reads is not as
@@ -120,9 +130,9 @@ func (sg SAGE) sampleAll(m *sparse.CSR, rowOf []int, cur *Frontier, s int, seed 
 
 // sampleRows is GraphSAGE's NORM and SAMPLE over frontier rows [lo, hi)
 // of P, read from m: frontier row i is row rowOf[i] of m (Step passes A
-// and the frontier's vertices, the in-place row fold a reader of A's
-// blocks and Q's columns), or row i when rowOf is nil (FinishStep and
-// the merging row fold pass P). m is only read. NORM is fused into ITS's
+// and the frontier's vertices, the 1D and 1.5D drivers a reader of A's
+// blocks and Q's columns), or row i when rowOf is nil (FinishStep
+// passes P). m is only read. NORM is fused into ITS's
 // prefix sum — looked up in sg.CDF by row of m when m names the table's
 // matrix (matrixOf), else graph.NormPrefix into scratch — so a row's
 // weights are scaled only where they are summed. A looked-up row must be
@@ -134,15 +144,9 @@ func (sg SAGE) sampleAll(m *sparse.CSR, rowOf []int, cur *Frontier, s int, seed 
 // entries in the rows read: P's nonzeros.
 func (sg SAGE) sampleRows(m RowReader, rowOf []int, lo, hi, s int, seed int64, rp *RowPicks) (read int) {
 	s = max(s, 0)
-	row := func(i int) int {
-		if rowOf == nil {
-			return i
-		}
-		return rowOf[i]
-	}
 	maxPicks := 0
 	for i := lo; i < hi; i++ {
-		deg := m.RowNNZ(row(i))
+		deg := m.RowNNZ(rowAt(rowOf, i))
 		read += deg
 		maxPicks += min(deg, s)
 	}
@@ -155,7 +159,7 @@ func (sg SAGE) sampleRows(m RowReader, rowOf []int, lo, hi, s int, seed int64, r
 	}
 	picks, ops, rs := rp.picks[:0], int64(0), &rp.rs
 	for i := lo; i < hi; i++ {
-		v := row(i)
+		v := rowAt(rowOf, i)
 		cols, w := m.Row(v)
 		switch deg := len(cols); {
 		case deg <= s:
@@ -195,9 +199,10 @@ func (sg SAGE) sampleRows(m RowReader, rowOf []int, lo, hi, s int, seed int64, r
 // alone, into rp: row i of P is row rowOf[i] of m, or row i of m when
 // rowOf is nil (m is P). JoinRows completes the layer from the draws of
 // consecutive ranges: the 1.5D row fold draws row stripes of the
-// process row's P at once, each into its own RowPicks, reading P's rows
-// where its stages received them — rows of A, by vertex, whose prefix
-// sums come from sg.CDF when the reader names A. A row's draw reads its
+// process row's P at once, each into its own RowPicks, and the 1D
+// baseline all of its rows as one range, both reading P's rows where
+// their stages received them — rows of A, by vertex, whose prefix sums
+// come from sg.CDF when the reader names A. A row's draw reads its
 // weights only through graph.NormPrefix (its own or the table's) and
 // ITS's zero test, so a −0 weight of A draws as the +0 that P = Q·A
 // stores in its place.
@@ -271,14 +276,13 @@ func extractNodewise(cur *Frontier, picks, rowPtr []int) *LayerSample {
 }
 
 // FinishStep is FinishStep(sg, …) without writing P: it samples the
-// un-normalized rows with NORM fused into the prefix sum — Step's loop,
-// reading P's rows in order — and returns the same sample and Cost.
-// Because P is only read, the 1.5D driver draws P's rows where its
-// stages received them, once per process row inside the row fold (by
-// row stripes: FinishRows and JoinRows, which give FinishStep's
-// result), and every member of the row receives the one sample
-// (read-only: members share the LayerSample); benchmark/walk.go times
-// it too.
+// un-normalized rows of a formed P with NORM fused into the prefix sum —
+// Step's loop, reading P's rows in order — and returns the same sample
+// and Cost. No driver forms GraphSAGE's P: the 1D and 1.5D drivers draw
+// its rows where their stages received them (FinishRows and JoinRows,
+// which give FinishStep's result). benchmark/walk.go times it after a
+// traced SpGEMM, and the tests draw the SpGEMM + merge reference with
+// it.
 func (sg SAGE) FinishStep(p *sparse.CSR, cur *Frontier, s int, seed int64) (*LayerSample, Cost) {
 	ls, cost, _ := sg.sampleAll(p, nil, cur, s, seed)
 	return ls, cost

@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -248,6 +250,76 @@ func TestLADIESIncludesEveryEdgeBetweenLayerAndSample(t *testing.T) {
 			if want != got {
 				t.Fatalf("edge (%d,%d): graph %v sample %v", u, v, want, got)
 			}
+		}
+	}
+}
+
+// TestExtractLayerwiseReadsQRProductInPlace: row extraction is the
+// product A_R = Q_R·A with a Q_R of one unit entry per row (Section
+// 4.2.3), so ExtractLayerwise reading A's rows in place (rowOf the
+// frontier, repeats included) gives, bit for bit, what it gives over the
+// formed product (rowOf nil), Cost included; and every edge between a
+// frontier row and its batch's sampled set is in the layer, with A's
+// weight, and no other.
+func TestExtractLayerwiseReadsQRProductInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	a := testGraph(120, 9, 61)
+	for e := range a.Val {
+		a.Val[e] = 0.01 + rng.Float64()
+	}
+	for trial := range 20 {
+		var batches, sampled [][]int
+		for range 1 + rng.Intn(5) {
+			b := make([]int, rng.Intn(8))
+			for j := range b {
+				b[j] = rng.Intn(a.Rows)
+			}
+			batches = append(batches, b)
+			samp := rng.Perm(a.Rows)[:rng.Intn(a.Rows/2)]
+			slices.Sort(samp)
+			sampled = append(sampled, samp)
+		}
+		cur := NewFrontier(batches)
+		ar, _ := sparse.SpGEMM(SAGE{}.BuildQ(cur, a.Rows), a)
+		got, gotCost := ExtractLayerwise(a, cur.Vertices, cur, sampled)
+		want, wantCost := ExtractLayerwise(ar, nil, cur, sampled)
+		if gotCost != wantCost || !slices.Equal(got.Cols.Vertices, want.Cols.Vertices) ||
+			!slices.Equal(got.Adj.RowPtr, want.Adj.RowPtr) || !slices.Equal(got.Adj.ColIdx, want.Adj.ColIdx) ||
+			!slices.EqualFunc(got.Adj.Val, want.Adj.Val, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
+			t.Fatalf("trial %d: the in-place extraction differs from the product's (Cost %+v, %+v)", trial, gotCost, wantCost)
+		}
+		if err := got.Adj.Validate(); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		for b := range batches {
+			base := got.Cols.BatchPtr[b] + len(batches[b]) // batch b's first sampled column
+			for i := cur.BatchPtr[b]; i < cur.BatchPtr[b+1]; i++ {
+				for j, w := range sampled[b] {
+					if want, got := a.At(cur.Vertices[i], w), got.Adj.At(i, base+j); want != got {
+						t.Fatalf("trial %d: edge (%d, %d) is %v in the layer, %v in A", trial, cur.Vertices[i], w, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestLayerwiseStepChargesBothExtractions: a layer-wise Step charges
+// EXTRACT as the matrix algorithm runs it — the row gather A_R = Q_R·A,
+// then the column extraction reading A_R — one operation per entry of
+// the frontier's rows for each, and a kernel for each, though the host
+// reads A's rows in place once.
+func TestLayerwiseStepChargesBothExtractions(t *testing.T) {
+	a := testGraph(90, 8, 12)
+	cur := NewFrontier([][]int{{3, 4, 5, 4}, {60, 61}})
+	deg := 0
+	for _, v := range cur.Vertices {
+		deg += a.RowNNZ(v)
+	}
+	for _, s := range []Sampler{LADIES{}, FastGCN{}} {
+		_, cost := s.Step(a, cur, 5, 29)
+		if cost.ExtractOps != int64(2*deg) || cost.Kernels != 6 {
+			t.Fatalf("%s: ExtractOps %d, Kernels %d; want %d and 6", s.Name(), cost.ExtractOps, cost.Kernels, 2*deg)
 		}
 	}
 }

@@ -21,14 +21,13 @@ type Sampler interface {
 	Name() string
 	// LayerWise reports the family. A node-wise sampler has one row of Q
 	// per frontier vertex, draws s neighbours per row and completes a
-	// layer from P with a FinishStep(p, cur, s, seed) method that only
-	// reads P (SAGE.FinishStep; its reference, which normalizes P in
-	// place, is FinishStep in sage_fused_test.go), and the same draw over
-	// a range of P's rows read through a RowReader, FinishRows, for the
-	// 1.5D row fold's stripes (joined by JoinRows); a layer-wise one has
-	// one row per batch, draws s vertices per batch (SampleLayerwise) and
-	// extracts the frontier's rows and the sampled columns of A
-	// (ExtractLayerwise).
+	// layer from P's rows, read in place through a RowReader, with a
+	// FinishRows method over a range of them (SAGE.FinishRows: the 1D
+	// baseline draws every row at once, the 1.5D row fold by stripes,
+	// joined by JoinRows); a layer-wise one has one row per batch, draws
+	// s vertices per batch (SampleLayerwise) and extracts the frontier's
+	// rows and the sampled columns of A (ExtractLayerwise, over the same
+	// kind of reader).
 	LayerWise() bool
 	// BuildQ constructs the stacked sampler matrix Q^l over n vertices.
 	BuildQ(cur *Frontier, n int) *sparse.CSR

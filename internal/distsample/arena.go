@@ -24,12 +24,12 @@ import (
 // process's first (benchmark/ partitioned-dense: 0.46 GB → 0.02 GB per
 // epoch). Drawing GraphSAGE's layer from the stage blocks in place
 // (stageRows) leaves no stage product, merge or total to build
-// (partitioned-dense peak RSS 423 MB → 115 MB), and an aware stage's
-// block aliases the payload it received instead of copying it
-// (assembleBlockInto). The arena owns buffers
-// that successive stages and calls adopt, each resized to exactly the
-// size the call computes for it before writing (a product's flop
-// bound, a payload's summed row degrees); buffers scale with the
+// (partitioned-dense peak RSS 423 MB → 115 MB), nor does a layer-wise
+// extraction's Q_R·A; an aware stage's block aliases the payload it
+// received instead of copying it (assembleBlockInto). The arena owns
+// buffers that successive stages and calls adopt, each resized to
+// exactly the size the call computes for it before writing (a product's
+// flop bound, a payload's summed row degrees); buffers scale with the
 // active frontier's nonzeros, not with p.
 //
 // Reuse safety for the buffers that cross the wire rests on the
@@ -58,8 +58,8 @@ import (
 //   - blocks (stage t's right operand A_k): asms[t], or, on the
 //     sparsity-oblivious path, the broadcast owner block itself — a
 //     read-only reference to the owner's ALocal, which nobody writes
-//     once the set is built. The fold reads it like asms; the set's
-//     release drops the references.
+//     once the set is built. The fold reads it like asms, listed in the
+//     first arena's rowBlocks; the set's release drops the references.
 //   - prods and res (the row all-reduce contribution and result):
 //     AllReduceGenericInto folds all members' stage products inside
 //     the rendezvous, before any member leaves, into the res buffer of
@@ -79,8 +79,10 @@ import (
 //     the fan-out — and its own accumulator and pick buffers, and the
 //     join that reads them runs after the fan-out has returned. Drawing
 //     in place, the stripes write no res: they read the members' Q and
-//     blocks, and view and viewPtr, which the fold wrote before the
-//     fan-out.
+//     blocks, and view, rowBlocks and viewPtr, which the fold wrote
+//     before the fan-out. Every member's ptr then points at res's row
+//     pointers or at viewPtr, which members read after the fold and
+//     only the row's next fold rewrites.
 //   - fin, draw and normed (the layer's sample): each member states
 //     its finish step in fin before it enters the all-reduce; the fold
 //     checks that they agree, draws once from the total into the first
@@ -105,21 +107,21 @@ import (
 type stageArena struct {
 	sparse.Scratch // SPA, NnzCols mark array, column-block slicing
 
-	prods    []sparse.CSR  // per-stage local products, merged in the final fold
-	prodPtrs []*sparse.CSR // prods as a fold source list, rebuilt per call
-	asms     []sparse.CSR  // per-stage assembled right operand A_k (sparsity-aware)
-	blocks   []*sparse.CSR // per-stage right operand A_k of the call in flight, read-only
-	q        *sparse.CSR   // the call's Q when the fold draws P in place (stageRows), else nil
-	a        *sparse.CSR   // with q: the set's A, of which blocks hold pieces
-	res      sparse.CSR    // the fold total, when this is the process row's first arena
-	total    *sparse.CSR   // the process row's fold total (some member's res), read-only; nil when drawn in place
-	nnz      int           // P's nonzeros, the fold total's size, set by the fold
-	fin      finishStep    // this member's finish step for the call in flight
-	draw     rowDraw       // the fold's draw, when this is the process row's first arena
-	drawn    *rowDraw      // the process row's draw (some member's draw), read-only; nil without fin
-	normed   sparse.CSR    // the layer-wise draw's normalized copy of the total (first arena)
-	view     stageRows     // the in-place draw's reader of A's rows (first arena)
-	viewPtr  []int         // P's row pointers for the in-place draw's stripes (first arena)
+	prods     []sparse.CSR  // per-stage local products, merged in the final fold
+	prodPtrs  []*sparse.CSR // prods as a fold source list, rebuilt per call
+	asms      []sparse.CSR  // per-stage assembled right operand A_k (sparsity-aware)
+	blocks    []*sparse.CSR // per-stage right operand A_k of the call in flight, read-only
+	q         *sparse.CSR   // the call's Q when the fold reads P in place (stageRows), else nil
+	a         *sparse.CSR   // with q: the set's A, of which blocks hold pieces
+	res       sparse.CSR    // the fold total, when this is the process row's first arena
+	ptr       []int         // P's row pointers (some member's res.RowPtr or viewPtr), read-only, set by the fold
+	fin       finishStep    // this member's finish step for the call in flight
+	draw      rowDraw       // the fold's draw, when this is the process row's first arena
+	drawn     *rowDraw      // the process row's draw (some member's draw), read-only; nil without fin
+	normed    sparse.CSR    // the layer-wise draw's normalized copy of the total (first arena)
+	view      stageRows     // the in-place reader of A's rows (first arena)
+	viewPtr   []int         // P's row pointers read in place (first arena)
+	rowBlocks []*sparse.CSR // the process row's blocks in block-row order, view's (first arena)
 
 	// stamp counts the running accumulator's nonzeros without building
 	// it: stamp[col] holds the tag of the last (call, row) that touched
@@ -237,25 +239,19 @@ func (ar *stageArena) countStage(prod *sparse.CSR, base int) int {
 // rendezvous: per (row, column), values add in (member, stage) order —
 // exactly the float sequence of the old per-member merge chains folded
 // pairwise across members — into the first destination's res buffer,
-// which becomes every member's read-only total. With a finish step it
-// then draws the layer's sample from the total, once for the process
-// row, into the first destination's draw record, every member's
-// read-only draw. A count pass lays the total out (MergeLayout), then
-// row stripes fill it (see fold). See stageArena for why rewriting
-// both here is safe.
-//
-// When the members drew no products (q set: a node-wise step over a Q
-// with one unit entry per row), nothing is merged: the stripes draw P's
-// rows from the blocks of A the stages received (stageRows), and the
-// total stays nil. Every destination gets P's size either way.
+// the process row's one total. With a finish step it then draws the
+// layer's sample from P, once for the process row, into the first
+// destination's draw record, every member's read-only draw. A count pass
+// lays the total out (MergeLayout), then row stripes fill it (see fold).
+// See stageArena for why rewriting both here is safe. When the members
+// drew no products (q set), nothing is merged: the fold reads P's rows
+// in place (readInPlace). Every destination gets P's row pointers.
 func foldStages(vals, dests []*stageArena) {
 	agree(vals)
-	d0 := dests[0]
+	d0, fin := dests[0], vals[0].fin
 	var srcs []*sparse.CSR
-	var total *sparse.CSR
 	if vals[0].q != nil {
-		d0.view = newStageRows(vals)
-		d0.viewPtr = d0.view.rowPtr(d0.viewPtr)
+		d0.readInPlace(vals)
 	} else {
 		srcs = d0.foldSrcs[:0]
 		for _, v := range vals {
@@ -263,14 +259,25 @@ func foldStages(vals, dests []*stageArena) {
 		}
 		d0.foldSrcs = srcs
 		d0.MergeLayout(&d0.res, srcs)
-		total = &d0.res
 	}
 	rowPtr := d0.rowPtr(srcs)
-	nnz := rowPtr[len(rowPtr)-1]
-	drawn := d0.fold(srcs, vals[0].fin, foldStripes(len(rowPtr)-1, int64(nnz)))
+	drawn := d0.fold(srcs, fin, foldStripes(len(rowPtr)-1, int64(rowPtr[len(rowPtr)-1])))
 	for _, d := range dests {
-		d.total, d.nnz, d.drawn = total, nnz, drawn
+		d.ptr, d.drawn = rowPtr, drawn
 	}
+}
+
+// readInPlace points d0's view at P's rows in the members' blocks, in
+// block-row order (member j's stage t received block row j·stages + t),
+// and lays out P's row pointers in viewPtr.
+func (d0 *stageArena) readInPlace(members []*stageArena) {
+	m0 := members[0]
+	d0.rowBlocks = d0.rowBlocks[:0]
+	for _, m := range members {
+		d0.rowBlocks = append(d0.rowBlocks, m.blocks...)
+	}
+	d0.view = stageRows{a: m0.a, of: m0.q.ColIdx[:m0.q.Rows], blocks: d0.rowBlocks}
+	d0.viewPtr = d0.view.rowPtr(d0.viewPtr)
 }
 
 // foldStripes is the row fold's stripe count: one where dense.Serial
@@ -296,18 +303,20 @@ func (d0 *stageArena) rowPtr(srcs []*sparse.CSR) []int {
 // dense.ParallelRows fan-out (none for one stripe), and returns it (nil
 // without a finish step). With srcs, P is the total MergeLayout laid
 // out in res, and each stripe first fills its rows of it; without, P is
-// read in place (view). A node-wise stripe draws its rows — just merged,
-// while they are in cache, or read where the stages received them —
-// into its own RowPicks, and core.JoinRows joins the stripes in row
+// read in place (view), and only a node-wise draw gives the stripes
+// work, so an extraction fans out none. A node-wise stripe draws its
+// rows — just merged, while they are in cache, or read where the stages
+// received them — into its own RowPicks, and core.JoinRows joins the stripes in row
 // order. Neither step can move a bit: a merged row reads only its own
 // rows of srcs, in source order, and a drawn row reseeds its draw from
 // its row index, so each stripe writes what the serial pass writes for
 // its rows (TestFoldStripesMatchSerial). A layer-wise draw stays serial
 // after the stripes: its Norm (LADIES, FastGCN) sums columns over all
-// rows, and the extraction onto the sampled sets is one call.
+// rows, and the extraction onto the sampled sets, read in place, is one
+// call.
 func (d0 *stageArena) fold(srcs []*sparse.CSR, fin finishStep, k int) *rowDraw {
 	d0.splitStripes(d0.rowPtr(srcs), k)
-	if k == 1 {
+	if k == 1 || srcs == nil && !fin.nodewise() {
 		d0.foldStripe(srcs, fin, 0)
 	} else {
 		dense.ParallelRows(k, func(lo, hi int) {
@@ -323,7 +332,7 @@ func (d0 *stageArena) fold(srcs []*sparse.CSR, fin finishStep, k int) *rowDraw {
 		ls, cost := core.JoinRows(fin.cur, d0.stripePicks[:k])
 		d0.draw = rowDraw{layer: ls, cost: cost}
 	default:
-		d0.draw = fin.drawLayerwise(&d0.res, &d0.normed)
+		d0.draw = fin.drawLayerwise(&d0.view, &d0.res, &d0.normed)
 	}
 	return &d0.draw
 }
@@ -362,36 +371,27 @@ func (d0 *stageArena) foldStripe(srcs []*sparse.CSR, fin finishStep, t int) {
 	}
 }
 
-// stageRows reads the process row's P = Q·A in place when every row of
-// Q holds one unit entry (GraphSAGE's Q): row i of P is row of[i] of A,
-// of being Q's columns. It reads A's rows by global vertex from the
-// blocks the stages received: block row k of A (rows [lo_k, hi_k))
-// reached the member of column j = k / stages at stage t = k % stages
-// as its right operand A_k, where row v is row v − lo_k. It names A
-// (Matrix), the matrix it holds in pieces, so the draw takes each row's
-// prefix sums from A's RowCDF table when the sampler holds it. P holds
-// each weight w of A as 0 + 1·w: w itself, but +0 for a −0, which the
-// node-wise draw treats alike (core.SAGE.FinishRows).
+// stageRows reads P = Q·A in place for a Q whose every row holds one
+// unit entry (GraphSAGE's Q, a layer-wise extraction's Q_R): row i of P
+// is row of[i] of A, of being Q's columns. It reads A's rows by global
+// vertex from the blocks a driver's stages received — the 1.5D row
+// fold's A_k blocks, the 1D baseline's p broadcasts — blocks[k] holding
+// block row k of A (graph.BlockRowRange over len(blocks) blocks). It
+// names A (Matrix), so a GraphSAGE draw takes each row's prefix sums
+// from A's RowCDF table when the sampler holds it. A −0 weight of A
+// reads as −0, where P holds 0 + 1·w = +0: the node-wise draw treats
+// them alike (core.SAGE.FinishRows), and a layer-wise layer keeps A's.
 type stageRows struct {
-	a       *sparse.CSR   // the matrix the blocks are pieces of; only its size is read
-	of      []int         // row i of P is row of[i] of A
-	members []*stageArena // the process row's arenas, in column order
-	stages  int           // A_k blocks per member
-	blocks  int           // the grid's block rows of A: stages · members
-}
-
-func newStageRows(members []*stageArena) stageRows {
-	m0 := members[0]
-	stages := len(m0.blocks)
-	return stageRows{a: m0.a, of: m0.q.ColIdx[:m0.q.Rows], members: members,
-		stages: stages, blocks: stages * len(members)}
+	a      *sparse.CSR   // the matrix the blocks are pieces of; only its size is read
+	of     []int         // row i of P is row of[i] of A
+	blocks []*sparse.CSR // block row k of A, as a stage received it
 }
 
 // at locates row u of A: the block holding it and its row there.
 func (v *stageRows) at(u int) (*sparse.CSR, int) {
-	k := graph.BlockOwner(v.a.Rows, v.blocks, u)
-	lo, _ := graph.BlockRowRange(v.a.Rows, v.blocks, k)
-	return v.members[k/v.stages].blocks[k%v.stages], u - lo
+	k := graph.BlockOwner(v.a.Rows, len(v.blocks), u)
+	lo, _ := graph.BlockRowRange(v.a.Rows, len(v.blocks), k)
+	return v.blocks[k], u - lo
 }
 
 // Matrix names A, the matrix whose rows Row reads (see core.RowReader).
@@ -422,9 +422,9 @@ func (v *stageRows) rowPtr(buf []int) []int {
 
 // extractParts serves one stage's row requests from the owner's block:
 // lists[m] holds the (local) row ids member m asked for, and the
-// result is the per-member payload slice Scatter expects. All payloads
-// share one flat backing — the in-place form of the per-member
-// ExtractRows calls, bit-identical per payload.
+// result is the per-member payload slice Scatter expects: member m's
+// requested rows of a, in request order. All payloads share one flat
+// backing.
 func (ar *stageArena) extractParts(a *sparse.CSR, lists [][]int) []*rowPayload {
 	n := len(lists)
 	if cap(ar.partsBacking) < n {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -32,22 +33,20 @@ func makeBatches(k, b, n int) [][]int {
 	return out
 }
 
+// sameBulk reports the first difference between two bulk samples, layer
+// by layer: adjacency values bit for bit (so −0 and +0 differ), and the
+// next frontier's vertices and batch bounds.
 func sameBulk(a, b *core.BulkSample) error {
 	if len(a.Layers) != len(b.Layers) {
 		return fmt.Errorf("layer count %d vs %d", len(a.Layers), len(b.Layers))
 	}
 	for l := range a.Layers {
 		la, lb := a.Layers[l], b.Layers[l]
-		if !sparse.Equal(la.Adj, lb.Adj, 1e-12) {
-			return fmt.Errorf("layer %d adjacency differs", l)
+		if err := sameCSRBits(la.Adj, lb.Adj); err != nil {
+			return fmt.Errorf("layer %d adjacency: %w", l, err)
 		}
-		if len(la.Cols.Vertices) != len(lb.Cols.Vertices) {
-			return fmt.Errorf("layer %d frontier size %d vs %d", l, len(la.Cols.Vertices), len(lb.Cols.Vertices))
-		}
-		for i := range la.Cols.Vertices {
-			if la.Cols.Vertices[i] != lb.Cols.Vertices[i] {
-				return fmt.Errorf("layer %d frontier vertex %d differs", l, i)
-			}
+		if !slices.Equal(la.Cols.Vertices, lb.Cols.Vertices) || !slices.Equal(la.Cols.BatchPtr, lb.Cols.BatchPtr) {
+			return fmt.Errorf("layer %d frontier differs", l)
 		}
 	}
 	return nil
@@ -376,27 +375,28 @@ func TestDistributedMatchesSerialForEverySampler(t *testing.T) {
 	}
 }
 
+// oneDChargePins are chargeDigest of the 1D baseline's runs below,
+// keyed by p, captured from the stage loop that multiplied each
+// broadcast block and merged the stage products into a running sum.
+// Every run must reproduce them.
+var oneDChargePins = map[int]string{4: "c8a146d435b3659c", 8: "fa2da977e58c8bfb"}
+
+// TestOneDMatchesLocal: at p = 4 and 8 the 1D baseline returns every
+// rank the serial sample of its batches and charges exactly the pinned
+// simulated times and bytes (oneDChargePins).
 func TestOneDMatchesLocal(t *testing.T) {
 	a := testGraph(150, 10, 12)
 	batches := makeBatches(8, 4, 150)
 	fanouts := []int{3, 2}
-	cl := cluster.New(4, cluster.Perlmutter())
-	world := cl.World()
-	set := NewOneDSet(4, a)
-	results := make([]*core.BulkSample, 4)
-	_, err := cl.Run(func(r *cluster.Rank) error {
-		local := ReplicatedBatches(4, r.ID, batches)
-		results[r.ID] = SampleSAGE1D(r, set[r.ID], world, local, fanouts, 99)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for rank := 0; rank < 4; rank++ {
-		local := ReplicatedBatches(4, rank, batches)
-		want := core.SampleBulk(core.SAGE{}, a, local, fanouts, 99)
-		if err := sameBulk(results[rank], want); err != nil {
-			t.Fatalf("rank %d: %v", rank, err)
+	for _, p := range []int{4, 8} {
+		results, res := runOneD(t, a, batches, p, fanouts)
+		for rank, got := range results {
+			if err := sameBulk(got, core.SampleBulk(core.SAGE{}, a, got.Batches, fanouts, 99)); err != nil {
+				t.Fatalf("p=%d rank %d: %v", p, rank, err)
+			}
+		}
+		if got := chargeDigest(res); got != oneDChargePins[p] {
+			t.Errorf("p=%d: charge digest %s, pinned %s", p, got, oneDChargePins[p])
 		}
 	}
 }
@@ -457,4 +457,22 @@ func TestOneDCommunicatesMoreThan15DAtScale(t *testing.T) {
 	if bytes1 <= bytes2 {
 		t.Fatalf("1D (%d bytes) should exceed 1.5D (%d bytes)", bytes1, bytes2)
 	}
+}
+
+// runOneD executes the 1D baseline on p ranks and returns per-rank
+// results plus the cluster accounting.
+func runOneD(t *testing.T, a *sparse.CSR, batches [][]int, p int, fanouts []int) ([]*core.BulkSample, *cluster.Result) {
+	t.Helper()
+	cl := cluster.New(p, cluster.Perlmutter())
+	world := cl.World()
+	set := NewOneDSet(p, a)
+	results := make([]*core.BulkSample, p)
+	res, err := cl.Run(func(r *cluster.Rank) error {
+		results[r.ID] = SampleSAGE1D(r, set[r.ID], world, ReplicatedBatches(p, r.ID, batches), fanouts, 99)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return results, res
 }

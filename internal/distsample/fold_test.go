@@ -124,8 +124,17 @@ func sameCSRBits(got, want *sparse.CSR) error {
 	return nil
 }
 
+// mergeAll is the serial merge of srcs: the count pass, then every row.
+func mergeAll(srcs []*sparse.CSR) *sparse.CSR {
+	var sc sparse.Scratch
+	out := new(sparse.CSR)
+	sc.MergeLayout(out, srcs)
+	sc.MergeRowsInto(out, srcs, 0, out.Rows)
+	return out
+}
+
 // TestFoldStripesMatchSerial: the fold at 1, 2 and 4 stripes, on warm
-// arenas, gives serial MergeCSRInto's total and SAGE.FinishStep's layer
+// arenas, gives the serial merge's total and SAGE.FinishStep's layer
 // and Cost, bit for bit, on products holding every kind of row.
 func TestFoldStripesMatchSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
@@ -135,8 +144,7 @@ func TestFoldStripesMatchSerial(t *testing.T) {
 		rows := 150 + rng.Intn(100)
 		srcs := stripeSources(rng, rows, 400, 2+rng.Intn(6), s)
 		cur := stripeFrontier(rng, rows, 400)
-		var sc sparse.Scratch
-		want := sc.MergeCSRInto(new(sparse.CSR), srcs)
+		want := mergeAll(srcs)
 		wantLS, wantCost := core.SAGE{}.FinishStep(want, cur, s, seed)
 		fin := finishStep{s: core.SAGE{}, cur: cur, size: s, seed: seed}
 		for _, k := range []int{4, 1, 2, 4} {
@@ -240,11 +248,11 @@ func randomBatches(rng *rand.Rand, k, b, n int) [][]int {
 // from the blocks of A the stages received (stageRows) and builds no
 // total. On every grid and scheme, drawing with A's RowCDF table (the
 // sampler pipeline.Run passes) and without one, it must return, rank for
-// rank, the layer and Cost that the SpGEMM + merge total (the same call
-// without a finish step) and SAGE.FinishStep give, bit for bit, and
-// leave every rank's clock where that call leaves it: the in-place path
-// charges every stage multiply and the total it no longer builds. Rows
-// with a −0 weight draw as the +0 the total holds.
+// rank, P's row pointers, and the layer and Cost that the SpGEMM + merge
+// total (the same call without a finish step) and SAGE.FinishStep give,
+// bit for bit, and leave every rank's clock where that call leaves it:
+// the in-place path charges every stage multiply and the total it no
+// longer builds. Rows with a −0 weight draw as the +0 the total holds.
 func TestFoldInPlaceMatchesMerge(t *testing.T) {
 	const n, s, seed = 240, 3, 77
 	rng := rand.New(rand.NewSource(45))
@@ -265,10 +273,11 @@ func TestFoldInPlaceMatchesMerge(t *testing.T) {
 				g := cluster.NewGrid(cl, p, c)
 				batches := randomBatches(rng, 2*g.Rows, 6, n)
 				type result struct {
-					total *sparse.CSR
-					layer *core.LayerSample
-					cost  core.Cost
-					clock float64
+					ptr    []int
+					merged bool // ptr is the row pointers of a merged total
+					layer  *core.LayerSample
+					cost   core.Cost
+					clock  float64
 				}
 				// run draws in place with sg, or, when sg is nil, merges the
 				// total and draws it with SAGE.FinishStep.
@@ -279,16 +288,20 @@ func TestFoldInPlaceMatchesMerge(t *testing.T) {
 						cur := core.NewFrontier(LocalBatches(g, r.ID, batches))
 						q := core.SAGE{}.BuildQ(cur, n)
 						res := &out[r.ID]
+						// The process row's total, when it merges one, is in
+						// its first arena.
+						total := func() *sparse.CSR { return &set[r.ID].arenas[r.ID-g.ColIndex(r.ID)].res }
 						if sg != nil {
 							fin := finishStep{s: *sg, cur: cur, size: s, seed: seed}
 							var drawn *rowDraw
-							res.total, drawn = set[r.ID].spgemm15D(r, q, fin)
+							res.ptr, drawn = set[r.ID].spgemm15D(r, q, fin)
 							res.layer, res.cost, res.clock = drawn.layer, drawn.cost, r.Clock()
+							res.merged = inStorage(res.ptr, total().RowPtr)
 							return nil
 						}
-						res.total, _ = set[r.ID].spgemm15D(r, q, finishStep{})
-						res.clock = r.Clock()
-						res.layer, res.cost = core.SAGE{}.FinishStep(res.total, cur, s, seed)
+						res.ptr, _ = set[r.ID].spgemm15D(r, q, finishStep{})
+						res.clock, res.merged = r.Clock(), inStorage(res.ptr, total().RowPtr)
+						res.layer, res.cost = core.SAGE{}.FinishStep(total(), cur, s, seed)
 						return nil
 					}); err != nil {
 						t.Fatalf("%s: %v", name, err)
@@ -301,9 +314,12 @@ func TestFoldInPlaceMatchesMerge(t *testing.T) {
 					got = run(&sm.sg)
 					for rank := range got {
 						in, ref := got[rank], want[rank]
-						if in.total != nil || ref.total == nil {
-							t.Fatalf("%s %s rank %d: in-place call returned a total (%v), merging call none (%v)",
-								name, sm.name, rank, in.total != nil, ref.total == nil)
+						if in.merged || !ref.merged {
+							t.Fatalf("%s %s rank %d: in-place call merged a total (%v), merging call none (%v)",
+								name, sm.name, rank, in.merged, !ref.merged)
+						}
+						if !slices.Equal(in.ptr, ref.ptr) {
+							t.Fatalf("%s %s rank %d: in-place row pointers differ from the total's", name, sm.name, rank)
 						}
 						if err := sameCSRBits(in.layer.Adj, ref.layer.Adj); err != nil {
 							t.Fatalf("%s %s rank %d: layer adjacency: %v", name, sm.name, rank, err)
@@ -334,6 +350,50 @@ func TestFoldInPlaceMatchesMerge(t *testing.T) {
 	}
 }
 
+// TestPartitionedLayerwiseBitsMatchSerial: a layer-wise layer is one
+// core.ExtractLayerwise over A's rows on every path — the serial step
+// reads A, the 1.5D row fold the blocks its stages received — so LADIES
+// and FastGCN layers equal the serial ones bit for bit on every grid and
+// under both schemes, and a −0 weight of A stays −0 in the layer, where
+// a formed Q_R·A would hold +0.
+func TestPartitionedLayerwiseBitsMatchSerial(t *testing.T) {
+	const n = 240
+	rng := rand.New(rand.NewSource(55))
+	a := inPlaceGraph(rng, n, 3)
+	g := graph.New(a)
+	negZero := 0 // −0 entries of the serial layers
+	for _, entry := range core.Samplers {
+		s := entry.New(g)
+		if !s.LayerWise() {
+			continue
+		}
+		sizes := core.LayerSizes(s, nil, 8, 2)
+		for _, pc := range [][2]int{{4, 1}, {8, 2}, {16, 4}} {
+			for _, aware := range []bool{true, false} {
+				name := fmt.Sprintf("%s p=%d c=%d aware=%v", entry.Key, pc[0], pc[1], aware)
+				batches := randomBatches(rng, 2*pc[0]/pc[1], 6, n)
+				results, _ := runPartitioned(t, a, batches, pc[0], pc[1], s, sizes, aware)
+				for rank, got := range results {
+					want := core.SampleBulk(s, a, got.Batches, sizes, 99)
+					if err := sameBulk(got, want); err != nil {
+						t.Fatalf("%s rank %d: %v", name, rank, err)
+					}
+					for _, wl := range want.Layers {
+						for _, w := range wl.Adj.Val {
+							if w == 0 && math.Signbit(w) {
+								negZero++
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if negZero == 0 {
+		t.Fatal("no layer held a −0 weight")
+	}
+}
+
 // TestFoldInPlaceStripesMatchSerial: the in-place draw at 1, 2 and 4
 // stripes, on a warm arena, gives SAGE.FinishStep's layer and Cost on
 // the serial product Q·A, bit for bit, whose −0 weights are +0.
@@ -361,8 +421,7 @@ func TestFoldInPlaceStripesMatchSerial(t *testing.T) {
 		wantLS, wantCost := core.SAGE{}.FinishStep(p, cur, s, seed)
 		fin := finishStep{s: core.SAGE{}, cur: cur, size: s, seed: seed}
 		for _, k := range []int{4, 1, 2, 4} {
-			d0.view = newStageRows(members)
-			d0.viewPtr = d0.view.rowPtr(d0.viewPtr)
+			d0.readInPlace(members)
 			if !slices.Equal(d0.viewPtr, p.RowPtr) {
 				t.Fatalf("trial %d: in-place row pointers differ from the product's", trial)
 			}
@@ -382,9 +441,9 @@ func TestFoldInPlaceStripesMatchSerial(t *testing.T) {
 	}
 }
 
-// TestFoldInPlaceOnlyForUnitRows: spgemm15D draws in place only from a
+// TestFoldInPlaceOnlyForUnitRows: spgemm15D reads P in place only for a
 // Q whose every row holds one entry of value 1, GraphSAGE's; any other
-// Q keeps the SpGEMM + merge path, whose total it returns.
+// Q keeps the SpGEMM + merge path.
 func TestFoldInPlaceOnlyForUnitRows(t *testing.T) {
 	cur := core.NewFrontier([][]int{{3, 1, 4}, {1, 5}})
 	unit := core.SAGE{}.BuildQ(cur, 8)

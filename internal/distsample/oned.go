@@ -18,21 +18,22 @@ type OneD struct {
 	Lo, Hi int
 	P      int
 
+	a  *sparse.CSR // the matrix the set sliced, which the reader of P names
 	ws oneDArena
 }
 
 // oneDArena is one rank's workspace for the 1D stage loop: the Q_ik
-// column blocks, the stage product and the two buffers the running sum
-// alternates between. None of it crosses the wire (the broadcast
-// payload is the owner's ALocal), so reuse needs no rendezvous
-// argument: SpGEMM1D's result is valid until the rank's next call.
+// column blocks, the block each stage received (its owner's ALocal,
+// read-only), the reader of P over them and the draw's picks. None of
+// it crosses the wire, so reuse needs no rendezvous argument:
+// SpGEMM1D's result is valid until the rank's next call.
 //
 //gnnvet:arena
 type oneDArena struct {
 	sparse.Scratch
-	prod sparse.CSR
-	sums [2]sparse.CSR
-	srcs [2]*sparse.CSR
+	blocks []*sparse.CSR
+	view   stageRows
+	picks  [1]core.RowPicks
 }
 
 // NewOneDSet slices A into p block rows, one per rank.
@@ -46,51 +47,59 @@ func NewOneDSet(p int, a *sparse.CSR) []*OneD {
 			Lo:     lo,
 			Hi:     hi,
 			P:      p,
+			a:      a,
 		}
 	}
 	return out
 }
 
-// SpGEMM1D computes P = Q·A for this rank's block row of Q: p stages,
-// each broadcasting block row A_k from its owner to everyone
+// SpGEMM1D computes P = Q·A for this rank's block row of Q, whose every
+// row must hold one unit entry (GraphSAGE's Q): p stages, each
+// broadcasting block row A_k from its owner to everyone
 // (sparsity-oblivious — the scheme's defining weakness: communication
-// volume grows with p because every rank receives every block). The
-// result lives in the rank's workspace and is valid until its next call.
-func (od *OneD) SpGEMM1D(r *cluster.Rank, world *cluster.Comm, q *sparse.CSR) *sparse.CSR {
+// volume grows with p because every rank receives every block). Row i
+// of P is the row of A that Q selects, so the host multiplies nothing:
+// it returns a reader of P's rows in the blocks the stages received
+// (stageRows), valid until the rank's next call. Each stage is charged
+// its product's flop bound (gatherFlops) and the running sum's
+// nonzeros, the flops so far: each row of Q lands in one block.
+func (od *OneD) SpGEMM1D(r *cluster.Rank, world *cluster.Comm, q *sparse.CSR) core.RowReader {
 	ws := &od.ws
 	lo, hi := ws.BlockBounds(od.P)
 	for k := range lo {
 		lo[k], hi[k] = graph.BlockRowRange(od.N, od.P, k)
 	}
 	qiks := ws.SliceColBlocks(q, lo, hi)
-	var sum *sparse.CSR
+	ws.blocks = ws.blocks[:0]
+	cum := 0
 	for k := 0; k < od.P; k++ {
 		var block *sparse.CSR
 		if world.LocalIndex(r) == k {
 			block = od.ALocal
 		}
 		blockK := cluster.Broadcast(world, r, k, block, blockBytes(block))
+		ws.blocks = append(ws.blocks, blockK)
 		r.ChargeMem(int64(q.NNZ()) * 8) // block slicing pass
-		prod, flops := ws.SpGEMM(&ws.prod, qiks[k], blockK)
+		flops := gatherFlops(qiks[k], blockK)
 		r.ChargeSparse(flops)
-		srcs := ws.srcs[:0]
-		if sum != nil {
-			srcs = append(srcs, sum)
-		}
-		sum = ws.MergeCSRInto(&ws.sums[k%2], append(srcs, prod))
-		r.ChargeMem(int64(sum.NNZ()) * 16)
+		cum += int(flops)
+		r.ChargeMem(int64(cum) * 16)
 		r.ChargeKernels(2)
 	}
-	return sum
+	ws.view = stageRows{a: od.a, of: q.ColIdx[:q.Rows], blocks: ws.blocks}
+	return &ws.view
 }
 
 // SampleSAGE1D runs bulk GraphSAGE sampling with the 1D SpGEMM — the
-// scalability baseline for the 1.5D ablation. The sample's Cost stays
-// zero (see core.BulkSample).
+// scalability baseline for the 1.5D ablation — drawing every layer from
+// P's rows where the stages received them (core.SAGE.FinishRows over
+// all rows, then core.JoinRows). The sample's Cost stays zero (see
+// core.BulkSample).
 func SampleSAGE1D(r *cluster.Rank, od *OneD, world *cluster.Comm, batches [][]int, fanouts []int, seed int64) *core.BulkSample {
 	out := &core.BulkSample{Batches: batches}
 	cur := core.NewFrontier(batches)
 	sg := core.SAGE{}
+	picks := od.ws.picks[:]
 	for l, fan := range fanouts {
 		layerSeed := seed + int64(l)*1e9
 
@@ -100,7 +109,8 @@ func SampleSAGE1D(r *cluster.Rank, od *OneD, world *cluster.Comm, batches [][]in
 		p := od.SpGEMM1D(r, world, q)
 
 		r.SetPhase(PhaseSampling)
-		ls, cost := sg.FinishStep(p, cur, fan, layerSeed)
+		sg.FinishRows(p, cur.Vertices, 0, cur.Len(), fan, layerSeed, &picks[0])
+		ls, cost := core.JoinRows(cur, picks)
 		r.ChargeSparse(cost.SampleOps)
 		r.SetPhase(PhaseExtraction)
 		r.ChargeSparse(cost.ExtractOps)

@@ -17,15 +17,17 @@
 // reports. The charges are always the matrix algorithm's; the host does
 // less where the sample allows it. The replicated driver runs each
 // sampler's Step (for GraphSAGE, a lookup of A's rows). The partitioned
-// driver runs the staged collectives with their real payloads, but for
-// a Q with one entry per row its stage products and row fold are row
-// copies (for GraphSAGE, none are made: the fold draws from the rows of
-// A the stages received), its c replicas share one read-only product
-// and one read-only layer per process row (the row fold completes each
-// layer once, for all c members, for both sampler families —
-// layer-wise extraction included, whose all-gather across the row is
-// charged but carries no value), and GraphSAGE's NORM + prefix sums
-// are looked up in the graph's RowCDF table when the sampler holds it.
+// driver, and the 1D baseline it is compared against (OneD), run the
+// staged collectives with their real payloads, but for a Q with one
+// unit entry per row — GraphSAGE's, and a layer-wise extraction's Q_R —
+// they multiply nothing: the rows of P are the rows of A the stages
+// received, read in place (stageRows). The partitioned driver's c
+// replicas share one read-only layer per process row (the row fold
+// completes each layer once, for all c members, for both sampler
+// families — layer-wise extraction included, whose all-gather across
+// the row is charged but carries no value), and GraphSAGE's NORM +
+// prefix sums are looked up in the graph's RowCDF table when the
+// sampler holds it.
 package distsample
 
 import (
@@ -123,14 +125,15 @@ func ReleasePartitionedSet(set []*Partitioned) {
 	arenas := set[0].arenas
 	for _, a := range arenas {
 		if a != nil {
-			// total and drawn point into another arena of the set, the
+			// ptr and drawn point into another arena of the set, the
 			// draw record and finish step hold the last layer, sampled
-			// sets and frontier, and q, a, blocks and view the last Q,
-			// the set's A and its blocks; nextTag keeps counting, because stamp
-			// still holds the old tags.
-			a.total, a.drawn, a.draw, a.fin = nil, nil, rowDraw{}, finishStep{}
+			// sets and frontier, and q, a, blocks, rowBlocks and view
+			// the last Q, the set's A and its blocks; nextTag keeps
+			// counting, because stamp still holds the old tags.
+			a.ptr, a.drawn, a.draw, a.fin = nil, nil, rowDraw{}, finishStep{}
 			a.q, a.a, a.view = nil, nil, stageRows{}
 			clear(a.blocks)
+			clear(a.rowBlocks)
 		}
 	}
 	freeArenaSets.Put(arenas)
@@ -151,41 +154,40 @@ func payloadBytes(p *rowPayload) int {
 
 // spgemm15D computes P = Q·A for this rank's block row of Q, running
 // the staged block algorithm of Algorithm 2 on the process grid. Q's
-// columns span the full vertex range [0, N). The result is the full
-// product for this rank's rows — one matrix per process row, the fold
-// total its c members share. It is read-only: it lives in the process
-// row's stage arenas, is valid until the row's next spgemm15D call on
-// this set (or the set's release), and must not be passed back in as
-// Q. It is nil when the fold drew the layer in place (below). The
-// collective schedules — the per-stage gathers/scatters and the row
-// all-reduce — charge under the cost model's Collectives table
-// (cluster.CollectiveAlgorithm), so algorithm comparisons reach the
-// 1.5D sampling path without any plumbing here.
+// columns span the full vertex range [0, N). It returns P's row
+// pointers — one product per process row, which its c members share —
+// and, when fin names a sampler, the row's draw from P (see
+// foldStages), nil when fin is empty. Both are read-only: they live in
+// the process row's stage arenas and are valid until the row's next
+// spgemm15D call on this set (or the set's release), and Q must not be
+// one of them. The collective schedules — the per-stage gathers/scatters
+// and the row all-reduce — charge under the cost model's Collectives
+// table (cluster.CollectiveAlgorithm), so algorithm comparisons reach
+// the 1.5D sampling path without any plumbing here.
 //
 // What the device is charged is the matrix algorithm: every stage
 // multiply, memory pass and collective payload below. What the host runs
-// may be less: when every row of Q holds one entry (GraphSAGE's Q, any
-// Q_R), each stage product is a gather of rows of A_k and each row of
-// the fold has one source, so the kernels copy rows instead of
-// accumulating (sparse.Scratch.SpGEMM, MergeCSRInto) and the running
-// nonzero count is the sum of the stage products' sizes. When that
-// entry is 1 in every row and fin is a node-wise step (GraphSAGE), the
-// host runs no multiply at all: a stage keeps its A_k (blocks) and
-// charges the product's flop bound, its size, from A_k's row lengths;
+// has two forms. When every row of Q is one unit entry (GraphSAGE's Q,
+// any Q_R) and fin only reads P (a node-wise draw, or a layer-wise
+// extraction: inPlace), row i of P is the row of A that Q selects, so the host
+// multiplies nothing: a stage keeps its A_k (blocks) and charges the
+// product's flop bound, its size, from A_k's row lengths (gatherFlops);
 // the fold reads P's rows where the stages received them (stageRows)
 // and builds no stage product, merge or total. It reads each row's
-// columns and weights from its block, and its NORM + prefix sum from
-// the sampler's table of A (core.SAGE.CDF, looked up by vertex), so
-// no row is summed again. An aware stage's block is the payload it
-// received, given row pointers, not copied (assembleBlockInto). The
-// charges do not move, and neither does the draw
-// (TestFoldInPlaceMatchesMerge).
+// columns and weights from its block, and a GraphSAGE draw its NORM +
+// prefix sum from the sampler's table of A (core.SAGE.CDF, looked up by
+// vertex), so no row is summed again. An aware stage's block is the
+// payload it received, given row pointers, not copied
+// (assembleBlockInto). Otherwise — a Q with many entries per row
+// (LADIES's and FastGCN's P), or a call without a finish step, the
+// tests' reference — each stage multiplies (sparse.Scratch.SpGEMM),
+// stageArena.countStage counts the running sum's new nonzeros, and the
+// fold merges the stage products into the process row's one total.
+// The charges do not depend on the form, and neither does the sample
+// (TestFoldInPlaceMatchesMerge, TestPartitionedLayerwiseBitsMatchSerial).
 //
-// When fin names a sampler, the row fold also completes the layer from
-// P (see foldStages), once for the whole process row, and every member
-// receives that one read-only draw beside the total (nil when fin is
-// empty). Every member of the row must pass the same finish step.
-func (ps *Partitioned) spgemm15D(r *cluster.Rank, q *sparse.CSR, fin finishStep) (*sparse.CSR, *rowDraw) {
+// Every member of the row must pass the same finish step.
+func (ps *Partitioned) spgemm15D(r *cluster.Rank, q *sparse.CSR, fin finishStep) ([]int, *rowDraw) {
 	g := ps.Grid
 	j := g.ColIndex(r.ID)
 	stages := g.Rows / g.C // the q = p/c^2 stages of Algorithm 2
@@ -211,15 +213,16 @@ func (ps *Partitioned) spgemm15D(r *cluster.Rank, q *sparse.CSR, fin finishStep)
 	// Stage products stay in per-stage arenas and merge once, inside
 	// the final all-reduce; the running accumulator the old pairwise
 	// merge chain built is replaced by an exact nonzero count, so every
-	// ChargeMem below is unchanged. With one entry per row of Q, a row
-	// is nonempty in exactly one stage, so every entry of a stage
-	// product is new to the count; otherwise stageArena.countStage
-	// finds the new ones.
+	// ChargeMem below is unchanged. Read in place, a row of P is
+	// nonempty in exactly one stage, so every entry of a stage's product
+	// is new to the count; otherwise stageArena.countStage finds the new
+	// ones.
 	prods, _ := ar.stageProds(stages)
-	inPlace := fin.nodewise() && unitPerRow(q)
-	oneHot := inPlace || atMostOnePerRow(q)
+	// In place only when fin only reads P (a node-wise draw, or an
+	// extraction): a layer-wise draw normalizes P, so it takes the total.
+	inPlace := fin.s != nil && (fin.sampled != nil || !fin.s.LayerWise()) && unitPerRow(q)
 	base := 0
-	if !oneHot {
+	if !inPlace {
 		base = ar.beginCount(ps.N, q.Rows)
 	}
 	cum := 0
@@ -258,22 +261,13 @@ func (ps *Partitioned) spgemm15D(r *cluster.Rank, q *sparse.CSR, fin finishStep)
 		ar.blocks[t] = blockK
 
 		if inPlace {
-			// The product would gather one row of blockK per row of
-			// qik: its flop bound is its size.
-			var flops int64
-			for _, c := range qik.ColIdx {
-				flops += int64(blockK.RowNNZ(c))
-			}
+			flops := gatherFlops(qik, blockK)
 			r.ChargeSparse(flops)
 			cum += int(flops)
 		} else {
 			prod, flops := ar.SpGEMM(&prods[t], qik, blockK)
 			r.ChargeSparse(flops)
-			if oneHot {
-				cum += prod.NNZ()
-			} else {
-				cum += ar.countStage(prod, base)
-			}
+			cum += ar.countStage(prod, base)
 		}
 		r.ChargeMem(int64(cum) * 16)
 		r.ChargeKernels(2)
@@ -283,8 +277,7 @@ func (ps *Partitioned) spgemm15D(r *cluster.Rank, q *sparse.CSR, fin finishStep)
 	// 14), folded once per collective into the process row's one total;
 	// the fold completing before any member leaves the collective is
 	// what lets the next call reuse the stage products and rewrite the
-	// total. The
-	// contribution bytes are this rank's partial sum in CSR form: cum
+	// total. The contribution bytes are this rank's partial sum in CSR form: cum
 	// nonzeros over q.Rows rows, sized like the old accumulator.
 	partialBytes := 8*(q.Rows+1) + 16*cum
 	ar.fin, ar.q, ar.a = fin, nil, nil
@@ -292,12 +285,13 @@ func (ps *Partitioned) spgemm15D(r *cluster.Rank, q *sparse.CSR, fin finishStep)
 		ar.q, ar.a = q, ps.a
 	}
 	sum := cluster.AllReduceGenericInto(rowComm, r, ar, partialBytes, ar, foldStages)
-	r.ChargeMem(int64(sum.nnz) * 16 * int64(rowComm.Size()))
-	return sum.total, sum.drawn
+	r.ChargeMem(int64(sum.ptr[len(sum.ptr)-1]) * 16 * int64(rowComm.Size()))
+	return sum.ptr, sum.drawn
 }
 
 // unitPerRow reports whether every row of q holds one entry, of value 1
-// (GraphSAGE's Q): row i of Q·A is then the row of A that row i selects.
+// (GraphSAGE's Q, Q_R): row i of Q·A is then the row of A that row i
+// selects.
 func unitPerRow(q *sparse.CSR) bool {
 	for i := 0; i < q.Rows; i++ {
 		if q.RowNNZ(i) != 1 || q.Val[q.RowPtr[i]] != 1 {
@@ -307,14 +301,15 @@ func unitPerRow(q *sparse.CSR) bool {
 	return true
 }
 
-// atMostOnePerRow reports whether no row of q holds more than one entry.
-func atMostOnePerRow(q *sparse.CSR) bool {
-	for i := 0; i < q.Rows; i++ {
-		if q.RowNNZ(i) > 1 {
-			return false
-		}
+// gatherFlops is the flop bound of Q_k·A_k for a Q_k with one unit entry
+// per row: the product gathers the rows of ak that Q_k selects, so the
+// bound is their summed length, and is also the product's size.
+func gatherFlops(qk, ak *sparse.CSR) int64 {
+	var flops int64
+	for _, c := range qk.ColIdx[:qk.NNZ()] {
+		flops += int64(ak.RowNNZ(c))
 	}
-	return true
+	return flops
 }
 
 // blockBytes sizes an optional block for broadcast accounting.
@@ -353,9 +348,9 @@ func SamplePartitioned(r *cluster.Rank, ps *Partitioned, s core.Sampler, batches
 		r.SetPhase(PhaseProbability)
 		q := s.BuildQ(cur, ps.N)
 		r.ChargeKernels(1)
-		p, drawn := ps.spgemm15D(r, q, fin)
+		ptr, drawn := ps.spgemm15D(r, q, fin)
 		if s.LayerWise() {
-			r.ChargeMem(int64(p.NNZ()) * 16) // the sampler's Norm over P
+			r.ChargeMem(int64(ptr[len(ptr)-1]) * 16) // the sampler's Norm over P
 		}
 
 		// The row's draw is charged to every member, as if each drew it.
@@ -381,24 +376,25 @@ func SamplePartitioned(r *cluster.Rank, ps *Partitioned, s core.Sampler, batches
 }
 
 // extractLayerwise is the layer-wise extraction of Section 5.2.3: row
-// extraction is a second 1.5D SpGEMM with the one-nonzero-per-row Q_R,
-// whose row fold column-extracts every batch onto its sampled set, once
-// for the process row (fin.sampled). The device splits column
-// extraction across the process row by batch and reassembles it with an
-// all-gather, so each member is charged its share, the batches b with
-// b%c equal to its column: their rows of A_R, and their parts of the
-// layer as all-gather bytes. The gathered value is never read: the
-// shared layer already holds every batch, and the charge depends only on
-// the bytes.
+// extraction is a second 1.5D SpGEMM with the one-unit-entry-per-row
+// Q_R, whose row fold reads A_R = Q_R·A in place and column-extracts
+// every batch onto its sampled set, once for the process row
+// (fin.sampled). The device splits column extraction across the
+// process row by batch and reassembles it with an all-gather, so each
+// member is charged its share, the batches b with b%c equal to its
+// column: their rows of A_R (read off P's row pointers), and their
+// parts of the layer as all-gather bytes. The gathered value is never
+// read: the shared layer already holds every batch, and the charge
+// depends only on the bytes.
 func (ps *Partitioned) extractLayerwise(r *cluster.Rank, fin finishStep) *core.LayerSample {
 	g := ps.Grid
-	ar, drawn := ps.spgemm15D(r, (core.SAGE{}).BuildQ(fin.cur, ps.N), fin)
+	ptr, drawn := ps.spgemm15D(r, (core.SAGE{}).BuildQ(fin.cur, ps.N), fin)
 	ls, rows := drawn.layer, fin.cur.BatchPtr
 	var ops int64
 	bytes := 0
 	for b := g.ColIndex(r.ID); b < fin.cur.K(); b += g.C {
 		lo, hi := rows[b], rows[b+1]
-		ops += int64(ar.RowPtr[hi] - ar.RowPtr[lo])
+		ops += int64(ptr[hi] - ptr[lo])
 		nnz := ls.Adj.RowPtr[hi] - ls.Adj.RowPtr[lo]
 		cols := ls.Cols.BatchPtr[b+1] - ls.Cols.BatchPtr[b]
 		bytes += 8*(hi-lo+1) + 16*nnz + 8*cols
@@ -419,7 +415,7 @@ type nodewiseFinisher interface {
 	FinishRows(m core.RowReader, rowOf []int, lo, hi, s int, seed int64, rp *core.RowPicks)
 }
 
-// finishStep is one layer's completion of a process row's fold total:
+// finishStep is one layer's completion of a process row's product P:
 // the sampler with the frontier, per-row size (fan-out or layer width)
 // and layer seed, and for a layer-wise sampler's second product (Q_R·A)
 // the vertices its first drew per batch. Every member of the row passes
@@ -479,13 +475,13 @@ func (f finishStep) nodewise() bool {
 	return f.s != nil && f.sampled == nil && !f.s.LayerWise()
 }
 
-// drawLayerwise completes a layer-wise step from the row's total,
-// serially: the extraction (from A_R = Q_R·A onto f.sampled) only reads
-// it; Norm rewrites its operand, so it normalizes a copy in normed,
-// scratch of the process row's first arena.
-func (f finishStep) drawLayerwise(total, normed *sparse.CSR) rowDraw {
+// drawLayerwise completes a layer-wise step, serially. The extraction
+// reads A_R = Q_R·A in place (view) onto f.sampled; the draw normalizes
+// a copy of P, the row's total, in normed, scratch of the process row's
+// first arena, because Norm rewrites its operand.
+func (f finishStep) drawLayerwise(view *stageRows, total, normed *sparse.CSR) rowDraw {
 	if f.sampled != nil {
-		ls, cost := core.ExtractLayerwise(total, f.cur, f.sampled)
+		ls, cost := core.ExtractLayerwise(view, view.of, f.cur, f.sampled)
 		return rowDraw{layer: ls, cost: cost}
 	}
 	p := sparse.CopyCSRInto(normed, total)

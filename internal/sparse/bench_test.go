@@ -80,24 +80,12 @@ func BenchmarkSpMMT(b *testing.B) {
 	benchSpMM(b, SpMMTInto, benchFanout(700, 4000, 5), 700, 4000, 64)
 }
 
-func BenchmarkMergeCSRInto(b *testing.B) {
+func BenchmarkMergeRowsInto(b *testing.B) {
 	srcs := []*CSR{benchGraph(b, 5000, 8), benchGraph(b, 5000, 8)}
 	var sc Scratch
 	var out CSR
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sc.MergeCSRInto(&out, srcs)
-	}
-}
-
-func BenchmarkExtractRows(b *testing.B) {
-	a := benchGraph(b, 10000, 16)
-	rows := make([]int, 2048)
-	for i := range rows {
-		rows[i] = (i * 4241) % 10000
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ExtractRows(a, rows)
+		mergeCSRInto(&sc, &out, srcs)
 	}
 }

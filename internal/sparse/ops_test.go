@@ -7,20 +7,66 @@ import (
 	"testing/quick"
 )
 
-func TestExtractRowsMatchesSpGEMM(t *testing.T) {
-	// Row extraction must equal multiplying by a one-nonzero-per-row
-	// selector matrix Q_R (Section 4.2.3).
-	a := exampleGraph()
-	rows := []int{1, 5, 1}
-	got := ExtractRows(a, rows)
-	// Build Q_R directly from COO to keep rows in requested order.
-	coo := NewCOO(len(rows), a.Rows, len(rows))
+// rowSelector is Q_R of Section 4.2.3: one unit entry per row, row i
+// selecting row rows[i] of an n-row matrix. Built from COO to keep the
+// rows in the requested order, repeats included.
+func rowSelector(rows []int, n int) *CSR {
+	coo := NewCOO(len(rows), n, len(rows))
 	for i, r := range rows {
 		coo.Add(i, r, 1)
 	}
-	want, _ := SpGEMM(coo.ToCSR(), a)
-	if !Equal(got, want, 0) {
-		t.Fatalf("ExtractRows != Q_R*A:\n%v\n%v", got.ToDense(), want.ToDense())
+	return coo.ToCSR()
+}
+
+// gatherRows is the reference row extraction: the given rows of A, in
+// order, copied.
+func gatherRows(a *CSR, rows []int) *CSR {
+	out := &CSR{Rows: len(rows), Cols: a.Cols, RowPtr: make([]int, len(rows)+1)}
+	for i, r := range rows {
+		cols, vals := a.Row(r)
+		out.ColIdx = append(out.ColIdx, cols...)
+		out.Val = append(out.Val, vals...)
+		out.RowPtr[i+1] = len(out.ColIdx)
+	}
+	return out
+}
+
+func TestExtractRowsMatchesSpGEMM(t *testing.T) {
+	// The row-extraction SpGEMM Q_R·A (Section 4.2.3) must equal
+	// gathering the selected rows of A.
+	a := exampleGraph()
+	rows := []int{1, 5, 1}
+	got, _ := SpGEMM(rowSelector(rows, a.Rows), a)
+	if err := got.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if want := gatherRows(a, rows); !Equal(got, want, 0) {
+		t.Fatalf("Q_R*A != gathered rows:\n%v\n%v", got.ToDense(), want.ToDense())
+	}
+}
+
+func TestExtractRowsStacksAsQ(t *testing.T) {
+	// Property: the row sums of Q_R·A are the row sums of the rows Q_R
+	// selects — the extraction is lossless, repeats included.
+	check := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		a := randomCSR(rng, 10, 10, 0.3)
+		rows := make([]int, 1+rng.Intn(10))
+		for i := range rows {
+			rows[i] = rng.Intn(10)
+		}
+		ex, _ := SpGEMM(rowSelector(rows, a.Rows), a)
+		sums := a.RowSums()
+		exSums := ex.RowSums()
+		for i, r := range rows {
+			if math.Abs(exSums[i]-sums[r]) > 1e-12 {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -58,31 +104,6 @@ func TestNonzeroCols(t *testing.T) {
 	}
 }
 
-func TestExtractRowsStacksAsQ(t *testing.T) {
-	// Property: extracting rows r1..rn then summing row sums equals
-	// summing the original degrees — the extraction is lossless.
-	check := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		a := randomCSR(rng, 10, 10, 0.3)
-		rows := make([]int, 1+rng.Intn(10))
-		for i := range rows {
-			rows[i] = rng.Intn(10)
-		}
-		ex := ExtractRows(a, rows)
-		sums := a.RowSums()
-		exSums := ex.RowSums()
-		for i, r := range rows {
-			if math.Abs(exSums[i]-sums[r]) > 1e-12 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestColRange(t *testing.T) {
 	a := exampleGraph()
 	var sc Scratch
@@ -115,7 +136,7 @@ func TestColRangePartitionReassembles(t *testing.T) {
 	for t, qik := range sc.SliceColBlocks(q, lo, hi) {
 		ak := SliceRows(a, lo[t], hi[t])
 		part, _ := SpGEMM(qik, ak)
-		acc = sc.MergeCSRInto(new(CSR), []*CSR{acc, part})
+		acc = mergeCSRInto(&sc, new(CSR), []*CSR{acc, part})
 	}
 	if !Equal(full, acc, 1e-12) {
 		t.Fatal("staged block product != full product")

@@ -16,7 +16,7 @@ package sparse
 //
 //gnnvet:arena
 type Scratch struct {
-	// sparse accumulator for SpGEMM and MergeCSRInto, sized to the
+	// sparse accumulator for SpGEMM and the merge, sized to the
 	// widest operand seen; allocated by the first row that needs one.
 	acc spa
 
@@ -69,26 +69,18 @@ func CopyCSRInto(out, a *CSR) *CSR {
 	return out
 }
 
-// MergeCSRInto sums row-aligned matrices into out, reusing out's
-// storage and the workspace's accumulator: any number of sources in
-// one pass — MergeLayout, then MergeRowsInto over every row.
-func (s *Scratch) MergeCSRInto(out *CSR, srcs []*CSR) *CSR {
-	mergeLayout(out, &s.acc, srcs)
-	merge(out, &s.acc, srcs, 0, out.Rows)
-	return out
-}
-
-// MergeLayout is MergeCSRInto's count pass (see mergeLayout): it gives
+// MergeLayout is the count pass of a merge that sums row-aligned
+// matrices into out, reusing out's storage (see mergeLayout): it gives
 // out the merge's shape and row pointers, and sizes ColIdx and Val
-// exactly, unwritten.
+// exactly, unwritten, for MergeRowsInto to fill.
 func (s *Scratch) MergeLayout(out *CSR, srcs []*CSR) {
 	mergeLayout(out, &s.acc, srcs)
 }
 
 // MergeRowsInto fills rows [lo, hi) of the merge MergeLayout laid out
-// in out (see merge). Row ranges are independent: workspaces that fill
-// disjoint ranges of one out, in any order or at once, produce
-// MergeCSRInto's bits.
+// in out (see merge), with the workspace's accumulator. Row ranges are
+// independent: workspaces that fill disjoint ranges of one out, in any
+// order or at once, produce the bits one pass over every row does.
 func (s *Scratch) MergeRowsInto(out *CSR, srcs []*CSR, lo, hi int) {
 	merge(out, &s.acc, srcs, lo, hi)
 }

@@ -96,14 +96,14 @@ func TestMergeCSRInto(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		a := randomCSR(rng, 8, 9, 0.3)
 		b := randomCSR(rng, 8, 9, 0.3)
-		s := sc.MergeCSRInto(new(CSR), []*CSR{a, b})
+		s := mergeCSRInto(&sc, new(CSR), []*CSR{a, b})
 		if err := s.Validate(); err != nil {
 			t.Fatal(err)
 		}
 		da, db, ds := a.ToDense(), b.ToDense(), s.ToDense()
 		for i := range da {
 			if math.Abs(da[i]+db[i]-ds[i]) > 1e-12 {
-				t.Fatalf("MergeCSRInto mismatch at %d", i)
+				t.Fatalf("merge mismatch at %d", i)
 			}
 		}
 	}
@@ -115,7 +115,7 @@ func TestMergeCSRIntoCommutative(t *testing.T) {
 		a := randomCSR(rng, 6, 6, 0.35)
 		b := randomCSR(rng, 6, 6, 0.35)
 		var sc Scratch
-		return Equal(sc.MergeCSRInto(new(CSR), []*CSR{a, b}), sc.MergeCSRInto(new(CSR), []*CSR{b, a}), 1e-12)
+		return Equal(mergeCSRInto(&sc, new(CSR), []*CSR{a, b}), mergeCSRInto(&sc, new(CSR), []*CSR{b, a}), 1e-12)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
