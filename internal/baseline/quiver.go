@@ -54,7 +54,7 @@ func CPULadiesReference(d *datasets.Dataset, layers int, maxBatches int, seed in
 		r.SetPhase("cpu-ladies")
 		for i, b := range batches {
 			bulk := core.SampleBulk(core.LADIES{}, d.Graph.Adj, [][]int{b}, fanouts, seed+int64(i))
-			r.ChargeSparseOn(cluster.CPU, bulk.Cost.Total())
+			r.Charge(cluster.Work{Device: cluster.CPU, SparseOps: bulk.Cost.Total()})
 		}
 		return nil
 	})

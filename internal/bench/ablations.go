@@ -50,9 +50,8 @@ func Amortization(w io.Writer, dataset string, ks []int, o Options) ([]Amortizat
 				if hi > len(batches) {
 					hi = len(batches)
 				}
-				bs := core.SampleBulk(core.SAGE{}, d.Graph.Adj, batches[lo:hi], d.Fanouts, o.Seed)
-				r.ChargeSparse(bs.Cost.Total())
-				r.ChargeKernels(bs.Cost.Kernels)
+				bs := core.SampleBulk(core.SAGE{CDF: d.Graph.RowCDF()}, d.Graph.Adj, batches[lo:hi], d.Fanouts, o.Seed)
+				r.Charge(cluster.Work{SparseOps: bs.Cost.Total(), Kernels: bs.Cost.Kernels})
 			}
 			return nil
 		})
@@ -94,7 +93,7 @@ func runOneDSampling(d *datasets.Dataset, p, maxBatches int, seed int64, model c
 	batches := pipeline.Batches(d, maxBatches)
 	return cl.Run(func(r *cluster.Rank) error {
 		local := distsample.ReplicatedBatches(p, r.ID, batches)
-		distsample.SampleSAGE1D(r, oneD[r.ID], world, local, d.Fanouts, seed)
+		distsample.SampleSAGE1D(r, oneD[r.ID], world, core.SAGE{CDF: d.Graph.RowCDF()}, local, d.Fanouts, seed)
 		return nil
 	})
 }
@@ -113,6 +112,7 @@ func PartitionAblation(w io.Writer, dataset string, ps []int, o Options) ([]Part
 	fmt.Fprintf(w, "%5s %3s %12s %14s %12s %14s %14s %15s\n", "p", "c",
 		"1D time", "1D bytes", "1.5D time", "1.5D bytes", "oblivious time", "oblivious bytes")
 	var rows []PartitionRow
+	sg := core.SAGE{CDF: d.Graph.RowCDF()}
 	for _, p := range ps {
 		c := cFor(p) / 2
 		if c < 2 {
@@ -125,11 +125,11 @@ func PartitionAblation(w io.Writer, dataset string, ps []int, o Options) ([]Part
 		if err != nil {
 			return nil, err
 		}
-		res2, err := RunPartitionedSampling(d, core.SAGE{}, d.Fanouts, p, c, true, o)
+		res2, err := RunPartitionedSampling(d, sg, d.Fanouts, p, c, true, o)
 		if err != nil {
 			return nil, err
 		}
-		res3, err := RunPartitionedSampling(d, core.SAGE{}, d.Fanouts, p, c, false, o)
+		res3, err := RunPartitionedSampling(d, sg, d.Fanouts, p, c, false, o)
 		if err != nil {
 			return nil, err
 		}

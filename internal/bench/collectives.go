@@ -123,7 +123,7 @@ func runCollective(model cluster.CostModel, op string, alg cluster.CollectiveAlg
 			predicted = cluster.PredictHierAllReduce(model, world.Members(), bytes)
 		} else {
 			predicted = cluster.PredictAllReduce(model, alg, link, p, bytes) +
-				float64(cluster.AllReduceMemBytes(alg, p, bytes))/model.MemBW[cluster.GPU]
+				model.Seconds(cluster.Work{MemBytes: cluster.AllReduceMemBytes(alg, p, bytes)})
 		}
 	case "alltoallv":
 		vol := per * (p - 1)

@@ -65,7 +65,7 @@ func Tprob(w io.Writer, dataset string, p int, cs []int, o Options) ([]TprobRow,
 				// flat row under another label.
 				continue
 			}
-			res, err := RunPartitionedSampling(d, core.SAGE{}, d.Fanouts[:1], p, c, true, cell)
+			res, err := RunPartitionedSampling(d, core.SAGE{CDF: d.Graph.RowCDF()}, d.Fanouts[:1], p, c, true, cell)
 			if err != nil {
 				return nil, err
 			}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -48,7 +49,7 @@ func TestChargeAdvancesClockAndPhases(t *testing.T) {
 		r.SetPhase("a")
 		r.ChargeSparse(2e10) // 1 second at 2e10 ops/s
 		r.SetPhase("b")
-		r.ChargeDense(1e13) // 1 second
+		r.Charge(Work{DenseFlops: 1e13}) // 1 second
 		return nil
 	})
 	if err != nil {
@@ -62,13 +63,113 @@ func TestChargeAdvancesClockAndPhases(t *testing.T) {
 	}
 }
 
+// TestChargeIsPricedTermByTerm pins Charge against a reference that
+// advances by count/rate (kernels × launch) once per nonzero term, in
+// the order SparseOps, DenseFlops, MemBytes, Kernels: on both devices,
+// for every subset of nonzero terms, the clock and both levels of a
+// phase stack must be bit-equal, the zero Work must still surface its
+// phase, Seconds must equal the reference's sum, and a planned failure
+// inside the third term must fire at that term.
+func TestChargeIsPricedTermByTerm(t *testing.T) {
+	m := testModel()
+	counts := [4]int64{123457, 98765431, 7654321, 3}
+	const before = 1.234567e-3 // an odd clock, so every addition rounds
+
+	type outcome struct {
+		clock, outer, inner float64
+		innerShown          bool
+		err                 error
+	}
+	run := func(m CostModel, charge func(r *Rank)) outcome {
+		var o outcome
+		res, err := New(1, m).Run(func(r *Rank) error {
+			defer func() { o.clock = r.Clock() }() // also as a failure unwinds
+			r.SetPhase("outer")
+			r.AdvanceBy(before)
+			r.PushPhase("inner")
+			charge(r)
+			r.PopPhase()
+			return nil
+		})
+		if o.err = err; err == nil {
+			o.outer = res.Ranks[0].PhaseTotal["outer"]
+			o.inner, o.innerShown = res.Ranks[0].PhaseTotal["inner"]
+		}
+		return o
+	}
+
+	for _, dev := range []Device{GPU, CPU} {
+		rates := [4]float64{m.SparseOps[dev], m.DenseFlops[dev], m.MemBW[dev]}
+		for mask := 0; mask < 16; mask++ {
+			var c [4]int64
+			var want []float64
+			for i := range c {
+				if mask&(1<<i) == 0 {
+					continue
+				}
+				c[i] = counts[i]
+				if i < 3 {
+					want = append(want, float64(c[i])/rates[i])
+				} else {
+					want = append(want, float64(c[i])*m.KernelLaunch)
+				}
+			}
+			w := Work{Device: dev, SparseOps: c[0], DenseFlops: c[1], MemBytes: c[2], Kernels: int(c[3])}
+			reference := func(r *Rank) {
+				if len(want) == 0 {
+					r.AdvanceBy(0)
+				}
+				for _, dt := range want {
+					r.AdvanceBy(dt)
+				}
+			}
+			name := fmt.Sprintf("device %d mask %04b", dev, mask)
+
+			got, ref := run(m, func(r *Rank) { r.Charge(w) }), run(m, reference)
+			if got.err != nil || ref.err != nil {
+				t.Fatalf("%s: errors %v, %v", name, got.err, ref.err)
+			}
+			if got != ref {
+				t.Fatalf("%s: Charge gave %+v, reference %+v", name, got, ref)
+			}
+			if !got.innerShown || (mask == 0 && got.inner != 0) {
+				t.Fatalf("%s: inner phase %v (shown %v)", name, got.inner, got.innerShown)
+			}
+			sum := 0.0
+			for _, dt := range want {
+				sum += dt
+			}
+			if s := m.Seconds(w); math.Float64bits(s) != math.Float64bits(sum) {
+				t.Fatalf("%s: Seconds = %v, want %v", name, s, sum)
+			}
+
+			if len(want) < 3 {
+				continue
+			}
+			// Fail inside the third term: both stop after it, not before
+			// and not after the fourth.
+			fm := m
+			at := before + want[0] + want[1] + want[2]/2
+			fm.Faults = &FaultPlan{Failures: []Failure{{Rank: 0, At: at}}}
+			got, ref = run(fm, func(r *Rank) { r.Charge(w) }), run(fm, reference)
+			var rf *RankFailure
+			if !errors.As(got.err, &rf) || rf.At != at || !errors.Is(ref.err, ErrRankFailed) {
+				t.Fatalf("%s: failure errors %v, %v", name, got.err, ref.err)
+			}
+			if got.clock != ref.clock || got.clock != before+want[0]+want[1]+want[2] {
+				t.Fatalf("%s: failed at clock %v, reference %v", name, got.clock, ref.clock)
+			}
+		}
+	}
+}
+
 func TestDeviceRatesDiffer(t *testing.T) {
 	cl := New(1, testModel())
 	res, _ := cl.Run(func(r *Rank) error {
 		r.SetPhase("gpu")
-		r.ChargeSparseOn(GPU, 1e9)
+		r.Charge(Work{Device: GPU, SparseOps: 1e9})
 		r.SetPhase("cpu")
-		r.ChargeSparseOn(CPU, 1e9)
+		r.Charge(Work{Device: CPU, SparseOps: 1e9})
 		return nil
 	})
 	if res.Phase("cpu") <= res.Phase("gpu") {
@@ -278,7 +379,7 @@ func TestCollectiveSynchronizesClocks(t *testing.T) {
 	world := cl.World()
 	res, err := cl.Run(func(r *Rank) error {
 		if r.ID == 0 {
-			r.ChargeDense(5e13) // 5 seconds
+			r.Charge(Work{DenseFlops: 5e13}) // 5 seconds
 		}
 		Barrier(world, r)
 		return nil
@@ -450,9 +551,9 @@ func TestPhaseStack(t *testing.T) {
 	res, err := cl.Run(func(r *Rank) error {
 		r.SetPhase("outer")
 		r.PushPhase("inner")
-		r.ChargeDense(1e13) // 1 second: should hit both levels
+		r.Charge(Work{DenseFlops: 1e13}) // 1 second: should hit both levels
 		r.PopPhase()
-		r.ChargeDense(1e13) // 1 second: outer only
+		r.Charge(Work{DenseFlops: 1e13}) // 1 second: outer only
 		return nil
 	})
 	if err != nil {
@@ -471,7 +572,7 @@ func TestPhaseStackDuplicateNameNoDoubleCount(t *testing.T) {
 	res, err := cl.Run(func(r *Rank) error {
 		r.SetPhase("x")
 		r.PushPhase("x") // same name nested
-		r.ChargeDense(1e13)
+		r.Charge(Work{DenseFlops: 1e13})
 		r.PopPhase()
 		return nil
 	})

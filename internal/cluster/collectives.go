@@ -208,7 +208,7 @@ func (c *Comm) chargeCollective(r *Rank, op string, entry float64, cost collCost
 		c.finish(r, entry+cost.seconds+cost.seconds2)
 	}
 	if cost.mem > 0 {
-		r.ChargeMem(cost.mem)
+		r.Charge(Work{MemBytes: cost.mem})
 	}
 }
 
@@ -292,7 +292,7 @@ func PredictHierAllReduce(m CostModel, members []int, bytes int) float64 {
 		nodes[m.node(r)]++
 	}
 	memSec := func(p int) float64 {
-		return float64(AllReduceMemBytes(FlatTree, p, bytes)) / m.MemBW[GPU]
+		return m.Seconds(Work{MemBytes: AllReduceMemBytes(FlatTree, p, bytes)})
 	}
 	if len(nodes) <= 1 {
 		return PredictAllReduce(m, FlatTree, m.worstLink(members), len(members), bytes) + memSec(len(members))

@@ -157,6 +157,45 @@ func (m CostModel) OrPerlmutter() CostModel {
 	return m
 }
 
+// Work is one compute charge on a device: irregular operations, dense
+// multiply-add pairs, streamed memory bytes and kernel launches (what
+// bulk sampling amortizes: k batches in one call launch once, not k times).
+type Work struct {
+	Device     Device
+	SparseOps  int64
+	DenseFlops int64
+	MemBytes   int64
+	Kernels    int
+}
+
+// terms returns the seconds of w's nonzero terms in secs[:n], in the
+// fixed order SparseOps, DenseFlops, MemBytes, Kernels: Rank.Charge and
+// Seconds price here, the one place device rates enter arithmetic.
+func (m CostModel) terms(w Work) (secs [4]float64, n int) {
+	if w.SparseOps != 0 {
+		secs[n], n = float64(w.SparseOps)/m.SparseOps[w.Device], n+1
+	}
+	if w.DenseFlops != 0 {
+		secs[n], n = float64(w.DenseFlops)/m.DenseFlops[w.Device], n+1
+	}
+	if w.MemBytes != 0 {
+		secs[n], n = float64(w.MemBytes)/m.MemBW[w.Device], n+1
+	}
+	if w.Kernels != 0 {
+		secs[n], n = float64(w.Kernels)*m.KernelLaunch, n+1
+	}
+	return secs, n
+}
+
+// Seconds is the time Rank.Charge advances by for w, summed in order.
+func (m CostModel) Seconds(w Work) (sum float64) {
+	secs, n := m.terms(w)
+	for _, s := range secs[:n] {
+		sum += s
+	}
+	return sum
+}
+
 // wireEntry returns the simulated time a transfer's payload hits the
 // wire: the α handshake latency after the entry clock. One of the
 // two helpers ChargeLink prices transfers through — the

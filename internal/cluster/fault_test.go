@@ -78,7 +78,7 @@ func TestRankFailureStopsAtPlannedTime(t *testing.T) {
 	cl := New(4, m)
 	_, err := cl.Run(func(r *Rank) error {
 		r.SetPhase("work")
-		r.ChargeDense(1 << 20) // every rank's clock crosses 1e-9s here
+		r.Charge(Work{DenseFlops: 1 << 20}) // every rank's clock crosses 1e-9s here
 		return nil
 	})
 	if err == nil {
@@ -101,7 +101,7 @@ func TestNilFaultPlanInert(t *testing.T) {
 	cl := New(2, testModel())
 	if _, err := cl.Run(func(r *Rank) error {
 		r.SetPhase("work")
-		r.ChargeDense(1 << 30)
+		r.Charge(Work{DenseFlops: 1 << 30})
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -123,7 +123,7 @@ func abortProbe(t *testing.T, p, dead int, collectives Collectives,
 	runErr = func() error {
 		_, err := cl.Run(func(r *Rank) error {
 			r.SetPhase("work")
-			r.ChargeDense(1 << 20) // the dead rank halts here
+			r.Charge(Work{DenseFlops: 1 << 20}) // the dead rank halts here
 			err := func() (err error) {
 				defer func() {
 					if pv := recover(); pv != nil {
@@ -305,7 +305,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	snaps := make([]RankSnapshot, 2)
 	res1, err := cl.Run(func(r *Rank) error {
 		r.SetPhase("alpha")
-		r.ChargeDense(1 << 20)
+		r.Charge(Work{DenseFlops: 1 << 20})
 		r.SetPhase("beta")
 		r.ChargeLink(HostLink, 1<<16)
 		AllReduceSum(world, r, []float64{float64(r.ID)})

@@ -336,40 +336,22 @@ func (r *Rank) growPhases(n int) {
 	}
 }
 
-// ChargeSparse bills ops irregular operations (SpGEMM multiply-adds,
-// sampling draws, gathers) at the GPU sparse throughput.
-func (r *Rank) ChargeSparse(ops int64) { r.ChargeSparseOn(GPU, ops) }
-
-// ChargeSparseOn bills irregular operations on the given device.
-func (r *Rank) ChargeSparseOn(d Device, ops int64) {
-	r.advance(float64(ops)/r.model.SparseOps[d], false)
+// Charge bills w to the clock and every open phase one nonzero term at
+// a time, so a planned failure fires at the term that reaches it. A Work
+// with no nonzero term advances 0 once: its phase still shows in Stats.
+func (r *Rank) Charge(w Work) {
+	secs, n := r.model.terms(w)
+	for _, dt := range secs[:max(n, 1)] {
+		r.advance(dt, false)
+	}
 }
 
-// ChargeDense bills flops dense multiply-add pairs at GPU dense
-// throughput.
-func (r *Rank) ChargeDense(flops int64) { r.ChargeDenseOn(GPU, flops) }
+// ChargeSparse is Charge(Work{SparseOps: ops}) under the name
+// benchmark/walk.go calls. It goes with ROADMAP item 1a.
+func (r *Rank) ChargeSparse(ops int64) { r.Charge(Work{SparseOps: ops}) }
 
-// ChargeDenseOn bills dense flops on the given device.
-func (r *Rank) ChargeDenseOn(d Device, flops int64) {
-	r.advance(float64(flops)/r.model.DenseFlops[d], false)
-}
-
-// ChargeMem bills a streaming memory traffic of the given bytes at GPU
-// memory bandwidth.
-func (r *Rank) ChargeMem(bytes int64) { r.ChargeMemOn(GPU, bytes) }
-
-// ChargeMemOn bills memory traffic on the given device.
-func (r *Rank) ChargeMemOn(d Device, bytes int64) {
-	r.advance(float64(bytes)/r.model.MemBW[d], false)
-}
-
-// ChargeKernels bills n fixed kernel-launch overheads. Per-minibatch
-// sampling pays O(layers) of these per batch; bulk sampling pays
-// O(layers) per k batches — the amortization at the heart of the
-// paper's Section 4.
-func (r *Rank) ChargeKernels(n int) {
-	r.advance(float64(n)*r.model.KernelLaunch, false)
-}
+// ChargeKernels is Charge(Work{Kernels: n}), likewise.
+func (r *Rank) ChargeKernels(n int) { r.Charge(Work{Kernels: n}) }
 
 // ChargeLink bills a point transfer of the given bytes over the given
 // tier, e.g. PCIe traffic for UVA sampling. Counted as communication

@@ -428,7 +428,7 @@ func TestOneDCommunicatesMoreThan15DAtScale(t *testing.T) {
 	oneD := NewOneDSet(p, a)
 	res1, err := cl1.Run(func(r *cluster.Rank) error {
 		local := ReplicatedBatches(p, r.ID, batches)
-		SampleSAGE1D(r, oneD[r.ID], world, local, fanouts, 5)
+		SampleSAGE1D(r, oneD[r.ID], world, core.SAGE{}, local, fanouts, 5)
 		return nil
 	})
 	if err != nil {
@@ -468,7 +468,7 @@ func runOneD(t *testing.T, a *sparse.CSR, batches [][]int, p int, fanouts []int)
 	set := NewOneDSet(p, a)
 	results := make([]*core.BulkSample, p)
 	res, err := cl.Run(func(r *cluster.Rank) error {
-		results[r.ID] = SampleSAGE1D(r, set[r.ID], world, ReplicatedBatches(p, r.ID, batches), fanouts, 99)
+		results[r.ID] = SampleSAGE1D(r, set[r.ID], world, core.SAGE{}, ReplicatedBatches(p, r.ID, batches), fanouts, 99)
 		return nil
 	})
 	if err != nil {

@@ -79,12 +79,10 @@ func (od *OneD) SpGEMM1D(r *cluster.Rank, world *cluster.Comm, q *sparse.CSR) co
 		}
 		blockK := cluster.Broadcast(world, r, k, block, blockBytes(block))
 		ws.blocks = append(ws.blocks, blockK)
-		r.ChargeMem(int64(q.NNZ()) * 8) // block slicing pass
+		r.Charge(cluster.Work{MemBytes: int64(q.NNZ()) * 8}) // block slicing pass
 		flops := gatherFlops(qiks[k], blockK)
-		r.ChargeSparse(flops)
 		cum += int(flops)
-		r.ChargeMem(int64(cum) * 16)
-		r.ChargeKernels(2)
+		r.Charge(cluster.Work{SparseOps: flops, MemBytes: int64(cum) * 16, Kernels: 2})
 	}
 	ws.view = stageRows{a: od.a, of: q.ColIdx[:q.Rows], blocks: ws.blocks}
 	return &ws.view
@@ -95,26 +93,24 @@ func (od *OneD) SpGEMM1D(r *cluster.Rank, world *cluster.Comm, q *sparse.CSR) co
 // P's rows where the stages received them (core.SAGE.FinishRows over
 // all rows, then core.JoinRows). The sample's Cost stays zero (see
 // core.BulkSample).
-func SampleSAGE1D(r *cluster.Rank, od *OneD, world *cluster.Comm, batches [][]int, fanouts []int, seed int64) *core.BulkSample {
+func SampleSAGE1D(r *cluster.Rank, od *OneD, world *cluster.Comm, sg core.SAGE, batches [][]int, fanouts []int, seed int64) *core.BulkSample {
 	out := &core.BulkSample{Batches: batches}
 	cur := core.NewFrontier(batches)
-	sg := core.SAGE{}
 	picks := od.ws.picks[:]
 	for l, fan := range fanouts {
 		layerSeed := seed + int64(l)*1e9
 
 		r.SetPhase(PhaseProbability)
 		q := sg.BuildQ(cur, od.N)
-		r.ChargeKernels(1)
+		r.Charge(cluster.Work{Kernels: 1})
 		p := od.SpGEMM1D(r, world, q)
 
 		r.SetPhase(PhaseSampling)
 		sg.FinishRows(p, cur.Vertices, 0, cur.Len(), fan, layerSeed, &picks[0])
 		ls, cost := core.JoinRows(cur, picks)
-		r.ChargeSparse(cost.SampleOps)
+		r.Charge(cluster.Work{SparseOps: cost.SampleOps})
 		r.SetPhase(PhaseExtraction)
-		r.ChargeSparse(cost.ExtractOps)
-		r.ChargeKernels(3)
+		r.Charge(cluster.Work{SparseOps: cost.ExtractOps, Kernels: 3})
 
 		out.Layers = append(out.Layers, ls)
 		cur = ls.Cols

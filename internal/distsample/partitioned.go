@@ -213,7 +213,7 @@ func (ps *Partitioned) spgemm15D(r *cluster.Rank, q *sparse.CSR, fin finishStep)
 	// Stage products stay in per-stage arenas and merge once, inside
 	// the final all-reduce; the running accumulator the old pairwise
 	// merge chain built is replaced by an exact nonzero count, so every
-	// ChargeMem below is unchanged. Read in place, a row of P is
+	// memory charge below is unchanged. Read in place, a row of P is
 	// nonempty in exactly one stage, so every entry of a stage's product
 	// is new to the count; otherwise stageArena.countStage finds the new
 	// ones.
@@ -229,8 +229,8 @@ func (ps *Partitioned) spgemm15D(r *cluster.Rank, q *sparse.CSR, fin finishStep)
 	for t := 0; t < stages; t++ {
 		k := j*stages + t // block row of A handled this stage
 		qik := qiks[t]
-		r.ChargeMem(int64(q.NNZ()) * 8) // block slicing pass
-		ownerLocal := k                 // colComm members sorted by grid row
+		r.Charge(cluster.Work{MemBytes: int64(q.NNZ()) * 8}) // block slicing pass
+		ownerLocal := k                                      // colComm members sorted by grid row
 
 		var blockK *sparse.CSR
 		if ps.SparsityAware {
@@ -246,7 +246,7 @@ func (ps *Partitioned) spgemm15D(r *cluster.Rank, q *sparse.CSR, fin finishStep)
 				for _, p := range parts {
 					extracted += int64(p.rows.NNZ())
 				}
-				r.ChargeSparse(extracted)
+				r.Charge(cluster.Work{SparseOps: extracted})
 			}
 			part := cluster.Scatter(colComm, r, ownerLocal, parts, payloadBytes)
 			blockK = assembleBlockInto(&ar.asms[t], hi[t]-lo[t], need, part.rows)
@@ -260,17 +260,16 @@ func (ps *Partitioned) spgemm15D(r *cluster.Rank, q *sparse.CSR, fin finishStep)
 		}
 		ar.blocks[t] = blockK
 
+		var flops int64
 		if inPlace {
-			flops := gatherFlops(qik, blockK)
-			r.ChargeSparse(flops)
+			flops = gatherFlops(qik, blockK)
 			cum += int(flops)
 		} else {
-			prod, flops := ar.SpGEMM(&prods[t], qik, blockK)
-			r.ChargeSparse(flops)
+			var prod *sparse.CSR
+			prod, flops = ar.SpGEMM(&prods[t], qik, blockK)
 			cum += ar.countStage(prod, base)
 		}
-		r.ChargeMem(int64(cum) * 16)
-		r.ChargeKernels(2)
+		r.Charge(cluster.Work{SparseOps: flops, MemBytes: int64(cum) * 16, Kernels: 2})
 	}
 
 	// Partial sums combine across the process row (Algorithm 2 line
@@ -285,7 +284,7 @@ func (ps *Partitioned) spgemm15D(r *cluster.Rank, q *sparse.CSR, fin finishStep)
 		ar.q, ar.a = q, ps.a
 	}
 	sum := cluster.AllReduceGenericInto(rowComm, r, ar, partialBytes, ar, foldStages)
-	r.ChargeMem(int64(sum.ptr[len(sum.ptr)-1]) * 16 * int64(rowComm.Size()))
+	r.Charge(cluster.Work{MemBytes: int64(sum.ptr[len(sum.ptr)-1]) * 16 * int64(rowComm.Size())})
 	return sum.ptr, sum.drawn
 }
 
@@ -347,26 +346,24 @@ func SamplePartitioned(r *cluster.Rank, ps *Partitioned, s core.Sampler, batches
 
 		r.SetPhase(PhaseProbability)
 		q := s.BuildQ(cur, ps.N)
-		r.ChargeKernels(1)
+		r.Charge(cluster.Work{Kernels: 1})
 		ptr, drawn := ps.spgemm15D(r, q, fin)
 		if s.LayerWise() {
-			r.ChargeMem(int64(ptr[len(ptr)-1]) * 16) // the sampler's Norm over P
+			r.Charge(cluster.Work{MemBytes: int64(ptr[len(ptr)-1]) * 16}) // the sampler's Norm over P
 		}
 
 		// The row's draw is charged to every member, as if each drew it.
 		r.SetPhase(PhaseSampling)
 		ls, cost := drawn.layer, drawn.cost
-		r.ChargeSparse(cost.SampleOps)
 		if s.LayerWise() {
-			r.ChargeKernels(1)
+			r.Charge(cluster.Work{SparseOps: cost.SampleOps, Kernels: 1})
 			r.SetPhase(PhaseExtraction)
 			fin.sampled = drawn.sampled
 			ls = ps.extractLayerwise(r, fin)
 		} else {
-			r.ChargeKernels(2)
+			r.Charge(cluster.Work{SparseOps: cost.SampleOps, Kernels: 2})
 			r.SetPhase(PhaseExtraction)
-			r.ChargeSparse(cost.ExtractOps)
-			r.ChargeKernels(1)
+			r.Charge(cluster.Work{SparseOps: cost.ExtractOps, Kernels: 1})
 		}
 
 		out.Layers = append(out.Layers, ls)
@@ -399,8 +396,7 @@ func (ps *Partitioned) extractLayerwise(r *cluster.Rank, fin finishStep) *core.L
 		cols := ls.Cols.BatchPtr[b+1] - ls.Cols.BatchPtr[b]
 		bytes += 8*(hi-lo+1) + 16*nnz + 8*cols
 	}
-	r.ChargeSparse(ops)
-	r.ChargeKernels(1)
+	r.Charge(cluster.Work{SparseOps: ops, Kernels: 1})
 	cluster.AllGather(g.RowComm(r.ID).ForStream(r), r, struct{}{}, bytes)
 	return ls
 }

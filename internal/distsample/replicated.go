@@ -31,12 +31,11 @@ func SampleReplicated(r *cluster.Rank, sampler core.Sampler, a *sparse.CSR, batc
 	for l, fan := range fanouts {
 		ls, cost := sampler.Step(a, cur, fan, seed+int64(l)*1e9)
 		r.SetPhase(PhaseProbability)
-		r.ChargeSparse(cost.ProbFlops)
+		r.Charge(cluster.Work{SparseOps: cost.ProbFlops})
 		r.SetPhase(PhaseSampling)
-		r.ChargeSparse(cost.SampleOps)
+		r.Charge(cluster.Work{SparseOps: cost.SampleOps})
 		r.SetPhase(PhaseExtraction)
-		r.ChargeSparse(cost.ExtractOps)
-		r.ChargeKernels(cost.Kernels)
+		r.Charge(cluster.Work{SparseOps: cost.ExtractOps, Kernels: cost.Kernels})
 		out.Layers = append(out.Layers, ls)
 		out.Cost.Add(cost)
 		cur = ls.Cols

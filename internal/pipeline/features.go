@@ -248,7 +248,7 @@ func (fs *FeatureStore) Fetch(r *cluster.Rank, vertices []int) *dense.Matrix {
 		}
 		sc.resps = append(sc.resps, rows)
 	}
-	r.ChargeMem(int64(totalRows * f * 8))
+	r.Charge(cluster.Work{MemBytes: int64(totalRows * f * 8)})
 
 	_, got := cluster.AllToAllvSparse(colComm, r, askers, sc.resps, func(m dense.Matrix) int {
 		return m.Bytes()
@@ -268,7 +268,7 @@ func (fs *FeatureStore) Fetch(r *cluster.Rank, vertices []int) *dense.Matrix {
 	for _, rp := range sc.repeats {
 		copy(out.RowView(int(rp.slot)), out.RowView(int(rp.first)))
 	}
-	r.ChargeMem(int64(len(vertices) * f * 8))
+	r.Charge(cluster.Work{MemBytes: int64(len(vertices) * f * 8)})
 	return out
 }
 

@@ -425,16 +425,15 @@ func newAttempt(d *datasets.Dataset, cfg Config, sched schedule, batches [][]int
 			}
 			bulk := core.SampleBulk(cfg.sampler, d.Graph.Adj, chunk, cfg.sizes, epochSeed+int64(round))
 			cost := bulk.Cost
+			ops := cost.Total()
 			if uva {
 				// Graph lives in host DRAM: every adjacency row visited
 				// crosses PCIe (16 bytes/entry), and the irregular work
 				// runs at an effective rate bounded by the host link.
 				rs.ChargeLink(cluster.HostLink, cost.ProbFlops*16)
-				rs.ChargeSparse(cost.SampleOps + cost.ExtractOps)
-			} else {
-				rs.ChargeSparse(cost.Total())
+				ops = cost.SampleOps + cost.ExtractOps
 			}
-			rs.ChargeKernels(cost.Kernels)
+			rs.Charge(cluster.Work{SparseOps: ops, Kernels: cost.Kernels})
 			return bulk
 		}
 	default:

@@ -116,8 +116,7 @@ func Run(d *datasets.Dataset, cfg Config) (*Result, error) {
 							loss, dLogits := gnn.Loss(act, act.SeedLabels(d.Labels))
 							grads = takeGrads(len(zeroGrads))
 							bwdFlops := model.BackwardInto(act, dLogits, grads)
-							rm.ChargeDense(fwdFlops + bwdFlops)
-							rm.ChargeKernels(4 * len(cfg.sizes))
+							rm.Charge(cluster.Work{DenseFlops: fwdFlops + bwdFlops, Kernels: 4 * len(cfg.sizes)})
 							lossSum += loss
 							lossN++
 						}
@@ -141,7 +140,7 @@ func Run(d *datasets.Dataset, cfg Config) (*Result, error) {
 							freeGrads.Put(grads)
 						}
 						if optimizerFlops > 0 {
-							rm.ChargeDense(optimizerFlops)
+							rm.Charge(cluster.Work{DenseFlops: optimizerFlops})
 						}
 						return nil, nil
 					},
