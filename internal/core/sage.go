@@ -77,18 +77,14 @@ type RowPicks struct {
 	ops   int64
 }
 
-// RowReader reads a sparse matrix's rows in place, as *sparse.CSR does:
-// row i's column indices and weights, and its length. The node-wise draw
-// and the layer-wise extraction read A or a product through it, so a
-// driver holding A in pieces — the 1D baseline and the 1.5D row fold, in
-// the blocks of A their stages received — reads the rows of a product
-// with a one-entry-per-row Q from A's without assembling it. Such a
-// reader names the matrix it holds in pieces with a Matrix method (see
+// RowReader is sparse.RowReader: the node-wise draw and the layer-wise
+// extraction read A or a product through it, so a driver holding A in
+// pieces — the 1D baseline and the 1.5D row fold, in the blocks of A
+// their stages received — reads the rows of a product with a
+// one-entry-per-row Q from A's without assembling it. Such a reader
+// names the matrix it holds in pieces with a Matrix method (see
 // matrixOf), which is what lets the draw look its rows up in SAGE.CDF.
-type RowReader interface {
-	Row(i int) (cols []int, vals []float64)
-	RowNNZ(i int) int
-}
+type RowReader = sparse.RowReader
 
 // rowAt is the row of a reader that frontier row i reads: rowOf[i], or
 // i itself when rowOf is nil.
@@ -281,7 +277,7 @@ func extractNodewise(cur *Frontier, picks, rowPtr []int) *LayerSample {
 // and Cost. No driver forms GraphSAGE's P: the 1D and 1.5D drivers draw
 // its rows where their stages received them (FinishRows and JoinRows,
 // which give FinishStep's result). benchmark/walk.go times it after a
-// traced SpGEMM, and the tests draw the SpGEMM + merge reference with
+// traced SpGEMM, and the tests draw the serial-product reference with
 // it.
 func (sg SAGE) FinishStep(p *sparse.CSR, cur *Frontier, s int, seed int64) (*LayerSample, Cost) {
 	ls, cost, _ := sg.sampleAll(p, nil, cur, s, seed)

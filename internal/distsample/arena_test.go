@@ -80,12 +80,15 @@ func TestFreshSetReusesArenaMemory(t *testing.T) {
 	cl := cluster.New(p, cluster.Perlmutter())
 	g := cluster.NewGrid(cl, p, c)
 	qs := make([]*sparse.CSR, p)
+	fins := make([]finishStep, p)
 	for rank := range qs {
-		qs[rank] = core.SAGE{}.BuildQ(core.NewFrontier(LocalBatches(g, rank, batches)), a.Rows)
+		cur := core.NewFrontier(LocalBatches(g, rank, batches))
+		qs[rank] = core.SAGE{}.BuildQ(cur, a.Rows)
+		fins[rank] = finishStep{s: core.SAGE{}, cur: cur, size: 3, seed: 5}
 	}
 	call := func(set []*Partitioned) {
 		if _, err := cl.Run(func(r *cluster.Rank) error {
-			set[r.ID].spgemm15D(r, qs[r.ID], finishStep{})
+			set[r.ID].spgemm15D(r, qs[r.ID], fins[r.ID])
 			return nil
 		}); err != nil {
 			t.Fatal(err)

@@ -15,78 +15,34 @@ import (
 	"repro/internal/sparse"
 )
 
-// The row fold fills the process row's total and draws a node-wise layer
-// in row stripes (stageArena.fold). These tests pin that the stripes
+// The row fold reads P from the blocks of A the stages received
+// (stageRows) and completes the layer once per process row, a node-wise
+// draw in row stripes (stageArena.drawStripes). These tests pin that it
+// gives the serial sampler's P and layer bit for bit, that the stripes
 // move no bit and that their scratch lives in the arena.
 
-// foldAt is foldStages' fold at a forced stripe count: the count pass,
-// then k stripes.
-func foldAt(d0 *stageArena, srcs []*sparse.CSR, fin finishStep, k int) *rowDraw {
-	d0.MergeLayout(&d0.res, srcs)
-	return d0.fold(srcs, fin, k)
+// stageMembers is a process row of c arenas whose stages hold the
+// blocks of a they would receive, c·stages block rows in all: member
+// j's stage t holds block row j·stages + t.
+func stageMembers(a *sparse.CSR, c, stages int) []*stageArena {
+	members := make([]*stageArena, c)
+	for j := range members {
+		members[j] = &stageArena{}
+		members[j].sizeStages(stages)
+		for t := range stages {
+			lo, hi := graph.BlockRowRange(a.Rows, c*stages, j*stages+t)
+			members[j].blocks[t] = sparse.SliceRows(a, lo, hi)
+		}
+	}
+	return members
 }
 
-// stripeSources returns m row-aligned rows x n sources whose rows cycle
-// through every kind the fold treats apart: empty; one source with more
-// than s entries, some of them −0; one source with at most s; several
-// sources with overlapping columns; one source whose weights are all
-// ±0; and several sources that are all zero.
-func stripeSources(rng *rand.Rand, rows, n, m, s int) []*sparse.CSR {
-	type entry struct {
-		col int
-		val float64
+// beginFold states the call every member makes: Q, A and the finish
+// step, as spgemm15D does before the row all-reduce.
+func beginFold(members []*stageArena, q, a *sparse.CSR, fin finishStep) {
+	for _, m := range members {
+		m.q, m.a, m.fin = q, a, fin
 	}
-	cells := make([][][]entry, m) // cells[src][row]
-	for k := range cells {
-		cells[k] = make([][]entry, rows)
-	}
-	// row draws deg distinct sorted columns of a window of width 2·deg
-	// (narrow, so several sources overlap) with weights from w.
-	row := func(deg int, w func() float64) []entry {
-		lo := rng.Intn(n - 2*deg)
-		cols := rng.Perm(2 * deg)[:deg]
-		slices.Sort(cols)
-		out := make([]entry, deg)
-		for j, c := range cols {
-			out[j] = entry{lo + c, w()}
-		}
-		return out
-	}
-	positive := func() float64 { return 0.01 + rng.Float64() }
-	signedZero := func() float64 { return math.Copysign(0, float64(rng.Intn(2))-0.5) }
-	for i := 0; i < rows; i++ {
-		switch i % 6 {
-		case 1:
-			r := row(s+1+rng.Intn(20), positive)
-			r[rng.Intn(len(r))].val = math.Copysign(0, -1)
-			cells[rng.Intn(m)][i] = r
-		case 2:
-			cells[rng.Intn(m)][i] = row(1+rng.Intn(s), positive)
-		case 3, 5:
-			w := positive
-			if i%6 == 5 {
-				w = signedZero
-			}
-			for _, k := range rng.Perm(m)[:2+rng.Intn(m-1)] {
-				cells[k][i] = row(1+rng.Intn(12), w)
-			}
-		case 4:
-			cells[rng.Intn(m)][i] = row(s+1+rng.Intn(8), signedZero)
-		}
-	}
-	srcs := make([]*sparse.CSR, m)
-	for k, rs := range cells {
-		a := &sparse.CSR{Rows: rows, Cols: n, RowPtr: make([]int, rows+1)}
-		for i, r := range rs {
-			for _, e := range r {
-				a.ColIdx = append(a.ColIdx, e.col)
-				a.Val = append(a.Val, e.val)
-			}
-			a.RowPtr[i+1] = len(a.ColIdx)
-		}
-		srcs[k] = a
-	}
-	return srcs
 }
 
 // stripeFrontier is a frontier of rows vertices of an n-vertex graph in
@@ -124,57 +80,9 @@ func sameCSRBits(got, want *sparse.CSR) error {
 	return nil
 }
 
-// mergeAll is the serial merge of srcs: the count pass, then every row.
-func mergeAll(srcs []*sparse.CSR) *sparse.CSR {
-	var sc sparse.Scratch
-	out := new(sparse.CSR)
-	sc.MergeLayout(out, srcs)
-	sc.MergeRowsInto(out, srcs, 0, out.Rows)
-	return out
-}
-
-// TestFoldStripesMatchSerial: the fold at 1, 2 and 4 stripes, on warm
-// arenas, gives the serial merge's total and SAGE.FinishStep's layer
-// and Cost, bit for bit, on products holding every kind of row.
-func TestFoldStripesMatchSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	const s, seed = 3, 1234
-	d0 := &stageArena{}
-	for trial := range 4 {
-		rows := 150 + rng.Intn(100)
-		srcs := stripeSources(rng, rows, 400, 2+rng.Intn(6), s)
-		cur := stripeFrontier(rng, rows, 400)
-		want := mergeAll(srcs)
-		wantLS, wantCost := core.SAGE{}.FinishStep(want, cur, s, seed)
-		fin := finishStep{s: core.SAGE{}, cur: cur, size: s, seed: seed}
-		for _, k := range []int{4, 1, 2, 4} {
-			drawn := foldAt(d0, srcs, fin, k)
-			for st := range k {
-				if d0.stripeLo[st] >= d0.stripeLo[st+1] {
-					t.Fatalf("trial %d, %d stripes: stripe %d is empty (bounds %v)", trial, k, st, d0.stripeLo[:k+1])
-				}
-			}
-			if err := sameCSRBits(&d0.res, want); err != nil {
-				t.Fatalf("trial %d, %d stripes: total: %v", trial, k, err)
-			}
-			got := drawn.layer
-			if err := sameCSRBits(got.Adj, wantLS.Adj); err != nil {
-				t.Fatalf("trial %d, %d stripes: layer adjacency: %v", trial, k, err)
-			}
-			if got.Rows != cur || !slices.Equal(got.Cols.Vertices, wantLS.Cols.Vertices) ||
-				!slices.Equal(got.Cols.BatchPtr, wantLS.Cols.BatchPtr) {
-				t.Fatalf("trial %d, %d stripes: the layer's frontiers differ from FinishStep's", trial, k)
-			}
-			if drawn.cost != wantCost {
-				t.Fatalf("trial %d, %d stripes: Cost %+v, FinishStep's %+v", trial, k, drawn.cost, wantCost)
-			}
-		}
-	}
-}
-
-// TestFoldStripesAllocateOnlyTheFanOut: the stripes' accumulators, pick
-// buffers and samplers live in the first arena, so a warm striped fold
-// allocates what a warm one-stripe fold does — the layer it returns —
+// TestFoldStripesAllocateOnlyTheFanOut: the stripes' pick buffers and
+// samplers live in the first arena, so a warm striped in-place draw
+// allocates what a warm one-stripe draw does — the layer it returns —
 // plus the fan-out's fixed cost. GC is held off while counting, as in
 // TestFreshSetReusesArenaMemory.
 func TestFoldStripesAllocateOnlyTheFanOut(t *testing.T) {
@@ -187,15 +95,22 @@ func TestFoldStripesAllocateOnlyTheFanOut(t *testing.T) {
 	// worker adds its goroutine's arguments.
 	const fanOutAllocs = 3
 	rng := rand.New(rand.NewSource(43))
-	const rows, s = 200, 3
-	srcs := stripeSources(rng, rows, 400, 4, s)
-	fin := finishStep{s: core.SAGE{}, cur: stripeFrontier(rng, rows, 400), size: s, seed: 9}
-	d0 := &stageArena{}
-	foldAt(d0, srcs, fin, 2)
-	foldAt(d0, srcs, fin, 1)
+	const n, rows, s = 400, 200, 3
+	a := inPlaceGraph(rng, n, s)
+	members := stageMembers(a, 2, 3)
+	cur := stripeFrontier(rng, rows, n)
+	fin := finishStep{s: core.SAGE{}, cur: cur, size: s, seed: 9}
+	beginFold(members, core.SAGE{}.BuildQ(cur, n), a, fin)
+	d0 := members[0]
+	foldAt := func(k int) {
+		d0.readP(members)
+		d0.drawStripes(fin, k)
+	}
+	foldAt(2)
+	foldAt(1)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	serial := testing.AllocsPerRun(20, func() { foldAt(d0, srcs, fin, 1) })
-	striped := testing.AllocsPerRun(20, func() { foldAt(d0, srcs, fin, 2) })
+	serial := testing.AllocsPerRun(20, func() { foldAt(1) })
+	striped := testing.AllocsPerRun(20, func() { foldAt(2) })
 	if serial != serialAllocs || striped != serialAllocs+fanOutAllocs {
 		t.Fatalf("warm fold: %v allocations at one stripe, %v at two; want %d and %d + %d",
 			serial, striped, serialAllocs, serialAllocs, fanOutAllocs)
@@ -245,14 +160,13 @@ func randomBatches(rng *rand.Rand, k, b, n int) [][]int {
 }
 
 // TestFoldInPlaceMatchesMerge: a GraphSAGE step's fold draws P's rows
-// from the blocks of A the stages received (stageRows) and builds no
-// total. On every grid and scheme, drawing with A's RowCDF table (the
-// sampler pipeline.Run passes) and without one, it must return, rank for
-// rank, P's row pointers, and the layer and Cost that the SpGEMM + merge
-// total (the same call without a finish step) and SAGE.FinishStep give,
-// bit for bit, and leave every rank's clock where that call leaves it:
-// the in-place path charges every stage multiply and the total it no
-// longer builds. Rows with a −0 weight draw as the +0 the total holds.
+// from the blocks of A the stages received (stageRows) and builds no P.
+// On every grid and scheme, drawing with A's RowCDF table (the sampler
+// pipeline.Run passes) and without one, it must return, rank for rank,
+// the row pointers of the serial product sparse.SpGEMM(Q, A), and the
+// layer and Cost SAGE.FinishStep draws from it, bit for bit. Rows with
+// a −0 weight draw as the +0 the product holds. Every rank's clock is
+// pinned by partitionedChargePins.
 func TestFoldInPlaceMatchesMerge(t *testing.T) {
 	const n, s, seed = 240, 3, 77
 	rng := rand.New(rand.NewSource(45))
@@ -268,78 +182,50 @@ func TestFoldInPlaceMatchesMerge(t *testing.T) {
 				continue
 			}
 			for _, aware := range []bool{true, false} {
-				name := fmt.Sprintf("p=%d c=%d aware=%v", p, c, aware)
 				cl := cluster.New(p, cluster.Perlmutter())
 				g := cluster.NewGrid(cl, p, c)
 				batches := randomBatches(rng, 2*g.Rows, 6, n)
-				type result struct {
-					ptr    []int
-					merged bool // ptr is the row pointers of a merged total
-					layer  *core.LayerSample
-					cost   core.Cost
-					clock  float64
-				}
-				// run draws in place with sg, or, when sg is nil, merges the
-				// total and draws it with SAGE.FinishStep.
-				run := func(sg *core.SAGE) []result {
-					out := make([]result, p)
+				for _, sm := range samplers {
+					name := fmt.Sprintf("p=%d c=%d aware=%v %s", p, c, aware, sm.name)
+					type result struct {
+						ptr   []int
+						layer *core.LayerSample
+						cost  core.Cost
+					}
+					got, want := make([]result, p), make([]result, p)
 					set := NewPartitionedSet(g, a, aware)
 					if _, err := cl.Run(func(r *cluster.Rank) error {
 						cur := core.NewFrontier(LocalBatches(g, r.ID, batches))
 						q := core.SAGE{}.BuildQ(cur, n)
-						res := &out[r.ID]
-						// The process row's total, when it merges one, is in
-						// its first arena.
-						total := func() *sparse.CSR { return &set[r.ID].arenas[r.ID-g.ColIndex(r.ID)].res }
-						if sg != nil {
-							fin := finishStep{s: *sg, cur: cur, size: s, seed: seed}
-							var drawn *rowDraw
-							res.ptr, drawn = set[r.ID].spgemm15D(r, q, fin)
-							res.layer, res.cost, res.clock = drawn.layer, drawn.cost, r.Clock()
-							res.merged = inStorage(res.ptr, total().RowPtr)
-							return nil
-						}
-						res.ptr, _ = set[r.ID].spgemm15D(r, q, finishStep{})
-						res.clock, res.merged = r.Clock(), inStorage(res.ptr, total().RowPtr)
-						res.layer, res.cost = core.SAGE{}.FinishStep(total(), cur, s, seed)
+						ptr, drawn := set[r.ID].spgemm15D(r, q, finishStep{s: sm.sg, cur: cur, size: s, seed: seed})
+						got[r.ID] = result{ptr, drawn.layer, drawn.cost}
+						prod, _ := sparse.SpGEMM(q, a)
+						ls, cost := core.SAGE{}.FinishStep(prod, cur, s, seed)
+						want[r.ID] = result{prod.RowPtr, ls, cost}
 						return nil
 					}); err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
-					return out
-				}
-				want := run(nil)
-				var got []result
-				for _, sm := range samplers {
-					got = run(&sm.sg)
 					for rank := range got {
 						in, ref := got[rank], want[rank]
-						if in.merged || !ref.merged {
-							t.Fatalf("%s %s rank %d: in-place call merged a total (%v), merging call none (%v)",
-								name, sm.name, rank, in.merged, !ref.merged)
-						}
 						if !slices.Equal(in.ptr, ref.ptr) {
-							t.Fatalf("%s %s rank %d: in-place row pointers differ from the total's", name, sm.name, rank)
+							t.Fatalf("%s rank %d: in-place row pointers differ from the product's", name, rank)
 						}
 						if err := sameCSRBits(in.layer.Adj, ref.layer.Adj); err != nil {
-							t.Fatalf("%s %s rank %d: layer adjacency: %v", name, sm.name, rank, err)
+							t.Fatalf("%s rank %d: layer adjacency: %v", name, rank, err)
 						}
 						if !slices.Equal(in.layer.Cols.Vertices, ref.layer.Cols.Vertices) ||
 							!slices.Equal(in.layer.Cols.BatchPtr, ref.layer.Cols.BatchPtr) {
-							t.Fatalf("%s %s rank %d: the layer's frontier differs from FinishStep's", name, sm.name, rank)
+							t.Fatalf("%s rank %d: the layer's frontier differs from FinishStep's", name, rank)
 						}
 						if in.cost != ref.cost {
-							t.Fatalf("%s %s rank %d: Cost %+v, FinishStep's %+v", name, sm.name, rank, in.cost, ref.cost)
-						}
-						if in.clock != ref.clock {
-							t.Fatalf("%s %s rank %d: clock %.17g after the in-place call, %.17g after the merging one",
-								name, sm.name, rank, in.clock, ref.clock)
+							t.Fatalf("%s rank %d: Cost %+v, FinishStep's %+v", name, rank, in.cost, ref.cost)
 						}
 					}
-				}
-				for _, v := range got[0].layer.Rows.Vertices {
-					if v%5 >= 3 {
-						negZero++
+					for _, v := range got[0].layer.Rows.Vertices {
+						if v%5 >= 3 {
+							negZero++
+						}
 					}
 				}
 			}
@@ -348,6 +234,118 @@ func TestFoldInPlaceMatchesMerge(t *testing.T) {
 	if negZero == 0 {
 		t.Fatal("no frontier row held a −0 weight")
 	}
+}
+
+// layerwisePs runs one layer-wise sampler's P call of spgemm15D on
+// every rank of a p x c grid over batches, after edit (when not nil)
+// has changed the set, and returns every rank's P as the process row's
+// first arena holds it after the call — summed from the blocks the
+// stages received and normalized there — and the serial
+// Norm(sparse.SpGEMM(Q, A)).
+func layerwisePs(t *testing.T, a *sparse.CSR, batches [][]int, p, c int, s core.Sampler, aware bool, edit func([]*Partitioned)) (got, want []*sparse.CSR) {
+	t.Helper()
+	cl := cluster.New(p, cluster.Perlmutter())
+	g := cluster.NewGrid(cl, p, c)
+	set := NewPartitionedSet(g, a, aware)
+	if edit != nil {
+		edit(set)
+	}
+	got, want = make([]*sparse.CSR, p), make([]*sparse.CSR, p)
+	if _, err := cl.Run(func(r *cluster.Rank) error {
+		cur := core.NewFrontier(LocalBatches(g, r.ID, batches))
+		q := s.BuildQ(cur, a.Rows)
+		set[r.ID].spgemm15D(r, q, finishStep{s: s, cur: cur, size: 8, seed: 5})
+		got[r.ID] = set[r.ID].arenas[r.ID-g.ColIndex(r.ID)].res.Clone()
+		want[r.ID], _ = sparse.SpGEMM(q, a)
+		s.Norm(want[r.ID])
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return got, want
+}
+
+// TestFoldLayerwisePMatchesSerial: the fold sums a layer-wise sampler's
+// P from the blocks of A the stages received, each row over Q's entries
+// in column order through one accumulator, as sparse.SpGEMM(Q, A) sums
+// it, and normalizes it in place. LADIES's and FastGCN's P equal the
+// serial Norm(SpGEMM(Q, A)) bit for bit on every grid and under both
+// schemes, on a weighted graph with −0 rows, where a sum grouped by
+// block rounds apart from the serial one: the merge of per-stage
+// products that the fold replaced rounded LADIES's P apart in 6 of
+// these 8 grid and scheme cases.
+func TestFoldLayerwisePMatchesSerial(t *testing.T) {
+	const n = 240
+	rng := rand.New(rand.NewSource(57))
+	a := inPlaceGraph(rng, n, 3)
+	g := graph.New(a)
+	for _, entry := range core.Samplers {
+		s := entry.New(g)
+		if !s.LayerWise() {
+			continue
+		}
+		for _, pc := range [][2]int{{4, 1}, {8, 2}, {16, 2}, {16, 4}} {
+			for _, aware := range []bool{true, false} {
+				// Batches of 30 vertices: most columns of a row of P then
+				// sum rows of A from several blocks.
+				batches := randomBatches(rng, 2*pc[0]/pc[1], 30, n)
+				got, want := layerwisePs(t, a, batches, pc[0], pc[1], s, aware, nil)
+				for rank := range got {
+					if err := sameCSRBits(got[rank], want[rank]); err != nil {
+						t.Fatalf("%s p=%d c=%d aware=%v rank %d: P: %v", entry.Key, pc[0], pc[1], aware, rank, err)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFoldLayerwisePReadsTheBlocks: the fold sums a layer-wise P from
+// the blocks the stages received, not from the set's A, which the view
+// only names. When the owner of a row of A holds it one entry short and
+// every batch holds that row's vertex, every rank's LADIES P differs
+// from the serial one, on both schemes. (LADIES: its P sums A's
+// weights, where FastGCN's Norm overwrites every value with a degree of
+// A.)
+func TestFoldLayerwisePReadsTheBlocks(t *testing.T) {
+	const n, p, c = 120, 8, 2
+	const v = 7 // v%5 == 2: more than 3 positive entries (inPlaceGraph)
+	rng := rand.New(rand.NewSource(59))
+	a := inPlaceGraph(rng, n, 3)
+	short := shortRow(a, v)
+	for _, aware := range []bool{true, false} {
+		batches := randomBatches(rng, 2*p/c, 5, n)
+		for _, b := range batches {
+			b[0] = v
+		}
+		got, want := layerwisePs(t, a, batches, p, c, core.LADIES{}, aware, func(set []*Partitioned) {
+			for _, ps := range set {
+				if ps.Lo <= v && v < ps.Hi {
+					ps.ALocal = sparse.SliceRows(short, ps.Lo, ps.Hi)
+				}
+			}
+		})
+		for rank := range got {
+			if sameCSRBits(got[rank], want[rank]) == nil {
+				t.Fatalf("aware=%v rank %d: P equals the serial one with the owner's row %d one entry short", aware, rank, v)
+			}
+		}
+	}
+}
+
+// shortRow is a copy of a whose row v lacks its first entry.
+func shortRow(a *sparse.CSR, v int) *sparse.CSR {
+	short := &sparse.CSR{Rows: a.Rows, Cols: a.Cols, RowPtr: make([]int, a.Rows+1)}
+	for u := range a.Rows {
+		cols, vals := a.Row(u)
+		if u == v {
+			cols, vals = cols[1:], vals[1:]
+		}
+		short.ColIdx = append(short.ColIdx, cols...)
+		short.Val = append(short.Val, vals...)
+		short.RowPtr[u+1] = len(short.ColIdx)
+	}
+	return short
 }
 
 // TestPartitionedLayerwiseBitsMatchSerial: a layer-wise layer is one
@@ -401,31 +399,26 @@ func TestFoldInPlaceStripesMatchSerial(t *testing.T) {
 	const n, s, seed, c, stages = 300, 3, 99, 2, 3
 	rng := rand.New(rand.NewSource(47))
 	a := inPlaceGraph(rng, n, s)
-	members := make([]*stageArena, c)
-	for j := range members {
-		members[j] = &stageArena{}
-		members[j].stageProds(stages)
-		for t := range stages {
-			lo, hi := graph.BlockRowRange(n, c*stages, j*stages+t)
-			members[j].blocks[t] = sparse.SliceRows(a, lo, hi)
-		}
-	}
+	members := stageMembers(a, c, stages)
 	d0 := members[0]
 	for trial := range 3 {
 		cur := stripeFrontier(rng, 150+rng.Intn(100), n)
 		q := core.SAGE{}.BuildQ(cur, n)
-		for _, m := range members {
-			m.q, m.a = q, a
-		}
+		fin := finishStep{s: core.SAGE{}, cur: cur, size: s, seed: seed}
+		beginFold(members, q, a, fin)
 		p, _ := sparse.SpGEMM(q, a)
 		wantLS, wantCost := core.SAGE{}.FinishStep(p, cur, s, seed)
-		fin := finishStep{s: core.SAGE{}, cur: cur, size: s, seed: seed}
 		for _, k := range []int{4, 1, 2, 4} {
-			d0.readInPlace(members)
-			if !slices.Equal(d0.viewPtr, p.RowPtr) {
+			if !slices.Equal(d0.readP(members), p.RowPtr) {
 				t.Fatalf("trial %d: in-place row pointers differ from the product's", trial)
 			}
-			drawn := d0.fold(nil, fin, k)
+			d0.drawStripes(fin, k)
+			for st := range k {
+				if d0.stripeLo[st] >= d0.stripeLo[st+1] {
+					t.Fatalf("trial %d, %d stripes: stripe %d is empty (bounds %v)", trial, k, st, d0.stripeLo[:k+1])
+				}
+			}
+			drawn := &d0.draw
 			got := drawn.layer
 			if err := sameCSRBits(got.Adj, wantLS.Adj); err != nil {
 				t.Fatalf("trial %d, %d stripes: layer adjacency: %v", trial, k, err)
@@ -442,8 +435,10 @@ func TestFoldInPlaceStripesMatchSerial(t *testing.T) {
 }
 
 // TestFoldInPlaceOnlyForUnitRows: spgemm15D reads P in place only for a
-// Q whose every row holds one entry of value 1, GraphSAGE's; any other
-// Q keeps the SpGEMM + merge path.
+// Q whose every row holds one entry of value 1, GraphSAGE's; only a
+// layer-wise sampler's P is summed. A node-wise draw or a Q_R
+// extraction given any other Q has no path to take: every rank's call
+// panics naming errNotUnit before its first stage.
 func TestFoldInPlaceOnlyForUnitRows(t *testing.T) {
 	cur := core.NewFrontier([][]int{{3, 1, 4}, {1, 5}})
 	unit := core.SAGE{}.BuildQ(cur, 8)
@@ -454,9 +449,32 @@ func TestFoldInPlaceOnlyForUnitRows(t *testing.T) {
 	scaled.Val[2] = 2
 	empty := &sparse.CSR{Rows: 2, Cols: 8, RowPtr: []int{0, 1, 1}, ColIdx: []int{3}, Val: []float64{1}}
 	double := &sparse.CSR{Rows: 1, Cols: 8, RowPtr: []int{0, 2}, ColIdx: []int{2, 6}, Val: []float64{1, 1}}
+	const p, c = 4, 2
+	cl := cluster.New(p, cluster.Perlmutter())
+	g := cluster.NewGrid(cl, p, c)
+	set := NewPartitionedSet(g, testGraph(8, 2, 61), true)
+	steps := map[string]finishStep{
+		"a node-wise draw": {s: core.SAGE{}, cur: cur, size: 2, seed: 1},
+		"a Q_R extraction": {s: core.LADIES{}, cur: cur, size: 2, seed: 1, sampled: [][]int{{1}, {5}}},
+	}
 	for name, q := range map[string]*sparse.CSR{"a weight of 2": scaled, "an empty row": empty, "two entries": double} {
 		if unitPerRow(q) {
 			t.Fatalf("a Q with %s is drawn in place", name)
+		}
+		for step, fin := range steps {
+			got := make([]any, p)
+			if _, err := cl.Run(func(r *cluster.Rank) error {
+				defer func() { got[r.ID] = recover() }()
+				set[r.ID].spgemm15D(r, q, fin)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			for rank, rec := range got {
+				if rec != errNotUnit {
+					t.Fatalf("%s given a Q with %s: rank %d recovered %v, want %q", step, name, rank, rec, errNotUnit)
+				}
+			}
 		}
 	}
 }
@@ -475,16 +493,7 @@ func TestFoldInPlaceTableRowGuard(t *testing.T) {
 	if a.RowNNZ(v) <= s {
 		t.Fatalf("row %d holds %d entries, want more than %d", v, a.RowNNZ(v), s)
 	}
-	short := &sparse.CSR{Rows: n, Cols: n, RowPtr: make([]int, n+1)}
-	for u := range n {
-		cols, vals := a.Row(u)
-		if u == v {
-			cols, vals = cols[1:], vals[1:]
-		}
-		short.ColIdx = append(short.ColIdx, cols...)
-		short.Val = append(short.Val, vals...)
-		short.RowPtr[u+1] = len(short.ColIdx)
-	}
+	short := shortRow(a, v)
 	tab := graph.New(a).RowCDF()
 	for _, aware := range []bool{true, false} {
 		cl := cluster.New(p, cluster.Perlmutter())

@@ -18,10 +18,11 @@
 // less where the sample allows it. The replicated driver runs each
 // sampler's Step (for GraphSAGE, a lookup of A's rows). The partitioned
 // driver, and the 1D baseline it is compared against (OneD), run the
-// staged collectives with their real payloads, but for a Q with one
-// unit entry per row — GraphSAGE's, and a layer-wise extraction's Q_R —
-// they multiply nothing: the rows of P are the rows of A the stages
-// received, read in place (stageRows). The partitioned driver's c
+// staged collectives with their real payloads, but no stage multiplies:
+// the stages keep the rows of A they received, and P is read from them
+// (stageRows) — in place for a Q with one unit entry per row
+// (GraphSAGE's, and a layer-wise extraction's Q_R), summed once per
+// process row for LADIES's and FastGCN's P. The partitioned driver's c
 // replicas share one read-only layer per process row (the row fold
 // completes each layer once, for all c members, for both sampler
 // families — layer-wise extraction included, whose all-gather across
@@ -83,9 +84,9 @@ var freeArenaSets freelist.List[[]*stageArena]
 // The set's stage arenas are a whole released set's, when the process
 // has one: reuse is by position, not arena by arena, because positions
 // have roles — a process row's column-0 arena holds the row's fold
-// total, owners hold response payloads — so a recycled set at the same
-// grid shape regrows nothing. Give the set back with
-// ReleasePartitionedSet once no rank can still read it.
+// state (P, the draw, the stripes), owners hold response payloads — so
+// a recycled set at the same grid shape regrows nothing. Give the set
+// back with ReleasePartitionedSet once no rank can still read it.
 func NewPartitionedSet(g *cluster.Grid, a *sparse.CSR, sparsityAware bool) []*Partitioned {
 	if g.Rows%g.C != 0 {
 		panic(fmt.Sprintf("distsample: 1.5D algorithm needs c^2 | p (p=%d c=%d)", g.P, g.C))
@@ -118,7 +119,7 @@ func NewPartitionedSet(g *cluster.Grid, a *sparse.CSR, sparsityAware bool) []*Pa
 // ReleasePartitionedSet hands the set's stage arenas to the next
 // NewPartitionedSet. Call it only once every rank is done with the set
 // — after the cluster run that used it has returned without error: a
-// member may read another's arena (a payload, the row total) until it
+// member may read another's arena (a payload, P's row pointers) until it
 // leaves the collective, and a failed run leaves arenas mid-call. The
 // set must not be used afterwards.
 func ReleasePartitionedSet(set []*Partitioned) {
@@ -153,41 +154,42 @@ func payloadBytes(p *rowPayload) int {
 }
 
 // spgemm15D computes P = Q·A for this rank's block row of Q, running
-// the staged block algorithm of Algorithm 2 on the process grid. Q's
-// columns span the full vertex range [0, N). It returns P's row
-// pointers — one product per process row, which its c members share —
-// and, when fin names a sampler, the row's draw from P (see
-// foldStages), nil when fin is empty. Both are read-only: they live in
-// the process row's stage arenas and are valid until the row's next
-// spgemm15D call on this set (or the set's release), and Q must not be
-// one of them. The collective schedules — the per-stage gathers/scatters
-// and the row all-reduce — charge under the cost model's Collectives
-// table (cluster.CollectiveAlgorithm), so algorithm comparisons reach
-// the 1.5D sampling path without any plumbing here.
+// the staged block algorithm of Algorithm 2 on the process grid, and
+// completes the layer from P with fin (see finishStep). Q's columns
+// span the full vertex range [0, N). It returns P's row pointers — one
+// P per process row, which its c members share — and the row's draw
+// from P (see foldStages). Both are read-only: they live in the process
+// row's stage arenas and are valid until the row's next spgemm15D call
+// on this set (or the set's release), and Q must not be one of them.
+// The collective schedules — the per-stage gathers/scatters and the row
+// all-reduce — charge under the cost model's Collectives table
+// (cluster.CollectiveAlgorithm), so algorithm comparisons reach the
+// 1.5D sampling path without any plumbing here.
 //
 // What the device is charged is the matrix algorithm: every stage
-// multiply, memory pass and collective payload below. What the host runs
-// has two forms. When every row of Q is one unit entry (GraphSAGE's Q,
-// any Q_R) and fin only reads P (a node-wise draw, or a layer-wise
-// extraction: inPlace), row i of P is the row of A that Q selects, so the host
-// multiplies nothing: a stage keeps its A_k (blocks) and charges the
-// product's flop bound, its size, from A_k's row lengths (gatherFlops);
-// the fold reads P's rows where the stages received them (stageRows)
-// and builds no stage product, merge or total. It reads each row's
-// columns and weights from its block, and a GraphSAGE draw its NORM +
-// prefix sum from the sampler's table of A (core.SAGE.CDF, looked up by
-// vertex), so no row is summed again. An aware stage's block is the
-// payload it received, given row pointers, not copied
-// (assembleBlockInto). Otherwise — a Q with many entries per row
-// (LADIES's and FastGCN's P), or a call without a finish step, the
-// tests' reference — each stage multiplies (sparse.Scratch.SpGEMM),
-// stageArena.countStage counts the running sum's new nonzeros, and the
-// fold merges the stage products into the process row's one total.
-// The charges do not depend on the form, and neither does the sample
-// (TestFoldInPlaceMatchesMerge, TestPartitionedLayerwiseBitsMatchSerial).
+// multiply, memory pass and collective payload below. The host
+// multiplies no stage: each keeps the A_k block it received (blocks;
+// an aware stage's is the payload itself, given row pointers,
+// assembleBlockInto) and charges the product Q_ik·A_k it stands for —
+// the flop bound sparse.SpGEMM returns (gatherFlops) and the running
+// sum's nonzeros (countStage, or the flop bound when each row of Q has
+// one entry). The row fold then reads A's rows from the process row's
+// blocks (stageRows), once for its c members. A layer-wise sampler's P
+// (LADIES's, FastGCN's) is summed from them as sparse.SpGEMM(Q, A) sums
+// it, and normalized in place. Every other P has a Q with one unit
+// entry per row (GraphSAGE's Q, any Q_R), so its row i is the row of A
+// that Q selects and is read where the stages received it — a
+// GraphSAGE draw takes its NORM + prefix sums from the sampler's table
+// of A (core.SAGE.CDF) — and any other Q panics, naming errNotUnit.
+// The charges do not depend on what the host runs, and the sample is
+// the serial sampler's (TestDistributedMatchesSerialForEverySampler).
 //
 // Every member of the row must pass the same finish step.
 func (ps *Partitioned) spgemm15D(r *cluster.Rank, q *sparse.CSR, fin finishStep) ([]int, *rowDraw) {
+	unit := unitPerRow(q)
+	if !unit && !fin.layerwiseP() {
+		panic(errNotUnit)
+	}
 	g := ps.Grid
 	j := g.ColIndex(r.ID)
 	stages := g.Rows / g.C // the q = p/c^2 stages of Algorithm 2
@@ -209,20 +211,14 @@ func (ps *Partitioned) spgemm15D(r *cluster.Rank, q *sparse.CSR, fin finishStep)
 	// One bucketing pass slices every stage's Q_ik block (this rank
 	// only ever multiplies the p/c^2 block rows its column handles).
 	qiks := ar.SliceColBlocks(q, lo, hi)
+	ar.sizeStages(stages)
 
-	// Stage products stay in per-stage arenas and merge once, inside
-	// the final all-reduce; the running accumulator the old pairwise
-	// merge chain built is replaced by an exact nonzero count, so every
-	// memory charge below is unchanged. Read in place, a row of P is
-	// nonempty in exactly one stage, so every entry of a stage's product
-	// is new to the count; otherwise stageArena.countStage finds the new
-	// ones.
-	prods, _ := ar.stageProds(stages)
-	// In place only when fin only reads P (a node-wise draw, or an
-	// extraction): a layer-wise draw normalizes P, so it takes the total.
-	inPlace := fin.s != nil && (fin.sampled != nil || !fin.s.LayerWise()) && unitPerRow(q)
+	// Each stage charges the running sum's nonzeros, which no stage
+	// builds: with one entry per row of Q, a row of P is nonempty in
+	// exactly one stage, so every entry of a stage's product is new to
+	// the count; otherwise stageArena.countStage finds the new ones.
 	base := 0
-	if !inPlace {
+	if !unit {
 		base = ar.beginCount(ps.N, q.Rows)
 	}
 	cum := 0
@@ -260,33 +256,33 @@ func (ps *Partitioned) spgemm15D(r *cluster.Rank, q *sparse.CSR, fin finishStep)
 		}
 		ar.blocks[t] = blockK
 
-		var flops int64
-		if inPlace {
-			flops = gatherFlops(qik, blockK)
+		flops := gatherFlops(qik, blockK)
+		if unit {
 			cum += int(flops)
 		} else {
-			var prod *sparse.CSR
-			prod, flops = ar.SpGEMM(&prods[t], qik, blockK)
-			cum += ar.countStage(prod, base)
+			cum += ar.countStage(qik, blockK, base)
 		}
 		r.Charge(cluster.Work{SparseOps: flops, MemBytes: int64(cum) * 16, Kernels: 2})
 	}
 
 	// Partial sums combine across the process row (Algorithm 2 line
-	// 14), folded once per collective into the process row's one total;
-	// the fold completing before any member leaves the collective is
-	// what lets the next call reuse the stage products and rewrite the
-	// total. The contribution bytes are this rank's partial sum in CSR form: cum
-	// nonzeros over q.Rows rows, sized like the old accumulator.
+	// 14): the fold reads P once for the process row, before any member
+	// leaves the collective, which is what lets the next call rewrite
+	// the blocks and P. The contribution bytes are this rank's partial
+	// sum in CSR form: cum nonzeros over q.Rows rows, sized like the old
+	// accumulator.
 	partialBytes := 8*(q.Rows+1) + 16*cum
-	ar.fin, ar.q, ar.a = fin, nil, nil
-	if inPlace {
-		ar.q, ar.a = q, ps.a
-	}
+	ar.fin, ar.q, ar.a = fin, q, ps.a
 	sum := cluster.AllReduceGenericInto(rowComm, r, ar, partialBytes, ar, foldStages)
 	r.Charge(cluster.Work{MemBytes: int64(sum.ptr[len(sum.ptr)-1]) * 16 * int64(rowComm.Size())})
 	return sum.ptr, sum.drawn
 }
+
+// errNotUnit is spgemm15D's diagnostic for a Q with other than one
+// unit entry per row under a finish step that reads P in place — a
+// node-wise draw, or a Q_R extraction: only a layer-wise sampler's P is
+// summed.
+const errNotUnit = "distsample: a P read in place needs a Q with one unit entry per row"
 
 // unitPerRow reports whether every row of q holds one entry, of value 1
 // (GraphSAGE's Q, Q_R): row i of Q·A is then the row of A that row i
@@ -300,9 +296,10 @@ func unitPerRow(q *sparse.CSR) bool {
 	return true
 }
 
-// gatherFlops is the flop bound of Q_k·A_k for a Q_k with one unit entry
-// per row: the product gathers the rows of ak that Q_k selects, so the
-// bound is their summed length, and is also the product's size.
+// gatherFlops is the flop bound of Q_k·A_k, the one sparse.SpGEMM
+// returns: a multiply-add per entry of Q_k and entry of the row of ak
+// it names, so the summed length of those rows. For a Q_k with one
+// entry per row it is also the product's size.
 func gatherFlops(qk, ak *sparse.CSR) int64 {
 	var flops int64
 	for _, c := range qk.ColIdx[:qk.NNZ()] {
@@ -405,8 +402,8 @@ func (ps *Partitioned) extractLayerwise(r *cluster.Rank, fin finishStep) *core.L
 // besides core.Sampler's methods: NORM and SAMPLE over a range of P's
 // rows that only read them (core.SAGE.FinishRows: NORM fused into ITS's
 // prefix sum, or looked up in A's table), so the row fold's stripes draw
-// the process row's one shared total, or A's rows where the stages
-// received them, in place, and core.JoinRows extracts the layer.
+// P from A's rows where the stages received them, in place, and
+// core.JoinRows extracts the layer.
 type nodewiseFinisher interface {
 	FinishRows(m core.RowReader, rowOf []int, lo, hi, s int, seed int64, rp *core.RowPicks)
 }
@@ -415,8 +412,7 @@ type nodewiseFinisher interface {
 // the sampler with the frontier, per-row size (fan-out or layer width)
 // and layer seed, and for a layer-wise sampler's second product (Q_R·A)
 // the vertices its first drew per batch. Every member of the row passes
-// its own, and they must agree; a zero finishStep (nil s) asks for the
-// product alone.
+// its own, and they must agree.
 type finishStep struct {
 	s       core.Sampler
 	cur     *core.Frontier
@@ -445,42 +441,42 @@ type rowDraw struct {
 const errRowDisagree = "distsample: process row members passed different finish steps"
 
 // agree panics, naming errRowDisagree, unless every member's finish
-// step (vals[m].fin) matches the first member's: present or not, and
-// then in seed, size and frontier length.
+// step (vals[m].fin) matches the first member's in seed, size and
+// frontier length.
 func agree(vals []*stageArena) {
 	f0 := vals[0].fin
 	for m, v := range vals[1:] {
-		f := v.fin
-		if (f.s == nil) != (f0.s == nil) ||
-			f.s != nil && (f.seed != f0.seed || f.size != f0.size || f.cur.Len() != f0.cur.Len()) {
+		if f := v.fin; f.seed != f0.seed || f.size != f0.size || f.cur.Len() != f0.cur.Len() {
 			panic(fmt.Sprintf("%s: member 0 %s, member %d %s", errRowDisagree, f0, m+1, f))
 		}
 	}
 }
 
 func (f finishStep) String() string {
-	if f.s == nil {
-		return "no finish step"
-	}
 	return fmt.Sprintf("%s seed %d size %d frontier %d", f.s.Name(), f.seed, f.size, f.cur.Len())
 }
 
 // nodewise reports whether the step is a node-wise sampler's draw,
-// which the fold's row stripes run (fold, nodewiseFinisher).
+// which the fold's row stripes run (drawStripes, nodewiseFinisher).
 func (f finishStep) nodewise() bool {
-	return f.s != nil && f.sampled == nil && !f.s.LayerWise()
+	return f.sampled == nil && !f.s.LayerWise()
 }
 
-// drawLayerwise completes a layer-wise step, serially. The extraction
-// reads A_R = Q_R·A in place (view) onto f.sampled; the draw normalizes
-// a copy of P, the row's total, in normed, scratch of the process row's
-// first arena, because Norm rewrites its operand.
-func (f finishStep) drawLayerwise(view *stageRows, total, normed *sparse.CSR) rowDraw {
+// layerwiseP reports whether the step is a layer-wise sampler's draw
+// on P, which the fold sums from the blocks and Norm then rewrites.
+func (f finishStep) layerwiseP() bool {
+	return f.sampled == nil && f.s.LayerWise()
+}
+
+// drawLayerwise completes a layer-wise step, serially: its Norm
+// (LADIES, FastGCN) sums columns over all rows. The extraction reads
+// A_R = Q_R·A in place (view) onto f.sampled; the draw normalizes P,
+// the sum in the process row's first arena (p), in place.
+func (f finishStep) drawLayerwise(view *stageRows, p *sparse.CSR) rowDraw {
 	if f.sampled != nil {
 		ls, cost := core.ExtractLayerwise(view, view.of, f.cur, f.sampled)
 		return rowDraw{layer: ls, cost: cost}
 	}
-	p := sparse.CopyCSRInto(normed, total)
 	f.s.Norm(p)
 	sampled, cost := core.SampleLayerwise(p, f.size, f.seed)
 	return rowDraw{sampled: sampled, cost: cost}

@@ -79,13 +79,3 @@ func BenchmarkSpMM(b *testing.B) {
 func BenchmarkSpMMT(b *testing.B) {
 	benchSpMM(b, SpMMTInto, benchFanout(700, 4000, 5), 700, 4000, 64)
 }
-
-func BenchmarkMergeRowsInto(b *testing.B) {
-	srcs := []*CSR{benchGraph(b, 5000, 8), benchGraph(b, 5000, 8)}
-	var sc Scratch
-	var out CSR
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mergeCSRInto(&sc, &out, srcs)
-	}
-}

@@ -37,6 +37,9 @@ func (m *CSR) NNZ() int { return m.RowPtr[m.Rows] }
 // RowNNZ returns the number of stored entries in row i.
 func (m *CSR) RowNNZ(i int) int { return m.RowPtr[i+1] - m.RowPtr[i] }
 
+// Dims returns the matrix's shape (see RowReader).
+func (m *CSR) Dims() (rows, cols int) { return m.Rows, m.Cols }
+
 // Row returns views of the column indices and values of row i.
 // The returned slices alias the matrix and must not be modified.
 func (m *CSR) Row(i int) (cols []int, vals []float64) {

@@ -6,15 +6,15 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 )
 
 // The kernels copy a row instead of accumulating it when only one term
 // can reach each output entry: SpGEMM and Scratch.SpGEMM for a left row
-// with one entry, the merge for a row one source populates. The
-// references below accumulate every row through a dense accumulator,
-// as the kernels did before, and the tests hold the kernels to them bit
-// for bit.
+// with one entry. The reference below accumulates every row through a
+// dense accumulator, as the kernels did before, and the tests hold the
+// kernels to it bit for bit.
 
 // refSpGEMM is Gustavson's algorithm with a dense accumulator on every
 // row, and its flop count: one multiply-add per (A entry, B row entry).
@@ -41,31 +41,6 @@ func refSpGEMM(a, b *CSR) (*CSR, int64) {
 		out.RowPtr[i+1] = len(out.ColIdx)
 	}
 	return out, flops
-}
-
-// refMerge sums the sources row by row through a dense accumulator, in
-// source order.
-func refMerge(srcs []*CSR) *CSR {
-	rows, cols := srcs[0].Rows, srcs[0].Cols
-	out := &CSR{Rows: rows, Cols: cols, RowPtr: make([]int, rows+1)}
-	val := make([]float64, cols)
-	present := make([]bool, cols)
-	for i := 0; i < rows; i++ {
-		var touched []int
-		for _, src := range srcs {
-			cs, vs := src.Row(i)
-			for k, j := range cs {
-				if !present[j] {
-					present[j] = true
-					touched = append(touched, j)
-				}
-				val[j] += vs[k]
-			}
-		}
-		out.ColIdx, out.Val = drainRef(out.ColIdx, out.Val, touched, val, present)
-		out.RowPtr[i+1] = len(out.ColIdx)
-	}
-	return out
 }
 
 func drainRef(cols []int, vals []float64, touched []int, val []float64, present []bool) ([]int, []float64) {
@@ -122,36 +97,6 @@ func mixedCSR(rng *rand.Rand, rows, cols int) *CSR {
 	return m
 }
 
-// mergeSources draws k row-aligned matrices in which each row is
-// populated by none, one (most often), two or all of the sources.
-func mergeSources(rng *rand.Rand, k, rows, cols int) []*CSR {
-	srcs := make([]*CSR, k)
-	for s := range srcs {
-		srcs[s] = &CSR{Rows: rows, Cols: cols, RowPtr: make([]int, rows+1)}
-	}
-	for i := 0; i < rows; i++ {
-		var who []int
-		switch rng.Intn(5) {
-		case 0:
-		case 1, 2:
-			who = []int{rng.Intn(k)}
-		case 3:
-			who = rng.Perm(k)[:min(2, k)]
-		default:
-			who = rng.Perm(k)
-		}
-		for _, s := range who {
-			cs, vs := edgeRow(rng, 1+rng.Intn(6), cols)
-			srcs[s].ColIdx = append(srcs[s].ColIdx, cs...)
-			srcs[s].Val = append(srcs[s].Val, vs...)
-		}
-		for _, src := range srcs {
-			src.RowPtr[i+1] = len(src.ColIdx)
-		}
-	}
-	return srcs
-}
-
 // sameBits reports the first difference between two matrices, values
 // compared by their bits (so −0 ≠ +0).
 func sameBits(got, want *CSR) error {
@@ -190,29 +135,55 @@ func TestProductKernelsMatchAccumulatorReference(t *testing.T) {
 	}
 }
 
-func TestMergeCSRIntoMatchesAccumulatorReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(26))
+// blockReader holds B in two row blocks, as a driver holding B in
+// pieces does, and reads its rows from them.
+type blockReader struct{ top, bottom *CSR }
+
+func (r blockReader) at(i int) (*CSR, int) {
+	if i < r.top.Rows {
+		return r.top, i
+	}
+	return r.bottom, i - r.top.Rows
+}
+
+func (r blockReader) Row(i int) ([]int, []float64) { m, j := r.at(i); return m.Row(j) }
+func (r blockReader) RowNNZ(i int) int             { m, j := r.at(i); return m.RowNNZ(j) }
+func (r blockReader) Dims() (int, int)             { return r.top.Rows + r.bottom.Rows, r.top.Cols }
+
+// Scratch.SpGEMM reading B through a RowReader that holds it in pieces
+// gives SpGEMM's product and flop count bit for bit, and checks the
+// reader's shape against A's.
+func TestSpGEMMReadsBThroughARowReader(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
 	var sc Scratch
 	var out CSR
-	for trial := 0; trial < 300; trial++ {
-		srcs := mergeSources(rng, 1+rng.Intn(8), rng.Intn(40), 1+rng.Intn(30))
-		if err := sameBits(mergeCSRInto(&sc, &out, srcs), refMerge(srcs)); err != nil {
-			t.Fatalf("trial %d (%d sources): %v", trial, len(srcs), err)
+	for trial := 0; trial < 100; trial++ {
+		m, k, n := rng.Intn(40), 1+rng.Intn(30), 1+rng.Intn(30)
+		a, b := mixedCSR(rng, m, k), mixedCSR(rng, k, n)
+		split := rng.Intn(k + 1)
+		want, wantFlops := SpGEMM(a, b)
+		got, flops := sc.SpGEMM(&out, a, blockReader{SliceRows(b, 0, split), SliceRows(b, split, k)})
+		if err := sameBits(got, want); err != nil || flops != wantFlops {
+			t.Fatalf("trial %d: %v; flops %d, want %d", trial, err, flops, wantFlops)
 		}
 	}
+	defer func() {
+		if rec := recover(); rec == nil || !strings.Contains(fmt.Sprint(rec), "dimension mismatch") {
+			t.Fatalf("a 2x3 A times a 2-row reader: recovered %v, want a dimension mismatch", rec)
+		}
+	}()
+	sc.SpGEMM(&out, Zero(2, 3), blockReader{Zero(1, 4), Zero(1, 4)})
 }
 
 // The copied rows really are exercised on signed zeros: a one-entry row
 // whose products are −0 comes out +0, as the accumulator makes it.
 func TestCopiedRowsWriteAccumulatorZeros(t *testing.T) {
-	negZero := math.Copysign(0, -1)
 	a := &CSR{Rows: 1, Cols: 1, RowPtr: []int{0, 1}, ColIdx: []int{0}, Val: []float64{-1}}
 	b := &CSR{Rows: 1, Cols: 3, RowPtr: []int{0, 3}, ColIdx: []int{0, 1, 2}, Val: []float64{0, 5e-324, 2}}
 	var sc Scratch
 	for name, got := range map[string]*CSR{
 		"SpGEMM":         first(SpGEMM(a, b)),
 		"Scratch.SpGEMM": first(sc.SpGEMM(new(CSR), a, b)),
-		"merge":          mergeCSRInto(&sc, new(CSR), []*CSR{{Rows: 1, Cols: 3, RowPtr: []int{0, 2}, ColIdx: []int{0, 2}, Val: []float64{negZero, -2}}}),
 	} {
 		for k, v := range got.Val {
 			if v == 0 && math.Signbit(v) {
@@ -223,11 +194,3 @@ func TestCopiedRowsWriteAccumulatorZeros(t *testing.T) {
 }
 
 func first(m *CSR, _ int64) *CSR { return m }
-
-// mergeCSRInto sums row-aligned srcs into out in one pass over every
-// row: the count pass, then the fill.
-func mergeCSRInto(sc *Scratch, out *CSR, srcs []*CSR) *CSR {
-	sc.MergeLayout(out, srcs)
-	sc.MergeRowsInto(out, srcs, 0, out.Rows)
-	return out
-}

@@ -130,15 +130,18 @@ func TestColRangePartitionReassembles(t *testing.T) {
 	q := randomCSR(rng, 6, 12, 0.3)
 	a := randomCSR(rng, 12, 9, 0.3)
 	full, _ := SpGEMM(q, a)
-	acc := Zero(6, 9)
+	want, acc := full.ToDense(), make([]float64, 6*9)
 	var sc Scratch
 	lo, hi := []int{0, 5, 9}, []int{5, 9, 12}
 	for t, qik := range sc.SliceColBlocks(q, lo, hi) {
-		ak := SliceRows(a, lo[t], hi[t])
-		part, _ := SpGEMM(qik, ak)
-		acc = mergeCSRInto(&sc, new(CSR), []*CSR{acc, part})
+		part, _ := SpGEMM(qik, SliceRows(a, lo[t], hi[t]))
+		for e, v := range part.ToDense() {
+			acc[e] += v
+		}
 	}
-	if !Equal(full, acc, 1e-12) {
-		t.Fatal("staged block product != full product")
+	for e := range want {
+		if math.Abs(want[e]-acc[e]) > 1e-12 {
+			t.Fatalf("staged block product != full product at %d: %v vs %v", e, acc[e], want[e])
+		}
 	}
 }

@@ -16,8 +16,8 @@ package sparse
 //
 //gnnvet:arena
 type Scratch struct {
-	// sparse accumulator for SpGEMM and the merge, sized to the
-	// widest operand seen; allocated by the first row that needs one.
+	// sparse accumulator for SpGEMM, sized to the widest operand
+	// seen; allocated by the first row that needs one.
 	acc spa
 
 	// mark/out buffers for NonzeroCols.
@@ -38,9 +38,9 @@ type Scratch struct {
 
 // ensureInts returns buf resized to length n (contents unspecified),
 // reallocating to exactly n only when it is too small. Every caller
-// knows its size before writing — a product's flop bound, a merge's
-// summed source nonzeros — so headroom would only be zeroed, never
-// used within the call.
+// knows its size before writing — a product's flop bound, a block's
+// entry count — so headroom would only be zeroed, never used within
+// the call.
 func ensureInts(buf []int, n int) []int {
 	if cap(buf) < n {
 		return make([]int, n)
@@ -55,40 +55,11 @@ func ensureFloats(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// CopyCSRInto copies A into out, reusing out's storage — the arena
-// form of Clone.
-func CopyCSRInto(out, a *CSR) *CSR {
-	out.Rows, out.Cols = a.Rows, a.Cols
-	out.RowPtr = ensureInts(out.RowPtr, len(a.RowPtr))
-	copy(out.RowPtr, a.RowPtr)
-	nnz := a.NNZ()
-	out.ColIdx = ensureInts(out.ColIdx, nnz)
-	copy(out.ColIdx, a.ColIdx)
-	out.Val = ensureFloats(out.Val, nnz)
-	copy(out.Val, a.Val)
-	return out
-}
-
-// MergeLayout is the count pass of a merge that sums row-aligned
-// matrices into out, reusing out's storage (see mergeLayout): it gives
-// out the merge's shape and row pointers, and sizes ColIdx and Val
-// exactly, unwritten, for MergeRowsInto to fill.
-func (s *Scratch) MergeLayout(out *CSR, srcs []*CSR) {
-	mergeLayout(out, &s.acc, srcs)
-}
-
-// MergeRowsInto fills rows [lo, hi) of the merge MergeLayout laid out
-// in out (see merge), with the workspace's accumulator. Row ranges are
-// independent: workspaces that fill disjoint ranges of one out, in any
-// order or at once, produce the bits one pass over every row does.
-func (s *Scratch) MergeRowsInto(out *CSR, srcs []*CSR, lo, hi int) {
-	merge(out, &s.acc, srcs, lo, hi)
-}
-
 // SpGEMM computes C = A * B into out, reusing out's storage and the
-// workspace's accumulator: the arena form of the package SpGEMM, with
-// the same body (see spgemm), rows and flop count.
-func (s *Scratch) SpGEMM(out *CSR, a, b *CSR) (*CSR, int64) {
+// workspace's accumulator, and reading B through a RowReader: the arena
+// form of the package SpGEMM, with the same body (see spgemm), rows and
+// flop count.
+func (s *Scratch) SpGEMM(out *CSR, a *CSR, b RowReader) (*CSR, int64) {
 	return spgemm(out, &s.acc, a, b)
 }
 

@@ -2,6 +2,18 @@ package sparse
 
 import "fmt"
 
+// RowReader reads a sparse matrix's rows in place, as *CSR does: row
+// i's column indices and weights, its length, and the matrix's shape.
+// SpGEMM's body reads its right operand through one, and the samplers'
+// draws read P or A through one (core.RowReader), so a driver holding A
+// in pieces — the blocks of A the 1.5D and 1D stages received — reads
+// and multiplies A's rows without assembling it.
+type RowReader interface {
+	Row(i int) (cols []int, vals []float64)
+	RowNNZ(i int) int
+	Dims() (rows, cols int)
+}
+
 // SpGEMM computes C = A * B for sparse A and B using Gustavson's
 // row-wise algorithm with a sparse accumulator; a row of A with one
 // entry is a scaled copy of a row of B and skips the accumulator (see
@@ -15,30 +27,32 @@ func SpGEMM(a, b *CSR) (*CSR, int64) {
 }
 
 // spgemm is the one SpGEMM body, shared by SpGEMM and Scratch.SpGEMM.
-// A sizing pass bounds the output by the flop count (collisions only
-// shrink it), so out's storage grows at most once; productRow then
-// appends each row. acc is widened only when some row of A has several
-// entries. The body is serial: inside a rank body the other ranks
-// already hold the cores. Kernels stripe (dense.ParallelRows, the
-// module's one kernel fan-out) only inside the two row folds — the
+// Each row of C sums A's entries in column order through one
+// accumulator. A sizing pass bounds the output by the flop count
+// (collisions only shrink it), so out's storage grows at most once;
+// productRow then appends each row. acc is widened only when some row
+// of A has several entries. The body is serial: inside a rank body the
+// other ranks already hold the cores. Kernels stripe (dense.ParallelRows,
+// the module's one kernel fan-out) only inside the two row folds — the
 // sum all-reduce's and the 1.5D row fold, distsample.foldStages — which
 // run while every rank of their communicator is parked.
-func spgemm(out *CSR, acc *spa, a, b *CSR) (*CSR, int64) {
-	if a.Cols != b.Rows {
+func spgemm(out *CSR, acc *spa, a *CSR, b RowReader) (*CSR, int64) {
+	bRows, bCols := b.Dims()
+	if a.Cols != bRows {
 		panic(fmt.Sprintf("sparse: SpGEMM dimension mismatch %dx%d * %dx%d",
-			a.Rows, a.Cols, b.Rows, b.Cols))
+			a.Rows, a.Cols, bRows, bCols))
 	}
 	bound := 0
 	for i := 0; i < a.Rows; i++ {
 		acols, _ := a.Row(i)
 		if len(acols) > 1 {
-			acc.grow(b.Cols)
+			acc.grow(bCols)
 		}
 		for _, arow := range acols {
 			bound += b.RowNNZ(arow)
 		}
 	}
-	out.Rows, out.Cols = a.Rows, b.Cols
+	out.Rows, out.Cols = a.Rows, bCols
 	out.RowPtr = ensureInts(out.RowPtr, a.Rows+1)
 	out.RowPtr[0] = 0
 	cols := ensureInts(out.ColIdx, bound)[:0]
@@ -84,7 +98,7 @@ func (s *spa) add(j int, v float64) {
 // accumulator's zero plus its one product, so the copy is the SPA's
 // result bit for bit (a −0 product becomes +0 there too). Any other row
 // goes through the accumulator.
-func (s *spa) productRow(cols []int, vals []float64, a, b *CSR, i int) ([]int, []float64) {
+func (s *spa) productRow(cols []int, vals []float64, a *CSR, b RowReader, i int) ([]int, []float64) {
 	acols, avals := a.Row(i)
 	switch len(acols) {
 	case 0:
@@ -177,108 +191,4 @@ func partition(a []int) int {
 	}
 	a[i], a[len(a)-1] = a[len(a)-1], a[i]
 	return i
-}
-
-// mergeLayout is the merge's count pass. It checks that srcs are
-// row-aligned and sizes every merged row: the length of the one source
-// row when one source populates it, the number of distinct columns
-// (marked in acc) when several do. out gets the merge's shape, RowPtr
-// by prefix sum, and ColIdx and Val at exactly the merged size, for
-// merge to fill.
-func mergeLayout(out *CSR, acc *spa, srcs []*CSR) {
-	if len(srcs) == 0 {
-		panic("sparse: merge needs at least one source")
-	}
-	rows, colsN := srcs[0].Rows, srcs[0].Cols
-	for _, src := range srcs {
-		if src.Rows != rows || src.Cols != colsN {
-			panic(fmt.Sprintf("sparse: merge shape mismatch %v vs %dx%d", src, rows, colsN))
-		}
-	}
-	out.Rows, out.Cols = rows, colsN
-	out.RowPtr = ensureInts(out.RowPtr, rows+1)
-	out.RowPtr[0] = 0
-	nnz := 0
-	for i := 0; i < rows; i++ {
-		switch only, populated := rowSources(srcs, i); {
-		case populated == 1:
-			nnz += only.RowNNZ(i)
-		case populated > 1:
-			acc.grow(colsN)
-			nnz += acc.distinct(srcs, i)
-		}
-		out.RowPtr[i+1] = nnz
-	}
-	out.ColIdx = ensureInts(out.ColIdx, nnz)
-	out.Val = ensureFloats(out.Val, nnz)
-}
-
-// rowSources returns how many sources populate row i, and the last of
-// them.
-func rowSources(srcs []*CSR, i int) (only *CSR, populated int) {
-	for _, src := range srcs {
-		if src.RowNNZ(i) > 0 {
-			only = src
-			populated++
-		}
-	}
-	return only, populated
-}
-
-// distinct returns the number of distinct columns in row i of srcs,
-// leaving the accumulator as it found it.
-func (s *spa) distinct(srcs []*CSR, i int) int {
-	for _, src := range srcs {
-		cs, _ := src.Row(i)
-		for _, c := range cs {
-			if !s.present[c] {
-				s.present[c] = true
-				s.idx = append(s.idx, c)
-			}
-		}
-	}
-	n := len(s.idx)
-	for _, c := range s.idx {
-		s.present[c] = false
-	}
-	s.idx = s.idx[:0]
-	return n
-}
-
-// merge is the one merge body: it sums rows [lo, hi) of row-aligned
-// matrices into out, which mergeLayout laid out, each row at its RowPtr
-// offset. Per (row, column) the values add in source order, and each
-// row's columns come out sorted. A row only one source populates —
-// every row of a GraphSAGE product, whose Q row selects one row of A
-// held by one source — is copied instead, each value written as the
-// 0 + v the accumulator would produce; acc is widened only for rows
-// several sources populate. A row depends on nothing but its own rows
-// of srcs, so disjoint row ranges may be filled in any order, or at
-// once with one accumulator each, and give the same bits.
-func merge(out *CSR, acc *spa, srcs []*CSR, lo, hi int) {
-	start, end := out.RowPtr[lo], out.RowPtr[hi]
-	cols := out.ColIdx[start:start:end]
-	vals := out.Val[start:start:end]
-	for i := lo; i < hi; i++ {
-		switch only, populated := rowSources(srcs, i); {
-		case populated == 1:
-			cs, vs := only.Row(i)
-			cols = append(cols, cs...)
-			for _, v := range vs {
-				vals = append(vals, 0+v)
-			}
-		case populated > 1:
-			acc.grow(out.Cols)
-			for _, src := range srcs {
-				cs, vs := src.Row(i)
-				for k := range cs {
-					acc.add(cs[k], vs[k])
-				}
-			}
-			cols, vals = acc.drainInto(cols, vals)
-		}
-	}
-	if len(cols) != end-start {
-		panic("sparse: merged rows disagree with their layout")
-	}
 }

@@ -90,38 +90,6 @@ func TestSpGEMMAssociativityProperty(t *testing.T) {
 	}
 }
 
-func TestMergeCSRInto(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	var sc Scratch
-	for trial := 0; trial < 20; trial++ {
-		a := randomCSR(rng, 8, 9, 0.3)
-		b := randomCSR(rng, 8, 9, 0.3)
-		s := mergeCSRInto(&sc, new(CSR), []*CSR{a, b})
-		if err := s.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		da, db, ds := a.ToDense(), b.ToDense(), s.ToDense()
-		for i := range da {
-			if math.Abs(da[i]+db[i]-ds[i]) > 1e-12 {
-				t.Fatalf("merge mismatch at %d", i)
-			}
-		}
-	}
-}
-
-func TestMergeCSRIntoCommutative(t *testing.T) {
-	check := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		a := randomCSR(rng, 6, 6, 0.35)
-		b := randomCSR(rng, 6, 6, 0.35)
-		var sc Scratch
-		return Equal(mergeCSRInto(&sc, new(CSR), []*CSR{a, b}), mergeCSRInto(&sc, new(CSR), []*CSR{b, a}), 1e-12)
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSpMMAgainstDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {
