@@ -51,8 +51,8 @@ func oneDCharge(res *cluster.Result) oneDPin {
 	for _, st := range res.Ranks {
 		put(math.Float64bits(st.Clock))
 		for _, ph := range oneDPhases {
-			put(math.Float64bits(st.PhaseTotal[ph]))
-			put(math.Float64bits(st.PhaseComm[ph]))
+			put(math.Float64bits(st.Phases[ph].Seconds))
+			put(math.Float64bits(st.Phases[ph].Comm))
 		}
 		put(uint64(st.BytesSent))
 	}

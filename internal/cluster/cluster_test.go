@@ -92,8 +92,9 @@ func TestChargeIsPricedTermByTerm(t *testing.T) {
 			return nil
 		})
 		if o.err = err; err == nil {
-			o.outer = res.Ranks[0].PhaseTotal["outer"]
-			o.inner, o.innerShown = res.Ranks[0].PhaseTotal["inner"]
+			o.outer = res.Ranks[0].Phases["outer"].Seconds
+			inner, shown := res.Ranks[0].Phases["inner"]
+			o.inner, o.innerShown = inner.Seconds, shown
 		}
 		return o
 	}

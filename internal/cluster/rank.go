@@ -45,17 +45,15 @@ type Rank struct {
 	stream string
 	// acct is the accounting shared by every stream of this rank.
 	acct *acct
-	// phaseTotal/phaseComm/phaseTouched are this stream's private phase
-	// accumulators, indexed by the acct's interned slot ids and grown on
-	// demand (a slot may be interned by a sibling stream first). They
-	// are stream-local so concurrent streams never interleave
+	// phaseAcc holds this stream's private phase accumulators, one
+	// PhaseAcc per slot, indexed by the acct's interned slot ids and
+	// grown on demand (a slot may be interned by a sibling stream
+	// first). It is stream-local so concurrent streams never interleave
 	// floating-point additions into one bucket — summation order, and
 	// with it the last-ulp of every phase total, must be a function of
 	// the program, not of the scheduler. stats() folds the streams in
 	// creation order.
-	phaseTotal   []float64
-	phaseComm    []float64
-	phaseTouched []bool
+	phaseAcc []PhaseAcc
 	// cont is the cluster's physical-link contention ledger (nil when
 	// the model carries no Topology); ChargeLink routes through it.
 	cont *contention
@@ -87,6 +85,26 @@ type Rank struct {
 type pendingSend struct {
 	q  committer
 	at float64
+}
+
+// PhaseAcc is one phase slot's run state on one stream: seconds
+// charged, their communication share, and whether any charge (a zero
+// one included) reached it. Snapshots, the checkpoint codec and Stats
+// carry the record whole: a new field needs its accumulation in
+// advance, its fold in add and its bytes in graphio's
+// writePhaseAcc/readPhaseAcc, and graphio.TestPhaseAccSurvivesRestore
+// names a field that misses either.
+type PhaseAcc struct {
+	Seconds float64
+	Comm    float64
+	Touched bool
+}
+
+// add folds q into p field by field.
+func (p *PhaseAcc) add(q PhaseAcc) {
+	p.Seconds += q.Seconds
+	p.Comm += q.Comm
+	p.Touched = p.Touched || q.Touched
 }
 
 // committer is a queue seen by its sender's flush: commit performs the
@@ -124,7 +142,7 @@ func (r *Rank) park(what string, comm *Comm) {
 // each stream's clock is task-local and needs no lock.
 // Phase names are interned to index-addressed slots (phaseIdx) so the
 // per-charge path performs no map operations; the float64 second
-// accumulators themselves live on each stream (see Rank.phaseTotal) —
+// accumulators themselves live on each stream (see Rank.phaseAcc) —
 // only the exact integer counters are accumulated shared, because
 // integer addition commutes and float addition's rounding does not.
 type acct struct {
@@ -303,13 +321,14 @@ func (r *Rank) advance(dt float64, comm bool) {
 	}
 	r.clock += dt
 	for _, s := range r.phaseSlots {
-		if s >= len(r.phaseTotal) {
-			r.growPhases(s + 1)
+		if s >= len(r.phaseAcc) {
+			r.phaseAcc = append(r.phaseAcc, make([]PhaseAcc, s+1-len(r.phaseAcc))...)
 		}
-		r.phaseTotal[s] += dt
-		r.phaseTouched[s] = true
+		p := &r.phaseAcc[s]
+		p.Seconds += dt
+		p.Touched = true
 		if comm {
-			r.phaseComm[s] += dt
+			p.Comm += dt
 		}
 	}
 	if r.failAt > 0 && r.clock >= r.failAt {
@@ -324,15 +343,6 @@ func (r *Rank) advance(dt float64, comm bool) {
 		at := r.failAt
 		r.failAt = 0
 		panic(&RankFailure{Rank: r.ID, At: at})
-	}
-}
-
-// growPhases extends the stream-local accumulators to hold n slots.
-func (r *Rank) growPhases(n int) {
-	for len(r.phaseTotal) < n {
-		r.phaseTotal = append(r.phaseTotal, 0)
-		r.phaseComm = append(r.phaseComm, 0)
-		r.phaseTouched = append(r.phaseTouched, false)
 	}
 }
 
@@ -378,10 +388,10 @@ func (r *Rank) ChargeLink(l Link, bytes int64) {
 type Stats struct {
 	// Clock is the rank's overall simulated time: the maximum over
 	// its concurrent streams (not their sum).
-	Clock      float64
-	PhaseTotal map[string]float64
-	PhaseComm  map[string]float64
-	BytesSent  int64
+	Clock float64
+	// Phases holds the folded record of every phase a charge reached.
+	Phases    map[string]PhaseAcc
+	BytesSent int64
 	// OpCount and OpBytes break communication down by collective.
 	OpCount map[string]int64
 	OpBytes map[string]int64
@@ -395,30 +405,23 @@ func (r *Rank) stats() Stats {
 	a := r.acct
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	// Fold the per-stream phase accumulators: main timeline first, then
+	// Fold each slot's per-stream records: main timeline first, then
 	// forked streams in creation order — a fixed summation order, so
 	// the folded totals are bit-deterministic. Only charged phases
 	// surface (a phase merely set, never charged, historically created
 	// no bucket).
-	nSlots := len(a.phaseNames)
-	total := make([]float64, nSlots)
-	comm := make([]float64, nSlots)
-	touched := make([]bool, nSlots)
-	for _, s := range append([]*Rank{r}, a.streams...) {
-		for i := range s.phaseTotal {
-			total[i] += s.phaseTotal[i]
-			comm[i] += s.phaseComm[i]
-			touched[i] = touched[i] || s.phaseTouched[i]
-		}
-	}
-	pt := make(map[string]float64, nSlots)
-	pc := make(map[string]float64, nSlots)
+	streams := append([]*Rank{r}, a.streams...)
+	ph := make(map[string]PhaseAcc, len(a.phaseNames))
 	for i, name := range a.phaseNames {
-		if !touched[i] {
-			continue
+		var acc PhaseAcc
+		for _, s := range streams {
+			if i < len(s.phaseAcc) {
+				acc.add(s.phaseAcc[i])
+			}
 		}
-		pt[name] = total[i]
-		pc[name] = comm[i]
+		if acc.Touched {
+			ph[name] = acc
+		}
 	}
 	oc := make(map[string]int64, len(a.opCount))
 	for k, v := range a.opCount {
@@ -432,7 +435,7 @@ func (r *Rank) stats() Stats {
 	for k, v := range a.linkBytes {
 		lb[k] = v
 	}
-	return Stats{Clock: clock, PhaseTotal: pt, PhaseComm: pc, BytesSent: a.bytesSent,
+	return Stats{Clock: clock, Phases: ph, BytesSent: a.bytesSent,
 		OpCount: oc, OpBytes: ob, LinkBytes: lb}
 }
 
@@ -457,7 +460,7 @@ type Result struct {
 func (res *Result) Phase(name string) float64 {
 	max := 0.0
 	for _, s := range res.Ranks {
-		if v := s.PhaseTotal[name]; v > max {
+		if v := s.Phases[name].Seconds; v > max {
 			max = v
 		}
 	}
@@ -469,7 +472,7 @@ func (res *Result) Phase(name string) float64 {
 func (res *Result) PhaseComm(name string) float64 {
 	max := 0.0
 	for _, s := range res.Ranks {
-		if v := s.PhaseComm[name]; v > max {
+		if v := s.Phases[name].Comm; v > max {
 			max = v
 		}
 	}

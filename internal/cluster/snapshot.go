@@ -1,14 +1,13 @@
 package cluster
 
 // StreamSnapshot captures one execution timeline's clock and phase
-// accumulators. PhaseTotal/PhaseComm/PhaseTouched are indexed by the
-// acct's interned slot ids, in interning order (RankSnapshot.Phases
-// records the names so a restore re-interns the same order).
+// accumulators: one PhaseAcc per slot, indexed by the acct's interned
+// slot ids in interning order (RankSnapshot.Phases records the names so
+// a restore re-interns the same order). A stream never holds more slots
+// than its rank has names.
 type StreamSnapshot struct {
-	Clock        float64
-	PhaseTotal   []float64
-	PhaseComm    []float64
-	PhaseTouched []bool
+	Clock  float64
+	Phases []PhaseAcc
 }
 
 // RankSnapshot captures a rank's complete accounting state at a
@@ -34,12 +33,7 @@ type RankSnapshot struct {
 }
 
 func snapStream(r *Rank) StreamSnapshot {
-	return StreamSnapshot{
-		Clock:        r.clock,
-		PhaseTotal:   append([]float64(nil), r.phaseTotal...),
-		PhaseComm:    append([]float64(nil), r.phaseComm...),
-		PhaseTouched: append([]bool(nil), r.phaseTouched...),
-	}
+	return StreamSnapshot{Clock: r.clock, Phases: append([]PhaseAcc(nil), r.phaseAcc...)}
 }
 
 // Snapshot captures the rank's accounting. Call it only on the main
@@ -107,24 +101,20 @@ func (r *Rank) Restore(snap RankSnapshot) {
 	}
 	for _, ss := range snap.Streams {
 		a.streams = append(a.streams, &Rank{
-			ID:           r.ID,
-			N:            r.N,
-			model:        r.model,
-			clock:        ss.Clock,
-			stream:       "(ghost)",
-			acct:         a,
-			phaseTotal:   append([]float64(nil), ss.PhaseTotal...),
-			phaseComm:    append([]float64(nil), ss.PhaseComm...),
-			phaseTouched: append([]bool(nil), ss.PhaseTouched...),
-			cont:         r.cont,
-			cl:           r.cl,
+			ID:       r.ID,
+			N:        r.N,
+			model:    r.model,
+			clock:    ss.Clock,
+			stream:   "(ghost)",
+			acct:     a,
+			phaseAcc: append([]PhaseAcc(nil), ss.Phases...),
+			cont:     r.cont,
+			cl:       r.cl,
 		})
 	}
 	a.mu.Unlock()
 	r.clock = snap.Main.Clock
-	r.phaseTotal = append(r.phaseTotal[:0], snap.Main.PhaseTotal...)
-	r.phaseComm = append(r.phaseComm[:0], snap.Main.PhaseComm...)
-	r.phaseTouched = append(r.phaseTouched[:0], snap.Main.PhaseTouched...)
+	r.phaseAcc = append(r.phaseAcc[:0], snap.Main.Phases...)
 	// The phase stack is untouched (still the fresh run's base level);
 	// its slots were interned by the loop above if the names recur.
 	r.rebuildPhaseSlots()

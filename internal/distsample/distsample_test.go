@@ -278,8 +278,8 @@ func chargeDigest(res *cluster.Result) string {
 	for _, st := range res.Ranks {
 		put(math.Float64bits(st.Clock))
 		for _, ph := range []string{PhaseProbability, PhaseSampling, PhaseExtraction} {
-			put(math.Float64bits(st.PhaseTotal[ph]))
-			put(math.Float64bits(st.PhaseComm[ph]))
+			put(math.Float64bits(st.Phases[ph].Seconds))
+			put(math.Float64bits(st.Phases[ph].Comm))
 		}
 		put(uint64(st.BytesSent))
 	}

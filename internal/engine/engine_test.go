@@ -70,7 +70,7 @@ func TestOverlapHidesProducerBehindConsumer(t *testing.T) {
 		t.Fatalf("overlapped makespan = %v, want %v", got, want)
 	}
 	// The consumer's exposed waiting shows up in the stall bucket.
-	if st.PhaseTotal[PhaseStall] <= 0 {
+	if st.Phases[PhaseStall].Seconds <= 0 {
 		t.Fatal("no stall time recorded despite slower producer")
 	}
 }

@@ -35,10 +35,12 @@ type Checkpoint struct {
 }
 
 // ckptMagic distinguishes resumable-state checkpoints from the
-// params-only "GNNCK1\n" files; ckptVersion gates layout skew.
+// params-only "GNNCK1\n" files; ckptVersion gates layout skew. Version
+// 3 writes a stream's phase state as one cluster.PhaseAcc record per
+// slot (writePhaseAcc).
 var ckptMagic = []byte("GNNRS1\n")
 
-const ckptVersion = 2
+const ckptVersion = 3
 
 // WriteCheckpoint serializes a resumable training checkpoint. The
 // encoding is deterministic (map keys are sorted), so identical states
@@ -151,12 +153,7 @@ func writeRankSnapshot(w io.Writer, snap *cluster.RankSnapshot) error {
 	if err := writeInts(w, int64(len(snap.LinkBytes))); err != nil {
 		return err
 	}
-	lk := make([]string, 0, len(snap.LinkBytes))
-	for k := range snap.LinkBytes {
-		lk = append(lk, k)
-	}
-	sort.Strings(lk)
-	for _, k := range lk {
+	for _, k := range sortedKeys(snap.LinkBytes) {
 		if err := writeString(w, k); err != nil {
 			return err
 		}
@@ -189,11 +186,16 @@ func readRankSnapshot(r io.Reader) (cluster.RankSnapshot, error) {
 		return snap, fmt.Errorf("graphio: implausible phase count %d", n[0])
 	}
 	snap.Phases = make([]string, 0, capHint(int(n[0])))
+	seen := make(map[string]bool, capHint(int(n[0])))
 	for i := int64(0); i < n[0]; i++ {
 		name, err := readString(r)
 		if err != nil {
 			return snap, err
 		}
+		if seen[name] {
+			return snap, fmt.Errorf("graphio: phase %q interned twice", name)
+		}
+		seen[name] = true
 		snap.Phases = append(snap.Phases, name)
 	}
 	bs, err := readInts(r, 1)
@@ -242,7 +244,7 @@ func readRankSnapshot(r io.Reader) (cluster.RankSnapshot, error) {
 		}
 		snap.LinkBytes[k] = [3]int64{v[0], v[1], v[2]}
 	}
-	if snap.Main, err = readStreamSnapshot(r); err != nil {
+	if snap.Main, err = readStreamSnapshot(r, len(snap.Phases)); err != nil {
 		return snap, err
 	}
 	cnt, err = readInts(r, 1)
@@ -254,7 +256,7 @@ func readRankSnapshot(r io.Reader) (cluster.RankSnapshot, error) {
 	}
 	snap.Streams = make([]cluster.StreamSnapshot, 0, capHint(int(cnt[0])))
 	for i := int64(0); i < cnt[0]; i++ {
-		ss, err := readStreamSnapshot(r)
+		ss, err := readStreamSnapshot(r, len(snap.Phases))
 		if err != nil {
 			return snap, err
 		}
@@ -264,66 +266,68 @@ func readRankSnapshot(r io.Reader) (cluster.RankSnapshot, error) {
 }
 
 func writeStreamSnapshot(w io.Writer, ss *cluster.StreamSnapshot) error {
-	buf := make([]byte, 8)
-	binary.LittleEndian.PutUint64(buf, math.Float64bits(ss.Clock))
-	if _, err := w.Write(buf); err != nil {
+	if err := writeInts(w, int64(math.Float64bits(ss.Clock)), int64(len(ss.Phases))); err != nil {
 		return err
 	}
-	if err := writeFloatSlice(w, ss.PhaseTotal); err != nil {
-		return err
-	}
-	if err := writeFloatSlice(w, ss.PhaseComm); err != nil {
-		return err
-	}
-	if err := writeInts(w, int64(len(ss.PhaseTouched))); err != nil {
-		return err
-	}
-	b := make([]byte, 1)
-	for _, t := range ss.PhaseTouched {
-		b[0] = 0
-		if t {
-			b[0] = 1
-		}
-		if _, err := w.Write(b); err != nil {
+	for _, p := range ss.Phases {
+		if err := writePhaseAcc(w, p); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func readStreamSnapshot(r io.Reader) (cluster.StreamSnapshot, error) {
+// readStreamSnapshot reads one stream of a rank with the given number
+// of phase names. A stream grows only to an interned slot, so more
+// records than names is refused: restored, the extra seconds would be
+// booked to whatever phase the fresh run interned at that slot.
+func readStreamSnapshot(r io.Reader, names int) (cluster.StreamSnapshot, error) {
 	var ss cluster.StreamSnapshot
-	buf := make([]byte, 8)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return ss, err
-	}
-	ss.Clock = math.Float64frombits(binary.LittleEndian.Uint64(buf))
-	var err error
-	if ss.PhaseTotal, err = readFloatSlice(r); err != nil {
-		return ss, err
-	}
-	if ss.PhaseComm, err = readFloatSlice(r); err != nil {
-		return ss, err
-	}
-	n, err := readInts(r, 1)
+	hdr, err := readInts(r, 2)
 	if err != nil {
 		return ss, err
 	}
-	if n[0] < 0 || n[0] > maxWireElems {
-		return ss, fmt.Errorf("graphio: implausible touched-slot count %d", n[0])
+	ss.Clock = math.Float64frombits(uint64(hdr[0]))
+	if hdr[1] < 0 || hdr[1] > int64(names) {
+		return ss, fmt.Errorf("graphio: stream holds %d phase records for %d phase names", hdr[1], names)
 	}
-	ss.PhaseTouched = make([]bool, 0, capHint(int(n[0])))
-	b := make([]byte, 1)
-	for i := int64(0); i < n[0]; i++ {
-		if _, err := io.ReadFull(r, b); err != nil {
+	ss.Phases = make([]cluster.PhaseAcc, 0, capHint(int(hdr[1])))
+	for i := int64(0); i < hdr[1]; i++ {
+		p, err := readPhaseAcc(r)
+		if err != nil {
 			return ss, err
 		}
-		ss.PhaseTouched = append(ss.PhaseTouched, b[0] != 0)
+		ss.Phases = append(ss.Phases, p)
 	}
 	return ss, nil
 }
 
-func sortedKeys(m map[string]int64) []string {
+// writePhaseAcc writes one phase record: Seconds and Comm as float
+// bits, then Touched as one byte.
+func writePhaseAcc(w io.Writer, p cluster.PhaseAcc) error {
+	var b [17]byte
+	binary.LittleEndian.PutUint64(b[0:], math.Float64bits(p.Seconds))
+	binary.LittleEndian.PutUint64(b[8:], math.Float64bits(p.Comm))
+	if p.Touched {
+		b[16] = 1
+	}
+	_, err := w.Write(b[:])
+	return err
+}
+
+func readPhaseAcc(r io.Reader) (cluster.PhaseAcc, error) {
+	var b [17]byte
+	if _, err := io.ReadFull(r, b[:]); err != nil {
+		return cluster.PhaseAcc{}, err
+	}
+	return cluster.PhaseAcc{
+		Seconds: math.Float64frombits(binary.LittleEndian.Uint64(b[0:])),
+		Comm:    math.Float64frombits(binary.LittleEndian.Uint64(b[8:])),
+		Touched: b[16] != 0,
+	}, nil
+}
+
+func sortedKeys[V any](m map[string]V) []string {
 	ks := make([]string, 0, len(m))
 	for k := range m {
 		ks = append(ks, k)

@@ -13,29 +13,25 @@ import (
 
 // randCheckpoint builds a structurally rich checkpoint from a seeded
 // stream: multiple ranks, ghost streams, phase maps with several keys,
-// negative and special-valued floats.
+// negative and special-valued floats. A stream holds at most as many
+// phase records as its rank has names, as a run's streams do.
 func randCheckpoint(seed int64) *Checkpoint {
 	rng := rand.New(rand.NewSource(seed))
+	float := func() float64 { return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4)) }
 	floats := func(n int) []float64 {
 		out := make([]float64, n)
 		for i := range out {
-			out[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4))
+			out[i] = float()
 		}
 		return out
 	}
 	phases := []string{"sampling", "feature-fetch", "propagation", "stall", "checkpoint"}
-	stream := func() cluster.StreamSnapshot {
-		n := 1 + rng.Intn(len(phases))
-		touched := make([]bool, n)
-		for i := range touched {
-			touched[i] = rng.Intn(2) == 0
+	stream := func(names int) cluster.StreamSnapshot {
+		ss := cluster.StreamSnapshot{Clock: rng.Float64() * 100}
+		for n := min(1+rng.Intn(len(phases)), names); n > 0; n-- {
+			ss.Phases = append(ss.Phases, cluster.PhaseAcc{Seconds: float(), Comm: float(), Touched: rng.Intn(2) == 0})
 		}
-		return cluster.StreamSnapshot{
-			Clock:        rng.Float64() * 100,
-			PhaseTotal:   floats(n),
-			PhaseComm:    floats(n),
-			PhaseTouched: touched,
-		}
+		return ss
 	}
 	p := 1 + rng.Intn(4)
 	ck := &Checkpoint{
@@ -46,8 +42,9 @@ func randCheckpoint(seed int64) *Checkpoint {
 	ck.OptM = floats(len(ck.Params))
 	ck.OptV = floats(len(ck.Params))
 	for i := 0; i < p; i++ {
+		names := phases[:1+rng.Intn(len(phases))]
 		snap := cluster.RankSnapshot{
-			Phases:    phases[:1+rng.Intn(len(phases))],
+			Phases:    names,
 			BytesSent: rng.Int63n(1 << 40),
 			OpCount:   map[string]int64{"allreduce": rng.Int63n(1000), "alltoallv": rng.Int63n(1000)},
 			OpBytes:   map[string]int64{"allreduce": rng.Int63n(1 << 30)},
@@ -55,10 +52,10 @@ func randCheckpoint(seed int64) *Checkpoint {
 				"sampling": {rng.Int63n(1 << 20), rng.Int63n(1 << 20), rng.Int63n(1 << 20)},
 				"stall":    {0, 1, 2},
 			},
-			Main: stream(),
+			Main: stream(len(names)),
 		}
 		for s := rng.Intn(3); s > 0; s-- {
-			snap.Streams = append(snap.Streams, stream())
+			snap.Streams = append(snap.Streams, stream(len(names)))
 		}
 		ck.Ranks = append(ck.Ranks, snap)
 	}
@@ -211,5 +208,83 @@ func TestCheckpointHostileLengths(t *testing.T) {
 	_ = writeInts(&buf, 8) // claims 8 params, provides none
 	if _, err := ReadCheckpoint(bytes.NewReader(buf.Bytes())); err != io.ErrUnexpectedEOF && err != io.EOF {
 		t.Fatalf("short params payload: got %v, want unexpected EOF", err)
+	}
+}
+
+// TestCheckpointRejectsImpossiblePhaseShapes: a stream grows only to a
+// slot its rank interned, and a rank interns each name once, so a
+// checkpoint saying otherwise is refused rather than restored with
+// seconds booked to the wrong phase.
+func TestCheckpointRejectsImpossiblePhaseShapes(t *testing.T) {
+	for name, snap := range map[string]cluster.RankSnapshot{
+		"main stream has more records than names": {
+			Phases: []string{"default"},
+			Main:   cluster.StreamSnapshot{Phases: make([]cluster.PhaseAcc, 2)},
+		},
+		"ghost stream has more records than names": {
+			Phases:  []string{"default"},
+			Streams: []cluster.StreamSnapshot{{Phases: make([]cluster.PhaseAcc, 2)}},
+		},
+		"name interned twice": {Phases: []string{"default", "default"}},
+	} {
+		data := encodeCkpt(t, &Checkpoint{Ranks: []cluster.RankSnapshot{snap}})
+		if _, err := ReadCheckpoint(bytes.NewReader(data)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestPhaseAccSurvivesRestore sets every field of a cluster.PhaseAcc to
+// a distinct value, on the main stream and on a ghost stream, and
+// carries both through WriteCheckpoint, ReadCheckpoint, Restore, Run and
+// the stats fold. It walks the record by reflection, so a field added
+// to PhaseAcc that the codec or the fold drops fails here by name.
+func TestPhaseAccSurvivesRestore(t *testing.T) {
+	distinct := func(base float64) cluster.PhaseAcc {
+		var p cluster.PhaseAcc
+		v := reflect.ValueOf(&p).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			switch f := v.Field(i); f.Kind() {
+			case reflect.Float64:
+				f.SetFloat(base + float64(i))
+			case reflect.Int64:
+				f.SetInt(int64(base) + int64(i))
+			case reflect.Bool:
+				f.SetBool(true)
+			default:
+				t.Fatalf("PhaseAcc.%s: no distinct value for a %s", v.Type().Field(i).Name, f.Kind())
+			}
+		}
+		return p
+	}
+	want := map[string]cluster.PhaseAcc{"main": distinct(1.5), "ghost": distinct(100.25)}
+	ck := &Checkpoint{Ranks: []cluster.RankSnapshot{{
+		// A fresh run interns "default" first, so slot ids line up.
+		Phases:  []string{"default", "main", "ghost"},
+		Main:    cluster.StreamSnapshot{Clock: 2, Phases: []cluster.PhaseAcc{{}, want["main"]}},
+		Streams: []cluster.StreamSnapshot{{Clock: 1, Phases: []cluster.PhaseAcc{{}, {}, want["ghost"]}}},
+	}}}
+	got, err := ReadCheckpoint(bytes.NewReader(encodeCkpt(t, ck)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := cluster.New(1, cluster.CostModel{}).Run(func(r *cluster.Rank) error {
+		r.Restore(got.Ranks[0])
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	phases := res.Ranks[0].Phases
+	if len(phases) != len(want) {
+		t.Errorf("restored run reports %d phases, want %d: %v", len(phases), len(want), phases)
+	}
+	for stream, w := range want {
+		hv, wv := reflect.ValueOf(phases[stream]), reflect.ValueOf(w)
+		for i := 0; i < wv.NumField(); i++ {
+			if h, w := hv.Field(i).Interface(), wv.Field(i).Interface(); h != w {
+				t.Errorf("%s stream: PhaseAcc.%s = %v after restore, want %v", stream, wv.Type().Field(i).Name, h, w)
+			}
+		}
 	}
 }

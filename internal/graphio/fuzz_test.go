@@ -31,7 +31,9 @@ func FuzzReadParams(f *testing.F) {
 // FuzzCheckpointRead covers the resumable-checkpoint reader: arbitrary
 // bytes must produce an error or a checkpoint that survives a
 // write→read round trip byte-identically — never a panic and never an
-// allocation beyond the input's real size.
+// allocation beyond the input's real size. An accepted checkpoint of at
+// most 8 ranks must also restore into a fresh cluster and run to its
+// stats without a panic.
 func FuzzCheckpointRead(f *testing.F) {
 	var buf bytes.Buffer
 	ck := &Checkpoint{
@@ -46,8 +48,8 @@ func FuzzCheckpointRead(f *testing.F) {
 			OpCount:   map[string]int64{"allreduce": 12},
 			OpBytes:   map[string]int64{"allreduce": 4096},
 			LinkBytes: map[string][3]int64{"propagation": {1, 2, 3}},
-			Main:      cluster.StreamSnapshot{Clock: 1.5, PhaseTotal: []float64{1, 0.5}, PhaseComm: []float64{0, 0.25}, PhaseTouched: []bool{true, true}},
-			Streams:   []cluster.StreamSnapshot{{Clock: 1.25, PhaseTotal: []float64{1}, PhaseComm: []float64{0}, PhaseTouched: []bool{true}}},
+			Main:      cluster.StreamSnapshot{Clock: 1.5, Phases: []cluster.PhaseAcc{{Seconds: 1, Touched: true}, {Seconds: 0.5, Comm: 0.25, Touched: true}}},
+			Streams:   []cluster.StreamSnapshot{{Clock: 1.25, Phases: []cluster.PhaseAcc{{Seconds: 1, Touched: true}}}},
 		}},
 	}
 	if err := WriteCheckpoint(&buf, ck); err != nil {
@@ -82,6 +84,16 @@ func FuzzCheckpointRead(f *testing.F) {
 		}
 		if !bytes.Equal(out.Bytes(), out2.Bytes()) {
 			t.Fatal("checkpoint round trip is not byte-stable")
+		}
+		if n := len(ck.Ranks); n >= 1 && n <= 8 {
+			_, err := cluster.New(n, cluster.CostModel{}).Run(func(r *cluster.Rank) error {
+				r.Restore(ck.Ranks[r.ID])
+				r.Charge(cluster.Work{Kernels: 1})
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("restored run failed: %v", err)
+			}
 		}
 	})
 }

@@ -11,7 +11,7 @@ func snapWithClock(t float64) cluster.RankSnapshot {
 	return cluster.RankSnapshot{
 		Phases:  []string{"work"},
 		OpCount: map[string]int64{},
-		Main:    cluster.StreamSnapshot{Clock: t, PhaseTotal: []float64{t}, PhaseComm: []float64{0}, PhaseTouched: []bool{true}},
+		Main:    cluster.StreamSnapshot{Clock: t, Phases: []cluster.PhaseAcc{{Seconds: t, Touched: true}}},
 	}
 }
 
