@@ -179,7 +179,7 @@ func readResume(path string, d *datasets.Dataset, cfg pipeline.Config) ([]float6
 	params, err := graphio.ReadParams(f)
 	f.Close()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("-resume %s: %w", path, err)
 	}
 	if want := len(pipeline.Run0Params(d, cfg)); len(params) != want {
 		return nil, fmt.Errorf("-resume %s holds %d parameters, the model has %d", path, len(params), want)

@@ -62,11 +62,24 @@ func TestFlagCombinations(t *testing.T) {
 			})
 		}
 	}
+	// -resume files that hold no whole parameter vector.
+	empty, truncated := filepath.Join(t.TempDir(), "empty.ck"), filepath.Join(t.TempDir(), "truncated.ck")
+	var ck bytes.Buffer
+	if err := graphio.WriteParams(&ck, []float64{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	for path, data := range map[string][]byte{empty: nil, truncated: ck.Bytes()[:ck.Len()-4]} {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for _, c := range []struct {
 		name string
 		args []string
 		want string // substring of the error
 	}{
+		{"empty resume file", []string{"-resume", empty}, "-resume " + empty + ": EOF"},
+		{"truncated resume file", []string{"-resume", truncated}, "-resume " + truncated + ": unexpected EOF"},
 		{"p = 0", []string{"-p", "0"}, "p=0"},
 		{"c does not divide p", []string{"-p", "4", "-c", "3"}, "must divide"},
 		{"negative c", []string{"-p", "2", "-c", "-3"}, "replication factor C=-3"},

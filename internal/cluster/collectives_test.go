@@ -164,7 +164,7 @@ func TestLinkByteCountersPerAlgorithm(t *testing.T) {
 	}
 	var host int64
 	for _, s := range res.Ranks {
-		host += s.LinkBytes["uva"][HostLink]
+		host += s.Link[HostLink]
 	}
 	if host != 4096 {
 		t.Fatalf("host traffic = %d", host)

@@ -143,18 +143,16 @@ func (r *Rank) park(what string, comm *Comm) {
 // Phase names are interned to index-addressed slots (phaseIdx) so the
 // per-charge path performs no map operations; the float64 second
 // accumulators themselves live on each stream (see Rank.phaseAcc) —
-// only the exact integer counters are accumulated shared, because
+// only the exact integer traffic tally is accumulated shared, because
 // integer addition commutes and float addition's rounding does not.
 type acct struct {
-	//gnnvet:allow commitseam — integer counters commute, phase slots are folded by name, and streams are listed by ForkStream inside its commit section
+	//gnnvet:allow commitseam — the traffic tally is integer and commutes, phase slots are folded by name, and streams are listed by ForkStream inside its commit section
 	mu         sync.Mutex
-	phaseIdx   map[string]int // phase name -> slot
-	phaseNames []string       // slot -> phase name
-	bytesSent  int64
-	opCount    map[string]int64    // collective name -> invocations
-	opBytes    map[string]int64    // collective name -> bytes sent
-	linkBytes  map[string][3]int64 // phase -> wire bytes injected per Link tier
-	streams    []*Rank             // forked streams (main rank excluded)
+	phaseIdx   map[string]int     // phase name -> slot
+	phaseNames []string           // slot -> phase name
+	ops        map[string]OpTally // collective name -> invocations and bytes sent
+	link       [3]int64           // wire bytes injected per Link tier
+	streams    []*Rank            // forked streams (main rank excluded)
 	// drivers binds each communicator the rank has issued a collective
 	// on to the stream that drives it (first use wins); a second stream
 	// is a programming error that would interleave the rendezvous. Only
@@ -162,13 +160,17 @@ type acct struct {
 	drivers map[*Comm]string
 }
 
+// OpTally is one collective's traffic on one rank: invocations and the
+// bytes they sent.
+type OpTally struct {
+	Count, Bytes int64
+}
+
 func newAcct() *acct {
 	return &acct{
-		phaseIdx:  map[string]int{},
-		opCount:   map[string]int64{},
-		opBytes:   map[string]int64{},
-		linkBytes: map[string][3]int64{},
-		drivers:   map[*Comm]string{},
+		phaseIdx: map[string]int{},
+		ops:      map[string]OpTally{},
+		drivers:  map[*Comm]string{},
 	}
 }
 
@@ -226,26 +228,21 @@ func (r *Rank) WaitUntil(t float64) {
 func (r *Rank) countOp(name string, bytes int64) {
 	a := r.acct
 	a.mu.Lock()
-	a.opCount[name]++
-	a.opBytes[name] += bytes
-	a.bytesSent += bytes
+	t := a.ops[name]
+	a.ops[name] = OpTally{Count: t.Count + 1, Bytes: t.Bytes + bytes}
 	a.mu.Unlock()
 }
 
 // countLink records wire bytes this rank injected on an interconnect
-// tier, booked under the current (innermost) phase — the per-link,
-// per-phase traffic accounting the charging path and ChargeLink both
-// feed.
+// tier — the per-link traffic accounting the charging path and
+// ChargeLink both feed.
 func (r *Rank) countLink(l Link, bytes int64) {
 	if bytes <= 0 {
 		return
 	}
-	phase := r.Phase()
 	a := r.acct
 	a.mu.Lock()
-	lb := a.linkBytes[phase]
-	lb[l] += bytes
-	a.linkBytes[phase] = lb
+	a.link[l] += bytes
 	a.mu.Unlock()
 }
 
@@ -289,9 +286,6 @@ func (r *Rank) rebuildPhaseSlots() {
 		}
 	}
 }
-
-// Phase returns the current (innermost) phase name.
-func (r *Rank) Phase() string { return r.phases[len(r.phases)-1] }
 
 // Clock returns the stream's simulated time in seconds.
 func (r *Rank) Clock() float64 { return r.clock }
@@ -390,14 +384,15 @@ type Stats struct {
 	// its concurrent streams (not their sum).
 	Clock float64
 	// Phases holds the folded record of every phase a charge reached.
-	Phases    map[string]PhaseAcc
+	Phases map[string]PhaseAcc
+	// BytesSent sums OpBytes.
 	BytesSent int64
 	// OpCount and OpBytes break communication down by collective.
 	OpCount map[string]int64
 	OpBytes map[string]int64
-	// LinkBytes breaks the wire traffic this rank injected down by
-	// phase and interconnect tier (indexed by Link).
-	LinkBytes map[string][3]int64
+	// Link holds the wire bytes this rank injected per interconnect
+	// tier (indexed by Link).
+	Link [3]int64
 }
 
 func (r *Rank) stats() Stats {
@@ -423,20 +418,14 @@ func (r *Rank) stats() Stats {
 			ph[name] = acc
 		}
 	}
-	oc := make(map[string]int64, len(a.opCount))
-	for k, v := range a.opCount {
-		oc[k] = v
+	st := Stats{Clock: clock, Phases: ph, Link: a.link,
+		OpCount: make(map[string]int64, len(a.ops)), OpBytes: make(map[string]int64, len(a.ops))}
+	for k, v := range a.ops {
+		st.OpCount[k] = v.Count
+		st.OpBytes[k] = v.Bytes
+		st.BytesSent += v.Bytes
 	}
-	ob := make(map[string]int64, len(a.opBytes))
-	for k, v := range a.opBytes {
-		ob[k] = v
-	}
-	lb := make(map[string][3]int64, len(a.linkBytes))
-	for k, v := range a.linkBytes {
-		lb[k] = v
-	}
-	return Stats{Clock: clock, Phases: ph, BytesSent: a.bytesSent,
-		OpCount: oc, OpBytes: ob, LinkBytes: lb}
+	return st
 }
 
 // Result summarizes a simulated run.
@@ -480,15 +469,13 @@ func (res *Result) PhaseComm(name string) float64 {
 }
 
 // LinkTraffic sums the wire bytes injected per interconnect tier
-// across all ranks and phases: total traffic, not a per-rank maximum,
-// because link bytes add up on the fabric.
+// across all ranks: total traffic, not a per-rank maximum, because
+// link bytes add up on the fabric.
 func (res *Result) LinkTraffic() [3]int64 {
 	var out [3]int64
 	for _, s := range res.Ranks {
-		for _, lb := range s.LinkBytes {
-			for l, v := range lb {
-				out[l] += v
-			}
+		for l, v := range s.Link {
+			out[l] += v
 		}
 	}
 	return out

@@ -1,10 +1,12 @@
 package cluster
 
+import "maps"
+
 // StreamSnapshot captures one execution timeline's clock and phase
-// accumulators: one PhaseAcc per slot, indexed by the acct's interned
-// slot ids in interning order (RankSnapshot.Phases records the names so
-// a restore re-interns the same order). A stream never holds more slots
-// than its rank has names.
+// accumulators: record i belongs to the phase named
+// RankSnapshot.Phases[i], and a restore books it to whatever slot the
+// fresh run gives that name. A stream never holds more records than its
+// rank has names.
 type StreamSnapshot struct {
 	Clock  float64
 	Phases []PhaseAcc
@@ -16,16 +18,14 @@ type StreamSnapshot struct {
 // Restoring it into a fresh Run resumes the rank's timeline exactly:
 // the main stream continues the same partial float sums in the same
 // order, the already-finished forked streams are re-materialized as
-// inert ghosts for the stats fold, and the integer traffic counters
-// carry over — so a run restored at epoch e finishes with accounting
+// inert ghosts for the stats fold, and the integer traffic tally
+// carries over — so a run restored at epoch e finishes with accounting
 // bit-identical to one that was never interrupted.
 type RankSnapshot struct {
 	// Phases holds the interned phase names in slot order.
-	Phases    []string
-	BytesSent int64
-	OpCount   map[string]int64
-	OpBytes   map[string]int64
-	LinkBytes map[string][3]int64
+	Phases []string
+	Ops    map[string]OpTally
+	Link   [3]int64
 	// Main is the rank's own timeline; Streams are the forked streams
 	// in creation order (the stats fold order).
 	Main    StreamSnapshot
@@ -47,21 +47,10 @@ func (r *Rank) Snapshot() RankSnapshot {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	snap := RankSnapshot{
-		Phases:    append([]string(nil), a.phaseNames...),
-		BytesSent: a.bytesSent,
-		OpCount:   make(map[string]int64, len(a.opCount)),
-		OpBytes:   make(map[string]int64, len(a.opBytes)),
-		LinkBytes: make(map[string][3]int64, len(a.linkBytes)),
-		Main:      snapStream(r),
-	}
-	for k, v := range a.opCount {
-		snap.OpCount[k] = v
-	}
-	for k, v := range a.opBytes {
-		snap.OpBytes[k] = v
-	}
-	for k, v := range a.linkBytes {
-		snap.LinkBytes[k] = v
+		Phases: append([]string(nil), a.phaseNames...),
+		Ops:    maps.Clone(a.ops),
+		Link:   a.link,
+		Main:   snapStream(r),
 	}
 	for _, s := range a.streams {
 		snap.Streams = append(snap.Streams, snapStream(s))
@@ -70,9 +59,9 @@ func (r *Rank) Snapshot() RankSnapshot {
 }
 
 // Restore seeds a freshly-created rank (a new Run, before any work)
-// with a snapshot taken in an earlier run: phase names are re-interned
-// in recorded order so slot ids match, the main timeline resumes at
-// the snapshot clock with the same partial phase sums, and each
+// with a snapshot taken in an earlier run: each phase record is booked
+// to the slot the fresh run gives its name, the main timeline resumes
+// at the snapshot clock with the same partial phase sums, and each
 // pre-snapshot forked stream becomes an inert "ghost" entry in the
 // stream list — it never runs again, but the stats fold sums its
 // recorded accumulators at the same position in creation order, which
@@ -84,21 +73,14 @@ func (r *Rank) Restore(snap RankSnapshot) {
 	if r.stream != "" {
 		panic("cluster: Restore must run on the rank's main timeline")
 	}
-	for _, name := range snap.Phases {
-		r.acct.slotFor(name)
+	slots := make([]int, len(snap.Phases))
+	for i, name := range snap.Phases {
+		slots[i] = r.acct.slotFor(name)
 	}
 	a := r.acct
 	a.mu.Lock()
-	a.bytesSent = snap.BytesSent
-	for k, v := range snap.OpCount {
-		a.opCount[k] = v
-	}
-	for k, v := range snap.OpBytes {
-		a.opBytes[k] = v
-	}
-	for k, v := range snap.LinkBytes {
-		a.linkBytes[k] = v
-	}
+	maps.Copy(a.ops, snap.Ops)
+	a.link = snap.Link
 	for _, ss := range snap.Streams {
 		a.streams = append(a.streams, &Rank{
 			ID:       r.ID,
@@ -107,15 +89,29 @@ func (r *Rank) Restore(snap RankSnapshot) {
 			clock:    ss.Clock,
 			stream:   "(ghost)",
 			acct:     a,
-			phaseAcc: append([]PhaseAcc(nil), ss.Phases...),
+			phaseAcc: bookBySlot(ss.Phases, slots),
 			cont:     r.cont,
 			cl:       r.cl,
 		})
 	}
 	a.mu.Unlock()
 	r.clock = snap.Main.Clock
-	r.phaseAcc = append(r.phaseAcc[:0], snap.Main.Phases...)
+	r.phaseAcc = bookBySlot(snap.Main.Phases, slots)
 	// The phase stack is untouched (still the fresh run's base level);
 	// its slots were interned by the loop above if the names recur.
 	r.rebuildPhaseSlots()
+}
+
+// bookBySlot places record i at slots[i], the fresh run's slot for the
+// record's phase name.
+func bookBySlot(recs []PhaseAcc, slots []int) []PhaseAcc {
+	out := make([]PhaseAcc, 0, len(recs))
+	for i, p := range recs {
+		s := slots[i]
+		if s >= len(out) {
+			out = append(out, make([]PhaseAcc, s+1-len(out))...)
+		}
+		out[s] = p
+	}
+	return out
 }

@@ -36,11 +36,12 @@ type Checkpoint struct {
 
 // ckptMagic distinguishes resumable-state checkpoints from the
 // params-only "GNNCK1\n" files; ckptVersion gates layout skew. Version
-// 3 writes a stream's phase state as one cluster.PhaseAcc record per
-// slot (writePhaseAcc).
+// 4 writes a rank's traffic as one sorted ops section of (name, count,
+// bytes) entries and three link ints, and a stream's phase state as one
+// cluster.PhaseAcc record per phase name (writePhaseAcc).
 var ckptMagic = []byte("GNNRS1\n")
 
-const ckptVersion = 3
+const ckptVersion = 4
 
 // WriteCheckpoint serializes a resumable training checkpoint. The
 // encoding is deterministic (map keys are sorted), so identical states
@@ -134,33 +135,20 @@ func writeRankSnapshot(w io.Writer, snap *cluster.RankSnapshot) error {
 			return err
 		}
 	}
-	if err := writeInts(w, snap.BytesSent); err != nil {
+	if err := writeInts(w, int64(len(snap.Ops))); err != nil {
 		return err
 	}
-	for _, m := range []map[string]int64{snap.OpCount, snap.OpBytes} {
-		if err := writeInts(w, int64(len(m))); err != nil {
-			return err
-		}
-		for _, k := range sortedKeys(m) {
-			if err := writeString(w, k); err != nil {
-				return err
-			}
-			if err := writeInts(w, m[k]); err != nil {
-				return err
-			}
-		}
-	}
-	if err := writeInts(w, int64(len(snap.LinkBytes))); err != nil {
-		return err
-	}
-	for _, k := range sortedKeys(snap.LinkBytes) {
+	for _, k := range sortedKeys(snap.Ops) {
 		if err := writeString(w, k); err != nil {
 			return err
 		}
-		v := snap.LinkBytes[k]
-		if err := writeInts(w, v[0], v[1], v[2]); err != nil {
+		t := snap.Ops[k]
+		if err := writeInts(w, t.Count, t.Bytes); err != nil {
 			return err
 		}
+	}
+	if err := writeInts(w, snap.Link[:]...); err != nil {
+		return err
 	}
 	if err := writeStreamSnapshot(w, &snap.Main); err != nil {
 		return err
@@ -198,33 +186,6 @@ func readRankSnapshot(r io.Reader) (cluster.RankSnapshot, error) {
 		seen[name] = true
 		snap.Phases = append(snap.Phases, name)
 	}
-	bs, err := readInts(r, 1)
-	if err != nil {
-		return snap, err
-	}
-	snap.BytesSent = bs[0]
-	for _, dst := range []*map[string]int64{&snap.OpCount, &snap.OpBytes} {
-		cnt, err := readInts(r, 1)
-		if err != nil {
-			return snap, err
-		}
-		if cnt[0] < 0 || cnt[0] > maxWireElems {
-			return snap, fmt.Errorf("graphio: implausible map size %d", cnt[0])
-		}
-		m := make(map[string]int64, capHint(int(cnt[0])))
-		for i := int64(0); i < cnt[0]; i++ {
-			k, err := readString(r)
-			if err != nil {
-				return snap, err
-			}
-			v, err := readInts(r, 1)
-			if err != nil {
-				return snap, err
-			}
-			m[k] = v[0]
-		}
-		*dst = m
-	}
 	cnt, err := readInts(r, 1)
 	if err != nil {
 		return snap, err
@@ -232,18 +193,23 @@ func readRankSnapshot(r io.Reader) (cluster.RankSnapshot, error) {
 	if cnt[0] < 0 || cnt[0] > maxWireElems {
 		return snap, fmt.Errorf("graphio: implausible map size %d", cnt[0])
 	}
-	snap.LinkBytes = make(map[string][3]int64, capHint(int(cnt[0])))
+	snap.Ops = make(map[string]cluster.OpTally, capHint(int(cnt[0])))
 	for i := int64(0); i < cnt[0]; i++ {
 		k, err := readString(r)
 		if err != nil {
 			return snap, err
 		}
-		v, err := readInts(r, 3)
+		v, err := readInts(r, 2)
 		if err != nil {
 			return snap, err
 		}
-		snap.LinkBytes[k] = [3]int64{v[0], v[1], v[2]}
+		snap.Ops[k] = cluster.OpTally{Count: v[0], Bytes: v[1]}
 	}
+	link, err := readInts(r, 3)
+	if err != nil {
+		return snap, err
+	}
+	copy(snap.Link[:], link)
 	if snap.Main, err = readStreamSnapshot(r, len(snap.Phases)); err != nil {
 		return snap, err
 	}

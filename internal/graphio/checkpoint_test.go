@@ -44,14 +44,12 @@ func randCheckpoint(seed int64) *Checkpoint {
 	for i := 0; i < p; i++ {
 		names := phases[:1+rng.Intn(len(phases))]
 		snap := cluster.RankSnapshot{
-			Phases:    names,
-			BytesSent: rng.Int63n(1 << 40),
-			OpCount:   map[string]int64{"allreduce": rng.Int63n(1000), "alltoallv": rng.Int63n(1000)},
-			OpBytes:   map[string]int64{"allreduce": rng.Int63n(1 << 30)},
-			LinkBytes: map[string][3]int64{
-				"sampling": {rng.Int63n(1 << 20), rng.Int63n(1 << 20), rng.Int63n(1 << 20)},
-				"stall":    {0, 1, 2},
+			Phases: names,
+			Ops: map[string]cluster.OpTally{
+				"allreduce": {Count: rng.Int63n(1000), Bytes: rng.Int63n(1 << 30)},
+				"alltoallv": {Count: rng.Int63n(1000)},
 			},
+			Link: [3]int64{rng.Int63n(1 << 20), rng.Int63n(1 << 20), rng.Int63n(1 << 20)},
 			Main: stream(len(names)),
 		}
 		for s := rng.Intn(3); s > 0; s-- {
@@ -106,10 +104,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		}
 		for i := range got.Ranks {
 			if !reflect.DeepEqual(got.Ranks[i].Phases, ck.Ranks[i].Phases) ||
-				got.Ranks[i].BytesSent != ck.Ranks[i].BytesSent ||
-				!reflect.DeepEqual(got.Ranks[i].OpCount, ck.Ranks[i].OpCount) ||
-				!reflect.DeepEqual(got.Ranks[i].OpBytes, ck.Ranks[i].OpBytes) ||
-				!reflect.DeepEqual(got.Ranks[i].LinkBytes, ck.Ranks[i].LinkBytes) {
+				!reflect.DeepEqual(got.Ranks[i].Ops, ck.Ranks[i].Ops) ||
+				got.Ranks[i].Link != ck.Ranks[i].Link {
 				t.Fatalf("seed %d: rank %d metadata changed", seed, i)
 			}
 		}
@@ -238,7 +234,11 @@ func TestCheckpointRejectsImpossiblePhaseShapes(t *testing.T) {
 // a distinct value, on the main stream and on a ghost stream, and
 // carries both through WriteCheckpoint, ReadCheckpoint, Restore, Run and
 // the stats fold. It walks the record by reflection, so a field added
-// to PhaseAcc that the codec or the fold drops fails here by name.
+// to PhaseAcc that the codec or the fold drops fails here by name. A
+// restore books each record by its phase name, so a snapshot whose
+// names do not start with the fresh run's "default" reads back the
+// same. Every OpTally field and Link tier carries a distinct value too,
+// and must come back in Stats by name.
 func TestPhaseAccSurvivesRestore(t *testing.T) {
 	distinct := func(base float64) cluster.PhaseAcc {
 		var p cluster.PhaseAcc
@@ -257,34 +257,66 @@ func TestPhaseAccSurvivesRestore(t *testing.T) {
 		}
 		return p
 	}
-	want := map[string]cluster.PhaseAcc{"main": distinct(1.5), "ghost": distinct(100.25)}
-	ck := &Checkpoint{Ranks: []cluster.RankSnapshot{{
-		// A fresh run interns "default" first, so slot ids line up.
-		Phases:  []string{"default", "main", "ghost"},
-		Main:    cluster.StreamSnapshot{Clock: 2, Phases: []cluster.PhaseAcc{{}, want["main"]}},
-		Streams: []cluster.StreamSnapshot{{Clock: 1, Phases: []cluster.PhaseAcc{{}, {}, want["ghost"]}}},
-	}}}
-	got, err := ReadCheckpoint(bytes.NewReader(encodeCkpt(t, ck)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := cluster.New(1, cluster.CostModel{}).Run(func(r *cluster.Rank) error {
-		r.Restore(got.Ranks[0])
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	phases := res.Ranks[0].Phases
-	if len(phases) != len(want) {
-		t.Errorf("restored run reports %d phases, want %d: %v", len(phases), len(want), phases)
-	}
-	for stream, w := range want {
-		hv, wv := reflect.ValueOf(phases[stream]), reflect.ValueOf(w)
-		for i := 0; i < wv.NumField(); i++ {
-			if h, w := hv.Field(i).Interface(), wv.Field(i).Interface(); h != w {
-				t.Errorf("%s stream: PhaseAcc.%s = %v after restore, want %v", stream, wv.Type().Field(i).Name, h, w)
+	onMain, onGhost := distinct(1.5), distinct(100.25)
+	ops := map[string]cluster.OpTally{"allreduce": {Count: 3, Bytes: 70}, "alltoallv": {Count: 5, Bytes: 110}}
+	link := [3]int64{1000, 2000, 4000}
+	for _, c := range []struct {
+		name string
+		snap cluster.RankSnapshot
+		want map[string]cluster.PhaseAcc
+	}{
+		{"names start with default", cluster.RankSnapshot{
+			Phases:  []string{"default", "main", "ghost"},
+			Main:    cluster.StreamSnapshot{Clock: 2, Phases: []cluster.PhaseAcc{{}, onMain}},
+			Streams: []cluster.StreamSnapshot{{Clock: 1, Phases: []cluster.PhaseAcc{{}, {}, onGhost}}},
+		}, map[string]cluster.PhaseAcc{"main": onMain, "ghost": onGhost}},
+		{"names without default", cluster.RankSnapshot{
+			Phases:  []string{"sampling", "propagation"},
+			Main:    cluster.StreamSnapshot{Clock: 2, Phases: []cluster.PhaseAcc{onMain}},
+			Streams: []cluster.StreamSnapshot{{Clock: 1, Phases: []cluster.PhaseAcc{{}, onGhost}}},
+		}, map[string]cluster.PhaseAcc{"sampling": onMain, "propagation": onGhost}},
+	} {
+		c.snap.Ops, c.snap.Link = ops, link
+		got, err := ReadCheckpoint(bytes.NewReader(encodeCkpt(t, &Checkpoint{Ranks: []cluster.RankSnapshot{c.snap}})))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := cluster.New(1, cluster.CostModel{}).Run(func(r *cluster.Rank) error {
+			r.Restore(got.Ranks[0])
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := res.Ranks[0]
+		if len(st.Phases) != len(c.want) {
+			t.Errorf("%s: restored run reports %d phases, want %d: %v", c.name, len(st.Phases), len(c.want), st.Phases)
+		}
+		for phase, w := range c.want {
+			hv, wv := reflect.ValueOf(st.Phases[phase]), reflect.ValueOf(w)
+			for i := 0; i < wv.NumField(); i++ {
+				if h, w := hv.Field(i).Interface(), wv.Field(i).Interface(); h != w {
+					t.Errorf("%s: phase %q: PhaseAcc.%s = %v after restore, want %v", c.name, phase, wv.Type().Field(i).Name, h, w)
+				}
 			}
+		}
+		var sum int64
+		for op, w := range ops {
+			if st.OpCount[op] != w.Count {
+				t.Errorf("%s: OpCount[%q] = %d after restore, want %d", c.name, op, st.OpCount[op], w.Count)
+			}
+			if st.OpBytes[op] != w.Bytes {
+				t.Errorf("%s: OpBytes[%q] = %d after restore, want %d", c.name, op, st.OpBytes[op], w.Bytes)
+			}
+			sum += w.Bytes
+		}
+		for l, w := range link {
+			if st.Link[l] != w {
+				t.Errorf("%s: Link[%s] = %d after restore, want %d", c.name, cluster.Link(l), st.Link[l], w)
+			}
+		}
+		if st.BytesSent != sum {
+			t.Errorf("%s: BytesSent = %d after restore, want the op bytes' sum %d", c.name, st.BytesSent, sum)
 		}
 	}
 }

@@ -43,13 +43,11 @@ func FuzzCheckpointRead(f *testing.F) {
 		OptM:   []float64{0.1, 0.2, 0.3},
 		OptV:   []float64{0.01, 0.02, 0.03},
 		Ranks: []cluster.RankSnapshot{{
-			Phases:    []string{"sampling", "propagation"},
-			BytesSent: 1 << 20,
-			OpCount:   map[string]int64{"allreduce": 12},
-			OpBytes:   map[string]int64{"allreduce": 4096},
-			LinkBytes: map[string][3]int64{"propagation": {1, 2, 3}},
-			Main:      cluster.StreamSnapshot{Clock: 1.5, Phases: []cluster.PhaseAcc{{Seconds: 1, Touched: true}, {Seconds: 0.5, Comm: 0.25, Touched: true}}},
-			Streams:   []cluster.StreamSnapshot{{Clock: 1.25, Phases: []cluster.PhaseAcc{{Seconds: 1, Touched: true}}}},
+			Phases:  []string{"sampling", "propagation"},
+			Ops:     map[string]cluster.OpTally{"allreduce": {Count: 12, Bytes: 4096}},
+			Link:    [3]int64{1, 2, 3},
+			Main:    cluster.StreamSnapshot{Clock: 1.5, Phases: []cluster.PhaseAcc{{Seconds: 1, Touched: true}, {Seconds: 0.5, Comm: 0.25, Touched: true}}},
+			Streams: []cluster.StreamSnapshot{{Clock: 1.25, Phases: []cluster.PhaseAcc{{Seconds: 1, Touched: true}}}},
 		}},
 	}
 	if err := WriteCheckpoint(&buf, ck); err != nil {

@@ -9,9 +9,9 @@ import (
 
 func snapWithClock(t float64) cluster.RankSnapshot {
 	return cluster.RankSnapshot{
-		Phases:  []string{"work"},
-		OpCount: map[string]int64{},
-		Main:    cluster.StreamSnapshot{Clock: t, Phases: []cluster.PhaseAcc{{Seconds: t, Touched: true}}},
+		Phases: []string{"work"},
+		Ops:    map[string]cluster.OpTally{},
+		Main:   cluster.StreamSnapshot{Clock: t, Phases: []cluster.PhaseAcc{{Seconds: t, Touched: true}}},
 	}
 }
 

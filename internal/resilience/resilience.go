@@ -134,7 +134,7 @@ func (c *Collector) AddRank(epoch, rank int, snap cluster.RankSnapshot) error {
 	if err := c.open(epoch); err != nil {
 		return err
 	}
-	if c.build.Ranks[rank].Phases != nil || c.build.Ranks[rank].OpCount != nil {
+	if c.build.Ranks[rank].Phases != nil || c.build.Ranks[rank].Ops != nil {
 		return fmt.Errorf("resilience: duplicate snapshot from rank %d at boundary %d", rank, epoch)
 	}
 	c.build.Ranks[rank] = snap
