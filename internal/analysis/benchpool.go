@@ -18,11 +18,10 @@ import (
 // the other ranks already hold the cores and nested fan-out does not
 // pay. The two row folds are where kernels stripe, over row ranges
 // through ParallelRows: the sum all-reduce's (internal/cluster) and the
-// 1.5D row fold (internal/distsample's foldStages, which runs the sparse
-// merge, when it builds a total, and the node-wise draw on each
-// stripe), because every rank of
-// their communicator is parked while they run. Packages outside the
-// table are not checked.
+// 1.5D row fold (internal/distsample's foldStages, which runs the
+// node-wise draw on each stripe), because every rank of their
+// communicator is parked while they run. Packages outside the table are
+// not checked.
 var Benchpool = &Analyzer{
 	Name: "benchpool",
 	Doc:  "confine goroutines, channels and WaitGroups to each listed package's one fan-out seam (bench: pool.go, dense: matrix.go, sparse and core: none)",

@@ -37,27 +37,25 @@ var parkWakeScope = map[string]bool{
 
 // parkCalls names the functions that may park the calling task,
 // keyed by (package path, receiver type name or "" for package-level,
-// function name).
+// function name). Every key names a function its package declares
+// outside its tests (TestParkCallsNameDeclaredFunctions).
 type parkKey struct{ pkg, recv, name string }
 
 var parkCalls = map[parkKey]bool{
-	{clusterPath, "", "Barrier"}:              true,
-	{clusterPath, "", "Broadcast"}:            true,
-	{clusterPath, "", "AllGather"}:            true,
-	{clusterPath, "", "Gather"}:               true,
-	{clusterPath, "", "Scatter"}:              true,
-	{clusterPath, "", "AllToAllv"}:            true,
-	{clusterPath, "", "AllToAllvSparse"}:      true,
-	{clusterPath, "", "AllReduceSum"}:         true,
-	{clusterPath, "", "AllReduceSumApply"}:    true,
-	{clusterPath, "", "AllReduceGenericInto"}: true,
-	{clusterPath, "", "Send"}:                 true,
-	{clusterPath, "", "Recv"}:                 true,
-	{clusterPath, "Queue", "Recv"}:            true,
-	{clusterPath, "Forked", "Join"}:           true,
-	{clusterPath, "Rank", "gate"}:             true,
-	{clusterPath + "/sim", "Task", "Park"}:    true,
-	{clusterPath + "/sim", "Task", "Gate"}:    true,
+	{clusterPath, "", "Broadcast"}:         true,
+	{clusterPath, "", "AllGather"}:         true,
+	{clusterPath, "", "Gather"}:            true,
+	{clusterPath, "", "Scatter"}:           true,
+	{clusterPath, "", "AllToAllv"}:         true,
+	{clusterPath, "", "AllToAllvSparse"}:   true,
+	{clusterPath, "", "AllReduceSum"}:      true,
+	{clusterPath, "", "AllReduceSumApply"}: true,
+	{clusterPath, "", "AllReduceGeneric"}:  true,
+	{clusterPath, "Queue", "Recv"}:         true,
+	{clusterPath, "Forked", "Join"}:        true,
+	{clusterPath, "Rank", "gate"}:          true,
+	{clusterPath + "/sim", "Task", "Park"}: true,
+	{clusterPath + "/sim", "Task", "Gate"}: true,
 }
 
 func runParkWake(pass *Pass) error {

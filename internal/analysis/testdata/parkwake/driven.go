@@ -56,7 +56,7 @@ func (g *registry) deferredPark() {
 	defer g.mu.Unlock()
 	// The lexical tracker sees both the outstanding Lock and the
 	// deferred Unlock, so the park site reports twice.
-	Barrier() // want `Barrier may park the rank while g\.mu is locked:` `deferred Unlock holds it to return`
+	AllGather() // want `AllGather may park the rank while g\.mu is locked:` `deferred Unlock holds it to return`
 }
 
 func (g *registry) unlockThenPark() int {

@@ -13,5 +13,5 @@ type Queue struct{}
 
 func (q *Queue) Recv() int { return 0 }
 
-// Barrier stubs the collective rendezvous.
-func Barrier() {}
+// AllGather stubs the collective rendezvous.
+func AllGather() {}

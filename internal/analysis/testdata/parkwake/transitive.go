@@ -18,7 +18,7 @@ func callsBlockingHelper(ch chan int) int {
 }
 
 // rendezvous reaches the collective park one call down.
-func rendezvous() { Barrier() }
+func rendezvous() { AllGather() }
 
 type cache struct{ mu sync.Mutex }
 
@@ -27,7 +27,7 @@ type cache struct{ mu sync.Mutex }
 // helper reaches one.
 func (c *cache) lockedTransitivePark() {
 	c.mu.Lock()
-	rendezvous() // want `cluster\.rendezvous \(→ Barrier\) may park the rank while c\.mu is locked`
+	rendezvous() // want `cluster\.rendezvous \(→ AllGather\) may park the rank while c\.mu is locked`
 	c.mu.Unlock()
 }
 

@@ -114,13 +114,7 @@ func PartitionAblation(w io.Writer, dataset string, ps []int, o Options) ([]Part
 	var rows []PartitionRow
 	sg := core.SAGE{CDF: d.Graph.RowCDF()}
 	for _, p := range ps {
-		c := cFor(p) / 2
-		if c < 2 {
-			c = 2
-		}
-		for (p/c)%c != 0 && c > 1 {
-			c /= 2
-		}
+		c := gridC(p, max(cFor(p)/2, 2))
 		res1, err := runOneDSampling(d, p, o.MaxBatches, o.Seed, o.Model)
 		if err != nil {
 			return nil, err

@@ -267,6 +267,23 @@ func TestVerifyAllPass(t *testing.T) {
 	}
 }
 
+// TestVerifyErrorNamesFailedChecks: a FAIL row is Verify's error, which
+// names every failed check and no passed one, so gnnbench exits nonzero
+// on a failed self-check; all PASS is no error.
+func TestVerifyErrorNamesFailedChecks(t *testing.T) {
+	rows := []VerifyRow{{Check: "x == y", Pass: true}, {Check: "u == v"}, {Check: "s == t"}}
+	err := failedChecks(rows)
+	if err == nil {
+		t.Fatal("two failed checks gave no error")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "u == v") || !strings.Contains(msg, "s == t") || strings.Contains(msg, "x == y") {
+		t.Fatalf("error %q, want it to name u == v and s == t only", msg)
+	}
+	if err := failedChecks(rows[:1]); err != nil {
+		t.Fatalf("all checks passed, got %v", err)
+	}
+}
+
 func TestOverlapAnalysisBounds(t *testing.T) {
 	var buf bytes.Buffer
 	rows, err := OverlapAnalysis(&buf, Options{Profile: datasets.Tiny, GPUCounts: []int{4}, Seed: 12})

@@ -46,8 +46,8 @@ func Tprob(w io.Writer, dataset string, p int, cs []int, o Options) ([]TprobRow,
 	b := float64(d.BatchSize)
 	deg := d.Graph.AvgDegree()
 	m := o.Model.OrPerlmutter()
-	alpha := m.Alpha[1] // inter-node tier dominates at scale
-	beta := m.Beta[1]
+	alpha := m.Alpha[cluster.InterNode] // inter-node tier dominates at scale
+	beta := m.Beta[cluster.InterNode]
 
 	fmt.Fprintf(w, "T_prob model check (Section 5.2.1), dataset=%s p=%d, first layer\n", dataset, p)
 	fmt.Fprintf(w, "%-9s %3s %12s %12s %8s\n", "algo", "c", "measured(s)", "model(s)", "ratio")

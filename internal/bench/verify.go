@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"slices"
+	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -21,9 +23,10 @@ type VerifyRow struct {
 
 // Verify runs the headline correctness properties as an executable
 // checklist: every distributed sampling algorithm must produce results
-// identical to the serial bulk sampler. This is what justifies reading
-// the simulated timings as measurements of the same computation the
-// paper runs.
+// identical to the serial bulk sampler, bit for bit. This is what
+// justifies reading the simulated timings as measurements of the same
+// computation the paper runs. It prints every check, then returns an
+// error naming the ones that failed.
 func Verify(w io.Writer, o Options) ([]VerifyRow, error) {
 	d, err := datasets.ByName("products", o.Profile)
 	if err != nil {
@@ -48,18 +51,11 @@ func Verify(w io.Writer, o Options) ([]VerifyRow, error) {
 		if len(x.Layers) != len(y.Layers) {
 			return false
 		}
-		for l := range x.Layers {
-			if !sparse.Equal(x.Layers[l].Adj, y.Layers[l].Adj, 1e-12) {
+		for l, xl := range x.Layers {
+			yl := y.Layers[l]
+			if !sparse.Equal(xl.Adj, yl.Adj) || !slices.Equal(xl.Cols.Vertices, yl.Cols.Vertices) ||
+				!slices.Equal(xl.Cols.BatchPtr, yl.Cols.BatchPtr) {
 				return false
-			}
-			xv, yv := x.Layers[l].Cols.Vertices, y.Layers[l].Cols.Vertices
-			if len(xv) != len(yv) {
-				return false
-			}
-			for i := range xv {
-				if xv[i] != yv[i] {
-					return false
-				}
 			}
 		}
 		return true
@@ -138,5 +134,20 @@ func Verify(w io.Writer, o Options) ([]VerifyRow, error) {
 		return nil, err
 	}
 	add("sparsity-aware == oblivious 1.5D", same(aware, obliv), "(p=4 c=2)")
-	return rows, nil
+	return rows, failedChecks(rows)
+}
+
+// failedChecks returns an error naming every check of rows that failed,
+// or nil when all passed.
+func failedChecks(rows []VerifyRow) error {
+	var failed []string
+	for _, r := range rows {
+		if !r.Pass {
+			failed = append(failed, r.Check)
+		}
+	}
+	if failed == nil {
+		return nil
+	}
+	return fmt.Errorf("verify: %d of %d checks failed: %s", len(failed), len(rows), strings.Join(failed, "; "))
 }

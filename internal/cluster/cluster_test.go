@@ -289,17 +289,15 @@ func TestAllReduceSum(t *testing.T) {
 func TestAllReduceGenericOrdered(t *testing.T) {
 	cl := New(4, testModel())
 	world := cl.World()
+	var joined string
 	_, err := cl.Run(func(r *Rank) error {
-		// The reducer sees contributions and destinations in member
-		// order; every member gets its own destination back.
-		got := AllReduceGenericInto(world, r, fmt.Sprintf("%d", r.ID), 1, new(string),
-			func(vals []string, dests []*string) {
-				for _, d := range dests {
-					*d = strings.Join(vals, "")
-				}
-			})
-		if *got != "0123" {
-			return fmt.Errorf("rank %d got %q", r.ID, *got)
+		// The reducer sees the contributions in member order; every
+		// member reads what it wrote once the collective returns.
+		AllReduceGeneric(world, r, fmt.Sprintf("%d", r.ID), 1, func(vals []string) {
+			joined = strings.Join(vals, "")
+		})
+		if joined != "0123" {
+			return fmt.Errorf("rank %d got %q", r.ID, joined)
 		}
 		return nil
 	})
@@ -313,8 +311,8 @@ func TestAllReduceGenericOrdered(t *testing.T) {
 // GOMAXPROCS 1 and 4, on an uncontended cluster (whose last arriver
 // yields at the rendezvous) and on a contended one (whose last arriver
 // keeps its turn). Two process rows fold side by side for several
-// generations; the reduce writes the destinations last, after letting
-// the other members run.
+// generations; the reduce writes the row's sum last, after letting the
+// other members run, and every member reads it once it returns.
 func TestAllReduceGenericFoldsOncePerGeneration(t *testing.T) {
 	const rows, size, gens = 2, 4, 6
 	for _, topo := range []struct {
@@ -328,6 +326,7 @@ func TestAllReduceGenericFoldsOncePerGeneration(t *testing.T) {
 				cl := New(rows*size, m)
 				var comms [rows]*Comm
 				var folds [rows][gens]atomic.Int32
+				var sums [rows]int
 				for i := range comms {
 					comms[i] = cl.NewComm([]int{i * size, i*size + 1, i*size + 2, i*size + 3})
 				}
@@ -335,7 +334,7 @@ func TestAllReduceGenericFoldsOncePerGeneration(t *testing.T) {
 					row := r.ID / size
 					for g := 0; g < gens; g++ {
 						r.AdvanceBy(float64(r.ID%3) * 1e-6)
-						got := AllReduceGenericInto(comms[row], r, r.ID+g, 8, new(int), func(vals []int, dests []*int) {
+						AllReduceGeneric(comms[row], r, r.ID+g, 8, func(vals []int) {
 							folds[row][g].Add(1)
 							sum := 0
 							for _, v := range vals {
@@ -344,13 +343,11 @@ func TestAllReduceGenericFoldsOncePerGeneration(t *testing.T) {
 							for i := 0; i < 100; i++ {
 								runtime.Gosched()
 							}
-							for _, d := range dests {
-								*d = sum
-							}
+							sums[row] = sum
 						})
 						want := size*size*row + size*(size-1)/2 + size*g
-						if *got != want {
-							return fmt.Errorf("rank %d generation %d returned %d, want %d", r.ID, g, *got, want)
+						if got := sums[row]; got != want {
+							return fmt.Errorf("rank %d generation %d returned %d, want %d", r.ID, g, got, want)
 						}
 						if n := folds[row][g].Load(); n != 1 {
 							return fmt.Errorf("rank %d generation %d returned after %d folds", r.ID, g, n)

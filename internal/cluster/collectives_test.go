@@ -179,7 +179,7 @@ func TestAllReduceGenericChargesMemOnMax(t *testing.T) {
 	const maxBytes = 400 // rank 3's contribution
 	res := runWorld(t, p, Collectives{}, func(c *Comm, r *Rank) {
 		bytes := 100 * (r.ID + 1)
-		AllReduceGenericInto(c, r, r.ID, bytes, new(int), func(vals []int, dests []*int) {})
+		AllReduceGeneric(c, r, r.ID, bytes, func([]int) {})
 	})
 	m := testModel()
 	want := PredictAllReduce(m, FlatTree, IntraNode, p, maxBytes) +

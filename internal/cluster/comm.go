@@ -695,7 +695,7 @@ func AllReduceSum(c *Comm, r *Rank, x []float64) []float64 {
 // the O(n²·len) of every member re-folding all n contributions, the
 // dominant simulator cost at large p — and every member receives the
 // one shared total: read-only, and valid through the member's next
-// collective on c. Like AllReduceGenericInto's, the fold runs off the
+// collective on c. Like AllReduceGeneric's, the fold runs off the
 // commit turn (see fold). A non-nil apply runs on the total right after
 // the fold, exactly once per collective and before any member returns,
 // which is what makes the shared-model optimizer step of
@@ -728,7 +728,7 @@ func allReduceSum(c *Comm, r *Rank, x []float64, alg CollectiveAlgorithm, apply 
 	var f *sumFold
 	entry := c.exchangeTransform(r, "allreduce", r.clock, func(idx int) {
 		f = record[sumFold](c.rv)
-		f.put(c.rv, idx, x, struct{}{}, 8*len(x))
+		f.put(c.rv, idx, x, 8*len(x))
 	}, nil, true)
 	f.run(c, "allreduce", func() { f.sum(apply) })
 	c.chargeCollective(r, "allreduce", entry, allReduceCost(c, alg, f.bytes, 8*len(x)))
@@ -753,52 +753,44 @@ func AllReduceSumApply(c *Comm, r *Rank, x []float64, apply func(total []float64
 	allReduceSum(c, r, x, c.allReduceAlg(), apply)
 }
 
-// AllReduceGenericInto folds arbitrary values: the fold runs once per
-// collective, by a caller-supplied reducer that writes each member's
-// private result into that member's destination (the same move
-// allReduceSum makes for the elementwise sum — O(n) combines total
-// instead of every member redoing all n). reduce receives the
-// contributions and the destinations in member order (the fold need
-// not be commutative) and must leave every destination holding the
-// full fold; each member returns its own destination, free to mutate.
-// The fold runs after every member has arrived and completes before any
+// AllReduceGeneric folds arbitrary values: reduce runs once per
+// collective, over the contributions in member order (the fold need not
+// be commutative), and reaches whatever the members share through
+// them. It runs after every member has arrived and completes before any
 // member returns — while every member's buffers are quiescent — so a
-// caller may contribute and receive epoch-persistent arena storage: the
-// property the 1.5D SpGEMM's accumulator and result arenas rely on.
-// bytes sizes the caller's contribution; per the shared charging-path
-// convention the β term and the local-reduction memory traffic both
-// cost on the maximum contribution across members. The fold always runs
-// flat, so a Hierarchical selection charges the flat schedule; Ring
-// charges the ring schedule. Used for the sparse-matrix all-reduce in
-// the 1.5D SpGEMM.
-func AllReduceGenericInto[T, D any](c *Comm, r *Rank, val T, bytes int, dest D, reduce func(vals []T, dests []D)) D {
+// caller may contribute epoch-persistent arena storage and read what
+// the fold wrote once it returns: the property the 1.5D SpGEMM's row
+// fold relies on. bytes sizes the caller's contribution; per the shared
+// charging-path convention the β term and the local-reduction memory
+// traffic both cost on the maximum contribution across members. The
+// fold always runs flat, so a Hierarchical selection charges the flat
+// schedule; Ring charges the ring schedule. Used for the sparse-matrix
+// all-reduce in the 1.5D SpGEMM.
+func AllReduceGeneric[T any](c *Comm, r *Rank, val T, bytes int, reduce func(vals []T)) {
 	alg := c.allReduceAlg()
 	if alg != Ring {
 		alg = FlatTree
 	}
-	var f *fold[T, D]
+	var f *fold[T]
 	entry := c.exchangeTransform(r, "allreduce-generic", r.clock, func(idx int) {
-		f = record[fold[T, D]](c.rv)
-		f.put(c.rv, idx, val, dest, bytes)
+		f = record[fold[T]](c.rv)
+		f.put(c.rv, idx, val, bytes)
 	}, nil, true)
-	f.run(c, "allreduce-generic", func() { reduce(f.vals, f.dests) })
+	f.run(c, "allreduce-generic", func() { reduce(f.vals) })
 	c.chargeCollective(r, "allreduce-generic", entry, allReduceCost(c, alg, f.bytes, bytes))
-	return f.dests[c.LocalIndex(r)]
 }
 
-// fold is one all-reduce generation's record: the contributions and
-// the destinations the fold writes, in member order, and the largest
-// contribution's size, on which every member is charged (per the
-// shared charging-path convention).
+// fold is one all-reduce generation's record: the contributions, in
+// member order, and the largest contribution's size, on which every
+// member is charged (per the shared charging-path convention).
 //
 // The fold runs outside the commit section: the rendezvous only gathers
 // the contributions, and the first member to resume folds them while
 // the others wait for it. The last arriver yields (see
 // exchangeTransform), so folds on different communicators run side by
 // side, each on its own worker.
-type fold[T, D any] struct {
+type fold[T any] struct {
 	vals  []T
-	dests []D
 	bytes int
 	once  sync.Once
 	// failed is the diagnostic of a fold that panicked, which every
@@ -806,23 +798,23 @@ type fold[T, D any] struct {
 	failed error
 }
 
-// put records member idx's contribution, its destination and its size
-// in bytes, emptying the record at the generation's first arrival.
-// Caller holds rv.mu (at the member's arrival).
-func (f *fold[T, D]) put(rv *rendezvous, idx int, val T, dest D, bytes int) {
+// put records member idx's contribution and its size in bytes, emptying
+// the record at the generation's first arrival. Caller holds rv.mu (at
+// the member's arrival).
+func (f *fold[T]) put(rv *rendezvous, idx int, val T, bytes int) {
 	if f.vals == nil {
-		f.vals, f.dests = make([]T, rv.n), make([]D, rv.n)
+		f.vals = make([]T, rv.n)
 	}
 	if rv.arrived == 0 {
 		f.bytes, f.once, f.failed = 0, sync.Once{}, nil
 	}
-	f.vals[idx], f.dests[idx] = val, dest
+	f.vals[idx] = val
 	f.bytes = max(f.bytes, bytes)
 }
 
 // run runs body exactly once across the members that call it and
 // returns once it has finished.
-func (f *fold[T, D]) run(c *Comm, op string, body func()) {
+func (f *fold[T]) run(c *Comm, op string, body func()) {
 	f.once.Do(func() {
 		defer func() {
 			if p := recover(); p != nil {
@@ -838,10 +830,9 @@ func (f *fold[T, D]) run(c *Comm, op string, body func()) {
 }
 
 // sumFold is one sum all-reduce generation's record: the contributions,
-// the total every member receives (the sum has no per-member
-// destination) and the map the fold reuses.
+// the total every member receives and the map the fold reuses.
 type sumFold struct {
-	fold[[]float64, struct{}]
+	fold[[]float64]
 	total []float64
 	// shared maps each contribution's backing array to the number of
 	// contributions that share it, then a shared one to its zero test.

@@ -216,11 +216,12 @@ func TestCollectiveAbortOnRankFailure(t *testing.T) {
 		}},
 		// The generic fold always runs flat; Ring changes only its charge.
 		{"allreduce-generic", Collectives{AllReduce: Ring}, func(c *Comm, r *Rank) {
-			AllReduceGenericInto(c, r, r.ID, 8, new(int), func(vals []int, dests []*int) {})
+			AllReduceGeneric(c, r, r.ID, 8, func([]int) {})
 		}},
+		// A fold that writes into storage the members share.
 		{"allreduce-generic-into", Collectives{}, func(c *Comm, r *Rank) {
-			dest := make([]int, 1)
-			AllReduceGenericInto(c, r, r.ID, 8, dest, func(vals []int, dests [][]int) {})
+			shared := make([]int, 1)
+			AllReduceGeneric(c, r, r.ID, 8, func(vals []int) { shared[0] = len(vals) })
 		}},
 	}
 	for _, tc := range ops {

@@ -47,17 +47,22 @@ func FullGraphBatch(adj *sparse.CSR, layers int) *BatchGraph {
 }
 
 // ExtractBatch slices minibatch i out of the bulk sample, relabeling
-// adjacency columns to be batch-local.
+// adjacency columns to be batch-local. The batch's adjacencies share no
+// storage with the sample's layers, which may be shared read-only.
 func (b *BulkSample) ExtractBatch(i int) *BatchGraph {
 	bg := &BatchGraph{Seeds: b.Batches[i]}
 	for _, ls := range b.Layers {
 		rLo, rHi := ls.Rows.BatchPtr[i], ls.Rows.BatchPtr[i+1]
 		cLo := ls.Cols.BatchPtr[i]
+		// The slice views the layer: shift its columns into the
+		// batch-local frame, and copy its values, in storage of the
+		// batch's own.
 		adj := sparse.SliceRows(ls.Adj, rLo, rHi)
-		// Shift columns into the batch-local frame.
-		for k := range adj.ColIdx {
-			adj.ColIdx[k] -= cLo
+		cols := make([]int, len(adj.ColIdx))
+		for k, c := range adj.ColIdx {
+			cols[k] = c - cLo
 		}
+		adj.ColIdx, adj.Val = cols, append([]float64(nil), adj.Val...)
 		adj.Cols = ls.Cols.BatchPtr[i+1] - cLo
 		bg.Adjs = append(bg.Adjs, adj)
 		bg.Frontiers = append(bg.Frontiers, ls.Rows.Batch(i))

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/graph"
+	"repro/internal/sparse"
 )
 
 // randomScenario builds a random graph and random batches from a quick
@@ -137,6 +139,36 @@ func TestPropertyExtractBatchPartitionsBulk(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestExtractBatchSharesNoStorage: ExtractBatch copies what it hands
+// on, so writing every entry of every batch's adjacencies leaves the
+// bulk sample's layers bit for bit as they were — the c members of a
+// 1.5D process row extract their batches from one shared layer.
+func TestExtractBatchSharesNoStorage(t *testing.T) {
+	adj, batches, fanouts := randomScenario(7)
+	bs := SampleBulk(SAGE{}, adj.g.Adj, batches, fanouts, 7)
+	want := make([]*sparse.CSR, len(bs.Layers))
+	for l, ls := range bs.Layers {
+		want[l] = ls.Adj.Clone()
+	}
+	written := 0
+	for b := range batches {
+		for _, a := range bs.ExtractBatch(b).Adjs {
+			for k := range a.ColIdx {
+				a.ColIdx[k], a.Val[k] = -1, math.NaN()
+				written++
+			}
+		}
+	}
+	if written == 0 {
+		t.Fatal("no batch held an entry")
+	}
+	for l, ls := range bs.Layers {
+		if !sparse.Equal(ls.Adj, want[l]) {
+			t.Fatalf("layer %d changed when its batches were written", l)
+		}
 	}
 }
 

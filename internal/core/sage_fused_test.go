@@ -93,7 +93,7 @@ func diffLayer(got, want *LayerSample) string {
 		return "Adj.RowPtr"
 	case !slices.Equal(got.Adj.ColIdx, want.Adj.ColIdx):
 		return "Adj.ColIdx"
-	case !sparse.Equal(got.Adj, want.Adj, 0):
+	case !sparse.Equal(got.Adj, want.Adj):
 		return "Adj.Val"
 	case !slices.Equal(got.Rows.Vertices, want.Rows.Vertices) || !slices.Equal(got.Rows.BatchPtr, want.Rows.BatchPtr):
 		return "Rows"

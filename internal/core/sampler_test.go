@@ -158,7 +158,7 @@ func TestSAGEDeterministicForSeed(t *testing.T) {
 	b2 := SampleBulk(SAGE{}, a, batches, []int{2, 2}, 11)
 	sameFrontiers := func(x, y *BulkSample) bool {
 		for l := range x.Layers {
-			if !sparse.Equal(x.Layers[l].Adj, y.Layers[l].Adj, 0) {
+			if !sparse.Equal(x.Layers[l].Adj, y.Layers[l].Adj) {
 				return false
 			}
 			xv, yv := x.Layers[l].Cols.Vertices, y.Layers[l].Cols.Vertices

@@ -10,35 +10,22 @@ import (
 	"repro/internal/sparse"
 )
 
-// stageArena is one rank's workspace for the 1.5D SpGEMM stage loop,
-// recycled by position from run to run (see NewPartitionedSet). Before
-// it, every stage of every layer rebuilt the same intermediates from
-// fresh heap: the Q_ik column blocks, the NnzCols request list, the
-// owner's extracted row payloads, the assembled right operand, the
-// local product and the accumulator merge: 0.93 GB per partitioned
-// small p=16 epoch of the perf suite, 4x the replicated path. A
-// per-run arena brought that to 0.33 GB; copying one-hot rows instead
-// of accumulating them and sharing one total per process row brought
-// it to 0.24 GB (GOMAXPROCS=1). Handing the arenas of a finished run to
-// the next one takes the arena share out of every run after the
-// process's first (benchmark/ partitioned-dense: 0.46 GB → 0.02 GB per
-// epoch). No stage multiplies, and nothing is merged: the stages keep
-// the blocks of A they received and the row fold reads P from them
-// (stageRows) — in place for a GraphSAGE draw and a layer-wise
-// extraction, summed once per process row for a layer-wise sampler's
-// P (partitioned-dense peak RSS 423 MB → 115 MB) — and an aware stage's
-// block aliases the payload it received instead of copying it
-// (assembleBlockInto). The arena owns buffers that successive stages
-// and calls adopt, each resized to exactly the size the call computes
-// for it before writing (a payload's summed row degrees, P's flop
-// bound). Entry buffers scale with the active frontier's nonzeros. Some
-// headers scale with the grid whatever the rank's work: q = p/c² per
-// arena (asms, blocks, the Q_ik block headers and their q·(rows+1) row
-// pointers, the block bounds), and p/c per owner (extractParts'
-// payload headers) and per first arena (rowBlocks).
+// stageArena is one rank's workspace for the 1.5D SpGEMM stage loop:
+// what a member of a process row holds per call, and what it serves as
+// an owner. What the row shares — P, the draw and the fold's scratch —
+// is the row's rowFold. Both are recycled by position from run to run
+// (see NewPartitionedSet; DESIGN.md "Arenas & sweep parallelism" has
+// the allocation history: 0.93 GB per partitioned small p=16 epoch
+// before the arenas). Its buffers are resized to exactly the size a call
+// computes before writing, and entry buffers scale with the active
+// frontier's nonzeros. Some headers scale with the grid whatever the
+// rank's work: q = p/c² per arena (asms, blocks, the Q_ik block headers
+// and their q·(rows+1) row pointers, the block bounds) and p/c per
+// owner (extractParts' payload headers); a rowFold lists its row's p/c
+// blocks (rowBlocks).
 //
-// Reuse safety for the buffers that cross the wire rests on the
-// rendezvous happens-before edges of the collectives:
+// Reuse safety for the buffers the row fold or another member reads
+// rests on the rendezvous happens-before edges of the collectives:
 //
 //   - need (the Gather payload): the owner reads each member's request
 //     list between leaving the Gather and entering the Scatter. A
@@ -61,60 +48,25 @@ import (
 //     member makes that call only after leaving the fold.
 //   - blocks (stage t's right operand A_k): asms[t], or, on the
 //     sparsity-oblivious path, the broadcast owner block itself — a
-//     read-only reference to the owner's ALocal, which nobody writes
-//     once the set is built. The fold reads it like asms, listed in the
-//     first arena's rowBlocks; the set's release drops the references.
-//   - res, viewPtr and ptr (P): AllReduceGenericInto runs the fold
-//     inside the rendezvous, before any member leaves. It writes P's
-//     row pointers in the first member's arena — a layer-wise sampler's
-//     P, summed and then normalized in place, in res; any other P's, read
-//     in place, in viewPtr — and points every member's ptr at them. Every
-//     member is parked in the collective while the fold runs, so every
-//     arena is quiescent; and every member's use of the previous P is
-//     over by the time it re-enters (it consumed ptr to get here), so
-//     res and viewPtr are safely rewritten. Members only read ptr.
-//   - the node-wise draw's stripes (stripePicks, stripeLo; first
-//     arena): they draw at once, through one dense.ParallelRows
-//     fan-out, while every member is parked. They read the members' Q
-//     and blocks, and view, rowBlocks and viewPtr, which the fold wrote
-//     before the fan-out; stripe t writes only stripePicks[t], and the
-//     join that reads them runs after the fan-out has returned.
-//   - fin and draw (the layer's sample): each member states its finish
-//     step in fin before it enters the all-reduce; the fold checks that
-//     they agree, draws once into the first arena's draw record — the
-//     layer, or a layer-wise sampler's sampled sets and then its
-//     extraction onto them — and points every member's drawn field at
-//     that record. The record holds only pointers to freshly allocated
-//     samples, so the next draw rewrites the record, never a sample a
-//     member still holds. A drawn sample is read-only for every member,
-//     and no member recycles it: a process row's c members hold the
-//     same layers in their BulkSamples (ExtractBatch copies what it
-//     hands on), so none of them owns one alone. The set's release
-//     drops the record.
+//     read-only view of A, which nobody writes. The fold reads it like
+//     asms, listed in the rowFold's rowBlocks; the set's release drops
+//     the references.
+//   - q and fin (the call's Q and finish step): each member sets them
+//     before it enters the row all-reduce, whose fold reads Q beside the
+//     blocks and checks that the finish steps agree.
 //
-// Everything else (Q_ik blocks, the request marks, the stamp array)
-// never leaves the rank, but for the Q the fold reads beside the blocks
-// (q): each member allocates its own per call and reads it again only
-// after the fold. A stageArena serves one execution stream — the rank's
-// sampling stream — but for the first arena's SPA, which the fold sums
-// a layer-wise P with while that arena's member is parked.
+// Everything else never leaves the rank. A stageArena serves one
+// execution stream — the rank's sampling stream.
 //
 //gnnvet:arena
 type stageArena struct {
-	sparse.Scratch // SPA, NnzCols mark array, column-block slicing
+	sparse.Scratch // NnzCols mark array, column-block slicing
 
-	asms      []sparse.CSR  // per-stage assembled right operand A_k (sparsity-aware)
-	blocks    []*sparse.CSR // per-stage right operand A_k of the call in flight, read-only
-	q         *sparse.CSR   // the call's Q, which the fold reads beside the blocks
-	a         *sparse.CSR   // the set's A, of which blocks hold pieces
-	res       sparse.CSR    // a layer-wise sampler's P, when this is the process row's first arena
-	ptr       []int         // P's row pointers (some member's res.RowPtr or viewPtr), read-only, set by the fold
-	fin       finishStep    // this member's finish step for the call in flight
-	draw      rowDraw       // the fold's draw, when this is the process row's first arena
-	drawn     *rowDraw      // the process row's draw (some member's draw), read-only
-	view      stageRows     // the reader of A's rows in the process row's blocks (first arena)
-	viewPtr   []int         // P's row pointers read in place (first arena)
-	rowBlocks []*sparse.CSR // the process row's blocks in block-row order, view's (first arena)
+	asms   []sparse.CSR  // per-stage assembled right operand A_k (sparsity-aware)
+	blocks []*sparse.CSR // per-stage right operand A_k of the call in flight, read-only
+	q      *sparse.CSR   // the call's Q, which the fold reads beside the blocks
+	fin    finishStep    // this member's finish step for the call in flight
+	row    *rowFold      // the process row's fold, which foldStages reaches through the members
 
 	// stamp counts the running sum's nonzeros without building it:
 	// stamp[col] holds the tag of the last (call, row) that touched the
@@ -125,13 +77,6 @@ type stageArena struct {
 	stamp   []int
 	nextTag int
 
-	// The node-wise draw's row stripes (first arena): stripe t covers
-	// rows [stripeLo[t], stripeLo[t+1]) of P and draws into
-	// stripePicks[t]. They grow to the largest stripe count seen
-	// (GOMAXPROCS) and are reused.
-	stripePicks []core.RowPicks
-	stripeLo    []int
-
 	// Owner-side response arenas: one flat allocation carved into
 	// per-member row payloads (the shared flat layout FetchCached
 	// introduced for the feature all-to-allv).
@@ -141,6 +86,44 @@ type stageArena struct {
 	respRowPtr   []int
 	respCols     []int
 	respVals     []float64
+}
+
+// rowFold is a process row's fold: what Algorithm 2's row all-reduce
+// (line 14) makes once for the row's c members — P, read from their
+// blocks, and the row's one draw from it. It is held by the row's
+// shared Partitioned and recycled with its set by position. The fold
+// (foldStages) reaches it through the members' contributions
+// (stageArena.row) and runs inside the rendezvous, while every member
+// is parked, so it is the one writer. Each member then reads P's row
+// pointers (ptr) and the draw from it, read-only, and is done with them
+// before it enters the row's next all-reduce, so the next fold may
+// rewrite them. P is a layer-wise sampler's, summed by spa into res and
+// normalized there, or read in place through view over the members'
+// blocks (rowBlocks), its row pointers in viewPtr. The node-wise draw's
+// stripes draw at once, through one dense.ParallelRows fan-out: stripe
+// t writes only stripePicks[t], and the join reads them after the
+// fan-out has returned. The draw record holds only pointers to freshly
+// allocated samples, so the next draw never rewrites a sample a member
+// still holds. No member recycles one: a process row's c members hold
+// the same layers (ExtractBatch copies what it hands on), and the row
+// is their one owner.
+//
+//gnnvet:arena
+type rowFold struct {
+	spa       sparse.Scratch // sums a layer-wise sampler's P
+	res       sparse.CSR     // a layer-wise sampler's P
+	viewPtr   []int          // P's row pointers, read in place
+	ptr       []int          // P's row pointers (res's or viewPtr), read-only
+	view      stageRows      // the reader of A's rows in the row's blocks
+	rowBlocks []*sparse.CSR  // the row's blocks in block-row order, view's
+	draw      rowDraw        // the row's draw, read-only
+
+	// The node-wise draw's row stripes: stripe t covers rows
+	// [stripeLo[t], stripeLo[t+1]) of P and draws into stripePicks[t].
+	// They grow to the largest stripe count seen (GOMAXPROCS) and are
+	// reused.
+	stripePicks []core.RowPicks
+	stripeLo    []int
 }
 
 // growInts returns buf with length n (contents unspecified),
@@ -164,10 +147,10 @@ func growFloats(buf []float64, n int) []float64 {
 // first use. Every rank indexes its own slot, so the lazy writes never
 // race.
 func (ps *Partitioned) arena(rank int) *stageArena {
-	a := ps.arenas[rank]
+	a := ps.arenas.stages[rank]
 	if a == nil {
 		a = &stageArena{}
-		ps.arenas[rank] = a
+		ps.arenas.stages[rank] = a
 	}
 	return a
 }
@@ -220,46 +203,43 @@ func (ar *stageArena) countStage(qk, ak *sparse.CSR, base int) int {
 // foldStages is the row all-reduce's fold (Algorithm 2 line 14), run
 // once for the process row inside the rendezvous. It reads P = Q·A
 // from the blocks the members' stages received (readP) and completes
-// the layer from it once, into the first destination's draw record:
-// a node-wise draw in row stripes (drawStripes), a layer-wise step
-// serially (drawLayerwise). Every destination gets P's row pointers and
-// the read-only draw. See stageArena for why rewriting both here is
-// safe.
-func foldStages(vals, dests []*stageArena) {
-	agree(vals)
-	d0, fin := dests[0], vals[0].fin
-	ptr := d0.readP(vals)
+// the layer from it once, into the row's draw record: a node-wise draw
+// in row stripes (drawStripes), a layer-wise step serially
+// (drawLayerwise). Each member then reads both from the row fold. See
+// rowFold for why rewriting them here is safe.
+func foldStages(members []*stageArena) {
+	agree(members)
+	rf, fin := members[0].row, members[0].fin
+	rf.readP(members)
 	if fin.nodewise() {
-		d0.drawStripes(fin, foldStripes(len(ptr)-1, int64(ptr[len(ptr)-1])))
+		rf.drawStripes(fin, foldStripes(len(rf.ptr)-1, int64(rf.ptr[len(rf.ptr)-1])))
 	} else {
-		d0.draw = fin.drawLayerwise(&d0.view, &d0.res)
-	}
-	for _, d := range dests {
-		d.ptr, d.drawn = ptr, &d0.draw
+		rf.draw = fin.drawLayerwise(&rf.view, &rf.res)
 	}
 }
 
-// readP points d0's view at the members' blocks, in block-row order
-// (member j's stage t received block row j·stages + t), and returns P's
-// row pointers. A layer-wise sampler's P is summed from the view into
-// d0's res by sparse's one SpGEMM body, each row over Q's entries in
-// column order, as sparse.SpGEMM(Q, A) sums it. Any other P is read in
-// place: its row i is row of[i] of A, Q's columns, and its row pointers
-// are laid out in viewPtr.
-func (d0 *stageArena) readP(members []*stageArena) []int {
-	m0 := members[0]
-	d0.rowBlocks = d0.rowBlocks[:0]
+// readP points the view at the members' blocks, in block-row order
+// (member j's stage t received block row j·stages + t), and lays out
+// P's row pointers in ptr. A layer-wise sampler's P is summed from the
+// view into res by sparse's one SpGEMM body, each row over Q's entries
+// in column order, as sparse.SpGEMM(Q, A) sums it. Any other P is read
+// in place: its row i is row of[i] of A, Q's columns, and its row
+// pointers are laid out in viewPtr.
+func (rf *rowFold) readP(members []*stageArena) {
+	q := members[0].q
+	rf.rowBlocks = rf.rowBlocks[:0]
 	for _, m := range members {
-		d0.rowBlocks = append(d0.rowBlocks, m.blocks...)
+		rf.rowBlocks = append(rf.rowBlocks, m.blocks...)
 	}
-	d0.view = stageRows{a: m0.a, blocks: d0.rowBlocks}
-	if m0.fin.layerwiseP() {
-		p, _ := d0.SpGEMM(&d0.res, m0.q, &d0.view)
-		return p.RowPtr[:p.Rows+1]
+	rf.view.blocks, rf.view.of = rf.rowBlocks, nil
+	if members[0].fin.layerwiseP() {
+		p, _ := rf.spa.SpGEMM(&rf.res, q, &rf.view)
+		rf.ptr = p.RowPtr[:p.Rows+1]
+		return
 	}
-	d0.view.of = m0.q.ColIdx[:m0.q.Rows]
-	d0.viewPtr = d0.view.rowPtr(d0.viewPtr)
-	return d0.viewPtr
+	rf.view.of = q.ColIdx[:q.Rows]
+	rf.viewPtr = rf.view.rowPtr(rf.viewPtr)
+	rf.ptr = rf.viewPtr
 }
 
 // foldStripes is the node-wise draw's stripe count: one where
@@ -279,42 +259,42 @@ func foldStripes(rows int, nnz int64) int {
 // drawn row reads only its own row of P and reseeds its draw from its
 // row index, so each stripe writes what the serial pass writes for its
 // rows (TestFoldInPlaceStripesMatchSerial).
-func (d0 *stageArena) drawStripes(fin finishStep, k int) {
-	d0.splitStripes(d0.viewPtr, k)
+func (rf *rowFold) drawStripes(fin finishStep, k int) {
+	rf.splitStripes(rf.viewPtr, k)
 	if k == 1 {
-		d0.drawStripe(fin, 0)
+		rf.drawStripe(fin, 0)
 	} else {
 		dense.ParallelRows(k, func(lo, hi int) {
 			for t := lo; t < hi; t++ {
-				d0.drawStripe(fin, t)
+				rf.drawStripe(fin, t)
 			}
 		})
 	}
-	ls, cost := core.JoinRows(fin.cur, d0.stripePicks[:k])
-	d0.draw = rowDraw{layer: ls, cost: cost}
+	ls, cost := core.JoinRows(fin.cur, rf.stripePicks[:k])
+	rf.draw = rowDraw{layer: ls, cost: cost}
 }
 
 // splitStripes sizes the stripe scratch for k stripes and bounds them
 // so that each covers about an equal share of P's entries plus rows —
 // what a stripe's prefix sums and row loop cost.
-func (d0 *stageArena) splitStripes(rowPtr []int, k int) {
-	if len(d0.stripePicks) < k {
-		d0.stripePicks = append(d0.stripePicks, make([]core.RowPicks, k-len(d0.stripePicks))...)
+func (rf *rowFold) splitStripes(rowPtr []int, k int) {
+	if len(rf.stripePicks) < k {
+		rf.stripePicks = append(rf.stripePicks, make([]core.RowPicks, k-len(rf.stripePicks))...)
 	}
 	rows := len(rowPtr) - 1
 	weight := rowPtr[rows] + rows
-	d0.stripeLo = growInts(d0.stripeLo, k+1)
+	rf.stripeLo = growInts(rf.stripeLo, k+1)
 	for t := range k {
 		target := int(int64(weight) * int64(t) / int64(k))
-		d0.stripeLo[t] = sort.Search(rows, func(i int) bool { return rowPtr[i]+i >= target })
+		rf.stripeLo[t] = sort.Search(rows, func(i int) bool { return rowPtr[i]+i >= target })
 	}
-	d0.stripeLo[k] = rows
+	rf.stripeLo[k] = rows
 }
 
 // drawStripe draws stripe t's rows of P in place. It writes only
 // stripe t's picks.
-func (d0 *stageArena) drawStripe(fin finishStep, t int) {
-	fin.s.(nodewiseFinisher).FinishRows(&d0.view, d0.view.of, d0.stripeLo[t], d0.stripeLo[t+1], fin.size, fin.seed, &d0.stripePicks[t])
+func (rf *rowFold) drawStripe(fin finishStep, t int) {
+	fin.s.(nodewiseFinisher).FinishRows(&rf.view, rf.view.of, rf.stripeLo[t], rf.stripeLo[t+1], fin.size, fin.seed, &rf.stripePicks[t])
 }
 
 // stageRows reads A's rows by global vertex from the blocks a driver's

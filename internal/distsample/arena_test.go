@@ -208,13 +208,13 @@ func TestPartitionedAliasedBlocksMatchSerial(t *testing.T) {
 			}
 		}
 		stages, aliased := g.Rows/c, 0
-		for rank, ar := range set[0].arenas {
+		for rank, ar := range set[0].arenas.stages {
 			j := g.ColIndex(rank)
 			for st, blk := range ar.asms {
 				if blk.NNZ() == 0 {
 					continue
 				}
-				owner := set[0].arenas[(j*stages+st)*c+j] // grid slot (k, j), k = j·stages + st
+				owner := set[0].arenas.stages[(j*stages+st)*c+j] // grid slot (k, j), k = j·stages + st
 				if !inStorage(blk.ColIdx, owner.respCols) || !inStorage(blk.Val, owner.respVals) {
 					t.Fatalf("%s rank %d stage %d: the block does not alias its owner's payload", s.Name(), rank, st)
 				}

@@ -33,8 +33,8 @@ func BenchmarkRowFold(b *testing.B) {
 	for l, ls := range bulk.Layers {
 		cur := ls.Rows
 		sage, ladies := stageMembers(a, c, stages), stageMembers(a, c, stages)
-		beginFold(sage, core.SAGE{}.BuildQ(cur, a.Rows), a, finishStep{s: sg, cur: cur, size: d.Fanouts[l], seed: 7})
-		beginFold(ladies, core.LADIES{}.BuildQ(cur, a.Rows), a, finishStep{s: core.LADIES{}, cur: cur, size: d.LayerWidth, seed: 7})
+		beginFold(sage, core.SAGE{}.BuildQ(cur, a.Rows), finishStep{s: sg, cur: cur, size: d.Fanouts[l], seed: 7})
+		beginFold(ladies, core.LADIES{}.BuildQ(cur, a.Rows), finishStep{s: core.LADIES{}, cur: cur, size: d.LayerWidth, seed: 7})
 		for _, tc := range []struct {
 			name    string
 			members []*stageArena
@@ -43,11 +43,11 @@ func BenchmarkRowFold(b *testing.B) {
 				// A b.N loop, not b.Loop: at go1.24 b.Loop runs the whole
 				// measurement in the benchmark's first call, which -cpu does
 				// not yet govern, so a "-cpu 1" row could fold at two workers.
-				foldStages(tc.members, tc.members)
+				foldStages(tc.members)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for range b.N {
-					foldStages(tc.members, tc.members)
+					foldStages(tc.members)
 				}
 			})
 		}

@@ -17,17 +17,18 @@ import (
 
 // The row fold reads P from the blocks of A the stages received
 // (stageRows) and completes the layer once per process row, a node-wise
-// draw in row stripes (stageArena.drawStripes). These tests pin that it
+// draw in row stripes (rowFold.drawStripes). These tests pin that it
 // gives the serial sampler's P and layer bit for bit, that the stripes
-// move no bit and that their scratch lives in the arena.
+// move no bit and that their scratch lives in the row's fold.
 
 // stageMembers is a process row of c arenas whose stages hold the
 // blocks of a they would receive, c·stages block rows in all: member
-// j's stage t holds block row j·stages + t.
+// j's stage t holds block row j·stages + t. They share one rowFold.
 func stageMembers(a *sparse.CSR, c, stages int) []*stageArena {
 	members := make([]*stageArena, c)
+	row := &rowFold{view: stageRows{a: a}}
 	for j := range members {
-		members[j] = &stageArena{}
+		members[j] = &stageArena{row: row}
 		members[j].sizeStages(stages)
 		for t := range stages {
 			lo, hi := graph.BlockRowRange(a.Rows, c*stages, j*stages+t)
@@ -37,11 +38,11 @@ func stageMembers(a *sparse.CSR, c, stages int) []*stageArena {
 	return members
 }
 
-// beginFold states the call every member makes: Q, A and the finish
-// step, as spgemm15D does before the row all-reduce.
-func beginFold(members []*stageArena, q, a *sparse.CSR, fin finishStep) {
+// beginFold states the call every member makes: Q and the finish step,
+// as spgemm15D does before the row all-reduce.
+func beginFold(members []*stageArena, q *sparse.CSR, fin finishStep) {
 	for _, m := range members {
-		m.q, m.a, m.fin = q, a, fin
+		m.q, m.fin = q, fin
 	}
 }
 
@@ -81,7 +82,7 @@ func sameCSRBits(got, want *sparse.CSR) error {
 }
 
 // TestFoldStripesAllocateOnlyTheFanOut: the stripes' pick buffers and
-// samplers live in the first arena, so a warm striped in-place draw
+// samplers live in the row's fold, so a warm striped in-place draw
 // allocates what a warm one-stripe draw does — the layer it returns —
 // plus the fan-out's fixed cost. GC is held off while counting, as in
 // TestFreshSetReusesArenaMemory.
@@ -100,11 +101,11 @@ func TestFoldStripesAllocateOnlyTheFanOut(t *testing.T) {
 	members := stageMembers(a, 2, 3)
 	cur := stripeFrontier(rng, rows, n)
 	fin := finishStep{s: core.SAGE{}, cur: cur, size: s, seed: 9}
-	beginFold(members, core.SAGE{}.BuildQ(cur, n), a, fin)
-	d0 := members[0]
+	beginFold(members, core.SAGE{}.BuildQ(cur, n), fin)
+	rf := members[0].row
 	foldAt := func(k int) {
-		d0.readP(members)
-		d0.drawStripes(fin, k)
+		rf.readP(members)
+		rf.drawStripes(fin, k)
 	}
 	foldAt(2)
 	foldAt(1)
@@ -239,8 +240,8 @@ func TestFoldInPlaceMatchesMerge(t *testing.T) {
 // layerwisePs runs one layer-wise sampler's P call of spgemm15D on
 // every rank of a p x c grid over batches, after edit (when not nil)
 // has changed the set, and returns every rank's P as the process row's
-// first arena holds it after the call — summed from the blocks the
-// stages received and normalized there — and the serial
+// fold holds it after the call — summed from the blocks the stages
+// received and normalized there — and the serial
 // Norm(sparse.SpGEMM(Q, A)).
 func layerwisePs(t *testing.T, a *sparse.CSR, batches [][]int, p, c int, s core.Sampler, aware bool, edit func([]*Partitioned)) (got, want []*sparse.CSR) {
 	t.Helper()
@@ -255,7 +256,7 @@ func layerwisePs(t *testing.T, a *sparse.CSR, batches [][]int, p, c int, s core.
 		cur := core.NewFrontier(LocalBatches(g, r.ID, batches))
 		q := s.BuildQ(cur, a.Rows)
 		set[r.ID].spgemm15D(r, q, finishStep{s: s, cur: cur, size: 8, seed: 5})
-		got[r.ID] = set[r.ID].arenas[r.ID-g.ColIndex(r.ID)].res.Clone()
+		got[r.ID] = set[r.ID].fold.res.Clone()
 		want[r.ID], _ = sparse.SpGEMM(q, a)
 		s.Norm(want[r.ID])
 		return nil
@@ -400,25 +401,25 @@ func TestFoldInPlaceStripesMatchSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	a := inPlaceGraph(rng, n, s)
 	members := stageMembers(a, c, stages)
-	d0 := members[0]
+	rf := members[0].row
 	for trial := range 3 {
 		cur := stripeFrontier(rng, 150+rng.Intn(100), n)
 		q := core.SAGE{}.BuildQ(cur, n)
 		fin := finishStep{s: core.SAGE{}, cur: cur, size: s, seed: seed}
-		beginFold(members, q, a, fin)
+		beginFold(members, q, fin)
 		p, _ := sparse.SpGEMM(q, a)
 		wantLS, wantCost := core.SAGE{}.FinishStep(p, cur, s, seed)
 		for _, k := range []int{4, 1, 2, 4} {
-			if !slices.Equal(d0.readP(members), p.RowPtr) {
+			if rf.readP(members); !slices.Equal(rf.ptr, p.RowPtr) {
 				t.Fatalf("trial %d: in-place row pointers differ from the product's", trial)
 			}
-			d0.drawStripes(fin, k)
+			rf.drawStripes(fin, k)
 			for st := range k {
-				if d0.stripeLo[st] >= d0.stripeLo[st+1] {
-					t.Fatalf("trial %d, %d stripes: stripe %d is empty (bounds %v)", trial, k, st, d0.stripeLo[:k+1])
+				if rf.stripeLo[st] >= rf.stripeLo[st+1] {
+					t.Fatalf("trial %d, %d stripes: stripe %d is empty (bounds %v)", trial, k, st, rf.stripeLo[:k+1])
 				}
 			}
-			drawn := &d0.draw
+			drawn := &rf.draw
 			got := drawn.layer
 			if err := sameCSRBits(got.Adj, wantLS.Adj); err != nil {
 				t.Fatalf("trial %d, %d stripes: layer adjacency: %v", trial, k, err)

@@ -49,64 +49,76 @@ const (
 )
 
 // Partitioned is the per-grid-row state of the Graph Partitioned
-// algorithm: one block row of A (compact, rows [Lo, Hi) of the global
-// matrix), shared by the c replicas of a process row.
+// algorithm: one block row of A (rows [Lo, Hi) of the global matrix)
+// and the row's fold, shared by the c replicas of a process row.
 type Partitioned struct {
 	Grid *cluster.Grid
 	N    int
 	// ALocal holds rows [Lo, Hi) of A with row indices shifted to
-	// local (row g of A is ALocal row g-Lo).
+	// local (row g of A is ALocal row g-Lo): a read-only view of A.
 	ALocal *sparse.CSR
 	Lo, Hi int
-	// a is the whole matrix the set sliced: what the in-place draw's
-	// reader names, so the draw finds A's rows in A's RowCDF table.
-	a *sparse.CSR
 	// SparsityAware selects Algorithm 2's row-fetching scheme; when
 	// false the owner broadcasts its whole block row each stage (the
 	// sparsity-oblivious baseline the paper contrasts against).
 	SparsityAware bool
 
-	// arenas is the set's stage arenas, shared by every block: rank r's
-	// is arenas[r], so grid slot (i, j) — the arena of block row i's
-	// column-j replica — is arenas[i*c+j]. See stageArena for the
-	// reuse-safety argument.
-	arenas []*stageArena
+	arenas arenaSet
+	fold   *rowFold // this process row's, arenas.rows[i]
 }
 
-// freeArenaSets holds the arena lists of released sets (see
-// NewPartitionedSet).
-var freeArenaSets freelist.List[[]*stageArena]
+// arenaSet is a set's workspaces, shared by every block and recycled
+// together: rank r's stage arena is stages[r], so grid slot (i, j) —
+// the arena of block row i's column-j replica — is stages[i*c+j], and
+// process row i's fold is rows[i]. See stageArena and rowFold for the
+// reuse-safety argument.
+type arenaSet struct {
+	stages []*stageArena
+	rows   []*rowFold
+}
 
-// NewPartitionedSet slices A into the grid's block rows, returning the
+// freeArenaSets holds the workspaces of released sets (see
+// NewPartitionedSet).
+var freeArenaSets freelist.List[arenaSet]
+
+// NewPartitionedSet splits A into the grid's block rows, returning the
 // per-rank state (index by rank id). Replicas within a process row
-// share the same block storage, like real replicas would hold copies.
+// share the same block, like real replicas would hold copies. A is
+// read-only, so each block is a view of it (sparse.SliceRows), not a
+// copy.
 //
-// The set's stage arenas are a whole released set's, when the process
+// The set's workspaces are a whole released set's, when the process
 // has one: reuse is by position, not arena by arena, because positions
-// have roles — a process row's column-0 arena holds the row's fold
-// state (P, the draw, the stripes), owners hold response payloads — so
-// a recycled set at the same grid shape regrows nothing. Give the set
-// back with ReleasePartitionedSet once no rank can still read it.
+// have roles — owners hold response payloads, a process row's fold its
+// P, draw and stripes — so a recycled set at the same grid shape
+// regrows nothing. Give the set back with ReleasePartitionedSet once no
+// rank can still read it.
 func NewPartitionedSet(g *cluster.Grid, a *sparse.CSR, sparsityAware bool) []*Partitioned {
 	if g.Rows%g.C != 0 {
 		panic(fmt.Sprintf("distsample: 1.5D algorithm needs c^2 | p (p=%d c=%d)", g.P, g.C))
 	}
-	arenas, _ := freeArenaSets.Take()
-	if len(arenas) < g.P {
-		arenas = append(arenas, make([]*stageArena, g.P-len(arenas))...)
+	ws, _ := freeArenaSets.Take()
+	if len(ws.stages) < g.P {
+		ws.stages = append(ws.stages, make([]*stageArena, g.P-len(ws.stages))...)
+	}
+	for len(ws.rows) < g.Rows {
+		ws.rows = append(ws.rows, &rowFold{})
 	}
 	blocks := make([]*Partitioned, g.Rows)
 	for i := 0; i < g.Rows; i++ {
 		lo, hi := graph.BlockRowRange(a.Rows, g.Rows, i)
+		// The draw's reader names A, so it finds A's rows in A's
+		// RowCDF table.
+		ws.rows[i].view.a = a
 		blocks[i] = &Partitioned{
 			Grid:          g,
 			N:             a.Rows,
 			ALocal:        sparse.SliceRows(a, lo, hi),
-			a:             a,
 			Lo:            lo,
 			Hi:            hi,
 			SparsityAware: sparsityAware,
-			arenas:        arenas,
+			arenas:        ws,
+			fold:          ws.rows[i],
 		}
 	}
 	out := make([]*Partitioned, g.P)
@@ -116,28 +128,30 @@ func NewPartitionedSet(g *cluster.Grid, a *sparse.CSR, sparsityAware bool) []*Pa
 	return out
 }
 
-// ReleasePartitionedSet hands the set's stage arenas to the next
+// ReleasePartitionedSet hands the set's workspaces to the next
 // NewPartitionedSet. Call it only once every rank is done with the set
 // — after the cluster run that used it has returned without error: a
-// member may read another's arena (a payload, P's row pointers) until it
-// leaves the collective, and a failed run leaves arenas mid-call. The
-// set must not be used afterwards.
+// member may read another's arena (a payload) or the row's fold (P's
+// row pointers, the draw) until it leaves the collective, and a failed
+// run leaves arenas mid-call. The set must not be used afterwards.
 func ReleasePartitionedSet(set []*Partitioned) {
-	arenas := set[0].arenas
-	for _, a := range arenas {
+	ws := set[0].arenas
+	for _, a := range ws.stages {
 		if a != nil {
-			// ptr and drawn point into another arena of the set, the
-			// draw record and finish step hold the last layer, sampled
-			// sets and frontier, and q, a, blocks, rowBlocks and view
-			// the last Q, the set's A and its blocks; nextTag keeps
-			// counting, because stamp still holds the old tags.
-			a.ptr, a.drawn, a.draw, a.fin = nil, nil, rowDraw{}, finishStep{}
-			a.q, a.a, a.view = nil, nil, stageRows{}
+			// The finish step holds the last frontier, and q and blocks
+			// the last Q and the set's blocks; nextTag keeps counting,
+			// because stamp still holds the old tags.
+			a.fin, a.q, a.row = finishStep{}, nil, nil
 			clear(a.blocks)
-			clear(a.rowBlocks)
 		}
 	}
-	freeArenaSets.Put(arenas)
+	for _, rf := range ws.rows {
+		// The draw holds the last layer or sampled sets, and view and
+		// rowBlocks the set's A and its blocks.
+		rf.draw, rf.view = rowDraw{}, stageRows{}
+		clear(rf.rowBlocks)
+	}
+	freeArenaSets.Put(ws)
 }
 
 // rowPayload carries requested rows of an A block from the owner to a
@@ -159,8 +173,8 @@ func payloadBytes(p *rowPayload) int {
 // span the full vertex range [0, N). It returns P's row pointers — one
 // P per process row, which its c members share — and the row's draw
 // from P (see foldStages). Both are read-only: they live in the process
-// row's stage arenas and are valid until the row's next spgemm15D call
-// on this set (or the set's release), and Q must not be one of them.
+// row's fold and are valid until the row's next spgemm15D call on this
+// set (or the set's release), and Q must not be one of them.
 // The collective schedules — the per-stage gathers/scatters and the row
 // all-reduce — charge under the cost model's Collectives table
 // (cluster.CollectiveAlgorithm), so algorithm comparisons reach the
@@ -272,10 +286,11 @@ func (ps *Partitioned) spgemm15D(r *cluster.Rank, q *sparse.CSR, fin finishStep)
 	// sum in CSR form: cum nonzeros over q.Rows rows, sized like the old
 	// accumulator.
 	partialBytes := 8*(q.Rows+1) + 16*cum
-	ar.fin, ar.q, ar.a = fin, q, ps.a
-	sum := cluster.AllReduceGenericInto(rowComm, r, ar, partialBytes, ar, foldStages)
-	r.Charge(cluster.Work{MemBytes: int64(sum.ptr[len(sum.ptr)-1]) * 16 * int64(rowComm.Size())})
-	return sum.ptr, sum.drawn
+	ar.fin, ar.q, ar.row = fin, q, ps.fold
+	cluster.AllReduceGeneric(rowComm, r, ar, partialBytes, foldStages)
+	ptr := ps.fold.ptr
+	r.Charge(cluster.Work{MemBytes: int64(ptr[len(ptr)-1]) * 16 * int64(rowComm.Size())})
+	return ptr, &ps.fold.draw
 }
 
 // errNotUnit is spgemm15D's diagnostic for a Q with other than one
@@ -441,11 +456,11 @@ type rowDraw struct {
 const errRowDisagree = "distsample: process row members passed different finish steps"
 
 // agree panics, naming errRowDisagree, unless every member's finish
-// step (vals[m].fin) matches the first member's in seed, size and
+// step (members[m].fin) matches the first member's in seed, size and
 // frontier length.
-func agree(vals []*stageArena) {
-	f0 := vals[0].fin
-	for m, v := range vals[1:] {
+func agree(members []*stageArena) {
+	f0 := members[0].fin
+	for m, v := range members[1:] {
 		if f := v.fin; f.seed != f0.seed || f.size != f0.size || f.cur.Len() != f0.cur.Len() {
 			panic(fmt.Sprintf("%s: member 0 %s, member %d %s", errRowDisagree, f0, m+1, f))
 		}
@@ -471,7 +486,7 @@ func (f finishStep) layerwiseP() bool {
 // drawLayerwise completes a layer-wise step, serially: its Norm
 // (LADIES, FastGCN) sums columns over all rows. The extraction reads
 // A_R = Q_R·A in place (view) onto f.sampled; the draw normalizes P,
-// the sum in the process row's first arena (p), in place.
+// the sum in the process row's fold (p), in place.
 func (f finishStep) drawLayerwise(view *stageRows, p *sparse.CSR) rowDraw {
 	if f.sampled != nil {
 		ls, cost := core.ExtractLayerwise(view, view.of, f.cur, f.sampled)

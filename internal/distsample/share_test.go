@@ -145,3 +145,61 @@ func TestPartitionedNaNWeightIsOneFoldError(t *testing.T) {
 		}
 	}
 }
+
+// TestPartitionedRowSharesOneFold: a process row's c members hold one
+// rowFold — the row's P and draw — and no two rows share one. After a
+// call, every member's arena reaches the fold through row, which is how
+// the row all-reduce's fold finds it.
+func TestPartitionedRowSharesOneFold(t *testing.T) {
+	const p, c = 16, 2
+	a := testGraph(150, 10, 24)
+	cl := cluster.New(p, cluster.Perlmutter())
+	g := cluster.NewGrid(cl, p, c)
+	set := NewPartitionedSet(g, a, true)
+	rowOf := map[*rowFold]int{}
+	for rank, ps := range set {
+		i := g.RowIndex(rank)
+		if prev, ok := rowOf[ps.fold]; ps.fold == nil || ok && prev != i {
+			t.Fatalf("rank %d of row %d: fold %p, already row %d's", rank, i, ps.fold, prev)
+		}
+		rowOf[ps.fold] = i
+	}
+	if len(rowOf) != g.Rows {
+		t.Fatalf("%d folds for %d process rows", len(rowOf), g.Rows)
+	}
+	batches := makeBatches(2*g.Rows, 4, a.Rows)
+	if _, err := cl.Run(func(r *cluster.Rank) error {
+		SamplePartitioned(r, set[r.ID], core.SAGE{}, LocalBatches(g, r.ID, batches), []int{3}, 5)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for rank, ps := range set {
+		if got := ps.arenas.stages[rank].row; got != ps.fold {
+			t.Fatalf("rank %d's arena reaches fold %p, its row's is %p", rank, got, ps.fold)
+		}
+	}
+}
+
+// TestPartitionedBlocksViewA: a set's blocks, and the 1D baseline's,
+// are views of A, not copies: each block's columns and values are A's
+// rows [Lo, Hi) in A's own storage, capped at the block's end.
+func TestPartitionedBlocksViewA(t *testing.T) {
+	const p, c = 8, 2
+	a := testGraph(150, 10, 25)
+	views := func(name string, rank int, b *sparse.CSR, lo, hi int) {
+		t.Helper()
+		base, end := a.RowPtr[lo], a.RowPtr[hi]
+		if end == base || &b.ColIdx[0] != &a.ColIdx[base] || &b.Val[0] != &a.Val[base] ||
+			cap(b.ColIdx) != end-base || cap(b.Val) != end-base {
+			t.Fatalf("%s rank %d: the block of rows [%d, %d) is no capped view of A", name, rank, lo, hi)
+		}
+	}
+	g := cluster.NewGrid(cluster.New(p, cluster.Perlmutter()), p, c)
+	for rank, ps := range NewPartitionedSet(g, a, true) {
+		views("1.5D", rank, ps.ALocal, ps.Lo, ps.Hi)
+	}
+	for rank, od := range NewOneDSet(p, a) {
+		views("1D", rank, od.ALocal, od.Lo, od.Hi)
+	}
+}

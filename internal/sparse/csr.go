@@ -148,9 +148,9 @@ func (m *CSR) Apply(f func(float64) float64) {
 	}
 }
 
-// Equal reports whether two matrices have identical shape and entries
-// within tol.
-func Equal(a, b *CSR, tol float64) bool {
+// Equal reports whether two matrices have identical shape and entries,
+// values compared bit for bit (so −0 and +0 differ).
+func Equal(a, b *CSR) bool {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		return false
 	}
@@ -161,7 +161,7 @@ func Equal(a, b *CSR, tol float64) bool {
 			return false
 		}
 		for k := range ac {
-			if ac[k] != bc[k] || math.Abs(av[k]-bv[k]) > tol {
+			if ac[k] != bc[k] || math.Float64bits(av[k]) != math.Float64bits(bv[k]) {
 				return false
 			}
 		}

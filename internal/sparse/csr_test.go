@@ -122,7 +122,7 @@ func TestTransposeInvolution(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		a := randomCSR(rng, 1+rng.Intn(20), 1+rng.Intn(20), 0.3)
 		tt := a.Transpose().Transpose()
-		if !Equal(a, tt, 0) {
+		if !Equal(a, tt) {
 			t.Fatalf("transpose not an involution on trial %d", trial)
 		}
 		if err := a.Transpose().Validate(); err != nil {
@@ -184,7 +184,7 @@ func TestIdentity(t *testing.T) {
 	}
 	a := randomCSR(rand.New(rand.NewSource(2)), 5, 7, 0.4)
 	prod, _ := SpGEMM(id, a)
-	if !Equal(a, prod, 0) {
+	if !Equal(a, prod) {
 		t.Fatal("I*A != A")
 	}
 }

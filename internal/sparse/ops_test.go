@@ -40,7 +40,7 @@ func TestExtractRowsMatchesSpGEMM(t *testing.T) {
 	if err := got.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if want := gatherRows(a, rows); !Equal(got, want, 0) {
+	if want := gatherRows(a, rows); !Equal(got, want) {
 		t.Fatalf("Q_R*A != gathered rows:\n%v\n%v", got.ToDense(), want.ToDense())
 	}
 }
@@ -88,9 +88,29 @@ func TestSliceRows(t *testing.T) {
 	}
 }
 
+// TestSliceRowsViewsA: the slice's columns and values are A's, in A's
+// storage, and capped at the slice's last entry, so an append
+// reallocates instead of writing A's next row.
+func TestSliceRowsViewsA(t *testing.T) {
+	a := exampleGraph()
+	s := SliceRows(a, 2, 5)
+	base, end := a.RowPtr[2], a.RowPtr[5]
+	if &s.ColIdx[0] != &a.ColIdx[base] || &s.Val[0] != &a.Val[base] {
+		t.Fatal("the slice copied A's entries")
+	}
+	if cap(s.ColIdx) != end-base || cap(s.Val) != end-base {
+		t.Fatalf("capacities %d and %d, want %d", cap(s.ColIdx), cap(s.Val), end-base)
+	}
+	next := a.ColIdx[end]
+	s.ColIdx = append(s.ColIdx, -1)
+	if a.ColIdx[end] != next {
+		t.Fatal("an append to the slice wrote A's next row")
+	}
+}
+
 func TestSliceRowsWholeMatrix(t *testing.T) {
 	a := exampleGraph()
-	if !Equal(SliceRows(a, 0, a.Rows), a, 0) {
+	if !Equal(SliceRows(a, 0, a.Rows), a) {
 		t.Fatal("full slice differs from original")
 	}
 }
